@@ -30,15 +30,15 @@
 
 use crate::fingerprint::type_fingerprint;
 use crate::msrlt::{LogicalId, Msrlt};
+use crate::translate::{leaf_ordinal, read_ptr, span, Cursor};
 use crate::CoreError;
 use hpm_arch::CScalar;
-use hpm_memory::AddressSpace;
+use hpm_memory::{AddressSpace, BlockSlot};
 use hpm_obs::{FlightTrack, StatField, StatGroup, Tracer};
 use hpm_types::plan::{PlanOp, SavePlan};
 use hpm_types::TypeId;
 use hpm_xdr::XdrEncoder;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Stream tag: block saved in place (named live variable), first visit.
 pub(crate) const TAG_VAR_NEW: u32 = 1;
@@ -149,8 +149,6 @@ pub struct CollectStats {
     pub bytes_out: u64,
     /// Chunks handed to the sink (0 when collecting monolithically).
     pub chunks_flushed: u64,
-    /// Time spent in the Encode-and-Copy phase (scalar conversion).
-    pub encode_time: Duration,
 }
 
 impl StatGroup for CollectStats {
@@ -167,7 +165,6 @@ impl StatGroup for CollectStats {
             StatField::count("ptr_new", self.ptr_new),
             StatField::bytes("bytes_out", self.bytes_out),
             StatField::count("chunks_flushed", self.chunks_flushed),
-            StatField::duration("encode_time", self.encode_time),
         ]
     }
 
@@ -179,20 +176,11 @@ impl StatGroup for CollectStats {
         self.ptr_new += other.ptr_new;
         self.bytes_out += other.bytes_out;
         self.chunks_flushed += other.chunks_flushed;
-        self.encode_time += other.encode_time;
     }
 }
 
 /// A destination for flushed payload chunks during streamed collection.
 pub type ChunkSink<'a> = Box<dyn FnMut(Vec<u8>) -> Result<(), CoreError> + 'a>;
-
-struct Cursor {
-    block_addr: u64,
-    plan: Arc<SavePlan>,
-    count: u64,
-    elem_idx: u64,
-    op_idx: usize,
-}
 
 /// One collection session over a process image.
 ///
@@ -457,36 +445,46 @@ impl<'a> Collector<'a> {
         self.stats.blocks_saved += 1;
         self.tracer
             .instant_args("collect.block", &[("count", count as f64)]);
-        let plan = self.space.plan_for(ty)?;
+        let mut stack = Vec::new();
+        self.push_block(addr, ty, count, &mut stack)?;
+        self.drain(stack)
+    }
+
+    /// Save the contents of the block at `addr`: pointer-free blocks are
+    /// encoded here and now, the rest get a cursor on the DFS stack.
+    fn push_block(
+        &mut self,
+        addr: u64,
+        ty: TypeId,
+        count: u64,
+        stack: &mut Vec<Cursor>,
+    ) -> Result<(), CoreError> {
+        let plan = self.space.plan_ref(ty)?;
         if !plan.has_pointers {
+            let plan = Arc::clone(plan);
             return self.encode_block_bulk(addr, &plan, count);
         }
-        self.drain(vec![Cursor {
-            block_addr: addr,
-            plan,
-            count,
-            elem_idx: 0,
-            op_idx: 0,
-        }])
+        // The one address translation this block costs.
+        stack.push(Cursor::new(self.space, addr, ty, count)?);
+        Ok(())
     }
 
     /// Fast path for pointer-free blocks (the linpack case): one address
-    /// resolution and one timing probe for the whole block, then a tight
-    /// native→XDR loop. This is what makes Encode-and-Copy the dominant
-    /// linpack term rather than per-element bookkeeping.
+    /// resolution for the whole block, then a tight native→XDR loop. This
+    /// is what makes Encode-and-Copy the dominant linpack term rather than
+    /// per-element bookkeeping.
     fn encode_block_bulk(
         &mut self,
         addr: u64,
-        plan: &hpm_types::plan::SavePlan,
+        plan: &SavePlan,
         count: u64,
     ) -> Result<(), CoreError> {
-        let t0 = Instant::now();
         let total = plan.size * count;
-        let arch = self.space.arch().clone();
+        let arch = self.space.arch();
         // Whole-block fast path: when the block's wire image IS its
         // native bytes, copy it in bounded slices — one memcpy per
         // megabyte instead of a decode/encode per scalar.
-        if self.mode == TranslationMode::Bulk && plan_is_wire_identical(&arch, plan) {
+        if self.mode == TranslationMode::Bulk && plan_is_wire_identical(arch, plan) {
             let per_elem: u64 = plan
                 .ops
                 .iter()
@@ -515,7 +513,6 @@ impl<'a> Collector<'a> {
                 }
             }
             self.stats.scalars_encoded += per_elem * count;
-            self.stats.encode_time += t0.elapsed();
             return Ok(());
         }
         let bytes = self.space.read_bytes(addr, total)?;
@@ -534,7 +531,7 @@ impl<'a> Collector<'a> {
                 };
                 let size = arch.scalar_size(*kind) as usize;
                 if self.mode == TranslationMode::Bulk
-                    && same_wire_format(&arch, *kind)
+                    && same_wire_format(arch, *kind)
                     && *stride == size as u64
                 {
                     // Contiguous same-format run inside a padded or
@@ -568,33 +565,17 @@ impl<'a> Collector<'a> {
             }
         }
         self.stats.scalars_encoded += scalars;
-        self.stats.encode_time += t0.elapsed();
         Ok(())
     }
 
     fn drain(&mut self, mut stack: Vec<Cursor>) -> Result<(), CoreError> {
-        loop {
-            // Take the next op from the top cursor; borrow of `stack`
-            // ends with this block so pointer handling can push onto it.
-            let next = match stack.last_mut() {
-                None => break,
-                Some(cur) => {
-                    if cur.elem_idx >= cur.count {
-                        stack.pop();
-                        continue;
-                    }
-                    if cur.op_idx >= cur.plan.ops.len() {
-                        cur.elem_idx += 1;
-                        cur.op_idx = 0;
-                        continue;
-                    }
-                    let elem_base = cur.elem_idx * cur.plan.size;
-                    let op = cur.plan.ops[cur.op_idx].clone();
-                    cur.op_idx += 1;
-                    (cur.block_addr, elem_base, op)
-                }
+        // Take the next op from the top cursor; the borrow of `stack` ends
+        // with that step, so pointer handling can push onto it.
+        while let Some(cur) = stack.last_mut() {
+            let Some((slot, elem_base, op)) = cur.next_op(self.space)? else {
+                stack.pop();
+                continue;
             };
-            let (block_addr, elem_base, op) = next;
             match op {
                 PlanOp::ScalarRun {
                     offset,
@@ -602,10 +583,11 @@ impl<'a> Collector<'a> {
                     count,
                     stride,
                 } => {
-                    self.encode_run(block_addr, elem_base + offset, kind, count, stride)?;
+                    self.encode_run(slot, elem_base + offset, kind, count, stride)?;
                 }
                 PlanOp::PointerSlot { offset, .. } => {
-                    let ptr = self.read_ptr(block_addr, elem_base + offset)?;
+                    let bytes = self.space.slot_bytes(slot)?;
+                    let ptr = read_ptr(self.space.arch(), bytes, slot, elem_base + offset)?;
                     self.encode_pointer(ptr, &mut stack)?;
                 }
             }
@@ -614,38 +596,27 @@ impl<'a> Collector<'a> {
         Ok(())
     }
 
-    fn read_ptr(&mut self, block_addr: u64, offset: u64) -> Result<u64, CoreError> {
-        let size = self.space.arch().pointer_size;
-        let bytes = self.space.read_bytes(block_addr + offset, size)?;
-        Ok(self
-            .space
-            .arch()
-            .decode_scalar(CScalar::Ptr, bytes)
-            .as_ptr())
-    }
-
     fn encode_run(
         &mut self,
-        block_addr: u64,
+        slot: BlockSlot,
         offset: u64,
         kind: CScalar,
         count: u64,
         stride: u64,
     ) -> Result<(), CoreError> {
-        let t0 = Instant::now();
-        let arch = self.space.arch().clone();
+        let arch = self.space.arch();
         let size = arch.scalar_size(kind) as usize;
         let total_span = if count == 0 {
             0
         } else {
             (count - 1) * stride + size as u64
         };
-        let bytes = self.space.read_bytes(block_addr + offset, total_span)?;
+        let bytes = span(self.space.slot_bytes(slot)?, slot, offset, total_span)?;
         if self.mode == TranslationMode::Bulk
-            && same_wire_format(&arch, kind)
+            && same_wire_format(arch, kind)
             && stride == size as u64
         {
-            self.enc.put_opaque_fixed(&bytes[..total_span as usize]);
+            self.enc.put_opaque_fixed(bytes);
         } else {
             for k in 0..count {
                 let at = (k * stride) as usize;
@@ -666,7 +637,6 @@ impl<'a> Collector<'a> {
             }
         }
         self.stats.scalars_encoded += count;
-        self.stats.encode_time += t0.elapsed();
         Ok(())
     }
 
@@ -676,12 +646,14 @@ impl<'a> Collector<'a> {
             self.enc.put_u32(TAG_PTR_NULL);
             return Ok(());
         }
-        // THE MSRLT search (counted, timed in MsrltStats).
-        let (id, _byte_off) = self
+        // THE MSRLT search (counted in MsrltStats).
+        let (id, byte_off) = self
             .lookup_addr(ptr)
             .ok_or(CoreError::UnregisteredPointer(ptr))?;
+        let entry = self.msrlt.entry(id).unwrap();
+        let (ty, count, target_addr) = (entry.ty, entry.count, entry.addr);
         // Element ordinal of the pointed-to leaf within the target block.
-        let (leaf_idx, _) = self.space.leaf_at_addr(ptr)?;
+        let leaf_idx = leaf_ordinal(self.space, ty, count, byte_off, ptr)?;
         if self.is_visited(id) {
             self.stats.ptr_ref += 1;
             self.enc.put_u32(TAG_PTR_REF);
@@ -692,29 +664,15 @@ impl<'a> Collector<'a> {
         self.mark(id);
         self.stats.ptr_new += 1;
         self.stats.blocks_saved += 1;
-        let entry = self.msrlt.entry(id).unwrap();
         self.tracer
-            .instant_args("collect.block", &[("count", entry.count as f64)]);
-        let (ty, count, target_addr) = (entry.ty, entry.count, entry.addr);
+            .instant_args("collect.block", &[("count", count as f64)]);
         self.enc.put_u32(TAG_PTR_NEW);
         put_id(&mut self.enc, id);
         self.enc.put_u64(leaf_idx);
         let fp = self.fingerprint(ty);
         self.enc.put_u64(fp);
         self.enc.put_u64(count);
-        let plan = self.space.plan_for(ty)?;
-        if !plan.has_pointers {
-            self.encode_block_bulk(target_addr, &plan, count)?;
-        } else {
-            stack.push(Cursor {
-                block_addr: target_addr,
-                plan,
-                count,
-                elem_idx: 0,
-                op_idx: 0,
-            });
-        }
-        Ok(())
+        self.push_block(target_addr, ty, count, stack)
     }
 }
 

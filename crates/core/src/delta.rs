@@ -32,8 +32,8 @@
 use crate::collect::put_scalar_xdr;
 use crate::fingerprint::{content_digest, fnv, type_fingerprint, FNV_OFFSET};
 use crate::msrlt::{LogicalId, Msrlt};
+use crate::translate::{logical_pointer, read_ptr, span};
 use crate::CoreError;
-use hpm_arch::CScalar;
 use hpm_memory::AddressSpace;
 use hpm_types::plan::PlanOp;
 use hpm_xdr::delta::{frame_delta, unframe_delta, DeltaHeader};
@@ -90,44 +90,39 @@ fn canonical_digest(
     count: u64,
 ) -> Result<u64, CoreError> {
     let plan = space.plan_for(ty)?;
-    let arch = space.arch().clone();
     let total = plan.size * count;
     let mut enc = XdrEncoder::with_capacity(total as usize + 16);
     enc.put_u64(type_fingerprint(space.types(), ty));
     enc.put_u64(count);
-    // One read for the whole block; pointer decoding works off the copy
-    // so `lookup_addr`/`leaf_at_addr` can borrow the space mutably.
-    let bytes: Vec<u8> = space.read_bytes(addr, total)?.to_vec();
+    // One address translation for the block; every op below indexes its
+    // bytes, re-borrowed per op so pointer translation can compile the
+    // target type's plan in between.
+    let (slot, base) = space.slot_of(addr)?;
     for elem in 0..count {
-        let elem_base = (elem * plan.size) as usize;
+        let elem_base = base + elem * plan.size;
         for op in &plan.ops {
-            match op {
+            match *op {
                 PlanOp::ScalarRun {
                     offset,
                     kind,
                     count: rc,
                     stride,
                 } => {
-                    let size = arch.scalar_size(*kind) as usize;
-                    for k in 0..*rc {
-                        let at = elem_base + (*offset + k * *stride) as usize;
-                        let v = arch.decode_scalar(*kind, &bytes[at..at + size]);
-                        put_scalar_xdr(&mut enc, *kind, v);
+                    let arch = space.arch();
+                    let bytes = space.slot_bytes(slot)?;
+                    let size = arch.scalar_size(kind);
+                    for k in 0..rc {
+                        let raw = span(bytes, slot, elem_base + offset + k * stride, size)?;
+                        put_scalar_xdr(&mut enc, kind, arch.decode_scalar(kind, raw));
                     }
                 }
                 PlanOp::PointerSlot { offset, .. } => {
-                    let at = elem_base + *offset as usize;
-                    let psize = arch.pointer_size as usize;
-                    let ptr = arch
-                        .decode_scalar(CScalar::Ptr, &bytes[at..at + psize])
-                        .as_ptr();
+                    let bytes = space.slot_bytes(slot)?;
+                    let ptr = read_ptr(space.arch(), bytes, slot, elem_base + offset)?;
                     if ptr == 0 {
                         enc.put_u32(0);
                     } else {
-                        let (id, _) = msrlt
-                            .lookup_addr(ptr)
-                            .ok_or(CoreError::UnregisteredPointer(ptr))?;
-                        let (leaf_idx, _) = space.leaf_at_addr(ptr)?;
+                        let (id, leaf_idx) = logical_pointer(space, msrlt, ptr)?;
                         enc.put_u32(1);
                         enc.put_u32(id.group);
                         enc.put_u32(id.index);

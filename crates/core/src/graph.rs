@@ -10,6 +10,7 @@
 //! reproducing the paper's Figure 1 — and for visualization via DOT.
 
 use crate::msrlt::{LogicalId, Msrlt};
+use crate::translate::logical_pointer;
 use crate::CoreError;
 use hpm_arch::CScalar;
 use hpm_memory::AddressSpace;
@@ -87,10 +88,7 @@ impl MsrGraph {
                         if raw == 0 {
                             continue;
                         }
-                        let (to, _) = msrlt
-                            .lookup_addr(raw)
-                            .ok_or(CoreError::UnregisteredPointer(raw))?;
-                        let (to_leaf, _) = space.leaf_at_addr(raw)?;
+                        let (to, to_leaf) = logical_pointer(space, msrlt, raw)?;
                         g.edges.push(MsrEdge {
                             from: id,
                             from_offset: elem_base + offset,

@@ -39,6 +39,7 @@ pub mod parallel;
 pub mod restore;
 pub mod restore_parallel;
 pub mod stream;
+mod translate;
 
 pub use audit::{audit_registry, RegistryAuditStats, RegistryFinding};
 pub use collect::{ChunkSink, CollectStats, Collector, MarkStrategy, TranslationMode};

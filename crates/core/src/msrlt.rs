@@ -33,7 +33,6 @@ use hpm_memory::BlockInfo;
 use hpm_obs::{StatField, StatGroup, TranslateStats};
 use hpm_types::TypeId;
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
 
 /// Group number of the global-variable group.
 pub const GROUP_GLOBAL: u32 = 0;
@@ -146,10 +145,6 @@ pub struct MsrltStats {
     pub cache_evictions: u64,
     /// Per-segment cache accounting plus page-walk/fallback breakdown.
     pub translate: TranslateStats,
-    /// Wall time spent registering.
-    pub register_time: Duration,
-    /// Wall time spent searching.
-    pub search_time: Duration,
 }
 
 impl MsrltStats {
@@ -180,8 +175,6 @@ impl StatGroup for MsrltStats {
             StatField::count("cache_misses", self.cache_misses),
             StatField::count("cache_evictions", self.cache_evictions),
             StatField::ratio("cache_hit_rate", self.cache_hit_rate()),
-            StatField::duration("register_time", self.register_time),
-            StatField::duration("search_time", self.search_time),
         ]
     }
 
@@ -195,8 +188,6 @@ impl StatGroup for MsrltStats {
         self.cache_misses += other.cache_misses;
         self.cache_evictions += other.cache_evictions;
         self.translate.merge_from(&other.translate);
-        self.register_time += other.register_time;
-        self.search_time += other.search_time;
     }
 }
 
@@ -389,7 +380,6 @@ impl Msrlt {
     /// Register a block under an explicit id (used on the destination,
     /// where the stream dictates heap ids).
     pub fn register_at(&mut self, id: LogicalId, addr: u64, size: u64, ty: TypeId, count: u64) {
-        let t0 = Instant::now();
         if self.groups.len() <= id.group as usize {
             self.groups.resize_with(id.group as usize + 1, Vec::new);
         }
@@ -414,7 +404,6 @@ impl Msrlt {
         self.page_index_insert(id, addr, size);
         self.live_bytes += size;
         self.stats.registrations += 1;
-        self.stats.register_time += t0.elapsed();
     }
 
     /// Total bytes of currently registered live blocks — the collector
@@ -647,14 +636,12 @@ impl Msrlt {
     /// *The* MSRLT search: find the block containing `addr`, returning its
     /// id and the byte offset of `addr` within it. Counts comparisons.
     pub fn lookup_addr(&mut self, addr: u64) -> Option<(LogicalId, u64)> {
-        let t0 = Instant::now();
         self.stats.searches += 1;
         if self.cache_enabled {
             if let Some(hit) = self.cache_probe(addr) {
                 self.stats.cache_hits += 1;
                 self.note_translate(hit.0.group, true);
                 self.cache_last = Some(hit.0);
-                self.stats.search_time += t0.elapsed();
                 return Some(hit);
             }
             self.stats.cache_misses += 1;
@@ -733,7 +720,6 @@ impl Msrlt {
                 self.cache_slots[slot] = Some((page, way));
             }
         }
-        self.stats.search_time += t0.elapsed();
         result
     }
 

@@ -22,16 +22,16 @@ use crate::collect::{
 use crate::fingerprint::type_fingerprint;
 use crate::msrlt::{LogicalId, Msrlt};
 use crate::stream::ChunkPayload;
+use crate::translate::{leaf_address, span_mut, Cursor};
 use crate::CoreError;
 use hpm_arch::{CScalar, ScalarValue, XdrForm};
-use hpm_memory::AddressSpace;
+use hpm_memory::{AddressSpace, BlockSlot};
 use hpm_obs::{FlightTrack, StatField, StatGroup, Tracer};
 use hpm_types::plan::{PlanOp, SavePlan};
 use hpm_types::TypeId;
 use hpm_xdr::XdrDecoder;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Counters for one restoration run.
 #[derive(Debug, Default, Clone, Copy)]
@@ -50,8 +50,6 @@ pub struct RestoreStats {
     pub ptr_new: u64,
     /// Payload bytes consumed.
     pub bytes_in: u64,
-    /// Time spent in the Decode-and-Copy phase.
-    pub decode_time: Duration,
 }
 
 impl StatGroup for RestoreStats {
@@ -68,7 +66,6 @@ impl StatGroup for RestoreStats {
             StatField::count("ptr_ref", self.ptr_ref),
             StatField::count("ptr_new", self.ptr_new),
             StatField::bytes("bytes_in", self.bytes_in),
-            StatField::duration("decode_time", self.decode_time),
         ]
     }
 
@@ -80,16 +77,7 @@ impl StatGroup for RestoreStats {
         self.ptr_ref += other.ptr_ref;
         self.ptr_new += other.ptr_new;
         self.bytes_in += other.bytes_in;
-        self.decode_time += other.decode_time;
     }
-}
-
-struct Cursor {
-    block_addr: u64,
-    plan: Arc<SavePlan>,
-    count: u64,
-    elem_idx: u64,
-    op_idx: usize,
 }
 
 /// The restorer's input: either a complete in-memory payload slice, or a
@@ -189,6 +177,8 @@ pub struct Restorer<'a> {
     /// stream order (skim mode only) — the parallel splice's ownership
     /// record.
     filled: Vec<(u64, u64)>,
+    /// Scratch for one scalar's native bytes between decode and copy.
+    native: Vec<u8>,
 }
 
 impl<'a> Restorer<'a> {
@@ -234,6 +224,7 @@ impl<'a> Restorer<'a> {
             flight: None,
             skim: false,
             filled: Vec::new(),
+            native: Vec::with_capacity(16),
         }
     }
 
@@ -409,39 +400,27 @@ impl<'a> Restorer<'a> {
     // ----- internals -----
 
     fn fill_block(&mut self, addr: u64, ty: TypeId, count: u64) -> Result<(), CoreError> {
-        self.stats.blocks_restored += 1;
-        self.tracer
-            .instant_args("restore.block", &[("count", count as f64)]);
-        let plan = self.space.plan_for(ty)?;
-        if self.skim {
-            self.filled.push((addr, plan.size * count));
-        }
-        if !plan.has_pointers {
-            return self.decode_block_bulk(addr, &plan, count);
-        }
-        self.drain(vec![Cursor {
-            block_addr: addr,
-            plan,
-            count,
-            elem_idx: 0,
-            op_idx: 0,
-        }])
+        let mut stack = Vec::new();
+        self.push_fill(&mut stack, addr, ty, count)?;
+        self.drain(stack)
     }
 
     /// Fast path for pointer-free blocks: one write borrow of the block
     /// and a tight XDR→native loop.
     fn decode_block_bulk(
         &mut self,
-        addr: u64,
-        plan: &hpm_types::plan::SavePlan,
+        slot: BlockSlot,
+        base: u64,
+        plan: &SavePlan,
         count: u64,
     ) -> Result<(), CoreError> {
-        let t0 = Instant::now();
         let total = (plan.size * count) as usize;
-        let (arch, bytes) = self.space.arch_and_bytes_mut(addr)?;
+        let (arch, bytes) = self.space.slot_bytes_mut(slot)?;
+        let bytes = &mut bytes[base as usize..];
         if bytes.len() < total {
             return Err(CoreError::Mem(format!(
-                "block at {addr:#x} shorter than stream data"
+                "block at {:#x} shorter than stream data",
+                slot.addr() + base
             )));
         }
         // Whole-block fast path: the wire image IS this machine's native
@@ -466,10 +445,9 @@ impl<'a> Restorer<'a> {
                 off += len;
             }
             self.stats.scalars_decoded += per_elem * count;
-            self.stats.decode_time += t0.elapsed();
             return Ok(());
         }
-        let mut native = Vec::with_capacity(8);
+        let native = &mut self.native;
         let mut scalars = 0u64;
         for elem in 0..count {
             let elem_base = (elem * plan.size) as usize;
@@ -499,9 +477,9 @@ impl<'a> Restorer<'a> {
                         let v = get_scalar_xdr(&mut self.dec, *kind)?;
                         if !self.skim {
                             native.clear();
-                            arch.encode_scalar(*kind, v, &mut native);
+                            arch.encode_scalar(*kind, v, native);
                             let at = elem_base + (*offset + k * *stride) as usize;
-                            bytes[at..at + native.len()].copy_from_slice(&native);
+                            bytes[at..at + native.len()].copy_from_slice(native);
                         }
                     }
                 }
@@ -509,31 +487,15 @@ impl<'a> Restorer<'a> {
             }
         }
         self.stats.scalars_decoded += scalars;
-        self.stats.decode_time += t0.elapsed();
         Ok(())
     }
 
     fn drain(&mut self, mut stack: Vec<Cursor>) -> Result<(), CoreError> {
-        loop {
-            let next = match stack.last_mut() {
-                None => break,
-                Some(cur) => {
-                    if cur.elem_idx >= cur.count {
-                        stack.pop();
-                        continue;
-                    }
-                    if cur.op_idx >= cur.plan.ops.len() {
-                        cur.elem_idx += 1;
-                        cur.op_idx = 0;
-                        continue;
-                    }
-                    let elem_base = cur.elem_idx * cur.plan.size;
-                    let op = cur.plan.ops[cur.op_idx].clone();
-                    cur.op_idx += 1;
-                    (cur.block_addr, elem_base, op)
-                }
+        while let Some(cur) = stack.last_mut() {
+            let Some((slot, elem_base, op)) = cur.next_op(self.space)? else {
+                stack.pop();
+                continue;
             };
-            let (block_addr, elem_base, op) = next;
             match op {
                 PlanOp::ScalarRun {
                     offset,
@@ -541,11 +503,11 @@ impl<'a> Restorer<'a> {
                     count,
                     stride,
                 } => {
-                    self.decode_run(block_addr, elem_base + offset, kind, count, stride)?;
+                    self.decode_run(slot, elem_base + offset, kind, count, stride)?;
                 }
                 PlanOp::PointerSlot { offset, .. } => {
                     let ptr = self.decode_pointer(&mut stack)?;
-                    self.write_ptr(block_addr, elem_base + offset, ptr)?;
+                    self.write_ptr(slot, elem_base + offset, ptr)?;
                 }
             }
         }
@@ -554,50 +516,42 @@ impl<'a> Restorer<'a> {
 
     fn decode_run(
         &mut self,
-        block_addr: u64,
+        slot: BlockSlot,
         offset: u64,
         kind: CScalar,
         count: u64,
         stride: u64,
     ) -> Result<(), CoreError> {
-        let t0 = Instant::now();
-        let arch = self.space.arch().clone();
-        let size = arch.scalar_size(kind) as usize;
-        if self.mode == TranslationMode::Bulk
-            && same_wire_format(&arch, kind)
-            && stride == size as u64
-        {
-            let len = (count as usize) * size;
-            let raw = self.dec.take(len)?;
+        let (arch, bytes) = self.space.slot_bytes_mut(slot)?;
+        let size = arch.scalar_size(kind);
+        if self.mode == TranslationMode::Bulk && same_wire_format(arch, kind) && stride == size {
+            let len = count * size;
+            let raw = self.dec.take(len as usize)?;
             if !self.skim {
-                self.space.write_bytes(block_addr + offset, raw)?;
+                span_mut(bytes, slot, offset, len)?.copy_from_slice(raw);
             }
         } else {
-            let mut native = Vec::with_capacity(8);
             for k in 0..count {
                 let v = get_scalar_xdr(&mut self.dec, kind)?;
                 if !self.skim {
-                    native.clear();
-                    arch.encode_scalar(kind, v, &mut native);
-                    self.space
-                        .write_bytes(block_addr + offset + k * stride, &native)?;
+                    self.native.clear();
+                    arch.encode_scalar(kind, v, &mut self.native);
+                    span_mut(bytes, slot, offset + k * stride, size)?.copy_from_slice(&self.native);
                 }
             }
         }
         self.stats.scalars_decoded += count;
-        self.stats.decode_time += t0.elapsed();
         Ok(())
     }
 
-    fn write_ptr(&mut self, block_addr: u64, offset: u64, ptr: u64) -> Result<(), CoreError> {
+    fn write_ptr(&mut self, slot: BlockSlot, offset: u64, ptr: u64) -> Result<(), CoreError> {
         if self.skim {
             return Ok(());
         }
-        let mut native = Vec::with_capacity(8);
-        self.space
-            .arch()
-            .encode_scalar(CScalar::Ptr, ScalarValue::Ptr(ptr), &mut native);
-        self.space.write_bytes(block_addr + offset, &native)?;
+        let (arch, bytes) = self.space.slot_bytes_mut(slot)?;
+        self.native.clear();
+        arch.encode_scalar(CScalar::Ptr, ScalarValue::Ptr(ptr), &mut self.native);
+        span_mut(bytes, slot, offset, arch.pointer_size)?.copy_from_slice(&self.native);
         Ok(())
     }
 
@@ -616,8 +570,8 @@ impl<'a> Restorer<'a> {
                     .msrlt
                     .entry_counted(id)
                     .ok_or(CoreError::UnknownId(id))?;
-                let addr = entry.addr;
-                Ok(self.space.elem_addr(addr, leaf_idx)?)
+                let (addr, ty, count) = (entry.addr, entry.ty, entry.count);
+                Ok(leaf_address(self.space, addr, ty, count, leaf_idx)?)
             }
             TAG_PTR_NEW => {
                 self.stats.ptr_new += 1;
@@ -625,7 +579,7 @@ impl<'a> Restorer<'a> {
                 let leaf_idx = self.dec.get_u64()?;
                 let fp = self.dec.get_u64()?;
                 let count = self.dec.get_u64()?;
-                let addr = match self.msrlt.entry_counted(id) {
+                let (addr, ty) = match self.msrlt.entry_counted(id) {
                     Some(e) => {
                         // A named block that already exists locally
                         // (global / re-created stack local): validate and
@@ -645,7 +599,7 @@ impl<'a> Restorer<'a> {
                             )));
                         }
                         self.push_fill(stack, addr, ty, count)?;
-                        addr
+                        (addr, ty)
                     }
                     None => {
                         // A heap block: allocate it now (the MSRLT update
@@ -664,10 +618,10 @@ impl<'a> Restorer<'a> {
                         self.tracer
                             .instant_args("restore.alloc", &[("bytes", size as f64)]);
                         self.push_fill(stack, addr, ty, count)?;
-                        addr
+                        (addr, ty)
                     }
                 };
-                Ok(self.space.elem_addr(addr, leaf_idx)?)
+                Ok(leaf_address(self.space, addr, ty, count, leaf_idx)?)
             }
             t => Err(CoreError::BadTag(t)),
         }
@@ -683,22 +637,19 @@ impl<'a> Restorer<'a> {
         self.stats.blocks_restored += 1;
         self.tracer
             .instant_args("restore.block", &[("count", count as f64)]);
-        let plan = self.space.plan_for(ty)?;
+        let plan = self.space.plan_ref(ty)?;
         if self.skim {
             self.filled.push((addr, plan.size * count));
         }
         if !plan.has_pointers {
             // The stream inlines the whole block right here; decode it
             // now so the parent cursor resumes at the right offset.
-            return self.decode_block_bulk(addr, &plan, count);
+            let plan = Arc::clone(plan);
+            let (slot, base) = self.space.slot_of(addr)?;
+            return self.decode_block_bulk(slot, base, &plan, count);
         }
-        stack.push(Cursor {
-            block_addr: addr,
-            plan,
-            count,
-            elem_idx: 0,
-            op_idx: 0,
-        });
+        // The one address translation this block costs.
+        stack.push(Cursor::new(self.space, addr, ty, count)?);
         Ok(())
     }
 }

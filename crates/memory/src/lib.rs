@@ -27,7 +27,7 @@ mod block;
 mod space;
 
 pub use block::{BlockInfo, MemoryBlock};
-pub use space::{AddressSpace, AllocStats, FrameId, MemError, ResolvedAddr};
+pub use space::{AddressSpace, AllocStats, BlockSlot, FrameId, MemError, ResolvedAddr};
 
 #[cfg(test)]
 mod invariant_tests {

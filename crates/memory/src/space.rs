@@ -6,7 +6,7 @@ use hpm_types::elements::{ElementError, ElementModel, Leaf};
 use hpm_types::layout::{align_up, Layout};
 use hpm_types::plan::{compile_plan, SavePlan};
 use hpm_types::{TypeError, TypeId, TypeTable};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Handle to a pushed stack frame.
@@ -22,6 +22,27 @@ pub struct ResolvedAddr {
     pub offset: u64,
     /// Arena slot of the block (internal fast path).
     pub(crate) idx: u32,
+}
+
+/// A checked handle to one live block, from [`AddressSpace::slot_of`].
+///
+/// It lets a caller that stays on one block (the collector and restorer
+/// cursors) translate the block's address once and then reach its bytes
+/// by index. Arena slots are never reused, so a handle to a block that
+/// has since been freed or popped answers [`MemError::BadAddress`] —
+/// even after a later `malloc` reuses the address — never another
+/// block's bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockSlot {
+    idx: u32,
+    addr: u64,
+}
+
+impl BlockSlot {
+    /// Start address of the block the handle was taken for.
+    pub fn addr(&self) -> u64 {
+        self.addr
+    }
 }
 
 /// Errors from address-space operations.
@@ -117,7 +138,8 @@ pub struct AddressSpace {
     frames: Vec<Frame>,
     next_frame: u64,
     stats: AllocStats,
-    plans: HashMap<TypeId, Arc<SavePlan>>,
+    /// Compiled plans, indexed by `TypeId`.
+    plans: Vec<Option<Arc<SavePlan>>>,
 }
 
 impl AddressSpace {
@@ -140,7 +162,7 @@ impl AddressSpace {
             frames: Vec::new(),
             next_frame: 0,
             stats: AllocStats::default(),
-            plans: HashMap::new(),
+            plans: Vec::new(),
         }
     }
 
@@ -236,12 +258,21 @@ impl AddressSpace {
 
     /// Compiled save/restore plan for `ty` (cached).
     pub fn plan_for(&mut self, ty: TypeId) -> Result<Arc<SavePlan>, MemError> {
-        if let Some(p) = self.plans.get(&ty) {
-            return Ok(Arc::clone(p));
+        self.plan_ref(ty).map(Arc::clone)
+    }
+
+    /// [`AddressSpace::plan_for`] without the reference-count traffic, for
+    /// callers that only consult the plan.
+    pub fn plan_ref(&mut self, ty: TypeId) -> Result<&Arc<SavePlan>, MemError> {
+        let i = ty.0 as usize;
+        if !matches!(self.plans.get(i), Some(Some(_))) {
+            let p = compile_plan(&mut self.model, &self.types, &self.arch, ty)?;
+            if self.plans.len() <= i {
+                self.plans.resize(i + 1, None);
+            }
+            self.plans[i] = Some(Arc::new(p));
         }
-        let p = Arc::new(compile_plan(&mut self.model, &self.types, &self.arch, ty)?);
-        self.plans.insert(ty, Arc::clone(&p));
-        Ok(p)
+        Ok(self.plans[i].as_ref().expect("plan compiled above"))
     }
 
     // ----- block creation -----
@@ -509,15 +540,36 @@ impl AddressSpace {
         self.by_addr.len()
     }
 
-    /// Mutable view of a block's bytes from `addr` to the block end,
-    /// together with the architecture (split borrow for bulk decoders).
-    pub fn arch_and_bytes_mut(
-        &mut self,
-        addr: u64,
-    ) -> Result<(&Architecture, &mut [u8]), MemError> {
+    /// Handle to the block containing `addr`, and `addr`'s byte offset
+    /// within it — the one address translation a per-block loop needs.
+    pub fn slot_of(&self, addr: u64) -> Result<(BlockSlot, u64), MemError> {
         let r = self.resolve(addr).ok_or(MemError::BadAddress(addr))?;
-        let b = self.arena[r.idx as usize].as_mut().expect("live block");
-        Ok((&self.arch, &mut b.bytes[r.offset as usize..]))
+        let slot = BlockSlot {
+            idx: r.idx,
+            addr: r.block_addr,
+        };
+        Ok((slot, r.offset))
+    }
+
+    /// The whole block's bytes, if the block is still live.
+    pub fn slot_bytes(&self, slot: BlockSlot) -> Result<&[u8], MemError> {
+        match self.arena.get(slot.idx as usize) {
+            Some(Some(b)) => Ok(&b.bytes),
+            _ => Err(MemError::BadAddress(slot.addr)),
+        }
+    }
+
+    /// Mutable view of the whole block's bytes together with the
+    /// architecture (split borrow for decoders), if the block is still
+    /// live.
+    pub fn slot_bytes_mut(
+        &mut self,
+        slot: BlockSlot,
+    ) -> Result<(&Architecture, &mut [u8]), MemError> {
+        match self.arena.get_mut(slot.idx as usize) {
+            Some(Some(b)) => Ok((&self.arch, &mut b.bytes)),
+            _ => Err(MemError::BadAddress(slot.addr)),
+        }
     }
 
     /// Read `len` bytes at `addr` (must stay within one block).
@@ -554,6 +606,10 @@ impl AddressSpace {
         let b = self.block(r.idx);
         let (ty, count) = (b.ty, b.count);
         let elem_size = self.layout_of(ty)?.size;
+        if elem_size == 0 {
+            // `int[0]`: the block has no scalar to stand on.
+            return Err(MemError::NotALeaf(addr));
+        }
         let elem_idx = r.offset / elem_size;
         if elem_idx >= count {
             return Err(MemError::BadAddress(addr));
@@ -584,7 +640,7 @@ impl AddressSpace {
         let (ty, count) = (b.ty, b.count);
         let per = self.leaf_count(ty)?;
         let elem_size = self.layout_of(ty)?.size;
-        if r.offset % elem_size != 0 {
+        if elem_size == 0 || r.offset % elem_size != 0 {
             return Err(MemError::NotALeaf(base));
         }
         let elem_idx = r.offset / elem_size + leaf_idx / per;
@@ -955,5 +1011,59 @@ mod tests {
         let a = s.malloc(uc, 1).unwrap();
         s.store_int(a, 0xFF).unwrap();
         assert_eq!(s.load_scalar(a).unwrap(), ScalarValue::Uint(255));
+    }
+
+    #[test]
+    fn zero_size_element_type_is_not_a_leaf() {
+        let mut s = space();
+        let int = s.types_mut().int();
+        let empty = s.types_mut().array_of(int, 0);
+        let a = s.malloc(empty, 1).unwrap();
+        assert_eq!(s.leaf_at_addr(a), Err(MemError::NotALeaf(a)));
+        assert_eq!(s.elem_addr(a, 0), Err(MemError::NotALeaf(a)));
+        assert_eq!(s.load_scalar(a), Err(MemError::NotALeaf(a)));
+    }
+
+    #[test]
+    fn slot_reaches_the_block_it_was_taken_for() {
+        let mut s = space();
+        let int = s.types_mut().int();
+        let a = s.malloc(int, 4).unwrap();
+        s.store_int(a + 8, 77).unwrap();
+        let (slot, off) = s.slot_of(a + 8).unwrap();
+        assert_eq!((slot.addr(), off), (a, 8));
+        assert_eq!(s.slot_bytes(slot).unwrap(), s.read_bytes(a, 16).unwrap());
+        let (arch, bytes) = s.slot_bytes_mut(slot).unwrap();
+        assert_eq!(arch.pointer_size, 4);
+        bytes[8..12].copy_from_slice(&[0, 0, 0, 5]);
+        assert_eq!(s.load_int(a + 8).unwrap(), 5);
+        assert_eq!(s.slot_of(a + 16).err(), Some(MemError::BadAddress(a + 16)));
+    }
+
+    #[test]
+    fn stale_slot_never_reaches_another_block() {
+        let mut s = space();
+        let int = s.types_mut().int();
+        let a = s.malloc(int, 4).unwrap();
+        let (heap_slot, _) = s.slot_of(a).unwrap();
+        let f = s.push_frame("f");
+        let l = s.define_local(f, "x", int, 1).unwrap();
+        let (stack_slot, _) = s.slot_of(l).unwrap();
+
+        s.free(a).unwrap();
+        s.pop_frame(f).unwrap();
+        assert_eq!(s.slot_bytes(heap_slot), Err(MemError::BadAddress(a)));
+        assert_eq!(s.slot_bytes(stack_slot), Err(MemError::BadAddress(l)));
+
+        // The addresses come back under new blocks; the old handles stay dead.
+        assert_eq!(s.malloc(int, 4).unwrap(), a);
+        let f2 = s.push_frame("g");
+        assert_eq!(s.define_local(f2, "y", int, 1).unwrap(), l);
+        assert_eq!(s.slot_bytes(heap_slot), Err(MemError::BadAddress(a)));
+        assert_eq!(
+            s.slot_bytes_mut(stack_slot).err(),
+            Some(MemError::BadAddress(l))
+        );
+        assert_eq!(s.slot_bytes(s.slot_of(a).unwrap().0).unwrap().len(), 16);
     }
 }

@@ -277,10 +277,11 @@ impl ElementModel {
             TypeDef::Array { elem, count } => {
                 let (elem, count) = (*elem, *count);
                 let el = self.engine.layout(table, arch, elem)?;
-                let i = offset / el.size;
-                if i >= count {
+                // Zero-size elements have no leaves to land on.
+                if el.size == 0 || offset / el.size >= count {
                     return Err(ElementError::OffsetNotAtLeaf(offset));
                 }
+                let i = offset / el.size;
                 let per = self.leaf_count(table, elem)?;
                 let (inner_idx, leaf) =
                     self.leaf_index_at_offset(table, arch, elem, offset % el.size)?;

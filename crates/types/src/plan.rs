@@ -20,7 +20,7 @@ use crate::{TypeId, TypeTable};
 use hpm_arch::{Architecture, CScalar};
 
 /// One step of a save/restore plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanOp {
     /// `count` scalars of `kind`, the first at byte `offset`, each
     /// `stride` bytes after the previous one.
@@ -52,6 +52,13 @@ impl PlanOp {
             PlanOp::PointerSlot { .. } => 1,
         }
     }
+
+    /// Byte offset of the first leaf this op covers.
+    pub fn first_offset(&self) -> u64 {
+        match self {
+            PlanOp::ScalarRun { offset, .. } | PlanOp::PointerSlot { offset, .. } => *offset,
+        }
+    }
 }
 
 /// The compiled saving/restoring function for one type on one machine.
@@ -65,6 +72,60 @@ pub struct SavePlan {
     pub size: u64,
     /// Whether the plan contains any pointer slots.
     pub has_pointers: bool,
+    /// `op_first_leaf[k]` is the ordinal of the first leaf `ops[k]`
+    /// covers. Leaves are laid out in increasing byte offset, so `ops` is
+    /// sorted by both first ordinal and first offset and the two leaf
+    /// queries below are binary searches over ops, not leaves.
+    op_first_leaf: Vec<u64>,
+}
+
+impl SavePlan {
+    /// The leaf that starts exactly at byte `offset` of one value, as
+    /// `(ordinal, kind, pointee)` — [`ElementModel::leaf_index_at_offset`]
+    /// without the type walk. `None` for padding, mid-scalar and
+    /// out-of-range offsets.
+    pub fn leaf_at_offset(&self, offset: u64) -> Option<(u64, CScalar, Option<TypeId>)> {
+        let k = self
+            .ops
+            .partition_point(|op| op.first_offset() <= offset)
+            .checked_sub(1)?;
+        match self.ops[k] {
+            PlanOp::ScalarRun {
+                offset: first,
+                kind,
+                count,
+                stride,
+            } => {
+                let d = offset - first;
+                (d.is_multiple_of(stride) && d / stride < count)
+                    .then(|| (self.op_first_leaf[k] + d / stride, kind, None))
+            }
+            PlanOp::PointerSlot {
+                offset: at,
+                pointee,
+            } => (at == offset).then_some((self.op_first_leaf[k], CScalar::Ptr, Some(pointee))),
+        }
+    }
+
+    /// The `index`-th leaf of one value, as `(byte offset, kind,
+    /// pointee)` — [`ElementModel::leaf_at_index`] without the type walk.
+    /// `None` when `index >= leaf_count`.
+    pub fn leaf_at_index(&self, index: u64) -> Option<(u64, CScalar, Option<TypeId>)> {
+        if index >= self.leaf_count {
+            return None;
+        }
+        let k = self.op_first_leaf.partition_point(|&first| first <= index) - 1;
+        let j = index - self.op_first_leaf[k];
+        Some(match self.ops[k] {
+            PlanOp::ScalarRun {
+                offset,
+                kind,
+                stride,
+                ..
+            } => (offset + j * stride, kind, None),
+            PlanOp::PointerSlot { offset, pointee } => (offset, CScalar::Ptr, Some(pointee)),
+        })
+    }
 }
 
 /// Compile the save/restore plan for `ty` on `arch`.
@@ -119,11 +180,21 @@ pub fn compile_plan(
     let has_pointers = ops
         .iter()
         .any(|op| matches!(op, PlanOp::PointerSlot { .. }));
+    let mut next_leaf = 0u64;
+    let op_first_leaf = ops
+        .iter()
+        .map(|op| {
+            let first = next_leaf;
+            next_leaf += op.leaf_count();
+            first
+        })
+        .collect();
     Ok(SavePlan {
         ops,
         leaf_count,
         size,
         has_pointers,
+        op_first_leaf,
     })
 }
 
@@ -283,5 +354,104 @@ mod tests {
             v
         };
         assert_eq!(kinds(&p32), kinds(&p64));
+    }
+
+    /// Types whose plans exercise every shape the leaf tables must
+    /// answer for: multi-op elements, strided and million-leaf runs,
+    /// pointer slots, nesting, and the empty plan.
+    fn type_zoo(t: &mut TypeTable) -> Vec<TypeId> {
+        let (c, i, d) = (t.char_(), t.int(), t.double());
+        let di = t
+            .struct_type("di", vec![Field::new("d", d), Field::new("i", i)])
+            .unwrap();
+        // `di`'s tail padding puts two ints 8 bytes apart: a strided run.
+        let padded = t
+            .struct_type("padded", vec![Field::new("x", di), Field::new("j", i)])
+            .unwrap();
+        let ci = t
+            .struct_type("ci", vec![Field::new("c", c), Field::new("i", i)])
+            .unwrap();
+        let ci_arr = t.array_of(ci, 5);
+        let big = t.array_of(d, 1000);
+        let holder = t
+            .struct_type("holder", vec![Field::new("tag", c), Field::new("v", big)])
+            .unwrap();
+        let gnode = t.declare_struct("gnode");
+        let pg = t.pointer_to(gnode);
+        let pay = t.array_of(d, 4);
+        let fields = vec![
+            Field::new("id", i),
+            Field::new("pay", pay),
+            Field::new("next", pg),
+            Field::new("other", pg),
+            Field::new("interior", t.pointer_to(d)),
+        ];
+        t.define_struct(gnode, fields).unwrap();
+        let nested = t
+            .struct_type(
+                "nested",
+                vec![
+                    Field::new("a", padded),
+                    Field::new("b", ci_arr),
+                    Field::new("p", pg),
+                ],
+            )
+            .unwrap();
+        let nested_arr = t.array_of(nested, 3);
+        let empty = t.array_of(i, 0);
+        let empties = t.array_of(empty, 3);
+        vec![
+            i, pg, di, padded, ci_arr, big, holder, gnode, nested, nested_arr, empty, empties,
+        ]
+    }
+
+    #[test]
+    fn leaf_tables_agree_with_the_element_model() {
+        let mut t = TypeTable::new();
+        let zoo = type_zoo(&mut t);
+        let mut strided = false;
+        for arch in Architecture::presets() {
+            let mut m = ElementModel::new();
+            for &ty in &zoo {
+                let plan = compile_plan(&mut m, &t, &arch, ty).unwrap();
+                strided |= plan.ops.iter().any(|op| {
+                    matches!(op, PlanOp::ScalarRun { kind, stride, .. }
+                        if *stride > arch.scalar_size(*kind))
+                });
+                let tag = format!("{} type {ty:?}", arch.name);
+                // Every byte of one value, and a few past its end.
+                for off in 0..plan.size + 9 {
+                    let want = m
+                        .leaf_index_at_offset(&t, &arch, ty, off)
+                        .ok()
+                        .map(|(idx, leaf)| (idx, leaf.kind, leaf.pointee));
+                    assert_eq!(plan.leaf_at_offset(off), want, "{tag} offset {off}");
+                }
+                assert_eq!(plan.leaf_count, m.leaf_count(&t, ty).unwrap(), "{tag}");
+                for idx in 0..=plan.leaf_count {
+                    let want = m
+                        .leaf_at_index(&t, &arch, ty, idx)
+                        .ok()
+                        .map(|leaf| (leaf.offset, leaf.kind, leaf.pointee));
+                    assert_eq!(plan.leaf_at_index(idx), want, "{tag} ordinal {idx}");
+                }
+            }
+        }
+        assert!(strided, "the zoo must contain a strided run");
+    }
+
+    #[test]
+    fn leaf_tables_are_sized_by_ops_not_leaves() {
+        let mut t = TypeTable::new();
+        let d = t.double();
+        let a = t.array_of(d, 1_000_000);
+        let mut m = ElementModel::new();
+        let plan = compile_plan(&mut m, &t, &Architecture::ultra5(), a).unwrap();
+        assert_eq!(plan.op_first_leaf, vec![0]);
+        assert_eq!(
+            plan.leaf_at_index(999_999),
+            Some((7_999_992, CScalar::Double, None))
+        );
+        assert_eq!(plan.leaf_at_offset(7_999_992).unwrap().0, 999_999);
     }
 }

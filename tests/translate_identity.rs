@@ -1,0 +1,124 @@
+//! Byte-identity pins for the collect / digest / restore path.
+//!
+//! The wire payload, the per-block digest table and the bytes a
+//! destination holds right after restoration are functions of the
+//! program state alone. The values below were taken at the commit before
+//! the one-translation-per-block rewrite of the three inner loops; any
+//! change to them means the rewrite altered an image, a digest or a
+//! restored block.
+
+use hpm::arch::Architecture;
+use hpm::core::block_digests;
+use hpm::migrate::{
+    resume_to_migration, run_to_migration, MigratableProgram, Process, ResumeFlow, Trigger,
+};
+use hpm::workloads::{BitonicSort, Linpack, TestPointer};
+use hpm::xdr::image_id;
+
+fn presets() -> [Architecture; 4] {
+    [
+        Architecture::dec5000(),
+        Architecture::sparc20(),
+        Architecture::ultra5(),
+        Architecture::x86_64_sim(),
+    ]
+}
+
+/// `image_id` over every live block's `(addr, bytes)` in address order,
+/// then the program's results when it ran to completion (Linpack frees
+/// everything it restored before it finishes; its answer bits are what
+/// is left of the restored matrix).
+fn restored_id(proc: &Process, results: &[(String, String)]) -> u64 {
+    let mut all = Vec::new();
+    for info in proc.space.block_infos() {
+        all.extend_from_slice(&info.addr.to_be_bytes());
+        all.extend_from_slice(proc.space.read_bytes(info.addr, info.size).unwrap());
+    }
+    for (k, v) in results {
+        all.extend_from_slice(k.as_bytes());
+        all.extend_from_slice(v.as_bytes());
+    }
+    image_id(&all)
+}
+
+/// `(payload id, digest-table id, restored id per destination preset)`.
+/// The first two are machine-independent, so one row serves every source
+/// preset; the third depends on the destination's layout alone.
+type Pin = (u64, u64, [u64; 4]);
+
+fn check<P: MigratableProgram>(name: &str, make: impl Fn() -> P, trigger: Trigger, pin: Pin) {
+    for src_arch in presets() {
+        let tag = format!("{name} from {}", src_arch.name);
+        let mut src = run_to_migration(&mut make(), src_arch, trigger.clone()).unwrap();
+        let (payload, _, _) = src.collect().unwrap();
+        let mut table = Vec::new();
+        for d in block_digests(&mut src.proc.space, &mut src.proc.msrlt).unwrap() {
+            table.extend_from_slice(&d.id.group.to_be_bytes());
+            table.extend_from_slice(&d.id.index.to_be_bytes());
+            table.extend_from_slice(&d.digest.to_be_bytes());
+        }
+        let image = src.to_image().unwrap();
+        // Freeze again at the first live poll after restoration where the
+        // program has one, so the hashed memory is what the restorer wrote.
+        let restored = presets().map(|dst_arch| {
+            let again = Trigger::AtLeastPollCount(0);
+            match resume_to_migration(&mut make(), dst_arch, &image, again).unwrap() {
+                ResumeFlow::Frozen(dst) => restored_id(&dst.proc, &[]),
+                ResumeFlow::Completed(results, proc) => restored_id(&proc, &results),
+            }
+        });
+        let got: Pin = (image_id(&payload), image_id(&table), restored);
+        assert_eq!(got, pin, "{tag}: computed {got:#x?}");
+    }
+}
+
+#[test]
+fn test_pointer_images_match_the_pins() {
+    let pin = (
+        0xe11bd81015afa661,
+        0xbf2f76bf473b6ee3,
+        [
+            0x3cc39acbba1ce5ac,
+            0x504484e34ecb1b09,
+            0x504484e34ecb1b09,
+            0x725faa999bd727e3,
+        ],
+    );
+    check(
+        "test_pointer",
+        TestPointer::new,
+        Trigger::AtPollCount(8),
+        pin,
+    );
+}
+
+#[test]
+fn bitonic_images_match_the_pins() {
+    let pin = (
+        0x67d64b48bf101d08,
+        0xfd48369e980ed81c,
+        [
+            0x3b66b60c8fbe6483,
+            0xf43e596e36b8a276,
+            0xf43e596e36b8a276,
+            0x50a558a2fe6efd48,
+        ],
+    );
+    let make = || BitonicSort::new(256);
+    check("bitonic", make, Trigger::AtPollCount(64), pin);
+}
+
+#[test]
+fn linpack_images_match_the_pins() {
+    let pin = (
+        0x9d943eb0fe57cffd,
+        0xf0338f053700ae00,
+        [0x6ce2b3ccfe1f0373; 4],
+    );
+    check(
+        "linpack",
+        || Linpack::full(24),
+        Trigger::AtPollCount(8),
+        pin,
+    );
+}
