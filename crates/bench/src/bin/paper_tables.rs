@@ -19,11 +19,10 @@
 //! clean row, or the tampered base does not fall back to a full image
 //! exactly once.
 //!
-//! `modelcheck` is the model-checking gate: it runs the exhaustive
-//! schedule explorer over the lock-free claim scenarios and the
+//! `modelcheck` is the model-checking gate: it exhausts the
 //! ARQ × resume product machine under the full fault alphabet, prints
 //! per-scenario exploration counters, and **always** exits 1 on any
-//! HPM04x violation, any missed seeded race, or an exhausted search
+//! HPM04x violation, a missed seeded bug, or an exhausted search
 //! budget. On failure, set `HPM_MODEL_TRACE_DIR` to persist the
 //! counterexample JSONL traces (CI uploads them as artifacts); replay
 //! one with `hpm-model --replay <trace>`.
@@ -36,11 +35,9 @@
 //! journaled share of the stream.
 //!
 //! `wire` is the wire-optimisation gate: per paper workload it prints
-//! the v3 compression ratio, the forced 4-shard restore timing, and the
-//! adaptive planner's choice, and **always** exits 1 if any forced arm
-//! diverges from the sequential run, compression fails to shrink
-//! linpack's image, or the planner shards a sub-cutoff workload —
-//! CI's perf-smoke line alongside `translate`.
+//! the v3 compression ratio, and **always** exits 1 if the v3 run
+//! diverges from the stored run or compression fails to shrink
+//! linpack's image — CI's perf-smoke line alongside `translate`.
 //!
 //! `telemetry` prints the percentile wire telemetry: per-chunk
 //! encode/wire/decode latency distributions and the ARQ retry-count
@@ -55,10 +52,9 @@
 //! to the newest committed `BENCH_*.json` in git history).
 //!
 //! `translate` is the collection-performance gate: it prints the
-//! page-index counters and the parallel-collector identity check for
-//! the three paper workloads, and **always** exits 1 if bitonic's
-//! steps-per-search exceeds 2.0 or any parallel payload diverges from
-//! the sequential one — CI's perf-smoke line.
+//! page-index counters for the three paper workloads, and **always**
+//! exits 1 if bitonic's steps-per-search exceeds 2.0 — CI's perf-smoke
+//! line.
 //!
 //! `lint` runs the analyzer's registry and portability audits over the
 //! three paper workloads frozen at their migration points. With
@@ -187,49 +183,19 @@ fn main() {
 }
 
 fn wire() {
-    hr("Wire optimisation — v3 compression, sharded restore, adaptive plan (gated)");
+    hr("Wire optimisation — v3 compression (gated)");
     println!(
-        "{:<16} {:>10} {:>10} {:>7} {:>11} {:>11} {:>10} {:>9} {:>8} {:>11}",
-        "workload",
-        "raw",
-        "wire",
-        "ratio",
-        "seq-rst(s)",
-        "par-rst(s)",
-        "speedup",
-        "adaptive",
-        "workers",
-        "identical"
+        "{:<16} {:>10} {:>10} {:>7} {:>11} {:>11}",
+        "workload", "raw", "wire", "ratio", "compressed", "identical"
     );
     let rows = wire_rows();
     for r in &rows {
-        // Below the parallel cutoff the planner never picks the
-        // 4-shard arm, so its "speedup" is forced-arm noise — marked
-        // and excluded from the bench-diff speedup gate.
-        let speedup = if r.below_cutoff {
-            format!("{:.2}x*", r.restore_speedup)
-        } else {
-            format!("{:.2}x", r.restore_speedup)
-        };
         println!(
-            "{:<16} {:>10} {:>10} {:>7.3} {:>11} {:>11} {:>10} {:>9} {:>8} {:>11}",
-            r.label,
-            r.raw_bytes,
-            r.wire_bytes,
-            r.ratio,
-            secs(r.seq_restore),
-            secs(r.par_restore),
-            speedup,
-            if r.adaptive_compressed { "v3" } else { "v2" },
-            r.adaptive_workers,
-            r.restored_identical && r.par_restore_identical
+            "{:<16} {:>10} {:>10} {:>7.3} {:>11} {:>11}",
+            r.label, r.raw_bytes, r.wire_bytes, r.ratio, r.chunks_compressed, r.restored_identical
         );
     }
-    println!(
-        "(forced arms answer-checked against the sequential driver; the planner keeps \
-         sub-cutoff workloads sequential, so the adaptive path never loses to it; \
-         * = below the parallel cutoff, speedup reported but never gated)"
-    );
+    println!("(the v3 chunk stream, answer-checked against the plain stored driver)");
     let violations = wire_gate(&rows);
     if !violations.is_empty() {
         for v in &violations {
@@ -561,9 +527,9 @@ fn lint(deny: bool) {
 }
 
 fn modelcheck() {
-    hr("Model check — exhaustive interleavings + ARQ/resume product machine (gated)");
+    hr("Model check — ARQ/resume product machine (gated)");
     println!(
-        "{:<22} {:>9} {:>9} {:>14} {:>11} {:>11} {:>7} {:>7}",
+        "{:<26} {:>9} {:>9} {:>14} {:>11} {:>11} {:>7} {:>7}",
         "scenario",
         "kind",
         "states",
@@ -576,7 +542,7 @@ fn modelcheck() {
     let rows = modelcheck_rows();
     for r in &rows {
         println!(
-            "{:<22} {:>9} {:>9} {:>14} {:>11} {:>11} {:>7} {:>7}",
+            "{:<26} {:>9} {:>9} {:>14} {:>11} {:>11} {:>7} {:>7}",
             r.scenario,
             r.kind,
             r.states,
@@ -588,9 +554,8 @@ fn modelcheck() {
         );
     }
     println!(
-        "(every interleaving of the claim/splice scenarios and every fault sequence of the \
-         ARQ × resume machine; the seeded pre-fix race must stay caught; counterexamples \
-         replay with `hpm-model --replay <trace>`)"
+        "(every fault sequence of the ARQ × resume machine; the seeded double release must \
+         stay caught; counterexamples replay with `hpm-model --replay <trace>`)"
     );
     let violations = modelcheck_gate(&rows);
     if !violations.is_empty() {
@@ -812,32 +777,22 @@ fn ablation() {
 }
 
 fn translate() {
-    hr("Translation performance — page index + parallel collection (gated)");
+    hr("Translation performance — page index (gated)");
     println!(
-        "{:<16} {:>10} {:>10} {:>12} {:>13} {:>10} {:>11} {:>13} {:>10}",
-        "workload",
-        "bytes",
-        "searches",
-        "steps",
-        "steps/search",
-        "cache-hit",
-        "collect(s)",
-        "parallel(s)",
-        "identical"
+        "{:<16} {:>10} {:>10} {:>12} {:>13} {:>10} {:>11}",
+        "workload", "bytes", "searches", "steps", "steps/search", "cache-hit", "collect(s)"
     );
     let rows = translate_rows();
     for r in &rows {
         println!(
-            "{:<16} {:>10} {:>10} {:>12} {:>13.2} {:>9.1}% {:>11} {:>13} {:>10}",
+            "{:<16} {:>10} {:>10} {:>12} {:>13.2} {:>9.1}% {:>11}",
             r.label,
             r.payload_bytes,
             r.searches,
             r.search_steps,
             r.steps_per_search,
             r.cache_hit_rate * 100.0,
-            secs(r.collect),
-            secs(r.parallel_collect),
-            r.parallel_identical
+            secs(r.collect)
         );
     }
     println!(

@@ -291,15 +291,10 @@ const GATES: &[(&str, &str, Direction, bool)] = &[
     ("telemetry", "retry_max", Direction::MoreIsWorse, false),
     // Wire bytes are a pure function of the collector output and the
     // compressor, so a ratio regression is a real codec change — and
-    // the identity booleans gate via the true->false rule. The speedup
-    // gate is skipped on rows flagged `below_cutoff` (see `diff_entry`):
-    // below the parallel cutoff the planner never picks that arm, so
-    // the measured ratio is forced-arm noise.
+    // the identity boolean gates via the true->false rule.
     ("wire", "raw_bytes", Direction::MoreIsWorse, false),
     ("wire", "wire_bytes", Direction::MoreIsWorse, false),
     ("wire", "ratio", Direction::MoreIsWorse, false),
-    ("wire", "adaptive_workers", Direction::MoreIsWorse, false),
-    ("wire", "restore_speedup", Direction::LessIsWorse, false),
     // Delta migration: the wire accounting is deterministic (digest
     // tables and dirty sets are pure functions of the workload), and a
     // digest-refusal fallback appearing on a clean row means the delta
@@ -325,7 +320,7 @@ const GATES: &[(&str, &str, Direction, bool)] = &[
     ("resume", "saved_fraction", Direction::LessIsWorse, false),
     // A model-check violation is a *proven* invariant breach (the
     // checker exhausts the state space), so tolerance is zero. The
-    // `caught` boolean gates via the true->false rule: the seeded race
+    // `caught` boolean gates via the true->false rule: the seeded bug
     // must stay caught, or the checker has gone blind.
     ("modelcheck", "violations", Direction::MoreIsWorse, true),
 ];
@@ -490,15 +485,7 @@ fn diff_entry(
         Json::Obj(fields) => fields,
         _ => return,
     };
-    // Rows below the parallel cutoff carry a meaningless forced-arm
-    // restore_speedup; the flag itself is a classification, not health.
-    let below_cutoff = new_item.get("below_cutoff").and_then(Json::as_bool) == Some(true);
     for (metric, new_val) in fields {
-        if metric == "below_cutoff" {
-            // A workload growing past the cutoff flips this false —
-            // that is a size change, not a regression.
-            continue;
-        }
         // Booleans gate on truth decay: true → false is a regression.
         if let (Some(o), Some(n)) = (
             old_item.get(metric).and_then(Json::as_bool),
@@ -526,10 +513,7 @@ fn diff_entry(
         } else {
             (n / o - 1.0) * 100.0
         };
-        let mut gate = gate_for(section, metric);
-        if metric == "restore_speedup" && below_cutoff {
-            gate = None;
-        }
+        let gate = gate_for(section, metric);
         let mut violation = false;
         if let Some((direction, zero_tolerance)) = gate {
             let allowed = if zero_tolerance { 0.0 } else { threshold_pct };
@@ -791,7 +775,7 @@ mod tests {
         let report = bench_diff(&old, &new, 50.0);
         assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
         assert!(report.violations[0].contains("violations"));
-        // The seeded race going from caught to missed is a boolean
+        // The seeded bug going from caught to missed is a boolean
         // decay: the checker has gone blind to its own regression test.
         let blind =
             parse_json(&MODEL_OLD.replace("\"caught\": true", "\"caught\": false")).unwrap();

@@ -22,13 +22,12 @@ pub mod harness;
 use hpm_arch::Architecture;
 use hpm_core::SearchStrategy;
 use hpm_migrate::{
-    resume_from_image, run_migrating, run_migrating_parallel, run_migrating_pipelined,
-    run_migrating_planned, run_migrating_precopy, run_migrating_recorded, run_migrating_resilient,
-    run_migrating_traced, run_straight, run_to_migration, FallbackPolicy, MigratedSource,
-    MigrationPlan, MigrationRun, PipelineConfig, PrecopyConfig, RecoveryPolicy, Trigger,
-    PARALLEL_BYTES_CUTOFF,
+    resume_from_image, run_migrating, run_migrating_pipelined, run_migrating_precopy,
+    run_migrating_recorded, run_migrating_resilient, run_migrating_traced, run_straight,
+    run_to_migration, FallbackPolicy, MigratedSource, MigrationRun, PipelineConfig, PrecopyConfig,
+    RecoveryPolicy, Trigger,
 };
-use hpm_net::{FaultPlan, NetworkModel, WireCodec};
+use hpm_net::{FaultPlan, NetworkModel};
 use hpm_obs::{FlightRecorder, Tracer};
 use hpm_workloads::{diff_results, BitonicSort, Linpack, PollPlacement, TestPointer};
 use std::time::{Duration, Instant};
@@ -583,46 +582,35 @@ pub fn ablation_rows() -> Vec<AblationRow> {
 
 /// One row of the DESIGN.md §7 translation-performance table: the
 /// page-indexed MSRLT under its production configuration (cache on,
-/// bulk encode), plus the sharded parallel collector run against the
-/// same frozen process for a byte-identity check.
+/// bulk encode).
 #[derive(Debug, Clone)]
 pub struct TranslateRow {
     /// Workload label.
     pub label: String,
-    /// Sequential payload bytes.
+    /// Payload bytes.
     pub payload_bytes: u64,
-    /// Sequential collection wall time.
+    /// Collection wall time.
     pub collect: Duration,
-    /// MSRLT searches during the sequential collection.
+    /// MSRLT searches during the collection.
     pub searches: u64,
     /// Total search steps (page walks + fallback comparisons).
     pub search_steps: u64,
     /// steps / searches — ≈ 1 when the page index resolves everything.
     pub steps_per_search: f64,
-    /// Translation-cache hit rate during the sequential collection.
+    /// Translation-cache hit rate during the collection.
     pub cache_hit_rate: f64,
-    /// Worker count of the parallel run.
-    pub parallel_workers: u64,
-    /// Parallel collection wall time (claim + encode + splice).
-    pub parallel_collect: Duration,
-    /// Whether the spliced parallel payload is byte-identical to the
-    /// sequential one. Anything but `true` fails the perf gate.
-    pub parallel_identical: bool,
 }
 
-fn translate_row(label: &str, src: &mut MigratedSource, workers: usize) -> TranslateRow {
+fn translate_row(label: &str, src: &mut MigratedSource) -> TranslateRow {
     src.proc.msrlt.reset_stats();
     let t0 = Instant::now();
-    let (seq, _, _) = src.collect().expect("sequential collect");
+    let (payload, _, _) = src.collect().expect("collect");
     let collect = t0.elapsed();
     let s = src.proc.msrlt.stats();
-    let t1 = Instant::now();
-    let (par, _, _) = src.collect_parallel(workers).expect("parallel collect");
-    let parallel_collect = t1.elapsed();
     let cache_total = s.cache_hits + s.cache_misses;
     TranslateRow {
         label: label.to_string(),
-        payload_bytes: seq.len() as u64,
+        payload_bytes: payload.len() as u64,
         collect,
         searches: s.searches,
         search_steps: s.search_steps,
@@ -632,39 +620,25 @@ fn translate_row(label: &str, src: &mut MigratedSource, workers: usize) -> Trans
         } else {
             s.cache_hits as f64 / cache_total as f64
         },
-        parallel_workers: workers as u64,
-        parallel_collect,
-        parallel_identical: par == seq,
     }
 }
 
-/// The DESIGN.md §7 table over the three paper workloads, 4 workers.
+/// The DESIGN.md §7 table over the three paper workloads.
 pub fn translate_rows() -> Vec<TranslateRow> {
-    let workers = 4;
-    let mut rows = Vec::new();
-    let mut s = freeze_test_pointer();
-    rows.push(translate_row("test_pointer", &mut s, workers));
-    let mut s = freeze_linpack(600);
-    rows.push(translate_row("linpack_600", &mut s, workers));
-    let mut s = freeze_bitonic(20_000);
-    rows.push(translate_row("bitonic_20000", &mut s, workers));
-    rows
+    vec![
+        translate_row("test_pointer", &mut freeze_test_pointer()),
+        translate_row("linpack_600", &mut freeze_linpack(600)),
+        translate_row("bitonic_20000", &mut freeze_bitonic(20_000)),
+    ]
 }
 
 /// The CI perf gate over [`translate_rows`]: returns one message per
-/// violation (empty = pass). The two conditions guard the tentpole
-/// claims — O(1) address translation and an invisible parallel
-/// collector — using counters, not wall clocks, so the gate is stable
-/// on loaded CI runners.
+/// violation (empty = pass). The condition guards the O(1)
+/// address-translation claim using counters, not wall clocks, so the
+/// gate is stable on loaded CI runners.
 pub fn translate_gate(rows: &[TranslateRow]) -> Vec<String> {
     let mut violations = Vec::new();
     for r in rows {
-        if !r.parallel_identical {
-            violations.push(format!(
-                "{}: {}-worker parallel payload diverges from sequential",
-                r.label, r.parallel_workers
-            ));
-        }
         if r.label == "bitonic_20000" && r.steps_per_search > 2.0 {
             violations.push(format!(
                 "{}: {:.2} search steps per search (> 2.0) — the page index is not engaged",
@@ -675,92 +649,42 @@ pub fn translate_gate(rows: &[TranslateRow]) -> Vec<String> {
     violations
 }
 
-/// One workload through the wire-optimisation arms: the v3 compression
-/// ratio, the sharded-restore timing, and what the adaptive planner
-/// actually chose for the shipped configuration.
+/// One workload through the v3 (compressed) chunk stream: what the
+/// codec saves on the wire, answer-checked against the stored run.
 #[derive(Debug, Clone)]
 pub struct WireRow {
     /// Workload label.
     pub label: String,
     /// Image payload bytes entering the sender (stored size).
     pub raw_bytes: u64,
-    /// Post-codec payload bytes on the wire under forced v3 framing.
+    /// Post-codec payload bytes on the wire under v3 framing.
     pub wire_bytes: u64,
     /// `wire_bytes / raw_bytes` — < 1.0 when compression wins.
     pub ratio: f64,
     /// Chunks the v3 sender actually compressed (vs stored fallback).
     pub chunks_compressed: u64,
-    /// Whether the forced-v3 run restored the same answers and shipped a
+    /// Whether the v3 run restored the same answers and shipped a
     /// byte-identical image. Anything but `true` fails the wire gate.
     pub restored_identical: bool,
-    /// Restoration wall time with sequential (1-shard) restore.
-    pub seq_restore: Duration,
-    /// Restoration wall time with forced 4-shard restore.
-    pub par_restore: Duration,
-    /// `seq_restore / par_restore` — report-only (wall clock).
-    pub restore_speedup: f64,
-    /// Whether the forced 4-shard restore matched the sequential answers
-    /// and image bytes. Anything but `true` fails the wire gate.
-    pub par_restore_identical: bool,
-    /// The image sits below [`PARALLEL_BYTES_CUTOFF`], where the
-    /// planner never picks the parallel arm — `restore_speedup` on such
-    /// a row is forced-arm noise, and bench-diff must not gate on it.
-    pub below_cutoff: bool,
-    /// Wall time of the plain sequential driver — report-only.
-    pub sequential_total: Duration,
-    /// Wall time of the adaptive driver asked for 4 workers — the
-    /// planner must keep this from losing to `sequential_total`.
-    pub adaptive_total: Duration,
-    /// Shard count the adaptive planner chose (1 = sequential: every
-    /// paper workload sits below [`hpm_migrate::PARALLEL_BYTES_CUTOFF`]).
-    pub adaptive_workers: u64,
-    /// Whether the planner chose v3 framing for the shipped image.
-    pub adaptive_compressed: bool,
 }
 
-fn wire_row<P: hpm_migrate::MigratableProgram>(
+fn wire_row<P: hpm_migrate::MigratableProgram + Send>(
     label: &str,
     make: impl Fn() -> P + Copy,
     trigger: Trigger,
 ) -> WireRow {
     let link = NetworkModel::ethernet_100();
     let arch = Architecture::ultra5();
-    let t0 = Instant::now();
-    let seq = run_migrating(make, arch.clone(), arch.clone(), link, trigger.clone())
-        .expect("sequential run");
-    let sequential_total = t0.elapsed();
-
-    // Forced v3 with sequential restore: the compression arm alone.
-    let comp = run_migrating_planned(
-        make,
-        arch.clone(),
-        arch.clone(),
-        link,
-        trigger.clone(),
-        MigrationPlan::forced(1, WireCodec::V3),
-    )
-    .expect("forced-v3 run");
-    // Forced v3 plus 4-shard restore: the parallel-restore arm.
-    let par = run_migrating_planned(
-        make,
-        arch.clone(),
-        arch.clone(),
-        link,
-        trigger.clone(),
-        MigrationPlan::forced(4, WireCodec::V3),
-    )
-    .expect("forced 4-shard run");
-    // The adaptive driver exactly as callers ship it.
-    let t1 = Instant::now();
-    let adaptive = run_migrating_parallel(make, arch.clone(), arch.clone(), link, trigger, 4)
-        .expect("adaptive run");
-    let adaptive_total = t1.elapsed();
-
+    let seq =
+        run_migrating(make, arch.clone(), arch.clone(), link, trigger.clone()).expect("stored run");
+    let config = PipelineConfig {
+        pace: false,
+        ..Default::default()
+    }
+    .compressed();
+    let comp =
+        run_migrating_pipelined(make, arch.clone(), arch, link, trigger, config).expect("v3 run");
     let t = &comp.report.transfer;
-    let plan = adaptive
-        .report
-        .plan
-        .expect("adaptive runs report their plan");
     WireRow {
         label: label.to_string(),
         raw_bytes: t.raw_payload_bytes,
@@ -769,23 +693,12 @@ fn wire_row<P: hpm_migrate::MigratableProgram>(
         chunks_compressed: t.chunks_compressed,
         restored_identical: comp.results == seq.results
             && comp.report.image_bytes == seq.report.image_bytes,
-        seq_restore: comp.report.restore_time,
-        par_restore: par.report.restore_time,
-        restore_speedup: comp.report.restore_time.as_secs_f64()
-            / par.report.restore_time.as_secs_f64().max(1e-12),
-        par_restore_identical: par.results == seq.results
-            && par.report.image_bytes == seq.report.image_bytes,
-        below_cutoff: t.raw_payload_bytes < PARALLEL_BYTES_CUTOFF,
-        sequential_total,
-        adaptive_total,
-        adaptive_workers: plan.workers as u64,
-        adaptive_compressed: plan.codec == WireCodec::V3,
     }
 }
 
 /// The wire table over the paper workloads, Ultra 5 pair at 100 Mb/s:
-/// forced v3 / forced 4-shard / adaptive, each answer-checked against
-/// the plain sequential driver. Linpack appears twice because the two
+/// the v3 chunk stream, answer-checked against the plain stored
+/// driver. Linpack appears twice because the two
 /// freeze points have opposite wire behaviour: at the canonical
 /// mid-factor point (`linpack_600`) one elimination pass has already
 /// rewritten every matrix cell with full-mantissa values, which no
@@ -813,23 +726,14 @@ pub fn wire_rows() -> Vec<WireRow> {
     ]
 }
 
-/// The CI perf gate over [`wire_rows`]: identity on every forced arm,
-/// compression actually shrinking linpack's image, and the adaptive
-/// planner keeping every sub-cutoff paper workload sequential (the
-/// checked-in benches show sharding losing below the cutoff). Counters
-/// only — wall clocks are reported, never gated.
+/// The CI perf gate over [`wire_rows`]: identity under v3 framing and
+/// compression actually shrinking linpack's image. Counters only.
 pub fn wire_gate(rows: &[WireRow]) -> Vec<String> {
     let mut violations = Vec::new();
     for r in rows {
         if !r.restored_identical {
             violations.push(format!(
-                "{}: forced-v3 migration diverged from the sequential run",
-                r.label
-            ));
-        }
-        if !r.par_restore_identical {
-            violations.push(format!(
-                "{}: forced 4-shard restore diverged from the sequential run",
+                "{}: v3 migration diverged from the stored run",
                 r.label
             ));
         }
@@ -845,12 +749,6 @@ pub fn wire_gate(rows: &[WireRow]) -> Vec<String> {
             violations.push(format!(
                 "{}: compression dropped tx bytes by less than 30% ({} wire vs {} raw bytes)",
                 r.label, r.wire_bytes, r.raw_bytes
-            ));
-        }
-        if r.adaptive_workers != 1 {
-            violations.push(format!(
-                "{}: adaptive planner sharded a sub-cutoff workload (workers={})",
-                r.label, r.adaptive_workers
             ));
         }
     }
@@ -1678,22 +1576,22 @@ pub fn lint_rows() -> Vec<LintRow> {
 /// across revisions.
 #[derive(Debug, Clone)]
 pub struct ModelCheckRow {
-    /// Scenario name (`claim_race`, `arq_baseline`, …).
+    /// Scenario name (`arq_baseline`, `arq_resume`, …).
     pub scenario: String,
-    /// `"schedule"` (interleaving explorer) or `"protocol"` (BFS).
+    /// `"protocol"` (the product-state BFS).
     pub kind: String,
-    /// Decision points visited, or distinct product states.
+    /// Distinct product states.
     pub states: u64,
-    /// Interleavings executed, or transitions explored.
+    /// Transitions explored.
     pub interleavings: u64,
-    /// Work avoided: sleep-set prunes, or deduplicated transitions.
+    /// Work avoided: deduplicated transitions.
     pub reductions: u64,
     /// Violations (zero-tolerance in the bench gate; a missed seeded
     /// catch counts as a violation).
     pub violations: u64,
-    /// This scenario is a deliberately seeded race.
+    /// This scenario carries a deliberately seeded bug.
     pub expected_catch: bool,
-    /// The seeded race was caught with the expected code.
+    /// The seeded bug was caught with the expected code.
     pub caught: bool,
     /// The search budget stopped exploration early.
     pub budget_exhausted: bool,
@@ -1701,9 +1599,8 @@ pub struct ModelCheckRow {
     pub detail: String,
 }
 
-/// Run the full `hpm-model` suite — every concurrency interleaving
-/// scenario plus every ARQ/resume protocol scenario — and flatten the
-/// reports into bench rows.
+/// Run the full `hpm-model` suite — every ARQ/resume protocol
+/// scenario — and flatten the reports into bench rows.
 pub fn modelcheck_rows() -> Vec<ModelCheckRow> {
     hpm_model::run_all()
         .into_iter()
@@ -1723,7 +1620,7 @@ pub fn modelcheck_rows() -> Vec<ModelCheckRow> {
 }
 
 /// The model-check gate: zero tolerance. Any violation (including a
-/// seeded race the checker failed to catch — `run_all` folds that miss
+/// seeded bug the checker failed to catch — `run_all` folds that miss
 /// into the findings) or an exhausted search budget fails CI, because
 /// an incomplete exploration is not a proof.
 pub fn modelcheck_gate(rows: &[ModelCheckRow]) -> Vec<String> {
@@ -1738,7 +1635,7 @@ pub fn modelcheck_gate(rows: &[ModelCheckRow]) -> Vec<String> {
         }
         if r.expected_catch && !r.caught && r.violations == 0 {
             v.push(format!(
-                "{}: seeded race not caught and not reported — checker wiring broken",
+                "{}: seeded bug not caught and not reported — checker wiring broken",
                 r.scenario
             ));
         }
@@ -1755,10 +1652,10 @@ pub fn modelcheck_gate(rows: &[ModelCheckRow]) -> Vec<String> {
 /// Machine-readable per-workload benchmark summary (the `BENCH_<rev>.json`
 /// artifact): Collect/Tx/Restore nanos, search counters, and the MSRLT
 /// translation-cache hit rate, on the Table 1 testbed — plus the
-/// translation-performance table (page-index counters and parallel
-/// byte-identity), the recovery-overhead-vs-fault-rate sweep on the
-/// 10 Mb/s link, the percentile wire/ARQ telemetry rows, the wire
-/// compression/parallel-restore table, the resumable-restore
+/// translation-performance table (page-index counters), the
+/// recovery-overhead-vs-fault-rate sweep on the 10 Mb/s link, the
+/// percentile wire/ARQ telemetry rows, the wire compression table, the
+/// resumable-restore
 /// crash-point sweep, the per-workload analyzer findings, and the
 /// model-check exploration counters. Compare
 /// two artifacts with `paper_tables bench-diff` (see [`diff`]).
@@ -1806,17 +1703,13 @@ pub fn bench_json(revision: &str) -> String {
     for (i, r) in trows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"searches\": {}, \"search_steps\": {}, \
-             \"steps_per_search\": {:.4}, \"cache_hit_rate\": {:.4}, \"collect_ns\": {}, \
-             \"parallel_workers\": {}, \"parallel_collect_ns\": {}, \"parallel_identical\": {}}}{}\n",
+             \"steps_per_search\": {:.4}, \"cache_hit_rate\": {:.4}, \"collect_ns\": {}}}{}\n",
             r.label,
             r.searches,
             r.search_steps,
             r.steps_per_search,
             r.cache_hit_rate,
             r.collect.as_nanos(),
-            r.parallel_workers,
-            r.parallel_collect.as_nanos(),
-            r.parallel_identical,
             if i + 1 == trows.len() { "" } else { "," }
         ));
     }
@@ -1869,25 +1762,13 @@ pub fn bench_json(revision: &str) -> String {
     for (i, r) in wrows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"raw_bytes\": {}, \"wire_bytes\": {}, \"ratio\": {:.4}, \
-             \"chunks_compressed\": {}, \"restored_identical\": {}, \
-             \"par_restore_identical\": {}, \"below_cutoff\": {}, \"seq_restore_ns\": {}, \
-             \"par_restore_ns\": {}, \"restore_speedup\": {:.4}, \"sequential_total_ns\": {}, \
-             \"adaptive_total_ns\": {}, \"adaptive_workers\": {}, \"adaptive_compressed\": {}}}{}\n",
+             \"chunks_compressed\": {}, \"restored_identical\": {}}}{}\n",
             r.label,
             r.raw_bytes,
             r.wire_bytes,
             r.ratio,
             r.chunks_compressed,
             r.restored_identical,
-            r.par_restore_identical,
-            r.below_cutoff,
-            r.seq_restore.as_nanos(),
-            r.par_restore.as_nanos(),
-            r.restore_speedup,
-            r.sequential_total.as_nanos(),
-            r.adaptive_total.as_nanos(),
-            r.adaptive_workers,
-            r.adaptive_compressed,
             if i + 1 == wrows.len() { "" } else { "," }
         ));
     }

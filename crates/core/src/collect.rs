@@ -261,16 +261,6 @@ impl<'a> Collector<'a> {
         self
     }
 
-    /// Mark ids as already visited before the session starts. Parallel
-    /// workers seed blocks claimed by other shards here, so their DFS
-    /// makes exactly the NEW/REF decisions the sequential collector
-    /// would. Only meaningful with [`MarkStrategy::HashSet`]: epoch
-    /// marks live in the MSRLT and would leak across sessions.
-    pub fn preseed_visited(&mut self, ids: impl IntoIterator<Item = LogicalId>) {
-        debug_assert_eq!(self.marks, MarkStrategy::HashSet);
-        self.mark_set.extend(ids);
-    }
-
     /// Stream the payload through `sink` in chunks of at least
     /// `chunk_bytes` (cut at the next item boundary past the watermark,
     /// so every chunk is a whole number of XDR units). [`Collector::finish`]

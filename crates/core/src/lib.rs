@@ -34,10 +34,7 @@ pub mod fingerprint;
 pub mod graph;
 pub mod image;
 pub mod msrlt;
-pub mod msync;
-pub mod parallel;
 pub mod restore;
-pub mod restore_parallel;
 pub mod stream;
 mod translate;
 
@@ -51,10 +48,7 @@ pub use fingerprint::{content_digest, type_fingerprint};
 pub use graph::{MsrEdge, MsrGraph, MsrVertex};
 pub use image::{ImageHeader, IMAGE_MAGIC, IMAGE_VERSION};
 pub use msrlt::{LogicalId, Msrlt, MsrltEntry, MsrltStats, SearchStrategy};
-pub use msync::{AtomicU32Like, AtomicU64Like, MAtomicU32, MAtomicU64};
-pub use parallel::{collect_parallel, collect_parallel_flight, ShardReport, SharedVisited};
 pub use restore::{RestoreStats, Restorer};
-pub use restore_parallel::{restore_parallel, restore_parallel_flight, restore_parallel_section};
 pub use stream::{ChunkPayload, ChunkSource, ReplayCounters, ReplaySource, VecChunks};
 
 use hpm_memory::MemError;

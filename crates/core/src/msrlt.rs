@@ -746,21 +746,6 @@ impl Msrlt {
             .as_ref()
     }
 
-    /// Index capacity of each id group (dead slots included). A dense
-    /// per-id index built from these sizes covers every id this table
-    /// can currently produce — the parallel collector's shared visited
-    /// bitmap is laid out this way.
-    pub fn group_sizes(&self) -> Vec<u32> {
-        self.groups.iter().map(|g| g.len() as u32).collect()
-    }
-
-    /// Fold externally accumulated counters into this table's stats —
-    /// used by the parallel collector, whose workers search private
-    /// clones of the table.
-    pub fn absorb_stats(&mut self, other: &MsrltStats) {
-        self.stats.merge_from(other);
-    }
-
     /// All live entries, unordered.
     pub fn live_entries(&self) -> impl Iterator<Item = &MsrltEntry> {
         self.by_addr

@@ -166,17 +166,6 @@ pub struct Restorer<'a> {
     /// a post-mortem names how far restoration got. `None` costs one
     /// branch per variable.
     flight: Option<FlightTrack>,
-    /// Skim mode: consume and validate every stream item and perform the
-    /// MSRLT updates (heap allocation + registration in stream order),
-    /// but skip all block-content writes. This is the pre-pass of
-    /// [`restore_parallel`](crate::restore_parallel::restore_parallel):
-    /// it reproduces the exact addresses a sequential restore would
-    /// assign while costing only the stream walk.
-    skim: bool,
-    /// Blocks whose contents the stream fills, as `(addr, bytes)` in
-    /// stream order (skim mode only) — the parallel splice's ownership
-    /// record.
-    filled: Vec<(u64, u64)>,
     /// Scratch for one scalar's native bytes between decode and copy.
     native: Vec<u8>,
 }
@@ -222,22 +211,8 @@ impl<'a> Restorer<'a> {
             tracer: Tracer::disabled(),
             mode: TranslationMode::default(),
             flight: None,
-            skim: false,
-            filled: Vec::new(),
             native: Vec::with_capacity(16),
         }
-    }
-
-    /// Switch to skim mode: the stream is consumed, validated, and its
-    /// MSRLT side effects applied, but no block contents are written.
-    pub(crate) fn skim_mode(mut self) -> Self {
-        self.skim = true;
-        self
-    }
-
-    /// Blocks the stream has filled so far (skim mode), in stream order.
-    pub(crate) fn filled_blocks(&self) -> &[(u64, u64)] {
-        &self.filled
     }
 
     /// Attach a flight-recorder track: every `restore_variable` emits a
@@ -439,9 +414,7 @@ impl<'a> Restorer<'a> {
             while off < total {
                 let len = (total - off).min(BULK_SLICE as usize);
                 let raw = self.dec.take(len)?;
-                if !self.skim {
-                    bytes[off..off + len].copy_from_slice(raw);
-                }
+                bytes[off..off + len].copy_from_slice(raw);
                 off += len;
             }
             self.stats.scalars_decoded += per_elem * count;
@@ -469,18 +442,14 @@ impl<'a> Restorer<'a> {
                     let at = elem_base + *offset as usize;
                     let len = (*rc as usize) * size;
                     let raw = self.dec.take(len)?;
-                    if !self.skim {
-                        bytes[at..at + len].copy_from_slice(raw);
-                    }
+                    bytes[at..at + len].copy_from_slice(raw);
                 } else {
                     for k in 0..*rc {
                         let v = get_scalar_xdr(&mut self.dec, *kind)?;
-                        if !self.skim {
-                            native.clear();
-                            arch.encode_scalar(*kind, v, native);
-                            let at = elem_base + (*offset + k * *stride) as usize;
-                            bytes[at..at + native.len()].copy_from_slice(native);
-                        }
+                        native.clear();
+                        arch.encode_scalar(*kind, v, native);
+                        let at = elem_base + (*offset + k * *stride) as usize;
+                        bytes[at..at + native.len()].copy_from_slice(native);
                     }
                 }
                 scalars += *rc;
@@ -527,17 +496,13 @@ impl<'a> Restorer<'a> {
         if self.mode == TranslationMode::Bulk && same_wire_format(arch, kind) && stride == size {
             let len = count * size;
             let raw = self.dec.take(len as usize)?;
-            if !self.skim {
-                span_mut(bytes, slot, offset, len)?.copy_from_slice(raw);
-            }
+            span_mut(bytes, slot, offset, len)?.copy_from_slice(raw);
         } else {
             for k in 0..count {
                 let v = get_scalar_xdr(&mut self.dec, kind)?;
-                if !self.skim {
-                    self.native.clear();
-                    arch.encode_scalar(kind, v, &mut self.native);
-                    span_mut(bytes, slot, offset + k * stride, size)?.copy_from_slice(&self.native);
-                }
+                self.native.clear();
+                arch.encode_scalar(kind, v, &mut self.native);
+                span_mut(bytes, slot, offset + k * stride, size)?.copy_from_slice(&self.native);
             }
         }
         self.stats.scalars_decoded += count;
@@ -545,9 +510,6 @@ impl<'a> Restorer<'a> {
     }
 
     fn write_ptr(&mut self, slot: BlockSlot, offset: u64, ptr: u64) -> Result<(), CoreError> {
-        if self.skim {
-            return Ok(());
-        }
         let (arch, bytes) = self.space.slot_bytes_mut(slot)?;
         self.native.clear();
         arch.encode_scalar(CScalar::Ptr, ScalarValue::Ptr(ptr), &mut self.native);
@@ -638,9 +600,6 @@ impl<'a> Restorer<'a> {
         self.tracer
             .instant_args("restore.block", &[("count", count as f64)]);
         let plan = self.space.plan_ref(ty)?;
-        if self.skim {
-            self.filled.push((addr, plan.size * count));
-        }
         if !plan.has_pointers {
             // The stream inlines the whole block right here; decode it
             // now so the parent cursor resumes at the right offset.

@@ -13,8 +13,8 @@
 //! * `HPM030`–`HPM035` — runtime-registry findings from auditing a live
 //!   MSRLT snapshot before collection;
 //! * `HPM040`–`HPM049` — model-checker findings from `hpm-model`'s
-//!   exhaustive schedule and protocol exploration (each carries a
-//!   replayable counterexample trace).
+//!   exhaustive protocol exploration (each carries a replayable
+//!   counterexample trace). `HPM045`/`HPM046` are retired, never reused.
 
 use hpm_annotate::ast::Span;
 
@@ -95,12 +95,6 @@ pub enum LintCode {
     /// A rejected resume (digest mismatch) failed to reach a clean full
     /// restart.
     ModelRestartMissed,
-    /// An interleaving broke exactly-once claim ownership: two workers
-    /// both won a claim, or the loser overwrote the winner's owner slot.
-    ModelClaimRace,
-    /// An interleaving changed the splice order or bytes: the parallel
-    /// result diverged from the canonical sequential one.
-    ModelSpliceDivergence,
     /// Exploration hit its schedule/state budget before covering the
     /// space: the verdict is a sample, not a proof.
     ModelBudgetExhausted,
@@ -138,8 +132,6 @@ impl LintCode {
             LintCode::ModelDoubleRelease => "HPM042",
             LintCode::ModelResumeReplay => "HPM043",
             LintCode::ModelRestartMissed => "HPM044",
-            LintCode::ModelClaimRace => "HPM045",
-            LintCode::ModelSpliceDivergence => "HPM046",
             LintCode::ModelBudgetExhausted => "HPM047",
         }
     }
@@ -168,9 +160,7 @@ impl LintCode {
             | LintCode::ModelWindowOverflow
             | LintCode::ModelDoubleRelease
             | LintCode::ModelResumeReplay
-            | LintCode::ModelRestartMissed
-            | LintCode::ModelClaimRace
-            | LintCode::ModelSpliceDivergence => Severity::Error,
+            | LintCode::ModelRestartMissed => Severity::Error,
             LintCode::ModelBudgetExhausted
             | LintCode::IncompatiblePointerCast
             | LintCode::EscapingStackAddress
@@ -188,7 +178,7 @@ impl LintCode {
     }
 
     /// Every code, in code order.
-    pub const ALL: [LintCode; 31] = [
+    pub const ALL: [LintCode; 29] = [
         LintCode::Union,
         LintCode::Goto,
         LintCode::Switch,
@@ -217,8 +207,6 @@ impl LintCode {
         LintCode::ModelDoubleRelease,
         LintCode::ModelResumeReplay,
         LintCode::ModelRestartMissed,
-        LintCode::ModelClaimRace,
-        LintCode::ModelSpliceDivergence,
         LintCode::ModelBudgetExhausted,
     ];
 }

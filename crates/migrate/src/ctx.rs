@@ -31,8 +31,7 @@ use crate::exec::{ExecutionState, FrameState};
 use crate::process::Process;
 use crate::MigError;
 use hpm_core::{
-    collect_parallel_flight, restore_parallel_section, ChunkPayload, ChunkSink, CollectStats,
-    Collector, CoreError, RestoreStats, Restorer, ShardReport, TranslationMode,
+    ChunkPayload, ChunkSink, CollectStats, Collector, CoreError, RestoreStats, Restorer,
 };
 use hpm_memory::FrameId;
 use hpm_obs::{StatGroup, Tracer};
@@ -142,10 +141,6 @@ pub struct MigCtx<'p> {
     /// Flight-recorder track attached to every [`Restorer`] this context
     /// creates (post-mortem restore progress); `None` is free.
     flight: Option<hpm_obs::FlightTrack>,
-    /// Shards for monolithic (`Whole`) restoration; 1 = sequential.
-    restore_workers: usize,
-    /// Per-shard accounting accumulated by parallel `restore_frame`s.
-    restore_shards: Option<ShardReport>,
 }
 
 impl<'p> MigCtx<'p> {
@@ -161,8 +156,6 @@ impl<'p> MigCtx<'p> {
             finished_at: None,
             tracer: Tracer::disabled(),
             flight: None,
-            restore_workers: 1,
-            restore_shards: None,
         }
     }
 
@@ -170,21 +163,6 @@ impl<'p> MigCtx<'p> {
     /// nested block/alloc events from the [`Restorer`]).
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
-    }
-
-    /// Shard monolithic restoration across `workers` threads (skim /
-    /// fill / splice — see [`hpm_core::restore_parallel`]); the restored
-    /// image stays byte-identical to the sequential path. Streamed
-    /// (chunked) resumes ignore this and stay sequential, as do frames
-    /// with a single live variable (nothing to shard).
-    pub fn set_restore_workers(&mut self, workers: usize) {
-        self.restore_workers = workers.max(1);
-    }
-
-    /// Per-shard accounting from parallel `restore_frame`s; `None` when
-    /// every frame restored sequentially.
-    pub fn restore_shards(&self) -> Option<ShardReport> {
-        self.restore_shards.clone()
     }
 
     /// Attach a flight-recorder track: every restored variable leaves a
@@ -238,8 +216,6 @@ impl<'p> MigCtx<'p> {
             finished_at: None,
             tracer: Tracer::disabled(),
             flight: None,
-            restore_workers: 1,
-            restore_shards: None,
         }
     }
 
@@ -381,83 +357,40 @@ impl<'p> MigCtx<'p> {
             "restore",
             &[("frame_depth", depth as f64), ("live", live.len() as f64)],
         );
-        // A monolithic payload with several live roots can shard: skim /
-        // fill / splice, byte-identical to the sequential path. Streamed
-        // payloads (no complete byte range) and single-root frames
-        // (nothing to shard) fall through to the plain restorer.
-        let use_parallel = self.restore_workers > 1
-            && live.len() > 1
-            && matches!(r.source, PayloadSource::Whole { .. });
-        let (stats, consumed) = if use_parallel {
-            let PayloadSource::Whole { payload, pos } = &mut r.source else {
-                unreachable!("use_parallel checked the source shape");
-            };
-            let rest = &payload[*pos..];
-            let (stats, consumed, shards) = restore_parallel_section(
-                &mut self.proc.space,
-                &mut self.proc.msrlt,
-                rest,
-                live,
-                self.restore_workers,
-                TranslationMode::default(),
-                self.flight.as_ref(),
-            )
-            .map_err(|e| match &e {
+        let mut restorer = match &mut r.source {
+            PayloadSource::Whole { payload, pos } => {
+                Restorer::new(&mut self.proc.space, &mut self.proc.msrlt, &payload[*pos..])
+            }
+            PayloadSource::Chunked(cp) => {
+                Restorer::from_chunks(&mut self.proc.space, &mut self.proc.msrlt, cp)
+            }
+        }
+        .with_tracer(self.tracer.clone());
+        if let Some(t) = &self.flight {
+            restorer = restorer.with_flight(t.clone());
+        }
+        for &addr in live {
+            restorer.restore_variable(addr).map_err(|e| match &e {
                 CoreError::TruncatedChunk { .. } => {
                     MigError::Protocol(format!("restoring frame '{function}' (depth {depth}): {e}"))
                 }
                 _ => MigError::from(e),
             })?;
-            // The final frame must drain the stream exactly, same as the
-            // sequential path's `finish`.
-            if is_final && consumed != rest.len() {
-                return Err(MigError::Protocol(format!(
-                    "after final restore_frame ('{function}'): {} payload bytes after end of stream",
-                    rest.len() - consumed
-                )));
-            }
-            match &mut self.restore_shards {
-                Some(acc) => acc.merge_from(&shards),
-                None => self.restore_shards = Some(shards),
-            }
-            (stats, consumed)
+        }
+        let consumed = restorer.consumed();
+        // The final frame must drain the stream exactly: leftover
+        // payload (or, streamed, leftover chunks) means the call
+        // sequences diverged — surface it with the offending frame
+        // and chunk.
+        let stats = if is_final {
+            restorer.finish().map_err(|e| match &e {
+                CoreError::TrailingBytes { .. } => {
+                    MigError::Protocol(format!("after final restore_frame ('{function}'): {e}"))
+                }
+                _ => MigError::from(e),
+            })?
         } else {
-            let mut restorer = match &mut r.source {
-                PayloadSource::Whole { payload, pos } => {
-                    Restorer::new(&mut self.proc.space, &mut self.proc.msrlt, &payload[*pos..])
-                }
-                PayloadSource::Chunked(cp) => {
-                    Restorer::from_chunks(&mut self.proc.space, &mut self.proc.msrlt, cp)
-                }
-            }
-            .with_tracer(self.tracer.clone());
-            if let Some(t) = &self.flight {
-                restorer = restorer.with_flight(t.clone());
-            }
-            for &addr in live {
-                restorer.restore_variable(addr).map_err(|e| match &e {
-                    CoreError::TruncatedChunk { .. } => MigError::Protocol(format!(
-                        "restoring frame '{function}' (depth {depth}): {e}"
-                    )),
-                    _ => MigError::from(e),
-                })?;
-            }
-            let consumed = restorer.consumed();
-            // The final frame must drain the stream exactly: leftover
-            // payload (or, streamed, leftover chunks) means the call
-            // sequences diverged — surface it with the offending frame
-            // and chunk.
-            let stats = if is_final {
-                restorer.finish().map_err(|e| match &e {
-                    CoreError::TrailingBytes { .. } => {
-                        MigError::Protocol(format!("after final restore_frame ('{function}'): {e}"))
-                    }
-                    _ => MigError::from(e),
-                })?
-            } else {
-                restorer.take_stats()
-            };
-            (stats, consumed)
+            restorer.take_stats()
         };
         self.tracer
             .end_args("restore", &[("bytes", consumed as f64)]);
@@ -571,46 +504,6 @@ pub fn collect_pending_traced(
     }
     let (payload, stats) = collector.finish();
     Ok((payload, exec, stats))
-}
-
-/// [`collect_pending`] across `workers` shards: the recorded frames'
-/// live variables become the parallel collector's roots, and the
-/// spliced payload is byte-identical to the sequential one. Worker
-/// search traffic is folded back into the process's MSRLT counters so
-/// reports stay comparable.
-pub fn collect_pending_parallel(
-    proc: &mut Process,
-    pending: &[PendingFrame],
-    workers: usize,
-) -> Result<(Vec<u8>, ExecutionState, CollectStats), MigError> {
-    let (payload, exec, stats, _) = collect_pending_parallel_flight(proc, pending, workers, None)?;
-    Ok((payload, exec, stats))
-}
-
-/// [`collect_pending_parallel`] plus the per-shard [`ShardReport`]
-/// (imbalance telemetry) and optional flight-recorder events.
-pub fn collect_pending_parallel_flight(
-    proc: &mut Process,
-    pending: &[PendingFrame],
-    workers: usize,
-    flight: Option<&hpm_obs::FlightTrack>,
-) -> Result<(Vec<u8>, ExecutionState, CollectStats, ShardReport), MigError> {
-    let exec = pending_exec_state(proc, pending);
-    let roots: Vec<u64> = pending
-        .iter()
-        .flat_map(|f| f.live.iter().copied())
-        .collect();
-    let (payload, stats, msrlt_stats, shards) = collect_parallel_flight(
-        &proc.space,
-        &proc.msrlt,
-        &roots,
-        workers,
-        TranslationMode::default(),
-        flight,
-    )
-    .map_err(MigError::from)?;
-    proc.msrlt.absorb_stats(&msrlt_stats);
-    Ok((payload, exec, stats, shards))
 }
 
 /// The execution state the recorded frames will ship — computable before

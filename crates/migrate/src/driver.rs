@@ -6,9 +6,8 @@
 //! time") — plus every §4.2 instrumentation counter.
 
 use crate::ctx::{
-    collect_pending, collect_pending_parallel, collect_pending_parallel_flight,
-    collect_pending_streamed, collect_pending_streamed_flight, collect_pending_traced,
-    pending_exec_state, MigCtx, MigratableProgram, PendingFrame,
+    collect_pending, collect_pending_streamed, collect_pending_streamed_flight,
+    collect_pending_traced, pending_exec_state, MigCtx, MigratableProgram, PendingFrame,
 };
 use crate::exec::ExecutionState;
 use crate::process::{Process, Trigger};
@@ -17,7 +16,7 @@ use hpm_arch::Architecture;
 use hpm_core::image::{frame_image, frame_image_prefix, unframe_image, ImageHeader};
 use hpm_core::{
     audit_registry, ChunkPayload, ChunkSource, CollectStats, CoreError, MsrltStats,
-    RegistryAuditStats, RegistryFinding, ReplaySource, RestoreStats, ShardReport, IMAGE_VERSION,
+    RegistryAuditStats, RegistryFinding, ReplaySource, RestoreStats, IMAGE_VERSION,
 };
 use hpm_net::{
     channel_pair, ArqConfig, ArqReceiverSnapshot, ArqSenderStats, ChunkReceiver, ChunkSender,
@@ -72,15 +71,6 @@ pub struct MigrationReport {
     /// Pre-flight registry-audit counters, for drivers that audit the
     /// MSRLT snapshot before collecting; `None` for paths that skip it.
     pub registry_audit: Option<RegistryAuditStats>,
-    /// Per-shard parallel-collection accounting, for runs through
-    /// [`run_migrating_parallel`]; `None` for sequential collection.
-    pub shards: Option<ShardReport>,
-    /// Per-shard parallel-restoration accounting; `None` when every
-    /// frame restored sequentially.
-    pub restore_shards: Option<ShardReport>,
-    /// What the adaptive planner decided for this run; `None` for
-    /// drivers that don't consult it.
-    pub plan: Option<MigrationPlan>,
     /// How far down the degradation ladder this run went and what the
     /// resume machinery saved, for runs through
     /// [`run_migrating_resilient`]; `None` otherwise.
@@ -121,14 +111,6 @@ impl MigrationReport {
         }
         if let Some(a) = &self.registry_audit {
             groups.push(snapshot(a));
-        }
-        if let Some(s) = &self.shards {
-            groups.push(snapshot(s));
-        }
-        if let Some(s) = &self.restore_shards {
-            // Rename the group so collect- and restore-side shard
-            // accounting stay distinguishable in one report.
-            groups.push(("parallel.restore".to_string(), s.fields()));
         }
         groups
     }
@@ -263,15 +245,6 @@ impl MigratedSource {
         collect_pending(&mut self.proc, &self.pending)
     }
 
-    /// Collect with `workers` parallel shards; byte-identical to
-    /// [`MigratedSource::collect`] and equally repeatable.
-    pub fn collect_parallel(
-        &mut self,
-        workers: usize,
-    ) -> Result<(Vec<u8>, ExecutionState, CollectStats), MigError> {
-        collect_pending_parallel(&mut self.proc, &self.pending, workers)
-    }
-
     /// Audit the frozen process's MSRLT snapshot without collecting —
     /// the same pre-flight check the migrating drivers run, exposed for
     /// benchmarks and `hpm-lint`'s runtime-registry pass.
@@ -284,13 +257,7 @@ impl MigratedSource {
     /// Frame a complete migration image from a fresh collection.
     pub fn to_image(&mut self) -> Result<Vec<u8>, MigError> {
         let (payload, exec, _) = self.collect()?;
-        let header = ImageHeader {
-            version: IMAGE_VERSION,
-            source_arch: self.proc.space.arch().name.to_string(),
-            source_pointer_size: self.proc.space.arch().pointer_size as u32,
-            program: self.proc.program().to_string(),
-            registered_bytes: self.proc.msrlt.registered_bytes(),
-        };
+        let header = image_header(&self.proc);
         Ok(frame_image(&header, &exec.encode(), &payload))
     }
 
@@ -302,13 +269,7 @@ impl MigratedSource {
         &mut self,
         chunk_bytes: usize,
     ) -> Result<(Vec<Vec<u8>>, CollectStats), MigError> {
-        let header = ImageHeader {
-            version: IMAGE_VERSION,
-            source_arch: self.proc.space.arch().name.to_string(),
-            source_pointer_size: self.proc.space.arch().pointer_size as u32,
-            program: self.proc.program().to_string(),
-            registered_bytes: self.proc.msrlt.registered_bytes(),
-        };
+        let header = image_header(&self.proc);
         let mut chunks: Vec<Vec<u8>> = Vec::new();
         let exec = pending_exec_state(&self.proc, &self.pending);
         chunks.push(frame_image_prefix(&header, &exec.encode()));
@@ -391,13 +352,7 @@ pub fn collect_image_traced(
     let t0 = Instant::now();
     let (payload, exec, stats) = collect_pending_traced(proc, &pending, tracer)?;
     let collect_time = t0.elapsed();
-    let header = ImageHeader {
-        version: IMAGE_VERSION,
-        source_arch: proc.space.arch().name.to_string(),
-        source_pointer_size: proc.space.arch().pointer_size as u32,
-        program: proc.program().to_string(),
-        registered_bytes: proc.msrlt.registered_bytes(),
-    };
+    let header = image_header(proc);
     let image = frame_image(&header, &exec.encode(), &payload);
     Ok((image, collect_time, stats, exec, audit))
 }
@@ -572,312 +527,14 @@ pub fn run_migrating_recorded<P: MigratableProgram>(
         pipeline: None,
         recovery: None,
         registry_audit: Some(registry_audit),
-        shards: None,
-        restore_shards: None,
-        plan: None,
         resume: None,
         flight: None,
     };
     Ok(report_migration(tracer, report, results))
 }
 
-/// Registered-bytes floor for sharded collection *and* restoration.
-///
-/// Calibrated from the checked-in benchmarks: with 4 workers, thread
-/// spawn plus the claim pre-pass and deterministic splice cost more
-/// than the whole sequential DFS on every paper workload (all well
-/// under this mark) — `BENCH_2e672c5` records 4-shard collection losing
-/// to sequential across the board. Above the cutoff, per-block encode
-/// work dominates and sharding wins.
-pub const PARALLEL_BYTES_CUTOFF: u64 = 8 * 1024 * 1024;
-
-/// Registered-bytes floor for v3 (compressed) framing: an image smaller
-/// than this saves too few wire bytes to pay the per-frame `raw_len`
-/// header and compressor latency.
-pub const COMPRESS_BYTES_CUTOFF: u64 = 4 * 1024;
-
-/// Payload bytes per wire frame on the monolithic chunked path.
+/// Payload bytes per wire frame of a pre-copy round (its default `chunk_bytes`).
 pub const WIRE_CHUNK_BYTES: usize = 32 * 1024;
-
-/// What the adaptive planner decided for one migration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MigrationPlan {
-    /// Registered bytes the decision was made from (known before
-    /// collection starts; the image header carries the same number).
-    pub registered_bytes: u64,
-    /// Collection/restoration shards (1 = sequential).
-    pub workers: usize,
-    /// Frame codec for the shipped image.
-    pub codec: WireCodec,
-}
-
-impl MigrationPlan {
-    /// A fixed plan that bypasses the adaptive cutoffs — benchmarks and
-    /// tests use this to exercise a specific arm (e.g. forced 4-shard
-    /// compressed) regardless of workload size.
-    pub fn forced(workers: usize, codec: WireCodec) -> Self {
-        MigrationPlan {
-            registered_bytes: 0,
-            workers: workers.max(1),
-            codec,
-        }
-    }
-}
-
-/// The adaptive planner: choose sequential-vs-sharded and
-/// stored-vs-compressed per migration from the registered-byte count.
-pub fn plan_migration(registered_bytes: u64, requested_workers: usize) -> MigrationPlan {
-    let workers = if registered_bytes >= PARALLEL_BYTES_CUTOFF {
-        requested_workers.max(1)
-    } else {
-        1
-    };
-    let codec = if registered_bytes >= COMPRESS_BYTES_CUTOFF {
-        WireCodec::V3
-    } else {
-        WireCodec::V2
-    };
-    MigrationPlan {
-        registered_bytes,
-        workers,
-        codec,
-    }
-}
-
-/// [`resume_from_image`] with monolithic restoration sharded across
-/// `workers` threads (see [`MigCtx::set_restore_workers`]); the restored
-/// process is byte-identical to the sequential path's. Also returns the
-/// per-shard accounting when any frame actually sharded.
-pub fn resume_from_image_parallel<P: MigratableProgram>(
-    program: &mut P,
-    arch: Architecture,
-    image: &[u8],
-    workers: usize,
-) -> Result<(ResumeOutcome, Option<ShardReport>), MigError> {
-    let (header, exec_bytes, payload) = unframe_image(image)?;
-    if header.program != program.name() {
-        return Err(MigError::Protocol(format!(
-            "image is for program '{}', not '{}'",
-            header.program,
-            program.name()
-        )));
-    }
-    let exec = ExecutionState::decode(&exec_bytes)?;
-    let mut proc = Process::new(program.name(), arch);
-    proc.space.reserve_heap_bytes(header.registered_bytes);
-    program.setup(&mut proc)?;
-    proc.msrlt.reset_stats();
-    let mut ctx = MigCtx::new_resume(&mut proc, exec, payload);
-    ctx.set_restore_workers(workers);
-    match program.run(&mut ctx)? {
-        Flow::Done => {}
-        Flow::Migrate => return Err(MigError::Protocol("resumed program migrated again".into())),
-    }
-    let (rstats, rtime) = ctx.restore_totals().ok_or_else(|| {
-        MigError::Protocol("program finished without restoring all frames".into())
-    })?;
-    let shards = ctx.restore_shards();
-    let results = program.results(&mut proc)?;
-    Ok(((results, proc, rstats, rtime), shards))
-}
-
-/// [`run_migrating`] with sharded parallel collection *and* restoration,
-/// gated by the adaptive planner: below [`PARALLEL_BYTES_CUTOFF`] both
-/// phases fall back to the sequential path (where sharding's spawn and
-/// splice overhead loses), and the image ships v3-compressed once past
-/// [`COMPRESS_BYTES_CUTOFF`]. The shipped image and the restored process
-/// are byte-identical to the sequential driver's in every configuration.
-pub fn run_migrating_parallel<P: MigratableProgram>(
-    make: impl Fn() -> P,
-    src_arch: Architecture,
-    dst_arch: Architecture,
-    link: NetworkModel,
-    trigger: Trigger,
-    workers: usize,
-) -> Result<MigrationRun, MigError> {
-    let recorder = FlightRecorder::new();
-    run_migrating_parallel_recorded(make, src_arch, dst_arch, link, trigger, workers, &recorder)
-        .inspect_err(|_| persist_flight_dump(&recorder.dump()))
-}
-
-/// [`run_migrating_parallel`] with a caller-supplied [`FlightRecorder`].
-pub fn run_migrating_parallel_recorded<P: MigratableProgram>(
-    make: impl Fn() -> P,
-    src_arch: Architecture,
-    dst_arch: Architecture,
-    link: NetworkModel,
-    trigger: Trigger,
-    workers: usize,
-    recorder: &FlightRecorder,
-) -> Result<MigrationRun, MigError> {
-    run_migrating_with_plan(
-        make,
-        src_arch,
-        dst_arch,
-        link,
-        trigger,
-        workers,
-        plan_migration,
-        recorder,
-    )
-}
-
-/// [`run_migrating_parallel`] with a caller-fixed [`MigrationPlan`]
-/// instead of the adaptive planner: benchmarks and tests use this to
-/// measure or exercise one specific arm regardless of workload size.
-/// The plan's `registered_bytes` is replaced with the actual count.
-pub fn run_migrating_planned<P: MigratableProgram>(
-    make: impl Fn() -> P,
-    src_arch: Architecture,
-    dst_arch: Architecture,
-    link: NetworkModel,
-    trigger: Trigger,
-    plan: MigrationPlan,
-) -> Result<MigrationRun, MigError> {
-    let recorder = FlightRecorder::new();
-    run_migrating_planned_recorded(make, src_arch, dst_arch, link, trigger, plan, &recorder)
-        .inspect_err(|_| persist_flight_dump(&recorder.dump()))
-}
-
-/// [`run_migrating_planned`] with a caller-supplied [`FlightRecorder`].
-pub fn run_migrating_planned_recorded<P: MigratableProgram>(
-    make: impl Fn() -> P,
-    src_arch: Architecture,
-    dst_arch: Architecture,
-    link: NetworkModel,
-    trigger: Trigger,
-    plan: MigrationPlan,
-    recorder: &FlightRecorder,
-) -> Result<MigrationRun, MigError> {
-    run_migrating_with_plan(
-        make,
-        src_arch,
-        dst_arch,
-        link,
-        trigger,
-        plan.workers,
-        move |bytes, _| MigrationPlan {
-            registered_bytes: bytes,
-            ..plan
-        },
-        recorder,
-    )
-}
-
-/// Shared body of the adaptive/planned monolithic drivers.
-#[allow(clippy::too_many_arguments)]
-fn run_migrating_with_plan<P: MigratableProgram>(
-    make: impl Fn() -> P,
-    src_arch: Architecture,
-    dst_arch: Architecture,
-    link: NetworkModel,
-    trigger: Trigger,
-    workers: usize,
-    planner: impl FnOnce(u64, usize) -> MigrationPlan,
-    recorder: &FlightRecorder,
-) -> Result<MigrationRun, MigError> {
-    let driver_track = recorder.track("driver");
-    let collect_track = recorder.track("collect");
-    // --- source side ---
-    let mut src_prog = make();
-    let mut src = Process::new(src_prog.name(), src_arch);
-    src.set_trigger(trigger);
-    src_prog.setup(&mut src)?;
-    let (proc, pending) = run_to_parts(&mut src_prog, &mut src)?;
-    let registry_audit = require_clean_registry(proc)?;
-    proc.msrlt.reset_stats();
-    let plan = planner(proc.msrlt.registered_bytes(), workers);
-    driver_track.event(
-        "plan",
-        &[
-            ("registered_bytes", plan.registered_bytes),
-            ("workers", plan.workers as u64),
-            ("compressed", (plan.codec == WireCodec::V3) as u64),
-        ],
-    );
-    let t0 = Instant::now();
-    let (payload, exec, collect_stats, shards) = if plan.workers > 1 {
-        let (p, e, c, s) =
-            collect_pending_parallel_flight(proc, &pending, plan.workers, Some(&collect_track))?;
-        (p, e, c, Some(s))
-    } else {
-        // Below the planner's cutoff the sharded path loses to the
-        // plain DFS: collect sequentially.
-        let (p, e, c) = collect_pending(proc, &pending)?;
-        (p, e, c, None)
-    };
-    let collect_time = t0.elapsed();
-    let header = image_header(proc);
-    let image = frame_image(&header, &exec.encode(), &payload);
-    driver_track.event(
-        "phase.collect",
-        &[
-            ("image_bytes", image.len() as u64),
-            ("workers", plan.workers as u64),
-        ],
-    );
-    let src_msrlt = src.msrlt.stats();
-    let src_polls = src.poll_count();
-    let chain_depth = exec.depth();
-    let memory_bytes = collect_stats.bytes_out;
-
-    // --- the wire: the image ships in fixed-size chunks so the plan's
-    // codec applies per frame; concatenating the received chunks
-    // reproduces the image byte-for-byte. ---
-    let (src_end, dst_end) = channel_pair(link);
-    let mut sender = ChunkSender::new(&src_end).with_codec(plan.codec);
-    for part in image.chunks(WIRE_CHUNK_BYTES) {
-        sender.send(part)?;
-    }
-    sender.finish()?;
-    let mut rx = ChunkReceiver::new(dst_end);
-    let mut shipped = Vec::with_capacity(image.len());
-    while let Some(chunk) = rx.recv_chunk().map_err(MigError::from)? {
-        shipped.extend_from_slice(&chunk);
-    }
-    let transfer = src_end.stats().snapshot();
-    let tx_time = transfer.modeled_tx_time();
-    driver_track.event(
-        "phase.tx",
-        &[
-            ("bytes", transfer.bytes_sent),
-            ("raw_payload", transfer.raw_payload_bytes),
-            ("wire_payload", transfer.wire_payload_bytes),
-        ],
-    );
-
-    // --- destination side ---
-    let mut dst_prog = make();
-    let ((results, dst, restore_stats, restore_time), restore_shards) =
-        resume_from_image_parallel(&mut dst_prog, dst_arch, &shipped, plan.workers)?;
-    let dst_msrlt = dst.msrlt.stats();
-    driver_track.event("phase.restore", &[("bytes_in", restore_stats.bytes_in)]);
-
-    let report = MigrationReport {
-        image_bytes: shipped.len() as u64,
-        memory_bytes,
-        collect_time,
-        tx_time,
-        restore_time,
-        collect_stats,
-        src_msrlt,
-        restore_stats,
-        dst_msrlt,
-        src_polls,
-        chain_depth,
-        transfer,
-        trace: None,
-        pipeline: None,
-        recovery: None,
-        registry_audit: Some(registry_audit),
-        shards,
-        restore_shards,
-        plan: Some(plan),
-        resume: None,
-        flight: None,
-    };
-    Ok(report_migration(&Tracer::disabled(), report, results))
-}
 
 /// Tunables for the pipelined migration path.
 #[derive(Debug, Clone, Copy)]
@@ -1288,9 +945,6 @@ pub fn run_migrating_pipelined_recorded<P: MigratableProgram + Send>(
         pipeline: Some(pipeline),
         recovery: None,
         registry_audit: Some(registry_audit),
-        shards: None,
-        restore_shards: None,
-        plan: None,
         resume: None,
         flight: None,
     };
@@ -2171,9 +1825,6 @@ pub fn run_migrating_resilient_recorded<P: MigratableProgram + Send>(
                         ..recovery_base
                     }),
                     registry_audit: Some(registry_audit),
-                    shards: None,
-                    restore_shards: None,
-                    plan: None,
                     resume: Some(resume_stats),
                     flight: Some(dump),
                 };
@@ -2229,9 +1880,6 @@ pub fn run_migrating_resilient_recorded<P: MigratableProgram + Send>(
         pipeline: Some(pipeline),
         recovery: Some(recovery_base),
         registry_audit: Some(registry_audit),
-        shards: None,
-        restore_shards: None,
-        plan: None,
         resume: Some(resume_stats),
         flight: None,
     };

@@ -46,19 +46,16 @@ pub mod sched;
 
 pub use cluster::{ClusterReport, TwoMachineCluster};
 pub use ctx::{
-    collect_pending, collect_pending_parallel, collect_pending_parallel_flight,
-    collect_pending_streamed, collect_pending_streamed_flight, collect_pending_traced,
-    pending_exec_state, Flow, MigCtx, MigratableProgram, PendingFrame,
+    collect_pending, collect_pending_streamed, collect_pending_streamed_flight,
+    collect_pending_traced, pending_exec_state, Flow, MigCtx, MigratableProgram, PendingFrame,
 };
 pub use driver::{
-    collect_image, collect_image_traced, plan_migration, preflight_audit, resume_from_image,
-    resume_from_image_parallel, resume_from_image_traced, run_migrating, run_migrating_parallel,
-    run_migrating_parallel_recorded, run_migrating_pipelined, run_migrating_pipelined_recorded,
-    run_migrating_planned, run_migrating_planned_recorded, run_migrating_recorded,
-    run_migrating_resilient, run_migrating_resilient_recorded, run_migrating_traced, run_straight,
-    run_to_migration, FallbackPolicy, MigratedSource, MigrationPlan, MigrationReport, MigrationRun,
-    PipelineConfig, PipelineStats, RecoveryPolicy, RecoveryStats, ResumeStats, Rung2Skip,
-    COMPRESS_BYTES_CUTOFF, PARALLEL_BYTES_CUTOFF, WIRE_CHUNK_BYTES,
+    collect_image, collect_image_traced, preflight_audit, resume_from_image,
+    resume_from_image_traced, run_migrating, run_migrating_pipelined,
+    run_migrating_pipelined_recorded, run_migrating_recorded, run_migrating_resilient,
+    run_migrating_resilient_recorded, run_migrating_traced, run_straight, run_to_migration,
+    FallbackPolicy, MigratedSource, MigrationReport, MigrationRun, PipelineConfig, PipelineStats,
+    RecoveryPolicy, RecoveryStats, ResumeStats, Rung2Skip, WIRE_CHUNK_BYTES,
 };
 pub use exec::{ExecutionState, FrameState};
 pub use precopy::{

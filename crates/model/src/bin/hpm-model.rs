@@ -4,8 +4,9 @@
 //! hpm-model                      run every scenario; exit 1 on violations
 //! hpm-model --scenario NAME      run one scenario by name
 //! hpm-model --trace-dir DIR      also write counterexample JSONL to DIR
-//! hpm-model --replay FILE        re-execute a recorded trace; exit 0 iff
-//!                                the recorded violation reproduces
+//! hpm-model --replay FILE        re-execute a recorded protocol trace;
+//!                                exit 0 iff the recorded violation
+//!                                reproduces
 //! ```
 
 use std::process::ExitCode;

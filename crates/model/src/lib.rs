@@ -1,50 +1,27 @@
-//! # hpm-model — exhaustive concurrency & protocol model checking
+//! # hpm-model — exhaustive protocol model checking
 //!
-//! The migration runtime has two families of behaviour that seeded
-//! testing can only sample, never prove:
+//! The wire protocol — the ARQ sender/receiver plus the resume
+//! handshake — must be correct under *every* sequence of link faults,
+//! not just the seeded schedules the fault injector happens to draw.
+//! Seeded testing can only sample that space; [`proto`] exhausts it: a
+//! product-state-machine checker that explores ARQ × resume under the
+//! full [`hpm_net::FaultAction`] alphabet by BFS with state dedup.
 //!
-//! 1. **Lock-free concurrency** — the parallel collector's claim bitmap
-//!    (`SharedVisited`) and the parallel restorer's fill-progress
-//!    counter. Whether two workers can both win a claim depends on the
-//!    thread interleaving, which no seed controls.
-//! 2. **The wire protocol** — the ARQ sender/receiver plus the resume
-//!    handshake, whose correctness must hold under *every* sequence of
-//!    link faults, not just the seeded schedules the fault injector
-//!    happens to draw.
-//!
-//! This crate closes both gaps with two dependency-free checkers:
-//!
-//! * [`explore`] — a loom-style schedule explorer. Scenario threads run
-//!   the production algorithms from [`hpm_core::msync`] over
-//!   scheduler-instrumented cells; a DFS driver (sleep-set reduction,
-//!   optional preemption bound) executes every distinct interleaving.
-//! * [`proto`] — a product-state-machine checker that exhausts the ARQ ×
-//!   resume state space under the full [`hpm_net::FaultAction`]
-//!   alphabet by BFS with state dedup.
-//!
-//! Findings map to the stable `HPM040`–`HPM047` diagnostics in
-//! [`hpm_lint`], and counterexamples serialize to replayable JSONL
-//! ([`trace`]); `hpm-model --replay <file>` re-executes a witness. The
-//! suite runs in CI (`paper_tables modelcheck`) with a zero-tolerance
-//! gate on violations, and one deliberately racy scenario — the claim
-//! protocol as it existed *before* the race fix in
-//! `SharedVisited::claim` — must be caught every run, proving the
-//! checker can still see the bug class the fix removed.
+//! Findings map to the stable `HPM040`–`HPM044` and `HPM047`
+//! diagnostics in [`hpm_lint`], and counterexamples serialize to
+//! replayable JSONL ([`trace`]); `hpm-model --replay <file>` re-executes
+//! a witness. The suite runs in CI (`paper_tables modelcheck`) with a
+//! zero-tolerance gate on violations, and one deliberately broken
+//! scenario — the receiver with its dup guard removed — must be caught
+//! every run, proving the checker can still see that bug class.
 
-pub mod explore;
 pub mod proto;
-pub mod scenarios;
 pub mod trace;
 
-pub use explore::{
-    explore, replay, Counterexample, ExploreConfig, ExploreOutcome, FinalState, Scenario,
-    SimThread, Step, Violation,
-};
 pub use proto::{
     explore_proto, replay_proto, ProtoOutcome, ProtoScenario, ProtoViolation, SeedBug,
 };
-pub use scenarios::{concurrency_scenarios, Expect, ScenarioEntry};
-pub use trace::{parse_trace, proto_trace_to_jsonl, schedule_trace_to_jsonl, TraceFile};
+pub use trace::{parse_trace, proto_trace_to_jsonl, TraceFile};
 
 use hpm_lint::{Diagnostic, LintCode, Report};
 
@@ -53,17 +30,17 @@ use hpm_lint::{Diagnostic, LintCode, Report};
 pub struct ModelCheckReport {
     /// Scenario name.
     pub scenario: String,
-    /// `"schedule"` (interleaving explorer) or `"protocol"` (BFS).
+    /// Always `"protocol"` (the product-state BFS).
     pub kind: &'static str,
-    /// Distinct states: decision points visited, or product states.
+    /// Distinct product states visited.
     pub states: u64,
-    /// Interleavings executed, or transitions explored.
+    /// Transitions explored.
     pub interleavings: u64,
-    /// Work avoided: sleep-set prunes, or deduplicated transitions.
+    /// Work avoided: deduplicated transitions.
     pub reductions: u64,
-    /// This scenario is a seeded race the checker *must* catch.
+    /// This scenario carries a seeded bug the checker *must* catch.
     pub expected_catch: bool,
-    /// The seeded race was caught (always false for `Pass` scenarios).
+    /// The seeded bug was caught (always false for unseeded scenarios).
     pub caught: bool,
     /// Unexpected problems: real violations, or a missed seeded catch.
     /// Zero-tolerance in the bench gate.
@@ -71,8 +48,7 @@ pub struct ModelCheckReport {
     /// The search budget stopped exploration early (HPM047, warning).
     pub budget_exhausted: bool,
     /// Counterexample trace (JSONL), present for any violation found —
-    /// including the expected catch, whose trace is the regression
-    /// artifact checked in under `traces/`.
+    /// including the expected catch.
     pub trace_jsonl: Option<String>,
     /// One-line human summary.
     pub detail: String,
@@ -85,88 +61,19 @@ impl ModelCheckReport {
     }
 }
 
-/// Run every concurrency scenario through the schedule explorer.
-pub fn run_concurrency() -> Vec<ModelCheckReport> {
-    let cfg = ExploreConfig::default();
-    concurrency_scenarios()
-        .into_iter()
-        .map(|entry| {
-            let sc = entry.scenario.as_ref();
-            let outcome = explore(sc, &cfg);
-            let mut report = ModelCheckReport {
-                scenario: sc.name().to_string(),
-                kind: "schedule",
-                states: outcome.stats.decision_points,
-                interleavings: outcome.stats.interleavings,
-                reductions: outcome.stats.sleep_pruned,
-                expected_catch: matches!(entry.expect, Expect::Catch(_)),
-                caught: false,
-                findings: Vec::new(),
-                budget_exhausted: outcome.stats.budget_exhausted,
-                trace_jsonl: None,
-                detail: String::new(),
-            };
-            match (&entry.expect, &outcome.counterexample) {
-                (Expect::Pass, None) => {
-                    report.detail = format!(
-                        "{} interleavings, invariant holds in all",
-                        outcome.stats.interleavings
-                    );
-                }
-                (Expect::Pass, Some(cex)) => {
-                    report.trace_jsonl = Some(schedule_trace_to_jsonl(cex));
-                    report.findings.push((
-                        cex.violation.code,
-                        format!(
-                            "{} (schedule {:?}, {} interleavings explored first)",
-                            cex.violation.message,
-                            cex.schedule,
-                            outcome.stats.interleavings - 1
-                        ),
-                    ));
-                    report.detail = "counterexample found".into();
-                }
-                (Expect::Catch(want), Some(cex)) => {
-                    report.trace_jsonl = Some(schedule_trace_to_jsonl(cex));
-                    if cex.violation.code == *want {
-                        report.caught = true;
-                        report.detail = format!(
-                            "seeded race caught as {} after {} interleavings",
-                            want.code(),
-                            outcome.stats.interleavings
-                        );
-                    } else {
-                        report.findings.push((
-                            cex.violation.code,
-                            format!(
-                                "seeded race surfaced as {} but {} was expected",
-                                cex.violation.code.code(),
-                                want.code()
-                            ),
-                        ));
-                        report.detail = "seeded race caught with the wrong code".into();
-                    }
-                }
-                (Expect::Catch(want), None) => {
-                    report.findings.push((
-                        *want,
-                        format!(
-                            "seeded race NOT caught in {} interleavings — the checker \
-                             has lost the ability to see this bug class",
-                            outcome.stats.interleavings
-                        ),
-                    ));
-                    report.detail = "seeded race missed".into();
-                }
-            }
-            report
-        })
-        .collect()
+/// The scenarios [`run_all`] explores and [`replay_trace`] can
+/// replay: the three that must hold, then the seeded double release the
+/// checker must catch as HPM042 (the suite's detection-power row).
+fn suite() -> Vec<ProtoScenario> {
+    let mut scenarios = ProtoScenario::all();
+    scenarios.push(ProtoScenario::seeded_double_release());
+    scenarios
 }
 
-/// Run every protocol scenario through the product-state BFS.
-pub fn run_protocol() -> Vec<ModelCheckReport> {
-    ProtoScenario::all()
+/// The full model-check suite: every scenario through the
+/// product-state BFS.
+pub fn run_all() -> Vec<ModelCheckReport> {
+    suite()
         .into_iter()
         .map(|sc| {
             let outcome = explore_proto(&sc);
@@ -176,43 +83,59 @@ pub fn run_protocol() -> Vec<ModelCheckReport> {
                 states: outcome.states,
                 interleavings: outcome.transitions,
                 reductions: outcome.deduped,
-                expected_catch: false,
+                expected_catch: sc.seed.is_some(),
                 caught: false,
                 findings: Vec::new(),
                 budget_exhausted: outcome.budget_exhausted,
                 trace_jsonl: None,
                 detail: String::new(),
             };
-            if let Some(v) = &outcome.violation {
-                report.trace_jsonl = Some(proto_trace_to_jsonl(sc.name, v));
-                report
-                    .findings
-                    .push((v.code, format!("{} (after {:?})", v.message, v.trace)));
-                report.detail = "protocol violation found".into();
-            } else {
-                report.detail = format!(
-                    "{} states, {} transitions; success{} reachable, degradation \
-                     terminal{} reachable",
-                    outcome.states,
-                    outcome.transitions,
-                    if outcome.success_reachable {
-                        ""
-                    } else {
-                        " NOT"
-                    },
-                    if outcome.failed_reachable { "" } else { " NOT" },
-                );
+            match (&outcome.violation, sc.seed) {
+                (Some(v), Some(_)) if v.code == LintCode::ModelDoubleRelease => {
+                    report.trace_jsonl = Some(proto_trace_to_jsonl(sc.name, v));
+                    report.caught = true;
+                    report.detail = format!(
+                        "seeded bug caught as {} after {} transitions",
+                        v.code.code(),
+                        outcome.transitions
+                    );
+                }
+                (Some(v), _) => {
+                    report.trace_jsonl = Some(proto_trace_to_jsonl(sc.name, v));
+                    report
+                        .findings
+                        .push((v.code, format!("{} (after {:?})", v.message, v.trace)));
+                    report.detail = "protocol violation found".into();
+                }
+                (None, Some(_)) => {
+                    report.findings.push((
+                        LintCode::ModelDoubleRelease,
+                        format!(
+                            "seeded bug NOT caught in {} transitions — the checker has \
+                             lost the ability to see this bug class",
+                            outcome.transitions
+                        ),
+                    ));
+                    report.detail = "seeded bug missed".into();
+                }
+                (None, None) => {
+                    report.detail = format!(
+                        "{} states, {} transitions; success{} reachable, degradation \
+                         terminal{} reachable",
+                        outcome.states,
+                        outcome.transitions,
+                        if outcome.success_reachable {
+                            ""
+                        } else {
+                            " NOT"
+                        },
+                        if outcome.failed_reachable { "" } else { " NOT" },
+                    );
+                }
             }
             report
         })
         .collect()
-}
-
-/// The full model-check suite: concurrency scenarios, then protocol.
-pub fn run_all() -> Vec<ModelCheckReport> {
-    let mut out = run_concurrency();
-    out.extend(run_protocol());
-    out
 }
 
 /// Fold model-check results into an `hpm-lint` [`Report`]: one
@@ -253,47 +176,27 @@ pub struct ReplayOutcome {
 }
 
 /// Re-execute a parsed trace against its scenario and report whether
-/// the recorded violation reproduces.
+/// the recorded violation reproduces. Only `"protocol"` traces replay;
+/// any other kind is an `Err` naming it.
 pub fn replay_trace(tf: &TraceFile) -> Result<ReplayOutcome, String> {
-    match tf.kind.as_str() {
-        "schedule" => {
-            let entry = concurrency_scenarios()
-                .into_iter()
-                .find(|e| e.scenario.name() == tf.scenario)
-                .ok_or_else(|| format!("unknown schedule scenario {:?}", tf.scenario))?;
-            let (_steps, _fin, violation) = replay(entry.scenario.as_ref(), &tf.schedule)?;
-            Ok(match violation {
-                Some(v) => ReplayOutcome {
-                    reproduced: v.code.code() == tf.code,
-                    code: Some(v.code.code().to_string()),
-                    message: Some(v.message),
-                },
-                None => ReplayOutcome {
-                    reproduced: false,
-                    code: None,
-                    message: None,
-                },
-            })
-        }
-        "protocol" => {
-            let sc = ProtoScenario::all()
-                .into_iter()
-                .find(|s| s.name == tf.scenario)
-                .ok_or_else(|| format!("unknown protocol scenario {:?}", tf.scenario))?;
-            let hit = replay_proto(&sc, &tf.events)?;
-            Ok(match hit {
-                Some((code, message)) => ReplayOutcome {
-                    reproduced: code.code() == tf.code,
-                    code: Some(code.code().to_string()),
-                    message: Some(message),
-                },
-                None => ReplayOutcome {
-                    reproduced: false,
-                    code: None,
-                    message: None,
-                },
-            })
-        }
-        other => Err(format!("unknown trace kind {other:?}")),
+    if tf.kind != "protocol" {
+        return Err(format!("unknown trace kind {:?}", tf.kind));
     }
+    let sc = suite()
+        .into_iter()
+        .find(|s| s.name == tf.scenario)
+        .ok_or_else(|| format!("unknown protocol scenario {:?}", tf.scenario))?;
+    let hit = replay_proto(&sc, &tf.events)?;
+    Ok(match hit {
+        Some((code, message)) => ReplayOutcome {
+            reproduced: code.code() == tf.code,
+            code: Some(code.code().to_string()),
+            message: Some(message),
+        },
+        None => ReplayOutcome {
+            reproduced: false,
+            code: None,
+            message: None,
+        },
+    })
 }

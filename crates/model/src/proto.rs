@@ -223,8 +223,8 @@ impl ProtoScenario {
 
     /// Seeded-bug variant of the baseline: the receiver's dup guard is
     /// removed, so a duplicated or retransmitted frame releases its
-    /// chunk twice. The checker must find HPM042 — detection-power
-    /// tests run this; it is never part of [`Self::all`].
+    /// chunk twice. The checker must find HPM042: `run_all` runs
+    /// this as its expected-catch row; it is never part of [`Self::all`].
     pub fn seeded_double_release() -> Self {
         ProtoScenario {
             name: "arq_seeded_double_release",
@@ -233,7 +233,7 @@ impl ProtoScenario {
         }
     }
 
-    /// The three scenarios `run_all` explores.
+    /// The three scenarios that must hold with zero violations.
     pub fn all() -> Vec<ProtoScenario> {
         vec![Self::baseline(), Self::resume(), Self::resume_tampered()]
     }

@@ -2,17 +2,14 @@
 //!
 //! A violation found by either checker is written as one JSON object per
 //! line — a header naming the scenario, kind, code, and message, then
-//! the replayable witness: the thread schedule (plus the executed op
-//! steps, informational) for the schedule explorer, or the event path
-//! for the protocol checker. The format is hand-rolled on both sides
-//! (the workspace is dependency-free); the writer escapes and the parser
-//! accepts exactly the subset the writer emits.
+//! the replayable witness: the protocol checker's event path. The
+//! format is hand-rolled on both sides (the workspace is
+//! dependency-free); the writer escapes and the parser accepts exactly
+//! the subset the writer emits.
 //!
 //! Traces are replayed with `hpm-model --replay <file>` or
-//! [`crate::replay_trace`]; the checked-in regression trace for the
-//! pre-fix claim protocol lives in `crates/model/traces/`.
+//! [`crate::replay_trace`].
 
-use crate::explore::Counterexample;
 use crate::proto::ProtoViolation;
 
 /// Minimal JSON string escape for the writer.
@@ -36,40 +33,14 @@ fn esc(s: &str) -> String {
 pub struct TraceFile {
     /// Scenario name the witness belongs to.
     pub scenario: String,
-    /// `"schedule"` or `"protocol"`.
+    /// `"protocol"` — the only kind [`parse_trace`] accepts.
     pub kind: String,
-    /// Stable diagnostic code, e.g. `"HPM045"`.
+    /// Stable diagnostic code, e.g. `"HPM042"`.
     pub code: String,
     /// The violation message recorded at capture time.
     pub message: String,
-    /// Thread granted per decision point (schedule kind).
-    pub schedule: Vec<usize>,
-    /// Event names from the initial state (protocol kind).
+    /// Event names from the initial state.
     pub events: Vec<String>,
-}
-
-/// Serialize a schedule-explorer counterexample.
-pub fn schedule_trace_to_jsonl(cex: &Counterexample) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"scenario\":\"{}\",\"kind\":\"schedule\",\"code\":\"{}\",\"message\":\"{}\"}}\n",
-        esc(&cex.scenario),
-        cex.violation.code.code(),
-        esc(&cex.violation.message),
-    ));
-    let sched: Vec<String> = cex.schedule.iter().map(|t| t.to_string()).collect();
-    out.push_str(&format!("{{\"schedule\":[{}]}}\n", sched.join(",")));
-    for (i, s) in cex.steps.iter().enumerate() {
-        out.push_str(&format!(
-            "{{\"step\":{i},\"tid\":{},\"cell\":\"{}\",\"op\":\"{}\",\"arg\":{},\"ret\":{}}}\n",
-            s.tid,
-            esc(&s.cell),
-            s.op,
-            s.arg,
-            s.ret,
-        ));
-    }
-    out
 }
 
 /// Serialize a protocol-checker counterexample.
@@ -115,21 +86,7 @@ fn str_field(line: &str, key: &str) -> Option<String> {
     None
 }
 
-/// Extract the `[usize, ...]` array field `key` from a JSON object line.
-fn usize_array_field(line: &str, key: &str) -> Option<Vec<usize>> {
-    let pat = format!("\"{key}\":[");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find(']')? + start;
-    let body = &line[start..end];
-    if body.trim().is_empty() {
-        return Some(Vec::new());
-    }
-    body.split(',')
-        .map(|n| n.trim().parse::<usize>().ok())
-        .collect()
-}
-
-/// Parse a trace file produced by the serializers above.
+/// Parse a trace file produced by [`proto_trace_to_jsonl`].
 pub fn parse_trace(text: &str) -> Result<TraceFile, String> {
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
     let header = lines.next().ok_or("empty trace file")?;
@@ -137,65 +94,28 @@ pub fn parse_trace(text: &str) -> Result<TraceFile, String> {
     let kind = str_field(header, "kind").ok_or("header missing \"kind\"")?;
     let code = str_field(header, "code").ok_or("header missing \"code\"")?;
     let message = str_field(header, "message").ok_or("header missing \"message\"")?;
-    let mut trace = TraceFile {
+    if kind != "protocol" {
+        return Err(format!("unknown trace kind {kind:?}"));
+    }
+    let events = lines
+        .map(|line| {
+            str_field(line, "event")
+                .ok_or_else(|| format!("protocol step missing \"event\": {line}"))
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(TraceFile {
         scenario,
         kind,
         code,
         message,
-        schedule: Vec::new(),
-        events: Vec::new(),
-    };
-    match trace.kind.as_str() {
-        "schedule" => {
-            let sched_line = lines.next().ok_or("schedule trace missing schedule line")?;
-            trace.schedule = usize_array_field(sched_line, "schedule")
-                .ok_or("schedule line missing \"schedule\" array")?;
-            // Remaining step lines are informational; the schedule alone
-            // replays the witness.
-        }
-        "protocol" => {
-            for line in lines {
-                let ev = str_field(line, "event")
-                    .ok_or_else(|| format!("protocol step missing \"event\": {line}"))?;
-                trace.events.push(ev);
-            }
-        }
-        other => return Err(format!("unknown trace kind {other:?}")),
-    }
-    Ok(trace)
+        events,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{Step, Violation};
     use hpm_lint::LintCode;
-
-    #[test]
-    fn schedule_trace_round_trips() {
-        let cex = Counterexample {
-            scenario: "claim_race_racy".into(),
-            schedule: vec![0, 1, 0, 1, 1, 0],
-            steps: vec![Step {
-                tid: 0,
-                cell: "bits".into(),
-                op: "fetch_or",
-                arg: 1,
-                ret: 0,
-            }],
-            violation: Violation {
-                code: LintCode::ModelClaimRace,
-                message: "owner slot names worker 1 but worker 0 won \"the\" claim".into(),
-            },
-        };
-        let text = schedule_trace_to_jsonl(&cex);
-        let parsed = parse_trace(&text).unwrap();
-        assert_eq!(parsed.scenario, "claim_race_racy");
-        assert_eq!(parsed.kind, "schedule");
-        assert_eq!(parsed.code, "HPM045");
-        assert_eq!(parsed.schedule, vec![0, 1, 0, 1, 1, 0]);
-        assert!(parsed.message.contains("\"the\""));
-    }
 
     #[test]
     fn protocol_trace_round_trips() {

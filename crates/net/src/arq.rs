@@ -775,7 +775,7 @@ impl ReliableChunkReceiver {
             // hard error, not retransmittable corruption.
             let last = parsed.last;
             let wire_len = parsed.payload.len() as u32;
-            let crc = parsed.crc.unwrap_or(0);
+            let crc = parsed.crc;
             let payload = expand_incoming(self.ch.stats(), parsed)?;
             let chunk = RxChunk {
                 last,

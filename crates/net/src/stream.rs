@@ -1,7 +1,7 @@
 //! Chunked-stream endpoints over a [`Channel`].
 //!
 //! The pipelined migration path ships the memory-state payload as a
-//! sequence of framed chunks (see [`hpm_xdr::frame_chunk`]) so the
+//! sequence of framed chunks (see [`hpm_xdr::frame_chunk_v2`]) so the
 //! destination can start restoring while the source is still collecting.
 //! [`ChunkSender`] frames and sends; [`ChunkReceiver`] unframes, checks
 //! sequence numbers, and latches end-of-stream at the LAST flag.
@@ -227,13 +227,13 @@ impl ChunkReceiver {
                 "crc.fail",
                 &[
                     ("chunk", parsed.seq as u64),
-                    ("expected_crc", parsed.crc.unwrap_or(0) as u64),
+                    ("expected_crc", parsed.crc as u64),
                     ("found_crc", found as u64),
                 ],
             );
             return Err(NetError::Corrupt {
                 chunk: parsed.seq,
-                expected_crc: parsed.crc.unwrap_or(0),
+                expected_crc: parsed.crc,
                 found_crc: found,
             });
         }
@@ -304,7 +304,7 @@ mod tests {
     #[test]
     fn last_frame_with_payload_is_delivered_then_done() {
         let (a, b) = channel_pair(NetworkModel::instant());
-        a.send(hpm_xdr::frame_chunk(0, true, &[9, 9, 9, 9]))
+        a.send(hpm_xdr::frame_chunk_v2(0, true, &[9, 9, 9, 9]))
             .unwrap();
         let mut rx = ChunkReceiver::new(b);
         assert_eq!(rx.recv_chunk().unwrap(), Some(vec![9, 9, 9, 9]));
@@ -315,7 +315,7 @@ mod tests {
     #[test]
     fn sequence_gap_is_rejected() {
         let (a, b) = channel_pair(NetworkModel::instant());
-        a.send(hpm_xdr::frame_chunk(1, false, &[0, 0, 0, 0]))
+        a.send(hpm_xdr::frame_chunk_v2(1, false, &[0, 0, 0, 0]))
             .unwrap();
         let mut rx = ChunkReceiver::new(b);
         match rx.recv_chunk() {
@@ -388,17 +388,6 @@ mod tests {
             }
             other => panic!("expected Corrupt, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn v1_frames_still_decode_without_crc() {
-        let (a, b) = channel_pair(NetworkModel::instant());
-        a.send(hpm_xdr::frame_chunk(0, false, &[1, 2, 3, 4]))
-            .unwrap();
-        a.send(hpm_xdr::frame_chunk(1, true, &[])).unwrap();
-        let mut rx = ChunkReceiver::new(b);
-        assert_eq!(rx.recv_chunk().unwrap(), Some(vec![1, 2, 3, 4]));
-        assert_eq!(rx.recv_chunk().unwrap(), None);
     }
 
     #[test]

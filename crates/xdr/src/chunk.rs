@@ -3,15 +3,15 @@
 //! The pipelined migration path ships the XDR image stream in framed
 //! chunks so transfer can start while collection is still traversing the
 //! MSR graph. Each chunk on the wire is itself a tiny XDR document.
-//! Three frame versions coexist:
+//! Two frame versions coexist, both CRC-protected:
 //!
 //! ```text
-//! v1 (legacy, no integrity check)      v2 (CRC-protected)
-//! u32 magic  = 0x4850_4D43 ("HPMC")    u32 magic  = 0x4850_4D44 ("HPMD")
-//! u32 seq    = 0, 1, 2, ...            u32 seq    = 0, 1, 2, ...
-//! u32 flags  = bit 0 on final chunk    u32 flags  = bit 0 on final chunk
-//! opaque_var payload (4-byte aligned)  u32 crc    = CRC-32 of the payload
-//!                                      opaque_var payload (4-byte aligned)
+//! v2 (stored)
+//! u32 magic  = 0x4850_4D44 ("HPMD")
+//! u32 seq    = 0, 1, 2, ...
+//! u32 flags  = bit 0 on final chunk
+//! u32 crc    = CRC-32 of the payload
+//! opaque_var payload (4-byte aligned)
 //!
 //! v3 (compressed)
 //! u32 magic   = 0x4850_4D45 ("HPME")
@@ -30,12 +30,15 @@
 //! can verify integrity *before* spending decompression work, and a
 //! corrupt compressed chunk is caught exactly like a corrupt stored one.
 //!
-//! [`unframe_chunk_any`] decodes all three versions — receiver-side
+//! [`unframe_chunk_any`] decodes both versions — receiver-side
 //! auto-detection by magic is the negotiation mechanism, so a v3 sender
-//! interoperates with v1/v2 peers simply by being configured down, and a
-//! receiver understands whatever arrives. The CRC is reported, not
-//! verified, here — the transport layer decides how to react to a
-//! mismatch (the framing layer has no notion of retransmission).
+//! interoperates with a v2 peer simply by being configured down, and a
+//! receiver understands whatever arrives. The CRC-less v1 frame
+//! ("HPMC", `0x4850_4D43`) is refused as [`XdrError::BadMagic`]: it was
+//! the one frame a receiver would accept with no integrity check, and
+//! no sender emits it. The CRC is reported, not verified, here — the
+//! transport layer decides how to react to a mismatch (the framing layer
+//! has no notion of retransmission).
 //!
 //! The reverse direction of an ARQ link carries tiny control frames
 //! ([`frame_control`] / [`unframe_control`]): cumulative ACKs and
@@ -47,9 +50,6 @@
 
 use crate::compress::{compress, decompress};
 use crate::{XdrDecoder, XdrEncoder, XdrError};
-
-/// Magic number opening every v1 chunk frame: "HPMC" in ASCII.
-pub const CHUNK_MAGIC: u32 = 0x4850_4D43;
 
 /// Magic number opening every v2 (CRC-carrying) chunk frame: "HPMD".
 pub const CHUNK_MAGIC_V2: u32 = 0x4850_4D44;
@@ -95,16 +95,6 @@ const fn crc32_table() -> [u32; 256] {
         i += 1;
     }
     table
-}
-
-/// Frame one chunk of the image stream for the wire.
-pub fn frame_chunk(seq: u32, last: bool, payload: &[u8]) -> Vec<u8> {
-    let mut enc = XdrEncoder::with_capacity(16 + payload.len());
-    enc.put_u32(CHUNK_MAGIC);
-    enc.put_u32(seq);
-    enc.put_u32(if last { CHUNK_FLAG_LAST } else { 0 });
-    enc.put_opaque_var(payload);
-    enc.into_bytes()
 }
 
 /// Frame one chunk with the v2 layout: the payload's CRC-32 travels
@@ -156,29 +146,24 @@ pub struct ChunkFrame {
     /// still compressed for compressed v3 frames). Verification against
     /// `crc` is the receiver's job, *before* decompression.
     pub payload: Vec<u8>,
-    /// The CRC-32 the sender stamped; `None` for v1 frames.
-    pub crc: Option<u32>,
+    /// The CRC-32 the sender stamped over the wire payload.
+    pub crc: u32,
     /// Whether `payload` is compressed (v3 frames with bit 1 set).
     pub compressed: bool,
     /// Pre-compression payload size carried by v3 frames; `None` for
-    /// v1/v2 frames, whose payload is always stored.
+    /// v2 frames, whose payload is always stored.
     pub raw_len: Option<u32>,
 }
 
 impl ChunkFrame {
-    /// Whether the wire payload matches the stamped CRC (vacuously true
-    /// for CRC-less v1 frames). On mismatch returns the computed CRC.
+    /// Whether the wire payload matches the stamped CRC. On mismatch
+    /// returns the computed CRC.
     pub fn verify_crc(&self) -> Result<(), u32> {
-        match self.crc {
-            None => Ok(()),
-            Some(stamped) => {
-                let computed = crc32(&self.payload);
-                if computed == stamped {
-                    Ok(())
-                } else {
-                    Err(computed)
-                }
-            }
+        let computed = crc32(&self.payload);
+        if computed == self.crc {
+            Ok(())
+        } else {
+            Err(computed)
         }
     }
 
@@ -194,36 +179,17 @@ impl ChunkFrame {
     }
 }
 
-/// Unframe one wire chunk, returning `(seq, last, payload)`.
-///
-/// Rejects bad magic, unknown flag bits, and trailing bytes after the
-/// payload — a frame is a complete message, never a prefix of one.
-pub fn unframe_chunk(frame: &[u8]) -> Result<(u32, bool, Vec<u8>), XdrError> {
-    let mut dec = XdrDecoder::new(frame);
-    let magic = dec.get_u32()?;
-    if magic != CHUNK_MAGIC {
-        return Err(XdrError::BadMagic(magic));
-    }
-    let seq = dec.get_u32()?;
-    let flags = dec.get_u32()?;
-    if flags & !CHUNK_FLAG_LAST != 0 {
-        return Err(XdrError::BadMagic(flags));
-    }
-    let payload = dec.get_opaque_var()?;
-    if !dec.is_empty() {
-        return Err(XdrError::LengthTooLarge(dec.remaining() as u32));
-    }
-    Ok((seq, flags & CHUNK_FLAG_LAST != 0, payload))
-}
-
-/// Unframe a chunk of any version. The CRC (if present) is returned
-/// unverified so the transport can distinguish "corrupt payload" (known
-/// sequence number, retransmittable) from "unparseable frame", and the
-/// payload stays compressed so verification precedes decompression.
+/// Unframe a chunk of any version. Rejects bad magic (the retired v1
+/// magic included), unknown flag bits, and trailing bytes after the
+/// payload — a frame is a complete message, never a prefix of one. The
+/// CRC is returned unverified so the transport can distinguish "corrupt
+/// payload" (known sequence number, retransmittable) from "unparseable
+/// frame", and the payload stays compressed so verification precedes
+/// decompression.
 pub fn unframe_chunk_any(frame: &[u8]) -> Result<ChunkFrame, XdrError> {
     let mut dec = XdrDecoder::new(frame);
     let magic = dec.get_u32()?;
-    if magic != CHUNK_MAGIC && magic != CHUNK_MAGIC_V2 && magic != CHUNK_MAGIC_V3 {
+    if magic != CHUNK_MAGIC_V2 && magic != CHUNK_MAGIC_V3 {
         return Err(XdrError::BadMagic(magic));
     }
     let seq = dec.get_u32()?;
@@ -241,11 +207,7 @@ pub fn unframe_chunk_any(frame: &[u8]) -> Result<ChunkFrame, XdrError> {
     } else {
         None
     };
-    let crc = if magic != CHUNK_MAGIC {
-        Some(dec.get_u32()?)
-    } else {
-        None
-    };
+    let crc = dec.get_u32()?;
     let payload = dec.get_opaque_var()?;
     if !dec.is_empty() {
         return Err(XdrError::LengthTooLarge(dec.remaining() as u32));
@@ -344,8 +306,8 @@ pub fn unframe_control(frame: &[u8]) -> Result<Control, XdrError> {
 
 /// Read the CRC a framed chunk was stamped with, without copying its payload.
 ///
-/// Returns `None` for v1 frames (no CRC word) or anything too short to carry
-/// the header of its declared version.
+/// Returns `None` for an unknown magic or anything too short to carry the
+/// header of its declared version.
 pub fn frame_stamped_crc(frame: &[u8]) -> Option<u32> {
     let mut dec = XdrDecoder::new(frame);
     let magic = dec.get_u32().ok()?;
@@ -366,52 +328,39 @@ mod tests {
     use super::*;
 
     #[test]
-    fn chunk_roundtrip() {
-        let payload = vec![1u8, 2, 3, 4, 5, 6, 7, 8];
-        let frame = frame_chunk(7, false, &payload);
-        assert_eq!(frame.len() % 4, 0);
-        let (seq, last, got) = unframe_chunk(&frame).unwrap();
-        assert_eq!(seq, 7);
-        assert!(!last);
-        assert_eq!(got, payload);
-    }
-
-    #[test]
     fn last_flag_roundtrips() {
-        let frame = frame_chunk(3, true, &[]);
-        let (seq, last, payload) = unframe_chunk(&frame).unwrap();
-        assert_eq!(seq, 3);
-        assert!(last);
-        assert!(payload.is_empty());
+        let frame = frame_chunk_v2(3, true, &[]);
+        let f = unframe_chunk_any(&frame).unwrap();
+        assert_eq!(f.seq, 3);
+        assert!(f.last);
+        assert!(f.payload.is_empty());
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let mut frame = frame_chunk(0, false, &[1, 2, 3, 4]);
+        let mut frame = frame_chunk_v2(0, false, &[1, 2, 3, 4]);
         frame[0] ^= 0xFF;
-        assert!(matches!(unframe_chunk(&frame), Err(XdrError::BadMagic(_))));
+        assert!(matches!(
+            unframe_chunk_any(&frame),
+            Err(XdrError::BadMagic(_))
+        ));
     }
 
     #[test]
     fn unknown_flags_rejected() {
-        let mut frame = frame_chunk(0, false, &[]);
+        let mut frame = frame_chunk_v2(0, false, &[]);
         frame[11] = 0x80; // flags word, low byte
-        assert!(unframe_chunk(&frame).is_err());
-    }
-
-    #[test]
-    fn truncated_frame_rejected() {
-        let frame = frame_chunk(0, true, &[9; 40]);
-        for cut in [0, 4, 8, 12, frame.len() - 1] {
-            assert!(unframe_chunk(&frame[..cut]).is_err(), "cut at {cut}");
-        }
+        assert!(unframe_chunk_any(&frame).is_err());
+        // The compressed bit belongs to v3 alone.
+        frame[11] = CHUNK_FLAG_COMPRESSED as u8;
+        assert!(unframe_chunk_any(&frame).is_err());
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut frame = frame_chunk(0, true, &[1, 2, 3, 4]);
+        let mut frame = frame_chunk_v2(0, true, &[1, 2, 3, 4]);
         frame.extend_from_slice(&[0, 0, 0, 0]);
-        assert!(unframe_chunk(&frame).is_err());
+        assert!(unframe_chunk_any(&frame).is_err());
     }
 
     #[test]
@@ -431,7 +380,7 @@ mod tests {
         assert_eq!(f.seq, 5);
         assert!(!f.last);
         assert_eq!(f.payload, payload);
-        assert_eq!(f.crc, Some(crc32(&payload)));
+        assert_eq!(f.crc, crc32(&payload));
         assert!(f.verify_crc().is_ok());
     }
 
@@ -442,25 +391,8 @@ mod tests {
         frame[payload_start] ^= 0x40;
         let f = unframe_chunk_any(&frame).unwrap();
         let computed = f.verify_crc().unwrap_err();
-        assert_ne!(Some(computed), f.crc);
+        assert_ne!(computed, f.crc);
         assert_eq!(computed, crc32(&f.payload));
-    }
-
-    #[test]
-    fn unframe_any_still_decodes_v1_frames() {
-        let frame = frame_chunk(9, true, &[1, 2, 3, 4]);
-        let f = unframe_chunk_any(&frame).unwrap();
-        assert_eq!(f.seq, 9);
-        assert!(f.last);
-        assert_eq!(f.payload, vec![1, 2, 3, 4]);
-        assert_eq!(f.crc, None);
-        assert!(f.verify_crc().is_ok(), "v1 frames verify vacuously");
-    }
-
-    #[test]
-    fn v1_unframe_rejects_v2_magic() {
-        let frame = frame_chunk_v2(0, false, &[1, 2, 3, 4]);
-        assert!(matches!(unframe_chunk(&frame), Err(XdrError::BadMagic(_))));
     }
 
     #[test]
@@ -504,11 +436,18 @@ mod tests {
     fn frame_stamped_crc_matches_parsed_crc() {
         let payload = vec![7u8; 96];
         let v2 = frame_chunk_v2(4, false, &payload);
-        assert_eq!(frame_stamped_crc(&v2), unframe_chunk_any(&v2).unwrap().crc);
+        assert_eq!(
+            frame_stamped_crc(&v2),
+            Some(unframe_chunk_any(&v2).unwrap().crc)
+        );
         let (v3, _) = frame_chunk_v3(5, true, &payload);
-        assert_eq!(frame_stamped_crc(&v3), unframe_chunk_any(&v3).unwrap().crc);
-        assert_eq!(frame_stamped_crc(&frame_chunk(6, false, &payload)), None);
+        assert_eq!(
+            frame_stamped_crc(&v3),
+            Some(unframe_chunk_any(&v3).unwrap().crc)
+        );
         assert_eq!(frame_stamped_crc(&v2[..8]), None);
+        let not_a_chunk = frame_control(Control::Ack { next: 6 });
+        assert_eq!(frame_stamped_crc(&not_a_chunk), None);
     }
 
     #[test]
@@ -577,7 +516,7 @@ mod tests {
         let f = unframe_chunk_any(&frame).unwrap();
         let computed = f.verify_crc().unwrap_err();
         assert_eq!(computed, crc32(&f.payload));
-        assert_ne!(Some(computed), f.crc);
+        assert_ne!(computed, f.crc);
     }
 
     #[test]
@@ -596,40 +535,5 @@ mod tests {
         for cut in [0, 4, 8, 12, 16, 20, frame.len() - 1] {
             assert!(unframe_chunk_any(&frame[..cut]).is_err(), "cut at {cut}");
         }
-    }
-
-    #[test]
-    fn v1_and_v2_unframes_reject_v3_magic() {
-        let (frame, _) = frame_chunk_v3(0, false, &[1, 2, 3, 4]);
-        assert!(matches!(unframe_chunk(&frame), Err(XdrError::BadMagic(_))));
-    }
-
-    #[test]
-    fn v1_v2_frames_decode_as_stored_via_any() {
-        for frame in [
-            frame_chunk(2, false, &[1, 2, 3, 4]),
-            frame_chunk_v2(2, false, &[1, 2, 3, 4]),
-        ] {
-            let f = unframe_chunk_any(&frame).unwrap();
-            assert!(!f.compressed);
-            assert_eq!(f.raw_len, None);
-            assert_eq!(f.into_payload().unwrap(), vec![1, 2, 3, 4]);
-        }
-    }
-
-    #[test]
-    fn concatenated_payloads_reassemble() {
-        let whole: Vec<u8> = (0..200u16).map(|i| i as u8).collect();
-        let mut frames = Vec::new();
-        for (i, piece) in whole.chunks(48).enumerate() {
-            frames.push(frame_chunk(i as u32, false, piece));
-        }
-        frames.push(frame_chunk(frames.len() as u32, true, &[]));
-        let mut reassembled = Vec::new();
-        for f in &frames {
-            let (_, _, p) = unframe_chunk(f).unwrap();
-            reassembled.extend_from_slice(&p);
-        }
-        assert_eq!(reassembled, whole);
     }
 }

@@ -6,10 +6,10 @@
 
 use hpm_arch::Architecture;
 use hpm_migrate::{
-    run_migrating_planned_recorded, run_migrating_resilient_recorded, run_straight, FallbackPolicy,
-    MigError, MigrationPlan, PipelineConfig, RecoveryPolicy, Trigger,
+    run_migrating_resilient_recorded, run_straight, FallbackPolicy, MigError, PipelineConfig,
+    RecoveryPolicy, Trigger,
 };
-use hpm_net::{FaultPlan, NetworkModel, WireCodec};
+use hpm_net::{FaultPlan, NetworkModel};
 use hpm_obs::{FlightDump, FlightRecorder};
 use hpm_workloads::{diff_results, TestPointer};
 use std::time::Duration;
@@ -166,37 +166,4 @@ fn disabled_recorder_stays_silent_and_changes_nothing() {
         dump.tracks.iter().all(|t| t.events.is_empty()),
         "a disabled recorder records nothing"
     );
-}
-
-#[test]
-fn parallel_driver_reports_shards_and_collect_events() {
-    // Forced plan: the workload sits below the adaptive planner's byte
-    // cutoff, and this test is about shard reporting, not the planner.
-    let recorder = FlightRecorder::new();
-    let run = run_migrating_planned_recorded(
-        TestPointer::new,
-        Architecture::dec5000(),
-        Architecture::sparc20(),
-        NetworkModel::ethernet_10(),
-        Trigger::AtPollCount(8),
-        MigrationPlan::forced(4, WireCodec::V2),
-        &recorder,
-    )
-    .expect("parallel migration succeeds");
-
-    let shards = run.report.shards.expect("parallel runs carry ShardReport");
-    assert!(shards.workers() >= 1);
-    assert!(shards.imbalance() >= 1.0, "imbalance is max/mean");
-    assert_eq!(
-        shards.shard_bytes.iter().sum::<u64>(),
-        run.report.memory_bytes,
-        "shard bytes account for the whole payload"
-    );
-
-    let dump = recorder.dump();
-    for kind in ["claim.start", "shard.encoded", "splice.done"] {
-        let evs = dump.events_of(kind);
-        assert!(!evs.is_empty(), "collect track records {kind}");
-        assert!(evs.iter().all(|(t, _)| *t == "collect"));
-    }
 }

@@ -11,7 +11,9 @@ use hpm::migrate::{
     resume_from_image, run_to_migration, ExecutionState, Flow, MigCtx, MigError, MigratableProgram,
     MigratedSource, Process, Trigger,
 };
-use hpm::net::{channel_pair, ChunkReceiver, NetworkModel};
+use hpm::net::{
+    channel_pair, ArqConfig, ChunkReceiver, NetError, NetworkModel, ReliableChunkReceiver,
+};
 use hpm::types::Field;
 use hpm::workloads::{BitonicSort, TestPointer};
 
@@ -236,6 +238,48 @@ fn corrupted_compressed_chunk_is_caught_by_crc() {
         }
         other => panic!("expected the CRC to catch the damage, got {other:?}"),
     }
+}
+
+/// The retired HPMC v1 frame carries no CRC, so nothing on the receive
+/// path could verify it: the framing layer and both receivers refuse it
+/// by magic, naming the chunk they were waiting for.
+#[test]
+fn v1_magic_frame_is_refused_by_every_receiver() {
+    const V1_MAGIC: u32 = 0x4850_4D43;
+    // Well-formed v1: magic, seq, flags, opaque payload.
+    let mut enc = hpm::xdr::XdrEncoder::new();
+    enc.put_u32(V1_MAGIC);
+    enc.put_u32(1);
+    enc.put_u32(0);
+    enc.put_opaque_var(&[1, 2, 3, 4]);
+    let v1 = enc.into_bytes();
+    assert_eq!(
+        hpm::xdr::unframe_chunk_any(&v1),
+        Err(hpm::xdr::XdrError::BadMagic(V1_MAGIC))
+    );
+
+    let refused = |r: Result<Option<Vec<u8>>, NetError>| match r {
+        Err(NetError::ChunkFraming { chunk, reason }) => {
+            assert_eq!(chunk, 1, "the error names the chunk being awaited");
+            assert!(reason.contains("bad frame magic 0x48504d43"), "{reason}");
+        }
+        other => panic!("expected ChunkFraming, got {other:?}"),
+    };
+    let good = hpm::xdr::frame_chunk_v2(0, false, &[9, 9, 9, 9]);
+
+    let (a, b) = channel_pair(NetworkModel::instant());
+    a.send(good.clone()).unwrap();
+    a.send(v1.clone()).unwrap();
+    let mut rx = ChunkReceiver::new(b);
+    assert_eq!(rx.recv_chunk().unwrap(), Some(vec![9, 9, 9, 9]));
+    refused(rx.recv_chunk());
+
+    let (a, b) = channel_pair(NetworkModel::instant());
+    a.send(good).unwrap();
+    a.send(v1).unwrap();
+    let mut rx = ReliableChunkReceiver::new(b, ArqConfig::default());
+    assert_eq!(rx.recv_chunk().unwrap(), Some(vec![9, 9, 9, 9]));
+    refused(rx.recv_chunk());
 }
 
 /// Program identity travels in chunk 0: a destination running a

@@ -2,14 +2,13 @@
 //! image shipped stored (v2) and compressed (v3).
 //!
 //! The codec is transport dressing only. Whatever pair of machines the
-//! image travels between and whichever framing the planner picked, the
+//! image travels between and whichever framing the caller picked, the
 //! reassembled image must be bit-identical to the frozen one and the
-//! restored run must answer exactly like the uncompressed sequential
-//! driver.
+//! restored run must answer exactly like the plain monolithic driver.
 
 use hpm::arch::Architecture;
 use hpm::migrate::{
-    run_migrating, run_migrating_planned, run_to_migration, MigrationPlan, Trigger,
+    run_migrating, run_migrating_pipelined, run_to_migration, PipelineConfig, Trigger,
 };
 use hpm::net::{channel_pair, ChunkReceiver, ChunkSender, NetworkModel, WireCodec};
 use hpm::workloads::TestPointer;
@@ -53,8 +52,8 @@ fn shipped_image_is_bit_identical_under_both_codecs() {
     }
 }
 
-/// Driver-level sweep: all 16 preset pairs, each shipped stored and
-/// compressed, diffed against the plain sequential driver on the same
+/// Driver-level sweep: all 16 preset pairs, each streamed stored and
+/// compressed, diffed against the plain monolithic driver on the same
 /// pair. The stored arm must never rewrite payload bytes; the
 /// compressed arm must never *expand* them (stored fallback).
 #[test]
@@ -70,13 +69,17 @@ fn every_preset_pair_roundtrips_stored_and_compressed() {
             )
             .unwrap();
             for codec in [WireCodec::V2, WireCodec::V3] {
-                let run = run_migrating_planned(
+                let run = run_migrating_pipelined(
                     TestPointer::new,
                     src.clone(),
                     dst.clone(),
                     NetworkModel::instant(),
                     Trigger::AtPollCount(8),
-                    MigrationPlan::forced(1, codec),
+                    PipelineConfig {
+                        pace: false,
+                        codec,
+                        ..Default::default()
+                    },
                 )
                 .unwrap();
                 let tag = format!("{} -> {} via {codec:?}", src.name, dst.name);
@@ -100,6 +103,7 @@ fn every_preset_pair_roundtrips_stored_and_compressed() {
                         assert_eq!(t.raw_payload_bytes, t.wire_payload_bytes, "{tag}");
                     }
                     WireCodec::V3 => {
+                        assert!(t.chunks_compressed > 0, "{tag}: v3 compressed nothing");
                         assert!(
                             t.wire_payload_bytes <= t.raw_payload_bytes,
                             "{tag}: the stored fallback must keep v3 from expanding \
