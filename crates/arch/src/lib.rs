@@ -143,8 +143,10 @@ impl Architecture {
     /// width exactly as a C store would (e.g. a `long` holding
     /// `0x1_0000_0001` stores `0x0000_0001` on an ILP32 machine).
     pub fn encode_scalar(&self, kind: CScalar, value: ScalarValue, out: &mut Vec<u8>) {
-        let size = self.scalar_size(kind) as usize;
         let raw: u64 = match (kind, value) {
+            // A `float` leaf keeps its bits: a widen/narrow round trip
+            // would quiet a signalling NaN.
+            (CScalar::Float, ScalarValue::F32(f)) => f.to_bits() as u64,
             (CScalar::Float, v) => (v.as_f64() as f32).to_bits() as u64,
             (CScalar::Double, v) => v.as_f64().to_bits(),
             (CScalar::Ptr, v) => v.as_ptr(),
@@ -154,10 +156,26 @@ impl Architecture {
             (_, ScalarValue::F64(f)) => f as i64 as u64,
             (_, ScalarValue::Ptr(p)) => p,
         };
-        let bytes = raw.to_le_bytes();
-        match self.endianness {
-            Endianness::Little => out.extend_from_slice(&bytes[..size]),
-            Endianness::Big => out.extend(bytes[..size].iter().rev()),
+        let little = self.endianness == Endianness::Little;
+        macro_rules! store {
+            ($t:ty) => {{
+                let v = raw as $t;
+                out.extend_from_slice(&if little {
+                    v.to_le_bytes()
+                } else {
+                    v.to_be_bytes()
+                })
+            }};
+        }
+        match self.scalar_size(kind) {
+            1 => out.push(raw as u8),
+            2 => store!(u16),
+            4 => store!(u32),
+            8 => store!(u64),
+            n => panic!(
+                "{kind:?} is {n} bytes wide on {}; scalars are 1, 2, 4 or 8",
+                self.name
+            ),
         }
     }
 
@@ -174,22 +192,33 @@ impl Architecture {
             self.name,
             bytes.len()
         );
-        let mut raw = [0u8; 8];
-        match self.endianness {
-            Endianness::Little => raw[..size].copy_from_slice(bytes),
-            Endianness::Big => {
-                for (i, b) in bytes.iter().rev().enumerate() {
-                    raw[i] = *b;
-                }
-            }
+        let little = self.endianness == Endianness::Little;
+        macro_rules! load {
+            ($t:ty) => {{
+                let b = bytes.try_into().expect("length checked above");
+                (if little {
+                    <$t>::from_le_bytes(b)
+                } else {
+                    <$t>::from_be_bytes(b)
+                }) as u64
+            }};
         }
-        let unsigned = u64::from_le_bytes(raw);
+        let unsigned = match size {
+            1 => bytes[0] as u64,
+            2 => load!(u16),
+            4 => load!(u32),
+            8 => load!(u64),
+            n => panic!(
+                "{kind:?} is {n} bytes wide on {}; scalars are 1, 2, 4 or 8",
+                self.name
+            ),
+        };
         match kind {
             CScalar::Float => ScalarValue::F32(f32::from_bits(unsigned as u32)),
             CScalar::Double => ScalarValue::F64(f64::from_bits(unsigned)),
-            CScalar::Ptr => ScalarValue::Ptr(truncate_unsigned(unsigned, size)),
+            CScalar::Ptr => ScalarValue::Ptr(unsigned),
             k if k.is_signed() => ScalarValue::Int(sign_extend(unsigned, size)),
-            _ => ScalarValue::Uint(truncate_unsigned(unsigned, size)),
+            _ => ScalarValue::Uint(unsigned),
         }
     }
 
@@ -211,15 +240,6 @@ fn sign_extend(raw: u64, size: usize) -> i64 {
     }
     let shift = 64 - (size * 8);
     ((raw << shift) as i64) >> shift
-}
-
-fn truncate_unsigned(raw: u64, size: usize) -> u64 {
-    debug_assert!((1..=8).contains(&size));
-    if size == 8 {
-        raw
-    } else {
-        raw & ((1u64 << (size * 8)) - 1)
-    }
 }
 
 #[cfg(test)]
@@ -328,6 +348,50 @@ mod tests {
             a.decode_scalar(CScalar::Ptr, &buf),
             ScalarValue::Ptr(0xDEAD_BEEF)
         );
+    }
+
+    #[test]
+    fn every_kind_roundtrips_at_its_width_on_every_preset() {
+        for a in Architecture::presets() {
+            for kind in CScalar::ALL {
+                let v = match kind {
+                    CScalar::Float => ScalarValue::F32(-1.5),
+                    CScalar::Double => ScalarValue::F64(-1.5),
+                    CScalar::Ptr => ScalarValue::Ptr(0x1234_5678),
+                    k if k.is_signed() => ScalarValue::Int(-77),
+                    _ => ScalarValue::Uint(200),
+                };
+                let mut buf = vec![0xEE];
+                a.encode_scalar(kind, v, &mut buf);
+                assert_eq!(buf.len() as u64, 1 + a.scalar_size(kind), "{kind:?}");
+                assert_eq!(
+                    a.decode_scalar(kind, &buf[1..]),
+                    v,
+                    "{kind:?} on {}",
+                    a.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn signalling_nan_float_keeps_its_bits() {
+        // f32 → f64 → f32 sets the quiet bit; a stored `float` must not
+        // take that detour.
+        for a in Architecture::presets() {
+            for bits in [0x7FA0_0001u32, 0xFFA0_0001] {
+                let mut buf = Vec::new();
+                a.encode_scalar(
+                    CScalar::Float,
+                    ScalarValue::F32(f32::from_bits(bits)),
+                    &mut buf,
+                );
+                match a.decode_scalar(CScalar::Float, &buf) {
+                    ScalarValue::F32(f) => assert_eq!(f.to_bits(), bits, "{}", a.name),
+                    other => panic!("expected F32, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -132,6 +132,17 @@ pub enum XdrForm {
     LogicalPointer,
 }
 
+impl XdrForm {
+    /// Fewest bytes one value of this form takes on the wire: the fixed
+    /// width of a scalar form, the bare `PTR_NULL` tag of a pointer.
+    pub fn min_wire_bytes(self) -> u64 {
+        match self {
+            XdrForm::Int | XdrForm::UInt | XdrForm::Float | XdrForm::LogicalPointer => 4,
+            XdrForm::Hyper | XdrForm::UHyper | XdrForm::Double => 8,
+        }
+    }
+}
+
 /// Size and alignment of every non-pointer C scalar on one machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScalarLayout {

@@ -779,20 +779,30 @@ fn ablation() {
 fn translate() {
     hr("Translation performance — page index (gated)");
     println!(
-        "{:<16} {:>10} {:>10} {:>12} {:>13} {:>10} {:>11}",
-        "workload", "bytes", "searches", "steps", "steps/search", "cache-hit", "collect(s)"
+        "{:<16} {:>10} {:>10} {:>12} {:>13} {:>10} {:>11} {:>14} {:>10}",
+        "workload",
+        "bytes",
+        "searches",
+        "steps",
+        "steps/search",
+        "cache-hit",
+        "collect(s)",
+        "per-element(s)",
+        "identical"
     );
     let rows = translate_rows();
     for r in &rows {
         println!(
-            "{:<16} {:>10} {:>10} {:>12} {:>13.2} {:>9.1}% {:>11}",
+            "{:<16} {:>10} {:>10} {:>12} {:>13.2} {:>9.1}% {:>11} {:>14} {:>10}",
             r.label,
             r.payload_bytes,
             r.searches,
             r.search_steps,
             r.steps_per_search,
             r.cache_hit_rate * 100.0,
-            secs(r.collect)
+            secs(r.collect),
+            secs(r.collect_per_element),
+            r.modes_identical
         );
     }
     println!(

@@ -20,7 +20,7 @@ pub mod diff;
 pub mod harness;
 
 use hpm_arch::Architecture;
-use hpm_core::SearchStrategy;
+use hpm_core::{Collector, SearchStrategy, TranslationMode};
 use hpm_migrate::{
     resume_from_image, run_migrating, run_migrating_pipelined, run_migrating_precopy,
     run_migrating_recorded, run_migrating_resilient, run_migrating_traced, run_straight,
@@ -79,8 +79,12 @@ impl MigRow {
 }
 
 fn freeze_linpack(n: u64) -> MigratedSource {
+    freeze_linpack_on(n, Architecture::ultra5())
+}
+
+fn freeze_linpack_on(n: u64, arch: Architecture) -> MigratedSource {
     let mut prog = Linpack::truncated(n, 4);
-    run_to_migration(&mut prog, Architecture::ultra5(), Trigger::AtPollCount(2))
+    run_to_migration(&mut prog, arch, Trigger::AtPollCount(2))
         .expect("linpack reaches its migration point")
 }
 
@@ -462,7 +466,7 @@ pub fn overhead_rows() -> Vec<OverheadRow> {
         let mut wall = Duration::MAX;
         for _ in 0..3 {
             let t0 = Instant::now();
-            let mut collector = hpm_core::Collector::new(&mut src.proc.space, &mut src.proc.msrlt)
+            let mut collector = Collector::new(&mut src.proc.space, &mut src.proc.msrlt)
                 .with_tracer(tracer.clone());
             for frame in &src.pending {
                 for &addr in &frame.live {
@@ -527,7 +531,7 @@ pub struct AblationRow {
 /// Compare MSRLT search strategies and visit-mark strategies on a
 /// pointer-rich collection.
 pub fn ablation_rows() -> Vec<AblationRow> {
-    use hpm_core::{Collector, MarkStrategy, Msrlt};
+    use hpm_core::{MarkStrategy, Msrlt};
     let n = 8_000u64;
     let mut rows = Vec::new();
     for (label, strategy) in [
@@ -582,15 +586,19 @@ pub fn ablation_rows() -> Vec<AblationRow> {
 
 /// One row of the DESIGN.md §7 translation-performance table: the
 /// page-indexed MSRLT under its production configuration (cache on,
-/// bulk encode).
+/// kernel-translated runs), beside the per-element reference.
 #[derive(Debug, Clone)]
 pub struct TranslateRow {
     /// Workload label.
     pub label: String,
     /// Payload bytes.
     pub payload_bytes: u64,
-    /// Collection wall time.
+    /// Collection wall time ([`TranslationMode::Bulk`], the default).
     pub collect: Duration,
+    /// Collection wall time under [`TranslationMode::PerElement`].
+    pub collect_per_element: Duration,
+    /// Whether the two modes produced the same payload, byte for byte.
+    pub modes_identical: bool,
     /// MSRLT searches during the collection.
     pub searches: u64,
     /// Total search steps (page walks + fallback comparisons).
@@ -601,17 +609,31 @@ pub struct TranslateRow {
     pub cache_hit_rate: f64,
 }
 
+fn collect_in_mode(src: &mut MigratedSource, mode: TranslationMode) -> (Vec<u8>, Duration) {
+    let t0 = Instant::now();
+    let mut collector =
+        Collector::new(&mut src.proc.space, &mut src.proc.msrlt).with_translation(mode);
+    for frame in &src.pending {
+        for &addr in &frame.live {
+            collector.save_variable(addr).expect("collect");
+        }
+    }
+    let (payload, _) = collector.finish();
+    (payload, t0.elapsed())
+}
+
 fn translate_row(label: &str, src: &mut MigratedSource) -> TranslateRow {
     src.proc.msrlt.reset_stats();
-    let t0 = Instant::now();
-    let (payload, _, _) = src.collect().expect("collect");
-    let collect = t0.elapsed();
+    let (payload, collect) = collect_in_mode(src, TranslationMode::Bulk);
     let s = src.proc.msrlt.stats();
+    let (reference, collect_per_element) = collect_in_mode(src, TranslationMode::PerElement);
     let cache_total = s.cache_hits + s.cache_misses;
     TranslateRow {
         label: label.to_string(),
         payload_bytes: payload.len() as u64,
         collect,
+        collect_per_element,
+        modes_identical: payload == reference,
         searches: s.searches,
         search_steps: s.search_steps,
         steps_per_search: s.search_steps as f64 / s.searches.max(1) as f64,
@@ -623,19 +645,26 @@ fn translate_row(label: &str, src: &mut MigratedSource) -> TranslateRow {
     }
 }
 
-/// The DESIGN.md §7 table over the three paper workloads.
+/// The DESIGN.md §7 table over the three paper workloads on the Ultra 5
+/// (big-endian: dense runs are copies), plus linpack frozen on the
+/// little-endian LP64 preset, where every dense run is byte-swapped.
 pub fn translate_rows() -> Vec<TranslateRow> {
     vec![
         translate_row("test_pointer", &mut freeze_test_pointer()),
         translate_row("linpack_600", &mut freeze_linpack(600)),
         translate_row("bitonic_20000", &mut freeze_bitonic(20_000)),
+        translate_row(
+            "linpack_600_le",
+            &mut freeze_linpack_on(600, Architecture::x86_64_sim()),
+        ),
     ]
 }
 
 /// The CI perf gate over [`translate_rows`]: returns one message per
-/// violation (empty = pass). The condition guards the O(1)
-/// address-translation claim using counters, not wall clocks, so the
-/// gate is stable on loaded CI runners.
+/// violation (empty = pass). The conditions guard the O(1)
+/// address-translation claim and the kernels' bit-identity with the
+/// per-element reference using counters, not wall clocks, so the gate is
+/// stable on loaded CI runners.
 pub fn translate_gate(rows: &[TranslateRow]) -> Vec<String> {
     let mut violations = Vec::new();
     for r in rows {
@@ -643,6 +672,12 @@ pub fn translate_gate(rows: &[TranslateRow]) -> Vec<String> {
             violations.push(format!(
                 "{}: {:.2} search steps per search (> 2.0) — the page index is not engaged",
                 r.label, r.steps_per_search
+            ));
+        }
+        if !r.modes_identical {
+            violations.push(format!(
+                "{}: bulk and per-element collection produced different payloads",
+                r.label
             ));
         }
     }
@@ -1702,14 +1737,18 @@ pub fn bench_json(revision: &str) -> String {
     let trows = translate_rows();
     for (i, r) in trows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"searches\": {}, \"search_steps\": {}, \
-             \"steps_per_search\": {:.4}, \"cache_hit_rate\": {:.4}, \"collect_ns\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"payload_bytes\": {}, \"searches\": {}, \
+             \"search_steps\": {}, \"steps_per_search\": {:.4}, \"cache_hit_rate\": {:.4}, \
+             \"modes_identical\": {}, \"collect_ns\": {}, \"collect_per_element_ns\": {}}}{}\n",
             r.label,
+            r.payload_bytes,
             r.searches,
             r.search_steps,
             r.steps_per_search,
             r.cache_hit_rate,
+            r.modes_identical,
             r.collect.as_nanos(),
+            r.collect_per_element.as_nanos(),
             if i + 1 == trows.len() { "" } else { "," }
         ));
     }

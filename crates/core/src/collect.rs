@@ -29,10 +29,11 @@
 //! (million-node linked lists) collect without exhausting the call stack.
 
 use crate::fingerprint::type_fingerprint;
+use crate::kernel::{for_each_run, Kernel};
 use crate::msrlt::{LogicalId, Msrlt};
 use crate::translate::{leaf_ordinal, read_ptr, span, Cursor};
 use crate::CoreError;
-use hpm_arch::CScalar;
+use hpm_arch::Architecture;
 use hpm_memory::{AddressSpace, BlockSlot};
 use hpm_obs::{FlightTrack, StatField, StatGroup, Tracer};
 use hpm_types::plan::{PlanOp, SavePlan};
@@ -62,74 +63,22 @@ pub enum MarkStrategy {
     HashSet,
 }
 
-/// How pointer-free scalar runs are turned into wire bytes.
+/// How scalar runs are turned into wire bytes.
 ///
-/// XDR's wire layout is big-endian at 4/8-byte widths. On presets whose
-/// native layout already matches (the big-endian ILP32 SPARCs), a
-/// pointer-free run's wire image *is* its native bytes — so the whole
-/// run can be copied in one `put_opaque_fixed` instead of a
-/// decode/encode per scalar. Both sides gate independently: a
-/// big-endian source can bulk-encode for a little-endian destination,
-/// which then per-element-decodes.
+/// The wire format is fixed XDR, so the choice is invisible outside this
+/// machine and each side makes it independently: the two modes must
+/// produce bit-identical payloads and bit-identical restored memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TranslationMode {
-    /// Copy same-wire-format runs in bulk; convert the rest per element.
+    /// One kernel call per run, its arm (copy, byte-swap, widen/narrow)
+    /// chosen from the run's native and wire layout.
     #[default]
     Bulk,
-    /// Always convert scalar by scalar (ablation baseline; the bulk path
-    /// must be bit-identical to this).
+    /// Always convert scalar by scalar through
+    /// [`ScalarValue`](hpm_arch::ScalarValue) — the reference the `Bulk`
+    /// kernels are held to.
     PerElement,
 }
-
-/// Whether `kind`'s native byte layout on `arch` equals its XDR wire
-/// form: big-endian at exactly the wire width. Such runs round-trip
-/// through `decode_scalar`/`put_scalar_xdr` without changing a bit, so
-/// they may be block-copied.
-pub(crate) fn same_wire_format(arch: &hpm_arch::Architecture, kind: CScalar) -> bool {
-    use hpm_arch::{Endianness, XdrForm};
-    if arch.endianness != Endianness::Big {
-        return false;
-    }
-    let wire = match kind.xdr_form() {
-        XdrForm::Int | XdrForm::UInt | XdrForm::Float => 4,
-        XdrForm::Hyper | XdrForm::UHyper | XdrForm::Double => 8,
-        XdrForm::LogicalPointer => return false,
-    };
-    arch.scalar_size(kind) == wire
-}
-
-/// Whether `plan`'s wire image equals its native bytes on `arch`:
-/// pointer-free, every scalar already in wire layout, and the runs tile
-/// each element contiguously (no padding holes). Such blocks encode and
-/// decode as single byte copies.
-pub(crate) fn plan_is_wire_identical(arch: &hpm_arch::Architecture, plan: &SavePlan) -> bool {
-    if plan.has_pointers {
-        return false;
-    }
-    let mut at = 0u64;
-    for op in &plan.ops {
-        let PlanOp::ScalarRun {
-            offset,
-            kind,
-            count,
-            stride,
-        } = op
-        else {
-            return false;
-        };
-        let size = arch.scalar_size(*kind);
-        if !same_wire_format(arch, *kind) || *stride != size || *offset != at {
-            return false;
-        }
-        at = offset + count * size;
-    }
-    at == plan.size
-}
-
-/// Slice bound for whole-block bulk copies, so sink mode still streams
-/// multi-megabyte arrays in chunks and the borrow of the address space
-/// is released between flushes.
-pub(crate) const BULK_SLICE: u64 = 1 << 20;
 
 /// Counters for one collection run (§4.2: `Collect = MSRLT_search +
 /// Encode_and_Copy`; search counters live in [`MsrltStats`](crate::MsrltStats)).
@@ -190,23 +139,66 @@ pub type ChunkSink<'a> = Box<dyn FnMut(Vec<u8>) -> Result<(), CoreError> + 'a>;
 pub struct Collector<'a> {
     space: &'a mut AddressSpace,
     msrlt: &'a mut Msrlt,
-    enc: XdrEncoder,
+    out: Output<'a>,
     stats: CollectStats,
     marks: MarkStrategy,
     mark_set: std::collections::HashSet<LogicalId>,
     fp_cache: std::collections::HashMap<TypeId, u64>,
     tracer: Tracer,
+    mode: TranslationMode,
+}
+
+/// Where the encoded bytes go: the encoder and, in sink mode, the chunk
+/// cutter. Its own struct so the encode kernel can write and flush while
+/// the block it reads stays borrowed from the address space.
+struct Output<'a> {
+    enc: XdrEncoder,
+    /// Bytes at the front of the stream that are not payload (an image
+    /// prefix the caller had the collector start from).
+    prefix_len: usize,
     /// Streaming sink: when set, the encoder is flushed into it whenever
     /// at least `chunk_bytes` have accumulated, so transfer can start
     /// while the DFS is still traversing.
     sink: Option<ChunkSink<'a>>,
     chunk_bytes: usize,
     flushed_bytes: u64,
-    mode: TranslationMode,
+    chunks_flushed: u64,
     /// Flight-recorder track: each flushed chunk leaves one event, so a
     /// post-mortem names the chunk the collector was cutting when a
     /// migration died. `None` costs one branch per flush.
     flight: Option<FlightTrack>,
+}
+
+impl Output<'_> {
+    /// The watermark check: hand the encoder's contents to the sink as
+    /// one chunk once enough has accumulated. One branch when no sink is
+    /// attached.
+    fn maybe_flush(&mut self) -> Result<(), CoreError> {
+        if self.enc.len() < self.chunk_bytes {
+            return Ok(());
+        }
+        self.flush()
+    }
+
+    fn flush(&mut self) -> Result<(), CoreError> {
+        let Some(sink) = self.sink.as_mut() else {
+            return Ok(());
+        };
+        let next = XdrEncoder::with_capacity(self.chunk_bytes * 2);
+        let bytes = std::mem::replace(&mut self.enc, next).into_bytes();
+        self.flushed_bytes += bytes.len() as u64;
+        self.chunks_flushed += 1;
+        if let Some(t) = &self.flight {
+            t.event(
+                "chunk.flush",
+                &[
+                    ("chunk", self.chunks_flushed - 1),
+                    ("bytes", bytes.len() as u64),
+                ],
+            );
+        }
+        sink(bytes)
+    }
 }
 
 /// Cap on the collector's pre-sized encoder buffer; images beyond this
@@ -233,24 +225,28 @@ impl<'a> Collector<'a> {
         Collector {
             space,
             msrlt,
-            enc: XdrEncoder::with_capacity(estimate as usize),
+            out: Output {
+                enc: XdrEncoder::with_capacity(estimate as usize),
+                prefix_len: 0,
+                sink: None,
+                chunk_bytes: usize::MAX,
+                flushed_bytes: 0,
+                chunks_flushed: 0,
+                flight: None,
+            },
             stats: CollectStats::default(),
             marks,
             mark_set: std::collections::HashSet::new(),
             fp_cache: std::collections::HashMap::new(),
             tracer: Tracer::disabled(),
-            sink: None,
-            chunk_bytes: usize::MAX,
-            flushed_bytes: 0,
             mode: TranslationMode::default(),
-            flight: None,
         }
     }
 
     /// Attach a flight-recorder track: every flushed chunk emits a
     /// `chunk.flush` event and [`Collector::finish`] a `collect.done`.
     pub fn with_flight(mut self, flight: FlightTrack) -> Self {
-        self.flight = Some(flight);
+        self.out.flight = Some(flight);
         self
     }
 
@@ -269,9 +265,23 @@ impl<'a> Collector<'a> {
     /// monolithic payload.
     pub fn with_sink(mut self, chunk_bytes: usize, sink: ChunkSink<'a>) -> Self {
         let chunk_bytes = chunk_bytes.max(4);
-        self.enc = XdrEncoder::with_capacity(chunk_bytes * 2);
-        self.chunk_bytes = chunk_bytes;
-        self.sink = Some(sink);
+        self.out.enc = XdrEncoder::with_capacity(chunk_bytes * 2);
+        self.out.chunk_bytes = chunk_bytes;
+        self.out.sink = Some(sink);
+        self
+    }
+
+    /// Start the stream with `prefix` — a whole number of XDR units, such
+    /// as [`frame_image_prefix`](crate::image::frame_image_prefix) builds
+    /// — so that [`Collector::finish`] returns the framed image and the
+    /// payload is never copied into place behind its header. Call before
+    /// the first save; `bytes_out` and
+    /// [`Collector::bytes_so_far`] keep counting payload bytes only.
+    pub fn with_prefix(mut self, prefix: &[u8]) -> Self {
+        assert_eq!(prefix.len() % 4, 0, "an image prefix is whole XDR units");
+        self.out.enc.reserve(prefix.len());
+        self.out.enc.put_opaque_fixed(prefix);
+        self.out.prefix_len += prefix.len();
         self
     }
 
@@ -338,20 +348,20 @@ impl<'a> Collector<'a> {
             )));
         }
         if self.is_visited(id) {
-            self.enc.put_u32(TAG_VAR_VISITED);
-            put_id(&mut self.enc, id);
-            return self.maybe_flush();
+            self.out.enc.put_u32(TAG_VAR_VISITED);
+            put_id(&mut self.out.enc, id);
+            return self.out.maybe_flush();
         }
         self.mark(id);
         let entry = self.msrlt.entry(id).unwrap();
         let (ty, count) = (entry.ty, entry.count);
-        self.enc.put_u32(TAG_VAR_NEW);
-        put_id(&mut self.enc, id);
+        self.out.enc.put_u32(TAG_VAR_NEW);
+        put_id(&mut self.out.enc, id);
         let fp = self.fingerprint(ty);
-        self.enc.put_u64(fp);
-        self.enc.put_u64(count);
+        self.out.enc.put_u64(fp);
+        self.out.enc.put_u64(count);
         self.emit_block(addr, ty, count)?;
-        self.maybe_flush()
+        self.out.maybe_flush()
     }
 
     /// `Save_pointer`: save a pointer *value*, rewriting it to logical
@@ -367,66 +377,29 @@ impl<'a> Collector<'a> {
     /// byte went through the sink); `bytes_out` counts the total either
     /// way.
     pub fn finish(mut self) -> (Vec<u8>, CollectStats) {
-        if let Some(sink) = self.sink.as_mut() {
-            if !self.enc.is_empty() {
-                let bytes = std::mem::take(&mut self.enc).into_bytes();
-                self.flushed_bytes += bytes.len() as u64;
-                self.stats.chunks_flushed += 1;
-                if let Some(t) = &self.flight {
-                    t.event(
-                        "chunk.flush",
-                        &[
-                            ("chunk", self.stats.chunks_flushed - 1),
-                            ("bytes", bytes.len() as u64),
-                        ],
-                    );
-                }
-                // The stream is complete; a sink failure here cannot be
-                // surfaced through the historical signature, so drop it —
-                // the receiver detects the missing tail as truncation.
-                let _ = sink(bytes);
-            }
-            let mut stats = self.stats;
-            stats.bytes_out = self.flushed_bytes;
-            if let Some(t) = &self.flight {
-                t.event(
-                    "collect.done",
-                    &[("bytes", stats.bytes_out), ("chunks", stats.chunks_flushed)],
-                );
-            }
-            return (Vec::new(), stats);
+        let streamed = self.out.sink.is_some();
+        if streamed && !self.out.enc.is_empty() {
+            // The stream is complete; a sink failure here cannot be
+            // surfaced through the historical signature, so drop it —
+            // the receiver detects the missing tail as truncation.
+            let _ = self.out.flush();
         }
+        let bytes = std::mem::take(&mut self.out.enc).into_bytes();
         let mut stats = self.stats;
-        let bytes = self.enc.into_bytes();
-        stats.bytes_out = bytes.len() as u64;
-        if let Some(t) = &self.flight {
-            t.event("collect.done", &[("bytes", stats.bytes_out), ("chunks", 0)]);
+        stats.chunks_flushed = self.out.chunks_flushed;
+        stats.bytes_out = self.out.flushed_bytes + bytes.len() as u64 - self.out.prefix_len as u64;
+        if let Some(t) = &self.out.flight {
+            t.event(
+                "collect.done",
+                &[("bytes", stats.bytes_out), ("chunks", stats.chunks_flushed)],
+            );
         }
         (bytes, stats)
     }
 
     /// Payload bytes produced so far (flushed chunks included).
     pub fn bytes_so_far(&self) -> usize {
-        self.flushed_bytes as usize + self.enc.len()
-    }
-
-    /// The `bytes_so_far()` watermark check: flush a chunk to the sink
-    /// once enough has accumulated. One branch when no sink is attached.
-    fn maybe_flush(&mut self) -> Result<(), CoreError> {
-        if self.enc.len() < self.chunk_bytes {
-            return Ok(());
-        }
-        if let Some(sink) = self.sink.as_mut() {
-            flush_now(
-                &mut self.enc,
-                sink,
-                self.chunk_bytes,
-                &mut self.flushed_bytes,
-                &mut self.stats,
-                &self.flight,
-            )?;
-        }
-        Ok(())
+        self.out.flushed_bytes as usize + self.out.enc.len() - self.out.prefix_len
     }
 
     // ----- internals -----
@@ -452,109 +425,31 @@ impl<'a> Collector<'a> {
         let plan = self.space.plan_ref(ty)?;
         if !plan.has_pointers {
             let plan = Arc::clone(plan);
-            return self.encode_block_bulk(addr, &plan, count);
+            return self.encode_flat_block(addr, &plan, count);
         }
         // The one address translation this block costs.
         stack.push(Cursor::new(self.space, addr, ty, count)?);
         Ok(())
     }
 
-    /// Fast path for pointer-free blocks (the linpack case): one address
-    /// resolution for the whole block, then a tight native→XDR loop. This
-    /// is what makes Encode-and-Copy the dominant linpack term rather than
-    /// per-element bookkeeping.
-    fn encode_block_bulk(
+    /// Save a pointer-free block (the linpack case): one address
+    /// resolution, then its runs straight through the encode kernel — a
+    /// dense single-kind block as one run. This is what makes
+    /// Encode-and-Copy the dominant linpack term rather than per-element
+    /// bookkeeping.
+    fn encode_flat_block(
         &mut self,
         addr: u64,
         plan: &SavePlan,
         count: u64,
     ) -> Result<(), CoreError> {
-        let total = plan.size * count;
-        let arch = self.space.arch();
-        // Whole-block fast path: when the block's wire image IS its
-        // native bytes, copy it in bounded slices — one memcpy per
-        // megabyte instead of a decode/encode per scalar.
-        if self.mode == TranslationMode::Bulk && plan_is_wire_identical(arch, plan) {
-            let per_elem: u64 = plan
-                .ops
-                .iter()
-                .map(|op| match op {
-                    PlanOp::ScalarRun { count, .. } => *count,
-                    _ => 0,
-                })
-                .sum();
-            let mut off = 0u64;
-            while off < total {
-                let len = (total - off).min(BULK_SLICE);
-                let bytes = self.space.read_bytes(addr + off, len)?;
-                self.enc.put_opaque_fixed(bytes);
-                off += len;
-                if self.enc.len() >= self.chunk_bytes {
-                    if let Some(sink) = self.sink.as_mut() {
-                        flush_now(
-                            &mut self.enc,
-                            sink,
-                            self.chunk_bytes,
-                            &mut self.flushed_bytes,
-                            &mut self.stats,
-                            &self.flight,
-                        )?;
-                    }
-                }
-            }
-            self.stats.scalars_encoded += per_elem * count;
-            return Ok(());
-        }
-        let bytes = self.space.read_bytes(addr, total)?;
-        let mut scalars = 0u64;
-        for elem in 0..count {
-            let elem_base = (elem * plan.size) as usize;
-            for op in &plan.ops {
-                let PlanOp::ScalarRun {
-                    offset,
-                    kind,
-                    count: rc,
-                    stride,
-                } = op
-                else {
-                    unreachable!("bulk path requires a pointer-free plan");
-                };
-                let size = arch.scalar_size(*kind) as usize;
-                if self.mode == TranslationMode::Bulk
-                    && same_wire_format(arch, *kind)
-                    && *stride == size as u64
-                {
-                    // Contiguous same-format run inside a padded or
-                    // mixed-format element: one copy for the run.
-                    let at = elem_base + *offset as usize;
-                    self.enc
-                        .put_opaque_fixed(&bytes[at..at + (*rc as usize) * size]);
-                } else {
-                    for k in 0..*rc {
-                        let at = elem_base + (*offset + k * *stride) as usize;
-                        let v = arch.decode_scalar(*kind, &bytes[at..at + size]);
-                        put_scalar_xdr(&mut self.enc, *kind, v);
-                    }
-                }
-                scalars += *rc;
-            }
-            // Per-element watermark check: a single huge pointer-free
-            // block (linpack's matrix) must still stream in chunks.
-            // Split-field flush: `bytes` above borrows the space.
-            if self.enc.len() >= self.chunk_bytes {
-                if let Some(sink) = self.sink.as_mut() {
-                    flush_now(
-                        &mut self.enc,
-                        sink,
-                        self.chunk_bytes,
-                        &mut self.flushed_bytes,
-                        &mut self.stats,
-                        &self.flight,
-                    )?;
-                }
-            }
-        }
-        self.stats.scalars_encoded += scalars;
+        let (slot, base) = self.space.slot_of(addr)?;
+        let (arch, bytes) = (self.space.arch(), self.space.slot_bytes(slot)?);
+        let out = &mut self.out;
+        for_each_run(arch, plan, count, self.mode, |offset, kernel, n| {
+            encode_run(arch, bytes, slot, base + offset, kernel, n, out)
+        })?;
+        self.stats.scalars_encoded += plan.leaf_count * count;
         Ok(())
     }
 
@@ -566,6 +461,8 @@ impl<'a> Collector<'a> {
                 stack.pop();
                 continue;
             };
+            let arch = self.space.arch();
+            let bytes = self.space.slot_bytes(slot)?;
             match op {
                 PlanOp::ScalarRun {
                     offset,
@@ -573,67 +470,25 @@ impl<'a> Collector<'a> {
                     count,
                     stride,
                 } => {
-                    self.encode_run(slot, elem_base + offset, kind, count, stride)?;
+                    let kernel = Kernel::select(arch, kind, stride, self.mode);
+                    let at = elem_base + offset;
+                    encode_run(arch, bytes, slot, at, kernel, count, &mut self.out)?;
+                    self.stats.scalars_encoded += count;
                 }
                 PlanOp::PointerSlot { offset, .. } => {
-                    let bytes = self.space.slot_bytes(slot)?;
-                    let ptr = read_ptr(self.space.arch(), bytes, slot, elem_base + offset)?;
+                    let ptr = read_ptr(arch, bytes, slot, elem_base + offset)?;
                     self.encode_pointer(ptr, &mut stack)?;
                 }
             }
-            self.maybe_flush()?;
+            self.out.maybe_flush()?;
         }
-        Ok(())
-    }
-
-    fn encode_run(
-        &mut self,
-        slot: BlockSlot,
-        offset: u64,
-        kind: CScalar,
-        count: u64,
-        stride: u64,
-    ) -> Result<(), CoreError> {
-        let arch = self.space.arch();
-        let size = arch.scalar_size(kind) as usize;
-        let total_span = if count == 0 {
-            0
-        } else {
-            (count - 1) * stride + size as u64
-        };
-        let bytes = span(self.space.slot_bytes(slot)?, slot, offset, total_span)?;
-        if self.mode == TranslationMode::Bulk
-            && same_wire_format(arch, kind)
-            && stride == size as u64
-        {
-            self.enc.put_opaque_fixed(bytes);
-        } else {
-            for k in 0..count {
-                let at = (k * stride) as usize;
-                let v = arch.decode_scalar(kind, &bytes[at..at + size]);
-                put_scalar_xdr(&mut self.enc, kind, v);
-                if self.enc.len() >= self.chunk_bytes {
-                    if let Some(sink) = self.sink.as_mut() {
-                        flush_now(
-                            &mut self.enc,
-                            sink,
-                            self.chunk_bytes,
-                            &mut self.flushed_bytes,
-                            &mut self.stats,
-                            &self.flight,
-                        )?;
-                    }
-                }
-            }
-        }
-        self.stats.scalars_encoded += count;
         Ok(())
     }
 
     fn encode_pointer(&mut self, ptr: u64, stack: &mut Vec<Cursor>) -> Result<(), CoreError> {
         if ptr == 0 {
             self.stats.ptr_null += 1;
-            self.enc.put_u32(TAG_PTR_NULL);
+            self.out.enc.put_u32(TAG_PTR_NULL);
             return Ok(());
         }
         // THE MSRLT search (counted in MsrltStats).
@@ -646,9 +501,9 @@ impl<'a> Collector<'a> {
         let leaf_idx = leaf_ordinal(self.space, ty, count, byte_off, ptr)?;
         if self.is_visited(id) {
             self.stats.ptr_ref += 1;
-            self.enc.put_u32(TAG_PTR_REF);
-            put_id(&mut self.enc, id);
-            self.enc.put_u64(leaf_idx);
+            self.out.enc.put_u32(TAG_PTR_REF);
+            put_id(&mut self.out.enc, id);
+            self.out.enc.put_u64(leaf_idx);
             return Ok(());
         }
         self.mark(id);
@@ -656,62 +511,45 @@ impl<'a> Collector<'a> {
         self.stats.blocks_saved += 1;
         self.tracer
             .instant_args("collect.block", &[("count", count as f64)]);
-        self.enc.put_u32(TAG_PTR_NEW);
-        put_id(&mut self.enc, id);
-        self.enc.put_u64(leaf_idx);
+        self.out.enc.put_u32(TAG_PTR_NEW);
+        put_id(&mut self.out.enc, id);
+        self.out.enc.put_u64(leaf_idx);
         let fp = self.fingerprint(ty);
-        self.enc.put_u64(fp);
-        self.enc.put_u64(count);
+        self.out.enc.put_u64(fp);
+        self.out.enc.put_u64(count);
         self.push_block(target_addr, ty, count, stack)
     }
 }
 
-/// Hand the encoder's contents to the sink as one chunk. Free-standing
-/// over split fields so flush checks can sit inside loops that hold a
-/// borrow of the address space.
-fn flush_now(
-    enc: &mut XdrEncoder,
-    sink: &mut ChunkSink<'_>,
-    chunk_bytes: usize,
-    flushed_bytes: &mut u64,
-    stats: &mut CollectStats,
-    flight: &Option<FlightTrack>,
+/// Run `count` scalars, the first at byte `offset` of the block behind
+/// `slot`, through the encode kernel in [`BULK_SLICE`](crate::kernel::BULK_SLICE)
+/// slices, checking the sink's watermark after each: a single huge run
+/// (linpack's matrix) must still stream in chunks.
+fn encode_run(
+    arch: &Architecture,
+    bytes: &[u8],
+    slot: BlockSlot,
+    offset: u64,
+    kernel: Kernel,
+    count: u64,
+    out: &mut Output<'_>,
 ) -> Result<(), CoreError> {
-    let bytes = std::mem::replace(enc, XdrEncoder::with_capacity(chunk_bytes * 2)).into_bytes();
-    *flushed_bytes += bytes.len() as u64;
-    stats.chunks_flushed += 1;
-    if let Some(t) = flight {
-        t.event(
-            "chunk.flush",
-            &[
-                ("chunk", stats.chunks_flushed - 1),
-                ("bytes", bytes.len() as u64),
-            ],
-        );
+    let src = span(bytes, slot, offset, kernel.native_span(count))?;
+    let mut done = 0u64;
+    while done < count {
+        let n = (count - done).min(kernel.slice_scalars());
+        let from = (done * kernel.stride()) as usize;
+        let slice = &src[from..from + kernel.native_span(n) as usize];
+        kernel.encode(arch, slice, n as usize, &mut out.enc);
+        done += n;
+        out.maybe_flush()?;
     }
-    sink(bytes)
+    Ok(())
 }
 
 pub(crate) fn put_id(enc: &mut XdrEncoder, id: LogicalId) {
     enc.put_u32(id.group);
     enc.put_u32(id.index);
-}
-
-/// Encode one scalar in its machine-independent XDR form.
-pub(crate) fn put_scalar_xdr(enc: &mut XdrEncoder, kind: CScalar, v: hpm_arch::ScalarValue) {
-    use hpm_arch::XdrForm;
-    match kind.xdr_form() {
-        XdrForm::Int => enc.put_i32(v.as_i64() as i32),
-        XdrForm::UInt => enc.put_u32(v.as_i64() as u32),
-        XdrForm::Hyper => enc.put_i64(v.as_i64()),
-        XdrForm::UHyper => enc.put_u64(v.as_i64() as u64),
-        XdrForm::Float => enc.put_f32(match v {
-            hpm_arch::ScalarValue::F32(f) => f,
-            other => other.as_f64() as f32,
-        }),
-        XdrForm::Double => enc.put_f64(v.as_f64()),
-        XdrForm::LogicalPointer => unreachable!("pointers use PTR_* tags"),
-    }
 }
 
 #[cfg(test)]
@@ -961,6 +799,26 @@ mod tests {
             "chunks cut at XDR unit boundaries"
         );
         assert_eq!(mono_stats.chunks_flushed, 0);
+    }
+
+    #[test]
+    fn prefix_leads_the_stream_and_is_not_counted_as_payload() {
+        let (mut space, mut msrlt) = setup();
+        let int = space.types_mut().int();
+        let g = space.define_global("x", int, 3).unwrap();
+        register(&space, &mut msrlt, g);
+        let mut c = Collector::new(&mut space, &mut msrlt);
+        c.save_variable(g).unwrap();
+        let (plain, plain_stats) = c.finish();
+
+        let prefix = [0xAB; 12];
+        let mut c = Collector::new(&mut space, &mut msrlt).with_prefix(&prefix);
+        assert_eq!(c.bytes_so_far(), 0);
+        c.save_variable(g).unwrap();
+        assert_eq!(c.bytes_so_far(), plain.len());
+        let (framed, stats) = c.finish();
+        assert_eq!(framed, [&prefix[..], &plain[..]].concat());
+        assert_eq!(stats.bytes_out, plain_stats.bytes_out);
     }
 
     #[test]

@@ -29,8 +29,9 @@
 //! ordinary restore path, so every invariant that holds for full images
 //! holds for applied deltas too.
 
-use crate::collect::put_scalar_xdr;
+use crate::collect::TranslationMode;
 use crate::fingerprint::{content_digest, fnv, type_fingerprint, FNV_OFFSET};
+use crate::kernel::{for_each_run, Kernel};
 use crate::msrlt::{LogicalId, Msrlt};
 use crate::translate::{logical_pointer, read_ptr, span};
 use crate::CoreError;
@@ -98,6 +99,19 @@ fn canonical_digest(
     // bytes, re-borrowed per op so pointer translation can compile the
     // target type's plan in between.
     let (slot, base) = space.slot_of(addr)?;
+    // The canonical form is the collector's default encoding.
+    let mode = TranslationMode::default();
+    let run = |space: &AddressSpace, enc: &mut XdrEncoder, at: u64, kernel: Kernel, n: u64| {
+        let src = span(space.slot_bytes(slot)?, slot, at, kernel.native_span(n))?;
+        kernel.encode(space.arch(), src, n as usize, enc);
+        Ok::<(), CoreError>(())
+    };
+    if !plan.has_pointers {
+        for_each_run(space.arch(), &plan, count, mode, |offset, kernel, n| {
+            run(space, &mut enc, base + offset, kernel, n)
+        })?;
+        return Ok(content_digest(enc.as_bytes()));
+    }
     for elem in 0..count {
         let elem_base = base + elem * plan.size;
         for op in &plan.ops {
@@ -108,13 +122,8 @@ fn canonical_digest(
                     count: rc,
                     stride,
                 } => {
-                    let arch = space.arch();
-                    let bytes = space.slot_bytes(slot)?;
-                    let size = arch.scalar_size(kind);
-                    for k in 0..rc {
-                        let raw = span(bytes, slot, elem_base + offset + k * stride, size)?;
-                        put_scalar_xdr(&mut enc, kind, arch.decode_scalar(kind, raw));
-                    }
+                    let kernel = Kernel::select(space.arch(), kind, stride, mode);
+                    run(space, &mut enc, elem_base + offset, kernel, rc)?;
                 }
                 PlanOp::PointerSlot { offset, .. } => {
                     let bytes = space.slot_bytes(slot)?;

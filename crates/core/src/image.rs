@@ -92,17 +92,17 @@ pub fn frame_image(header: &ImageHeader, exec_state: &[u8], memory_state: &[u8])
     image
 }
 
-/// Split a migration image into (header, exec-state, memory-state).
+/// Split a migration image into (header, exec-state, memory-state); the
+/// two sections are views into `image`, not copies.
 ///
 /// The memory-state tail is everything after the exec section; trailing
 /// garbage inside it is detected by the restorer, which knows where the
 /// stream grammar ends (and reports the offending frame).
-pub fn unframe_image(image: &[u8]) -> Result<(ImageHeader, Vec<u8>, Vec<u8>), CoreError> {
+pub fn unframe_image(image: &[u8]) -> Result<(ImageHeader, &[u8], &[u8]), CoreError> {
     let mut dec = XdrDecoder::new(image);
     let header = ImageHeader::decode(&mut dec)?;
-    let exec = dec.get_opaque_var()?;
-    let mem = dec.take_rest().to_vec();
-    Ok((header, exec, mem))
+    let exec = dec.get_opaque_var_ref()?;
+    Ok((header, exec, dec.take_rest()))
 }
 
 #[cfg(test)]

@@ -33,6 +33,7 @@ pub mod delta;
 pub mod fingerprint;
 pub mod graph;
 pub mod image;
+mod kernel;
 pub mod msrlt;
 pub mod restore;
 pub mod stream;
@@ -104,6 +105,17 @@ pub enum CoreError {
         /// Value found locally (0 when no base is retained at all).
         found: u64,
     },
+    /// The stream announced a heap block whose contents, at their
+    /// smallest, do not fit in what is left of the payload — a hostile or
+    /// corrupt element count, refused before anything is allocated.
+    BlockExceedsPayload {
+        /// Logical id the stream gave the block.
+        id: LogicalId,
+        /// Element count the stream announced.
+        count: u64,
+        /// Payload bytes left (buffered, for a stream still arriving).
+        available: u64,
+    },
     /// Payload bytes remained after the stream grammar completed.
     TrailingBytes {
         /// Number of leftover bytes.
@@ -164,6 +176,14 @@ impl std::fmt::Display for CoreError {
             } => write!(
                 f,
                 "delta base mismatch on {field}: frame demands {expected:#x}, local side has {found:#x}"
+            ),
+            CoreError::BlockExceedsPayload {
+                id,
+                count,
+                available,
+            } => write!(
+                f,
+                "block {id} announces {count} elements, more than the {available} payload bytes left can hold"
             ),
             CoreError::TrailingBytes { bytes, chunk } => match chunk {
                 Some(c) => write!(

@@ -16,15 +16,15 @@
 //! `O(n)` MSRLT term.
 
 use crate::collect::{
-    plan_is_wire_identical, same_wire_format, TranslationMode, BULK_SLICE, TAG_PTR_NEW,
-    TAG_PTR_NULL, TAG_PTR_REF, TAG_VAR_NEW, TAG_VAR_VISITED,
+    TranslationMode, TAG_PTR_NEW, TAG_PTR_NULL, TAG_PTR_REF, TAG_VAR_NEW, TAG_VAR_VISITED,
 };
 use crate::fingerprint::type_fingerprint;
+use crate::kernel::{for_each_run, Kernel};
 use crate::msrlt::{LogicalId, Msrlt};
 use crate::stream::ChunkPayload;
 use crate::translate::{leaf_address, span_mut, Cursor};
 use crate::CoreError;
-use hpm_arch::{CScalar, ScalarValue, XdrForm};
+use hpm_arch::{Architecture, CScalar, ScalarValue};
 use hpm_memory::{AddressSpace, BlockSlot};
 use hpm_obs::{FlightTrack, StatField, StatGroup, Tracer};
 use hpm_types::plan::{PlanOp, SavePlan};
@@ -100,38 +100,10 @@ impl Dec<'_> {
         }
     }
 
-    fn get_i32(&mut self) -> Result<i32, CoreError> {
-        match self {
-            Dec::Slice(d) => Ok(d.get_i32()?),
-            Dec::Pull { cp, .. } => cp.get_i32(),
-        }
-    }
-
     fn get_u64(&mut self) -> Result<u64, CoreError> {
         match self {
             Dec::Slice(d) => Ok(d.get_u64()?),
             Dec::Pull { cp, .. } => cp.get_u64(),
-        }
-    }
-
-    fn get_i64(&mut self) -> Result<i64, CoreError> {
-        match self {
-            Dec::Slice(d) => Ok(d.get_i64()?),
-            Dec::Pull { cp, .. } => cp.get_i64(),
-        }
-    }
-
-    fn get_f32(&mut self) -> Result<f32, CoreError> {
-        match self {
-            Dec::Slice(d) => Ok(d.get_f32()?),
-            Dec::Pull { cp, .. } => cp.get_f32(),
-        }
-    }
-
-    fn get_f64(&mut self) -> Result<f64, CoreError> {
-        match self {
-            Dec::Slice(d) => Ok(d.get_f64()?),
-            Dec::Pull { cp, .. } => cp.get_f64(),
         }
     }
 
@@ -150,7 +122,48 @@ impl Dec<'_> {
             Dec::Pull { cp, start } => cp.position() - start,
         }
     }
+
+    /// Refuse, before anything is allocated for it, a block of `count`
+    /// elements whose contents take at least `need` wire bytes (`None`:
+    /// more than a `u64` counts) when the stream cannot hold them. A
+    /// slice knows what it has left. A pulled stream does not know its
+    /// length, so it has to have delivered a [`PULL_SHARE`]th of the
+    /// bytes first: a few announced bytes cannot claim gigabytes.
+    fn check_room(
+        &mut self,
+        id: LogicalId,
+        count: u64,
+        need: Option<u64>,
+    ) -> Result<(), CoreError> {
+        let (available, enough) = match (self, need) {
+            (Dec::Slice(d), _) => {
+                let left = d.remaining() as u64;
+                (left, need.is_some_and(|n| n <= left))
+            }
+            (Dec::Pull { cp, .. }, None) => (cp.buffered_remaining() as u64, false),
+            (Dec::Pull { cp, .. }, Some(n)) => {
+                let share = usize::try_from(n / PULL_SHARE).unwrap_or(usize::MAX);
+                let buffered = cp.buffer_up_to(share)?;
+                (buffered as u64, buffered >= share)
+            }
+        };
+        if enough {
+            Ok(())
+        } else {
+            Err(CoreError::BlockExceedsPayload {
+                id,
+                count,
+                available,
+            })
+        }
+    }
 }
+
+/// Share of an announced heap block's minimum wire size that a pulled
+/// stream must have buffered before the block is allocated (see
+/// [`Dec::check_room`]): an honest stream is at most this far ahead of
+/// its own bytes, and then only until the next chunks arrive.
+const PULL_SHARE: u64 = 64;
 
 /// One restoration session over a received migration image.
 pub struct Restorer<'a> {
@@ -380,82 +393,33 @@ impl<'a> Restorer<'a> {
         self.drain(stack)
     }
 
-    /// Fast path for pointer-free blocks: one write borrow of the block
-    /// and a tight XDR→native loop.
-    fn decode_block_bulk(
+    /// Fill a pointer-free block: one write borrow of the block, then
+    /// its runs straight through the decode kernel (the mirror of the
+    /// collector's `encode_flat_block`).
+    fn decode_flat_block(
         &mut self,
         slot: BlockSlot,
         base: u64,
         plan: &SavePlan,
         count: u64,
     ) -> Result<(), CoreError> {
-        let total = (plan.size * count) as usize;
         let (arch, bytes) = self.space.slot_bytes_mut(slot)?;
-        let bytes = &mut bytes[base as usize..];
-        if bytes.len() < total {
+        let room = (bytes.len() as u64).saturating_sub(base);
+        if plan
+            .size
+            .checked_mul(count)
+            .is_none_or(|total| total > room)
+        {
             return Err(CoreError::Mem(format!(
                 "block at {:#x} shorter than stream data",
                 slot.addr() + base
             )));
         }
-        // Whole-block fast path: the wire image IS this machine's native
-        // bytes, so copy the payload straight into the block in bounded
-        // slices (mirror of the collector's bulk encode).
-        if self.mode == TranslationMode::Bulk && plan_is_wire_identical(arch, plan) {
-            let per_elem: u64 = plan
-                .ops
-                .iter()
-                .map(|op| match op {
-                    PlanOp::ScalarRun { count, .. } => *count,
-                    _ => 0,
-                })
-                .sum();
-            let mut off = 0usize;
-            while off < total {
-                let len = (total - off).min(BULK_SLICE as usize);
-                let raw = self.dec.take(len)?;
-                bytes[off..off + len].copy_from_slice(raw);
-                off += len;
-            }
-            self.stats.scalars_decoded += per_elem * count;
-            return Ok(());
-        }
-        let native = &mut self.native;
-        let mut scalars = 0u64;
-        for elem in 0..count {
-            let elem_base = (elem * plan.size) as usize;
-            for op in &plan.ops {
-                let PlanOp::ScalarRun {
-                    offset,
-                    kind,
-                    count: rc,
-                    stride,
-                } = op
-                else {
-                    unreachable!("bulk path requires a pointer-free plan");
-                };
-                let size = arch.scalar_size(*kind) as usize;
-                if self.mode == TranslationMode::Bulk
-                    && same_wire_format(arch, *kind)
-                    && *stride == size as u64
-                {
-                    let at = elem_base + *offset as usize;
-                    let len = (*rc as usize) * size;
-                    let raw = self.dec.take(len)?;
-                    bytes[at..at + len].copy_from_slice(raw);
-                } else {
-                    for k in 0..*rc {
-                        let v = get_scalar_xdr(&mut self.dec, *kind)?;
-                        native.clear();
-                        arch.encode_scalar(*kind, v, native);
-                        let at = elem_base + (*offset + k * *stride) as usize;
-                        bytes[at..at + native.len()].copy_from_slice(native);
-                    }
-                }
-                scalars += *rc;
-            }
-        }
-        self.stats.scalars_decoded += scalars;
+        let dec = &mut self.dec;
+        for_each_run(arch, plan, count, self.mode, |offset, kernel, n| {
+            decode_run(arch, bytes, slot, base + offset, kernel, n, dec)
+        })?;
+        self.stats.scalars_decoded += plan.leaf_count * count;
         Ok(())
     }
 
@@ -463,6 +427,7 @@ impl<'a> Restorer<'a> {
         while let Some(cur) = stack.last_mut() {
             let Some((slot, elem_base, op)) = cur.next_op(self.space)? else {
                 stack.pop();
+                self.stats.blocks_restored += 1;
                 continue;
             };
             match op {
@@ -472,7 +437,11 @@ impl<'a> Restorer<'a> {
                     count,
                     stride,
                 } => {
-                    self.decode_run(slot, elem_base + offset, kind, count, stride)?;
+                    let (arch, bytes) = self.space.slot_bytes_mut(slot)?;
+                    let kernel = Kernel::select(arch, kind, stride, self.mode);
+                    let at = elem_base + offset;
+                    decode_run(arch, bytes, slot, at, kernel, count, &mut self.dec)?;
+                    self.stats.scalars_decoded += count;
                 }
                 PlanOp::PointerSlot { offset, .. } => {
                     let ptr = self.decode_pointer(&mut stack)?;
@@ -480,32 +449,6 @@ impl<'a> Restorer<'a> {
                 }
             }
         }
-        Ok(())
-    }
-
-    fn decode_run(
-        &mut self,
-        slot: BlockSlot,
-        offset: u64,
-        kind: CScalar,
-        count: u64,
-        stride: u64,
-    ) -> Result<(), CoreError> {
-        let (arch, bytes) = self.space.slot_bytes_mut(slot)?;
-        let size = arch.scalar_size(kind);
-        if self.mode == TranslationMode::Bulk && same_wire_format(arch, kind) && stride == size {
-            let len = count * size;
-            let raw = self.dec.take(len as usize)?;
-            span_mut(bytes, slot, offset, len)?.copy_from_slice(raw);
-        } else {
-            for k in 0..count {
-                let v = get_scalar_xdr(&mut self.dec, kind)?;
-                self.native.clear();
-                arch.encode_scalar(kind, v, &mut self.native);
-                span_mut(bytes, slot, offset + k * stride, size)?.copy_from_slice(&self.native);
-            }
-        }
-        self.stats.scalars_decoded += count;
         Ok(())
     }
 
@@ -573,8 +516,12 @@ impl<'a> Restorer<'a> {
                             expected: fp,
                             found: 0,
                         })?;
+                        let plan = self.space.plan_ref(ty)?;
+                        let (need, size) = (plan.min_wire_bytes.checked_mul(count), plan.size);
+                        self.dec.check_room(id, count, need)?;
                         let addr = self.space.malloc(ty, count)?;
-                        let size = self.space.layout_of(ty)?.size * count;
+                        // `malloc` held the product to the heap segment.
+                        let size = size * count;
                         self.msrlt.register_at(id, addr, size, ty, count);
                         self.stats.blocks_allocated += 1;
                         self.tracer
@@ -596,7 +543,6 @@ impl<'a> Restorer<'a> {
         ty: TypeId,
         count: u64,
     ) -> Result<(), CoreError> {
-        self.stats.blocks_restored += 1;
         self.tracer
             .instant_args("restore.block", &[("count", count as f64)]);
         let plan = self.space.plan_ref(ty)?;
@@ -605,7 +551,9 @@ impl<'a> Restorer<'a> {
             // now so the parent cursor resumes at the right offset.
             let plan = Arc::clone(plan);
             let (slot, base) = self.space.slot_of(addr)?;
-            return self.decode_block_bulk(slot, base, &plan, count);
+            self.decode_flat_block(slot, base, &plan, count)?;
+            self.stats.blocks_restored += 1;
+            return Ok(());
         }
         // The one address translation this block costs.
         stack.push(Cursor::new(self.space, addr, ty, count)?);
@@ -619,17 +567,29 @@ fn get_id(dec: &mut Dec<'_>) -> Result<LogicalId, CoreError> {
     Ok(LogicalId { group, index })
 }
 
-/// Decode one scalar from its machine-independent XDR form.
-fn get_scalar_xdr(dec: &mut Dec<'_>, kind: CScalar) -> Result<ScalarValue, CoreError> {
-    Ok(match kind.xdr_form() {
-        XdrForm::Int => ScalarValue::Int(dec.get_i32()? as i64),
-        XdrForm::UInt => ScalarValue::Uint(dec.get_u32()? as u64),
-        XdrForm::Hyper => ScalarValue::Int(dec.get_i64()?),
-        XdrForm::UHyper => ScalarValue::Uint(dec.get_u64()?),
-        XdrForm::Float => ScalarValue::F32(dec.get_f32()?),
-        XdrForm::Double => ScalarValue::F64(dec.get_f64()?),
-        XdrForm::LogicalPointer => unreachable!("pointers use PTR_* tags"),
-    })
+/// Fill `count` scalars, the first at byte `offset` of the block behind
+/// `slot`, from the stream through the decode kernel, a
+/// [`BULK_SLICE`](crate::kernel::BULK_SLICE) of payload at a time.
+fn decode_run(
+    arch: &Architecture,
+    bytes: &mut [u8],
+    slot: BlockSlot,
+    offset: u64,
+    kernel: Kernel,
+    count: u64,
+    dec: &mut Dec<'_>,
+) -> Result<(), CoreError> {
+    let dst = span_mut(bytes, slot, offset, kernel.native_span(count))?;
+    let mut done = 0u64;
+    while done < count {
+        let n = (count - done).min(kernel.slice_scalars());
+        let wire = dec.take(kernel.wire_len(n) as usize)?;
+        let from = (done * kernel.stride()) as usize;
+        let slice = &mut dst[from..from + kernel.native_span(n) as usize];
+        kernel.decode(arch, wire, slice);
+        done += n;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

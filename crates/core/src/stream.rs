@@ -233,15 +233,21 @@ impl ChunkPayload {
         }
     }
 
+    /// Pull chunks until `n` bytes are buffered or the source runs dry;
+    /// the bytes buffered then.
+    pub(crate) fn buffer_up_to(&mut self, n: usize) -> Result<usize, CoreError> {
+        while self.buffered_remaining() < n && self.pull()? {}
+        Ok(self.buffered_remaining())
+    }
+
     fn ensure(&mut self, n: usize) -> Result<(), CoreError> {
-        while self.buffered_remaining() < n {
-            if !self.pull()? {
-                return Err(CoreError::TruncatedChunk {
-                    chunk: self.next_idx,
-                    needed: n,
-                    available: self.buffered_remaining(),
-                });
-            }
+        let available = self.buffer_up_to(n)?;
+        if available < n {
+            return Err(CoreError::TruncatedChunk {
+                chunk: self.next_idx,
+                needed: n,
+                available,
+            });
         }
         Ok(())
     }

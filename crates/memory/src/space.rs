@@ -414,7 +414,15 @@ impl AddressSpace {
     /// Allocate `count` elements of `ty` on the heap (C `malloc`).
     pub fn malloc(&mut self, ty: TypeId, count: u64) -> Result<u64, MemError> {
         let l = self.layout_of(ty)?;
-        let size = (l.size * count).max(1);
+        // `count` may come off the wire (the restorer allocates what a
+        // stream announces): a product that wraps must not shrink into a
+        // block the caller then writes past.
+        let size = l
+            .size
+            .checked_mul(count)
+            .filter(|&s| s <= self.arch.segments.heap.size)
+            .ok_or(MemError::OutOfMemory(SegmentKind::Heap))?
+            .max(1);
         let align = l.align.max(1);
         self.stats.mallocs += 1;
         self.stats.heap_bytes_allocated += size;
@@ -783,6 +791,23 @@ mod tests {
 
     fn space() -> AddressSpace {
         AddressSpace::new(Architecture::sparc20())
+    }
+
+    #[test]
+    fn malloc_refuses_a_count_whose_byte_size_wraps_or_exceeds_the_heap() {
+        for arch in Architecture::presets() {
+            let mut s = AddressSpace::new(arch);
+            let d = s.types_mut().double();
+            // 8 * 2^61 wraps to 0, which used to allocate a 1-byte block.
+            for count in [1u64 << 61, u64::MAX, 1 << 40] {
+                assert_eq!(
+                    s.malloc(d, count),
+                    Err(MemError::OutOfMemory(SegmentKind::Heap))
+                );
+            }
+            assert_eq!(s.stats().mallocs, 0);
+            assert_eq!(s.block_count(), 0);
+        }
     }
 
     #[test]

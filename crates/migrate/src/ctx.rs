@@ -89,11 +89,11 @@ pub struct PendingFrame {
 }
 
 /// Where a resuming process's memory-state payload comes from.
-enum PayloadSource {
+enum PayloadSource<'p> {
     /// The complete payload arrived up front (monolithic image).
     Whole {
-        /// Memory-state payload.
-        payload: Vec<u8>,
+        /// Memory-state payload, still inside the image it arrived in.
+        payload: &'p [u8],
         /// Consumed prefix of `payload`.
         pos: usize,
     },
@@ -102,11 +102,11 @@ enum PayloadSource {
     Chunked(ChunkPayload),
 }
 
-struct ResumeState {
+struct ResumeState<'p> {
     /// Outermost-first recorded frames.
     frames: Vec<FrameState>,
     /// Memory-state payload source.
-    source: PayloadSource,
+    source: PayloadSource<'p>,
     /// Index of the shallowest frame already restored; `frames.len()`
     /// when none is. Restoration consumes frames innermost-first.
     restored_down_to: usize,
@@ -118,16 +118,16 @@ struct ResumeState {
     restore_time: Duration,
 }
 
-enum Mode {
+enum Mode<'p> {
     Run,
     Unwind(Vec<PendingFrame>),
-    Resume(Box<ResumeState>),
+    Resume(Box<ResumeState<'p>>),
 }
 
 /// The migration context threaded through annotated code.
 pub struct MigCtx<'p> {
     proc: &'p mut Process,
-    mode: Mode,
+    mode: Mode<'p>,
     func_stack: Vec<String>,
     /// Set when the final `restore_frame` completes: (stats, wall time).
     finished_restore: Option<(RestoreStats, Duration)>,
@@ -175,8 +175,11 @@ impl<'p> MigCtx<'p> {
     ///
     /// Reserves the source's heap-index high-water mark so blocks
     /// allocated by resumed execution never collide with ids still
-    /// referenced by un-restored outer-frame sections.
-    pub fn new_resume(proc: &'p mut Process, exec: ExecutionState, payload: Vec<u8>) -> Self {
+    /// referenced by un-restored outer-frame sections. `payload` is the
+    /// image's memory-state section where it lies (see
+    /// [`unframe_image`](hpm_core::image::unframe_image)); restoration
+    /// reads it in place.
+    pub fn new_resume(proc: &'p mut Process, exec: ExecutionState, payload: &'p [u8]) -> Self {
         Self::resume_with_source(proc, exec, PayloadSource::Whole { payload, pos: 0 })
     }
 
@@ -195,7 +198,7 @@ impl<'p> MigCtx<'p> {
     fn resume_with_source(
         proc: &'p mut Process,
         exec: ExecutionState,
-        source: PayloadSource,
+        source: PayloadSource<'p>,
     ) -> Self {
         proc.msrlt.reserve_heap_indices(exec.heap_high_water);
         let n = exec.frames.len();
@@ -495,15 +498,27 @@ pub fn collect_pending_traced(
     tracer: &Tracer,
 ) -> Result<(Vec<u8>, ExecutionState, CollectStats), MigError> {
     let exec = pending_exec_state(proc, pending);
-    let mut collector =
-        Collector::new(&mut proc.space, &mut proc.msrlt).with_tracer(tracer.clone());
+    let (payload, stats) = collect_onto(proc, pending, tracer, &[])?;
+    Ok((payload, exec, stats))
+}
+
+/// One monolithic collection session whose output starts with `prefix`:
+/// given an image prefix, the result is the framed image, built in place.
+pub(crate) fn collect_onto(
+    proc: &mut Process,
+    pending: &[PendingFrame],
+    tracer: &Tracer,
+    prefix: &[u8],
+) -> Result<(Vec<u8>, CollectStats), MigError> {
+    let mut collector = Collector::new(&mut proc.space, &mut proc.msrlt)
+        .with_tracer(tracer.clone())
+        .with_prefix(prefix);
     for frame in pending {
         for &addr in &frame.live {
             collector.save_variable(addr).map_err(MigError::from)?;
         }
     }
-    let (payload, stats) = collector.finish();
-    Ok((payload, exec, stats))
+    Ok(collector.finish())
 }
 
 /// The execution state the recorded frames will ship — computable before

@@ -6,14 +6,14 @@
 //! time") — plus every §4.2 instrumentation counter.
 
 use crate::ctx::{
-    collect_pending, collect_pending_streamed, collect_pending_streamed_flight,
-    collect_pending_traced, pending_exec_state, MigCtx, MigratableProgram, PendingFrame,
+    collect_onto, collect_pending, collect_pending_streamed, collect_pending_streamed_flight,
+    pending_exec_state, MigCtx, MigratableProgram, PendingFrame,
 };
 use crate::exec::ExecutionState;
 use crate::process::{Process, Trigger};
 use crate::{Flow, MigError};
 use hpm_arch::Architecture;
-use hpm_core::image::{frame_image, frame_image_prefix, unframe_image, ImageHeader};
+use hpm_core::image::{frame_image_prefix, unframe_image, ImageHeader};
 use hpm_core::{
     audit_registry, ChunkPayload, ChunkSource, CollectStats, CoreError, MsrltStats,
     RegistryAuditStats, RegistryFinding, ReplaySource, RestoreStats, IMAGE_VERSION,
@@ -161,6 +161,20 @@ fn image_header(proc: &Process) -> ImageHeader {
     }
 }
 
+/// Collect the recorded frames straight into a framed migration image.
+/// The collector's encoder starts from the image prefix, so the payload
+/// is never copied into place behind its header.
+pub(crate) fn collect_framed(
+    proc: &mut Process,
+    pending: &[PendingFrame],
+    tracer: &Tracer,
+) -> Result<(Vec<u8>, ExecutionState, CollectStats), MigError> {
+    let exec = pending_exec_state(proc, pending);
+    let prefix = frame_image_prefix(&image_header(proc), &exec.encode());
+    let (image, stats) = collect_onto(proc, pending, tracer, &prefix)?;
+    Ok((image, exec, stats))
+}
+
 /// Shared driver preamble: run `prog` on `proc` until its trigger fires,
 /// returning the frozen process and the recorded unwind frames.
 fn run_to_parts<'p, P: MigratableProgram>(
@@ -256,9 +270,8 @@ impl MigratedSource {
 
     /// Frame a complete migration image from a fresh collection.
     pub fn to_image(&mut self) -> Result<Vec<u8>, MigError> {
-        let (payload, exec, _) = self.collect()?;
-        let header = image_header(&self.proc);
-        Ok(frame_image(&header, &exec.encode(), &payload))
+        let (image, ..) = collect_framed(&mut self.proc, &self.pending, &Tracer::disabled())?;
+        Ok(image)
     }
 
     /// The same migration image as [`MigratedSource::to_image`], but as
@@ -350,10 +363,8 @@ pub fn collect_image_traced(
     let audit = require_clean_registry(proc)?;
     proc.msrlt.reset_stats();
     let t0 = Instant::now();
-    let (payload, exec, stats) = collect_pending_traced(proc, &pending, tracer)?;
+    let (image, exec, stats) = collect_framed(proc, &pending, tracer)?;
     let collect_time = t0.elapsed();
-    let header = image_header(proc);
-    let image = frame_image(&header, &exec.encode(), &payload);
     Ok((image, collect_time, stats, exec, audit))
 }
 
@@ -388,7 +399,7 @@ pub fn resume_from_image_traced<P: MigratableProgram>(
             program.name()
         )));
     }
-    let exec = ExecutionState::decode(&exec_bytes)?;
+    let exec = ExecutionState::decode(exec_bytes)?;
     let mut proc = Process::new(program.name(), arch);
     proc.space.reserve_heap_bytes(header.registered_bytes);
     program.setup(&mut proc)?;
@@ -804,7 +815,7 @@ pub fn run_migrating_pipelined_recorded<P: MigratableProgram + Send>(
                         dst_prog.name()
                     )));
                 }
-                let exec = ExecutionState::decode(&exec_bytes)?;
+                let exec = ExecutionState::decode(exec_bytes)?;
                 let mut proc = Process::new(dst_prog.name(), dst_arch);
                 proc.space.reserve_heap_bytes(header.registered_bytes);
                 dst_prog.setup(&mut proc)?;
@@ -815,7 +826,7 @@ pub fn run_migrating_pipelined_recorded<P: MigratableProgram + Send>(
                         decode_lat: dst_decode_lat,
                         last_return: None,
                     }),
-                    leftover,
+                    leftover.to_vec(),
                 );
                 let mut ctx = MigCtx::new_resume_streaming(&mut proc, exec, chunks);
                 ctx.set_flight(restore_track);
@@ -1414,7 +1425,7 @@ fn resilient_attempt<P: MigratableProgram + Send>(
                     dst_prog.name()
                 )));
             }
-            let exec = ExecutionState::decode(&exec_bytes)?;
+            let exec = ExecutionState::decode(exec_bytes)?;
             let mut proc = Process::new(dst_prog.name(), dst_arch);
             proc.space.reserve_heap_bytes(header.registered_bytes);
             dst_prog.setup(&mut proc)?;
@@ -1429,7 +1440,7 @@ fn resilient_attempt<P: MigratableProgram + Send>(
             } else {
                 Box::new(ReplaySource::new(replay, live))
             };
-            let chunks = ChunkPayload::with_initial(source, leftover);
+            let chunks = ChunkPayload::with_initial(source, leftover.to_vec());
             let mut ctx = MigCtx::new_resume_streaming(&mut proc, exec, chunks);
             ctx.set_flight(restore_track);
             match dst_prog.run(&mut ctx)? {
@@ -1796,10 +1807,9 @@ pub fn run_migrating_resilient_recorded<P: MigratableProgram + Send>(
                 // collect locally and resume on the source architecture,
                 // discarding whatever the destination half-built.
                 let t_collect = Instant::now();
-                let (payload, exec, collect_stats) = collect_pending(&mut src, &pending)?;
+                let (image, _, collect_stats) =
+                    collect_framed(&mut src, &pending, &Tracer::disabled())?;
                 let collect_time = t_collect.elapsed();
-                let header = image_header(&src);
-                let image = frame_image(&header, &exec.encode(), &payload);
                 let mut resumed = make();
                 let (results, local, restore_stats, restore_time) =
                     resume_from_image(&mut resumed, src_arch, &image)?;

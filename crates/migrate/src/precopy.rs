@@ -78,7 +78,7 @@ pub fn resume_to_migration<P: MigratableProgram>(
             program.name()
         )));
     }
-    let exec = ExecutionState::decode(&exec_bytes)?;
+    let exec = ExecutionState::decode(exec_bytes)?;
     let mut proc = Process::new(program.name(), arch);
     proc.space.reserve_heap_bytes(header.registered_bytes);
     proc.set_trigger(trigger);

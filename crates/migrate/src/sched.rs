@@ -16,13 +16,13 @@
 //! component of network process migration" from which schedulers can be
 //! composed.
 
-use crate::ctx::{collect_pending, MigCtx, MigratableProgram};
+use crate::ctx::{MigCtx, MigratableProgram};
+use crate::driver::collect_framed;
 use crate::exec::ExecutionState;
 use crate::process::{Process, Trigger};
 use crate::{Flow, MigError};
 use hpm_arch::Architecture;
-use hpm_core::image::{frame_image, unframe_image, ImageHeader};
-use hpm_core::IMAGE_VERSION;
+use hpm_core::image::unframe_image;
 use hpm_net::NetworkModel;
 use hpm_obs::{StatField, StatGroup, Tracer};
 use std::time::Duration;
@@ -210,7 +210,7 @@ impl Scheduler {
                 if header.program != prog.name() {
                     return Err(MigError::Protocol("job image/program mismatch".into()));
                 }
-                let exec = ExecutionState::decode(&exec_bytes)?;
+                let exec = ExecutionState::decode(exec_bytes)?;
                 let mut proc = Process::new(prog.name(), arch.clone());
                 proc.space.reserve_heap_bytes(header.registered_bytes);
                 proc.set_trigger(Trigger::AtLeastPollCount(quantum));
@@ -234,15 +234,8 @@ impl Scheduler {
 
     fn checkpoint(ctx: MigCtx<'_>) -> Result<Vec<u8>, MigError> {
         let (proc, pending) = ctx.into_parts()?;
-        let (payload, exec, _) = collect_pending(proc, &pending)?;
-        let header = ImageHeader {
-            version: IMAGE_VERSION,
-            source_arch: proc.space.arch().name.to_string(),
-            source_pointer_size: proc.space.arch().pointer_size as u32,
-            program: proc.program().to_string(),
-            registered_bytes: proc.msrlt.registered_bytes(),
-        };
-        Ok(frame_image(&header, &exec.encode(), &payload))
+        let (image, ..) = collect_framed(proc, &pending, &Tracer::disabled())?;
+        Ok(image)
     }
 
     /// One scheduling epoch: every machine runs one slice of each of its

@@ -72,6 +72,11 @@ pub struct SavePlan {
     pub size: u64,
     /// Whether the plan contains any pointer slots.
     pub has_pointers: bool,
+    /// Fewest bytes one value can take in the machine-independent
+    /// stream: every scalar at its XDR width, every pointer a bare NULL
+    /// tag. A receiver bounds a block's element count by it before
+    /// allocating.
+    pub min_wire_bytes: u64,
     /// `op_first_leaf[k]` is the ordinal of the first leaf `ops[k]`
     /// covers. Leaves are laid out in increasing byte offset, so `ops` is
     /// sorted by both first ordinal and first offset and the two leaf
@@ -180,6 +185,13 @@ pub fn compile_plan(
     let has_pointers = ops
         .iter()
         .any(|op| matches!(op, PlanOp::PointerSlot { .. }));
+    let min_wire_bytes = ops
+        .iter()
+        .map(|op| match op {
+            PlanOp::ScalarRun { kind, count, .. } => count * kind.xdr_form().min_wire_bytes(),
+            PlanOp::PointerSlot { .. } => CScalar::Ptr.xdr_form().min_wire_bytes(),
+        })
+        .sum();
     let mut next_leaf = 0u64;
     let op_first_leaf = ops
         .iter()
@@ -194,6 +206,7 @@ pub fn compile_plan(
         leaf_count,
         size,
         has_pointers,
+        min_wire_bytes,
         op_first_leaf,
     })
 }

@@ -87,12 +87,7 @@ impl<'a> XdrDecoder<'a> {
 
     /// Fixed-length opaque data of known length `n` (plus padding).
     pub fn get_opaque_fixed(&mut self, n: usize) -> Result<Vec<u8>, XdrError> {
-        let total = padded_len(n);
-        let raw = self.take(total)?;
-        if raw[n..].iter().any(|&b| b != 0) {
-            return Err(XdrError::NonZeroPadding);
-        }
-        Ok(raw[..n].to_vec())
+        self.get_opaque_fixed_ref(n).map(<[u8]>::to_vec)
     }
 
     /// Borrowing variant of [`XdrDecoder::get_opaque_fixed`]; avoids the
@@ -108,11 +103,17 @@ impl<'a> XdrDecoder<'a> {
 
     /// Variable-length opaque data: reads the length prefix.
     pub fn get_opaque_var(&mut self) -> Result<Vec<u8>, XdrError> {
+        self.get_opaque_var_ref().map(<[u8]>::to_vec)
+    }
+
+    /// Borrowing variant of [`XdrDecoder::get_opaque_var`]: the section
+    /// stays where it arrived (a migration image's exec-state section).
+    pub fn get_opaque_var_ref(&mut self) -> Result<&'a [u8], XdrError> {
         let n = self.get_u32()?;
         if n > MAX_VAR_LEN {
             return Err(XdrError::LengthTooLarge(n));
         }
-        self.get_opaque_fixed(n as usize)
+        self.get_opaque_fixed_ref(n as usize)
     }
 
     /// Take every remaining byte as a raw view, leaving the decoder

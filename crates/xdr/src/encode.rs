@@ -81,6 +81,21 @@ impl XdrEncoder {
         self.put_u32(v as u32);
     }
 
+    /// Make room for `additional` more bytes without reallocating.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
+    /// Append `n` zero bytes — `n` a whole number of 4-byte XDR units —
+    /// and hand them back for the caller to fill in place (a translation
+    /// kernel writing a run of scalars without a length check each).
+    pub fn put_zeroed(&mut self, n: usize) -> &mut [u8] {
+        debug_assert_eq!(n % 4, 0, "XDR items are whole 4-byte units");
+        let at = self.buf.len();
+        self.buf.resize(at + n, 0);
+        &mut self.buf[at..]
+    }
+
     /// Fixed-length opaque data, zero-padded to a 4-byte boundary.
     /// The length is *not* written; the peer must know it.
     pub fn put_opaque_fixed(&mut self, data: &[u8]) {

@@ -126,12 +126,12 @@ fn lost_chunk_is_reported_with_its_index() {
 
     let (header, exec_bytes, leftover) = unframe_image(&prefix).unwrap();
     assert_eq!(header.program, "test_pointer");
-    let exec = ExecutionState::decode(&exec_bytes).unwrap();
+    let exec = ExecutionState::decode(exec_bytes).unwrap();
 
     let mut dst_prog = TestPointer::new();
     let mut proc = Process::new(dst_prog.name(), Architecture::sparc20());
     dst_prog.setup(&mut proc).unwrap();
-    let cp = ChunkPayload::with_initial(Box::new(VecChunks::new(chunks)), leftover);
+    let cp = ChunkPayload::with_initial(Box::new(VecChunks::new(chunks)), leftover.to_vec());
     let mut ctx = MigCtx::new_resume_streaming(&mut proc, exec, cp);
     let err = dst_prog.run(&mut ctx).unwrap_err();
     match err {

@@ -82,10 +82,10 @@ fn streaming_resume<P: MigratableProgram>(
             dst_prog.name()
         )));
     }
-    let exec = ExecutionState::decode(&exec_bytes)?;
+    let exec = ExecutionState::decode(exec_bytes)?;
     let mut proc = Process::new(dst_prog.name(), arch);
     dst_prog.setup(&mut proc)?;
-    let chunks = ChunkPayload::with_initial(rest, leftover);
+    let chunks = ChunkPayload::with_initial(rest, leftover.to_vec());
     let mut ctx = MigCtx::new_resume_streaming(&mut proc, exec, chunks);
     match dst_prog.run(&mut ctx)? {
         Flow::Done => Ok(()),
@@ -481,5 +481,181 @@ fn long_width_conversion_sound() {
         let dn = dst.load_ptr(droot).unwrap();
         let dt = dst.elem_addr(dn, 0).unwrap();
         assert_eq!(dst.load_int(dt).unwrap(), v as i64);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Hostile element counts and truncation inside a translation-kernel run.
+// ---------------------------------------------------------------------
+
+/// Stream tag of a pointer whose target block follows inline (the
+/// stream grammar in `hpm::core::collect`).
+const TAG_PTR_NEW: u32 = 5;
+
+/// The two ways a restorer reads a payload: a complete slice, or chunks
+/// pulled from a source.
+fn restore_both_ways(
+    payload: &[u8],
+    chunking: usize,
+    make_dst: impl Fn() -> (AddressSpace, Msrlt),
+    mut check: impl FnMut(&str, &AddressSpace, Result<(), CoreError>, u64),
+    restore: impl Fn(&mut Restorer<'_>) -> Result<(), CoreError>,
+) {
+    let (mut dst, mut lt) = make_dst();
+    let mut r = Restorer::new(&mut dst, &mut lt, payload);
+    let got = restore(&mut r);
+    let restored = r.take_stats().blocks_restored;
+    check("slice", &dst, got, restored);
+
+    let (mut dst, mut lt) = make_dst();
+    let chunks = payload.chunks(chunking).map(<[u8]>::to_vec).collect();
+    let mut cp = ChunkPayload::new(Box::new(VecChunks::new(chunks)));
+    let mut r = Restorer::from_chunks(&mut dst, &mut lt, &mut cp);
+    let got = restore(&mut r);
+    let restored = r.take_stats().blocks_restored;
+    check("pull", &dst, got, restored);
+}
+
+/// A `PTR_NEW` whose element count is hostile must be refused with a
+/// typed error naming the block, before anything is allocated for it:
+/// 2^61 doubles wrap the byte size to zero, `u64::MAX` overflows a
+/// capacity, 2^40 and 2^31 ask for terabytes and gigabytes a few dozen
+/// payload bytes cannot contain.
+#[test]
+fn hostile_block_counts_are_refused_before_allocation() {
+    for arch in Architecture::presets() {
+        for count in [1u64 << 31, 1 << 40, 1 << 61, u64::MAX] {
+            for tail in [0usize, 256] {
+                let make_dst = || {
+                    let mut space = AddressSpace::new(arch.clone());
+                    space.types_mut().double();
+                    (space, Msrlt::new())
+                };
+                let (mut probe, _) = make_dst();
+                let double = probe.types_mut().double();
+                let mut enc = hpm::xdr::XdrEncoder::new();
+                enc.put_u32(TAG_PTR_NEW);
+                enc.put_u32(1); // heap group
+                enc.put_u32(7);
+                enc.put_u64(0); // leaf ordinal
+                enc.put_u64(hpm::core::type_fingerprint(probe.types(), double));
+                enc.put_u64(count);
+                let mut payload = enc.into_bytes();
+                // Some honest-looking data behind the header changes
+                // nothing: it is still nowhere near `count` doubles.
+                payload.resize(payload.len() + tail, 0);
+
+                restore_both_ways(
+                    &payload,
+                    16,
+                    make_dst,
+                    |way, dst, got, restored| {
+                        let what = format!("{} {way} count {count:#x} tail {tail}", arch.name);
+                        match got {
+                            Err(CoreError::BlockExceedsPayload { id, count: c, .. }) => {
+                                assert_eq!((id.group, id.index, c), (1, 7, count), "{what}");
+                            }
+                            other => panic!("{what}: expected BlockExceedsPayload, got {other:?}"),
+                        }
+                        let stats = dst.stats();
+                        assert_eq!(
+                            (stats.mallocs, stats.heap_bytes_allocated, restored),
+                            (0, 0, 0),
+                            "{what}: nothing may be allocated for a refused block"
+                        );
+                    },
+                    |r| r.restore_pointer().map(|_| ()),
+                );
+            }
+        }
+    }
+}
+
+/// `struct inner { int i; char c; }` nested in
+/// `struct padded { struct inner a; char d; }`: `c` and `d` are one run of
+/// two chars four bytes apart — a strided run — on every preset.
+fn padded_type(space: &mut AddressSpace) -> hpm::types::TypeId {
+    let (int, ch) = (space.types_mut().int(), space.types_mut().char_());
+    let inner = space
+        .types_mut()
+        .struct_type("inner", vec![Field::new("i", int), Field::new("c", ch)])
+        .unwrap();
+    space
+        .types_mut()
+        .struct_type("padded", vec![Field::new("a", inner), Field::new("d", ch)])
+        .unwrap()
+}
+
+/// A payload cut in the middle of a run the kernel decodes in one piece
+/// — a dense little-endian `double` block, and a strided `char` run —
+/// fails with the decoder's own truncation error (the chunk named, when
+/// pulled), and the block it was filling is not counted as restored.
+#[test]
+fn truncation_inside_a_kernel_run_is_reported_not_restored() {
+    const ELEMS: u64 = 100;
+    // Payload layout: VAR_NEW(4) id(8) fp(8) count(8), then contents.
+    const HEADER: usize = 28;
+    type Build = fn(&mut AddressSpace) -> hpm::types::TypeId;
+    let cases: [(&str, Build, usize); 2] = [
+        // Mid-scalar inside the one dense run.
+        ("dense", |s| s.types_mut().double(), HEADER + 8 * 40 + 4),
+        // Element 30: its int, then one of the strided run's two chars.
+        ("strided", padded_type, HEADER + 12 * 30 + 4 + 4),
+    ];
+    for (name, build, cut) in cases {
+        let program = |arch: Architecture| {
+            let mut space = AddressSpace::new(arch);
+            let ty = build(&mut space);
+            let g = space.define_global("g", ty, ELEMS).unwrap();
+            let mut lt = Msrlt::new();
+            lt.register(&space.info_at(g).unwrap());
+            (space, lt, g, ty)
+        };
+        let (mut src, mut src_lt, g, ty) = program(Architecture::sparc20());
+        if name == "strided" {
+            let plan = src.plan_for(ty).unwrap();
+            assert!(
+                plan.ops.iter().any(|op| matches!(
+                    op,
+                    hpm::types::plan::PlanOp::ScalarRun {
+                        count: 2,
+                        stride: 4,
+                        ..
+                    }
+                )),
+                "{:?}",
+                plan.ops
+            );
+        }
+        let mut c = Collector::new(&mut src, &mut src_lt);
+        c.save_variable(g).unwrap();
+        let (payload, _) = c.finish();
+        assert!(cut < payload.len());
+
+        // A little-endian destination: neither run is a plain copy there.
+        let (.., dst_g, _) = program(Architecture::x86_64_sim());
+        let chunking = 64;
+        restore_both_ways(
+            &payload[..cut],
+            chunking,
+            || {
+                let (space, lt, ..) = program(Architecture::x86_64_sim());
+                (space, lt)
+            },
+            |way, _, got, restored| {
+                match (way, got) {
+                    ("slice", Err(CoreError::Xdr(hpm::xdr::XdrError::UnexpectedEof { .. }))) => {}
+                    ("pull", Err(CoreError::TruncatedChunk { chunk, .. })) => {
+                        assert_eq!(chunk as usize, cut.div_ceil(chunking), "{name}");
+                    }
+                    (way, other) => panic!("{name} {way}: wrong truncation error {other:?}"),
+                }
+                assert_eq!(
+                    restored, 0,
+                    "{name} {way}: a half-filled block is not restored"
+                );
+            },
+            |r| r.restore_variable(dst_g),
+        );
     }
 }

@@ -1,14 +1,30 @@
-//! Property sweep for the bulk same-format translation fast path.
+//! Property sweep for the run-granular translation kernels.
 //!
-//! The wire format is fixed XDR, so bulk copying is a pure encoder/
-//! decoder optimization: across **every** architecture preset pair, the
-//! bulk path must produce a payload bit-identical to the per-element
-//! XDR path, and both restorer modes must rebuild identical memory.
+//! The wire format is fixed XDR, so which kernel arm converts a run —
+//! copy, byte-swap, widen/narrow, strided, or the per-element reference —
+//! is a private choice of each side. Across **every** architecture preset
+//! pair and both [`TranslationMode`]s on each side independently, the
+//! payload must be bit-identical, the restored memory must be identical,
+//! and a streamed collection must concatenate to the monolithic payload.
+//!
+//! The program covers the kernel's whole selection table: dense arrays of
+//! all twelve non-pointer scalar kinds at lengths around every loop
+//! boundary (empty, shorter than a vector, one slice ± 1), an array of
+//! padded structs (strided runs), a pointer-bearing heap list (runs inside
+//! DFS cursors), and extreme values that only survive a bit-exact
+//! conversion.
 
-use hpm::arch::Architecture;
+use hpm::arch::{Architecture, CScalar, ScalarValue};
 use hpm::core::{Collector, Msrlt, Restorer, TranslationMode};
 use hpm::memory::AddressSpace;
-use hpm::types::Field;
+use hpm::types::plan::PlanOp;
+use hpm::types::{Field, TypeId};
+
+const MODES: [TranslationMode; 2] = [TranslationMode::Bulk, TranslationMode::PerElement];
+
+/// The kernels take a long run through in slices of this many wire bytes
+/// (`hpm_core`'s `BULK_SLICE`); array lengths straddle it.
+const BULK_SLICE: u64 = 1 << 20;
 
 fn presets() -> [Architecture; 4] {
     [
@@ -19,17 +35,155 @@ fn presets() -> [Architecture; 4] {
     ]
 }
 
-/// Build "the same program image" on `arch`: every scalar family plus
-/// pointers, arrays, and a short heap list, with deterministic values.
-/// Returns (space, msrlt, roots-in-save-order).
-fn program(arch: Architecture) -> (AddressSpace, Msrlt, Vec<u64>) {
-    let mut space = AddressSpace::new(arch);
+fn scalar_kinds() -> impl Iterator<Item = CScalar> {
+    CScalar::ALL.into_iter().filter(|&k| k != CScalar::Ptr)
+}
+
+/// Element counts of the dense arrays of `kind`.
+fn lengths(kind: CScalar) -> [u64; 7] {
+    let per_slice = BULK_SLICE / kind.xdr_form().min_wire_bytes();
+    [0, 1, 2, 3, 7, per_slice - 1, per_slice + 1]
+}
+
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e3779b97f4a7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+    z ^ (z >> 31)
+}
+
+/// Element `k` of a dense array: every bit pattern an `int`-or-narrower
+/// kind can hold, 32-bit patterns for the kinds whose width varies (so
+/// the same program state exists on ILP32 and LP64), arbitrary bits —
+/// NaNs of both kinds included — for the floats.
+fn element(kind: CScalar, seed: &mut u64) -> ScalarValue {
+    let raw = splitmix(seed);
+    match kind {
+        CScalar::Float => ScalarValue::F32(f32::from_bits(raw as u32)),
+        CScalar::Double => ScalarValue::F64(f64::from_bits(raw)),
+        k if k.is_signed() => ScalarValue::Int(raw as i32 as i64),
+        _ => ScalarValue::Uint(raw as u32 as u64),
+    }
+}
+
+/// `struct inner { int i; char c; }` inside
+/// `struct padded { struct inner a; char d; double w; }`: `c` and `d` form
+/// one run of two chars four bytes apart.
+fn padded_type(space: &mut AddressSpace) -> TypeId {
+    let t = space.types_mut();
+    let (int, ch, dbl) = (t.int(), t.char_(), t.double());
+    let inner = t
+        .struct_type("inner", vec![Field::new("i", int), Field::new("c", ch)])
+        .unwrap();
+    t.struct_type(
+        "padded",
+        vec![
+            Field::new("a", inner),
+            Field::new("d", ch),
+            Field::new("w", dbl),
+        ],
+    )
+    .unwrap()
+}
+
+/// One side's copy of "the same program image".
+struct Image {
+    space: AddressSpace,
+    msrlt: Msrlt,
+    /// Blocks in save order whose values every preset can hold.
+    roots: Vec<u64>,
+    /// Blocks of extreme values, saved after `roots`: `unsigned long`
+    /// holds `u64::MAX` only where `long` is 8 bytes wide.
+    extremes: Vec<u64>,
+}
+
+/// Which of an image's blocks a session saves or restores.
+#[derive(Clone, Copy)]
+enum Which {
+    Portable,
+    Extremes,
+    All,
+}
+
+impl Image {
+    fn blocks(&self, which: Which) -> Vec<u64> {
+        match which {
+            Which::Portable => self.roots.clone(),
+            Which::Extremes => self.extremes.clone(),
+            Which::All => [&self.roots[..], &self.extremes[..]].concat(),
+        }
+    }
+}
+
+/// Build the program on `arch`; with `fill`, give every scalar its
+/// deterministic value and build the heap list, otherwise leave the
+/// destination-side image before restoration: same types, same blocks,
+/// zeroed, no list.
+fn program(arch: Architecture, fill: bool) -> Image {
+    let mut space = AddressSpace::new(arch.clone());
+    let mut roots = Vec::new();
+    // Every block in creation order. Logical ids follow registration
+    // order, and heap addresses order differently from preset to preset
+    // (alignment holes get reused), so blocks register in this order.
+    let mut created = Vec::new();
+
+    // Dense arrays of every kind: heap blocks saved as variables, so the
+    // empty ones are legal roots too.
+    let mut seed = 0x5EED_0001u64;
+    let mut native = Vec::new();
+    for kind in scalar_kinds() {
+        let ty = space.types_mut().scalar(kind);
+        for len in lengths(kind) {
+            let block = space.malloc(ty, len).unwrap();
+            if fill {
+                native.clear();
+                for _ in 0..len {
+                    arch.encode_scalar(kind, element(kind, &mut seed), &mut native);
+                }
+                space.write_bytes(block, &native).unwrap();
+            }
+            roots.push(block);
+        }
+    }
+
+    // The same dense runs declared as array *types* (one element, many
+    // leaves), as globals.
+    let (int, dbl, ch) = {
+        let t = space.types_mut();
+        (t.int(), t.double(), t.char_())
+    };
+    let ivec = space.define_global("ivec", int, 40).unwrap();
+    let dmat_ty = space.types_mut().array_of(dbl, 25);
+    let dmat = space.define_global("dmat", dmat_ty, 1).unwrap();
+    let text = space.define_global("text", ch, 12).unwrap();
+
+    // Padded structs: strided runs, in a pointer-free block.
+    let padded = padded_type(&mut space);
+    let plan = space.plan_for(padded).unwrap();
+    assert!(
+        plan.ops.iter().any(|op| matches!(
+            op,
+            PlanOp::ScalarRun {
+                count: 2,
+                stride: 4,
+                ..
+            }
+        )),
+        "padded must compile to a strided run: {:?}",
+        plan.ops
+    );
+    let pads = space.define_global("pads", padded, 33).unwrap();
+
+    // A heap list whose nodes mix every width with a pointer: runs inside
+    // a DFS cursor. head → n0 → n1 → n2 → NULL.
     let node = space.types_mut().declare_struct("node");
     let pnode = space.types_mut().pointer_to(node);
-    let int = space.types_mut().int();
-    let dbl = space.types_mut().double();
-    let flt = space.types_mut().float();
-    let ch = space.types_mut().char_();
+    let (flt, short, long) = {
+        let t = space.types_mut();
+        (t.float(), t.scalar(CScalar::Short), t.scalar(CScalar::Long))
+    };
+    let name = space.types_mut().array_of(ch, 5);
     space
         .types_mut()
         .define_struct(
@@ -38,155 +192,279 @@ fn program(arch: Architecture) -> (AddressSpace, Msrlt, Vec<u64>) {
                 Field::new("d", dbl),
                 Field::new("f", flt),
                 Field::new("i", int),
-                Field::new("c", ch),
+                Field::new("name", name),
+                Field::new("s", short),
+                Field::new("l", long),
                 Field::new("next", pnode),
             ],
         )
         .unwrap();
-
-    let ivec = space.define_global("ivec", int, 40).unwrap();
-    let dmat = space.define_global("dmat", dbl, 25).unwrap();
-    let text = space.define_global("text", ch, 12).unwrap();
     let head = space.define_global("head", pnode, 1).unwrap();
-    for k in 0..40 {
-        let a = space.elem_addr(ivec, k).unwrap();
-        space.store_int(a, (k as i64) * 7 - 100).unwrap();
-    }
-    for k in 0..25 {
-        let a = space.elem_addr(dmat, k).unwrap();
-        space.store_f64(a, 0.5 + k as f64 * 1.25).unwrap();
-    }
-    for k in 0..12 {
-        let a = space.elem_addr(text, k).unwrap();
-        space.store_int(a, 32 + k as i64).unwrap();
-    }
-    // head → n0 → n1 → n2 → NULL
-    let mut prev = 0u64;
-    let mut first = 0u64;
-    for k in 0..3 {
-        let n = space.malloc(node, 1).unwrap();
-        let d = space.elem_addr(n, 0).unwrap();
-        space.store_f64(d, k as f64 + 0.125).unwrap();
-        let f = space.elem_addr(n, 1).unwrap();
-        space.store_f64(f, k as f64 * 2.5).unwrap();
-        let i = space.elem_addr(n, 2).unwrap();
-        space.store_int(i, 1000 + k as i64).unwrap();
-        let c = space.elem_addr(n, 3).unwrap();
-        space.store_int(c, 65 + k as i64).unwrap();
-        if prev != 0 {
-            let next = space.elem_addr(prev, 4).unwrap();
-            space.store_ptr(next, n).unwrap();
-        } else {
-            first = n;
+
+    // Extremes.
+    let ulong = space.types_mut().scalar(CScalar::ULong);
+    let x_int = space.define_global("x_int", int, 2).unwrap();
+    let x_char = space.define_global("x_char", ch, 3).unwrap();
+    let x_ulong = space.define_global("x_ulong", ulong, 2).unwrap();
+    let x_float = space.define_global("x_float", flt, 2).unwrap();
+    let x_double = space.define_global("x_double", dbl, 2).unwrap();
+    let extremes = vec![x_int, x_char, x_ulong, x_float, x_double];
+    roots.extend([ivec, dmat, text, pads, head]);
+    created.extend(roots.iter().chain(&extremes));
+
+    if fill {
+        let store = |space: &mut AddressSpace, block: u64, leaf: u64, v: ScalarValue| {
+            let at = space.elem_addr(block, leaf).unwrap();
+            space.store_scalar(at, v).unwrap();
+        };
+        for k in 0..40 {
+            store(&mut space, ivec, k, ScalarValue::Int(k as i64 * 7 - 100));
         }
-        prev = n;
+        for k in 0..25 {
+            store(&mut space, dmat, k, ScalarValue::F64(0.5 + k as f64 * 1.25));
+        }
+        for k in 0..12 {
+            store(&mut space, text, k, ScalarValue::Int(32 + k as i64));
+        }
+        for e in 0..33u64 {
+            // Leaves of one element: i, c, d, w.
+            store(
+                &mut space,
+                pads,
+                e * 4,
+                ScalarValue::Int(-(e as i64) * 1001),
+            );
+            store(&mut space, pads, e * 4 + 1, ScalarValue::Int(e as i64 - 16));
+            store(&mut space, pads, e * 4 + 2, ScalarValue::Int(-(e as i64)));
+            store(
+                &mut space,
+                pads,
+                e * 4 + 3,
+                ScalarValue::F64(e as f64 / 3.0),
+            );
+        }
+        let mut prev = 0u64;
+        for k in 0..3i64 {
+            let n = space.malloc(node, 1).unwrap();
+            store(&mut space, n, 0, ScalarValue::F64(k as f64 + 0.125));
+            store(&mut space, n, 1, ScalarValue::F32(k as f32 * 2.5));
+            store(&mut space, n, 2, ScalarValue::Int(1000 + k));
+            for c in 0..5 {
+                store(&mut space, n, 3 + c, ScalarValue::Int(65 + k + c as i64));
+            }
+            store(&mut space, n, 8, ScalarValue::Int(-300 - k));
+            store(&mut space, n, 9, ScalarValue::Int(-70_000 * (k + 1)));
+            let link = if prev == 0 {
+                head
+            } else {
+                space.elem_addr(prev, 10).unwrap()
+            };
+            space.store_ptr(link, n).unwrap();
+            created.push(n);
+            prev = n;
+        }
+        store(&mut space, x_int, 0, ScalarValue::Int(i32::MIN as i64));
+        store(&mut space, x_int, 1, ScalarValue::Int(i32::MAX as i64));
+        store(&mut space, x_char, 0, ScalarValue::Int(-1));
+        store(&mut space, x_char, 1, ScalarValue::Int(i8::MIN as i64));
+        store(&mut space, x_char, 2, ScalarValue::Int(i8::MAX as i64));
+        store(&mut space, x_ulong, 0, ScalarValue::Uint(u64::MAX));
+        store(&mut space, x_ulong, 1, ScalarValue::Uint(1 << 31));
+        // Signalling NaNs: a conversion through a wider float quiets them.
+        for (k, bits) in [0x7FA0_0001u32, 0xFFA0_0001].into_iter().enumerate() {
+            store(
+                &mut space,
+                x_float,
+                k as u64,
+                ScalarValue::F32(f32::from_bits(bits)),
+            );
+        }
+        for (k, bits) in [0x7FF4_0000_0000_0001u64, 0xFFF4_0000_0000_0001]
+            .into_iter()
+            .enumerate()
+        {
+            store(
+                &mut space,
+                x_double,
+                k as u64,
+                ScalarValue::F64(f64::from_bits(bits)),
+            );
+        }
     }
-    space.store_ptr(head, first).unwrap();
 
     let mut msrlt = Msrlt::new();
-    for info in space.block_infos() {
-        msrlt.register(&info);
+    for addr in created {
+        msrlt.register(&space.info_at(addr).unwrap());
     }
-    (space, msrlt, vec![ivec, dmat, text, head])
+    Image {
+        space,
+        msrlt,
+        roots,
+        extremes,
+    }
 }
 
-fn collect_with(
-    space: &mut AddressSpace,
-    msrlt: &mut Msrlt,
-    roots: &[u64],
-    mode: TranslationMode,
-) -> Vec<u8> {
-    let mut c = Collector::new(space, msrlt).with_translation(mode);
-    for &r in roots {
+fn collect(img: &mut Image, which: Which, mode: TranslationMode) -> Vec<u8> {
+    let roots = img.blocks(which);
+    let mut c = Collector::new(&mut img.space, &mut img.msrlt).with_translation(mode);
+    for r in roots {
         c.save_variable(r).unwrap();
     }
     c.finish().0
 }
 
+/// The same collection through a sink cutting at `chunk_bytes`.
+fn collect_streamed(img: &mut Image, mode: TranslationMode, chunk_bytes: usize) -> Vec<Vec<u8>> {
+    let roots = img.blocks(Which::All);
+    let mut chunks = Vec::new();
+    let mut c = Collector::new(&mut img.space, &mut img.msrlt)
+        .with_translation(mode)
+        .with_sink(
+            chunk_bytes,
+            Box::new(|chunk| {
+                chunks.push(chunk);
+                Ok(())
+            }),
+        );
+    for &r in &roots {
+        c.save_variable(r).unwrap();
+    }
+    let (tail, stats) = c.finish();
+    assert!(tail.is_empty());
+    assert_eq!(stats.chunks_flushed as usize, chunks.len());
+    chunks
+}
+
+/// Native bytes of the chosen blocks, in order.
+fn memory(img: &Image, which: Which) -> Vec<Vec<u8>> {
+    img.blocks(which)
+        .iter()
+        .map(|&r| {
+            let size = img.space.info_at(r).unwrap().size;
+            img.space.read_bytes(r, size).unwrap().to_vec()
+        })
+        .collect()
+}
+
 #[test]
 fn bulk_payload_is_bit_identical_on_every_preset() {
+    let mut portable = Vec::new();
     for arch in presets() {
-        let (mut space, mut msrlt, roots) = program(arch.clone());
-        let bulk = collect_with(&mut space, &mut msrlt, &roots, TranslationMode::Bulk);
-        let per = collect_with(&mut space, &mut msrlt, &roots, TranslationMode::PerElement);
-        assert_eq!(
-            bulk, per,
+        let mut img = program(arch.clone(), true);
+        let bulk = collect(&mut img, Which::All, TranslationMode::Bulk);
+        let per = collect(&mut img, Which::All, TranslationMode::PerElement);
+        assert!(
+            bulk == per,
             "bulk and per-element payloads diverge on {}",
             arch.name
         );
+        for chunk_bytes in [64, 32 * 1024] {
+            let chunks = collect_streamed(&mut img, TranslationMode::Bulk, chunk_bytes);
+            assert!(chunks.len() > 1);
+            assert!(chunks.iter().all(|c| c.len() % 4 == 0));
+            assert!(
+                chunks.concat() == bulk,
+                "chunks of {chunk_bytes} on {} do not concatenate to the payload",
+                arch.name
+            );
+        }
+        portable.push(collect(&mut img, Which::Portable, TranslationMode::Bulk));
     }
+    // Where every preset can hold the program's values, the payload does
+    // not say which machine wrote it.
+    assert!(portable.iter().all(|p| *p == portable[0]));
+}
+
+/// Restore `payload` into a fresh destination-side image: zeroed blocks
+/// and no list, exactly like a real resume.
+fn restore(arch: &Architecture, which: Which, payload: &[u8], mode: TranslationMode) -> Image {
+    let mut dst = program(arch.clone(), false);
+    let blocks = dst.blocks(which);
+    let mut r = Restorer::new(&mut dst.space, &mut dst.msrlt, payload).with_translation(mode);
+    for b in blocks {
+        r.restore_variable(b).unwrap();
+    }
+    r.finish().unwrap();
+    dst
 }
 
 #[test]
 fn both_restorer_modes_agree_on_every_preset_pair() {
+    // The bulk of the program is one payload whatever machine collected
+    // it (asserted above), so each destination decodes it once per mode;
+    // the extremes differ by source and go through all 16 pairs.
+    let payload = collect(
+        &mut program(Architecture::dec5000(), true),
+        Which::Portable,
+        TranslationMode::Bulk,
+    );
+    for dst_arch in presets() {
+        // What the program holds when it runs on the destination itself.
+        let mut native = program(dst_arch.clone(), true);
+        let want = memory(&native, Which::Portable);
+        let want_canon = collect(&mut native, Which::Portable, TranslationMode::Bulk);
+        drop(native);
+        for mode in MODES {
+            let mut dst = restore(&dst_arch, Which::Portable, &payload, mode);
+            assert!(
+                memory(&dst, Which::Portable) == want,
+                "restore {mode:?} on {} differs from the native image",
+                dst_arch.name
+            );
+            // The heap list lives at other addresses; compare it in
+            // canonical form.
+            let canon = collect(&mut dst, Which::Portable, TranslationMode::Bulk);
+            assert!(canon == want_canon, "restore {mode:?} on {}", dst_arch.name);
+        }
+    }
     for src_arch in presets() {
-        let (mut src, mut src_lt, roots) = program(src_arch.clone());
-        let payload = collect_with(&mut src, &mut src_lt, &roots, TranslationMode::Bulk);
+        let mut src = program(src_arch.clone(), true);
+        let payload = collect(&mut src, Which::Extremes, TranslationMode::Bulk);
         for dst_arch in presets() {
-            let mut rebuilt = Vec::new();
-            for mode in [TranslationMode::Bulk, TranslationMode::PerElement] {
-                let (mut dst, mut dst_lt, droots) = program(dst_arch.clone());
-                // Fresh image: the receiving side starts with zeroed
-                // globals and no heap, exactly like a real resume.
-                let (mut blank, mut blank_lt, broots) = blank_program(dst_arch.clone());
-                let mut r =
-                    Restorer::new(&mut blank, &mut blank_lt, &payload).with_translation(mode);
-                for &b in &broots {
-                    r.restore_variable(b).unwrap();
-                }
-                r.finish().unwrap();
-                // Canonical comparison: re-collect the restored space
-                // per-element and check it against the seeded original.
-                let canon = collect_with(
-                    &mut blank,
-                    &mut blank_lt,
-                    &broots,
-                    TranslationMode::PerElement,
-                );
-                let want =
-                    collect_with(&mut dst, &mut dst_lt, &droots, TranslationMode::PerElement);
-                assert_eq!(
-                    canon, want,
-                    "restore {:?} on {} from {} lost data",
-                    mode, dst_arch.name, src_arch.name
-                );
-                rebuilt.push(canon);
-            }
-            assert_eq!(rebuilt[0], rebuilt[1]);
+            let pair = format!("{} → {}", src_arch.name, dst_arch.name);
+            let images = MODES.map(|mode| {
+                let mut dst = restore(&dst_arch, Which::Extremes, &payload, mode);
+                check_extremes(&mut dst, &pair);
+                memory(&dst, Which::Extremes)
+            });
+            assert!(images[0] == images[1], "restorer modes disagree, {pair}");
         }
     }
 }
 
-/// Same types and globals as [`program`], but no values and no heap —
-/// the destination-side image before restoration.
-fn blank_program(arch: Architecture) -> (AddressSpace, Msrlt, Vec<u64>) {
-    let mut space = AddressSpace::new(arch);
-    let node = space.types_mut().declare_struct("node");
-    let pnode = space.types_mut().pointer_to(node);
-    let int = space.types_mut().int();
-    let dbl = space.types_mut().double();
-    let flt = space.types_mut().float();
-    let ch = space.types_mut().char_();
-    space
-        .types_mut()
-        .define_struct(
-            node,
-            vec![
-                Field::new("d", dbl),
-                Field::new("f", flt),
-                Field::new("i", int),
-                Field::new("c", ch),
-                Field::new("next", pnode),
-            ],
-        )
-        .unwrap();
-    let ivec = space.define_global("ivec", int, 40).unwrap();
-    let dmat = space.define_global("dmat", dbl, 25).unwrap();
-    let text = space.define_global("text", ch, 12).unwrap();
-    let head = space.define_global("head", pnode, 1).unwrap();
-    let mut msrlt = Msrlt::new();
-    for info in space.block_infos() {
-        msrlt.register(&info);
+/// The extreme values after a restore, read back through the execution
+/// path's own loads.
+fn check_extremes(dst: &mut Image, pair: &str) {
+    let [x_int, x_char, x_ulong, x_float, x_double] = dst.extremes[..] else {
+        unreachable!()
+    };
+    let mut load = |block: u64, leaf: u64| {
+        let at = dst.space.elem_addr(block, leaf).unwrap();
+        dst.space.load_scalar(at).unwrap()
+    };
+    assert_eq!(load(x_int, 0), ScalarValue::Int(i32::MIN as i64), "{pair}");
+    assert_eq!(load(x_int, 1), ScalarValue::Int(i32::MAX as i64), "{pair}");
+    assert_eq!(load(x_char, 0), ScalarValue::Int(-1), "{pair}");
+    assert_eq!(load(x_char, 1), ScalarValue::Int(i8::MIN as i64), "{pair}");
+    assert_eq!(load(x_char, 2), ScalarValue::Int(i8::MAX as i64), "{pair}");
+    // LP64 → LP64 keeps all 64 bits; any ILP32 end leaves the low 32.
+    let both_lp64 = pair.matches("LP64").count() == 2;
+    let max = if both_lp64 { u64::MAX } else { u32::MAX as u64 };
+    assert_eq!(load(x_ulong, 0), ScalarValue::Uint(max), "{pair}");
+    assert_eq!(load(x_ulong, 1), ScalarValue::Uint(1 << 31), "{pair}");
+    for (k, bits) in [0x7FA0_0001u32, 0xFFA0_0001].into_iter().enumerate() {
+        match load(x_float, k as u64) {
+            ScalarValue::F32(f) => assert_eq!(f.to_bits(), bits, "{pair}"),
+            other => panic!("{pair}: {other:?}"),
+        }
     }
-    (space, msrlt, vec![ivec, dmat, text, head])
+    for (k, bits) in [0x7FF4_0000_0000_0001u64, 0xFFF4_0000_0000_0001]
+        .into_iter()
+        .enumerate()
+    {
+        match load(x_double, k as u64) {
+            ScalarValue::F64(f) => assert_eq!(f.to_bits(), bits, "{pair}"),
+            other => panic!("{pair}: {other:?}"),
+        }
+    }
 }
