@@ -18,7 +18,7 @@
 //!   varargs, function pointers, address arithmetic escaping the MSR
 //!   model);
 //! * [`sema`] — symbol/type resolution onto the `hpm-types` TI table;
-//! * [`cfg`] / [`liveness`] — statement-level control-flow graph and the
+//! * [`mod@cfg`] / [`liveness`] — statement-level control-flow graph and the
 //!   backward live-variable dataflow analysis;
 //! * [`annotate`] — poll-point selection (function entries and loop
 //!   headers) and annotated-source emission, the paper's source-to-source

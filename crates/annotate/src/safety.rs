@@ -1,6 +1,6 @@
 //! Migration-unsafe feature detection.
 //!
-//! The paper (§1): "Smith and Hutchinson [5] have identified the
+//! The paper (§1): "Smith and Hutchinson \[5\] have identified the
 //! migration-unsafe features of the C language. With the help of a
 //! compiler, most of the migration-unsafe features can be detected and
 //! avoided." This pass is that screen for mini-C. Some constructs are

@@ -22,10 +22,9 @@ pub mod harness;
 use hpm_arch::Architecture;
 use hpm_core::{Collector, SearchStrategy, TranslationMode};
 use hpm_migrate::{
-    resume_from_image, run_migrating, run_migrating_pipelined, run_migrating_precopy,
-    run_migrating_recorded, run_migrating_resilient, run_migrating_traced, run_straight,
-    run_to_migration, FallbackPolicy, MigratedSource, MigrationRun, PipelineConfig, PrecopyConfig,
-    RecoveryPolicy, Trigger,
+    migrate, resume_from_image, run_migrating, run_migrating_resilient, run_straight,
+    run_to_migration, FallbackPolicy, MigratedSource, Migration, MigrationRun, PipelineConfig,
+    PrecopyConfig, RecoveryPolicy, Transport, Trigger,
 };
 use hpm_net::{FaultPlan, NetworkModel};
 use hpm_obs::{FlightRecorder, Tracer};
@@ -426,14 +425,16 @@ pub fn overhead_rows() -> Vec<OverheadRow> {
         let mut polls = 0;
         for _ in 0..3 {
             let t0 = Instant::now();
-            let run = run_migrating_recorded(
+            let run = migrate(
                 move || Linpack::truncated(n, 4),
                 Architecture::ultra5(),
                 Architecture::ultra5(),
                 NetworkModel::ethernet_100(),
                 Trigger::AtPollCount(2),
-                &Tracer::disabled(),
-                &recorder,
+                &Migration {
+                    recorder: Some(&recorder),
+                    ..Migration::new(Transport::Whole)
+                },
             )
             .expect("linpack migrates under the recorder ablation");
             wall = wall.min(t0.elapsed());
@@ -499,13 +500,16 @@ pub fn overhead_rows() -> Vec<OverheadRow> {
 /// [`hpm_obs::chrome_trace_json`].
 pub fn traced_test_pointer_run() -> MigrationRun {
     let tracer = Tracer::new();
-    run_migrating_traced(
+    migrate(
         TestPointer::new,
         Architecture::dec5000(),
         Architecture::sparc20(),
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(8),
-        &tracer,
+        &Migration {
+            tracer: &tracer,
+            ..Migration::new(Transport::Whole)
+        },
     )
     .expect("test_pointer migrates")
 }
@@ -717,8 +721,8 @@ fn wire_row<P: hpm_migrate::MigratableProgram + Send>(
         ..Default::default()
     }
     .compressed();
-    let comp =
-        run_migrating_pipelined(make, arch.clone(), arch, link, trigger, config).expect("v3 run");
+    let policy = Migration::new(Transport::Streamed(config));
+    let comp = migrate(make, arch.clone(), arch, link, trigger, &policy).expect("v3 run");
     let t = &comp.report.transfer;
     WireRow {
         label: label.to_string(),
@@ -863,16 +867,19 @@ fn delta_row(
     cfg: PrecopyConfig,
     expected: &[(String, String)],
 ) -> DeltaRow {
-    let run = run_migrating_precopy(
+    let run = migrate(
         || BitonicSort::new(n),
         src.clone(),
         dst.clone(),
         NetworkModel::ethernet_100(),
         Trigger::AtPollCount(n / 4),
-        cfg,
+        &Migration {
+            precopy: Some(cfg),
+            ..Migration::new(Transport::Whole)
+        },
     )
     .expect("pre-copy migration");
-    let s = &run.stats;
+    let s = run.report.precopy.as_ref().expect("pre-copy stats");
     DeltaRow {
         label: label.to_string(),
         src: arch_tag(src).to_string(),
@@ -927,7 +934,6 @@ pub fn delta_rows() -> Vec<DeltaRow> {
             max_rounds: 3,
             dirty_threshold: 0.01,
             tamper_base_at_round: Some(1),
-            ..PrecopyConfig::default()
         },
         &expected,
     ));
@@ -1021,18 +1027,18 @@ pub fn pipeline_rows() -> Vec<PipelineRow> {
             Trigger::AtPollCount(n),
         )
         .expect("monolithic bitonic migrates");
-        let run = run_migrating_pipelined(
+        let run = migrate(
             move || BitonicSort::new(n),
             Architecture::ultra5(),
             Architecture::ultra5(),
             link,
             Trigger::AtPollCount(n),
-            PipelineConfig::default(),
+            &Migration::new(Transport::Streamed(PipelineConfig::default())),
         )
         .expect("pipelined bitonic migrates");
         let p = run
             .report
-            .pipeline
+            .pipeline()
             .expect("pipelined run carries pipeline stats");
         rows.push(PipelineRow {
             label: format!("bitonic {n}"),
@@ -1132,7 +1138,7 @@ pub fn fault_rate_rows(seed_count: u64) -> Vec<FaultRateRow> {
                 "fault sweep seed {:#x}: wrong answer",
                 plan.seed
             );
-            let r = run.report.recovery.expect("resilient runs carry stats");
+            let r = run.report.recovery().expect("resilient runs carry stats");
             fallbacks += r.fallback_taken as u64;
             faults += r.faults_injected;
             retransmits += r.retransmits;
@@ -1195,7 +1201,7 @@ pub fn fault_seed_rows(seeds: &[u64]) -> Vec<FaultSeedRow> {
                 diff_results(&expect, &run.results).is_none(),
                 "fault soak seed {seed:#x}: wrong answer"
             );
-            let r = run.report.recovery.expect("resilient runs carry stats");
+            let r = run.report.recovery().expect("resilient runs carry stats");
             FaultSeedRow {
                 seed,
                 pressure_per_mille: plan.pressure_per_mille(),
@@ -1287,7 +1293,7 @@ fn resume_sweep<P: hpm_migrate::MigratableProgram + Send>(
     .expect("clean resilient run");
     let total = clean
         .report
-        .pipeline
+        .pipeline()
         .expect("a fault-free run completes its pipeline")
         .chunks;
     [1u64, 2, 3]
@@ -1311,7 +1317,7 @@ fn resume_sweep<P: hpm_migrate::MigratableProgram + Send>(
             .expect("crashed resilient run terminates");
             let resume = run
                 .report
-                .resume
+                .resume()
                 .expect("resilient runs carry resume stats");
             let shipped = resume.bytes_saved + resume.bytes_retransferred;
             ResumeRow {
@@ -1525,9 +1531,9 @@ pub fn telemetry_rows() -> Vec<TelemetryRow> {
         .map(|(label, run)| {
             let p = run
                 .report
-                .pipeline
+                .pipeline()
                 .expect("telemetry seeds complete without fallback");
-            let r = run.report.recovery.expect("resilient runs carry stats");
+            let r = run.report.recovery().expect("resilient runs carry stats");
             let w = run.report.transfer.wire_lat;
             TelemetryRow {
                 label: label.to_string(),

@@ -19,9 +19,11 @@
 //! * the heap allocator reuses freed space, so address order is not
 //!   allocation order.
 //!
-//! The [`AddressSpace`] owns the process's [`TypeTable`] (each executable
-//! carries its own copy of the TI table) and an [`ElementModel`] memoizing
-//! layout queries for its architecture.
+//! The [`AddressSpace`] owns the process's
+//! [`TypeTable`](hpm_types::TypeTable) (each executable carries its own
+//! copy of the TI table) and an
+//! [`ElementModel`](hpm_types::elements::ElementModel) memoizing layout
+//! queries for its architecture.
 
 mod block;
 mod space;

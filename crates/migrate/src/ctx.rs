@@ -129,14 +129,8 @@ pub struct MigCtx<'p> {
     proc: &'p mut Process,
     mode: Mode<'p>,
     func_stack: Vec<String>,
-    /// Set when the final `restore_frame` completes: (stats, wall time).
-    finished_restore: Option<(RestoreStats, Duration)>,
-    /// Time spent blocked waiting on the chunk source (streamed resumes).
-    finished_stall: Duration,
-    /// Chunks pulled from the source during restoration (streamed resumes).
-    finished_chunks: u64,
-    /// Instant the final `restore_frame` completed.
-    finished_at: Option<Instant>,
+    /// Set when the final `restore_frame` completes.
+    finished_restore: Option<RestoreTotals>,
     tracer: Tracer,
     /// Flight-recorder track attached to every [`Restorer`] this context
     /// creates (post-mortem restore progress); `None` is free.
@@ -151,9 +145,6 @@ impl<'p> MigCtx<'p> {
             mode: Mode::Run,
             func_stack: Vec::new(),
             finished_restore: None,
-            finished_stall: Duration::ZERO,
-            finished_chunks: 0,
-            finished_at: None,
             tracer: Tracer::disabled(),
             flight: None,
         }
@@ -201,25 +192,16 @@ impl<'p> MigCtx<'p> {
         source: PayloadSource<'p>,
     ) -> Self {
         proc.msrlt.reserve_heap_indices(exec.heap_high_water);
-        let n = exec.frames.len();
-        MigCtx {
-            proc,
-            mode: Mode::Resume(Box::new(ResumeState {
-                frames: exec.frames,
-                source,
-                restored_down_to: n,
-                entered: 0,
-                stats: RestoreStats::default(),
-                restore_time: Duration::ZERO,
-            })),
-            func_stack: Vec::new(),
-            finished_restore: None,
-            finished_stall: Duration::ZERO,
-            finished_chunks: 0,
-            finished_at: None,
-            tracer: Tracer::disabled(),
-            flight: None,
-        }
+        let mut ctx = Self::new_run(proc);
+        ctx.mode = Mode::Resume(Box::new(ResumeState {
+            restored_down_to: exec.frames.len(),
+            frames: exec.frames,
+            source,
+            entered: 0,
+            stats: RestoreStats::default(),
+            restore_time: Duration::ZERO,
+        }));
+        ctx
     }
 
     /// The underlying process (workload computation goes through this).
@@ -404,25 +386,19 @@ impl<'p> MigCtx<'p> {
         r.restore_time += t0.elapsed();
         r.restored_down_to -= 1;
         if r.restored_down_to == 0 {
-            let stats = r.stats;
-            let time = r.restore_time;
-            let (stall, chunks) = match &r.source {
-                PayloadSource::Chunked(cp) => (cp.stall_time(), cp.chunks_pulled()),
-                PayloadSource::Whole { .. } => (Duration::ZERO, 0),
-            };
+            // Preserve totals for the engine.
+            self.finished_restore = Some(RestoreTotals {
+                stats: r.stats,
+                time: r.restore_time,
+                stall: match &r.source {
+                    PayloadSource::Chunked(cp) => cp.stall_time(),
+                    PayloadSource::Whole { .. } => Duration::ZERO,
+                },
+                done_at: Some(Instant::now()),
+            });
             self.mode = Mode::Run;
-            // Preserve totals for the driver.
-            self.finished_restore = Some((stats, time));
-            self.finished_stall = stall;
-            self.finished_chunks = chunks;
-            self.finished_at = Some(Instant::now());
         }
         Ok(())
-    }
-
-    /// Whether the context is currently resuming (restoration pending).
-    pub fn is_resuming(&self) -> bool {
-        matches!(self.mode, Mode::Resume(_))
     }
 
     /// Whether the *current* frame is the next one that must call
@@ -446,39 +422,26 @@ impl<'p> MigCtx<'p> {
         }
     }
 
-    /// Split into the borrowed process and the recorded frames — the
-    /// collection driver needs both at once.
-    pub fn into_parts(self) -> Result<(&'p mut Process, Vec<PendingFrame>), MigError> {
-        match self.mode {
-            Mode::Unwind(frames) => Ok((self.proc, frames)),
-            _ => Err(MigError::Protocol(
-                "program did not unwind for migration".into(),
-            )),
-        }
-    }
-
     /// Restoration totals once every frame has been restored.
-    pub fn restore_totals(&self) -> Option<(RestoreStats, Duration)> {
+    pub fn restore_totals(&self) -> Option<RestoreTotals> {
         self.finished_restore
     }
+}
 
-    /// Time restoration spent blocked waiting for chunks to arrive
-    /// (zero for monolithic resumes, or before restoration completes).
-    pub fn restore_stall(&self) -> Duration {
-        self.finished_stall
-    }
-
-    /// Chunks pulled from the stream during restoration (zero for
-    /// monolithic resumes).
-    pub fn restore_chunks(&self) -> u64 {
-        self.finished_chunks
-    }
-
-    /// Instant the final `restore_frame` completed — the pipeline's
-    /// end-to-end endpoint (resumed computation continues after it).
-    pub fn restore_completed_at(&self) -> Option<Instant> {
-        self.finished_at
-    }
+/// What restoring a whole call chain cost, frame by frame summed.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RestoreTotals {
+    /// Restoration counters.
+    pub stats: RestoreStats,
+    /// Wall time inside `restore_frame`, stall included.
+    pub time: Duration,
+    /// Portion of `time` spent blocked waiting for chunks to arrive
+    /// (zero when the payload arrived whole).
+    pub stall: Duration,
+    /// Instant the final `restore_frame` completed — a streamed
+    /// migration's end-to-end endpoint (resumed computation continues
+    /// after it). `None` for a run that never resumed.
+    pub done_at: Option<Instant>,
 }
 
 /// Collect the recorded frames into a memory-state payload plus the
@@ -487,43 +450,43 @@ pub fn collect_pending(
     proc: &mut Process,
     pending: &[PendingFrame],
 ) -> Result<(Vec<u8>, ExecutionState, CollectStats), MigError> {
-    collect_pending_traced(proc, pending, &Tracer::disabled())
-}
-
-/// [`collect_pending`] with a tracer attached to the [`Collector`]: the
-/// DFS emits `msrlt.search` spans and `collect.block` instants.
-pub fn collect_pending_traced(
-    proc: &mut Process,
-    pending: &[PendingFrame],
-    tracer: &Tracer,
-) -> Result<(Vec<u8>, ExecutionState, CollectStats), MigError> {
     let exec = pending_exec_state(proc, pending);
-    let (payload, stats) = collect_onto(proc, pending, tracer, &[])?;
+    let (payload, stats) = collect_onto(proc, pending, &Tracer::disabled(), &[])?;
     Ok((payload, exec, stats))
 }
 
-/// One monolithic collection session whose output starts with `prefix`:
+/// One whole-buffer collection session whose output starts with `prefix`:
 /// given an image prefix, the result is the framed image, built in place.
+/// With an enabled `tracer` the DFS emits `msrlt.search` spans and
+/// `collect.block` instants.
 pub(crate) fn collect_onto(
     proc: &mut Process,
     pending: &[PendingFrame],
     tracer: &Tracer,
     prefix: &[u8],
 ) -> Result<(Vec<u8>, CollectStats), MigError> {
-    let mut collector = Collector::new(&mut proc.space, &mut proc.msrlt)
+    let collector = Collector::new(&mut proc.space, &mut proc.msrlt)
         .with_tracer(tracer.clone())
         .with_prefix(prefix);
+    Ok(save_pending(collector, pending)?.finish())
+}
+
+/// Save every live variable of the recorded frames, innermost first.
+fn save_pending<'a>(
+    mut collector: Collector<'a>,
+    pending: &[PendingFrame],
+) -> Result<Collector<'a>, MigError> {
     for frame in pending {
         for &addr in &frame.live {
-            collector.save_variable(addr).map_err(MigError::from)?;
+            collector.save_variable(addr)?;
         }
     }
-    Ok(collector.finish())
+    Ok(collector)
 }
 
 /// The execution state the recorded frames will ship — computable before
-/// collection runs, which is what lets the pipelined path send the image
-/// prefix while `Save_pointer` is still traversing.
+/// collection runs, which is what lets a streamed transport send the
+/// image prefix while `Save_pointer` is still traversing.
 pub fn pending_exec_state(proc: &Process, pending: &[PendingFrame]) -> ExecutionState {
     ExecutionState {
         frames: pending
@@ -539,42 +502,24 @@ pub fn pending_exec_state(proc: &Process, pending: &[PendingFrame]) -> Execution
     }
 }
 
-/// [`collect_pending_traced`], but the payload leaves through `sink` in
-/// `chunk_bytes`-sized chunks as the DFS produces it, instead of
+/// [`collect_pending`]'s payload, but leaving through `sink` in
+/// `chunk_bytes`-sized chunks as the DFS produces it instead of
 /// accumulating in memory. Concatenating the chunks yields exactly the
-/// monolithic payload.
+/// whole-buffer payload. With a `flight` track on the collector, every
+/// flushed chunk leaves a `chunk.flush` event.
 pub fn collect_pending_streamed<'a>(
     proc: &'a mut Process,
     pending: &[PendingFrame],
     chunk_bytes: usize,
     tracer: &Tracer,
     sink: ChunkSink<'a>,
-) -> Result<(ExecutionState, CollectStats), MigError> {
-    collect_pending_streamed_flight(proc, pending, chunk_bytes, tracer, sink, None)
-}
-
-/// [`collect_pending_streamed`] with an optional flight-recorder track
-/// on the collector: every flushed chunk leaves a `chunk.flush` event.
-pub fn collect_pending_streamed_flight<'a>(
-    proc: &'a mut Process,
-    pending: &[PendingFrame],
-    chunk_bytes: usize,
-    tracer: &Tracer,
-    sink: ChunkSink<'a>,
     flight: Option<hpm_obs::FlightTrack>,
-) -> Result<(ExecutionState, CollectStats), MigError> {
-    let exec = pending_exec_state(proc, pending);
+) -> Result<CollectStats, MigError> {
     let mut collector = Collector::new(&mut proc.space, &mut proc.msrlt)
         .with_tracer(tracer.clone())
         .with_sink(chunk_bytes, sink);
     if let Some(t) = flight {
         collector = collector.with_flight(t);
     }
-    for frame in pending {
-        for &addr in &frame.live {
-            collector.save_variable(addr).map_err(MigError::from)?;
-        }
-    }
-    let (_, stats) = collector.finish();
-    Ok((exec, stats))
+    Ok(save_pending(collector, pending)?.finish().1)
 }

@@ -19,10 +19,20 @@
 //!   `poll`/`save_frame`/`resume_point`/`restore_frame`/`leave` — the
 //!   expansion of the paper's inserted macros;
 //! * [`MigratableProgram`] — the shape of a transformed program;
-//! * [`driver`] — single-process-pair migration driver producing a
-//!   [`MigrationReport`] with the paper's Collect / Tx / Restore split;
-//! * [`cluster`] — a two-machine scheduler running source and destination
-//!   as real threads connected by an `hpm-net` channel.
+//! * [`migrate`] — the one migration engine ([`engine`]): it takes a
+//!   [`Migration`] policy (a [`Transport`], optional pre-copy rounds, a
+//!   tracer, a flight recorder) and produces a [`MigrationReport`] with
+//!   the paper's Collect / Tx / Restore split. [`run_migrating`] and
+//!   [`run_migrating_resilient`] are its two named policies;
+//! * [`driver`] — the two ends as building blocks: freeze a source
+//!   ([`run_to_migration`], [`MigratedSource`]) and resume a destination
+//!   from an image ([`resume_from_image`], [`resume_to_migration`]);
+//! * `wire` (private) — the single transfer attempt every path ships
+//!   through, the only place threads are spawned; [`precopy`] — the
+//!   pre-copy rounds as a loop around it; [`report`] — what a migration
+//!   measured;
+//! * [`sched`] — a checkpointing scheduler composed from the same two
+//!   ends.
 //!
 //! ## Restoration ordering (faithful to §3.2)
 //!
@@ -36,33 +46,37 @@
 //! reserves those indices — new allocations never collide with ids still
 //! referenced by un-restored sections.
 
-pub mod cluster;
 pub mod ctx;
 pub mod driver;
+pub mod engine;
 pub mod exec;
 pub mod precopy;
 pub mod process;
+pub mod report;
 pub mod sched;
+#[cfg(test)]
+mod testprog;
+mod wire;
 
-pub use cluster::{ClusterReport, TwoMachineCluster};
 pub use ctx::{
-    collect_pending, collect_pending_streamed, collect_pending_streamed_flight,
-    collect_pending_traced, pending_exec_state, Flow, MigCtx, MigratableProgram, PendingFrame,
+    collect_pending, collect_pending_streamed, pending_exec_state, Flow, MigCtx, MigratableProgram,
+    PendingFrame,
 };
 pub use driver::{
-    collect_image, collect_image_traced, preflight_audit, resume_from_image,
-    resume_from_image_traced, run_migrating, run_migrating_pipelined,
-    run_migrating_pipelined_recorded, run_migrating_recorded, run_migrating_resilient,
-    run_migrating_resilient_recorded, run_migrating_traced, run_straight, run_to_migration,
-    FallbackPolicy, MigratedSource, MigrationReport, MigrationRun, PipelineConfig, PipelineStats,
-    RecoveryPolicy, RecoveryStats, ResumeStats, Rung2Skip, WIRE_CHUNK_BYTES,
+    resume_from_image, resume_to_migration, run_straight, run_to_migration, CompletedRun,
+    MigratedSource, ResumeFlow,
+};
+pub use engine::{
+    migrate, run_migrating, run_migrating_resilient, FallbackPolicy, Migration, PipelineConfig,
+    RecoveryPolicy, Transport,
 };
 pub use exec::{ExecutionState, FrameState};
-pub use precopy::{
-    resume_to_migration, run_migrating_precopy, run_migrating_precopy_faulty, PrecopyConfig,
-    PrecopyRun, PrecopyStats, ResumeFlow,
-};
+pub use precopy::{PrecopyConfig, PrecopyStats};
 pub use process::{Process, Trigger};
+pub use report::{
+    MigrationReport, MigrationRun, PipelineStats, RecoveryStats, ResumeStats, Rung2Skip,
+    TransportStats,
+};
 pub use sched::{Job, SchedStats, Scheduler, SimMachine};
 
 use hpm_core::CoreError;

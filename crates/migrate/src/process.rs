@@ -28,8 +28,8 @@ pub enum Trigger {
     /// polls run while restoration is still in progress — the scheduler
     /// uses it as a preemption quantum.
     AtLeastPollCount(u64),
-    /// Migrate when an external scheduler sets the flag (used by the
-    /// cluster).
+    /// Migrate when an external scheduler — another thread — sets the
+    /// flag: the paper's asynchronous migration request (§2).
     External(Arc<AtomicBool>),
 }
 

@@ -1,0 +1,517 @@
+//! What one migration measured: the paper's **Collect / Tx / Restore**
+//! triplet (Table 1: "We define process migration time as the total of
+//! data collection (Collect), transmission (Tx), and restoration (Restore)
+//! time"), every §4.2 instrumentation counter, and the transport's own
+//! statistics in one enum that mirrors [`Transport`](crate::Transport).
+
+use crate::driver::CompletedRun;
+use crate::precopy::PrecopyStats;
+use crate::process::Process;
+use hpm_core::{CollectStats, MsrltStats, RegistryAuditStats, RestoreStats};
+use hpm_net::{ArqReceiverSnapshot, ArqSenderStats, FaultStats, TransferSnapshot};
+use hpm_obs::{
+    render_groups, snapshot, FlightDump, HistogramSnapshot, StatField, StatGroup, TraceLog, Tracer,
+};
+use std::time::Duration;
+
+/// Everything measured about one migration.
+#[derive(Debug, Clone)]
+pub struct MigrationReport {
+    /// Total migration image size in bytes (header + exec + memory).
+    pub image_bytes: u64,
+    /// Memory-state payload bytes (the ΣDᵢ quantity of §4.2).
+    pub memory_bytes: u64,
+    /// Wall time of the data-collection phase.
+    pub collect_time: Duration,
+    /// Modeled transmission time over the chosen link.
+    pub tx_time: Duration,
+    /// Wall time of the restoration phase (sum over `restore_frame`s).
+    pub restore_time: Duration,
+    /// Collection counters.
+    pub collect_stats: CollectStats,
+    /// Source MSRLT counters during collection (searches, steps, time).
+    pub src_msrlt: MsrltStats,
+    /// Restoration counters.
+    pub restore_stats: RestoreStats,
+    /// Destination MSRLT counters during restoration + resumed run.
+    pub dst_msrlt: MsrltStats,
+    /// Poll-points the frozen source process executed before migration.
+    pub src_polls: u64,
+    /// Call-chain depth at the migration point.
+    pub chain_depth: usize,
+    /// Wire-level transfer accounting (the `Tx` column comes from here);
+    /// under pre-copy, summed over every round's frames.
+    pub transfer: TransferSnapshot,
+    /// Pre-flight registry-audit counters of the source's first freeze.
+    pub registry_audit: RegistryAuditStats,
+    /// What the chosen transport measured beyond `transfer`.
+    pub transport: TransportStats,
+    /// Full event trace of the migration, when the policy's tracer was
+    /// enabled; `None` for untraced runs.
+    pub trace: Option<TraceLog>,
+    /// Per-round measurements, when the policy asked for pre-copy; the
+    /// collect / restore figures above then describe the frozen leg.
+    pub precopy: Option<PrecopyStats>,
+}
+
+/// Transport-specific measurements, one variant per
+/// [`Transport`](crate::Transport), so the statistics a report carries
+/// cannot disagree with the path the migration took.
+// One value per migration, held inline in a report that is itself a few
+// KB of histograms: boxing the streamed variants would buy nothing.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone)]
+pub enum TransportStats {
+    /// One buffer over the channel: `transfer` says it all.
+    Whole,
+    /// A chunk stream.
+    Streamed {
+        /// Overlap measurements of the streamed destination; `None` when
+        /// pre-copy rounds shipped whole frames instead.
+        pipeline: Option<PipelineStats>,
+    },
+    /// A chunk stream under ARQ with the degradation ladder behind it.
+    Reliable {
+        /// As for [`TransportStats::Streamed`]; also `None` when the run
+        /// fell back to the source and discarded its destination.
+        pipeline: Option<PipelineStats>,
+        /// What the recovery machinery did, summed over every attempt.
+        recovery: RecoveryStats,
+        /// How far down the degradation ladder the run went.
+        resume: ResumeStats,
+        /// Flight-recorder dump captured on a source-resume fallback;
+        /// `None` for runs that reached the destination.
+        flight: Option<FlightDump>,
+    },
+}
+
+impl MigrationReport {
+    /// The one place a report is assembled. `src` is the frozen source
+    /// process, `dst` the run that produced the answers (the destination,
+    /// or the source's own resumed run on a fallback).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new(
+        src: &Process,
+        chain_depth: usize,
+        registry_audit: RegistryAuditStats,
+        collected: Collected,
+        transfer: TransferSnapshot,
+        dst: &CompletedRun,
+        transport: TransportStats,
+        precopy: Option<PrecopyStats>,
+    ) -> Self {
+        MigrationReport {
+            image_bytes: collected.prefix_bytes + collected.stats.bytes_out,
+            memory_bytes: collected.stats.bytes_out,
+            collect_time: collected.time,
+            tx_time: transfer.modeled_tx_time(),
+            restore_time: dst.restore.time,
+            collect_stats: collected.stats,
+            src_msrlt: src.msrlt.stats(),
+            restore_stats: dst.restore.stats,
+            dst_msrlt: dst.proc.msrlt.stats(),
+            src_polls: src.poll_count(),
+            chain_depth,
+            transfer,
+            registry_audit,
+            transport,
+            trace: None,
+            precopy,
+        }
+    }
+
+    /// Total migration time: Collect + Tx + Restore (Table 1's metric).
+    pub fn migration_time(&self) -> Duration {
+        self.collect_time + self.tx_time + self.restore_time
+    }
+
+    /// Modeled transmission time in nanoseconds, from the wire accounting.
+    pub fn modeled_tx_nanos(&self) -> u64 {
+        self.transfer.modeled_tx_nanos
+    }
+
+    /// Overlap measurements, when a streamed destination completed.
+    pub fn pipeline(&self) -> Option<&PipelineStats> {
+        match &self.transport {
+            TransportStats::Streamed { pipeline } | TransportStats::Reliable { pipeline, .. } => {
+                pipeline.as_ref()
+            }
+            TransportStats::Whole => None,
+        }
+    }
+
+    /// Fault-recovery measurements of a [`TransportStats::Reliable`] run.
+    pub fn recovery(&self) -> Option<&RecoveryStats> {
+        match &self.transport {
+            TransportStats::Reliable { recovery, .. } => Some(recovery),
+            _ => None,
+        }
+    }
+
+    /// Ladder measurements of a [`TransportStats::Reliable`] run.
+    pub fn resume(&self) -> Option<&ResumeStats> {
+        match &self.transport {
+            TransportStats::Reliable { resume, .. } => Some(resume),
+            _ => None,
+        }
+    }
+
+    /// The post-mortem a source-resume fallback attached.
+    pub fn flight(&self) -> Option<&FlightDump> {
+        match &self.transport {
+            TransportStats::Reliable { flight, .. } => flight.as_ref(),
+            _ => None,
+        }
+    }
+
+    /// Every counter group in the report, in render order.
+    pub fn stat_groups(&self) -> Vec<(String, Vec<StatField>)> {
+        let mut groups = vec![
+            snapshot(&self.collect_stats),
+            ("msrlt.src".to_string(), self.src_msrlt.fields()),
+            snapshot(&self.transfer),
+            snapshot(&self.restore_stats),
+            ("msrlt.dst".to_string(), self.dst_msrlt.fields()),
+        ];
+        groups.extend(self.pipeline().map(snapshot));
+        groups.extend(self.recovery().map(snapshot));
+        groups.extend(self.resume().map(snapshot));
+        groups.push(snapshot(&self.registry_audit));
+        groups
+    }
+
+    /// Human-readable rendering of every counter group (one aligned
+    /// table, shared with `paper_tables` output).
+    pub fn render(&self) -> String {
+        render_groups(&self.stat_groups())
+    }
+}
+
+/// What one collection pass over the frozen source produced.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Collected {
+    /// Wall time of the collection DFS.
+    pub time: Duration,
+    /// Its counters.
+    pub stats: CollectStats,
+    /// Size of the image prefix (header + execution state) framed ahead
+    /// of the payload.
+    pub prefix_bytes: u64,
+}
+
+/// Result of a migrated run.
+#[derive(Debug, Clone)]
+pub struct MigrationRun {
+    /// Measurements.
+    pub report: MigrationReport,
+    /// Result digest produced by the process that finished the program.
+    pub results: Vec<(String, String)>,
+}
+
+impl MigrationRun {
+    /// Wrap up a run: when a tracer ran, drain it into the report with
+    /// each of the report's StatGroups attached.
+    pub(crate) fn finish(
+        tracer: &Tracer,
+        mut report: MigrationReport,
+        results: Vec<(String, String)>,
+    ) -> Self {
+        if tracer.enabled() {
+            let mut log = tracer.take_log();
+            for (group, fields) in report.stat_groups() {
+                log.attach_stats(group, fields);
+            }
+            report.trace = Some(log);
+        }
+        MigrationRun { report, results }
+    }
+}
+
+/// Measurements specific to a chunk-streamed migration.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PipelineStats {
+    /// Frames on the wire: image prefix + payload chunks + terminator.
+    pub chunks: u64,
+    /// Configured payload bytes per chunk.
+    pub chunk_bytes: u64,
+    /// Wall time of the collection DFS (source thread busy time).
+    pub collect_time: Duration,
+    /// Modeled transmission time over the link.
+    pub tx_time: Duration,
+    /// Wall time inside `restore_frame`, stall included.
+    pub restore_time: Duration,
+    /// Portion of `restore_time` spent blocked waiting for chunks.
+    pub restore_stall: Duration,
+    /// Wall time from the start of collection until the final
+    /// `restore_frame` completed on the destination.
+    pub e2e_time: Duration,
+    /// Per-chunk encode latency (nanoseconds between successive chunks
+    /// leaving the collector), as a log-bucketed distribution.
+    pub encode_lat: HistogramSnapshot,
+    /// Per-chunk decode latency (nanoseconds the restorer spent between
+    /// finishing one chunk and requesting the next).
+    pub decode_lat: HistogramSnapshot,
+}
+
+impl PipelineStats {
+    /// Restoration time actually spent decoding (stall excluded).
+    pub fn restore_busy(&self) -> Duration {
+        self.restore_time.saturating_sub(self.restore_stall)
+    }
+
+    /// What the whole-buffer path would cost: Collect + Tx + Restore run
+    /// strictly one after another (Table 1's sum).
+    pub fn serial_time(&self) -> Duration {
+        self.collect_time + self.tx_time + self.restore_busy()
+    }
+
+    /// How much of the serial sum the pipeline hid by overlapping:
+    /// `1 − e2e/serial`, clamped at 0. Only meaningful for paced runs
+    /// (unpaced runs hide the whole modeled Tx trivially).
+    pub fn overlap_ratio(&self) -> f64 {
+        let serial = self.serial_time().as_secs_f64();
+        if serial <= 0.0 {
+            return 0.0;
+        }
+        (1.0 - self.e2e_time.as_secs_f64() / serial).max(0.0)
+    }
+}
+
+impl StatGroup for PipelineStats {
+    fn group(&self) -> &'static str {
+        "pipeline"
+    }
+
+    fn fields(&self) -> Vec<StatField> {
+        vec![
+            StatField::count("chunks", self.chunks),
+            StatField::bytes("chunk_bytes", self.chunk_bytes),
+            StatField::duration("collect_time", self.collect_time),
+            StatField::duration("tx_time", self.tx_time),
+            StatField::duration("restore_time", self.restore_time),
+            StatField::duration("restore_stall", self.restore_stall),
+            StatField::duration("e2e_time", self.e2e_time),
+            StatField::ratio("overlap_ratio", self.overlap_ratio()),
+            StatField::duration("encode_p50", Duration::from_nanos(self.encode_lat.p50())),
+            StatField::duration("encode_p99", Duration::from_nanos(self.encode_lat.p99())),
+            StatField::duration("decode_p50", Duration::from_nanos(self.decode_lat.p50())),
+            StatField::duration("decode_p99", Duration::from_nanos(self.decode_lat.p99())),
+        ]
+    }
+
+    fn merge_from(&mut self, other: &Self) {
+        self.chunks += other.chunks;
+        self.chunk_bytes = self.chunk_bytes.max(other.chunk_bytes);
+        self.collect_time += other.collect_time;
+        self.tx_time += other.tx_time;
+        self.restore_time += other.restore_time;
+        self.restore_stall += other.restore_stall;
+        self.e2e_time += other.e2e_time;
+        self.encode_lat.merge(&other.encode_lat);
+        self.decode_lat.merge(&other.decode_lat);
+    }
+}
+
+/// Why rung 2 (resume-from-journal) of the degradation ladder was not the
+/// rung that completed the migration, surfaced in
+/// [`ResumeStats::skip`] so operators can tell a policy choice from a
+/// corrupt journal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rung2Skip {
+    /// [`RecoveryPolicy::resume`](crate::RecoveryPolicy::resume) was
+    /// `false`; never attempted.
+    PolicyDisabled,
+    /// The *source* died mid-collect; a destination journal cannot help
+    /// because there is nothing left to send.
+    SourceCrashed,
+    /// The destination left no usable journal (it died before verifying
+    /// a single chunk, or the journal failed its own CRC on decode).
+    NoJournal,
+    /// The sender rejected the resume handshake: the journal digest did
+    /// not match the send ledger, so splicing would risk a corrupt
+    /// image. Rolled back to a clean full restart.
+    DigestMismatch,
+    /// Rung 2 was attempted but the resumed transfer itself failed.
+    TransferFailed,
+}
+
+impl std::fmt::Display for Rung2Skip {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Rung2Skip::PolicyDisabled => write!(f, "policy-disabled"),
+            Rung2Skip::SourceCrashed => write!(f, "source-crashed"),
+            Rung2Skip::NoJournal => write!(f, "no-journal"),
+            Rung2Skip::DigestMismatch => write!(f, "digest-mismatch"),
+            Rung2Skip::TransferFailed => write!(f, "transfer-failed"),
+        }
+    }
+}
+
+/// How far down the degradation ladder a reliable migration went and
+/// what the resume machinery saved.
+///
+/// Like [`RecoveryStats`], every field is a deterministic function of the
+/// fault plan and the chunk stream, so rerunning a seed reproduces the
+/// struct bit for bit (the crash soak asserts this).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ResumeStats {
+    /// Ladder rung that completed the migration: 1 = ARQ retries alone,
+    /// 2 = resume-from-journal, 3 = fallback policy (source resume).
+    pub rung: u8,
+    /// CRC-verified chunks the destination journal held at the crash.
+    pub journal_chunks: u64,
+    /// Journal chunks replayed into the fresh destination (rung 2 only).
+    pub chunks_replayed: u64,
+    /// Wire bytes the resume handshake avoided re-sending.
+    pub bytes_saved: u64,
+    /// Chunks actually re-transferred after the resume point.
+    pub chunks_retransferred: u64,
+    /// Wire bytes actually re-transferred after the resume point.
+    pub bytes_retransferred: u64,
+    /// Already-verified chunks the wire re-delivered anyway. A correct
+    /// resume keeps this at zero.
+    pub wire_replays: u64,
+    /// Whether rung 2 was attempted at all.
+    pub rung2_attempted: bool,
+    /// Why rung 2 did not complete the migration (`None` when it did,
+    /// or when rung 1 succeeded outright).
+    pub skip: Option<Rung2Skip>,
+}
+
+impl StatGroup for ResumeStats {
+    fn group(&self) -> &'static str {
+        "resume"
+    }
+
+    fn fields(&self) -> Vec<StatField> {
+        vec![
+            StatField::count("rung", self.rung as u64),
+            StatField::count("journal_chunks", self.journal_chunks),
+            StatField::count("chunks_replayed", self.chunks_replayed),
+            StatField::count("bytes_saved", self.bytes_saved),
+            StatField::count("chunks_retransferred", self.chunks_retransferred),
+            StatField::count("bytes_retransferred", self.bytes_retransferred),
+            StatField::count("wire_replays", self.wire_replays),
+            StatField::count("rung2_attempted", self.rung2_attempted as u64),
+            // 0 = not skipped, else the reason's position in `Rung2Skip`.
+            StatField::count("skip", self.skip.map_or(0, |s| s as u64 + 1)),
+        ]
+    }
+
+    fn merge_from(&mut self, other: &Self) {
+        self.rung = self.rung.max(other.rung);
+        self.journal_chunks += other.journal_chunks;
+        self.chunks_replayed += other.chunks_replayed;
+        self.bytes_saved += other.bytes_saved;
+        self.chunks_retransferred += other.chunks_retransferred;
+        self.bytes_retransferred += other.bytes_retransferred;
+        self.wire_replays += other.wire_replays;
+        self.rung2_attempted |= other.rung2_attempted;
+        self.skip = self.skip.or(other.skip);
+    }
+}
+
+/// What the recovery machinery did during one reliable migration.
+///
+/// Every field is a deterministic function of the fault plan and the
+/// chunk stream — no wall-clock quantity lives here — so rerunning a
+/// seed reproduces the struct exactly (the soak sweep asserts this).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RecoveryStats {
+    /// Whether the migration fell back to resuming on the source.
+    pub fallback_taken: bool,
+    /// Chunk retransmissions (NACK- plus timeout-triggered).
+    pub retransmits: u64,
+    /// Silent rounds that triggered a timeout retransmission.
+    pub timeouts: u64,
+    /// Frames whose payload failed its CRC-32 on arrival.
+    pub corrupt_caught: u64,
+    /// Extra valid copies the destination absorbed silently.
+    pub dups_absorbed: u64,
+    /// Frames the destination accepted out of order and re-sequenced.
+    pub reorders_absorbed: u64,
+    /// Cumulative ACK frames the destination sent.
+    pub acks_sent: u64,
+    /// NACK frames the destination sent.
+    pub nacks_sent: u64,
+    /// Fault events the injector reports (soak bookkeeping).
+    pub faults_injected: u64,
+    /// Modeled time charged to retransmission backoff.
+    pub modeled_backoff_nanos: u64,
+    /// Modeled time charged to injected link delays.
+    pub modeled_delay_nanos: u64,
+    /// Distribution of per-chunk retransmission counts (observed when a
+    /// chunk leaves the send window, or when retries are exhausted).
+    /// Seed-deterministic like every other field here.
+    pub retry_hist: HistogramSnapshot,
+}
+
+impl RecoveryStats {
+    /// Modeled recovery overhead vs a clean run: backoff plus injected
+    /// delay. Wire-byte overhead (retransmits, acks) is visible in the
+    /// transfer accounting instead.
+    pub fn recovery_overhead(&self) -> Duration {
+        Duration::from_nanos(self.modeled_backoff_nanos + self.modeled_delay_nanos)
+    }
+
+    /// One attempt's share, from the three components that counted it.
+    pub(crate) fn from_parts(
+        sender: ArqSenderStats,
+        receiver: ArqReceiverSnapshot,
+        faults: FaultStats,
+    ) -> Self {
+        RecoveryStats {
+            fallback_taken: false,
+            retransmits: sender.retransmits,
+            timeouts: sender.timeouts,
+            corrupt_caught: receiver.corrupt_caught,
+            dups_absorbed: receiver.dups_absorbed,
+            reorders_absorbed: receiver.reorders_absorbed,
+            acks_sent: receiver.acks_sent,
+            nacks_sent: receiver.nacks_sent,
+            faults_injected: faults.faults_injected(),
+            modeled_backoff_nanos: sender.modeled_backoff_nanos,
+            modeled_delay_nanos: faults.modeled_delay_nanos,
+            retry_hist: sender.retry_hist,
+        }
+    }
+}
+
+impl StatGroup for RecoveryStats {
+    fn group(&self) -> &'static str {
+        "recovery"
+    }
+
+    fn fields(&self) -> Vec<StatField> {
+        vec![
+            StatField::count("fallback_taken", self.fallback_taken as u64),
+            StatField::count("retransmits", self.retransmits),
+            StatField::count("timeouts", self.timeouts),
+            StatField::count("corrupt_caught", self.corrupt_caught),
+            StatField::count("dups_absorbed", self.dups_absorbed),
+            StatField::count("reorders_absorbed", self.reorders_absorbed),
+            StatField::count("acks_sent", self.acks_sent),
+            StatField::count("nacks_sent", self.nacks_sent),
+            StatField::count("faults_injected", self.faults_injected),
+            StatField::duration("recovery_overhead", self.recovery_overhead()),
+            StatField::count("retry_p50", self.retry_hist.p50()),
+            StatField::count("retry_p99", self.retry_hist.p99()),
+            StatField::count("retry_max", self.retry_hist.max),
+        ]
+    }
+
+    fn merge_from(&mut self, other: &Self) {
+        self.fallback_taken |= other.fallback_taken;
+        self.retransmits += other.retransmits;
+        self.timeouts += other.timeouts;
+        self.corrupt_caught += other.corrupt_caught;
+        self.dups_absorbed += other.dups_absorbed;
+        self.reorders_absorbed += other.reorders_absorbed;
+        self.acks_sent += other.acks_sent;
+        self.nacks_sent += other.nacks_sent;
+        self.faults_injected += other.faults_injected;
+        self.modeled_backoff_nanos += other.modeled_backoff_nanos;
+        self.modeled_delay_nanos += other.modeled_delay_nanos;
+        self.retry_hist.merge(&other.retry_hist);
+    }
+}

@@ -16,13 +16,11 @@
 //! component of network process migration" from which schedulers can be
 //! composed.
 
-use crate::ctx::{MigCtx, MigratableProgram};
-use crate::driver::collect_framed;
-use crate::exec::ExecutionState;
-use crate::process::{Process, Trigger};
-use crate::{Flow, MigError};
+use crate::ctx::MigratableProgram;
+use crate::driver::{launch, resume, ResumeFlow};
+use crate::process::Trigger;
+use crate::MigError;
 use hpm_arch::Architecture;
-use hpm_core::image::unframe_image;
 use hpm_net::NetworkModel;
 use hpm_obs::{StatField, StatGroup, Tracer};
 use std::time::Duration;
@@ -177,65 +175,40 @@ impl Scheduler {
         });
     }
 
-    /// Run one slice of one job on machine `arch`, advancing its state.
+    /// Run one slice of one job on machine `arch`, advancing its state:
+    /// launch it (or resume it from its last checkpoint image) with the
+    /// quantum as its trigger, and checkpoint it again if it freezes.
     fn run_slice(arch: &Architecture, quantum: u64, job: &mut Job) -> Result<(), MigError> {
         job.slices += 1;
-        match std::mem::replace(&mut job.state, JobState::Fresh) {
-            JobState::Finished(r) => {
-                job.state = JobState::Finished(r);
-                Ok(())
-            }
-            JobState::Fresh => {
-                let mut prog = (job.factory)();
-                let mut proc = Process::new(prog.name(), arch.clone());
-                proc.set_trigger(Trigger::AtLeastPollCount(quantum));
-                prog.setup(&mut proc)?;
-                let mut ctx = MigCtx::new_run(&mut proc);
-                match prog.run(&mut ctx)? {
-                    Flow::Done => {
-                        let r = prog.results(&mut proc)?;
-                        job.state = JobState::Finished(r);
-                    }
-                    Flow::Migrate => {
-                        let image = Self::checkpoint(ctx)?;
-                        job.bytes_moved += image.len() as u64;
-                        job.state = JobState::Suspended(image);
-                    }
-                }
-                Ok(())
-            }
-            JobState::Suspended(image) => {
-                let mut prog = (job.factory)();
-                let (header, exec_bytes, payload) = unframe_image(&image)?;
-                if header.program != prog.name() {
-                    return Err(MigError::Protocol("job image/program mismatch".into()));
-                }
-                let exec = ExecutionState::decode(exec_bytes)?;
-                let mut proc = Process::new(prog.name(), arch.clone());
-                proc.space.reserve_heap_bytes(header.registered_bytes);
-                proc.set_trigger(Trigger::AtLeastPollCount(quantum));
-                prog.setup(&mut proc)?;
-                let mut ctx = MigCtx::new_resume(&mut proc, exec, payload);
-                match prog.run(&mut ctx)? {
-                    Flow::Done => {
-                        let r = prog.results(&mut proc)?;
-                        job.state = JobState::Finished(r);
-                    }
-                    Flow::Migrate => {
-                        let image = Self::checkpoint(ctx)?;
-                        job.bytes_moved += image.len() as u64;
-                        job.state = JobState::Suspended(image);
-                    }
-                }
-                Ok(())
-            }
+        if job.finished() {
+            return Ok(());
         }
-    }
-
-    fn checkpoint(ctx: MigCtx<'_>) -> Result<Vec<u8>, MigError> {
-        let (proc, pending) = ctx.into_parts()?;
-        let (image, ..) = collect_framed(proc, &pending, &Tracer::disabled())?;
-        Ok(image)
+        let trigger = Trigger::AtLeastPollCount(quantum);
+        let mut prog = (job.factory)();
+        let flow = match &job.state {
+            JobState::Suspended(image) => {
+                let off = Tracer::disabled();
+                resume(
+                    &mut prog,
+                    arch.clone(),
+                    image,
+                    None,
+                    Some(trigger),
+                    &off,
+                    None,
+                )?
+            }
+            _ => launch(&mut prog, arch.clone(), trigger)?,
+        };
+        job.state = match flow {
+            ResumeFlow::Completed(run) => JobState::Finished(run.results),
+            ResumeFlow::Frozen(mut src) => {
+                let image = src.to_image()?;
+                job.bytes_moved += image.len() as u64;
+                JobState::Suspended(image)
+            }
+        };
+        Ok(())
     }
 
     /// One scheduling epoch: every machine runs one slice of each of its
@@ -348,89 +321,31 @@ impl Scheduler {
 mod tests {
     use super::*;
     use crate::driver::run_straight;
-    use hpm_net::NetworkModel;
+    use crate::testprog::Summer;
 
-    // Reuse the workload-free Summer program shape via a tiny local job.
-    struct Counter {
-        limit: i64,
-        result: Option<i64>,
-    }
-
-    impl Counter {
-        fn boxed(limit: i64) -> Box<dyn MigratableProgram + Send> {
-            Box::new(Counter {
-                limit,
-                result: None,
-            })
-        }
-    }
-
-    impl MigratableProgram for Counter {
-        fn name(&self) -> &'static str {
-            "counter"
-        }
-        fn setup(&mut self, proc: &mut Process) -> Result<(), MigError> {
-            let int = proc.space.types_mut().int();
-            proc.define_global("acc", int, 1)?;
-            Ok(())
-        }
-        fn run(&mut self, ctx: &mut MigCtx<'_>) -> Result<Flow, MigError> {
-            let int = ctx.proc().space.types_mut().int();
-            let acc = ctx.proc().space.block_infos()[0].addr;
-            let f = ctx.enter("main")?;
-            let i = ctx.local(f, "i", int, 1)?;
-            let live = [i, acc];
-            let mut iv;
-            if ctx.resume_point() == Some(1) {
-                ctx.restore_frame(&live)?;
-                iv = ctx.proc().space.load_int(i)?;
-            } else {
-                iv = 0;
-            }
-            while iv < self.limit {
-                ctx.proc().space.store_int(i, iv)?;
-                if ctx.poll() {
-                    ctx.save_frame(1, &live)?;
-                    return Ok(Flow::Migrate);
-                }
-                let a = ctx.proc().space.load_int(acc)?;
-                ctx.proc().space.store_int(acc, a + 1)?;
-                iv += 1;
-            }
-            self.result = Some(ctx.proc().space.load_int(acc)?);
-            ctx.leave(f)?;
-            Ok(Flow::Done)
-        }
-        fn results(&self, _proc: &mut Process) -> Result<Vec<(String, String)>, MigError> {
-            Ok(vec![(
-                "count".into(),
-                self.result.unwrap_or(-1).to_string(),
-            )])
-        }
+    fn summer(limit: i64) -> Box<dyn MigratableProgram + Send> {
+        Box::new(Summer::new(limit))
     }
 
     #[test]
     fn single_job_runs_in_slices() {
         let mut s = Scheduler::new(100, NetworkModel::instant());
         let m = s.add_machine("m0", Architecture::dec5000());
-        s.submit(m, "job", || Counter::boxed(450));
+        s.submit(m, "job", || summer(450));
         s.run_to_completion(50).unwrap();
         let r = s.results();
-        assert_eq!(r[0].1[0].1, "450");
+        assert_eq!(r[0].1[0].1, Summer::expected(450));
         // 450 iterations at quantum 100 → ≥ 4 checkpoints.
         assert!(s.stats.checkpoints >= 4, "{:?}", s.stats);
     }
 
     #[test]
     fn slices_match_straight_run() {
-        let mut p = Counter {
-            limit: 777,
-            result: None,
-        };
+        let mut p = Summer::new(777);
         let (expect, _) = run_straight(&mut p, Architecture::sparc20()).unwrap();
         let mut s = Scheduler::new(50, NetworkModel::instant());
         let m = s.add_machine("m0", Architecture::sparc20());
-        s.submit(m, "job", || Counter::boxed(777));
+        s.submit(m, "job", || summer(777));
         s.run_to_completion(100).unwrap();
         assert_eq!(s.results()[0].1, expect);
     }
@@ -443,14 +358,14 @@ mod tests {
         let _m2 = s.add_machine("x64", Architecture::x86_64_sim());
         // All six jobs start on one machine; rebalancing must spread them.
         for k in 0..6 {
-            s.submit(m0, &format!("job{k}"), move || Counter::boxed(300 + k));
+            s.submit(m0, &format!("job{k}"), move || summer(300 + k));
         }
         s.run_to_completion(60).unwrap();
         assert!(s.stats.rebalances >= 4, "{:?}", s.stats);
         assert!(s.stats.tx_time > Duration::ZERO);
         for (label, r) in s.results() {
             let k: i64 = label.trim_start_matches("job").parse().unwrap();
-            assert_eq!(r[0].1, (300 + k).to_string(), "{label}");
+            assert_eq!(r[0].1, Summer::expected(300 + k), "{label}");
         }
     }
 
@@ -460,7 +375,7 @@ mod tests {
         // every checkpoint crosses the representation boundary.
         let mut s = Scheduler::new(40, NetworkModel::instant());
         let m0 = s.add_machine("dec", Architecture::dec5000());
-        s.submit(m0, "hopper", || Counter::boxed(500));
+        s.submit(m0, "hopper", || summer(500));
         for hop in 0..60 {
             if s.machines.iter().all(|m| m.unfinished() == 0) {
                 break;
@@ -481,6 +396,6 @@ mod tests {
         }
         let r = s.results();
         assert_eq!(r.len(), 1, "job must finish");
-        assert_eq!(r[0].1[0].1, "500");
+        assert_eq!(r[0].1[0].1, Summer::expected(500));
     }
 }

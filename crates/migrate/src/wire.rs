@@ -1,0 +1,466 @@
+//! One transfer attempt: bytes leave a producer, cross the modeled link
+//! on a wire thread, and reach a consumer.
+//!
+//! [`attempt`] is the only place threads are spawned. The producer (the
+//! collection DFS, or a finished frame cut into chunks) runs on the
+//! calling thread and pushes chunks into a sink; the wire thread paces,
+//! frames and sends them — through a plain [`ChunkSender`] or, under
+//! [`ArqSide`], the ARQ sender behind the fault injector, fresh or
+//! resuming from a journal; the consumer (a streaming resume, or a
+//! buffer reassembling the frame) runs on a destination thread. Retry
+//! ladders and pre-copy rounds are loops around this function, and
+//! [`ship_frame`] is its whole-frame form.
+
+use crate::engine::PipelineConfig;
+use crate::report::RecoveryStats;
+use crate::MigError;
+use hpm_core::{ChunkSource, CoreError};
+use hpm_net::{
+    channel_pair, ArqConfig, Channel, ChunkReceiver, ChunkSender, FaultPlan, FaultyEndpoint,
+    NetError, NetworkModel, ReliableChunkReceiver, ReliableChunkSender, ResumeDecision,
+    TransferSnapshot,
+};
+use hpm_obs::{FlightTrack, Histogram, StatGroup, Tracer};
+use hpm_xdr::{ChunkRecord, RestoreJournal};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
+
+/// How one attempt's chunk stream is framed and instrumented.
+pub(crate) struct Lane {
+    /// Chunk size, pacing and codec.
+    pub config: PipelineConfig,
+    /// ARQ and fault injection; `None` ships a plain chunk stream.
+    pub arq: Option<ArqSide>,
+    /// Flight track of the sending end (single-writer, like all of them).
+    pub tx_track: FlightTrack,
+    /// Flight track of the receiving end.
+    pub rx_track: FlightTrack,
+}
+
+/// The reliability half of a [`Lane`].
+pub(crate) struct ArqSide {
+    /// Window, retry budget and backoff of both endpoints.
+    pub cfg: ArqConfig,
+    /// What the deterministic fault injector does to this attempt.
+    pub plan: FaultPlan,
+    /// Flight track of the fault injector.
+    pub fault_track: FlightTrack,
+    /// The destination's chunk journal; whole-frame shipping keeps none.
+    pub journal: Option<Arc<Mutex<RestoreJournal>>>,
+    /// When this attempt resumes an interrupted stream from `journal`:
+    /// that stream's image id and send ledger.
+    pub resume: Option<(u64, Vec<ChunkRecord>)>,
+}
+
+impl Lane {
+    /// Whether this lane resumes an interrupted stream (rung 2).
+    pub fn resuming(&self) -> bool {
+        self.arq.as_ref().is_some_and(|a| a.resume.is_some())
+    }
+}
+
+/// The sink a producer pushes its chunks into.
+pub(crate) type Sink<'a> = &'a mut dyn FnMut(Vec<u8>) -> Result<(), CoreError>;
+
+/// What one attempt produced, whether or not it succeeded.
+pub(crate) struct Attempt<S, D> {
+    /// The producer's result, when it ran to completion.
+    pub produced: Option<S>,
+    /// Wall time the producer ran for.
+    pub produce_time: Duration,
+    /// The consumer's result, when it ran to completion.
+    pub consumed: Option<D>,
+    /// What the wire thread got done.
+    pub wire: WireDone,
+    /// What ARQ and the injector did (all zero on a plain stream).
+    pub recovery: RecoveryStats,
+    /// Already-verified chunks a resumed stream re-delivered anyway.
+    pub wire_replays: u64,
+    /// The injected source crash fired mid-production.
+    pub src_crashed: bool,
+    /// The failure that killed the attempt, if any.
+    pub error: Option<MigError>,
+}
+
+/// What the wire thread hands back. Its statistics survive failure.
+#[derive(Default)]
+pub(crate) struct WireDone {
+    /// The sender's own failure (before triage against the other stages).
+    error: Option<NetError>,
+    /// Distinct frames the sender shipped, terminator included.
+    pub frames: u32,
+    /// Channel accounting of the attempt.
+    pub transfer: TransferSnapshot,
+    sender: hpm_net::ArqSenderStats,
+    /// Send ledger: one [`ChunkRecord`] per framed chunk, in sequence
+    /// order. A later resume handshake validates against it.
+    pub records: Vec<ChunkRecord>,
+    faults: hpm_net::FaultStats,
+    /// The sender refused the resume handshake (digest/range/id).
+    pub rejected: bool,
+    /// Wire bytes the resume handshake avoided re-sending.
+    pub bytes_saved_wire: u64,
+}
+
+/// The receiving end of a [`Lane`].
+pub(crate) enum Receiver {
+    /// Sequence- and CRC-checked chunk stream.
+    Plain(ChunkReceiver),
+    /// The same under ARQ (acks, nacks, journal, injected crash).
+    Arq(ReliableChunkReceiver),
+}
+
+impl Receiver {
+    /// The next payload chunk; `Ok(None)` once the stream has ended.
+    pub fn recv_chunk(&mut self) -> Result<Option<Vec<u8>>, NetError> {
+        match self {
+            Receiver::Plain(rx) => rx.recv_chunk(),
+            Receiver::Arq(rx) => rx.recv_chunk(),
+        }
+    }
+}
+
+/// Adapter: a [`Receiver`] as the restorer's [`ChunkSource`], mapping
+/// transport failures into the stream layer. The gap between returning
+/// one chunk and being asked for the next is the restorer's per-chunk
+/// decode latency — observed into `decode_lat`.
+pub(crate) struct NetChunkSource {
+    pub rx: Receiver,
+    pub decode_lat: Arc<Histogram>,
+    pub last_return: Option<Instant>,
+}
+
+impl ChunkSource for NetChunkSource {
+    fn next_chunk(&mut self) -> Result<Option<Vec<u8>>, CoreError> {
+        if let Some(t) = self.last_return.take() {
+            self.decode_lat.observe(t.elapsed().as_nanos() as u64);
+        }
+        let r = self
+            .rx
+            .recv_chunk()
+            .map_err(|e| CoreError::Source(e.to_string()));
+        self.last_return = Some(Instant::now());
+        r
+    }
+}
+
+/// A journal lock that survives a peer thread's panic: every journal
+/// update leaves it a valid, contiguous prefix.
+pub(crate) fn lock_journal(journal: &Mutex<RestoreJournal>) -> MutexGuard<'_, RestoreJournal> {
+    journal.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// The wire stage: optionally the resume handshake, then pace each chunk
+/// by its modeled transmission time and push it through the sender, then
+/// the terminator.
+fn wire_thread(
+    src_end: Channel,
+    chunk_rx: mpsc::Receiver<Vec<u8>>,
+    link: NetworkModel,
+    lane: (PipelineConfig, Option<ArqSide>, FlightTrack),
+    src_crashed: &AtomicBool,
+) -> WireDone {
+    let (config, arq, track) = lane;
+    let pump = |skip: usize, send: &mut dyn FnMut(&[u8]) -> Result<(), NetError>| {
+        // Chunks below `skip` are already CRC-verified and journaled on
+        // the destination; the handshake promised not to re-send them.
+        for chunk in chunk_rx.iter().skip(skip) {
+            if config.pace {
+                let d = link.tx_time(chunk.len() as u64).mul_f64(config.pace_scale);
+                if !d.is_zero() {
+                    std::thread::sleep(d);
+                }
+            }
+            send(&chunk)?;
+        }
+        Ok(())
+    };
+    let Some(arq) = arq else {
+        let mut tx = ChunkSender::new(&src_end)
+            .with_codec(config.codec)
+            .with_flight(track);
+        let sent = pump(0, &mut |c| tx.send(c));
+        let frames = tx.chunks_sent();
+        let (frames, error) = match sent.and_then(|()| tx.finish()) {
+            Ok(n) => (n, None),
+            Err(e) => (frames, Some(e)),
+        };
+        return WireDone {
+            error,
+            frames,
+            transfer: src_end.stats().snapshot(),
+            ..WireDone::default()
+        };
+    };
+    let endpoint = FaultyEndpoint::new(src_end, arq.plan).with_flight(arq.fault_track);
+    let mut tx = ReliableChunkSender::new(endpoint, arq.cfg)
+        .with_codec(config.codec)
+        .with_flight(track);
+    let mut done = WireDone::default();
+    let mut skip = 0;
+    if let Some((image_id, ledger)) = &arq.resume {
+        match tx.accept_resume(*image_id, ledger) {
+            Ok(ResumeDecision::Accepted {
+                next,
+                bytes_saved_wire,
+                ..
+            }) => {
+                skip = next as usize;
+                done.bytes_saved_wire = bytes_saved_wire;
+            }
+            Ok(ResumeDecision::Rejected(_)) => done.rejected = true,
+            Err(e) => done.error = Some(e),
+        }
+    }
+    // A rejected handshake ships nothing at all, and a crashed source
+    // never sends its terminator.
+    if done.error.is_none() && !done.rejected {
+        let mut sent = pump(skip, &mut |c| tx.send(c));
+        done.frames = tx.chunks_sent();
+        if sent.is_ok() && !src_crashed.load(Ordering::SeqCst) {
+            sent = tx.finish().map(|n| done.frames = n);
+        }
+        done.error = sent.err();
+    }
+    done.sender = tx.stats();
+    done.records = tx.records().to_vec();
+    let endpoint = tx.into_link();
+    done.faults = endpoint.stats();
+    done.transfer = endpoint.channel().stats().snapshot();
+    // Dropping the endpoint here severs the link and unblocks a stalled
+    // destination with `Disconnected`.
+    done
+}
+
+/// Which failure of a dead attempt is its root cause.
+///
+/// A producer failure that is not a mere sink disconnect is the root
+/// cause. Otherwise exhausted retries are, even though the consumer also
+/// observes the link going dead; then the consumer's error, which
+/// explains why the sink vanished; and only then any other wire failure.
+fn triage(
+    produce_err: Option<MigError>,
+    sink_gone: bool,
+    consume_err: Option<MigError>,
+    wire_err: Option<NetError>,
+) -> Option<MigError> {
+    match (produce_err, consume_err, wire_err) {
+        (Some(e), ..) if !sink_gone => Some(e),
+        (_, _, Some(e @ NetError::RetriesExhausted { .. })) => Some(e.into()),
+        (_, Some(e), _) => Some(e),
+        (_, None, Some(e)) => Some(e.into()),
+        (produce_err, None, None) => produce_err,
+    }
+}
+
+/// Run one transfer attempt over `link`: `produce` on this thread pushing
+/// into the sink, the wire thread, and `consume` on a destination thread
+/// over the receiving end (handed the journaled chunks to replay first
+/// when the lane resumes). The scope joins every thread on every path, so
+/// no exit leaks a blocked thread or discards its error; the outcome
+/// carries whatever each stage got done plus the triaged error.
+pub(crate) fn attempt<S, D: Send>(
+    link: NetworkModel,
+    lane: Lane,
+    produce: impl FnOnce(Sink<'_>) -> Result<S, MigError>,
+    consume: impl FnOnce(Receiver, Vec<Vec<u8>>) -> Result<D, MigError> + Send,
+) -> Result<Attempt<S, D>, MigError> {
+    let (src_end, dst_end) = channel_pair(link);
+    let mut replay = Vec::new();
+    let mut rx_counters = None;
+    let rx = match &lane.arq {
+        None => Receiver::Plain(ChunkReceiver::new(dst_end).with_flight(lane.rx_track)),
+        Some(arq) => {
+            let mut rx = match (&arq.journal, &arq.resume) {
+                (Some(journal), Some(_)) => {
+                    let guard = lock_journal(journal);
+                    replay = guard.payloads().to_vec();
+                    ReliableChunkReceiver::new_resuming(dst_end, arq.cfg, &guard)?
+                }
+                _ => ReliableChunkReceiver::new(dst_end, arq.cfg),
+            }
+            .with_flight(lane.rx_track)
+            .with_crash_at(arq.plan.dst_crash_at);
+            if let Some(journal) = &arq.journal {
+                rx = rx.with_journal(Arc::clone(journal));
+            }
+            rx_counters = Some(rx.counters());
+            Receiver::Arq(rx)
+        }
+    };
+    // The injected source crash is counted in pushed chunks.
+    let src_crash_at = lane.arq.as_ref().and_then(|a| a.plan.src_crash_at);
+    let wire_lane = (lane.config, lane.arq, lane.tx_track);
+    let (chunk_tx, chunk_rx) = mpsc::channel::<Vec<u8>>();
+    let src_crashed = AtomicBool::new(false);
+
+    std::thread::scope(|s| {
+        let wire = s.spawn(|| wire_thread(src_end, chunk_rx, link, wire_lane, &src_crashed));
+        let destination = s.spawn(|| consume(rx, replay));
+
+        let mut pushed = 0u32;
+        let mut sink_gone = false;
+        let mut sink = |chunk: Vec<u8>| {
+            if src_crash_at == Some(pushed) {
+                src_crashed.store(true, Ordering::SeqCst);
+                return Err(CoreError::Source("source crashed mid-collect".into()));
+            }
+            pushed += 1;
+            chunk_tx.send(chunk).map_err(|_| {
+                sink_gone = true;
+                CoreError::Source("chunk sink disconnected".into())
+            })
+        };
+        let t0 = Instant::now();
+        let produced = produce(&mut sink);
+        let produce_time = t0.elapsed();
+        drop(chunk_tx); // end of stream: the wire thread sends LAST
+
+        let consumed = destination
+            .join()
+            .map_err(|_| MigError::Protocol("destination thread panicked".into()))?;
+        let wire = wire
+            .join()
+            .map_err(|_| MigError::Protocol("wire thread panicked".into()))?;
+        let produce_err = produced.as_ref().err().cloned();
+        let consume_err = consumed.as_ref().err().cloned();
+        let receiver = rx_counters.map(|c| c.snapshot()).unwrap_or_default();
+        Ok(Attempt {
+            produced: produced.ok(),
+            produce_time,
+            consumed: consumed.ok(),
+            recovery: RecoveryStats::from_parts(wire.sender, receiver, wire.faults),
+            wire_replays: receiver.replays_below_start,
+            src_crashed: src_crashed.load(Ordering::SeqCst),
+            error: triage(produce_err, sink_gone, consume_err, wire.error.clone()),
+            wire,
+        })
+    })
+}
+
+/// What the link carried, summed over every frame shipped through it.
+#[derive(Default)]
+pub(crate) struct Carried {
+    /// Channel accounting.
+    pub transfer: TransferSnapshot,
+    /// What ARQ and the injector did (all zero without an [`ArqSide`]).
+    pub recovery: RecoveryStats,
+}
+
+/// The whole-frame form of an attempt: ship one finished frame
+/// source→destination and return it as received, adding the trip's cost
+/// to `carried`. Without a lane it is a single message on the channel —
+/// no thread, no copy; with one, the frame crosses as a chunk stream cut
+/// at the lane's `chunk_bytes`.
+pub(crate) fn ship_frame(
+    frame: Vec<u8>,
+    link: NetworkModel,
+    lane: Option<Lane>,
+    tracer: &Tracer,
+    carried: &mut Carried,
+) -> Result<Vec<u8>, MigError> {
+    let Some(lane) = lane else {
+        let (src_end, dst_end) = channel_pair(link);
+        let src_end = src_end.with_tracer(tracer.clone());
+        let dst_end = dst_end.with_tracer(tracer.clone());
+        src_end.send(frame)?;
+        let bytes = dst_end.recv()?;
+        carried.transfer.merge_from(&src_end.stats().snapshot());
+        return Ok(bytes);
+    };
+    let (len, cut) = (frame.len(), lane.config.chunk_bytes.max(1));
+    let out = attempt(
+        link,
+        lane,
+        move |sink| frame.chunks(cut).try_for_each(|c| Ok(sink(c.to_vec())?)),
+        |mut rx, _| {
+            let mut bytes = Vec::with_capacity(len);
+            while let Some(chunk) = rx.recv_chunk()? {
+                bytes.extend_from_slice(&chunk);
+            }
+            // On clean completion the receiver must outlive the sender,
+            // whose `finish()` still flushes reorder-held frames and
+            // drains final acks after LAST has been consumed: hand it
+            // back so it is dropped only after the wire thread joined. A
+            // failed receiver is dropped right here instead, so a sender
+            // stuck on a full window fails fast.
+            Ok((bytes, rx))
+        },
+    )?;
+    carried.transfer.merge_from(&out.wire.transfer);
+    carried.recovery.merge_from(&out.recovery);
+    match (out.error, out.consumed) {
+        (None, Some((bytes, _rx))) => Ok(bytes),
+        (e, _) => Err(e.unwrap_or_else(|| MigError::Protocol("frame vanished in transit".into()))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn core(m: &str) -> Option<MigError> {
+        Some(MigError::Core(m.into()))
+    }
+
+    fn exhausted() -> NetError {
+        NetError::RetriesExhausted {
+            chunk: 3,
+            attempts: 4,
+            acked: 2,
+        }
+    }
+
+    #[test]
+    fn a_collector_error_wins_over_a_destination_error() {
+        let got = triage(
+            core("bad block"),
+            false,
+            Some(MigError::Protocol("dst".into())),
+            Some(NetError::Disconnected),
+        );
+        assert_eq!(got, core("bad block"));
+    }
+
+    #[test]
+    fn a_vanished_sink_defers_to_the_destination() {
+        // Whatever the sink's own error says: the flag decides, not the
+        // wording of `CoreError::Source`.
+        let got = triage(
+            core("reworded sink failure"),
+            true,
+            Some(MigError::Protocol("poisoned resume".into())),
+            None,
+        );
+        assert_eq!(got, Some(MigError::Protocol("poisoned resume".into())));
+        // ... and to the wire when the destination is fine.
+        let got = triage(core("sink"), true, None, Some(NetError::Disconnected));
+        assert_eq!(got, Some(MigError::from(NetError::Disconnected)));
+        // Nobody else failed: the sink error is all there is.
+        assert_eq!(triage(core("sink"), true, None, None), core("sink"));
+    }
+
+    #[test]
+    fn retries_exhausted_wins_over_the_destinations_disconnected() {
+        let got = triage(
+            core("sink"),
+            true,
+            Some(MigError::from(NetError::Disconnected)),
+            Some(exhausted()),
+        );
+        assert_eq!(got, Some(MigError::from(exhausted())));
+        let got = triage(
+            None,
+            false,
+            Some(MigError::from(NetError::Disconnected)),
+            Some(exhausted()),
+        );
+        assert_eq!(got, Some(MigError::from(exhausted())));
+    }
+
+    #[test]
+    fn a_clean_attempt_has_no_error() {
+        assert_eq!(triage(None, false, None, None), None);
+    }
+}

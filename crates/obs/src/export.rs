@@ -9,7 +9,7 @@
 //!   the attached stat groups.
 //!
 //! All JSON is hand-rolled (the workspace is dependency-free); numbers
-//! are emitted via [`fmt_f64`] so output is locale-independent and
+//! are emitted via `fmt_f64` so output is locale-independent and
 //! round-trippable.
 
 use crate::stats::{render_groups, StatField, StatValue};

@@ -185,7 +185,7 @@ pub struct HistogramSnapshot {
     pub sum: u64,
     /// Exact largest observation (0 when empty).
     pub max: u64,
-    /// Per-bucket observation counts (log2 buckets, see [`bucket_of`]).
+    /// Per-bucket observation counts (log2 buckets, see `bucket_of`).
     pub buckets: [u64; HISTOGRAM_BUCKETS],
 }
 

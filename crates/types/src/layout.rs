@@ -3,7 +3,7 @@
 //! The same TI type lays out differently on different machines — `long`
 //! width, pointer width, and `double` alignment all vary across the
 //! presets — so every layout query takes the target
-//! [`Architecture`](hpm_arch::Architecture). [`LayoutEngine`] memoizes
+//! [`Architecture`]. [`LayoutEngine`] memoizes
 //! results per type id for one architecture.
 
 use crate::{TypeDef, TypeError, TypeId, TypeTable};

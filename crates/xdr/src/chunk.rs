@@ -22,7 +22,7 @@
 //! opaque_var wire payload (4-byte aligned)
 //! ```
 //!
-//! A v3 sender compresses each chunk with [`crate::compress`] and falls
+//! A v3 sender compresses each chunk with [`crate::compress()`] and falls
 //! back to a stored block (bit 1 clear, wire payload = raw payload)
 //! whenever compression would not shrink the chunk — incompressible
 //! data never expands beyond the fixed 4-byte `raw_len` overhead. The

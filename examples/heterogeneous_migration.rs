@@ -1,17 +1,23 @@
 //! The paper's §4.1 experiment, end to end: migrate the three evaluation
 //! programs from a DEC 5000/120 (little-endian) to a SPARC 20
-//! (big-endian) over 10 Mb/s Ethernet — first deterministically
-//! (single-threaded driver), then live on a two-machine cluster with a
-//! scheduler thread delivering the migration request.
+//! (big-endian) over 10 Mb/s Ethernet — first deterministically (whole
+//! image, poll-count trigger, everything on one thread), then live: a
+//! scheduler thread delivers the migration request asynchronously while
+//! source and destination run as real threads over a streamed channel.
 //!
 //! ```text
 //! cargo run --release --example heterogeneous_migration
 //! ```
 
 use hpm::arch::Architecture;
-use hpm::migrate::{run_migrating, run_straight, Trigger, TwoMachineCluster};
+use hpm::migrate::{
+    migrate, run_migrating, run_straight, Migration, PipelineConfig, Transport, Trigger,
+};
 use hpm::net::NetworkModel;
 use hpm::workloads::{diff_results, BitonicSort, Linpack, TestPointer};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 fn main() {
     println!("=== deterministic driver: DEC 5000/120 → SPARC 20, 10 Mb/s ===\n");
@@ -58,24 +64,39 @@ fn main() {
     .unwrap();
     report(&format!("bitonic {n}"), &expect, &run);
 
-    println!("\n=== live cluster: scheduler thread + source/destination machine threads ===\n");
-    let cluster = TwoMachineCluster::paper_heterogeneous();
-    let creport = cluster
-        .run(
-            move || BitonicSort::new(30_000),
-            5, /* request after 5 ms */
+    println!("\n=== live: scheduler thread + streamed source/destination threads ===\n");
+    // §2: "a scheduler … sends a migration request to a process". The
+    // source observes the flag at its next poll-point; it must run long
+    // enough for the request to land.
+    let n = 30_000;
+    let mut p = BitonicSort::new(n);
+    let (expect, _) = run_straight(&mut p, Architecture::dec5000()).unwrap();
+    let request = Arc::new(AtomicBool::new(false));
+    let run = std::thread::scope(|s| {
+        let flag = Arc::clone(&request);
+        s.spawn(move || {
+            std::thread::sleep(Duration::from_millis(1));
+            flag.store(true, Ordering::Relaxed);
+        });
+        migrate(
+            move || BitonicSort::new(n),
+            Architecture::dec5000(),
+            Architecture::sparc20(),
+            NetworkModel::ethernet_10(),
+            Trigger::External(request),
+            &Migration::new(Transport::Streamed(PipelineConfig {
+                pace: false,
+                ..PipelineConfig::default()
+            })),
         )
-        .unwrap();
+    })
+    .unwrap();
+    report(&format!("bitonic {n}"), &expect, &run);
     println!(
-        "bitonic 30000 over the wire: image {} bytes, collect {:.4}s, tx {:.4}s, restore {:.4}s, {} polls before the request landed",
-        creport.image_bytes,
-        creport.collect_time.as_secs_f64(),
-        creport.tx_time.as_secs_f64(),
-        creport.restore_time.as_secs_f64(),
-        creport.src_polls,
+        "{} polls before the request landed; {} frames on the wire",
+        run.report.src_polls,
+        run.report.pipeline().map_or(0, |p| p.chunks),
     );
-    let sorted = creport.results.iter().find(|(k, _)| k == "sorted").unwrap();
-    println!("destination reports sorted = {}", sorted.1);
 }
 
 fn report(name: &str, expect: &[(String, String)], run: &hpm::migrate::MigrationRun) {

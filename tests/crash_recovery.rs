@@ -65,10 +65,10 @@ fn run_one<P: MigratableProgram + Send>(
         soak_policy(),
     )
     .unwrap_or_else(|e| panic!("seed {:#x}: driver failed: {e}", plan.seed));
-    let recovery = run.report.recovery.expect("resilient runs carry stats");
-    let resume = run
+    let recovery = *run.report.recovery().expect("resilient runs carry stats");
+    let resume = *run
         .report
-        .resume
+        .resume()
         .expect("resilient runs carry resume stats");
     (run.results, recovery, resume)
 }
@@ -270,7 +270,7 @@ fn destination_crash_resumes_without_rereceiving_verified_chunks() {
     )
     .unwrap();
     assert!(diff_results(&expect, &run.results).is_none());
-    let resume = run.report.resume.unwrap();
+    let resume = run.report.resume().unwrap();
     assert_eq!(resume.rung, 2, "{resume:?}");
     assert_eq!(
         resume.journal_chunks, k as u64,
@@ -280,13 +280,16 @@ fn destination_crash_resumes_without_rereceiving_verified_chunks() {
     assert_eq!(resume.wire_replays, 0);
     assert!(resume.bytes_saved > 0);
     // The resumed stream carried exactly the chunks the journal lacked.
-    let pipeline = run.report.pipeline.expect("rung 2 completes the pipeline");
+    let pipeline = run
+        .report
+        .pipeline()
+        .expect("rung 2 completes the pipeline");
     assert_eq!(
         resume.chunks_retransferred,
         pipeline.chunks - resume.chunks_replayed,
         "replayed + retransferred must cover the whole stream: {resume:?}"
     );
-    assert!(!run.report.recovery.unwrap().fallback_taken);
+    assert!(!run.report.recovery().unwrap().fallback_taken);
 }
 
 /// A tampered journal digest is provably refused: the sender rejects the
@@ -313,13 +316,13 @@ fn tampered_journal_digest_falls_back_to_rung_3() {
     )
     .unwrap();
     assert!(diff_results(&expect, &run.results).is_none());
-    let resume = run.report.resume.unwrap();
+    let resume = run.report.resume().unwrap();
     assert_eq!(resume.rung, 3, "{resume:?}");
     assert!(resume.rung2_attempted, "the handshake must have been tried");
     assert_eq!(resume.skip, Some(Rung2Skip::DigestMismatch));
-    assert!(run.report.recovery.unwrap().fallback_taken);
+    assert!(run.report.recovery().unwrap().fallback_taken);
     assert!(
-        run.report.flight.is_some(),
+        run.report.flight().is_some(),
         "rung 3 attaches the flight dump"
     );
 }
@@ -346,7 +349,7 @@ fn source_crash_skips_rung_2_with_a_reason() {
     )
     .unwrap();
     assert!(diff_results(&expect, &run.results).is_none());
-    let resume = run.report.resume.unwrap();
+    let resume = run.report.resume().unwrap();
     assert_eq!(resume.rung, 3, "{resume:?}");
     assert!(!resume.rung2_attempted);
     assert_eq!(resume.skip, Some(Rung2Skip::SourceCrashed));

@@ -10,8 +10,8 @@
 
 use hpm::arch::Architecture;
 use hpm::migrate::{
-    run_migrating_pipelined, run_migrating_resilient, run_straight, FallbackPolicy,
-    MigratableProgram, PipelineConfig, RecoveryPolicy, RecoveryStats, Trigger,
+    migrate, run_migrating_resilient, run_straight, FallbackPolicy, MigratableProgram, Migration,
+    PipelineConfig, RecoveryPolicy, RecoveryStats, Transport, Trigger,
 };
 use hpm::net::{FaultPlan, NetworkModel};
 use hpm::workloads::{diff_results, BitonicSort, Linpack, TestPointer};
@@ -58,7 +58,7 @@ fn run_one<P: MigratableProgram + Send>(
         soak_policy(),
     )
     .unwrap_or_else(|e| panic!("seed {:#x}: driver failed: {e}", plan.seed));
-    let stats = run.report.recovery.expect("resilient runs carry stats");
+    let stats = *run.report.recovery().expect("resilient runs carry stats");
     (run.results, stats)
 }
 
@@ -221,13 +221,13 @@ fn soak_bitonic_compressed() {
 /// actions beyond routine acknowledgements.
 #[test]
 fn zero_fault_resilient_run_matches_pipelined() {
-    let pipelined = run_migrating_pipelined(
+    let pipelined = migrate(
         TestPointer::new,
         Architecture::dec5000(),
         Architecture::sparc20(),
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(8),
-        soak_cfg(),
+        &Migration::new(Transport::Streamed(soak_cfg())),
     )
     .unwrap();
     let resilient = run_migrating_resilient(
@@ -244,7 +244,7 @@ fn zero_fault_resilient_run_matches_pipelined() {
     assert_eq!(resilient.results, pipelined.results);
     assert_eq!(resilient.report.image_bytes, pipelined.report.image_bytes);
     assert_eq!(resilient.report.memory_bytes, pipelined.report.memory_bytes);
-    let r = resilient.report.recovery.unwrap();
+    let r = resilient.report.recovery().unwrap();
     assert!(!r.fallback_taken);
     assert_eq!(r.retransmits, 0);
     assert_eq!(r.nacks_sent, 0);

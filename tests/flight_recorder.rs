@@ -6,8 +6,8 @@
 
 use hpm_arch::Architecture;
 use hpm_migrate::{
-    run_migrating_resilient_recorded, run_straight, FallbackPolicy, MigError, PipelineConfig,
-    RecoveryPolicy, Trigger,
+    migrate, run_straight, FallbackPolicy, MigError, Migration, PipelineConfig, RecoveryPolicy,
+    Transport, Trigger,
 };
 use hpm_net::{FaultPlan, NetworkModel};
 use hpm_obs::{FlightDump, FlightRecorder};
@@ -43,22 +43,26 @@ fn big_chunk_cfg() -> PipelineConfig {
 }
 
 fn run_doomed(recorder: &FlightRecorder) -> MigError {
-    run_migrating_resilient_recorded(
+    migrate(
         TestPointer::new,
         Architecture::dec5000(),
         Architecture::sparc20(),
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(8),
-        big_chunk_cfg(),
-        dead_link_plan(),
-        RecoveryPolicy {
-            max_retries: 3,
-            backoff: Duration::from_millis(1),
-            fallback: FallbackPolicy::Fail,
-            // This test asserts rung-3 behavior; keep rung 2 out of play.
-            resume: false,
+        &Migration {
+            recorder: Some(recorder),
+            ..Migration::new(Transport::Reliable(
+                big_chunk_cfg(),
+                dead_link_plan(),
+                RecoveryPolicy {
+                    max_retries: 3,
+                    backoff: Duration::from_millis(1),
+                    fallback: FallbackPolicy::Fail,
+                    // This test asserts rung-3 behavior; keep rung 2 out of play.
+                    resume: false,
+                },
+            ))
         },
-        recorder,
     )
     .expect_err("a dead link with Fail policy must error")
 }
@@ -122,22 +126,26 @@ fn forced_failure_dump_is_deterministic_and_names_the_chunk() {
 #[test]
 fn source_resume_fallback_attaches_the_dump_to_the_report() {
     let recorder = FlightRecorder::new();
-    let run = run_migrating_resilient_recorded(
+    let run = migrate(
         TestPointer::new,
         Architecture::dec5000(),
         Architecture::sparc20(),
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(8),
-        big_chunk_cfg(),
-        dead_link_plan(),
-        RecoveryPolicy {
-            max_retries: 3,
-            backoff: Duration::from_millis(1),
-            fallback: FallbackPolicy::SourceResume,
-            // This test asserts rung-3 behavior; keep rung 2 out of play.
-            resume: false,
+        &Migration {
+            recorder: Some(&recorder),
+            ..Migration::new(Transport::Reliable(
+                big_chunk_cfg(),
+                dead_link_plan(),
+                RecoveryPolicy {
+                    max_retries: 3,
+                    backoff: Duration::from_millis(1),
+                    fallback: FallbackPolicy::SourceResume,
+                    // This test asserts rung-3 behavior; keep rung 2 out of play.
+                    resume: false,
+                },
+            ))
         },
-        &recorder,
     )
     .expect("SourceResume turns the dead link into a local resume");
 
@@ -147,9 +155,9 @@ fn source_resume_fallback_attaches_the_dump_to_the_report() {
         diff_results(&expect, &run.results).is_none(),
         "fallback still computes the right answer"
     );
-    let recovery = run.report.recovery.expect("resilient runs carry stats");
+    let recovery = run.report.recovery().expect("resilient runs carry stats");
     assert!(recovery.fallback_taken);
-    let dump = run.report.flight.as_ref().expect("fallback attaches dump");
+    let dump = run.report.flight().expect("fallback attaches dump");
     assert_dump_names_the_failure(dump);
 }
 

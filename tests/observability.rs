@@ -6,7 +6,7 @@
 //! runs; and the Chrome trace-event export must be well-formed JSON.
 
 use hpm_arch::Architecture;
-use hpm_migrate::{run_migrating, run_migrating_traced, MigrationRun, Trigger};
+use hpm_migrate::{run_migrating, Migration, MigrationRun, Transport, Trigger};
 use hpm_net::NetworkModel;
 use hpm_obs::{chrome_trace_json, Tracer};
 use hpm_workloads::{BitonicSort, Linpack, TestPointer};
@@ -73,13 +73,16 @@ fn bitonic_collect_restore_parity() {
 
 fn traced_run() -> MigrationRun {
     let tracer = Tracer::new();
-    run_migrating_traced(
+    hpm_migrate::migrate(
         TestPointer::new,
         Architecture::dec5000(),
         Architecture::sparc20(),
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(8),
-        &tracer,
+        &Migration {
+            tracer: &tracer,
+            ..Migration::new(Transport::Whole)
+        },
     )
     .expect("traced migration succeeds")
 }

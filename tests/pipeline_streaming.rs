@@ -9,8 +9,8 @@ use hpm::core::image::unframe_image;
 use hpm::core::stream::VecChunks;
 use hpm::core::ChunkPayload;
 use hpm::migrate::{
-    run_migrating_pipelined, run_straight, run_to_migration, ExecutionState, MigCtx, MigError,
-    MigratableProgram, MigratedSource, PipelineConfig, Process, Trigger,
+    migrate, run_straight, run_to_migration, ExecutionState, MigCtx, MigError, MigratableProgram,
+    MigratedSource, Migration, PipelineConfig, Process, Transport, Trigger,
 };
 use hpm::net::NetworkModel;
 use hpm::workloads::{diff_results, BitonicSort, Linpack, TestPointer};
@@ -78,13 +78,13 @@ fn pipelined_migration_matches_straight_run_and_overlaps() {
     let mut p = BitonicSort::new(n);
     let (expect, _) = run_straight(&mut p, Architecture::ultra5()).unwrap();
 
-    let run = run_migrating_pipelined(
+    let run = migrate(
         move || BitonicSort::new(n),
         Architecture::ultra5(),
         Architecture::ultra5(),
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(n),
-        PipelineConfig::default(),
+        &Migration::new(Transport::Streamed(PipelineConfig::default())),
     )
     .unwrap();
     assert!(
@@ -92,7 +92,7 @@ fn pipelined_migration_matches_straight_run_and_overlaps() {
         "pipelined results diverge from the unmigrated run"
     );
 
-    let p = run.report.pipeline.expect("pipelined run carries stats");
+    let p = run.report.pipeline().expect("pipelined run carries stats");
     assert!(p.chunks >= 3, "expected prefix + payload + terminator");
     assert!(p.tx_time > Duration::ZERO);
     assert!(

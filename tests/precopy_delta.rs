@@ -4,9 +4,10 @@
 
 use hpm_arch::Architecture;
 use hpm_migrate::{
-    run_migrating_precopy, run_migrating_precopy_faulty, run_straight, PrecopyConfig, Trigger,
+    migrate, run_straight, Migration, MigrationRun, PipelineConfig, PrecopyConfig, PrecopyStats,
+    RecoveryPolicy, Transport, Trigger,
 };
-use hpm_net::{ArqConfig, FaultPlan, NetworkModel};
+use hpm_net::{FaultPlan, NetworkModel};
 use hpm_workloads::{diff_results, BitonicSort, TestPointer};
 
 // Pre-copy rounds need a workload whose poll-points live in the
@@ -26,6 +27,13 @@ fn bitonic_cfg() -> PrecopyConfig {
 
 const N: u64 = 2_000;
 
+fn stats(run: &MigrationRun) -> &PrecopyStats {
+    run.report
+        .precopy
+        .as_ref()
+        .expect("a pre-copy policy reports per-round stats")
+}
+
 #[test]
 fn precopy_bitonic_matches_straight_run_heterogeneous() {
     let (expected, _) =
@@ -35,13 +43,16 @@ fn precopy_bitonic_matches_straight_run_heterogeneous() {
         (Architecture::sparc20(), Architecture::ultra5()),
         (Architecture::x86_64_sim(), Architecture::dec5000()),
     ] {
-        let run = run_migrating_precopy(
+        let run = migrate(
             || BitonicSort::new(N),
             src.clone(),
             dst.clone(),
             NetworkModel::ethernet_100(),
             Trigger::AtPollCount(N / 4),
-            bitonic_cfg(),
+            &Migration {
+                precopy: Some(bitonic_cfg()),
+                ..Migration::new(Transport::Whole)
+            },
         )
         .expect("pre-copy migration");
         assert!(
@@ -50,13 +61,13 @@ fn precopy_bitonic_matches_straight_run_heterogeneous() {
             src.name,
             dst.name
         );
-        assert!(run.stats.identity_ok, "per-round byte identity violated");
-        assert_eq!(run.stats.fallbacks, 0, "unexpected full-image fallback");
-        assert!(!run.stats.completed_on_source);
-        assert!(run.stats.rounds >= 1);
+        assert!(stats(&run).identity_ok, "per-round byte identity violated");
+        assert_eq!(stats(&run).fallbacks, 0, "unexpected full-image fallback");
+        assert!(!stats(&run).completed_on_source);
+        assert!(stats(&run).rounds >= 1);
         assert_eq!(
-            run.stats.bytes_per_round.len() as u32,
-            run.stats.rounds + 1,
+            stats(&run).bytes_per_round.len() as u32,
+            stats(&run).rounds + 1,
             "one entry per shipped round (round 0 included)"
         );
     }
@@ -71,17 +82,20 @@ fn precopy_bitonic_converges_with_small_freeze() {
     // round cap — the round budget must stay inside the n total polls
     // or the run silently completes on the source and `freeze_bytes`
     // is a vacuous 0.
-    let run = run_migrating_precopy(
+    let run = migrate(
         || BitonicSort::new(n),
         Architecture::ultra5(),
         Architecture::sparc20(),
         NetworkModel::ethernet_100(),
         Trigger::AtPollCount(n / 4),
-        PrecopyConfig {
-            round_polls: 150,
-            max_rounds: 4,
-            dirty_threshold: 0.05,
-            ..PrecopyConfig::default()
+        &Migration {
+            precopy: Some(PrecopyConfig {
+                round_polls: 150,
+                max_rounds: 4,
+                dirty_threshold: 0.05,
+                ..PrecopyConfig::default()
+            }),
+            ..Migration::new(Transport::Whole)
         },
     )
     .expect("pre-copy migration");
@@ -89,20 +103,20 @@ fn precopy_bitonic_converges_with_small_freeze() {
         diff_results(&expected, &run.results).is_none(),
         "answers diverged"
     );
-    assert!(run.stats.identity_ok);
-    assert_eq!(run.stats.fallbacks, 0);
+    assert!(stats(&run).identity_ok);
+    assert_eq!(stats(&run).fallbacks, 0);
     assert!(
-        !run.stats.completed_on_source,
+        !stats(&run).completed_on_source,
         "no freeze happened — the convergence claim below would be vacuous"
     );
-    assert!(run.stats.freeze_bytes > 0);
+    assert!(stats(&run).freeze_bytes > 0);
     // The whole point of pre-copy: the frozen leg ships far less than
     // the full image round 0 shipped.
     assert!(
-        run.stats.freeze_bytes * 4 <= run.stats.full_bytes,
+        stats(&run).freeze_bytes * 4 <= stats(&run).full_bytes,
         "freeze shipped {} of a {}-byte image",
-        run.stats.freeze_bytes,
-        run.stats.full_bytes
+        stats(&run).freeze_bytes,
+        stats(&run).full_bytes
     );
 }
 
@@ -110,23 +124,30 @@ fn precopy_bitonic_converges_with_small_freeze() {
 fn tampered_base_forces_clean_full_image_fallback() {
     let (expected, _) =
         run_straight(&mut BitonicSort::new(N), Architecture::dec5000()).expect("straight run");
-    let run = run_migrating_precopy(
+    let run = migrate(
         || BitonicSort::new(N),
         Architecture::dec5000(),
         Architecture::ultra5(),
         NetworkModel::ethernet_100(),
         Trigger::AtPollCount(N / 4),
-        PrecopyConfig {
-            tamper_base_at_round: Some(1),
-            ..bitonic_cfg()
+        &Migration {
+            precopy: Some(PrecopyConfig {
+                tamper_base_at_round: Some(1),
+                ..bitonic_cfg()
+            }),
+            ..Migration::new(Transport::Whole)
         },
     )
     .expect("pre-copy migration survives a rotten base");
     assert_eq!(
-        run.stats.fallbacks, 1,
+        stats(&run).fallbacks,
+        1,
         "the rotten base must refuse exactly once"
     );
-    assert!(run.stats.identity_ok, "fallback must restore byte identity");
+    assert!(
+        stats(&run).identity_ok,
+        "fallback must restore byte identity"
+    );
     assert!(
         diff_results(&expected, &run.results).is_none(),
         "answers diverged after fallback"
@@ -137,21 +158,24 @@ fn tampered_base_forces_clean_full_image_fallback() {
 fn program_outrunning_the_rounds_reports_source_results() {
     let (expected, _) =
         run_straight(&mut TestPointer::new(), Architecture::dec5000()).expect("straight run");
-    let run = run_migrating_precopy(
+    let run = migrate(
         TestPointer::new,
         Architecture::dec5000(),
         Architecture::ultra5(),
         NetworkModel::ethernet_100(),
         Trigger::AtPollCount(8),
-        PrecopyConfig {
-            round_polls: 1_000_000,
-            ..PrecopyConfig::default()
+        &Migration {
+            precopy: Some(PrecopyConfig {
+                round_polls: 1_000_000,
+                ..PrecopyConfig::default()
+            }),
+            ..Migration::new(Transport::Whole)
         },
     )
     .expect("pre-copy with an unreachable round trigger");
-    assert!(run.stats.completed_on_source);
+    assert!(stats(&run).completed_on_source);
     assert!(diff_results(&expected, &run.results).is_none());
-    assert_eq!(run.stats.rounds, 0, "no delta round completed");
+    assert_eq!(stats(&run).rounds, 0, "no delta round completed");
 }
 
 #[test]
@@ -164,28 +188,37 @@ fn precopy_over_faulty_arq_link_roundtrips() {
     plan.disconnect_at = None;
     plan.dst_crash_at = None;
     plan.src_crash_at = None;
-    let run = run_migrating_precopy_faulty(
+    let run = migrate(
         || BitonicSort::new(N),
         Architecture::sparc20(),
         Architecture::x86_64_sim(),
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(N / 4),
-        PrecopyConfig {
-            chunk_bytes: 4096,
-            ..bitonic_cfg()
+        &Migration {
+            precopy: Some(bitonic_cfg()),
+            ..Migration::new(Transport::Reliable(
+                PipelineConfig {
+                    chunk_bytes: 4096,
+                    pace: false,
+                    ..PipelineConfig::default().compressed()
+                },
+                plan,
+                RecoveryPolicy::default(),
+            ))
         },
-        plan,
-        ArqConfig::default(),
     )
     .expect("pre-copy over faulty link");
     assert!(
         diff_results(&expected, &run.results).is_none(),
         "answers diverged"
     );
-    assert!(run.stats.identity_ok);
-    let faults = run.faults.expect("ARQ path reports fault counters");
+    assert!(stats(&run).identity_ok);
+    let faults = run
+        .report
+        .recovery()
+        .expect("ARQ path reports fault counters");
     assert!(
-        faults.faults_injected() > 0,
+        faults.faults_injected > 0,
         "seed injected nothing — weak test"
     );
 }

@@ -10,8 +10,11 @@
 use std::time::Duration;
 
 use hpm_arch::Architecture;
-use hpm_migrate::{run_migrating_precopy_faulty, run_straight, PrecopyConfig, PrecopyRun, Trigger};
-use hpm_net::{ArqConfig, FaultPlan, NetworkModel};
+use hpm_migrate::{
+    migrate, run_straight, Migration, MigrationRun, PipelineConfig, PrecopyConfig, PrecopyStats,
+    RecoveryPolicy, Transport, Trigger,
+};
+use hpm_net::{FaultPlan, NetworkModel};
 use hpm_workloads::{diff_results, BitonicSort};
 
 const N: u64 = 1_200;
@@ -37,21 +40,36 @@ fn precopy_cfg() -> PrecopyConfig {
         round_polls: 200,
         max_rounds: 3,
         dirty_threshold: 0.02,
-        chunk_bytes: 4096,
         ..PrecopyConfig::default()
     }
 }
 
-fn run_one(seed: u64) -> PrecopyRun {
-    run_migrating_precopy_faulty(
+fn stats(run: &MigrationRun) -> &PrecopyStats {
+    run.report
+        .precopy
+        .as_ref()
+        .expect("a pre-copy policy reports per-round stats")
+}
+
+fn run_one(seed: u64) -> MigrationRun {
+    migrate(
         || BitonicSort::new(N),
         Architecture::dec5000(),
         Architecture::x86_64_sim(),
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(N / 4),
-        precopy_cfg(),
-        live_plan(seed),
-        ArqConfig::default(),
+        &Migration {
+            precopy: Some(precopy_cfg()),
+            ..Migration::new(Transport::Reliable(
+                PipelineConfig {
+                    chunk_bytes: 4096,
+                    pace: false,
+                    ..PipelineConfig::default().compressed()
+                },
+                live_plan(seed),
+                RecoveryPolicy::default(),
+            ))
+        },
     )
     .unwrap_or_else(|e| panic!("seed {seed:#x}: pre-copy driver failed: {e}"))
 }
@@ -71,22 +89,26 @@ fn soak_precopy_bitonic_over_faulty_links() {
                 "seed {seed:#x}: WRONG ANSWER after pre-copy under faults"
             );
             assert!(
-                run.stats.identity_ok,
+                stats(&run).identity_ok,
                 "seed {seed:#x}: a round's reconstructed image diverged"
             );
             assert!(
-                !run.stats.completed_on_source,
+                !stats(&run).completed_on_source,
                 "seed {seed:#x}: no freeze happened — the soak is not \
                  exercising the delta rounds"
             );
             assert_eq!(
-                run.stats.fallbacks, 0,
+                stats(&run).fallbacks,
+                0,
                 "seed {seed:#x}: the ARQ layer must absorb link faults; a \
                  digest refusal here means corruption leaked through"
             );
-            let faults = run.faults.expect("ARQ path reports fault counters");
-            faulty_runs += (faults.faults_injected() > 0) as u64;
-            total_faults += faults.faults_injected();
+            let faults = run
+                .report
+                .recovery()
+                .expect("ARQ path reports fault counters");
+            faulty_runs += (faults.faults_injected > 0) as u64;
+            total_faults += faults.faults_injected;
             if i % 25 == 0 {
                 let rerun = run_one(seed);
                 assert_eq!(
@@ -94,7 +116,8 @@ fn soak_precopy_bitonic_over_faulty_links() {
                     "seed {seed:#x}: results drifted between identical runs"
                 );
                 assert_eq!(
-                    rerun.stats.bytes_per_round, run.stats.bytes_per_round,
+                    stats(&rerun).bytes_per_round,
+                    stats(&run).bytes_per_round,
                     "seed {seed:#x}: wire bytes not reproducible"
                 );
             }

@@ -64,7 +64,7 @@ fn check<P: MigratableProgram>(name: &str, make: impl Fn() -> P, trigger: Trigge
             let again = Trigger::AtLeastPollCount(0);
             match resume_to_migration(&mut make(), dst_arch, &image, again).unwrap() {
                 ResumeFlow::Frozen(dst) => restored_id(&dst.proc, &[]),
-                ResumeFlow::Completed(results, proc) => restored_id(&proc, &results),
+                ResumeFlow::Completed(run) => restored_id(&run.proc, &run.results),
             }
         });
         let got: Pin = (image_id(&payload), image_id(&table), restored);

@@ -8,7 +8,7 @@
 
 use hpm::arch::Architecture;
 use hpm::migrate::{
-    run_migrating, run_migrating_pipelined, run_to_migration, PipelineConfig, Trigger,
+    migrate, run_migrating, run_to_migration, Migration, PipelineConfig, Transport, Trigger,
 };
 use hpm::net::{channel_pair, ChunkReceiver, ChunkSender, NetworkModel, WireCodec};
 use hpm::workloads::TestPointer;
@@ -69,17 +69,17 @@ fn every_preset_pair_roundtrips_stored_and_compressed() {
             )
             .unwrap();
             for codec in [WireCodec::V2, WireCodec::V3] {
-                let run = run_migrating_pipelined(
+                let run = migrate(
                     TestPointer::new,
                     src.clone(),
                     dst.clone(),
                     NetworkModel::instant(),
                     Trigger::AtPollCount(8),
-                    PipelineConfig {
+                    &Migration::new(Transport::Streamed(PipelineConfig {
                         pace: false,
                         codec,
                         ..Default::default()
-                    },
+                    })),
                 )
                 .unwrap();
                 let tag = format!("{} -> {} via {codec:?}", src.name, dst.name);
