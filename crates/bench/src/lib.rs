@@ -847,7 +847,7 @@ fn arch_tag(a: &Architecture) -> &'static str {
 /// threshold — the freeze comes from the round cap, and the round
 /// budget (trigger n/4 + 4 × 150 polls) must stay well inside the
 /// workload's n total polls or the run completes on the source. At 150
-/// insertions per round the freeze leg ships ~12% of the full image.
+/// insertions per round the freeze leg ships ~10.5% of the full image.
 const DELTA_N: u64 = 4_000;
 
 fn delta_cfg() -> PrecopyConfig {

@@ -38,8 +38,8 @@ use crate::CoreError;
 use hpm_memory::AddressSpace;
 use hpm_types::plan::PlanOp;
 use hpm_xdr::delta::{frame_delta, unframe_delta, DeltaHeader};
-use hpm_xdr::journal::image_id;
-use hpm_xdr::{compress_with_dict, decompress_with_dict, XdrEncoder};
+use hpm_xdr::{compress_with_dict, decompress_with_dict, image_id_from_fnv, XdrEncoder};
+use std::collections::HashMap;
 
 /// Digest of one live block's canonical machine-independent content.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,11 +70,20 @@ pub fn block_digests(
         .map(|e| (e.id, e.addr, e.ty, e.count, e.size))
         .collect();
     let mut out = Vec::with_capacity(entries.len());
+    // One scratch encoder and one fingerprint per type serve every block.
+    let mut enc = XdrEncoder::new();
+    let mut fingerprints = HashMap::new();
     for (id, addr, ty, count, size) in entries {
-        let digest = canonical_digest(space, msrlt, addr, ty, count)?;
+        let fingerprint = *fingerprints
+            .entry(ty)
+            .or_insert_with(|| type_fingerprint(space.types(), ty));
+        enc.clear();
+        enc.put_u64(fingerprint);
+        enc.put_u64(count);
+        encode_canonical(space, msrlt, &mut enc, addr, ty, count)?;
         out.push(BlockDigest {
             id,
-            digest,
+            digest: content_digest(enc.as_bytes()),
             bytes: size,
         });
     }
@@ -82,19 +91,16 @@ pub fn block_digests(
     Ok(out)
 }
 
-/// Hash one block's canonical machine-independent encoding.
-fn canonical_digest(
+/// Append one block's canonical machine-independent content to `enc`.
+fn encode_canonical(
     space: &mut AddressSpace,
     msrlt: &mut Msrlt,
+    enc: &mut XdrEncoder,
     addr: u64,
     ty: hpm_types::TypeId,
     count: u64,
-) -> Result<u64, CoreError> {
+) -> Result<(), CoreError> {
     let plan = space.plan_for(ty)?;
-    let total = plan.size * count;
-    let mut enc = XdrEncoder::with_capacity(total as usize + 16);
-    enc.put_u64(type_fingerprint(space.types(), ty));
-    enc.put_u64(count);
     // One address translation for the block; every op below indexes its
     // bytes, re-borrowed per op so pointer translation can compile the
     // target type's plan in between.
@@ -107,10 +113,9 @@ fn canonical_digest(
         Ok::<(), CoreError>(())
     };
     if !plan.has_pointers {
-        for_each_run(space.arch(), &plan, count, mode, |offset, kernel, n| {
-            run(space, &mut enc, base + offset, kernel, n)
-        })?;
-        return Ok(content_digest(enc.as_bytes()));
+        return for_each_run(space.arch(), &plan, count, mode, |offset, kernel, n| {
+            run(space, enc, base + offset, kernel, n)
+        });
     }
     for elem in 0..count {
         let elem_base = base + elem * plan.size;
@@ -123,7 +128,7 @@ fn canonical_digest(
                     stride,
                 } => {
                     let kernel = Kernel::select(space.arch(), kind, stride, mode);
-                    run(space, &mut enc, elem_base + offset, kernel, rc)?;
+                    run(space, enc, elem_base + offset, kernel, rc)?;
                 }
                 PlanOp::PointerSlot { offset, .. } => {
                     let bytes = space.slot_bytes(slot)?;
@@ -141,24 +146,36 @@ fn canonical_digest(
             }
         }
     }
-    Ok(content_digest(enc.as_bytes()))
+    Ok(())
 }
 
 /// The digest table of a shipped image, retained by the sender so later
-/// rounds can diff against it.
+/// rounds can diff against it. Immutable once built: the manifest digest
+/// is computed at construction and stays true of the fields.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BaseImageManifest {
-    /// [`image_id`] of the shipped image bytes.
-    pub image_id: u64,
-    /// Per-block digests, sorted by logical id.
-    pub digests: Vec<BlockDigest>,
+    image_id: u64,
+    digests: Vec<BlockDigest>,
+    manifest_digest: u64,
 }
 
 impl BaseImageManifest {
-    /// Build a manifest, normalising digest order.
+    /// Build a manifest from the shipped image's
+    /// [`image_id`](hpm_xdr::image_id) and its per-block digests,
+    /// normalising digest order.
     pub fn new(image_id: u64, mut digests: Vec<BlockDigest>) -> Self {
         digests.sort_by_key(|d| (d.id.group, d.id.index));
-        BaseImageManifest { image_id, digests }
+        let mut h = fnv(FNV_OFFSET, &image_id.to_be_bytes());
+        for d in &digests {
+            h = fnv(h, &d.id.group.to_be_bytes());
+            h = fnv(h, &d.id.index.to_be_bytes());
+            h = fnv(h, &d.digest.to_be_bytes());
+        }
+        BaseImageManifest {
+            image_id,
+            digests,
+            manifest_digest: h,
+        }
     }
 
     /// Chained digest over the image id and every `(id, digest)` pair —
@@ -166,13 +183,7 @@ impl BaseImageManifest {
     /// receiver will apply it. Block sizes are machine-specific and
     /// deliberately excluded.
     pub fn manifest_digest(&self) -> u64 {
-        let mut h = fnv(FNV_OFFSET, &self.image_id.to_be_bytes());
-        for d in &self.digests {
-            h = fnv(h, &d.id.group.to_be_bytes());
-            h = fnv(h, &d.id.index.to_be_bytes());
-            h = fnv(h, &d.digest.to_be_bytes());
-        }
-        h
+        self.manifest_digest
     }
 }
 
@@ -269,12 +280,6 @@ impl DeltaImage {
     pub fn to_frame(&self) -> Vec<u8> {
         frame_delta(&self.header, &self.ops)
     }
-
-    /// Wire size of the framed delta.
-    pub fn frame_len(&self) -> usize {
-        // header fixed part + XDR opaque (len word + padded ops) + CRC
-        self.to_frame().len()
-    }
 }
 
 /// Build the delta shipping `current_image` against the retained base.
@@ -287,17 +292,22 @@ pub fn collect_delta(
     current_image: &[u8],
     round: u32,
 ) -> (DeltaImage, BaseImageManifest) {
-    let next = BaseImageManifest::new(image_id(current_image), current_digests);
+    // One pass over the image yields both its payload digest and its id.
+    let payload_digest = content_digest(current_image);
+    let next = BaseImageManifest::new(
+        image_id_from_fnv(payload_digest, current_image.len()),
+        current_digests,
+    );
     let dirty = diff_manifest(base, &next.digests);
     let ops = compress_with_dict(base_image, current_image);
     let header = DeltaHeader {
         base_image_id: base.image_id,
-        base_digest: base.manifest_digest(),
-        manifest_digest: next.manifest_digest(),
+        base_digest: base.manifest_digest,
+        manifest_digest: next.manifest_digest,
         full_fallback: false,
         round,
         raw_len: current_image.len() as u64,
-        payload_digest: content_digest(current_image),
+        payload_digest,
         dirty_blocks: dirty.dirty.len() as u32,
         fresh_blocks: dirty.fresh.len() as u32,
         tombstones: dirty.tombstones.len() as u32,
@@ -312,8 +322,8 @@ pub fn collect_delta(
 pub fn full_image_frame(image: &[u8], manifest: &BaseImageManifest, round: u32) -> Vec<u8> {
     let header = DeltaHeader {
         base_image_id: manifest.image_id,
-        base_digest: manifest.manifest_digest(),
-        manifest_digest: manifest.manifest_digest(),
+        base_digest: manifest.manifest_digest,
+        manifest_digest: manifest.manifest_digest,
         full_fallback: true,
         round,
         raw_len: image.len() as u64,
@@ -329,7 +339,7 @@ pub fn full_image_frame(image: &[u8], manifest: &BaseImageManifest, round: u32) 
 /// image bytes plus the identity a later delta's base fields must match.
 #[derive(Debug, Clone)]
 pub struct RetainedBase {
-    /// [`image_id`] of the retained image bytes.
+    /// [`image_id`](hpm_xdr::image_id) of the retained image bytes.
     pub image_id: u64,
     /// Manifest digest handed over in the installing frame's header.
     pub manifest_digest: u64,
@@ -349,49 +359,45 @@ pub fn apply_delta(
     frame: &[u8],
 ) -> Result<(DeltaHeader, RetainedBase), CoreError> {
     let (header, ops) = unframe_delta(frame)?;
+    let mismatch = |field, expected, found| CoreError::DeltaBaseMismatch {
+        field,
+        expected,
+        found,
+    };
     let image = if header.full_fallback {
         ops
     } else {
-        let base = base.ok_or(CoreError::DeltaBaseMismatch {
-            field: "base_image_id",
-            expected: header.base_image_id,
-            found: 0,
-        })?;
+        let base = base.ok_or(mismatch("base_image_id", header.base_image_id, 0))?;
         if base.image_id != header.base_image_id {
-            return Err(CoreError::DeltaBaseMismatch {
-                field: "base_image_id",
-                expected: header.base_image_id,
-                found: base.image_id,
-            });
+            return Err(mismatch(
+                "base_image_id",
+                header.base_image_id,
+                base.image_id,
+            ));
         }
         if base.manifest_digest != header.base_digest {
-            return Err(CoreError::DeltaBaseMismatch {
-                field: "base_digest",
-                expected: header.base_digest,
-                found: base.manifest_digest,
-            });
+            return Err(mismatch(
+                "base_digest",
+                header.base_digest,
+                base.manifest_digest,
+            ));
         }
-        decompress_with_dict(&base.image, &ops, header.raw_len as usize)?
+        // `raw_len` is a claim read off the wire, not yet a size.
+        let raw_len = usize::try_from(header.raw_len)
+            .map_err(|_| mismatch("raw_len", header.raw_len, usize::MAX as u64))?;
+        decompress_with_dict(&base.image, &ops, raw_len)?
     };
     if image.len() as u64 != header.raw_len {
-        return Err(CoreError::DeltaBaseMismatch {
-            field: "raw_len",
-            expected: header.raw_len,
-            found: image.len() as u64,
-        });
+        return Err(mismatch("raw_len", header.raw_len, image.len() as u64));
     }
     let digest = content_digest(&image);
     if digest != header.payload_digest {
-        return Err(CoreError::DeltaBaseMismatch {
-            field: "payload_digest",
-            expected: header.payload_digest,
-            found: digest,
-        });
+        return Err(mismatch("payload_digest", header.payload_digest, digest));
     }
     Ok((
         header,
         RetainedBase {
-            image_id: image_id(&image),
+            image_id: image_id_from_fnv(digest, image.len()),
             manifest_digest: header.manifest_digest,
             image,
         },
@@ -403,6 +409,7 @@ mod tests {
     use super::*;
     use hpm_arch::Architecture;
     use hpm_types::Field;
+    use hpm_xdr::image_id;
 
     fn register(space: &AddressSpace, msrlt: &mut Msrlt, addr: u64) -> LogicalId {
         let info = space.info_at(addr).expect("block exists");
@@ -550,6 +557,7 @@ mod tests {
         assert_eq!(h.round, 1);
         assert_eq!(new_base.manifest_digest, next.manifest_digest());
         assert_eq!(new_base.image_id, next.image_id);
+        assert_eq!(next.image_id, image_id(&cur_img), "derived id diverges");
     }
 
     #[test]

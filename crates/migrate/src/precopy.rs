@@ -186,11 +186,15 @@ pub(crate) fn rounds<P: MigratableProgram, F: Fn() -> P>(
             collect_delta(&manifest, &cur_image, new_digests, &new_image, round);
         let frame = delta.to_frame();
         let mut round_bytes = frame.len() as u64;
-        if cfg.tamper_base_at_round == Some(round) && !retained.image.is_empty() {
-            // Rot the retained base: the payload digest must catch
-            // the divergence and refuse the delta.
-            let mid = retained.image.len() / 2;
-            retained.image[mid] ^= 0xFF;
+        if cfg.tamper_base_at_round == Some(round) {
+            // Rot a stripe of the retained base, so that whichever
+            // parts the delta copies, the payload digest must catch the
+            // divergence and refuse it.
+            retained
+                .image
+                .iter_mut()
+                .step_by(64)
+                .for_each(|b| *b ^= 0xFF);
         }
         match apply_delta(Some(&retained), &ship(frame)?) {
             Ok((_, new_base)) => retained = new_base,

@@ -48,8 +48,18 @@ use crate::XdrError;
 /// Minimum match/run length worth encoding (tag + varints cost ~3 bytes).
 const MIN_MATCH: usize = 4;
 
-/// Hash-chain table size (power of two).
+/// Minimum length of a match into the dictionary: its distance alone
+/// is a 3-4 byte varint, and it splits a literal run in two.
+const DICT_MIN_MATCH: usize = 8;
+
+/// A dictionary match this long, found off the aligned offset, moves
+/// the aligned offset to where it landed.
+const RESYNC_MATCH: usize = 32;
+
+/// Hash table size, log2: a slot per 8 to 16 dictionary bytes, within
+/// these bounds (the lower is the table of the dictionary-less coder).
 const HASH_BITS: u32 = 15;
+const MAX_HASH_BITS: u32 = 20;
 
 const TAG_LIT: u8 = 0x00;
 const TAG_RLE: u8 = 0x01;
@@ -95,16 +105,8 @@ fn untranspose(data: &[u8]) -> Vec<u8> {
     out
 }
 
-fn put_varint(out: &mut Vec<u8>, mut v: usize) {
-    loop {
-        let b = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            break;
-        }
-        out.push(b | 0x80);
-    }
+fn put_varint(out: &mut Vec<u8>, v: usize) {
+    put_varint_u64(out, v as u64);
 }
 
 fn get_varint(data: &[u8], pos: &mut usize) -> Result<usize, XdrError> {
@@ -167,10 +169,24 @@ pub fn get_varint_u64(data: &[u8], pos: &mut usize) -> Result<u64, XdrError> {
     }
 }
 
+/// Length of the common prefix of `a` and `b`, compared a word at a time.
 #[inline]
-fn hash4(data: &[u8], i: usize) -> usize {
-    let w = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
-    (w.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[..n], &b[..n]);
+    let mut i = 0;
+    while i + 8 <= n {
+        let diff = u64::from_le_bytes(a[i..i + 8].try_into().expect("8 bytes"))
+            ^ u64::from_le_bytes(b[i..i + 8].try_into().expect("8 bytes"));
+        if diff != 0 {
+            return i + (diff.trailing_zeros() / 8) as usize;
+        }
+        i += 8;
+    }
+    while i < n && a[i] == b[i] {
+        i += 1;
+    }
+    i
 }
 
 fn flush_literals(out: &mut Vec<u8>, data: &[u8], start: usize, end: usize) {
@@ -190,11 +206,11 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     if data.is_empty() {
         return Vec::new();
     }
-    let plain = tokenize(data);
+    let plain = tokenize::<false>(&[], data);
     // The plane filter only has planes to work with past one full
     // stride group per plane; ties go to the plain pass.
     if data.len() >= PLANE_STRIDE * PLANE_STRIDE {
-        let planed = tokenize(&transpose(data));
+        let planed = tokenize::<false>(&[], &transpose(data));
         if planed.len() < plain.len() {
             let mut out = Vec::with_capacity(planed.len() + 1);
             out.push(MODE_PLANED);
@@ -206,11 +222,6 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     out.push(MODE_PLAIN);
     out.extend_from_slice(&plain);
     out
-}
-
-/// Run the LZ/RLE coder over `data`, producing the raw token stream.
-fn tokenize(data: &[u8]) -> Vec<u8> {
-    tokenize_from(data, 0)
 }
 
 /// Compress `data` against a dictionary: the token stream covers only
@@ -225,13 +236,7 @@ fn tokenize(data: &[u8]) -> Vec<u8> {
 /// [`decompress_with_dict`], and determinism is preserved (identical
 /// `(dict, data)` always yields identical output).
 pub fn compress_with_dict(dict: &[u8], data: &[u8]) -> Vec<u8> {
-    if data.is_empty() {
-        return Vec::new();
-    }
-    let mut full = Vec::with_capacity(dict.len() + data.len());
-    full.extend_from_slice(dict);
-    full.extend_from_slice(data);
-    tokenize_from(&full, dict.len())
+    tokenize::<true>(dict, data)
 }
 
 /// Expand a token stream produced by [`compress_with_dict`] back into
@@ -240,29 +245,69 @@ pub fn compress_with_dict(dict: &[u8], data: &[u8]) -> Vec<u8> {
 /// the combined history, so a wrong or truncated dictionary yields an
 /// error, never garbage output.
 pub fn decompress_with_dict(dict: &[u8], ops: &[u8], raw_len: usize) -> Result<Vec<u8>, XdrError> {
-    let total = dict.len() + raw_len;
-    let mut out = Vec::with_capacity(total);
-    out.extend_from_slice(dict);
-    detokenize_into(ops, &mut out, total)?;
-    Ok(out.split_off(dict.len()))
+    // `raw_len` is a claim read off the wire: reserve no more than the
+    // input could account for and let validated tokens grow the rest.
+    let mut out = Vec::with_capacity(raw_len.min(dict.len().saturating_add(ops.len())));
+    detokenize_into(dict, ops, &mut out, raw_len)?;
+    Ok(out)
 }
 
-/// [`tokenize`] with the first `start` bytes acting as a dictionary:
-/// they seed the match table and the output history but emit no tokens.
-fn tokenize_from(data: &[u8], start: usize) -> Vec<u8> {
-    let n = data.len();
-    let mut out = Vec::with_capacity((n - start) / 2 + 16);
-    if n == start {
-        return out;
-    }
-    // Most recent position (+1; 0 = empty) for each 4-byte hash.
-    let mut table = vec![0u32; 1 << HASH_BITS];
-    for j in 0..start.min(n.saturating_sub(MIN_MATCH - 1)) {
-        table[hash4(data, j)] = (j + 1) as u32;
-    }
-    let mut i = start;
-    let mut lit_start = start;
-    while i < n {
+/// Run the LZ/RLE coder over `data`, producing the raw token stream.
+/// Match distances count back through `data` and then through `dict`,
+/// as if `dict` were history emitted before the first token.
+///
+/// Each position first tries the *aligned* candidates in `dict` — where
+/// the last long dictionary match says the base now stands — so an
+/// unchanged region of any length is one match found at compare speed.
+/// RLE and the hash search, whose table the dictionary seeds on the
+/// first miss, run only inside dirty regions.
+///
+/// `DICT = false` takes no dictionary and compiles those stages out:
+/// the v3 chunk path ran a quarter slower through the general loop.
+fn tokenize<const DICT: bool>(dict: &[u8], data: &[u8]) -> Vec<u8> {
+    let dict = if DICT { dict } else { &[] };
+    let (d, n) = (dict.len(), data.len());
+    let mut out = Vec::with_capacity(n / 2 + 16);
+    let bits = (usize::BITS - (d >> 4).leading_zeros()).clamp(HASH_BITS, MAX_HASH_BITS);
+    let hash = |s: &[u8], i: usize| {
+        let w = u32::from_le_bytes([s[i], s[i + 1], s[i + 2], s[i + 3]]);
+        (w.wrapping_mul(0x9E37_79B1) >> (32 - bits)) as usize
+    };
+    // Most recent position (+1; 0 = empty) for each 4-byte hash, in the
+    // combined numbering: `dict` first, then `data`.
+    let mut table = vec![0u32; 1 << bits];
+    let mut seeded = d == 0;
+    // Where the last long dictionary match started relative to `data`,
+    // and where in `dict` it ended.
+    let (mut shift, mut stall) = (0isize, 0usize);
+    let emit_match = |out: &mut Vec<u8>, lit_start: usize, i: usize, len: usize, from: usize| {
+        flush_literals(out, data, lit_start, i);
+        out.push(TAG_MATCH);
+        put_varint(out, len);
+        put_varint(out, d + i - from);
+    };
+    let (mut i, mut lit_start) = (0, 0);
+    'next: while i < n {
+        // The base either kept pace with the bytes since that match (an
+        // edit in place) or stands where it ended (an insertion).
+        for from in [i.wrapping_add_signed(shift), stall] {
+            if from < d {
+                let len = common_prefix(&dict[from..], &data[i..]);
+                if len >= DICT_MIN_MATCH {
+                    emit_match(&mut out, lit_start, i, len, from);
+                    (shift, stall) = (from as isize - i as isize, from + len);
+                    i += len;
+                    lit_start = i;
+                    continue 'next;
+                }
+            }
+        }
+        if !seeded {
+            seeded = true;
+            for (j, w) in dict.windows(MIN_MATCH).enumerate() {
+                table[hash(w, 0)] = (j + 1) as u32;
+            }
+        }
         // RLE fast path: a run of >= MIN_MATCH identical bytes.
         let b = data[i];
         let mut run = 1;
@@ -277,7 +322,7 @@ fn tokenize_from(data: &[u8], start: usize) -> Vec<u8> {
             // Seed the hash table sparsely through the run so matches
             // spanning the run boundary are still found.
             if i + MIN_MATCH <= n {
-                table[hash4(data, i)] = (i + 1) as u32;
+                table[hash(data, i)] = (d + i + 1) as u32;
             }
             i += run;
             lit_start = i;
@@ -285,25 +330,31 @@ fn tokenize_from(data: &[u8], start: usize) -> Vec<u8> {
         }
         // LZ match via the hash table.
         if i + MIN_MATCH <= n {
-            let h = hash4(data, i);
-            let cand = table[h];
-            table[h] = (i + 1) as u32;
+            let h = hash(data, i);
+            let cand = table[h] as usize;
+            table[h] = (d + i + 1) as u32;
             if cand != 0 {
-                let c = (cand - 1) as usize;
-                if data[c..c + 4] == data[i..i + 4] {
-                    let mut len = 4;
-                    while i + len < n && data[c + len] == data[i + len] {
-                        len += 1;
+                let c = cand - 1;
+                // A dictionary match pays a far distance: it must be
+                // longer to beat the literals it replaces.
+                let (past, min) = if c < d {
+                    (&dict[c..], DICT_MIN_MATCH)
+                } else {
+                    (&data[c - d..], MIN_MATCH)
+                };
+                let len = if past.starts_with(&data[i..i + MIN_MATCH]) {
+                    common_prefix(past, &data[i..])
+                } else {
+                    0
+                };
+                if len >= min {
+                    if c < d && len >= RESYNC_MATCH {
+                        (shift, stall) = (c as isize - i as isize, c + len);
                     }
-                    if len >= MIN_MATCH {
-                        flush_literals(&mut out, data, lit_start, i);
-                        out.push(TAG_MATCH);
-                        put_varint(&mut out, len);
-                        put_varint(&mut out, i - c);
-                        i += len;
-                        lit_start = i;
-                        continue;
-                    }
+                    emit_match(&mut out, lit_start, i, len, c);
+                    i += len;
+                    lit_start = i;
+                    continue;
                 }
             }
         }
@@ -327,7 +378,8 @@ pub fn decompress(data: &[u8], raw_len: usize) -> Result<Vec<u8>, XdrError> {
             })
         };
     }
-    let out = detokenize(&data[1..], raw_len)?;
+    let mut out = Vec::with_capacity(raw_len);
+    detokenize_into(&[], &data[1..], &mut out, raw_len)?;
     match data[0] {
         MODE_PLAIN => Ok(out),
         MODE_PLANED => Ok(untranspose(&out)),
@@ -335,17 +387,15 @@ pub fn decompress(data: &[u8], raw_len: usize) -> Result<Vec<u8>, XdrError> {
     }
 }
 
-/// Expand a raw token stream to exactly `raw_len` bytes.
-fn detokenize(data: &[u8], raw_len: usize) -> Result<Vec<u8>, XdrError> {
-    let mut out = Vec::with_capacity(raw_len);
-    detokenize_into(data, &mut out, raw_len)?;
-    Ok(out)
-}
-
-/// Expand a token stream onto the end of `out`, which may already hold
-/// history (the dictionary) that matches can reach into. On success
-/// `out.len() == total_len` exactly.
-fn detokenize_into(data: &[u8], out: &mut Vec<u8>, total_len: usize) -> Result<(), XdrError> {
+/// Expand a token stream into the empty `out`. Matches may reach past
+/// the start of `out` into `dict`, the history that precedes it. On
+/// success `out.len() == raw_len` exactly.
+fn detokenize_into(
+    dict: &[u8],
+    data: &[u8],
+    out: &mut Vec<u8>,
+    raw_len: usize,
+) -> Result<(), XdrError> {
     let mut pos = 0usize;
     while pos < data.len() {
         let tag = data[pos];
@@ -353,7 +403,7 @@ fn detokenize_into(data: &[u8], out: &mut Vec<u8>, total_len: usize) -> Result<(
         match tag {
             TAG_LIT => {
                 let len = get_varint(data, &mut pos)?;
-                if len == 0 || len > total_len - out.len() {
+                if len == 0 || len > raw_len - out.len() {
                     return Err(XdrError::LengthTooLarge(len as u32));
                 }
                 let end = pos
@@ -370,7 +420,7 @@ fn detokenize_into(data: &[u8], out: &mut Vec<u8>, total_len: usize) -> Result<(
             }
             TAG_RLE => {
                 let len = get_varint(data, &mut pos)?;
-                if len == 0 || len > total_len - out.len() {
+                if len == 0 || len > raw_len - out.len() {
                     return Err(XdrError::LengthTooLarge(len as u32));
                 }
                 let b = *data.get(pos).ok_or(XdrError::UnexpectedEof {
@@ -381,28 +431,42 @@ fn detokenize_into(data: &[u8], out: &mut Vec<u8>, total_len: usize) -> Result<(
                 out.resize(out.len() + len, b);
             }
             TAG_MATCH => {
-                let len = get_varint(data, &mut pos)?;
+                let mut len = get_varint(data, &mut pos)?;
                 let dist = get_varint(data, &mut pos)?;
-                if len == 0 || len > total_len - out.len() {
+                if len == 0 || len > raw_len - out.len() {
                     return Err(XdrError::LengthTooLarge(len as u32));
                 }
-                if dist == 0 || dist > out.len() {
+                if dist == 0 || dist > dict.len() + out.len() {
                     return Err(XdrError::LengthTooLarge(dist as u32));
                 }
-                // Byte-by-byte so overlapping matches (dist < len)
-                // replicate their own freshly written output.
-                let start = out.len() - dist;
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
+                if dist > out.len() {
+                    // Starts in the dictionary; whatever runs off its
+                    // end continues from the first byte of `out`.
+                    let from = dict.len() + out.len() - dist;
+                    let head = len.min(dict.len() - from);
+                    out.extend_from_slice(&dict[from..from + head]);
+                    len -= head;
+                }
+                if len > 0 {
+                    let start = out.len() - dist;
+                    if dist >= len {
+                        out.extend_from_within(start..start + len);
+                    } else {
+                        // Byte-by-byte so an overlapping match
+                        // replicates its own freshly written output.
+                        for k in 0..len {
+                            let b = out[start + k];
+                            out.push(b);
+                        }
+                    }
                 }
             }
             other => return Err(XdrError::BadMagic(other as u32)),
         }
     }
-    if out.len() != total_len {
+    if out.len() != raw_len {
         return Err(XdrError::UnexpectedEof {
-            needed: total_len - out.len(),
+            needed: raw_len - out.len(),
             remaining: 0,
         });
     }
@@ -652,21 +716,112 @@ mod tests {
         assert!(decompress(&comp, 4097).is_err());
         // Force the planed path over the same page and confirm the
         // transpose round-trips the all-zero planes too.
-        let planed_tokens = tokenize(&transpose(&page));
+        let planed_tokens = tokenize::<false>(&[], &transpose(&page));
         let mut planed = vec![MODE_PLANED];
         planed.extend_from_slice(&planed_tokens);
         assert_eq!(decompress(&planed, page.len()).unwrap(), page);
     }
 
+    /// The stream's tokens as `(tag, len, dist)`; `dist` is 0 off a match.
+    fn tokens(ops: &[u8]) -> Vec<(u8, usize, usize)> {
+        let (mut pos, mut found) = (0, Vec::new());
+        while pos < ops.len() {
+            let tag = ops[pos];
+            pos += 1;
+            let len = get_varint(ops, &mut pos).unwrap();
+            let mut dist = 0;
+            match tag {
+                TAG_MATCH => dist = get_varint(ops, &mut pos).unwrap(),
+                TAG_LIT => pos += len,
+                _ => pos += 1,
+            }
+            found.push((tag, len, dist));
+        }
+        found
+    }
+
+    /// `len` pseudo-random bytes: nothing for RLE or the hash search.
+    fn noise(len: usize, mut x: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn dict_roundtrip_identical_input_is_one_match() {
-        // data == dict: the stream should collapse to a handful of
-        // tokens — long matches into the dictionary (the RLE fast path
-        // claims a few leading runs first, so "one match" is approximate).
-        let data: Vec<u8> = (0..4096u32).flat_map(|i| (i * 7).to_be_bytes()).collect();
-        let ops = compress_with_dict(&data, &data);
-        assert!(ops.len() < 128, "self-delta took {} bytes", ops.len());
-        assert_eq!(decompress_with_dict(&data, &ops, data.len()).unwrap(), data);
+        // data == dict: one aligned match, whatever the content, found
+        // without the RLE or hash stages ever running.
+        for data in [
+            (0..4096u32).flat_map(|i| (i * 7).to_be_bytes()).collect(),
+            vec![0u8; 100_000],
+            noise(1 << 20, 7),
+        ] {
+            let ops = compress_with_dict(&data, &data);
+            assert!(tokens(&ops).len() <= 3, "self-delta: {:?}", tokens(&ops));
+            assert_eq!(decompress_with_dict(&data, &ops, data.len()).unwrap(), data);
+        }
+    }
+
+    #[test]
+    fn dict_dense_edits_cost_a_few_bytes_each() {
+        // One byte rewritten every 100 bytes of a 1 MB base: each edit is
+        // a one-byte literal and an aligned match back to the next edit.
+        let base = noise(1 << 20, 11);
+        let mut edited = base.clone();
+        let edits = edited.iter_mut().step_by(100).map(|b| *b ^= 0x5A).count();
+        let ops = compress_with_dict(&base, &edited);
+        assert!(
+            ops.len() <= 12 * edits,
+            "{} bytes for {edits} edits",
+            ops.len()
+        );
+        assert_eq!(
+            decompress_with_dict(&base, &ops, edited.len()).unwrap(),
+            edited
+        );
+    }
+
+    #[test]
+    fn dict_insertion_near_the_front_shifts_the_aligned_candidate() {
+        // 1 KB inserted at offset 5000: the hash search finds where the
+        // base resumes, and from there the shifted tail is one match.
+        let base = noise(1 << 20, 13);
+        let mut edited = base[..5000].to_vec();
+        edited.extend_from_slice(&noise(1024, 17));
+        edited.extend_from_slice(&base[5000..]);
+        let ops = compress_with_dict(&base, &edited);
+        let toks = tokens(&ops);
+        assert_eq!(
+            toks.last(),
+            Some(&(TAG_MATCH, base.len() - 5000, base.len() + 1024)),
+            "{toks:?}"
+        );
+        assert!(ops.len() < 1024 + 64, "{} bytes", ops.len());
+        assert_eq!(
+            decompress_with_dict(&base, &ops, edited.len()).unwrap(),
+            edited
+        );
+    }
+
+    #[test]
+    fn dict_match_straddling_the_boundary_roundtrips() {
+        // Written by the previous coder, which matched across the end of
+        // the dictionary into the data: 8 bytes from `dict`, then 16 that
+        // replicate the match's own output. Frames like it must decode.
+        let dict = b"0123456789abcdef";
+        let data = b"89abcdef89abcdef89abcdefXYZ";
+        let ops = [TAG_MATCH, 24, 8, TAG_LIT, 3, b'X', b'Y', b'Z'];
+        assert_eq!(decompress_with_dict(dict, &ops, data.len()).unwrap(), data);
+        // And a straddling match that does not overlap itself.
+        let ops = [TAG_LIT, 4, b'8', b'9', b'a', b'b', TAG_MATCH, 6, 6];
+        assert_eq!(decompress_with_dict(dict, &ops, 10).unwrap(), b"89abef89ab");
+        let ops = compress_with_dict(dict, data);
+        assert_eq!(decompress_with_dict(dict, &ops, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -710,14 +865,20 @@ mod tests {
 
     #[test]
     fn dict_wrong_dictionary_is_caught_or_diverges_loudly() {
+        // A sparse edit of the base, so nearly every output byte is
+        // copied out of the dictionary.
         let base: Vec<u8> = (0..8192u32).flat_map(|i| (i * 3).to_be_bytes()).collect();
-        let data: Vec<u8> = base.iter().map(|b| b.wrapping_add(1)).collect();
+        let mut data = base.clone();
+        data.iter_mut().step_by(1000).for_each(|b| *b ^= 0xFF);
         let ops = compress_with_dict(&base, &data);
+        assert!(ops.len() < data.len() / 50, "{} bytes", ops.len());
         assert_eq!(decompress_with_dict(&base, &ops, data.len()).unwrap(), data);
         // Truncated dictionary: matches reaching past the shortened
         // history must error rather than read out of bounds.
-        let short = &base[..16];
-        match decompress_with_dict(short, &ops, data.len()) {
+        assert!(decompress_with_dict(&base[..16], &ops, data.len()).is_err());
+        // Right length, wrong bytes: the output must differ.
+        let rotten: Vec<u8> = base.iter().map(|b| b.wrapping_add(1)).collect();
+        match decompress_with_dict(&rotten, &ops, data.len()) {
             Err(_) => {}
             Ok(out) => assert_ne!(out, data, "wrong dict silently reproduced the data"),
         }

@@ -36,6 +36,12 @@ impl XdrEncoder {
         self.buf.is_empty()
     }
 
+    /// Forget the bytes written so far, keeping the allocation: a scratch
+    /// encoder reused across many small encodings.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Consume the encoder, returning the stream.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

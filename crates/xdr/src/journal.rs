@@ -131,7 +131,13 @@ pub fn image_id(prefix: &[u8]) -> u64 {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
-    mix64(h ^ (prefix.len() as u64))
+    image_id_from_fnv(h, prefix.len())
+}
+
+/// [`image_id`] of `len` bytes whose FNV-1a 64 digest is already known:
+/// a caller that has hashed the bytes need not walk them a second time.
+pub fn image_id_from_fnv(fnv: u64, len: usize) -> u64 {
+    mix64(fnv ^ (len as u64))
 }
 
 /// The destination's durable record of every CRC-verified chunk.

@@ -49,8 +49,8 @@ pub use delta::{
 pub use encode::XdrEncoder;
 pub use error::XdrError;
 pub use journal::{
-    image_id, records_digest, ChunkRecord, RestoreJournal, RestorePhase, JOURNAL_MAGIC,
-    JOURNAL_VERSION,
+    image_id, image_id_from_fnv, records_digest, ChunkRecord, RestoreJournal, RestorePhase,
+    JOURNAL_MAGIC, JOURNAL_VERSION,
 };
 
 /// Round a byte count up to the XDR 4-byte boundary.

@@ -3,12 +3,18 @@
 //! and composition with the faulty-link ARQ stack.
 
 use hpm_arch::Architecture;
+use hpm_core::{
+    apply_delta, block_digests, collect_delta, full_image_frame, BaseImageManifest, BlockDigest,
+};
 use hpm_migrate::{
-    migrate, run_straight, Migration, MigrationRun, PipelineConfig, PrecopyConfig, PrecopyStats,
-    RecoveryPolicy, Transport, Trigger,
+    migrate, resume_from_image, resume_to_migration, run_straight, run_to_migration, Flow, MigCtx,
+    MigError, MigratableProgram, MigratedSource, Migration, MigrationRun, PipelineConfig,
+    PrecopyConfig, PrecopyStats, Process, RecoveryPolicy, ResumeFlow, Transport, Trigger,
 };
 use hpm_net::{FaultPlan, NetworkModel};
+use hpm_types::Field;
 use hpm_workloads::{diff_results, BitonicSort, TestPointer};
+use hpm_xdr::image_id;
 
 // Pre-copy rounds need a workload whose poll-points live in the
 // *outermost* frame: after a mid-run resume, polls in inner frames are
@@ -221,4 +227,196 @@ fn precopy_over_faulty_arq_link_roundtrips() {
         faults.faults_injected > 0,
         "seed injected nothing — weak test"
     );
+}
+
+/// A linked list of `{ int key; double w; lnode *next; }` that lives for
+/// two iterations with a poll-point after each: the first builds
+/// `NODES` nodes, the second rewrites `percent` % of them in place, then
+/// unlinks and frees 1 % and pushes as many fresh ones on the front.
+struct ListChurn {
+    percent: u64,
+}
+
+const NODES: i64 = 6_000;
+const PP_STEP: u32 = 1;
+
+impl ListChurn {
+    fn head(proc: &mut Process) -> u64 {
+        let infos = proc.space.block_infos();
+        let head = infos.iter().find(|b| b.name.as_deref() == Some("head"));
+        head.expect("setup ran").addr
+    }
+
+    fn push(proc: &mut Process, head: u64, key: i64) -> Result<(), MigError> {
+        let lnode = proc.space.types().struct_by_name("lnode").expect("setup");
+        let node = proc.malloc(lnode, 1)?;
+        let (k, w, next) = Self::fields(proc, node)?;
+        proc.space.store_int(k, key)?;
+        proc.space.store_f64(w, key as f64 * 0.5)?;
+        let front = proc.space.load_ptr(head)?;
+        proc.space.store_ptr(next, front)?;
+        proc.space.store_ptr(head, node)?;
+        Ok(())
+    }
+
+    fn fields(proc: &mut Process, node: u64) -> Result<(u64, u64, u64), MigError> {
+        let s = &mut proc.space;
+        Ok((
+            s.elem_addr(node, 0)?,
+            s.elem_addr(node, 1)?,
+            s.elem_addr(node, 2)?,
+        ))
+    }
+
+    fn mutate(&self, proc: &mut Process, head: u64) -> Result<(), MigError> {
+        let (mut link, mut pos) = (head, 0u64);
+        loop {
+            let node = proc.space.load_ptr(link)?;
+            if node == 0 {
+                break;
+            }
+            let (k, w, next) = Self::fields(proc, node)?;
+            if pos % 100 == 50 {
+                let after = proc.space.load_ptr(next)?;
+                proc.space.store_ptr(link, after)?;
+                proc.free(node)?;
+            } else {
+                // Scattered, and each percentage a superset of the last.
+                if pos * 37 % 100 < self.percent {
+                    let key = proc.space.load_int(k)?;
+                    proc.space.store_int(k, key * 31 + 7)?;
+                    let old = proc.space.load_f64(w)?;
+                    proc.space.store_f64(w, old + 0.25)?;
+                }
+                link = next;
+            }
+            pos += 1;
+        }
+        for fresh in 0..NODES / 100 {
+            Self::push(proc, head, NODES + fresh)?;
+        }
+        Ok(())
+    }
+}
+
+impl MigratableProgram for ListChurn {
+    fn name(&self) -> &'static str {
+        "list_churn"
+    }
+
+    fn setup(&mut self, proc: &mut Process) -> Result<(), MigError> {
+        let t = proc.space.types_mut();
+        let (int, double) = (t.int(), t.double());
+        let lnode = t.declare_struct("lnode");
+        let p_lnode = t.pointer_to(lnode);
+        let fields = vec![
+            Field::new("key", int),
+            Field::new("w", double),
+            Field::new("next", p_lnode),
+        ];
+        t.define_struct(lnode, fields)
+            .map_err(|e| MigError::Protocol(e.to_string()))?;
+        proc.define_global("head", p_lnode, 1)?;
+        Ok(())
+    }
+
+    fn run(&mut self, ctx: &mut MigCtx<'_>) -> Result<Flow, MigError> {
+        let int = ctx.proc().space.types_mut().int();
+        let head = Self::head(ctx.proc());
+        let m = ctx.enter("main")?;
+        let i = ctx.local(m, "i", int, 1)?;
+        let live = [i, head];
+        let mut step = 0;
+        if let Some(PP_STEP) = ctx.resume_point() {
+            ctx.restore_frame(&live)?;
+            step = ctx.proc().space.load_int(i)?;
+        }
+        while step < 2 {
+            if step == 0 {
+                for key in 0..NODES {
+                    Self::push(ctx.proc(), head, key)?;
+                }
+            } else {
+                self.mutate(ctx.proc(), head)?;
+            }
+            step += 1;
+            ctx.proc().space.store_int(i, step)?;
+            if ctx.poll() {
+                ctx.save_frame(PP_STEP, &live)?;
+                return Ok(Flow::Migrate);
+            }
+        }
+        ctx.leave(m)?;
+        Ok(Flow::Done)
+    }
+
+    fn results(&self, proc: &mut Process) -> Result<Vec<(String, String)>, MigError> {
+        let head = Self::head(proc);
+        let (mut node, mut count, mut hash) = (proc.space.load_ptr(head)?, 0u64, 0u64);
+        while node != 0 {
+            let (k, w, next) = Self::fields(proc, node)?;
+            let (key, w) = (proc.space.load_int(k)?, proc.space.load_f64(w)?);
+            hash = (hash ^ key as u64 ^ w.to_bits()).wrapping_mul(0x0000_0100_0000_01B3);
+            count += 1;
+            node = proc.space.load_ptr(next)?;
+        }
+        Ok(vec![
+            ("count".into(), count.to_string()),
+            ("hash".into(), format!("{hash:#018x}")),
+        ])
+    }
+}
+
+/// The frozen source's image and the digest table of its live blocks.
+fn image_and_digests(src: &mut MigratedSource) -> (Vec<u8>, Vec<BlockDigest>) {
+    let image = src.to_image().expect("collect");
+    let digests = block_digests(&mut src.proc.space, &mut src.proc.msrlt).expect("digests");
+    (image, digests)
+}
+
+/// The frozen leg must cost what the dirty set costs: the framed delta's
+/// share of the image grows with the share of nodes rewritten and stays
+/// far below it, through frees and fresh allocations that shift the rest
+/// of the image.
+#[test]
+fn delta_size_tracks_the_dirty_fraction() {
+    for (src_arch, dst_arch) in [
+        (Architecture::dec5000(), Architecture::sparc20()),
+        (Architecture::ultra5(), Architecture::ultra5()),
+        (Architecture::x86_64_sim(), Architecture::sparc20()),
+    ] {
+        let mut last = 0.0;
+        for (percent, bound) in [(2, 0.03), (8, 0.06), (32, 0.15)] {
+            let what = format!("{} -> {} at {percent} %", src_arch.name, dst_arch.name);
+            let make = || ListChurn { percent };
+            let (expected, _) = run_straight(&mut make(), src_arch.clone()).expect("straight");
+            let mut base = run_to_migration(&mut make(), src_arch.clone(), Trigger::AtPollCount(1))
+                .expect("first freeze");
+            let (image0, digests0) = image_and_digests(&mut base);
+            let manifest0 = BaseImageManifest::new(image_id(&image0), digests0);
+            let (_, retained0) =
+                apply_delta(None, &full_image_frame(&image0, &manifest0, 0)).expect("round 0");
+            let resumed = resume_to_migration(
+                &mut make(),
+                src_arch.clone(),
+                &image0,
+                Trigger::AtLeastPollCount(1),
+            );
+            let Ok(ResumeFlow::Frozen(mut src)) = resumed else {
+                panic!("{what}: no second freeze");
+            };
+            let (image, digests) = image_and_digests(&mut src);
+            let (delta, _) = collect_delta(&manifest0, &image0, digests, &image, 1);
+            let frame = delta.to_frame();
+            let share = frame.len() as f64 / image.len() as f64;
+            assert!(share <= bound, "{what}: delta is {share:.3} of the image");
+            assert!(share > last, "{what}: {share:.3} after {last:.3}");
+            last = share;
+            let (_, rebuilt) = apply_delta(Some(&retained0), &frame).expect("apply");
+            assert!(rebuilt.image == image, "{what}: rebuilt image differs");
+            let (results, ..) =
+                resume_from_image(&mut make(), dst_arch.clone(), &rebuilt.image).expect("resume");
+            assert!(diff_results(&expected, &results).is_none(), "{what}");
+        }
+    }
 }

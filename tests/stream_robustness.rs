@@ -571,6 +571,58 @@ fn hostile_block_counts_are_refused_before_allocation() {
     }
 }
 
+/// A delta frame's `raw_len` is a claim, and a correct CRC does not make
+/// it true: the receiver must answer an absurd one with a typed refusal,
+/// having sized no allocation from it.
+#[test]
+fn hostile_delta_raw_len_is_refused_before_allocation() {
+    use hpm::core::{apply_delta, collect_delta, BaseImageManifest, RetainedBase};
+    use hpm::xdr::{decompress_with_dict, frame_delta, image_id, DeltaHeader, XdrError};
+
+    let base: Vec<u8> = (0..20_000u32)
+        .flat_map(|i| (i % 251).to_be_bytes())
+        .collect();
+    let mut current = base.clone();
+    current[777] ^= 0xFF;
+    let manifest = BaseImageManifest::new(image_id(&base), Vec::new());
+    let (delta, _) = collect_delta(&manifest, &base, Vec::new(), &current, 1);
+    let retained = RetainedBase {
+        image_id: image_id(&base),
+        manifest_digest: manifest.manifest_digest(),
+        image: base.clone(),
+    };
+    let (_, applied) = apply_delta(Some(&retained), &delta.to_frame()).expect("honest frame");
+    assert_eq!(applied.image, current);
+
+    for raw_len in [1u64 << 40, 1 << 63, u64::MAX] {
+        for full_fallback in [false, true] {
+            let header = DeltaHeader {
+                raw_len,
+                full_fallback,
+                ..delta.header
+            };
+            // `frame_delta` stamps a CRC that is correct for the lie.
+            let frame = frame_delta(&header, &delta.ops);
+            match apply_delta(Some(&retained), &frame) {
+                Err(CoreError::Xdr(XdrError::UnexpectedEof { .. })) if !full_fallback => {}
+                Err(CoreError::DeltaBaseMismatch {
+                    field: "raw_len",
+                    expected,
+                    ..
+                }) if expected == raw_len => {}
+                other => panic!("raw_len {raw_len:#x} full {full_fallback}: got {other:?}"),
+            }
+        }
+        let Ok(raw_len) = usize::try_from(raw_len) else {
+            continue;
+        };
+        assert!(matches!(
+            decompress_with_dict(&base, &delta.ops, raw_len),
+            Err(XdrError::UnexpectedEof { .. })
+        ));
+    }
+}
+
 /// `struct inner { int i; char c; }` nested in
 /// `struct padded { struct inner a; char d; }`: `c` and `d` are one run of
 /// two chars four bytes apart — a strided run — on every preset.
