@@ -17,7 +17,7 @@
 
 use crate::channel::{Channel, NetError, TransferStats};
 use hpm_obs::FlightTrack;
-use hpm_xdr::unframe_chunk_any;
+use hpm_xdr::peek_chunk_header;
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -420,10 +420,10 @@ impl FrameLink for FaultyEndpoint {
         }
         // Frames we cannot parse get no fault treatment — the injector
         // only reasons about well-formed chunk frames.
-        let Ok(parsed) = unframe_chunk_any(&frame) else {
+        let Some(header) = peek_chunk_header(&frame) else {
             return self.deliver(frame, true);
         };
-        let seq = parsed.seq;
+        let seq = header.seq;
         let attempt = *self.sends_per_seq.get(&seq).unwrap_or(&0);
         self.sends_per_seq.insert(seq, attempt + 1);
         let fresh = attempt == 0;
@@ -438,8 +438,7 @@ impl FrameLink for FaultyEndpoint {
             self.distinct_seen += 1;
         }
 
-        // Payload data region: v2 header is 20 bytes + 4-byte length word.
-        let data_len = parsed.payload.len();
+        let data_len = header.payload_len;
         let action = self.plan.action_for(seq, attempt);
         let result = match action {
             FaultAction::Drop => {

@@ -8,7 +8,7 @@
 
 use crate::channel::{Channel, NetError, TransferStats};
 use hpm_obs::FlightTrack;
-use hpm_xdr::{frame_chunk_v2, frame_chunk_v3, unframe_chunk_any, ChunkFrame};
+use hpm_xdr::{frame_chunk_v2, frame_chunk_v3, peek_chunk_header, unframe_chunk_any, ChunkFrame};
 use std::time::Instant;
 
 /// Which chunk-frame version a sender puts on the wire. Receivers need
@@ -194,7 +194,7 @@ impl ChunkReceiver {
             let Some(frame) = self.ch.try_recv() else {
                 return Ok(None);
             };
-            let seq = unframe_chunk_any(&frame).map(|f| f.seq).unwrap_or(0);
+            let seq = peek_chunk_header(&frame).map_or(0, |h| h.seq);
             self.flight_event("frame.bad", &[("chunk", seq as u64)]);
             return Err(NetError::ChunkFraming {
                 chunk: seq,

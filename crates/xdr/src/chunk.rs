@@ -66,19 +66,39 @@ pub const CHUNK_FLAG_LAST: u32 = 1;
 /// Flag bit (v3 only) marking a chunk whose wire payload is compressed.
 pub const CHUNK_FLAG_COMPRESSED: u32 = 2;
 
-/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `data` — the per-chunk
-/// integrity check carried by v2 frames.
+/// Bytes folded into the CRC register per step.
+const CRC_LANES: usize = 16;
+
+/// `CRC_TABLES[0]` is the byte-at-a-time table; `CRC_TABLES[k][b]` is the
+/// register after byte `b` and then `k` zero bytes.
+static CRC_TABLES: [[u32; 256]; CRC_LANES] = crc32_tables();
+
+/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `data` — the integrity
+/// check of v2 and v3 chunk frames, the delta frame and the journal.
+/// Sliced: a block of sixteen bytes is folded in at once through
+/// one table per lane, so the lookups of a block are independent of each
+/// other and only their XOR is carried into the next block.
 pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut blocks = data.chunks_exact(CRC_LANES);
+    for block in &mut blocks {
+        let mut block: [u8; CRC_LANES] = block.try_into().expect("an exact chunk");
+        for (b, c) in block.iter_mut().zip(crc.to_le_bytes()) {
+            *b ^= c;
+        }
+        crc = 0;
+        for (k, &b) in block.iter().enumerate() {
+            crc ^= CRC_TABLES[CRC_LANES - 1 - k][b as usize];
+        }
+    }
+    for &b in blocks.remainder() {
+        crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; CRC_LANES] {
+    let mut t = [[0u32; 256]; CRC_LANES];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -91,10 +111,20 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < CRC_LANES {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 /// Frame one chunk with the v2 layout: the payload's CRC-32 travels
@@ -304,23 +334,50 @@ pub fn unframe_control(frame: &[u8]) -> Result<Control, XdrError> {
     Ok(ctrl)
 }
 
-/// Read the CRC a framed chunk was stamped with, without copying its payload.
+/// The fixed words of a framed chunk, read where the frame lies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChunkHeader {
+    /// Sequence number.
+    pub seq: u32,
+    /// The flags word ([`CHUNK_FLAG_LAST`], [`CHUNK_FLAG_COMPRESSED`]).
+    pub flags: u32,
+    /// Length of the wire payload, before padding.
+    pub payload_len: usize,
+    /// The CRC-32 the sender stamped over the wire payload.
+    pub crc: u32,
+}
+
+/// Read a framed chunk's header without copying its payload.
 ///
-/// Returns `None` for an unknown magic or anything too short to carry the
-/// header of its declared version.
-pub fn frame_stamped_crc(frame: &[u8]) -> Option<u32> {
+/// Returns `None` for an unknown magic, or when the frame is not exactly
+/// as long as its declared version and payload length make it. The flags
+/// and the padding are not validated: [`unframe_chunk_any`] does that.
+pub fn peek_chunk_header(frame: &[u8]) -> Option<ChunkHeader> {
     let mut dec = XdrDecoder::new(frame);
     let magic = dec.get_u32().ok()?;
-    let _seq = dec.get_u32().ok()?;
-    let _flags = dec.get_u32().ok()?;
+    let seq = dec.get_u32().ok()?;
+    let flags = dec.get_u32().ok()?;
     match magic {
-        CHUNK_MAGIC_V2 => dec.get_u32().ok(),
+        CHUNK_MAGIC_V2 => {}
         CHUNK_MAGIC_V3 => {
             let _raw_len = dec.get_u32().ok()?;
-            dec.get_u32().ok()
         }
-        _ => None,
+        _ => return None,
     }
+    let crc = dec.get_u32().ok()?;
+    let payload_len = dec.get_u32().ok()? as usize;
+    let rest = dec.remaining();
+    (payload_len <= rest && rest == crate::padded_len(payload_len)).then_some(ChunkHeader {
+        seq,
+        flags,
+        payload_len,
+        crc,
+    })
+}
+
+/// Read the CRC a framed chunk was stamped with, without copying its payload.
+pub fn frame_stamped_crc(frame: &[u8]) -> Option<u32> {
+    peek_chunk_header(frame).map(|h| h.crc)
 }
 
 #[cfg(test)]
@@ -448,6 +505,30 @@ mod tests {
         assert_eq!(frame_stamped_crc(&v2[..8]), None);
         let not_a_chunk = frame_control(Control::Ack { next: 6 });
         assert_eq!(frame_stamped_crc(&not_a_chunk), None);
+    }
+
+    #[test]
+    fn peeked_header_agrees_with_the_full_parse() {
+        let payload: Vec<u8> = (0..97u8).collect();
+        let v2 = frame_chunk_v2(4, true, &payload);
+        let (v3, wire_len) = frame_chunk_v3(5, false, &[3u8; 700]);
+        for (frame, wire) in [(&v2, payload.len()), (&v3, wire_len)] {
+            let parsed = unframe_chunk_any(frame).unwrap();
+            let header = peek_chunk_header(frame).unwrap();
+            assert_eq!(header.seq, parsed.seq);
+            assert_eq!(header.crc, parsed.crc);
+            assert_eq!(header.payload_len, wire);
+            assert_eq!(header.flags & CHUNK_FLAG_LAST != 0, parsed.last);
+            assert_eq!(header.flags & CHUNK_FLAG_COMPRESSED != 0, parsed.compressed);
+            // A frame is exactly as long as its header says: no prefix of
+            // one and nothing with bytes after it has a header to peek.
+            for cut in 0..frame.len() {
+                assert_eq!(peek_chunk_header(&frame[..cut]), None, "cut {cut}");
+            }
+            let mut longer = frame.clone();
+            longer.extend_from_slice(&[0; 4]);
+            assert_eq!(peek_chunk_header(&longer), None);
+        }
     }
 
     #[test]

@@ -34,14 +34,17 @@
 //! tokenizer — every 8-byte element is a ~3-byte literal plus a ~5-byte
 //! zero run, and the per-token overhead cancels the savings.
 //! De-interleaved into 8 byte-planes, the near-constant planes become
-//! chunk-long runs and the coder wins big. The compressor runs both
-//! passes and keeps whichever is smaller, so the filter can never hurt
-//! the output size.
+//! chunk-long runs and the coder wins big. The compressor keeps the
+//! smaller of the two streams, so the filter can never hurt the output
+//! size: it runs the planed pass to the end, then the plain pass for as
+//! long as that one can still come out no larger.
 //!
 //! Callers that must never expand use [`compress`]'s return contract:
 //! when the token stream would be no smaller than the input, the caller
 //! stores the raw bytes instead (the v3 frame records which choice was
 //! made — see [`crate::chunk`]).
+
+use std::cell::RefCell;
 
 use crate::XdrError;
 
@@ -61,6 +64,10 @@ const RESYNC_MATCH: usize = 32;
 const HASH_BITS: u32 = 15;
 const MAX_HASH_BITS: u32 = 20;
 
+/// The chunk coder's step past a window that found nothing grows by one
+/// every `2^MISS_STEP_SHIFT` consecutive misses.
+const MISS_STEP_SHIFT: u32 = 6;
+
 const TAG_LIT: u8 = 0x00;
 const TAG_RLE: u8 = 0x01;
 const TAG_MATCH: u8 = 0x02;
@@ -74,18 +81,58 @@ const MODE_PLANED: u8 = 0x01;
 /// payloads (f64 cells, u64 pointers/headers).
 const PLANE_STRIDE: usize = 8;
 
+/// Transpose the 8×8 byte matrix held one row per word: byte `c` of
+/// `x[r]` trades places with byte `r` of `x[c]`. Its own inverse.
+#[inline]
+fn transpose_8x8(x: &mut [u64; 8]) {
+    // Swap the off-diagonal 4×4 blocks, then 2×2 inside each, then bytes.
+    for i in 0..4 {
+        let t = ((x[i] >> 32) ^ x[i + 4]) & 0x0000_0000_FFFF_FFFF;
+        x[i] ^= t << 32;
+        x[i + 4] ^= t;
+    }
+    for i in [0, 1, 4, 5] {
+        let t = ((x[i] >> 16) ^ x[i + 2]) & 0x0000_FFFF_0000_FFFF;
+        x[i] ^= t << 16;
+        x[i + 2] ^= t;
+    }
+    for i in [0, 2, 4, 6] {
+        let t = ((x[i] >> 8) ^ x[i + 1]) & 0x00FF_00FF_00FF_00FF;
+        x[i] ^= t << 8;
+        x[i + 1] ^= t;
+    }
+}
+
+#[inline]
+fn load_word(s: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(s[at..at + 8].try_into().expect("8 bytes"))
+}
+
 /// De-interleave `data` into [`PLANE_STRIDE`] byte-planes; the tail that
-/// doesn't fill a full stride group is appended untouched.
+/// doesn't fill a full stride group is appended untouched. Eight rows at
+/// a time: eight word loads, one register transpose, a word stored to
+/// each plane.
 fn transpose(data: &[u8]) -> Vec<u8> {
     let rows = data.len() / PLANE_STRIDE;
     let head = rows * PLANE_STRIDE;
-    let mut out = Vec::with_capacity(data.len());
-    for p in 0..PLANE_STRIDE {
-        for r in 0..rows {
-            out.push(data[r * PLANE_STRIDE + p]);
+    let blocked = rows - rows % 8;
+    let mut out = vec![0u8; data.len()];
+    for r in (0..blocked).step_by(8) {
+        let mut x = [0u64; 8];
+        for (k, w) in x.iter_mut().enumerate() {
+            *w = load_word(data, (r + k) * PLANE_STRIDE);
+        }
+        transpose_8x8(&mut x);
+        for (p, w) in x.iter().enumerate() {
+            out[p * rows + r..][..8].copy_from_slice(&w.to_le_bytes());
         }
     }
-    out.extend_from_slice(&data[head..]);
+    for r in blocked..rows {
+        for p in 0..PLANE_STRIDE {
+            out[p * rows + r] = data[r * PLANE_STRIDE + p];
+        }
+    }
+    out[head..].copy_from_slice(&data[head..]);
     out
 }
 
@@ -93,12 +140,21 @@ fn transpose(data: &[u8]) -> Vec<u8> {
 fn untranspose(data: &[u8]) -> Vec<u8> {
     let rows = data.len() / PLANE_STRIDE;
     let head = rows * PLANE_STRIDE;
+    let blocked = rows - rows % 8;
     let mut out = vec![0u8; data.len()];
-    let mut i = 0;
-    for p in 0..PLANE_STRIDE {
-        for r in 0..rows {
-            out[r * PLANE_STRIDE + p] = data[i];
-            i += 1;
+    for r in (0..blocked).step_by(8) {
+        let mut x = [0u64; 8];
+        for (p, w) in x.iter_mut().enumerate() {
+            *w = load_word(data, p * rows + r);
+        }
+        transpose_8x8(&mut x);
+        for (k, w) in x.iter().enumerate() {
+            out[(r + k) * PLANE_STRIDE..][..8].copy_from_slice(&w.to_le_bytes());
+        }
+    }
+    for r in blocked..rows {
+        for p in 0..PLANE_STRIDE {
+            out[r * PLANE_STRIDE + p] = data[p * rows + r];
         }
     }
     out[head..].copy_from_slice(&data[head..]);
@@ -176,8 +232,7 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
     let (a, b) = (&a[..n], &b[..n]);
     let mut i = 0;
     while i + 8 <= n {
-        let diff = u64::from_le_bytes(a[i..i + 8].try_into().expect("8 bytes"))
-            ^ u64::from_le_bytes(b[i..i + 8].try_into().expect("8 bytes"));
+        let diff = load_word(a, i) ^ load_word(b, i);
         if diff != 0 {
             return i + (diff.trailing_zeros() / 8) as usize;
         }
@@ -206,22 +261,25 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     if data.is_empty() {
         return Vec::new();
     }
-    let plain = tokenize::<false>(&[], data);
-    // The plane filter only has planes to work with past one full
-    // stride group per plane; ties go to the plain pass.
-    if data.len() >= PLANE_STRIDE * PLANE_STRIDE {
-        let planed = tokenize::<false>(&[], &transpose(data));
-        if planed.len() < plain.len() {
-            let mut out = Vec::with_capacity(planed.len() + 1);
-            out.push(MODE_PLANED);
-            out.extend_from_slice(&planed);
-            return out;
+    MATCHER.with_borrow_mut(|m| {
+        // The plane filter only has planes to work with past one full
+        // stride group per plane.
+        let planed = (data.len() >= PLANE_STRIDE * PLANE_STRIDE).then(|| {
+            let mut planed = Vec::with_capacity(data.len() / 2 + 16);
+            planed.push(MODE_PLANED);
+            m.tokenize(&transpose(data), &mut planed, usize::MAX);
+            planed
+        });
+        // Ties go to the plain pass, which stops once it cannot tie.
+        let budget = planed.as_ref().map_or(usize::MAX, Vec::len);
+        let mut plain = Vec::with_capacity(data.len() / 2 + 16);
+        plain.push(MODE_PLAIN);
+        if m.tokenize(data, &mut plain, budget) {
+            plain
+        } else {
+            planed.expect("only a planed stream sets a budget")
         }
-    }
-    let mut out = Vec::with_capacity(plain.len() + 1);
-    out.push(MODE_PLAIN);
-    out.extend_from_slice(&plain);
-    out
+    })
 }
 
 /// Compress `data` against a dictionary: the token stream covers only
@@ -236,7 +294,7 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 /// [`decompress_with_dict`], and determinism is preserved (identical
 /// `(dict, data)` always yields identical output).
 pub fn compress_with_dict(dict: &[u8], data: &[u8]) -> Vec<u8> {
-    tokenize::<true>(dict, data)
+    tokenize_with_dict(dict, data)
 }
 
 /// Expand a token stream produced by [`compress_with_dict`] back into
@@ -252,27 +310,123 @@ pub fn decompress_with_dict(dict: &[u8], ops: &[u8], raw_len: usize) -> Result<V
     Ok(out)
 }
 
-/// Run the LZ/RLE coder over `data`, producing the raw token stream.
-/// Match distances count back through `data` and then through `dict`,
-/// as if `dict` were history emitted before the first token.
+/// The 4-byte window at `data[i..]`, as the hash and the run test read it.
+#[inline]
+fn load_window(data: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes(data[i..i + 4].try_into().expect("4 bytes"))
+}
+
+#[inline]
+fn hash_window(w: u32, bits: u32) -> usize {
+    (w.wrapping_mul(0x9E37_79B1) >> (32 - bits)) as usize
+}
+
+/// The chunk coder's hash table, kept from one call to the next so a
+/// 32 KiB chunk does not pay for allocating and zeroing 128 KiB twice.
+/// Nothing a call stored can reach a later call's output: entries carry
+/// the epoch `base`, and one at or below it reads as an empty slot.
+struct Matcher {
+    /// `base + position + 1` of the latest window with each hash.
+    table: Box<[u32]>,
+    base: u32,
+}
+
+thread_local! {
+    static MATCHER: RefCell<Matcher> = RefCell::new(Matcher::new());
+}
+
+impl Matcher {
+    fn new() -> Self {
+        Matcher {
+            table: vec![0; 1 << HASH_BITS].into_boxed_slice(),
+            base: 0,
+        }
+    }
+
+    /// Run the LZ/RLE coder over `data`, appending the token stream to
+    /// `out`. This is the coder of the v3 chunk path and it takes no
+    /// dictionary: sharing one loop with [`tokenize_with_dict`] cost that
+    /// path a quarter of its speed.
+    ///
+    /// A window that neither starts a run nor finds a match is a miss,
+    /// and the step to the next window grows by one for every
+    /// 2^[`MISS_STEP_SHIFT`] misses in a row, so a chunk with nothing to
+    /// find (the mantissa bytes of doubles) is crossed at a fraction of a
+    /// probe per byte. Any run or match resets the step to one.
+    ///
+    /// Returns `false`, leaving `out` unfinished, as soon as the stream is
+    /// sure to outgrow `budget` bytes of `out`: the pass has lost to a
+    /// stream of that size and the rest of it would be thrown away.
+    fn tokenize(&mut self, data: &[u8], out: &mut Vec<u8>, budget: usize) -> bool {
+        let n = data.len();
+        if n >= (u32::MAX - self.base) as usize {
+            self.table.fill(0);
+            self.base = 0;
+        }
+        let base = self.base;
+        // A stream too long for the epoch to cover forces the reset above
+        // on the next call.
+        self.base = u32::try_from(n).map_or(u32::MAX, |n| base + n);
+        let table = &mut self.table[..1 << HASH_BITS];
+        let (mut i, mut lit_start, mut misses) = (0, 0, 0usize);
+        while i + MIN_MATCH <= n {
+            let w = load_window(data, i);
+            let h = hash_window(w, HASH_BITS);
+            let entry = table[h];
+            table[h] = base.wrapping_add(i as u32).wrapping_add(1);
+            // Empty and stale entries wrap to a position at or past `i`.
+            let c = (entry.wrapping_sub(base) as usize).wrapping_sub(1);
+            let covered = if w == w.rotate_left(8) {
+                // RLE fast path: a run of >= MIN_MATCH identical bytes.
+                // Its first window is hashed (above) so a match spanning
+                // the run boundary is still found; the rest of it is not.
+                let run = 1 + common_prefix(&data[i..], &data[i + 1..]);
+                flush_literals(out, data, lit_start, i);
+                out.push(TAG_RLE);
+                put_varint(out, run);
+                out.push(data[i]);
+                run
+            } else if c < i && load_window(data, c) == w {
+                let len = MIN_MATCH + common_prefix(&data[c + MIN_MATCH..], &data[i + MIN_MATCH..]);
+                flush_literals(out, data, lit_start, i);
+                out.push(TAG_MATCH);
+                put_varint(out, len);
+                put_varint(out, i - c);
+                len
+            } else {
+                i += 1 + (misses >> MISS_STEP_SHIFT);
+                misses += 1;
+                continue;
+            };
+            i += covered;
+            (lit_start, misses) = (i, 0);
+            if out.len() > budget {
+                return false;
+            }
+        }
+        if out.len() + (n - lit_start) > budget {
+            return false;
+        }
+        flush_literals(out, data, lit_start, n);
+        out.len() <= budget
+    }
+}
+
+/// Run the LZ/RLE coder over `data` against `dict`, producing the raw
+/// token stream. Match distances count back through `data` and then
+/// through `dict`, as if `dict` were history emitted before the first
+/// token.
 ///
 /// Each position first tries the *aligned* candidates in `dict` — where
 /// the last long dictionary match says the base now stands — so an
 /// unchanged region of any length is one match found at compare speed.
 /// RLE and the hash search, whose table the dictionary seeds on the
 /// first miss, run only inside dirty regions.
-///
-/// `DICT = false` takes no dictionary and compiles those stages out:
-/// the v3 chunk path ran a quarter slower through the general loop.
-fn tokenize<const DICT: bool>(dict: &[u8], data: &[u8]) -> Vec<u8> {
-    let dict = if DICT { dict } else { &[] };
+fn tokenize_with_dict(dict: &[u8], data: &[u8]) -> Vec<u8> {
     let (d, n) = (dict.len(), data.len());
     let mut out = Vec::with_capacity(n / 2 + 16);
     let bits = (usize::BITS - (d >> 4).leading_zeros()).clamp(HASH_BITS, MAX_HASH_BITS);
-    let hash = |s: &[u8], i: usize| {
-        let w = u32::from_le_bytes([s[i], s[i + 1], s[i + 2], s[i + 3]]);
-        (w.wrapping_mul(0x9E37_79B1) >> (32 - bits)) as usize
-    };
+    let hash = |s: &[u8], i: usize| hash_window(load_window(s, i), bits);
     // Most recent position (+1; 0 = empty) for each 4-byte hash, in the
     // combined numbering: `dict` first, then `data`.
     let mut table = vec![0u32; 1 << bits];
@@ -368,7 +522,7 @@ fn tokenize<const DICT: bool>(dict: &[u8], data: &[u8]) -> Vec<u8> {
 /// exactly `raw_len` bytes. Corrupt input — bad modes or tags, overlong
 /// runs, matches reaching before the start of the output — is an error.
 pub fn decompress(data: &[u8], raw_len: usize) -> Result<Vec<u8>, XdrError> {
-    if data.is_empty() {
+    let Some((&mode, tokens)) = data.split_first() else {
         return if raw_len == 0 {
             Ok(Vec::new())
         } else {
@@ -377,14 +531,19 @@ pub fn decompress(data: &[u8], raw_len: usize) -> Result<Vec<u8>, XdrError> {
                 remaining: 0,
             })
         };
+    };
+    if mode != MODE_PLAIN && mode != MODE_PLANED {
+        return Err(XdrError::BadMagic(mode as u32));
     }
-    let mut out = Vec::with_capacity(raw_len);
-    detokenize_into(&[], &data[1..], &mut out, raw_len)?;
-    match data[0] {
-        MODE_PLAIN => Ok(out),
-        MODE_PLANED => Ok(untranspose(&out)),
-        other => Err(XdrError::BadMagic(other as u32)),
-    }
+    // `raw_len` is a claim read off the wire: reserve no more than the
+    // input's own size and let validated tokens grow the rest.
+    let mut out = Vec::with_capacity(raw_len.min(data.len()));
+    detokenize_into(&[], tokens, &mut out, raw_len)?;
+    Ok(if mode == MODE_PLANED {
+        untranspose(&out)
+    } else {
+        out
+    })
 }
 
 /// Expand a token stream into the empty `out`. Matches may reach past
@@ -579,6 +738,72 @@ mod tests {
     }
 
     #[test]
+    fn blocked_transpose_lays_planes_out_like_the_bytewise_one() {
+        // Plane `p` is byte `p` of every 8-byte row, rows in order; the
+        // bytes past the last full row follow unchanged. Old streams
+        // depend on exactly this layout.
+        let data = noise(8 * 29 + 5, 3);
+        for len in [0, 7, 8, 64, 71, 72, 8 * 29, 8 * 29 + 5] {
+            let data = &data[..len];
+            let rows = len / PLANE_STRIDE;
+            let mut expect = Vec::new();
+            for p in 0..PLANE_STRIDE {
+                expect.extend((0..rows).map(|r| data[r * PLANE_STRIDE + p]));
+            }
+            expect.extend_from_slice(&data[rows * PLANE_STRIDE..]);
+            assert_eq!(transpose(data), expect, "len {len}");
+            assert_eq!(untranspose(&expect), data, "len {len}");
+        }
+    }
+
+    #[test]
+    fn stopping_the_losing_pass_early_never_changes_the_stream() {
+        // `compress` must return what two full passes would have chosen.
+        let doubles: Vec<u8> = (0..2048)
+            .flat_map(|i| ((i as f64 * 0.01).sin()).to_bits().to_be_bytes())
+            .collect();
+        let ints: Vec<u8> = (0..4096u32).flat_map(|i| (i % 97).to_be_bytes()).collect();
+        let mixed = [&doubles[..3000], &ints[..], &noise(900, 5)[..]].concat();
+        for data in [doubles, ints, mixed, noise(4096, 9), vec![0u8; 4096]] {
+            let full = |mode: u8, input: &[u8]| {
+                let mut out = vec![mode];
+                MATCHER.with_borrow_mut(|m| assert!(m.tokenize(input, &mut out, usize::MAX)));
+                out
+            };
+            let plain = full(MODE_PLAIN, &data);
+            let planed = full(MODE_PLANED, &transpose(&data));
+            let smaller = if planed.len() < plain.len() {
+                planed
+            } else {
+                plain
+            };
+            assert_eq!(compress(&data), smaller);
+        }
+    }
+
+    #[test]
+    fn stale_table_entries_never_reach_a_later_stream() {
+        // The epoch makes every call start from an empty table, also
+        // across the reset when the 32-bit epoch runs out.
+        let data: Vec<u8> = (0..2048u32).flat_map(|i| (i % 97).to_be_bytes()).collect();
+        let stream = |m: &mut Matcher| {
+            let mut out = Vec::new();
+            m.tokenize(&data, &mut out, usize::MAX);
+            out
+        };
+        let mut m = Matcher::new();
+        let fresh = stream(&mut m);
+        assert_eq!(m.base as usize, data.len());
+        m.tokenize(&noise(5000, 1), &mut Vec::new(), usize::MAX);
+        assert_eq!(stream(&mut m), fresh);
+        m.base = u32::MAX - data.len() as u32 - 1;
+        assert_eq!(stream(&mut m), fresh);
+        assert_eq!(m.base, u32::MAX - 1, "the epoch still had room");
+        assert_eq!(stream(&mut m), fresh);
+        assert_eq!(m.base as usize, data.len(), "the epoch was reset");
+    }
+
+    #[test]
     fn bad_mode_byte_is_rejected() {
         let data: Vec<u8> = (0..200u8).collect();
         let mut comp = compress(&data);
@@ -716,9 +941,8 @@ mod tests {
         assert!(decompress(&comp, 4097).is_err());
         // Force the planed path over the same page and confirm the
         // transpose round-trips the all-zero planes too.
-        let planed_tokens = tokenize::<false>(&[], &transpose(&page));
         let mut planed = vec![MODE_PLANED];
-        planed.extend_from_slice(&planed_tokens);
+        MATCHER.with_borrow_mut(|m| m.tokenize(&transpose(&page), &mut planed, usize::MAX));
         assert_eq!(decompress(&planed, page.len()).unwrap(), page);
     }
 

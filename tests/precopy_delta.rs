@@ -420,3 +420,38 @@ fn delta_size_tracks_the_dirty_fraction() {
         }
     }
 }
+
+/// The dictionary coder's stream is what the frozen leg ships. It shares
+/// a module with the chunk compressor, whose kernels change; its own
+/// output on the fixtures above must not: (length, FNV-1a) of
+/// `compress_with_dict(image0, image)` as 14804d5 wrote it.
+#[test]
+fn dictionary_coder_stream_is_pinned() {
+    const PINNED: [(u64, usize, u64); 3] = [
+        (2, 4_474, 0x49B5_35CB_05CE_8041),
+        (8, 10_743, 0x6F31_70AF_19C0_78BC),
+        (32, 33_479, 0x9C12_3917_1F4E_8252),
+    ];
+    let arch = Architecture::ultra5();
+    for (percent, len, fnv) in PINNED {
+        let make = || ListChurn { percent };
+        let mut base = run_to_migration(&mut make(), arch.clone(), Trigger::AtPollCount(1))
+            .expect("first freeze");
+        let image0 = base.to_image().expect("collect");
+        let resumed = resume_to_migration(
+            &mut make(),
+            arch.clone(),
+            &image0,
+            Trigger::AtLeastPollCount(1),
+        );
+        let Ok(ResumeFlow::Frozen(mut src)) = resumed else {
+            panic!("{percent} %: no second freeze");
+        };
+        let image = src.to_image().expect("collect");
+        let ops = hpm_xdr::compress_with_dict(&image0, &image);
+        let digest = ops.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+        });
+        assert_eq!((ops.len(), digest), (len, fnv), "{percent} %");
+    }
+}

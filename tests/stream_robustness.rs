@@ -16,6 +16,8 @@ use hpm::net::{
 };
 use hpm::types::Field;
 use hpm::workloads::{BitonicSort, TestPointer};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[test]
 fn truncated_images_are_rejected_not_misread() {
@@ -621,6 +623,102 @@ fn hostile_delta_raw_len_is_refused_before_allocation() {
             Err(XdrError::UnexpectedEof { .. })
         ));
     }
+}
+
+/// The largest single request the allocator has served in this process:
+/// what "before allocation" is checked against where the refused size
+/// would otherwise be granted lazily and never touched.
+struct LargestRequest;
+
+static LARGEST_REQUEST: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter touches no allocator state.
+unsafe impl GlobalAlloc for LargestRequest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LARGEST_REQUEST.fetch_max(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller's obligations are `System::alloc`'s own.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        LARGEST_REQUEST.fetch_max(layout.size(), Ordering::Relaxed);
+        // SAFETY: as above, for `System::alloc_zeroed`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LARGEST_REQUEST.fetch_max(new_size, Ordering::Relaxed);
+        // SAFETY: as above, for `System::realloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above, for `System::dealloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LargestRequest = LargestRequest;
+
+/// A v3 frame's `raw_len` is a claim, and a correct CRC does not make it
+/// true: a frame of a few dozen bytes that declares gigabytes is answered
+/// with a typed refusal naming the chunk, by the framing layer and by
+/// both receivers, and nothing is sized from the claim on the way — not
+/// a reserve ahead of the tokens, not a run expanded under a mode byte
+/// that was never valid.
+#[test]
+fn hostile_chunk_raw_len_is_refused_before_allocation() {
+    use hpm::xdr::{
+        crc32, unframe_chunk_any, XdrEncoder, XdrError, CHUNK_FLAG_COMPRESSED, CHUNK_MAGIC_V3,
+    };
+    let frame = |raw_len: u32, wire: &[u8]| {
+        let mut enc = XdrEncoder::new();
+        enc.put_u32(CHUNK_MAGIC_V3);
+        enc.put_u32(0);
+        enc.put_u32(CHUNK_FLAG_COMPRESSED);
+        enc.put_u32(raw_len);
+        enc.put_u32(crc32(wire));
+        enc.put_opaque_var(wire);
+        enc.into_bytes()
+    };
+    for raw_len in [1u32 << 31, u32::MAX] {
+        // An honest four-literal stream under the lie, and a run of
+        // `raw_len` zeros (tag 1, LEB128 length, byte) under a mode byte
+        // no encoder writes.
+        let short = vec![0x00, 0x00, 4, b'h', b'p', b'm', b'!'];
+        let mut run = vec![0x7E, 0x01];
+        hpm::xdr::put_varint_u64(&mut run, raw_len as u64);
+        run.push(0);
+        for (wire, what) in [(short, "short stream"), (run, "bad mode")] {
+            let what = format!("raw_len {raw_len:#x}, {what}");
+            let hostile = frame(raw_len, &wire);
+            assert!(hostile.len() <= 36, "{what}: {} bytes", hostile.len());
+            let parsed = unframe_chunk_any(&hostile).expect("the frame itself is well-formed");
+            assert!(parsed.verify_crc().is_ok(), "{what}");
+            assert_eq!(parsed.raw_len, Some(raw_len), "{what}");
+            match parsed.into_payload() {
+                Err(XdrError::UnexpectedEof { .. } | XdrError::BadMagic(0x7E)) => {}
+                other => panic!("{what}: expected a typed refusal, got {other:?}"),
+            }
+
+            let refused = |r: Result<Option<Vec<u8>>, NetError>| match r {
+                Err(NetError::ChunkFraming { chunk: 0, reason }) => {
+                    assert!(reason.contains("failed to expand"), "{what}: {reason}");
+                }
+                other => panic!("{what}: expected ChunkFraming for chunk 0, got {other:?}"),
+            };
+            let (a, b) = channel_pair(NetworkModel::instant());
+            a.send(hostile.clone()).unwrap();
+            refused(ChunkReceiver::new(b).recv_chunk());
+            let (a, b) = channel_pair(NetworkModel::instant());
+            a.send(hostile).unwrap();
+            refused(ReliableChunkReceiver::new(b, ArqConfig::default()).recv_chunk());
+        }
+    }
+    let largest = LARGEST_REQUEST.load(Ordering::Relaxed);
+    assert!(
+        largest < 1 << 30,
+        "an allocation of {largest} bytes was sized from a hostile length"
+    );
 }
 
 /// `struct inner { int i; char c; }` nested in
