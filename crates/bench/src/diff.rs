@@ -290,11 +290,14 @@ const GATES: &[(&str, &str, Direction, bool)] = &[
     ("telemetry", "retransmits", Direction::MoreIsWorse, false),
     ("telemetry", "retry_max", Direction::MoreIsWorse, false),
     // Wire bytes are a pure function of the collector output and the
-    // compressor, so a ratio regression is a real codec change — and
-    // the identity boolean gates via the true->false rule.
+    // compressor, so more of either is a real change to one of them —
+    // and the identity boolean gates via the true->false rule. Their
+    // quotient `ratio` is reported but not gated: it also rises when
+    // the collector stops sending redundancy the compressor used to
+    // remove (image version 3's compact records: bitonic 0.46 -> 0.64
+    // with `wire_bytes` down 37 %), which is no regression of anything.
     ("wire", "raw_bytes", Direction::MoreIsWorse, false),
     ("wire", "wire_bytes", Direction::MoreIsWorse, false),
-    ("wire", "ratio", Direction::MoreIsWorse, false),
     // Delta migration: the wire accounting is deterministic (digest
     // tables and dirty sets are pure functions of the workload), and a
     // digest-refusal fallback appearing on a clean row means the delta

@@ -6,21 +6,43 @@
 //! functions to save their contents. During the traversal, visited memory
 //! blocks are marked so that they are not saved again."
 //!
-//! ## Stream grammar (all items XDR-encoded)
+//! ## Stream grammar (every item whole XDR units)
 //!
 //! ```text
-//! item        := VAR_NEW id fp count contents
-//!              | VAR_VISITED id
-//! pointer     := PTR_NULL
-//!              | PTR_REF id offset
-//!              | PTR_NEW id offset fp count contents
+//! item        := VAR_NEW record contents
+//!              | VAR_VISITED record
+//! pointer     := PTR_NULL record
+//!              | PTR_REF record
+//!              | PTR_NEW record contents
 //! contents    := leaf*                       (element order, per TI plan)
 //! leaf        := scalar-in-XDR-form | pointer
-//! id          := group:u32 index:u32
-//! offset      := u64    (leaf ordinal inside the target block)
-//! fp          := u64    (structural type fingerprint of the element type)
-//! count       := u64    (element count of the block)
+//!
+//! word0       := tag:3 | flags:5 | group:24  (one XDR unit, tag on top)
+//! PTR_NULL    := word0
+//! VAR_VISITED := word0 index:u32
+//! PTR_REF     := word0 index:u32 [ordinal]
+//! VAR_NEW /
+//! PTR_NEW     := word0 index:u32 type:u32 [fp:u64] [ordinal] [count:u64]
+//!
+//! flags       := TYPEDEF  fp follows: this record defines sender type
+//!                         number `type` (its first record in this image)
+//!                ORD      ordinal present (absent = 0)
+//!                ORD64    the ordinal is a u64, else a u32
+//!                COUNT    count present (absent = 1)
+//! group:index := the block's logical id
+//! type        := sender type number, dense in order of first sight
+//! fp          := structural fingerprint of the block's element type
+//! ordinal     := leaf ordinal inside the target block (pointers only)
+//! count       := element count of the block
 //! ```
+//!
+//! A type's fingerprint travels once per image, on the first record of
+//! that type; every later block of the type names it by number. The
+//! dictionary is in-band so that a bare payload is self-contained: the
+//! receiver learns number → local type at the `TYPEDEF` (where it checks
+//! the fingerprint) and refuses a number it was never given. First-sight
+//! state belongs to the [`Collector`], so two collections of one frozen
+//! process are byte-identical.
 //!
 //! The traversal is depth-first *pre-order*: a `PTR_NEW` is immediately
 //! followed by the complete contents of the target block (which may nest
@@ -51,6 +73,103 @@ pub(crate) const TAG_PTR_NULL: u32 = 3;
 pub(crate) const TAG_PTR_REF: u32 = 4;
 /// Stream tag: pointer to a block saved inline right here.
 pub(crate) const TAG_PTR_NEW: u32 = 5;
+
+/// The tag sits in the top three bits of a record's first word.
+pub(crate) const TAG_SHIFT: u32 = 29;
+/// Flag: the record defines its type number; the fingerprint follows it.
+pub(crate) const FLAG_TYPEDEF: u32 = 1 << 28;
+/// Flag: a leaf ordinal is present (absent means 0).
+pub(crate) const FLAG_ORD: u32 = 1 << 27;
+/// Flag: the ordinal is a `u64`; only with [`FLAG_ORD`].
+pub(crate) const FLAG_ORD64: u32 = 1 << 26;
+/// Flag: an element count is present (absent means 1).
+pub(crate) const FLAG_COUNT: u32 = 1 << 25;
+/// The five flag bits; the one no flag above names is reserved.
+pub(crate) const FLAG_MASK: u32 = 0x1F << 24;
+/// The low 24 bits of the first word carry the id's group, which is
+/// therefore also the largest group a record can name.
+pub(crate) const GROUP_MAX: u32 = (1 << 24) - 1;
+
+/// Everything a record says ahead of its contents. The collector encodes
+/// one per item and the restorer decodes one per item; nothing else reads
+/// or writes record bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Record {
+    pub(crate) tag: u32,
+    /// The block's logical id; `(0,0)` for `PTR_NULL`.
+    pub(crate) id: LogicalId,
+    /// Sender type number (`VAR_NEW` / `PTR_NEW`).
+    pub(crate) type_no: u32,
+    /// The type's fingerprint when this record defines `type_no`.
+    pub(crate) typedef: Option<u64>,
+    /// Leaf ordinal of the pointee (`PTR_REF` / `PTR_NEW`).
+    pub(crate) ordinal: u64,
+    /// Element count of the block (`VAR_NEW` / `PTR_NEW`).
+    pub(crate) count: u64,
+}
+
+impl Record {
+    /// A record of `tag` that says nothing but `id`: `VAR_VISITED`, or
+    /// the start of one of the others.
+    pub(crate) fn bare(tag: u32, id: LogicalId) -> Self {
+        Record {
+            tag,
+            id,
+            type_no: 0,
+            typedef: None,
+            ordinal: 0,
+            count: 1,
+        }
+    }
+
+    /// Whether records of `tag` announce a block (type and count).
+    pub(crate) fn announces_block(tag: u32) -> bool {
+        tag == TAG_VAR_NEW || tag == TAG_PTR_NEW
+    }
+
+    /// Append the record. The only failure is an id whose group does not
+    /// fit the first word, refused before anything is written.
+    #[inline]
+    pub(crate) fn encode(&self, enc: &mut XdrEncoder) -> Result<(), CoreError> {
+        if self.id.group > GROUP_MAX {
+            return Err(CoreError::GroupTooLarge(self.id));
+        }
+        let block = Self::announces_block(self.tag);
+        let mut word0 = self.tag << TAG_SHIFT | self.id.group;
+        if self.ordinal != 0 {
+            word0 |= FLAG_ORD;
+            if self.ordinal > u64::from(u32::MAX) {
+                word0 |= FLAG_ORD64;
+            }
+        }
+        if block && self.typedef.is_some() {
+            word0 |= FLAG_TYPEDEF;
+        }
+        if block && self.count != 1 {
+            word0 |= FLAG_COUNT;
+        }
+        enc.put_u32(word0);
+        if self.tag == TAG_PTR_NULL {
+            return Ok(());
+        }
+        enc.put_u32(self.id.index);
+        if block {
+            enc.put_u32(self.type_no);
+            if let Some(fp) = self.typedef {
+                enc.put_u64(fp);
+            }
+        }
+        if word0 & FLAG_ORD64 != 0 {
+            enc.put_u64(self.ordinal);
+        } else if word0 & FLAG_ORD != 0 {
+            enc.put_u32(self.ordinal as u32);
+        }
+        if word0 & FLAG_COUNT != 0 {
+            enc.put_u64(self.count);
+        }
+        Ok(())
+    }
+}
 
 /// How visited-block marking is implemented (ablation of a design choice
 /// called out in DESIGN.md).
@@ -143,7 +262,10 @@ pub struct Collector<'a> {
     stats: CollectStats,
     marks: MarkStrategy,
     mark_set: std::collections::HashSet<LogicalId>,
-    fp_cache: std::collections::HashMap<TypeId, u64>,
+    /// `type_nos[t]` is one more than the number this image gave
+    /// `TypeId(t)`, 0 while the type has not been sent yet.
+    type_nos: Vec<u32>,
+    types_defined: u32,
     tracer: Tracer,
     mode: TranslationMode,
 }
@@ -219,9 +341,12 @@ impl<'a> Collector<'a> {
     ) -> Self {
         msrlt.begin_epoch();
         // Pre-size from the MSRLT's registered byte total: the payload is
-        // dominated by the raw block bytes, plus tag/id overhead per
-        // block. Kills realloc churn on linpack-sized images.
-        let estimate = (msrlt.registered_bytes() + msrlt.live_count() as u64 * 40).min(MAX_PRESIZE);
+        // dominated by the raw block bytes, plus per block the record
+        // that announces it (12 bytes for a `PTR_NEW` of a type already
+        // sent) and the few a wire pointer outgrows a 4-byte native one
+        // by. Kills realloc churn on linpack-sized images.
+        let estimate = (msrlt.registered_bytes() + msrlt.live_count() as u64 * 24).min(MAX_PRESIZE);
+        let type_nos = vec![0; space.types().len()];
         Collector {
             space,
             msrlt,
@@ -237,7 +362,8 @@ impl<'a> Collector<'a> {
             stats: CollectStats::default(),
             marks,
             mark_set: std::collections::HashSet::new(),
-            fp_cache: std::collections::HashMap::new(),
+            type_nos,
+            types_defined: 0,
             tracer: Tracer::disabled(),
             mode: TranslationMode::default(),
         }
@@ -307,13 +433,43 @@ impl<'a> Collector<'a> {
         r
     }
 
-    fn fingerprint(&mut self, ty: TypeId) -> u64 {
-        if let Some(&fp) = self.fp_cache.get(&ty) {
-            return fp;
+    /// The number this image knows `ty` by and, the first time the type
+    /// is sent, the fingerprint that defines it.
+    fn type_number(&mut self, ty: TypeId) -> (u32, Option<u64>) {
+        let i = ty.0 as usize;
+        if i >= self.type_nos.len() {
+            // A type created since this collection began.
+            self.type_nos.resize(i + 1, 0);
         }
-        let fp = type_fingerprint(self.space.types(), ty);
-        self.fp_cache.insert(ty, fp);
-        fp
+        if self.type_nos[i] != 0 {
+            return (self.type_nos[i] - 1, None);
+        }
+        let no = self.types_defined;
+        self.types_defined += 1;
+        self.type_nos[i] = no + 1;
+        (no, Some(type_fingerprint(self.space.types(), ty)))
+    }
+
+    /// Emit the record announcing block `id` of `count` elements of `ty`
+    /// (`VAR_NEW`, or `PTR_NEW` with the pointee's `ordinal`).
+    fn put_block_record(
+        &mut self,
+        tag: u32,
+        id: LogicalId,
+        ty: TypeId,
+        ordinal: u64,
+        count: u64,
+    ) -> Result<(), CoreError> {
+        let (type_no, typedef) = self.type_number(ty);
+        Record {
+            tag,
+            id,
+            type_no,
+            typedef,
+            ordinal,
+            count,
+        }
+        .encode(&mut self.out.enc)
     }
 
     fn is_visited(&self, id: LogicalId) -> bool {
@@ -348,18 +504,13 @@ impl<'a> Collector<'a> {
             )));
         }
         if self.is_visited(id) {
-            self.out.enc.put_u32(TAG_VAR_VISITED);
-            put_id(&mut self.out.enc, id);
+            Record::bare(TAG_VAR_VISITED, id).encode(&mut self.out.enc)?;
             return self.out.maybe_flush();
         }
         self.mark(id);
         let entry = self.msrlt.entry(id).unwrap();
         let (ty, count) = (entry.ty, entry.count);
-        self.out.enc.put_u32(TAG_VAR_NEW);
-        put_id(&mut self.out.enc, id);
-        let fp = self.fingerprint(ty);
-        self.out.enc.put_u64(fp);
-        self.out.enc.put_u64(count);
+        self.put_block_record(TAG_VAR_NEW, id, ty, 0, count)?;
         self.emit_block(addr, ty, count)?;
         self.out.maybe_flush()
     }
@@ -488,7 +639,7 @@ impl<'a> Collector<'a> {
     fn encode_pointer(&mut self, ptr: u64, stack: &mut Vec<Cursor>) -> Result<(), CoreError> {
         if ptr == 0 {
             self.stats.ptr_null += 1;
-            self.out.enc.put_u32(TAG_PTR_NULL);
+            self.out.enc.put_u32(TAG_PTR_NULL << TAG_SHIFT);
             return Ok(());
         }
         // THE MSRLT search (counted in MsrltStats).
@@ -501,22 +652,16 @@ impl<'a> Collector<'a> {
         let leaf_idx = leaf_ordinal(self.space, ty, count, byte_off, ptr)?;
         if self.is_visited(id) {
             self.stats.ptr_ref += 1;
-            self.out.enc.put_u32(TAG_PTR_REF);
-            put_id(&mut self.out.enc, id);
-            self.out.enc.put_u64(leaf_idx);
-            return Ok(());
+            let mut rec = Record::bare(TAG_PTR_REF, id);
+            rec.ordinal = leaf_idx;
+            return rec.encode(&mut self.out.enc);
         }
         self.mark(id);
         self.stats.ptr_new += 1;
         self.stats.blocks_saved += 1;
         self.tracer
             .instant_args("collect.block", &[("count", count as f64)]);
-        self.out.enc.put_u32(TAG_PTR_NEW);
-        put_id(&mut self.out.enc, id);
-        self.out.enc.put_u64(leaf_idx);
-        let fp = self.fingerprint(ty);
-        self.out.enc.put_u64(fp);
-        self.out.enc.put_u64(count);
+        self.put_block_record(TAG_PTR_NEW, id, ty, leaf_idx, count)?;
         self.push_block(target_addr, ty, count, stack)
     }
 }
@@ -547,11 +692,6 @@ fn encode_run(
     Ok(())
 }
 
-pub(crate) fn put_id(enc: &mut XdrEncoder, id: LogicalId) {
-    enc.put_u32(id.group);
-    enc.put_u32(id.index);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -573,16 +713,23 @@ mod tests {
         let int = space.types_mut().int();
         let g = space.define_global("x", int, 1).unwrap();
         space.store_int(g, -42).unwrap();
-        register(&space, &mut msrlt, g);
+        let id = register(&space, &mut msrlt, g);
+        let fp = type_fingerprint(space.types(), int);
         let mut c = Collector::new(&mut space, &mut msrlt);
         c.save_variable(g).unwrap();
         let (bytes, stats) = c.finish();
         assert_eq!(stats.blocks_saved, 1);
         assert_eq!(stats.scalars_encoded, 1);
-        // TAG_VAR_NEW + id(8) + fp(8) + count(8) + int(4)
-        assert_eq!(bytes.len(), 4 + 8 + 8 + 8 + 4);
-        // Payload int is XDR -42 at the tail.
-        assert_eq!(&bytes[bytes.len() - 4..], (-42i32).to_be_bytes());
+        let (rec, size) = Record::read(&bytes).unwrap();
+        let mut want = Record::bare(TAG_VAR_NEW, id);
+        want.typedef = Some(fp);
+        assert_eq!(
+            rec, want,
+            "the image's first type is number 0, defined here"
+        );
+        assert_eq!(size, 20, "word0 + index + type + fingerprint");
+        // The contents: XDR -42.
+        assert_eq!(&bytes[size..], (-42i32).to_be_bytes());
     }
 
     #[test]
@@ -590,14 +737,20 @@ mod tests {
         let (mut space, mut msrlt) = setup();
         let int = space.types_mut().int();
         let g = space.define_global("x", int, 1).unwrap();
-        register(&space, &mut msrlt, g);
+        let id = register(&space, &mut msrlt, g);
         let mut c = Collector::new(&mut space, &mut msrlt);
         c.save_variable(g).unwrap();
         let len1 = c.bytes_so_far();
         c.save_variable(g).unwrap();
         let (bytes, stats) = c.finish();
         assert_eq!(stats.blocks_saved, 1, "no duplicate save");
-        assert_eq!(bytes.len() - len1, 4 + 8, "VAR_VISITED is tag + id only");
+        let (rec, size) = Record::read(&bytes[len1..]).unwrap();
+        assert_eq!(rec, Record::bare(TAG_VAR_VISITED, id));
+        assert_eq!(
+            (size, bytes.len() - len1),
+            (8, 8),
+            "VAR_VISITED is the id only"
+        );
     }
 
     #[test]
@@ -659,14 +812,46 @@ mod tests {
         let l2 = space.elem_addr(n2, 1).unwrap();
         space.store_ptr(l1, n2).unwrap();
         space.store_ptr(l2, n1).unwrap();
-        register(&space, &mut msrlt, n1);
-        register(&space, &mut msrlt, n2);
+        let id1 = register(&space, &mut msrlt, n1);
+        let id2 = register(&space, &mut msrlt, n2);
         let mut c = Collector::new(&mut space, &mut msrlt);
         c.save_pointer(n1).unwrap();
-        let (_, stats) = c.finish();
+        let (bytes, stats) = c.finish();
         assert_eq!(stats.blocks_saved, 2);
         assert_eq!(stats.ptr_new, 2);
         assert_eq!(stats.ptr_ref, 1, "back-edge to n1");
+
+        // PTR_NEW n1 | data | PTR_NEW n2 | data | PTR_REF n1: the three
+        // record shapes a pointer graph is made of, and what each costs.
+        let (first, size) = Record::read(&bytes).unwrap();
+        assert_eq!((first.tag, first.id, first.type_no), (TAG_PTR_NEW, id1, 0));
+        assert!(first.typedef.is_some(), "first sight of `node` defines it");
+        assert_eq!(size, 20, "first sight: 12 + the fingerprint");
+        let at = size + 4;
+        let (second, size) = Record::read(&bytes[at..]).unwrap();
+        let mut want = Record::bare(TAG_PTR_NEW, id2);
+        want.type_no = first.type_no;
+        assert_eq!(second, want, "seen type, ordinal 0, count 1");
+        assert_eq!(size, 12, "word0 + index + type");
+        let at = at + size + 4;
+        let (back, size) = Record::read(&bytes[at..]).unwrap();
+        assert_eq!(back, Record::bare(TAG_PTR_REF, id1));
+        assert_eq!(size, 8, "PTR_REF to a block start: word0 + index");
+        assert_eq!(at + size, bytes.len());
+    }
+
+    #[test]
+    fn group_beyond_24_bits_is_refused_at_collection() {
+        let id = LogicalId {
+            group: GROUP_MAX + 1,
+            index: 0,
+        };
+        let mut enc = XdrEncoder::new();
+        assert_eq!(
+            Record::bare(TAG_PTR_REF, id).encode(&mut enc),
+            Err(CoreError::GroupTooLarge(id))
+        );
+        assert!(enc.is_empty(), "nothing written");
     }
 
     #[test]
@@ -726,19 +911,19 @@ mod tests {
         let p = space.define_global("p", pi, 1).unwrap();
         let target = space.elem_addr(arr, 7).unwrap();
         space.store_ptr(p, target).unwrap();
-        register(&space, &mut msrlt, arr);
+        let arr_id = register(&space, &mut msrlt, arr);
         register(&space, &mut msrlt, p);
         let mut c = Collector::new(&mut space, &mut msrlt);
         c.save_variable(p).unwrap();
         let (bytes, _) = c.finish();
-        // Find the PTR_NEW tag and check the offset field == 7.
-        // Layout: VAR_NEW(4) id(8) fp(8) count(8) | PTR_NEW(4) id(8) off(8) ...
-        let off = u64::from_be_bytes(bytes[40..48].try_into().unwrap());
-        assert_eq!(
-            u32::from_be_bytes(bytes[28..32].try_into().unwrap()),
-            TAG_PTR_NEW
-        );
-        assert_eq!(off, 7);
+        // VAR_NEW p, whose contents open with the PTR_NEW for arr.
+        let (var, at) = Record::read(&bytes).unwrap();
+        assert_eq!(var.tag, TAG_VAR_NEW);
+        let (ptr, size) = Record::read(&bytes[at..]).unwrap();
+        assert_eq!((ptr.tag, ptr.id), (TAG_PTR_NEW, arr_id));
+        assert_eq!((ptr.ordinal, ptr.count), (7, 10));
+        assert_eq!(ptr.type_no, 1, "`int` is the second type this image sends");
+        assert_eq!(size, 20 + 4 + 8, "first sight + u32 ordinal + count");
     }
 
     #[test]

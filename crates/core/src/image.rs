@@ -15,8 +15,11 @@ pub const IMAGE_MAGIC: u32 = 0x4850_4D49;
 /// payload to an unprefixed tail section so the image can be streamed in
 /// chunks: the prefix (header + exec state) is known before collection
 /// starts, and every payload byte after it ships as soon as the
-/// collector flushes it.
-pub const IMAGE_VERSION: u32 = 2;
+/// collector flushes it. Version 3 keeps that framing and changes the
+/// payload: compact MSRM records (see [`collect`](crate::collect)), which
+/// a version-2 reader would misparse — so each version refuses the other
+/// by name here, before a payload byte is looked at.
+pub const IMAGE_VERSION: u32 = 3;
 
 /// Image header: who produced the image and how.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,7 +59,7 @@ impl ImageHeader {
         let version = dec.get_u32()?;
         if version != IMAGE_VERSION {
             return Err(CoreError::SequenceMismatch(format!(
-                "image version {version}, expected {IMAGE_VERSION}"
+                "image version {version}, this build reads version {IMAGE_VERSION} only"
             )));
         }
         let source_arch = dec.get_string()?;
@@ -148,6 +151,22 @@ mod tests {
             ImageHeader::decode(&mut dec),
             Err(CoreError::SequenceMismatch(_))
         ));
+    }
+
+    #[test]
+    fn version_2_image_is_refused_naming_both_versions() {
+        let h = ImageHeader {
+            version: 2,
+            ..header()
+        };
+        let err = unframe_image(&frame_image(&h, b"EXEC", b"MEMORY-STATE")).unwrap_err();
+        let CoreError::SequenceMismatch(msg) = &err else {
+            panic!("{err}");
+        };
+        assert!(
+            msg.contains("version 2") && msg.contains("version 3"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   `Save_pointer` drives a depth-first traversal of the MSR graph
 //!   (implemented with an explicit stack, so million-node lists cannot
 //!   overflow), marking visited blocks so nothing is saved twice, and
-//!   rewriting every pointer into *(pointer header, offset)* form.
+//!   rewriting every pointer into *(pointer header, offset)* form. The
+//!   record grammar is documented there.
 //! * [`restore`] — the restoring half: `Restore_variable` /
 //!   `Restore_pointer`, rebuilding blocks on the destination machine and
 //!   translating logical pointers back into local raw addresses.
@@ -76,6 +77,24 @@ pub enum CoreError {
     },
     /// Stream carried an unknown tag; the streams are out of step.
     BadTag(u32),
+    /// A record's first word sets bits its tag does not take: a reserved
+    /// flag, a flag of another record kind, a 64-bit ordinal marker with
+    /// no ordinal, or a group on a NULL pointer.
+    BadRecordHeader(u32),
+    /// A record names a sender type number this image has not defined,
+    /// or defines one out of turn (numbers are dense, in order of first
+    /// sight).
+    UndefinedType {
+        /// Logical id of the block the record announces.
+        id: LogicalId,
+        /// The type number the record carries.
+        type_no: u32,
+        /// How many type numbers the image has defined so far.
+        defined: u32,
+    },
+    /// Collection met a block whose group does not fit the 24 bits a
+    /// record's first word has for it.
+    GroupTooLarge(LogicalId),
     /// A logical id in the stream could not be matched on this side.
     UnknownId(LogicalId),
     /// Save/restore call sequences diverged between the two processes.
@@ -115,6 +134,18 @@ pub enum CoreError {
         count: u64,
         /// Payload bytes left (buffered, for a stream still arriving).
         available: u64,
+    },
+    /// The stream announced a heap block whose index lies further past
+    /// the heap ids this side holds or reserved than the bytes received
+    /// so far could have named — a hostile or corrupt id, refused before
+    /// the table is grown to reach it.
+    HeapIdOutOfReach {
+        /// Logical id the stream gave the block.
+        id: LogicalId,
+        /// Heap ids this side holds or has reserved.
+        heap_len: u32,
+        /// Payload bytes received so far.
+        received: u64,
     },
     /// Payload bytes remained after the stream grammar completed.
     TrailingBytes {
@@ -158,6 +189,20 @@ impl std::fmt::Display for CoreError {
                 "type mismatch for block {id}: stream {expected:#x} != local {found:#x}"
             ),
             CoreError::BadTag(t) => write!(f, "unknown stream tag {t}"),
+            CoreError::BadRecordHeader(w) => {
+                write!(f, "record header {w:#010x} sets bits its tag does not take")
+            }
+            CoreError::UndefinedType {
+                id,
+                type_no,
+                defined,
+            } => write!(
+                f,
+                "block {id} names type number {type_no}, but the image has defined {defined} so far"
+            ),
+            CoreError::GroupTooLarge(id) => {
+                write!(f, "block {id}: group does not fit a record's 24 bits")
+            }
             CoreError::UnknownId(id) => write!(f, "logical id {id} unknown on this machine"),
             CoreError::SequenceMismatch(m) => write!(f, "save/restore sequence mismatch: {m}"),
             CoreError::TruncatedChunk {
@@ -184,6 +229,14 @@ impl std::fmt::Display for CoreError {
             } => write!(
                 f,
                 "block {id} announces {count} elements, more than the {available} payload bytes left can hold"
+            ),
+            CoreError::HeapIdOutOfReach {
+                id,
+                heap_len,
+                received,
+            } => write!(
+                f,
+                "block {id} is out of reach of the {heap_len} heap ids held here and the {received} payload bytes received"
             ),
             CoreError::TrailingBytes { bytes, chunk } => match chunk {
                 Some(c) => write!(

@@ -259,6 +259,11 @@ pub struct Msrlt {
     /// of the same page share a slot.
     cache_slots: Vec<Option<(u64, CacheWay)>>,
     cache_enabled: bool,
+    /// Restoring side: `wire_types[n]` is the local type the image gave
+    /// sender type number `n`. Kept here, beside the ids, because one
+    /// image is restored in several [`Restorer`](crate::Restorer)
+    /// sessions (one per frame) and the table is what they all share.
+    wire_types: Vec<TypeId>,
 }
 
 impl Default for Msrlt {
@@ -292,7 +297,34 @@ impl Msrlt {
             cache_last: None,
             cache_slots: vec![None; CACHE_SLOTS],
             cache_enabled: !matches!(strategy, SearchStrategy::Linear),
+            wire_types: Vec::new(),
         }
+    }
+
+    /// Record that the image being restored calls local type `ty` by
+    /// sender number `no`. A definition overwrites; numbers are dense,
+    /// so one past the end appends and anything beyond is refused
+    /// (`false`) — the table grows by at most one entry per `TYPEDEF`
+    /// record received.
+    pub(crate) fn define_wire_type(&mut self, no: u32, ty: TypeId) -> bool {
+        let defined = self.wire_types.len();
+        match self.wire_types.get_mut(no as usize) {
+            Some(slot) => *slot = ty,
+            None if no as usize == defined => self.wire_types.push(ty),
+            None => return false,
+        }
+        true
+    }
+
+    /// The local type behind sender type number `no`, if the image has
+    /// defined it.
+    pub(crate) fn wire_type(&self, no: u32) -> Option<TypeId> {
+        self.wire_types.get(no as usize).copied()
+    }
+
+    /// How many sender type numbers the image has defined.
+    pub(crate) fn wire_types_defined(&self) -> u32 {
+        self.wire_types.len() as u32
     }
 
     /// The configured address→block search strategy.

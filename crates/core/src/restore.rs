@@ -7,7 +7,8 @@
 //! block contents there."
 //!
 //! The restorer consumes the stream produced by
-//! [`Collector`](crate::Collector) and mirrors its explicit-stack DFS.
+//! [`Collector`](crate::Collector) (its module documents the record
+//! grammar) and mirrors its explicit-stack DFS.
 //! Because every transmitted block carries its logical id, restoration
 //! never searches: named blocks (globals, re-created stack locals) are
 //! found by `O(1)` id lookup, and heap blocks are allocated on first
@@ -16,11 +17,12 @@
 //! `O(n)` MSRLT term.
 
 use crate::collect::{
-    TranslationMode, TAG_PTR_NEW, TAG_PTR_NULL, TAG_PTR_REF, TAG_VAR_NEW, TAG_VAR_VISITED,
+    Record, TranslationMode, FLAG_COUNT, FLAG_MASK, FLAG_ORD, FLAG_ORD64, FLAG_TYPEDEF, GROUP_MAX,
+    TAG_PTR_NEW, TAG_PTR_NULL, TAG_PTR_REF, TAG_SHIFT, TAG_VAR_NEW, TAG_VAR_VISITED,
 };
 use crate::fingerprint::type_fingerprint;
 use crate::kernel::{for_each_run, Kernel};
-use crate::msrlt::{LogicalId, Msrlt};
+use crate::msrlt::{LogicalId, Msrlt, GROUP_HEAP};
 use crate::stream::ChunkPayload;
 use crate::translate::{leaf_address, span_mut, Cursor};
 use crate::CoreError;
@@ -123,6 +125,14 @@ impl Dec<'_> {
         }
     }
 
+    /// Payload bytes this session has been given so far, read or not.
+    fn received(&self) -> u64 {
+        match self {
+            Dec::Slice(d) => (d.position() + d.remaining()) as u64,
+            Dec::Pull { cp, .. } => self.consumed() + cp.buffered_remaining() as u64,
+        }
+    }
+
     /// Refuse, before anything is allocated for it, a block of `count`
     /// elements whose contents take at least `need` wire bytes (`None`:
     /// more than a `u64` counts) when the stream cannot hold them. A
@@ -170,8 +180,10 @@ pub struct Restorer<'a> {
     space: &'a mut AddressSpace,
     msrlt: &'a mut Msrlt,
     dec: Dec<'a>,
+    /// Fingerprint → local type: what a `TYPEDEF` is resolved through.
     fp_to_type: HashMap<u64, TypeId>,
-    fp_cache: HashMap<TypeId, u64>,
+    /// Fingerprint of each local type by `TypeId` (0 while incomplete).
+    local_fps: Vec<u64>,
     stats: RestoreStats,
     tracer: Tracer,
     mode: TranslationMode,
@@ -208,10 +220,12 @@ impl<'a> Restorer<'a> {
     fn with_dec(space: &'a mut AddressSpace, msrlt: &'a mut Msrlt, dec: Dec<'a>) -> Self {
         let mut fp_to_type = HashMap::new();
         let types = space.types();
-        for i in 0..types.len() {
+        let mut local_fps = vec![0; types.len()];
+        for (i, slot) in local_fps.iter_mut().enumerate() {
             let id = TypeId(i as u32);
             if types.is_complete(id) {
-                fp_to_type.insert(type_fingerprint(types, id), id);
+                *slot = type_fingerprint(types, id);
+                fp_to_type.insert(*slot, id);
             }
         }
         Restorer {
@@ -219,7 +233,7 @@ impl<'a> Restorer<'a> {
             msrlt,
             dec,
             fp_to_type,
-            fp_cache: HashMap::new(),
+            local_fps,
             stats: RestoreStats::default(),
             tracer: Tracer::disabled(),
             mode: TranslationMode::default(),
@@ -251,13 +265,57 @@ impl<'a> Restorer<'a> {
         self
     }
 
-    fn fingerprint(&mut self, ty: TypeId) -> u64 {
-        if let Some(&fp) = self.fp_cache.get(&ty) {
-            return fp;
+    /// The local type a block record announces: resolved by fingerprint
+    /// and entered in the image's table at a `TYPEDEF`, read back from
+    /// the table otherwise. Allocates nothing on refusal.
+    fn announced_type(&mut self, rec: &Record) -> Result<TypeId, CoreError> {
+        let undefined = |msrlt: &Msrlt| CoreError::UndefinedType {
+            id: rec.id,
+            type_no: rec.type_no,
+            defined: msrlt.wire_types_defined(),
+        };
+        let Some(fp) = rec.typedef else {
+            return self
+                .msrlt
+                .wire_type(rec.type_no)
+                .ok_or_else(|| undefined(self.msrlt));
+        };
+        let ty = *self.fp_to_type.get(&fp).ok_or(CoreError::TypeMismatch {
+            id: rec.id,
+            expected: fp,
+            found: 0,
+        })?;
+        if !self.msrlt.define_wire_type(rec.type_no, ty) {
+            return Err(undefined(self.msrlt));
         }
-        let fp = type_fingerprint(self.space.types(), ty);
-        self.fp_cache.insert(ty, fp);
-        fp
+        Ok(ty)
+    }
+
+    /// Hold a named block that exists locally (global / re-created stack
+    /// local) to what the stream announces for it: the same type, by
+    /// fingerprint, and the same element count.
+    fn check_local_block(
+        &self,
+        rec: &Record,
+        announced: TypeId,
+        local: TypeId,
+        local_count: u64,
+    ) -> Result<(), CoreError> {
+        let fp = |ty: TypeId| self.local_fps.get(ty.0 as usize).copied().unwrap_or(0);
+        if local != announced && fp(local) != fp(announced) {
+            return Err(CoreError::TypeMismatch {
+                id: rec.id,
+                expected: fp(announced),
+                found: fp(local),
+            });
+        }
+        if local_count != rec.count {
+            return Err(CoreError::SequenceMismatch(format!(
+                "block {} has {local_count} elements locally but {} in stream",
+                rec.id, rec.count
+            )));
+        }
+        Ok(())
     }
 
     /// `Restore_variable`: restore the next stream item into the live
@@ -293,45 +351,27 @@ impl<'a> Restorer<'a> {
                 "restore_variable at interior address {addr:#x}"
             )));
         }
-        let tag = self.dec.get_u32()?;
-        match tag {
-            TAG_VAR_VISITED => {
-                let id = get_id(&mut self.dec)?;
-                if id != local_id {
-                    return Err(CoreError::SequenceMismatch(format!(
-                        "VAR_VISITED id {id} but local block is {local_id}"
-                    )));
-                }
-                Ok(())
-            }
-            TAG_VAR_NEW => {
-                let id = get_id(&mut self.dec)?;
-                if id != local_id {
-                    return Err(CoreError::SequenceMismatch(format!(
-                        "VAR_NEW id {id} but local block is {local_id}"
-                    )));
-                }
-                let fp = self.dec.get_u64()?;
-                let count = self.dec.get_u64()?;
-                let entry = self.msrlt.entry(id).ok_or(CoreError::UnknownId(id))?;
-                let (ty, local_count) = (entry.ty, entry.count);
-                let local_fp = self.fingerprint(ty);
-                if local_fp != fp {
-                    return Err(CoreError::TypeMismatch {
-                        id,
-                        expected: fp,
-                        found: local_fp,
-                    });
-                }
-                if local_count != count {
-                    return Err(CoreError::SequenceMismatch(format!(
-                        "block {id} has {local_count} elements locally but {count} in stream"
-                    )));
-                }
-                self.fill_block(addr, ty, count)
-            }
-            t => Err(CoreError::BadTag(t)),
+        let rec = Record::decode(&mut self.dec)?;
+        if !matches!(rec.tag, TAG_VAR_VISITED | TAG_VAR_NEW) {
+            return Err(CoreError::BadTag(rec.tag));
         }
+        if rec.id != local_id {
+            return Err(CoreError::SequenceMismatch(format!(
+                "stream item is block {} but local block is {local_id}",
+                rec.id
+            )));
+        }
+        if rec.tag == TAG_VAR_VISITED {
+            return Ok(());
+        }
+        let announced = self.announced_type(&rec)?;
+        let entry = self
+            .msrlt
+            .entry(rec.id)
+            .ok_or(CoreError::UnknownId(rec.id))?;
+        let (ty, local_count) = (entry.ty, entry.count);
+        self.check_local_block(&rec, announced, ty, local_count)?;
+        self.fill_block(addr, ty, rec.count)
     }
 
     /// `Restore_pointer`: decode the next pointer item, materializing its
@@ -461,61 +501,59 @@ impl<'a> Restorer<'a> {
     }
 
     fn decode_pointer(&mut self, stack: &mut Vec<Cursor>) -> Result<u64, CoreError> {
-        let tag = self.dec.get_u32()?;
-        match tag {
+        let rec = Record::decode(&mut self.dec)?;
+        let id = rec.id;
+        match rec.tag {
             TAG_PTR_NULL => {
                 self.stats.ptr_null += 1;
                 Ok(0)
             }
             TAG_PTR_REF => {
                 self.stats.ptr_ref += 1;
-                let id = get_id(&mut self.dec)?;
-                let leaf_idx = self.dec.get_u64()?;
                 let entry = self
                     .msrlt
                     .entry_counted(id)
                     .ok_or(CoreError::UnknownId(id))?;
                 let (addr, ty, count) = (entry.addr, entry.ty, entry.count);
-                Ok(leaf_address(self.space, addr, ty, count, leaf_idx)?)
+                Ok(leaf_address(self.space, addr, ty, count, rec.ordinal)?)
             }
             TAG_PTR_NEW => {
                 self.stats.ptr_new += 1;
-                let id = get_id(&mut self.dec)?;
-                let leaf_idx = self.dec.get_u64()?;
-                let fp = self.dec.get_u64()?;
-                let count = self.dec.get_u64()?;
+                let announced = self.announced_type(&rec)?;
+                let count = rec.count;
                 let (addr, ty) = match self.msrlt.entry_counted(id) {
                     Some(e) => {
                         // A named block that already exists locally
                         // (global / re-created stack local): validate and
                         // fill in place.
                         let (ty, local_count, addr) = (e.ty, e.count, e.addr);
-                        let local_fp = self.fingerprint(ty);
-                        if local_fp != fp {
-                            return Err(CoreError::TypeMismatch {
-                                id,
-                                expected: fp,
-                                found: local_fp,
-                            });
-                        }
-                        if local_count != count {
-                            return Err(CoreError::SequenceMismatch(format!(
-                                "block {id}: {local_count} local vs {count} stream elements"
-                            )));
-                        }
-                        self.push_fill(stack, addr, ty, count)?;
+                        self.check_local_block(&rec, announced, ty, local_count)?;
                         (addr, ty)
                     }
                     None => {
-                        // A heap block: allocate it now (the MSRLT update
-                        // of §4.2) and fill it.
-                        // (bulk fast path applies inside push_fill's
-                        // pointer-free branch below)
-                        let ty = *self.fp_to_type.get(&fp).ok_or(CoreError::TypeMismatch {
-                            id,
-                            expected: fp,
-                            found: 0,
-                        })?;
+                        // Globals and the re-created frames' locals were
+                        // registered before restoration began: only a
+                        // heap block can be new to this side.
+                        if id.group != GROUP_HEAP {
+                            return Err(CoreError::UnknownId(id));
+                        }
+                        // A destination that follows the protocol has
+                        // reserved every heap id the image can name. One
+                        // that has not grows its table to reach the id —
+                        // by no more entries than bytes have arrived, so
+                        // a few hostile bytes cannot claim gigabytes of
+                        // table (an honest record is 12 bytes or more).
+                        let heap_len = self.msrlt.heap_len();
+                        let received = self.dec.received();
+                        if u64::from(id.index.saturating_sub(heap_len)) > received {
+                            return Err(CoreError::HeapIdOutOfReach {
+                                id,
+                                heap_len,
+                                received,
+                            });
+                        }
+                        // Allocate it now (the MSRLT update of §4.2).
+                        let ty = announced;
                         let plan = self.space.plan_ref(ty)?;
                         let (need, size) = (plan.min_wire_bytes.checked_mul(count), plan.size);
                         self.dec.check_room(id, count, need)?;
@@ -526,11 +564,11 @@ impl<'a> Restorer<'a> {
                         self.stats.blocks_allocated += 1;
                         self.tracer
                             .instant_args("restore.alloc", &[("bytes", size as f64)]);
-                        self.push_fill(stack, addr, ty, count)?;
                         (addr, ty)
                     }
                 };
-                Ok(leaf_address(self.space, addr, ty, count, leaf_idx)?)
+                self.push_fill(stack, addr, ty, count)?;
+                Ok(leaf_address(self.space, addr, ty, count, rec.ordinal)?)
             }
             t => Err(CoreError::BadTag(t)),
         }
@@ -561,10 +599,55 @@ impl<'a> Restorer<'a> {
     }
 }
 
-fn get_id(dec: &mut Dec<'_>) -> Result<LogicalId, CoreError> {
-    let group = dec.get_u32()?;
-    let index = dec.get_u32()?;
-    Ok(LogicalId { group, index })
+impl Record {
+    /// Decode one record, refusing a first word whose tag is unknown or
+    /// whose other bits the tag does not take.
+    #[inline]
+    fn decode(dec: &mut Dec<'_>) -> Result<Record, CoreError> {
+        let word0 = dec.get_u32()?;
+        let tag = word0 >> TAG_SHIFT;
+        let allowed = match tag {
+            TAG_VAR_NEW => FLAG_TYPEDEF | FLAG_COUNT | GROUP_MAX,
+            TAG_PTR_NEW => FLAG_TYPEDEF | FLAG_ORD | FLAG_ORD64 | FLAG_COUNT | GROUP_MAX,
+            TAG_PTR_REF => FLAG_ORD | FLAG_ORD64 | GROUP_MAX,
+            TAG_VAR_VISITED => GROUP_MAX,
+            TAG_PTR_NULL => 0,
+            t => return Err(CoreError::BadTag(t)),
+        };
+        let rest = word0 & (FLAG_MASK | GROUP_MAX);
+        if rest & !allowed != 0 || rest & (FLAG_ORD | FLAG_ORD64) == FLAG_ORD64 {
+            return Err(CoreError::BadRecordHeader(word0));
+        }
+        let group = word0 & GROUP_MAX;
+        let mut rec = Record::bare(tag, LogicalId { group, index: 0 });
+        if tag == TAG_PTR_NULL {
+            return Ok(rec);
+        }
+        rec.id.index = dec.get_u32()?;
+        if Record::announces_block(tag) {
+            rec.type_no = dec.get_u32()?;
+            if word0 & FLAG_TYPEDEF != 0 {
+                rec.typedef = Some(dec.get_u64()?);
+            }
+        }
+        if word0 & FLAG_ORD64 != 0 {
+            rec.ordinal = dec.get_u64()?;
+        } else if word0 & FLAG_ORD != 0 {
+            rec.ordinal = u64::from(dec.get_u32()?);
+        }
+        if word0 & FLAG_COUNT != 0 {
+            rec.count = dec.get_u64()?;
+        }
+        Ok(rec)
+    }
+
+    /// The record at the front of `bytes` and its encoded size.
+    #[cfg(test)]
+    pub(crate) fn read(bytes: &[u8]) -> Result<(Record, usize), CoreError> {
+        let mut dec = Dec::Slice(XdrDecoder::new(bytes));
+        let rec = Record::decode(&mut dec)?;
+        Ok((rec, dec.consumed() as usize))
+    }
 }
 
 /// Fill `count` scalars, the first at byte `offset` of the block behind
@@ -804,11 +887,22 @@ mod tests {
         for info in dst.block_infos() {
             dst_lt.register(&info);
         }
+        // The receiver knows `int`, so the TYPEDEF resolves — and the
+        // named block's own type is still held against it.
+        let int = dst.types_mut().int();
+        let (int_fp, double_fp) = (
+            type_fingerprint(dst.types(), int),
+            type_fingerprint(dst.types(), d),
+        );
         let mut r = Restorer::new(&mut dst, &mut dst_lt, &payload);
-        assert!(matches!(
+        assert_eq!(
             r.restore_variable(da),
-            Err(CoreError::TypeMismatch { .. })
-        ));
+            Err(CoreError::TypeMismatch {
+                id: LogicalId { group: 0, index: 0 },
+                expected: int_fp,
+                found: double_fp,
+            })
+        );
     }
 
     #[test]

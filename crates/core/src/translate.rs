@@ -179,9 +179,9 @@ pub(crate) fn read_ptr(
 #[cfg(test)]
 mod tests {
     use super::Cursor;
-    use crate::collect::{Collector, TAG_PTR_NEW};
+    use crate::collect::{Collector, Record, TAG_PTR_NEW};
     use crate::fingerprint::type_fingerprint;
-    use crate::msrlt::Msrlt;
+    use crate::msrlt::{LogicalId, Msrlt};
     use crate::restore::Restorer;
     use crate::CoreError;
     use hpm_arch::Architecture;
@@ -212,14 +212,16 @@ mod tests {
     }
 
     /// The ordinal the collector writes for `p`'s pointee, from the
-    /// payload of a session that saves only `p`:
-    /// `VAR_NEW(4) id(8) fp(8) count(8) | PTR_NEW(4) id(8) ordinal(8) …`.
+    /// payload of a session that saves only `p`: the `VAR_NEW` record
+    /// for `p`, then the `PTR_NEW` its contents open with.
     fn emitted_ordinal(space: &mut AddressSpace, msrlt: &mut Msrlt, p: u64) -> u64 {
         let mut c = Collector::new(space, msrlt);
         c.save_variable(p).unwrap();
         let (bytes, _) = c.finish();
-        assert_eq!(bytes[28..32], TAG_PTR_NEW.to_be_bytes());
-        u64::from_be_bytes(bytes[40..48].try_into().unwrap())
+        let (_, at) = Record::read(&bytes).unwrap();
+        let (ptr, _) = Record::read(&bytes[at..]).unwrap();
+        assert_eq!(ptr.tag, TAG_PTR_NEW);
+        ptr.ordinal
     }
 
     #[test]
@@ -304,12 +306,9 @@ mod tests {
         // A hostile stream that inlines such a block: the restorer
         // allocates it and then must refuse the ordinal.
         let mut enc = XdrEncoder::new();
-        enc.put_u32(TAG_PTR_NEW);
-        enc.put_u32(1);
-        enc.put_u32(7);
-        enc.put_u64(0);
-        enc.put_u64(type_fingerprint(space.types(), empty));
-        enc.put_u64(1);
+        let mut rec = Record::bare(TAG_PTR_NEW, LogicalId { group: 1, index: 7 });
+        rec.typedef = Some(type_fingerprint(space.types(), empty));
+        rec.encode(&mut enc).unwrap();
         let payload = enc.into_bytes();
         let mut dst = AddressSpace::new(Architecture::sparc20());
         let dint = dst.types_mut().int();

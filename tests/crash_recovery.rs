@@ -297,8 +297,28 @@ fn destination_crash_resumes_without_rereceiving_verified_chunks() {
 /// (source resume) — with the answers still exactly right.
 #[test]
 fn tampered_journal_digest_falls_back_to_rung_3() {
+    // The destination has to die inside the stream, with chunks both
+    // journaled behind it and still to come: take the crash point from
+    // the stream's own chunk count, not from what the image's size used
+    // to be.
+    let cfg = PipelineConfig {
+        chunk_bytes: 64,
+        ..soak_cfg()
+    };
+    let trigger = Trigger::AtPollCount(8);
+    let chunks = run_to_migration(
+        &mut TestPointer::new(),
+        Architecture::dec5000(),
+        trigger.clone(),
+    )
+    .unwrap()
+    .to_chunks(cfg.chunk_bytes)
+    .unwrap()
+    .0
+    .len() as u32;
+    assert!(chunks >= 4, "{chunks} chunks leave no middle to die in");
     let plan = FaultPlan {
-        dst_crash_at: Some(4),
+        dst_crash_at: Some(chunks / 2),
         tamper_journal: true,
         ..FaultPlan::none()
     };
@@ -309,8 +329,8 @@ fn tampered_journal_digest_falls_back_to_rung_3() {
         Architecture::dec5000(),
         Architecture::sparc20(),
         NetworkModel::ethernet_10(),
-        Trigger::AtPollCount(8),
-        soak_cfg(),
+        trigger,
+        cfg,
         plan,
         soak_policy(),
     )

@@ -27,6 +27,16 @@ fn soak_cfg() -> PipelineConfig {
     }
 }
 
+/// `test_pointer`'s whole image is a few hundred bytes — two or three
+/// of [`soak_cfg`]'s chunks: cut it small enough that a plan still has
+/// frames to hurt.
+fn tiny_image_cfg() -> PipelineConfig {
+    PipelineConfig {
+        chunk_bytes: 64,
+        ..soak_cfg()
+    }
+}
+
 /// Tight retry budget and backoff so dead-link plans fail over quickly.
 fn soak_policy() -> RecoveryPolicy {
     RecoveryPolicy {
@@ -138,7 +148,7 @@ fn soak_test_pointer() {
         Architecture::sparc20(),
         8,
         100,
-        soak_cfg(),
+        tiny_image_cfg(),
     );
 }
 
@@ -185,7 +195,7 @@ fn soak_test_pointer_compressed() {
         Architecture::sparc20(),
         8,
         100,
-        soak_cfg().compressed(),
+        tiny_image_cfg().compressed(),
     );
 }
 

@@ -376,8 +376,10 @@ fn image_and_digests(src: &mut MigratedSource) -> (Vec<u8>, Vec<BlockDigest>) {
 
 /// The frozen leg must cost what the dirty set costs: the framed delta's
 /// share of the image grows with the share of nodes rewritten and stays
-/// far below it, through frees and fresh allocations that shift the rest
-/// of the image.
+/// below the share of nodes that changed at all (rewritten, freed or
+/// fresh) — a bound in the image's own units, so it holds whatever a
+/// node's record costs — through frees and fresh allocations that shift
+/// the rest of the image.
 #[test]
 fn delta_size_tracks_the_dirty_fraction() {
     for (src_arch, dst_arch) in [
@@ -386,7 +388,9 @@ fn delta_size_tracks_the_dirty_fraction() {
         (Architecture::x86_64_sim(), Architecture::sparc20()),
     ] {
         let mut last = 0.0;
-        for (percent, bound) in [(2, 0.03), (8, 0.06), (32, 0.15)] {
+        for percent in [2, 8, 32] {
+            // `mutate` also frees 1 % of the nodes and pushes as many.
+            let bound = (percent + 2) as f64 / 100.0;
             let what = format!("{} -> {} at {percent} %", src_arch.name, dst_arch.name);
             let make = || ListChurn { percent };
             let (expected, _) = run_straight(&mut make(), src_arch.clone()).expect("straight");
@@ -424,13 +428,17 @@ fn delta_size_tracks_the_dirty_fraction() {
 /// The dictionary coder's stream is what the frozen leg ships. It shares
 /// a module with the chunk compressor, whose kernels change; its own
 /// output on the fixtures above must not: (length, FNV-1a) of
-/// `compress_with_dict(image0, image)` as 14804d5 wrote it.
+/// `compress_with_dict(image0, image)`. The coder is 14804d5's; the
+/// values were re-taken when image version 3 changed the fixtures (the
+/// two images are the coder's *input*, and their records got compact)
+/// with `git diff` empty under `crates/xdr` — same coder, new images:
+/// 4 474 → 4 279, 10 743 → 10 174 and 33 479 → 32 472 bytes.
 #[test]
 fn dictionary_coder_stream_is_pinned() {
     const PINNED: [(u64, usize, u64); 3] = [
-        (2, 4_474, 0x49B5_35CB_05CE_8041),
-        (8, 10_743, 0x6F31_70AF_19C0_78BC),
-        (32, 33_479, 0x9C12_3917_1F4E_8252),
+        (2, 4_279, 0xAFDA_9CA0_B382_FDFA),
+        (8, 10_174, 0xD6E0_9102_3A26_BEEC),
+        (32, 32_472, 0x61B1_E3E0_2C82_176C),
     ];
     let arch = Architecture::ultra5();
     for (percent, len, fnv) in PINNED {

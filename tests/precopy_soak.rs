@@ -62,7 +62,9 @@ fn run_one(seed: u64) -> MigrationRun {
             precopy: Some(precopy_cfg()),
             ..Migration::new(Transport::Reliable(
                 PipelineConfig {
-                    chunk_bytes: 4096,
+                    // Small against the image and its per-round deltas,
+                    // so every round has frames for a plan to hurt.
+                    chunk_bytes: 1024,
                     pace: false,
                     ..PipelineConfig::default().compressed()
                 },

@@ -490,9 +490,34 @@ fn long_width_conversion_sound() {
 // Hostile element counts and truncation inside a translation-kernel run.
 // ---------------------------------------------------------------------
 
-/// Stream tag of a pointer whose target block follows inline (the
-/// stream grammar in `hpm::core::collect`).
+// Hostile records are built here by hand, bit for bit from the grammar
+// at the top of `hpm::core::collect` — not through the collector's own
+// encoder, which refuses to write most of them.
+const TAG_VAR_NEW: u32 = 1;
+const TAG_VAR_VISITED: u32 = 2;
+const TAG_PTR_NULL: u32 = 3;
+const TAG_PTR_REF: u32 = 4;
 const TAG_PTR_NEW: u32 = 5;
+const TYPEDEF: u32 = 1 << 28;
+const ORD: u32 = 1 << 27;
+const ORD64: u32 = 1 << 26;
+const COUNT: u32 = 1 << 25;
+const RESERVED: u32 = 1 << 24;
+const HEAP: u32 = 1;
+
+/// First word of a record.
+fn word0(tag: u32, flags: u32, group: u32) -> u32 {
+    tag << 29 | flags | group
+}
+
+/// A `u64` field as its two XDR units.
+fn hyper(v: u64) -> [u32; 2] {
+    [(v >> 32) as u32, v as u32]
+}
+
+fn units(words: &[u32]) -> Vec<u8> {
+    words.iter().flat_map(|w| w.to_be_bytes()).collect()
+}
 
 /// The two ways a restorer reads a payload: a complete slice, or chunks
 /// pulled from a source.
@@ -535,14 +560,17 @@ fn hostile_block_counts_are_refused_before_allocation() {
                 };
                 let (mut probe, _) = make_dst();
                 let double = probe.types_mut().double();
-                let mut enc = hpm::xdr::XdrEncoder::new();
-                enc.put_u32(TAG_PTR_NEW);
-                enc.put_u32(1); // heap group
-                enc.put_u32(7);
-                enc.put_u64(0); // leaf ordinal
-                enc.put_u64(hpm::core::type_fingerprint(probe.types(), double));
-                enc.put_u64(count);
-                let mut payload = enc.into_bytes();
+                let [fp_hi, fp_lo] = hyper(hpm::core::type_fingerprint(probe.types(), double));
+                let [count_hi, count_lo] = hyper(count);
+                let mut payload = units(&[
+                    word0(TAG_PTR_NEW, TYPEDEF | COUNT, HEAP),
+                    7, // index
+                    0, // type number, defined here
+                    fp_hi,
+                    fp_lo,
+                    count_hi,
+                    count_lo,
+                ]);
                 // Some honest-looking data behind the header changes
                 // nothing: it is still nowhere near `count` doubles.
                 payload.resize(payload.len() + tail, 0);
@@ -571,6 +599,228 @@ fn hostile_block_counts_are_refused_before_allocation() {
             }
         }
     }
+}
+
+/// Every field the compact record grammar added, set to something no
+/// collector writes: each is refused with the `CoreError` that names it,
+/// from a slice and from pulled chunks alike, and nothing is allocated
+/// or restored on the way. (Hostile *counts*, the product
+/// `count × min_wire_bytes` overflowing included, are the test above.)
+#[test]
+fn hostile_record_fields_are_named_refusals_that_allocate_nothing() {
+    let make_dst = || {
+        let mut space = AddressSpace::new(Architecture::sparc20());
+        let double = space.types_mut().double();
+        let g = space.define_global("g", double, 1).unwrap();
+        let mut lt = Msrlt::new();
+        lt.register(&space.info_at(g).unwrap());
+        (space, lt)
+    };
+    let (mut probe, _) = make_dst();
+    let g = probe.block_infos()[0].addr;
+    let double = probe.types_mut().double();
+    let [fp_hi, fp_lo] = hyper(hpm::core::type_fingerprint(probe.types(), double));
+    let bad_header = |tag, flags, group| {
+        let w = word0(tag, flags, group);
+        (vec![w, 7, 0, 0, 0, 0, 0], CoreError::BadRecordHeader(w))
+    };
+    let id = hpm::core::LogicalId {
+        group: HEAP,
+        index: 7,
+    };
+    let undefined = |type_no| CoreError::UndefinedType {
+        id,
+        type_no,
+        defined: 0,
+    };
+
+    // Through `restore_pointer`.
+    let pointer_cases: Vec<(&str, Vec<u32>, CoreError)> = vec![
+        (
+            "type number never defined",
+            vec![word0(TAG_PTR_NEW, 0, HEAP), 7, 0],
+            undefined(0),
+        ),
+        (
+            "huge type number, referenced",
+            vec![word0(TAG_PTR_NEW, 0, HEAP), 7, u32::MAX],
+            undefined(u32::MAX),
+        ),
+        (
+            "huge type number, defined out of turn with a known fingerprint",
+            vec![word0(TAG_PTR_NEW, TYPEDEF, HEAP), 7, u32::MAX, fp_hi, fp_lo],
+            undefined(u32::MAX),
+        ),
+        (
+            "TYPEDEF skipping number 0",
+            vec![word0(TAG_PTR_NEW, TYPEDEF, HEAP), 7, 1, fp_hi, fp_lo],
+            undefined(1),
+        ),
+        (
+            "TYPEDEF with a fingerprint the receiver does not know",
+            vec![
+                word0(TAG_PTR_NEW, TYPEDEF, HEAP),
+                7,
+                0,
+                0xDEAD_BEEF,
+                0x0BAD_F00D,
+            ],
+            CoreError::TypeMismatch {
+                id,
+                expected: 0xDEAD_BEEF_0BAD_F00D,
+                found: 0,
+            },
+        ),
+        (
+            "PTR_REF to a block not yet seen",
+            vec![word0(TAG_PTR_REF, 0, HEAP), 7],
+            CoreError::UnknownId(id),
+        ),
+        (
+            "PTR_NEW of an unseen block outside the heap group",
+            vec![word0(TAG_PTR_NEW, TYPEDEF, 0x00AB_CDEF), 7, 0, fp_hi, fp_lo],
+            CoreError::UnknownId(hpm::core::LogicalId {
+                group: 0x00AB_CDEF,
+                index: 7,
+            }),
+        ),
+        ("tag 0", vec![7], CoreError::BadTag(0)),
+        ("tag 6", vec![word0(6, 0, HEAP), 7], CoreError::BadTag(6)),
+        ("tag 7", vec![u32::MAX], CoreError::BadTag(7)),
+        (
+            "a variable item where a pointer belongs",
+            vec![word0(TAG_VAR_VISITED, 0, 0), 0],
+            CoreError::BadTag(TAG_VAR_VISITED),
+        ),
+    ]
+    .into_iter()
+    .chain(
+        [
+            (
+                "reserved bit on PTR_NEW",
+                bad_header(TAG_PTR_NEW, RESERVED, HEAP),
+            ),
+            (
+                "reserved bit on PTR_REF",
+                bad_header(TAG_PTR_REF, RESERVED, HEAP),
+            ),
+            ("ORD64 without ORD", bad_header(TAG_PTR_NEW, ORD64, HEAP)),
+            ("TYPEDEF on PTR_REF", bad_header(TAG_PTR_REF, TYPEDEF, HEAP)),
+            ("COUNT on PTR_REF", bad_header(TAG_PTR_REF, COUNT, HEAP)),
+            ("ORD on PTR_NULL", bad_header(TAG_PTR_NULL, ORD, 0)),
+            ("TYPEDEF on PTR_NULL", bad_header(TAG_PTR_NULL, TYPEDEF, 0)),
+            ("a group on PTR_NULL", bad_header(TAG_PTR_NULL, 0, HEAP)),
+        ]
+        .map(|(what, (words, err))| (what, words, err)),
+    )
+    .collect();
+
+    // Through `restore_variable(g)`.
+    let variable_cases: Vec<(&str, Vec<u32>, CoreError)> = vec![
+        (
+            "VAR_NEW naming a type never defined",
+            vec![word0(TAG_VAR_NEW, 0, 0), 0, 3],
+            CoreError::UndefinedType {
+                id: hpm::core::LogicalId { group: 0, index: 0 },
+                type_no: 3,
+                defined: 0,
+            },
+        ),
+        (
+            "a pointer item where a variable belongs",
+            vec![word0(TAG_PTR_NULL, 0, 0)],
+            CoreError::BadTag(TAG_PTR_NULL),
+        ),
+    ]
+    .into_iter()
+    .chain(
+        [
+            ("ORD on VAR_NEW", bad_header(TAG_VAR_NEW, ORD, 0)),
+            (
+                "ORD on VAR_NEW, wide",
+                bad_header(TAG_VAR_NEW, ORD | ORD64, 0),
+            ),
+            (
+                "reserved bit on VAR_NEW",
+                bad_header(TAG_VAR_NEW, RESERVED, 0),
+            ),
+            (
+                "COUNT on VAR_VISITED",
+                bad_header(TAG_VAR_VISITED, COUNT, 0),
+            ),
+            (
+                "TYPEDEF on VAR_VISITED",
+                bad_header(TAG_VAR_VISITED, TYPEDEF, 0),
+            ),
+            ("ORD on VAR_VISITED", bad_header(TAG_VAR_VISITED, ORD, 0)),
+        ]
+        .map(|(what, (words, err))| (what, words, err)),
+    )
+    .collect();
+
+    let run = |cases: Vec<(&str, Vec<u32>, CoreError)>, through_variable: bool| {
+        for (what, words, want) in cases {
+            // Plausible bytes behind the record change nothing.
+            let mut payload = units(&words);
+            payload.resize(payload.len() + 64, 0);
+            restore_both_ways(
+                &payload,
+                8,
+                make_dst,
+                |way, dst, got, restored| {
+                    assert_eq!(got, Err(want.clone()), "{what} ({way})");
+                    let stats = dst.stats();
+                    assert_eq!(
+                        (stats.mallocs, stats.heap_bytes_allocated, restored),
+                        (0, 0, 0),
+                        "{what} ({way}): a refused record allocates and restores nothing"
+                    );
+                },
+                |r| {
+                    if through_variable {
+                        r.restore_variable(g)
+                    } else {
+                        r.restore_pointer().map(|_| ())
+                    }
+                },
+            );
+        }
+    };
+    run(pointer_cases, false);
+    run(variable_cases, true);
+
+    // A heap index far past anything held here or nameable by the bytes
+    // that arrived (found by the mutation sweep below, seed 0x6ea4_0003:
+    // the id table was grown to reach the index — 61 GB asked of the
+    // allocator). How many bytes had arrived depends on the way in.
+    let mut payload = units(&[
+        word0(TAG_PTR_NEW, TYPEDEF, HEAP),
+        0x4000_0000,
+        0,
+        fp_hi,
+        fp_lo,
+    ]);
+    payload.resize(payload.len() + 64, 0);
+    let ((), largest) = largest_request_during(|| {
+        restore_both_ways(
+            &payload,
+            8,
+            make_dst,
+            |way, dst, got, restored| {
+                assert!(
+                    matches!(
+                        got,
+                        Err(CoreError::HeapIdOutOfReach { id, heap_len: 0, received })
+                            if id.index == 0x4000_0000 && received <= payload.len() as u64
+                    ),
+                    "{way}: {got:?}"
+                );
+                assert_eq!((dst.stats().mallocs, restored), (0, 0), "{way}");
+            },
+            |r| r.restore_pointer().map(|_| ()),
+        )
+    });
+    assert!(largest <= allocation_bound(payload.len()), "{largest}");
 }
 
 /// A delta frame's `raw_len` is a claim, and a correct CRC does not make
@@ -632,21 +882,41 @@ struct LargestRequest;
 
 static LARGEST_REQUEST: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// The same, for the calling thread alone: tests run on parallel
+    /// threads, and a per-input bound needs its own thread's requests
+    /// only. Const-initialised and without a destructor, so reading it
+    /// inside the allocator allocates nothing.
+    static THREAD_LARGEST: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+fn note_request(size: usize) {
+    LARGEST_REQUEST.fetch_max(size, Ordering::Relaxed);
+    let _ = THREAD_LARGEST.try_with(|c| c.set(c.get().max(size)));
+}
+
+/// The largest request this thread makes while `f` runs.
+fn largest_request_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    THREAD_LARGEST.with(|c| c.set(0));
+    let out = f();
+    (out, THREAD_LARGEST.with(|c| c.get()))
+}
+
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter touches no allocator state.
+// the `GlobalAlloc` contract; the counters touch no allocator state.
 unsafe impl GlobalAlloc for LargestRequest {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LARGEST_REQUEST.fetch_max(layout.size(), Ordering::Relaxed);
+        note_request(layout.size());
         // SAFETY: the caller's obligations are `System::alloc`'s own.
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        LARGEST_REQUEST.fetch_max(layout.size(), Ordering::Relaxed);
+        note_request(layout.size());
         // SAFETY: as above, for `System::alloc_zeroed`.
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LARGEST_REQUEST.fetch_max(new_size, Ordering::Relaxed);
+        note_request(new_size);
         // SAFETY: as above, for `System::realloc`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -743,7 +1013,8 @@ fn padded_type(space: &mut AddressSpace) -> hpm::types::TypeId {
 #[test]
 fn truncation_inside_a_kernel_run_is_reported_not_restored() {
     const ELEMS: u64 = 100;
-    // Payload layout: VAR_NEW(4) id(8) fp(8) count(8), then contents.
+    // Payload layout: a first-sight VAR_NEW with a count — word0, index,
+    // type (4 each), fingerprint, count (8 each) — then contents.
     const HEADER: usize = 28;
     type Build = fn(&mut AddressSpace) -> hpm::types::TypeId;
     let cases: [(&str, Build, usize); 2] = [
@@ -808,4 +1079,235 @@ fn truncation_inside_a_kernel_run_is_reported_not_restored() {
             |r| r.restore_variable(dst_g),
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// Seeded byte mutation of the record stream: whatever a mutation does to
+// the records, each way of reading them either restores or refuses with
+// a typed error — no panic, no hang, no allocation out of proportion to
+// the bytes received.
+// ---------------------------------------------------------------------
+
+/// One seeded mutation of a record stream. Most keep it whole XDR units
+/// (the framing below the records guarantees that much); bit and byte
+/// damage lands anywhere, word damage favours what headers are made of.
+fn mutate(stream: &[u8], s: &mut u64) -> Vec<u8> {
+    const WORDS: [u32; 8] = [
+        0,
+        1,
+        0x00FF_FFFF,
+        0x7FFF_FFFF,
+        0x8000_0000,
+        0xFFFF_FFFF,
+        5 << 29 | 1 << 28 | 1 << 25 | 1, // PTR_NEW | TYPEDEF | COUNT, heap
+        4 << 29 | 1 << 27 | 1 << 26 | 1, // PTR_REF | ORD | ORD64, heap
+    ];
+    let mut out = stream.to_vec();
+    let words = out.len() / 4;
+    let at = (next(s) as usize % words) * 4;
+    match next(s) % 8 {
+        0 => out[next(s) as usize % stream.len()] ^= 1 << (next(s) % 8),
+        1 => out[next(s) as usize % stream.len()] = next(s) as u8,
+        // The byte of a word that holds tag and flags.
+        2 => out[at] ^= 1 << (next(s) % 8),
+        3 => {
+            let w = WORDS[next(s) as usize % WORDS.len()];
+            out[at..at + 4].copy_from_slice(&w.to_be_bytes());
+        }
+        4 => out[at..at + 4].copy_from_slice(&(next(s) as u32).to_be_bytes()),
+        5 => out.truncate(at),
+        6 => {
+            let word = [out[at], out[at + 1], out[at + 2], out[at + 3]];
+            let to = (next(s) as usize % words) * 4;
+            out.splice(to..to, word);
+        }
+        _ => {
+            out.drain(at..at + 4);
+        }
+    }
+    out
+}
+
+/// What one received byte may make the restorer request from the
+/// allocator in a single call, plus a floor for what restoring costs
+/// whatever arrives (arena and page-index cells). A pulled stream may
+/// run `PULL_SHARE` (64) ahead of its bytes, and a native block is at
+/// most a few times its wire size.
+fn allocation_bound(input: usize) -> usize {
+    (64 << 10) + 512 * input
+}
+
+/// `struct gnode { int key; double w; gnode *next, *left; int *tag; }`
+/// behind `groot`, with a shared `int gtags[16]`: `nodes` of them in a
+/// `next` ring (a cycle), `left` cross-links (shared targets) and `tag`
+/// interior pointers — the benchmark's graph shape, small.
+fn ring_space(arch: Architecture, nodes: u64) -> (AddressSpace, Msrlt, [u64; 2]) {
+    let mut space = AddressSpace::new(arch);
+    let t = space.types_mut();
+    let (int, double) = (t.int(), t.double());
+    let gnode = t.declare_struct("gnode");
+    let (p_gnode, p_int) = (t.pointer_to(gnode), t.pointer_to(int));
+    let fields = vec![
+        Field::new("key", int),
+        Field::new("w", double),
+        Field::new("next", p_gnode),
+        Field::new("left", p_gnode),
+        Field::new("tag", p_int),
+    ];
+    t.define_struct(gnode, fields).unwrap();
+    let groot = space.define_global("groot", p_gnode, 1).unwrap();
+    let gtags = space.define_global("gtags", int, 16).unwrap();
+    let mut msrlt = Msrlt::new();
+    for info in space.block_infos() {
+        msrlt.register(&info);
+    }
+    let at: Vec<u64> = (0..nodes)
+        .map(|_| {
+            let n = space.malloc(gnode, 1).unwrap();
+            msrlt.register(&space.info_at(n).unwrap());
+            n
+        })
+        .collect();
+    for (i, &n) in at.iter().enumerate() {
+        let i = i as u64;
+        let field: Vec<u64> = (0..5).map(|k| space.elem_addr(n, k).unwrap()).collect();
+        space.store_int(field[0], i as i64 * 7 - 3).unwrap();
+        space.store_f64(field[1], i as f64 * 0.5).unwrap();
+        space
+            .store_ptr(field[2], at[((i + 1) % nodes) as usize])
+            .unwrap();
+        space
+            .store_ptr(field[3], at[((i * 3 + 1) % nodes) as usize])
+            .unwrap();
+        let tag = space.elem_addr(gtags, i % 16).unwrap();
+        space.store_ptr(field[4], tag).unwrap();
+    }
+    if let Some(&first) = at.first() {
+        space.store_ptr(groot, first).unwrap();
+    }
+    (space, msrlt, [groot, gtags])
+}
+
+/// Restore `honest` and 1 499 seeded mutations of it, each from a slice
+/// (`None`) and from chunks of 8 and 52 bytes: the honest stream must
+/// restore; every other either restores or is refused with a typed
+/// error; and no single allocator request on the way exceeds
+/// [`allocation_bound`] of the bytes received (`framing` of them reach
+/// `restore` outside the stream).
+fn mutation_sweep<E: std::fmt::Debug>(
+    honest: &[u8],
+    seed: u64,
+    framing: usize,
+    restore: impl Fn(&[u8], Option<usize>) -> Result<(), E>,
+) {
+    let mut s = seed;
+    let (mut restored, mut refused) = (0u32, 0u32);
+    for round in 0..1500 {
+        let stream = if round == 0 {
+            honest.to_vec()
+        } else {
+            mutate(honest, &mut s)
+        };
+        let received = framing + stream.len();
+        for chunking in [None, Some(8), Some(52)] {
+            let what = format!("seed {seed:#x} round {round} chunking {chunking:?}");
+            let (got, largest) = largest_request_during(|| restore(&stream, chunking));
+            assert!(
+                largest <= allocation_bound(received),
+                "{what}: one request of {largest} bytes for {received} received ({got:?})"
+            );
+            match got {
+                Ok(()) => restored += 1,
+                Err(_) => refused += 1,
+            }
+            assert!(
+                round != 0 || got.is_ok(),
+                "{what}: honest stream refused: {got:?}"
+            );
+        }
+    }
+    // The sweep has to reach both outcomes to mean anything.
+    assert!(
+        restored > 100 && refused > 1000,
+        "{restored} restored, {refused} refused"
+    );
+}
+
+#[test]
+fn mutated_gnode_ring_records_restore_or_refuse() {
+    let (mut src, mut src_lt, roots) = ring_space(Architecture::x86_64_sim(), 12);
+    let mut c = Collector::new(&mut src, &mut src_lt);
+    for root in roots {
+        c.save_variable(root).unwrap();
+    }
+    let (payload, stats) = c.finish();
+    assert_eq!(
+        (stats.ptr_new, stats.ptr_ref),
+        (13, 24),
+        "12 nodes and `gtags`"
+    );
+
+    let restore = |mut r: Restorer<'_>, roots: [u64; 2]| {
+        roots
+            .into_iter()
+            .try_for_each(|v| r.restore_variable(v))
+            .and_then(|()| r.finish().map(|_| ()))
+    };
+    mutation_sweep(&payload, 0x6ea4_0003, 0, |stream, chunking| {
+        let (mut dst, mut lt, droots) = ring_space(Architecture::sparc20(), 0);
+        match chunking {
+            None => restore(Restorer::new(&mut dst, &mut lt, stream), droots),
+            Some(n) => {
+                let chunks = stream.chunks(n).map(<[u8]>::to_vec).collect();
+                let mut cp = ChunkPayload::new(Box::new(VecChunks::new(chunks)));
+                restore(Restorer::from_chunks(&mut dst, &mut lt, &mut cp), droots)
+            }
+        }
+    });
+}
+
+/// [`streaming_resume`] for an image that arrived whole: one `Restorer`
+/// session per frame over the same payload slice.
+fn whole_resume<P: MigratableProgram>(
+    dst_prog: &mut P,
+    arch: Architecture,
+    image: &[u8],
+) -> Result<(), MigError> {
+    let (_, exec_bytes, payload) = unframe_image(image)?;
+    let exec = ExecutionState::decode(exec_bytes)?;
+    let mut proc = Process::new(dst_prog.name(), arch);
+    dst_prog.setup(&mut proc)?;
+    let mut ctx = MigCtx::new_resume(&mut proc, exec, payload);
+    dst_prog.run(&mut ctx).map(|_| ())
+}
+
+/// The same sweep over the paper's pointer zoo, restored the way a
+/// destination restores it: frame by frame under the program's own
+/// `restore_frame` calls, from the whole image and from chunks. (The
+/// program's `results` walk is left out — following a tree whose links a
+/// mutation re-aimed is the program's hazard, not the decoder's.)
+#[test]
+fn mutated_test_pointer_records_restore_or_refuse() {
+    let image = freeze_test_pointer().to_image().unwrap();
+    let records = unframe_image(&image).unwrap().2.len();
+    let (prefix, payload) = image.split_at(image.len() - records);
+    mutation_sweep(payload, 0x6ea4_0004, prefix.len(), |stream, chunking| {
+        let mut dst = TestPointer::new();
+        match chunking {
+            None => whole_resume(
+                &mut dst,
+                Architecture::sparc20(),
+                &[prefix, stream].concat(),
+            ),
+            Some(n) => {
+                let chunks = stream.chunks(n).map(<[u8]>::to_vec).collect();
+                streaming_resume(
+                    &mut dst,
+                    Architecture::sparc20(),
+                    prefix,
+                    Box::new(VecChunks::new(chunks)),
+                )
+            }
+        }
+    });
 }

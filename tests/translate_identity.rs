@@ -2,15 +2,20 @@
 //!
 //! The wire payload, the per-block digest table and the bytes a
 //! destination holds right after restoration are functions of the
-//! program state alone. The values below were taken at the commit before
-//! the one-translation-per-block rewrite of the three inner loops; any
-//! change to them means the rewrite altered an image, a digest or a
-//! restored block.
+//! program state alone. The digest-table id and the four restored-memory
+//! ids of each program were taken at the commit before the
+//! one-translation-per-block rewrite of the three inner loops and have
+//! not moved since: they are the proof that the restored process is the
+//! same. The payload id (first component) was re-taken when image
+//! version 3 made the MSRM records compact — the only thing a change of
+//! record format may move. A change to any other value means an image's
+//! meaning, a digest or a restored block was altered.
 
 use hpm::arch::Architecture;
 use hpm::core::block_digests;
 use hpm::migrate::{
-    resume_to_migration, run_to_migration, MigratableProgram, Process, ResumeFlow, Trigger,
+    resume_from_image, resume_to_migration, run_to_migration, MigratableProgram, Process,
+    ResumeFlow, Trigger,
 };
 use hpm::workloads::{BitonicSort, Linpack, TestPointer};
 use hpm::xdr::image_id;
@@ -75,7 +80,7 @@ fn check<P: MigratableProgram>(name: &str, make: impl Fn() -> P, trigger: Trigge
 #[test]
 fn test_pointer_images_match_the_pins() {
     let pin = (
-        0xe11bd81015afa661,
+        0x3755a7aaa7951cb4,
         0xbf2f76bf473b6ee3,
         [
             0x3cc39acbba1ce5ac,
@@ -95,7 +100,7 @@ fn test_pointer_images_match_the_pins() {
 #[test]
 fn bitonic_images_match_the_pins() {
     let pin = (
-        0x67d64b48bf101d08,
+        0x5033f71ffa5b41ed,
         0xfd48369e980ed81c,
         [
             0x3b66b60c8fbe6483,
@@ -111,7 +116,7 @@ fn bitonic_images_match_the_pins() {
 #[test]
 fn linpack_images_match_the_pins() {
     let pin = (
-        0x9d943eb0fe57cffd,
+        0xaf5d35d2dbc13786,
         0xf0338f053700ae00,
         [0x6ce2b3ccfe1f0373; 4],
     );
@@ -120,5 +125,29 @@ fn linpack_images_match_the_pins() {
         || Linpack::full(24),
         Trigger::AtPollCount(8),
         pin,
+    );
+}
+
+/// An image framed by the previous format version carries records this
+/// build would misparse; it is refused at the header, by name.
+#[test]
+fn version_2_image_is_refused_naming_both_versions() {
+    let mut src = run_to_migration(
+        &mut TestPointer::new(),
+        Architecture::dec5000(),
+        Trigger::AtPollCount(8),
+    )
+    .unwrap();
+    let mut image = src.to_image().unwrap();
+    assert_eq!(image[4..8], 3u32.to_be_bytes(), "magic, then the version");
+    image[4..8].copy_from_slice(&2u32.to_be_bytes());
+    let Err(err) = resume_from_image(&mut TestPointer::new(), Architecture::sparc20(), &image)
+    else {
+        panic!("a version-2 image must not restore");
+    };
+    let err = err.to_string();
+    assert!(
+        err.contains("version 2") && err.contains("version 3"),
+        "{err}"
     );
 }
