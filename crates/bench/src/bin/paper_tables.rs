@@ -615,11 +615,7 @@ fn trace(path: &str) {
     hr("Migration trace — test_pointer, DEC 5000/120 → SPARC 20, 10 Mb/s");
     let run = traced_test_pointer_run();
     println!("{}", run.report.render());
-    let log = run
-        .report
-        .trace
-        .as_ref()
-        .expect("traced run carries a trace");
+    let log = run.report.log.as_ref().expect("the run was given a log");
     let json = hpm_obs::chrome_trace_json(log);
     if let Err(e) = std::fs::write(path, &json) {
         eprintln!("cannot write {path}: {e}");
@@ -627,7 +623,7 @@ fn trace(path: &str) {
     }
     println!(
         "wrote {path}: {} events across {} tracks (open in ui.perfetto.dev)",
-        log.events.len(),
+        log.len(),
         log.tracks.len()
     );
 }
@@ -747,7 +743,7 @@ fn complexity() {
 }
 
 fn overhead() {
-    hr("§4.3 Execution overhead — poll placement & allocation policy");
+    hr("§4.3 Execution overhead — poll placement, allocation policy & event-log level");
     println!(
         "{:<40} {:>10} {:>12} {:>14} {:>10}",
         "configuration", "wall(s)", "polls", "registrations", "overhead"

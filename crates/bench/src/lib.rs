@@ -27,7 +27,7 @@ use hpm_migrate::{
     PrecopyConfig, RecoveryPolicy, Transport, Trigger,
 };
 use hpm_net::{FaultPlan, NetworkModel};
-use hpm_obs::{FlightRecorder, Tracer};
+use hpm_obs::{EventLog, Level};
 use hpm_workloads::{diff_results, BitonicSort, Linpack, PollPlacement, TestPointer};
 use std::time::{Duration, Instant};
 
@@ -410,20 +410,22 @@ pub fn overhead_rows() -> Vec<OverheadRow> {
         });
     }
 
-    // --- flight-recorder ablation on a full linpack migration: the
-    // recorder fires per chunk/phase, not per byte, so a complete
-    // migration with it enabled must track the disabled run ---
+    // --- event-log levels: a full linpack migration (events fire per
+    // chunk / phase, so protocol must track off) and a pointer-rich
+    // collection (one detail site per MSRLT search: off and protocol pay
+    // a branch each, detail pays for recording) ---
+    const LEVELS: [(&str, Level); 3] = [
+        ("off", Level::Off),
+        ("protocol", Level::Protocol),
+        ("detail", Level::Detail),
+    ];
     let n = 300;
     let mut base = Duration::ZERO;
-    for mode in ["off", "on"] {
-        let recorder = if mode == "on" {
-            FlightRecorder::new()
-        } else {
-            FlightRecorder::disabled()
-        };
+    for (mode, level) in LEVELS {
         let mut wall = Duration::MAX;
         let mut polls = 0;
         for _ in 0..3 {
+            let log = EventLog::new(level);
             let t0 = Instant::now();
             let run = migrate(
                 move || Linpack::truncated(n, 4),
@@ -432,43 +434,36 @@ pub fn overhead_rows() -> Vec<OverheadRow> {
                 NetworkModel::ethernet_100(),
                 Trigger::AtPollCount(2),
                 &Migration {
-                    recorder: Some(&recorder),
+                    log: Some(&log),
                     ..Migration::new(Transport::Whole)
                 },
             )
-            .expect("linpack migrates under the recorder ablation");
+            .expect("linpack migrates at every log level");
             wall = wall.min(t0.elapsed());
             polls = run.report.src_polls;
         }
-        if mode == "off" {
+        if level == Level::Off {
             base = wall;
         }
         rows.push(OverheadRow {
-            label: format!("linpack {n}: migrate, recorder {mode}"),
+            label: format!("linpack {n}: migrate, log {mode}"),
             wall,
             polls,
             registrations: 0,
             overhead_pct: pct(wall, base),
         });
     }
-
-    // --- tracer ablation on collection: the disabled tracer costs one
-    // branch per event site, so "tracer off" must track the untraced
-    // baseline while "tracer on" pays for event recording ---
     let n = 20_000;
     let mut base = Duration::ZERO;
-    for mode in ["off", "on"] {
+    for (mode, level) in LEVELS {
         let mut src = freeze_bitonic(n);
-        let tracer = if mode == "on" {
-            Tracer::new()
-        } else {
-            Tracer::disabled()
-        };
         let mut wall = Duration::MAX;
         for _ in 0..3 {
+            // A fresh log per rep, so every rep starts on empty rings.
+            let track = EventLog::new(level).track("collect");
             let t0 = Instant::now();
-            let mut collector = Collector::new(&mut src.proc.space, &mut src.proc.msrlt)
-                .with_tracer(tracer.clone());
+            let mut collector =
+                Collector::new(&mut src.proc.space, &mut src.proc.msrlt).with_track(track);
             for frame in &src.pending {
                 for &addr in &frame.live {
                     collector.save_variable(addr).unwrap();
@@ -476,14 +471,12 @@ pub fn overhead_rows() -> Vec<OverheadRow> {
             }
             let _ = collector.finish();
             wall = wall.min(t0.elapsed());
-            // Drain between reps so the ring buffer never saturates.
-            let _ = tracer.take_log();
         }
-        if mode == "off" {
+        if level == Level::Off {
             base = wall;
         }
         rows.push(OverheadRow {
-            label: format!("bitonic {n}: collect, tracing {mode}"),
+            label: format!("bitonic {n}: collect, log {mode}"),
             wall,
             polls: src.proc.poll_count(),
             registrations: src.proc.msrlt.stats().registrations,
@@ -493,13 +486,13 @@ pub fn overhead_rows() -> Vec<OverheadRow> {
     rows
 }
 
-/// One fully-traced TestPointer migration on the §4.1 heterogeneous
-/// testbed: the returned report carries a [`hpm_obs::TraceLog`] with
-/// nested `collect` → `msrlt.search`, `tx` → `net.send`, and `restore`
-/// spans plus every counter group, ready for
+/// One TestPointer migration on the §4.1 heterogeneous testbed logged
+/// at detail level: the returned report carries a [`hpm_obs::LogDump`]
+/// with nested `collect` → `msrlt.search`, `tx` → `net.send`, and
+/// `restore` spans plus every counter group, ready for
 /// [`hpm_obs::chrome_trace_json`].
 pub fn traced_test_pointer_run() -> MigrationRun {
-    let tracer = Tracer::new();
+    let log = EventLog::new(Level::Detail);
     migrate(
         TestPointer::new,
         Architecture::dec5000(),
@@ -507,7 +500,7 @@ pub fn traced_test_pointer_run() -> MigrationRun {
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(8),
         &Migration {
-            tracer: &tracer,
+            log: Some(&log),
             ..Migration::new(Transport::Whole)
         },
     )
@@ -532,10 +525,9 @@ pub struct AblationRow {
     pub steps: u64,
 }
 
-/// Compare MSRLT search strategies and visit-mark strategies on a
-/// pointer-rich collection.
+/// Compare MSRLT search strategies on a pointer-rich collection.
 pub fn ablation_rows() -> Vec<AblationRow> {
-    use hpm_core::{MarkStrategy, Msrlt};
+    use hpm_core::Msrlt;
     let n = 8_000u64;
     let mut rows = Vec::new();
     for (label, strategy) in [
@@ -563,26 +555,6 @@ pub fn ablation_rows() -> Vec<AblationRow> {
             label: format!("msrlt {label}"),
             collect,
             steps: msrlt.stats().search_steps,
-        });
-    }
-    for (label, marks) in [
-        ("epoch marks", MarkStrategy::Epoch),
-        ("hash-set marks", MarkStrategy::HashSet),
-    ] {
-        let mut src = freeze_bitonic(n);
-        let t0 = Instant::now();
-        let mut collector = Collector::with_marks(&mut src.proc.space, &mut src.proc.msrlt, marks);
-        for frame in &src.pending {
-            for &addr in &frame.live {
-                collector.save_variable(addr).unwrap();
-            }
-        }
-        let _ = collector.finish();
-        let collect = t0.elapsed();
-        rows.push(AblationRow {
-            label: label.to_string(),
-            collect,
-            steps: 0,
         });
     }
     rows

@@ -57,7 +57,7 @@ use crate::translate::{leaf_ordinal, read_ptr, span, Cursor};
 use crate::CoreError;
 use hpm_arch::Architecture;
 use hpm_memory::{AddressSpace, BlockSlot};
-use hpm_obs::{FlightTrack, StatField, StatGroup, Tracer};
+use hpm_obs::{StatField, StatGroup, Track};
 use hpm_types::plan::{PlanOp, SavePlan};
 use hpm_types::TypeId;
 use hpm_xdr::XdrEncoder;
@@ -171,17 +171,6 @@ impl Record {
     }
 }
 
-/// How visited-block marking is implemented (ablation of a design choice
-/// called out in DESIGN.md).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MarkStrategy {
-    /// Epoch counter stored in each MSRLT entry; clearing is O(1).
-    #[default]
-    Epoch,
-    /// Side hash-set of visited ids.
-    HashSet,
-}
-
 /// How scalar runs are turned into wire bytes.
 ///
 /// The wire format is fixed XDR, so the choice is invisible outside this
@@ -260,13 +249,10 @@ pub struct Collector<'a> {
     msrlt: &'a mut Msrlt,
     out: Output<'a>,
     stats: CollectStats,
-    marks: MarkStrategy,
-    mark_set: std::collections::HashSet<LogicalId>,
     /// `type_nos[t]` is one more than the number this image gave
     /// `TypeId(t)`, 0 while the type has not been sent yet.
     type_nos: Vec<u32>,
     types_defined: u32,
-    tracer: Tracer,
     mode: TranslationMode,
 }
 
@@ -285,10 +271,10 @@ struct Output<'a> {
     chunk_bytes: usize,
     flushed_bytes: u64,
     chunks_flushed: u64,
-    /// Flight-recorder track: each flushed chunk leaves one event, so a
-    /// post-mortem names the chunk the collector was cutting when a
-    /// migration died. `None` costs one branch per flush.
-    flight: Option<FlightTrack>,
+    /// Each flushed chunk leaves one event, so a post-mortem names the
+    /// chunk the collector was cutting when a migration died; at detail
+    /// level every block and MSRLT search does too.
+    track: Track,
 }
 
 impl Output<'_> {
@@ -310,15 +296,13 @@ impl Output<'_> {
         let bytes = std::mem::replace(&mut self.enc, next).into_bytes();
         self.flushed_bytes += bytes.len() as u64;
         self.chunks_flushed += 1;
-        if let Some(t) = &self.flight {
-            t.event(
-                "chunk.flush",
-                &[
-                    ("chunk", self.chunks_flushed - 1),
-                    ("bytes", bytes.len() as u64),
-                ],
-            );
-        }
+        self.track.event(
+            "chunk.flush",
+            &[
+                ("chunk", self.chunks_flushed - 1),
+                ("bytes", bytes.len() as u64),
+            ],
+        );
         sink(bytes)
     }
 }
@@ -330,15 +314,6 @@ const MAX_PRESIZE: u64 = 256 * 1024 * 1024;
 impl<'a> Collector<'a> {
     /// Begin a collection: starts a fresh visit epoch.
     pub fn new(space: &'a mut AddressSpace, msrlt: &'a mut Msrlt) -> Self {
-        Self::with_marks(space, msrlt, MarkStrategy::Epoch)
-    }
-
-    /// Begin a collection with an explicit mark strategy.
-    pub fn with_marks(
-        space: &'a mut AddressSpace,
-        msrlt: &'a mut Msrlt,
-        marks: MarkStrategy,
-    ) -> Self {
         msrlt.begin_epoch();
         // Pre-size from the MSRLT's registered byte total: the payload is
         // dominated by the raw block bytes, plus per block the record
@@ -357,22 +332,22 @@ impl<'a> Collector<'a> {
                 chunk_bytes: usize::MAX,
                 flushed_bytes: 0,
                 chunks_flushed: 0,
-                flight: None,
+                track: Track::off(),
             },
             stats: CollectStats::default(),
-            marks,
-            mark_set: std::collections::HashSet::new(),
             type_nos,
             types_defined: 0,
-            tracer: Tracer::disabled(),
             mode: TranslationMode::default(),
         }
     }
 
-    /// Attach a flight-recorder track: every flushed chunk emits a
-    /// `chunk.flush` event and [`Collector::finish`] a `collect.done`.
-    pub fn with_flight(mut self, flight: FlightTrack) -> Self {
-        self.out.flight = Some(flight);
+    /// Attach a log track: every flushed chunk emits a `chunk.flush`
+    /// event and [`Collector::finish`] a `collect.done`; at detail level
+    /// block saves emit `collect.block` and every MSRLT address search
+    /// becomes an `msrlt.search` span. On the default inert track each
+    /// site costs one branch.
+    pub fn with_track(mut self, track: Track) -> Self {
+        self.out.track = track;
         self
     }
 
@@ -411,24 +386,17 @@ impl<'a> Collector<'a> {
         self
     }
 
-    /// Attach a tracer: block saves emit `collect.block` instants and
-    /// every MSRLT address search becomes an `msrlt.search` span. With
-    /// the default disabled tracer each site costs one branch.
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// A traced MSRLT address search.
+    /// An MSRLT address search, bracketed as a detail span.
     fn lookup_addr(&mut self, addr: u64) -> Option<(LogicalId, u64)> {
-        self.tracer.begin("msrlt.search");
+        let track = &self.out.track;
+        track.detail_begin("msrlt.search", &[]);
         let r = self.msrlt.lookup_addr(addr);
         match r {
-            Some((id, _)) => self.tracer.end_args(
+            Some((id, _)) => track.detail_end(
                 "msrlt.search",
-                &[("group", id.group as f64), ("index", id.index as f64)],
+                &[("group", id.group as u64), ("index", id.index as u64)],
             ),
-            None => self.tracer.end_args("msrlt.search", &[("miss", 1.0)]),
+            None => track.detail_end("msrlt.search", &[("miss", 1)]),
         }
         r
     }
@@ -472,22 +440,6 @@ impl<'a> Collector<'a> {
         .encode(&mut self.out.enc)
     }
 
-    fn is_visited(&self, id: LogicalId) -> bool {
-        match self.marks {
-            MarkStrategy::Epoch => self.msrlt.is_visited(id),
-            MarkStrategy::HashSet => self.mark_set.contains(&id),
-        }
-    }
-
-    fn mark(&mut self, id: LogicalId) {
-        match self.marks {
-            MarkStrategy::Epoch => self.msrlt.mark_visited(id),
-            MarkStrategy::HashSet => {
-                self.mark_set.insert(id);
-            }
-        }
-    }
-
     /// `Save_variable`: save the memory block of a live variable.
     ///
     /// `addr` must be the start address of a registered block. Emits the
@@ -503,11 +455,11 @@ impl<'a> Collector<'a> {
                 "save_variable at interior address {addr:#x}"
             )));
         }
-        if self.is_visited(id) {
+        if self.msrlt.is_visited(id) {
             Record::bare(TAG_VAR_VISITED, id).encode(&mut self.out.enc)?;
             return self.out.maybe_flush();
         }
-        self.mark(id);
+        self.msrlt.mark_visited(id);
         let entry = self.msrlt.entry(id).unwrap();
         let (ty, count) = (entry.ty, entry.count);
         self.put_block_record(TAG_VAR_NEW, id, ty, 0, count)?;
@@ -539,12 +491,10 @@ impl<'a> Collector<'a> {
         let mut stats = self.stats;
         stats.chunks_flushed = self.out.chunks_flushed;
         stats.bytes_out = self.out.flushed_bytes + bytes.len() as u64 - self.out.prefix_len as u64;
-        if let Some(t) = &self.out.flight {
-            t.event(
-                "collect.done",
-                &[("bytes", stats.bytes_out), ("chunks", stats.chunks_flushed)],
-            );
-        }
+        self.out.track.event(
+            "collect.done",
+            &[("bytes", stats.bytes_out), ("chunks", stats.chunks_flushed)],
+        );
         (bytes, stats)
     }
 
@@ -557,8 +507,9 @@ impl<'a> Collector<'a> {
 
     fn emit_block(&mut self, addr: u64, ty: TypeId, count: u64) -> Result<(), CoreError> {
         self.stats.blocks_saved += 1;
-        self.tracer
-            .instant_args("collect.block", &[("count", count as f64)]);
+        self.out
+            .track
+            .detail_event("collect.block", &[("count", count)]);
         let mut stack = Vec::new();
         self.push_block(addr, ty, count, &mut stack)?;
         self.drain(stack)
@@ -650,17 +601,18 @@ impl<'a> Collector<'a> {
         let (ty, count, target_addr) = (entry.ty, entry.count, entry.addr);
         // Element ordinal of the pointed-to leaf within the target block.
         let leaf_idx = leaf_ordinal(self.space, ty, count, byte_off, ptr)?;
-        if self.is_visited(id) {
+        if self.msrlt.is_visited(id) {
             self.stats.ptr_ref += 1;
             let mut rec = Record::bare(TAG_PTR_REF, id);
             rec.ordinal = leaf_idx;
             return rec.encode(&mut self.out.enc);
         }
-        self.mark(id);
+        self.msrlt.mark_visited(id);
         self.stats.ptr_new += 1;
         self.stats.blocks_saved += 1;
-        self.tracer
-            .instant_args("collect.block", &[("count", count as f64)]);
+        self.out
+            .track
+            .detail_event("collect.block", &[("count", count)]);
         self.put_block_record(TAG_PTR_NEW, id, ty, leaf_idx, count)?;
         self.push_block(target_addr, ty, count, stack)
     }
@@ -1004,24 +956,5 @@ mod tests {
         let (framed, stats) = c.finish();
         assert_eq!(framed, [&prefix[..], &plain[..]].concat());
         assert_eq!(stats.bytes_out, plain_stats.bytes_out);
-    }
-
-    #[test]
-    fn hashset_marks_agree_with_epoch() {
-        for marks in [MarkStrategy::Epoch, MarkStrategy::HashSet] {
-            let (mut space, mut msrlt) = setup();
-            let int = space.types_mut().int();
-            let pi = space.types_mut().pointer_to(int);
-            let a = space.define_global("a", int, 1).unwrap();
-            let b = space.define_global("b", pi, 1).unwrap();
-            space.store_ptr(b, a).unwrap();
-            register(&space, &mut msrlt, a);
-            register(&space, &mut msrlt, b);
-            let mut c = Collector::with_marks(&mut space, &mut msrlt, marks);
-            c.save_variable(b).unwrap();
-            c.save_variable(a).unwrap();
-            let (_, stats) = c.finish();
-            assert_eq!(stats.blocks_saved, 2, "strategy {marks:?}");
-        }
     }
 }

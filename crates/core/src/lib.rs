@@ -41,7 +41,7 @@ pub mod stream;
 mod translate;
 
 pub use audit::{audit_registry, RegistryAuditStats, RegistryFinding};
-pub use collect::{ChunkSink, CollectStats, Collector, MarkStrategy, TranslationMode};
+pub use collect::{ChunkSink, CollectStats, Collector, TranslationMode};
 pub use delta::{
     apply_delta, block_digests, collect_delta, diff_manifest, full_image_frame, BaseImageManifest,
     BlockDigest, DeltaImage, DirtySet, RetainedBase,

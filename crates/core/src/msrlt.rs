@@ -30,7 +30,7 @@
 
 use hpm_arch::SegmentKind;
 use hpm_memory::BlockInfo;
-use hpm_obs::{StatField, StatGroup, TranslateStats};
+use hpm_obs::{StatField, StatGroup};
 use hpm_types::TypeId;
 use std::collections::HashMap;
 
@@ -143,8 +143,11 @@ pub struct MsrltStats {
     /// Cached translations displaced by a different page mapping to the
     /// same direct-mapped slot.
     pub cache_evictions: u64,
-    /// Per-segment cache accounting plus page-walk/fallback breakdown.
-    pub translate: TranslateStats,
+    /// Cache-missing searches the O(1) page index answered.
+    pub page_walks: u64,
+    /// Cache-missing searches the page index could not answer, demoted to
+    /// the ordered-map binary search.
+    pub fallback_searches: u64,
 }
 
 impl MsrltStats {
@@ -174,6 +177,8 @@ impl StatGroup for MsrltStats {
             StatField::count("cache_hits", self.cache_hits),
             StatField::count("cache_misses", self.cache_misses),
             StatField::count("cache_evictions", self.cache_evictions),
+            StatField::count("page_walks", self.page_walks),
+            StatField::count("fallback_searches", self.fallback_searches),
             StatField::ratio("cache_hit_rate", self.cache_hit_rate()),
         ]
     }
@@ -187,7 +192,8 @@ impl StatGroup for MsrltStats {
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.cache_evictions += other.cache_evictions;
-        self.translate.merge_from(&other.translate);
+        self.page_walks += other.page_walks;
+        self.fallback_searches += other.fallback_searches;
     }
 }
 
@@ -650,21 +656,6 @@ impl Msrlt {
         }
     }
 
-    /// Bucket a cache outcome by the resolved block's segment.
-    fn note_translate(&mut self, group: u32, hit: bool) {
-        let t = &mut self.stats.translate;
-        let (h, m) = match group {
-            GROUP_GLOBAL => (&mut t.global_hits, &mut t.global_misses),
-            GROUP_HEAP => (&mut t.heap_hits, &mut t.heap_misses),
-            _ => (&mut t.stack_hits, &mut t.stack_misses),
-        };
-        if hit {
-            *h += 1;
-        } else {
-            *m += 1;
-        }
-    }
-
     /// *The* MSRLT search: find the block containing `addr`, returning its
     /// id and the byte offset of `addr` within it. Counts comparisons.
     pub fn lookup_addr(&mut self, addr: u64) -> Option<(LogicalId, u64)> {
@@ -672,7 +663,6 @@ impl Msrlt {
         if self.cache_enabled {
             if let Some(hit) = self.cache_probe(addr) {
                 self.stats.cache_hits += 1;
-                self.note_translate(hit.0.group, true);
                 self.cache_last = Some(hit.0);
                 return Some(hit);
             }
@@ -691,12 +681,12 @@ impl Msrlt {
             }
         }
         if result.is_some() {
-            self.stats.translate.page_walks += 1;
+            self.stats.page_walks += 1;
         } else {
             // Cold fallback: unmapped probe, granule shadowed by a
             // sub-4-byte neighbour, or a non-page-index strategy.
             if matches!(self.strategy, SearchStrategy::PageIndex) {
-                self.stats.translate.fallback_searches += 1;
+                self.stats.fallback_searches += 1;
             }
             let found = match self.strategy {
                 SearchStrategy::PageIndex | SearchStrategy::Binary => {
@@ -735,7 +725,6 @@ impl Msrlt {
         }
         if self.cache_enabled {
             if let Some((id, _)) = result {
-                self.note_translate(id.group, false);
                 self.cache_last = Some(id);
                 let page = addr >> PAGE_SHIFT;
                 let way = match self.strategy {
@@ -757,17 +746,11 @@ impl Msrlt {
 
     /// O(1) id→entry translation (the restoration-side operation).
     pub fn entry(&self, id: LogicalId) -> Option<&MsrltEntry> {
-        self.stats_id_lookup();
         self.groups
             .get(id.group as usize)?
             .get(id.index as usize)?
             .as_ref()
     }
-
-    // `entry` takes &self for ergonomics; count id lookups with interior
-    // mutability-free approximation: promoted to a method on &mut in hot
-    // paths. Cold callers go through this no-op.
-    fn stats_id_lookup(&self) {}
 
     /// Counted variant of [`Msrlt::entry`] for instrumented paths.
     pub fn entry_counted(&mut self, id: LogicalId) -> Option<&MsrltEntry> {
@@ -943,8 +926,8 @@ mod tests {
             s.search_steps, s.searches,
             "one page-walk step per mapped lookup"
         );
-        assert_eq!(s.translate.page_walks, s.searches);
-        assert_eq!(s.translate.fallback_searches, 0);
+        assert_eq!(s.page_walks, s.searches);
+        assert_eq!(s.fallback_searches, 0);
     }
 
     #[test]
@@ -1141,30 +1124,6 @@ mod tests {
         let s = m.stats();
         assert_eq!(s.cache_hits + s.cache_misses, 0);
         assert!(s.search_steps > 0);
-    }
-
-    #[test]
-    fn translate_stats_bucket_by_segment() {
-        let mut m = Msrlt::new();
-        m.register(&info(0x100, 8, SegmentKind::Global));
-        m.register(&info(0x100000, 8, SegmentKind::Heap));
-        m.begin_frame();
-        m.register(&info(0x700000, 8, SegmentKind::Stack));
-        m.reset_stats();
-        m.lookup_addr(0x100);
-        m.lookup_addr(0x104);
-        m.lookup_addr(0x100000);
-        m.lookup_addr(0x100004);
-        m.lookup_addr(0x700000);
-        m.lookup_addr(0x700004);
-        let t = m.stats().translate;
-        assert_eq!(t.global_hits + t.global_misses, 2);
-        assert_eq!(t.heap_hits + t.heap_misses, 2);
-        assert_eq!(t.stack_hits + t.stack_misses, 2);
-        // The second probe of each block hits via the last-hit check.
-        assert!(t.hits() >= 3, "{t:?}");
-        assert!(t.hit_rate() > 0.0);
-        assert_eq!(t.hits() + t.misses(), 6);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::translate::{leaf_address, span_mut, Cursor};
 use crate::CoreError;
 use hpm_arch::{Architecture, CScalar, ScalarValue};
 use hpm_memory::{AddressSpace, BlockSlot};
-use hpm_obs::{FlightTrack, StatField, StatGroup, Tracer};
+use hpm_obs::{StatField, StatGroup, Track};
 use hpm_types::plan::{PlanOp, SavePlan};
 use hpm_types::TypeId;
 use hpm_xdr::XdrDecoder;
@@ -185,12 +185,11 @@ pub struct Restorer<'a> {
     /// Fingerprint of each local type by `TypeId` (0 while incomplete).
     local_fps: Vec<u64>,
     stats: RestoreStats,
-    tracer: Tracer,
     mode: TranslationMode,
-    /// Flight-recorder track: each restored variable leaves one event so
-    /// a post-mortem names how far restoration got. `None` costs one
-    /// branch per variable.
-    flight: Option<FlightTrack>,
+    /// Each restored variable leaves one event, so a post-mortem names
+    /// how far restoration got; at detail level every block and
+    /// allocation does too.
+    track: Track,
     /// Scratch for one scalar's native bytes between decode and copy.
     native: Vec<u8>,
 }
@@ -235,17 +234,19 @@ impl<'a> Restorer<'a> {
             fp_to_type,
             local_fps,
             stats: RestoreStats::default(),
-            tracer: Tracer::disabled(),
             mode: TranslationMode::default(),
-            flight: None,
+            track: Track::off(),
             native: Vec::with_capacity(16),
         }
     }
 
-    /// Attach a flight-recorder track: every `restore_variable` emits a
-    /// `var.restored` event carrying the stream position.
-    pub fn with_flight(mut self, flight: FlightTrack) -> Self {
-        self.flight = Some(flight);
+    /// Attach a log track: every `restore_variable` emits a
+    /// `var.restored` event carrying the stream position; at detail level
+    /// restored blocks emit `restore.block` and heap allocations
+    /// `restore.alloc`. On the default inert track each site costs one
+    /// branch.
+    pub fn with_track(mut self, track: Track) -> Self {
+        self.track = track;
         self
     }
 
@@ -254,14 +255,6 @@ impl<'a> Restorer<'a> {
     /// bulk-encoded payload decodes per element and vice versa.
     pub fn with_translation(mut self, mode: TranslationMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Attach a tracer: restored blocks emit `restore.block` instants
-    /// and heap allocations emit `restore.alloc` instants. With the
-    /// default disabled tracer each site costs one branch.
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
         self
     }
 
@@ -322,21 +315,19 @@ impl<'a> Restorer<'a> {
     /// variable block at `addr` (paper: `Restore_variable(&first)`).
     pub fn restore_variable(&mut self, addr: u64) -> Result<(), CoreError> {
         let r = self.restore_variable_inner(addr);
-        if let Some(t) = &self.flight {
-            match &r {
-                Ok(()) => t.event(
-                    "var.restored",
-                    &[
-                        ("consumed", self.dec.consumed()),
-                        ("blocks", self.stats.blocks_restored),
-                    ],
-                ),
-                Err(e) => t.event_note(
-                    "var.failed",
-                    &[("consumed", self.dec.consumed())],
-                    &e.to_string(),
-                ),
-            }
+        match &r {
+            Ok(()) => self.track.event(
+                "var.restored",
+                &[
+                    ("consumed", self.dec.consumed()),
+                    ("blocks", self.stats.blocks_restored),
+                ],
+            ),
+            Err(e) => self.track.event_note(
+                "var.failed",
+                &[("consumed", self.dec.consumed())],
+                &e.to_string(),
+            ),
         }
         r
     }
@@ -562,8 +553,7 @@ impl<'a> Restorer<'a> {
                         let size = size * count;
                         self.msrlt.register_at(id, addr, size, ty, count);
                         self.stats.blocks_allocated += 1;
-                        self.tracer
-                            .instant_args("restore.alloc", &[("bytes", size as f64)]);
+                        self.track.detail_event("restore.alloc", &[("bytes", size)]);
                         (addr, ty)
                     }
                 };
@@ -581,8 +571,8 @@ impl<'a> Restorer<'a> {
         ty: TypeId,
         count: u64,
     ) -> Result<(), CoreError> {
-        self.tracer
-            .instant_args("restore.block", &[("count", count as f64)]);
+        self.track
+            .detail_event("restore.block", &[("count", count)]);
         let plan = self.space.plan_ref(ty)?;
         if !plan.has_pointers {
             // The stream inlines the whole block right here; decode it

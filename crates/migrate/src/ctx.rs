@@ -34,7 +34,7 @@ use hpm_core::{
     ChunkPayload, ChunkSink, CollectStats, Collector, CoreError, RestoreStats, Restorer,
 };
 use hpm_memory::FrameId;
-use hpm_obs::{StatGroup, Tracer};
+use hpm_obs::{StatGroup, Track};
 use hpm_types::TypeId;
 use std::time::{Duration, Instant};
 
@@ -131,10 +131,10 @@ pub struct MigCtx<'p> {
     func_stack: Vec<String>,
     /// Set when the final `restore_frame` completes.
     finished_restore: Option<RestoreTotals>,
-    tracer: Tracer,
-    /// Flight-recorder track attached to every [`Restorer`] this context
-    /// creates (post-mortem restore progress); `None` is free.
-    flight: Option<hpm_obs::FlightTrack>,
+    /// Log track of the resuming side: every `restore_frame` is a
+    /// `restore` span on it, around what the [`Restorer`] records (see
+    /// [`Restorer::with_track`]). Inert unless the driver sets it.
+    pub(crate) track: Track,
 }
 
 impl<'p> MigCtx<'p> {
@@ -145,21 +145,8 @@ impl<'p> MigCtx<'p> {
             mode: Mode::Run,
             func_stack: Vec::new(),
             finished_restore: None,
-            tracer: Tracer::disabled(),
-            flight: None,
+            track: Track::off(),
         }
-    }
-
-    /// Attach a tracer: every `restore_frame` emits a `restore` span (with
-    /// nested block/alloc events from the [`Restorer`]).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// Attach a flight-recorder track: every restored variable leaves a
-    /// `var.restored` event on it (see [`Restorer::with_flight`]).
-    pub fn set_flight(&mut self, flight: hpm_obs::FlightTrack) {
-        self.flight = Some(flight);
     }
 
     /// Context for a destination-side resume.
@@ -338,9 +325,9 @@ impl<'p> MigCtx<'p> {
         let function = frame.function.clone();
         let is_final = r.restored_down_to == 1;
         let t0 = Instant::now();
-        self.tracer.begin_args(
+        self.track.begin(
             "restore",
-            &[("frame_depth", depth as f64), ("live", live.len() as f64)],
+            &[("frame_depth", depth as u64), ("live", live.len() as u64)],
         );
         let mut restorer = match &mut r.source {
             PayloadSource::Whole { payload, pos } => {
@@ -350,10 +337,7 @@ impl<'p> MigCtx<'p> {
                 Restorer::from_chunks(&mut self.proc.space, &mut self.proc.msrlt, cp)
             }
         }
-        .with_tracer(self.tracer.clone());
-        if let Some(t) = &self.flight {
-            restorer = restorer.with_flight(t.clone());
-        }
+        .with_track(self.track.clone());
         for &addr in live {
             restorer.restore_variable(addr).map_err(|e| match &e {
                 CoreError::TruncatedChunk { .. } => {
@@ -377,8 +361,7 @@ impl<'p> MigCtx<'p> {
         } else {
             restorer.take_stats()
         };
-        self.tracer
-            .end_args("restore", &[("bytes", consumed as f64)]);
+        self.track.end("restore", &[("bytes", consumed as u64)]);
         if let PayloadSource::Whole { pos, .. } = &mut r.source {
             *pos += consumed;
         }
@@ -451,22 +434,21 @@ pub fn collect_pending(
     pending: &[PendingFrame],
 ) -> Result<(Vec<u8>, ExecutionState, CollectStats), MigError> {
     let exec = pending_exec_state(proc, pending);
-    let (payload, stats) = collect_onto(proc, pending, &Tracer::disabled(), &[])?;
+    let (payload, stats) = collect_onto(proc, pending, &Track::off(), &[])?;
     Ok((payload, exec, stats))
 }
 
 /// One whole-buffer collection session whose output starts with `prefix`:
 /// given an image prefix, the result is the framed image, built in place.
-/// With an enabled `tracer` the DFS emits `msrlt.search` spans and
-/// `collect.block` instants.
+/// The collector records on `track` (see [`Collector::with_track`]).
 pub(crate) fn collect_onto(
     proc: &mut Process,
     pending: &[PendingFrame],
-    tracer: &Tracer,
+    track: &Track,
     prefix: &[u8],
 ) -> Result<(Vec<u8>, CollectStats), MigError> {
     let collector = Collector::new(&mut proc.space, &mut proc.msrlt)
-        .with_tracer(tracer.clone())
+        .with_track(track.clone())
         .with_prefix(prefix);
     Ok(save_pending(collector, pending)?.finish())
 }
@@ -505,21 +487,17 @@ pub fn pending_exec_state(proc: &Process, pending: &[PendingFrame]) -> Execution
 /// [`collect_pending`]'s payload, but leaving through `sink` in
 /// `chunk_bytes`-sized chunks as the DFS produces it instead of
 /// accumulating in memory. Concatenating the chunks yields exactly the
-/// whole-buffer payload. With a `flight` track on the collector, every
-/// flushed chunk leaves a `chunk.flush` event.
+/// whole-buffer payload. Every flushed chunk leaves a `chunk.flush` event
+/// on `track`.
 pub fn collect_pending_streamed<'a>(
     proc: &'a mut Process,
     pending: &[PendingFrame],
     chunk_bytes: usize,
-    tracer: &Tracer,
+    track: &Track,
     sink: ChunkSink<'a>,
-    flight: Option<hpm_obs::FlightTrack>,
 ) -> Result<CollectStats, MigError> {
-    let mut collector = Collector::new(&mut proc.space, &mut proc.msrlt)
-        .with_tracer(tracer.clone())
+    let collector = Collector::new(&mut proc.space, &mut proc.msrlt)
+        .with_track(track.clone())
         .with_sink(chunk_bytes, sink);
-    if let Some(t) = flight {
-        collector = collector.with_flight(t);
-    }
     Ok(save_pending(collector, pending)?.finish().1)
 }

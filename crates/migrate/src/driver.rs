@@ -3,7 +3,7 @@
 //! process ([`MigratedSource`]), and resume a program from an image on a
 //! fresh process ([`resume_from_image`], [`resume_to_migration`]).
 //! [`migrate`](crate::migrate) composes them with a transport; the
-//! checkpoint scheduler and the benchmarks call them directly.
+//! benchmarks call them directly.
 
 use crate::ctx::{
     collect_onto, collect_pending, collect_pending_streamed, pending_exec_state, Flow, MigCtx,
@@ -18,7 +18,7 @@ use hpm_core::{
     audit_registry, ChunkPayload, ChunkSource, CollectStats, RegistryAuditStats, RegistryFinding,
     RestoreStats, IMAGE_VERSION,
 };
-use hpm_obs::{FlightTrack, Tracer};
+use hpm_obs::Track;
 use std::time::Duration;
 
 /// A source process stopped at its migration point, ready to collect.
@@ -136,15 +136,14 @@ pub fn run_to_migration<P: MigratableProgram>(
 /// ones are still in flight. With a `trigger` the resumed process may
 /// freeze again ([`ResumeFlow::Frozen`]); callers that arm none take
 /// [`ResumeFlow::completed`], which makes a second migration a protocol
-/// error.
+/// error. Restoration is recorded on `track`.
 pub(crate) fn resume<P: MigratableProgram>(
     program: &mut P,
     arch: Architecture,
     image: &[u8],
     more: Option<Box<dyn ChunkSource + Send>>,
     trigger: Option<Trigger>,
-    tracer: &Tracer,
-    flight: Option<FlightTrack>,
+    track: &Track,
 ) -> Result<ResumeFlow, MigError> {
     let (header, exec_bytes, payload) = unframe_image(image)?;
     if header.program != program.name() {
@@ -170,10 +169,7 @@ pub(crate) fn resume<P: MigratableProgram>(
             ChunkPayload::with_initial(source, payload.to_vec()),
         ),
     };
-    ctx.set_tracer(tracer.clone());
-    if let Some(track) = flight {
-        ctx.set_flight(track);
-    }
+    ctx.track = track.clone();
     let ran = run_under(program, ctx)?;
     if matches!(ran, Ran::Done(None)) {
         return Err(MigError::Protocol(
@@ -195,7 +191,7 @@ pub fn resume_from_image<P: MigratableProgram>(
     arch: Architecture,
     image: &[u8],
 ) -> Result<ResumeOutcome, MigError> {
-    let run = resume(program, arch, image, None, None, &Tracer::disabled(), None)?.completed()?;
+    let run = resume(program, arch, image, None, None, &Track::off())?.completed()?;
     Ok((run.results, run.proc, run.restore.stats, run.restore.time))
 }
 
@@ -214,8 +210,7 @@ pub fn resume_to_migration<P: MigratableProgram>(
     image: &[u8],
     trigger: Trigger,
 ) -> Result<ResumeFlow, MigError> {
-    let off = Tracer::disabled();
-    resume(program, arch, image, None, Some(trigger), &off, None)
+    resume(program, arch, image, None, Some(trigger), &Track::off())
 }
 
 impl ResumeFlow {
@@ -282,7 +277,7 @@ impl MigratedSource {
     /// Frame a complete migration image from a fresh collection.
     pub fn to_image(&mut self) -> Result<Vec<u8>, MigError> {
         let (prefix, _) = self.image_prefix();
-        Ok(collect_onto(&mut self.proc, &self.pending, &Tracer::disabled(), &prefix)?.0)
+        Ok(collect_onto(&mut self.proc, &self.pending, &Track::off(), &prefix)?.0)
     }
 
     /// The same migration image as [`MigratedSource::to_image`], but as
@@ -299,12 +294,11 @@ impl MigratedSource {
             &mut self.proc,
             &self.pending,
             chunk_bytes,
-            &Tracer::disabled(),
+            &Track::off(),
             Box::new(|c| {
                 chunks.push(c);
                 Ok(())
             }),
-            None,
         )?;
         Ok((chunks, stats))
     }

@@ -29,9 +29,9 @@ use crate::MigError;
 use hpm_arch::Architecture;
 use hpm_core::{ChunkSource, CollectStats, RegistryAuditStats, ReplaySource};
 use hpm_net::{ArqConfig, FaultPlan, NetworkModel, TransferSnapshot, WireCodec};
-use hpm_obs::{FlightDump, FlightRecorder, FlightTrack, Histogram, StatGroup, Tracer};
+use hpm_obs::{EventLog, Histogram, Level, StatGroup, Track};
 use hpm_xdr::{image_id, ChunkRecord, RestoreJournal};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Tunables of a chunk-streamed transport.
@@ -152,40 +152,38 @@ pub struct Migration<'a> {
     /// Iterate pre-copy rounds before the freeze instead of stopping and
     /// copying; every round's frame crosses under `transport`.
     pub precopy: Option<PrecopyConfig>,
-    /// Receives the phase spans (`collect` ∋ `msrlt.search`, `tx` ∋
-    /// `net.send`, `restore` per frame); when enabled, the report carries
-    /// the drained [`hpm_obs::TraceLog`] with every counter group attached.
-    /// Streamed transports record source and destination on the `src` and
-    /// `dst` tracks.
-    pub tracer: &'a Tracer,
-    /// Receives the flight events — each component on its own
-    /// single-writer track (`driver`, `collect`, `restore`, `net.tx` /
-    /// `net.rx` or `arq.tx` / `arq.rx` / `fault`, with a `.resume` suffix
-    /// on a rung-2 attempt) — so the caller can inspect them even when the
-    /// run fails. `None` records into a recorder of the engine's own.
-    pub recorder: Option<&'a FlightRecorder>,
+    /// The migration's one event log. Each component writes its own
+    /// single-writer track — `driver` (the engine's thread: the phase
+    /// events and, under [`Transport::Whole`], everything else too),
+    /// `collect`, `restore`, `net.tx` / `net.rx` or `arq.tx` / `arq.rx` /
+    /// `fault`, with a `.resume` suffix on a rung-2 attempt — at the log's
+    /// [`Level`]: protocol events, plus at [`Level::Detail`] the spans
+    /// `collect` ∋ `msrlt.search`, `tx` ∋ `net.send` and the per-block
+    /// events. The caller can dump it even when the run fails, and the
+    /// report carries its dump with every counter group attached. `None`
+    /// records protocol events into a log of the engine's own, which
+    /// reaches the report only on a source-resume fallback.
+    pub log: Option<&'a EventLog>,
 }
 
 impl Migration<'static> {
-    /// Stop-and-copy over `transport`, untraced, recording privately.
+    /// Stop-and-copy over `transport`, recording privately.
     pub fn new(transport: Transport) -> Self {
-        static OFF: OnceLock<Tracer> = OnceLock::new();
         Migration {
             transport,
             precopy: None,
-            tracer: OFF.get_or_init(Tracer::disabled),
-            recorder: None,
+            log: None,
         }
     }
 }
 
-/// Best-effort persistence of a flight dump for CI forensics: when
+/// Best-effort persistence of a log dump for CI forensics: when
 /// `HPM_FLIGHT_DUMP` names a path, the dump's JSONL is written there.
 /// Failures are swallowed — the dump is diagnostic, never load-bearing.
-fn persist_flight_dump(dump: &FlightDump) {
+fn persist_flight_dump(log: &EventLog) {
     if let Ok(path) = std::env::var("HPM_FLIGHT_DUMP") {
         if !path.is_empty() {
-            let _ = std::fs::write(path, dump.to_jsonl());
+            let _ = std::fs::write(path, log.dump().to_jsonl());
         }
     }
 }
@@ -196,7 +194,7 @@ fn persist_flight_dump(dump: &FlightDump) {
 ///
 /// `make` constructs a fresh program value for each side (the two sides
 /// are separate processes running the same executable). A run that fails
-/// writes its flight dump where `HPM_FLIGHT_DUMP` points.
+/// writes its log dump where `HPM_FLIGHT_DUMP` points.
 pub fn migrate<P: MigratableProgram + Send>(
     make: impl Fn() -> P,
     src_arch: Architecture,
@@ -276,10 +274,10 @@ fn engage<P: MigratableProgram, F: Fn() -> P>(
     stream: StreamLeg<F>,
 ) -> Result<MigrationRun, MigError> {
     let own;
-    let recorder = match policy.recorder {
-        Some(recorder) => recorder,
+    let log = match policy.log {
+        Some(log) => log,
         None => {
-            own = FlightRecorder::new();
+            own = EventLog::new(Level::Protocol);
             &own
         }
     };
@@ -289,13 +287,13 @@ fn engage<P: MigratableProgram, F: Fn() -> P>(
         dst_arch,
         link,
         policy,
-        recorder,
-        driver: recorder.track("driver"),
+        log,
+        driver: log.track("driver"),
         stream,
     };
     engine
         .run(trigger)
-        .inspect_err(|_| persist_flight_dump(&recorder.dump()))
+        .inspect_err(|_| persist_flight_dump(log))
 }
 
 /// Everything fixed for the duration of one [`migrate`] call.
@@ -305,8 +303,9 @@ pub(crate) struct Engine<'a, F> {
     pub dst_arch: Architecture,
     pub link: NetworkModel,
     pub policy: &'a Migration<'a>,
-    recorder: &'a FlightRecorder,
-    pub driver: FlightTrack,
+    log: &'a EventLog,
+    /// The engine thread's own track.
+    pub driver: Track,
     stream: StreamLeg<F>,
 }
 
@@ -337,18 +336,18 @@ impl<P: MigratableProgram, F: Fn() -> P> Engine<'_, F> {
         mut src: MigratedSource,
         audit: RegistryAuditStats,
     ) -> Result<MigrationRun, MigError> {
-        let tracer = self.policy.tracer;
+        let track = &self.driver;
         let (prefix, chain_depth) = self.begin_collect(&src);
         let delivered = match self.policy.transport.parts() {
             None => {
-                tracer.begin("collect");
-                let (image, collected) = collect_whole(&mut src, &prefix, tracer)?;
-                tracer.end_args("collect", &[("image_bytes", image.len() as f64)]);
-                tracer.begin("tx");
+                track.begin("collect", &[]);
+                let (image, collected) = collect_whole(&mut src, &prefix, track)?;
+                track.end("collect", &[("image_bytes", image.len() as u64)]);
+                track.begin("tx", &[]);
                 let mut carried = Carried::default();
-                let image = ship_frame(image, self.link, None, tracer, &mut carried)?;
-                let modeled_ns = carried.transfer.modeled_tx_nanos as f64;
-                tracer.end_args("tx", &[("modeled_ns", modeled_ns)]);
+                let image = ship_frame(image, self.link, None, track, &mut carried)?;
+                let modeled_ns = carried.transfer.modeled_tx_nanos;
+                track.end("tx", &[("modeled_ns", modeled_ns)]);
                 let dst = self.resume_on(&self.dst_arch, &image)?;
                 self.end_phases(&src.proc, &carried.transfer, &dst);
                 Delivered {
@@ -370,7 +369,17 @@ impl<P: MigratableProgram, F: Fn() -> P> Engine<'_, F> {
             delivered.transport,
             None,
         );
-        Ok(MigrationRun::finish(tracer, report, delivered.dst.results))
+        Ok(self.finish(report, delivered.dst.results))
+    }
+
+    /// Wrap up the run, attaching the log's dump to the report when the
+    /// caller supplied the log (see [`MigrationRun::finish`]).
+    pub(crate) fn finish(
+        &self,
+        report: MigrationReport,
+        results: Vec<(String, String)>,
+    ) -> MigrationRun {
+        MigrationRun::finish(self.log, self.policy.log.is_some(), report, results)
     }
 
     /// The image prefix and call-chain depth of a freshly frozen source,
@@ -409,23 +418,15 @@ impl<P: MigratableProgram, F: Fn() -> P> Engine<'_, F> {
         );
     }
 
-    /// Resume a fresh program value from a complete image on `arch`.
+    /// Resume a fresh program value from a complete image on `arch`,
+    /// on the engine's own thread and track.
     pub(crate) fn resume_on(
         &self,
         arch: &Architecture,
         image: &[u8],
     ) -> Result<CompletedRun, MigError> {
-        let tracer = self.policy.tracer;
-        resume(
-            &mut (self.make)(),
-            arch.clone(),
-            image,
-            None,
-            None,
-            tracer,
-            None,
-        )?
-        .completed()
+        let mut program = (self.make)();
+        resume(&mut program, arch.clone(), image, None, None, &self.driver)?.completed()
     }
 
     /// The lane one attempt runs in under a streamed transport.
@@ -436,13 +437,13 @@ impl<P: MigratableProgram, F: Fn() -> P> Engine<'_, F> {
         journal: Option<Arc<Mutex<RestoreJournal>>>,
         resume: Option<(u64, Vec<ChunkRecord>)>,
     ) -> Lane {
-        let rec = self.recorder;
+        let log = self.log;
         let Some((plan, policy)) = reliable else {
             return Lane {
                 config,
                 arq: None,
-                tx_track: rec.track("net.tx"),
-                rx_track: rec.track("net.rx"),
+                tx_track: log.track("net.tx"),
+                rx_track: log.track("net.rx"),
             };
         };
         // Tracks are single-writer, so a rung-2 resume gets its own.
@@ -460,12 +461,12 @@ impl<P: MigratableProgram, F: Fn() -> P> Engine<'_, F> {
                     base_backoff: policy.backoff,
                 },
                 plan: if resuming { plan.resume_plan() } else { plan },
-                fault_track: rec.track(fault),
+                fault_track: log.track(fault),
                 journal,
                 resume,
             }),
-            tx_track: rec.track(tx),
-            rx_track: rec.track(rx),
+            tx_track: log.track(tx),
+            rx_track: log.track(rx),
         }
     }
 
@@ -482,7 +483,6 @@ impl<P: MigratableProgram, F: Fn() -> P> Engine<'_, F> {
         pipeline: Option<PipelineStats>,
         recovery: RecoveryStats,
         resume: ResumeStats,
-        flight: Option<FlightDump>,
     ) -> TransportStats {
         match self.policy.transport {
             Transport::Whole => TransportStats::Whole,
@@ -491,7 +491,6 @@ impl<P: MigratableProgram, F: Fn() -> P> Engine<'_, F> {
                 pipeline,
                 recovery,
                 resume,
-                flight,
             },
         }
     }
@@ -513,10 +512,8 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
             false => ("collect", "restore"),
             true => ("collect.resume", "restore.resume"),
         };
-        let collect_track = self.recorder.track(collect_track);
-        let restore_track = self.recorder.track(restore_track);
-        let tracer = self.policy.tracer;
-        let (src_tracer, dst_tracer) = (tracer.track("src"), tracer.track("dst"));
+        let collect_track = self.log.track(collect_track);
+        let restore_track = self.log.track(restore_track);
         let (encode_lat, decode_lat) = latency.clone();
         let chunk_bytes = lane.config.chunk_bytes;
         let mut dst_prog = (self.make)();
@@ -534,13 +531,12 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
                     &mut src.proc,
                     &src.pending,
                     chunk_bytes,
-                    &src_tracer,
+                    &collect_track,
                     Box::new(|chunk| {
                         encode_lat.observe(last_flush.elapsed().as_nanos() as u64);
                         last_flush = Instant::now();
                         sink(chunk)
                     }),
-                    Some(collect_track),
                 )
             },
             move |mut rx, mut replay| {
@@ -559,15 +555,13 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
                     true => live,
                     false => Box::new(ReplaySource::new(replay, live)),
                 };
-                let track = Some(restore_track);
                 resume(
                     &mut dst_prog,
                     dst_arch,
                     &first,
                     Some(more),
                     None,
-                    &dst_tracer,
-                    track,
+                    &restore_track,
                 )?
                 .completed()
             },
@@ -635,9 +629,9 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
                     break Some(out);
                 }
                 (Some(err), None) => {
-                    // Every worker has joined, so the recorder — frozen
-                    // into a dump once the ladder has run — is complete
-                    // and, per track, deterministic for a fault-plan seed.
+                    // Every worker has joined, so the log — dumped once the
+                    // ladder has run — is complete and, per track,
+                    // deterministic for a fault-plan seed.
                     self.driver
                         .event_note("attempt.failed", &[], &err.to_string());
                     let Some((plan, policy)) = reliable else {
@@ -717,7 +711,7 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
             },
             transfer: out.wire.transfer,
             dst,
-            transport: self.transport_stats(Some(pipeline), recovery, ladder, None),
+            transport: self.transport_stats(Some(pipeline), recovery, ladder),
         })
     }
 
@@ -740,12 +734,11 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
         if fallback == FallbackPolicy::Fail {
             return Err(err);
         }
-        let dump = self.recorder.dump();
-        persist_flight_dump(&dump);
+        persist_flight_dump(self.log);
         // The source process was never mutated by collection: collect
         // locally and resume on the source architecture, discarding
         // whatever the destination half-built.
-        let (image, collected) = collect_whole(src, prefix, self.policy.tracer)?;
+        let (image, collected) = collect_whole(src, prefix, &self.driver)?;
         recovery.fallback_taken = true;
         Ok(Delivered {
             collected,
@@ -753,7 +746,7 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
             // the failure; the local resume ships nothing.
             transfer: first.wire.transfer,
             dst: self.resume_on(&self.src_arch, &image)?,
-            transport: self.transport_stats(None, recovery, ladder, Some(dump)),
+            transport: self.transport_stats(None, recovery, ladder),
         })
     }
 }
@@ -764,10 +757,10 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
 pub(crate) fn collect_whole(
     src: &mut MigratedSource,
     prefix: &[u8],
-    tracer: &Tracer,
+    track: &Track,
 ) -> Result<(Vec<u8>, Collected), MigError> {
     let t0 = Instant::now();
-    let (image, stats) = collect_onto(&mut src.proc, &src.pending, tracer, prefix)?;
+    let (image, stats) = collect_onto(&mut src.proc, &src.pending, track, prefix)?;
     let collected = Collected {
         time: t0.elapsed(),
         stats,

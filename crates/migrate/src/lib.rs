@@ -20,9 +20,9 @@
 //!   expansion of the paper's inserted macros;
 //! * [`MigratableProgram`] — the shape of a transformed program;
 //! * [`migrate`] — the one migration engine ([`engine`]): it takes a
-//!   [`Migration`] policy (a [`Transport`], optional pre-copy rounds, a
-//!   tracer, a flight recorder) and produces a [`MigrationReport`] with
-//!   the paper's Collect / Tx / Restore split. [`run_migrating`] and
+//!   [`Migration`] policy (a [`Transport`], optional pre-copy rounds, an
+//!   event log) and produces a [`MigrationReport`] with the paper's
+//!   Collect / Tx / Restore split. [`run_migrating`] and
 //!   [`run_migrating_resilient`] are its two named policies;
 //! * [`driver`] — the two ends as building blocks: freeze a source
 //!   ([`run_to_migration`], [`MigratedSource`]) and resume a destination
@@ -30,9 +30,7 @@
 //! * `wire` (private) — the single transfer attempt every path ships
 //!   through, the only place threads are spawned; [`precopy`] — the
 //!   pre-copy rounds as a loop around it; [`report`] — what a migration
-//!   measured;
-//! * [`sched`] — a checkpointing scheduler composed from the same two
-//!   ends.
+//!   measured.
 //!
 //! ## Restoration ordering (faithful to §3.2)
 //!
@@ -53,7 +51,6 @@ pub mod exec;
 pub mod precopy;
 pub mod process;
 pub mod report;
-pub mod sched;
 #[cfg(test)]
 mod testprog;
 mod wire;
@@ -77,7 +74,6 @@ pub use report::{
     MigrationReport, MigrationRun, PipelineStats, RecoveryStats, ResumeStats, Rung2Skip,
     TransportStats,
 };
-pub use sched::{Job, SchedStats, Scheduler, SimMachine};
 
 use hpm_core::CoreError;
 use hpm_memory::MemError;

@@ -34,7 +34,7 @@ use hpm_core::delta::{
     apply_delta, block_digests, collect_delta, diff_manifest, full_image_frame, BaseImageManifest,
 };
 use hpm_core::{CoreError, RegistryAuditStats};
-use hpm_obs::Tracer;
+use hpm_obs::Track;
 use hpm_xdr::journal::image_id;
 
 use crate::ctx::MigratableProgram;
@@ -118,25 +118,17 @@ pub(crate) fn rounds<P: MigratableProgram, F: Fn() -> P>(
     audit: RegistryAuditStats,
     cfg: PrecopyConfig,
 ) -> Result<MigrationRun, MigError> {
-    let tracer = engine.policy.tracer;
+    let track = &engine.driver;
     let mut stats = PrecopyStats {
         identity_ok: true,
         ..PrecopyStats::default()
     };
     let mut shipped = Carried::default();
-    let mut ship = |frame| {
-        ship_frame(
-            frame,
-            engine.link,
-            engine.frame_lane(),
-            tracer,
-            &mut shipped,
-        )
-    };
+    let mut ship = |frame| ship_frame(frame, engine.link, engine.frame_lane(), track, &mut shipped);
 
     // --- round 0: ship the full image of the first freeze ---
     let (prefix, mut chain_depth) = engine.begin_collect(&frozen);
-    let (mut cur_image, mut collected) = collect_whole(&mut frozen, &prefix, tracer)?;
+    let (mut cur_image, mut collected) = collect_whole(&mut frozen, &prefix, track)?;
     let digests = block_digests(&mut frozen.proc.space, &mut frozen.proc.msrlt)?;
     let mut manifest = BaseImageManifest::new(image_id(&cur_image), digests);
     stats.full_bytes = cur_image.len() as u64;
@@ -159,8 +151,7 @@ pub(crate) fn rounds<P: MigratableProgram, F: Fn() -> P>(
             &cur_image,
             None,
             Some(between_rounds),
-            &Tracer::disabled(),
-            None,
+            &Track::off(),
         )? {
             ResumeFlow::Frozen(f) => f,
             ResumeFlow::Completed(done) => {
@@ -175,7 +166,7 @@ pub(crate) fn rounds<P: MigratableProgram, F: Fn() -> P>(
         let frozen_at = Instant::now();
         let (prefix, depth) = frozen.image_prefix();
         chain_depth = depth;
-        let (new_image, new_collected) = collect_whole(&mut frozen, &prefix, tracer)?;
+        let (new_image, new_collected) = collect_whole(&mut frozen, &prefix, track)?;
         collected = new_collected;
         let new_digests = block_digests(&mut frozen.proc.space, &mut frozen.proc.msrlt)?;
         let dirty = diff_manifest(&manifest, &new_digests);
@@ -242,8 +233,8 @@ pub(crate) fn rounds<P: MigratableProgram, F: Fn() -> P>(
         collected,
         shipped.transfer,
         &dst,
-        engine.transport_stats(None, shipped.recovery, ladder, None),
+        engine.transport_stats(None, shipped.recovery, ladder),
         Some(stats),
     );
-    Ok(MigrationRun::finish(tracer, report, dst.results))
+    Ok(engine.finish(report, dst.results))
 }

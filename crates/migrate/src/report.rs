@@ -10,7 +10,7 @@ use crate::process::Process;
 use hpm_core::{CollectStats, MsrltStats, RegistryAuditStats, RestoreStats};
 use hpm_net::{ArqReceiverSnapshot, ArqSenderStats, FaultStats, TransferSnapshot};
 use hpm_obs::{
-    render_groups, snapshot, FlightDump, HistogramSnapshot, StatField, StatGroup, TraceLog, Tracer,
+    render_groups, snapshot, EventLog, HistogramSnapshot, Level, LogDump, StatField, StatGroup,
 };
 use std::time::Duration;
 
@@ -46,9 +46,10 @@ pub struct MigrationReport {
     pub registry_audit: RegistryAuditStats,
     /// What the chosen transport measured beyond `transfer`.
     pub transport: TransportStats,
-    /// Full event trace of the migration, when the policy's tracer was
-    /// enabled; `None` for untraced runs.
-    pub trace: Option<TraceLog>,
+    /// The dump of the migration's event log with every counter group
+    /// of this report attached, when the policy supplied the log or the
+    /// run fell back to the source; `None` otherwise.
+    pub log: Option<LogDump>,
     /// Per-round measurements, when the policy asked for pre-copy; the
     /// collect / restore figures above then describe the frozen leg.
     pub precopy: Option<PrecopyStats>,
@@ -79,9 +80,6 @@ pub enum TransportStats {
         recovery: RecoveryStats,
         /// How far down the degradation ladder the run went.
         resume: ResumeStats,
-        /// Flight-recorder dump captured on a source-resume fallback;
-        /// `None` for runs that reached the destination.
-        flight: Option<FlightDump>,
     },
 }
 
@@ -115,7 +113,7 @@ impl MigrationReport {
             transfer,
             registry_audit,
             transport,
-            trace: None,
+            log: None,
             precopy,
         }
     }
@@ -152,14 +150,6 @@ impl MigrationReport {
     pub fn resume(&self) -> Option<&ResumeStats> {
         match &self.transport {
             TransportStats::Reliable { resume, .. } => Some(resume),
-            _ => None,
-        }
-    }
-
-    /// The post-mortem a source-resume fallback attached.
-    pub fn flight(&self) -> Option<&FlightDump> {
-        match &self.transport {
-            TransportStats::Reliable { flight, .. } => flight.as_ref(),
             _ => None,
         }
     }
@@ -209,19 +199,22 @@ pub struct MigrationRun {
 }
 
 impl MigrationRun {
-    /// Wrap up a run: when a tracer ran, drain it into the report with
+    /// Wrap up a run: when the caller `asked` for the log (supplied it)
+    /// or the run fell back to the source, dump it into the report with
     /// each of the report's StatGroups attached.
     pub(crate) fn finish(
-        tracer: &Tracer,
+        log: &EventLog,
+        asked: bool,
         mut report: MigrationReport,
         results: Vec<(String, String)>,
     ) -> Self {
-        if tracer.enabled() {
-            let mut log = tracer.take_log();
+        let fell_back = report.recovery().is_some_and(|r| r.fallback_taken);
+        if log.level() != Level::Off && (asked || fell_back) {
+            let mut dump = log.dump();
             for (group, fields) in report.stat_groups() {
-                log.attach_stats(group, fields);
+                dump.attach_stats(group, fields);
             }
-            report.trace = Some(log);
+            report.log = Some(dump);
         }
         MigrationRun { report, results }
     }

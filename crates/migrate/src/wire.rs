@@ -20,7 +20,7 @@ use hpm_net::{
     NetError, NetworkModel, ReliableChunkReceiver, ReliableChunkSender, ResumeDecision,
     TransferSnapshot,
 };
-use hpm_obs::{FlightTrack, Histogram, StatGroup, Tracer};
+use hpm_obs::{Histogram, StatGroup, Track};
 use hpm_xdr::{ChunkRecord, RestoreJournal};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
@@ -32,10 +32,10 @@ pub(crate) struct Lane {
     pub config: PipelineConfig,
     /// ARQ and fault injection; `None` ships a plain chunk stream.
     pub arq: Option<ArqSide>,
-    /// Flight track of the sending end (single-writer, like all of them).
-    pub tx_track: FlightTrack,
-    /// Flight track of the receiving end.
-    pub rx_track: FlightTrack,
+    /// Log track of the sending end (single-writer, like all of them).
+    pub tx_track: Track,
+    /// Log track of the receiving end.
+    pub rx_track: Track,
 }
 
 /// The reliability half of a [`Lane`].
@@ -44,8 +44,8 @@ pub(crate) struct ArqSide {
     pub cfg: ArqConfig,
     /// What the deterministic fault injector does to this attempt.
     pub plan: FaultPlan,
-    /// Flight track of the fault injector.
-    pub fault_track: FlightTrack,
+    /// Log track of the fault injector.
+    pub fault_track: Track,
     /// The destination's chunk journal; whole-frame shipping keeps none.
     pub journal: Option<Arc<Mutex<RestoreJournal>>>,
     /// When this attempt resumes an interrupted stream from `journal`:
@@ -158,7 +158,7 @@ fn wire_thread(
     src_end: Channel,
     chunk_rx: mpsc::Receiver<Vec<u8>>,
     link: NetworkModel,
-    lane: (PipelineConfig, Option<ArqSide>, FlightTrack),
+    lane: (PipelineConfig, Option<ArqSide>, Track),
     src_crashed: &AtomicBool,
 ) -> WireDone {
     let (config, arq, track) = lane;
@@ -179,7 +179,7 @@ fn wire_thread(
     let Some(arq) = arq else {
         let mut tx = ChunkSender::new(&src_end)
             .with_codec(config.codec)
-            .with_flight(track);
+            .with_track(track);
         let sent = pump(0, &mut |c| tx.send(c));
         let frames = tx.chunks_sent();
         let (frames, error) = match sent.and_then(|()| tx.finish()) {
@@ -193,10 +193,10 @@ fn wire_thread(
             ..WireDone::default()
         };
     };
-    let endpoint = FaultyEndpoint::new(src_end, arq.plan).with_flight(arq.fault_track);
+    let endpoint = FaultyEndpoint::new(src_end, arq.plan).with_track(arq.fault_track);
     let mut tx = ReliableChunkSender::new(endpoint, arq.cfg)
         .with_codec(config.codec)
-        .with_flight(track);
+        .with_track(track);
     let mut done = WireDone::default();
     let mut skip = 0;
     if let Some((image_id, ledger)) = &arq.resume {
@@ -270,7 +270,7 @@ pub(crate) fn attempt<S, D: Send>(
     let mut replay = Vec::new();
     let mut rx_counters = None;
     let rx = match &lane.arq {
-        None => Receiver::Plain(ChunkReceiver::new(dst_end).with_flight(lane.rx_track)),
+        None => Receiver::Plain(ChunkReceiver::new(dst_end).with_track(lane.rx_track)),
         Some(arq) => {
             let mut rx = match (&arq.journal, &arq.resume) {
                 (Some(journal), Some(_)) => {
@@ -280,7 +280,7 @@ pub(crate) fn attempt<S, D: Send>(
                 }
                 _ => ReliableChunkReceiver::new(dst_end, arq.cfg),
             }
-            .with_flight(lane.rx_track)
+            .with_track(lane.rx_track)
             .with_crash_at(arq.plan.dst_crash_at);
             if let Some(journal) = &arq.journal {
                 rx = rx.with_journal(Arc::clone(journal));
@@ -351,19 +351,20 @@ pub(crate) struct Carried {
 /// The whole-frame form of an attempt: ship one finished frame
 /// source→destination and return it as received, adding the trip's cost
 /// to `carried`. Without a lane it is a single message on the channel —
-/// no thread, no copy; with one, the frame crosses as a chunk stream cut
-/// at the lane's `chunk_bytes`.
+/// no thread, no copy, both ends recording on the caller's `track`; with
+/// one, the frame crosses as a chunk stream cut at the lane's
+/// `chunk_bytes`.
 pub(crate) fn ship_frame(
     frame: Vec<u8>,
     link: NetworkModel,
     lane: Option<Lane>,
-    tracer: &Tracer,
+    track: &Track,
     carried: &mut Carried,
 ) -> Result<Vec<u8>, MigError> {
     let Some(lane) = lane else {
         let (src_end, dst_end) = channel_pair(link);
-        let src_end = src_end.with_tracer(tracer.clone());
-        let dst_end = dst_end.with_tracer(tracer.clone());
+        let src_end = src_end.with_track(track.clone());
+        let dst_end = dst_end.with_track(track.clone());
         src_end.send(frame)?;
         let bytes = dst_end.recv()?;
         carried.transfer.merge_from(&src_end.stats().snapshot());

@@ -29,7 +29,7 @@
 use crate::channel::{Channel, NetError};
 use crate::fault::FrameLink;
 use crate::stream::{expand_incoming, frame_outgoing, WireCodec};
-use hpm_obs::{FlightTrack, Histogram, HistogramSnapshot};
+use hpm_obs::{Histogram, HistogramSnapshot, Track};
 use hpm_xdr::{
     frame_control, frame_stamped_crc, records_digest, unframe_chunk_any, unframe_control,
     ChunkRecord, Control, RestoreJournal, RestorePhase,
@@ -150,7 +150,7 @@ pub struct ReliableChunkSender<L: FrameLink> {
     /// Cumulative acknowledgement high-water mark: every chunk below this
     /// was confirmed received.
     acked_next: u32,
-    flight: Option<FlightTrack>,
+    track: Track,
 }
 
 impl<L: FrameLink> ReliableChunkSender<L> {
@@ -167,14 +167,14 @@ impl<L: FrameLink> ReliableChunkSender<L> {
             retry_hist: Histogram::new(),
             records: Vec::new(),
             acked_next: 0,
-            flight: None,
+            track: Track::off(),
         }
     }
 
     /// Record protocol events on `track` (`chunk.sent`, `chunk.retried`,
     /// `ack`, `nack`, `retries.exhausted`).
-    pub fn with_flight(mut self, track: FlightTrack) -> Self {
-        self.flight = Some(track);
+    pub fn with_track(mut self, track: Track) -> Self {
+        self.track = track;
         self
     }
 
@@ -184,12 +184,6 @@ impl<L: FrameLink> ReliableChunkSender<L> {
     pub fn with_codec(mut self, codec: WireCodec) -> Self {
         self.codec = codec;
         self
-    }
-
-    fn flight_event(&self, kind: &'static str, args: &[(&'static str, u64)]) {
-        if let Some(t) = &self.flight {
-            t.event(kind, args);
-        }
     }
 
     /// Protocol counters so far.
@@ -277,7 +271,7 @@ impl<L: FrameLink> ReliableChunkSender<L> {
             None
         };
         if let Some(reason) = reject {
-            self.flight_event(
+            self.track.event(
                 "resume.rejected",
                 &[("claimed_next", next as u64), ("reason", reason as u64)],
             );
@@ -289,7 +283,7 @@ impl<L: FrameLink> ReliableChunkSender<L> {
         self.records = skipped.to_vec();
         self.next_seq = next;
         self.acked_next = next;
-        self.flight_event(
+        self.track.event(
             "resume.accepted",
             &[("next", next as u64), ("bytes_saved", bytes_saved_raw)],
         );
@@ -356,7 +350,7 @@ impl<L: FrameLink> ReliableChunkSender<L> {
             frame,
             retries: 0,
         });
-        self.flight_event(
+        self.track.event(
             "chunk.sent",
             &[("chunk", seq as u64), ("window", self.window.len() as u64)],
         );
@@ -388,7 +382,8 @@ impl<L: FrameLink> ReliableChunkSender<L> {
                     self.retry_hist.observe(entry.retries as u64);
                     pruned += 1;
                 }
-                self.flight_event("ack", &[("next", next as u64), ("pruned", pruned)]);
+                self.track
+                    .event("ack", &[("next", next as u64), ("pruned", pruned)]);
             }
             Control::Nack { seq } => {
                 self.stats.nacks_processed += 1;
@@ -398,7 +393,7 @@ impl<L: FrameLink> ReliableChunkSender<L> {
                     let retries = entry.retries;
                     if retries > self.cfg.max_retries {
                         self.retry_hist.observe(retries as u64);
-                        self.flight_event(
+                        self.track.event(
                             "retries.exhausted",
                             &[("chunk", seq as u64), ("attempts", retries as u64)],
                         );
@@ -410,7 +405,7 @@ impl<L: FrameLink> ReliableChunkSender<L> {
                     }
                     let frame = entry.frame.clone();
                     self.stats.retransmits += 1;
-                    self.flight_event(
+                    self.track.event(
                         "chunk.retried",
                         &[
                             ("chunk", seq as u64),
@@ -508,7 +503,7 @@ impl<L: FrameLink> ReliableChunkSender<L> {
             let retries = base_retries + 1;
             if retries > self.cfg.max_retries {
                 self.retry_hist.observe(retries as u64);
-                self.flight_event(
+                self.track.event(
                     "retries.exhausted",
                     &[("chunk", base_seq as u64), ("attempts", retries as u64)],
                 );
@@ -522,7 +517,7 @@ impl<L: FrameLink> ReliableChunkSender<L> {
             front.retries = retries;
             let frame = front.frame.clone();
             self.stats.retransmits += 1;
-            self.flight_event(
+            self.track.event(
                 "chunk.retried",
                 &[
                     ("chunk", base_seq as u64),
@@ -617,7 +612,7 @@ pub struct ReliableChunkReceiver {
     journal: Option<Arc<Mutex<RestoreJournal>>>,
     /// Injected crash fault: die just before consuming this sequence.
     crash_at: Option<u32>,
-    flight: Option<FlightTrack>,
+    track: Track,
 }
 
 impl ReliableChunkReceiver {
@@ -636,7 +631,7 @@ impl ReliableChunkReceiver {
             counters: Arc::new(ArqReceiverCounters::default()),
             journal: None,
             crash_at: None,
-            flight: None,
+            track: Track::off(),
         }
     }
 
@@ -680,15 +675,9 @@ impl ReliableChunkReceiver {
 
     /// Record protocol events on `track` (`chunk.recv`, `crc.fail`,
     /// `dup`, `reorder`, `nack.sent`).
-    pub fn with_flight(mut self, track: FlightTrack) -> Self {
-        self.flight = Some(track);
+    pub fn with_track(mut self, track: Track) -> Self {
+        self.track = track;
         self
-    }
-
-    fn flight_event(&self, kind: &'static str, args: &[(&'static str, u64)]) {
-        if let Some(t) = &self.flight {
-            t.event(kind, args);
-        }
     }
 
     /// Handle to the live counters; survives the receiver being boxed.
@@ -743,7 +732,7 @@ impl ReliableChunkReceiver {
                 // at a wall-clock-dependent wire position and make the
                 // reorder counter irreproducible.
                 ArqReceiverCounters::bump(&self.counters.corrupt_caught);
-                self.flight_event("crc.fail", &[("chunk", seq as u64)]);
+                self.track.event("crc.fail", &[("chunk", seq as u64)]);
                 continue;
             }
             if seq < self.next {
@@ -752,9 +741,10 @@ impl ReliableChunkReceiver {
                     // A chunk this destination already held before the
                     // stream began: a resume that re-sends verified data.
                     ArqReceiverCounters::bump(&self.counters.replays_below_start);
-                    self.flight_event("replay.below_start", &[("chunk", seq as u64)]);
+                    self.track
+                        .event("replay.below_start", &[("chunk", seq as u64)]);
                 }
-                self.flight_event("dup", &[("chunk", seq as u64)]);
+                self.track.event("dup", &[("chunk", seq as u64)]);
                 // Re-ack so a sender that missed the original ack prunes.
                 self.send_control(Control::Ack { next: self.next })?;
                 ArqReceiverCounters::bump(&self.counters.acks_sent);
@@ -786,7 +776,7 @@ impl ReliableChunkReceiver {
             if seq == self.next {
                 if late {
                     ArqReceiverCounters::bump(&self.counters.reorders_absorbed);
-                    self.flight_event("reorder", &[("chunk", seq as u64)]);
+                    self.track.event("reorder", &[("chunk", seq as u64)]);
                 }
                 self.accept(chunk)?;
                 while let Some(c) = self.ooo.remove(&self.next) {
@@ -805,7 +795,7 @@ impl ReliableChunkReceiver {
                     }
                 }
             }
-            self.flight_event(
+            self.track.event(
                 "chunk.recv",
                 &[("chunk", seq as u64), ("next", self.next as u64)],
             );
@@ -816,7 +806,8 @@ impl ReliableChunkReceiver {
             if !self.ooo.is_empty() && self.nacked.insert(self.next) {
                 self.send_control(Control::Nack { seq: self.next })?;
                 ArqReceiverCounters::bump(&self.counters.nacks_sent);
-                self.flight_event("nack.sent", &[("chunk", self.next as u64)]);
+                self.track
+                    .event("nack.sent", &[("chunk", self.next as u64)]);
             }
         }
     }
@@ -827,7 +818,8 @@ impl ReliableChunkReceiver {
     /// its journal — the invariant the resume handshake relies on.
     fn accept(&mut self, chunk: RxChunk) -> Result<(), NetError> {
         if self.crash_at == Some(self.next) {
-            self.flight_event("crash.injected", &[("chunk", self.next as u64)]);
+            self.track
+                .event("crash.injected", &[("chunk", self.next as u64)]);
             return Err(NetError::PeerCrashed { chunk: self.next });
         }
         if let Some(journal) = &self.journal {

@@ -1,7 +1,7 @@
 //! Reliable in-process message channels between simulated machines.
 
 use crate::model::NetworkModel;
-use hpm_obs::{Histogram, HistogramSnapshot, StatField, StatGroup, Tracer};
+use hpm_obs::{Histogram, HistogramSnapshot, StatField, StatGroup, Track};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
@@ -262,10 +262,10 @@ impl StatGroup for TransferSnapshot {
 /// `send` is non-blocking (the link is modeled, not throttled); the
 /// modeled transmission time of every message is accumulated in the
 /// shared [`TransferStats`], which the migration driver reads to report
-/// the `Tx` column. With a tracer attached ([`Channel::with_tracer`]),
-/// every send/recv also emits a `net.send`/`net.recv` span carrying the
-/// payload size and modeled wire time, so traces show modeled-vs-wall
-/// time per message.
+/// the `Tx` column. With a log track attached ([`Channel::with_track`])
+/// at detail level, every send/recv also emits a `net.send`/`net.recv`
+/// span carrying the payload size and modeled wire time, so traces show
+/// modeled-vs-wall time per message.
 pub struct Channel {
     tx: Sender<Vec<u8>>,
     // std::sync::mpsc receivers are !Sync; the mutex restores Sync so a
@@ -273,7 +273,7 @@ pub struct Channel {
     rx: Mutex<Receiver<Vec<u8>>>,
     model: NetworkModel,
     stats: Arc<TransferStats>,
-    tracer: Tracer,
+    track: Track,
 }
 
 /// Create a connected pair of endpoints over one modeled link.
@@ -287,23 +287,23 @@ pub fn channel_pair(model: NetworkModel) -> (Channel, Channel) {
             rx: Mutex::new(rx_ba),
             model,
             stats: Arc::clone(&stats),
-            tracer: Tracer::disabled(),
+            track: Track::off(),
         },
         Channel {
             tx: tx_ba,
             rx: Mutex::new(rx_ab),
             model,
             stats,
-            tracer: Tracer::disabled(),
+            track: Track::off(),
         },
     )
 }
 
 impl Channel {
-    /// Attach a tracer to this endpoint; send/recv emit `net.send` /
-    /// `net.recv` spans on it.
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
+    /// Attach a log track to this endpoint; at detail level send/recv
+    /// emit `net.send` / `net.recv` spans on it.
+    pub fn with_track(mut self, track: Track) -> Self {
+        self.track = track;
         self
     }
 
@@ -311,12 +311,9 @@ impl Channel {
     pub fn send(&self, payload: Vec<u8>) -> Result<(), NetError> {
         let n = payload.len() as u64;
         let tx_time = self.model.tx_time(n);
-        self.tracer.begin_args(
+        self.track.detail_begin(
             "net.send",
-            &[
-                ("bytes", n as f64),
-                ("modeled_ns", tx_time.as_nanos() as f64),
-            ],
+            &[("bytes", n), ("modeled_ns", tx_time.as_nanos() as u64)],
         );
         self.stats.bytes_sent.fetch_add(n, Ordering::Relaxed);
         self.stats.messages_sent.fetch_add(1, Ordering::Relaxed);
@@ -325,13 +322,13 @@ impl Channel {
             .fetch_add(tx_time.as_nanos() as u64, Ordering::Relaxed);
         self.stats.wire_lat.observe(tx_time.as_nanos() as u64);
         let r = self.tx.send(payload).map_err(|_| NetError::Disconnected);
-        self.tracer.end("net.send");
+        self.track.detail_end("net.send", &[]);
         r
     }
 
     /// Block until the next message arrives.
     pub fn recv(&self) -> Result<Vec<u8>, NetError> {
-        self.tracer.begin("net.recv");
+        self.track.detail_begin("net.recv", &[]);
         let r = self
             .rx
             .lock()
@@ -340,9 +337,9 @@ impl Channel {
             .map_err(|_| NetError::Disconnected);
         match &r {
             Ok(m) => self
-                .tracer
-                .end_args("net.recv", &[("bytes", m.len() as f64)]),
-            Err(_) => self.tracer.end("net.recv"),
+                .track
+                .detail_end("net.recv", &[("bytes", m.len() as u64)]),
+            Err(_) => self.track.detail_end("net.recv", &[]),
         }
         r
     }
@@ -577,23 +574,20 @@ mod tests {
 
     #[test]
     fn traced_endpoints_emit_wire_spans() {
-        let tracer = Tracer::new();
+        let log = hpm_obs::EventLog::new(hpm_obs::Level::Detail);
         let (a, b) = channel_pair(NetworkModel::ethernet_10());
-        let a = a.with_tracer(tracer.track("src"));
-        let b = b.with_tracer(tracer.track("dst"));
+        let a = a.with_track(log.track("src"));
+        let b = b.with_track(log.track("dst"));
         a.send(vec![0; 256]).unwrap();
         b.recv().unwrap();
-        let log = tracer.take_log();
-        let spans = log.spans();
+        let dump = log.dump();
+        let spans = dump.spans();
         let send = spans.iter().find(|s| s.name == "net.send").unwrap();
         assert_ne!(send.end_ns, u64::MAX);
         assert!(spans.iter().any(|s| s.name == "net.recv"));
         // The send's Begin event carries payload size and modeled time.
-        let begin = log.events.iter().find(|e| e.name == "net.send").unwrap();
-        assert!(begin.args.iter().any(|&(k, v)| k == "bytes" && v == 256.0));
-        assert!(begin
-            .args
-            .iter()
-            .any(|&(k, v)| k == "modeled_ns" && v > 0.0));
+        let (_, begin) = dump.events_of("net.send")[0];
+        assert!(begin.args.iter().any(|&(k, v)| k == "bytes" && v == 256));
+        assert!(begin.args.iter().any(|&(k, v)| k == "modeled_ns" && v > 0));
     }
 }

@@ -16,7 +16,7 @@
 //! reproducible run-to-run.
 
 use crate::channel::{Channel, NetError, TransferStats};
-use hpm_obs::FlightTrack;
+use hpm_obs::Track;
 use hpm_xdr::peek_chunk_header;
 use std::collections::HashMap;
 use std::time::Duration;
@@ -350,7 +350,7 @@ pub struct FaultyEndpoint {
     /// Copies delivered undamaged — what the peer will acknowledge.
     intact_delivered: u64,
     stats: FaultStats,
-    flight: Option<FlightTrack>,
+    track: Track,
 }
 
 impl FaultyEndpoint {
@@ -368,25 +368,23 @@ impl FaultyEndpoint {
             disconnected: false,
             intact_delivered: 0,
             stats: FaultStats::default(),
-            flight: None,
+            track: Track::off(),
         }
     }
 
     /// Record injected faults on `track` (`fault.injected` with the
     /// sequence, attempt, and action code).
-    pub fn with_flight(mut self, track: FlightTrack) -> Self {
-        self.flight = Some(track);
+    pub fn with_track(mut self, track: Track) -> Self {
+        self.track = track;
         self
     }
 
-    fn flight_fault(&self, action: &'static str, seq: u32, attempt: u32) {
-        if let Some(t) = &self.flight {
-            t.event_note(
-                "fault.injected",
-                &[("chunk", seq as u64), ("attempt", attempt as u64)],
-                action,
-            );
-        }
+    fn record_fault(&self, action: &'static str, seq: u32, attempt: u32) {
+        self.track.event_note(
+            "fault.injected",
+            &[("chunk", seq as u64), ("attempt", attempt as u64)],
+            action,
+        );
     }
 
     /// What the injector has done so far.
@@ -432,7 +430,7 @@ impl FrameLink for FaultyEndpoint {
                 self.disconnected = true;
                 self.stats.disconnected = true;
                 self.stats.blackholed += 1;
-                self.flight_fault("disconnect", seq, attempt);
+                self.record_fault("disconnect", seq, attempt);
                 return Ok(());
             }
             self.distinct_seen += 1;
@@ -443,7 +441,7 @@ impl FrameLink for FaultyEndpoint {
         let result = match action {
             FaultAction::Drop => {
                 self.stats.dropped += 1;
-                self.flight_fault("drop", seq, attempt);
+                self.record_fault("drop", seq, attempt);
                 Ok(())
             }
             FaultAction::Corrupt if data_len > 0 => {
@@ -454,26 +452,26 @@ impl FrameLink for FaultyEndpoint {
                 let idx = damaged.len() - hpm_xdr::padded_len(data_len) + off;
                 damaged[idx] ^= mask;
                 self.stats.corrupted += 1;
-                self.flight_fault("corrupt", seq, attempt);
+                self.record_fault("corrupt", seq, attempt);
                 // A damaged copy reaches the peer but earns no ack.
                 self.deliver(damaged, false)
             }
             FaultAction::Duplicate => {
                 self.stats.duplicated += 1;
-                self.flight_fault("duplicate", seq, attempt);
+                self.record_fault("duplicate", seq, attempt);
                 self.deliver(frame.clone(), true)?;
                 self.deliver(frame, true)
             }
             FaultAction::Reorder if fresh && self.held.is_none() => {
                 self.stats.reordered += 1;
-                self.flight_fault("reorder", seq, attempt);
+                self.record_fault("reorder", seq, attempt);
                 self.held = Some(frame);
                 return Ok(()); // flushed after the next fresh frame
             }
             FaultAction::Delay => {
                 self.stats.delayed += 1;
                 self.stats.modeled_delay_nanos += self.link_delay.as_nanos() as u64;
-                self.flight_fault("delay", seq, attempt);
+                self.record_fault("delay", seq, attempt);
                 self.deliver(frame, true)
             }
             // Corrupt on an empty payload or Reorder while one frame is

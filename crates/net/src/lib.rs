@@ -10,9 +10,10 @@
 //! bytes ÷ link speed, not by protocol details). Actual byte delivery
 //! between the two "machines" (threads) uses a reliable in-process
 //! [`Channel`] built on `std::sync::mpsc`, with optional real-time pacing
-//! for demos. Endpoints can carry an [`hpm_obs::Tracer`], in which case
-//! every message produces a `net.send`/`net.recv` span annotated with the
-//! payload size and modeled wire time.
+//! for demos. Endpoints can carry an [`hpm_obs::Track`]: the chunk
+//! endpoints record every frame sent, acked, nacked or refused on it, and
+//! at detail level every channel message produces a `net.send`/`net.recv`
+//! span annotated with the payload size and modeled wire time.
 
 mod arq;
 mod channel;

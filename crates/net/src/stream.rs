@@ -7,7 +7,7 @@
 //! sequence numbers, and latches end-of-stream at the LAST flag.
 
 use crate::channel::{Channel, NetError, TransferStats};
-use hpm_obs::FlightTrack;
+use hpm_obs::Track;
 use hpm_xdr::{frame_chunk_v2, frame_chunk_v3, peek_chunk_header, unframe_chunk_any, ChunkFrame};
 use std::time::Instant;
 
@@ -88,7 +88,7 @@ pub struct ChunkSender<'a> {
     ch: &'a Channel,
     seq: u32,
     codec: WireCodec,
-    flight: Option<FlightTrack>,
+    track: Track,
 }
 
 impl<'a> ChunkSender<'a> {
@@ -98,7 +98,7 @@ impl<'a> ChunkSender<'a> {
             ch,
             seq: 0,
             codec: WireCodec::default(),
-            flight: None,
+            track: Track::off(),
         }
     }
 
@@ -109,8 +109,8 @@ impl<'a> ChunkSender<'a> {
     }
 
     /// Record chunk events on `track` (`chunk.sent`, `stream.finish`).
-    pub fn with_flight(mut self, track: FlightTrack) -> Self {
-        self.flight = Some(track);
+    pub fn with_track(mut self, track: Track) -> Self {
+        self.track = track;
         self
     }
 
@@ -118,16 +118,14 @@ impl<'a> ChunkSender<'a> {
     pub fn send(&mut self, payload: &[u8]) -> Result<(), NetError> {
         let (frame, wire_len) =
             frame_outgoing(self.codec, Some(self.ch.stats()), self.seq, false, payload);
-        if let Some(t) = &self.flight {
-            t.event(
-                "chunk.sent",
-                &[
-                    ("chunk", self.seq as u64),
-                    ("bytes", payload.len() as u64),
-                    ("wire_bytes", wire_len as u64),
-                ],
-            );
-        }
+        self.track.event(
+            "chunk.sent",
+            &[
+                ("chunk", self.seq as u64),
+                ("bytes", payload.len() as u64),
+                ("wire_bytes", wire_len as u64),
+            ],
+        );
         self.seq += 1;
         self.ch.send(frame)
     }
@@ -136,9 +134,8 @@ impl<'a> ChunkSender<'a> {
     /// number of frames sent, terminator included.
     pub fn finish(self) -> Result<u32, NetError> {
         let (frame, _) = frame_outgoing(self.codec, Some(self.ch.stats()), self.seq, true, &[]);
-        if let Some(t) = &self.flight {
-            t.event("stream.finish", &[("chunks", self.seq as u64 + 1)]);
-        }
+        self.track
+            .event("stream.finish", &[("chunks", self.seq as u64 + 1)]);
         self.ch.send(frame)?;
         Ok(self.seq + 1)
     }
@@ -154,7 +151,7 @@ pub struct ChunkReceiver {
     ch: Channel,
     next_seq: u32,
     done: bool,
-    flight: Option<FlightTrack>,
+    track: Track,
 }
 
 impl ChunkReceiver {
@@ -164,21 +161,15 @@ impl ChunkReceiver {
             ch,
             next_seq: 0,
             done: false,
-            flight: None,
+            track: Track::off(),
         }
     }
 
     /// Record chunk events on `track` (`chunk.recv`, `crc.fail`,
     /// `frame.bad`, `stream.done`).
-    pub fn with_flight(mut self, track: FlightTrack) -> Self {
-        self.flight = Some(track);
+    pub fn with_track(mut self, track: Track) -> Self {
+        self.track = track;
         self
-    }
-
-    fn flight_event(&self, kind: &'static str, args: &[(&'static str, u64)]) {
-        if let Some(t) = &self.flight {
-            t.event(kind, args);
-        }
     }
 
     /// Receive the next payload chunk; `Ok(None)` once the LAST frame
@@ -195,7 +186,7 @@ impl ChunkReceiver {
                 return Ok(None);
             };
             let seq = peek_chunk_header(&frame).map_or(0, |h| h.seq);
-            self.flight_event("frame.bad", &[("chunk", seq as u64)]);
+            self.track.event("frame.bad", &[("chunk", seq as u64)]);
             return Err(NetError::ChunkFraming {
                 chunk: seq,
                 reason: format!("frame {seq} arrived after the LAST frame"),
@@ -203,14 +194,15 @@ impl ChunkReceiver {
         }
         let frame = self.ch.recv()?;
         let parsed = unframe_chunk_any(&frame).map_err(|e| {
-            self.flight_event("frame.bad", &[("chunk", self.next_seq as u64)]);
+            self.track
+                .event("frame.bad", &[("chunk", self.next_seq as u64)]);
             NetError::ChunkFraming {
                 chunk: self.next_seq,
                 reason: e.to_string(),
             }
         })?;
         if parsed.seq != self.next_seq {
-            self.flight_event(
+            self.track.event(
                 "frame.gap",
                 &[
                     ("expected", self.next_seq as u64),
@@ -223,7 +215,7 @@ impl ChunkReceiver {
             });
         }
         if let Err(found) = parsed.verify_crc() {
-            self.flight_event(
+            self.track.event(
                 "crc.fail",
                 &[
                     ("chunk", parsed.seq as u64),
@@ -238,7 +230,7 @@ impl ChunkReceiver {
             });
         }
         self.next_seq += 1;
-        self.flight_event(
+        self.track.event(
             "chunk.recv",
             &[
                 ("chunk", parsed.seq as u64),
@@ -250,7 +242,8 @@ impl ChunkReceiver {
         let payload = expand_incoming(self.ch.stats(), parsed)?;
         if last {
             self.done = true;
-            self.flight_event("stream.done", &[("chunks", self.next_seq as u64)]);
+            self.track
+                .event("stream.done", &[("chunks", self.next_seq as u64)]);
             if payload.is_empty() {
                 return Ok(None);
             }

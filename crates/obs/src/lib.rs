@@ -3,49 +3,29 @@
 //! The paper's entire evaluation (§4, Table 1, Figure 2) is built on
 //! instrumentation: Collect/Tx/Restore timings plus MSRLT search and step
 //! counters. This crate is the shared measurement substrate those numbers
-//! flow through — and the one every future performance PR plugs into
-//! instead of growing bespoke counters.
+//! flow through. Three pieces, all dependency-free:
 //!
-//! Three pieces, all dependency-free:
-//!
-//! * [`trace`] — a lightweight span/event tracer. A [`Tracer`] records
-//!   nestable phase spans (`collect`, `tx`, `restore`, `msrlt.search`,
-//!   `scheduler.slice`, …) with monotonic timestamps into a **bounded**
-//!   in-memory ring buffer. A disabled tracer costs a single branch per
-//!   event site, so instrumentation can stay in release hot paths.
-//! * [`metrics`] — a registry of named counters/gauges/histograms with
-//!   `O(1)` atomic hot-path updates and a snapshot/merge API.
+//! * [`log`] — the one event log. An [`EventLog`] hands out named,
+//!   single-writer [`Track`]s, each a pair of bounded rings (protocol
+//!   events and, at [`Level::Detail`], per-search / per-block detail);
+//!   [`EventLog::dump`] snapshots it into a [`LogDump`], which renders as
+//!   deterministic JSONL (the post-mortem) or, through
+//!   [`chrome_trace_json`], as a Chrome / Perfetto trace with times. An
+//!   inert [`Track`] costs one branch per site, so instrumentation stays
+//!   in release hot paths.
 //! * [`stats`] — the [`StatGroup`] snapshot/merge trait that the stack's
 //!   phase-stats structs (`CollectStats`, `RestoreStats`, `MsrltStats`,
-//!   `TransferStats`, `SchedStats`) implement, plus one shared text
-//!   renderer so every layer prints counters the same way.
-//! * [`export`] — machine-readable exporters for a finished [`TraceLog`]:
-//!   Chrome trace-event JSON (loadable in `chrome://tracing` / Perfetto),
-//!   a JSONL event log, and a human summary table.
-//! * [`recorder`] — an always-on bounded flight recorder: the last N
-//!   structured protocol events per component track (chunk sent/acked/
-//!   nacked/retried, CRC failures, fault injections, phase transitions),
-//!   dumpable as deterministic JSONL for post-mortems of failed runs.
-//!
-//! ## Event volume and bounded memory
-//!
-//! Hot phases can emit hundreds of thousands of events (one per MSRLT
-//! search). The ring buffer has a fixed capacity; once full, new events
-//! are counted in [`TraceLog::dropped`] instead of growing memory. Span
-//! begin/end pairs for the coarse phases are emitted first (outermost
-//! first), so phase structure survives even when fine-grained events are
-//! dropped.
+//!   `TransferStats`, …) implement, one shared text renderer, and the
+//!   form in which their snapshots are attached to a [`LogDump`].
+//! * [`histogram`] — a lock-free log2 [`Histogram`] for per-chunk
+//!   latency distributions.
 
-pub mod export;
-pub mod metrics;
-pub mod recorder;
+pub mod histogram;
+pub mod log;
 pub mod stats;
-pub mod trace;
 
-pub use export::{chrome_trace_json, jsonl, summary};
-pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, MetricsRegistry, MetricsSnapshot,
+pub use histogram::{Histogram, HistogramSnapshot};
+pub use log::{
+    chrome_trace_json, Event, EventKind, EventLog, Level, LogDump, SpanRecord, Track, TrackDump,
 };
-pub use recorder::{FlightDump, FlightEvent, FlightRecorder, FlightTrack};
-pub use stats::{render_groups, snapshot, StatField, StatGroup, StatValue, TranslateStats};
-pub use trace::{EventKind, Span, TraceEvent, TraceLog, Tracer};
+pub use stats::{render_groups, snapshot, StatField, StatGroup, StatValue};

@@ -2,10 +2,9 @@
 //!
 //! Every layer of the stack keeps a small plain-struct of counters for
 //! its phase (`CollectStats`, `RestoreStats`, `MsrltStats`,
-//! `TransferStats`, `SchedStats`). [`StatGroup`] gives them one shared
-//! surface: a group name, a field snapshot, and a merge — so drivers,
-//! schedulers, and benches can aggregate and print any of them without
-//! bespoke formatting code.
+//! `TransferStats`). [`StatGroup`] gives them one shared surface: a group
+//! name, a field snapshot, and a merge — so drivers and benches can
+//! aggregate and print any of them without bespoke formatting code.
 
 use std::time::Duration;
 
@@ -32,24 +31,6 @@ impl StatValue {
             | StatValue::Bytes(v)
             | StatValue::Nanos(v)
             | StatValue::Ratio(v) => v,
-        }
-    }
-
-    /// Sum two values of the same variant (merge semantics). Ratios do
-    /// not add meaningfully across phases; the merge keeps the larger.
-    pub fn merged(self, other: StatValue) -> StatValue {
-        match (self, other) {
-            (StatValue::Count(a), StatValue::Count(b)) => StatValue::Count(a + b),
-            (StatValue::Bytes(a), StatValue::Bytes(b)) => StatValue::Bytes(a + b),
-            (StatValue::Nanos(a), StatValue::Nanos(b)) => StatValue::Nanos(a + b),
-            (StatValue::Ratio(a), StatValue::Ratio(b)) => StatValue::Ratio(a.max(b)),
-            // Mismatched variants: keep the left type, add magnitudes.
-            (a, b) => match a {
-                StatValue::Count(v) => StatValue::Count(v + b.raw()),
-                StatValue::Bytes(v) => StatValue::Bytes(v + b.raw()),
-                StatValue::Nanos(v) => StatValue::Nanos(v + b.raw()),
-                StatValue::Ratio(v) => StatValue::Ratio(v.max(b.raw())),
-            },
         }
     }
 }
@@ -132,89 +113,6 @@ pub trait StatGroup {
         Self: Sized;
 }
 
-/// Per-segment translation-cache accounting for the MSRLT's hot
-/// address→logical-id direction.
-///
-/// The MSRLT buckets every lookup by the segment the queried address
-/// falls in (globals, stack, heap) so benches can see *where* the
-/// translation cache earns its keep — heap-heavy pointer graphs behave
-/// very differently from frame-local scans. `page_walks` counts lookups
-/// resolved by the O(1) page index; `fallback_searches` counts the rare
-/// demotions to the ordered-map binary search.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TranslateStats {
-    /// Cache hits on addresses in the global segment.
-    pub global_hits: u64,
-    /// Cache misses on addresses in the global segment.
-    pub global_misses: u64,
-    /// Cache hits on addresses in the stack segment.
-    pub stack_hits: u64,
-    /// Cache misses on addresses in the stack segment.
-    pub stack_misses: u64,
-    /// Cache hits on addresses in the heap segment.
-    pub heap_hits: u64,
-    /// Cache misses on addresses in the heap segment.
-    pub heap_misses: u64,
-    /// Lookups resolved through the page-index walk (cache miss, no
-    /// binary search needed).
-    pub page_walks: u64,
-    /// Lookups that fell back to the ordered-map binary search.
-    pub fallback_searches: u64,
-}
-
-impl TranslateStats {
-    /// Total cache hits across all segments.
-    pub fn hits(&self) -> u64 {
-        self.global_hits + self.stack_hits + self.heap_hits
-    }
-
-    /// Total cache misses across all segments.
-    pub fn misses(&self) -> u64 {
-        self.global_misses + self.stack_misses + self.heap_misses
-    }
-
-    /// Overall hit rate in [0, 1]; 0 when no lookups ran.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits() + self.misses();
-        if total == 0 {
-            0.0
-        } else {
-            self.hits() as f64 / total as f64
-        }
-    }
-}
-
-impl StatGroup for TranslateStats {
-    fn group(&self) -> &'static str {
-        "translate"
-    }
-
-    fn fields(&self) -> Vec<StatField> {
-        vec![
-            StatField::count("global_hits", self.global_hits),
-            StatField::count("global_misses", self.global_misses),
-            StatField::count("stack_hits", self.stack_hits),
-            StatField::count("stack_misses", self.stack_misses),
-            StatField::count("heap_hits", self.heap_hits),
-            StatField::count("heap_misses", self.heap_misses),
-            StatField::count("page_walks", self.page_walks),
-            StatField::count("fallback_searches", self.fallback_searches),
-            StatField::ratio("hit_rate", self.hit_rate()),
-        ]
-    }
-
-    fn merge_from(&mut self, other: &Self) {
-        self.global_hits += other.global_hits;
-        self.global_misses += other.global_misses;
-        self.stack_hits += other.stack_hits;
-        self.stack_misses += other.stack_misses;
-        self.heap_hits += other.heap_hits;
-        self.heap_misses += other.heap_misses;
-        self.page_walks += other.page_walks;
-        self.fallback_searches += other.fallback_searches;
-    }
-}
-
 /// Render groups of stat fields as one aligned text table:
 ///
 /// ```text
@@ -241,7 +139,7 @@ pub fn render_groups<S: AsRef<str>>(groups: &[(S, Vec<StatField>)]) -> String {
 }
 
 /// Snapshot any [`StatGroup`] as a `(label, fields)` pair ready for
-/// [`render_groups`] or [`TraceLog::attach_stats`](crate::TraceLog::attach_stats).
+/// [`render_groups`] or [`LogDump::attach_stats`](crate::LogDump::attach_stats).
 pub fn snapshot<G: StatGroup>(g: &G) -> (String, Vec<StatField>) {
     (g.group().to_string(), g.fields())
 }
@@ -301,18 +199,6 @@ mod tests {
         assert_eq!(
             StatValue::Nanos(Duration::from_millis(1500).as_nanos() as u64).to_string(),
             "1.5000s"
-        );
-    }
-
-    #[test]
-    fn value_merge_is_additive() {
-        assert_eq!(
-            StatValue::Count(1).merged(StatValue::Count(2)),
-            StatValue::Count(3)
-        );
-        assert_eq!(
-            StatValue::Bytes(10).merged(StatValue::Bytes(20)),
-            StatValue::Bytes(30)
         );
     }
 

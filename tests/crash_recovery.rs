@@ -341,10 +341,7 @@ fn tampered_journal_digest_falls_back_to_rung_3() {
     assert!(resume.rung2_attempted, "the handshake must have been tried");
     assert_eq!(resume.skip, Some(Rung2Skip::DigestMismatch));
     assert!(run.report.recovery().unwrap().fallback_taken);
-    assert!(
-        run.report.flight().is_some(),
-        "rung 3 attaches the flight dump"
-    );
+    assert!(run.report.log.is_some(), "rung 3 attaches the log dump");
 }
 
 /// A source that dies mid-collect skips rung 2 (there is nothing left to

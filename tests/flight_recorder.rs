@@ -1,4 +1,4 @@
-//! Flight-recorder acceptance: a forced migration failure must produce a
+//! Event-log post-mortem acceptance: a forced migration failure must produce a
 //! deterministic post-mortem naming the exact chunk, attempt count, and
 //! phase — byte-identical across reruns of the same fault-plan seed —
 //! and the success paths must carry their telemetry without perturbing
@@ -10,7 +10,7 @@ use hpm_migrate::{
     Transport, Trigger,
 };
 use hpm_net::{FaultPlan, NetworkModel};
-use hpm_obs::{FlightDump, FlightRecorder};
+use hpm_obs::{EventLog, Level, LogDump};
 use hpm_workloads::{diff_results, TestPointer};
 use std::time::Duration;
 
@@ -42,7 +42,7 @@ fn big_chunk_cfg() -> PipelineConfig {
     }
 }
 
-fn run_doomed(recorder: &FlightRecorder) -> MigError {
+fn run_doomed(log: &EventLog) -> MigError {
     migrate(
         TestPointer::new,
         Architecture::dec5000(),
@@ -50,7 +50,7 @@ fn run_doomed(recorder: &FlightRecorder) -> MigError {
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(8),
         &Migration {
-            recorder: Some(recorder),
+            log: Some(log),
             ..Migration::new(Transport::Reliable(
                 big_chunk_cfg(),
                 dead_link_plan(),
@@ -67,7 +67,7 @@ fn run_doomed(recorder: &FlightRecorder) -> MigError {
     .expect_err("a dead link with Fail policy must error")
 }
 
-fn assert_dump_names_the_failure(dump: &FlightDump) {
+fn assert_dump_names_the_failure(dump: &LogDump) {
     // The exact chunk and attempt count, from the ARQ sender track.
     let exhausted = dump.events_of("retries.exhausted");
     assert_eq!(exhausted.len(), 1, "exactly one exhaustion event");
@@ -101,13 +101,13 @@ fn assert_dump_names_the_failure(dump: &FlightDump) {
 
 #[test]
 fn forced_failure_dump_is_deterministic_and_names_the_chunk() {
-    let rec_a = FlightRecorder::new();
-    let err_a = run_doomed(&rec_a);
-    let dump_a = rec_a.dump();
+    let log_a = EventLog::new(Level::Protocol);
+    let err_a = run_doomed(&log_a);
+    let dump_a = log_a.dump();
 
-    let rec_b = FlightRecorder::new();
-    let err_b = run_doomed(&rec_b);
-    let dump_b = rec_b.dump();
+    let log_b = EventLog::new(Level::Protocol);
+    let err_b = run_doomed(&log_b);
+    let dump_b = log_b.dump();
 
     match &err_a {
         MigError::Net(m) => assert!(m.contains("retries exhausted"), "{m}"),
@@ -119,13 +119,13 @@ fn forced_failure_dump_is_deterministic_and_names_the_chunk() {
     assert_eq!(
         dump_a.to_jsonl(),
         dump_b.to_jsonl(),
-        "flight dump must be byte-identical across reruns of one seed"
+        "log dump must be byte-identical across reruns of one seed"
     );
 }
 
 #[test]
 fn source_resume_fallback_attaches_the_dump_to_the_report() {
-    let recorder = FlightRecorder::new();
+    let log = EventLog::new(Level::Protocol);
     let run = migrate(
         TestPointer::new,
         Architecture::dec5000(),
@@ -133,7 +133,7 @@ fn source_resume_fallback_attaches_the_dump_to_the_report() {
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(8),
         &Migration {
-            recorder: Some(&recorder),
+            log: Some(&log),
             ..Migration::new(Transport::Reliable(
                 big_chunk_cfg(),
                 dead_link_plan(),
@@ -157,21 +157,21 @@ fn source_resume_fallback_attaches_the_dump_to_the_report() {
     );
     let recovery = run.report.recovery().expect("resilient runs carry stats");
     assert!(recovery.fallback_taken);
-    let dump = run.report.flight().expect("fallback attaches dump");
+    let dump = run.report.log.as_ref().expect("fallback attaches dump");
     assert_dump_names_the_failure(dump);
 }
 
 #[test]
 fn disabled_recorder_stays_silent_and_changes_nothing() {
-    let recorder = FlightRecorder::disabled();
-    let err = run_doomed(&recorder);
+    let log = EventLog::new(Level::Off);
+    let err = run_doomed(&log);
     match err {
         MigError::Net(m) => assert!(m.contains("retries exhausted"), "{m}"),
         other => panic!("expected Net error, got {other}"),
     }
-    let dump = recorder.dump();
+    let dump = log.dump();
     assert!(
         dump.tracks.iter().all(|t| t.events.is_empty()),
-        "a disabled recorder records nothing"
+        "a disabled log records nothing"
     );
 }

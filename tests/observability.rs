@@ -8,7 +8,7 @@
 use hpm_arch::Architecture;
 use hpm_migrate::{run_migrating, Migration, MigrationRun, Transport, Trigger};
 use hpm_net::NetworkModel;
-use hpm_obs::{chrome_trace_json, Tracer};
+use hpm_obs::{chrome_trace_json, EventLog, Level};
 use hpm_workloads::{BitonicSort, Linpack, TestPointer};
 
 fn migrate<P, F>(make: F, at: u64) -> MigrationRun
@@ -72,7 +72,7 @@ fn bitonic_collect_restore_parity() {
 }
 
 fn traced_run() -> MigrationRun {
-    let tracer = Tracer::new();
+    let log = EventLog::new(Level::Detail);
     hpm_migrate::migrate(
         TestPointer::new,
         Architecture::dec5000(),
@@ -80,7 +80,7 @@ fn traced_run() -> MigrationRun {
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(8),
         &Migration {
-            tracer: &tracer,
+            log: Some(&log),
             ..Migration::new(Transport::Whole)
         },
     )
@@ -90,8 +90,8 @@ fn traced_run() -> MigrationRun {
 #[test]
 fn traced_run_has_nested_phase_spans() {
     let run = traced_run();
-    let log = run.report.trace.expect("trace attached");
-    assert_eq!(log.dropped, 0, "small workload must fit the ring buffer");
+    let log = run.report.log.expect("log attached");
+    assert_eq!(log.dropped(), 0, "small workload must fit the ring buffer");
     // The collect phase contains MSRLT address searches; restoration ran.
     assert!(
         log.has_nested("collect", "msrlt.search"),
@@ -114,16 +114,17 @@ fn traced_run_has_nested_phase_spans() {
 
 #[test]
 fn identical_runs_trace_identically() {
-    let a = traced_run().report.trace.unwrap();
-    let b = traced_run().report.trace.unwrap();
+    let a = traced_run().report.log.unwrap();
+    let b = traced_run().report.log.unwrap();
     assert_eq!(a.shape(), b.shape(), "trace shape must be deterministic");
-    assert_eq!(a.tracks, b.tracks);
+    let names = |d: &hpm_obs::LogDump| d.tracks.iter().map(|t| t.name).collect::<Vec<_>>();
+    assert_eq!(names(&a), names(&b));
 }
 
 #[test]
 fn untraced_run_attaches_no_trace() {
     let run = migrate(TestPointer::new, 8);
-    assert!(run.report.trace.is_none());
+    assert!(run.report.log.is_none());
 }
 
 /// Minimal string-aware JSON well-formedness check: brackets and braces
@@ -159,7 +160,7 @@ fn assert_balanced_json(s: &str) {
 #[test]
 fn chrome_export_is_wellformed_and_complete() {
     let run = traced_run();
-    let log = run.report.trace.unwrap();
+    let log = run.report.log.unwrap();
     let json = chrome_trace_json(&log);
     assert_balanced_json(&json);
     for needle in [

@@ -1188,20 +1188,21 @@ fn ring_space(arch: Architecture, nodes: u64) -> (AddressSpace, Msrlt, [u64; 2])
     (space, msrlt, [groot, gtags])
 }
 
-/// Restore `honest` and 1 499 seeded mutations of it, each from a slice
-/// (`None`) and from chunks of 8 and 52 bytes: the honest stream must
-/// restore; every other either restores or is refused with a typed
-/// error; and no single allocator request on the way exceeds
-/// [`allocation_bound`] of the bytes received (`framing` of them reach
-/// `restore` outside the stream).
-fn mutation_sweep<E: std::fmt::Debug>(
+/// Decode `honest` and 1 499 seeded mutations of it, once per entry of
+/// `chunkings`: the honest input must decode; every other either decodes
+/// or is refused with a typed error; and no single allocator request on
+/// the way exceeds [`allocation_bound`] of the bytes received (`framing`
+/// of them reach `decode` outside the mutated stream). Returns how many
+/// calls decoded and how many were refused.
+fn sweep<E: std::fmt::Debug>(
     honest: &[u8],
     seed: u64,
     framing: usize,
-    restore: impl Fn(&[u8], Option<usize>) -> Result<(), E>,
-) {
+    chunkings: &[Option<usize>],
+    decode: impl Fn(&[u8], Option<usize>) -> Result<(), E>,
+) -> (u32, u32) {
     let mut s = seed;
-    let (mut restored, mut refused) = (0u32, 0u32);
+    let (mut decoded, mut refused) = (0u32, 0u32);
     for round in 0..1500 {
         let stream = if round == 0 {
             honest.to_vec()
@@ -1209,15 +1210,15 @@ fn mutation_sweep<E: std::fmt::Debug>(
             mutate(honest, &mut s)
         };
         let received = framing + stream.len();
-        for chunking in [None, Some(8), Some(52)] {
+        for &chunking in chunkings {
             let what = format!("seed {seed:#x} round {round} chunking {chunking:?}");
-            let (got, largest) = largest_request_during(|| restore(&stream, chunking));
+            let (got, largest) = largest_request_during(|| decode(&stream, chunking));
             assert!(
                 largest <= allocation_bound(received),
                 "{what}: one request of {largest} bytes for {received} received ({got:?})"
             );
             match got {
-                Ok(()) => restored += 1,
+                Ok(()) => decoded += 1,
                 Err(_) => refused += 1,
             }
             assert!(
@@ -1226,11 +1227,127 @@ fn mutation_sweep<E: std::fmt::Debug>(
             );
         }
     }
+    (decoded, refused)
+}
+
+/// [`sweep`] over a record stream restored from a slice (`None`) and from
+/// chunks of 8 and 52 bytes.
+fn mutation_sweep<E: std::fmt::Debug>(
+    honest: &[u8],
+    seed: u64,
+    framing: usize,
+    restore: impl Fn(&[u8], Option<usize>) -> Result<(), E>,
+) {
+    let chunkings = [None, Some(8), Some(52)];
+    let (restored, refused) = sweep(honest, seed, framing, &chunkings, restore);
     // The sweep has to reach both outcomes to mean anything.
     assert!(
         restored > 100 && refused > 1000,
         "{restored} restored, {refused} refused"
     );
+}
+
+/// [`sweep`] over the input of a decoder that takes its bytes whole;
+/// more than `min_decoded` of the 1 500 inputs must get through it.
+fn decoder_sweep<E: std::fmt::Debug>(
+    honest: &[u8],
+    seed: u64,
+    min_decoded: u32,
+    decode: impl Fn(&[u8]) -> Result<(), E>,
+) {
+    let (decoded, refused) = sweep(honest, seed, 0, &[None], |bytes, _| decode(bytes));
+    assert!(
+        decoded > min_decoded && refused > 50,
+        "{decoded} decoded, {refused} refused"
+    );
+}
+
+/// The three framings under the record stream that the sweeps above do
+/// not reach (ROADMAP 2(c)): ARQ control frames, chunk frames through to
+/// their expanded payload, and the durable restore journal.
+#[test]
+fn mutated_control_chunk_and_journal_bytes_decode_or_refuse() {
+    use hpm::xdr::{
+        compress, crc32, frame_chunk_v2, frame_chunk_v3, frame_control, unframe_chunk_any,
+        unframe_control, ChunkRecord, Control, RestoreJournal, RestorePhase, XdrEncoder, XdrError,
+        CHUNK_FLAG_COMPRESSED, CHUNK_MAGIC_V3,
+    };
+    let resume = Control::Resume {
+        image_id: 0x1234_5678_9ABC_DEF0,
+        next: 7,
+        digest: 0x0FED_CBA9_8765_4321,
+    };
+    for (ctrl, seed) in [
+        (Control::Ack { next: 41 }, 0x6ea4_0005),
+        (resume, 0x6ea4_0006),
+    ] {
+        decoder_sweep(&frame_control(ctrl), seed, 50, |bytes| {
+            unframe_control(bytes).map(|_| ())
+        });
+    }
+
+    // A payload the block coder shrinks, so `into_payload` expands.
+    let payload: Vec<u8> = (0..3_000u32).flat_map(|i| (i / 7).to_be_bytes()).collect();
+    let expand = |bytes: &[u8]| {
+        let parsed = unframe_chunk_any(bytes)?;
+        match parsed.verify_crc() {
+            Ok(()) => parsed.into_payload().map(|_| ()),
+            Err(found) => Err(XdrError::BadMagic(found)),
+        }
+    };
+    // Damage to a finished frame mostly lands in the payload and dies on
+    // the CRC; what gets past it is header damage.
+    decoder_sweep(
+        &frame_chunk_v3(3, false, &payload).0,
+        0x6ea4_0007,
+        0,
+        expand,
+    );
+    decoder_sweep(
+        &frame_chunk_v2(3, true, &payload[..512]),
+        0x6ea4_0008,
+        0,
+        expand,
+    );
+    // A CRC is over bytes its author wrote: a hostile author stamps a
+    // matching one. So mutate the token stream and frame it honestly —
+    // true `raw_len`, matching CRC — and the coder behind the check is
+    // what decodes the damage.
+    let tokens = compress(&payload);
+    assert!(tokens.len() < payload.len() / 4, "{} tokens", tokens.len());
+    decoder_sweep(&tokens, 0x6ea4_000b, 5, |wire| {
+        let mut enc = XdrEncoder::new();
+        enc.put_u32(CHUNK_MAGIC_V3);
+        enc.put_u32(3);
+        enc.put_u32(CHUNK_FLAG_COMPRESSED);
+        enc.put_u32(payload.len() as u32);
+        enc.put_u32(crc32(wire));
+        enc.put_opaque_var(wire);
+        expand(&enc.into_bytes())
+    });
+
+    // The journal's trailing CRC likewise: the sweep stamps a matching
+    // one, and the parse behind the check is what gets mutated.
+    let mut journal = RestoreJournal::new(0xFEED_F00D);
+    for (i, chunk) in payload.chunks(700).take(4).enumerate() {
+        let record = ChunkRecord {
+            index: i as u32,
+            raw_len: chunk.len() as u32,
+            wire_len: chunk.len() as u32,
+            crc: crc32(chunk),
+            phase: RestorePhase::for_chunk(i as u32, false),
+        };
+        journal.append(record, chunk.to_vec()).unwrap();
+    }
+    let encoded = journal.encode();
+    decoder_sweep(&encoded[..encoded.len() - 4], 0x6ea4_0009, 50, |body| {
+        let stamped = [body, &crc32(body).to_be_bytes()[..]].concat();
+        RestoreJournal::decode(&stamped).map(|_| ())
+    });
+    // Unstamped, damage anywhere must die on the trailer check.
+    decoder_sweep(&encoded, 0x6ea4_000a, 0, |bytes| {
+        RestoreJournal::decode(bytes).map(|_| ())
+    });
 }
 
 #[test]
