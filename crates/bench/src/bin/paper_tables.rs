@@ -9,7 +9,16 @@
 //! Subcommands: `validation`, `table1`, `fig2a`, `fig2b`, `complexity`,
 //! `overhead`, `ablation`, `translate`, `wire`, `delta`, `pipeline`,
 //! `faults`, `resume`, `telemetry`, `lint`, `modelcheck`, `all` — plus
-//! `bench-diff` (below).
+//! `bench-diff` (below). Each prints the table `hpm_bench` declares under
+//! that name; the column headers are the keys `--json-out` writes.
+//!
+//! Timed cells (`table1`, `fig2a`, `fig2b`, `overhead`, `ablation`, the
+//! two collection columns of `translate`) are one warm-up and ten
+//! repetitions through `hpm_bench::harness::sample`, printed in seconds
+//! as `floor ±spread` (fastest repetition, interquartile range). An
+//! `overhead` row whose floor is no further from its baseline's than the
+//! two spreads together prints `unresolved`. `validation`, `delta`, `pipeline` and
+//! `telemetry` relay single-run spans from the migration's own report.
 //!
 //! `delta` is the incremental-migration gate: iterative pre-copy
 //! bitonic is driven over **all 16 architecture preset pairs** plus one
@@ -44,12 +53,13 @@
 //! distribution for the three paper workloads under seeded faults.
 //!
 //! `bench-diff <old.json> <new.json>` compares two `BENCH_<rev>.json`
-//! artifacts: every shared metric is delta'd, and regressions beyond
-//! `--threshold <pct>` (default 5) in the *deterministic counters*
-//! (search steps, lint findings, retransmits, payload bytes — never
-//! wall clocks) exit 1. `bench-diff --against-latest <new.json>` takes
-//! the old side from the last `bench_history.json` entry (falling back
-//! to the newest committed `BENCH_*.json` in git history).
+//! artifacts: every declared metric both carry is delta'd, and a
+//! regression beyond `--threshold <pct>` (default 5) in a gated counter
+//! or rate, any growth of a zero-tolerance counter, a flag decaying to
+//! `false`, or a gated column, row or section missing from the new side
+//! exits 1. `bench-diff --against-latest <new.json>` takes the old side
+//! from the last `bench_history.json` entry; a missing or unparsable
+//! index is exit 2.
 //!
 //! `translate` is the collection-performance gate: it prints the
 //! page-index counters for the three paper workloads, and **always**
@@ -70,11 +80,13 @@
 //! migration and writes a Chrome trace-event JSON file (load it at
 //! `ui.perfetto.dev` or `chrome://tracing`).
 //!
-//! `--json-out <path>` writes a machine-readable per-workload benchmark
-//! summary (Collect/Tx/Restore nanos, search steps, cache hit rate). If
-//! `<path>` is a directory, the file is named `BENCH_<rev>.json` after
-//! the current git revision.
+//! `--json-out <path>` writes the benchmark artifact: the deterministic
+//! counters of nine tables (`hpm_bench::ARTIFACT`), no wall clock, so
+//! two runs at one commit write the same bytes. If `<path>` is a
+//! directory, the file is named `BENCH_<rev>.json` after the current git
+//! revision.
 
+use hpm_bench::table::Table;
 use hpm_bench::*;
 
 fn main() {
@@ -85,93 +97,70 @@ fn main() {
         bench_diff_cmd(&args[1..]);
         return;
     }
-    let mut trace_out = None;
-    if let Some(i) = args.iter().position(|a| a == "--trace-out") {
-        if i + 1 >= args.len() {
-            eprintln!("--trace-out requires a path");
-            std::process::exit(2);
-        }
-        trace_out = Some(args.remove(i + 1));
-        args.remove(i);
-    }
-    let mut json_out = None;
-    if let Some(i) = args.iter().position(|a| a == "--json-out") {
-        if i + 1 >= args.len() {
-            eprintln!("--json-out requires a path");
-            std::process::exit(2);
-        }
-        json_out = Some(args.remove(i + 1));
-        args.remove(i);
-    }
-    let mut deny = false;
-    if let Some(i) = args.iter().position(|a| a == "--deny") {
-        deny = true;
-        args.remove(i);
-    }
-    let mut seed_count = 8u64;
-    if let Some(i) = args.iter().position(|a| a == "--seed-count") {
-        if i + 1 >= args.len() {
-            eprintln!("--seed-count requires a number");
-            std::process::exit(2);
-        }
-        seed_count = args.remove(i + 1).parse().unwrap_or_else(|_| {
-            eprintln!("--seed-count requires a number");
-            std::process::exit(2);
-        });
-        args.remove(i);
-    }
+    let trace_out: Option<String> = take_value(&mut args, "--trace-out", "a path");
+    let json_out: Option<String> = take_value(&mut args, "--json-out", "a path");
+    let deny = take_flag(&mut args, "--deny");
+    let seed_count =
+        take_value(&mut args, "--seed-count", "a number").unwrap_or(DEFAULT_SEED_COUNT);
     let want = |name: &str| {
         (args.is_empty() && trace_out.is_none() && json_out.is_none())
             || args.iter().any(|a| a == name)
             || args.iter().any(|a| a == "all")
     };
 
-    if want("validation") {
-        validation();
+    if want(VALIDATION.name) {
+        show(&VALIDATION);
     }
-    if want("table1") {
-        table1();
+    if want(TABLE1.name) {
+        show(&TABLE1);
     }
-    if want("fig2a") {
-        fig2a();
+    if want(FIG2A.name) {
+        show(&FIG2A);
     }
-    if want("fig2b") {
-        fig2b();
+    if want(FIG2B.name) {
+        show(&FIG2B);
     }
-    if want("complexity") {
-        complexity();
+    if want(COMPLEXITY.name) {
+        show(&COMPLEXITY);
     }
-    if want("overhead") {
-        overhead();
+    if want(OVERHEAD.name) {
+        show(&OVERHEAD);
     }
-    if want("ablation") {
-        ablation();
+    if want(ABLATION.name) {
+        show(&ABLATION);
     }
-    if want("translate") {
-        translate();
+    if want(TRANSLATE.name) {
+        let rows = translate_rows(true);
+        print!("{}", TRANSLATE.text(&rows));
+        enforce(TRANSLATE.name, translate_gate(&rows));
     }
-    if want("wire") {
-        wire();
+    if want(WIRE.name) {
+        enforce(WIRE.name, wire_gate(&show(&WIRE)));
     }
-    if want("delta") {
-        delta();
+    if want(DELTA.name) {
+        enforce(DELTA.name, delta_gate(&show(&DELTA)));
     }
-    if want("pipeline") {
-        pipeline();
+    if want(PIPELINE.name) {
+        show(&PIPELINE);
     }
-    if want("faults") {
-        faults(seed_count);
+    if want(FAULT_RATES.name) {
+        print!("{}", FAULT_RATES.text(&fault_rate_rows(seed_count)));
+        show(&FAULT_SEEDS);
     }
-    if want("resume") {
-        resume();
+    if want(RESUME.name) {
+        enforce(RESUME.name, resume_gate(&show(&RESUME)));
     }
-    if want("telemetry") {
-        telemetry();
+    if want(TELEMETRY.name) {
+        show(&TELEMETRY);
     }
-    if want("lint") {
-        lint(deny);
+    if want(LINT.name) {
+        let rows = show(&LINT);
+        if deny && rows.iter().any(|r| !r.clean()) {
+            eprintln!("paper_tables lint: deny: workload findings at warning severity or above");
+            std::process::exit(1);
+        }
     }
-    if want("modelcheck") {
+    if want(MODELCHECK.name) {
         modelcheck();
     }
     if let Some(path) = trace_out {
@@ -182,247 +171,40 @@ fn main() {
     }
 }
 
-fn wire() {
-    hr("Wire optimisation — v3 compression (gated)");
-    println!(
-        "{:<16} {:>10} {:>10} {:>7} {:>11} {:>11}",
-        "workload", "raw", "wire", "ratio", "compressed", "identical"
-    );
-    let rows = wire_rows();
-    for r in &rows {
-        println!(
-            "{:<16} {:>10} {:>10} {:>7.3} {:>11} {:>11}",
-            r.label, r.raw_bytes, r.wire_bytes, r.ratio, r.chunks_compressed, r.restored_identical
-        );
+/// Remove `flag` from the arguments; whether it was there.
+fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
+    let at = args.iter().position(|a| a == flag);
+    at.map(|i| args.remove(i)).is_some()
+}
+
+/// Remove `flag` and the value after it; exit 2 if the value is missing
+/// or is not `what`.
+fn take_value<T: std::str::FromStr>(args: &mut Vec<String>, flag: &str, what: &str) -> Option<T> {
+    let i = args.iter().position(|a| a == flag)?;
+    args.remove(i);
+    let value = (i < args.len()).then(|| args.remove(i));
+    let parsed = value.and_then(|v| v.parse().ok());
+    if parsed.is_none() {
+        eprintln!("{flag} requires {what}");
+        std::process::exit(2);
     }
-    println!("(the v3 chunk stream, answer-checked against the plain stored driver)");
-    let violations = wire_gate(&rows);
+    parsed
+}
+
+/// Run a table's rows and print it.
+fn show<R>(table: &Table<R>) -> Vec<R> {
+    let rows = (table.rows)();
+    print!("{}", table.text(&rows));
+    rows
+}
+
+/// Exit 1 on a table's gate violations.
+fn enforce(table: &str, violations: Vec<String>) {
+    for v in &violations {
+        eprintln!("paper_tables {table}: gate: {v}");
+    }
     if !violations.is_empty() {
-        for v in &violations {
-            eprintln!("paper_tables wire: gate: {v}");
-        }
         std::process::exit(1);
-    }
-}
-
-fn delta() {
-    hr("Incremental delta migration — iterative pre-copy, all preset pairs (gated)");
-    println!(
-        "{:<22} {:<8} {:<8} {:>9} {:>9} {:>9} {:>7} {:>5} {:>9} {:>9} {:>10}",
-        "workload",
-        "src",
-        "dst",
-        "full(B)",
-        "delta(B)",
-        "freeze(B)",
-        "rounds",
-        "conv",
-        "fallbacks",
-        "identical",
-        "freeze(s)"
-    );
-    let rows = delta_rows();
-    for r in &rows {
-        println!(
-            "{:<22} {:<8} {:<8} {:>9} {:>9} {:>9} {:>7} {:>5} {:>9} {:>9} {:>10}",
-            r.label,
-            r.src,
-            r.dst,
-            r.full_bytes,
-            r.delta_bytes,
-            r.freeze_bytes,
-            r.rounds,
-            r.converged,
-            r.fallbacks,
-            r.identical,
-            secs(r.freeze_time)
-        );
-    }
-    println!(
-        "(block digests are machine-independent, so every pair must reconstruct the image \
-         byte-identically per round; the freeze leg must ship ≤ 25% of the full image, and \
-         the tampered row must refuse its base and fall back to a full image exactly once)"
-    );
-    let violations = delta_gate(&rows);
-    if !violations.is_empty() {
-        for v in &violations {
-            eprintln!("paper_tables delta: gate: {v}");
-        }
-        std::process::exit(1);
-    }
-}
-
-fn pipeline() {
-    hr("Pipelined migration — monolithic vs streamed, Ultra 5 pair (paced)");
-    println!(
-        "{:<16} {:>10} {:>11} {:>12} {:>9} {:>8} {:>10}",
-        "workload", "link", "serial(s)", "pipeline(s)", "overlap", "chunks", "stall(s)"
-    );
-    for r in pipeline_rows() {
-        println!(
-            "{:<16} {:>10} {:>11} {:>12} {:>8.1}% {:>8} {:>10}",
-            r.label,
-            r.link,
-            secs(r.serial),
-            secs(r.pipelined),
-            r.overlap_ratio * 100.0,
-            r.chunks,
-            secs(r.stall)
-        );
-    }
-    println!("(collect, transfer, and restore overlap; the hidden fraction peaks when the phase times are balanced)");
-}
-
-fn faults(seed_count: u64) {
-    hr("Fault recovery — overhead vs fault rate, test_pointer, 10 Mb/s");
-    println!(
-        "{:<10} {:>6} {:>10} {:>8} {:>12} {:>13} {:>10}",
-        "rate(‰)", "runs", "fallbacks", "faults", "retransmits", "overhead(s)", "overhead"
-    );
-    for r in fault_rate_rows(seed_count) {
-        println!(
-            "{:<10} {:>6} {:>10} {:>8} {:>12} {:>13} {:>9.2}%",
-            r.rate_per_mille,
-            r.runs,
-            r.fallbacks,
-            r.faults_injected,
-            r.retransmits,
-            secs(r.mean_overhead),
-            r.overhead_pct
-        );
-    }
-    println!("(every run restored byte-identically or resumed cleanly on the source)");
-
-    hr("Fault recovery — CI soak seeds, full FaultPlan::from_seed schedules");
-    println!(
-        "{:<20} {:>12} {:>11} {:>9} {:>8} {:>12} {:>8} {:>12}",
-        "seed",
-        "pressure(‰)",
-        "disconnect",
-        "fallback",
-        "faults",
-        "retransmits",
-        "crc-hit",
-        "overhead(s)"
-    );
-    for r in fault_seed_rows(&CI_SOAK_SEEDS) {
-        println!(
-            "{:<#20x} {:>12} {:>11} {:>9} {:>8} {:>12} {:>8} {:>12}",
-            r.seed,
-            r.pressure_per_mille,
-            r.disconnect_at
-                .map(|k| format!("chunk {k}"))
-                .unwrap_or_else(|| "-".into()),
-            r.fallback_taken,
-            r.faults_injected,
-            r.retransmits,
-            r.corrupt_caught,
-            secs(r.overhead)
-        );
-    }
-    println!("(answers verified against an unmigrated run; a panic here fails CI)");
-}
-
-fn resume() {
-    hr("Resumable restore — bytes saved vs crash point (gated)");
-    println!(
-        "{:<18} {:>7} {:>7} {:>9} {:>9} {:>10} {:>12} {:>7} {:>8} {:>5} {:>6}",
-        "workload@crash",
-        "chunk",
-        "total",
-        "journaled",
-        "replayed",
-        "reshipped",
-        "saved(B)",
-        "saved",
-        "replays",
-        "rung",
-        "ok"
-    );
-    let rows = resume_rows();
-    for r in &rows {
-        println!(
-            "{:<18} {:>7} {:>7} {:>9} {:>9} {:>10} {:>12} {:>6.1}% {:>8} {:>5} {:>6}",
-            r.label,
-            r.crash_chunk,
-            r.total_chunks,
-            r.journal_chunks,
-            r.chunks_replayed,
-            r.chunks_retransferred,
-            r.bytes_saved,
-            r.saved_fraction * 100.0,
-            r.wire_replays,
-            r.rung,
-            r.answer_ok
-        );
-    }
-    println!(
-        "(the destination is killed before consuming chunk k and rebuilt from its journal; \
-         every verified chunk replays locally and none may cross the wire twice)"
-    );
-    let violations = resume_gate(&rows);
-    if !violations.is_empty() {
-        for v in &violations {
-            eprintln!("paper_tables resume: gate: {v}");
-        }
-        std::process::exit(1);
-    }
-}
-
-fn telemetry() {
-    hr("Percentile wire telemetry — seeded faults, Ultra 5 pair, 100 Mb/s");
-    println!(
-        "{:<16} {:>7} {:>10} {:>10} {:>11} {:>11} {:>12} {:>9} {:>9} {:>9}",
-        "workload",
-        "chunks",
-        "wire-p50",
-        "wire-p99",
-        "encode-p50",
-        "decode-p50",
-        "retransmits",
-        "retry-p50",
-        "retry-p99",
-        "retry-max"
-    );
-    for r in telemetry_rows() {
-        println!(
-            "{:<16} {:>7} {:>9}u {:>9}u {:>10}u {:>10}u {:>12} {:>9} {:>9} {:>9}",
-            r.label,
-            r.chunks,
-            r.wire_p50_ns / 1_000,
-            r.wire_p99_ns / 1_000,
-            r.encode_p50_ns / 1_000,
-            r.decode_p50_ns / 1_000,
-            r.retransmits,
-            r.retry_p50,
-            r.retry_p99,
-            r.retry_max
-        );
-    }
-    println!("(latencies in µs; wire percentiles are modeled, retry counts seed-deterministic)");
-}
-
-/// Newest-first committed `BENCH_*.json` paths from git history — the
-/// fallback when no `bench_history.json` index exists.
-fn bench_files_from_git() -> Vec<String> {
-    let out = std::process::Command::new("git")
-        .args([
-            "log",
-            "--format=",
-            "--name-only",
-            "--diff-filter=A",
-            "--",
-            "BENCH_*.json",
-        ])
-        .output();
-    match out {
-        Ok(o) if o.status.success() => String::from_utf8_lossy(&o.stdout)
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty())
-            .map(str::to_string)
-            .collect(),
-        _ => Vec::new(),
     }
 }
 
@@ -439,23 +221,8 @@ fn read_bench(path: &str) -> diff::Json {
 
 fn bench_diff_cmd(args: &[String]) {
     let mut args: Vec<String> = args.to_vec();
-    let mut threshold = 5.0f64;
-    if let Some(i) = args.iter().position(|a| a == "--threshold") {
-        if i + 1 >= args.len() {
-            eprintln!("--threshold requires a percentage");
-            std::process::exit(2);
-        }
-        threshold = args.remove(i + 1).parse().unwrap_or_else(|_| {
-            eprintln!("--threshold requires a percentage");
-            std::process::exit(2);
-        });
-        args.remove(i);
-    }
-    let mut against_latest = false;
-    if let Some(i) = args.iter().position(|a| a == "--against-latest") {
-        against_latest = true;
-        args.remove(i);
-    }
+    let threshold = take_value(&mut args, "--threshold", "a percentage").unwrap_or(5.0f64);
+    let against_latest = take_flag(&mut args, "--against-latest");
     let (old_path, new_path) = if against_latest {
         let [new_path] = &args[..] else {
             eprintln!("usage: paper_tables bench-diff --against-latest <new.json>");
@@ -465,18 +232,15 @@ fn bench_diff_cmd(args: &[String]) {
             .file_name()
             .map(|n| n.to_string_lossy().to_string())
             .unwrap_or_default();
-        // Prefer the committed history index; fall back to git log order.
-        let candidates: Vec<String> = match std::fs::read_to_string("bench_history.json") {
-            Ok(body) => match diff::parse_history(&body) {
-                Ok(h) => h.entries.into_iter().rev().map(|(_, f)| f).collect(),
-                Err(e) => {
-                    eprintln!("bench-diff: {e}");
-                    std::process::exit(2);
-                }
-            },
-            Err(_) => bench_files_from_git(),
-        };
-        let old = candidates
+        let history = std::fs::read_to_string("bench_history.json")
+            .map_err(|e| format!("cannot read bench_history.json: {e}"))
+            .and_then(|body| diff::parse_history(&body))
+            .unwrap_or_else(|e| {
+                eprintln!("bench-diff: {e}");
+                std::process::exit(2);
+            });
+        let newest_first = history.entries.into_iter().rev().map(|(_, file)| file);
+        let old = newest_first
             .into_iter()
             .find(|f| *f != new_name && *f != *new_path)
             .unwrap_or_else(|| {
@@ -500,63 +264,8 @@ fn bench_diff_cmd(args: &[String]) {
     }
 }
 
-fn lint(deny: bool) {
-    hr("Migration-safety analyzer — workloads frozen at their migration points");
-    println!(
-        "{:<16} {:>18} {:>6} {:>10} {:>8} {:>10} {:>7}",
-        "workload", "registry-findings", "info", "warnings", "errors", "wall(s)", "clean"
-    );
-    let rows = lint_rows();
-    for r in &rows {
-        println!(
-            "{:<16} {:>18} {:>6} {:>10} {:>8} {:>10} {:>7}",
-            r.label,
-            r.registry_findings,
-            r.info,
-            r.warnings,
-            r.errors,
-            secs(r.wall),
-            r.clean()
-        );
-    }
-    println!("(registry audit of the live MSRLT + TI-table portability audit, all preset pairs)");
-    if deny && rows.iter().any(|r| !r.clean()) {
-        eprintln!("paper_tables lint: deny: workload findings at warning severity or above");
-        std::process::exit(1);
-    }
-}
-
 fn modelcheck() {
-    hr("Model check — ARQ/resume product machine (gated)");
-    println!(
-        "{:<26} {:>9} {:>9} {:>14} {:>11} {:>11} {:>7} {:>7}",
-        "scenario",
-        "kind",
-        "states",
-        "interleavings",
-        "reductions",
-        "violations",
-        "seeded",
-        "caught"
-    );
-    let rows = modelcheck_rows();
-    for r in &rows {
-        println!(
-            "{:<26} {:>9} {:>9} {:>14} {:>11} {:>11} {:>7} {:>7}",
-            r.scenario,
-            r.kind,
-            r.states,
-            r.interleavings,
-            r.reductions,
-            r.violations,
-            r.expected_catch,
-            r.caught
-        );
-    }
-    println!(
-        "(every fault sequence of the ARQ × resume machine; the seeded double release must \
-         stay caught; counterexamples replay with `hpm-model --replay <trace>`)"
-    );
+    let rows = show(&MODELCHECK);
     let violations = modelcheck_gate(&rows);
     if !violations.is_empty() {
         // Persist the counterexample traces so CI can upload them as
@@ -576,11 +285,8 @@ fn modelcheck() {
                 }
             }
         }
-        for v in &violations {
-            eprintln!("paper_tables modelcheck: gate: {v}");
-        }
-        std::process::exit(1);
     }
+    enforce(MODELCHECK.name, violations);
 }
 
 fn short_rev() -> String {
@@ -612,7 +318,7 @@ fn json(path: &str) {
 }
 
 fn trace(path: &str) {
-    hr("Migration trace — test_pointer, DEC 5000/120 → SPARC 20, 10 Mb/s");
+    println!("\n=== Migration trace — test_pointer, DEC 5000/120 → SPARC 20, 10 Mb/s ===");
     let run = traced_test_pointer_run();
     println!("{}", run.report.render());
     let log = run.report.log.as_ref().expect("the run was given a log");
@@ -626,189 +332,4 @@ fn trace(path: &str) {
         log.len(),
         log.tracks.len()
     );
-}
-
-fn hr(title: &str) {
-    println!("\n=== {title} ===");
-}
-
-fn validation() {
-    hr("§4.1 Heterogeneity validation — DEC 5000/120 (LE) → SPARC 20 (BE), 10 Mb/s");
-    println!(
-        "{:<18} {:>10} {:>8} {:>11} {:>12} {:>12}",
-        "program", "bytes", "blocks", "shared-refs", "mig-time(s)", "consistent"
-    );
-    for r in validation_rows() {
-        println!(
-            "{:<18} {:>10} {:>8} {:>11} {:>12} {:>12}",
-            r.label,
-            r.payload_bytes,
-            r.blocks,
-            r.shared_refs,
-            secs(r.migration_time),
-            r.consistent
-        );
-    }
-    println!("(paper: all programs run correctly; no duplication; float accuracy preserved)");
-}
-
-fn table1() {
-    hr("Table 1 — timing (seconds), Ultra 5 → Ultra 5, 100 Mb/s");
-    println!(
-        "{:<18} {:>12} {:>9} {:>9} {:>9} {:>9}",
-        "program", "bytes", "Collect", "Tx", "Restore", "Total"
-    );
-    for r in table1_rows() {
-        println!(
-            "{:<18} {:>12} {:>9} {:>9} {:>9} {:>9}",
-            r.label,
-            r.payload_bytes,
-            secs(r.collect),
-            secs(r.tx),
-            secs(r.restore),
-            secs(r.total())
-        );
-    }
-    println!("(paper: linpack 1000x1000 total 2.418 s; bitonic 100000 total 0.467 s)");
-}
-
-fn fig2a() {
-    hr("Figure 2(a) — linpack: collection/restoration vs data size");
-    println!(
-        "{:<18} {:>12} {:>12} {:>12}",
-        "matrix", "bytes", "Collect(s)", "Restore(s)"
-    );
-    for r in fig2a_rows() {
-        println!(
-            "{:<18} {:>12} {:>12} {:>12}",
-            r.label,
-            r.payload_bytes,
-            secs(r.collect),
-            secs(r.restore)
-        );
-    }
-    println!("(paper: both scale linearly with ΣDᵢ; constant gap between the curves)");
-}
-
-fn fig2b() {
-    hr("Figure 2(b) — bitonic: collection/restoration vs number sorted");
-    println!(
-        "{:<18} {:>10} {:>12} {:>12} {:>14}",
-        "sorted", "blocks", "Collect(s)", "Restore(s)", "collect/restore"
-    );
-    for r in fig2b_rows() {
-        let ratio = r.collect.as_secs_f64() / r.restore.as_secs_f64().max(1e-12);
-        println!(
-            "{:<18} {:>10} {:>12} {:>12} {:>14.3}",
-            r.size,
-            r.blocks,
-            secs(r.collect),
-            secs(r.restore),
-            ratio
-        );
-    }
-    println!("(paper: collection (O(n log n) searches) grows above restoration (O(n) updates))");
-}
-
-fn complexity() {
-    hr("§4.2 Complexity model — instrumented MSRLT counters");
-    println!(
-        "{:<16} {:>9} {:>11} {:>10} {:>12} {:>15} {:>9} {:>15}",
-        "workload",
-        "nodes",
-        "bytes",
-        "searches",
-        "steps",
-        "steps/search",
-        "log2(n)",
-        "restore-updates"
-    );
-    for r in complexity_rows() {
-        println!(
-            "{:<16} {:>9} {:>11} {:>10} {:>12} {:>15.2} {:>9.2} {:>15}",
-            r.label,
-            r.nodes,
-            r.bytes,
-            r.searches,
-            r.steps,
-            r.steps_per_search,
-            r.log2_n,
-            r.restore_updates
-        );
-    }
-    println!(
-        "(page-indexed default: steps/search stays O(1), so Collect = O(n); the binary \
-         fallback's log2(n) term is in `ablation`; restore-updates ≈ n: Restore = O(n))"
-    );
-}
-
-fn overhead() {
-    hr("§4.3 Execution overhead — poll placement, allocation policy & event-log level");
-    println!(
-        "{:<40} {:>10} {:>12} {:>14} {:>10}",
-        "configuration", "wall(s)", "polls", "registrations", "overhead"
-    );
-    for r in overhead_rows() {
-        println!(
-            "{:<40} {:>10} {:>12} {:>14} {:>9.1}%",
-            r.label,
-            secs(r.wall),
-            r.polls,
-            r.registrations,
-            r.overhead_pct
-        );
-    }
-    println!("(paper: overhead depends on poll placement and number of memory allocations)");
-}
-
-fn ablation() {
-    hr("Ablations — DESIGN.md design choices");
-    println!(
-        "{:<24} {:>12} {:>14}",
-        "variant", "collect(s)", "search-steps"
-    );
-    for r in ablation_rows() {
-        println!("{:<24} {:>12} {:>14}", r.label, secs(r.collect), r.steps);
-    }
-}
-
-fn translate() {
-    hr("Translation performance — page index (gated)");
-    println!(
-        "{:<16} {:>10} {:>10} {:>12} {:>13} {:>10} {:>11} {:>14} {:>10}",
-        "workload",
-        "bytes",
-        "searches",
-        "steps",
-        "steps/search",
-        "cache-hit",
-        "collect(s)",
-        "per-element(s)",
-        "identical"
-    );
-    let rows = translate_rows();
-    for r in &rows {
-        println!(
-            "{:<16} {:>10} {:>10} {:>12} {:>13.2} {:>9.1}% {:>11} {:>14} {:>10}",
-            r.label,
-            r.payload_bytes,
-            r.searches,
-            r.search_steps,
-            r.steps_per_search,
-            r.cache_hit_rate * 100.0,
-            secs(r.collect),
-            secs(r.collect_per_element),
-            r.modes_identical
-        );
-    }
-    println!(
-        "(steps/search ≈ 1: every lookup is one page walk — collection's search term is O(n))"
-    );
-    let violations = translate_gate(&rows);
-    if !violations.is_empty() {
-        for v in &violations {
-            eprintln!("paper_tables translate: gate: {v}");
-        }
-        std::process::exit(1);
-    }
 }

@@ -1,18 +1,23 @@
 //! Bench-diff: compare two `BENCH_<rev>.json` artifacts and gate on
-//! regressions in the *deterministic* counters.
+//! regressions.
 //!
-//! The benchmark artifact mixes two kinds of numbers. Wall-clock fields
-//! (`*_ns`, `overhead_pct`) vary run to run and machine to machine, so
-//! the diff **reports** them but never gates on them. Counter fields
-//! (searches, search steps, retransmits, lint findings, payload bytes)
-//! are pure functions of the code and the seeds, so a change there is a
-//! real behavioural change — those are **gated**: any worsening beyond
-//! the threshold fails the diff, and CI turns that into a red build.
+//! Everything in an artifact is a function of the code and the seeds
+//! (wall clocks are printed by `paper_tables`, never written), so a change
+//! is a real behavioural change. What a change means is read from the
+//! section's declaration in [`crate::ARTIFACT`]: a [`Kind::Counter`] may
+//! not grow, nor a [`Kind::Rate`] shrink, beyond the threshold; a
+//! [`Kind::ZeroTolerance`] counter may not grow at all; a [`Kind::Flag`]
+//! may not decay from `true` to `false`; [`Kind::Info`] is reported. A
+//! gated column, a row that carried one, or a whole section present in
+//! the old artifact and absent from the new one is itself a violation —
+//! a gate does not retire by deleting what it reads. Keys no declaration
+//! names (older schemas' wall clocks) are ignored.
 //!
 //! The module carries its own minimal JSON reader (the workspace is
 //! dependency-free by design); it supports exactly the subset the bench
 //! artifacts use — objects, arrays, strings, numbers, booleans, null.
 
+use crate::table::Kind;
 use std::fmt::Write as _;
 
 /// A parsed JSON value (just enough for the bench artifacts).
@@ -257,77 +262,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// How a gated metric can get worse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Direction {
-    /// An increase beyond the threshold is a regression (counters).
-    MoreIsWorse,
-    /// A decrease beyond the threshold is a regression (hit rates).
-    LessIsWorse,
-}
-
-/// The gate table: (section, metric, direction, zero_tolerance).
-/// `zero_tolerance` metrics regress on *any* worsening (lint findings,
-/// fallbacks); the rest get the caller's percentage threshold. Every
-/// metric here is a deterministic counter — wall-clock fields are
-/// deliberately absent.
-const GATES: &[(&str, &str, Direction, bool)] = &[
-    ("workloads", "payload_bytes", Direction::MoreIsWorse, false),
-    ("workloads", "searches", Direction::MoreIsWorse, false),
-    ("workloads", "search_steps", Direction::MoreIsWorse, false),
-    ("workloads", "cache_hit_rate", Direction::LessIsWorse, false),
-    ("translate", "search_steps", Direction::MoreIsWorse, false),
-    (
-        "translate",
-        "steps_per_search",
-        Direction::MoreIsWorse,
-        false,
-    ),
-    ("faults", "fallbacks", Direction::MoreIsWorse, true),
-    ("faults", "retransmits", Direction::MoreIsWorse, false),
-    ("lint", "warnings", Direction::MoreIsWorse, true),
-    ("lint", "errors", Direction::MoreIsWorse, true),
-    ("telemetry", "retransmits", Direction::MoreIsWorse, false),
-    ("telemetry", "retry_max", Direction::MoreIsWorse, false),
-    // Wire bytes are a pure function of the collector output and the
-    // compressor, so more of either is a real change to one of them —
-    // and the identity boolean gates via the true->false rule. Their
-    // quotient `ratio` is reported but not gated: it also rises when
-    // the collector stops sending redundancy the compressor used to
-    // remove (image version 3's compact records: bitonic 0.46 -> 0.64
-    // with `wire_bytes` down 37 %), which is no regression of anything.
-    ("wire", "raw_bytes", Direction::MoreIsWorse, false),
-    ("wire", "wire_bytes", Direction::MoreIsWorse, false),
-    // Delta migration: the wire accounting is deterministic (digest
-    // tables and dirty sets are pure functions of the workload), and a
-    // digest-refusal fallback appearing on a clean row means the delta
-    // path silently stopped engaging — zero tolerance. The `identical`,
-    // `converged`, and `froze` booleans gate via the true->false rule.
-    ("delta", "fallbacks", Direction::MoreIsWorse, true),
-    ("delta", "rounds", Direction::MoreIsWorse, false),
-    ("delta", "full_bytes", Direction::MoreIsWorse, false),
-    ("delta", "delta_bytes", Direction::MoreIsWorse, false),
-    ("delta", "freeze_bytes", Direction::MoreIsWorse, false),
-    // A journal resume must never re-receive a verified chunk, and a
-    // deterministic crash plan climbing to a higher ladder rung means
-    // the resume path stopped working; both are zero-tolerance. The
-    // `answer_ok` boolean gates via the true->false rule.
-    ("resume", "wire_replays", Direction::MoreIsWorse, true),
-    ("resume", "rung", Direction::MoreIsWorse, true),
-    (
-        "resume",
-        "chunks_retransferred",
-        Direction::MoreIsWorse,
-        false,
-    ),
-    ("resume", "saved_fraction", Direction::LessIsWorse, false),
-    // A model-check violation is a *proven* invariant breach (the
-    // checker exhausts the state space), so tolerance is zero. The
-    // `caught` boolean gates via the true->false rule: the seeded bug
-    // must stay caught, or the checker has gone blind.
-    ("modelcheck", "violations", Direction::MoreIsWorse, true),
-];
-
 /// One numeric metric compared across the two artifacts.
 #[derive(Debug, Clone)]
 pub struct MetricDelta {
@@ -361,115 +295,111 @@ pub struct DiffReport {
     pub deltas: Vec<MetricDelta>,
     /// Gate violations, human-readable (nonempty ⇒ CI fails).
     pub violations: Vec<String>,
-    /// Sections/entries present on one side only (older schemas lack
-    /// newer sections — reported, never fatal). The one exception: a
-    /// *gated* section present in the old artifact but absent from the
-    /// new one lands in `violations` as a `MissingSection` error.
+    /// Sections/entries present on one side only where that retires no
+    /// gate (older schemas lack newer sections; a row that carried only
+    /// ungated values left) — reported, never fatal.
     pub skipped: Vec<String>,
 }
 
-fn entry_key(item: &Json) -> String {
-    if let Some(name) = item.get("name").and_then(Json::as_str) {
-        return name.to_string();
-    }
-    if let Some(rate) = item.get("rate_per_mille").and_then(Json::as_f64) {
-        return format!("rate_{rate}");
-    }
-    if let Some(seed) = item.get("seed").and_then(Json::as_f64) {
-        return format!("seed_{seed}");
-    }
-    "?".to_string()
+type Columns = [(&'static str, Kind)];
+
+/// What names an entry: its [`Kind::Key`] values.
+fn entry_key(columns: &Columns, item: &Json) -> String {
+    let keys = columns.iter().filter(|(_, kind)| *kind == Kind::Key);
+    let parts: Vec<String> = keys
+        .filter_map(|(name, _)| match item.get(name)? {
+            Json::Str(s) => Some(s.clone()),
+            Json::Num(n) => Some(format!("{name}={}", trim_num(*n))),
+            _ => None,
+        })
+        .collect();
+    parts.join(" ")
 }
 
-fn gate_for(section: &str, metric: &str) -> Option<(Direction, bool)> {
-    GATES
+/// Whether the old entry carried a value some gate reads.
+fn carries_a_gate(columns: &Columns, item: &Json) -> bool {
+    columns
         .iter()
-        .find(|(s, m, _, _)| *s == section && *m == metric)
-        .map(|(_, _, d, z)| (*d, *z))
+        .any(|(name, kind)| kind.gated() && item.get(name).is_some())
+}
+
+fn section_items<'a>(doc: &'a Json, section: &str) -> Option<&'a [Json]> {
+    doc.get(section).and_then(Json::as_arr)
 }
 
 /// Compare two parsed bench artifacts. `threshold_pct` is the worsening
 /// allowed on thresholded gates (e.g. `5.0` = 5%); zero-tolerance gates
 /// ignore it.
 pub fn bench_diff(old: &Json, new: &Json, threshold_pct: f64) -> DiffReport {
+    let rev = |doc: &Json| {
+        let rev = doc.get(crate::REVISION).and_then(Json::as_str);
+        rev.unwrap_or("?").to_string()
+    };
     let mut report = DiffReport {
-        old_rev: old
-            .get("revision")
-            .and_then(Json::as_str)
-            .unwrap_or("?")
-            .to_string(),
-        new_rev: new
-            .get("revision")
-            .and_then(Json::as_str)
-            .unwrap_or("?")
-            .to_string(),
+        old_rev: rev(old),
+        new_rev: rev(new),
         ..DiffReport::default()
     };
-
-    let sections = match new {
-        Json::Obj(fields) => fields,
-        _ => {
-            report
-                .violations
-                .push("new artifact is not an object".into());
-            return report;
-        }
-    };
-
-    for (section, new_val) in sections {
-        if section == "revision" {
-            continue;
-        }
-        let new_items = match new_val.as_arr() {
-            Some(items) => items,
-            None => continue,
-        };
-        let old_items = match old.get(section).and_then(Json::as_arr) {
-            Some(items) => items,
-            None => {
-                report
-                    .skipped
-                    .push(format!("section '{section}' absent in {}", report.old_rev));
-                continue;
-            }
-        };
-        for new_item in new_items {
-            let key = entry_key(new_item);
-            let old_item = match old_items.iter().find(|o| entry_key(o) == key) {
-                Some(o) => o,
-                None => {
-                    report
-                        .skipped
-                        .push(format!("{section}/{key} absent in {}", report.old_rev));
-                    continue;
-                }
-            };
-            diff_entry(
-                section,
-                &key,
-                old_item,
-                new_item,
-                threshold_pct,
-                &mut report,
-            );
-        }
+    if !matches!(new, Json::Obj(_)) {
+        report
+            .violations
+            .push("new artifact is not an object".into());
+        return report;
     }
-    // The reverse direction is NOT symmetric: an old artifact missing a
-    // section is just an older schema, but a *gated* section vanishing
-    // from the new artifact would silently retire its gates — deleting
-    // the lint or modelcheck table must read as a regression, not a
-    // skip.
-    if let Json::Obj(old_fields) = old {
-        for (section, old_val) in old_fields {
-            if section == "revision" || old_val.as_arr().is_none() {
-                continue;
-            }
-            let gated = GATES.iter().any(|(s, _, _, _)| s == section);
-            if gated && new.get(section).and_then(Json::as_arr).is_none() {
+
+    for section in crate::ARTIFACT {
+        let (name, columns) = (section.name(), section.columns());
+        let items = |doc| section_items(doc, name);
+        let (old_items, new_items) = match (items(old), items(new)) {
+            (Some(o), Some(n)) => (o, n),
+            // An old artifact missing a section is just an older schema;
+            // a section vanishing from the new one would silently retire
+            // its gates — deleting the lint or modelcheck table must read
+            // as a regression, not a skip.
+            (Some(_), None) => {
                 report.violations.push(format!(
-                    "MissingSection: gated section '{section}' present in {} but absent in {}",
+                    "MissingSection: gated section '{name}' present in {} but absent in {}",
                     report.old_rev, report.new_rev
                 ));
+                continue;
+            }
+            (None, Some(_)) => {
+                report
+                    .skipped
+                    .push(format!("section '{name}' absent in {}", report.old_rev));
+                continue;
+            }
+            (None, None) => continue,
+        };
+        let keyed = |item: &Json| entry_key(&columns, item);
+        for new_item in new_items {
+            let key = keyed(new_item);
+            match old_items.iter().find(|o| keyed(o) == key) {
+                Some(old_item) => diff_entry(
+                    (name, &columns),
+                    &key,
+                    old_item,
+                    new_item,
+                    threshold_pct,
+                    &mut report,
+                ),
+                None => report
+                    .skipped
+                    .push(format!("{name}/{key} absent in {}", report.old_rev)),
+            }
+        }
+        for old_item in old_items {
+            let key = keyed(old_item);
+            if new_items.iter().any(|n| keyed(n) == key) {
+                continue;
+            }
+            let gone = format!("{name}/{key} absent in {}", report.new_rev);
+            if carries_a_gate(&columns, old_item) {
+                report
+                    .violations
+                    .push(format!("MissingEntry: gated {gone}"));
+            } else {
+                report.skipped.push(gone);
             }
         }
     }
@@ -477,23 +407,28 @@ pub fn bench_diff(old: &Json, new: &Json, threshold_pct: f64) -> DiffReport {
 }
 
 fn diff_entry(
-    section: &str,
+    (section, columns): (&str, &Columns),
     key: &str,
     old_item: &Json,
     new_item: &Json,
     threshold_pct: f64,
     report: &mut DiffReport,
 ) {
-    let fields = match new_item {
-        Json::Obj(fields) => fields,
-        _ => return,
-    };
-    for (metric, new_val) in fields {
+    for &(metric, kind) in columns {
+        let (Some(old_val), new_val) = (old_item.get(metric), new_item.get(metric)) else {
+            continue; // an older schema never had it
+        };
+        let Some(new_val) = new_val else {
+            if kind.gated() {
+                report.violations.push(format!(
+                    "MissingMetric: gated {section}/{key}: {metric} absent in {}",
+                    report.new_rev
+                ));
+            }
+            continue;
+        };
         // Booleans gate on truth decay: true → false is a regression.
-        if let (Some(o), Some(n)) = (
-            old_item.get(metric).and_then(Json::as_bool),
-            new_val.as_bool(),
-        ) {
+        if let (Some(o), Some(n)) = (old_val.as_bool(), new_val.as_bool()) {
             if o && !n {
                 report
                     .violations
@@ -501,10 +436,7 @@ fn diff_entry(
             }
             continue;
         }
-        let (Some(o), Some(n)) = (
-            old_item.get(metric).and_then(Json::as_f64),
-            new_val.as_f64(),
-        ) else {
+        let (Some(o), Some(n)) = (old_val.as_f64(), new_val.as_f64()) else {
             continue;
         };
         let pct = if o == 0.0 {
@@ -516,24 +448,18 @@ fn diff_entry(
         } else {
             (n / o - 1.0) * 100.0
         };
-        let gate = gate_for(section, metric);
+        // (how far the metric moved in its bad direction, what is allowed)
+        let gate = match kind {
+            Kind::Counter => Some((pct, threshold_pct)),
+            Kind::Rate => Some((-pct, threshold_pct)),
+            Kind::ZeroTolerance => Some((pct, 0.0)),
+            _ => None,
+        };
         let mut violation = false;
-        if let Some((direction, zero_tolerance)) = gate {
-            let allowed = if zero_tolerance { 0.0 } else { threshold_pct };
-            let worsened_pct = match direction {
-                Direction::MoreIsWorse => pct,
-                Direction::LessIsWorse => -pct,
-            };
-            // old == 0: any worsening in the bad direction is infinite
-            // relative growth; flag it when the raw values differ.
-            violation = if o == 0.0 {
-                match direction {
-                    Direction::MoreIsWorse => n > 0.0,
-                    Direction::LessIsWorse => false,
-                }
-            } else {
-                worsened_pct > allowed + 1e-9
-            };
+        if let Some((worsened, allowed)) = gate {
+            // From zero any growth is infinite relative growth, and a
+            // rate cannot fall below it.
+            violation = worsened > allowed + 1e-9;
             if violation {
                 report.violations.push(format!(
                     "{section}/{key}: {metric} {o} -> {n} ({pct:+.1}%, allowed {allowed:.1}%)"
@@ -543,7 +469,7 @@ fn diff_entry(
         report.deltas.push(MetricDelta {
             section: section.to_string(),
             entry: key.to_string(),
-            metric: metric.clone(),
+            metric: metric.to_string(),
             old: o,
             new: n,
             pct,
@@ -554,8 +480,8 @@ fn diff_entry(
 }
 
 /// Render the diff as an aligned human table: gated metrics always,
-/// ungated ones only when they moved more than 1% (wall-clock noise
-/// suppression), violations flagged in the last column.
+/// informational ones only when they moved more than 1%, violations
+/// flagged in the last column.
 pub fn render_diff(report: &DiffReport) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -664,7 +590,7 @@ mod tests {
             {"name": "w", "payload_bytes": 1000, "collect_ns": 500, "searches": 10,
              "search_steps": 20, "cache_hit_rate": 0.9}
         ],
-        "lint": [{"name": "w", "warnings": 0, "errors": 0, "wall_ns": 5}]
+        "lint": [{"name": "w", "warnings": 0, "errors": 0}]
     }"#;
 
     #[test]
@@ -688,7 +614,7 @@ mod tests {
     }
 
     #[test]
-    fn counter_regressions_fail_and_wall_clock_noise_does_not() {
+    fn counter_regressions_fail_and_undeclared_keys_are_not_compared() {
         let old = parse_json(OLD).unwrap();
         let new = parse_json(
             &OLD.replace("\"search_steps\": 20", "\"search_steps\": 40")
@@ -697,16 +623,11 @@ mod tests {
         )
         .unwrap();
         let report = bench_diff(&old, &new, 5.0);
-        // search_steps doubled: gated, fails. collect_ns exploded: wall
-        // clock, reported but never gated.
+        // search_steps doubled: gated, fails. collect_ns is a key older
+        // artifacts carried and no declaration names: not a metric.
         assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
         assert!(report.violations[0].contains("search_steps"));
-        let collect = report
-            .deltas
-            .iter()
-            .find(|d| d.metric == "collect_ns")
-            .unwrap();
-        assert!(!collect.gated && !collect.violation);
+        assert!(report.deltas.iter().all(|d| d.metric != "collect_ns"));
         let rendered = render_diff(&report);
         assert!(rendered.contains("REGRESSION"));
         assert!(rendered.contains("aaa1111 -> bbb2222"));
@@ -763,6 +684,100 @@ mod tests {
         assert!(report.violations[0].starts_with("MissingSection"));
         assert!(report.violations[0].contains("'lint'"));
         assert!(render_diff(&report).contains("MissingSection"));
+    }
+
+    #[test]
+    fn dropping_a_gated_metric_from_a_surviving_row_is_fatal() {
+        let old = parse_json(OLD).unwrap();
+        let new = parse_json(&OLD.replace("\"search_steps\": 20, ", "")).unwrap();
+        let report = bench_diff(&old, &new, 5.0);
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        assert!(report.violations[0].starts_with("MissingMetric"));
+        assert!(report.violations[0].contains("workloads/w: search_steps"));
+        // A flag is a gate too; an informational column is not.
+        let old = parse_json(MODEL_OLD).unwrap();
+        let new = parse_json(&MODEL_OLD.replace(", \"caught\": true", "")).unwrap();
+        let report = bench_diff(&old, &new, 5.0);
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        assert!(report.violations[0].contains("claim_race_racy: caught"));
+        let new = parse_json(&MODEL_OLD.replace("\"states\": 12, ", "")).unwrap();
+        assert!(bench_diff(&old, &new, 5.0).violations.is_empty());
+    }
+
+    #[test]
+    fn dropping_a_row_from_a_gated_section_is_fatal_unless_it_carried_no_gate() {
+        let with_rows =
+            |rows: &str| parse_json(&format!(r#"{{"revision": "r", "delta": [{rows}]}}"#)).unwrap();
+        let gated = r#"{"name": "bitonic:a->b", "freeze_bytes": 10, "identical": true}"#;
+        let pseudo = r#"{"name": "freeze_time_percentiles", "p50_ns": 5, "max_ns": 9}"#;
+        let old = with_rows(&format!("{gated}, {pseudo}"));
+        // The wall-clock pseudo-row leaving retires nothing.
+        let report = bench_diff(&old, &with_rows(gated), 5.0);
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert!(report.skipped[0].contains("delta/freeze_time_percentiles"));
+        // The row the gates read leaving is a violation naming it.
+        let report = bench_diff(&old, &with_rows(pseudo), 5.0);
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        assert!(report.violations[0].starts_with("MissingEntry"));
+        assert!(report.violations[0].contains("delta/bitonic:a->b"));
+    }
+
+    /// The gate set read from the declarations is the one the hand-kept
+    /// table held before them: (section, metric, more-is-worse,
+    /// zero-tolerance).
+    #[test]
+    fn declared_gates_are_the_twenty_four_of_the_old_table() {
+        let mut declared: Vec<_> = crate::ARTIFACT
+            .iter()
+            .flat_map(|s| {
+                let gates = s.columns().into_iter().filter_map(|(metric, kind)| {
+                    let (more_is_worse, zero) = match kind {
+                        Kind::Counter => (true, false),
+                        Kind::Rate => (false, false),
+                        Kind::ZeroTolerance => (true, true),
+                        _ => return None,
+                    };
+                    Some((s.name(), metric, more_is_worse, zero))
+                });
+                gates.collect::<Vec<_>>()
+            })
+            .collect();
+        let mut expected = vec![
+            ("workloads", "payload_bytes", true, false),
+            ("workloads", "searches", true, false),
+            ("workloads", "search_steps", true, false),
+            ("workloads", "cache_hit_rate", false, false),
+            ("translate", "search_steps", true, false),
+            ("translate", "steps_per_search", true, false),
+            ("faults", "fallbacks", true, true),
+            ("faults", "retransmits", true, false),
+            ("lint", "warnings", true, true),
+            ("lint", "errors", true, true),
+            ("telemetry", "retransmits", true, false),
+            ("telemetry", "retry_max", true, false),
+            ("wire", "raw_bytes", true, false),
+            ("wire", "wire_bytes", true, false),
+            ("delta", "fallbacks", true, true),
+            ("delta", "rounds", true, false),
+            ("delta", "full_bytes", true, false),
+            ("delta", "delta_bytes", true, false),
+            ("delta", "freeze_bytes", true, false),
+            ("resume", "wire_replays", true, true),
+            ("resume", "rung", true, true),
+            ("resume", "chunks_retransferred", true, false),
+            ("resume", "saved_fraction", false, false),
+            ("modelcheck", "violations", true, true),
+        ];
+        declared.sort();
+        expected.sort();
+        assert_eq!(declared, expected);
+        // And no artifact key is timed or named twice within a section.
+        for s in crate::ARTIFACT {
+            let mut names: Vec<_> = s.columns().into_iter().map(|(n, _)| n).collect();
+            names.sort();
+            names.dedup();
+            assert_eq!(names.len(), s.columns().len(), "{}", s.name());
+        }
     }
 
     const MODEL_OLD: &str = r#"{"revision": "old", "modelcheck": [

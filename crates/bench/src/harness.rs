@@ -1,81 +1,73 @@
-//! Minimal dependency-free benchmark harness.
-//!
-//! The workspace builds offline, so the bench targets use this tiny
-//! `std::time::Instant` harness instead of an external framework: each
-//! benchmark runs a fixed number of timed samples and prints
-//! `min/median/mean` wall times. Single-shot full-size numbers still come
-//! from the `paper_tables` binary; these targets exist to compare scaled
-//! variants (`cargo bench -p hpm-bench`).
+//! The one timing authority of `hpm-bench`: the crate reads the clock
+//! here and nowhere else. A measurement is a [`Timing`] from [`sample`] —
+//! one warm-up call, then [`SAMPLES`] timed calls — printed as
+//! `floor ± spread`.
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// Re-exported so bench bodies can defeat constant folding.
-pub use std::hint::black_box;
-
-/// Number of timed samples per benchmark.
+/// Number of timed repetitions per measurement.
 pub const SAMPLES: usize = 10;
 
-/// A named group of benchmarks (mirrors the criterion group concept).
-pub struct Group {
-    name: String,
+/// What the timed repetitions of one body came to.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Timing {
+    /// Fastest repetition: the cost with the least interference.
+    pub floor: Duration,
+    /// Middle repetition.
+    pub median: Duration,
+    /// Interquartile range: how far apart ordinary repetitions landed. A
+    /// difference between two floors that is inside it is not resolved.
+    pub spread: Duration,
 }
 
-impl Group {
-    /// Start a group; prints a header.
-    pub fn new(name: &str) -> Self {
-        println!("group {name}");
-        Group {
-            name: name.to_string(),
-        }
+/// The factor and name of the unit — s, ms or µs — that prints `d` with
+/// one to three integer digits.
+pub(crate) fn unit_of(d: Duration) -> (f64, &'static str) {
+    match d.as_micros() {
+        1_000_000.. => (1.0, "s"),
+        1_000.. => (1e3, "ms"),
+        _ => (1e6, "µs"),
     }
+}
 
-    /// Run one benchmark: one warm-up call, then [`SAMPLES`] timed calls.
-    /// The closure's return value is passed through [`black_box`].
-    pub fn bench<T, F: FnMut() -> T>(&self, name: &str, mut f: F) {
-        black_box(f());
-        let mut times: Vec<Duration> = (0..SAMPLES)
-            .map(|_| {
-                let t0 = Instant::now();
-                black_box(f());
-                t0.elapsed()
-            })
-            .collect();
-        times.sort();
-        let min = times[0];
-        let median = times[times.len() / 2];
-        let mean = times.iter().sum::<Duration>() / times.len() as u32;
-        println!(
-            "  {}/{name:<28} min {:>12.3?}  median {:>12.3?}  mean {:>12.3?}",
-            self.name, min, median, mean
-        );
+impl std::fmt::Display for Timing {
+    /// `floor ±spread`, both in the unit that suits the floor.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (scale, unit) = unit_of(self.floor);
+        let (floor, spread) = (self.floor.as_secs_f64(), self.spread.as_secs_f64());
+        write!(f, "{:.3} ±{:.3} {unit}", floor * scale, spread * scale)
     }
+}
 
-    /// Like [`Group::bench`], but rebuilds fresh input for every timed
-    /// call (setup excluded from the measurement).
-    pub fn bench_with_setup<S, T, Setup: FnMut() -> S, F: FnMut(S) -> T>(
-        &self,
-        name: &str,
-        mut setup: Setup,
-        mut f: F,
-    ) {
-        black_box(f(setup()));
-        let mut times: Vec<Duration> = (0..SAMPLES)
-            .map(|_| {
-                let input = setup();
-                let t0 = Instant::now();
-                black_box(f(input));
-                t0.elapsed()
-            })
-            .collect();
-        times.sort();
-        let min = times[0];
-        let median = times[times.len() / 2];
-        let mean = times.iter().sum::<Duration>() / times.len() as u32;
-        println!(
-            "  {}/{name:<28} min {:>12.3?}  median {:>12.3?}  mean {:>12.3?}",
-            self.name, min, median, mean
-        );
+/// Time `body`: one untimed warm-up, then [`SAMPLES`] timed calls, each on
+/// fresh input from `setup` (which is not timed). `reported` picks the
+/// span out of a call's output when the callee measured it itself —
+/// restoration is interleaved with the resumed program's execution, so
+/// only the library can time it — and `None` takes the wall time of the
+/// call. Returns the timing and the last call's output, so counters can
+/// be read off a run that was also measured.
+pub fn sample<S, T>(
+    mut setup: impl FnMut() -> S,
+    mut body: impl FnMut(S) -> T,
+    reported: impl Fn(&T) -> Option<Duration>,
+) -> (Timing, T) {
+    let mut out = black_box(body(setup()));
+    let mut times = [Duration::ZERO; SAMPLES];
+    for t in &mut times {
+        let input = setup();
+        let t0 = Instant::now();
+        out = black_box(body(input));
+        let wall = t0.elapsed();
+        *t = reported(&out).unwrap_or(wall);
     }
+    times.sort();
+    let timing = Timing {
+        floor: times[0],
+        median: times[SAMPLES / 2],
+        spread: times[SAMPLES * 3 / 4] - times[SAMPLES / 4],
+    };
+    (timing, out)
 }
 
 #[cfg(test)]
@@ -83,29 +75,44 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bench_runs_and_reports() {
-        let g = Group::new("smoke");
-        let mut calls = 0u32;
-        g.bench("noop", || {
-            calls += 1;
-            calls
-        });
-        // 1 warm-up + SAMPLES timed calls.
-        assert_eq!(calls as usize, 1 + SAMPLES);
+    fn sampler_warms_up_once_and_times_every_repetition_on_fresh_input() {
+        let (mut setups, mut calls) = (0usize, 0usize);
+        let (timing, last) = sample(
+            || {
+                setups += 1;
+                vec![0u8; setups]
+            },
+            |v| {
+                calls += 1;
+                v.len()
+            },
+            |_| None,
+        );
+        assert_eq!((setups, calls), (1 + SAMPLES, 1 + SAMPLES));
+        assert_eq!(last, 1 + SAMPLES, "the output is the last repetition's");
+        assert!(timing.floor <= timing.median);
     }
 
     #[test]
-    fn setup_is_fresh_per_sample() {
-        let g = Group::new("smoke2");
-        let mut setups = 0u32;
-        g.bench_with_setup(
-            "consume",
-            || {
-                setups += 1;
-                vec![0u8; 16]
+    fn spread_is_the_interquartile_range_and_floor_the_minimum() {
+        // A body that sleeps 1 ms on every fourth call: two of the ten
+        // timed calls are slow, so the floor and both quartiles sit on fast ones.
+        let mut n = 0u32;
+        let (timing, ()) = sample(
+            || (),
+            |()| {
+                n += 1;
+                if n.is_multiple_of(4) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
             },
-            |v| v.len(),
+            |_| None,
         );
-        assert_eq!(setups as usize, 1 + SAMPLES);
+        assert!(timing.floor < Duration::from_millis(1), "{timing:?}");
+        assert!(timing.median < Duration::from_millis(1), "{timing:?}");
+        assert!(timing.spread < Duration::from_millis(1), "{timing:?}");
+        // A span the callee reports replaces the wall time of the call.
+        let (reported, ()) = sample(|| (), |()| (), |()| Some(Duration::from_secs(2)));
+        assert_eq!(format!("{reported}"), "2.000 ±0.000 s");
     }
 }

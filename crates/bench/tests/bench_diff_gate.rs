@@ -68,7 +68,8 @@ fn bench_diff_exits_nonzero_on_regressed_input() {
 #[test]
 fn bench_diff_passes_on_equivalent_input_despite_wallclock_noise() {
     let old = scratch("old_ok", BASELINE);
-    // Wall clocks shift wildly between runs; the gate must not care.
+    // Artifacts up to 11aca28 carried wall clocks that shift wildly
+    // between runs; no table declares those keys, so the gate ignores them.
     let noisy = BASELINE
         .replace("\"collect_ns\": 30000", "\"collect_ns\": 90000")
         .replace("\"wall_ns\": 90000", "\"wall_ns\": 500000")

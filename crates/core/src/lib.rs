@@ -147,6 +147,12 @@ pub enum CoreError {
         /// Payload bytes received so far.
         received: u64,
     },
+    /// The execution state claims more heap ids than the allocator will
+    /// grant a table for — refused by name instead of aborting.
+    HeapReservationRefused {
+        /// Heap ids the execution state asked this side to reserve.
+        requested: u32,
+    },
     /// Payload bytes remained after the stream grammar completed.
     TrailingBytes {
         /// Number of leftover bytes.
@@ -237,6 +243,10 @@ impl std::fmt::Display for CoreError {
             } => write!(
                 f,
                 "block {id} is out of reach of the {heap_len} heap ids held here and the {received} payload bytes received"
+            ),
+            CoreError::HeapReservationRefused { requested } => write!(
+                f,
+                "cannot reserve {requested} heap ids: the allocator refused a table that size"
             ),
             CoreError::TrailingBytes { bytes, chunk } => match chunk {
                 Some(c) => write!(

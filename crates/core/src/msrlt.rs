@@ -28,6 +28,7 @@
 //! binary search to a cold fallback; [`SearchStrategy::Binary`] and
 //! [`SearchStrategy::Linear`] remain as the §4.2 ablation points.
 
+use crate::CoreError;
 use hpm_arch::SegmentKind;
 use hpm_memory::BlockInfo;
 use hpm_obs::{StatField, StatGroup};
@@ -454,12 +455,24 @@ impl Msrlt {
     /// Reserve heap indices `0..n`: future [`Msrlt::register`] calls for
     /// heap blocks assign indices ≥ `n`. Used on the destination so that
     /// blocks allocated by resumed execution never collide with source
-    /// heap ids still pending in un-restored stream sections.
-    pub fn reserve_heap_indices(&mut self, n: u32) {
+    /// heap ids still pending in un-restored stream sections. `n` comes
+    /// off the wire there, so a table the allocator will not grant is a
+    /// refusal, not an abort; one it does grant costs an entry per id.
+    pub fn try_reserve_heap_indices(&mut self, n: u32) -> Result<(), CoreError> {
         let g = &mut self.groups[GROUP_HEAP as usize];
-        if g.len() < n as usize {
+        if let Some(more) = (n as usize).checked_sub(g.len()) {
+            g.try_reserve_exact(more)
+                .map_err(|_| CoreError::HeapReservationRefused { requested: n })?;
             g.resize(n as usize, None);
         }
+        Ok(())
+    }
+
+    /// [`Msrlt::try_reserve_heap_indices`] for a count the caller made
+    /// itself (the signature `benchmark/` pins).
+    pub fn reserve_heap_indices(&mut self, n: u32) {
+        self.try_reserve_heap_indices(n)
+            .expect("heap-id table for a locally computed count");
     }
 
     /// Current length of the heap group (the source-side high-water mark

@@ -157,7 +157,11 @@ impl<'p> MigCtx<'p> {
     /// image's memory-state section where it lies (see
     /// [`unframe_image`](hpm_core::image::unframe_image)); restoration
     /// reads it in place.
-    pub fn new_resume(proc: &'p mut Process, exec: ExecutionState, payload: &'p [u8]) -> Self {
+    pub fn new_resume(
+        proc: &'p mut Process,
+        exec: ExecutionState,
+        payload: &'p [u8],
+    ) -> Result<Self, MigError> {
         Self::resume_with_source(proc, exec, PayloadSource::Whole { payload, pos: 0 })
     }
 
@@ -169,7 +173,7 @@ impl<'p> MigCtx<'p> {
         proc: &'p mut Process,
         exec: ExecutionState,
         chunks: ChunkPayload,
-    ) -> Self {
+    ) -> Result<Self, MigError> {
         Self::resume_with_source(proc, exec, PayloadSource::Chunked(chunks))
     }
 
@@ -177,8 +181,8 @@ impl<'p> MigCtx<'p> {
         proc: &'p mut Process,
         exec: ExecutionState,
         source: PayloadSource<'p>,
-    ) -> Self {
-        proc.msrlt.reserve_heap_indices(exec.heap_high_water);
+    ) -> Result<Self, MigError> {
+        proc.msrlt.try_reserve_heap_indices(exec.heap_high_water)?;
         let mut ctx = Self::new_run(proc);
         ctx.mode = Mode::Resume(Box::new(ResumeState {
             restored_down_to: exec.frames.len(),
@@ -188,7 +192,7 @@ impl<'p> MigCtx<'p> {
             stats: RestoreStats::default(),
             restore_time: Duration::ZERO,
         }));
-        ctx
+        Ok(ctx)
     }
 
     /// The underlying process (workload computation goes through this).

@@ -168,7 +168,7 @@ pub(crate) fn resume<P: MigratableProgram>(
             exec,
             ChunkPayload::with_initial(source, payload.to_vec()),
         ),
-    };
+    }?;
     ctx.track = track.clone();
     let ran = run_under(program, ctx)?;
     if matches!(ran, Ran::Done(None)) {

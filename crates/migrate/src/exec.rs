@@ -46,6 +46,14 @@ impl ExecutionState {
         let mut dec = XdrDecoder::new(bytes);
         let heap_high_water = dec.get_u32()?;
         let n = dec.get_u32()?;
+        // The count is a claim off the wire: a frame is at least an empty
+        // name's length word and its two counters, twelve bytes.
+        if n as usize > dec.remaining() / 12 {
+            return Err(MigError::Protocol(format!(
+                "execution state announces {n} frames, more than its {} remaining bytes can hold",
+                dec.remaining()
+            )));
+        }
         let mut frames = Vec::with_capacity(n as usize);
         for _ in 0..n {
             frames.push(FrameState {

@@ -88,7 +88,7 @@ fn streaming_resume<P: MigratableProgram>(
     let mut proc = Process::new(dst_prog.name(), arch);
     dst_prog.setup(&mut proc)?;
     let chunks = ChunkPayload::with_initial(rest, leftover.to_vec());
-    let mut ctx = MigCtx::new_resume_streaming(&mut proc, exec, chunks);
+    let mut ctx = MigCtx::new_resume_streaming(&mut proc, exec, chunks)?;
     match dst_prog.run(&mut ctx)? {
         Flow::Done => Ok(()),
         Flow::Migrate => Err(MigError::Protocol("resumed program migrated again".into())),
@@ -601,6 +601,58 @@ fn hostile_block_counts_are_refused_before_allocation() {
     }
 }
 
+/// The execution state carries the two words a destination sizes tables
+/// from before it has read a record: the frame count and the source's
+/// heap-id high-water mark. Four bytes of either, changed in an honest
+/// image, must come back from `resume_from_image` — the call every
+/// transport's destination makes — as a typed error: the frame count
+/// refused before anything is reserved for it, the heap reservation
+/// refused when the allocator will not grant the table, neither an abort.
+#[test]
+fn hostile_exec_state_words_are_refused_not_aborted() {
+    let image = freeze_test_pointer().to_image().unwrap();
+    let exec_at = {
+        let (_, exec, _) = unframe_image(&image).unwrap();
+        exec.as_ptr() as usize - image.as_ptr() as usize
+    };
+    let resume = |word_at: usize, word: u32| {
+        let mut hostile = image.clone();
+        hostile[word_at..word_at + 4].copy_from_slice(&word.to_be_bytes());
+        largest_request_during(|| {
+            resume_from_image(&mut TestPointer::new(), Architecture::sparc20(), &hostile)
+                .map(|_| ())
+        })
+    };
+
+    for count in [u32::MAX, 1 << 31, 1 << 20, image.len() as u32 / 12] {
+        match resume(exec_at + 4, count) {
+            (Err(MigError::Protocol(m)), largest) => {
+                assert!(m.contains(&format!("announces {count} frames")), "{m}");
+                assert!(
+                    largest <= allocation_bound(image.len()),
+                    "count {count:#x}: one request of {largest} bytes for a {}-byte image",
+                    image.len()
+                );
+            }
+            (other, _) => panic!("count {count:#x}: expected a protocol refusal, got {other:?}"),
+        }
+    }
+
+    // A table the allocator grants is filled, an entry per claimed id
+    // (the dense heap table, ROADMAP 2(c)); these are sizes it does not.
+    for high_water in [u32::MAX, 1 << 31] {
+        match resume(exec_at, high_water) {
+            (Err(MigError::Core(m)), _) => {
+                assert!(
+                    m.contains(&format!("cannot reserve {high_water} heap ids")),
+                    "{m}"
+                );
+            }
+            (other, _) => panic!("high water {high_water:#x}: expected a refusal, got {other:?}"),
+        }
+    }
+}
+
 /// Every field the compact record grammar added, set to something no
 /// collector writes: each is refused with the `CoreError` that names it,
 /// from a slice and from pulled chunks alike, and nothing is allocated
@@ -902,21 +954,37 @@ fn largest_request_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, THREAD_LARGEST.with(|c| c.get()))
 }
 
+/// Requests above this are answered as an exhausted allocator answers
+/// them, with null: no honest input here asks for a thousandth of it, and
+/// a host that overcommits would otherwise grant a hostile size lazily
+/// and let the fill that follows take the machine down.
+const REFUSE_ABOVE: usize = 1 << 34;
+
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counters touch no allocator state.
+// the `GlobalAlloc` contract, or answered with the null the contract
+// allows for failure; the counters touch no allocator state.
 unsafe impl GlobalAlloc for LargestRequest {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note_request(layout.size());
+        if layout.size() > REFUSE_ABOVE {
+            return std::ptr::null_mut();
+        }
         // SAFETY: the caller's obligations are `System::alloc`'s own.
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         note_request(layout.size());
+        if layout.size() > REFUSE_ABOVE {
+            return std::ptr::null_mut();
+        }
         // SAFETY: as above, for `System::alloc_zeroed`.
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note_request(new_size);
+        if new_size > REFUSE_ABOVE {
+            return std::ptr::null_mut();
+        }
         // SAFETY: as above, for `System::realloc`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -1262,8 +1330,8 @@ fn decoder_sweep<E: std::fmt::Debug>(
     );
 }
 
-/// The three framings under the record stream that the sweeps above do
-/// not reach (ROADMAP 2(c)): ARQ control frames, chunk frames through to
+/// Three framings under the record stream that the sweeps above do not
+/// reach (ROADMAP 2(c)): ARQ control frames, chunk frames through to
 /// their expanded payload, and the durable restore journal.
 #[test]
 fn mutated_control_chunk_and_journal_bytes_decode_or_refuse() {
@@ -1350,6 +1418,55 @@ fn mutated_control_chunk_and_journal_bytes_decode_or_refuse() {
     });
 }
 
+/// What was still open under ROADMAP 2(c) after the sweeps above: the
+/// image prefix, the execution state, a delta frame against its real
+/// base, and the two decompressors with nothing in front of them.
+#[test]
+fn mutated_prefix_exec_state_delta_and_token_bytes_decode_or_refuse() {
+    use hpm::core::{apply_delta, collect_delta, BaseImageManifest, RetainedBase};
+    use hpm::xdr::{compress, crc32, decompress, decompress_with_dict, image_id};
+
+    let image = freeze_test_pointer().to_image().unwrap();
+    decoder_sweep(&image, 0x6ea4_000c, 500, |bytes| {
+        unframe_image(bytes).map(|_| ())
+    });
+    let (_, exec, _) = unframe_image(&image).unwrap();
+    decoder_sweep(exec, 0x6ea4_000d, 50, |bytes| {
+        ExecutionState::decode(bytes).map(|_| ())
+    });
+
+    // A delta of scattered edits, so the ops hold literals and matches.
+    let base: Vec<u8> = (0..1_000u32)
+        .flat_map(|i| (i % 251).to_be_bytes())
+        .collect();
+    let mut current = base.clone();
+    for at in [5, 777, 778, 2_000, 3_999] {
+        current[at] ^= 0xFF;
+    }
+    let manifest = BaseImageManifest::new(image_id(&base), Vec::new());
+    let (delta, _) = collect_delta(&manifest, &base, Vec::new(), &current, 1);
+    let retained = RetainedBase {
+        image_id: image_id(&base),
+        manifest_digest: manifest.manifest_digest(),
+        image: base.clone(),
+    };
+    // The frame's trailing CRC is its author's: stamp a matching one and
+    // the header parse and the coder behind the check get the damage.
+    let frame = delta.to_frame();
+    decoder_sweep(&frame[..frame.len() - 4], 0x6ea4_000e, 0, |body| {
+        let stamped = [body, &crc32(body).to_be_bytes()[..]].concat();
+        apply_delta(Some(&retained), &stamped).map(|_| ())
+    });
+    decoder_sweep(&delta.ops, 0x6ea4_000f, 5, |ops| {
+        decompress_with_dict(&base, ops, current.len()).map(|_| ())
+    });
+
+    let payload: Vec<u8> = (0..3_000u32).flat_map(|i| (i / 7).to_be_bytes()).collect();
+    decoder_sweep(&compress(&payload), 0x6ea4_0010, 5, |tokens| {
+        decompress(tokens, payload.len()).map(|_| ())
+    });
+}
+
 #[test]
 fn mutated_gnode_ring_records_restore_or_refuse() {
     let (mut src, mut src_lt, roots) = ring_space(Architecture::x86_64_sim(), 12);
@@ -1394,7 +1511,7 @@ fn whole_resume<P: MigratableProgram>(
     let exec = ExecutionState::decode(exec_bytes)?;
     let mut proc = Process::new(dst_prog.name(), arch);
     dst_prog.setup(&mut proc)?;
-    let mut ctx = MigCtx::new_resume(&mut proc, exec, payload);
+    let mut ctx = MigCtx::new_resume(&mut proc, exec, payload)?;
     dst_prog.run(&mut ctx).map(|_| ())
 }
 
