@@ -102,66 +102,61 @@ fn main() {
     let deny = take_flag(&mut args, "--deny");
     let seed_count =
         take_value(&mut args, "--seed-count", "a number").unwrap_or(DEFAULT_SEED_COUNT);
-    let want = |name: &str| {
-        (args.is_empty() && trace_out.is_none() && json_out.is_none())
-            || args.iter().any(|a| a == name)
-            || args.iter().any(|a| a == "all")
-    };
-
-    if want(VALIDATION.name) {
-        show(&VALIDATION);
+    // Every table subcommand, in print order.
+    let tables: [(&str, &dyn Fn()); 16] = [
+        (VALIDATION.name, &|| drop(show(&VALIDATION))),
+        (TABLE1.name, &|| drop(show(&TABLE1))),
+        (FIG2A.name, &|| drop(show(&FIG2A))),
+        (FIG2B.name, &|| drop(show(&FIG2B))),
+        (COMPLEXITY.name, &|| drop(show(&COMPLEXITY))),
+        (OVERHEAD.name, &|| drop(show(&OVERHEAD))),
+        (ABLATION.name, &|| drop(show(&ABLATION))),
+        (TRANSLATE.name, &|| {
+            let rows = translate_rows(true);
+            print!("{}", TRANSLATE.text(&rows));
+            enforce(TRANSLATE.name, translate_gate(&rows));
+        }),
+        (WIRE.name, &|| enforce(WIRE.name, wire_gate(&show(&WIRE)))),
+        (DELTA.name, &|| {
+            enforce(DELTA.name, delta_gate(&show(&DELTA)))
+        }),
+        (PIPELINE.name, &|| drop(show(&PIPELINE))),
+        (FAULT_RATES.name, &|| {
+            print!("{}", FAULT_RATES.text(&fault_rate_rows(seed_count)));
+            show(&FAULT_SEEDS);
+        }),
+        (RESUME.name, &|| {
+            enforce(RESUME.name, resume_gate(&show(&RESUME)))
+        }),
+        (TELEMETRY.name, &|| drop(show(&TELEMETRY))),
+        (LINT.name, &|| {
+            let rows = show(&LINT);
+            if deny && rows.iter().any(|r| !r.clean()) {
+                eprintln!(
+                    "paper_tables lint: deny: workload findings at warning severity or above"
+                );
+                std::process::exit(1);
+            }
+        }),
+        (MODELCHECK.name, &modelcheck),
+    ];
+    // A typo must not pass as "nothing to do": CI's gate lines are
+    // subcommands of this binary.
+    let known = |a: &String| a == "all" || tables.iter().any(|(name, _)| name == a);
+    if let Some(bad) = args.iter().find(|a| !known(a)) {
+        let names: Vec<&str> = tables.iter().map(|(name, _)| *name).collect();
+        eprintln!(
+            "paper_tables: unknown table or flag '{bad}' (tables: {}, all)",
+            names.join(", ")
+        );
+        std::process::exit(2);
     }
-    if want(TABLE1.name) {
-        show(&TABLE1);
-    }
-    if want(FIG2A.name) {
-        show(&FIG2A);
-    }
-    if want(FIG2B.name) {
-        show(&FIG2B);
-    }
-    if want(COMPLEXITY.name) {
-        show(&COMPLEXITY);
-    }
-    if want(OVERHEAD.name) {
-        show(&OVERHEAD);
-    }
-    if want(ABLATION.name) {
-        show(&ABLATION);
-    }
-    if want(TRANSLATE.name) {
-        let rows = translate_rows(true);
-        print!("{}", TRANSLATE.text(&rows));
-        enforce(TRANSLATE.name, translate_gate(&rows));
-    }
-    if want(WIRE.name) {
-        enforce(WIRE.name, wire_gate(&show(&WIRE)));
-    }
-    if want(DELTA.name) {
-        enforce(DELTA.name, delta_gate(&show(&DELTA)));
-    }
-    if want(PIPELINE.name) {
-        show(&PIPELINE);
-    }
-    if want(FAULT_RATES.name) {
-        print!("{}", FAULT_RATES.text(&fault_rate_rows(seed_count)));
-        show(&FAULT_SEEDS);
-    }
-    if want(RESUME.name) {
-        enforce(RESUME.name, resume_gate(&show(&RESUME)));
-    }
-    if want(TELEMETRY.name) {
-        show(&TELEMETRY);
-    }
-    if want(LINT.name) {
-        let rows = show(&LINT);
-        if deny && rows.iter().any(|r| !r.clean()) {
-            eprintln!("paper_tables lint: deny: workload findings at warning severity or above");
-            std::process::exit(1);
+    let everything = (args.is_empty() && trace_out.is_none() && json_out.is_none())
+        || args.iter().any(|a| a == "all");
+    for (name, run) in tables {
+        if everything || args.iter().any(|a| a == name) {
+            run();
         }
-    }
-    if want(MODELCHECK.name) {
-        modelcheck();
     }
     if let Some(path) = trace_out {
         trace(&path);

@@ -401,11 +401,6 @@ impl AddressSpace {
         Ok(())
     }
 
-    /// Identifier of the innermost live frame.
-    pub fn current_frame(&self) -> Option<FrameId> {
-        self.frames.last().map(|f| f.id)
-    }
-
     /// Number of live frames.
     pub fn frame_depth(&self) -> usize {
         self.frames.len()
@@ -525,12 +520,6 @@ impl AddressSpace {
     pub fn block_at(&self, block_addr: u64) -> Option<&MemoryBlock> {
         let &idx = self.by_addr.get(&block_addr)?;
         Some(self.block(idx))
-    }
-
-    /// The block containing `addr`.
-    pub fn block_containing(&self, addr: u64) -> Option<&MemoryBlock> {
-        let r = self.resolve(addr)?;
-        Some(self.block(r.idx))
     }
 
     /// Metadata snapshots of all live blocks, in address order.

@@ -59,21 +59,16 @@ pub struct MigrationReport {
 /// [`Transport`](crate::Transport), so the statistics a report carries
 /// cannot disagree with the path the migration took.
 // One value per migration, held inline in a report that is itself a few
-// KB of histograms: boxing the streamed variants would buy nothing.
+// KB of histograms: boxing the streamed variant would buy nothing.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum TransportStats {
     /// One buffer over the channel: `transfer` says it all.
     Whole,
-    /// A chunk stream.
-    Streamed {
-        /// Overlap measurements of the streamed destination; `None` when
-        /// pre-copy rounds shipped whole frames instead.
-        pipeline: Option<PipelineStats>,
-    },
     /// A chunk stream under ARQ with the degradation ladder behind it.
     Reliable {
-        /// As for [`TransportStats::Streamed`]; also `None` when the run
+        /// Overlap measurements of the streamed destination; `None` when
+        /// pre-copy rounds shipped whole frames instead, or when the run
         /// fell back to the source and discarded its destination.
         pipeline: Option<PipelineStats>,
         /// What the recovery machinery did, summed over every attempt.
@@ -131,9 +126,7 @@ impl MigrationReport {
     /// Overlap measurements, when a streamed destination completed.
     pub fn pipeline(&self) -> Option<&PipelineStats> {
         match &self.transport {
-            TransportStats::Streamed { pipeline } | TransportStats::Reliable { pipeline, .. } => {
-                pipeline.as_ref()
-            }
+            TransportStats::Reliable { pipeline, .. } => pipeline.as_ref(),
             TransportStats::Whole => None,
         }
     }

@@ -4,21 +4,19 @@
 //! [`attempt`] is the only place threads are spawned. The producer (the
 //! collection DFS, or a finished frame cut into chunks) runs on the
 //! calling thread and pushes chunks into a sink; the wire thread paces,
-//! frames and sends them — through a plain [`ChunkSender`] or, under
-//! [`ArqSide`], the ARQ sender behind the fault injector, fresh or
-//! resuming from a journal; the consumer (a streaming resume, or a
-//! buffer reassembling the frame) runs on a destination thread. Retry
-//! ladders and pre-copy rounds are loops around this function, and
-//! [`ship_frame`] is its whole-frame form.
+//! frames and sends them through the ARQ sender behind the fault
+//! injector, fresh or resuming from a journal; the consumer (a streaming
+//! resume, or a buffer reassembling the frame) runs on a destination
+//! thread over the ARQ receiver. Retry ladders and pre-copy rounds are
+//! loops around this function, and [`ship_frame`] is its whole-frame form.
 
 use crate::engine::PipelineConfig;
 use crate::report::RecoveryStats;
 use crate::MigError;
 use hpm_core::{ChunkSource, CoreError};
 use hpm_net::{
-    channel_pair, ArqConfig, Channel, ChunkReceiver, ChunkSender, FaultPlan, FaultyEndpoint,
-    NetError, NetworkModel, ReliableChunkReceiver, ReliableChunkSender, ResumeDecision,
-    TransferSnapshot,
+    channel_pair, ArqConfig, Channel, FaultPlan, FaultyEndpoint, NetError, NetworkModel,
+    ReliableChunkReceiver, ReliableChunkSender, ResumeDecision, TransferSnapshot,
 };
 use hpm_obs::{Histogram, StatGroup, Track};
 use hpm_xdr::{ChunkRecord, RestoreJournal};
@@ -26,38 +24,28 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// How one attempt's chunk stream is framed and instrumented.
+/// How one attempt's chunk stream is framed, protected and instrumented.
 pub(crate) struct Lane {
     /// Chunk size, pacing and codec.
     pub config: PipelineConfig,
-    /// ARQ and fault injection; `None` ships a plain chunk stream.
-    pub arq: Option<ArqSide>,
+    /// Window, retry budget and backoff of both endpoints.
+    pub arq: ArqConfig,
+    /// What the deterministic fault injector does to this attempt.
+    pub plan: FaultPlan,
     /// Log track of the sending end (single-writer, like all of them).
     pub tx_track: Track,
     /// Log track of the receiving end.
     pub rx_track: Track,
-}
-
-/// The reliability half of a [`Lane`].
-pub(crate) struct ArqSide {
-    /// Window, retry budget and backoff of both endpoints.
-    pub cfg: ArqConfig,
-    /// What the deterministic fault injector does to this attempt.
-    pub plan: FaultPlan,
     /// Log track of the fault injector.
     pub fault_track: Track,
-    /// The destination's chunk journal; whole-frame shipping keeps none.
+    /// The destination's chunk journal; `None` when nothing could resume
+    /// from it (whole-frame shipping, or a policy without rung 2). A
+    /// failed stream without one is what `rung2_journal` reports as
+    /// `Rung2Skip::PolicyDisabled`.
     pub journal: Option<Arc<Mutex<RestoreJournal>>>,
     /// When this attempt resumes an interrupted stream from `journal`:
     /// that stream's image id and send ledger.
     pub resume: Option<(u64, Vec<ChunkRecord>)>,
-}
-
-impl Lane {
-    /// Whether this lane resumes an interrupted stream (rung 2).
-    pub fn resuming(&self) -> bool {
-        self.arq.as_ref().is_some_and(|a| a.resume.is_some())
-    }
 }
 
 /// The sink a producer pushes its chunks into.
@@ -73,7 +61,7 @@ pub(crate) struct Attempt<S, D> {
     pub consumed: Option<D>,
     /// What the wire thread got done.
     pub wire: WireDone,
-    /// What ARQ and the injector did (all zero on a plain stream).
+    /// What ARQ and the injector did.
     pub recovery: RecoveryStats,
     /// Already-verified chunks a resumed stream re-delivered anyway.
     pub wire_replays: u64,
@@ -103,30 +91,12 @@ pub(crate) struct WireDone {
     pub bytes_saved_wire: u64,
 }
 
-/// The receiving end of a [`Lane`].
-pub(crate) enum Receiver {
-    /// Sequence- and CRC-checked chunk stream.
-    Plain(ChunkReceiver),
-    /// The same under ARQ (acks, nacks, journal, injected crash).
-    Arq(ReliableChunkReceiver),
-}
-
-impl Receiver {
-    /// The next payload chunk; `Ok(None)` once the stream has ended.
-    pub fn recv_chunk(&mut self) -> Result<Option<Vec<u8>>, NetError> {
-        match self {
-            Receiver::Plain(rx) => rx.recv_chunk(),
-            Receiver::Arq(rx) => rx.recv_chunk(),
-        }
-    }
-}
-
-/// Adapter: a [`Receiver`] as the restorer's [`ChunkSource`], mapping
+/// Adapter: the ARQ receiver as the restorer's [`ChunkSource`], mapping
 /// transport failures into the stream layer. The gap between returning
 /// one chunk and being asked for the next is the restorer's per-chunk
 /// decode latency — observed into `decode_lat`.
 pub(crate) struct NetChunkSource {
-    pub rx: Receiver,
+    pub rx: ReliableChunkReceiver,
     pub decode_lat: Arc<Histogram>,
     pub last_return: Option<Instant>,
 }
@@ -158,48 +128,17 @@ fn wire_thread(
     src_end: Channel,
     chunk_rx: mpsc::Receiver<Vec<u8>>,
     link: NetworkModel,
-    lane: (PipelineConfig, Option<ArqSide>, Track),
+    lane: Lane,
     src_crashed: &AtomicBool,
 ) -> WireDone {
-    let (config, arq, track) = lane;
-    let pump = |skip: usize, send: &mut dyn FnMut(&[u8]) -> Result<(), NetError>| {
-        // Chunks below `skip` are already CRC-verified and journaled on
-        // the destination; the handshake promised not to re-send them.
-        for chunk in chunk_rx.iter().skip(skip) {
-            if config.pace {
-                let d = link.tx_time(chunk.len() as u64).mul_f64(config.pace_scale);
-                if !d.is_zero() {
-                    std::thread::sleep(d);
-                }
-            }
-            send(&chunk)?;
-        }
-        Ok(())
-    };
-    let Some(arq) = arq else {
-        let mut tx = ChunkSender::new(&src_end)
-            .with_codec(config.codec)
-            .with_track(track);
-        let sent = pump(0, &mut |c| tx.send(c));
-        let frames = tx.chunks_sent();
-        let (frames, error) = match sent.and_then(|()| tx.finish()) {
-            Ok(n) => (n, None),
-            Err(e) => (frames, Some(e)),
-        };
-        return WireDone {
-            error,
-            frames,
-            transfer: src_end.stats().snapshot(),
-            ..WireDone::default()
-        };
-    };
-    let endpoint = FaultyEndpoint::new(src_end, arq.plan).with_track(arq.fault_track);
-    let mut tx = ReliableChunkSender::new(endpoint, arq.cfg)
+    let config = lane.config;
+    let endpoint = FaultyEndpoint::new(src_end, lane.plan).with_track(lane.fault_track);
+    let mut tx = ReliableChunkSender::new(endpoint, lane.arq)
         .with_codec(config.codec)
-        .with_track(track);
+        .with_track(lane.tx_track);
     let mut done = WireDone::default();
     let mut skip = 0;
-    if let Some((image_id, ledger)) = &arq.resume {
+    if let Some((image_id, ledger)) = &lane.resume {
         match tx.accept_resume(*image_id, ledger) {
             Ok(ResumeDecision::Accepted {
                 next,
@@ -216,7 +155,17 @@ fn wire_thread(
     // A rejected handshake ships nothing at all, and a crashed source
     // never sends its terminator.
     if done.error.is_none() && !done.rejected {
-        let mut sent = pump(skip, &mut |c| tx.send(c));
+        // Chunks below `skip` are already CRC-verified and journaled on
+        // the destination; the handshake promised not to re-send them.
+        let mut sent = chunk_rx.iter().skip(skip).try_for_each(|chunk| {
+            if config.pace {
+                let d = link.tx_time(chunk.len() as u64).mul_f64(config.pace_scale);
+                if !d.is_zero() {
+                    std::thread::sleep(d);
+                }
+            }
+            tx.send(&chunk)
+        });
         done.frames = tx.chunks_sent();
         if sent.is_ok() && !src_crashed.load(Ordering::SeqCst) {
             sent = tx.finish().map(|n| done.frames = n);
@@ -264,39 +213,31 @@ pub(crate) fn attempt<S, D: Send>(
     link: NetworkModel,
     lane: Lane,
     produce: impl FnOnce(Sink<'_>) -> Result<S, MigError>,
-    consume: impl FnOnce(Receiver, Vec<Vec<u8>>) -> Result<D, MigError> + Send,
+    consume: impl FnOnce(ReliableChunkReceiver, Vec<Vec<u8>>) -> Result<D, MigError> + Send,
 ) -> Result<Attempt<S, D>, MigError> {
     let (src_end, dst_end) = channel_pair(link);
     let mut replay = Vec::new();
-    let mut rx_counters = None;
-    let rx = match &lane.arq {
-        None => Receiver::Plain(ChunkReceiver::new(dst_end).with_track(lane.rx_track)),
-        Some(arq) => {
-            let mut rx = match (&arq.journal, &arq.resume) {
-                (Some(journal), Some(_)) => {
-                    let guard = lock_journal(journal);
-                    replay = guard.payloads().to_vec();
-                    ReliableChunkReceiver::new_resuming(dst_end, arq.cfg, &guard)?
-                }
-                _ => ReliableChunkReceiver::new(dst_end, arq.cfg),
-            }
-            .with_track(lane.rx_track)
-            .with_crash_at(arq.plan.dst_crash_at);
-            if let Some(journal) = &arq.journal {
-                rx = rx.with_journal(Arc::clone(journal));
-            }
-            rx_counters = Some(rx.counters());
-            Receiver::Arq(rx)
+    let mut rx = match (&lane.journal, &lane.resume) {
+        (Some(journal), Some(_)) => {
+            let guard = lock_journal(journal);
+            replay = guard.payloads().to_vec();
+            ReliableChunkReceiver::new_resuming(dst_end, lane.arq, &guard)?
         }
-    };
+        _ => ReliableChunkReceiver::new(dst_end, lane.arq),
+    }
+    .with_track(lane.rx_track.clone())
+    .with_crash_at(lane.plan.dst_crash_at);
+    if let Some(journal) = &lane.journal {
+        rx = rx.with_journal(Arc::clone(journal));
+    }
+    let rx_counters = rx.counters();
     // The injected source crash is counted in pushed chunks.
-    let src_crash_at = lane.arq.as_ref().and_then(|a| a.plan.src_crash_at);
-    let wire_lane = (lane.config, lane.arq, lane.tx_track);
+    let src_crash_at = lane.plan.src_crash_at;
     let (chunk_tx, chunk_rx) = mpsc::channel::<Vec<u8>>();
     let src_crashed = AtomicBool::new(false);
 
     std::thread::scope(|s| {
-        let wire = s.spawn(|| wire_thread(src_end, chunk_rx, link, wire_lane, &src_crashed));
+        let wire = s.spawn(|| wire_thread(src_end, chunk_rx, link, lane, &src_crashed));
         let destination = s.spawn(|| consume(rx, replay));
 
         let mut pushed = 0u32;
@@ -325,7 +266,7 @@ pub(crate) fn attempt<S, D: Send>(
             .map_err(|_| MigError::Protocol("wire thread panicked".into()))?;
         let produce_err = produced.as_ref().err().cloned();
         let consume_err = consumed.as_ref().err().cloned();
-        let receiver = rx_counters.map(|c| c.snapshot()).unwrap_or_default();
+        let receiver = rx_counters.snapshot();
         Ok(Attempt {
             produced: produced.ok(),
             produce_time,
@@ -344,7 +285,7 @@ pub(crate) fn attempt<S, D: Send>(
 pub(crate) struct Carried {
     /// Channel accounting.
     pub transfer: TransferSnapshot,
-    /// What ARQ and the injector did (all zero without an [`ArqSide`]).
+    /// What ARQ and the injector did (all zero for single messages).
     pub recovery: RecoveryStats,
 }
 

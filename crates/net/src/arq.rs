@@ -1,6 +1,10 @@
-//! Stop-and-wait-free ARQ over the chunked stream: a sliding replay
-//! window on the sender, cumulative ACKs plus targeted NACKs from the
-//! receiver, and bounded exponential-backoff retransmission.
+//! The chunk stream — the one way a payload crosses a link in pieces, so
+//! the destination can start restoring while the source still collects.
+//! Each chunk is framed with a sequence number and a CRC-32 under a
+//! [`WireCodec`] and carried by a stop-and-wait-free ARQ: a sliding
+//! replay window on the sender, cumulative ACKs plus targeted NACKs from
+//! the receiver, and bounded exponential-backoff retransmission. On a
+//! clean link that is one ack per frame and nothing else.
 //!
 //! The forward (data) path may be lossy — typically a
 //! [`FaultyEndpoint`](crate::FaultyEndpoint) — while the reverse
@@ -26,18 +30,83 @@
 //! be long enough that an in-flight in-process ack (microseconds) cannot
 //! be mistaken for loss.
 
-use crate::channel::{Channel, NetError};
+use crate::channel::{Channel, NetError, TransferStats};
 use crate::fault::FrameLink;
-use crate::stream::{expand_incoming, frame_outgoing, WireCodec};
 use hpm_obs::{Histogram, HistogramSnapshot, Track};
 use hpm_xdr::{
-    frame_control, frame_stamped_crc, records_digest, unframe_chunk_any, unframe_control,
-    ChunkRecord, Control, RestoreJournal, RestorePhase,
+    frame_chunk_v2, frame_chunk_v3, frame_control, frame_stamped_crc, records_digest,
+    unframe_chunk_any, unframe_control, ChunkFrame, ChunkRecord, Control, RestoreJournal,
+    RestorePhase,
 };
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Which chunk-frame version a sender puts on the wire. Receivers need
+/// no configuration — [`unframe_chunk_any`] detects the version by
+/// magic, which is how a v3 sender interoperates with v2-era peers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum WireCodec {
+    /// v2 frames: stored payload, CRC-protected.
+    #[default]
+    V2,
+    /// v3 frames: per-chunk compression with a stored fallback for
+    /// incompressible chunks; CRC over the wire (compressed) bytes.
+    V3,
+}
+
+/// Frame one outgoing chunk under `codec`, accounting raw-vs-wire
+/// payload volume (and compression latency for v3) into `stats` when
+/// the link exposes one.
+fn frame_outgoing(
+    codec: WireCodec,
+    stats: Option<&TransferStats>,
+    seq: u32,
+    last: bool,
+    payload: &[u8],
+) -> (Vec<u8>, usize) {
+    match codec {
+        WireCodec::V2 => {
+            if let Some(s) = stats {
+                s.observe_chunk_out(payload.len() as u64, payload.len() as u64, false);
+            }
+            (frame_chunk_v2(seq, last, payload), payload.len())
+        }
+        WireCodec::V3 => {
+            let t0 = Instant::now();
+            let (frame, wire_len) = frame_chunk_v3(seq, last, payload);
+            if let Some(s) = stats {
+                s.observe_chunk_out(
+                    payload.len() as u64,
+                    wire_len as u64,
+                    wire_len < payload.len(),
+                );
+                s.observe_compress(t0.elapsed().as_nanos() as u64);
+            }
+            (frame, wire_len)
+        }
+    }
+}
+
+/// Expand one verified incoming frame under whatever codec the sender
+/// chose, accounting decompression latency into `stats`. Fails with
+/// [`NetError::ChunkFraming`] when a compressed payload does not expand
+/// to its declared size (corruption the CRC cannot see: the sender
+/// framed garbage).
+fn expand_incoming(stats: &TransferStats, frame: ChunkFrame) -> Result<Vec<u8>, NetError> {
+    if !frame.compressed {
+        return Ok(frame.payload);
+    }
+    let seq = frame.seq;
+    let t0 = Instant::now();
+    let payload = frame.into_payload().map_err(|e| NetError::ChunkFraming {
+        chunk: seq,
+        reason: format!("compressed payload failed to expand: {e}"),
+    })?;
+    stats.observe_decompress(t0.elapsed().as_nanos() as u64);
+    Ok(payload)
+}
 
 /// Tuning knobs shared by both ARQ endpoints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1307,6 +1376,10 @@ mod tests {
             while let Some(p) = rx.recv_chunk().unwrap() {
                 got.push(p);
             }
+            // End of stream is latched: asking again is not an error.
+            assert!(rx.is_done());
+            assert_eq!(rx.recv_chunk().unwrap(), None);
+            assert_eq!(rx.chunks_received(), 11);
             got
         });
         let mut tx = ReliableChunkSender::new(src, ArqConfig::default());
@@ -1316,6 +1389,80 @@ mod tests {
         let frames = tx.finish().unwrap();
         assert_eq!(frames, 11);
         assert_eq!(h.join().unwrap(), data);
+    }
+
+    #[test]
+    fn last_frame_with_payload_is_delivered_then_done() {
+        let (a, b) = channel_pair(NetworkModel::instant());
+        a.send(frame_chunk_v2(0, true, &[9, 9, 9, 9])).unwrap();
+        let mut rx = ReliableChunkReceiver::new(b, cfg());
+        assert_eq!(rx.recv_chunk().unwrap(), Some(vec![9, 9, 9, 9]));
+        assert!(rx.is_done());
+        assert_eq!(rx.recv_chunk().unwrap(), None);
+    }
+
+    #[test]
+    fn garbage_frame_and_vanished_sender_are_named_errors() {
+        let (a, b) = channel_pair(NetworkModel::instant());
+        a.send(frame_chunk_v2(0, false, &[1, 2, 3, 4])).unwrap();
+        a.send(vec![0xde, 0xad, 0xbe, 0xef, 0, 0, 0, 0]).unwrap();
+        let mut rx = ReliableChunkReceiver::new(b, cfg());
+        assert_eq!(rx.recv_chunk().unwrap(), Some(vec![1, 2, 3, 4]));
+        match rx.recv_chunk() {
+            Err(NetError::ChunkFraming { chunk, .. }) => assert_eq!(chunk, 1),
+            other => panic!("expected ChunkFraming, got {other:?}"),
+        }
+        drop(a);
+        assert_eq!(rx.recv_chunk().unwrap_err(), NetError::Disconnected);
+    }
+
+    /// Compressible, incompressible, tiny and empty chunks through one
+    /// clean v3 stream: payloads come back byte-identical, a chunk the
+    /// coder cannot shrink goes out stored (never expanded), and the
+    /// transfer counters say which was which.
+    #[test]
+    fn v3_codec_accounts_compressed_and_stored_chunks() {
+        // splitmix-style noise defeats both the RLE and match finders.
+        let mut s = 0x1234_5678_9abc_def0u64;
+        let noise: Vec<u8> = (0..4096)
+            .map(|_| {
+                s = s.wrapping_add(0x9e3779b97f4a7c15);
+                let mut z = s;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect();
+        let chunks = vec![
+            vec![7u8; 8 * 1024],
+            noise.clone(),
+            vec![],
+            b"short".to_vec(),
+        ];
+        let (src, dst) = channel_pair(NetworkModel::instant());
+        let expect = chunks.clone();
+        let h = std::thread::spawn(move || {
+            let mut rx = ReliableChunkReceiver::new(dst, cfg());
+            for c in &expect {
+                assert_eq!(rx.recv_chunk().unwrap().as_ref(), Some(c));
+            }
+            assert_eq!(rx.recv_chunk().unwrap(), None);
+        });
+        let mut tx = ReliableChunkSender::new(src, cfg()).with_codec(WireCodec::V3);
+        for c in &chunks {
+            tx.send(c).unwrap();
+        }
+        tx.finish().unwrap();
+        h.join().expect("receiver failed");
+        let snap = tx.into_link().stats().snapshot();
+        assert_eq!(snap.chunks_compressed, 1, "only the run of sevens shrinks");
+        assert_eq!(snap.compress_lat.count, 5); // four chunks + terminator
+        assert_eq!(snap.decompress_lat.count, 1);
+        assert_eq!(snap.raw_payload_bytes, 8 * 1024 + 4096 + 5);
+        // Stored fallback: everything but the compressed chunk is
+        // carried at exactly its raw size.
+        let stored = noise.len() as u64 + 5;
+        assert!(snap.wire_payload_bytes > stored);
+        assert!(snap.wire_payload_bytes < stored + 8 * 1024 / 10);
     }
 
     /// A link whose peer never answers: every frame is accepted and

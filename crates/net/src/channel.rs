@@ -14,21 +14,13 @@ pub enum NetError {
     Disconnected,
     /// A blocking receive timed out.
     Timeout,
-    /// A chunked-stream frame failed to parse or arrived out of order.
+    /// A chunked-stream frame failed to parse or lies outside the
+    /// receive window.
     ChunkFraming {
         /// Index of the offending frame in arrival order.
         chunk: u32,
         /// What went wrong.
         reason: String,
-    },
-    /// A chunk arrived whose payload does not match its stamped CRC-32.
-    Corrupt {
-        /// Sequence number of the damaged chunk.
-        chunk: u32,
-        /// The CRC the sender stamped into the frame header.
-        expected_crc: u32,
-        /// The CRC computed over the payload as received.
-        found_crc: u32,
     },
     /// The ARQ sender exhausted its retransmission budget waiting for
     /// the peer to acknowledge `chunk`.
@@ -59,14 +51,6 @@ impl std::fmt::Display for NetError {
             NetError::ChunkFraming { chunk, reason } => {
                 write!(f, "chunk frame {chunk}: {reason}")
             }
-            NetError::Corrupt {
-                chunk,
-                expected_crc,
-                found_crc,
-            } => write!(
-                f,
-                "chunk {chunk} corrupt: stamped crc {expected_crc:#010x}, computed {found_crc:#010x}"
-            ),
             NetError::RetriesExhausted {
                 chunk,
                 attempts,
@@ -123,11 +107,6 @@ impl TransferStats {
     /// Sum of modeled transmission times (the Table 1 `Tx` quantity).
     pub fn modeled_tx_time(&self) -> Duration {
         Duration::from_nanos(self.modeled_tx_nanos())
-    }
-
-    /// Per-message modeled wire latency distribution.
-    pub fn wire_latency(&self) -> HistogramSnapshot {
-        self.wire_lat.snapshot()
     }
 
     /// Account one chunk payload leaving the stream layer: `raw` bytes
@@ -547,15 +526,6 @@ mod tests {
             }
             .to_string(),
             "chunk frame 7: bad magic"
-        );
-        assert_eq!(
-            NetError::Corrupt {
-                chunk: 3,
-                expected_crc: 0xDEAD_BEEF,
-                found_crc: 0x0000_00FF,
-            }
-            .to_string(),
-            "chunk 3 corrupt: stamped crc 0xdeadbeef, computed 0x000000ff"
         );
         assert_eq!(
             NetError::RetriesExhausted {

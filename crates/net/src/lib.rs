@@ -2,7 +2,9 @@
 //!
 //! The first software layer of the paper's stack (§4): "Migration
 //! information can be sent to the destination machine using either TCP
-//! protocol, shared file systems, or remote file transfer."
+//! protocol, shared file systems, or remote file transfer." One of the
+//! three is modelled — a connection — because the image format above it
+//! does not depend on which.
 //!
 //! The paper's testbed links are simulated by a [`NetworkModel`]: Tx time
 //! is computed from message size, bandwidth, and latency — which is how
@@ -10,27 +12,27 @@
 //! bytes ÷ link speed, not by protocol details). Actual byte delivery
 //! between the two "machines" (threads) uses a reliable in-process
 //! [`Channel`] built on `std::sync::mpsc`, with optional real-time pacing
-//! for demos. Endpoints can carry an [`hpm_obs::Track`]: the chunk
-//! endpoints record every frame sent, acked, nacked or refused on it, and
-//! at detail level every channel message produces a `net.send`/`net.recv`
-//! span annotated with the payload size and modeled wire time.
+//! for demos. A payload crosses it whole, as one message, or as the one
+//! chunk stream: [`ReliableChunkSender`] → [`ReliableChunkReceiver`],
+//! CRC-checked and acknowledged, optionally through a [`FaultyEndpoint`]
+//! that damages the data direction under a seeded [`FaultPlan`].
+//! Endpoints can carry an [`hpm_obs::Track`]: the chunk endpoints record
+//! every frame sent, acked, nacked or refused on it, and at detail level
+//! every channel message produces a `net.send`/`net.recv` span annotated
+//! with the payload size and modeled wire time.
 
 mod arq;
 mod channel;
 mod fault;
-mod file;
 mod model;
-mod stream;
 
 pub use arq::{
     ArqConfig, ArqReceiverCounters, ArqReceiverSnapshot, ArqSenderStats, ReliableChunkReceiver,
-    ReliableChunkSender, ResumeDecision, ResumeReject,
+    ReliableChunkSender, ResumeDecision, ResumeReject, WireCodec,
 };
 pub use channel::{channel_pair, Channel, NetError, TransferSnapshot, TransferStats};
 pub use fault::{FaultAction, FaultPlan, FaultStats, FaultyEndpoint, FrameLink};
-pub use file::FileTransport;
-pub use model::{Link, NetworkModel};
-pub use stream::{ChunkReceiver, ChunkSender, WireCodec};
+pub use model::NetworkModel;
 
 #[cfg(test)]
 mod model_tests {

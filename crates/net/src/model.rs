@@ -2,17 +2,6 @@
 
 use std::time::Duration;
 
-/// Named link presets matching the paper's testbed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Link {
-    /// 10 Mb/s shared Ethernet — the heterogeneous experiments (§4.1).
-    Ethernet10,
-    /// 100 Mb/s Ethernet — the Ultra 5 timing study (Table 1, Figure 2).
-    Ethernet100,
-    /// Gigabit Ethernet, for what-if sweeps beyond the paper.
-    Gigabit,
-}
-
 /// A bandwidth/latency model of one network link.
 ///
 /// `tx_time(bytes) = latency + bytes * 8 / bandwidth / efficiency`.
@@ -66,15 +55,6 @@ impl NetworkModel {
         }
     }
 
-    /// Model for a [`Link`] preset.
-    pub fn for_link(link: Link) -> Self {
-        match link {
-            Link::Ethernet10 => Self::ethernet_10(),
-            Link::Ethernet100 => Self::ethernet_100(),
-            Link::Gigabit => Self::gigabit(),
-        }
-    }
-
     /// Modeled transmission time for a message of `bytes`.
     pub fn tx_time(&self, bytes: u64) -> Duration {
         if self.bandwidth_bps.is_infinite() {
@@ -82,11 +62,6 @@ impl NetworkModel {
         }
         let secs = (bytes as f64 * 8.0) / (self.bandwidth_bps * self.efficiency);
         self.latency + Duration::from_secs_f64(secs)
-    }
-
-    /// Effective goodput in bytes per second.
-    pub fn goodput_bytes_per_sec(&self) -> f64 {
-        self.bandwidth_bps * self.efficiency / 8.0
     }
 }
 
@@ -127,27 +102,5 @@ mod tests {
             NetworkModel::instant().tx_time(u64::MAX / 16),
             Duration::ZERO
         );
-    }
-
-    #[test]
-    fn presets_resolve() {
-        assert_eq!(
-            NetworkModel::for_link(Link::Ethernet10),
-            NetworkModel::ethernet_10()
-        );
-        assert_eq!(
-            NetworkModel::for_link(Link::Gigabit),
-            NetworkModel::gigabit()
-        );
-    }
-
-    #[test]
-    fn goodput_matches_tx_time() {
-        let m = NetworkModel::ethernet_100();
-        let bytes = 10_000_000u64;
-        let t = m.tx_time(bytes).as_secs_f64() - m.latency.as_secs_f64();
-        let implied = bytes as f64 / t;
-        let stated = m.goodput_bytes_per_sec();
-        assert!((implied - stated).abs() / stated < 1e-9);
     }
 }

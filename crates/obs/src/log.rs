@@ -2,9 +2,9 @@
 //!
 //! An [`EventLog`] is a registry of named *tracks*. A track belongs to one
 //! logical writer — the engine (`driver`), the collector (`collect`), the
-//! wire thread (`net.tx` / `arq.tx`), the fault injector (`fault`), the
-//! destination (`restore`, `net.rx` / `arq.rx`) — and is a pair of bounded
-//! rings sharing one sequence counter:
+//! wire thread (`arq.tx`), the fault injector (`fault`), the destination
+//! (`restore`, `arq.rx`) — and is a pair of bounded rings sharing one
+//! sequence counter:
 //!
 //! * the **protocol** ring holds the per-chunk / per-phase events (chunk
 //!   sent, acked, nacked, CRC failure, injected fault, phase span, rung of

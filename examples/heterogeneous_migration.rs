@@ -3,7 +3,8 @@
 //! (big-endian) over 10 Mb/s Ethernet — first deterministically (whole
 //! image, poll-count trigger, everything on one thread), then live: a
 //! scheduler thread delivers the migration request asynchronously while
-//! source and destination run as real threads over a streamed channel.
+//! source and destination run as real threads over an acknowledged chunk
+//! stream.
 //!
 //! ```text
 //! cargo run --release --example heterogeneous_migration
@@ -11,9 +12,10 @@
 
 use hpm::arch::Architecture;
 use hpm::migrate::{
-    migrate, run_migrating, run_straight, Migration, PipelineConfig, Transport, Trigger,
+    migrate, run_migrating, run_straight, Migration, PipelineConfig, RecoveryPolicy, Transport,
+    Trigger,
 };
-use hpm::net::NetworkModel;
+use hpm::net::{FaultPlan, NetworkModel};
 use hpm::workloads::{diff_results, BitonicSort, Linpack, TestPointer};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -84,10 +86,14 @@ fn main() {
             Architecture::sparc20(),
             NetworkModel::ethernet_10(),
             Trigger::External(request),
-            &Migration::new(Transport::Streamed(PipelineConfig {
-                pace: false,
-                ..PipelineConfig::default()
-            })),
+            &Migration::new(Transport::Reliable(
+                PipelineConfig {
+                    pace: false,
+                    ..PipelineConfig::default()
+                },
+                FaultPlan::none(),
+                RecoveryPolicy::default(),
+            )),
         )
     })
     .unwrap();
@@ -95,7 +101,11 @@ fn main() {
     println!(
         "{} polls before the request landed; {} frames on the wire",
         run.report.src_polls,
-        run.report.pipeline().map_or(0, |p| p.chunks),
+        // Absent when the run fell back to resuming on the source.
+        run.report
+            .pipeline()
+            .expect("the destination finished the run")
+            .chunks,
     );
 }
 

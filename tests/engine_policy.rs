@@ -46,10 +46,6 @@ fn transports() -> Vec<(String, Transport)> {
     for codec in [WireCodec::V2, WireCodec::V3] {
         let reliable =
             Transport::Reliable(wire(codec), FaultPlan::none(), RecoveryPolicy::default());
-        out.push((
-            format!("streamed/{codec:?}"),
-            Transport::Streamed(wire(codec)),
-        ));
         out.push((format!("reliable/{codec:?}"), reliable));
     }
     out
@@ -151,9 +147,8 @@ fn sweep<P: MigratableProgram + Send>(
                     "{cell}: the chunk stream carried the image, nothing else"
                 );
                 assert!(run.report.pipeline().is_some(), "{cell}");
-                let reliable = matches!(transport, Transport::Reliable(..));
-                assert_eq!(run.report.recovery().is_some(), reliable, "{cell}");
-                assert_eq!(run.report.resume().map(|r| r.rung), reliable.then_some(1));
+                assert!(run.report.recovery().is_some(), "{cell}");
+                assert_eq!(run.report.resume().map(|r| r.rung), Some(1), "{cell}");
             }
             let whole = whole.get_or_insert_with(|| fingerprint(&run));
             assert_eq!(

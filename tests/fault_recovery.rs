@@ -10,8 +10,8 @@
 
 use hpm::arch::Architecture;
 use hpm::migrate::{
-    migrate, run_migrating_resilient, run_straight, FallbackPolicy, MigratableProgram, Migration,
-    PipelineConfig, RecoveryPolicy, RecoveryStats, Transport, Trigger,
+    run_migrating, run_migrating_resilient, run_straight, FallbackPolicy, MigratableProgram,
+    PipelineConfig, RecoveryPolicy, RecoveryStats, Trigger,
 };
 use hpm::net::{FaultPlan, NetworkModel};
 use hpm::workloads::{diff_results, BitonicSort, Linpack, TestPointer};
@@ -226,18 +226,17 @@ fn soak_bitonic_compressed() {
     );
 }
 
-/// With no faults injected, the resilient driver is the pipelined driver
-/// plus CRC/ack machinery: same results, same image bytes, no recovery
-/// actions beyond routine acknowledgements.
+/// With no faults injected, the resilient driver is the paper's
+/// stop-and-copy plus chunking and CRC/ack machinery: same results, same
+/// image bytes, no recovery actions beyond routine acknowledgements.
 #[test]
 fn zero_fault_resilient_run_matches_pipelined() {
-    let pipelined = migrate(
+    let whole = run_migrating(
         TestPointer::new,
         Architecture::dec5000(),
         Architecture::sparc20(),
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(8),
-        &Migration::new(Transport::Streamed(soak_cfg())),
     )
     .unwrap();
     let resilient = run_migrating_resilient(
@@ -251,9 +250,9 @@ fn zero_fault_resilient_run_matches_pipelined() {
         soak_policy(),
     )
     .unwrap();
-    assert_eq!(resilient.results, pipelined.results);
-    assert_eq!(resilient.report.image_bytes, pipelined.report.image_bytes);
-    assert_eq!(resilient.report.memory_bytes, pipelined.report.memory_bytes);
+    assert_eq!(resilient.results, whole.results);
+    assert_eq!(resilient.report.image_bytes, whole.report.image_bytes);
+    assert_eq!(resilient.report.memory_bytes, whole.report.memory_bytes);
     let r = resilient.report.recovery().unwrap();
     assert!(!r.fallback_taken);
     assert_eq!(r.retransmits, 0);

@@ -10,9 +10,9 @@ use hpm::core::stream::VecChunks;
 use hpm::core::ChunkPayload;
 use hpm::migrate::{
     migrate, run_straight, run_to_migration, ExecutionState, MigCtx, MigError, MigratableProgram,
-    MigratedSource, Migration, PipelineConfig, Process, Transport, Trigger,
+    MigratedSource, Migration, PipelineConfig, Process, RecoveryPolicy, Transport, Trigger,
 };
-use hpm::net::NetworkModel;
+use hpm::net::{FaultPlan, NetworkModel};
 use hpm::workloads::{diff_results, BitonicSort, Linpack, TestPointer};
 use std::time::Duration;
 
@@ -84,7 +84,11 @@ fn pipelined_migration_matches_straight_run_and_overlaps() {
         Architecture::ultra5(),
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(n),
-        &Migration::new(Transport::Streamed(PipelineConfig::default())),
+        &Migration::new(Transport::Reliable(
+            PipelineConfig::default(),
+            FaultPlan::none(),
+            RecoveryPolicy::default(),
+        )),
     )
     .unwrap();
     assert!(
@@ -106,6 +110,10 @@ fn pipelined_migration_matches_straight_run_and_overlaps() {
         "overlap_ratio must be positive, got {}",
         p.overlap_ratio()
     );
+    // A clean link costs acknowledgements and nothing else.
+    let r = run.report.recovery().expect("reliable run carries stats");
+    assert!(r.retransmits == 0 && r.nacks_sent == 0, "{r:?}");
+    assert_eq!(run.report.resume().unwrap().rung, 1);
     // The report's stat groups include the pipeline group.
     assert!(run
         .report

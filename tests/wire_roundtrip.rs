@@ -8,9 +8,13 @@
 
 use hpm::arch::Architecture;
 use hpm::migrate::{
-    migrate, run_migrating, run_to_migration, Migration, PipelineConfig, Transport, Trigger,
+    migrate, run_migrating, run_to_migration, Migration, PipelineConfig, RecoveryPolicy, Transport,
+    Trigger,
 };
-use hpm::net::{channel_pair, ChunkReceiver, ChunkSender, NetworkModel, WireCodec};
+use hpm::net::{
+    channel_pair, ArqConfig, FaultPlan, NetworkModel, ReliableChunkReceiver, ReliableChunkSender,
+    WireCodec,
+};
 use hpm::workloads::TestPointer;
 
 fn presets() -> [Architecture; 4] {
@@ -33,16 +37,22 @@ fn shipped_image_is_bit_identical_under_both_codecs() {
         let image = src.to_image().unwrap();
         for codec in [WireCodec::V2, WireCodec::V3] {
             let (a, b) = channel_pair(NetworkModel::instant());
-            let mut tx = ChunkSender::new(&a).with_codec(codec);
-            for part in image.chunks(512) {
-                tx.send(part).unwrap();
-            }
-            tx.finish().unwrap();
-            let mut rx = ChunkReceiver::new(b);
-            let mut shipped = Vec::new();
-            while let Some(c) = rx.recv_chunk().unwrap() {
-                shipped.extend_from_slice(&c);
-            }
+            let shipped = std::thread::scope(|s| {
+                let receiver = s.spawn(|| {
+                    let mut rx = ReliableChunkReceiver::new(b, ArqConfig::default());
+                    let mut shipped = Vec::new();
+                    while let Some(c) = rx.recv_chunk().unwrap() {
+                        shipped.extend_from_slice(&c);
+                    }
+                    shipped
+                });
+                let mut tx = ReliableChunkSender::new(a, ArqConfig::default()).with_codec(codec);
+                for part in image.chunks(512) {
+                    tx.send(part).unwrap();
+                }
+                tx.finish().unwrap();
+                receiver.join().expect("receiver panicked")
+            });
             assert_eq!(
                 shipped, image,
                 "{} via {codec:?}: wire changed the image bytes",
@@ -75,14 +85,25 @@ fn every_preset_pair_roundtrips_stored_and_compressed() {
                     dst.clone(),
                     NetworkModel::instant(),
                     Trigger::AtPollCount(8),
-                    &Migration::new(Transport::Streamed(PipelineConfig {
-                        pace: false,
-                        codec,
-                        ..Default::default()
-                    })),
+                    &Migration::new(Transport::Reliable(
+                        PipelineConfig {
+                            pace: false,
+                            codec,
+                            ..Default::default()
+                        },
+                        FaultPlan::none(),
+                        RecoveryPolicy::default(),
+                    )),
                 )
                 .unwrap();
                 let tag = format!("{} -> {} via {codec:?}", src.name, dst.name);
+                // The default policy answers a broken restore by resuming
+                // on the source, which would pass every check below.
+                assert_eq!(
+                    run.report.resume().unwrap().rung,
+                    1,
+                    "{tag}: the destination must finish the run, not the source"
+                );
                 assert_eq!(run.results, seq.results, "{tag}: answers diverge");
                 assert_eq!(
                     run.report.image_bytes, seq.report.image_bytes,
