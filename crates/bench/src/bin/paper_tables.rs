@@ -44,12 +44,12 @@
 //! journaled share of the stream.
 //!
 //! `wire` is the wire-optimisation gate: per paper workload it prints
-//! the v3 compression ratio, and **always** exits 1 if the v3 run
+//! the compression ratio, and **always** exits 1 if the compressed run
 //! diverges from the stored run or compression fails to shrink
 //! linpack's image — CI's perf-smoke line alongside `translate`.
 //!
-//! `telemetry` prints the percentile wire telemetry: per-chunk
-//! encode/wire/decode latency distributions and the ARQ retry-count
+//! `telemetry` prints the percentile wire telemetry: per-chunk modelled
+//! wire latency percentiles, retransmits and the ARQ retry-count
 //! distribution for the three paper workloads under seeded faults.
 //!
 //! `bench-diff <old.json> <new.json>` compares two `BENCH_<rev>.json`

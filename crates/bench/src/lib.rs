@@ -5,12 +5,12 @@
 //! column with its [`table::Kind`] — and the printed text, the
 //! `BENCH_<rev>.json` rows and the bench-diff gates are all read from
 //! that declaration. The only clock read is in [`harness::sample`], and
-//! what it times prints as `floor ± spread`; the four tables that cannot
-//! repeat a run cheaply (validation, delta, the paced pipeline, the
-//! per-chunk telemetry) relay spans from one migration's own report. No
-//! wall clock of either sort enters the artifact, which carries only
-//! what is a function of the code and the seeds ([`ARTIFACT`]), so two
-//! runs at one commit write the same bytes.
+//! what it times prints as `floor ± spread`; the three tables that cannot
+//! repeat a run cheaply (validation, delta, the paced pipeline) relay
+//! spans from one migration's own report. No wall clock of either sort
+//! enters the artifact, which carries only what is a function of the
+//! code and the seeds ([`ARTIFACT`]), so two runs at one commit write the
+//! same bytes.
 //!
 //! | paper item | rows | table |
 //! |---|---|---|
@@ -582,7 +582,7 @@ pub fn translate_gate(rows: &[TranslateRow]) -> Vec<String> {
     violations
 }
 
-/// One workload through the v3 (compressed) chunk stream: what the
+/// One workload through the compressed chunk stream: what the
 /// codec saves on the wire, answer-checked against the stored run.
 #[derive(Debug, Clone)]
 pub struct WireRow {
@@ -590,13 +590,13 @@ pub struct WireRow {
     pub label: String,
     /// Image payload bytes entering the sender (stored size).
     pub raw_bytes: u64,
-    /// Post-codec payload bytes on the wire under v3 framing.
+    /// Post-codec payload bytes on the wire, compressed.
     pub wire_bytes: u64,
     /// `wire_bytes / raw_bytes` — < 1.0 when compression wins.
     pub ratio: f64,
-    /// Chunks the v3 sender actually compressed (vs stored fallback).
+    /// Chunks the sender actually compressed (vs stored fallback).
     pub chunks_compressed: u64,
-    /// Whether the v3 run restored the same answers and shipped a
+    /// Whether the compressed run restored the same answers and shipped a
     /// byte-identical image. Anything but `true` fails the wire gate.
     pub restored_identical: bool,
 }
@@ -620,7 +620,7 @@ fn wire_row<P: MigratableProgram + Send>(
         FaultPlan::none(),
         RecoveryPolicy::default(),
     ));
-    let comp = migrate(make, arch.clone(), arch, link, trigger, &policy).expect("v3 run");
+    let comp = migrate(make, arch.clone(), arch, link, trigger, &policy).expect("compressed run");
     let t = &comp.report.transfer;
     WireRow {
         label: label.to_string(),
@@ -637,7 +637,7 @@ fn wire_row<P: MigratableProgram + Send>(
 }
 
 /// The wire table over the paper workloads, Ultra 5 pair at 100 Mb/s:
-/// the v3 chunk stream, answer-checked against the plain stored
+/// the compressed chunk stream, answer-checked against the plain stored
 /// driver. Linpack appears twice because the two
 /// freeze points have opposite wire behaviour: at the canonical
 /// mid-factor point (`linpack_600`) one elimination pass has already
@@ -666,20 +666,20 @@ pub fn wire_rows() -> Vec<WireRow> {
     ]
 }
 
-/// The CI perf gate over [`wire_rows`]: identity under v3 framing and
+/// The CI perf gate over [`wire_rows`]: identity under compression and
 /// compression actually shrinking linpack's image. Counters only.
 pub fn wire_gate(rows: &[WireRow]) -> Vec<String> {
     let mut violations = Vec::new();
     for r in rows {
         if !r.restored_identical {
             violations.push(format!(
-                "{}: v3 migration diverged from the stored run",
+                "{}: compressed migration diverged from the stored run",
                 r.label
             ));
         }
         if r.label == "linpack_600" && r.wire_bytes >= r.raw_bytes {
             violations.push(format!(
-                "{}: v3 framing did not shrink the image ({} wire vs {} raw bytes)",
+                "{}: compression did not shrink the image ({} wire vs {} raw bytes)",
                 r.label, r.wire_bytes, r.raw_bytes
             ));
         }
@@ -1333,11 +1333,6 @@ pub struct TelemetryRow {
     pub wire_p99_ns: u64,
     /// Worst modeled per-chunk wire latency (ns).
     pub wire_max_ns: u64,
-    /// Median per-chunk encode latency (ns) of the one run — a wall
-    /// clock: printed, never in the artifact.
-    pub encode_p50_ns: u64,
-    /// Median per-chunk decode latency (ns) of the one run, likewise.
-    pub decode_p50_ns: u64,
     /// Total frame retransmissions (seed-deterministic).
     pub retransmits: u64,
     /// Median per-chunk retry count (seed-deterministic).
@@ -1380,8 +1375,6 @@ fn telemetry_row<P: MigratableProgram + Send>(
         wire_p50_ns: w.p50(),
         wire_p99_ns: w.p99(),
         wire_max_ns: w.max,
-        encode_p50_ns: p.encode_lat.p50(),
-        decode_p50_ns: p.decode_lat.p50(),
         retransmits: r.retransmits,
         retry_p50: r.retry_hist.p50(),
         retry_p99: r.retry_hist.p99(),
@@ -1723,7 +1716,7 @@ pub static TRANSLATE: Table<TranslateRow> = Table {
 /// 0.46 → 0.64 with `wire_bytes` down 37 %), which regresses nothing.
 pub static WIRE: Table<WireRow> = Table {
     name: "wire",
-    title: "Wire optimisation — v3 compression (gated)",
+    title: "Wire optimisation — compressed chunks (gated)",
     cols: &[
         col("name", Key, |r| Cell::Text(r.label.clone())),
         col("raw_bytes", Counter, |r| Cell::Int(r.raw_bytes)),
@@ -1736,7 +1729,7 @@ pub static WIRE: Table<WireRow> = Table {
             Cell::Flag(r.restored_identical)
         }),
     ],
-    note: "the v3 chunk stream, answer-checked against the plain stored driver",
+    note: "the compressed chunk stream, answer-checked against the plain stored driver",
     rows: wire_rows,
 };
 
@@ -1878,19 +1871,12 @@ pub static TELEMETRY: Table<TelemetryRow> = Table {
         col("wire_max_ns", Info, |r| {
             Cell::Span(Duration::from_nanos(r.wire_max_ns))
         }),
-        col("encode_p50", Timed, |r| {
-            Cell::Span(Duration::from_nanos(r.encode_p50_ns))
-        }),
-        col("decode_p50", Timed, |r| {
-            Cell::Span(Duration::from_nanos(r.decode_p50_ns))
-        }),
         col("retransmits", Counter, |r| Cell::Int(r.retransmits)),
         col("retry_p50", Info, |r| Cell::Int(r.retry_p50)),
         col("retry_p99", Info, |r| Cell::Int(r.retry_p99)),
         col("retry_max", Counter, |r| Cell::Int(r.retry_max)),
     ],
-    note: "per-chunk latencies; wire percentiles are modelled, retry counts \
-           seed-deterministic, encode/decode medians one run's wall clock",
+    note: "per-chunk wire latencies are modelled and retry counts seed-deterministic",
     rows: telemetry_rows,
 };
 

@@ -26,7 +26,7 @@ use crate::MigError;
 use hpm_arch::Architecture;
 use hpm_core::{ChunkSource, CollectStats, RegistryAuditStats, ReplaySource};
 use hpm_net::{ArqConfig, FaultPlan, NetworkModel, TransferSnapshot, WireCodec};
-use hpm_obs::{EventLog, Histogram, Level, StatGroup, Track};
+use hpm_obs::{EventLog, Level, StatGroup, Track};
 use hpm_xdr::{image_id, ChunkRecord, RestoreJournal};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -43,8 +43,8 @@ pub struct PipelineConfig {
     /// Scale on the per-chunk pacing sleep (`0.01` runs a 10 Mb/s
     /// experiment 100× faster while preserving relative timing).
     pub pace_scale: f64,
-    /// Frame codec for the chunk stream (default v2/stored; pass
-    /// [`WireCodec::V3`] to compress each chunk on the wire).
+    /// Whether the chunk stream travels stored (the default) or
+    /// compressed ([`WireCodec::V3`]), in the one chunk frame.
     pub codec: WireCodec,
 }
 
@@ -60,7 +60,7 @@ impl Default for PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// This configuration with v3 (compressed) framing.
+    /// This configuration with compressed chunks.
     pub fn compressed(mut self) -> Self {
         self.codec = WireCodec::V3;
         self
@@ -487,7 +487,6 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
         src: &mut MigratedSource,
         prefix: &[u8],
         lane: Lane,
-        latency: &(Arc<Histogram>, Arc<Histogram>),
     ) -> Result<StreamAttempt, MigError> {
         let (collect_track, restore_track) = match lane.resume {
             None => ("collect", "restore"),
@@ -495,7 +494,6 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
         };
         let collect_track = self.log.track(collect_track);
         let restore_track = self.log.track(restore_track);
-        let (encode_lat, decode_lat) = latency.clone();
         let chunk_bytes = lane.config.chunk_bytes;
         let mut dst_prog = (self.make)();
         let dst_arch = self.dst_arch.clone();
@@ -504,20 +502,12 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
             lane,
             |sink| {
                 sink(prefix.to_vec())?;
-                // Per-chunk encode latency: the gap between successive
-                // chunks leaving the collector is the time the DFS spent
-                // filling (encoding) the chunk that just flushed.
-                let mut last_flush = Instant::now();
                 collect_pending_streamed(
                     &mut src.proc,
                     &src.pending,
                     chunk_bytes,
                     &collect_track,
-                    Box::new(|chunk| {
-                        encode_lat.observe(last_flush.elapsed().as_nanos() as u64);
-                        last_flush = Instant::now();
-                        sink(chunk)
-                    }),
+                    Box::new(sink),
                 )
             },
             move |mut rx, mut replay| {
@@ -527,11 +517,7 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
                         .recv_chunk()?
                         .ok_or_else(|| MigError::Protocol("empty migration stream".into()))?,
                 };
-                let live = Box::new(NetChunkSource {
-                    rx,
-                    decode_lat,
-                    last_return: None,
-                });
+                let live = Box::new(NetChunkSource(rx));
                 let more: Box<dyn ChunkSource + Send> = match replay.is_empty() {
                     true => live,
                     false => Box::new(ReplaySource::new(replay, live)),
@@ -563,7 +549,6 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
         plan: FaultPlan,
         policy: RecoveryPolicy,
     ) -> Result<Delivered, MigError> {
-        let latency = (Arc::new(Histogram::new()), Arc::new(Histogram::new()));
         // The destination's chunk journal exists for rung 2 to read; a
         // policy without rung 2 keeps none, so the receiver holds no
         // second copy of the image.
@@ -590,7 +575,7 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
                 None => (journal.clone(), None),
             };
             let lane = self.lane(config, plan, policy, lane_journal, resume);
-            let mut out = self.stream_attempt(src, prefix, lane, &latency)?;
+            let mut out = self.stream_attempt(src, prefix, lane)?;
             recovery.merge_from(&out.recovery);
             if let (None, Some(journal)) = (&failed, &journal) {
                 ladder.journal_chunks = lock_journal(journal).next_chunk() as u64;
@@ -684,8 +669,6 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
                 .done_at
                 .map(|t| t.saturating_duration_since(t_start))
                 .unwrap_or_default(),
-            encode_lat: latency.0.snapshot(),
-            decode_lat: latency.1.snapshot(),
         };
         self.end_phases(&src.proc, &out.wire.transfer, &dst);
         Ok(Delivered {

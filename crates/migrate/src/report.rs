@@ -231,12 +231,6 @@ pub struct PipelineStats {
     /// Wall time from the start of collection until the final
     /// `restore_frame` completed on the destination.
     pub e2e_time: Duration,
-    /// Per-chunk encode latency (nanoseconds between successive chunks
-    /// leaving the collector), as a log-bucketed distribution.
-    pub encode_lat: HistogramSnapshot,
-    /// Per-chunk decode latency (nanoseconds the restorer spent between
-    /// finishing one chunk and requesting the next).
-    pub decode_lat: HistogramSnapshot,
 }
 
 impl PipelineStats {
@@ -278,10 +272,6 @@ impl StatGroup for PipelineStats {
             StatField::duration("restore_stall", self.restore_stall),
             StatField::duration("e2e_time", self.e2e_time),
             StatField::ratio("overlap_ratio", self.overlap_ratio()),
-            StatField::duration("encode_p50", Duration::from_nanos(self.encode_lat.p50())),
-            StatField::duration("encode_p99", Duration::from_nanos(self.encode_lat.p99())),
-            StatField::duration("decode_p50", Duration::from_nanos(self.decode_lat.p50())),
-            StatField::duration("decode_p99", Duration::from_nanos(self.decode_lat.p99())),
         ]
     }
 
@@ -293,8 +283,6 @@ impl StatGroup for PipelineStats {
         self.restore_time += other.restore_time;
         self.restore_stall += other.restore_stall;
         self.e2e_time += other.e2e_time;
-        self.encode_lat.merge(&other.encode_lat);
-        self.decode_lat.merge(&other.decode_lat);
     }
 }
 

@@ -18,7 +18,7 @@ use hpm_net::{
     channel_pair, ArqConfig, Channel, FaultPlan, FaultyEndpoint, NetError, NetworkModel,
     ReliableChunkReceiver, ReliableChunkSender, ResumeDecision, TransferSnapshot,
 };
-use hpm_obs::{Histogram, StatGroup, Track};
+use hpm_obs::{StatGroup, Track};
 use hpm_xdr::{ChunkRecord, RestoreJournal};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
@@ -92,26 +92,14 @@ pub(crate) struct WireDone {
 }
 
 /// Adapter: the ARQ receiver as the restorer's [`ChunkSource`], mapping
-/// transport failures into the stream layer. The gap between returning
-/// one chunk and being asked for the next is the restorer's per-chunk
-/// decode latency — observed into `decode_lat`.
-pub(crate) struct NetChunkSource {
-    pub rx: ReliableChunkReceiver,
-    pub decode_lat: Arc<Histogram>,
-    pub last_return: Option<Instant>,
-}
+/// transport failures into the stream layer.
+pub(crate) struct NetChunkSource(pub ReliableChunkReceiver);
 
 impl ChunkSource for NetChunkSource {
     fn next_chunk(&mut self) -> Result<Option<Vec<u8>>, CoreError> {
-        if let Some(t) = self.last_return.take() {
-            self.decode_lat.observe(t.elapsed().as_nanos() as u64);
-        }
-        let r = self
-            .rx
+        self.0
             .recv_chunk()
-            .map_err(|e| CoreError::Source(e.to_string()));
-        self.last_return = Some(Instant::now());
-        r
+            .map_err(|e| CoreError::Source(e.to_string()))
     }
 }
 

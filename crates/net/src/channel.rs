@@ -82,10 +82,6 @@ pub struct TransferStats {
     chunks_compressed: AtomicU64,
     /// Per-message modeled wire latency distribution (nanoseconds).
     wire_lat: Histogram,
-    /// Per-chunk compression latency distribution (nanoseconds).
-    compress_lat: Histogram,
-    /// Per-chunk decompression latency distribution (nanoseconds).
-    decompress_lat: Histogram,
 }
 
 impl TransferStats {
@@ -120,16 +116,6 @@ impl TransferStats {
         }
     }
 
-    /// Account one chunk payload being compressed on the send side.
-    pub fn observe_compress(&self, nanos: u64) {
-        self.compress_lat.observe(nanos);
-    }
-
-    /// Account one chunk payload being expanded on the receive side.
-    pub fn observe_decompress(&self, nanos: u64) {
-        self.decompress_lat.observe(nanos);
-    }
-
     /// Point-in-time copy, detached from the live atomics.
     pub fn snapshot(&self) -> TransferSnapshot {
         TransferSnapshot {
@@ -140,8 +126,6 @@ impl TransferStats {
             wire_payload_bytes: self.wire_payload_bytes.load(Ordering::Relaxed),
             chunks_compressed: self.chunks_compressed.load(Ordering::Relaxed),
             wire_lat: self.wire_lat.snapshot(),
-            compress_lat: self.compress_lat.snapshot(),
-            decompress_lat: self.decompress_lat.snapshot(),
         }
     }
 }
@@ -163,10 +147,6 @@ pub struct TransferSnapshot {
     pub chunks_compressed: u64,
     /// Per-message modeled wire latency distribution (nanoseconds).
     pub wire_lat: HistogramSnapshot,
-    /// Per-chunk compression latency distribution (nanoseconds).
-    pub compress_lat: HistogramSnapshot,
-    /// Per-chunk decompression latency distribution (nanoseconds).
-    pub decompress_lat: HistogramSnapshot,
 }
 
 impl TransferSnapshot {
@@ -204,22 +184,6 @@ impl StatGroup for TransferSnapshot {
             StatField::duration("wire_p90", Duration::from_nanos(self.wire_lat.p90())),
             StatField::duration("wire_p99", Duration::from_nanos(self.wire_lat.p99())),
             StatField::duration("wire_max", Duration::from_nanos(self.wire_lat.max)),
-            StatField::duration(
-                "compress_p50",
-                Duration::from_nanos(self.compress_lat.p50()),
-            ),
-            StatField::duration(
-                "compress_p99",
-                Duration::from_nanos(self.compress_lat.p99()),
-            ),
-            StatField::duration(
-                "decompress_p50",
-                Duration::from_nanos(self.decompress_lat.p50()),
-            ),
-            StatField::duration(
-                "decompress_p99",
-                Duration::from_nanos(self.decompress_lat.p99()),
-            ),
         ]
     }
 
@@ -231,8 +195,6 @@ impl StatGroup for TransferSnapshot {
         self.wire_payload_bytes += other.wire_payload_bytes;
         self.chunks_compressed += other.chunks_compressed;
         self.wire_lat.merge(&other.wire_lat);
-        self.compress_lat.merge(&other.compress_lat);
-        self.decompress_lat.merge(&other.decompress_lat);
     }
 }
 

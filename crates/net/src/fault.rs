@@ -308,9 +308,7 @@ pub trait FrameLink {
         None
     }
     /// Transfer accounting for the underlying channel, when the link has
-    /// one — lets the ARQ sender report raw-vs-wire payload volume and
-    /// compression latency through the same counters as the plain
-    /// chunked stream.
+    /// one — where the ARQ sender reports raw-vs-wire payload volume.
     fn transfer_stats(&self) -> Option<&TransferStats> {
         None
     }
@@ -418,7 +416,7 @@ impl FrameLink for FaultyEndpoint {
         }
         // Frames we cannot parse get no fault treatment — the injector
         // only reasons about well-formed chunk frames.
-        let Some(header) = peek_chunk_header(&frame) else {
+        let Ok(header) = peek_chunk_header(&frame) else {
             return self.deliver(frame, true);
         };
         let seq = header.seq;
@@ -449,8 +447,7 @@ impl FrameLink for FaultyEndpoint {
                 let mut damaged = frame;
                 // Corrupt real data bytes only: padding must stay zero so
                 // the frame still parses and the receiver can NACK `seq`.
-                let idx = damaged.len() - hpm_xdr::padded_len(data_len) + off;
-                damaged[idx] ^= mask;
+                damaged[header.payload_at + off] ^= mask;
                 self.stats.corrupted += 1;
                 self.record_fault("corrupt", seq, attempt);
                 // A damaged copy reaches the peer but earns no ack.
@@ -525,7 +522,10 @@ mod tests {
     use super::*;
     use crate::channel::channel_pair;
     use crate::model::NetworkModel;
-    use hpm_xdr::frame_chunk_v2;
+
+    fn stored(seq: u32, payload: &[u8]) -> Vec<u8> {
+        hpm_xdr::frame_chunk(seq, false, payload, false).0
+    }
 
     #[test]
     fn plans_are_pure_functions_of_the_seed() {
@@ -554,8 +554,7 @@ mod tests {
         let (src, dst) = channel_pair(NetworkModel::instant());
         let mut ep = FaultyEndpoint::new(src, FaultPlan::none());
         for seq in 0..20u32 {
-            ep.send_frame(frame_chunk_v2(seq, false, &[seq as u8; 8]))
-                .unwrap();
+            ep.send_frame(stored(seq, &[seq as u8; 8])).unwrap();
         }
         for seq in 0..20u32 {
             let f = hpm_xdr::unframe_chunk_any(&dst.recv().unwrap()).unwrap();
@@ -574,7 +573,7 @@ mod tests {
         };
         let (src, dst) = channel_pair(NetworkModel::instant());
         let mut ep = FaultyEndpoint::new(src, plan);
-        ep.send_frame(frame_chunk_v2(0, false, &[7; 33])).unwrap();
+        ep.send_frame(stored(0, &[7; 33])).unwrap();
         let f = hpm_xdr::unframe_chunk_any(&dst.recv().unwrap()).unwrap();
         assert_eq!(f.seq, 0);
         assert!(f.verify_crc().is_err(), "payload must fail its CRC");
@@ -589,8 +588,8 @@ mod tests {
         };
         let (src, dst) = channel_pair(NetworkModel::instant());
         let mut ep = FaultyEndpoint::new(src, plan);
-        ep.send_frame(frame_chunk_v2(0, false, &[1; 4])).unwrap();
-        ep.send_frame(frame_chunk_v2(1, false, &[2; 4])).unwrap();
+        ep.send_frame(stored(0, &[1; 4])).unwrap();
+        ep.send_frame(stored(1, &[2; 4])).unwrap();
         ep.flush().unwrap();
         let first = hpm_xdr::unframe_chunk_any(&dst.recv().unwrap()).unwrap();
         let second = hpm_xdr::unframe_chunk_any(&dst.recv().unwrap()).unwrap();
@@ -608,7 +607,7 @@ mod tests {
         let (src, dst) = channel_pair(NetworkModel::instant());
         let mut ep = FaultyEndpoint::new(src, plan);
         for seq in 0..5u32 {
-            ep.send_frame(frame_chunk_v2(seq, false, &[0; 4])).unwrap();
+            ep.send_frame(stored(seq, &[0; 4])).unwrap();
         }
         assert!(ep.stats().disconnected);
         assert_eq!(ep.stats().blackholed, 3);
@@ -656,7 +655,7 @@ mod tests {
         let mut ep = FaultyEndpoint::new(src, plan);
         let t0 = std::time::Instant::now();
         for seq in 0..50u32 {
-            ep.send_frame(frame_chunk_v2(seq, false, &[0; 16])).unwrap();
+            ep.send_frame(stored(seq, &[0; 16])).unwrap();
         }
         assert!(
             t0.elapsed() < Duration::from_secs(1),

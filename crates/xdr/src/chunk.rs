@@ -2,41 +2,31 @@
 //!
 //! The pipelined migration path ships the XDR image stream in framed
 //! chunks so transfer can start while collection is still traversing the
-//! MSR graph. Each chunk on the wire is itself a tiny XDR document.
-//! Two frame versions coexist, both CRC-protected:
+//! MSR graph. Each chunk on the wire is itself a tiny XDR document, and
+//! every stream uses the one frame:
 //!
 //! ```text
-//! v2 (stored)
-//! u32 magic  = 0x4850_4D44 ("HPMD")
-//! u32 seq    = 0, 1, 2, ...
-//! u32 flags  = bit 0 on final chunk
-//! u32 crc    = CRC-32 of the payload
-//! opaque_var payload (4-byte aligned)
-//!
-//! v3 (compressed)
-//! u32 magic   = 0x4850_4D45 ("HPME")
+//! u32 magic   = 0x4850_4D46 ("HPMF")
 //! u32 seq     = 0, 1, 2, ...
 //! u32 flags   = bit 0 final chunk, bit 1 payload is compressed
 //! u32 raw_len = payload size before compression
-//! u32 crc     = CRC-32 of the *wire* payload (post-compression)
 //! opaque_var wire payload (4-byte aligned)
+//! u32 crc     = CRC-32 of every byte above
 //! ```
 //!
-//! A v3 sender compresses each chunk with [`crate::compress()`] and falls
-//! back to a stored block (bit 1 clear, wire payload = raw payload)
-//! whenever compression would not shrink the chunk — incompressible
-//! data never expands beyond the fixed 4-byte `raw_len` overhead. The
-//! CRC always covers the bytes actually on the wire, so the transport
-//! can verify integrity *before* spending decompression work, and a
-//! corrupt compressed chunk is caught exactly like a corrupt stored one.
+//! A compressing sender runs each chunk through [`crate::compress()`] and
+//! falls back to a stored block (bit 1 clear, wire payload = raw payload)
+//! whenever compression would not shrink the chunk; a storing sender
+//! never compresses. The trailing CRC covers the header as well as the
+//! bytes actually on the wire — the rule HPMG delta frames and the
+//! restore journal follow — so a damaged `seq`, `flags` or `raw_len`
+//! fails the check exactly like a damaged payload byte, and the transport
+//! verifies integrity *before* spending decompression work.
 //!
-//! [`unframe_chunk_any`] decodes both versions — receiver-side
-//! auto-detection by magic is the negotiation mechanism, so a v3 sender
-//! interoperates with a v2 peer simply by being configured down, and a
-//! receiver understands whatever arrives. The CRC-less v1 frame
-//! ("HPMC", `0x4850_4D43`) is refused as [`XdrError::BadMagic`]: it was
-//! the one frame a receiver would accept with no integrity check, and
-//! no sender emits it. The CRC is reported, not verified, here — the
+//! [`unframe_chunk_any`] reads the one frame. Three retired magics are
+//! refused as [`XdrError::BadMagic`]: `HPMC` (`0x4850_4D43`, v1), which
+//! carried no CRC, and `HPMD` (v2) and `HPME` (v3), whose CRCs left the
+//! header unprotected. The CRC is reported, not verified, there — the
 //! transport layer decides how to react to a mismatch (the framing layer
 //! has no notion of retransmission).
 //!
@@ -51,11 +41,8 @@
 use crate::compress::{compress, decompress};
 use crate::{XdrDecoder, XdrEncoder, XdrError};
 
-/// Magic number opening every v2 (CRC-carrying) chunk frame: "HPMD".
-pub const CHUNK_MAGIC_V2: u32 = 0x4850_4D44;
-
-/// Magic number opening every v3 (compression-capable) chunk frame: "HPME".
-pub const CHUNK_MAGIC_V3: u32 = 0x4850_4D45;
+/// Magic number opening every chunk frame: "HPMF".
+pub const CHUNK_MAGIC: u32 = 0x4850_4D46;
 
 /// Magic number opening every ARQ control frame: "HPMA".
 pub const CONTROL_MAGIC: u32 = 0x4850_4D41;
@@ -63,7 +50,7 @@ pub const CONTROL_MAGIC: u32 = 0x4850_4D41;
 /// Flag bit marking the final chunk of a stream.
 pub const CHUNK_FLAG_LAST: u32 = 1;
 
-/// Flag bit (v3 only) marking a chunk whose wire payload is compressed.
+/// Flag bit marking a chunk whose wire payload is compressed.
 pub const CHUNK_FLAG_COMPRESSED: u32 = 2;
 
 /// Bytes folded into the CRC register per step.
@@ -74,7 +61,7 @@ const CRC_LANES: usize = 16;
 static CRC_TABLES: [[u32; 256]; CRC_LANES] = crc32_tables();
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `data` — the integrity
-/// check of v2 and v3 chunk frames, the delta frame and the journal.
+/// check of the chunk frame, the delta frame and the journal.
 /// Sliced: a block of sixteen bytes is folded in at once through
 /// one table per lane, so the lookups of a block are independent of each
 /// other and only their XOR is carried into the next block.
@@ -127,45 +114,44 @@ const fn crc32_tables() -> [[u32; 256]; CRC_LANES] {
     t
 }
 
-/// Frame one chunk with the v2 layout: the payload's CRC-32 travels
-/// between the flags word and the payload.
-pub fn frame_chunk_v2(seq: u32, last: bool, payload: &[u8]) -> Vec<u8> {
-    let mut enc = XdrEncoder::with_capacity(20 + payload.len());
-    enc.put_u32(CHUNK_MAGIC_V2);
-    enc.put_u32(seq);
-    enc.put_u32(if last { CHUNK_FLAG_LAST } else { 0 });
-    enc.put_u32(crc32(payload));
-    enc.put_opaque_var(payload);
-    enc.into_bytes()
-}
-
-/// Frame one chunk with the v3 layout, compressing the payload when
-/// that shrinks it and storing it raw otherwise. Returns the frame and
-/// the number of wire-payload bytes actually shipped (compressed size
-/// for compressed chunks, raw size for stored ones) so senders can
-/// account raw-vs-wire volume without re-parsing their own frames.
-pub fn frame_chunk_v3(seq: u32, last: bool, payload: &[u8]) -> (Vec<u8>, usize) {
-    let comp = compress(payload);
-    let (wire, compressed): (&[u8], bool) = if comp.len() < payload.len() {
-        (&comp, true)
-    } else {
-        (payload, false)
-    };
+/// Frame one chunk. With `try_compress` the payload travels compressed
+/// when that shrinks it and stored otherwise; without, always stored.
+/// Returns the frame, the number of wire-payload bytes it carries
+/// (compressed size for compressed chunks, raw size for stored ones) and
+/// the CRC it was stamped with, so senders account raw-vs-wire volume and
+/// keep their ledger without re-parsing their own frames.
+pub fn frame_chunk(
+    seq: u32,
+    last: bool,
+    payload: &[u8],
+    try_compress: bool,
+) -> (Vec<u8>, usize, u32) {
+    let packed = try_compress
+        .then(|| compress(payload))
+        .filter(|c| c.len() < payload.len());
+    let wire = packed.as_deref().unwrap_or(payload);
     let mut flags = if last { CHUNK_FLAG_LAST } else { 0 };
-    if compressed {
+    if packed.is_some() {
         flags |= CHUNK_FLAG_COMPRESSED;
     }
-    let mut enc = XdrEncoder::with_capacity(24 + wire.len());
-    enc.put_u32(CHUNK_MAGIC_V3);
+    let mut enc = XdrEncoder::with_capacity(24 + crate::padded_len(wire.len()));
+    enc.put_u32(CHUNK_MAGIC);
     enc.put_u32(seq);
     enc.put_u32(flags);
     enc.put_u32(payload.len() as u32);
-    enc.put_u32(crc32(wire));
     enc.put_opaque_var(wire);
-    (enc.into_bytes(), wire.len())
+    let crc = crc32(enc.as_bytes());
+    enc.put_u32(crc);
+    (enc.into_bytes(), wire.len(), crc)
 }
 
-/// One decoded chunk frame, any version.
+/// [`frame_chunk`], compressed: the frame and its wire-payload length.
+pub fn frame_chunk_v3(seq: u32, last: bool, payload: &[u8]) -> (Vec<u8>, usize) {
+    let (frame, wire_len, _) = frame_chunk(seq, last, payload, true);
+    (frame, wire_len)
+}
+
+/// One decoded chunk frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkFrame {
     /// Sequence number.
@@ -173,82 +159,66 @@ pub struct ChunkFrame {
     /// Final-chunk flag.
     pub last: bool,
     /// The wire payload as it arrived (possibly corrupted in transit;
-    /// still compressed for compressed v3 frames). Verification against
+    /// still compressed for compressed frames). Verification against
     /// `crc` is the receiver's job, *before* decompression.
     pub payload: Vec<u8>,
-    /// The CRC-32 the sender stamped over the wire payload.
+    /// The CRC-32 the sender stamped over the header and wire payload.
     pub crc: u32,
-    /// Whether `payload` is compressed (v3 frames with bit 1 set).
+    /// Whether `payload` is compressed.
     pub compressed: bool,
-    /// Pre-compression payload size carried by v3 frames; `None` for
-    /// v2 frames, whose payload is always stored.
-    pub raw_len: Option<u32>,
+    /// Payload size before compression; a stored payload's own size.
+    pub raw_len: u32,
+    /// The CRC-32 of the frame as it arrived, everything before `crc`.
+    arrived_crc: u32,
 }
 
 impl ChunkFrame {
-    /// Whether the wire payload matches the stamped CRC. On mismatch
-    /// returns the computed CRC.
+    /// Whether the frame arrived as it was stamped, header and wire
+    /// payload alike. On mismatch returns the CRC of what arrived.
     pub fn verify_crc(&self) -> Result<(), u32> {
-        let computed = crc32(&self.payload);
-        if computed == self.crc {
+        if self.arrived_crc == self.crc {
             Ok(())
         } else {
-            Err(computed)
+            Err(self.arrived_crc)
         }
     }
 
-    /// The decoded (post-decompression) payload. For stored frames this
-    /// is the wire payload as-is; for compressed v3 frames the token
-    /// stream is expanded and checked against the declared `raw_len`.
+    /// The decoded (post-decompression) payload, exactly `raw_len` bytes:
+    /// a compressed frame's token stream is expanded and checked against
+    /// it, and a stored frame whose payload is any other size is refused
+    /// as [`XdrError::LengthTooLarge`].
     pub fn into_payload(self) -> Result<Vec<u8>, XdrError> {
-        if !self.compressed {
-            return Ok(self.payload);
+        if self.compressed {
+            decompress(&self.payload, self.raw_len as usize)
+        } else if self.payload.len() == self.raw_len as usize {
+            Ok(self.payload)
+        } else {
+            Err(XdrError::LengthTooLarge(self.raw_len))
         }
-        let raw_len = self.raw_len.unwrap_or(0) as usize;
-        decompress(&self.payload, raw_len)
     }
 }
 
-/// Unframe a chunk of any version. Rejects bad magic (the retired v1
-/// magic included), unknown flag bits, and trailing bytes after the
-/// payload — a frame is a complete message, never a prefix of one. The
-/// CRC is returned unverified so the transport can distinguish "corrupt
-/// payload" (known sequence number, retransmittable) from "unparseable
-/// frame", and the payload stays compressed so verification precedes
-/// decompression.
+/// Unframe a chunk. Refuses everything [`peek_chunk_header`] refuses,
+/// and an intact frame whose flags set a bit no sender sets; on a damaged
+/// frame any word may be the damage, which [`ChunkFrame::verify_crc`]
+/// then reports. The CRC is returned unverified so the transport can
+/// distinguish "damaged frame" (dropped, retransmittable) from
+/// "unparseable frame", and the payload stays compressed so verification
+/// precedes decompression.
 pub fn unframe_chunk_any(frame: &[u8]) -> Result<ChunkFrame, XdrError> {
-    let mut dec = XdrDecoder::new(frame);
-    let magic = dec.get_u32()?;
-    if magic != CHUNK_MAGIC_V2 && magic != CHUNK_MAGIC_V3 {
-        return Err(XdrError::BadMagic(magic));
-    }
-    let seq = dec.get_u32()?;
-    let flags = dec.get_u32()?;
-    let known = if magic == CHUNK_MAGIC_V3 {
-        CHUNK_FLAG_LAST | CHUNK_FLAG_COMPRESSED
-    } else {
-        CHUNK_FLAG_LAST
-    };
-    if flags & !known != 0 {
-        return Err(XdrError::BadMagic(flags));
-    }
-    let raw_len = if magic == CHUNK_MAGIC_V3 {
-        Some(dec.get_u32()?)
-    } else {
-        None
-    };
-    let crc = dec.get_u32()?;
-    let payload = dec.get_opaque_var()?;
-    if !dec.is_empty() {
-        return Err(XdrError::LengthTooLarge(dec.remaining() as u32));
+    let h = peek_chunk_header(frame)?;
+    let arrived_crc = crc32(&frame[..frame.len() - 4]);
+    if arrived_crc == h.crc && h.flags & !(CHUNK_FLAG_LAST | CHUNK_FLAG_COMPRESSED) != 0 {
+        return Err(XdrError::BadMagic(h.flags));
     }
     Ok(ChunkFrame {
-        seq,
-        last: flags & CHUNK_FLAG_LAST != 0,
-        payload,
-        crc,
-        compressed: flags & CHUNK_FLAG_COMPRESSED != 0,
-        raw_len,
+        seq: h.seq,
+        last: h.flags & CHUNK_FLAG_LAST != 0,
+        payload: frame[h.payload_at..h.payload_at + h.payload_len].to_vec(),
+        crc: h.crc,
+        compressed: h.flags & CHUNK_FLAG_COMPRESSED != 0,
+        raw_len: h.raw_len,
+        arrived_crc,
     })
 }
 
@@ -334,59 +304,78 @@ pub fn unframe_control(frame: &[u8]) -> Result<Control, XdrError> {
     Ok(ctrl)
 }
 
-/// The fixed words of a framed chunk, read where the frame lies.
+/// The words of a framed chunk, read where the frame lies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkHeader {
     /// Sequence number.
     pub seq: u32,
     /// The flags word ([`CHUNK_FLAG_LAST`], [`CHUNK_FLAG_COMPRESSED`]).
     pub flags: u32,
+    /// Payload size before compression.
+    pub raw_len: u32,
+    /// Offset of the wire payload within the frame.
+    pub payload_at: usize,
     /// Length of the wire payload, before padding.
     pub payload_len: usize,
-    /// The CRC-32 the sender stamped over the wire payload.
+    /// The CRC-32 the sender stamped over every byte before it.
     pub crc: u32,
 }
 
-/// Read a framed chunk's header without copying its payload.
+/// Read a framed chunk's header without copying its payload — the one
+/// reader behind [`unframe_chunk_any`] and the fault injector.
 ///
-/// Returns `None` for an unknown magic, or when the frame is not exactly
-/// as long as its declared version and payload length make it. The flags
-/// and the padding are not validated: [`unframe_chunk_any`] does that.
-pub fn peek_chunk_header(frame: &[u8]) -> Option<ChunkHeader> {
+/// Refuses any magic but [`CHUNK_MAGIC`], non-zero padding, and a frame
+/// that is not exactly as long as its payload length makes it: a frame
+/// is a complete message, never a prefix of one. Neither the flags nor
+/// the CRC is checked.
+pub fn peek_chunk_header(frame: &[u8]) -> Result<ChunkHeader, XdrError> {
     let mut dec = XdrDecoder::new(frame);
-    let magic = dec.get_u32().ok()?;
-    let seq = dec.get_u32().ok()?;
-    let flags = dec.get_u32().ok()?;
-    match magic {
-        CHUNK_MAGIC_V2 => {}
-        CHUNK_MAGIC_V3 => {
-            let _raw_len = dec.get_u32().ok()?;
-        }
-        _ => return None,
+    let magic = dec.get_u32()?;
+    if magic != CHUNK_MAGIC {
+        return Err(XdrError::BadMagic(magic));
     }
-    let crc = dec.get_u32().ok()?;
-    let payload_len = dec.get_u32().ok()? as usize;
-    let rest = dec.remaining();
-    (payload_len <= rest && rest == crate::padded_len(payload_len)).then_some(ChunkHeader {
+    let seq = dec.get_u32()?;
+    let flags = dec.get_u32()?;
+    let raw_len = dec.get_u32()?;
+    // The payload follows its length word.
+    let payload_at = dec.position() + 4;
+    let payload_len = dec.get_opaque_var_ref()?.len();
+    let crc = dec.get_u32()?;
+    if !dec.is_empty() {
+        return Err(XdrError::LengthTooLarge(dec.remaining() as u32));
+    }
+    Ok(ChunkHeader {
         seq,
         flags,
+        raw_len,
+        payload_at,
         payload_len,
         crc,
     })
-}
-
-/// Read the CRC a framed chunk was stamped with, without copying its payload.
-pub fn frame_stamped_crc(frame: &[u8]) -> Option<u32> {
-    peek_chunk_header(frame).map(|h| h.crc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn stored(seq: u32, last: bool, payload: &[u8]) -> Vec<u8> {
+        frame_chunk(seq, last, payload, false).0
+    }
+
+    /// `frame` with header word `word` replaced and the CRC re-stamped —
+    /// what a sender that means it would put on the wire.
+    fn restamped(frame: &[u8], word: usize, value: u32) -> Vec<u8> {
+        let mut f = frame.to_vec();
+        f[word * 4..word * 4 + 4].copy_from_slice(&value.to_be_bytes());
+        let end = f.len() - 4;
+        let crc = crc32(&f[..end]);
+        f[end..].copy_from_slice(&crc.to_be_bytes());
+        f
+    }
+
     #[test]
     fn last_flag_roundtrips() {
-        let frame = frame_chunk_v2(3, true, &[]);
+        let frame = stored(3, true, &[]);
         let f = unframe_chunk_any(&frame).unwrap();
         assert_eq!(f.seq, 3);
         assert!(f.last);
@@ -394,28 +383,28 @@ mod tests {
     }
 
     #[test]
-    fn bad_magic_rejected() {
-        let mut frame = frame_chunk_v2(0, false, &[1, 2, 3, 4]);
-        frame[0] ^= 0xFF;
-        assert!(matches!(
-            unframe_chunk_any(&frame),
-            Err(XdrError::BadMagic(_))
-        ));
+    fn retired_and_foreign_magics_are_refused_by_name() {
+        for magic in [0x4850_4D43, 0x4850_4D44, 0x4850_4D45, CONTROL_MAGIC] {
+            let frame = restamped(&stored(0, false, &[1, 2, 3, 4]), 0, magic);
+            assert_eq!(unframe_chunk_any(&frame), Err(XdrError::BadMagic(magic)));
+        }
     }
 
     #[test]
-    fn unknown_flags_rejected() {
-        let mut frame = frame_chunk_v2(0, false, &[]);
-        frame[11] = 0x80; // flags word, low byte
-        assert!(unframe_chunk_any(&frame).is_err());
-        // The compressed bit belongs to v3 alone.
-        frame[11] = CHUNK_FLAG_COMPRESSED as u8;
-        assert!(unframe_chunk_any(&frame).is_err());
+    fn unknown_flags_are_refused_when_stamped_and_damage_when_not() {
+        let frame = stored(0, false, &[]);
+        let stamped = restamped(&frame, 2, 0x80);
+        assert_eq!(unframe_chunk_any(&stamped), Err(XdrError::BadMagic(0x80)));
+        // The same word damaged in flight: the frame is handed back, and
+        // its CRC says what happened.
+        let mut damaged = frame;
+        damaged[11] = 0x80;
+        assert!(unframe_chunk_any(&damaged).unwrap().verify_crc().is_err());
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut frame = frame_chunk_v2(0, true, &[1, 2, 3, 4]);
+        let mut frame = stored(0, true, &[1, 2, 3, 4]);
         frame.extend_from_slice(&[0, 0, 0, 0]);
         assert!(unframe_chunk_any(&frame).is_err());
     }
@@ -429,34 +418,56 @@ mod tests {
     }
 
     #[test]
-    fn v2_roundtrip_carries_verified_crc() {
+    fn stored_roundtrip_carries_the_stamped_crc() {
         let payload = vec![7u8; 33];
-        let frame = frame_chunk_v2(5, false, &payload);
-        assert_eq!(frame.len() % 4, 0);
+        let (frame, wire_len, crc) = frame_chunk(5, false, &payload, false);
+        assert_eq!(frame.len(), 24 + 36);
+        assert_eq!(wire_len, payload.len());
         let f = unframe_chunk_any(&frame).unwrap();
-        assert_eq!(f.seq, 5);
-        assert!(!f.last);
-        assert_eq!(f.payload, payload);
-        assert_eq!(f.crc, crc32(&payload));
+        assert_eq!((f.seq, f.last, f.compressed), (5, false, false));
+        assert_eq!(f.raw_len, 33);
+        assert_eq!(f.crc, crc);
+        assert_eq!(crc, crc32(&frame[..frame.len() - 4]));
         assert!(f.verify_crc().is_ok());
+        assert_eq!(f.into_payload().unwrap(), payload);
+    }
+
+    /// Every byte between the magic and the length word, and every
+    /// payload byte, is under the CRC: one flipped bit anywhere there
+    /// leaves a frame that parses and fails its check.
+    #[test]
+    fn crc_covers_every_header_word_and_the_payload() {
+        let (compressed, _) = frame_chunk_v3(3, false, &[7u8; 1024]);
+        let plain = stored(3, false, &[1, 2, 3, 4, 5, 6, 7, 8]);
+        for frame in [compressed, plain] {
+            let h = peek_chunk_header(&frame).unwrap();
+            let payload = h.payload_at..h.payload_at + h.payload_len;
+            for at in (4..16).chain(payload) {
+                let mut bad = frame.clone();
+                bad[at] ^= 0x01;
+                let f = unframe_chunk_any(&bad).unwrap_or_else(|e| panic!("byte {at}: {e}"));
+                assert!(f.verify_crc().is_err(), "byte {at}");
+            }
+        }
     }
 
     #[test]
-    fn v2_corrupt_payload_fails_verification_with_computed_crc() {
-        let mut frame = frame_chunk_v2(0, true, &[1, 2, 3, 4, 5, 6, 7, 8]);
-        let payload_start = frame.len() - 8;
-        frame[payload_start] ^= 0x40;
-        let f = unframe_chunk_any(&frame).unwrap();
-        let computed = f.verify_crc().unwrap_err();
-        assert_ne!(computed, f.crc);
-        assert_eq!(computed, crc32(&f.payload));
+    fn truncated_frames_rejected() {
+        let (compressed, _) = frame_chunk_v3(0, true, &[9; 40]);
+        for frame in [stored(0, true, &[9; 40]), compressed] {
+            for cut in 0..frame.len() {
+                assert!(unframe_chunk_any(&frame[..cut]).is_err(), "cut at {cut}");
+            }
+        }
     }
 
     #[test]
-    fn truncated_v2_frame_rejected() {
-        let frame = frame_chunk_v2(0, true, &[9; 40]);
-        for cut in [0, 4, 8, 12, 16, frame.len() - 1] {
-            assert!(unframe_chunk_any(&frame[..cut]).is_err(), "cut at {cut}");
+    fn stored_raw_len_must_match_the_payload() {
+        let frame = stored(1, false, &[1, 2, 3, 4]);
+        for raw_len in [0, 3, 5, u32::MAX] {
+            let f = unframe_chunk_any(&restamped(&frame, 3, raw_len)).unwrap();
+            assert!(f.verify_crc().is_ok());
+            assert_eq!(f.into_payload(), Err(XdrError::LengthTooLarge(raw_len)));
         }
     }
 
@@ -490,44 +501,29 @@ mod tests {
     }
 
     #[test]
-    fn frame_stamped_crc_matches_parsed_crc() {
-        let payload = vec![7u8; 96];
-        let v2 = frame_chunk_v2(4, false, &payload);
-        assert_eq!(
-            frame_stamped_crc(&v2),
-            Some(unframe_chunk_any(&v2).unwrap().crc)
-        );
-        let (v3, _) = frame_chunk_v3(5, true, &payload);
-        assert_eq!(
-            frame_stamped_crc(&v3),
-            Some(unframe_chunk_any(&v3).unwrap().crc)
-        );
-        assert_eq!(frame_stamped_crc(&v2[..8]), None);
-        let not_a_chunk = frame_control(Control::Ack { next: 6 });
-        assert_eq!(frame_stamped_crc(&not_a_chunk), None);
-    }
-
-    #[test]
     fn peeked_header_agrees_with_the_full_parse() {
         let payload: Vec<u8> = (0..97u8).collect();
-        let v2 = frame_chunk_v2(4, true, &payload);
-        let (v3, wire_len) = frame_chunk_v3(5, false, &[3u8; 700]);
-        for (frame, wire) in [(&v2, payload.len()), (&v3, wire_len)] {
+        let (plain, plain_len, _) = frame_chunk(4, true, &payload, false);
+        let (packed, packed_len) = frame_chunk_v3(5, false, &[3u8; 700]);
+        for (frame, wire, raw) in [(&plain, plain_len, 97), (&packed, packed_len, 700)] {
             let parsed = unframe_chunk_any(frame).unwrap();
             let header = peek_chunk_header(frame).unwrap();
             assert_eq!(header.seq, parsed.seq);
             assert_eq!(header.crc, parsed.crc);
+            assert_eq!(header.raw_len, raw);
             assert_eq!(header.payload_len, wire);
+            let at = header.payload_at;
+            assert_eq!(&frame[at..at + wire], &parsed.payload[..]);
             assert_eq!(header.flags & CHUNK_FLAG_LAST != 0, parsed.last);
             assert_eq!(header.flags & CHUNK_FLAG_COMPRESSED != 0, parsed.compressed);
             // A frame is exactly as long as its header says: no prefix of
             // one and nothing with bytes after it has a header to peek.
             for cut in 0..frame.len() {
-                assert_eq!(peek_chunk_header(&frame[..cut]), None, "cut {cut}");
+                assert!(peek_chunk_header(&frame[..cut]).is_err(), "cut {cut}");
             }
             let mut longer = frame.clone();
             longer.extend_from_slice(&[0; 4]);
-            assert_eq!(peek_chunk_header(&longer), None);
+            assert!(peek_chunk_header(&longer).is_err());
         }
     }
 
@@ -547,7 +543,7 @@ mod tests {
     }
 
     #[test]
-    fn v3_compressible_payload_shrinks_and_roundtrips() {
+    fn compressible_payload_shrinks_and_roundtrips() {
         let payload = vec![0u8; 4096];
         let (frame, wire_len) = frame_chunk_v3(11, false, &payload);
         assert!(wire_len < payload.len(), "zeros must compress");
@@ -557,13 +553,13 @@ mod tests {
         assert_eq!(f.seq, 11);
         assert!(!f.last);
         assert!(f.compressed);
-        assert_eq!(f.raw_len, Some(4096));
+        assert_eq!(f.raw_len, 4096);
         assert!(f.verify_crc().is_ok());
         assert_eq!(f.into_payload().unwrap(), payload);
     }
 
     #[test]
-    fn v3_incompressible_payload_is_stored_not_expanded() {
+    fn incompressible_payload_is_stored_not_expanded() {
         // splitmix64 noise does not compress.
         let mut s = 42u64;
         let payload: Vec<u8> = (0..512)
@@ -576,45 +572,24 @@ mod tests {
             .collect();
         let (frame, wire_len) = frame_chunk_v3(0, true, &payload);
         assert_eq!(wire_len, payload.len(), "stored fallback ships raw bytes");
-        // v3 overhead over v2 is exactly the 4-byte raw_len word.
-        assert_eq!(frame.len(), frame_chunk_v2(0, true, &payload).len() + 4);
+        // A compressing sender that falls back writes the stored frame.
+        assert_eq!(frame, stored(0, true, &payload));
         let f = unframe_chunk_any(&frame).unwrap();
         assert!(!f.compressed);
         assert!(f.last);
-        assert_eq!(f.raw_len, Some(payload.len() as u32));
+        assert_eq!(f.raw_len, payload.len() as u32);
         assert!(f.verify_crc().is_ok());
         assert_eq!(f.into_payload().unwrap(), payload);
     }
 
     #[test]
-    fn v3_crc_covers_the_compressed_bytes() {
-        let payload = vec![7u8; 1024];
-        let (mut frame, wire_len) = frame_chunk_v3(3, false, &payload);
-        assert!(wire_len < payload.len());
-        // Flip one bit inside the compressed wire payload.
-        let payload_start = 24; // magic+seq+flags+raw_len+crc+opaque len
-        frame[payload_start] ^= 0x01;
-        let f = unframe_chunk_any(&frame).unwrap();
-        let computed = f.verify_crc().unwrap_err();
-        assert_eq!(computed, crc32(&f.payload));
-        assert_ne!(computed, f.crc);
-    }
-
-    #[test]
-    fn v3_empty_payload_roundtrips() {
+    fn empty_payload_roundtrips() {
         let (frame, wire_len) = frame_chunk_v3(5, true, &[]);
         assert_eq!(wire_len, 0);
+        assert_eq!(frame.len(), 24);
         let f = unframe_chunk_any(&frame).unwrap();
         assert!(f.last);
         assert!(!f.compressed);
         assert_eq!(f.into_payload().unwrap(), Vec::<u8>::new());
-    }
-
-    #[test]
-    fn truncated_v3_frame_rejected() {
-        let (frame, _) = frame_chunk_v3(0, true, &[9; 40]);
-        for cut in [0, 4, 8, 12, 16, 20, frame.len() - 1] {
-            assert!(unframe_chunk_any(&frame[..cut]).is_err(), "cut at {cut}");
-        }
     }
 }

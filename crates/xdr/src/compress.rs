@@ -1,4 +1,4 @@
-//! Deterministic block compression for the v3 chunk frame.
+//! Deterministic block compression for the chunk frame.
 //!
 //! The migration payload is highly repetitive — zero-filled pages, runs
 //! of identical array elements, repeated pointer-header shapes — so even
@@ -41,7 +41,7 @@
 //!
 //! Callers that must never expand use [`compress`]'s return contract:
 //! when the token stream would be no smaller than the input, the caller
-//! stores the raw bytes instead (the v3 frame records which choice was
+//! stores the raw bytes instead (the chunk frame records which choice was
 //! made — see [`crate::chunk`]).
 
 use std::cell::RefCell;
@@ -256,7 +256,7 @@ fn flush_literals(out: &mut Vec<u8>, data: &[u8], start: usize, end: usize) {
 /// identical input always yields identical output. The result may be
 /// larger than the input for incompressible data — callers compare
 /// lengths and fall back to a stored block (see
-/// [`crate::chunk::frame_chunk_v3`]).
+/// [`crate::chunk::frame_chunk`]).
 pub fn compress(data: &[u8]) -> Vec<u8> {
     if data.is_empty() {
         return Vec::new();
@@ -344,7 +344,7 @@ impl Matcher {
     }
 
     /// Run the LZ/RLE coder over `data`, appending the token stream to
-    /// `out`. This is the coder of the v3 chunk path and it takes no
+    /// `out`. This is the coder of the compressed chunk path and it takes no
     /// dictionary: sharing one loop with [`tokenize_with_dict`] cost that
     /// path a quarter of its speed.
     ///

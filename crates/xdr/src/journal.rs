@@ -96,7 +96,8 @@ pub struct ChunkRecord {
     pub raw_len: u32,
     /// Wire payload length in bytes (differs from `raw_len` when compressed).
     pub wire_len: u32,
-    /// The CRC-32 the frame was stamped with.
+    /// The CRC-32 the frame was stamped with, over its header and wire
+    /// payload.
     pub crc: u32,
     /// The restore phase the chunk belongs to.
     pub phase: RestorePhase,

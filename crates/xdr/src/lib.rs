@@ -35,9 +35,9 @@ mod error;
 pub mod journal;
 
 pub use chunk::{
-    crc32, frame_chunk_v2, frame_chunk_v3, frame_control, frame_stamped_crc, peek_chunk_header,
-    unframe_chunk_any, unframe_control, ChunkFrame, ChunkHeader, Control, CHUNK_FLAG_COMPRESSED,
-    CHUNK_FLAG_LAST, CHUNK_MAGIC_V2, CHUNK_MAGIC_V3, CONTROL_MAGIC,
+    crc32, frame_chunk, frame_chunk_v3, frame_control, peek_chunk_header, unframe_chunk_any,
+    unframe_control, ChunkFrame, ChunkHeader, Control, CHUNK_FLAG_COMPRESSED, CHUNK_FLAG_LAST,
+    CHUNK_MAGIC, CONTROL_MAGIC,
 };
 pub use compress::{
     compress, compress_with_dict, decompress, decompress_with_dict, get_varint_u64, put_varint_u64,

@@ -14,6 +14,9 @@ use hpm::migrate::{
 use hpm::net::{channel_pair, ArqConfig, NetError, NetworkModel, ReliableChunkReceiver};
 use hpm::types::Field;
 use hpm::workloads::{BitonicSort, TestPointer};
+use hpm::xdr::{
+    crc32, frame_chunk, peek_chunk_header, unframe_chunk_any, XdrEncoder, XdrError, CHUNK_MAGIC,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -191,15 +194,16 @@ fn corrupted_payload_mid_stream_is_caught_by_crc() {
     let mut frames: Vec<Vec<u8>> = chunks
         .iter()
         .enumerate()
-        .map(|(i, c)| hpm::xdr::frame_chunk_v2(i as u32, false, c))
+        .map(|(i, c)| frame_chunk(i as u32, false, c, false).0)
         .collect();
-    frames.push(hpm::xdr::frame_chunk_v2(chunks.len() as u32, true, &[]));
+    frames.push(frame_chunk(chunks.len() as u32, true, &[], false).0);
     // A payload byte; the header is left intact.
-    assert_crc_catches_damage(&frames, 2, frames[2].len() - 2);
+    let h = peek_chunk_header(&frames[2]).unwrap();
+    assert_crc_catches_damage(&frames, 2, h.payload_at + h.payload_len - 2);
 }
 
-/// The same wire damage on a *compressed* v3 chunk: the CRC is stamped
-/// over the compressed bytes, so corruption is caught by the checksum —
+/// The same wire damage on a *compressed* chunk: the CRC is stamped over
+/// the compressed bytes, so corruption is caught by the checksum —
 /// named by chunk index — before any decompression is attempted, never
 /// surfacing as a garbled token stream.
 #[test]
@@ -210,56 +214,62 @@ fn corrupted_compressed_chunk_is_caught_by_crc() {
     let mut frames: Vec<Vec<u8>> = chunks
         .iter()
         .enumerate()
-        .map(|(i, c)| hpm::xdr::frame_chunk_v3(i as u32, false, c).0)
+        .map(|(i, c)| frame_chunk(i as u32, false, c, true).0)
         .collect();
-    frames.push(hpm::xdr::frame_chunk_v3(chunks.len() as u32, true, &[]).0);
+    frames.push(frame_chunk(chunks.len() as u32, true, &[], true).0);
     // Pick a mid-stream chunk the codec actually compressed, so the
     // flipped byte lands inside token data rather than stored payload.
     let victim = frames
         .iter()
         .enumerate()
         .skip(1)
-        .find(|(_, f)| hpm::xdr::unframe_chunk_any(f).unwrap().compressed)
+        .find(|(_, f)| unframe_chunk_any(f).unwrap().compressed)
         .map(|(i, _)| i as u32)
         .expect("64-byte image chunks must include a compressible one");
-    // The v3 header is 24 bytes (magic, seq, flags, raw_len, crc, payload
-    // length), so byte 24 is the first byte of the compressed payload.
-    assert_crc_catches_damage(&frames, victim, 24);
+    // The first byte of the compressed payload.
+    let at = peek_chunk_header(&frames[victim as usize])
+        .unwrap()
+        .payload_at;
+    assert_crc_catches_damage(&frames, victim, at);
 }
 
-/// The retired HPMC v1 frame carries no CRC, so nothing on the receive
-/// path could verify it: the framing layer and the receiver refuse it by
-/// magic, naming the chunk being waited for.
+/// Three chunk frames are retired: `HPMC` (v1) carried no CRC, and
+/// `HPMD` (v2) and `HPME` (v3) carried one over the payload alone, so a
+/// damaged header passed it. The framing layer and the receiver refuse
+/// each by magic, the receiver naming the chunk being waited for.
 #[test]
 fn v1_magic_frame_is_refused_by_every_receiver() {
-    const V1_MAGIC: u32 = 0x4850_4D43;
-    // Well-formed v1: magic, seq, flags, opaque payload.
-    let mut enc = hpm::xdr::XdrEncoder::new();
-    enc.put_u32(V1_MAGIC);
-    enc.put_u32(1);
-    enc.put_u32(0);
-    enc.put_opaque_var(&[1, 2, 3, 4]);
-    let v1 = enc.into_bytes();
-    assert_eq!(
-        hpm::xdr::unframe_chunk_any(&v1),
-        Err(hpm::xdr::XdrError::BadMagic(V1_MAGIC))
-    );
-
-    let refused = |r: Result<Option<Vec<u8>>, NetError>| match r {
-        Err(NetError::ChunkFraming { chunk, reason }) => {
-            assert_eq!(chunk, 1, "the error names the chunk being awaited");
-            assert!(reason.contains("bad frame magic 0x48504d43"), "{reason}");
+    let payload = [1, 2, 3, 4];
+    // Each in its own layout: after seq and flags, nothing (v1), the
+    // payload CRC (v2), or raw_len and the payload CRC (v3).
+    for (magic, extra) in [
+        (0x4850_4D43, vec![]),
+        (0x4850_4D44, vec![crc32(&payload)]),
+        (0x4850_4D45, vec![4, crc32(&payload)]),
+    ] {
+        let mut enc = XdrEncoder::new();
+        for word in [magic, 1, 0].into_iter().chain(extra) {
+            enc.put_u32(word);
         }
-        other => panic!("expected ChunkFraming, got {other:?}"),
-    };
-    let good = hpm::xdr::frame_chunk_v2(0, false, &[9, 9, 9, 9]);
+        enc.put_opaque_var(&payload);
+        let retired = enc.into_bytes();
+        assert_eq!(unframe_chunk_any(&retired), Err(XdrError::BadMagic(magic)));
 
-    let (a, b) = channel_pair(NetworkModel::instant());
-    a.send(good).unwrap();
-    a.send(v1).unwrap();
-    let mut rx = ReliableChunkReceiver::new(b, ArqConfig::default());
-    assert_eq!(rx.recv_chunk().unwrap(), Some(vec![9, 9, 9, 9]));
-    refused(rx.recv_chunk());
+        let (a, b) = channel_pair(NetworkModel::instant());
+        a.send(frame_chunk(0, false, &[9, 9, 9, 9], false).0)
+            .unwrap();
+        a.send(retired).unwrap();
+        let mut rx = ReliableChunkReceiver::new(b, ArqConfig::default());
+        assert_eq!(rx.recv_chunk().unwrap(), Some(vec![9, 9, 9, 9]));
+        match rx.recv_chunk() {
+            Err(NetError::ChunkFraming { chunk, reason }) => {
+                assert_eq!(chunk, 1, "the error names the chunk being awaited");
+                let named = format!("bad frame magic {magic:#010x}");
+                assert!(reason.contains(&named), "{reason}");
+            }
+            other => panic!("{magic:#x}: expected ChunkFraming, got {other:?}"),
+        }
+    }
 }
 
 /// Program identity travels in chunk 0: a destination running a
@@ -975,27 +985,40 @@ unsafe impl GlobalAlloc for LargestRequest {
 #[global_allocator]
 static ALLOCATOR: LargestRequest = LargestRequest;
 
-/// A v3 frame's `raw_len` is a claim, and a correct CRC does not make it
-/// true: a frame of a few dozen bytes that declares gigabytes is answered
-/// with a typed refusal naming the chunk, by the framing layer and by
-/// both receivers, and nothing is sized from the claim on the way — not
-/// a reserve ahead of the tokens, not a run expanded under a mode byte
-/// that was never valid.
+/// Chunk 0 as its author chose to write it: `flags`, `raw_len` and the
+/// wire payload as given, under a CRC that matches them — a CRC is over
+/// bytes its author wrote, so a hostile author stamps a matching one.
+fn forged_chunk(flags: u32, raw_len: u32, wire: &[u8]) -> Vec<u8> {
+    let mut enc = XdrEncoder::new();
+    for word in [CHUNK_MAGIC, 0, flags, raw_len] {
+        enc.put_u32(word);
+    }
+    enc.put_opaque_var(wire);
+    let crc = crc32(enc.as_bytes());
+    enc.put_u32(crc);
+    enc.into_bytes()
+}
+
+/// The receiver's verdict on a stream whose first frame is `frame`: the
+/// `ChunkFraming` reason naming chunk 0.
+fn refusal_of_chunk_0(frame: Vec<u8>) -> String {
+    let (a, b) = channel_pair(NetworkModel::instant());
+    a.send(frame).unwrap();
+    match ReliableChunkReceiver::new(b, ArqConfig::default()).recv_chunk() {
+        Err(NetError::ChunkFraming { chunk: 0, reason }) => reason,
+        other => panic!("expected ChunkFraming for chunk 0, got {other:?}"),
+    }
+}
+
+/// A compressed frame's `raw_len` is a claim, and a correct CRC does not
+/// make it true: a frame of a few dozen bytes that declares gigabytes is
+/// answered with a typed refusal naming the chunk, by the framing layer
+/// and by the receiver, and nothing is sized from the claim on the way —
+/// not a reserve ahead of the tokens, not a run expanded under a mode
+/// byte that was never valid.
 #[test]
 fn hostile_chunk_raw_len_is_refused_before_allocation() {
-    use hpm::xdr::{
-        crc32, unframe_chunk_any, XdrEncoder, XdrError, CHUNK_FLAG_COMPRESSED, CHUNK_MAGIC_V3,
-    };
-    let frame = |raw_len: u32, wire: &[u8]| {
-        let mut enc = XdrEncoder::new();
-        enc.put_u32(CHUNK_MAGIC_V3);
-        enc.put_u32(0);
-        enc.put_u32(CHUNK_FLAG_COMPRESSED);
-        enc.put_u32(raw_len);
-        enc.put_u32(crc32(wire));
-        enc.put_opaque_var(wire);
-        enc.into_bytes()
-    };
+    use hpm::xdr::CHUNK_FLAG_COMPRESSED;
     for raw_len in [1u32 << 31, u32::MAX] {
         // An honest four-literal stream under the lie, and a run of
         // `raw_len` zeros (tag 1, LEB128 length, byte) under a mode byte
@@ -1006,25 +1029,17 @@ fn hostile_chunk_raw_len_is_refused_before_allocation() {
         run.push(0);
         for (wire, what) in [(short, "short stream"), (run, "bad mode")] {
             let what = format!("raw_len {raw_len:#x}, {what}");
-            let hostile = frame(raw_len, &wire);
+            let hostile = forged_chunk(CHUNK_FLAG_COMPRESSED, raw_len, &wire);
             assert!(hostile.len() <= 36, "{what}: {} bytes", hostile.len());
             let parsed = unframe_chunk_any(&hostile).expect("the frame itself is well-formed");
             assert!(parsed.verify_crc().is_ok(), "{what}");
-            assert_eq!(parsed.raw_len, Some(raw_len), "{what}");
+            assert_eq!(parsed.raw_len, raw_len, "{what}");
             match parsed.into_payload() {
                 Err(XdrError::UnexpectedEof { .. } | XdrError::BadMagic(0x7E)) => {}
                 other => panic!("{what}: expected a typed refusal, got {other:?}"),
             }
-
-            let refused = |r: Result<Option<Vec<u8>>, NetError>| match r {
-                Err(NetError::ChunkFraming { chunk: 0, reason }) => {
-                    assert!(reason.contains("failed to expand"), "{what}: {reason}");
-                }
-                other => panic!("{what}: expected ChunkFraming for chunk 0, got {other:?}"),
-            };
-            let (a, b) = channel_pair(NetworkModel::instant());
-            a.send(hostile).unwrap();
-            refused(ReliableChunkReceiver::new(b, ArqConfig::default()).recv_chunk());
+            let reason = refusal_of_chunk_0(hostile);
+            assert!(reason.contains("failed to expand"), "{what}: {reason}");
         }
     }
     let largest = LARGEST_REQUEST.load(Ordering::Relaxed);
@@ -1032,6 +1047,25 @@ fn hostile_chunk_raw_len_is_refused_before_allocation() {
         largest < 1 << 30,
         "an allocation of {largest} bytes was sized from a hostile length"
     );
+}
+
+/// A stored frame's `raw_len` is its payload's length: behind a matching
+/// CRC, one that claims any other size is a typed refusal by the framing
+/// layer and by the receiver, never a chunk of the wrong size handed on.
+#[test]
+fn stored_chunk_raw_len_mismatch_is_refused() {
+    let wire = [1u8, 2, 3, 4, 5, 6, 7, 8];
+    for raw_len in [0, 7, 9, u32::MAX] {
+        let forged = forged_chunk(0, raw_len, &wire);
+        let parsed = unframe_chunk_any(&forged).expect("the frame itself is well-formed");
+        assert!(parsed.verify_crc().is_ok(), "raw_len {raw_len}");
+        assert_eq!(
+            parsed.into_payload(),
+            Err(XdrError::LengthTooLarge(raw_len))
+        );
+        let reason = refusal_of_chunk_0(forged);
+        assert!(reason.contains("failed to expand"), "{raw_len}: {reason}");
+    }
 }
 
 /// `struct inner { int i; char c; }` nested in
@@ -1305,15 +1339,32 @@ fn decoder_sweep<E: std::fmt::Debug>(
     );
 }
 
+/// [`decoder_sweep`] over bytes sealed whole by their own trailing CRC:
+/// every input that differs from the honest one must be refused.
+fn sealed_sweep<E: std::fmt::Debug>(
+    honest: &[u8],
+    seed: u64,
+    decode: impl Fn(&[u8]) -> Result<(), E>,
+) {
+    decoder_sweep(honest, seed, 0, |bytes| {
+        let got = decode(bytes);
+        assert!(
+            bytes == honest || got.is_err(),
+            "seed {seed:#x}: altered input of {} bytes accepted",
+            bytes.len()
+        );
+        got
+    });
+}
+
 /// Three framings under the record stream that the sweeps above do not
 /// reach (ROADMAP 2(c)): ARQ control frames, chunk frames through to
 /// their expanded payload, and the durable restore journal.
 #[test]
 fn mutated_control_chunk_and_journal_bytes_decode_or_refuse() {
     use hpm::xdr::{
-        compress, crc32, frame_chunk_v2, frame_chunk_v3, frame_control, unframe_chunk_any,
-        unframe_control, ChunkRecord, Control, RestoreJournal, RestorePhase, XdrEncoder, XdrError,
-        CHUNK_FLAG_COMPRESSED, CHUNK_MAGIC_V3,
+        compress, frame_control, unframe_control, ChunkRecord, Control, RestoreJournal,
+        RestorePhase, CHUNK_FLAG_COMPRESSED,
     };
     let resume = Control::Resume {
         image_id: 0x1234_5678_9ABC_DEF0,
@@ -1338,35 +1389,29 @@ fn mutated_control_chunk_and_journal_bytes_decode_or_refuse() {
             Err(found) => Err(XdrError::BadMagic(found)),
         }
     };
-    // Damage to a finished frame mostly lands in the payload and dies on
-    // the CRC; what gets past it is header damage.
-    decoder_sweep(
-        &frame_chunk_v3(3, false, &payload).0,
+    // A frame's trailing CRC covers its header and payload: no damage to
+    // a finished frame, compressed or stored, gets past it.
+    sealed_sweep(
+        &frame_chunk(3, false, &payload, true).0,
         0x6ea4_0007,
-        0,
         expand,
     );
-    decoder_sweep(
-        &frame_chunk_v2(3, true, &payload[..512]),
+    sealed_sweep(
+        &frame_chunk(3, true, &payload[..512], false).0,
         0x6ea4_0008,
-        0,
         expand,
     );
-    // A CRC is over bytes its author wrote: a hostile author stamps a
-    // matching one. So mutate the token stream and frame it honestly —
-    // true `raw_len`, matching CRC — and the coder behind the check is
-    // what decodes the damage.
+    // But the CRC is its author's: mutate the token stream and frame it
+    // as a hostile author would — true `raw_len`, matching CRC — and the
+    // coder behind the check is what decodes the damage.
     let tokens = compress(&payload);
     assert!(tokens.len() < payload.len() / 4, "{} tokens", tokens.len());
     decoder_sweep(&tokens, 0x6ea4_000b, 5, |wire| {
-        let mut enc = XdrEncoder::new();
-        enc.put_u32(CHUNK_MAGIC_V3);
-        enc.put_u32(3);
-        enc.put_u32(CHUNK_FLAG_COMPRESSED);
-        enc.put_u32(payload.len() as u32);
-        enc.put_u32(crc32(wire));
-        enc.put_opaque_var(wire);
-        expand(&enc.into_bytes())
+        expand(&forged_chunk(
+            CHUNK_FLAG_COMPRESSED,
+            payload.len() as u32,
+            wire,
+        ))
     });
 
     // The journal's trailing CRC likewise: the sweep stamps a matching
@@ -1388,7 +1433,7 @@ fn mutated_control_chunk_and_journal_bytes_decode_or_refuse() {
         RestoreJournal::decode(&stamped).map(|_| ())
     });
     // Unstamped, damage anywhere must die on the trailer check.
-    decoder_sweep(&encoded, 0x6ea4_000a, 0, |bytes| {
+    sealed_sweep(&encoded, 0x6ea4_000a, |bytes| {
         RestoreJournal::decode(bytes).map(|_| ())
     });
 }
