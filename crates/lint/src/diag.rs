@@ -13,8 +13,9 @@
 //! * `HPM030`–`HPM035` — runtime-registry findings from auditing a live
 //!   MSRLT snapshot before collection;
 //! * `HPM040`–`HPM049` — model-checker findings from `hpm-model`'s
-//!   exhaustive protocol exploration (each carries a replayable
-//!   counterexample trace). `HPM045`/`HPM046` are retired, never reused.
+//!   exhaustive exploration of the production ARQ cores (each carries a
+//!   replayable counterexample trace): `HPM040`–`HPM044`, `HPM047` and
+//!   `HPM048` are assigned; `HPM045`/`HPM046` are retired, never reused.
 
 use hpm_annotate::ast::Span;
 
@@ -98,6 +99,11 @@ pub enum LintCode {
     /// Exploration hit its schedule/state budget before covering the
     /// space: the verdict is a sample, not a proof.
     ModelBudgetExhausted,
+    /// The restorer was handed other bytes than the sender offered: a
+    /// released chunk differs from the payload at its position, a frame
+    /// the sender framed was refused, or the stream completed without
+    /// every offered chunk.
+    ModelWrongDelivery,
 }
 
 impl LintCode {
@@ -133,6 +139,7 @@ impl LintCode {
             LintCode::ModelResumeReplay => "HPM043",
             LintCode::ModelRestartMissed => "HPM044",
             LintCode::ModelBudgetExhausted => "HPM047",
+            LintCode::ModelWrongDelivery => "HPM048",
         }
     }
 
@@ -160,7 +167,8 @@ impl LintCode {
             | LintCode::ModelWindowOverflow
             | LintCode::ModelDoubleRelease
             | LintCode::ModelResumeReplay
-            | LintCode::ModelRestartMissed => Severity::Error,
+            | LintCode::ModelRestartMissed
+            | LintCode::ModelWrongDelivery => Severity::Error,
             LintCode::ModelBudgetExhausted
             | LintCode::IncompatiblePointerCast
             | LintCode::EscapingStackAddress
@@ -178,7 +186,7 @@ impl LintCode {
     }
 
     /// Every code, in code order.
-    pub const ALL: [LintCode; 29] = [
+    pub const ALL: [LintCode; 30] = [
         LintCode::Union,
         LintCode::Goto,
         LintCode::Switch,
@@ -208,6 +216,7 @@ impl LintCode {
         LintCode::ModelResumeReplay,
         LintCode::ModelRestartMissed,
         LintCode::ModelBudgetExhausted,
+        LintCode::ModelWrongDelivery,
     ];
 }
 

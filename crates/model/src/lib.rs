@@ -3,24 +3,25 @@
 //! The wire protocol — the ARQ sender/receiver plus the resume
 //! handshake — must be correct under *every* sequence of link faults,
 //! not just the seeded schedules the fault injector happens to draw.
-//! Seeded testing can only sample that space; [`proto`] exhausts it: a
-//! product-state-machine checker that explores ARQ × resume under the
-//! full [`hpm_net::FaultAction`] alphabet by BFS with state dedup.
+//! Seeded testing can only sample that space; [`proto`] exhausts it by
+//! BFS with state dedup over the product of the *production* protocol
+//! cores (`hpm_net::{SenderCore, ReceiverCore}`, the code the threaded
+//! endpoints run) and the real frame bytes in flight, under the full
+//! [`hpm_net::FaultAction`] alphabet.
 //!
-//! Findings map to the stable `HPM040`–`HPM044` and `HPM047`
+//! Findings map to the stable `HPM040`–`HPM044`, `HPM047` and `HPM048`
 //! diagnostics in [`hpm_lint`], and counterexamples serialize to
 //! replayable JSONL ([`trace`]); `hpm-model --replay <file>` re-executes
 //! a witness. The suite runs in CI (`paper_tables modelcheck`) with a
 //! zero-tolerance gate on violations, and one deliberately broken
-//! scenario — the receiver with its dup guard removed — must be caught
-//! every run, proving the checker can still see that bug class.
+//! scenario — the production receiver wrapped so it re-releases a
+//! duplicate — must be caught every run, proving the checker can still
+//! see that bug class.
 
 pub mod proto;
 pub mod trace;
 
-pub use proto::{
-    explore_proto, replay_proto, ProtoOutcome, ProtoScenario, ProtoViolation, SeedBug,
-};
+pub use proto::{explore_proto, replay_proto, ProtoOutcome, ProtoScenario, ProtoViolation};
 pub use trace::{parse_trace, proto_trace_to_jsonl, TraceFile};
 
 use hpm_lint::{Diagnostic, LintCode, Report};
@@ -83,15 +84,15 @@ pub fn run_all() -> Vec<ModelCheckReport> {
                 states: outcome.states,
                 interleavings: outcome.transitions,
                 reductions: outcome.deduped,
-                expected_catch: sc.seed.is_some(),
+                expected_catch: sc.release_dups,
                 caught: false,
                 findings: Vec::new(),
                 budget_exhausted: outcome.budget_exhausted,
                 trace_jsonl: None,
                 detail: String::new(),
             };
-            match (&outcome.violation, sc.seed) {
-                (Some(v), Some(_)) if v.code == LintCode::ModelDoubleRelease => {
+            match (&outcome.violation, sc.release_dups) {
+                (Some(v), true) if v.code == LintCode::ModelDoubleRelease => {
                     report.trace_jsonl = Some(proto_trace_to_jsonl(sc.name, v));
                     report.caught = true;
                     report.detail = format!(
@@ -107,7 +108,7 @@ pub fn run_all() -> Vec<ModelCheckReport> {
                         .push((v.code, format!("{} (after {:?})", v.message, v.trace)));
                     report.detail = "protocol violation found".into();
                 }
-                (None, Some(_)) => {
+                (None, true) => {
                     report.findings.push((
                         LintCode::ModelDoubleRelease,
                         format!(
@@ -118,7 +119,7 @@ pub fn run_all() -> Vec<ModelCheckReport> {
                     ));
                     report.detail = "seeded bug missed".into();
                 }
-                (None, None) => {
+                (None, false) => {
                     report.detail = format!(
                         "{} states, {} transitions; success{} reachable, degradation \
                          terminal{} reachable",

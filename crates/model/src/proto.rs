@@ -1,151 +1,140 @@
-//! Exhaustive product-state-machine exploration of the ARQ sender,
-//! receiver, and resume handshake under the full fault alphabet.
+//! Exhaustive exploration of the production ARQ — `hpm_net`'s
+//! [`SenderCore`] and [`ReceiverCore`] plus the resume handshake — under
+//! the full fault alphabet. The state is the two cores, the in-flight
+//! data frames as real bytes (a sorted multiset, so every delivery order
+//! is explored), the reliable FIFO control path, the intact-deliveries
+//! ledger, and the destination's [`RestoreJournal`]. Every protocol
+//! decision is a call into the cores; the model only decides what the
+//! link and the destination process do:
 //!
-//! The model is a faithful small-bounds abstraction of
-//! `hpm_net::arq::{ReliableChunkSender, ReliableChunkReceiver}`:
+//! * the sender offers distinct payloads (the terminator empty, as
+//!   `finish` sends it) while the core's ledger method says
+//!   [`Wait::Ready`], feeds it one control frame on [`Wait::Control`], and
+//!   a timeout on [`Wait::Timeout`];
+//! * every frame the core sends branches over [`FaultAction::ALL`].
+//!   `Corrupt` damages the real frame at five sites — the low bit of
+//!   `seq`, of `flags` and of `raw_len`, one payload byte, and the CRC
+//!   word — and the receiver core decides what each damage means.
+//!   `Reorder` and `Delay` act like `Deliver`: the in-flight multiset
+//!   already delivers in every order. Damage to the magic or the opaque
+//!   length is left out: such a frame does not parse and is refused by
+//!   name, by design;
+//! * a destination crash fires where the threaded receiver's does, just
+//!   before it consumes chunk *k*; the resume event runs the receiver
+//!   core's resuming start, the real journal digest (tampered in
+//!   `arq_resume_tampered`) and the sender core's resume check.
 //!
-//! * the sender ships while `window < cfg.window` and otherwise awaits —
-//!   processing exactly one control frame when the intact-deliveries
-//!   ledger says one is owed (`intact > acks_processed`), and
-//!   retransmitting the window base on the modeled timeout otherwise
-//!   (the deterministic gate from `await_progress`);
-//! * the receiver re-acks dups below `next` (counting replays below the
-//!   resume `start` without releasing them), buffers in-window
-//!   out-of-order frames, NACKs each gap once, and hard-stops on frames
-//!   beyond `next + window`;
-//! * crash/resume follows the degradation ladder: a destination crash at
-//!   chunk *k* leaves exactly `0..k` journaled; a clean resume
-//!   fast-forwards both ends to *k*; a tampered journal is rejected by
-//!   the digest check and falls back to a full restart.
-//!
-//! Every data transmission branches over [`FaultAction::ALL`] — the same
-//! alphabet the runtime's fault injector draws from — so adding a fault
-//! variant automatically widens the model. Two faults collapse
-//! deliberately: `Corrupt` transitions like `Drop` (a damaged frame is
-//! counted then left for the gap-NACK/timeout, touching no protocol
-//! state), and `Reorder`/`Delay` transition like `Deliver` (delivery
-//! order is already fully nondeterministic in the in-flight multiset, so
-//! the held-frame schedules are a subset of the explored ones).
-//!
-//! Checked invariants, mapped to stable diagnostics:
-//!
-//! * **HPM040** — no reachable deadlock: every non-terminal state has an
-//!   enabled event, and a successful terminal is reachable at all;
-//! * **HPM041** — the sender window never exceeds `cfg.window`, and the
-//!   receiver never sees a frame at or beyond `next + window`;
-//! * **HPM042** — no chunk is released to the restorer twice within one
-//!   stream attempt;
-//! * **HPM043** — after a clean resume, no chunk below the resume start
-//!   is ever released from the wire (verified data is never replayed);
-//! * **HPM044** — a tampered journal always reaches a clean full
-//!   restart, and that restart can complete.
-//!
-//! Retries exhausting (`RetriesExhausted`) is a *legal* terminal — the
-//! degradation ladder hands the stream back to the planner — so it is
-//! never reported as a deadlock.
+//! Invariants: no reachable deadlock, and success reachable (**HPM040**);
+//! the sender window never beyond `cfg.window`, and no frame seen at or
+//! beyond the receiver's `next + window` (**HPM041**); no chunk released
+//! twice in one attempt (**HPM042**); after a clean resume, no chunk below
+//! the resume start released from the wire (**HPM043**); a tampered
+//! journal always reaching a clean full restart that can complete
+//! (**HPM044**); every released chunk the payload the sender offered at
+//! its position, byte for byte, and the terminator exactly when that one
+//! was (**HPM048**) — the journal takes chunks only in order, so a
+//! completed stream released every offered chunk, and a frame the sender
+//! framed that the receiver refuses is the same breach. Retries
+//! exhausting is a *legal* terminal — the degradation ladder hands the
+//! stream back to the planner — never a deadlock.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashSet, VecDeque};
+use std::time::Duration;
 
 use hpm_lint::LintCode;
-use hpm_net::{ArqConfig, FaultAction};
+use hpm_net::{
+    ArqConfig, FaultAction, NetError, ReceiverAction, ReceiverCore, ResumeDecision, SenderAction,
+    SenderCore, Wait,
+};
+use hpm_xdr::{frame_control, ChunkRecord, RestoreJournal, RestorePhase};
 
-/// One control frame on the (reliable, FIFO) reverse path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-enum Ctrl {
-    /// Cumulative ack: everything below `next` is verified.
-    Ack(u8),
-    /// The receiver names a gap exactly once.
-    Nack(u8),
+/// The image both ends of every modelled stream carry.
+const IMAGE_ID: u64 = 0x4850_4D4D;
+
+/// Frames in every modelled stream, terminator included.
+const TOTAL: u32 = 4;
+
+/// Window 2 and 2 retries, in a real [`ArqConfig`]: small enough to
+/// exhaust.
+const CFG: ArqConfig = ArqConfig {
+    window: 2,
+    max_retries: 2,
+    base_backoff: Duration::from_millis(4),
+};
+
+/// What the sender offers at `seq`: a distinct byte per chunk, and the
+/// empty terminator.
+fn payload(seq: u32) -> Vec<u8> {
+    if seq == TOTAL - 1 {
+        Vec::new()
+    } else {
+        vec![0xA0 | seq as u8]
+    }
 }
 
-/// The explored product state: sender × receiver × wire × ledgers.
+/// The explored product state: the production cores, the wire as bytes,
+/// and the destination's journal.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct PState {
-    // --- sender ---
-    /// Next sequence to ship (`total` once everything is out).
-    s_next: u8,
-    /// Cumulative ack horizon the sender has processed.
-    s_acked: u8,
-    /// In-flight window: `(seq, retries)` in ship order.
-    s_window: Vec<(u8, u8)>,
+struct World {
+    tx: SenderCore,
+    rx: ReceiverCore,
     /// RetriesExhausted: the legal degradation terminal.
-    s_failed: bool,
-    // --- receiver ---
-    /// Next in-order sequence the receiver will accept.
-    r_next: u8,
-    /// Resume start: sequences below arrived in a previous attempt.
-    r_start: u8,
-    /// Bitmask of buffered out-of-order sequences.
-    r_ooo: u8,
-    /// Bitmask of gaps already NACKed (each named once).
-    r_nacked: u8,
-    /// LAST frame consumed: the receiver has hung up.
-    r_done: bool,
-    /// Crashed mid-stream; awaiting the resume handshake.
-    r_crashed: bool,
-    // --- wire ---
-    /// Intact data copies in flight (sorted multiset of seqs).
-    data_fly: Vec<u8>,
-    /// Reverse-path control queue (reliable FIFO).
-    ctrl_fly: VecDeque<Ctrl>,
+    tx_failed: bool,
+    /// Where this stream attempt stands on the crash/resume ladder.
+    attempt: Attempt,
+    /// Data frame copies in flight, as bytes (sorted: a multiset).
+    data: Vec<Vec<u8>>,
+    /// Control frames on the reliable FIFO reverse path.
+    ctrl: VecDeque<Vec<u8>>,
     /// Forward path severed: later data copies are black-holed.
     link_dead: bool,
-    /// Intact deliveries charged to the sender's determinism ledger.
-    wire_intact: u8,
-    /// Acks the sender has processed (the other side of the ledger).
-    acks_processed: u8,
-    // --- invariant bookkeeping ---
-    /// Bitmask of chunks released to the restorer this attempt.
-    released: u16,
-    /// Chunks journaled at the moment of the crash.
-    journal: u8,
-    /// The resume handshake has run.
-    resumed: bool,
-    /// The handshake was rejected and the stream fully restarted.
-    restarted: bool,
+    /// Intact copies put on the wire: what the sender's ledger reads.
+    intact: u64,
+    /// Every chunk the restorer was handed, in order. Complete once the
+    /// terminator is in: the destination has hung up.
+    journal: RestoreJournal,
 }
 
-impl PState {
-    fn initial() -> Self {
-        PState {
-            s_next: 0,
-            s_acked: 0,
-            s_window: Vec::new(),
-            s_failed: false,
-            r_next: 0,
-            r_start: 0,
-            r_ooo: 0,
-            r_nacked: 0,
-            r_done: false,
-            r_crashed: false,
-            data_fly: Vec::new(),
-            ctrl_fly: VecDeque::new(),
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Attempt {
+    /// The first stream; the scenario's crash may still fire.
+    First,
+    /// The destination died; only the resume handshake can follow.
+    Crashed,
+    /// The handshake was accepted: chunks below `start` came from the
+    /// journal, never from the wire.
+    Resumed { start: u32 },
+    /// The handshake was rejected and the stream fully restarted.
+    Restarted,
+}
+
+impl World {
+    /// A fresh stream attempt.
+    fn new() -> Self {
+        World {
+            tx: SenderCore::new(CFG),
+            rx: ReceiverCore::new(CFG),
+            tx_failed: false,
+            attempt: Attempt::First,
+            data: Vec::new(),
+            ctrl: VecDeque::new(),
             link_dead: false,
-            wire_intact: 0,
-            acks_processed: 0,
-            released: 0,
-            journal: 0,
-            resumed: false,
-            restarted: false,
+            intact: 0,
+            journal: RestoreJournal::new(IMAGE_ID),
         }
     }
 
-    fn success(&self, total: u8) -> bool {
-        !self.s_failed && self.s_next == total && self.s_window.is_empty() && self.r_done
+    /// The destination no longer reads the link.
+    fn rx_gone(&self) -> bool {
+        self.attempt == Attempt::Crashed || self.journal.is_complete()
     }
 
-    fn terminal(&self, total: u8) -> bool {
-        self.s_failed || self.success(total)
+    fn success(&self) -> bool {
+        !self.tx_failed
+            && self.tx.chunks_sent() == TOTAL
+            && self.tx.window_len() == 0
+            && self.journal.is_complete()
     }
-}
-
-/// A deliberately seeded protocol bug, used to prove the checker can
-/// detect each violation class (never part of [`ProtoScenario::all`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeedBug {
-    /// Remove the receiver's dup guard: a frame below `next` releases
-    /// its chunk to the restorer a second time.
-    ReleaseDups,
 }
 
 /// One protocol scenario: bounds plus the crash/tamper script.
@@ -153,82 +142,54 @@ pub enum SeedBug {
 pub struct ProtoScenario {
     /// Stable scenario name.
     pub name: &'static str,
-    /// Frames in the stream, terminator included.
-    pub total: u8,
-    /// Send/receive window (from the real [`ArqConfig`]).
-    pub window: u8,
-    /// Retransmissions per frame before RetriesExhausted.
-    pub max_retries: u8,
     /// Kill the destination just before it consumes this chunk.
-    pub crash_at: Option<u8>,
+    pub crash_at: Option<u32>,
     /// Tamper the journal between death and resume (digest mismatch).
     pub tamper: bool,
-    /// Seeded bug for detection-power tests.
-    pub seed: Option<SeedBug>,
+    /// The seeded bug that proves detection power (never part of
+    /// [`Self::all`]): the production receiver, wrapped so a copy below
+    /// `next` releases its chunk to the restorer a second time.
+    pub release_dups: bool,
 }
 
 impl ProtoScenario {
-    /// Model bounds drawn from a real config: small enough to explore
-    /// exhaustively, typed so config drift is caught at the source.
-    fn bounds() -> ArqConfig {
-        ArqConfig {
-            window: 2,
-            max_retries: 2,
-            ..ArqConfig::default()
-        }
-    }
-
     /// Fault-alphabet stream with no crash: the steady-state protocol.
     pub fn baseline() -> Self {
-        let cfg = Self::bounds();
         ProtoScenario {
             name: "arq_baseline",
-            total: 4,
-            window: cfg.window as u8,
-            max_retries: cfg.max_retries as u8,
             crash_at: None,
             tamper: false,
-            seed: None,
+            release_dups: false,
         }
     }
 
     /// Destination dies at chunk 2, journal intact: the clean-resume rung.
     pub fn resume() -> Self {
-        let cfg = Self::bounds();
         ProtoScenario {
             name: "arq_resume",
-            total: 4,
-            window: cfg.window as u8,
-            max_retries: cfg.max_retries as u8,
             crash_at: Some(2),
-            tamper: false,
-            seed: None,
+            ..Self::baseline()
         }
     }
 
     /// Destination dies at chunk 2 and its journal is tampered: the
     /// digest check must force a clean full restart.
     pub fn resume_tampered() -> Self {
-        let cfg = Self::bounds();
         ProtoScenario {
             name: "arq_resume_tampered",
-            total: 4,
-            window: cfg.window as u8,
-            max_retries: cfg.max_retries as u8,
-            crash_at: Some(2),
             tamper: true,
-            seed: None,
+            ..Self::resume()
         }
     }
 
-    /// Seeded-bug variant of the baseline: the receiver's dup guard is
-    /// removed, so a duplicated or retransmitted frame releases its
-    /// chunk twice. The checker must find HPM042: `run_all` runs
-    /// this as its expected-catch row; it is never part of [`Self::all`].
+    /// Seeded-bug variant of the baseline: the receiver re-releases a
+    /// duplicate, so a duplicated or retransmitted frame releases its
+    /// chunk twice. The checker must find HPM042: `run_all` runs this as
+    /// its expected-catch row; it is never part of [`Self::all`].
     pub fn seeded_double_release() -> Self {
         ProtoScenario {
             name: "arq_seeded_double_release",
-            seed: Some(SeedBug::ReleaseDups),
+            release_dups: true,
             ..Self::baseline()
         }
     }
@@ -242,7 +203,7 @@ impl ProtoScenario {
 /// An invariant breach, with the event path that reaches it.
 #[derive(Debug, Clone)]
 pub struct ProtoViolation {
-    /// Stable diagnostic code (HPM040–HPM044).
+    /// Stable diagnostic code (HPM040–HPM044, HPM048).
     pub code: LintCode,
     /// What broke.
     pub message: String,
@@ -251,7 +212,7 @@ pub struct ProtoViolation {
 }
 
 /// Result of exhausting one protocol scenario's state space.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ProtoOutcome {
     /// Distinct states visited.
     pub states: u64,
@@ -270,348 +231,270 @@ pub struct ProtoOutcome {
     pub budget_exhausted: bool,
 }
 
-/// What applying one event yields.
-enum Applied {
-    /// Successor state.
-    Next(PState),
-    /// The event itself breached an invariant.
-    Breach(LintCode, String),
-}
+/// What applying one event yields: the successor state, or the
+/// invariant it breached.
+type Applied = Result<World, (LintCode, String)>;
 
-/// Is the sender parked in `await_progress` (window full, or drained of
-/// fresh frames with the window still occupied)?
-fn sender_awaiting(st: &PState, sc: &ProtoScenario) -> bool {
-    if st.s_failed || st.r_crashed {
-        return false;
-    }
-    if !st.s_window.is_empty() && st.s_window.len() >= sc.window as usize {
-        return true;
-    }
-    st.s_next >= sc.total && !st.s_window.is_empty()
-}
-
-/// Can the sender ship a fresh frame?
-fn sender_shipping(st: &PState, sc: &ProtoScenario) -> bool {
-    !st.s_failed && !st.r_crashed && st.s_next < sc.total && st.s_window.len() < sc.window as usize
-}
-
-/// The restricted alphabet for retransmissions. `Corrupt` transitions
-/// like `Drop` and `Reorder`/`Delay` like `Deliver` (see module docs),
-/// so retransmits branch over the four distinct behaviours only.
-const RETRANS: [FaultAction; 4] = [
-    FaultAction::Deliver,
-    FaultAction::Drop,
-    FaultAction::Duplicate,
-    FaultAction::Disconnect,
-];
-
-/// Push one intact copy of `seq` onto the wire, if it can ever arrive.
-fn fly(st: &mut PState, seq: u8) {
-    st.data_fly.push(seq);
-    st.data_fly.sort_unstable();
-}
-
-/// Charge intact copies to the sender's ledger and the wire. A dead
-/// link black-holes silently; a dead receiver closed the channel, so
-/// the copy is neither counted nor delivered.
-fn transmit(st: &mut PState, seq: u8, action: FaultAction) {
-    if st.link_dead || st.r_done || st.r_crashed {
-        if action == FaultAction::Disconnect {
-            st.link_dead = true;
+/// Every distinct thing the fault alphabet does to one transmission of
+/// `frame` from `n`, named. A dead link black-holes silently; a gone
+/// receiver closed the channel, so no copy is counted or delivered.
+/// Intact copies feed the sender's ledger.
+fn transmissions(n: &World, frame: &[u8]) -> Vec<(String, World)> {
+    let mut out = Vec::new();
+    let mut fly = |name: String, copies: Vec<Vec<u8>>, sever: bool| {
+        let mut m = n.clone();
+        m.link_dead |= sever;
+        let open = !m.link_dead && !m.rx_gone();
+        for copy in copies.into_iter().filter(|_| open) {
+            if copy == frame {
+                m.intact += 1;
+            } else {
+                // A copy the receiver core refuses as damage without
+                // touching its state is refused the same way whenever it
+                // lands — the CRC verdict precedes every state read — so
+                // it is absorbed now. A copy the core would take stays in
+                // flight, in every order.
+                let mut probe = m.rx.clone();
+                let refused = matches!(probe.on_frame(&copy)[..], [ReceiverAction::Corrupt { .. }]);
+                if refused && probe == m.rx {
+                    continue;
+                }
+            }
+            let at = m.data.partition_point(|f| *f < copy);
+            m.data.insert(at, copy);
         }
-        return;
-    }
-    match action {
-        FaultAction::Deliver | FaultAction::Reorder | FaultAction::Delay => {
-            st.wire_intact = st.wire_intact.saturating_add(1);
-            fly(st, seq);
-        }
-        FaultAction::Drop | FaultAction::Corrupt => {}
-        FaultAction::Duplicate => {
-            st.wire_intact = st.wire_intact.saturating_add(2);
-            fly(st, seq);
-            fly(st, seq);
-        }
-        FaultAction::Disconnect => {
-            st.link_dead = true;
+        out.push((name, m));
+    };
+    for action in FaultAction::ALL {
+        let name = action.name().to_string();
+        match action {
+            FaultAction::Deliver | FaultAction::Reorder | FaultAction::Delay => {
+                fly(name, vec![frame.to_vec()], false)
+            }
+            FaultAction::Drop => fly(name, Vec::new(), false),
+            FaultAction::Duplicate => fly(name, vec![frame.to_vec(); 2], false),
+            FaultAction::Disconnect => fly(name, Vec::new(), true),
+            FaultAction::Corrupt => {
+                let sites = [("seq", 7), ("flags", 11), ("raw_len", 15), ("payload", 20)];
+                for (site, at) in sites.into_iter().chain([("crc", frame.len() - 1)]) {
+                    // An empty payload has no byte to damage.
+                    if site == "crc" || at + 4 < frame.len() {
+                        let mut damaged = frame.to_vec();
+                        damaged[at] ^= 1;
+                        fly(format!("corrupt.{site}"), vec![damaged], false);
+                    }
+                }
+            }
         }
     }
+    out
 }
 
-/// The receiver consumes one delivered intact frame (`recv_chunk` body).
-fn receive(st: &mut PState, seq: u8, sc: &ProtoScenario) -> Result<(), (LintCode, String)> {
-    if st.r_done || st.r_crashed {
+/// Apply the sender core's actions for one event named `label`. The
+/// frame they send, if any, branches over every fault effect.
+fn sender_step(mut n: World, actions: Vec<SenderAction>, label: &str) -> Vec<(String, Applied)> {
+    let mut name = label.to_string();
+    let mut sent = None;
+    for action in actions {
+        match action {
+            SenderAction::Send { seq, frame, .. } => sent = Some((seq, frame)),
+            SenderAction::Acked { next, .. } => name = format!("{label}.ack({next})"),
+            SenderAction::Nacked => name = format!("{label}.nack"),
+            SenderAction::Backoff(_) => {}
+            SenderAction::Fail(NetError::RetriesExhausted { chunk, .. }) => {
+                n.tx_failed = true;
+                name = format!("{label}.exhausted({chunk})");
+            }
+            SenderAction::Fail(e) => {
+                let why = format!("the sender died outside its retry budget: {e}");
+                return vec![(name, Err((LintCode::ModelDeadlock, why)))];
+            }
+        }
+    }
+    let Some((seq, frame)) = sent else {
+        return vec![(name, Ok(n))];
+    };
+    transmissions(&n, &frame)
+        .into_iter()
+        .map(|(effect, m)| (format!("{name}.{effect}({seq})"), Ok(m)))
+        .collect()
+}
+
+/// Deliver one in-flight copy to the destination and apply what the
+/// receiver core decides.
+fn receive(w: &mut World, frame: &[u8], sc: &ProtoScenario) -> Result<(), (LintCode, String)> {
+    if w.rx_gone() {
         // The destination hung up; the copy is discarded at the link.
         return Ok(());
     }
-    if seq < st.r_next {
-        if sc.seed == Some(SeedBug::ReleaseDups) {
-            // Seeded bug: the dup guard is gone, so the copy is handed
-            // to the restorer again. The released-mask invariant (or
-            // the resume-start invariant, whichever applies) must fire.
-            if st.resumed && !st.restarted && seq < st.r_start {
-                return Err((
-                    LintCode::ModelResumeReplay,
-                    format!(
-                        "chunk {seq} released from the wire below the resume start {}",
-                        st.r_start
-                    ),
-                ));
+    let mut actions = w.rx.on_frame(frame);
+    if let (true, Some(&ReceiverAction::Duplicate { seq })) = (sc.release_dups, actions.first()) {
+        // The seeded bug: a copy below `next` is handed to the restorer
+        // again.
+        let (record, bytes) = (w.journal.records(), w.journal.payloads());
+        let (record, payload) = (record[seq as usize], bytes[seq as usize].clone());
+        actions.insert(1, ReceiverAction::Release { record, payload });
+    }
+    for action in actions {
+        match action {
+            ReceiverAction::Release { record, payload } => {
+                release(w, sc, record, payload)?;
+                if w.attempt == Attempt::Crashed {
+                    // No ack leaves the dead process.
+                    return Ok(());
+                }
             }
-            return Err((
-                LintCode::ModelDoubleRelease,
-                format!("chunk {seq} released to the restorer twice in one attempt"),
-            ));
+            ReceiverAction::Send(ctrl) => w.ctrl.push_back(frame_control(ctrl)),
+            ReceiverAction::Fail(e) => {
+                let seq = u32::from_be_bytes(frame[4..8].try_into().expect("a frame header"));
+                let beyond = seq >= w.rx.next() + CFG.window;
+                let (window, wrong) = (LintCode::ModelWindowOverflow, LintCode::ModelWrongDelivery);
+                let code = if beyond { window } else { wrong };
+                return Err((code, format!("the receiver refused a frame: {e}")));
+            }
+            _ => {}
         }
-        // Duplicate below next: re-ack so a sender that missed the
-        // original ack prunes. A copy below the resume start is a
-        // replay of verified data — absorbed, never released.
-        st.ctrl_fly.push_back(Ctrl::Ack(st.r_next));
-        return Ok(());
-    }
-    if seq >= st.r_next + sc.window {
-        return Err((
-            LintCode::ModelWindowOverflow,
-            format!(
-                "receiver saw sequence {seq} outside the receive window \
-                 (next {}, window {})",
-                st.r_next, sc.window
-            ),
-        ));
-    }
-    if seq == st.r_next {
-        accept_chain(st, sc)?;
-    } else {
-        st.r_ooo |= 1 << seq;
-    }
-    if st.r_crashed {
-        // The crash fired mid-accept: no ack leaves the dead process.
-        return Ok(());
-    }
-    st.ctrl_fly.push_back(Ctrl::Ack(st.r_next));
-    if st.r_ooo != 0 && st.r_nacked & (1 << st.r_next) == 0 {
-        st.r_nacked |= 1 << st.r_next;
-        st.ctrl_fly.push_back(Ctrl::Nack(st.r_next));
     }
     Ok(())
 }
 
-/// Accept `r_next` and drain the out-of-order buffer behind it,
-/// releasing each chunk to the restorer exactly once (`accept` body,
-/// including the injected crash that fires before consumption).
-fn accept_chain(st: &mut PState, sc: &ProtoScenario) -> Result<(), (LintCode, String)> {
-    loop {
-        if sc.crash_at == Some(st.r_next) && !st.resumed {
-            st.r_crashed = true;
-            st.journal = st.r_next;
-            // The process is gone: in-flight data is undeliverable and
-            // its queued controls will never be read.
-            st.data_fly.clear();
-            st.ctrl_fly.clear();
-            return Ok(());
+/// The restorer takes one released chunk into the journal — unless the
+/// injected crash fires first, as in the threaded receiver.
+fn release(
+    w: &mut World,
+    sc: &ProtoScenario,
+    record: ChunkRecord,
+    bytes: Vec<u8>,
+) -> Result<(), (LintCode, String)> {
+    let seq = record.index;
+    if sc.crash_at == Some(seq) && w.attempt == Attempt::First {
+        w.attempt = Attempt::Crashed;
+        // The process is gone: in-flight data is undeliverable and its
+        // queued controls will never be read.
+        w.data.clear();
+        w.ctrl.clear();
+        return Ok(());
+    }
+    let start = match w.attempt {
+        Attempt::Resumed { start } => start,
+        _ => 0,
+    };
+    let phase = RestorePhase::for_chunk(seq, seq == TOTAL - 1);
+    let (code, why) = if seq < start {
+        let why = format!("chunk {seq}, below the resume start {start}, replayed from the wire");
+        (LintCode::ModelResumeReplay, why)
+    } else if seq < w.journal.next_chunk() {
+        let why = format!("chunk {seq} released to the restorer twice in one attempt");
+        (LintCode::ModelDoubleRelease, why)
+    } else if seq >= TOTAL || bytes != payload(seq) || record.phase != phase {
+        let why = format!(
+            "position {seq} released {bytes:?} as the {}, not the offered {:?} as the {phase}",
+            record.phase,
+            payload(seq)
+        );
+        (LintCode::ModelWrongDelivery, why)
+    } else {
+        let order = |e| (LintCode::ModelWrongDelivery, format!("out of order: {e}"));
+        return w.journal.append(record, bytes).map_err(order);
+    };
+    Err((code, why))
+}
+
+/// The resume handshake, the only event while the destination is down:
+/// a rebuilt receiver asks to resume from the journal, and a fresh sender
+/// checks the request against the interrupted stream's ledger.
+fn resume(w: &World, sc: &ProtoScenario) -> (String, Applied) {
+    let mut journal = w.journal.clone();
+    if sc.tamper {
+        journal.tamper_record(0);
+    }
+    let mut n = World::new();
+    let Some(ReceiverAction::Send(request)) = n.rx.resume(&journal).pop() else {
+        unreachable!("a resuming receiver asks to resume");
+    };
+    match n.tx.on_resume(request, IMAGE_ID, w.tx.records()) {
+        // Both ends fast-forward to the journal horizon; chunks below
+        // it are replayed locally from the journal.
+        Ok(ResumeDecision::Accepted { next, .. }) => {
+            n.journal = journal;
+            n.attempt = Attempt::Resumed { start: next };
+            (format!("resume.accepted({next})"), Ok(n))
         }
-        let seq = st.r_next;
-        if st.resumed && !st.restarted && seq < st.r_start {
-            return Err((
-                LintCode::ModelResumeReplay,
-                format!(
-                    "chunk {seq} released from the wire below the resume start {} — \
-                     verified data replayed into the restorer",
-                    st.r_start
-                ),
-            ));
+        // The sender refuses to splice onto an unverified base, and the
+        // driver restarts the stream from scratch.
+        Ok(ResumeDecision::Rejected(_)) => {
+            n.rx = ReceiverCore::new(CFG);
+            n.attempt = Attempt::Restarted;
+            ("resume.rejected".into(), Ok(n))
         }
-        if st.released & (1 << seq) != 0 {
-            return Err((
-                LintCode::ModelDoubleRelease,
-                format!("chunk {seq} released to the restorer twice in one attempt"),
-            ));
+        Err(e) => {
+            let why = format!("the resume handshake failed: {e}");
+            ("resume".into(), Err((LintCode::ModelRestartMissed, why)))
         }
-        st.released |= 1 << seq;
-        st.r_next += 1;
-        if seq == sc.total - 1 {
-            st.r_done = true;
-            return Ok(());
-        }
-        if st.r_ooo & (1 << st.r_next) == 0 {
-            return Ok(());
-        }
-        st.r_ooo &= !(1 << st.r_next);
     }
 }
 
-/// Retransmit `seq`, bumping its retry count; RetriesExhausted on
-/// overflow (`handle_control` Nack arm / `await_progress` timeout arm).
-fn retransmit(st: &mut PState, seq: u8, action: FaultAction, max_retries: u8) {
-    let Some(entry) = st.s_window.iter_mut().find(|(s, _)| *s == seq) else {
-        return; // stale NACK: frame already acked and pruned
-    };
-    entry.1 += 1;
-    if entry.1 > max_retries {
-        st.s_failed = true;
-        return;
+/// Invariants of a state itself: the send window bound, and — once the
+/// stream has completed after a tampered journal — the clean restart.
+fn checked(w: World, sc: &ProtoScenario) -> Applied {
+    let (len, cap) = (w.tx.window_len(), CFG.window);
+    if len > cap as usize {
+        let why = format!("sender window grew to {len} frames (config window {cap})");
+        return Err((LintCode::ModelWindowOverflow, why));
     }
-    transmit(st, seq, action);
+    if sc.tamper && w.attempt != Attempt::Restarted && w.success() {
+        let why = "stream completed after a tampered journal without a full restart — \
+                   the digest check failed open";
+        return Err((LintCode::ModelRestartMissed, why.into()));
+    }
+    Ok(w)
 }
 
 /// Enumerate `(event name, applied result)` for every enabled event.
-fn successors(st: &PState, sc: &ProtoScenario) -> Vec<(String, Applied)> {
+fn successors(w: &World, sc: &ProtoScenario) -> Vec<(String, Applied)> {
     let mut out = Vec::new();
-    if st.terminal(sc.total) {
+    if w.tx_failed || w.success() {
         return out;
     }
-
-    // Resume handshake: the only events while the destination is down.
-    if st.r_crashed && !st.resumed {
-        let mut n = st.clone();
-        n.resumed = true;
-        n.r_crashed = false;
-        n.link_dead = false;
-        n.s_window.clear();
-        n.data_fly.clear();
-        n.ctrl_fly.clear();
-        n.wire_intact = 0;
-        n.acks_processed = 0;
-        n.r_ooo = 0;
-        n.r_nacked = 0;
-        if sc.tamper {
-            // Digest mismatch: the sender refuses to splice onto an
-            // unverified base and the driver restarts from scratch.
-            n.restarted = true;
-            n.s_next = 0;
-            n.s_acked = 0;
-            n.r_next = 0;
-            n.r_start = 0;
-            n.released = 0;
-            out.push(("resume.tampered_restart".into(), Applied::Next(n)));
-        } else {
-            // Digest ok: both ends fast-forward to the journal horizon;
-            // chunks below it are replayed locally from the journal.
-            n.s_next = st.journal;
-            n.s_acked = st.journal;
-            n.r_next = st.journal;
-            n.r_start = st.journal;
-            n.released = (1u16 << st.journal) - 1;
-            out.push(("resume.good".into(), Applied::Next(n)));
-        }
+    if w.attempt == Attempt::Crashed {
+        out.push(resume(w, sc));
         return out;
     }
-
-    // Sender: ship a fresh frame, branching over the full fault alphabet.
-    if sender_shipping(st, sc) {
-        if st.link_dead {
-            // Every action black-holes identically on a severed path.
-            let mut n = st.clone();
-            let seq = n.s_next;
-            n.s_next += 1;
-            n.s_window.push((seq, 0));
-            out.push((format!("ship.blackholed({seq})"), Applied::Next(n)));
-        } else {
-            for action in FaultAction::ALL {
-                let mut n = st.clone();
-                let seq = n.s_next;
-                n.s_next += 1;
-                n.s_window.push((seq, 0));
-                transmit(&mut n, seq, action);
-                out.push((format!("ship.{}({seq})", action.name()), Applied::Next(n)));
-            }
+    // The sender does what its ledger says; a control owed but not yet
+    // queued blocks it, and only deliveries can move.
+    let draining = w.tx.chunks_sent() == TOTAL;
+    let mut n = w.clone();
+    match w.tx.wait(w.intact, draining) {
+        Wait::Ready if !draining => {
+            let seq = n.tx.chunks_sent();
+            let actions = n.tx.offer(&payload(seq), seq == TOTAL - 1, false);
+            out.extend(sender_step(n, actions, "ship"));
         }
+        Wait::Control if !w.ctrl.is_empty() => {
+            let raw = n.ctrl.pop_front().expect("a control queued");
+            let actions = n.tx.on_control(&raw);
+            out.extend(sender_step(n, actions, "ctrl"));
+        }
+        Wait::Timeout => {
+            let actions = n.tx.on_timeout();
+            out.extend(sender_step(n, actions, "timeout"));
+        }
+        Wait::Ready | Wait::Control => {}
     }
-
-    // Sender: await progress. The intact-deliveries ledger decides
-    // deterministically between taking a control and timing out.
-    if sender_awaiting(st, sc) {
-        if st.wire_intact > st.acks_processed {
-            if let Some(&ctrl) = st.ctrl_fly.front() {
-                match ctrl {
-                    Ctrl::Ack(next) => {
-                        let mut n = st.clone();
-                        n.ctrl_fly.pop_front();
-                        n.acks_processed = n.acks_processed.saturating_add(1);
-                        n.s_acked = n.s_acked.max(next);
-                        n.s_window.retain(|(s, _)| *s >= next);
-                        out.push((format!("ctrl.ack({next})"), Applied::Next(n)));
-                    }
-                    Ctrl::Nack(seq) => {
-                        let base = st.clone();
-                        let needs_branch = {
-                            let mut probe = base.clone();
-                            probe.ctrl_fly.pop_front();
-                            retransmit(&mut probe, seq, FaultAction::Drop, sc.max_retries);
-                            !probe.s_failed && !probe.link_dead
-                        };
-                        let actions: &[FaultAction] = if needs_branch {
-                            &RETRANS
-                        } else {
-                            &RETRANS[..1]
-                        };
-                        for &action in actions {
-                            let mut n = base.clone();
-                            n.ctrl_fly.pop_front();
-                            retransmit(&mut n, seq, action, sc.max_retries);
-                            let label = if n.s_failed {
-                                format!("ctrl.nack.exhausted({seq})")
-                            } else {
-                                format!("ctrl.nack.{}({seq})", action.name())
-                            };
-                            out.push((label, Applied::Next(n)));
-                        }
-                    }
-                }
-            }
-            // Ledger owes a control but none queued yet: the sender
-            // blocks; only receiver-side events can advance the state.
-        } else if let Some(&(base_seq, retries)) = st.s_window.first() {
-            // Ledger balanced with the window occupied: the outstanding
-            // copies are provably lost — modeled timeout, retransmit.
-            if retries + 1 > sc.max_retries {
-                let mut n = st.clone();
-                n.s_failed = true;
-                out.push((format!("timeout.exhausted({base_seq})"), Applied::Next(n)));
-            } else if st.link_dead || st.r_done {
-                let mut n = st.clone();
-                if let Some(e) = n.s_window.first_mut() {
-                    e.1 += 1;
-                }
-                out.push((format!("timeout.blackholed({base_seq})"), Applied::Next(n)));
-            } else {
-                for action in RETRANS {
-                    let mut n = st.clone();
-                    if let Some(e) = n.s_window.first_mut() {
-                        e.1 += 1;
-                    }
-                    transmit(&mut n, base_seq, action);
-                    out.push((
-                        format!("timeout.{}({base_seq})", action.name()),
-                        Applied::Next(n),
-                    ));
-                }
-            }
+    // Wire: deliver any in-flight copy (full reordering). Identical
+    // copies yield identical successors.
+    for (i, frame) in w.data.iter().enumerate() {
+        if i > 0 && w.data[i - 1] == *frame {
+            continue;
         }
+        let mut n = w.clone();
+        n.data.remove(i);
+        let applied = receive(&mut n, frame, sc).map(|()| n);
+        out.push((format!("deliver#{i}"), applied));
     }
-
-    // Wire: deliver any in-flight intact data copy (full reordering).
-    let mut seen = 0u16;
-    for &seq in &st.data_fly {
-        if seen & (1 << seq) != 0 {
-            continue; // identical copies yield identical successors
-        }
-        seen |= 1 << seq;
-        let mut n = st.clone();
-        let pos = n
-            .data_fly
-            .iter()
-            .position(|s| *s == seq)
-            .expect("copy present");
-        n.data_fly.remove(pos);
-        let name = format!("data.deliver({seq})");
-        match receive(&mut n, seq, sc) {
-            Ok(()) => out.push((name, Applied::Next(n))),
-            Err((code, msg)) => out.push((name, Applied::Breach(code, msg))),
-        }
-    }
-
-    out
+    out.into_iter()
+        .map(|(name, applied)| (name, applied.and_then(|n| checked(n, sc))))
+        .collect()
 }
 
 /// Hard cap on distinct states per scenario; exceeding it is HPM047.
@@ -620,143 +503,75 @@ pub const STATE_BUDGET: usize = 2_000_000;
 /// Exhaustively explore one protocol scenario by BFS over the product
 /// state space, checking every invariant on every transition.
 pub fn explore_proto(sc: &ProtoScenario) -> ProtoOutcome {
-    let init = PState::initial();
-    let mut states: Vec<PState> = vec![init.clone()];
-    // state -> (index, parent index, event that reached it)
-    let mut visited: HashMap<PState, usize> = HashMap::new();
+    let init = World::new();
+    let mut visited: HashSet<World> = HashSet::from([init.clone()]);
+    // Per state: its parent's index and the event that reached it.
     let mut parents: Vec<(usize, String)> = vec![(usize::MAX, String::new())];
-    visited.insert(init, 0);
+    let mut queue = VecDeque::from([(0usize, init)]);
+    let mut outcome = ProtoOutcome::default();
 
-    let mut outcome = ProtoOutcome {
-        states: 0,
-        transitions: 0,
-        deduped: 0,
-        violation: None,
-        success_reachable: false,
-        failed_reachable: false,
-        budget_exhausted: false,
-    };
-
-    let trace_to = |idx: usize, parents: &[(usize, String)], tail: Option<String>| {
+    let trace_to = |mut idx: usize, parents: &[(usize, String)]| {
         let mut path = Vec::new();
-        let mut cur = idx;
-        while cur != 0 {
-            let (p, ref ev) = parents[cur];
-            path.push(ev.clone());
-            cur = p;
+        while idx != 0 {
+            path.push(parents[idx].1.clone());
+            idx = parents[idx].0;
         }
         path.reverse();
-        if let Some(t) = tail {
-            path.push(t);
-        }
         path
     };
 
-    let mut frontier = 0usize;
-    while frontier < states.len() {
-        let idx = frontier;
-        frontier += 1;
+    while let Some((idx, w)) = queue.pop_front() {
         outcome.states += 1;
-        let st = states[idx].clone();
-
-        if st.success(sc.total) {
-            outcome.success_reachable = true;
-            continue;
-        }
-        if st.s_failed {
-            outcome.failed_reachable = true;
-            continue;
-        }
-
-        let succ = successors(&st, sc);
-        if succ.is_empty() {
+        outcome.success_reachable |= w.success();
+        outcome.failed_reachable |= w.tx_failed;
+        let succ = successors(&w, sc);
+        // Terminal states have no successors by construction.
+        if succ.is_empty() && !w.success() && !w.tx_failed {
             outcome.violation = Some(ProtoViolation {
                 code: LintCode::ModelDeadlock,
-                message: format!(
-                    "reachable deadlock: no event enabled in non-terminal state \
-                     (s_next {}, window {:?}, r_next {}, data_fly {:?}, ctrl_fly {:?})",
-                    st.s_next, st.s_window, st.r_next, st.data_fly, st.ctrl_fly
-                ),
-                trace: trace_to(idx, &parents, None),
+                message: format!("reachable deadlock: no event enabled in {w:?}"),
+                trace: trace_to(idx, &parents),
             });
             return outcome;
         }
         for (name, applied) in succ {
             outcome.transitions += 1;
-            match applied {
-                Applied::Breach(code, message) => {
+            let n = match applied {
+                Ok(n) => n,
+                Err((code, message)) => {
                     outcome.violation = Some(ProtoViolation {
                         code,
                         message,
-                        trace: trace_to(idx, &parents, Some(name)),
+                        trace: [trace_to(idx, &parents), vec![name]].concat(),
                     });
                     return outcome;
                 }
-                Applied::Next(n) => {
-                    if n.s_window.len() > sc.window as usize {
-                        outcome.violation = Some(ProtoViolation {
-                            code: LintCode::ModelWindowOverflow,
-                            message: format!(
-                                "sender window grew to {} frames (config window {})",
-                                n.s_window.len(),
-                                sc.window
-                            ),
-                            trace: trace_to(idx, &parents, Some(name)),
-                        });
-                        return outcome;
-                    }
-                    if visited.contains_key(&n) {
-                        outcome.deduped += 1;
-                        continue;
-                    }
-                    let nidx = states.len();
-                    if nidx >= STATE_BUDGET {
-                        outcome.budget_exhausted = true;
-                        return outcome;
-                    }
-                    visited.insert(n.clone(), nidx);
-                    states.push(n);
-                    parents.push((idx, name));
-                }
+            };
+            if !visited.insert(n.clone()) {
+                outcome.deduped += 1;
+                continue;
             }
+            let nidx = parents.len();
+            if nidx >= STATE_BUDGET {
+                outcome.budget_exhausted = true;
+                return outcome;
+            }
+            parents.push((idx, name));
+            queue.push_back((nidx, n));
         }
     }
 
     if !outcome.success_reachable {
-        let code = if sc.tamper {
-            LintCode::ModelRestartMissed
-        } else {
-            LintCode::ModelDeadlock
-        };
+        let (deadlock, missed) = (LintCode::ModelDeadlock, LintCode::ModelRestartMissed);
         outcome.violation = Some(ProtoViolation {
-            code,
+            code: if sc.tamper { missed } else { deadlock },
             message: format!(
                 "no successful terminal state is reachable in {} ({} states explored)",
                 sc.name, outcome.states
             ),
             trace: Vec::new(),
         });
-        return outcome;
     }
-
-    // The tampered-journal scenario must never complete without having
-    // restarted: completing on the resumed splice would mean the digest
-    // check failed open.
-    if sc.tamper {
-        for (st, &idx) in &visited {
-            if st.success(sc.total) && !st.restarted {
-                outcome.violation = Some(ProtoViolation {
-                    code: LintCode::ModelRestartMissed,
-                    message: "stream completed after a tampered journal without a full \
-                              restart — the digest check failed open"
-                        .into(),
-                    trace: trace_to(idx, &parents, None),
-                });
-                return outcome;
-            }
-        }
-    }
-
     outcome
 }
 
@@ -767,30 +582,20 @@ pub fn replay_proto(
     sc: &ProtoScenario,
     trace: &[String],
 ) -> Result<Option<(LintCode, String)>, String> {
-    let mut st = PState::initial();
+    let mut w = World::new();
     for (i, want) in trace.iter().enumerate() {
-        let succ = successors(&st, sc);
+        let succ = successors(&w, sc);
         let Some((_, applied)) = succ.into_iter().find(|(name, _)| name == want) else {
             return Err(format!(
                 "trace step {i} ({want}) is not enabled in this state"
             ));
         };
         match applied {
-            Applied::Next(n) => {
-                if n.s_window.len() > sc.window as usize {
-                    return Ok(Some((
-                        LintCode::ModelWindowOverflow,
-                        format!("sender window grew to {} frames", n.s_window.len()),
-                    )));
-                }
-                st = n;
+            Ok(n) => w = n,
+            Err(_) if i + 1 != trace.len() => {
+                return Err(format!("trace step {i} breached before the final step"))
             }
-            Applied::Breach(code, msg) => {
-                if i + 1 != trace.len() {
-                    return Err(format!("trace step {i} breached before the final step"));
-                }
-                return Ok(Some((code, msg)));
-            }
+            Err(breach) => return Ok(Some(breach)),
         }
     }
     Ok(None)

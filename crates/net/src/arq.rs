@@ -2,48 +2,32 @@
 //! the destination can start restoring while the source still collects.
 //! Each chunk travels in the one chunk frame (`hpm_xdr::chunk`: sequence
 //! number, flags, `raw_len` and payload under a trailing CRC-32), stored
-//! or compressed as the [`WireCodec`] says, and is carried by a
-//! stop-and-wait-free ARQ: a sliding replay window on the sender,
-//! cumulative ACKs plus targeted NACKs from the receiver, and bounded
-//! exponential-backoff retransmission. On a clean link that is one ack
-//! per frame and nothing else. A damaged frame — any header word or
-//! payload byte — fails its CRC and is healed like a dropped one.
-//!
-//! The forward (data) path may be lossy — typically a
-//! [`FaultyEndpoint`](crate::FaultyEndpoint) — while the reverse
-//! (control) path is the clean in-process channel, so acknowledgements
-//! are reliable and FIFO. The protocol:
-//!
-//! - The sender assigns sequence numbers, keeps every unacknowledged
-//!   frame in a bounded replay window, and blocks when the window fills.
-//! - The receiver tracks the highest contiguous sequence (`next`) and
-//!   buffers out-of-order frames within one window. Duplicates and
-//!   reordering inside the window are absorbed silently (counted, not
-//!   errored). Every valid arrival is answered with a cumulative
-//!   `Ack { next }`; the first time a gap or corrupt frame names a
-//!   missing sequence, a `Nack { seq }` asks for exactly that frame.
-//! - When the control path goes silent while frames are outstanding, the
-//!   sender retransmits the oldest unacknowledged frame under
-//!   exponential backoff. Each frame has a bounded retransmit budget;
-//!   exhausting it surfaces [`NetError::RetriesExhausted`] so the caller
-//!   can fall back instead of hanging.
+//! or compressed as the [`WireCodec`] says, and is carried by the ARQ of
+//! [`SenderCore`] and [`ReceiverCore`], which `hpm-model` explores
+//! exhaustively. The endpoints here are the loops that drive the cores
+//! over a link: they move bytes between a core and the link, apply its
+//! actions, keep the counters and write the log events.
 //!
 //! Backoff waits are charged against the modeled clock
 //! ([`ArqSenderStats::modeled_backoff_nanos`]); the real wait only has to
 //! be long enough that an in-flight in-process ack (microseconds) cannot
 //! be mistaken for loss.
 
+use crate::arq_core::{
+    ArqConfig, ReceiverAction, ReceiverCore, ResumeDecision, SenderAction, SenderCore, Wait,
+};
 use crate::channel::{Channel, NetError};
 use crate::fault::FrameLink;
 use hpm_obs::{Histogram, HistogramSnapshot, Track};
-use hpm_xdr::{
-    frame_chunk, frame_control, records_digest, unframe_chunk_any, unframe_control, ChunkRecord,
-    Control, RestoreJournal, RestorePhase,
-};
-use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use hpm_xdr::{frame_control, unframe_control, ChunkRecord, Control, RestoreJournal, RestorePhase};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+/// Liveness backstop for every blocking control read: a correct peer
+/// answers in microseconds; true silence this long means it is wedged,
+/// and the retransmission path takes over.
+const BACKSTOP: Duration = Duration::from_secs(5);
 
 /// How a sender's payloads travel in the one chunk frame. Receivers need
 /// no configuration: each frame's flags say whether it is compressed.
@@ -55,27 +39,6 @@ pub enum WireCodec {
     /// Compressed: every payload through the block coder, stored still
     /// whenever the coder cannot shrink it.
     V3,
-}
-
-/// Tuning knobs shared by both ARQ endpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ArqConfig {
-    /// Replay/accept window in frames.
-    pub window: u32,
-    /// Retransmissions allowed per frame before giving up.
-    pub max_retries: u32,
-    /// First backoff step; doubles per consecutive silent round.
-    pub base_backoff: Duration,
-}
-
-impl Default for ArqConfig {
-    fn default() -> Self {
-        ArqConfig {
-            window: 32,
-            max_retries: 8,
-            base_backoff: Duration::from_millis(4),
-        }
-    }
 }
 
 /// Deterministic sender-side protocol counters.
@@ -99,62 +62,13 @@ pub struct ArqSenderStats {
     pub retry_hist: HistogramSnapshot,
 }
 
-struct WindowEntry {
-    seq: u32,
-    frame: Vec<u8>,
-    /// Retransmissions so far (0 = only the original send).
-    retries: u32,
-}
-
-/// The sender's verdict on a destination's resume request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResumeDecision {
-    /// The journal digest matched the send ledger: the transfer restarts
-    /// at `next` and every earlier chunk is skipped.
-    Accepted {
-        /// First chunk that will actually cross the wire.
-        next: u32,
-        /// Decoded payload bytes the resume avoids re-sending.
-        bytes_saved_raw: u64,
-        /// Wire payload bytes the resume avoids re-sending.
-        bytes_saved_wire: u64,
-    },
-    /// The request failed validation; the caller must fall back to a
-    /// clean full restart — never splice onto an unverified base.
-    Rejected(ResumeReject),
-}
-
-/// Why a resume request was refused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResumeReject {
-    /// The journal describes a different image than this stream carries.
-    ImageMismatch,
-    /// The journal claims more chunks than the sender ever shipped.
-    BadRange,
-    /// The journal digest disagrees with the sender's send ledger
-    /// (tampering or divergence).
-    DigestMismatch,
-}
-
-impl std::fmt::Display for ResumeReject {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ResumeReject::ImageMismatch => write!(f, "image id mismatch"),
-            ResumeReject::BadRange => write!(f, "journal longer than the send ledger"),
-            ResumeReject::DigestMismatch => write!(f, "journal digest mismatch"),
-        }
-    }
-}
-
-/// Sending half of the ARQ stream. Generic over [`FrameLink`] so tests
-/// can run it over a clean [`Channel`] and the driver over a
-/// [`FaultyEndpoint`](crate::FaultyEndpoint).
+/// Sending half of the ARQ stream: a [`SenderCore`] driven over a
+/// [`FrameLink`], so tests can run it over a clean [`Channel`] and the
+/// driver over a [`FaultyEndpoint`](crate::FaultyEndpoint).
 pub struct ReliableChunkSender<L: FrameLink> {
     link: L,
-    cfg: ArqConfig,
+    core: SenderCore,
     codec: WireCodec,
-    next_seq: u32,
-    window: VecDeque<WindowEntry>,
     /// Frame copies accepted by the link (for lossless links this *is*
     /// the intact-delivery count the ack ledger balances against).
     wire_sends: u64,
@@ -162,12 +76,6 @@ pub struct ReliableChunkSender<L: FrameLink> {
     /// Live retry-count distribution, snapshotted into
     /// [`ArqSenderStats::retry_hist`] on [`Self::stats`].
     retry_hist: Histogram,
-    /// Send ledger: one record per distinct chunk shipped, mirroring what
-    /// a journaling receiver records. Resume digests validate against it.
-    records: Vec<ChunkRecord>,
-    /// Cumulative acknowledgement high-water mark: every chunk below this
-    /// was confirmed received.
-    acked_next: u32,
     track: Track,
 }
 
@@ -176,29 +84,24 @@ impl<L: FrameLink> ReliableChunkSender<L> {
     pub fn new(link: L, cfg: ArqConfig) -> Self {
         ReliableChunkSender {
             link,
-            cfg,
+            core: SenderCore::new(cfg),
             codec: WireCodec::default(),
-            next_seq: 0,
-            window: VecDeque::new(),
             wire_sends: 0,
             stats: ArqSenderStats::default(),
             retry_hist: Histogram::new(),
-            records: Vec::new(),
-            acked_next: 0,
             track: Track::off(),
         }
     }
 
     /// Record protocol events on `track` (`chunk.sent`, `chunk.retried`,
-    /// `ack`, `nack`, `retries.exhausted`).
+    /// `ack`, `retries.exhausted`, `resume.*`).
     pub fn with_track(mut self, track: Track) -> Self {
         self.track = track;
         self
     }
 
-    /// Choose whether this stream compresses (default: stored). The
-    /// compressed frame is built once and kept in the replay window, so
-    /// retransmissions resend the same wire bytes without recompressing.
+    /// Choose whether this stream compresses (default: stored); a frame
+    /// is compressed once, and its retransmissions resend the same bytes.
     pub fn with_codec(mut self, codec: WireCodec) -> Self {
         self.codec = codec;
         self
@@ -213,30 +116,28 @@ impl<L: FrameLink> ReliableChunkSender<L> {
 
     /// Sequence number the next chunk will carry.
     pub fn chunks_sent(&self) -> u32 {
-        self.next_seq
+        self.core.chunks_sent()
     }
 
     /// Cumulative acknowledgement high-water mark: every chunk below this
     /// was confirmed received (and journaled, on a journaling receiver).
     pub fn acked_chunks(&self) -> u32 {
-        self.acked_next
+        self.core.acked_chunks()
     }
 
     /// Frames currently in the replay window (shipped, not yet acked).
-    /// Bounded by `cfg.window` at every observable point: `ship` blocks
-    /// in `await_progress` rather than letting the window grow — an
-    /// invariant the `hpm-model` protocol checker proves exhaustively
-    /// and `window_never_exceeds_config_against_a_stalling_receiver`
-    /// exercises at runtime.
+    /// Bounded by `cfg.window` at every observable point: `send` blocks
+    /// rather than letting the window grow — an invariant the `hpm-model`
+    /// protocol checker proves exhaustively on the same core.
     pub fn window_len(&self) -> usize {
-        self.window.len()
+        self.core.window_len()
     }
 
     /// The send ledger: one [`ChunkRecord`] per distinct chunk shipped,
     /// in sequence order. A later resume validates its journal digest
     /// against a prefix of this ledger.
     pub fn records(&self) -> &[ChunkRecord] {
-        &self.records
+        self.core.records()
     }
 
     /// Recover the link (e.g. to read injector stats after the stream).
@@ -258,58 +159,26 @@ impl<L: FrameLink> ReliableChunkSender<L> {
         image_id: u64,
         ledger: &[ChunkRecord],
     ) -> Result<ResumeDecision, NetError> {
-        const BACKSTOP: Duration = Duration::from_secs(5);
-        assert_eq!(
-            self.next_seq, 0,
-            "resume handshake only precedes a stream, never splices into one"
-        );
         let raw = self.link.recv_control_timeout(BACKSTOP)?;
-        let ctrl = unframe_control(&raw).map_err(|e| NetError::ChunkFraming {
+        let request = unframe_control(&raw).map_err(|e| NetError::ChunkFraming {
             chunk: 0,
             reason: format!("bad resume handshake frame: {e}"),
         })?;
-        let Control::Resume {
-            image_id: claimed_id,
-            next,
-            digest,
-        } = ctrl
-        else {
-            return Err(NetError::ChunkFraming {
-                chunk: 0,
-                reason: format!("expected a resume handshake, got {ctrl:?}"),
-            });
-        };
-        let reject = if claimed_id != image_id {
-            Some(ResumeReject::ImageMismatch)
-        } else if next as usize > ledger.len() {
-            Some(ResumeReject::BadRange)
-        } else if records_digest(&ledger[..next as usize]) != digest {
-            Some(ResumeReject::DigestMismatch)
-        } else {
-            None
-        };
-        if let Some(reason) = reject {
-            self.track.event(
-                "resume.rejected",
-                &[("claimed_next", next as u64), ("reason", reason as u64)],
-            );
-            return Ok(ResumeDecision::Rejected(reason));
-        }
-        let skipped = &ledger[..next as usize];
-        let bytes_saved_raw = skipped.iter().map(|r| r.raw_len as u64).sum();
-        let bytes_saved_wire = skipped.iter().map(|r| r.wire_len as u64).sum();
-        self.records = skipped.to_vec();
-        self.next_seq = next;
-        self.acked_next = next;
-        self.track.event(
-            "resume.accepted",
-            &[("next", next as u64), ("bytes_saved", bytes_saved_raw)],
-        );
-        Ok(ResumeDecision::Accepted {
+        let decision = self.core.on_resume(request, image_id, ledger)?;
+        if let ResumeDecision::Accepted {
             next,
             bytes_saved_raw,
-            bytes_saved_wire,
-        })
+            ..
+        } = decision
+        {
+            let args = [("next", next as u64), ("bytes_saved", bytes_saved_raw)];
+            self.track.event("resume.accepted", &args);
+        }
+        if let (ResumeDecision::Rejected(why), Control::Resume { next, .. }) = (decision, request) {
+            let args = [("claimed_next", next as u64), ("reason", why as u64)];
+            self.track.event("resume.rejected", &args);
+        }
+        Ok(decision)
     }
 
     /// Frame, window, and ship one payload chunk; blocks while the
@@ -323,212 +192,126 @@ impl<L: FrameLink> ReliableChunkSender<L> {
     /// distinct frames sent, terminator included.
     pub fn finish(&mut self) -> Result<u32, NetError> {
         self.ship(&[], true)?;
+        // Held (reordered) frames are flushed only here: a flush at a
+        // wall-clock-dependent moment would change the wire order between
+        // runs. A held mid-stream frame is recovered by the
+        // NACK/retransmission path; only a held terminator needs this.
         self.link.flush()?;
-        while !self.window.is_empty() {
-            self.await_progress()?;
-        }
-        Ok(self.next_seq)
+        self.settle(true)?;
+        Ok(self.core.chunks_sent())
     }
 
     fn ship(&mut self, payload: &[u8], last: bool) -> Result<(), NetError> {
-        let (seq, raw_len) = (self.next_seq, payload.len());
-        let (frame, wire_len, crc) = frame_chunk(seq, last, payload, self.codec == WireCodec::V3);
-        if let Some(s) = self.link.transfer_stats() {
-            s.observe_chunk_out(raw_len as u64, wire_len as u64, wire_len < raw_len);
+        let actions = self.core.offer(payload, last, self.codec == WireCodec::V3);
+        if let (Some(s), Some(r)) = (self.link.transfer_stats(), self.core.records().last()) {
+            s.observe_chunk_out(r.raw_len as u64, r.wire_len as u64, r.wire_len < r.raw_len);
         }
-        self.next_seq += 1;
-        self.records.push(ChunkRecord {
-            index: seq,
-            raw_len: raw_len as u32,
-            wire_len: wire_len as u32,
-            crc,
-            phase: RestorePhase::for_chunk(seq, last),
-        });
-        self.link.send_frame(frame.clone())?;
-        self.stats.frames_sent += 1;
-        self.wire_sends += 1;
-        self.window.push_back(WindowEntry {
-            seq,
-            frame,
-            retries: 0,
-        });
-        self.track.event(
-            "chunk.sent",
-            &[("chunk", seq as u64), ("window", self.window.len() as u64)],
-        );
-        // Control frames are processed ONLY inside `await_progress`,
-        // exactly one per call — never drained opportunistically here.
-        // An opportunistic drain would process a race-dependent number
-        // of acks/nacks, moving retransmissions to wall-clock-dependent
-        // wire positions and destroying run-to-run reproducibility of
-        // the recovery counters.
-        while self.window.len() >= self.cfg.window as usize {
-            self.await_progress()?;
-        }
-        Ok(())
+        self.apply(actions, "")?;
+        self.settle(false)
     }
 
-    fn handle_control(&mut self, raw: &[u8]) -> Result<(), NetError> {
-        let ctrl = unframe_control(raw).map_err(|e| NetError::ChunkFraming {
-            chunk: self.window.front().map(|w| w.seq).unwrap_or(self.next_seq),
-            reason: format!("bad control frame: {e}"),
-        })?;
-        match ctrl {
-            Control::Ack { next } => {
-                self.stats.acks_processed += 1;
-                self.acked_next = self.acked_next.max(next);
-                let mut pruned = 0u64;
-                while self.window.front().is_some_and(|w| w.seq < next) {
-                    let entry = self.window.pop_front().expect("front checked");
-                    // The chunk retires: its retry count is final.
-                    self.retry_hist.observe(entry.retries as u64);
-                    pruned += 1;
+    /// Wait until the core is [`Wait::Ready`]: process exactly one control
+    /// frame whenever the intact-deliveries ledger says one is owed, and
+    /// take the timeout (retransmitting the window base at once, with the
+    /// policy backoff charged to the **modeled** clock only) whenever it
+    /// balances.
+    ///
+    /// "Silent" is decided by that deterministic ledger, not a wall-clock
+    /// guess: every frame copy the link delivered intact earns exactly one
+    /// ACK, so while `intact deliveries > acks processed` a control frame
+    /// is guaranteed to arrive. Together with the one-control-per-wait
+    /// discipline — control frames are never drained opportunistically,
+    /// which would process a race-dependent number of them and move
+    /// retransmissions to wall-clock-dependent wire positions — every
+    /// sender decision is a pure function of protocol history: the wire
+    /// order, the fault decisions keyed on it, and all recovery counters
+    /// reproduce exactly across runs, however the threads are scheduled.
+    fn settle(&mut self, draining: bool) -> Result<(), NetError> {
+        loop {
+            let intact = self.link.intact_deliveries().unwrap_or(self.wire_sends);
+            let (actions, cause) = match self.core.wait(intact, draining) {
+                Wait::Ready => return Ok(()),
+                Wait::Control => match self.link.recv_control_timeout(BACKSTOP) {
+                    Ok(raw) => (self.core.on_control(&raw), "cause_nack"),
+                    // A wedged peer: the retransmission path takes over.
+                    Err(NetError::Timeout) => (self.core.on_timeout(), "cause_timeout"),
+                    Err(e) => return Err(e),
+                },
+                Wait::Timeout => (self.core.on_timeout(), "cause_timeout"),
+            };
+            self.apply(actions, cause)?;
+        }
+    }
+
+    /// Carry out the core's actions: ship frames, keep the counters and
+    /// write the events. `cause` names what triggered a retransmission.
+    fn apply(&mut self, actions: Vec<SenderAction>, cause: &'static str) -> Result<(), NetError> {
+        for action in actions {
+            match action {
+                SenderAction::Send {
+                    seq,
+                    retry: 0,
+                    frame,
+                } => {
+                    self.link.send_frame(frame)?;
+                    self.stats.frames_sent += 1;
+                    self.wire_sends += 1;
+                    let window = self.core.window_len() as u64;
+                    self.track
+                        .event("chunk.sent", &[("chunk", seq as u64), ("window", window)]);
                 }
-                self.track
-                    .event("ack", &[("next", next as u64), ("pruned", pruned)]);
-            }
-            Control::Nack { seq } => {
-                self.stats.nacks_processed += 1;
-                // Stale NACKs (frame already acked and pruned) are ignored.
-                if let Some(entry) = self.window.iter_mut().find(|w| w.seq == seq) {
-                    entry.retries += 1;
-                    let retries = entry.retries;
-                    if retries > self.cfg.max_retries {
-                        self.retry_hist.observe(retries as u64);
-                        self.track.event(
-                            "retries.exhausted",
-                            &[("chunk", seq as u64), ("attempts", retries as u64)],
-                        );
-                        return Err(NetError::RetriesExhausted {
-                            chunk: seq,
-                            attempts: retries,
-                            acked: self.acked_next,
-                        });
-                    }
-                    let frame = entry.frame.clone();
+                SenderAction::Send { seq, retry, frame } => {
                     self.stats.retransmits += 1;
                     self.track.event(
                         "chunk.retried",
-                        &[
-                            ("chunk", seq as u64),
-                            ("retry", retries as u64),
-                            ("cause_nack", 1),
-                        ],
+                        &[("chunk", seq as u64), ("retry", retry as u64), (cause, 1)],
                     );
-                    self.retransmit_frame(frame)?;
+                    // Counted before the attempt: whether a late
+                    // retransmission lands depends on when the peer hung
+                    // up, and the counters must not inherit that race.
+                    self.stats.frames_sent += 1;
+                    // A `Disconnected` here is not yet fatal: the peer may
+                    // have completed the stream (healed by a duplicate or a
+                    // held frame) and hung up with its final ACKs still
+                    // queued — the control drain decides whether the
+                    // window actually empties.
+                    match self.link.send_frame(frame) {
+                        Ok(()) => self.wire_sends += 1,
+                        Err(NetError::Disconnected) => {}
+                        Err(e) => return Err(e),
+                    }
                 }
-            }
-            Control::Resume { .. } => {
-                // The handshake is only legal before the stream starts
-                // (see `accept_resume`); mid-stream it means the peers
-                // have lost protocol agreement.
-                return Err(NetError::ChunkFraming {
-                    chunk: self.window.front().map(|w| w.seq).unwrap_or(self.next_seq),
-                    reason: "unexpected resume handshake mid-stream".into(),
-                });
+                SenderAction::Backoff(wait) => {
+                    self.stats.timeouts += 1;
+                    self.stats.modeled_backoff_nanos += wait.as_nanos() as u64;
+                }
+                SenderAction::Acked { next, retired } => {
+                    self.stats.acks_processed += 1;
+                    // Each retired chunk's retry count is final.
+                    for &retries in &retired {
+                        self.retry_hist.observe(retries as u64);
+                    }
+                    let pruned = retired.len() as u64;
+                    self.track
+                        .event("ack", &[("next", next as u64), ("pruned", pruned)]);
+                }
+                SenderAction::Nacked => self.stats.nacks_processed += 1,
+                SenderAction::Fail(e) => {
+                    if let NetError::RetriesExhausted {
+                        chunk, attempts, ..
+                    } = e
+                    {
+                        self.retry_hist.observe(attempts as u64);
+                        self.track.event(
+                            "retries.exhausted",
+                            &[("chunk", chunk as u64), ("attempts", attempts as u64)],
+                        );
+                    }
+                    return Err(e);
+                }
             }
         }
         Ok(())
-    }
-
-    /// Ship a retransmission. A `Disconnected` here is not yet fatal:
-    /// the peer may have completed the stream (healed by a duplicate or
-    /// a held frame) and hung up with its final ACKs still queued — the
-    /// control drain decides whether the window actually empties.
-    fn retransmit_frame(&mut self, frame: Vec<u8>) -> Result<(), NetError> {
-        // Counted before the attempt: whether a late retransmission
-        // lands depends on when the peer hung up, and the counters must
-        // not inherit that race.
-        self.stats.frames_sent += 1;
-        match self.link.send_frame(frame) {
-            Ok(()) => {
-                self.wire_sends += 1;
-                Ok(())
-            }
-            Err(NetError::Disconnected) => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Process exactly one control frame, or retransmit the window base
-    /// when the link has provably gone silent.
-    ///
-    /// "Silent" is decided by a deterministic ledger, not a wall-clock
-    /// guess: every frame copy the link delivered intact earns exactly
-    /// one ACK from the peer, so while `intact deliveries > acks
-    /// processed` a control frame is guaranteed to arrive and we block
-    /// for it. Once the ledger balances with the window still occupied,
-    /// nothing more will ever come — the outstanding copies were lost —
-    /// and the base frame is retransmitted immediately, with the policy
-    /// backoff charged to the **modeled** clock only.
-    ///
-    /// Together with the one-control-per-call discipline (no
-    /// opportunistic draining anywhere), this makes every sender
-    /// decision a pure function of protocol history: the wire order,
-    /// the fault decisions keyed on it, and all recovery counters
-    /// reproduce exactly across runs, no matter how the threads are
-    /// scheduled. A real timed wait would fire or not depending on
-    /// scheduler noise.
-    ///
-    /// Held (reordered) frames are deliberately *not* flushed here: a
-    /// flush at a wall-clock-dependent moment would change the wire
-    /// order between runs. A held mid-stream frame is recovered by the
-    /// NACK/retransmission path; only a held terminator needs the
-    /// explicit flush in [`Self::finish`].
-    fn await_progress(&mut self) -> Result<(), NetError> {
-        // Liveness backstop for the guaranteed-arrival wait: a correct
-        // peer answers in microseconds; true silence this long means it
-        // is wedged, and the retransmission path takes over.
-        const BACKSTOP: Duration = Duration::from_secs(5);
-        loop {
-            let (base_seq, base_retries) = match self.window.front() {
-                Some(w) => (w.seq, w.retries),
-                None => return Ok(()),
-            };
-            let intact = self.link.intact_deliveries().unwrap_or(self.wire_sends);
-            if intact > self.stats.acks_processed {
-                match self.link.recv_control_timeout(BACKSTOP) {
-                    Ok(raw) => {
-                        self.handle_control(&raw)?;
-                        return Ok(());
-                    }
-                    Err(NetError::Timeout) => {} // wedged peer: fall through
-                    Err(e) => return Err(e),
-                }
-            }
-            // The ack ledger balances and the window is still occupied:
-            // the outstanding copies are gone. Backoff doubles per retry
-            // already burned on the base frame.
-            let wait = self.cfg.base_backoff * 2u32.saturating_pow(base_retries.min(10));
-            self.stats.timeouts += 1;
-            self.stats.modeled_backoff_nanos += wait.as_nanos() as u64;
-            let retries = base_retries + 1;
-            if retries > self.cfg.max_retries {
-                self.retry_hist.observe(retries as u64);
-                self.track.event(
-                    "retries.exhausted",
-                    &[("chunk", base_seq as u64), ("attempts", retries as u64)],
-                );
-                return Err(NetError::RetriesExhausted {
-                    chunk: base_seq,
-                    attempts: retries,
-                    acked: self.acked_next,
-                });
-            }
-            let front = self.window.front_mut().expect("window nonempty");
-            front.retries = retries;
-            let frame = front.frame.clone();
-            self.stats.retransmits += 1;
-            self.track.event(
-                "chunk.retried",
-                &[
-                    ("chunk", base_seq as u64),
-                    ("retry", retries as u64),
-                    ("cause_timeout", 1),
-                ],
-            );
-            self.retransmit_frame(frame)?;
-        }
     }
 }
 
@@ -536,14 +319,7 @@ impl<L: FrameLink> ReliableChunkSender<L> {
 /// the receiver itself disappears into a `Box<dyn ChunkSource>` in the
 /// migration driver.
 #[derive(Debug, Default)]
-pub struct ArqReceiverCounters {
-    corrupt_caught: AtomicU64,
-    dups_absorbed: AtomicU64,
-    reorders_absorbed: AtomicU64,
-    acks_sent: AtomicU64,
-    nacks_sent: AtomicU64,
-    replays_below_start: AtomicU64,
-}
+pub struct ArqReceiverCounters(Mutex<ArqReceiverSnapshot>);
 
 /// A detached copy of [`ArqReceiverCounters`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -567,47 +343,23 @@ pub struct ArqReceiverSnapshot {
 impl ArqReceiverCounters {
     /// Point-in-time copy.
     pub fn snapshot(&self) -> ArqReceiverSnapshot {
-        ArqReceiverSnapshot {
-            corrupt_caught: self.corrupt_caught.load(Ordering::Relaxed),
-            dups_absorbed: self.dups_absorbed.load(Ordering::Relaxed),
-            reorders_absorbed: self.reorders_absorbed.load(Ordering::Relaxed),
-            acks_sent: self.acks_sent.load(Ordering::Relaxed),
-            nacks_sent: self.nacks_sent.load(Ordering::Relaxed),
-            replays_below_start: self.replays_below_start.load(Ordering::Relaxed),
-        }
+        *self.0.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    fn bump(field: &AtomicU64) {
-        field.fetch_add(1, Ordering::Relaxed);
+    fn bump(&self, field: fn(&mut ArqReceiverSnapshot) -> &mut u64) {
+        *field(&mut self.0.lock().unwrap_or_else(|p| p.into_inner())) += 1;
     }
 }
 
-/// A verified frame held by the receiver, with the metadata a journal
-/// record needs.
-struct RxChunk {
-    last: bool,
-    payload: Vec<u8>,
-    wire_len: u32,
-    crc: u32,
-}
-
-/// Receiving half of the ARQ stream.
+/// Receiving half of the ARQ stream: a [`ReceiverCore`] driven over the
+/// destination's channel end.
 pub struct ReliableChunkReceiver {
     ch: Channel,
-    window: u32,
-    /// Next expected (highest contiguous + 1) sequence.
-    next: u32,
+    core: ReceiverCore,
     /// The sequence this stream started at (0, or the resume point).
     start: u32,
-    /// Highest sequence seen in any valid arrival, for reorder counting.
-    max_seen: Option<u32>,
-    /// Valid frames waiting for the gap below them to fill.
-    ooo: BTreeMap<u32, RxChunk>,
     /// Contiguous frames ready to hand to the caller.
     ready: VecDeque<(bool, Vec<u8>)>,
-    /// Sequences already NACKed — each missing frame is asked for once;
-    /// after that the sender's timeout path owns recovery.
-    nacked: HashSet<u32>,
     done: bool,
     counters: Arc<ArqReceiverCounters>,
     /// Durable journal this receiver appends every accepted chunk to.
@@ -622,13 +374,9 @@ impl ReliableChunkReceiver {
     pub fn new(ch: Channel, cfg: ArqConfig) -> Self {
         ReliableChunkReceiver {
             ch,
-            window: cfg.window,
-            next: 0,
+            core: ReceiverCore::new(cfg),
             start: 0,
-            max_seen: None,
-            ooo: BTreeMap::new(),
             ready: VecDeque::new(),
-            nacked: HashSet::new(),
             done: false,
             counters: Arc::new(ArqReceiverCounters::default()),
             journal: None,
@@ -648,13 +396,9 @@ impl ReliableChunkReceiver {
         journal: &RestoreJournal,
     ) -> Result<Self, NetError> {
         let mut rx = ReliableChunkReceiver::new(ch, cfg);
-        rx.next = journal.next_chunk();
-        rx.start = rx.next;
-        rx.ch.send(frame_control(Control::Resume {
-            image_id: journal.image_id(),
-            next: rx.next,
-            digest: journal.digest(),
-        }))?;
+        let actions = rx.core.resume(journal);
+        rx.start = rx.core.next();
+        rx.apply(actions)?;
         Ok(rx)
     }
 
@@ -689,7 +433,7 @@ impl ReliableChunkReceiver {
 
     /// Highest contiguous sequence received so far.
     pub fn chunks_received(&self) -> u32 {
-        self.next
+        self.core.next()
     }
 
     /// Whether the LAST frame has been consumed.
@@ -697,155 +441,106 @@ impl ReliableChunkReceiver {
         self.done
     }
 
-    fn send_control(&self, ctrl: Control) -> Result<(), NetError> {
-        self.ch.send(frame_control(ctrl))
-    }
-
     /// Receive the next payload chunk; `Ok(None)` once the stream is
     /// complete. Duplicates and in-window reordering are absorbed;
-    /// corruption triggers a NACK; a frame beyond the window or an
+    /// corruption is healed like a drop; a frame beyond the window or an
     /// unparseable frame is a hard error.
     pub fn recv_chunk(&mut self) -> Result<Option<Vec<u8>>, NetError> {
         loop {
             if let Some((last, payload)) = self.ready.pop_front() {
-                if last {
-                    self.done = true;
-                    if payload.is_empty() {
-                        return Ok(None);
-                    }
-                    return Ok(Some(payload));
-                }
-                return Ok(Some(payload));
+                // An empty terminator ends the stream without a chunk.
+                self.done = last;
+                return Ok(Some(payload).filter(|p| !(last && p.is_empty())));
             }
             if self.done {
                 return Ok(None);
             }
             let raw = self.ch.recv()?;
-            let parsed = unframe_chunk_any(&raw).map_err(|e| NetError::ChunkFraming {
-                chunk: self.next,
-                reason: e.to_string(),
-            })?;
-            let seq = parsed.seq;
-            if parsed.verify_crc().is_err() {
-                // A damaged frame is treated exactly like a dropped one:
-                // counted, then left for the gap-NACK (fired when a
-                // higher frame lands) or the sender's timeout to heal.
-                // NACKing immediately would put the clean retransmission
-                // at a wall-clock-dependent wire position and make the
-                // reorder counter irreproducible.
-                ArqReceiverCounters::bump(&self.counters.corrupt_caught);
-                self.track.event("crc.fail", &[("chunk", seq as u64)]);
-                continue;
-            }
-            if seq < self.next {
-                ArqReceiverCounters::bump(&self.counters.dups_absorbed);
-                if seq < self.start {
-                    // A chunk this destination already held before the
-                    // stream began: a resume that re-sends verified data.
-                    ArqReceiverCounters::bump(&self.counters.replays_below_start);
-                    self.track
-                        .event("replay.below_start", &[("chunk", seq as u64)]);
+            let actions = self.core.on_frame(&raw);
+            self.apply(actions)?;
+        }
+    }
+
+    /// Carry out the core's actions in order: count, journal, queue for
+    /// the caller, and send controls. An arrival's `chunk.recv` event
+    /// lands after its releases and before its ack.
+    fn apply(&mut self, actions: Vec<ReceiverAction>) -> Result<(), NetError> {
+        let mut arrived = None;
+        for action in actions {
+            match action {
+                ReceiverAction::Corrupt { seq } => {
+                    self.counters.bump(|c| &mut c.corrupt_caught);
+                    self.track.event("crc.fail", &[("chunk", seq as u64)]);
                 }
-                self.track.event("dup", &[("chunk", seq as u64)]);
-                // Re-ack so a sender that missed the original ack prunes.
-                self.send_control(Control::Ack { next: self.next })?;
-                ArqReceiverCounters::bump(&self.counters.acks_sent);
-                continue;
-            }
-            if seq >= self.next + self.window {
-                return Err(NetError::ChunkFraming {
-                    chunk: seq,
-                    reason: format!(
-                        "sequence {seq} outside the receive window (next {}, window {})",
-                        self.next, self.window
-                    ),
-                });
-            }
-            let late = self.max_seen.is_some_and(|m| m > seq);
-            // The CRC (over header and wire bytes) has passed, so a
-            // payload that does not expand to its `raw_len` was framed
-            // wrong at the source — a hard error, not retransmittable
-            // corruption.
-            let last = parsed.last;
-            let wire_len = parsed.payload.len() as u32;
-            let crc = parsed.crc;
-            let payload = parsed.into_payload().map_err(|e| NetError::ChunkFraming {
-                chunk: seq,
-                reason: format!("payload failed to expand: {e}"),
-            })?;
-            let chunk = RxChunk {
-                last,
-                payload,
-                wire_len,
-                crc,
-            };
-            if seq == self.next {
-                if late {
-                    ArqReceiverCounters::bump(&self.counters.reorders_absorbed);
-                    self.track.event("reorder", &[("chunk", seq as u64)]);
-                }
-                self.accept(chunk)?;
-                while let Some(c) = self.ooo.remove(&self.next) {
-                    self.accept(c)?;
-                }
-            } else {
-                match self.ooo.entry(seq) {
-                    std::collections::btree_map::Entry::Occupied(_) => {
-                        ArqReceiverCounters::bump(&self.counters.dups_absorbed);
+                ReceiverAction::Duplicate { seq } => {
+                    self.counters.bump(|c| &mut c.dups_absorbed);
+                    if seq < self.start {
+                        // A chunk this destination already held before the
+                        // stream began: a resume that re-sends verified data.
+                        self.counters.bump(|c| &mut c.replays_below_start);
+                        self.track
+                            .event("replay.below_start", &[("chunk", seq as u64)]);
                     }
-                    std::collections::btree_map::Entry::Vacant(v) => {
-                        if late {
-                            ArqReceiverCounters::bump(&self.counters.reorders_absorbed);
+                    self.track.event("dup", &[("chunk", seq as u64)]);
+                }
+                ReceiverAction::Arrived {
+                    seq,
+                    in_order,
+                    copy,
+                    late,
+                } => {
+                    if copy {
+                        self.counters.bump(|c| &mut c.dups_absorbed);
+                    } else if late {
+                        self.counters.bump(|c| &mut c.reorders_absorbed);
+                        if in_order {
+                            self.track.event("reorder", &[("chunk", seq as u64)]);
                         }
-                        v.insert(chunk);
+                    }
+                    arrived = Some(seq);
+                }
+                ReceiverAction::Release { record, payload } => self.release(record, payload)?,
+                ReceiverAction::Send(ctrl) => {
+                    if let Some(seq) = arrived.take() {
+                        let next = self.core.next() as u64;
+                        self.track
+                            .event("chunk.recv", &[("chunk", seq as u64), ("next", next)]);
+                    }
+                    self.ch.send(frame_control(ctrl))?;
+                    match ctrl {
+                        Control::Ack { .. } => self.counters.bump(|c| &mut c.acks_sent),
+                        Control::Nack { seq } => {
+                            self.counters.bump(|c| &mut c.nacks_sent);
+                            self.track.event("nack.sent", &[("chunk", seq as u64)]);
+                        }
+                        Control::Resume { .. } => {}
                     }
                 }
-            }
-            self.track.event(
-                "chunk.recv",
-                &[("chunk", seq as u64), ("next", self.next as u64)],
-            );
-            self.max_seen = Some(self.max_seen.map_or(seq, |m| m.max(seq)));
-            self.send_control(Control::Ack { next: self.next })?;
-            ArqReceiverCounters::bump(&self.counters.acks_sent);
-            // A buffered frame above a missing one: name the gap once.
-            if !self.ooo.is_empty() && self.nacked.insert(self.next) {
-                self.send_control(Control::Nack { seq: self.next })?;
-                ArqReceiverCounters::bump(&self.counters.nacks_sent);
-                self.track
-                    .event("nack.sent", &[("chunk", self.next as u64)]);
+                ReceiverAction::Fail(e) => return Err(e),
             }
         }
+        Ok(())
     }
 
     /// Consume one in-order verified chunk: journal it, then queue it for
     /// the caller. The injected crash fires *before* consumption, so a
     /// destination that "dies at chunk k" leaves exactly chunks `0..k` in
     /// its journal — the invariant the resume handshake relies on.
-    fn accept(&mut self, chunk: RxChunk) -> Result<(), NetError> {
-        if self.crash_at == Some(self.next) {
+    fn release(&mut self, record: ChunkRecord, payload: Vec<u8>) -> Result<(), NetError> {
+        let chunk = record.index;
+        if self.crash_at == Some(chunk) {
             self.track
-                .event("crash.injected", &[("chunk", self.next as u64)]);
-            return Err(NetError::PeerCrashed { chunk: self.next });
+                .event("crash.injected", &[("chunk", chunk as u64)]);
+            return Err(NetError::PeerCrashed { chunk });
         }
-        if let Some(journal) = &self.journal {
-            let record = ChunkRecord {
-                index: self.next,
-                raw_len: chunk.payload.len() as u32,
-                wire_len: chunk.wire_len,
-                crc: chunk.crc,
-                phase: RestorePhase::for_chunk(self.next, chunk.last),
-            };
-            let mut guard = journal.lock().unwrap_or_else(|p| p.into_inner());
-            guard
-                .append(record, chunk.payload.clone())
-                .map_err(|e| NetError::ChunkFraming {
-                    chunk: self.next,
-                    reason: format!("journal append failed: {e}"),
-                })?;
+        let journal = self.journal.as_ref();
+        let guard = journal.map(|j| j.lock().unwrap_or_else(|p| p.into_inner()));
+        if let Some(Err(e)) = guard.map(|mut j| j.append(record, payload.clone())) {
+            let reason = format!("journal append failed: {e}");
+            return Err(NetError::ChunkFraming { chunk, reason });
         }
-        self.ready.push_back((chunk.last, chunk.payload));
-        self.next += 1;
+        let last = record.phase == RestorePhase::Terminator;
+        self.ready.push_back((last, payload));
         Ok(())
     }
 }
@@ -853,9 +548,11 @@ impl ReliableChunkReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arq_core::ResumeReject;
     use crate::channel::{channel_pair, TransferSnapshot};
     use crate::fault::{FaultPlan, FaultyEndpoint};
     use crate::model::NetworkModel;
+    use hpm_xdr::{frame_chunk, records_digest};
 
     fn cfg() -> ArqConfig {
         ArqConfig {
@@ -986,22 +683,6 @@ mod tests {
             let (got, ..) = pump(WireCodec::V2, plan, data.clone()).unwrap();
             assert_eq!(got, data, "seed {seed}");
         }
-    }
-
-    #[test]
-    fn disconnect_exhausts_retries_not_patience() {
-        let plan = FaultPlan {
-            disconnect_at: Some(5),
-            ..FaultPlan::none()
-        };
-        let t0 = std::time::Instant::now();
-        let err = pump(WireCodec::V2, plan, payloads(30)).unwrap_err();
-        assert!(
-            matches!(err, NetError::RetriesExhausted { .. }),
-            "got {err:?}"
-        );
-        // Bounded: 4 retries at 2ms base is well under a second.
-        assert!(t0.elapsed() < Duration::from_secs(30));
     }
 
     #[test]
@@ -1227,7 +908,11 @@ mod tests {
             disconnect_at: Some(5),
             ..FaultPlan::none()
         };
+        let t0 = std::time::Instant::now();
         let err = pump(WireCodec::V2, plan, payloads(30)).unwrap_err();
+        // A dead link exhausts retries, not patience: 4 retries at a 2 ms
+        // base is well under a second.
+        assert!(t0.elapsed() < Duration::from_secs(30));
         let NetError::RetriesExhausted { chunk, acked, .. } = err else {
             panic!("got {err:?}");
         };
@@ -1336,88 +1021,6 @@ mod tests {
         assert!(snap.wire_payload_bytes < stored + 8 * 1024 / 10);
     }
 
-    /// A link whose peer never answers: every frame is accepted and
-    /// silently discarded, no control ever arrives. `intact_deliveries`
-    /// reports zero, so the sender's determinism ledger concludes every
-    /// copy was lost and takes the modeled-timeout path immediately —
-    /// the test observes pure window discipline with no wall-clock
-    /// waits.
-    struct StallingLink {
-        frames_accepted: u32,
-    }
-
-    impl FrameLink for StallingLink {
-        fn send_frame(&mut self, _frame: Vec<u8>) -> Result<(), NetError> {
-            self.frames_accepted += 1;
-            Ok(())
-        }
-
-        fn try_recv_control(&mut self) -> Option<Vec<u8>> {
-            None
-        }
-
-        fn recv_control_timeout(&mut self, _timeout: Duration) -> Result<Vec<u8>, NetError> {
-            Err(NetError::Timeout)
-        }
-
-        fn intact_deliveries(&self) -> Option<u64> {
-            Some(0)
-        }
-    }
-
-    #[test]
-    fn window_never_exceeds_config_against_a_stalling_receiver() {
-        let cfg = ArqConfig {
-            window: 4,
-            max_retries: 2,
-            base_backoff: Duration::from_millis(1),
-        };
-        let mut tx = ReliableChunkSender::new(StallingLink { frames_accepted: 0 }, cfg);
-        let mut result = Ok(());
-        for i in 0..8u8 {
-            result = tx.send(&[i; 16]);
-            // The bound holds at every observable point: `ship` blocks
-            // in `await_progress` rather than letting the window grow.
-            assert!(
-                tx.window_len() <= cfg.window as usize,
-                "window grew to {} after send {i} (config window {})",
-                tx.window_len(),
-                cfg.window
-            );
-            if result.is_err() {
-                break;
-            }
-        }
-        // Filling the window forces the sender to block for progress;
-        // against total silence that ends in RetriesExhausted — the
-        // sender fails cleanly, it never overruns the window.
-        let err = result.expect_err("a stalling receiver must exhaust retries");
-        let NetError::RetriesExhausted {
-            chunk,
-            attempts,
-            acked,
-        } = err
-        else {
-            panic!("expected RetriesExhausted, got {err:?}");
-        };
-        assert_eq!(chunk, 0, "the window base is the frame that exhausts");
-        assert_eq!(attempts, cfg.max_retries + 1);
-        assert_eq!(acked, 0);
-        assert_eq!(
-            tx.window_len(),
-            cfg.window as usize,
-            "the window is exactly full, never over-full"
-        );
-        // Only the window's worth of distinct chunks ever shipped: the
-        // fifth chunk was never created while the window was full.
-        assert_eq!(tx.chunks_sent(), cfg.window);
-        let stats = tx.stats();
-        assert_eq!(stats.timeouts, cfg.max_retries as u64 + 1);
-        assert_eq!(stats.retransmits, cfg.max_retries as u64);
-        // Wire copies: 4 fresh frames + 2 base retransmissions.
-        assert_eq!(tx.into_link().frames_accepted, 6);
-    }
-
     /// A link that damages one header word of one fresh frame — word
     /// `word` (1 `seq`, 2 `flags`, 3 `raw_len`) of chunk `victim`'s first
     /// copy, XORed with `mask` — and reports that delivery as not intact.
@@ -1443,10 +1046,6 @@ mod tests {
                 self.intact += 1;
             }
             self.ch.send(frame)
-        }
-
-        fn try_recv_control(&mut self) -> Option<Vec<u8>> {
-            self.ch.try_recv()
         }
 
         fn recv_control_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, NetError> {

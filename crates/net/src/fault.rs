@@ -289,12 +289,11 @@ impl FaultStats {
 pub trait FrameLink {
     /// Ship one data frame toward the peer (possibly faulted).
     fn send_frame(&mut self, frame: Vec<u8>) -> Result<(), NetError>;
-    /// Non-blocking poll of the reverse (control) direction.
-    fn try_recv_control(&mut self) -> Option<Vec<u8>>;
-    /// Bounded blocking wait on the reverse direction.
+    /// Bounded blocking wait on the reverse (control) direction.
     fn recv_control_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, NetError>;
-    /// Release any held (reordered) frame. Called before the sender
-    /// blocks, so a held frame cannot stall the stream forever.
+    /// Release any held (reordered) frame. Called once, by the sender's
+    /// `finish` after the terminator is shipped, so a held terminator
+    /// cannot stall the stream's final wait.
     fn flush(&mut self) -> Result<(), NetError> {
         Ok(())
     }
@@ -317,10 +316,6 @@ pub trait FrameLink {
 impl FrameLink for Channel {
     fn send_frame(&mut self, frame: Vec<u8>) -> Result<(), NetError> {
         self.send(frame)
-    }
-
-    fn try_recv_control(&mut self) -> Option<Vec<u8>> {
-        self.try_recv()
     }
 
     fn recv_control_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, NetError> {
@@ -487,10 +482,6 @@ impl FrameLink for FaultyEndpoint {
             }
         }
         Ok(())
-    }
-
-    fn try_recv_control(&mut self) -> Option<Vec<u8>> {
-        self.ch.try_recv()
     }
 
     fn recv_control_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, NetError> {

@@ -22,13 +22,18 @@
 //! with the payload size and modeled wire time.
 
 mod arq;
+mod arq_core;
 mod channel;
 mod fault;
 mod model;
 
 pub use arq::{
-    ArqConfig, ArqReceiverCounters, ArqReceiverSnapshot, ArqSenderStats, ReliableChunkReceiver,
-    ReliableChunkSender, ResumeDecision, ResumeReject, WireCodec,
+    ArqReceiverCounters, ArqReceiverSnapshot, ArqSenderStats, ReliableChunkReceiver,
+    ReliableChunkSender, WireCodec,
+};
+pub use arq_core::{
+    ArqConfig, ReceiverAction, ReceiverCore, ResumeDecision, ResumeReject, SenderAction,
+    SenderCore, Wait,
 };
 pub use channel::{channel_pair, Channel, NetError, TransferSnapshot, TransferStats};
 pub use fault::{FaultAction, FaultPlan, FaultStats, FaultyEndpoint, FrameLink};

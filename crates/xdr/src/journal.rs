@@ -88,7 +88,7 @@ impl std::fmt::Display for RestorePhase {
 }
 
 /// One CRC-verified chunk, as recorded by both ends of the link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChunkRecord {
     /// Stream position (ARQ sequence number) of the chunk.
     pub index: u32,
@@ -147,7 +147,7 @@ pub fn image_id_from_fnv(fnv: u64, len: usize) -> u64 {
 /// (post-decompression) bytes of `records[i]`. The journal is contiguous by
 /// construction — [`RestoreJournal::append`] only accepts the next index —
 /// so `records.len()` is always the first missing chunk.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RestoreJournal {
     image_id: u64,
     records: Vec<ChunkRecord>,

@@ -101,4 +101,10 @@ fn failing_report_maps_to_its_hpm_code() {
     assert!(lint.has_code(LintCode::ModelWindowOverflow));
     assert_eq!(lint.diagnostics().len(), 1);
     assert_eq!(lint.diagnostics()[0].code.code(), "HPM041");
+
+    // A wrong delivery folds the same way, as an error.
+    reports[0].findings[0].0 = LintCode::ModelWrongDelivery;
+    let lint = report_to_lint(&reports);
+    assert_eq!(lint.diagnostics()[0].code.code(), "HPM048");
+    assert_eq!(lint.diagnostics()[0].severity, hpm_lint::Severity::Error);
 }
