@@ -51,7 +51,7 @@ pub use graph::{MsrEdge, MsrGraph, MsrVertex};
 pub use image::{ImageHeader, IMAGE_MAGIC, IMAGE_VERSION};
 pub use msrlt::{LogicalId, Msrlt, MsrltEntry, MsrltStats, SearchStrategy};
 pub use restore::{RestoreStats, Restorer};
-pub use stream::{ChunkPayload, ChunkSource, ReplayCounters, ReplaySource, VecChunks};
+pub use stream::{ChunkPayload, ChunkSource, ReplaySource, VecChunks};
 
 use hpm_memory::MemError;
 use hpm_xdr::XdrError;
@@ -99,10 +99,11 @@ pub enum CoreError {
     UnknownId(LogicalId),
     /// Save/restore call sequences diverged between the two processes.
     SequenceMismatch(String),
-    /// A streamed payload ended mid-item: the producer stopped (or a
-    /// chunk was lost) before the stream grammar was complete.
+    /// The payload ended mid-item: the producer stopped (or a chunk was
+    /// lost) before the stream grammar was complete.
     TruncatedChunk {
-        /// Index of the chunk in which the stream ran dry.
+        /// Index of the chunk in which the stream ran dry (a whole
+        /// image's payload is chunk 0).
         chunk: u64,
         /// Bytes needed to finish the current item.
         needed: usize,
@@ -157,9 +158,9 @@ pub enum CoreError {
     TrailingBytes {
         /// Number of leftover bytes.
         bytes: usize,
-        /// Chunk index holding the first leftover byte (streamed
-        /// payloads only; `None` for monolithic images).
-        chunk: Option<u64>,
+        /// Index of the chunk holding the first leftover byte (a whole
+        /// image's payload is chunk 0).
+        chunk: u64,
     },
 }
 
@@ -248,13 +249,10 @@ impl std::fmt::Display for CoreError {
                 f,
                 "cannot reserve {requested} heap ids: the allocator refused a table that size"
             ),
-            CoreError::TrailingBytes { bytes, chunk } => match chunk {
-                Some(c) => write!(
-                    f,
-                    "{bytes} payload bytes after end of stream (starting in chunk {c})"
-                ),
-                None => write!(f, "{bytes} payload bytes after end of stream"),
-            },
+            CoreError::TrailingBytes { bytes, chunk } => write!(
+                f,
+                "{bytes} payload bytes after end of stream (starting in chunk {chunk})"
+            ),
         }
     }
 }

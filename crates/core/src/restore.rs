@@ -15,6 +15,12 @@
 //! sight and recorded under the id the stream dictates. This is the §4.2
 //! asymmetry — `Restore = MSRLT_update + Decode_and_Copy` with only an
 //! `O(n)` MSRLT term.
+//!
+//! Its one input is a [`ChunkPayload`]: a whole image's payload is a
+//! chunk stream that has already arrived ([`Restorer::new`] reads it in
+//! place), a streamed one continues past its head as chunks arrive
+//! ([`Restorer::over`]). Every bounds rule, truncation error and chunk
+//! index is the payload's, so both transports restore alike.
 
 use crate::collect::{
     Record, TranslationMode, FLAG_COUNT, FLAG_MASK, FLAG_ORD, FLAG_ORD64, FLAG_TYPEDEF, GROUP_MAX,
@@ -31,7 +37,6 @@ use hpm_memory::{AddressSpace, BlockSlot};
 use hpm_obs::{StatField, StatGroup, Track};
 use hpm_types::plan::{PlanOp, SavePlan};
 use hpm_types::TypeId;
-use hpm_xdr::XdrDecoder;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -82,104 +87,16 @@ impl StatGroup for RestoreStats {
     }
 }
 
-/// The restorer's input: either a complete in-memory payload slice, or a
-/// pull-based chunk stream still arriving while decoding runs.
-enum Dec<'a> {
-    Slice(XdrDecoder<'a>),
-    Pull {
-        cp: &'a mut ChunkPayload,
-        /// Stream position when this session began (per-frame sessions
-        /// share one payload).
-        start: u64,
-    },
-}
-
-impl Dec<'_> {
-    fn get_u32(&mut self) -> Result<u32, CoreError> {
-        match self {
-            Dec::Slice(d) => Ok(d.get_u32()?),
-            Dec::Pull { cp, .. } => cp.get_u32(),
-        }
-    }
-
-    fn get_u64(&mut self) -> Result<u64, CoreError> {
-        match self {
-            Dec::Slice(d) => Ok(d.get_u64()?),
-            Dec::Pull { cp, .. } => cp.get_u64(),
-        }
-    }
-
-    /// Borrow the next `n` raw payload bytes (the bulk-copy read
-    /// primitive; `n` must be a multiple of 4 so XDR framing holds).
-    fn take(&mut self, n: usize) -> Result<&[u8], CoreError> {
-        match self {
-            Dec::Slice(d) => Ok(d.get_opaque_fixed_ref(n)?),
-            Dec::Pull { cp, .. } => cp.take(n),
-        }
-    }
-
-    fn consumed(&self) -> u64 {
-        match self {
-            Dec::Slice(d) => d.position() as u64,
-            Dec::Pull { cp, start } => cp.position() - start,
-        }
-    }
-
-    /// Payload bytes this session has been given so far, read or not.
-    fn received(&self) -> u64 {
-        match self {
-            Dec::Slice(d) => (d.position() + d.remaining()) as u64,
-            Dec::Pull { cp, .. } => self.consumed() + cp.buffered_remaining() as u64,
-        }
-    }
-
-    /// Refuse, before anything is allocated for it, a block of `count`
-    /// elements whose contents take at least `need` wire bytes (`None`:
-    /// more than a `u64` counts) when the stream cannot hold them. A
-    /// slice knows what it has left. A pulled stream does not know its
-    /// length, so it has to have delivered a [`PULL_SHARE`]th of the
-    /// bytes first: a few announced bytes cannot claim gigabytes.
-    fn check_room(
-        &mut self,
-        id: LogicalId,
-        count: u64,
-        need: Option<u64>,
-    ) -> Result<(), CoreError> {
-        let (available, enough) = match (self, need) {
-            (Dec::Slice(d), _) => {
-                let left = d.remaining() as u64;
-                (left, need.is_some_and(|n| n <= left))
-            }
-            (Dec::Pull { cp, .. }, None) => (cp.buffered_remaining() as u64, false),
-            (Dec::Pull { cp, .. }, Some(n)) => {
-                let share = usize::try_from(n / PULL_SHARE).unwrap_or(usize::MAX);
-                let buffered = cp.buffer_up_to(share)?;
-                (buffered as u64, buffered >= share)
-            }
-        };
-        if enough {
-            Ok(())
-        } else {
-            Err(CoreError::BlockExceedsPayload {
-                id,
-                count,
-                available,
-            })
-        }
-    }
-}
-
-/// Share of an announced heap block's minimum wire size that a pulled
-/// stream must have buffered before the block is allocated (see
-/// [`Dec::check_room`]): an honest stream is at most this far ahead of
-/// its own bytes, and then only until the next chunks arrive.
-const PULL_SHARE: u64 = 64;
-
-/// One restoration session over a received migration image.
-pub struct Restorer<'a> {
-    space: &'a mut AddressSpace,
-    msrlt: &'a mut Msrlt,
-    dec: Dec<'a>,
+/// One restoration session over a received migration image: `'s` is its
+/// borrow of the destination's address space and MSRLT, `'p` the
+/// caller's buffer the payload's head lies in. A payload outlives the
+/// per-frame sessions that read it in turn (see [`Restorer::into_input`]).
+pub struct Restorer<'s, 'p> {
+    space: &'s mut AddressSpace,
+    msrlt: &'s mut Msrlt,
+    input: ChunkPayload<'p>,
+    /// Stream position when this session began.
+    start: u64,
     /// Fingerprint → local type: what a `TYPEDEF` is resolved through.
     fp_to_type: HashMap<u64, TypeId>,
     /// Fingerprint of each local type by `TypeId` (0 while incomplete).
@@ -194,29 +111,24 @@ pub struct Restorer<'a> {
     native: Vec<u8>,
 }
 
-impl<'a> Restorer<'a> {
-    /// Begin restoring from `payload`.
+impl<'s, 'p> Restorer<'s, 'p> {
+    /// Begin restoring from a complete in-memory `payload`, read in place.
+    pub fn new(space: &'s mut AddressSpace, msrlt: &'s mut Msrlt, payload: &'p [u8]) -> Self {
+        Self::over(space, msrlt, ChunkPayload::new(payload, None))
+    }
+
+    /// Begin restoring from `input` where it stands. Decoding pulls any
+    /// chunks still to come on demand, so frame *k* restores while frame
+    /// *k+1* is in flight.
     ///
     /// The fingerprint→type index is built once from the receiver's TI
     /// table (the receiving executable knows every type the sender can
     /// transmit — they are the same program).
-    pub fn new(space: &'a mut AddressSpace, msrlt: &'a mut Msrlt, payload: &'a [u8]) -> Self {
-        Self::with_dec(space, msrlt, Dec::Slice(XdrDecoder::new(payload)))
-    }
-
-    /// Begin restoring from a chunk stream that may still be arriving.
-    /// Decoding pulls chunks on demand, so frame *k* restores while frame
-    /// *k+1* is in flight.
-    pub fn from_chunks(
-        space: &'a mut AddressSpace,
-        msrlt: &'a mut Msrlt,
-        cp: &'a mut ChunkPayload,
+    pub fn over(
+        space: &'s mut AddressSpace,
+        msrlt: &'s mut Msrlt,
+        input: ChunkPayload<'p>,
     ) -> Self {
-        let start = cp.position();
-        Self::with_dec(space, msrlt, Dec::Pull { cp, start })
-    }
-
-    fn with_dec(space: &'a mut AddressSpace, msrlt: &'a mut Msrlt, dec: Dec<'a>) -> Self {
         let mut fp_to_type = HashMap::new();
         let types = space.types();
         let mut local_fps = vec![0; types.len()];
@@ -230,7 +142,8 @@ impl<'a> Restorer<'a> {
         Restorer {
             space,
             msrlt,
-            dec,
+            start: input.position(),
+            input,
             fp_to_type,
             local_fps,
             stats: RestoreStats::default(),
@@ -319,13 +232,13 @@ impl<'a> Restorer<'a> {
             Ok(()) => self.track.event(
                 "var.restored",
                 &[
-                    ("consumed", self.dec.consumed()),
+                    ("consumed", self.consumed()),
                     ("blocks", self.stats.blocks_restored),
                 ],
             ),
             Err(e) => self.track.event_note(
                 "var.failed",
-                &[("consumed", self.dec.consumed())],
+                &[("consumed", self.consumed())],
                 &e.to_string(),
             ),
         }
@@ -342,7 +255,7 @@ impl<'a> Restorer<'a> {
                 "restore_variable at interior address {addr:#x}"
             )));
         }
-        let rec = Record::decode(&mut self.dec)?;
+        let rec = Record::decode(&mut self.input)?;
         if !matches!(rec.tag, TAG_VAR_VISITED | TAG_VAR_NEW) {
             return Err(CoreError::BadTag(rec.tag));
         }
@@ -375,45 +288,27 @@ impl<'a> Restorer<'a> {
         Ok(ptr)
     }
 
-    /// Bytes of the payload consumed so far. Lets a caller that restores
-    /// a stream in several sessions (one per frame) resume at the right
-    /// offset.
-    pub fn consumed(&self) -> usize {
-        self.dec.consumed() as usize
-    }
-
-    /// Consume the restorer, returning its statistics without requiring
-    /// the payload to be exhausted (per-frame sessions stop mid-stream).
-    pub fn take_stats(mut self) -> RestoreStats {
-        self.stats.bytes_in = self.dec.consumed();
-        self.stats
+    /// Consume the restorer, returning its statistics and its input,
+    /// positioned after what this session read, without requiring the
+    /// payload to be exhausted: per-frame sessions stop mid-stream, and
+    /// the next one continues from there.
+    pub fn into_input(mut self) -> (RestoreStats, ChunkPayload<'p>) {
+        self.stats.bytes_in = self.consumed();
+        (self.stats, self.input)
     }
 
     /// Finish, returning statistics. Errors with
-    /// [`CoreError::TrailingBytes`] — including the offending chunk for
-    /// streamed payloads — if unconsumed payload remains (the call
-    /// sequences diverged).
-    pub fn finish(mut self) -> Result<RestoreStats, CoreError> {
-        self.stats.bytes_in = self.dec.consumed();
-        match &mut self.dec {
-            Dec::Slice(d) => {
-                if !d.is_empty() {
-                    return Err(CoreError::TrailingBytes {
-                        bytes: d.remaining(),
-                        chunk: None,
-                    });
-                }
-            }
-            Dec::Pull { cp, .. } => {
-                if cp.has_remaining()? {
-                    return Err(CoreError::TrailingBytes {
-                        bytes: cp.buffered_remaining(),
-                        chunk: Some(cp.current_chunk()),
-                    });
-                }
-            }
-        }
-        Ok(self.stats)
+    /// [`CoreError::TrailingBytes`], naming the chunk it starts in, if
+    /// unconsumed payload remains (the call sequences diverged).
+    pub fn finish(self) -> Result<RestoreStats, CoreError> {
+        let (stats, mut input) = self.into_input();
+        input.expect_end()?;
+        Ok(stats)
+    }
+
+    /// Payload bytes this session has read.
+    fn consumed(&self) -> u64 {
+        self.input.position() - self.start
     }
 
     // ----- internals -----
@@ -446,9 +341,9 @@ impl<'a> Restorer<'a> {
                 slot.addr() + base
             )));
         }
-        let dec = &mut self.dec;
+        let input = &mut self.input;
         for_each_run(arch, plan, count, self.mode, |offset, kernel, n| {
-            decode_run(arch, bytes, slot, base + offset, kernel, n, dec)
+            decode_run(arch, bytes, slot, base + offset, kernel, n, input)
         })?;
         self.stats.scalars_decoded += plan.leaf_count * count;
         Ok(())
@@ -471,7 +366,7 @@ impl<'a> Restorer<'a> {
                     let (arch, bytes) = self.space.slot_bytes_mut(slot)?;
                     let kernel = Kernel::select(arch, kind, stride, self.mode);
                     let at = elem_base + offset;
-                    decode_run(arch, bytes, slot, at, kernel, count, &mut self.dec)?;
+                    decode_run(arch, bytes, slot, at, kernel, count, &mut self.input)?;
                     self.stats.scalars_decoded += count;
                 }
                 PlanOp::PointerSlot { offset, .. } => {
@@ -492,7 +387,7 @@ impl<'a> Restorer<'a> {
     }
 
     fn decode_pointer(&mut self, stack: &mut Vec<Cursor>) -> Result<u64, CoreError> {
-        let rec = Record::decode(&mut self.dec)?;
+        let rec = Record::decode(&mut self.input)?;
         let id = rec.id;
         match rec.tag {
             TAG_PTR_NULL => {
@@ -535,7 +430,7 @@ impl<'a> Restorer<'a> {
                         // a few hostile bytes cannot claim gigabytes of
                         // table (an honest record is 12 bytes or more).
                         let heap_len = self.msrlt.heap_len();
-                        let received = self.dec.received();
+                        let received = self.input.received();
                         if u64::from(id.index.saturating_sub(heap_len)) > received {
                             return Err(CoreError::HeapIdOutOfReach {
                                 id,
@@ -547,7 +442,7 @@ impl<'a> Restorer<'a> {
                         let ty = announced;
                         let plan = self.space.plan_ref(ty)?;
                         let (need, size) = (plan.min_wire_bytes.checked_mul(count), plan.size);
-                        self.dec.check_room(id, count, need)?;
+                        self.input.check_room(id, count, need)?;
                         let addr = self.space.malloc(ty, count)?;
                         // `malloc` held the product to the heap segment.
                         let size = size * count;
@@ -593,8 +488,8 @@ impl Record {
     /// Decode one record, refusing a first word whose tag is unknown or
     /// whose other bits the tag does not take.
     #[inline]
-    fn decode(dec: &mut Dec<'_>) -> Result<Record, CoreError> {
-        let word0 = dec.get_u32()?;
+    fn decode(input: &mut ChunkPayload<'_>) -> Result<Record, CoreError> {
+        let word0 = input.get_u32()?;
         let tag = word0 >> TAG_SHIFT;
         let allowed = match tag {
             TAG_VAR_NEW => FLAG_TYPEDEF | FLAG_COUNT | GROUP_MAX,
@@ -613,20 +508,20 @@ impl Record {
         if tag == TAG_PTR_NULL {
             return Ok(rec);
         }
-        rec.id.index = dec.get_u32()?;
+        rec.id.index = input.get_u32()?;
         if Record::announces_block(tag) {
-            rec.type_no = dec.get_u32()?;
+            rec.type_no = input.get_u32()?;
             if word0 & FLAG_TYPEDEF != 0 {
-                rec.typedef = Some(dec.get_u64()?);
+                rec.typedef = Some(input.get_u64()?);
             }
         }
         if word0 & FLAG_ORD64 != 0 {
-            rec.ordinal = dec.get_u64()?;
+            rec.ordinal = input.get_u64()?;
         } else if word0 & FLAG_ORD != 0 {
-            rec.ordinal = u64::from(dec.get_u32()?);
+            rec.ordinal = u64::from(input.get_u32()?);
         }
         if word0 & FLAG_COUNT != 0 {
-            rec.count = dec.get_u64()?;
+            rec.count = input.get_u64()?;
         }
         Ok(rec)
     }
@@ -634,9 +529,9 @@ impl Record {
     /// The record at the front of `bytes` and its encoded size.
     #[cfg(test)]
     pub(crate) fn read(bytes: &[u8]) -> Result<(Record, usize), CoreError> {
-        let mut dec = Dec::Slice(XdrDecoder::new(bytes));
+        let mut dec = ChunkPayload::new(bytes, None);
         let rec = Record::decode(&mut dec)?;
-        Ok((rec, dec.consumed() as usize))
+        Ok((rec, dec.position() as usize))
     }
 }
 
@@ -650,13 +545,13 @@ fn decode_run(
     offset: u64,
     kernel: Kernel,
     count: u64,
-    dec: &mut Dec<'_>,
+    input: &mut ChunkPayload<'_>,
 ) -> Result<(), CoreError> {
     let dst = span_mut(bytes, slot, offset, kernel.native_span(count))?;
     let mut done = 0u64;
     while done < count {
         let n = (count - done).min(kernel.slice_scalars());
-        let wire = dec.take(kernel.wire_len(n) as usize)?;
+        let wire = input.take(kernel.wire_len(n) as usize)?;
         let from = (done * kernel.stride()) as usize;
         let slice = &mut dst[from..from + kernel.native_span(n) as usize];
         kernel.decode(arch, wire, slice);
@@ -908,10 +803,7 @@ mod tests {
         r.restore_variable(da).unwrap();
         assert!(matches!(
             r.finish(),
-            Err(CoreError::TrailingBytes {
-                bytes: 4,
-                chunk: None
-            })
+            Err(CoreError::TrailingBytes { bytes: 4, chunk: 0 })
         ));
     }
 

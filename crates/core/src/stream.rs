@@ -1,17 +1,25 @@
-//! Pull-based chunked payload for streaming restoration.
+//! The destination's one input: a payload stream whose first bytes are
+//! already in hand and whose rest may still be arriving.
 //!
-//! The pipelined migration path delivers the memory-state payload as a
-//! sequence of chunks rather than one contiguous buffer. [`ChunkSource`]
-//! abstracts where chunks come from (a network channel, a test vector);
-//! [`ChunkPayload`] reassembles them into a sequential byte stream the
-//! [`Restorer`](crate::Restorer) can decode while later chunks are still
-//! in flight.
+//! §3.1's `Restore_pointer` rebuilds blocks "from the output of
+//! Save_pointer", whatever carried it. [`ChunkPayload`] is that output as
+//! the [`Restorer`](crate::Restorer) reads it: a **head** borrowed from
+//! the caller (a whole image's memory section, or the tail of the prefix
+//! chunk of a streamed one) and an optional [`ChunkSource`] for the
+//! chunks still to come. A whole image is a chunk stream that has
+//! already arrived — a head and no source — so it restores straight out
+//! of the caller's buffer, with the same bounds rules, errors and chunk
+//! numbering as a stream restoring while later chunks are in flight.
 //!
-//! The payload keeps only a small window buffered: bytes already decoded
-//! are compacted away on the next pull, so memory stays bounded by a few
-//! chunks regardless of image size.
+//! The head is chunk 0, so pulled chunks keep the index of their wire
+//! sequence number. Once a chunk is pulled the payload keeps only a small
+//! window buffered: bytes already decoded are compacted away on the next
+//! pull, so memory stays bounded by a few chunks regardless of image size.
 
+use crate::msrlt::LogicalId;
 use crate::CoreError;
+use std::borrow::Cow;
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 /// A producer of payload chunks, pulled in stream order.
@@ -25,7 +33,7 @@ pub trait ChunkSource {
 /// An in-memory [`ChunkSource`] over a fixed list of chunks (tests and
 /// replay tooling).
 pub struct VecChunks {
-    chunks: std::collections::VecDeque<Vec<u8>>,
+    chunks: VecDeque<Vec<u8>>,
 }
 
 impl VecChunks {
@@ -43,8 +51,9 @@ impl ChunkSource for VecChunks {
     }
 }
 
-/// A [`ChunkSource`] that replays journaled chunks before pulling live
-/// ones — the rebuilt destination of a resumed migration.
+/// The replay queue in front of a live [`ChunkSource`]: journaled chunks
+/// first, then live ones — the rebuilt destination of a resumed
+/// migration.
 ///
 /// The rollback invariant of the degradation ladder lives here: a
 /// destination that died mid-restore is never patched in place. A fresh
@@ -53,31 +62,8 @@ impl ChunkSource for VecChunks {
 /// first live (resumed) chunk is consumed — so restored state can never
 /// mix a stale partial image with a new transfer.
 pub struct ReplaySource {
-    replay: std::collections::VecDeque<Vec<u8>>,
+    replay: VecDeque<Vec<u8>>,
     live: Box<dyn ChunkSource + Send>,
-    replayed_chunks: u64,
-    replayed_bytes: u64,
-    counters: std::sync::Arc<ReplayCounters>,
-}
-
-/// Live counters for a [`ReplaySource`], shared out because the source
-/// itself disappears into the restorer.
-#[derive(Debug, Default)]
-pub struct ReplayCounters {
-    chunks: std::sync::atomic::AtomicU64,
-    bytes: std::sync::atomic::AtomicU64,
-}
-
-impl ReplayCounters {
-    /// Chunks served from the journal instead of the wire.
-    pub fn chunks(&self) -> u64 {
-        self.chunks.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Bytes served from the journal instead of the wire.
-    pub fn bytes(&self) -> u64 {
-        self.bytes.load(std::sync::atomic::Ordering::Relaxed)
-    }
 }
 
 impl ReplaySource {
@@ -87,96 +73,76 @@ impl ReplaySource {
         ReplaySource {
             replay: replay.into(),
             live,
-            replayed_chunks: 0,
-            replayed_bytes: 0,
-            counters: std::sync::Arc::new(ReplayCounters::default()),
         }
-    }
-
-    /// Handle to the replay counters; survives the source being boxed.
-    pub fn counters(&self) -> std::sync::Arc<ReplayCounters> {
-        std::sync::Arc::clone(&self.counters)
     }
 }
 
 impl ChunkSource for ReplaySource {
     fn next_chunk(&mut self) -> Result<Option<Vec<u8>>, CoreError> {
-        if let Some(chunk) = self.replay.pop_front() {
-            self.replayed_chunks += 1;
-            self.replayed_bytes += chunk.len() as u64;
-            self.counters
-                .chunks
-                .store(self.replayed_chunks, std::sync::atomic::Ordering::Relaxed);
-            self.counters
-                .bytes
-                .store(self.replayed_bytes, std::sync::atomic::Ordering::Relaxed);
-            return Ok(Some(chunk));
+        match self.replay.pop_front() {
+            Some(chunk) => Ok(Some(chunk)),
+            None => self.live.next_chunk(),
         }
-        self.live.next_chunk()
     }
 }
 
-/// Sequential decoder state over a [`ChunkSource`].
+/// Share of an announced heap block's minimum wire size that a stream
+/// still arriving must have buffered before the block is allocated (see
+/// [`ChunkPayload::check_room`]): an honest stream is at most this far
+/// ahead of its own bytes, and then only until the next chunks arrive.
+const PULL_SHARE: u64 = 64;
+
+/// Sequential reader over a borrowed head and the chunks that follow it.
 ///
-/// Offers the scalar getters the restorer needs; each getter pulls
-/// chunks on demand and fails with [`CoreError::TruncatedChunk`] — which
-/// names the offending chunk index — if the source runs dry mid-item.
-pub struct ChunkPayload {
-    src: Box<dyn ChunkSource + Send>,
-    buf: Vec<u8>,
+/// Every read is served from the buffered window when it holds enough,
+/// else pulls chunks on demand, and fails with
+/// [`CoreError::TruncatedChunk`] — naming the chunk in which the stream
+/// ran dry — if the stream ends mid-item.
+pub struct ChunkPayload<'h> {
+    /// Received bytes not yet compacted away: the caller's head, borrowed,
+    /// until the first pull turns the unread rest into an owned window.
+    buf: Cow<'h, [u8]>,
     /// Read offset into `buf`.
     pos: usize,
-    /// Absolute stream position of `buf[0]`.
-    consumed_base: u64,
-    /// `(absolute start offset, chunk index)` per received chunk.
-    boundaries: Vec<(u64, u64)>,
-    /// Absolute stream offset one past the last received byte.
-    total_received: u64,
-    /// Index the next pulled chunk will get.
-    next_idx: u64,
-    chunks_pulled: u64,
-    eof: bool,
+    /// Absolute stream offset of `buf[0]`.
+    base: u64,
+    /// Chunks still to come; `None` once the stream is known complete.
+    more: Option<Box<dyn ChunkSource + Send>>,
+    /// Absolute start offset of each pulled chunk (chunk `i + 1` starts
+    /// at `starts[i]`).
+    starts: Vec<u64>,
     stall: Duration,
 }
 
-impl ChunkPayload {
-    /// Payload fed entirely by `src`.
-    pub fn new(src: Box<dyn ChunkSource + Send>) -> Self {
+impl Default for ChunkPayload<'_> {
+    /// The empty, complete stream.
+    fn default() -> Self {
+        ChunkPayload::new(&[], None)
+    }
+}
+
+impl<'h> ChunkPayload<'h> {
+    /// The stream whose chunk 0 is `head`, continued by `more` (`None`: the
+    /// stream is complete). `head` is read in place, never copied.
+    pub fn new(head: &'h [u8], more: Option<Box<dyn ChunkSource + Send>>) -> Self {
         ChunkPayload {
-            src,
-            buf: Vec::new(),
+            buf: Cow::Borrowed(head),
             pos: 0,
-            consumed_base: 0,
-            boundaries: Vec::new(),
-            total_received: 0,
-            next_idx: 0,
-            chunks_pulled: 0,
-            eof: false,
+            base: 0,
+            more,
+            starts: Vec::new(),
             stall: Duration::ZERO,
         }
     }
 
-    /// Payload whose first bytes arrived out-of-band (the tail of the
-    /// image-prefix chunk); they count as chunk 0.
-    pub fn with_initial(src: Box<dyn ChunkSource + Send>, initial: Vec<u8>) -> Self {
-        let mut cp = Self::new(src);
-        if !initial.is_empty() {
-            cp.boundaries.push((0, 0));
-            cp.total_received = initial.len() as u64;
-            cp.buf = initial;
-        }
-        cp.next_idx = 1;
-        cp
-    }
-
     /// Absolute stream offset of the next unread byte.
     pub fn position(&self) -> u64 {
-        self.consumed_base + self.pos as u64
+        self.base + self.pos as u64
     }
 
-    /// Chunks pulled from the source so far.
-    pub fn chunks_pulled(&self) -> u64 {
-        self.chunks_pulled
+    /// Payload bytes received so far, read or not.
+    pub(crate) fn received(&self) -> u64 {
+        self.base + self.buf.len() as u64
     }
 
     /// Total time spent waiting on the source for the next chunk.
@@ -184,67 +150,59 @@ impl ChunkPayload {
         self.stall
     }
 
-    /// Bytes received but not yet consumed.
-    pub fn buffered_remaining(&self) -> usize {
+    fn buffered(&self) -> usize {
         self.buf.len() - self.pos
     }
 
-    /// Chunk index containing the byte at the current position (or the
-    /// last chunk, if the position is at end of stream).
-    pub fn current_chunk(&self) -> u64 {
+    /// Index of the chunk holding the next unread byte (the last chunk
+    /// received, at end of stream).
+    fn current_chunk(&self) -> u64 {
         let pos = self.position();
-        let i = self.boundaries.partition_point(|&(start, _)| start <= pos);
-        match i.checked_sub(1) {
-            Some(i) => self.boundaries[i].1,
-            None => 0,
-        }
+        self.starts.partition_point(|&start| start <= pos) as u64
     }
 
-    fn compact(&mut self) {
-        if self.pos > 0 {
-            self.consumed_base += self.pos as u64;
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-    }
-
-    /// Pull one chunk; `Ok(false)` once the source is exhausted.
+    /// Pull one chunk; `Ok(false)` once the stream is complete.
     fn pull(&mut self) -> Result<bool, CoreError> {
-        if self.eof {
+        let Some(src) = self.more.as_mut() else {
             return Ok(false);
-        }
+        };
         let t0 = Instant::now();
-        let chunk = self.src.next_chunk()?;
+        let chunk = src.next_chunk()?;
         self.stall += t0.elapsed();
-        match chunk {
-            None => {
-                self.eof = true;
-                Ok(false)
+        let Some(chunk) = chunk else {
+            self.more = None;
+            return Ok(false);
+        };
+        self.base += self.pos as u64;
+        match &mut self.buf {
+            Cow::Owned(window) => {
+                window.drain(..self.pos);
             }
-            Some(c) => {
-                self.compact();
-                self.boundaries.push((self.total_received, self.next_idx));
-                self.total_received += c.len() as u64;
-                self.buf.extend_from_slice(&c);
-                self.chunks_pulled += 1;
-                self.next_idx += 1;
-                Ok(true)
-            }
+            Cow::Borrowed(head) => self.buf = Cow::Owned(head[self.pos..].to_vec()),
         }
+        self.pos = 0;
+        self.starts.push(self.received());
+        self.buf.to_mut().extend_from_slice(&chunk);
+        Ok(true)
     }
 
-    /// Pull chunks until `n` bytes are buffered or the source runs dry;
-    /// the bytes buffered then.
-    pub(crate) fn buffer_up_to(&mut self, n: usize) -> Result<usize, CoreError> {
-        while self.buffered_remaining() < n && self.pull()? {}
-        Ok(self.buffered_remaining())
+    /// Pull chunks until `n` bytes are buffered or the stream is
+    /// complete; the bytes buffered then.
+    fn buffer_up_to(&mut self, n: usize) -> Result<usize, CoreError> {
+        while self.buffered() < n && self.pull()? {}
+        Ok(self.buffered())
     }
 
-    fn ensure(&mut self, n: usize) -> Result<(), CoreError> {
+    /// `take`'s slow path, kept out of line so the in-buffer read stays
+    /// one length check: pull until `n` bytes are buffered, or name the
+    /// chunk the stream ran dry in.
+    #[cold]
+    #[inline(never)]
+    fn fill(&mut self, n: usize) -> Result<(), CoreError> {
         let available = self.buffer_up_to(n)?;
         if available < n {
             return Err(CoreError::TruncatedChunk {
-                chunk: self.next_idx,
+                chunk: self.starts.len() as u64,
                 needed: n,
                 available,
             });
@@ -252,53 +210,71 @@ impl ChunkPayload {
         Ok(())
     }
 
-    /// Read `n` raw bytes.
+    /// Borrow the next `n` raw payload bytes (the bulk-copy read
+    /// primitive; `n` is a multiple of 4 so XDR framing holds).
+    #[inline]
     pub fn take(&mut self, n: usize) -> Result<&[u8], CoreError> {
-        self.ensure(n)?;
-        let s = &self.buf[self.pos..self.pos + n];
+        if self.buffered() < n {
+            self.fill(n)?;
+        }
+        let at = self.pos;
         self.pos += n;
-        Ok(s)
+        Ok(&self.buf[at..self.pos])
     }
 
     /// 4-byte big-endian unsigned integer.
+    #[inline]
     pub fn get_u32(&mut self) -> Result<u32, CoreError> {
         Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    /// 4-byte big-endian signed integer.
-    pub fn get_i32(&mut self) -> Result<i32, CoreError> {
-        Ok(i32::from_be_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
     /// 8-byte big-endian unsigned integer.
+    #[inline]
     pub fn get_u64(&mut self) -> Result<u64, CoreError> {
         Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// 8-byte big-endian signed integer.
-    pub fn get_i64(&mut self) -> Result<i64, CoreError> {
-        Ok(i64::from_be_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// IEEE-754 single.
-    pub fn get_f32(&mut self) -> Result<f32, CoreError> {
-        Ok(f32::from_bits(self.get_u32()?))
-    }
-
-    /// IEEE-754 double.
-    pub fn get_f64(&mut self) -> Result<f64, CoreError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
-    /// Whether any payload bytes remain (pulls past empty chunks). Used
-    /// for end-of-stream trailing-byte detection.
-    pub fn has_remaining(&mut self) -> Result<bool, CoreError> {
-        while self.buffered_remaining() == 0 {
-            if !self.pull()? {
-                return Ok(false);
+    /// Refuse, before anything is allocated for it, a block of `count`
+    /// elements whose contents take at least `need` wire bytes (`None`:
+    /// more than a `u64` counts) when the stream cannot hold them. A
+    /// complete stream knows what it has left and must hold all of it. A
+    /// stream still arriving does not know its length, so it has to have
+    /// delivered a [`PULL_SHARE`]th of the bytes first: a few announced
+    /// bytes cannot claim gigabytes.
+    pub(crate) fn check_room(
+        &mut self,
+        id: LogicalId,
+        count: u64,
+        need: Option<u64>,
+    ) -> Result<(), CoreError> {
+        if let Some(need) = need {
+            let need = match self.more {
+                None => need,
+                Some(_) => need / PULL_SHARE,
+            };
+            let need = usize::try_from(need).unwrap_or(usize::MAX);
+            if self.buffer_up_to(need)? >= need {
+                return Ok(());
             }
         }
-        Ok(true)
+        Err(CoreError::BlockExceedsPayload {
+            id,
+            count,
+            available: self.buffered() as u64,
+        })
+    }
+
+    /// Succeed only if the stream is exhausted (pulling past empty
+    /// chunks); else [`CoreError::TrailingBytes`] names the leftover bytes
+    /// buffered and the chunk holding the first of them.
+    pub fn expect_end(&mut self) -> Result<(), CoreError> {
+        match self.buffer_up_to(1)? {
+            0 => Ok(()),
+            bytes => Err(CoreError::TrailingBytes {
+                bytes,
+                chunk: self.current_chunk(),
+            }),
+        }
     }
 }
 
@@ -306,8 +282,8 @@ impl ChunkPayload {
 mod tests {
     use super::*;
 
-    fn payload_over(chunks: Vec<Vec<u8>>) -> ChunkPayload {
-        ChunkPayload::new(Box::new(VecChunks::new(chunks)))
+    fn payload_over(chunks: Vec<Vec<u8>>) -> ChunkPayload<'static> {
+        ChunkPayload::new(&[], Some(Box::new(VecChunks::new(chunks))))
     }
 
     #[test]
@@ -317,70 +293,149 @@ mod tests {
         let mut cp = payload_over(vec![whole[..3].to_vec(), whole[3..].to_vec()]);
         assert_eq!(cp.get_u64().unwrap(), 0x0102_0304_0506_0708);
         assert_eq!(cp.position(), 8);
-        assert!(!cp.has_remaining().unwrap());
+        cp.expect_end().unwrap();
     }
 
     #[test]
     fn empty_chunks_are_skipped() {
         let mut cp = payload_over(vec![vec![], vec![0, 0, 0, 5], vec![], vec![]]);
         assert_eq!(cp.get_u32().unwrap(), 5);
-        assert!(!cp.has_remaining().unwrap());
+        cp.expect_end().unwrap();
     }
 
     #[test]
     fn truncation_names_the_chunk() {
+        // The empty head is chunk 0; the stream runs dry in chunk 2.
         let mut cp = payload_over(vec![vec![0, 0, 0, 1], vec![0, 0]]);
         cp.get_u32().unwrap();
-        match cp.get_u32() {
+        assert_eq!(
+            cp.get_u32(),
             Err(CoreError::TruncatedChunk {
-                chunk,
-                needed,
-                available,
-            }) => {
-                assert_eq!(chunk, 2, "missing bytes would be in chunk 2");
-                assert_eq!(needed, 4);
-                assert_eq!(available, 2);
-            }
-            other => panic!("expected TruncatedChunk, got {other:?}"),
-        }
+                chunk: 2,
+                needed: 4,
+                available: 2,
+            })
+        );
+        // A whole payload is chunk 0 and nothing after it.
+        let mut whole = ChunkPayload::new(&[0, 0, 0, 1, 0, 0], None);
+        whole.get_u32().unwrap();
+        assert_eq!(
+            whole.get_u32(),
+            Err(CoreError::TruncatedChunk {
+                chunk: 0,
+                needed: 4,
+                available: 2,
+            })
+        );
     }
 
     #[test]
-    fn initial_bytes_count_as_chunk_zero() {
-        let src = Box::new(VecChunks::new(vec![vec![5, 6, 7, 8]]));
-        let mut cp = ChunkPayload::with_initial(src, vec![1, 2, 3, 4]);
-        assert_eq!(cp.get_u32().unwrap(), 0x0102_0304);
-        assert_eq!(cp.current_chunk(), 0);
-        assert_eq!(cp.get_u32().unwrap(), 0x0506_0708);
-        assert_eq!(cp.position(), 8);
+    fn trailing_bytes_name_their_chunk() {
+        let mut whole = ChunkPayload::new(&[0, 0, 0, 1, 9, 9, 9, 9], None);
+        whole.get_u32().unwrap();
+        assert_eq!(
+            whole.expect_end(),
+            Err(CoreError::TrailingBytes { bytes: 4, chunk: 0 })
+        );
+        let more = Box::new(VecChunks::new(vec![vec![], vec![9, 9, 9, 9]]));
+        let mut streamed = ChunkPayload::new(&[0, 0, 0, 1], Some(more));
+        streamed.get_u32().unwrap();
+        assert_eq!(
+            streamed.expect_end(),
+            Err(CoreError::TrailingBytes { bytes: 4, chunk: 2 })
+        );
+    }
+
+    #[test]
+    fn reads_straddling_the_head_and_the_first_pulled_chunk_are_byte_exact() {
+        let words: Vec<u8> = (1..=16u8).collect();
+        // A u32 split 2/2 and a u64 split 6/2, head against chunk 1.
+        for (head_len, read) in [(2, 4), (6, 8)] {
+            let more = Box::new(VecChunks::new(vec![words[head_len..].to_vec()]));
+            let mut cp = ChunkPayload::new(&words[..head_len], Some(more));
+            let got = if read == 4 {
+                u64::from(cp.get_u32().unwrap())
+            } else {
+                cp.get_u64().unwrap()
+            };
+            let want = words[..read]
+                .iter()
+                .fold(0u64, |w, &b| w << 8 | u64::from(b));
+            assert_eq!(got, want, "head {head_len}");
+            assert_eq!(cp.current_chunk(), 1);
+        }
+        // A multi-word take over the head's last word and two chunks.
+        let more = Box::new(VecChunks::new(vec![
+            words[4..8].to_vec(),
+            words[8..].to_vec(),
+        ]));
+        let mut cp = ChunkPayload::new(&words[..4], Some(more));
+        assert_eq!(cp.take(2).unwrap(), &words[..2]);
+        assert_eq!(cp.take(12).unwrap(), &words[2..14]);
+        assert_eq!(cp.take(2).unwrap(), &words[14..]);
+        cp.expect_end().unwrap();
+    }
+
+    #[test]
+    fn a_take_from_the_head_borrows_the_callers_buffer() {
+        let head: Vec<u8> = (0..64).collect();
+        let range = head.as_ptr_range();
+        let more = Box::new(VecChunks::new(vec![vec![0; 8]]));
+        for mut cp in [
+            ChunkPayload::new(&head, None),
+            ChunkPayload::new(&head, Some(more)),
+        ] {
+            cp.get_u32().unwrap();
+            let taken = cp.take(32).unwrap().as_ptr_range();
+            assert!(
+                range.start <= taken.start && taken.end <= range.end,
+                "the head was copied"
+            );
+        }
     }
 
     #[test]
     fn current_chunk_tracks_position() {
         let mut cp = payload_over(vec![vec![0; 4], vec![0; 4], vec![0; 4]]);
         cp.get_u32().unwrap();
-        assert_eq!(cp.current_chunk(), 0);
-        cp.get_u32().unwrap();
         assert_eq!(cp.current_chunk(), 1);
         cp.get_u32().unwrap();
         assert_eq!(cp.current_chunk(), 2);
+        cp.get_u32().unwrap();
+        assert_eq!(cp.current_chunk(), 3);
+    }
+
+    #[test]
+    fn room_is_exact_when_complete_and_a_share_while_arriving() {
+        let id = LogicalId { group: 1, index: 0 };
+        let refused = |available| CoreError::BlockExceedsPayload {
+            id,
+            count: 1,
+            available,
+        };
+        let head = [0u8; 64];
+        let mut whole = ChunkPayload::new(&head, None);
+        assert_eq!(whole.check_room(id, 1, Some(64)), Ok(()));
+        assert_eq!(whole.check_room(id, 1, Some(65)), Err(refused(64)));
+        assert_eq!(whole.check_room(id, 1, None), Err(refused(64)));
+        let more = Box::new(VecChunks::new(vec![vec![0; 64]]));
+        let mut arriving = ChunkPayload::new(&head, Some(more));
+        assert_eq!(arriving.check_room(id, 1, Some(128 * PULL_SHARE)), Ok(()));
+        assert_eq!(
+            arriving.check_room(id, 1, Some(129 * PULL_SHARE)),
+            Err(refused(128))
+        );
     }
 
     #[test]
     fn replay_source_serves_journal_chunks_before_live_ones() {
         let live = Box::new(VecChunks::new(vec![vec![9, 9], vec![8]]));
         let mut src = ReplaySource::new(vec![vec![1], vec![2, 2]], live);
-        let counters = src.counters();
         assert_eq!(src.next_chunk().unwrap(), Some(vec![1]));
         assert_eq!(src.next_chunk().unwrap(), Some(vec![2, 2]));
-        assert_eq!(counters.chunks(), 2);
-        assert_eq!(counters.bytes(), 3);
         assert_eq!(src.next_chunk().unwrap(), Some(vec![9, 9]));
         assert_eq!(src.next_chunk().unwrap(), Some(vec![8]));
         assert_eq!(src.next_chunk().unwrap(), None);
-        // Live pulls do not count as replays.
-        assert_eq!(counters.chunks(), 2);
-        assert_eq!(counters.bytes(), 3);
     }
 
     #[test]

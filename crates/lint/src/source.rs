@@ -31,22 +31,7 @@ pub fn lint_front_end(unit: &str, src: &str) -> (Report, Option<Program>) {
         return (report, Some(program));
     }
     for u in check_migration_safety(&program) {
-        let (line, col) = u.position();
-        let code = match u {
-            UnsafeFeature::PointerToInt { .. } => LintCode::PointerToInt,
-            UnsafeFeature::IntToPointer { .. } => LintCode::IntToPointer,
-            UnsafeFeature::Union { .. } => LintCode::Union,
-            UnsafeFeature::Goto { .. } => LintCode::Goto,
-            UnsafeFeature::Switch { .. } => LintCode::Switch,
-            UnsafeFeature::Varargs { .. } => LintCode::Varargs,
-            UnsafeFeature::FunctionPointer { .. } => LintCode::FunctionPointer,
-        };
-        report.push(Diagnostic::new(
-            code,
-            unit,
-            Some(Span::new(line, col)),
-            format!("migration-unsafe feature: {u}"),
-        ));
+        report.push(unsafe_feature(unit, &u));
     }
     for f in &program.functions {
         check_pointer_casts(&program, f, unit, &mut report);
@@ -58,24 +43,7 @@ pub fn lint_front_end(unit: &str, src: &str) -> (Report, Option<Program>) {
 /// rejections keep their feature codes; everything else is `HPM009`.
 fn front_end_error(unit: &str, e: &CError) -> Diagnostic {
     match e {
-        CError::Unsafe(u) => {
-            let (line, col) = u.position();
-            let code = match u {
-                UnsafeFeature::Union { .. } => LintCode::Union,
-                UnsafeFeature::Goto { .. } => LintCode::Goto,
-                UnsafeFeature::Switch { .. } => LintCode::Switch,
-                UnsafeFeature::Varargs { .. } => LintCode::Varargs,
-                UnsafeFeature::FunctionPointer { .. } => LintCode::FunctionPointer,
-                UnsafeFeature::PointerToInt { .. } => LintCode::PointerToInt,
-                UnsafeFeature::IntToPointer { .. } => LintCode::IntToPointer,
-            };
-            Diagnostic::new(
-                code,
-                unit,
-                Some(Span::new(line, col)),
-                format!("migration-unsafe feature: {u}"),
-            )
-        }
+        CError::Unsafe(u) => unsafe_feature(unit, u),
         CError::Lex(m, line) | CError::Parse(m, line) => Diagnostic::new(
             LintCode::FrontEnd,
             unit,
@@ -84,6 +52,27 @@ fn front_end_error(unit: &str, e: &CError) -> Diagnostic {
         ),
         other => Diagnostic::new(LintCode::FrontEnd, unit, None, other.to_string()),
     }
+}
+
+/// The diagnostic for a migration-unsafe feature, wherever the
+/// pre-compiler's screens found it.
+fn unsafe_feature(unit: &str, u: &UnsafeFeature) -> Diagnostic {
+    let code = match u {
+        UnsafeFeature::PointerToInt { .. } => LintCode::PointerToInt,
+        UnsafeFeature::IntToPointer { .. } => LintCode::IntToPointer,
+        UnsafeFeature::Union { .. } => LintCode::Union,
+        UnsafeFeature::Goto { .. } => LintCode::Goto,
+        UnsafeFeature::Switch { .. } => LintCode::Switch,
+        UnsafeFeature::Varargs { .. } => LintCode::Varargs,
+        UnsafeFeature::FunctionPointer { .. } => LintCode::FunctionPointer,
+    };
+    let (line, col) = u.position();
+    Diagnostic::new(
+        code,
+        unit,
+        Some(Span::new(line, col)),
+        format!("migration-unsafe feature: {u}"),
+    )
 }
 
 /// Declared types visible inside one function.

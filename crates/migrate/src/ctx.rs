@@ -26,6 +26,11 @@
 //! Callers propagate `Flow::Migrate` upward, contributing their own
 //! `save_frame` at the call-site poll-point — the paper's "process
 //! migration can occur in a nested function call".
+//!
+//! A resuming context reads one input, the image's memory-state payload
+//! as a [`ChunkPayload`] — already whole, or still arriving. Each
+//! `restore_frame` opens a [`Restorer`] over it for that frame's section
+//! and hands it on, positioned after what it read, to the next frame's.
 
 use crate::exec::{ExecutionState, FrameState};
 use crate::process::Process;
@@ -88,25 +93,12 @@ pub struct PendingFrame {
     pub live: Vec<u64>,
 }
 
-/// Where a resuming process's memory-state payload comes from.
-enum PayloadSource<'p> {
-    /// The complete payload arrived up front (monolithic image).
-    Whole {
-        /// Memory-state payload, still inside the image it arrived in.
-        payload: &'p [u8],
-        /// Consumed prefix of `payload`.
-        pos: usize,
-    },
-    /// The payload is still arriving as chunks (pipelined migration);
-    /// each `restore_frame` pulls exactly what it needs.
-    Chunked(ChunkPayload),
-}
-
 struct ResumeState<'p> {
     /// Outermost-first recorded frames.
     frames: Vec<FrameState>,
-    /// Memory-state payload source.
-    source: PayloadSource<'p>,
+    /// The memory-state payload, positioned after the frames restored so
+    /// far; each `restore_frame` session reads on from there.
+    payload: ChunkPayload<'p>,
     /// Index of the shallowest frame already restored; `frames.len()`
     /// when none is. Restoration consumes frames innermost-first.
     restored_down_to: usize,
@@ -154,40 +146,22 @@ impl<'p> MigCtx<'p> {
     /// Reserves the source's heap-index high-water mark so blocks
     /// allocated by resumed execution never collide with ids still
     /// referenced by un-restored outer-frame sections. `payload` is the
-    /// image's memory-state section where it lies (see
-    /// [`unframe_image`](hpm_core::image::unframe_image)); restoration
-    /// reads it in place.
+    /// image's memory-state section: read in place where it lies in the
+    /// image (see [`unframe_image`](hpm_core::image::unframe_image)), and
+    /// pulled on demand where it is still arriving, so the innermost
+    /// frame restores — and resumed computation starts — while outer
+    /// frames are still in flight.
     pub fn new_resume(
         proc: &'p mut Process,
         exec: ExecutionState,
-        payload: &'p [u8],
-    ) -> Result<Self, MigError> {
-        Self::resume_with_source(proc, exec, PayloadSource::Whole { payload, pos: 0 })
-    }
-
-    /// Context for a destination-side resume over a chunk stream still
-    /// arriving (pipelined migration). Each `restore_frame` pulls chunks
-    /// on demand, so the innermost frame restores — and resumed
-    /// computation starts — while outer frames are still in flight.
-    pub fn new_resume_streaming(
-        proc: &'p mut Process,
-        exec: ExecutionState,
-        chunks: ChunkPayload,
-    ) -> Result<Self, MigError> {
-        Self::resume_with_source(proc, exec, PayloadSource::Chunked(chunks))
-    }
-
-    fn resume_with_source(
-        proc: &'p mut Process,
-        exec: ExecutionState,
-        source: PayloadSource<'p>,
+        payload: ChunkPayload<'p>,
     ) -> Result<Self, MigError> {
         proc.msrlt.try_reserve_heap_indices(exec.heap_high_water)?;
         let mut ctx = Self::new_run(proc);
         ctx.mode = Mode::Resume(Box::new(ResumeState {
             restored_down_to: exec.frames.len(),
             frames: exec.frames,
-            source,
+            payload,
             entered: 0,
             stats: RestoreStats::default(),
             restore_time: Duration::ZERO,
@@ -333,15 +307,9 @@ impl<'p> MigCtx<'p> {
             "restore",
             &[("frame_depth", depth as u64), ("live", live.len() as u64)],
         );
-        let mut restorer = match &mut r.source {
-            PayloadSource::Whole { payload, pos } => {
-                Restorer::new(&mut self.proc.space, &mut self.proc.msrlt, &payload[*pos..])
-            }
-            PayloadSource::Chunked(cp) => {
-                Restorer::from_chunks(&mut self.proc.space, &mut self.proc.msrlt, cp)
-            }
-        }
-        .with_track(self.track.clone());
+        let payload = std::mem::take(&mut r.payload);
+        let mut restorer = Restorer::over(&mut self.proc.space, &mut self.proc.msrlt, payload)
+            .with_track(self.track.clone());
         for &addr in live {
             restorer.restore_variable(addr).map_err(|e| match &e {
                 CoreError::TruncatedChunk { .. } => {
@@ -350,25 +318,20 @@ impl<'p> MigCtx<'p> {
                 _ => MigError::from(e),
             })?;
         }
-        let consumed = restorer.consumed();
+        let (stats, payload) = restorer.into_input();
+        r.payload = payload;
         // The final frame must drain the stream exactly: leftover
-        // payload (or, streamed, leftover chunks) means the call
-        // sequences diverged — surface it with the offending frame
-        // and chunk.
-        let stats = if is_final {
-            restorer.finish().map_err(|e| match &e {
+        // payload means the call sequences diverged — surface it with
+        // the offending frame and chunk.
+        if is_final {
+            r.payload.expect_end().map_err(|e| match &e {
                 CoreError::TrailingBytes { .. } => {
                     MigError::Protocol(format!("after final restore_frame ('{function}'): {e}"))
                 }
                 _ => MigError::from(e),
-            })?
-        } else {
-            restorer.take_stats()
-        };
-        self.track.end("restore", &[("bytes", consumed as u64)]);
-        if let PayloadSource::Whole { pos, .. } = &mut r.source {
-            *pos += consumed;
+            })?;
         }
+        self.track.end("restore", &[("bytes", stats.bytes_in)]);
         r.stats.merge_from(&stats);
         r.restore_time += t0.elapsed();
         r.restored_down_to -= 1;
@@ -377,10 +340,7 @@ impl<'p> MigCtx<'p> {
             self.finished_restore = Some(RestoreTotals {
                 stats: r.stats,
                 time: r.restore_time,
-                stall: match &r.source {
-                    PayloadSource::Chunked(cp) => cp.stall_time(),
-                    PayloadSource::Whole { .. } => Duration::ZERO,
-                },
+                stall: r.payload.stall_time(),
                 done_at: Some(Instant::now()),
             });
             self.mode = Mode::Run;

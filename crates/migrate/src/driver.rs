@@ -130,10 +130,10 @@ pub fn run_to_migration<P: MigratableProgram>(
 /// process of `arch` from a migration image and run it on.
 ///
 /// `image` holds the header, the execution state and as much of the
-/// memory-state payload as has arrived: all of it when `more` is `None`
-/// (restoration reads it in place), otherwise the head of a chunk stream
-/// that `more` continues, so the innermost frame restores while outer
-/// ones are still in flight. With a `trigger` the resumed process may
+/// memory-state payload as has arrived — all of it when `more` is `None`
+/// — and restoration reads that in place as chunk 0 of the stream `more`
+/// continues, so the innermost frame restores while outer ones are still
+/// in flight. With a `trigger` the resumed process may
 /// freeze again ([`ResumeFlow::Frozen`]); callers that arm none take
 /// [`ResumeFlow::completed`], which makes a second migration a protocol
 /// error. Restoration is recorded on `track`.
@@ -161,14 +161,7 @@ pub(crate) fn resume<P: MigratableProgram>(
     }
     program.setup(&mut proc)?;
     proc.msrlt.reset_stats();
-    let mut ctx = match more {
-        None => MigCtx::new_resume(&mut proc, exec, payload),
-        Some(source) => MigCtx::new_resume_streaming(
-            &mut proc,
-            exec,
-            ChunkPayload::with_initial(source, payload.to_vec()),
-        ),
-    }?;
+    let mut ctx = MigCtx::new_resume(&mut proc, exec, ChunkPayload::new(payload, more))?;
     ctx.track = track.clone();
     let ran = run_under(program, ctx)?;
     if matches!(ran, Ran::Done(None)) {

@@ -139,8 +139,8 @@ fn lost_chunk_is_reported_with_its_index() {
     let mut dst_prog = TestPointer::new();
     let mut proc = Process::new(dst_prog.name(), Architecture::sparc20());
     dst_prog.setup(&mut proc).unwrap();
-    let cp = ChunkPayload::with_initial(Box::new(VecChunks::new(chunks)), leftover.to_vec());
-    let mut ctx = MigCtx::new_resume_streaming(&mut proc, exec, cp).unwrap();
+    let cp = ChunkPayload::new(leftover, Some(Box::new(VecChunks::new(chunks))));
+    let mut ctx = MigCtx::new_resume(&mut proc, exec, cp).unwrap();
     let err = dst_prog.run(&mut ctx).unwrap_err();
     match err {
         MigError::Protocol(m) | MigError::Core(m) => {

@@ -68,16 +68,16 @@ fn freeze_test_pointer() -> MigratedSource {
     run_to_migration(&mut p, Architecture::dec5000(), Trigger::AtPollCount(8)).unwrap()
 }
 
-/// What the migration driver's destination thread does with a chunk
-/// stream: parse the prefix, refuse foreign programs, then restore over
-/// the remaining chunks.
-fn streaming_resume<P: MigratableProgram>(
+/// What the migration driver's destination does with an image: parse the
+/// prefix, refuse foreign programs, then restore over the payload `first`
+/// holds, continued by `more`'s chunks (`None`: the image arrived whole).
+fn resume_over<P: MigratableProgram>(
     dst_prog: &mut P,
     arch: Architecture,
-    prefix: &[u8],
-    rest: Box<dyn ChunkSource + Send>,
+    first: &[u8],
+    more: Option<Box<dyn ChunkSource + Send>>,
 ) -> Result<(), MigError> {
-    let (header, exec_bytes, leftover) = unframe_image(prefix)?;
+    let (header, exec_bytes, payload) = unframe_image(first)?;
     if header.program != dst_prog.name() {
         return Err(MigError::Protocol(format!(
             "image is for program '{}', not '{}'",
@@ -88,8 +88,7 @@ fn streaming_resume<P: MigratableProgram>(
     let exec = ExecutionState::decode(exec_bytes)?;
     let mut proc = Process::new(dst_prog.name(), arch);
     dst_prog.setup(&mut proc)?;
-    let chunks = ChunkPayload::with_initial(rest, leftover.to_vec());
-    let mut ctx = MigCtx::new_resume_streaming(&mut proc, exec, chunks)?;
+    let mut ctx = MigCtx::new_resume(&mut proc, exec, ChunkPayload::new(payload, more))?;
     match dst_prog.run(&mut ctx)? {
         Flow::Done => Ok(()),
         Flow::Migrate => Err(MigError::Protocol("resumed program migrated again".into())),
@@ -112,11 +111,11 @@ fn truncated_chunk_mid_stream_is_rejected() {
     chunks.truncate(victim + 1); // nothing after the damage arrives
 
     let mut dst = TestPointer::new();
-    let err = streaming_resume(
+    let err = resume_over(
         &mut dst,
         Architecture::sparc20(),
         &prefix,
-        Box::new(VecChunks::new(chunks)),
+        Some(Box::new(VecChunks::new(chunks))),
     )
     .unwrap_err();
     match err {
@@ -164,11 +163,11 @@ fn assert_crc_catches_damage(frames: &[Vec<u8>], victim: u32, flip_at: usize) {
     let counters = rx.counters();
     let prefix = rx.recv_chunk().unwrap().expect("prefix chunk");
     let mut dst = TestPointer::new();
-    streaming_resume(
+    resume_over(
         &mut dst,
         Architecture::sparc20(),
         &prefix,
-        Box::new(NetSource { rx }),
+        Some(Box::new(NetSource { rx })),
     )
     .expect("the retransmitted copy completes the restore");
     let snap = counters.snapshot();
@@ -280,11 +279,11 @@ fn cross_program_chunk_stream_is_rejected() {
     let (mut chunks, _) = src.to_chunks(64).unwrap();
     let prefix = chunks.remove(0);
     let mut wrong = BitonicSort::new(100);
-    let err = streaming_resume(
+    let err = resume_over(
         &mut wrong,
         Architecture::sparc20(),
         &prefix,
-        Box::new(VecChunks::new(chunks)),
+        Some(Box::new(VecChunks::new(chunks))),
     )
     .unwrap_err();
     match err {
@@ -507,28 +506,30 @@ fn units(words: &[u32]) -> Vec<u8> {
     words.iter().flat_map(|w| w.to_be_bytes()).collect()
 }
 
-/// The two ways a restorer reads a payload: a complete slice, or chunks
-/// pulled from a source.
+/// The two ways a payload reaches a restorer: whole, as the head of a
+/// complete stream, or behind an empty head in `chunking`-byte chunks
+/// still to be pulled.
 fn restore_both_ways(
     payload: &[u8],
     chunking: usize,
     make_dst: impl Fn() -> (AddressSpace, Msrlt),
     mut check: impl FnMut(&str, &AddressSpace, Result<(), CoreError>, u64),
-    restore: impl Fn(&mut Restorer<'_>) -> Result<(), CoreError>,
+    restore: impl Fn(&mut Restorer<'_, '_>) -> Result<(), CoreError>,
 ) {
-    let (mut dst, mut lt) = make_dst();
-    let mut r = Restorer::new(&mut dst, &mut lt, payload);
-    let got = restore(&mut r);
-    let restored = r.take_stats().blocks_restored;
-    check("slice", &dst, got, restored);
-
-    let (mut dst, mut lt) = make_dst();
-    let chunks = payload.chunks(chunking).map(<[u8]>::to_vec).collect();
-    let mut cp = ChunkPayload::new(Box::new(VecChunks::new(chunks)));
-    let mut r = Restorer::from_chunks(&mut dst, &mut lt, &mut cp);
-    let got = restore(&mut r);
-    let restored = r.take_stats().blocks_restored;
-    check("pull", &dst, got, restored);
+    for way in ["whole", "chunked"] {
+        let (mut dst, mut lt) = make_dst();
+        let mut r = match way {
+            "whole" => Restorer::new(&mut dst, &mut lt, payload),
+            _ => {
+                let chunks = payload.chunks(chunking).map(<[u8]>::to_vec).collect();
+                let input = ChunkPayload::new(&[], Some(Box::new(VecChunks::new(chunks))));
+                Restorer::over(&mut dst, &mut lt, input)
+            }
+        };
+        let got = restore(&mut r);
+        let restored = r.into_input().0.blocks_restored;
+        check(way, &dst, got, restored);
+    }
 }
 
 /// A `PTR_NEW` whose element count is hostile must be refused with a
@@ -643,8 +644,8 @@ fn hostile_exec_state_words_are_refused_not_aborted() {
 
 /// Every field the compact record grammar added, set to something no
 /// collector writes: each is refused with the `CoreError` that names it,
-/// from a slice and from pulled chunks alike, and nothing is allocated
-/// or restored on the way. (Hostile *counts*, the product
+/// from a whole payload and from pulled chunks alike, and nothing is
+/// allocated or restored on the way. (Hostile *counts*, the product
 /// `count × min_wire_bytes` overflowing included, are the test above.)
 #[test]
 fn hostile_record_fields_are_named_refusals_that_allocate_nothing() {
@@ -1085,8 +1086,8 @@ fn padded_type(space: &mut AddressSpace) -> hpm::types::TypeId {
 
 /// A payload cut in the middle of a run the kernel decodes in one piece
 /// — a dense little-endian `double` block, and a strided `char` run —
-/// fails with the decoder's own truncation error (the chunk named, when
-/// pulled), and the block it was filling is not counted as restored.
+/// fails with the payload's truncation error naming the chunk it ran dry
+/// in, and the block it was filling is not counted as restored.
 #[test]
 fn truncation_inside_a_kernel_run_is_reported_not_restored() {
     const ELEMS: u64 = 100;
@@ -1141,12 +1142,17 @@ fn truncation_inside_a_kernel_run_is_reported_not_restored() {
                 (space, lt)
             },
             |way, _, got, restored| {
-                match (way, got) {
-                    ("slice", Err(CoreError::Xdr(hpm::xdr::XdrError::UnexpectedEof { .. }))) => {}
-                    ("pull", Err(CoreError::TruncatedChunk { chunk, .. })) => {
-                        assert_eq!(chunk as usize, cut.div_ceil(chunking), "{name}");
+                // A whole payload is chunk 0; pulled chunks follow an
+                // empty one.
+                let ran_dry_in = match way {
+                    "whole" => 0,
+                    _ => cut.div_ceil(chunking) as u64,
+                };
+                match got {
+                    Err(CoreError::TruncatedChunk { chunk, .. }) => {
+                        assert_eq!(chunk, ran_dry_in, "{name} {way}");
                     }
-                    (way, other) => panic!("{name} {way}: wrong truncation error {other:?}"),
+                    other => panic!("{name} {way}: wrong truncation error {other:?}"),
                 }
                 assert_eq!(
                     restored, 0,
@@ -1307,7 +1313,7 @@ fn sweep<E: std::fmt::Debug>(
     (decoded, refused)
 }
 
-/// [`sweep`] over a record stream restored from a slice (`None`) and from
+/// [`sweep`] over a record stream restored whole (`None`) and from
 /// chunks of 8 and 52 bytes.
 fn mutation_sweep<E: std::fmt::Debug>(
     honest: &[u8],
@@ -1501,7 +1507,7 @@ fn mutated_gnode_ring_records_restore_or_refuse() {
         "12 nodes and `gtags`"
     );
 
-    let restore = |mut r: Restorer<'_>, roots: [u64; 2]| {
+    let restore = |mut r: Restorer<'_, '_>, roots: [u64; 2]| {
         roots
             .into_iter()
             .try_for_each(|v| r.restore_variable(v))
@@ -1513,26 +1519,11 @@ fn mutated_gnode_ring_records_restore_or_refuse() {
             None => restore(Restorer::new(&mut dst, &mut lt, stream), droots),
             Some(n) => {
                 let chunks = stream.chunks(n).map(<[u8]>::to_vec).collect();
-                let mut cp = ChunkPayload::new(Box::new(VecChunks::new(chunks)));
-                restore(Restorer::from_chunks(&mut dst, &mut lt, &mut cp), droots)
+                let input = ChunkPayload::new(&[], Some(Box::new(VecChunks::new(chunks))));
+                restore(Restorer::over(&mut dst, &mut lt, input), droots)
             }
         }
     });
-}
-
-/// [`streaming_resume`] for an image that arrived whole: one `Restorer`
-/// session per frame over the same payload slice.
-fn whole_resume<P: MigratableProgram>(
-    dst_prog: &mut P,
-    arch: Architecture,
-    image: &[u8],
-) -> Result<(), MigError> {
-    let (_, exec_bytes, payload) = unframe_image(image)?;
-    let exec = ExecutionState::decode(exec_bytes)?;
-    let mut proc = Process::new(dst_prog.name(), arch);
-    dst_prog.setup(&mut proc)?;
-    let mut ctx = MigCtx::new_resume(&mut proc, exec, payload)?;
-    dst_prog.run(&mut ctx).map(|_| ())
 }
 
 /// The same sweep over the paper's pointer zoo, restored the way a
@@ -1548,18 +1539,19 @@ fn mutated_test_pointer_records_restore_or_refuse() {
     mutation_sweep(payload, 0x6ea4_0004, prefix.len(), |stream, chunking| {
         let mut dst = TestPointer::new();
         match chunking {
-            None => whole_resume(
+            None => resume_over(
                 &mut dst,
                 Architecture::sparc20(),
                 &[prefix, stream].concat(),
+                None,
             ),
             Some(n) => {
                 let chunks = stream.chunks(n).map(<[u8]>::to_vec).collect();
-                streaming_resume(
+                resume_over(
                     &mut dst,
                     Architecture::sparc20(),
                     prefix,
-                    Box::new(VecChunks::new(chunks)),
+                    Some(Box::new(VecChunks::new(chunks))),
                 )
             }
         }
