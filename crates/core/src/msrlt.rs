@@ -23,17 +23,17 @@
 //! paper's collection complexity (`O(n log n)` over `n` blocks); id→entry
 //! lookup is `O(1)` indexing, which is why restoration's MSRLT term is
 //! only `O(n)`. The default [`SearchStrategy::PageIndex`] collapses the
-//! address→id direction to amortized `O(1)` with a two-level page table
-//! (page directory → per-page granule owners), demoting the sorted-index
-//! binary search to a cold fallback; [`SearchStrategy::Binary`] and
+//! address→id direction to amortized `O(1)` with the same
+//! [`PageIndex`] the address space resolves through (a page directory
+//! whose cells list the block starts on each page), fronted by a
+//! page-tagged translation cache; [`SearchStrategy::Binary`] and
 //! [`SearchStrategy::Linear`] remain as the §4.2 ablation points.
 
 use crate::CoreError;
 use hpm_arch::SegmentKind;
-use hpm_memory::BlockInfo;
+use hpm_memory::{BlockInfo, CellId, PageIndex, PAGE_SHIFT};
 use hpm_obs::{StatField, StatGroup};
 use hpm_types::TypeId;
-use std::collections::HashMap;
 
 /// Group number of the global-variable group.
 pub const GROUP_GLOBAL: u32 = 0;
@@ -45,20 +45,6 @@ pub const GROUP_HEAP: u32 = 1;
 /// pointer-heavy workloads re-resolve a working set of pages far smaller
 /// than the table.
 const CACHE_SLOTS: usize = 64;
-
-/// Page size of the address→id page index (4 KiB, like the machines the
-/// presets model).
-const PAGE_SHIFT: u64 = 12;
-const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
-
-/// Within a page, block ownership is tracked per 4-byte granule — the
-/// smallest scalar alignment any preset uses — so one array read
-/// resolves an interior address to its covering block.
-const GRANULE_SHIFT: u64 = 2;
-const GRANULES_PER_PAGE: usize = (PAGE_SIZE >> GRANULE_SHIFT) as usize;
-
-/// Granule owner sentinel for "no block claims these bytes".
-const EMPTY_GRANULE: u64 = u64::MAX;
 
 fn pack_id(id: LogicalId) -> u64 {
     ((id.group as u64) << 32) | id.index as u64
@@ -110,11 +96,11 @@ pub struct MsrltEntry {
 /// How address→block search is implemented (§4.2 ablation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SearchStrategy {
-    /// Two-level page index — amortized `O(1)` per search: a page
-    /// directory keyed on `addr >> 12` locates a per-page owner cell,
-    /// and one granule read inside the cell names the covering block.
-    /// The sorted-index binary search remains as the cold fallback for
-    /// unmapped probes and sub-granule shadowing.
+    /// Page index — amortized `O(1)` per search: a directory probe on
+    /// `addr >> 12` finds the page's cell, and a binary search over the
+    /// block starts on that one page names the block. The answer is
+    /// exact; the sorted-index binary search runs only for a probe no
+    /// live block holds.
     #[default]
     PageIndex,
     /// Binary search over a sorted address index — `O(log n)` per search,
@@ -146,8 +132,8 @@ pub struct MsrltStats {
     pub cache_evictions: u64,
     /// Cache-missing searches the O(1) page index answered.
     pub page_walks: u64,
-    /// Cache-missing searches the page index could not answer, demoted to
-    /// the ordered-map binary search.
+    /// Cache-missing searches the page index found no block for (a wild
+    /// probe), demoted to the ordered-map binary search.
     pub fallback_searches: u64,
 }
 
@@ -198,40 +184,16 @@ impl StatGroup for MsrltStats {
     }
 }
 
-/// One page's owner record in the page index.
-#[derive(Debug, Clone)]
-enum PageCell {
-    /// The whole page lies inside a single block (packed id). Large
-    /// arrays cover thousands of pages; storing one word per page keeps
-    /// registration O(pages), not O(bytes).
-    Whole(u64),
-    /// Per-granule owners; `used` counts non-empty granules so the cell
-    /// can be reclaimed the moment its last owner unregisters.
-    Granules {
-        used: u32,
-        g: Box<[u64; GRANULES_PER_PAGE]>,
-    },
-}
-
-impl PageCell {
-    fn empty_granules() -> Self {
-        PageCell::Granules {
-            used: 0,
-            g: Box::new([EMPTY_GRANULE; GRANULES_PER_PAGE]),
-        }
-    }
-}
-
 /// How a translation-cache slot resolves its page.
 #[derive(Debug, Clone, Copy)]
 enum CacheWay {
-    /// Resolve through the page-index cell at this arena slot (the
-    /// [`SearchStrategy::PageIndex`] TLB: a tag match plus one granule
-    /// read answers *any* address in the page, so interior heap
+    /// Resolve through this page-index cell (the
+    /// [`SearchStrategy::PageIndex`] TLB: a tag match plus a search of
+    /// the cell answers *any* address in the page, so interior heap
     /// addresses hit even when every block is visited exactly once).
-    Cell(u32),
-    /// A single cached block translation (fallback strategies, which
-    /// keep no granule cells).
+    Cell(CellId),
+    /// A single cached block translation (the other strategies, which
+    /// keep no page index).
     Block(LogicalId),
 }
 
@@ -242,7 +204,8 @@ pub struct Msrlt {
     /// are dead (freed) or not yet seen on this side.
     groups: Vec<Vec<Option<MsrltEntry>>>,
     /// Sorted by block start address. Maintained under every strategy:
-    /// it is the fallback search structure and the live-entry iterator.
+    /// it is the `Binary` / `Linear` search structure, the fallback for
+    /// wild probes and the live-entry iterator.
     by_addr: Vec<(u64, LogicalId)>,
     /// Live frame groups (innermost last).
     frame_stack: Vec<u32>,
@@ -251,12 +214,9 @@ pub struct Msrlt {
     stats: MsrltStats,
     /// Total bytes of live registered blocks (collector pre-sizing hint).
     live_bytes: u64,
-    /// Page directory: page number → arena slot of its owner cell.
-    /// Maintained only under [`SearchStrategy::PageIndex`].
-    page_dir: HashMap<u64, u32>,
-    /// Owner-cell arena; `None` slots are free (listed in `page_free`).
-    page_arena: Vec<Option<PageCell>>,
-    page_free: Vec<u32>,
+    /// Address → packed id of every live block. Maintained only under
+    /// [`SearchStrategy::PageIndex`].
+    pages: PageIndex<u64>,
     /// Id of the most recently resolved block; checked first on every
     /// search. Hits are validated against the live table, so stale
     /// entries simply miss — no invalidation traffic.
@@ -298,9 +258,7 @@ impl Msrlt {
             epoch: 1,
             stats: MsrltStats::default(),
             live_bytes: 0,
-            page_dir: HashMap::new(),
-            page_arena: Vec::new(),
-            page_free: Vec::new(),
+            pages: PageIndex::new(),
             cache_last: None,
             cache_slots: vec![None; CACHE_SLOTS],
             cache_enabled: !matches!(strategy, SearchStrategy::Linear),
@@ -440,7 +398,9 @@ impl Msrlt {
         });
         let pos = self.by_addr.partition_point(|&(a, _)| a < addr);
         self.by_addr.insert(pos, (addr, id));
-        self.page_index_insert(id, addr, size);
+        if self.strategy == SearchStrategy::PageIndex {
+            self.pages.insert(addr, size, pack_id(id));
+        }
         self.live_bytes += size;
         self.stats.registrations += 1;
     }
@@ -496,7 +456,9 @@ impl Msrlt {
             if let Some(e) = self.groups[id.group as usize][id.index as usize].as_ref() {
                 let size = e.size;
                 self.live_bytes -= size;
-                self.page_index_remove(id, addr, size);
+                if self.strategy == SearchStrategy::PageIndex {
+                    self.pages.remove(addr);
+                }
             }
             Some(id)
         } else {
@@ -504,131 +466,11 @@ impl Msrlt {
         }
     }
 
-    // ----- page index maintenance -----
-
-    fn alloc_cell(&mut self, cell: PageCell) -> u32 {
-        if let Some(ci) = self.page_free.pop() {
-            self.page_arena[ci as usize] = Some(cell);
-            ci
-        } else {
-            self.page_arena.push(Some(cell));
-            (self.page_arena.len() - 1) as u32
-        }
-    }
-
-    fn set_page_cell(&mut self, page: u64, cell: PageCell) {
-        if let Some(&ci) = self.page_dir.get(&page) {
-            self.page_arena[ci as usize] = Some(cell);
-        } else {
-            let ci = self.alloc_cell(cell);
-            self.page_dir.insert(page, ci);
-        }
-    }
-
-    /// Arena slot of `page`'s granule cell, creating one if the page is
-    /// untracked (a stale `Whole` cell cannot coexist with a live
-    /// overlapping block, so replacing it is safe).
-    fn granule_cell_for(&mut self, page: u64) -> u32 {
-        if let Some(&ci) = self.page_dir.get(&page) {
-            if matches!(
-                self.page_arena[ci as usize],
-                Some(PageCell::Granules { .. })
-            ) {
-                return ci;
-            }
-            self.page_arena[ci as usize] = Some(PageCell::empty_granules());
-            ci
-        } else {
-            let ci = self.alloc_cell(PageCell::empty_granules());
-            self.page_dir.insert(page, ci);
-            ci
-        }
-    }
-
-    /// Record `[addr, addr+size)` as owned by `id` in the page index.
-    /// Pages wholly inside the block get one-word `Whole` cells; edge
-    /// pages get their overlapped granules stamped.
-    fn page_index_insert(&mut self, id: LogicalId, addr: u64, size: u64) {
-        if size == 0 || !matches!(self.strategy, SearchStrategy::PageIndex) {
-            return;
-        }
-        let packed = pack_id(id);
-        let end = addr + size;
-        for page in (addr >> PAGE_SHIFT)..=((end - 1) >> PAGE_SHIFT) {
-            let p_start = page << PAGE_SHIFT;
-            let p_end = p_start + PAGE_SIZE;
-            if addr <= p_start && end >= p_end {
-                self.set_page_cell(page, PageCell::Whole(packed));
-            } else {
-                let g_lo = ((addr.max(p_start) - p_start) >> GRANULE_SHIFT) as usize;
-                let g_hi = ((end.min(p_end) - 1 - p_start) >> GRANULE_SHIFT) as usize;
-                let ci = self.granule_cell_for(page);
-                if let Some(PageCell::Granules { used, g }) = self.page_arena[ci as usize].as_mut()
-                {
-                    for slot in g[g_lo..=g_hi].iter_mut() {
-                        if *slot == EMPTY_GRANULE {
-                            *used += 1;
-                        }
-                        *slot = packed;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Clear `id`'s ownership of `[addr, addr+size)`. Granules stamped
-    /// over by a later sub-granule neighbour are left alone; cells are
-    /// reclaimed when their last owner leaves.
-    fn page_index_remove(&mut self, id: LogicalId, addr: u64, size: u64) {
-        if size == 0 || !matches!(self.strategy, SearchStrategy::PageIndex) {
-            return;
-        }
-        let packed = pack_id(id);
-        let end = addr + size;
-        for page in (addr >> PAGE_SHIFT)..=((end - 1) >> PAGE_SHIFT) {
-            let Some(&ci) = self.page_dir.get(&page) else {
-                continue;
-            };
-            let free = match self.page_arena[ci as usize].as_mut() {
-                Some(PageCell::Whole(p)) => *p == packed,
-                Some(PageCell::Granules { used, g }) => {
-                    let p_start = page << PAGE_SHIFT;
-                    let g_lo = ((addr.max(p_start) - p_start) >> GRANULE_SHIFT) as usize;
-                    let g_hi =
-                        ((end.min(p_start + PAGE_SIZE) - 1 - p_start) >> GRANULE_SHIFT) as usize;
-                    for slot in g[g_lo..=g_hi].iter_mut() {
-                        if *slot == packed {
-                            *slot = EMPTY_GRANULE;
-                            *used -= 1;
-                        }
-                    }
-                    *used == 0
-                }
-                None => false,
-            };
-            if free {
-                self.page_dir.remove(&page);
-                self.page_arena[ci as usize] = None;
-                self.page_free.push(ci);
-            }
-        }
-    }
-
-    /// Resolve `addr` through the owner cell at arena slot `ci`,
-    /// validating against the live table.
-    fn cell_resolve(&self, ci: u32, addr: u64) -> Option<(LogicalId, u64)> {
-        match self.page_arena.get(ci as usize)?.as_ref()? {
-            PageCell::Whole(p) => self.cache_validate(unpack_id(*p), addr),
-            PageCell::Granules { g, .. } => {
-                let gi = ((addr & (PAGE_SIZE - 1)) >> GRANULE_SHIFT) as usize;
-                let p = g[gi];
-                if p == EMPTY_GRANULE {
-                    None
-                } else {
-                    self.cache_validate(unpack_id(p), addr)
-                }
-            }
-        }
+    /// Resolve `addr` through page-index cell `cell`, validating against
+    /// the live table.
+    fn cell_resolve(&self, cell: CellId, addr: u64) -> Option<(LogicalId, u64)> {
+        let packed = self.pages.get_in(cell, addr)?;
+        self.cache_validate(unpack_id(packed), addr)
     }
 
     // ----- translation cache -----
@@ -663,7 +505,7 @@ impl Msrlt {
         }
         let page = addr >> PAGE_SHIFT;
         match self.cache_slots[Self::cache_slot(page)] {
-            Some((p, CacheWay::Cell(ci))) if p == page => self.cell_resolve(ci, addr),
+            Some((p, CacheWay::Cell(cell))) if p == page => self.cell_resolve(cell, addr),
             Some((p, CacheWay::Block(id))) if p == page => self.cache_validate(id, addr),
             _ => None,
         }
@@ -681,24 +523,25 @@ impl Msrlt {
             }
             self.stats.cache_misses += 1;
         }
-        // Page-index walk: one directory probe plus one granule read
-        // resolves any mapped, granule-aligned-visible address.
-        let mut walked_cell: Option<u32> = None;
+        // Page-index walk: one directory probe plus a binary search over
+        // the block starts on one page, counted as one step (a page holds
+        // a bounded number of blocks, however many are live).
+        let mut walked_cell: Option<CellId> = None;
         let mut result: Option<(LogicalId, u64)> = None;
-        if matches!(self.strategy, SearchStrategy::PageIndex) {
-            let page = addr >> PAGE_SHIFT;
-            if let Some(&ci) = self.page_dir.get(&page) {
+        if self.strategy == SearchStrategy::PageIndex {
+            if let Some(cell) = self.pages.cell(addr) {
                 self.stats.search_steps += 1;
-                walked_cell = Some(ci);
-                result = self.cell_resolve(ci, addr);
+                walked_cell = Some(cell);
+                result = self.cell_resolve(cell, addr);
             }
         }
         if result.is_some() {
             self.stats.page_walks += 1;
         } else {
-            // Cold fallback: unmapped probe, granule shadowed by a
-            // sub-4-byte neighbour, or a non-page-index strategy.
-            if matches!(self.strategy, SearchStrategy::PageIndex) {
+            // A non-page-index strategy, or a wild probe: the page
+            // index's miss is exact, and the ordered search confirms it
+            // at the cost every strategy pays for one.
+            if self.strategy == SearchStrategy::PageIndex {
                 self.stats.fallback_searches += 1;
             }
             let found = match self.strategy {
@@ -740,13 +583,7 @@ impl Msrlt {
             if let Some((id, _)) = result {
                 self.cache_last = Some(id);
                 let page = addr >> PAGE_SHIFT;
-                let way = match self.strategy {
-                    SearchStrategy::PageIndex => walked_cell
-                        .or_else(|| self.page_dir.get(&page).copied())
-                        .map(CacheWay::Cell)
-                        .unwrap_or(CacheWay::Block(id)),
-                    _ => CacheWay::Block(id),
-                };
+                let way = walked_cell.map_or(CacheWay::Block(id), CacheWay::Cell);
                 let slot = Self::cache_slot(page);
                 if matches!(self.cache_slots[slot], Some((p, _)) if p != page) {
                     self.stats.cache_evictions += 1;
@@ -808,6 +645,7 @@ impl Msrlt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpm_memory::PAGE_SIZE;
 
     fn info(addr: u64, size: u64, seg: SegmentKind) -> BlockInfo {
         BlockInfo {
@@ -961,11 +799,12 @@ mod tests {
     }
 
     #[test]
-    fn sub_granule_neighbours_fall_back_correctly() {
+    fn one_byte_neighbours_resolve_through_the_page_index() {
         let mut m = Msrlt::new();
-        // Two 1-byte blocks sharing one 4-byte granule: the later
-        // registration shadows the earlier in the granule cell, so the
-        // earlier resolves through the fallback search.
+        m.set_cache_enabled(false);
+        // Two 1-byte blocks inside one 4-byte word: the page's cell lists
+        // both starts, so each resolves to itself on the page walk and
+        // neither needs the ordered search.
         let a = m.register(&info(0x1000, 1, SegmentKind::Heap));
         let b = m.register(&info(0x1001, 1, SegmentKind::Heap));
         assert_eq!(m.lookup_addr(0x1000), Some((a, 0)));
@@ -974,9 +813,14 @@ mod tests {
         assert_eq!(
             m.lookup_addr(0x1000),
             Some((a, 0)),
-            "survivor must resolve after its granule owner freed"
+            "survivor must resolve after its neighbour is freed"
         );
+        let s = m.stats();
+        assert_eq!((s.searches, s.page_walks, s.search_steps), (3, 3, 3));
+        assert_eq!(s.fallback_searches, 0);
+        // The freed byte is a wild probe now: the only fallback.
         assert_eq!(m.lookup_addr(0x1001), None);
+        assert_eq!(m.stats().fallback_searches, 1);
     }
 
     #[test]
@@ -1066,7 +910,7 @@ mod tests {
     fn page_slotted_cache_hits_across_distinct_blocks() {
         // The bitonic pattern: every block is looked up exactly once, so
         // a block- or address-tagged cache can never hit. A page-tagged
-        // slot resolving through the granule cell hits for every block
+        // slot resolving through the page-index cell hits for every block
         // that shares a previously touched page.
         let mut m = Msrlt::new();
         for i in 0..64u64 {

@@ -15,7 +15,8 @@
 //!   machine and you get garbage — exactly why migration needs the MSR
 //!   machinery);
 //! * interior pointers (into the middle of arrays/structs) are legal;
-//! * address→block resolution requires a genuine search;
+//! * address→block resolution requires a genuine search, through a
+//!   [`PageIndex`] (the type the MSRLT's address index is built on too);
 //! * the heap allocator reuses freed space, so address order is not
 //!   allocation order.
 //!
@@ -26,9 +27,11 @@
 //! queries for its architecture.
 
 mod block;
+mod page_index;
 mod space;
 
 pub use block::{BlockInfo, MemoryBlock};
+pub use page_index::{CellId, PageIndex, PAGE_SHIFT, PAGE_SIZE};
 pub use space::{AddressSpace, AllocStats, BlockSlot, FrameId, MemError, ResolvedAddr};
 
 #[cfg(test)]
@@ -79,6 +82,157 @@ mod invariant_tests {
             spans.sort();
             for w in spans.windows(2) {
                 assert!(w[0].0 + w[0].1 <= w[1].0, "blocks overlap: {w:?}");
+            }
+        }
+    }
+
+    /// The space's one address index against references that share none
+    /// of its code: a brute-force scan over the live blocks for
+    /// `resolve`, and an ordered map for what `block_infos`,
+    /// `block_count` and `block_at` list (a block that starts where a
+    /// zero-size block starts replaces it, as the map's insert does).
+    /// Seeded malloc / free / re-malloc churn with frames and globals on
+    /// every preset, over 1–3-byte `char` blocks sharing a 4-byte word,
+    /// zero-size `int[0]` globals, and blocks that exactly tile pages or
+    /// span them.
+    #[test]
+    fn one_index_agrees_with_a_reference_scan() {
+        use std::collections::BTreeMap;
+
+        #[derive(Default)]
+        struct Model {
+            /// Start → size of every live block.
+            live: BTreeMap<u64, u64>,
+            heap: Vec<(u64, hpm_types::TypeId, u64)>,
+            frames: Vec<(FrameId, Vec<u64>)>,
+            /// Handles of freed heap blocks, which must stay dead.
+            dead: Vec<BlockSlot>,
+        }
+
+        fn check(space: &AddressSpace, m: &Model) {
+            assert_eq!(space.block_count(), m.live.len());
+            let listed: Vec<(u64, u64)> = space
+                .block_infos()
+                .iter()
+                .map(|b| (b.addr, b.size))
+                .collect();
+            let want: Vec<(u64, u64)> = m.live.iter().map(|(&a, &s)| (a, s)).collect();
+            assert_eq!(listed, want, "block_infos");
+            let scan = |x: u64| {
+                want.iter()
+                    .find(|&&(a, s)| a <= x && x < a + s)
+                    .map(|&(a, _)| (a, x - a))
+            };
+            for (&a, &size) in &m.live {
+                assert_eq!(space.block_at(a).map(|b| b.size_bytes()), Some(size));
+                // Every byte, and the one past the end.
+                for x in a..=a + size {
+                    let got = space.resolve(x).map(|r| (r.block_addr, r.offset));
+                    assert_eq!(got, scan(x), "resolve({x:#x})");
+                }
+            }
+            for &slot in &m.dead {
+                assert!(space.slot_bytes(slot).is_err(), "arena slot reused");
+            }
+        }
+
+        for arch in Architecture::presets() {
+            for round in 0..3u64 {
+                let mut s = 0x1DE7 ^ (round << 8) ^ arch.pointer_size;
+                let mut space = AddressSpace::new(arch.clone());
+                let t = space.types_mut();
+                let (ch, int, dbl) = (t.char_(), t.int(), t.double());
+                let empty = t.array_of(int, 0);
+                let mut m = Model::default();
+
+                let malloc = |space: &mut AddressSpace, m: &mut Model, ty, count| {
+                    let a = space.malloc(ty, count).unwrap();
+                    let size = (space.layout_of(ty).unwrap().size * count).max(1);
+                    m.live.insert(a, size);
+                    m.heap.push((a, ty, count));
+                };
+                let free = |space: &mut AddressSpace, m: &mut Model, pick: u64| {
+                    let (a, ty, count) = m.heap.swap_remove(pick as usize % m.heap.len());
+                    m.dead.push(space.slot_of(a).unwrap().0);
+                    space.free(a).unwrap();
+                    m.live.remove(&a);
+                    (ty, count)
+                };
+                let pop = |space: &mut AddressSpace, m: &mut Model| {
+                    let (f, locals) = m.frames.pop()?;
+                    space.pop_frame(f).unwrap();
+                    for a in locals {
+                        m.live.remove(&a);
+                    }
+                    Some(())
+                };
+                // Three blocks tiling three pages from the page-aligned
+                // heap base, then one spanning pages off alignment.
+                for _ in 0..3 {
+                    malloc(&mut space, &mut m, ch, 4096);
+                }
+                malloc(&mut space, &mut m, ch, 3);
+                malloc(&mut space, &mut m, dbl, 600);
+                check(&space, &m);
+
+                for op in 1..=240u32 {
+                    let r = next(&mut s);
+                    match r % 10 {
+                        0..=3 => {
+                            let (ty, count) = match (r >> 8) % 64 {
+                                0 => (ch, 4096 + (r >> 16) % 3000),
+                                1 => (dbl, 512),
+                                2..=29 => (ch, 1 + (r >> 16) % 3),
+                                30..=49 => (int, 1 + (r >> 16) % 40),
+                                _ => (dbl, 1 + (r >> 16) % 12),
+                            };
+                            malloc(&mut space, &mut m, ty, count);
+                        }
+                        4 | 5 if !m.heap.is_empty() => {
+                            free(&mut space, &mut m, r >> 8);
+                        }
+                        6 if !m.heap.is_empty() => {
+                            // Re-malloc the shape just freed: first fit
+                            // often hands the same address back.
+                            let (ty, count) = free(&mut space, &mut m, r >> 8);
+                            malloc(&mut space, &mut m, ty, count);
+                        }
+                        7 => {
+                            let f = space.push_frame("f");
+                            let mut locals = Vec::new();
+                            for k in 0..1 + (r >> 8) % 4 {
+                                let (ty, count) = match (r >> (16 + 2 * k)) % 3 {
+                                    0 => (ch, 1 + (r >> 24) % 3),
+                                    1 => (dbl, 1 + (r >> 26) % 4),
+                                    _ => (int, 1 + (r >> 28) % 8),
+                                };
+                                let a = space.define_local(f, "l", ty, count).unwrap();
+                                m.live.insert(a, space.layout_of(ty).unwrap().size * count);
+                                locals.push(a);
+                            }
+                            m.frames.push((f, locals));
+                        }
+                        8 => {
+                            pop(&mut space, &mut m);
+                        }
+                        _ => {
+                            // A zero-size global, and often a global at
+                            // its address that replaces it.
+                            let z = space.define_global("z", empty, 1).unwrap();
+                            m.live.insert(z, 0);
+                            let (ty, size) = [(int, 4), (ch, 1)][(r >> 8) as usize % 2];
+                            if !(r >> 9).is_multiple_of(3) {
+                                let g = space.define_global("g", ty, 1).unwrap();
+                                m.live.insert(g, size);
+                            }
+                        }
+                    }
+                    if op % 60 == 0 {
+                        check(&space, &m);
+                    }
+                }
+                while pop(&mut space, &mut m).is_some() {}
+                check(&space, &m);
             }
         }
     }

@@ -1,12 +1,18 @@
 //! The simulated address space: segments, allocation, typed access.
+//!
+//! Blocks live in an arena whose slots are never reused, and one
+//! [`PageIndex`] maps addresses to arena slots. Every address the
+//! program, the collector or the restorer touches is resolved by one
+//! directory probe and a binary search over one page's block starts,
+//! then checked against the block's bounds; nothing walks a tree.
 
 use crate::block::{BlockInfo, MemoryBlock};
+use crate::PageIndex;
 use hpm_arch::{Architecture, ScalarValue, SegmentKind};
 use hpm_types::elements::{ElementError, ElementModel, Leaf};
 use hpm_types::layout::{align_up, Layout};
 use hpm_types::plan::{compile_plan, SavePlan};
 use hpm_types::{TypeError, TypeId, TypeTable};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Handle to a pushed stack frame.
@@ -124,12 +130,12 @@ pub struct AddressSpace {
     arch: Architecture,
     types: TypeTable,
     model: ElementModel,
-    /// Block storage arena; `None` slots are freed blocks. The map below
-    /// indexes it by start address (compact values keep the B-tree
-    /// cache-friendly: address→block resolution is the hottest operation
-    /// in the simulator).
+    /// Block storage arena; `None` slots are dead blocks. Slots are never
+    /// reused, which is what keeps a stale [`BlockSlot`] dead.
     arena: Vec<Option<MemoryBlock>>,
-    by_addr: BTreeMap<u64, u32>,
+    /// Address → arena slot of every live block: the space's only
+    /// address map.
+    index: PageIndex<u32>,
     global_top: u64,
     stack_top: u64,
     heap_top: u64,
@@ -154,7 +160,7 @@ impl AddressSpace {
             types: TypeTable::new(),
             model: ElementModel::new(),
             arena: Vec::new(),
-            by_addr: BTreeMap::new(),
+            index: PageIndex::new(),
             global_top,
             stack_top,
             heap_top,
@@ -184,7 +190,7 @@ impl AddressSpace {
     /// Replace the TI table wholesale (used when a pre-compiled program
     /// carries its own table). Must be called before any allocation.
     pub fn install_types(&mut self, table: TypeTable) {
-        assert!(self.by_addr.is_empty(), "install_types after allocation");
+        assert!(self.index.is_empty(), "install_types after allocation");
         self.types = table;
         self.model = ElementModel::new();
         self.plans.clear();
@@ -204,7 +210,7 @@ impl AddressSpace {
     /// Allocation statistics so far.
     pub fn stats(&self) -> AllocStats {
         let mut s = self.stats;
-        s.live_blocks = self.by_addr.len() as u64;
+        s.live_blocks = self.index.len() as u64;
         s.live_bytes = self.live_blocks_iter().map(|b| b.size_bytes()).sum();
         s
     }
@@ -228,10 +234,9 @@ impl AddressSpace {
         }
     }
 
+    /// Live blocks in allocation order.
     fn live_blocks_iter(&self) -> impl Iterator<Item = &MemoryBlock> {
-        self.by_addr
-            .values()
-            .filter_map(|&i| self.arena[i as usize].as_ref())
+        self.arena.iter().flatten()
     }
 
     #[inline]
@@ -278,31 +283,35 @@ impl AddressSpace {
     // ----- block creation -----
 
     fn insert_block(&mut self, b: MemoryBlock) -> u64 {
-        let addr = b.addr;
-        // Overlap check against the two neighbours only (the map is
-        // ordered, so those are the only candidates).
+        let (addr, size) = (b.addr, b.size_bytes());
+        // The block starting last at or below the new block's last byte is
+        // the only one it could overlap; a zero-size block at `addr` is
+        // replaced instead.
         debug_assert!(
-            self.by_addr
-                .range(..=addr)
-                .next_back()
-                .map(|(_, &i)| self.block(i).end() <= addr)
-                .unwrap_or(true)
-                && self
-                    .by_addr
-                    .range(addr..)
-                    .next()
-                    .map(|(_, &i)| self.block(i).addr >= b.end())
-                    .unwrap_or(true),
+            self.index
+                .get(addr + size.max(1) - 1)
+                .map(|i| self.block(i))
+                .is_none_or(|o| o.end() <= addr || (o.addr == addr && o.size_bytes() == 0)),
             "block overlap at {addr:#x}"
         );
         let idx = self.arena.len() as u32;
         self.arena.push(Some(b));
-        self.by_addr.insert(addr, idx);
+        if let Some(replaced) = self.index.insert(addr, size, idx) {
+            self.arena[replaced as usize] = None;
+        }
         addr
     }
 
+    /// Arena slot of the live block starting exactly at `addr` (a
+    /// zero-size one included, which [`AddressSpace::resolve`] never
+    /// answers).
+    fn slot_at(&self, addr: u64) -> Option<u32> {
+        self.index.get(addr).filter(|&i| self.block(i).addr == addr)
+    }
+
     fn remove_block(&mut self, addr: u64) -> Option<MemoryBlock> {
-        let idx = self.by_addr.remove(&addr)?;
+        let idx = self.slot_at(addr)?;
+        self.index.remove(addr);
         self.arena[idx as usize].take()
     }
 
@@ -467,8 +476,8 @@ impl AddressSpace {
 
     /// Release a heap block (C `free`).
     pub fn free(&mut self, addr: u64) -> Result<(), MemError> {
-        match self.by_addr.get(&addr) {
-            Some(&i) if self.block(i).segment == SegmentKind::Heap => {}
+        match self.slot_at(addr) {
+            Some(i) if self.block(i).segment == SegmentKind::Heap => {}
             _ => return Err(MemError::BadFree(addr)),
         }
         let b = self.remove_block(addr).unwrap();
@@ -503,28 +512,28 @@ impl AddressSpace {
 
     /// Find the block containing `addr` (any interior address).
     pub fn resolve(&self, addr: u64) -> Option<ResolvedAddr> {
-        let (start, &idx) = self.by_addr.range(..=addr).next_back()?;
+        let idx = self.index.get(addr)?;
         let b = self.block(idx);
-        if b.contains(addr) {
-            Some(ResolvedAddr {
-                block_addr: *start,
-                offset: addr - *start,
-                idx,
-            })
-        } else {
-            None
-        }
+        b.contains(addr).then(|| ResolvedAddr {
+            block_addr: b.addr,
+            offset: addr - b.addr,
+            idx,
+        })
     }
 
     /// The block starting exactly at `block_addr`.
     pub fn block_at(&self, block_addr: u64) -> Option<&MemoryBlock> {
-        let &idx = self.by_addr.get(&block_addr)?;
-        Some(self.block(idx))
+        self.slot_at(block_addr).map(|i| self.block(i))
     }
 
-    /// Metadata snapshots of all live blocks, in address order.
+    /// Metadata snapshots of all live blocks, in address order. Sorts on
+    /// every call, a cold path (set-up, audits, tests); allocation order
+    /// is mostly ascending (heap) or descending (stack) runs, which the
+    /// stable sort merges in near-linear time.
     pub fn block_infos(&self) -> Vec<BlockInfo> {
-        self.live_blocks_iter().map(BlockInfo::from).collect()
+        let mut infos: Vec<BlockInfo> = self.live_blocks_iter().map(BlockInfo::from).collect();
+        infos.sort_by_key(|b| b.addr);
+        infos
     }
 
     /// Metadata snapshot of the block starting at `addr`.
@@ -534,7 +543,7 @@ impl AddressSpace {
 
     /// Number of live blocks.
     pub fn block_count(&self) -> usize {
-        self.by_addr.len()
+        self.index.len()
     }
 
     /// Handle to the block containing `addr`, and `addr`'s byte offset

@@ -8,7 +8,6 @@
 
 use crate::{TypeDef, TypeError, TypeId, TypeTable};
 use hpm_arch::Architecture;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Size and alignment of a type on one machine.
@@ -42,8 +41,19 @@ pub fn align_up(offset: u64, align: u64) -> u64 {
 /// program runs (`malloc` of new array shapes creates new array types).
 #[derive(Debug, Default, Clone)]
 pub struct LayoutEngine {
-    cache: HashMap<TypeId, Layout>,
-    field_offsets: HashMap<TypeId, Arc<Vec<u64>>>,
+    /// Layouts computed so far, indexed by `TypeId`.
+    cache: Vec<Option<Layout>>,
+    /// Struct field offsets computed so far, indexed by `TypeId`.
+    field_offsets: Vec<Option<Arc<Vec<u64>>>>,
+}
+
+/// `table`'s entry for `ty`, growing the table to reach it.
+fn entry<T: Clone>(table: &mut Vec<Option<T>>, ty: TypeId) -> &mut Option<T> {
+    let i = ty.0 as usize;
+    if table.len() <= i {
+        table.resize(i + 1, None);
+    }
+    &mut table[i]
 }
 
 impl LayoutEngine {
@@ -59,7 +69,7 @@ impl LayoutEngine {
         arch: &Architecture,
         ty: TypeId,
     ) -> Result<Layout, TypeError> {
-        if let Some(&l) = self.cache.get(&ty) {
+        if let Some(&Some(l)) = self.cache.get(ty.0 as usize) {
             return Ok(l);
         }
         let l = match table.def(ty) {
@@ -93,14 +103,14 @@ impl LayoutEngine {
                     offset += fl.size;
                     max_align = max_align.max(fl.align);
                 }
-                self.field_offsets.insert(ty, Arc::new(offsets));
+                *entry(&mut self.field_offsets, ty) = Some(Arc::new(offsets));
                 Layout {
                     size: align_up(offset, max_align),
                     align: max_align,
                 }
             }
         };
-        self.cache.insert(ty, l);
+        *entry(&mut self.cache, ty) = Some(l);
         Ok(l)
     }
 
@@ -117,8 +127,9 @@ impl LayoutEngine {
         // Computing the layout populates the field-offset cache.
         self.layout(table, arch, ty)?;
         self.field_offsets
-            .get(&ty)
+            .get(ty.0 as usize)
             .cloned()
+            .flatten()
             .ok_or(TypeError::UnknownType(ty))
     }
 }
