@@ -7,13 +7,13 @@
 //! ```
 //!
 //! Subcommands: `validation`, `table1`, `fig2a`, `fig2b`, `complexity`,
-//! `overhead`, `ablation`, `translate`, `wire`, `delta`, `pipeline`,
+//! `overhead`, `translate`, `wire`, `delta`, `pipeline`,
 //! `faults`, `resume`, `telemetry`, `lint`, `modelcheck`, `all` — plus
 //! `bench-diff` (below). Each prints the table `hpm_bench` declares under
 //! that name; the column headers are the keys `--json-out` writes.
 //!
-//! Timed cells (`table1`, `fig2a`, `fig2b`, `overhead`, `ablation`, the
-//! two collection columns of `translate`) are one warm-up and ten
+//! Timed cells (`table1`, `fig2a`, `fig2b`, `overhead`, the two
+//! collection columns of `translate`) are one warm-up and ten
 //! repetitions through `hpm_bench::harness::sample`, printed in seconds
 //! as `floor ±spread` (fastest repetition, interquartile range). An
 //! `overhead` row whose floor is no further from its baseline's than the
@@ -61,10 +61,11 @@
 //! from the last `bench_history.json` entry; a missing or unparsable
 //! index is exit 2.
 //!
-//! `translate` is the collection-performance gate: it prints the
-//! page-index counters for the three paper workloads, and **always**
-//! exits 1 if bitonic's steps-per-search exceeds 2.0 — CI's perf-smoke
-//! line.
+//! `translate` is the collection-performance gate: it prints the search
+//! counts and both collection times for the three paper workloads (plus
+//! linpack on the little-endian preset), and **always** exits 1 if any
+//! row's bulk and per-element collections differ by a byte — CI's
+//! perf-smoke line.
 //!
 //! `lint` runs the analyzer's registry and portability audits over the
 //! three paper workloads frozen at their migration points. With
@@ -103,14 +104,13 @@ fn main() {
     let seed_count =
         take_value(&mut args, "--seed-count", "a number").unwrap_or(DEFAULT_SEED_COUNT);
     // Every table subcommand, in print order.
-    let tables: [(&str, &dyn Fn()); 16] = [
+    let tables: [(&str, &dyn Fn()); 15] = [
         (VALIDATION.name, &|| drop(show(&VALIDATION))),
         (TABLE1.name, &|| drop(show(&TABLE1))),
         (FIG2A.name, &|| drop(show(&FIG2A))),
         (FIG2B.name, &|| drop(show(&FIG2B))),
         (COMPLEXITY.name, &|| drop(show(&COMPLEXITY))),
         (OVERHEAD.name, &|| drop(show(&OVERHEAD))),
-        (ABLATION.name, &|| drop(show(&ABLATION))),
         (TRANSLATE.name, &|| {
             let rows = translate_rows(true);
             print!("{}", TRANSLATE.text(&rows));

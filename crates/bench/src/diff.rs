@@ -617,16 +617,18 @@ mod tests {
     fn counter_regressions_fail_and_undeclared_keys_are_not_compared() {
         let old = parse_json(OLD).unwrap();
         let new = parse_json(
-            &OLD.replace("\"search_steps\": 20", "\"search_steps\": 40")
+            &OLD.replace("\"searches\": 10", "\"searches\": 20")
                 .replace("\"collect_ns\": 500", "\"collect_ns\": 50000")
                 .replace("\"revision\": \"aaa1111\"", "\"revision\": \"bbb2222\""),
         )
         .unwrap();
         let report = bench_diff(&old, &new, 5.0);
-        // search_steps doubled: gated, fails. collect_ns is a key older
-        // artifacts carried and no declaration names: not a metric.
+        // searches doubled: gated, fails. collect_ns and search_steps are
+        // keys older artifacts carried and no declaration names: not
+        // metrics.
         assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
-        assert!(report.violations[0].contains("search_steps"));
+        assert!(report.violations[0].contains("searches"));
+        assert!(report.deltas.iter().all(|d| d.metric != "search_steps"));
         assert!(report.deltas.iter().all(|d| d.metric != "collect_ns"));
         let rendered = render_diff(&report);
         assert!(rendered.contains("REGRESSION"));
@@ -643,17 +645,19 @@ mod tests {
     }
 
     #[test]
-    fn hit_rate_decay_beyond_threshold_fails() {
-        let old = parse_json(OLD).unwrap();
-        let new = parse_json(&OLD.replace("0.9", "0.5")).unwrap();
-        let report = bench_diff(&old, &new, 5.0);
+    fn rate_decay_beyond_threshold_fails() {
+        let resume = |fraction: &str| {
+            let row = format!(r#"{{"name": "w", "saved_fraction": {fraction}}}"#);
+            parse_json(&format!(r#"{{"revision": "r", "resume": [{row}]}}"#)).unwrap()
+        };
+        let old = resume("0.9");
+        let report = bench_diff(&old, &resume("0.5"), 5.0);
         assert!(report
             .violations
             .iter()
-            .any(|v| v.contains("cache_hit_rate")));
+            .any(|v| v.contains("saved_fraction")));
         // Within threshold: fine.
-        let near = parse_json(&OLD.replace("0.9", "0.88")).unwrap();
-        assert!(bench_diff(&old, &near, 5.0).violations.is_empty());
+        assert!(bench_diff(&old, &resume("0.88"), 5.0).violations.is_empty());
     }
 
     #[test]
@@ -689,11 +693,11 @@ mod tests {
     #[test]
     fn dropping_a_gated_metric_from_a_surviving_row_is_fatal() {
         let old = parse_json(OLD).unwrap();
-        let new = parse_json(&OLD.replace("\"search_steps\": 20, ", "")).unwrap();
+        let new = parse_json(&OLD.replace("\"searches\": 10,", "")).unwrap();
         let report = bench_diff(&old, &new, 5.0);
         assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
         assert!(report.violations[0].starts_with("MissingMetric"));
-        assert!(report.violations[0].contains("workloads/w: search_steps"));
+        assert!(report.violations[0].contains("workloads/w: searches"));
         // A flag is a gate too; an informational column is not.
         let old = parse_json(MODEL_OLD).unwrap();
         let new = parse_json(&MODEL_OLD.replace(", \"caught\": true", "")).unwrap();
@@ -722,11 +726,12 @@ mod tests {
         assert!(report.violations[0].contains("delta/bitonic:a->b"));
     }
 
-    /// The gate set read from the declarations is the one the hand-kept
-    /// table held before them: (section, metric, more-is-worse,
-    /// zero-tolerance).
+    /// The gate set read from the declarations: the hand-kept table's 24
+    /// (section, metric, more-is-worse, zero-tolerance) tuples less the
+    /// four MSRLT search-step and cache-hit gates, whose mechanisms are
+    /// gone.
     #[test]
-    fn declared_gates_are_the_twenty_four_of_the_old_table() {
+    fn declared_gates_are_the_pinned_twenty() {
         let mut declared: Vec<_> = crate::ARTIFACT
             .iter()
             .flat_map(|s| {
@@ -745,10 +750,6 @@ mod tests {
         let mut expected = vec![
             ("workloads", "payload_bytes", true, false),
             ("workloads", "searches", true, false),
-            ("workloads", "search_steps", true, false),
-            ("workloads", "cache_hit_rate", false, false),
-            ("translate", "search_steps", true, false),
-            ("translate", "steps_per_search", true, false),
             ("faults", "fallbacks", true, true),
             ("faults", "retransmits", true, false),
             ("lint", "warnings", true, true),

@@ -10,8 +10,7 @@ const BASELINE: &str = r#"{
   "revision": "aaaaaaa",
   "workloads": [
     {"name": "test_pointer", "payload_bytes": 1064, "collect_ns": 30000,
-     "restore_ns": 40000, "searches": 32, "search_steps": 95,
-     "cache_hit_rate": 0.34}
+     "restore_ns": 40000, "searches": 32}
   ],
   "faults": [
     {"rate_per_mille": 30, "fallbacks": 0, "retransmits": 7}
@@ -40,9 +39,9 @@ fn run_diff(old: &PathBuf, new: &PathBuf) -> std::process::Output {
 #[test]
 fn bench_diff_exits_nonzero_on_regressed_input() {
     let old = scratch("old_reg", BASELINE);
-    // Double the search steps and sprout a lint warning: both gated.
+    // Double the searches and sprout a lint warning: both gated.
     let regressed = BASELINE
-        .replace("\"search_steps\": 95", "\"search_steps\": 190")
+        .replace("\"searches\": 32", "\"searches\": 64")
         .replace("\"warnings\": 0", "\"warnings\": 2")
         .replace("\"aaaaaaa\"", "\"bbbbbbb\"");
     let new = scratch("new_reg", &regressed);
@@ -58,7 +57,7 @@ fn bench_diff_exits_nonzero_on_regressed_input() {
         "report should name the regression; got:\n{stdout}"
     );
     assert!(
-        stdout.contains("search_steps") && stdout.contains("warnings"),
+        stdout.contains("searches") && stdout.contains("warnings"),
         "both regressed counters should be reported; got:\n{stdout}"
     );
     let _ = fs::remove_file(old);

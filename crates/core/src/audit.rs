@@ -226,12 +226,12 @@ pub fn audit_registry(
     }
 
     // Overlap: adjacent pairs in address order.
-    let mut by_addr: Vec<_> = entries
+    let mut spans: Vec<_> = entries
         .iter()
         .map(|&(id, addr, _, _, size)| (addr, size, id))
         .collect();
-    by_addr.sort_unstable();
-    for w in by_addr.windows(2) {
+    spans.sort_unstable();
+    for w in spans.windows(2) {
         let (a_addr, a_size, a_id) = w[0];
         let (b_addr, _, b_id) = w[1];
         let a_end = a_addr + a_size;

@@ -49,7 +49,7 @@ pub use delta::{
 pub use fingerprint::{content_digest, type_fingerprint};
 pub use graph::{MsrEdge, MsrGraph, MsrVertex};
 pub use image::{ImageHeader, IMAGE_MAGIC, IMAGE_VERSION};
-pub use msrlt::{LogicalId, Msrlt, MsrltEntry, MsrltStats, SearchStrategy};
+pub use msrlt::{LogicalId, Msrlt, MsrltEntry, MsrltStats};
 pub use restore::{RestoreStats, Restorer};
 pub use stream::{ChunkPayload, ChunkSource, ReplaySource, VecChunks};
 

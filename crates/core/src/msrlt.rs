@@ -20,18 +20,17 @@
 //! machines.
 //!
 //! Address→id lookup is the instrumented search whose cost appears in the
-//! paper's collection complexity (`O(n log n)` over `n` blocks); id→entry
-//! lookup is `O(1)` indexing, which is why restoration's MSRLT term is
-//! only `O(n)`. The default [`SearchStrategy::PageIndex`] collapses the
-//! address→id direction to amortized `O(1)` with the same
-//! [`PageIndex`] the address space resolves through (a page directory
-//! whose cells list the block starts on each page), fronted by a
-//! page-tagged translation cache; [`SearchStrategy::Binary`] and
-//! [`SearchStrategy::Linear`] remain as the §4.2 ablation points.
+//! paper's collection complexity (`O(n log n)` over `n` blocks, for the
+//! sorted address index the paper assumes); id→entry lookup is `O(1)`
+//! indexing, which is why restoration's MSRLT term is only `O(n)`. Here
+//! the address→id direction is `O(1)` too: its one structure is a
+//! [`PageIndex`] — the index the address space resolves through — whose
+//! answer a containment check makes exact, so every search is one probe
+//! and a miss is final.
 
 use crate::CoreError;
 use hpm_arch::SegmentKind;
-use hpm_memory::{BlockInfo, CellId, PageIndex, PAGE_SHIFT};
+use hpm_memory::{BlockInfo, PageIndex};
 use hpm_obs::{StatField, StatGroup};
 use hpm_types::TypeId;
 
@@ -39,12 +38,6 @@ use hpm_types::TypeId;
 pub const GROUP_GLOBAL: u32 = 0;
 /// Group number of the heap group.
 pub const GROUP_HEAP: u32 = 1;
-
-/// Slots in the direct-mapped translation cache. Small on purpose: it
-/// fronts the page walk the way a TLB fronts a hardware page table, and
-/// pointer-heavy workloads re-resolve a working set of pages far smaller
-/// than the table.
-const CACHE_SLOTS: usize = 64;
 
 fn pack_id(id: LogicalId) -> u64 {
     ((id.group as u64) << 32) | id.index as u64
@@ -93,23 +86,6 @@ pub struct MsrltEntry {
     visited_epoch: u64,
 }
 
-/// How address→block search is implemented (§4.2 ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchStrategy {
-    /// Page index — amortized `O(1)` per search: a directory probe on
-    /// `addr >> 12` finds the page's cell, and a binary search over the
-    /// block starts on that one page names the block. The answer is
-    /// exact; the sorted-index binary search runs only for a probe no
-    /// live block holds.
-    #[default]
-    PageIndex,
-    /// Binary search over a sorted address index — `O(log n)` per search,
-    /// the design the paper's complexity model assumes.
-    Binary,
-    /// Linear scan — `O(n)` per search; the naive baseline.
-    Linear,
-}
-
 /// Instrumentation counters, feeding the §4.2 complexity experiments.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct MsrltStats {
@@ -119,33 +95,18 @@ pub struct MsrltStats {
     pub unregistrations: u64,
     /// Address→block searches performed.
     pub searches: u64,
-    /// Total comparison steps across all searches.
+    /// Page-index probes across all searches: one per search.
     pub search_steps: u64,
     /// id→entry lookups (O(1) each).
     pub id_lookups: u64,
-    /// Searches answered by the translation cache (no comparison steps).
-    pub cache_hits: u64,
-    /// Searches that fell through the cache to the configured strategy.
-    pub cache_misses: u64,
-    /// Cached translations displaced by a different page mapping to the
-    /// same direct-mapped slot.
-    pub cache_evictions: u64,
-    /// Cache-missing searches the O(1) page index answered.
-    pub page_walks: u64,
-    /// Cache-missing searches the page index found no block for (a wild
-    /// probe), demoted to the ordered-map binary search.
-    pub fallback_searches: u64,
 }
 
 impl MsrltStats {
-    /// Fraction of searches served by the translation cache, in [0, 1].
+    /// Always 0.0: the MSRLT has no translation cache. Kept only because
+    /// the benchmark's `core.msrlt_cache_hit_ratio` reads it; the two go
+    /// together when the benchmark next changes.
     pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
+        0.0
     }
 }
 
@@ -161,12 +122,6 @@ impl StatGroup for MsrltStats {
             StatField::count("searches", self.searches),
             StatField::count("search_steps", self.search_steps),
             StatField::count("id_lookups", self.id_lookups),
-            StatField::count("cache_hits", self.cache_hits),
-            StatField::count("cache_misses", self.cache_misses),
-            StatField::count("cache_evictions", self.cache_evictions),
-            StatField::count("page_walks", self.page_walks),
-            StatField::count("fallback_searches", self.fallback_searches),
-            StatField::ratio("cache_hit_rate", self.cache_hit_rate()),
         ]
     }
 
@@ -176,25 +131,7 @@ impl StatGroup for MsrltStats {
         self.searches += other.searches;
         self.search_steps += other.search_steps;
         self.id_lookups += other.id_lookups;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_evictions += other.cache_evictions;
-        self.page_walks += other.page_walks;
-        self.fallback_searches += other.fallback_searches;
     }
-}
-
-/// How a translation-cache slot resolves its page.
-#[derive(Debug, Clone, Copy)]
-enum CacheWay {
-    /// Resolve through this page-index cell (the
-    /// [`SearchStrategy::PageIndex`] TLB: a tag match plus a search of
-    /// the cell answers *any* address in the page, so interior heap
-    /// addresses hit even when every block is visited exactly once).
-    Cell(CellId),
-    /// A single cached block translation (the other strategies, which
-    /// keep no page index).
-    Block(LogicalId),
 }
 
 /// The MSR Lookup Table.
@@ -203,29 +140,15 @@ pub struct Msrlt {
     /// `groups[g][i]` is the entry with id `(g, i)`; `None` for ids that
     /// are dead (freed) or not yet seen on this side.
     groups: Vec<Vec<Option<MsrltEntry>>>,
-    /// Sorted by block start address. Maintained under every strategy:
-    /// it is the `Binary` / `Linear` search structure, the fallback for
-    /// wild probes and the live-entry iterator.
-    by_addr: Vec<(u64, LogicalId)>,
     /// Live frame groups (innermost last).
     frame_stack: Vec<u32>,
-    strategy: SearchStrategy,
     epoch: u64,
     stats: MsrltStats,
     /// Total bytes of live registered blocks (collector pre-sizing hint).
     live_bytes: u64,
-    /// Address → packed id of every live block. Maintained only under
-    /// [`SearchStrategy::PageIndex`].
+    /// Start address → packed id of every live entry: the table's only
+    /// address→id structure.
     pages: PageIndex<u64>,
-    /// Id of the most recently resolved block; checked first on every
-    /// search. Hits are validated against the live table, so stale
-    /// entries simply miss — no invalidation traffic.
-    cache_last: Option<LogicalId>,
-    /// Direct-mapped cache behind the last-hit check, slotted and tagged
-    /// on *page number* (not raw address) so distinct interior addresses
-    /// of the same page share a slot.
-    cache_slots: Vec<Option<(u64, CacheWay)>>,
-    cache_enabled: bool,
     /// Restoring side: `wire_types[n]` is the local type the image gave
     /// sender type number `n`. Kept here, beside the ids, because one
     /// image is restored in several [`Restorer`](crate::Restorer)
@@ -242,26 +165,13 @@ impl Default for Msrlt {
 impl Msrlt {
     /// New table with the global and heap groups ready.
     pub fn new() -> Self {
-        Msrlt::with_strategy(SearchStrategy::PageIndex)
-    }
-
-    /// New table using the given search strategy. The translation cache
-    /// fronts [`SearchStrategy::PageIndex`] and [`SearchStrategy::Binary`]
-    /// by default; the linear baseline stays pure so the §4.2 ablation
-    /// measures the raw scan.
-    pub fn with_strategy(strategy: SearchStrategy) -> Self {
         Msrlt {
             groups: vec![Vec::new(), Vec::new()],
-            by_addr: Vec::new(),
             frame_stack: Vec::new(),
-            strategy,
             epoch: 1,
             stats: MsrltStats::default(),
             live_bytes: 0,
             pages: PageIndex::new(),
-            cache_last: None,
-            cache_slots: vec![None; CACHE_SLOTS],
-            cache_enabled: !matches!(strategy, SearchStrategy::Linear),
             wire_types: Vec::new(),
         }
     }
@@ -292,26 +202,6 @@ impl Msrlt {
         self.wire_types.len() as u32
     }
 
-    /// The configured address→block search strategy.
-    pub fn strategy(&self) -> SearchStrategy {
-        self.strategy
-    }
-
-    /// Enable or disable the translation cache (ablation control).
-    /// Disabling drops all cached translations.
-    pub fn set_cache_enabled(&mut self, enabled: bool) {
-        self.cache_enabled = enabled;
-        if !enabled {
-            self.cache_last = None;
-            self.cache_slots = vec![None; CACHE_SLOTS];
-        }
-    }
-
-    /// Whether the translation cache is active.
-    pub fn cache_enabled(&self) -> bool {
-        self.cache_enabled
-    }
-
     /// Instrumentation counters so far.
     pub fn stats(&self) -> MsrltStats {
         self.stats
@@ -324,7 +214,7 @@ impl Msrlt {
 
     /// Number of live entries.
     pub fn live_count(&self) -> usize {
-        self.by_addr.len()
+        self.pages.len()
     }
 
     /// Begin tracking a new stack frame; returns its group.
@@ -340,16 +230,11 @@ impl Msrlt {
 
     /// Stop tracking the innermost frame, dropping its entries.
     pub fn end_frame(&mut self) {
-        let g = self.frame_stack.pop().expect("end_frame with no frame");
-        let dead: Vec<u64> = self.groups[g as usize]
-            .iter()
-            .flatten()
-            .map(|e| e.addr)
-            .collect();
-        for addr in dead {
-            self.remove_addr(addr);
+        let g = self.frame_stack.pop().expect("end_frame with no frame") as usize;
+        for e in self.groups[g].drain(..).flatten() {
+            self.pages.remove(e.addr);
+            self.live_bytes -= e.size;
         }
-        self.groups[g as usize].clear();
     }
 
     /// Depth of the live frame stack.
@@ -375,7 +260,10 @@ impl Msrlt {
     }
 
     /// Register a block under an explicit id (used on the destination,
-    /// where the stream dictates heap ids).
+    /// where the stream dictates heap ids). A block starting where a
+    /// live entry starts (in the address space, only a zero-size block's
+    /// start) replaces that entry, as the address space replaces its
+    /// block.
     pub fn register_at(&mut self, id: LogicalId, addr: u64, size: u64, ty: TypeId, count: u64) {
         if self.groups.len() <= id.group as usize {
             self.groups.resize_with(id.group as usize + 1, Vec::new);
@@ -396,10 +284,8 @@ impl Msrlt {
             count,
             visited_epoch: 0,
         });
-        let pos = self.by_addr.partition_point(|&(a, _)| a < addr);
-        self.by_addr.insert(pos, (addr, id));
-        if self.strategy == SearchStrategy::PageIndex {
-            self.pages.insert(addr, size, pack_id(id));
+        if let Some(replaced) = self.pages.insert(addr, size, pack_id(id)) {
+            self.drop_entry(unpack_id(replaced));
         }
         self.live_bytes += size;
         self.stats.registrations += 1;
@@ -441,157 +327,39 @@ impl Msrlt {
         self.groups[GROUP_HEAP as usize].len() as u32
     }
 
-    /// Drop the entry for the block starting at `addr` (heap `free`).
+    /// Drop the entry for the block starting at `addr` (heap `free`);
+    /// `None`, and no change, if no live entry starts there.
     pub fn unregister(&mut self, addr: u64) -> Option<LogicalId> {
-        let id = self.remove_addr(addr)?;
-        self.groups[id.group as usize][id.index as usize] = None;
+        let id = unpack_id(self.pages.get(addr)?);
+        if self.entry(id)?.addr != addr {
+            return None;
+        }
+        self.pages.remove(addr);
+        self.drop_entry(id);
         self.stats.unregistrations += 1;
         Some(id)
     }
 
-    fn remove_addr(&mut self, addr: u64) -> Option<LogicalId> {
-        let pos = self.by_addr.partition_point(|&(a, _)| a < addr);
-        if pos < self.by_addr.len() && self.by_addr[pos].0 == addr {
-            let id = self.by_addr.remove(pos).1;
-            if let Some(e) = self.groups[id.group as usize][id.index as usize].as_ref() {
-                let size = e.size;
-                self.live_bytes -= size;
-                if self.strategy == SearchStrategy::PageIndex {
-                    self.pages.remove(addr);
-                }
-            }
-            Some(id)
-        } else {
-            None
+    /// Forget entry `id` everywhere but the page index.
+    fn drop_entry(&mut self, id: LogicalId) {
+        if let Some(e) = self.groups[id.group as usize][id.index as usize].take() {
+            self.live_bytes -= e.size;
         }
     }
 
-    /// Resolve `addr` through page-index cell `cell`, validating against
-    /// the live table.
-    fn cell_resolve(&self, cell: CellId, addr: u64) -> Option<(LogicalId, u64)> {
-        let packed = self.pages.get_in(cell, addr)?;
-        self.cache_validate(unpack_id(packed), addr)
-    }
-
-    // ----- translation cache -----
-
-    /// Cache slot for a page number.
-    fn cache_slot(page: u64) -> usize {
-        ((page ^ (page >> 6)) as usize) & (CACHE_SLOTS - 1)
-    }
-
-    /// Validate a cached id against the live table: a hit is real only
-    /// if the block still exists and contains `addr`. Live blocks are
-    /// disjoint, so a validated hit equals the strategy-search result.
-    fn cache_validate(&self, id: LogicalId, addr: u64) -> Option<(LogicalId, u64)> {
-        let e = self
-            .groups
-            .get(id.group as usize)?
-            .get(id.index as usize)?
-            .as_ref()?;
+    /// *The* MSRLT search: find the block containing `addr`, returning its
+    /// id and the byte offset of `addr` within it. One page-index probe,
+    /// counted as one step.
+    pub fn lookup_addr(&mut self, addr: u64) -> Option<(LogicalId, u64)> {
+        self.stats.searches += 1;
+        self.stats.search_steps += 1;
+        let id = unpack_id(self.pages.get(addr)?);
+        let e = self.entry(id)?;
         if addr >= e.addr && addr < e.addr + e.size {
             Some((id, addr - e.addr))
         } else {
             None
         }
-    }
-
-    /// Probe the last-hit entry, then the page-tagged direct-mapped slot.
-    fn cache_probe(&self, addr: u64) -> Option<(LogicalId, u64)> {
-        if let Some(id) = self.cache_last {
-            if let Some(hit) = self.cache_validate(id, addr) {
-                return Some(hit);
-            }
-        }
-        let page = addr >> PAGE_SHIFT;
-        match self.cache_slots[Self::cache_slot(page)] {
-            Some((p, CacheWay::Cell(cell))) if p == page => self.cell_resolve(cell, addr),
-            Some((p, CacheWay::Block(id))) if p == page => self.cache_validate(id, addr),
-            _ => None,
-        }
-    }
-
-    /// *The* MSRLT search: find the block containing `addr`, returning its
-    /// id and the byte offset of `addr` within it. Counts comparisons.
-    pub fn lookup_addr(&mut self, addr: u64) -> Option<(LogicalId, u64)> {
-        self.stats.searches += 1;
-        if self.cache_enabled {
-            if let Some(hit) = self.cache_probe(addr) {
-                self.stats.cache_hits += 1;
-                self.cache_last = Some(hit.0);
-                return Some(hit);
-            }
-            self.stats.cache_misses += 1;
-        }
-        // Page-index walk: one directory probe plus a binary search over
-        // the block starts on one page, counted as one step (a page holds
-        // a bounded number of blocks, however many are live).
-        let mut walked_cell: Option<CellId> = None;
-        let mut result: Option<(LogicalId, u64)> = None;
-        if self.strategy == SearchStrategy::PageIndex {
-            if let Some(cell) = self.pages.cell(addr) {
-                self.stats.search_steps += 1;
-                walked_cell = Some(cell);
-                result = self.cell_resolve(cell, addr);
-            }
-        }
-        if result.is_some() {
-            self.stats.page_walks += 1;
-        } else {
-            // A non-page-index strategy, or a wild probe: the page
-            // index's miss is exact, and the ordered search confirms it
-            // at the cost every strategy pays for one.
-            if self.strategy == SearchStrategy::PageIndex {
-                self.stats.fallback_searches += 1;
-            }
-            let found = match self.strategy {
-                SearchStrategy::PageIndex | SearchStrategy::Binary => {
-                    let mut lo = 0usize;
-                    let mut hi = self.by_addr.len();
-                    while lo < hi {
-                        self.stats.search_steps += 1;
-                        let mid = (lo + hi) / 2;
-                        if self.by_addr[mid].0 <= addr {
-                            lo = mid + 1;
-                        } else {
-                            hi = mid;
-                        }
-                    }
-                    lo.checked_sub(1).map(|i| self.by_addr[i].1)
-                }
-                SearchStrategy::Linear => {
-                    let mut best: Option<(u64, LogicalId)> = None;
-                    for &(a, id) in &self.by_addr {
-                        self.stats.search_steps += 1;
-                        if a <= addr && best.map(|(ba, _)| a > ba).unwrap_or(true) {
-                            best = Some((a, id));
-                        }
-                    }
-                    best.map(|(_, id)| id)
-                }
-            };
-            result = found.and_then(|id| {
-                let e = self.entry(id)?;
-                if addr >= e.addr && addr < e.addr + e.size {
-                    Some((id, addr - e.addr))
-                } else {
-                    None
-                }
-            });
-        }
-        if self.cache_enabled {
-            if let Some((id, _)) = result {
-                self.cache_last = Some(id);
-                let page = addr >> PAGE_SHIFT;
-                let way = walked_cell.map_or(CacheWay::Block(id), CacheWay::Cell);
-                let slot = Self::cache_slot(page);
-                if matches!(self.cache_slots[slot], Some((p, _)) if p != page) {
-                    self.stats.cache_evictions += 1;
-                }
-                self.cache_slots[slot] = Some((page, way));
-            }
-        }
-        result
     }
 
     /// O(1) id→entry translation (the restoration-side operation).
@@ -611,11 +379,9 @@ impl Msrlt {
             .as_ref()
     }
 
-    /// All live entries, unordered.
+    /// All live entries, in id order.
     pub fn live_entries(&self) -> impl Iterator<Item = &MsrltEntry> {
-        self.by_addr
-            .iter()
-            .filter_map(|(_, id)| self.groups[id.group as usize][id.index as usize].as_ref())
+        self.groups.iter().flatten().flatten()
     }
 
     // ----- visit marking (collection-time DFS) -----
@@ -680,7 +446,8 @@ mod tests {
         let b = m.register(&info(0x6000, 4, SegmentKind::Stack));
         assert_eq!(b.group, 3);
         m.end_frame();
-        assert!(m.entry(b).is_none() || m.lookup_addr(0x6000).is_none());
+        assert!(m.entry(b).is_none());
+        assert_eq!(m.lookup_addr(0x6000), None);
         // Re-entering a frame at the same depth reuses group 3.
         assert_eq!(m.begin_frame(), 3);
         let c = m.register(&info(0x6000, 4, SegmentKind::Stack));
@@ -697,73 +464,159 @@ mod tests {
         assert_eq!(m.lookup_addr(0xFFF), None);
     }
 
+    /// The table against a reference that shares none of its search: a
+    /// brute-force scan over `live_entries()`, itself held equal to a
+    /// model of what should be live. Seeded register / register_at /
+    /// unregister (some at interior addresses, which must change nothing)
+    /// and frame push / pop churn, over blocks of 1 byte to several pages
+    /// that share pages, tile them and span them, and whose freed ranges
+    /// are handed out again. After every step every byte of every block,
+    /// and the one past its end, resolves as the scan says.
     #[test]
-    fn linear_and_binary_agree() {
-        let mut b = Msrlt::with_strategy(SearchStrategy::Binary);
-        let mut l = Msrlt::with_strategy(SearchStrategy::Linear);
-        for i in 0..50u64 {
-            let inf = info(0x1000 + i * 32, 16, SegmentKind::Heap);
-            b.register(&inf);
-            l.register(&inf);
+    fn msrlt_agrees_with_a_reference_scan() {
+        fn next(s: &mut u64) -> u64 {
+            *s ^= *s << 13;
+            *s ^= *s >> 7;
+            *s ^= *s << 17;
+            *s
         }
-        for probe in (0x0F00..0x1800).step_by(7) {
-            assert_eq!(
-                b.lookup_addr(probe),
-                l.lookup_addr(probe),
-                "probe {probe:#x}"
-            );
-        }
-        assert!(l.stats().search_steps > b.stats().search_steps);
-    }
 
-    #[test]
-    fn page_index_and_binary_agree() {
-        let mut p = Msrlt::new();
-        let mut b = Msrlt::with_strategy(SearchStrategy::Binary);
-        // Irregular sizes (including sub-granule and multi-page blocks)
-        // with irregular gaps.
-        let mut addr = 0x1000u64;
-        let mut end = addr;
-        for i in 0..200u64 {
-            let size = match i % 5 {
-                0 => 1,
-                1 => 3,
-                2 => 16,
-                3 => 2 * PAGE_SIZE + 8,
-                _ => 64,
+        fn check(m: &mut Msrlt, model: &[(u64, u64, LogicalId)]) {
+            let live: Vec<(u64, u64, LogicalId)> =
+                m.live_entries().map(|e| (e.addr, e.size, e.id)).collect();
+            let (mut got, mut want) = (live.clone(), model.to_vec());
+            got.sort();
+            want.sort();
+            assert_eq!(got, want, "live_entries");
+            assert_eq!(m.live_count(), live.len());
+            assert_eq!(m.registered_bytes(), live.iter().map(|e| e.1).sum::<u64>());
+            let scan = |x: u64| {
+                live.iter()
+                    .find(|&&(a, s, _)| a <= x && x < a + s)
+                    .map(|&(a, _, id)| (id, x - a))
             };
-            let inf = info(addr, size, SegmentKind::Heap);
-            p.register(&inf);
-            b.register(&inf);
-            end = addr + size;
-            addr = end + (i % 7);
+            for &(a, size, _) in &live {
+                for x in a..=a + size {
+                    assert_eq!(m.lookup_addr(x), scan(x), "lookup_addr({x:#x})");
+                }
+            }
         }
-        for probe in (0x0F00..end + 0x100).step_by(5) {
-            assert_eq!(
-                p.lookup_addr(probe),
-                b.lookup_addr(probe),
-                "probe {probe:#x}"
-            );
-        }
-        // Free every third block and re-verify agreement over the holes.
-        let addrs: Vec<u64> = p.live_entries().map(|e| e.addr).collect();
-        for a in addrs.iter().step_by(3) {
-            assert!(p.unregister(*a).is_some());
-            assert!(b.unregister(*a).is_some());
-        }
-        for probe in (0x0F00..end + 0x100).step_by(11) {
-            assert_eq!(
-                p.lookup_addr(probe),
-                b.lookup_addr(probe),
-                "post-free probe {probe:#x}"
-            );
+
+        for round in 0..3u64 {
+            let mut s = 0x5EA2_C4ED ^ (round << 20);
+            let mut m = Msrlt::new();
+            // (start, size, id) of every block that should be live.
+            let mut model: Vec<(u64, u64, LogicalId)> = Vec::new();
+            // Freed heap ranges, handed out again whole or in part.
+            let mut holes: Vec<(u64, u64)> = Vec::new();
+            // Each live frame's saved stack top and its locals' starts.
+            let mut frames: Vec<(u64, Vec<u64>)> = Vec::new();
+            let (mut heap_top, mut stack_top, mut global_top) =
+                (0x10_0000u64, 0x80_0000u64, 0x1000u64);
+
+            for _ in 0..120 {
+                let r = next(&mut s);
+                let size = match (r >> 8) % 16 {
+                    0..=8 => 1 + (r >> 12) % 16,
+                    9..=13 => 17 + (r >> 12) % 400,
+                    14 => PAGE_SIZE,
+                    _ => PAGE_SIZE - 8 + (r >> 12) % (2 * PAGE_SIZE),
+                };
+                match r % 12 {
+                    // A heap block: into a freed range when one is big
+                    // enough, else above the rest after a gap that is
+                    // nothing, a few bytes, or the rest of the page.
+                    0..=3 => {
+                        let at = holes.iter().position(|&(_, len)| len >= size);
+                        let addr = match at {
+                            Some(i) if (r >> 40).is_multiple_of(2) => holes.swap_remove(i).0,
+                            _ => {
+                                heap_top += match (r >> 41) % 4 {
+                                    0 => 0,
+                                    1 => PAGE_SIZE - heap_top % PAGE_SIZE,
+                                    _ => (r >> 43) % 24,
+                                };
+                                heap_top += size;
+                                heap_top - size
+                            }
+                        };
+                        let id = if (r >> 50).is_multiple_of(3) {
+                            // An id the stream dictates, past the table.
+                            let id = LogicalId {
+                                group: GROUP_HEAP,
+                                index: m.heap_len() + (r >> 52) as u32 % 3,
+                            };
+                            m.register_at(id, addr, size, TypeId(0), 1);
+                            id
+                        } else {
+                            m.register(&info(addr, size, SegmentKind::Heap))
+                        };
+                        model.push((addr, size, id));
+                    }
+                    4..=6 => {
+                        let heap: Vec<usize> = (0..model.len())
+                            .filter(|&i| model[i].2.group == GROUP_HEAP)
+                            .collect();
+                        if heap.is_empty() {
+                            continue;
+                        }
+                        let i = heap[(r >> 8) as usize % heap.len()];
+                        let (addr, size, id) = model[i];
+                        if size > 1 && (r >> 40).is_multiple_of(4) {
+                            // Inside the block: often the first page start
+                            // it runs over, which is a head, not a start.
+                            let boundary = (addr | (PAGE_SIZE - 1)) + 1;
+                            let inner = if boundary < addr + size && (r >> 42).is_multiple_of(2) {
+                                boundary
+                            } else {
+                                addr + 1 + (r >> 43) % (size - 1)
+                            };
+                            assert_eq!(m.unregister(inner), None, "interior {inner:#x}");
+                        } else {
+                            assert_eq!(m.unregister(addr), Some(id));
+                            model.swap_remove(i);
+                            holes.push((addr, size));
+                        }
+                    }
+                    // A frame of one to four locals below the stack top;
+                    // popping it hands their range to the next frame.
+                    7 | 8 => {
+                        let g = m.begin_frame();
+                        let (saved, mut locals) = (stack_top, Vec::new());
+                        for k in 0..1 + (r >> 40) % 4 {
+                            let size = 1 + (r >> (44 + 4 * k)) % 48;
+                            stack_top -= size + (r >> (46 + 4 * k)) % 4;
+                            let id = m.register(&info(stack_top, size, SegmentKind::Stack));
+                            assert_eq!(id.group, g);
+                            model.push((stack_top, size, id));
+                            locals.push(stack_top);
+                        }
+                        frames.push((saved, locals));
+                    }
+                    9 | 10 => {
+                        if let Some((saved, locals)) = frames.pop() {
+                            m.end_frame();
+                            model.retain(|e| !locals.contains(&e.0));
+                            stack_top = saved;
+                        }
+                    }
+                    _ => {
+                        let size = 1 + (r >> 12) % 64;
+                        let id = m.register(&info(global_top, size, SegmentKind::Global));
+                        model.push((global_top, size, id));
+                        global_top += size + (r >> 40) % 8;
+                    }
+                }
+                check(&mut m, &model);
+            }
+            let st = m.stats();
+            assert_eq!(st.search_steps, st.searches, "one probe per search");
         }
     }
 
     #[test]
-    fn page_index_resolves_in_constant_steps() {
+    fn every_search_is_one_probe() {
         let mut m = Msrlt::new();
-        m.set_cache_enabled(false);
         for i in 0..4096u64 {
             m.register(&info(0x1000 + i * 16, 16, SegmentKind::Heap));
         }
@@ -771,28 +624,21 @@ mod tests {
         for i in (0..4096u64).step_by(97) {
             assert!(m.lookup_addr(0x1000 + i * 16 + 4).is_some());
         }
+        assert_eq!(m.lookup_addr(0x10), None, "a wild probe is one probe too");
         let s = m.stats();
-        assert!(s.searches > 0);
-        assert_eq!(
-            s.search_steps, s.searches,
-            "one page-walk step per mapped lookup"
-        );
-        assert_eq!(s.page_walks, s.searches);
-        assert_eq!(s.fallback_searches, 0);
+        assert_eq!(s.searches, 4096 / 97 + 2);
+        assert_eq!(s.search_steps, s.searches);
     }
 
     #[test]
     fn whole_page_blocks_resolve_via_page_index() {
         let mut m = Msrlt::new();
-        m.set_cache_enabled(false);
         // Page-aligned block covering three whole pages plus a tail.
         let id = m.register(&info(0x10000, 3 * PAGE_SIZE + 32, SegmentKind::Heap));
-        m.reset_stats();
         assert_eq!(
             m.lookup_addr(0x10000 + PAGE_SIZE + 8),
             Some((id, PAGE_SIZE + 8))
         );
-        assert_eq!(m.stats().search_steps, 1);
         assert_eq!(m.lookup_addr(0x10000 + 3 * PAGE_SIZE + 8).unwrap().0, id);
         m.unregister(0x10000);
         assert_eq!(m.lookup_addr(0x10000 + PAGE_SIZE), None);
@@ -801,10 +647,8 @@ mod tests {
     #[test]
     fn one_byte_neighbours_resolve_through_the_page_index() {
         let mut m = Msrlt::new();
-        m.set_cache_enabled(false);
         // Two 1-byte blocks inside one 4-byte word: the page's cell lists
-        // both starts, so each resolves to itself on the page walk and
-        // neither needs the ordered search.
+        // both starts, so each resolves to itself.
         let a = m.register(&info(0x1000, 1, SegmentKind::Heap));
         let b = m.register(&info(0x1001, 1, SegmentKind::Heap));
         assert_eq!(m.lookup_addr(0x1000), Some((a, 0)));
@@ -815,35 +659,32 @@ mod tests {
             Some((a, 0)),
             "survivor must resolve after its neighbour is freed"
         );
-        let s = m.stats();
-        assert_eq!((s.searches, s.page_walks, s.search_steps), (3, 3, 3));
-        assert_eq!(s.fallback_searches, 0);
-        // The freed byte is a wild probe now: the only fallback.
         assert_eq!(m.lookup_addr(0x1001), None);
-        assert_eq!(m.stats().fallback_searches, 1);
     }
 
     #[test]
-    fn search_steps_logarithmic_on_binary_fallback() {
-        let mut m = Msrlt::with_strategy(SearchStrategy::Binary);
-        for i in 0..1024u64 {
-            m.register(&info(0x1000 + i * 16, 16, SegmentKind::Heap));
-        }
-        m.reset_stats();
-        m.lookup_addr(0x1000 + 500 * 16);
-        let s = m.stats();
-        assert_eq!(s.searches, 1);
-        assert!(
-            s.search_steps <= 11,
-            "expected ≤ log2(1024)+1 steps, got {}",
-            s.search_steps
+    fn a_block_at_a_zero_size_blocks_start_replaces_it() {
+        let mut m = Msrlt::new();
+        // An `int[0]` global, then a global at its address.
+        let z = m.register(&info(0x100, 0, SegmentKind::Global));
+        assert_eq!(
+            m.lookup_addr(0x100),
+            None,
+            "a zero-size block holds no byte"
         );
+        let g = m.register(&info(0x100, 4, SegmentKind::Global));
+        assert_eq!(g.index, z.index + 1, "ids still follow definition order");
+        assert!(m.entry(z).is_none());
+        assert_eq!(m.lookup_addr(0x103), Some((g, 3)));
+        assert_eq!((m.live_count(), m.registered_bytes()), (1, 4));
+        assert_eq!(m.live_entries().count(), 1);
     }
 
     #[test]
     fn unregister_removes() {
         let mut m = Msrlt::new();
         let id = m.register(&info(0x1000, 16, SegmentKind::Heap));
+        assert_eq!(m.unregister(0x1008), None, "not a block start");
         assert_eq!(m.unregister(0x1000), Some(id));
         assert_eq!(m.lookup_addr(0x1008), None);
         assert!(m.entry(id).is_none());
@@ -887,100 +728,16 @@ mod tests {
     }
 
     #[test]
-    fn cache_hit_skips_search_steps() {
-        let mut m = Msrlt::new();
-        for i in 0..256u64 {
-            m.register(&info(0x1000 + i * 16, 16, SegmentKind::Heap));
-        }
-        m.reset_stats();
-        let first = m.lookup_addr(0x1000 + 100 * 16).unwrap();
-        let cold_steps = m.stats().search_steps;
-        assert!(cold_steps > 0);
-        assert_eq!(m.stats().cache_misses, 1);
-        // Same block again: last-hit cache answers with zero steps.
-        let again = m.lookup_addr(0x1000 + 100 * 16 + 8).unwrap();
-        assert_eq!(again.0, first.0);
-        assert_eq!(again.1, 8);
-        assert_eq!(m.stats().cache_hits, 1);
-        assert_eq!(m.stats().search_steps, cold_steps);
-        assert_eq!(m.stats().searches, 2);
-    }
-
-    #[test]
-    fn page_slotted_cache_hits_across_distinct_blocks() {
-        // The bitonic pattern: every block is looked up exactly once, so
-        // a block- or address-tagged cache can never hit. A page-tagged
-        // slot resolving through the page-index cell hits for every block
-        // that shares a previously touched page.
-        let mut m = Msrlt::new();
-        for i in 0..64u64 {
-            m.register(&info(0x1000 + i * 8, 8, SegmentKind::Heap));
-        }
-        m.reset_stats();
-        for i in 0..64u64 {
-            assert!(m.lookup_addr(0x1000 + i * 8 + 4).is_some());
-        }
-        let s = m.stats();
-        assert_eq!(s.searches, 64);
-        assert!(
-            s.cache_hits >= 62,
-            "single-page working set should hit after the first walk: {s:?}"
-        );
-    }
-
-    #[test]
-    fn cache_survives_intervening_lookups_via_direct_map() {
-        let mut m = Msrlt::new();
-        for i in 0..64u64 {
-            m.register(&info(0x1000 + i * 64, 32, SegmentKind::Heap));
-        }
-        m.reset_stats();
-        let a = m.lookup_addr(0x1000).unwrap();
-        let b = m.lookup_addr(0x1000 + 10 * 64).unwrap();
-        assert_ne!(a.0, b.0);
-        // `a`'s block is no longer the last hit, but the page-tagged
-        // direct-mapped slot still resolves it.
-        let a2 = m.lookup_addr(0x1000).unwrap();
-        assert_eq!(a2, a);
-        assert!(m.stats().cache_hits >= 1, "{:?}", m.stats());
-    }
-
-    #[test]
-    fn stale_cache_entries_miss_after_free_and_realloc() {
+    fn freed_then_reallocated_range_resolves_to_the_new_block() {
         let mut m = Msrlt::new();
         let a = m.register(&info(0x1000, 16, SegmentKind::Heap));
         assert_eq!(m.lookup_addr(0x1008).unwrap().0, a);
         m.unregister(0x1000);
-        assert_eq!(m.lookup_addr(0x1008), None, "freed block must not hit");
-        // Same address range re-registered under a new id: the cached
-        // translation must resolve to the live block.
+        assert_eq!(m.lookup_addr(0x1008), None, "freed block must not resolve");
+        // Same address range re-registered under a new id.
         let b = m.register(&info(0x1000, 16, SegmentKind::Heap));
         assert_ne!(a, b);
         assert_eq!(m.lookup_addr(0x1008).unwrap().0, b);
-    }
-
-    #[test]
-    fn linear_strategy_has_no_cache() {
-        let mut m = Msrlt::with_strategy(SearchStrategy::Linear);
-        assert!(!m.cache_enabled());
-        m.register(&info(0x1000, 16, SegmentKind::Heap));
-        m.lookup_addr(0x1000);
-        m.lookup_addr(0x1000);
-        assert_eq!(m.stats().cache_hits, 0);
-        assert_eq!(m.stats().cache_misses, 0);
-    }
-
-    #[test]
-    fn disabling_cache_drops_translations() {
-        let mut m = Msrlt::new();
-        m.register(&info(0x1000, 16, SegmentKind::Heap));
-        m.lookup_addr(0x1000);
-        m.set_cache_enabled(false);
-        m.reset_stats();
-        m.lookup_addr(0x1000);
-        let s = m.stats();
-        assert_eq!(s.cache_hits + s.cache_misses, 0);
-        assert!(s.search_steps > 0);
     }
 
     #[test]

@@ -31,7 +31,7 @@ mod page_index;
 mod space;
 
 pub use block::{BlockInfo, MemoryBlock};
-pub use page_index::{CellId, PageIndex, PAGE_SHIFT, PAGE_SIZE};
+pub use page_index::{PageIndex, PAGE_SIZE};
 pub use space::{AddressSpace, AllocStats, BlockSlot, FrameId, MemError, ResolvedAddr};
 
 #[cfg(test)]

@@ -1,21 +1,22 @@
 //! The one address → block index: a 4 KiB page directory whose cells
 //! list the blocks that start inside each page.
 //!
-//! Both address maps of the simulator are built on it: the address
-//! space's (address → arena slot) and the MSRLT's (address → logical
-//! id). A lookup is one directory probe plus a binary search over one
-//! page's block starts, and it answers what an ordered map's predecessor
-//! query would: the block with the greatest start at or below the
-//! address. The caller's containment check then makes the answer exact —
-//! a 1-byte block never hides its neighbour. Memory is one cell per
-//! touched page plus one entry per block; a page wholly inside one block
-//! is a cell with a head and no list.
+//! Both address maps of the simulator are built on it, and each has no
+//! other: the address space's (address → arena slot) and the MSRLT's
+//! (address → logical id). A lookup is one directory probe plus a
+//! binary search over one page's block starts, and it answers what an
+//! ordered map's predecessor query would: the block with the greatest
+//! start at or below the address. The caller's containment check then
+//! makes the answer exact — a 1-byte block never hides its neighbour,
+//! and a miss needs no second search. Memory is one cell per touched
+//! page plus one entry per block; a page wholly inside one block is a
+//! cell with a head and no list.
 //!
 //! Blocks must not overlap, except that a block may start where another
-//! starts (in the address space, only where a zero-size block starts):
-//! it then replaces that block on every page, as an ordered map's insert
-//! replaces the entry at its key, and [`PageIndex::insert`] returns the
-//! replaced value.
+//! starts (in the address space and the MSRLT, only where a zero-size
+//! block starts): it then replaces that block on every page, as an
+//! ordered map's insert replaces the entry at its key, and
+//! [`PageIndex::insert`] returns the replaced value.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -26,15 +27,6 @@ pub const PAGE_SHIFT: u32 = 12;
 /// The index's page size in bytes.
 pub const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
 const PAGE_MASK: u64 = PAGE_SIZE - 1;
-
-/// Handle to one page's cell, from [`PageIndex::cell`].
-///
-/// Cells are recycled once their page empties, so a handle kept across
-/// mutations may name another page's cell: [`PageIndex::get_in`] then
-/// answers for that page, which a caller that checks containment (the
-/// MSRLT's translation cache) turns into a miss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CellId(u32);
 
 /// Multiplicative hash of a page number. Consecutive pages land in
 /// distinct buckets (an odd multiplier permutes the low bits) and the
@@ -167,19 +159,8 @@ impl<V: Copy + PartialEq> PageIndex<V> {
     /// `addr`, if that block starts on `addr`'s page or runs into it.
     /// Whether it still contains `addr` is the caller's check.
     pub fn get(&self, addr: u64) -> Option<V> {
-        self.get_in(self.cell(addr)?, addr)
-    }
-
-    /// The directory probe alone: the cell of `addr`'s page, if any block
-    /// reaches that page.
-    pub fn cell(&self, addr: u64) -> Option<CellId> {
-        self.dir.get(&(addr >> PAGE_SHIFT)).map(|&c| CellId(c))
-    }
-
-    /// [`PageIndex::get`] through a cell handle, skipping the directory:
-    /// only `addr`'s offset within its page is read.
-    pub fn get_in(&self, cell: CellId, addr: u64) -> Option<V> {
-        self.cells.get(cell.0 as usize)?.get(offset(addr))
+        let &c = self.dir.get(&(addr >> PAGE_SHIFT))?;
+        self.cells[c as usize].get(offset(addr))
     }
 
     fn cell_mut(&mut self, page: u64) -> &mut Cell<V> {
@@ -334,19 +315,20 @@ mod tests {
         let mut ix = PageIndex::new();
         ix.insert(0x7000, 4, 1u64);
         ix.insert(0x7004, 4, 2);
-        let c = ix.cell(0x7000).expect("page 7 has a cell");
         ix.remove(0x7000);
-        assert_eq!(ix.cell(0x7000), Some(c), "one block still starts there");
+        assert_eq!(ix.get(0x7000), None);
+        assert_eq!(ix.get(0x7005), Some(2), "one block still starts there");
+        assert_eq!(ix.dir.len(), 1);
         ix.remove(0x7004);
-        assert_eq!(ix.cell(0x7000), None);
+        assert_eq!(ix.get(0x7005), None);
         assert_eq!(ix.dir.len(), 0);
-        // The next new page takes the freed cell; a stale handle now
-        // answers for that page, never with a value the old page held.
+        // The next new page takes the freed cell, and nothing the old
+        // page held answers through it, there or on the new page.
         ix.insert(0x9010, 4, 3);
-        assert_eq!(ix.cell(0x9010), Some(c));
-        assert_eq!(ix.get_in(c, 0x7000), None);
-        assert_eq!(ix.get_in(c, 0x7010), Some(3));
         assert_eq!(ix.cells.len(), 1);
+        assert_eq!(ix.get(0x7005), None);
+        assert_eq!(ix.get(0x9005), None);
+        assert_eq!(ix.get(0x9010), Some(3));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use crate::ctx::{collect_onto, collect_pending_streamed, MigratableProgram};
 use crate::driver::{resume, run_to_migration, CompletedRun, MigratedSource};
 use crate::precopy::{self, PrecopyConfig};
-use crate::process::{Process, Trigger};
+use crate::process::Trigger;
 use crate::report::{
     Collected, MigrationReport, MigrationRun, PipelineStats, RecoveryStats, ResumeStats, Rung2Skip,
     TransportStats,
@@ -335,7 +335,7 @@ impl<P: MigratableProgram, F: Fn() -> P> Engine<'_, F> {
                 let modeled_ns = carried.transfer.modeled_tx_nanos;
                 track.end("tx", &[("modeled_ns", modeled_ns)]);
                 let dst = self.resume_on(&self.dst_arch, &image)?;
-                self.end_phases(&src.proc, &carried.transfer, &dst);
+                self.end_phases(&carried.transfer, &dst);
                 Delivered {
                     collected,
                     transfer: carried.transfer,
@@ -386,15 +386,7 @@ impl<P: MigratableProgram, F: Fn() -> P> Engine<'_, F> {
 
     /// The closing phase events of a migration that reached its
     /// destination (a source-resume fallback emits none).
-    pub(crate) fn end_phases(
-        &self,
-        src: &Process,
-        transfer: &TransferSnapshot,
-        dst: &CompletedRun,
-    ) {
-        let evictions = src.msrlt.stats().cache_evictions;
-        self.driver
-            .event("msrlt.evictions", &[("count", evictions)]);
+    pub(crate) fn end_phases(&self, transfer: &TransferSnapshot, dst: &CompletedRun) {
         self.driver
             .event("phase.tx", &[("bytes", transfer.bytes_sent)]);
         self.driver.event(
@@ -670,7 +662,7 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
                 .map(|t| t.saturating_duration_since(t_start))
                 .unwrap_or_default(),
         };
-        self.end_phases(&src.proc, &out.wire.transfer, &dst);
+        self.end_phases(&out.wire.transfer, &dst);
         Ok(Delivered {
             collected: Collected {
                 time: out.produce_time,

@@ -215,7 +215,7 @@ pub(crate) fn rounds<P: MigratableProgram, F: Fn() -> P>(
             // The destination resumes from its reconstructed image.
             let dst = engine.resume_on(&engine.dst_arch, &retained.image)?;
             stats.freeze_time = frozen_at.elapsed();
-            engine.end_phases(&frozen.proc, &shipped.transfer, &dst);
+            engine.end_phases(&shipped.transfer, &dst);
             break (Some(frozen.proc), dst);
         }
     };

@@ -49,7 +49,6 @@ const SCHEMA: &[&str] = &[
     "driver collect.block P* [count]",
     "driver collect.done P [bytes,chunks]",
     "driver fallback.reached P [] +note",
-    "driver msrlt.evictions P [count]",
     "driver msrlt.search B* []",
     "driver msrlt.search E* [group,index]",
     "driver net.recv B* []",

@@ -1,8 +1,7 @@
 //! Integration tests for the pipelined migration path: chunked images
 //! are byte-identical to monolithic ones, streamed restoration produces
 //! the same results while overlapping with collection and transmission,
-//! chunk-level failures carry their chunk index, and the MSRLT
-//! translation cache cuts search work.
+//! and chunk-level failures carry their chunk index.
 
 use hpm::arch::Architecture;
 use hpm::core::image::unframe_image;
@@ -151,44 +150,4 @@ fn lost_chunk_is_reported_with_its_index() {
         }
         other => panic!("expected a truncation error, got {other:?}"),
     }
-}
-
-/// The MSRLT translation cache: on repeated collections of a frozen
-/// test_pointer source, most address→id lookups hit the cache, and the
-/// binary-search step count drops strictly below the uncached baseline.
-#[test]
-fn msrlt_cache_hits_and_cuts_search_steps() {
-    const ROUNDS: usize = 3;
-
-    let mut cached = freeze_test_pointer();
-    assert!(cached.proc.msrlt.cache_enabled());
-    cached.proc.msrlt.reset_stats();
-    for _ in 0..ROUNDS {
-        cached.collect().unwrap();
-    }
-    let cs = cached.proc.msrlt.stats();
-
-    let mut plain = freeze_test_pointer();
-    plain.proc.msrlt.set_cache_enabled(false);
-    plain.proc.msrlt.reset_stats();
-    for _ in 0..ROUNDS {
-        plain.collect().unwrap();
-    }
-    let ps = plain.proc.msrlt.stats();
-
-    assert_eq!(ps.cache_hits, 0, "disabled cache must never hit");
-    assert_eq!(cs.searches, ps.searches, "lookup counts must agree");
-    assert!(
-        cs.cache_hit_rate() > 0.5,
-        "hit rate {:.3} not above 50% (hits {}, misses {})",
-        cs.cache_hit_rate(),
-        cs.cache_hits,
-        cs.cache_misses
-    );
-    assert!(
-        cs.search_steps < ps.search_steps,
-        "cache must strictly reduce steps: cached {} vs uncached {}",
-        cs.search_steps,
-        ps.search_steps
-    );
 }
