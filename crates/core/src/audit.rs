@@ -175,7 +175,7 @@ pub fn audit_registry(
 
     let entries: Vec<_> = msrlt
         .live_entries()
-        .map(|e| (e.id, e.addr, e.ty, e.count, e.size))
+        .map(|(id, e)| (id, e.addr(), e.ty, e.count, e.size))
         .collect();
     let live_depth = msrlt.frame_depth() as u32;
     let first_dead_group = frame_group(live_depth);
@@ -342,7 +342,7 @@ mod tests {
             .unwrap();
         msrlt.register_at(
             LogicalId { group: 2, index: 0 },
-            info.addr,
+            info.slot,
             info.size,
             info.ty,
             info.count,
@@ -355,7 +355,7 @@ mod tests {
         if msrlt.lookup_addr(info.addr).is_none() {
             msrlt.register_at(
                 LogicalId { group: 2, index: 1 },
-                info.addr,
+                info.slot,
                 info.size,
                 info.ty,
                 info.count,

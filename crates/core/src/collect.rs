@@ -52,7 +52,7 @@
 
 use crate::fingerprint::type_fingerprint;
 use crate::kernel::{for_each_run, Kernel};
-use crate::msrlt::{LogicalId, Msrlt};
+use crate::msrlt::{LogicalId, Msrlt, MsrltEntry};
 use crate::translate::{leaf_ordinal, read_ptr, span, Cursor};
 use crate::CoreError;
 use hpm_arch::Architecture;
@@ -386,19 +386,20 @@ impl<'a> Collector<'a> {
         self
     }
 
-    /// An MSRLT address search, bracketed as a detail span.
-    fn lookup_addr(&mut self, addr: u64) -> Option<(LogicalId, u64)> {
+    /// An MSRLT address search, bracketed as a detail span: the block's
+    /// id, its record and `addr`'s byte offset in it.
+    fn resolve(&mut self, addr: u64) -> Result<(LogicalId, MsrltEntry, u64), CoreError> {
         let track = &self.out.track;
         track.detail_begin("msrlt.search", &[]);
-        let r = self.msrlt.lookup_addr(addr);
+        let r = self.msrlt.resolve(addr);
         match r {
-            Some((id, _)) => track.detail_end(
+            Some((id, ..)) => track.detail_end(
                 "msrlt.search",
                 &[("group", id.group as u64), ("index", id.index as u64)],
             ),
             None => track.detail_end("msrlt.search", &[("miss", 1)]),
         }
-        r
+        r.ok_or(CoreError::UnregisteredPointer(addr))
     }
 
     /// The number this image knows `ty` by and, the first time the type
@@ -447,23 +448,20 @@ impl<'a> Collector<'a> {
     /// only a `VAR_VISITED` reference is emitted (the paper: "the node v7
     /// and its subsequent links and nodes have already been visited").
     pub fn save_variable(&mut self, addr: u64) -> Result<(), CoreError> {
-        let (id, off) = self
-            .lookup_addr(addr)
-            .ok_or(CoreError::UnregisteredPointer(addr))?;
+        let (id, entry, off) = self.resolve(addr)?;
         if off != 0 {
             return Err(CoreError::SequenceMismatch(format!(
                 "save_variable at interior address {addr:#x}"
             )));
         }
-        if self.msrlt.is_visited(id) {
+        if self.msrlt.visited(&entry) {
             Record::bare(TAG_VAR_VISITED, id).encode(&mut self.out.enc)?;
             return self.out.maybe_flush();
         }
         self.msrlt.mark_visited(id);
-        let entry = self.msrlt.entry(id).unwrap();
         let (ty, count) = (entry.ty, entry.count);
         self.put_block_record(TAG_VAR_NEW, id, ty, 0, count)?;
-        self.emit_block(addr, ty, count)?;
+        self.emit_block(entry.slot(), ty, count)?;
         self.out.maybe_flush()
     }
 
@@ -505,21 +503,21 @@ impl<'a> Collector<'a> {
 
     // ----- internals -----
 
-    fn emit_block(&mut self, addr: u64, ty: TypeId, count: u64) -> Result<(), CoreError> {
+    fn emit_block(&mut self, slot: BlockSlot, ty: TypeId, count: u64) -> Result<(), CoreError> {
         self.stats.blocks_saved += 1;
         self.out
             .track
             .detail_event("collect.block", &[("count", count)]);
         let mut stack = Vec::new();
-        self.push_block(addr, ty, count, &mut stack)?;
+        self.push_block(slot, ty, count, &mut stack)?;
         self.drain(stack)
     }
 
-    /// Save the contents of the block at `addr`: pointer-free blocks are
-    /// encoded here and now, the rest get a cursor on the DFS stack.
+    /// Save the contents of the block behind `slot`: pointer-free blocks
+    /// are encoded here and now, the rest get a cursor on the DFS stack.
     fn push_block(
         &mut self,
-        addr: u64,
+        slot: BlockSlot,
         ty: TypeId,
         count: u64,
         stack: &mut Vec<Cursor>,
@@ -527,29 +525,27 @@ impl<'a> Collector<'a> {
         let plan = self.space.plan_ref(ty)?;
         if !plan.has_pointers {
             let plan = Arc::clone(plan);
-            return self.encode_flat_block(addr, &plan, count);
+            return self.encode_flat_block(slot, &plan, count);
         }
-        // The one address translation this block costs.
-        stack.push(Cursor::new(self.space, addr, ty, count)?);
+        stack.push(Cursor::new(slot, ty, count));
         Ok(())
     }
 
-    /// Save a pointer-free block (the linpack case): one address
-    /// resolution, then its runs straight through the encode kernel — a
+    /// Save a pointer-free block (the linpack case): one borrow of its
+    /// bytes, then its runs straight through the encode kernel — a
     /// dense single-kind block as one run. This is what makes
     /// Encode-and-Copy the dominant linpack term rather than per-element
     /// bookkeeping.
     fn encode_flat_block(
         &mut self,
-        addr: u64,
+        slot: BlockSlot,
         plan: &SavePlan,
         count: u64,
     ) -> Result<(), CoreError> {
-        let (slot, base) = self.space.slot_of(addr)?;
         let (arch, bytes) = (self.space.arch(), self.space.slot_bytes(slot)?);
         let out = &mut self.out;
         for_each_run(arch, plan, count, self.mode, |offset, kernel, n| {
-            encode_run(arch, bytes, slot, base + offset, kernel, n, out)
+            encode_run(arch, bytes, slot, offset, kernel, n, out)
         })?;
         self.stats.scalars_encoded += plan.leaf_count * count;
         Ok(())
@@ -594,14 +590,11 @@ impl<'a> Collector<'a> {
             return Ok(());
         }
         // THE MSRLT search (counted in MsrltStats).
-        let (id, byte_off) = self
-            .lookup_addr(ptr)
-            .ok_or(CoreError::UnregisteredPointer(ptr))?;
-        let entry = self.msrlt.entry(id).unwrap();
-        let (ty, count, target_addr) = (entry.ty, entry.count, entry.addr);
+        let (id, entry, byte_off) = self.resolve(ptr)?;
+        let (ty, count) = (entry.ty, entry.count);
         // Element ordinal of the pointed-to leaf within the target block.
         let leaf_idx = leaf_ordinal(self.space, ty, count, byte_off, ptr)?;
-        if self.msrlt.is_visited(id) {
+        if self.msrlt.visited(&entry) {
             self.stats.ptr_ref += 1;
             let mut rec = Record::bare(TAG_PTR_REF, id);
             rec.ordinal = leaf_idx;
@@ -614,7 +607,7 @@ impl<'a> Collector<'a> {
             .track
             .detail_event("collect.block", &[("count", count)]);
         self.put_block_record(TAG_PTR_NEW, id, ty, leaf_idx, count)?;
-        self.push_block(target_addr, ty, count, stack)
+        self.push_block(entry.slot(), ty, count, stack)
     }
 }
 
@@ -790,6 +783,48 @@ mod tests {
         assert_eq!(back, Record::bare(TAG_PTR_REF, id1));
         assert_eq!(size, 8, "PTR_REF to a block start: word0 + index");
         assert_eq!(at + size, bytes.len());
+    }
+
+    #[test]
+    fn an_epoch_wrap_leaves_no_block_marked_visited() {
+        let (mut space, mut msrlt) = setup();
+        let node = space.types_mut().declare_struct("node");
+        let pnode = space.types_mut().pointer_to(node);
+        let int = space.types_mut().int();
+        space
+            .types_mut()
+            .define_struct(node, vec![Field::new("v", int), Field::new("link", pnode)])
+            .unwrap();
+        let n1 = space.malloc(node, 1).unwrap();
+        let n2 = space.malloc(node, 1).unwrap();
+        for (from, to) in [(n1, n2), (n2, n1)] {
+            let link = space.elem_addr(from, 1).unwrap();
+            space.store_ptr(link, to).unwrap();
+        }
+        let ids = [n1, n2].map(|n| register(&space, &mut msrlt, n));
+        let collect = |space: &mut AddressSpace, msrlt: &mut Msrlt| {
+            let mut c = Collector::new(space, msrlt);
+            c.save_pointer(n1).unwrap();
+            c.finish()
+        };
+        // A fresh table's first collection marks both blocks in its epoch,
+        // which is also the first epoch after a wrap.
+        let (first, stats) = collect(&mut space, &mut msrlt);
+        assert_eq!((stats.blocks_saved, stats.ptr_ref), (2, 1));
+        assert!(ids.iter().all(|&id| msrlt.is_visited(id)));
+
+        msrlt.force_epoch(u32::MAX);
+        msrlt.mark_visited(ids[1]);
+        drop(Collector::new(&mut space, &mut msrlt));
+        for id in ids {
+            assert!(!msrlt.is_visited(id), "{id} still marked after the wrap");
+        }
+        // A whole collection across the wrap saves the graph again, byte
+        // for byte.
+        msrlt.force_epoch(u32::MAX);
+        let (again, stats) = collect(&mut space, &mut msrlt);
+        assert_eq!(again, first);
+        assert_eq!(stats.blocks_saved, 2);
     }
 
     #[test]

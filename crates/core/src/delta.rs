@@ -32,10 +32,10 @@
 use crate::collect::TranslationMode;
 use crate::fingerprint::{content_digest, fnv, type_fingerprint, FNV_OFFSET};
 use crate::kernel::{for_each_run, Kernel};
-use crate::msrlt::{LogicalId, Msrlt};
+use crate::msrlt::{LogicalId, Msrlt, MsrltEntry};
 use crate::translate::{logical_pointer, read_ptr, span};
 use crate::CoreError;
-use hpm_memory::AddressSpace;
+use hpm_memory::{AddressSpace, BlockSlot};
 use hpm_types::plan::PlanOp;
 use hpm_xdr::delta::{frame_delta, unframe_delta, DeltaHeader};
 use hpm_xdr::{compress_with_dict, decompress_with_dict, image_id_from_fnv, XdrEncoder};
@@ -65,26 +65,23 @@ pub fn block_digests(
 ) -> Result<Vec<BlockDigest>, CoreError> {
     // Snapshot the live entries first: digesting needs `&mut` access to
     // both structures for plan compilation and pointer lookup.
-    let entries: Vec<(LogicalId, u64, hpm_types::TypeId, u64, u64)> = msrlt
-        .live_entries()
-        .map(|e| (e.id, e.addr, e.ty, e.count, e.size))
-        .collect();
+    let entries: Vec<(LogicalId, MsrltEntry)> = msrlt.live_entries().collect();
     let mut out = Vec::with_capacity(entries.len());
     // One scratch encoder and one fingerprint per type serve every block.
     let mut enc = XdrEncoder::new();
     let mut fingerprints = HashMap::new();
-    for (id, addr, ty, count, size) in entries {
+    for (id, e) in entries {
         let fingerprint = *fingerprints
-            .entry(ty)
-            .or_insert_with(|| type_fingerprint(space.types(), ty));
+            .entry(e.ty)
+            .or_insert_with(|| type_fingerprint(space.types(), e.ty));
         enc.clear();
         enc.put_u64(fingerprint);
-        enc.put_u64(count);
-        encode_canonical(space, msrlt, &mut enc, addr, ty, count)?;
+        enc.put_u64(e.count);
+        encode_canonical(space, msrlt, &mut enc, e.slot(), e.ty, e.count)?;
         out.push(BlockDigest {
             id,
             digest: content_digest(enc.as_bytes()),
-            bytes: size,
+            bytes: e.size,
         });
     }
     out.sort_by_key(|d| (d.id.group, d.id.index));
@@ -96,16 +93,15 @@ fn encode_canonical(
     space: &mut AddressSpace,
     msrlt: &mut Msrlt,
     enc: &mut XdrEncoder,
-    addr: u64,
+    slot: BlockSlot,
     ty: hpm_types::TypeId,
     count: u64,
 ) -> Result<(), CoreError> {
     let plan = space.plan_for(ty)?;
-    // One address translation for the block; every op below indexes its
-    // bytes, re-borrowed per op so pointer translation can compile the
-    // target type's plan in between.
-    let (slot, base) = space.slot_of(addr)?;
-    // The canonical form is the collector's default encoding.
+    // Every op below indexes the block's bytes through its handle,
+    // re-borrowed per op so pointer translation can compile the target
+    // type's plan in between. The canonical form is the collector's
+    // default encoding.
     let mode = TranslationMode::default();
     let run = |space: &AddressSpace, enc: &mut XdrEncoder, at: u64, kernel: Kernel, n: u64| {
         let src = span(space.slot_bytes(slot)?, slot, at, kernel.native_span(n))?;
@@ -114,11 +110,11 @@ fn encode_canonical(
     };
     if !plan.has_pointers {
         return for_each_run(space.arch(), &plan, count, mode, |offset, kernel, n| {
-            run(space, enc, base + offset, kernel, n)
+            run(space, enc, offset, kernel, n)
         });
     }
     for elem in 0..count {
-        let elem_base = base + elem * plan.size;
+        let elem_base = elem * plan.size;
         for op in &plan.ops {
             match *op {
                 PlanOp::ScalarRun {
@@ -523,7 +519,7 @@ mod tests {
             .find(|d| d.id.group == 1)
             .expect("heap block")
             .id;
-        let freed_addr = msrlt.entry(freed).unwrap().addr;
+        let freed_addr = msrlt.entry(freed).unwrap().addr();
         // Clear the list link first so nothing dangles logically.
         space.free(freed_addr).unwrap();
         msrlt.unregister(freed_addr);

@@ -62,7 +62,7 @@ impl MsrGraph {
         let mut g = MsrGraph::default();
         let entries: Vec<_> = msrlt
             .live_entries()
-            .map(|e| (e.id, e.addr, e.ty, e.count, e.size))
+            .map(|(id, e)| (id, e.addr(), e.ty, e.count, e.size))
             .collect();
         for &(id, addr, ty, count, size) in &entries {
             let block = space

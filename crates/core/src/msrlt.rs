@@ -26,13 +26,16 @@
 //! the address→id direction is `O(1)` too: its one structure is a
 //! [`PageIndex`] — the index the address space resolves through — whose
 //! answer a containment check makes exact, so every search is one probe
-//! and a miss is final.
+//! and a miss is final. The record a search lands on carries the
+//! block's [`BlockSlot`], so the collector reaches the block's bytes
+//! without a second search in the address space.
 
 use crate::CoreError;
 use hpm_arch::SegmentKind;
-use hpm_memory::{BlockInfo, PageIndex};
+use hpm_memory::{BlockInfo, BlockSlot, PageIndex};
 use hpm_obs::{StatField, StatGroup};
 use hpm_types::TypeId;
+use std::num::NonZeroU32;
 
 /// Group number of the global-variable group.
 pub const GROUP_GLOBAL: u32 = 0;
@@ -70,20 +73,42 @@ impl std::fmt::Display for LogicalId {
     }
 }
 
-/// One MSRLT entry: a live memory block's identification and location.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The mark of a block no collection has visited since the marks were
+/// last cleared: never a collection's epoch, which starts above it.
+const UNVISITED: NonZeroU32 = NonZeroU32::MIN;
+/// Where a fresh table's epoch stands before its first collection:
+/// above [`UNVISITED`], so no record reads visited.
+const FRESH_EPOCH: NonZeroU32 = UNVISITED.saturating_add(1);
+
+/// One MSRLT record: a live memory block's location, as the table holds
+/// it at the block's id (which is the record's position, so the record
+/// does not repeat it). 40 bytes, and 40 as an `Option` too: the mark is
+/// never 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MsrltEntry {
-    /// Logical identification.
-    pub id: LogicalId,
-    /// Machine-specific start address.
-    pub addr: u64,
+    /// Handle to the block in the address space, taken at registration;
+    /// its address is the block's machine-specific start address.
+    slot: BlockSlot,
     /// Block size in bytes on this machine.
     pub size: u64,
     /// Element type.
     pub ty: TypeId,
     /// Element count.
     pub count: u64,
-    visited_epoch: u64,
+    /// Epoch of the collection that last visited the block.
+    mark: NonZeroU32,
+}
+
+impl MsrltEntry {
+    /// Machine-specific start address.
+    pub fn addr(&self) -> u64 {
+        self.slot.addr()
+    }
+
+    /// The block's handle in the address space it was registered from.
+    pub fn slot(&self) -> BlockSlot {
+        self.slot
+    }
 }
 
 /// Instrumentation counters, feeding the §4.2 complexity experiments.
@@ -142,7 +167,8 @@ pub struct Msrlt {
     groups: Vec<Vec<Option<MsrltEntry>>>,
     /// Live frame groups (innermost last).
     frame_stack: Vec<u32>,
-    epoch: u64,
+    /// The current collection's visit epoch, above [`UNVISITED`].
+    epoch: NonZeroU32,
     stats: MsrltStats,
     /// Total bytes of live registered blocks (collector pre-sizing hint).
     live_bytes: u64,
@@ -168,7 +194,7 @@ impl Msrlt {
         Msrlt {
             groups: vec![Vec::new(), Vec::new()],
             frame_stack: Vec::new(),
-            epoch: 1,
+            epoch: FRESH_EPOCH,
             stats: MsrltStats::default(),
             live_bytes: 0,
             pages: PageIndex::new(),
@@ -232,7 +258,7 @@ impl Msrlt {
     pub fn end_frame(&mut self) {
         let g = self.frame_stack.pop().expect("end_frame with no frame") as usize;
         for e in self.groups[g].drain(..).flatten() {
-            self.pages.remove(e.addr);
+            self.pages.remove(e.addr());
             self.live_bytes -= e.size;
         }
     }
@@ -255,16 +281,23 @@ impl Msrlt {
         };
         let index = self.groups[group as usize].len() as u32;
         let id = LogicalId { group, index };
-        self.register_at(id, info.addr, info.size, info.ty, info.count);
+        self.register_at(id, info.slot, info.size, info.ty, info.count);
         id
     }
 
-    /// Register a block under an explicit id (used on the destination,
-    /// where the stream dictates heap ids). A block starting where a
-    /// live entry starts (in the address space, only a zero-size block's
-    /// start) replaces that entry, as the address space replaces its
-    /// block.
-    pub fn register_at(&mut self, id: LogicalId, addr: u64, size: u64, ty: TypeId, count: u64) {
+    /// Register the block behind `slot` under an explicit id (used on
+    /// the destination, where the stream dictates heap ids). A block
+    /// starting where a live entry starts (in the address space, only a
+    /// zero-size block's start) replaces that entry, as the address space
+    /// replaces its block.
+    pub fn register_at(
+        &mut self,
+        id: LogicalId,
+        slot: BlockSlot,
+        size: u64,
+        ty: TypeId,
+        count: u64,
+    ) {
         if self.groups.len() <= id.group as usize {
             self.groups.resize_with(id.group as usize + 1, Vec::new);
         }
@@ -277,14 +310,13 @@ impl Msrlt {
             "duplicate registration of {id}"
         );
         g[id.index as usize] = Some(MsrltEntry {
-            id,
-            addr,
+            slot,
             size,
             ty,
             count,
-            visited_epoch: 0,
+            mark: UNVISITED,
         });
-        if let Some(replaced) = self.pages.insert(addr, size, pack_id(id)) {
+        if let Some(replaced) = self.pages.insert(slot.addr(), size, pack_id(id)) {
             self.drop_entry(unpack_id(replaced));
         }
         self.live_bytes += size;
@@ -331,7 +363,7 @@ impl Msrlt {
     /// `None`, and no change, if no live entry starts there.
     pub fn unregister(&mut self, addr: u64) -> Option<LogicalId> {
         let id = unpack_id(self.pages.get(addr)?);
-        if self.entry(id)?.addr != addr {
+        if self.record(id)?.addr() != addr {
             return None;
         }
         self.pages.remove(addr);
@@ -351,60 +383,94 @@ impl Msrlt {
     /// id and the byte offset of `addr` within it. One page-index probe,
     /// counted as one step.
     pub fn lookup_addr(&mut self, addr: u64) -> Option<(LogicalId, u64)> {
+        self.resolve(addr).map(|(id, _, off)| (id, off))
+    }
+
+    /// [`Msrlt::lookup_addr`] answering the record it lands on as well,
+    /// fetched once: what a caller that goes on to the block's type,
+    /// count, handle or visit mark needs.
+    #[inline]
+    pub(crate) fn resolve(&mut self, addr: u64) -> Option<(LogicalId, MsrltEntry, u64)> {
         self.stats.searches += 1;
         self.stats.search_steps += 1;
         let id = unpack_id(self.pages.get(addr)?);
-        let e = self.entry(id)?;
-        if addr >= e.addr && addr < e.addr + e.size {
-            Some((id, addr - e.addr))
-        } else {
-            None
-        }
+        let e = *self.record(id)?;
+        let off = addr.wrapping_sub(e.addr());
+        (addr >= e.addr() && off < e.size).then_some((id, e, off))
+    }
+
+    #[inline]
+    fn record(&self, id: LogicalId) -> Option<&MsrltEntry> {
+        self.groups
+            .get(id.group as usize)?
+            .get(id.index as usize)?
+            .as_ref()
     }
 
     /// O(1) id→entry translation (the restoration-side operation).
-    pub fn entry(&self, id: LogicalId) -> Option<&MsrltEntry> {
-        self.groups
-            .get(id.group as usize)?
-            .get(id.index as usize)?
-            .as_ref()
+    pub fn entry(&self, id: LogicalId) -> Option<MsrltEntry> {
+        self.record(id).copied()
     }
 
     /// Counted variant of [`Msrlt::entry`] for instrumented paths.
-    pub fn entry_counted(&mut self, id: LogicalId) -> Option<&MsrltEntry> {
+    pub fn entry_counted(&mut self, id: LogicalId) -> Option<MsrltEntry> {
         self.stats.id_lookups += 1;
-        self.groups
-            .get(id.group as usize)?
-            .get(id.index as usize)?
-            .as_ref()
+        self.entry(id)
     }
 
-    /// All live entries, in id order.
-    pub fn live_entries(&self) -> impl Iterator<Item = &MsrltEntry> {
-        self.groups.iter().flatten().flatten()
+    /// All live entries with their ids, in id order.
+    pub fn live_entries(&self) -> impl Iterator<Item = (LogicalId, MsrltEntry)> + '_ {
+        self.groups.iter().enumerate().flat_map(|(group, g)| {
+            g.iter().enumerate().filter_map(move |(index, e)| {
+                let id = LogicalId {
+                    group: group as u32,
+                    index: index as u32,
+                };
+                e.map(|e| (id, e))
+            })
+        })
     }
 
     // ----- visit marking (collection-time DFS) -----
 
-    /// Start a new collection: invalidates all visit marks in O(1).
+    /// Start a new collection: invalidates all visit marks, in O(1)
+    /// except once every 2³² − 3 collections, when the epoch wraps and
+    /// every mark is cleared so that no old mark can equal a new epoch.
     pub fn begin_epoch(&mut self) {
-        self.epoch += 1;
+        self.epoch = self.epoch.checked_add(1).unwrap_or_else(|| {
+            for e in self.groups.iter_mut().flatten().flatten() {
+                e.mark = UNVISITED;
+            }
+            // Where a fresh table's first collection runs.
+            FRESH_EPOCH.saturating_add(1)
+        });
     }
 
     /// Mark the block visited in the current epoch.
     pub fn mark_visited(&mut self, id: LogicalId) {
         let epoch = self.epoch;
         if let Some(e) = self.groups[id.group as usize][id.index as usize].as_mut() {
-            e.visited_epoch = epoch;
+            e.mark = epoch;
         }
     }
 
     /// Whether the block was visited in the current epoch.
     pub fn is_visited(&self, id: LogicalId) -> bool {
-        self.groups[id.group as usize][id.index as usize]
-            .as_ref()
-            .map(|e| e.visited_epoch == self.epoch)
-            .unwrap_or(false)
+        self.record(id).is_some_and(|e| self.visited(e))
+    }
+
+    /// Whether `e`, a record fetched in the current epoch, was visited in
+    /// it.
+    #[inline]
+    pub(crate) fn visited(&self, e: &MsrltEntry) -> bool {
+        e.mark == self.epoch
+    }
+
+    /// Set the epoch, as if that many collections had begun.
+    #[cfg(test)]
+    pub(crate) fn force_epoch(&mut self, epoch: u32) {
+        assert!(epoch > UNVISITED.get());
+        self.epoch = NonZeroU32::new(epoch).unwrap();
     }
 }
 
@@ -413,6 +479,7 @@ mod tests {
     use super::*;
     use hpm_memory::PAGE_SIZE;
 
+    /// A block the table records without an address space behind it.
     fn info(addr: u64, size: u64, seg: SegmentKind) -> BlockInfo {
         BlockInfo {
             addr,
@@ -422,6 +489,7 @@ mod tests {
             name: None,
             frame: None,
             size,
+            slot: BlockSlot::unbound(addr),
         }
     }
 
@@ -482,8 +550,10 @@ mod tests {
         }
 
         fn check(m: &mut Msrlt, model: &[(u64, u64, LogicalId)]) {
-            let live: Vec<(u64, u64, LogicalId)> =
-                m.live_entries().map(|e| (e.addr, e.size, e.id)).collect();
+            let live: Vec<(u64, u64, LogicalId)> = m
+                .live_entries()
+                .map(|(id, e)| (e.addr(), e.size, id))
+                .collect();
             let (mut got, mut want) = (live.clone(), model.to_vec());
             got.sort();
             want.sort();
@@ -546,7 +616,7 @@ mod tests {
                                 group: GROUP_HEAP,
                                 index: m.heap_len() + (r >> 52) as u32 % 3,
                             };
-                            m.register_at(id, addr, size, TypeId(0), 1);
+                            m.register_at(id, BlockSlot::unbound(addr), size, TypeId(0), 1);
                             id
                         } else {
                             m.register(&info(addr, size, SegmentKind::Heap))
@@ -716,8 +786,10 @@ mod tests {
     fn register_at_sparse_destination() {
         let mut m = Msrlt::new();
         // Stream delivers heap ids out of order and sparse.
-        m.register_at(LogicalId { group: 1, index: 7 }, 0x1000, 8, TypeId(0), 1);
-        m.register_at(LogicalId { group: 1, index: 2 }, 0x2000, 8, TypeId(0), 1);
+        for (index, addr) in [(7, 0x1000), (2, 0x2000)] {
+            let (id, slot) = (LogicalId { group: 1, index }, BlockSlot::unbound(addr));
+            m.register_at(id, slot, 8, TypeId(0), 1);
+        }
         assert!(m.entry(LogicalId { group: 1, index: 7 }).is_some());
         assert!(m.entry(LogicalId { group: 1, index: 2 }).is_some());
         assert!(m.entry(LogicalId { group: 1, index: 3 }).is_none());

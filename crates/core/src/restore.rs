@@ -246,9 +246,9 @@ impl<'s, 'p> Restorer<'s, 'p> {
     }
 
     fn restore_variable_inner(&mut self, addr: u64) -> Result<(), CoreError> {
-        let (local_id, off) = self
+        let (local_id, entry, off) = self
             .msrlt
-            .lookup_addr(addr)
+            .resolve(addr)
             .ok_or(CoreError::UnregisteredPointer(addr))?;
         if off != 0 {
             return Err(CoreError::SequenceMismatch(format!(
@@ -269,13 +269,8 @@ impl<'s, 'p> Restorer<'s, 'p> {
             return Ok(());
         }
         let announced = self.announced_type(&rec)?;
-        let entry = self
-            .msrlt
-            .entry(rec.id)
-            .ok_or(CoreError::UnknownId(rec.id))?;
-        let (ty, local_count) = (entry.ty, entry.count);
-        self.check_local_block(&rec, announced, ty, local_count)?;
-        self.fill_block(addr, ty, rec.count)
+        self.check_local_block(&rec, announced, entry.ty, entry.count)?;
+        self.fill_block(entry.slot(), entry.ty, rec.count)
     }
 
     /// `Restore_pointer`: decode the next pointer item, materializing its
@@ -313,9 +308,9 @@ impl<'s, 'p> Restorer<'s, 'p> {
 
     // ----- internals -----
 
-    fn fill_block(&mut self, addr: u64, ty: TypeId, count: u64) -> Result<(), CoreError> {
+    fn fill_block(&mut self, slot: BlockSlot, ty: TypeId, count: u64) -> Result<(), CoreError> {
         let mut stack = Vec::new();
-        self.push_fill(&mut stack, addr, ty, count)?;
+        self.push_fill(&mut stack, slot, ty, count)?;
         self.drain(stack)
     }
 
@@ -325,12 +320,11 @@ impl<'s, 'p> Restorer<'s, 'p> {
     fn decode_flat_block(
         &mut self,
         slot: BlockSlot,
-        base: u64,
         plan: &SavePlan,
         count: u64,
     ) -> Result<(), CoreError> {
         let (arch, bytes) = self.space.slot_bytes_mut(slot)?;
-        let room = (bytes.len() as u64).saturating_sub(base);
+        let room = bytes.len() as u64;
         if plan
             .size
             .checked_mul(count)
@@ -338,12 +332,12 @@ impl<'s, 'p> Restorer<'s, 'p> {
         {
             return Err(CoreError::Mem(format!(
                 "block at {:#x} shorter than stream data",
-                slot.addr() + base
+                slot.addr()
             )));
         }
         let input = &mut self.input;
         for_each_run(arch, plan, count, self.mode, |offset, kernel, n| {
-            decode_run(arch, bytes, slot, base + offset, kernel, n, input)
+            decode_run(arch, bytes, slot, offset, kernel, n, input)
         })?;
         self.stats.scalars_decoded += plan.leaf_count * count;
         Ok(())
@@ -400,21 +394,20 @@ impl<'s, 'p> Restorer<'s, 'p> {
                     .msrlt
                     .entry_counted(id)
                     .ok_or(CoreError::UnknownId(id))?;
-                let (addr, ty, count) = (entry.addr, entry.ty, entry.count);
+                let (addr, ty, count) = (entry.addr(), entry.ty, entry.count);
                 Ok(leaf_address(self.space, addr, ty, count, rec.ordinal)?)
             }
             TAG_PTR_NEW => {
                 self.stats.ptr_new += 1;
                 let announced = self.announced_type(&rec)?;
                 let count = rec.count;
-                let (addr, ty) = match self.msrlt.entry_counted(id) {
+                let (slot, ty) = match self.msrlt.entry_counted(id) {
                     Some(e) => {
                         // A named block that already exists locally
                         // (global / re-created stack local): validate and
                         // fill in place.
-                        let (ty, local_count, addr) = (e.ty, e.count, e.addr);
-                        self.check_local_block(&rec, announced, ty, local_count)?;
-                        (addr, ty)
+                        self.check_local_block(&rec, announced, e.ty, e.count)?;
+                        (e.slot(), e.ty)
                     }
                     None => {
                         // Globals and the re-created frames' locals were
@@ -443,16 +436,17 @@ impl<'s, 'p> Restorer<'s, 'p> {
                         let plan = self.space.plan_ref(ty)?;
                         let (need, size) = (plan.min_wire_bytes.checked_mul(count), plan.size);
                         self.input.check_room(id, count, need)?;
-                        let addr = self.space.malloc(ty, count)?;
+                        let slot = self.space.malloc_slot(ty, count)?;
                         // `malloc` held the product to the heap segment.
                         let size = size * count;
-                        self.msrlt.register_at(id, addr, size, ty, count);
+                        self.msrlt.register_at(id, slot, size, ty, count);
                         self.stats.blocks_allocated += 1;
                         self.track.detail_event("restore.alloc", &[("bytes", size)]);
-                        (addr, ty)
+                        (slot, ty)
                     }
                 };
-                self.push_fill(stack, addr, ty, count)?;
+                self.push_fill(stack, slot, ty, count)?;
+                let addr = slot.addr();
                 Ok(leaf_address(self.space, addr, ty, count, rec.ordinal)?)
             }
             t => Err(CoreError::BadTag(t)),
@@ -462,7 +456,7 @@ impl<'s, 'p> Restorer<'s, 'p> {
     fn push_fill(
         &mut self,
         stack: &mut Vec<Cursor>,
-        addr: u64,
+        slot: BlockSlot,
         ty: TypeId,
         count: u64,
     ) -> Result<(), CoreError> {
@@ -473,13 +467,11 @@ impl<'s, 'p> Restorer<'s, 'p> {
             // The stream inlines the whole block right here; decode it
             // now so the parent cursor resumes at the right offset.
             let plan = Arc::clone(plan);
-            let (slot, base) = self.space.slot_of(addr)?;
-            self.decode_flat_block(slot, base, &plan, count)?;
+            self.decode_flat_block(slot, &plan, count)?;
             self.stats.blocks_restored += 1;
             return Ok(());
         }
-        // The one address translation this block costs.
-        stack.push(Cursor::new(self.space, addr, ty, count)?);
+        stack.push(Cursor::new(slot, ty, count));
         Ok(())
     }
 }

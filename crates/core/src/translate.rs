@@ -18,7 +18,8 @@ use hpm_types::plan::PlanOp;
 use hpm_types::TypeId;
 
 /// Where the collector's or restorer's DFS stands inside one block: the
-/// block's handle (its one address translation) and the next plan op.
+/// block's handle (from its MSRLT record, so no address is resolved) and
+/// the next plan op.
 ///
 /// The DFS stack holds one of these per block on the current path, and a
 /// linked list is one path as long as the list, so the size is part of a
@@ -34,22 +35,16 @@ pub(crate) struct Cursor {
 }
 
 impl Cursor {
-    /// Cursor at the first op of the block of `count` elements of `ty`
-    /// registered at `addr`.
-    pub(crate) fn new(
-        space: &AddressSpace,
-        addr: u64,
-        ty: TypeId,
-        count: u64,
-    ) -> Result<Self, MemError> {
-        let (slot, elem_base) = space.slot_of(addr)?;
-        Ok(Cursor {
+    /// Cursor at the first op of the block behind `slot`, of `count`
+    /// elements of `ty`.
+    pub(crate) fn new(slot: BlockSlot, ty: TypeId, count: u64) -> Self {
+        Cursor {
             slot,
-            elem_base,
+            elem_base: 0,
             elems_left: count,
             ty,
             op_idx: 0,
-        })
+        }
     }
 
     /// Step to the next op: the block's handle, the byte offset of the
@@ -127,10 +122,9 @@ pub(crate) fn logical_pointer(
     msrlt: &mut Msrlt,
     ptr: u64,
 ) -> Result<(LogicalId, u64), CoreError> {
-    let (id, byte_off) = msrlt
-        .lookup_addr(ptr)
+    let (id, entry, byte_off) = msrlt
+        .resolve(ptr)
         .ok_or(CoreError::UnregisteredPointer(ptr))?;
-    let entry = msrlt.entry(id).expect("lookup_addr returns live ids");
     let leaf = leaf_ordinal(space, entry.ty, entry.count, byte_off, ptr)?;
     Ok((id, leaf))
 }
@@ -181,7 +175,7 @@ mod tests {
     use super::Cursor;
     use crate::collect::{Collector, Record, TAG_PTR_NEW};
     use crate::fingerprint::type_fingerprint;
-    use crate::msrlt::{LogicalId, Msrlt};
+    use crate::msrlt::{LogicalId, Msrlt, MsrltEntry};
     use crate::restore::Restorer;
     use crate::CoreError;
     use hpm_arch::Architecture;
@@ -209,6 +203,52 @@ mod tests {
         // a cursor its peak RSS read 4–11 MB (5–16 %) above the 40-byte
         // one's.
         assert!(std::mem::size_of::<Cursor>() <= 40);
+    }
+
+    #[test]
+    fn msrlt_record_is_no_larger_than_five_words() {
+        // One per id on both ends, and fetched from a random place in
+        // the table once per pointer: its size is paid in cache misses.
+        assert!(std::mem::size_of::<Option<MsrltEntry>>() <= 40);
+    }
+
+    #[test]
+    fn a_handle_whose_slot_holds_another_block_reaches_nothing() {
+        // Slot 1 of each space holds a live block, at different addresses.
+        let mut a = AddressSpace::new(Architecture::dec5000());
+        let mut b = AddressSpace::new(Architecture::dec5000());
+        let (ai, bi) = (a.types_mut().int(), b.types_mut().int());
+        a.malloc(ai, 2).unwrap();
+        b.malloc(bi, 4).unwrap();
+        let theirs = a.malloc_slot(ai, 4).unwrap();
+        let mine = b.malloc_slot(bi, 4).unwrap();
+        assert_ne!(theirs.addr(), mine.addr());
+        let bad = MemError::BadAddress(theirs.addr());
+        assert_eq!(b.slot_bytes(theirs), Err(bad.clone()));
+        assert_eq!(b.slot_bytes_mut(theirs).err(), Some(bad));
+        assert_eq!(b.slot_bytes(mine).unwrap().len(), 16);
+    }
+
+    #[test]
+    fn a_freed_blocks_handle_stays_dead_after_its_address_is_reused() {
+        let mut space = AddressSpace::new(Architecture::sparc20());
+        let mut msrlt = Msrlt::new();
+        let int = space.types_mut().int();
+        let old = space.malloc_slot(int, 4).unwrap();
+        register(&space, &mut msrlt, old.addr());
+        // Freed behind the table's back, and the address handed out again.
+        space.free(old.addr()).unwrap();
+        let new = space.malloc_slot(int, 4).unwrap();
+        assert_eq!(new.addr(), old.addr());
+        space.store_int(new.addr(), 7).unwrap();
+        let bad = MemError::BadAddress(old.addr());
+        assert_eq!(space.slot_bytes(old), Err(bad.clone()));
+        assert_eq!(space.slot_bytes_mut(old).err(), Some(bad.clone()));
+        // The table's record still names the dead block: collecting it is
+        // refused, never a save of the new block's bytes.
+        let got = Collector::new(&mut space, &mut msrlt).save_variable(old.addr());
+        assert_eq!(got, Err(CoreError::from(bad)));
+        assert_eq!(space.slot_bytes(new).unwrap()[..4], [0, 0, 0, 7]);
     }
 
     /// The ordinal the collector writes for `p`'s pointee, from the

@@ -1,5 +1,6 @@
 //! Memory blocks: the vertices of the MSR graph.
 
+use crate::BlockSlot;
 use hpm_arch::SegmentKind;
 use hpm_types::TypeId;
 
@@ -71,20 +72,9 @@ pub struct BlockInfo {
     pub frame: Option<u64>,
     /// Size in bytes.
     pub size: u64,
-}
-
-impl From<&MemoryBlock> for BlockInfo {
-    fn from(b: &MemoryBlock) -> Self {
-        BlockInfo {
-            addr: b.addr,
-            ty: b.ty,
-            count: b.count,
-            segment: b.segment,
-            name: b.name.clone(),
-            frame: b.frame,
-            size: b.size_bytes(),
-        }
-    }
+    /// Handle to the block's bytes, which an MSRLT record carries so the
+    /// collector and restorer never resolve the block's address again.
+    pub slot: BlockSlot,
 }
 
 #[cfg(test)]
@@ -120,14 +110,5 @@ mod tests {
         assert_eq!(b.label(), "addr@0x1000");
         b.name = Some("parray".into());
         assert_eq!(b.label(), "parray");
-    }
-
-    #[test]
-    fn info_snapshot() {
-        let b = block();
-        let i = BlockInfo::from(&b);
-        assert_eq!(i.addr, b.addr);
-        assert_eq!(i.size, 16);
-        assert_eq!(i.segment, SegmentKind::Heap);
     }
 }

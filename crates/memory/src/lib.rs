@@ -153,7 +153,7 @@ mod invariant_tests {
                 };
                 let free = |space: &mut AddressSpace, m: &mut Model, pick: u64| {
                     let (a, ty, count) = m.heap.swap_remove(pick as usize % m.heap.len());
-                    m.dead.push(space.slot_of(a).unwrap().0);
+                    m.dead.push(space.info_at(a).unwrap().slot);
                     space.free(a).unwrap();
                     m.live.remove(&a);
                     (ty, count)

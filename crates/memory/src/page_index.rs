@@ -3,14 +3,16 @@
 //!
 //! Both address maps of the simulator are built on it, and each has no
 //! other: the address space's (address → arena slot) and the MSRLT's
-//! (address → logical id). A lookup is one directory probe plus a
-//! binary search over one page's block starts, and it answers what an
-//! ordered map's predecessor query would: the block with the greatest
-//! start at or below the address. The caller's containment check then
-//! makes the answer exact — a 1-byte block never hides its neighbour,
-//! and a miss needs no second search. Memory is one cell per touched
-//! page plus one entry per block; a page wholly inside one block is a
-//! cell with a head and no list.
+//! (address → logical id). A lookup is one directory probe, one read of
+//! the page's rank table and a scan of the block starts inside one
+//! 64-byte line, and it answers what an ordered map's predecessor query
+//! would: the block with the greatest start at or below the address.
+//! The caller's containment check then makes the answer exact — a
+//! 1-byte block never hides its neighbour, and a miss needs no second
+//! search. Memory is one cell per touched page plus one entry per
+//! block, and a cell with starts also holds a rank table of at most one
+//! `u16` per line, 64 of them; a page wholly inside one block is a cell
+//! with a head, no list and no table.
 //!
 //! Blocks must not overlap, except that a block may start where another
 //! starts (in the address space and the MSRLT, only where a zero-size
@@ -27,6 +29,12 @@ pub const PAGE_SHIFT: u32 = 12;
 /// The index's page size in bytes.
 pub const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
 const PAGE_MASK: u64 = PAGE_SIZE - 1;
+/// log₂ of a rank-table line: a cache line's 64 bytes of the page.
+const LINE_SHIFT: u32 = 6;
+
+fn line(off: u16) -> usize {
+    usize::from(off >> LINE_SHIFT)
+}
 
 /// Multiplicative hash of a page number. Consecutive pages land in
 /// distinct buckets (an odd multiplier permutes the low bits) and the
@@ -58,32 +66,50 @@ struct Cell<V> {
     /// The block that starts at the page's first byte, or started on an
     /// earlier page and runs into this one.
     head: Option<V>,
-    /// In-page offsets of the blocks starting after the page's first
-    /// byte, ascending: the searched half of the `(offset, value)` list,
-    /// kept apart so a search touches two bytes an entry.
-    offs: Vec<u16>,
-    /// `vals[i]` is the block starting at `offs[i]`.
-    vals: Vec<V>,
+    /// `(in-page offset, value)` of the blocks starting after the page's
+    /// first byte, by ascending offset. A lookup compares only the few
+    /// starts of one line, so each offset sits beside its value.
+    starts: Vec<(u16, V)>,
+    /// `rank[l]` is the number of `starts` below line `l` (bytes
+    /// `64·l ..`), for the lines up to the last start's: past it every
+    /// start lies below, so a start appended there only extends the
+    /// table. Empty, and unallocated, while the page has no starts.
+    rank: Vec<u16>,
 }
 
 impl<V: Copy> Cell<V> {
     fn empty() -> Self {
         Cell {
             head: None,
-            offs: Vec::new(),
-            vals: Vec::new(),
+            starts: Vec::new(),
+            rank: Vec::new(),
         }
     }
 
     fn is_empty(&self) -> bool {
-        self.head.is_none() && self.offs.is_empty()
+        self.head.is_none() && self.starts.is_empty()
     }
 
+    /// The value of the last block starting at or below `off`: the
+    /// starts below `off`'s line are counted by the rank table, so only
+    /// the starts inside that line are compared.
+    #[inline]
     fn get(&self, off: u16) -> Option<V> {
-        match self.offs.partition_point(|&o| o <= off) {
-            0 => self.head,
-            i => Some(self.vals[i - 1]),
+        let mut i = match self.rank.get(line(off)) {
+            Some(&below) => usize::from(below),
+            None => self.starts.len(),
+        };
+        while self.starts.get(i).is_some_and(|&(o, _)| o <= off) {
+            i += 1;
         }
+        match i {
+            0 => self.head,
+            i => Some(self.starts[i - 1].1),
+        }
+    }
+
+    fn find(&self, off: u16) -> Result<usize, usize> {
+        self.starts.binary_search_by_key(&off, |&(o, _)| o)
     }
 
     /// Record `v` as the block starting at `off` (offset 0 is the head),
@@ -92,14 +118,25 @@ impl<V: Copy> Cell<V> {
         if off == 0 {
             return self.head.replace(v);
         }
-        match self.offs.binary_search(&off) {
-            Ok(i) => Some(std::mem::replace(&mut self.vals[i], v)),
-            Err(i) => {
-                self.offs.insert(i, off);
-                self.vals.insert(i, v);
-                None
-            }
+        // An append, the order the restorer allocates in, needs no search.
+        let i = match self.starts.last() {
+            Some(&(last, _)) if last >= off => match self.find(off) {
+                Ok(i) => return Some(std::mem::replace(&mut self.starts[i].1, v)),
+                Err(i) => i,
+            },
+            _ => self.starts.len(),
+        };
+        self.starts.insert(i, (off, v));
+        let l = line(off);
+        for below in self.rank.iter_mut().skip(l + 1) {
+            *below += 1;
         }
+        if l >= self.rank.len() {
+            // The new last start: every other one lies below the lines
+            // this adds. At most 4 095 starts, so a count fits a `u16`.
+            self.rank.resize(l + 1, i as u16);
+        }
+        None
     }
 
     /// Forget the block starting at `off`.
@@ -107,9 +144,24 @@ impl<V: Copy> Cell<V> {
         if off == 0 {
             return self.head.take();
         }
-        let i = self.offs.binary_search(&off).ok()?;
-        self.offs.remove(i);
-        Some(self.vals.remove(i))
+        let i = self.find(off).ok()?;
+        let (_, v) = self.starts.remove(i);
+        match self.starts.last() {
+            Some(&(last, _)) => {
+                self.rank.truncate(line(last) + 1);
+                for below in self.rank.iter_mut().skip(line(off) + 1) {
+                    *below -= 1;
+                }
+            }
+            // No starts left: the list and the table give back their memory.
+            None => {
+                *self = Cell {
+                    head: self.head,
+                    ..Cell::empty()
+                }
+            }
+        }
+        Some(v)
     }
 }
 
@@ -338,7 +390,10 @@ mod tests {
             ix.insert(page * PAGE_SIZE, PAGE_SIZE, i);
         }
         ix.insert(0x14 * PAGE_SIZE, 3 * PAGE_SIZE, 9);
-        assert!(ix.cells.iter().all(|c| c.offs.is_empty()));
+        assert!(ix
+            .cells
+            .iter()
+            .all(|c| c.starts.is_empty() && c.rank.capacity() == 0));
         assert_eq!(ix.get(0x12 * PAGE_SIZE + PAGE_SIZE - 1), Some(2));
         assert_eq!(ix.get(0x16 * PAGE_SIZE + PAGE_SIZE - 1), Some(9));
         assert_eq!(ix.get(0x17 * PAGE_SIZE), None);
@@ -356,5 +411,193 @@ mod tests {
         assert_eq!(ix.get(last + 1), None);
         assert_eq!(ix.remove(last), Some('z'));
         assert_eq!(ix.get(last), Some('y'));
+    }
+
+    /// Holds a cell's rank table to its definition: one entry per line
+    /// up to the last start's, each the count of starts on earlier lines.
+    fn assert_rank<V>(cell: &Cell<V>) {
+        let offs: Vec<u16> = cell.starts.iter().map(|&(o, _)| o).collect();
+        assert!(offs.windows(2).all(|w| w[0] < w[1]), "starts ascend");
+        let lines = offs.last().map_or(0, |&o| line(o) + 1);
+        assert_eq!(
+            cell.rank.len(),
+            lines,
+            "table ends at the last start's line"
+        );
+        for (l, &below) in cell.rank.iter().enumerate() {
+            let want = offs.partition_point(|&o| line(o) < l);
+            assert_eq!(usize::from(below), want, "rank[{l}]");
+        }
+    }
+
+    /// Start → (length, value) of every block the index should hold.
+    type Model = std::collections::BTreeMap<u64, (u64, u32)>;
+
+    /// The index against an ordered map's predecessor query, which
+    /// shares none of its code: every byte of every block, and the one
+    /// past its end, answers the block with the greatest start at or
+    /// below it if that block reaches the byte's page, else nothing.
+    fn check(ix: &PageIndex<u32>, model: &Model) {
+        assert_eq!(ix.len(), model.len());
+        ix.cells.iter().for_each(assert_rank);
+        let want = |x: u64| {
+            let (&start, &(len, v)) = model.range(..=x).next_back()?;
+            ((start + len - 1) >> PAGE_SHIFT >= x >> PAGE_SHIFT).then_some(v)
+        };
+        for (&start, &(len, _)) in model {
+            for x in start..=start + len {
+                assert_eq!(ix.get(x), want(x), "get({x:#x})");
+            }
+        }
+    }
+
+    fn insert(ix: &mut PageIndex<u32>, m: &mut Model, start: u64, len: u64, v: u32) {
+        assert_eq!(ix.insert(start, len, v), None, "{start:#x}");
+        m.insert(start, (len, v));
+    }
+
+    fn remove(ix: &mut PageIndex<u32>, m: &mut Model, start: u64) {
+        let (_, v) = m.remove(&start).expect("a modelled block");
+        assert_eq!(ix.remove(start), Some(v), "{start:#x}");
+    }
+
+    /// Deterministic splitmix64 for the seeded sweeps.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn a_full_page_of_one_byte_blocks_ranks_to_the_u16_ceiling() {
+        let (mut ix, mut m) = (PageIndex::new(), Model::new());
+        let page = 0x40 * PAGE_SIZE;
+        // Offsets 1..=4095 in a seeded order: 4 095 starts, the most a
+        // page holds besides its head.
+        let mut offs: Vec<u64> = (1..PAGE_SIZE).collect();
+        let mut s = 0xF00D;
+        for i in (1..offs.len()).rev() {
+            offs.swap(i, next(&mut s) as usize % (i + 1));
+        }
+        for &o in &offs {
+            insert(&mut ix, &mut m, page + o, 1, o as u32);
+        }
+        insert(&mut ix, &mut m, page, 1, 0);
+        check(&ix, &m);
+        assert_eq!(ix.cells[0].rank.last(), Some(&(PAGE_SIZE as u16 - 65)));
+        // Empty every other line, then the whole page, in the same order.
+        for &o in offs.iter().filter(|&&o| !line(o as u16).is_multiple_of(2)) {
+            remove(&mut ix, &mut m, page + o);
+        }
+        check(&ix, &m);
+        for &o in offs.iter().filter(|&&o| line(o as u16).is_multiple_of(2)) {
+            remove(&mut ix, &mut m, page + o);
+        }
+        check(&ix, &m);
+        assert_eq!(
+            ix.cells[0].rank.capacity(),
+            0,
+            "a head-only cell holds no table"
+        );
+    }
+
+    #[test]
+    fn ascending_appends_and_descending_inserts_rank_alike() {
+        // Blocks of 1–96 bytes with gaps of 0–7, over about six pages:
+        // appended in address order (how the restorer allocates), and
+        // inserted highest first (how a stack grows).
+        let mut s = 0xA5CE;
+        let mut blocks = Vec::new();
+        let mut at = 0x90 * PAGE_SIZE + 3;
+        while at < 0x96 * PAGE_SIZE {
+            let len = 1 + next(&mut s) % 96;
+            blocks.push((at, len));
+            at += len + next(&mut s) % 8;
+        }
+        let (mut up, mut up_m) = (PageIndex::new(), Model::new());
+        let (mut down, mut down_m) = (PageIndex::new(), Model::new());
+        for (i, &(start, len)) in blocks.iter().enumerate() {
+            insert(&mut up, &mut up_m, start, len, i as u32);
+        }
+        for (i, &(start, len)) in blocks.iter().enumerate().rev() {
+            insert(&mut down, &mut down_m, start, len, i as u32);
+        }
+        check(&up, &up_m);
+        check(&down, &down_m);
+        for addr in at - 200..at + 8 {
+            assert_eq!(up.get(addr), down.get(addr), "{addr:#x}");
+        }
+    }
+
+    #[test]
+    fn removing_a_last_start_or_a_mid_line_start_keeps_the_rank() {
+        let (mut ix, mut m) = (PageIndex::new(), Model::new());
+        let page = 0x20 * PAGE_SIZE;
+        // A head block, three starts in line 2, one in line 5, the last
+        // in line 40.
+        insert(&mut ix, &mut m, page, 100, 0);
+        for (v, off) in [(1, 130), (2, 140), (3, 150), (4, 330), (5, 2600)] {
+            insert(&mut ix, &mut m, page + off, 8, v);
+        }
+        check(&ix, &m);
+        remove(&mut ix, &mut m, page + 140);
+        check(&ix, &m);
+        assert_eq!(
+            ix.get(page + 145),
+            Some(1),
+            "the line's earlier start answers"
+        );
+        remove(&mut ix, &mut m, page + 2600);
+        check(&ix, &m);
+        assert_eq!(ix.cells[0].rank.len(), 6, "the table ends at line 5 now");
+        assert_eq!(ix.get(page + 2600), Some(4));
+        // An append past the trimmed table extends it again.
+        insert(&mut ix, &mut m, page + 4000, 8, 6);
+        check(&ix, &m);
+        remove(&mut ix, &mut m, page + 330);
+        remove(&mut ix, &mut m, page + 4000);
+        check(&ix, &m);
+        assert_eq!(ix.cells[0].rank, [0, 0, 0]);
+    }
+
+    /// Seeded insert / remove churn over eight pages: blocks of 1 byte to
+    /// two pages, placed wherever they fit, so starts share lines, pages
+    /// fill and drain, and heads come and go under them.
+    #[test]
+    fn rank_lookup_agrees_with_an_ordered_map_under_churn() {
+        const BASE: u64 = 0x100 * PAGE_SIZE;
+        const SPAN: u64 = 8 * PAGE_SIZE;
+        for round in 0..4u64 {
+            let mut s = 0x4A4B ^ (round << 16);
+            let (mut ix, mut m) = (PageIndex::new(), Model::new());
+            for op in 1..=3000u32 {
+                let r = next(&mut s);
+                if r % 5 < 3 || m.is_empty() {
+                    let len = match (r >> 8) % 8 {
+                        0 => 1 + (r >> 16) % (2 * PAGE_SIZE),
+                        1..=3 => 1 + (r >> 16) % 4,
+                        _ => 1 + (r >> 16) % 200,
+                    };
+                    let start = BASE + (r >> 32) % (SPAN - len);
+                    let free_below = m
+                        .range(..=start)
+                        .next_back()
+                        .is_none_or(|(&a, &(l, _))| a + l <= start);
+                    let free_above = m.range(start..start + len).next().is_none();
+                    if free_below && free_above {
+                        insert(&mut ix, &mut m, start, len, op);
+                    }
+                } else {
+                    let nth = (r >> 8) as usize % m.len();
+                    let start = *m.keys().nth(nth).unwrap();
+                    remove(&mut ix, &mut m, start);
+                }
+                if op % 250 == 0 {
+                    check(&ix, &m);
+                }
+            }
+        }
     }
 }

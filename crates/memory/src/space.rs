@@ -2,9 +2,10 @@
 //!
 //! Blocks live in an arena whose slots are never reused, and one
 //! [`PageIndex`] maps addresses to arena slots. Every address the
-//! program, the collector or the restorer touches is resolved by one
-//! directory probe and a binary search over one page's block starts,
-//! then checked against the block's bounds; nothing walks a tree.
+//! program touches is resolved by one directory probe and a rank-table
+//! read, then checked against the block's bounds; nothing walks a tree.
+//! The collector and restorer do not resolve at all: the MSRLT hands
+//! them the [`BlockSlot`] taken when the block was registered.
 
 use crate::block::{BlockInfo, MemoryBlock};
 use crate::PageIndex;
@@ -30,14 +31,18 @@ pub struct ResolvedAddr {
     pub(crate) idx: u32,
 }
 
-/// A checked handle to one live block, from [`AddressSpace::slot_of`].
+/// A checked handle to one block: its arena slot and start address,
+/// taken when the block is created ([`AddressSpace::malloc_slot`],
+/// [`BlockInfo::slot`]).
 ///
 /// It lets a caller that stays on one block (the collector and restorer
-/// cursors) translate the block's address once and then reach its bytes
-/// by index. Arena slots are never reused, so a handle to a block that
-/// has since been freed or popped answers [`MemError::BadAddress`] —
-/// even after a later `malloc` reuses the address — never another
-/// block's bytes.
+/// cursors, through the MSRLT record that carries it) reach the block's
+/// bytes by index, without resolving an address. **Validity rule:** the
+/// slot must hold a live block that starts at the handle's address.
+/// Arena slots are never reused, so a handle to a block that has since
+/// been freed or popped answers [`MemError::BadAddress`] — even after a
+/// later `malloc` reuses the address — and so does a handle whose slot
+/// holds some other block; it never reaches another block's bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockSlot {
     idx: u32,
@@ -45,6 +50,15 @@ pub struct BlockSlot {
 }
 
 impl BlockSlot {
+    /// A handle that reaches no block: for a record of memory the space
+    /// does not hold, such as a hand-built lookup table's.
+    pub fn unbound(addr: u64) -> Self {
+        BlockSlot {
+            idx: u32::MAX,
+            addr,
+        }
+    }
+
     /// Start address of the block the handle was taken for.
     pub fn addr(&self) -> u64 {
         self.addr
@@ -282,7 +296,7 @@ impl AddressSpace {
 
     // ----- block creation -----
 
-    fn insert_block(&mut self, b: MemoryBlock) -> u64 {
+    fn insert_block(&mut self, b: MemoryBlock) -> BlockSlot {
         let (addr, size) = (b.addr, b.size_bytes());
         // The block starting last at or below the new block's last byte is
         // the only one it could overlap; a zero-size block at `addr` is
@@ -299,7 +313,7 @@ impl AddressSpace {
         if let Some(replaced) = self.index.insert(addr, size, idx) {
             self.arena[replaced as usize] = None;
         }
-        addr
+        BlockSlot { idx, addr }
     }
 
     /// Arena slot of the live block starting exactly at `addr` (a
@@ -324,15 +338,17 @@ impl AddressSpace {
             return Err(MemError::OutOfMemory(SegmentKind::Global));
         }
         self.global_top = addr + size;
-        Ok(self.insert_block(MemoryBlock {
-            addr,
-            ty,
-            count,
-            segment: SegmentKind::Global,
-            name: Some(name.to_string()),
-            frame: None,
-            bytes: vec![0; size as usize],
-        }))
+        Ok(self
+            .insert_block(MemoryBlock {
+                addr,
+                ty,
+                count,
+                segment: SegmentKind::Global,
+                name: Some(name.to_string()),
+                frame: None,
+                bytes: vec![0; size as usize],
+            })
+            .addr)
     }
 
     /// Push a stack frame for function `name`.
@@ -377,7 +393,7 @@ impl AddressSpace {
         }
         self.stack_top = addr;
         let frame_no = frame.0;
-        let a = self.insert_block(MemoryBlock {
+        self.insert_block(MemoryBlock {
             addr,
             ty,
             count,
@@ -386,8 +402,8 @@ impl AddressSpace {
             frame: Some(frame_no),
             bytes: vec![0; size as usize],
         });
-        self.frames.last_mut().unwrap().blocks.push(a);
-        Ok(a)
+        self.frames.last_mut().unwrap().blocks.push(addr);
+        Ok(addr)
     }
 
     /// Pop the top frame, destroying its locals.
@@ -417,6 +433,13 @@ impl AddressSpace {
 
     /// Allocate `count` elements of `ty` on the heap (C `malloc`).
     pub fn malloc(&mut self, ty: TypeId, count: u64) -> Result<u64, MemError> {
+        self.malloc_slot(ty, count).map(|slot| slot.addr())
+    }
+
+    /// [`AddressSpace::malloc`], answering the new block's handle (its
+    /// address is [`BlockSlot::addr`]): what the restorer records in the
+    /// MSRLT, so that filling the block resolves nothing.
+    pub fn malloc_slot(&mut self, ty: TypeId, count: u64) -> Result<BlockSlot, MemError> {
         let l = self.layout_of(ty)?;
         // `count` may come off the wire (the restorer allocates what a
         // stream announces): a product that wraps must not shrink into a
@@ -526,19 +549,36 @@ impl AddressSpace {
         self.slot_at(block_addr).map(|i| self.block(i))
     }
 
+    /// Metadata snapshot of the block in arena slot `idx`.
+    fn info(&self, idx: u32) -> BlockInfo {
+        let b = self.block(idx);
+        BlockInfo {
+            addr: b.addr,
+            ty: b.ty,
+            count: b.count,
+            segment: b.segment,
+            name: b.name.clone(),
+            frame: b.frame,
+            size: b.size_bytes(),
+            slot: BlockSlot { idx, addr: b.addr },
+        }
+    }
+
     /// Metadata snapshots of all live blocks, in address order. Sorts on
     /// every call, a cold path (set-up, audits, tests); allocation order
     /// is mostly ascending (heap) or descending (stack) runs, which the
     /// stable sort merges in near-linear time.
     pub fn block_infos(&self) -> Vec<BlockInfo> {
-        let mut infos: Vec<BlockInfo> = self.live_blocks_iter().map(BlockInfo::from).collect();
+        let live = (0..self.arena.len() as u32).filter(|&i| self.arena[i as usize].is_some());
+        let mut infos: Vec<BlockInfo> = live.map(|i| self.info(i)).collect();
         infos.sort_by_key(|b| b.addr);
         infos
     }
 
-    /// Metadata snapshot of the block starting at `addr`.
+    /// Metadata snapshot of the block starting at `addr`, with its
+    /// handle: what an MSRLT registration records.
     pub fn info_at(&self, addr: u64) -> Option<BlockInfo> {
-        self.block_at(addr).map(BlockInfo::from)
+        self.slot_at(addr).map(|i| self.info(i))
     }
 
     /// Number of live blocks.
@@ -546,46 +586,45 @@ impl AddressSpace {
         self.index.len()
     }
 
-    /// Handle to the block containing `addr`, and `addr`'s byte offset
-    /// within it — the one address translation a per-block loop needs.
-    pub fn slot_of(&self, addr: u64) -> Result<(BlockSlot, u64), MemError> {
-        let r = self.resolve(addr).ok_or(MemError::BadAddress(addr))?;
-        let slot = BlockSlot {
-            idx: r.idx,
-            addr: r.block_addr,
-        };
-        Ok((slot, r.offset))
-    }
-
-    /// The whole block's bytes, if the block is still live.
-    pub fn slot_bytes(&self, slot: BlockSlot) -> Result<&[u8], MemError> {
+    /// The block behind `slot`, if the handle obeys the validity rule.
+    #[inline]
+    fn slot_block(&self, slot: BlockSlot) -> Result<&MemoryBlock, MemError> {
         match self.arena.get(slot.idx as usize) {
-            Some(Some(b)) => Ok(&b.bytes),
+            Some(Some(b)) if b.addr == slot.addr => Ok(b),
             _ => Err(MemError::BadAddress(slot.addr)),
         }
     }
 
+    /// The whole block's bytes, if the handle obeys the validity rule.
+    #[inline]
+    pub fn slot_bytes(&self, slot: BlockSlot) -> Result<&[u8], MemError> {
+        self.slot_block(slot).map(|b| &b.bytes[..])
+    }
+
     /// Mutable view of the whole block's bytes together with the
-    /// architecture (split borrow for decoders), if the block is still
-    /// live.
+    /// architecture (split borrow for decoders), if the handle obeys the
+    /// validity rule.
+    #[inline]
     pub fn slot_bytes_mut(
         &mut self,
         slot: BlockSlot,
     ) -> Result<(&Architecture, &mut [u8]), MemError> {
         match self.arena.get_mut(slot.idx as usize) {
-            Some(Some(b)) => Ok((&self.arch, &mut b.bytes)),
+            Some(Some(b)) if b.addr == slot.addr => Ok((&self.arch, &mut b.bytes)),
             _ => Err(MemError::BadAddress(slot.addr)),
         }
     }
 
-    /// Read `len` bytes at `addr` (must stay within one block).
+    /// Read `len` bytes at `addr` (must stay within one block). A range
+    /// past the block's end, however long, answers `BadAddress` at its
+    /// last byte (at `u64::MAX` if that wraps).
     pub fn read_bytes(&self, addr: u64, len: u64) -> Result<&[u8], MemError> {
         let r = self.resolve(addr).ok_or(MemError::BadAddress(addr))?;
         let b = self.block(r.idx);
-        if r.offset + len > b.size_bytes() {
-            return Err(MemError::BadAddress(addr + len - 1));
-        }
-        Ok(&b.bytes[r.offset as usize..(r.offset + len) as usize])
+        r.offset
+            .checked_add(len)
+            .and_then(|end| b.bytes.get(r.offset as usize..usize::try_from(end).ok()?))
+            .ok_or_else(|| MemError::BadAddress(addr.saturating_add(len.saturating_sub(1))))
     }
 
     /// Write bytes at `addr` (must stay within one block).
@@ -1048,19 +1087,43 @@ mod tests {
     }
 
     #[test]
-    fn slot_reaches_the_block_it_was_taken_for() {
+    fn read_bytes_refuses_a_length_that_wraps() {
         let mut s = space();
         let int = s.types_mut().int();
         let a = s.malloc(int, 4).unwrap();
+        // `offset + len` wraps: once from the block start, once from inside.
+        assert_eq!(
+            s.read_bytes(a, u64::MAX),
+            Err(MemError::BadAddress(u64::MAX))
+        );
+        assert_eq!(
+            s.read_bytes(a + 4, u64::MAX - 2),
+            Err(MemError::BadAddress(u64::MAX))
+        );
+        assert_eq!(s.read_bytes(a + 4, 13), Err(MemError::BadAddress(a + 16)));
+        assert_eq!(s.read_bytes(a + 4, 12).unwrap().len(), 12);
+        assert_eq!(s.read_bytes(a + 15, 0).unwrap(), &[] as &[u8]);
+    }
+
+    #[test]
+    fn slot_reaches_the_block_it_was_taken_for() {
+        let mut s = space();
+        let int = s.types_mut().int();
+        let slot = s.malloc_slot(int, 4).unwrap();
+        let a = slot.addr();
         s.store_int(a + 8, 77).unwrap();
-        let (slot, off) = s.slot_of(a + 8).unwrap();
-        assert_eq!((slot.addr(), off), (a, 8));
+        let info = s.info_at(a).unwrap();
+        assert_eq!((info.slot, info.size, info.count), (slot, 16, 4));
+        assert_eq!(s.info_at(a + 8), None, "not a block start");
         assert_eq!(s.slot_bytes(slot).unwrap(), s.read_bytes(a, 16).unwrap());
         let (arch, bytes) = s.slot_bytes_mut(slot).unwrap();
         assert_eq!(arch.pointer_size, 4);
         bytes[8..12].copy_from_slice(&[0, 0, 0, 5]);
         assert_eq!(s.load_int(a + 8).unwrap(), 5);
-        assert_eq!(s.slot_of(a + 16).err(), Some(MemError::BadAddress(a + 16)));
+        assert_eq!(
+            s.slot_bytes(BlockSlot::unbound(a)),
+            Err(MemError::BadAddress(a))
+        );
     }
 
     #[test]
@@ -1068,10 +1131,10 @@ mod tests {
         let mut s = space();
         let int = s.types_mut().int();
         let a = s.malloc(int, 4).unwrap();
-        let (heap_slot, _) = s.slot_of(a).unwrap();
+        let heap_slot = s.info_at(a).unwrap().slot;
         let f = s.push_frame("f");
         let l = s.define_local(f, "x", int, 1).unwrap();
-        let (stack_slot, _) = s.slot_of(l).unwrap();
+        let stack_slot = s.info_at(l).unwrap().slot;
 
         s.free(a).unwrap();
         s.pop_frame(f).unwrap();
@@ -1087,6 +1150,6 @@ mod tests {
             s.slot_bytes_mut(stack_slot).err(),
             Some(MemError::BadAddress(l))
         );
-        assert_eq!(s.slot_bytes(s.slot_of(a).unwrap().0).unwrap().len(), 16);
+        assert_eq!(s.slot_bytes(s.info_at(a).unwrap().slot).unwrap().len(), 16);
     }
 }

@@ -87,7 +87,7 @@ impl Process {
     }
 
     fn info_at(&self, addr: u64) -> BlockInfo {
-        BlockInfo::from(self.space.block_at(addr).expect("block just created"))
+        self.space.info_at(addr).expect("block just created")
     }
 
     /// Define a global variable and register it in the MSRLT.
