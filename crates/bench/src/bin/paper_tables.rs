@@ -7,85 +7,36 @@
 //! ```
 //!
 //! Subcommands: `validation`, `table1`, `fig2a`, `fig2b`, `complexity`,
-//! `overhead`, `translate`, `wire`, `delta`, `pipeline`,
-//! `faults`, `resume`, `telemetry`, `lint`, `modelcheck`, `all` — plus
-//! `bench-diff` (below). Each prints the table `hpm_bench` declares under
-//! that name; the column headers are the keys `--json-out` writes.
+//! `overhead`, `pipeline`, `all` — plus `bench-diff` (below). Each prints
+//! the table `hpm_bench` declares under that name; the column headers are
+//! the keys `--json-out` writes. Any other argument is a usage error
+//! (exit 2), so a gate line naming a table that no longer exists fails
+//! instead of passing silently.
 //!
-//! Timed cells (`table1`, `fig2a`, `fig2b`, `overhead`, the two
-//! collection columns of `translate`) are one warm-up and ten
-//! repetitions through `hpm_bench::harness::sample`, printed in seconds
-//! as `floor ±spread` (fastest repetition, interquartile range). An
-//! `overhead` row whose floor is no further from its baseline's than the
-//! two spreads together prints `unresolved`. `validation`, `delta`, `pipeline` and
-//! `telemetry` relay single-run spans from the migration's own report.
-//!
-//! `delta` is the incremental-migration gate: iterative pre-copy
-//! bitonic is driven over **all 16 architecture preset pairs** plus one
-//! deliberately tampered-base row, and it **always** exits 1 if any
-//! delta-restored image is not bit-identical per round, any row fails
-//! to freeze, the freeze leg ships more than 25% of the full image on a
-//! clean row, or the tampered base does not fall back to a full image
-//! exactly once.
-//!
-//! `modelcheck` is the model-checking gate: it exhausts the
-//! ARQ × resume product machine under the full fault alphabet, prints
-//! per-scenario exploration counters, and **always** exits 1 on any
-//! HPM04x violation, a missed seeded bug, or an exhausted search
-//! budget. On failure, set `HPM_MODEL_TRACE_DIR` to persist the
-//! counterexample JSONL traces (CI uploads them as artifacts); replay
-//! one with `hpm-model --replay <trace>`.
-//!
-//! `resume` is the resumable-restore gate: each paper workload is
-//! crashed at 25/50/75% of its chunk stream and resumed from the
-//! destination's chunk journal; it **always** exits 1 if any crash
-//! fails to resume on rung 2, any resume replays an already-verified
-//! chunk over the wire, or linpack's wire bytes saved fall below the
-//! journaled share of the stream.
-//!
-//! `wire` is the wire-optimisation gate: per paper workload it prints
-//! the compression ratio, and **always** exits 1 if the compressed run
-//! diverges from the stored run or compression fails to shrink
-//! linpack's image — CI's perf-smoke line alongside `translate`.
-//!
-//! `telemetry` prints the percentile wire telemetry: per-chunk modelled
-//! wire latency percentiles, retransmits and the ARQ retry-count
-//! distribution for the three paper workloads under seeded faults.
+//! Timed cells (`table1`, `fig2a`, `fig2b`, `overhead`) are one warm-up
+//! and ten repetitions through `hpm_bench::harness::sample`, printed in
+//! seconds as `floor ±spread` (fastest repetition, interquartile range).
+//! An `overhead` row whose floor is no further from its baseline's than
+//! the two spreads together prints `unresolved`. `validation` and
+//! `pipeline` relay single-run spans from the migration's own report.
 //!
 //! `bench-diff <old.json> <new.json>` compares two `BENCH_<rev>.json`
-//! artifacts: every declared metric both carry is delta'd, and a
-//! regression beyond `--threshold <pct>` (default 5) in a gated counter
-//! or rate, any growth of a zero-tolerance counter, a flag decaying to
-//! `false`, or a gated column, row or section missing from the new side
-//! exits 1. `bench-diff --against-latest <new.json>` takes the old side
-//! from the last `bench_history.json` entry; a missing or unparsable
-//! index is exit 2.
-//!
-//! `translate` is the collection-performance gate: it prints the search
-//! counts and both collection times for the three paper workloads (plus
-//! linpack on the little-endian preset), and **always** exits 1 if any
-//! row's bulk and per-element collections differ by a byte — CI's
-//! perf-smoke line.
-//!
-//! `lint` runs the analyzer's registry and portability audits over the
-//! three paper workloads frozen at their migration points. With
-//! `--deny`, any warning- or error-level finding exits 1 — the CI lint
-//! gate for workloads.
-//!
-//! `faults` sweeps seeded fault plans through the resilient driver:
-//! a recovery-overhead-vs-fault-rate table plus a replay of the CI soak
-//! seeds. `--seed-count <n>` sets how many seeds each rate bucket sweeps
-//! (default 8).
+//! artifacts: every declared metric both carry is delta'd, and a gated
+//! counter growing beyond `--threshold <pct>` (default 5), or a gated
+//! column, row or section missing from the new side, exits 1.
+//! `bench-diff --against-latest <new.json>` takes the old side from the
+//! last `bench_history.json` entry; a missing or unparsable index is
+//! exit 2.
 //!
 //! `--trace-out <path>` additionally runs one fully-traced TestPointer
 //! migration and writes a Chrome trace-event JSON file (load it at
 //! `ui.perfetto.dev` or `chrome://tracing`).
 //!
 //! `--json-out <path>` writes the benchmark artifact: the deterministic
-//! counters of nine tables (`hpm_bench::ARTIFACT`), no wall clock, so
-//! two runs at one commit write the same bytes. If `<path>` is a
-//! directory, the file is named `BENCH_<rev>.json` after the current git
-//! revision.
+//! counters of the paper workloads (`hpm_bench::ARTIFACT`), no wall
+//! clock, so two runs at one commit write the same bytes. If `<path>` is
+//! a directory, the file is named `BENCH_<rev>.json` after the current
+//! git revision.
 
 use hpm_bench::table::Table;
 use hpm_bench::*;
@@ -100,48 +51,18 @@ fn main() {
     }
     let trace_out: Option<String> = take_value(&mut args, "--trace-out", "a path");
     let json_out: Option<String> = take_value(&mut args, "--json-out", "a path");
-    let deny = take_flag(&mut args, "--deny");
-    let seed_count =
-        take_value(&mut args, "--seed-count", "a number").unwrap_or(DEFAULT_SEED_COUNT);
     // Every table subcommand, in print order.
-    let tables: [(&str, &dyn Fn()); 15] = [
-        (VALIDATION.name, &|| drop(show(&VALIDATION))),
-        (TABLE1.name, &|| drop(show(&TABLE1))),
-        (FIG2A.name, &|| drop(show(&FIG2A))),
-        (FIG2B.name, &|| drop(show(&FIG2B))),
-        (COMPLEXITY.name, &|| drop(show(&COMPLEXITY))),
-        (OVERHEAD.name, &|| drop(show(&OVERHEAD))),
-        (TRANSLATE.name, &|| {
-            let rows = translate_rows(true);
-            print!("{}", TRANSLATE.text(&rows));
-            enforce(TRANSLATE.name, translate_gate(&rows));
-        }),
-        (WIRE.name, &|| enforce(WIRE.name, wire_gate(&show(&WIRE)))),
-        (DELTA.name, &|| {
-            enforce(DELTA.name, delta_gate(&show(&DELTA)))
-        }),
-        (PIPELINE.name, &|| drop(show(&PIPELINE))),
-        (FAULT_RATES.name, &|| {
-            print!("{}", FAULT_RATES.text(&fault_rate_rows(seed_count)));
-            show(&FAULT_SEEDS);
-        }),
-        (RESUME.name, &|| {
-            enforce(RESUME.name, resume_gate(&show(&RESUME)))
-        }),
-        (TELEMETRY.name, &|| drop(show(&TELEMETRY))),
-        (LINT.name, &|| {
-            let rows = show(&LINT);
-            if deny && rows.iter().any(|r| !r.clean()) {
-                eprintln!(
-                    "paper_tables lint: deny: workload findings at warning severity or above"
-                );
-                std::process::exit(1);
-            }
-        }),
-        (MODELCHECK.name, &modelcheck),
+    let tables: [(&str, &dyn Fn()); 7] = [
+        (VALIDATION.name, &|| show(&VALIDATION)),
+        (TABLE1.name, &|| show(&TABLE1)),
+        (FIG2A.name, &|| show(&FIG2A)),
+        (FIG2B.name, &|| show(&FIG2B)),
+        (COMPLEXITY.name, &|| show(&COMPLEXITY)),
+        (OVERHEAD.name, &|| show(&OVERHEAD)),
+        (PIPELINE.name, &|| show(&PIPELINE)),
     ];
-    // A typo must not pass as "nothing to do": CI's gate lines are
-    // subcommands of this binary.
+    // A typo must not pass as "nothing to do": CI's smoke line is a
+    // subcommand of this binary.
     let known = |a: &String| a == "all" || tables.iter().any(|(name, _)| name == a);
     if let Some(bad) = args.iter().find(|a| !known(a)) {
         let names: Vec<&str> = tables.iter().map(|(name, _)| *name).collect();
@@ -187,20 +108,8 @@ fn take_value<T: std::str::FromStr>(args: &mut Vec<String>, flag: &str, what: &s
 }
 
 /// Run a table's rows and print it.
-fn show<R>(table: &Table<R>) -> Vec<R> {
-    let rows = (table.rows)();
-    print!("{}", table.text(&rows));
-    rows
-}
-
-/// Exit 1 on a table's gate violations.
-fn enforce(table: &str, violations: Vec<String>) {
-    for v in &violations {
-        eprintln!("paper_tables {table}: gate: {v}");
-    }
-    if !violations.is_empty() {
-        std::process::exit(1);
-    }
+fn show<R>(table: &Table<R>) {
+    print!("{}", table.text(&(table.rows)()));
 }
 
 fn read_bench(path: &str) -> diff::Json {
@@ -234,7 +143,7 @@ fn bench_diff_cmd(args: &[String]) {
                 eprintln!("bench-diff: {e}");
                 std::process::exit(2);
             });
-        let newest_first = history.entries.into_iter().rev().map(|(_, file)| file);
+        let newest_first = history.into_iter().rev().map(|(_, file)| file);
         let old = newest_first
             .into_iter()
             .find(|f| *f != new_name && *f != *new_path)
@@ -257,31 +166,6 @@ fn bench_diff_cmd(args: &[String]) {
     if !report.violations.is_empty() {
         std::process::exit(1);
     }
-}
-
-fn modelcheck() {
-    let rows = show(&MODELCHECK);
-    let violations = modelcheck_gate(&rows);
-    if !violations.is_empty() {
-        // Persist the counterexample traces so CI can upload them as
-        // artifacts; the rerun only happens on the failure path.
-        if let Ok(dir) = std::env::var("HPM_MODEL_TRACE_DIR") {
-            for r in hpm_model::run_all() {
-                let Some(trace) = &r.trace_jsonl else {
-                    continue;
-                };
-                if r.violations() == 0 {
-                    continue; // the expected catch is a pass, not a finding
-                }
-                let path = format!("{dir}/{}.jsonl", r.scenario);
-                match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, trace)) {
-                    Ok(()) => eprintln!("paper_tables modelcheck: trace written to {path}"),
-                    Err(e) => eprintln!("paper_tables modelcheck: cannot write {path}: {e}"),
-                }
-            }
-        }
-    }
-    enforce(MODELCHECK.name, violations);
 }
 
 fn short_rev() -> String {

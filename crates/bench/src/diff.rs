@@ -5,17 +5,17 @@
 //! (wall clocks are printed by `paper_tables`, never written), so a change
 //! is a real behavioural change. What a change means is read from the
 //! section's declaration in [`crate::ARTIFACT`]: a [`Kind::Counter`] may
-//! not grow, nor a [`Kind::Rate`] shrink, beyond the threshold; a
-//! [`Kind::ZeroTolerance`] counter may not grow at all; a [`Kind::Flag`]
-//! may not decay from `true` to `false`; [`Kind::Info`] is reported. A
-//! gated column, a row that carried one, or a whole section present in
-//! the old artifact and absent from the new one is itself a violation —
-//! a gate does not retire by deleting what it reads. Keys no declaration
-//! names (older schemas' wall clocks) are ignored.
+//! not grow beyond the threshold; [`Kind::Info`] is reported. A gated
+//! column, a row that carried one, or a whole section present in the old
+//! artifact and absent from the new one is itself a violation — a gate
+//! does not retire by deleting what it reads. Sections and keys no
+//! declaration names (older schemas' wall clocks, the sections whose
+//! gates are now test assertions) are ignored.
 //!
 //! The module carries its own minimal JSON reader (the workspace is
 //! dependency-free by design); it supports exactly the subset the bench
-//! artifacts use — objects, arrays, strings, numbers, booleans, null.
+//! artifacts use — objects, arrays, unescaped strings, numbers, booleans,
+//! null.
 
 use crate::table::Kind;
 use std::fmt::Write as _;
@@ -66,14 +66,6 @@ impl Json {
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -190,57 +182,20 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// A string, verbatim: the artifact writer never escapes (its
+    /// strings are labels and revisions), so a backslash is refused.
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            if self.i + 4 >= self.b.len() {
-                                return Err("truncated \\u escape".into());
-                            }
-                            let hex = std::str::from_utf8(&self.b[self.i + 1..self.i + 5])
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                            self.i += 4;
-                        }
-                        _ => return Err(format!("bad escape at offset {}", self.i)),
-                    }
-                    self.i += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.b[self.i..];
-                    let len = match rest[0] {
-                        c if c < 0x80 => 1,
-                        c if c < 0xE0 => 2,
-                        c if c < 0xF0 => 3,
-                        _ => 4,
-                    };
-                    out.push_str(std::str::from_utf8(&rest[..len]).map_err(|e| e.to_string())?);
-                    self.i += len;
-                }
-            }
+        let len = self.b[self.i..].iter().position(|&c| c == b'"');
+        let len = len.ok_or("unterminated string")?;
+        let text = &self.b[self.i..self.i + len];
+        if text.contains(&b'\\') {
+            return Err(format!("escape sequence at offset {}", self.i));
         }
+        self.i += len + 1;
+        std::str::from_utf8(text)
+            .map(str::to_string)
+            .map_err(|e| e.to_string())
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -320,16 +275,15 @@ fn entry_key(columns: &Columns, item: &Json) -> String {
 fn carries_a_gate(columns: &Columns, item: &Json) -> bool {
     columns
         .iter()
-        .any(|(name, kind)| kind.gated() && item.get(name).is_some())
+        .any(|(name, kind)| *kind == Kind::Counter && item.get(name).is_some())
 }
 
 fn section_items<'a>(doc: &'a Json, section: &str) -> Option<&'a [Json]> {
     doc.get(section).and_then(Json::as_arr)
 }
 
-/// Compare two parsed bench artifacts. `threshold_pct` is the worsening
-/// allowed on thresholded gates (e.g. `5.0` = 5%); zero-tolerance gates
-/// ignore it.
+/// Compare two parsed bench artifacts. `threshold_pct` is the growth
+/// allowed on a gated counter (e.g. `5.0` = 5%).
 pub fn bench_diff(old: &Json, new: &Json, threshold_pct: f64) -> DiffReport {
     let rev = |doc: &Json| {
         let rev = doc.get(crate::REVISION).and_then(Json::as_str);
@@ -354,8 +308,7 @@ pub fn bench_diff(old: &Json, new: &Json, threshold_pct: f64) -> DiffReport {
             (Some(o), Some(n)) => (o, n),
             // An old artifact missing a section is just an older schema;
             // a section vanishing from the new one would silently retire
-            // its gates — deleting the lint or modelcheck table must read
-            // as a regression, not a skip.
+            // its gates, so it reads as a regression, not a skip.
             (Some(_), None) => {
                 report.violations.push(format!(
                     "MissingSection: gated section '{name}' present in {} but absent in {}",
@@ -418,8 +371,9 @@ fn diff_entry(
         let (Some(old_val), new_val) = (old_item.get(metric), new_item.get(metric)) else {
             continue; // an older schema never had it
         };
+        let gated = kind == Kind::Counter;
         let Some(new_val) = new_val else {
-            if kind.gated() {
+            if gated {
                 report.violations.push(format!(
                     "MissingMetric: gated {section}/{key}: {metric} absent in {}",
                     report.new_rev
@@ -427,15 +381,6 @@ fn diff_entry(
             }
             continue;
         };
-        // Booleans gate on truth decay: true → false is a regression.
-        if let (Some(o), Some(n)) = (old_val.as_bool(), new_val.as_bool()) {
-            if o && !n {
-                report
-                    .violations
-                    .push(format!("{section}/{key}: {metric} flipped true -> false"));
-            }
-            continue;
-        }
         let (Some(o), Some(n)) = (old_val.as_f64(), new_val.as_f64()) else {
             continue;
         };
@@ -448,23 +393,12 @@ fn diff_entry(
         } else {
             (n / o - 1.0) * 100.0
         };
-        // (how far the metric moved in its bad direction, what is allowed)
-        let gate = match kind {
-            Kind::Counter => Some((pct, threshold_pct)),
-            Kind::Rate => Some((-pct, threshold_pct)),
-            Kind::ZeroTolerance => Some((pct, 0.0)),
-            _ => None,
-        };
-        let mut violation = false;
-        if let Some((worsened, allowed)) = gate {
-            // From zero any growth is infinite relative growth, and a
-            // rate cannot fall below it.
-            violation = worsened > allowed + 1e-9;
-            if violation {
-                report.violations.push(format!(
-                    "{section}/{key}: {metric} {o} -> {n} ({pct:+.1}%, allowed {allowed:.1}%)"
-                ));
-            }
+        // From zero any growth is infinite relative growth.
+        let violation = gated && pct > threshold_pct + 1e-9;
+        if violation {
+            report.violations.push(format!(
+                "{section}/{key}: {metric} {o} -> {n} ({pct:+.1}%, allowed {threshold_pct:.1}%)"
+            ));
         }
         report.deltas.push(MetricDelta {
             section: section.to_string(),
@@ -473,7 +407,7 @@ fn diff_entry(
             old: o,
             new: n,
             pct,
-            gated: gate.is_some(),
+            gated,
             violation,
         });
     }
@@ -548,18 +482,11 @@ fn trim_num(v: f64) -> String {
     }
 }
 
-/// The committed bench-history index (`bench_history.json`): artifact
-/// files in chronological order, oldest first. This normalizes the early
-/// artifacts (whose schemas predate the `translate`/`lint`/`telemetry`
-/// sections) into one walkable trajectory without rewriting them.
-#[derive(Debug, Clone)]
-pub struct BenchHistory {
-    /// `(revision, file)` pairs, oldest first.
-    pub entries: Vec<(String, String)>,
-}
-
-/// Parse `bench_history.json` content.
-pub fn parse_history(s: &str) -> Result<BenchHistory, String> {
+/// Parse the committed bench-history index (`bench_history.json`): the
+/// `(revision, file)` of every artifact, oldest first. This normalizes
+/// the artifacts, whose schemas differ in the sections they carry, into
+/// one walkable trajectory without rewriting them.
+pub fn parse_history(s: &str) -> Result<Vec<(String, String)>, String> {
     let doc = parse_json(s)?;
     let entries = doc
         .get("entries")
@@ -577,7 +504,7 @@ pub fn parse_history(s: &str) -> Result<BenchHistory, String> {
             .ok_or("bench_history.json: entry missing 'file'")?;
         out.push((rev.to_string(), file.to_string()));
     }
-    Ok(BenchHistory { entries: out })
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -587,10 +514,9 @@ mod tests {
     const OLD: &str = r#"{
         "revision": "aaa1111",
         "workloads": [
-            {"name": "w", "payload_bytes": 1000, "collect_ns": 500, "searches": 10,
-             "search_steps": 20, "cache_hit_rate": 0.9}
-        ],
-        "lint": [{"name": "w", "warnings": 0, "errors": 0}]
+            {"name": "w", "payload_bytes": 1000, "tx_ns": 80, "searches": 10,
+             "collect_ns": 500, "cache_hit_rate": 0.9}
+        ]
     }"#;
 
     #[test]
@@ -600,7 +526,11 @@ mod tests {
         let w = &v.get("workloads").and_then(Json::as_arr).unwrap()[0];
         assert_eq!(w.get("payload_bytes").and_then(Json::as_f64), Some(1000.0));
         assert_eq!(w.get("cache_hit_rate").and_then(Json::as_f64), Some(0.9));
-        assert!(parse_json("[1, true, null, \"a\\nb\"]").is_ok());
+        assert!(parse_json("[1, true, null, \"a b\", \"\"]").is_ok());
+        assert!(
+            parse_json("[\"a\\nb\"]").is_err(),
+            "the writer never escapes"
+        );
         assert!(parse_json("{bad").is_err());
         assert!(parse_json("{} trailing").is_err());
     }
@@ -619,74 +549,64 @@ mod tests {
         let new = parse_json(
             &OLD.replace("\"searches\": 10", "\"searches\": 20")
                 .replace("\"collect_ns\": 500", "\"collect_ns\": 50000")
+                .replace("\"tx_ns\": 80", "\"tx_ns\": 800")
                 .replace("\"revision\": \"aaa1111\"", "\"revision\": \"bbb2222\""),
         )
         .unwrap();
         let report = bench_diff(&old, &new, 5.0);
-        // searches doubled: gated, fails. collect_ns and search_steps are
-        // keys older artifacts carried and no declaration names: not
-        // metrics.
+        // searches doubled: gated, fails. tx_ns is informational: shown,
+        // never fatal. collect_ns is a key older artifacts carried and no
+        // declaration names: not a metric.
         assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
         assert!(report.violations[0].contains("searches"));
-        assert!(report.deltas.iter().all(|d| d.metric != "search_steps"));
+        assert!(report
+            .deltas
+            .iter()
+            .any(|d| d.metric == "tx_ns" && !d.gated));
         assert!(report.deltas.iter().all(|d| d.metric != "collect_ns"));
+        // Growth within the threshold passes.
+        let new = parse_json(&OLD.replace("\"searches\": 10", "\"searches\": 10.4")).unwrap();
+        assert!(bench_diff(&old, &new, 5.0).violations.is_empty());
         let rendered = render_diff(&report);
         assert!(rendered.contains("REGRESSION"));
         assert!(rendered.contains("aaa1111 -> bbb2222"));
     }
 
     #[test]
-    fn lint_findings_are_zero_tolerance() {
-        let old = parse_json(OLD).unwrap();
-        let new = parse_json(&OLD.replace("\"warnings\": 0", "\"warnings\": 1")).unwrap();
-        let report = bench_diff(&old, &new, 50.0);
-        assert_eq!(report.violations.len(), 1);
-        assert!(report.violations[0].contains("warnings"));
-    }
-
-    #[test]
-    fn rate_decay_beyond_threshold_fails() {
-        let resume = |fraction: &str| {
-            let row = format!(r#"{{"name": "w", "saved_fraction": {fraction}}}"#);
-            parse_json(&format!(r#"{{"revision": "r", "resume": [{row}]}}"#)).unwrap()
-        };
-        let old = resume("0.9");
-        let report = bench_diff(&old, &resume("0.5"), 5.0);
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.contains("saved_fraction")));
-        // Within threshold: fine.
-        assert!(bench_diff(&old, &resume("0.88"), 5.0).violations.is_empty());
-    }
-
-    #[test]
     fn missing_sections_are_skipped_not_fatal() {
-        let old = parse_json(r#"{"revision": "old", "workloads": []}"#).unwrap();
         let new = parse_json(OLD).unwrap();
+        let old = parse_json(r#"{"revision": "old"}"#).unwrap();
         let report = bench_diff(&old, &new, 5.0);
         assert!(report.violations.is_empty());
-        assert!(report.skipped.iter().any(|s| s.contains("lint")));
+        assert!(report.skipped.iter().any(|s| s.contains("'workloads'")));
+        let old = parse_json(r#"{"revision": "old", "workloads": []}"#).unwrap();
+        let report = bench_diff(&old, &new, 5.0);
+        assert!(report.violations.is_empty());
         assert!(report.skipped.iter().any(|s| s.contains("workloads/w")));
+    }
+
+    /// Older artifacts carry sections whose gates are now test
+    /// assertions; no declaration names them, so they are not compared.
+    #[test]
+    fn sections_no_declaration_names_are_not_compared() {
+        let old = parse_json(&OLD.replace(
+            "\"workloads\"",
+            r#""lint": [{"name": "w", "warnings": 0}], "workloads""#,
+        ))
+        .unwrap();
+        let report = bench_diff(&old, &parse_json(OLD).unwrap(), 5.0);
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert!(report.deltas.iter().all(|d| d.section == "workloads"));
     }
 
     #[test]
     fn deleting_a_gated_section_from_the_new_artifact_is_fatal() {
         let old = parse_json(OLD).unwrap();
-        let new = parse_json(
-            r#"{
-            "revision": "bbb2222",
-            "workloads": [
-                {"name": "w", "payload_bytes": 1000, "collect_ns": 500, "searches": 10,
-                 "search_steps": 20, "cache_hit_rate": 0.9}
-            ]
-        }"#,
-        )
-        .unwrap();
+        let new = parse_json(r#"{"revision": "bbb2222"}"#).unwrap();
         let report = bench_diff(&old, &new, 5.0);
         assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
         assert!(report.violations[0].starts_with("MissingSection"));
-        assert!(report.violations[0].contains("'lint'"));
+        assert!(report.violations[0].contains("'workloads'"));
         assert!(render_diff(&report).contains("MissingSection"));
     }
 
@@ -698,80 +618,48 @@ mod tests {
         assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
         assert!(report.violations[0].starts_with("MissingMetric"));
         assert!(report.violations[0].contains("workloads/w: searches"));
-        // A flag is a gate too; an informational column is not.
-        let old = parse_json(MODEL_OLD).unwrap();
-        let new = parse_json(&MODEL_OLD.replace(", \"caught\": true", "")).unwrap();
-        let report = bench_diff(&old, &new, 5.0);
-        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
-        assert!(report.violations[0].contains("claim_race_racy: caught"));
-        let new = parse_json(&MODEL_OLD.replace("\"states\": 12, ", "")).unwrap();
+        // An informational column is not a gate.
+        let new = parse_json(&OLD.replace("\"tx_ns\": 80,", "")).unwrap();
         assert!(bench_diff(&old, &new, 5.0).violations.is_empty());
     }
 
     #[test]
     fn dropping_a_row_from_a_gated_section_is_fatal_unless_it_carried_no_gate() {
-        let with_rows =
-            |rows: &str| parse_json(&format!(r#"{{"revision": "r", "delta": [{rows}]}}"#)).unwrap();
-        let gated = r#"{"name": "bitonic:a->b", "freeze_bytes": 10, "identical": true}"#;
-        let pseudo = r#"{"name": "freeze_time_percentiles", "p50_ns": 5, "max_ns": 9}"#;
+        let with_rows = |rows: &str| {
+            parse_json(&format!(r#"{{"revision": "r", "workloads": [{rows}]}}"#)).unwrap()
+        };
+        let gated = r#"{"name": "linpack_600", "searches": 8, "tx_ns": 9}"#;
+        let pseudo = r#"{"name": "tx_percentiles", "tx_ns": 5}"#;
         let old = with_rows(&format!("{gated}, {pseudo}"));
-        // The wall-clock pseudo-row leaving retires nothing.
+        // A row of informational values leaving retires nothing.
         let report = bench_diff(&old, &with_rows(gated), 5.0);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
-        assert!(report.skipped[0].contains("delta/freeze_time_percentiles"));
+        assert!(report.skipped[0].contains("workloads/tx_percentiles"));
         // The row the gates read leaving is a violation naming it.
         let report = bench_diff(&old, &with_rows(pseudo), 5.0);
         assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
         assert!(report.violations[0].starts_with("MissingEntry"));
-        assert!(report.violations[0].contains("delta/bitonic:a->b"));
+        assert!(report.violations[0].contains("workloads/linpack_600"));
     }
 
-    /// The gate set read from the declarations: the hand-kept table's 24
-    /// (section, metric, more-is-worse, zero-tolerance) tuples less the
-    /// four MSRLT search-step and cache-hit gates, whose mechanisms are
-    /// gone.
+    /// The gate set read from the declarations: the paper workloads'
+    /// payload bytes and MSRLT searches. Every other former gate is an
+    /// assertion in the integration test that checks the same property.
     #[test]
-    fn declared_gates_are_the_pinned_twenty() {
-        let mut declared: Vec<_> = crate::ARTIFACT
+    fn declared_gates_are_the_pinned_two() {
+        let declared: Vec<_> = crate::ARTIFACT
             .iter()
             .flat_map(|s| {
-                let gates = s.columns().into_iter().filter_map(|(metric, kind)| {
-                    let (more_is_worse, zero) = match kind {
-                        Kind::Counter => (true, false),
-                        Kind::Rate => (false, false),
-                        Kind::ZeroTolerance => (true, true),
-                        _ => return None,
-                    };
-                    Some((s.name(), metric, more_is_worse, zero))
-                });
-                gates.collect::<Vec<_>>()
+                let gates = s.columns().into_iter().filter(|&(_, k)| k == Kind::Counter);
+                gates
+                    .map(|(metric, _)| (s.name(), metric))
+                    .collect::<Vec<_>>()
             })
             .collect();
-        let mut expected = vec![
-            ("workloads", "payload_bytes", true, false),
-            ("workloads", "searches", true, false),
-            ("faults", "fallbacks", true, true),
-            ("faults", "retransmits", true, false),
-            ("lint", "warnings", true, true),
-            ("lint", "errors", true, true),
-            ("telemetry", "retransmits", true, false),
-            ("telemetry", "retry_max", true, false),
-            ("wire", "raw_bytes", true, false),
-            ("wire", "wire_bytes", true, false),
-            ("delta", "fallbacks", true, true),
-            ("delta", "rounds", true, false),
-            ("delta", "full_bytes", true, false),
-            ("delta", "delta_bytes", true, false),
-            ("delta", "freeze_bytes", true, false),
-            ("resume", "wire_replays", true, true),
-            ("resume", "rung", true, true),
-            ("resume", "chunks_retransferred", true, false),
-            ("resume", "saved_fraction", false, false),
-            ("modelcheck", "violations", true, true),
-        ];
-        declared.sort();
-        expected.sort();
-        assert_eq!(declared, expected);
+        assert_eq!(
+            declared,
+            [("workloads", "payload_bytes"), ("workloads", "searches")]
+        );
         // And no artifact key is timed or named twice within a section.
         for s in crate::ARTIFACT {
             let mut names: Vec<_> = s.columns().into_iter().map(|(n, _)| n).collect();
@@ -779,31 +667,6 @@ mod tests {
             names.dedup();
             assert_eq!(names.len(), s.columns().len(), "{}", s.name());
         }
-    }
-
-    const MODEL_OLD: &str = r#"{"revision": "old", "modelcheck": [
-        {"name": "claim_race_racy", "kind": "schedule", "states": 12, "interleavings": 3,
-         "reductions": 2, "violations": 0, "expected_catch": true, "caught": true,
-         "budget_exhausted": false}
-    ]}"#;
-
-    #[test]
-    fn modelcheck_violations_are_zero_tolerance_and_caught_decay_fails() {
-        let old = parse_json(MODEL_OLD).unwrap();
-        let new = parse_json(&MODEL_OLD.replace("\"violations\": 0", "\"violations\": 1")).unwrap();
-        let report = bench_diff(&old, &new, 50.0);
-        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
-        assert!(report.violations[0].contains("violations"));
-        // The seeded bug going from caught to missed is a boolean
-        // decay: the checker has gone blind to its own regression test.
-        let blind =
-            parse_json(&MODEL_OLD.replace("\"caught\": true", "\"caught\": false")).unwrap();
-        let report = bench_diff(&old, &blind, 50.0);
-        assert!(
-            report.violations.iter().any(|v| v.contains("caught")),
-            "{:?}",
-            report.violations
-        );
     }
 
     #[test]
@@ -815,7 +678,7 @@ mod tests {
             ]}"#,
         )
         .unwrap();
-        assert_eq!(h.entries.len(), 2);
-        assert_eq!(h.entries[1], ("b".to_string(), "BENCH_b.json".to_string()));
+        assert_eq!(h.len(), 2);
+        assert_eq!(h[1], ("b".to_string(), "BENCH_b.json".to_string()));
     }
 }

@@ -17,27 +17,11 @@ pub enum Kind {
     Key,
     /// Counter, gated: an increase beyond the threshold is a regression.
     Counter,
-    /// Rate, gated: a decrease beyond the threshold is a regression.
-    Rate,
-    /// Counter gated at zero tolerance: any increase is a regression.
-    ZeroTolerance,
-    /// Boolean, gated on decay: `true` → `false` is a regression.
-    Flag,
-    /// Reported, never gated (sizes and ratios with no worse direction).
+    /// Reported, never gated (sizes, ratios, flags).
     Info,
     /// A wall clock — a sampled [`Timing`], or a span relayed from one
     /// run's report: printed, never in the artifact.
     Timed,
-}
-
-impl Kind {
-    /// Whether dropping the column from the artifact would retire a gate.
-    pub fn gated(self) -> bool {
-        matches!(
-            self,
-            Kind::Counter | Kind::Rate | Kind::ZeroTolerance | Kind::Flag
-        )
-    }
 }
 
 /// One value of one row.

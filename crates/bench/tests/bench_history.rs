@@ -9,75 +9,37 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-use hpm_bench::diff::{parse_json, Json};
-
-fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("repo root resolves")
-}
+use hpm_bench::diff::{parse_history, parse_json, Json};
 
 #[test]
 fn bench_history_indexes_exactly_the_committed_artifacts() {
-    let root = repo_root();
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let on_disk: BTreeSet<String> = std::fs::read_dir(&root)
         .expect("repo root readable")
-        .filter_map(|e| e.ok())
-        .filter_map(|e| e.file_name().into_string().ok())
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
         .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
         .collect();
-    assert!(
-        !on_disk.is_empty(),
-        "no BENCH_*.json artifacts found in {}",
-        root.display()
-    );
+    assert!(!on_disk.is_empty(), "no BENCH_*.json artifacts found");
 
     let raw = std::fs::read_to_string(root.join("bench_history.json"))
         .expect("bench_history.json present in repo root");
-    let index = parse_json(&raw).expect("bench_history.json parses");
-    let entries = index
-        .get("entries")
-        .and_then(Json::as_arr)
-        .expect("bench_history.json has an entries array");
-
     let mut indexed = BTreeSet::new();
-    for entry in entries {
-        let revision = entry
-            .get("revision")
-            .and_then(Json::as_str)
-            .expect("entry has a revision");
-        let file = entry
-            .get("file")
-            .and_then(Json::as_str)
-            .expect("entry has a file");
+    for (revision, file) in parse_history(&raw).expect("bench_history.json parses") {
         assert_eq!(
             file,
             format!("BENCH_{revision}.json"),
             "index entry file does not match its revision"
         );
-        assert!(
-            indexed.insert(file.to_string()),
-            "duplicate index entry for {file}"
-        );
-        assert!(
-            on_disk.contains(file),
-            "bench_history.json indexes {file}, which is not committed"
-        );
+        assert!(on_disk.contains(&file), "{file} is indexed, not committed");
         // The artifact's own revision field must agree with the
         // filename, or --against-latest reports deltas under the
         // wrong label.
-        let artifact = std::fs::read_to_string(root.join(file))
+        let artifact = std::fs::read_to_string(root.join(&file))
             .unwrap_or_else(|e| panic!("{file} unreadable: {e}"));
-        let parsed = parse_json(&artifact).unwrap_or_else(|e| panic!("{file} does not parse: {e}"));
-        let inner = parsed
-            .get("revision")
-            .and_then(Json::as_str)
-            .unwrap_or_else(|| panic!("{file} lacks a revision field"));
-        assert_eq!(
-            inner, revision,
-            "{file}: internal revision '{inner}' does not match the index"
-        );
+        let parsed = parse_json(&artifact).unwrap_or_else(|e| panic!("{file}: {e}"));
+        let inner = parsed.get("revision").and_then(Json::as_str);
+        assert_eq!(inner, Some(revision.as_str()), "{file}: revision field");
+        assert!(indexed.insert(file.clone()), "duplicate index entry {file}");
     }
     let unindexed: Vec<&String> = on_disk.difference(&indexed).collect();
     assert!(

@@ -2,6 +2,7 @@
 //!
 //! ```text
 //! hpm-model                      run every scenario; exit 1 on violations
+//!                                or an exhausted search budget
 //! hpm-model --scenario NAME      run one scenario by name
 //! hpm-model --trace-dir DIR      also write counterexample JSONL to DIR
 //! hpm-model --replay FILE        re-execute a recorded protocol trace;
@@ -23,6 +24,8 @@ fn usage() -> ExitCode {
 fn print_report(r: &ModelCheckReport) {
     let verdict = if !r.findings.is_empty() {
         "VIOLATION"
+    } else if r.budget_exhausted {
+        "INCOMPLETE"
     } else if r.expected_catch && r.caught {
         "caught"
     } else {
@@ -114,9 +117,11 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
         let mut violations = 0u32;
+        let mut out_of_budget = 0u32;
         for r in &reports {
             print_report(r);
             violations += r.violations();
+            out_of_budget += u32::from(r.budget_exhausted);
             if let (Some(dir), Some(trace)) = (&trace_dir, &r.trace_jsonl) {
                 let path = format!("{dir}/{}.jsonl", r.scenario);
                 if let Err(e) =
@@ -128,11 +133,14 @@ fn main() -> ExitCode {
                 }
             }
         }
-        if violations > 0 {
-            eprintln!("hpm-model: {violations} violation(s)");
-            ExitCode::FAILURE
-        } else {
+        if reports.iter().all(ModelCheckReport::passes) {
             ExitCode::SUCCESS
+        } else {
+            eprintln!(
+                "hpm-model: {violations} violation(s), {out_of_budget} scenario(s) out of \
+                 search budget"
+            );
+            ExitCode::FAILURE
         }
     }
 }

@@ -12,8 +12,9 @@
 //! Findings map to the stable `HPM040`–`HPM044`, `HPM047` and `HPM048`
 //! diagnostics in [`hpm_lint`], and counterexamples serialize to
 //! replayable JSONL ([`trace`]); `hpm-model --replay <file>` re-executes
-//! a witness. The suite runs in CI (`paper_tables modelcheck`) with a
-//! zero-tolerance gate on violations, and one deliberately broken
+//! a witness. The suite runs in CI (the `hpm-model` binary and
+//! `tests/model_gate.rs`), which fails on any violation and on any
+//! exhausted search budget, and one deliberately broken
 //! scenario — the production receiver wrapped so it re-releases a
 //! duplicate — must be caught every run, proving the checker can still
 //! see that bug class.
@@ -44,7 +45,7 @@ pub struct ModelCheckReport {
     /// The seeded bug was caught (always false for unseeded scenarios).
     pub caught: bool,
     /// Unexpected problems: real violations, or a missed seeded catch.
-    /// Zero-tolerance in the bench gate.
+    /// Zero-tolerance in the gate ([`ModelCheckReport::passes`]).
     pub findings: Vec<(LintCode, String)>,
     /// The search budget stopped exploration early (HPM047, warning).
     pub budget_exhausted: bool,
@@ -59,6 +60,13 @@ impl ModelCheckReport {
     /// Violation count for the zero-tolerance gate.
     pub fn violations(&self) -> u32 {
         self.findings.len() as u32
+    }
+
+    /// The gate: no violation, and the search ran to completion. An
+    /// exhausted budget explored only a prefix of the state space, which
+    /// is not a proof.
+    pub fn passes(&self) -> bool {
+        self.violations() == 0 && !self.budget_exhausted
     }
 }
 

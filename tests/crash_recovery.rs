@@ -292,6 +292,108 @@ fn destination_crash_resumes_without_rereceiving_verified_chunks() {
     assert!(!run.report.recovery().unwrap().fallback_taken);
 }
 
+/// A destination killed at 25, 50 and 75 % of each paper workload's
+/// chunk stream resumes from its journal on rung 2: the journal holds
+/// exactly the chunks before the crash, every one replays locally, none
+/// crosses the wire twice, only the rest of the stream is re-shipped, and
+/// the answers are right. On linpack, whose payload chunks are equal
+/// 64 KiB slices, the resume skips at least the journaled share of the
+/// stream's bytes, less the smaller prefix chunk.
+///
+/// The bytes each of these nine resumes saves are recorded in the `resume`
+/// section of the committed `BENCH_90e26fe.json`: the baseline that a
+/// resume rebuilt on pre-copy delta rounds must not fall below.
+#[test]
+fn destination_crash_sweep_resumes_from_the_journal() {
+    let (dec5000, sparc20) = (Architecture::dec5000(), Architecture::sparc20());
+    let ultra5 = Architecture::ultra5();
+    crash_sweep("test_pointer", TestPointer::new, &dec5000, &sparc20, 8, 256);
+    let linpack = || Linpack::truncated(600, 4);
+    crash_sweep("linpack_600", linpack, &ultra5, &ultra5, 2, 65_536);
+    let n = 20_000;
+    let bitonic = move || BitonicSort::new(n);
+    crash_sweep("bitonic_20000", bitonic, &ultra5, &ultra5, n, 4_096);
+}
+
+/// Crash one workload at each quarter of its stream, taking the stream's
+/// length from a clean run so the crash points land on real chunks.
+fn crash_sweep<P: MigratableProgram + Send>(
+    label: &str,
+    make: impl Fn() -> P + Copy + Send,
+    src: &Architecture,
+    dst: &Architecture,
+    polls: u64,
+    chunk_bytes: usize,
+) {
+    let (expect, _) = run_straight(&mut make(), src.clone()).unwrap();
+    let cfg = PipelineConfig {
+        chunk_bytes,
+        ..soak_cfg()
+    };
+    let policy = RecoveryPolicy {
+        backoff: Duration::from_millis(1),
+        ..soak_policy()
+    };
+    let run = |plan: FaultPlan| {
+        let (link, trigger) = (NetworkModel::ethernet_100(), Trigger::AtPollCount(polls));
+        run_migrating_resilient(
+            make,
+            src.clone(),
+            dst.clone(),
+            link,
+            trigger,
+            cfg,
+            plan,
+            policy,
+        )
+        .unwrap_or_else(|e| panic!("{label}: driver failed: {e}"))
+    };
+    let clean = run(FaultPlan::none());
+    let total = clean
+        .report
+        .pipeline()
+        .expect("a clean run completes")
+        .chunks;
+    for quarter in 1..=3u64 {
+        let k = ((total * quarter) / 4).max(1);
+        let at = format!("{label}@{}", quarter * 25);
+        let crashed = run(FaultPlan {
+            dst_crash_at: Some(k as u32),
+            ..FaultPlan::none()
+        });
+        assert!(
+            diff_results(&expect, &crashed.results).is_none(),
+            "{at}: wrong answer after resume"
+        );
+        let r = crashed
+            .report
+            .resume()
+            .expect("resilient runs carry resume stats");
+        assert_eq!(r.rung, 2, "{at}: did not resume from its journal: {r:?}");
+        assert_eq!(
+            r.wire_replays, 0,
+            "{at}: a verified chunk crossed the wire twice"
+        );
+        assert_eq!(
+            (r.journal_chunks, r.chunks_replayed),
+            (k, k),
+            "{at}: (journaled, replayed) chunks for a crash before chunk {k}"
+        );
+        assert_eq!(r.chunks_retransferred, total - k, "{at}: re-shipped chunks");
+        if label.starts_with("linpack") {
+            let shipped = r.bytes_saved + r.bytes_retransferred;
+            let saved = r.bytes_saved as f64 / shipped.max(1) as f64;
+            let floor = r.journal_chunks.saturating_sub(1) as f64 / total as f64;
+            assert!(
+                saved >= floor,
+                "{at}: resume saved {:.1} % of the wire bytes, below the {:.1} % journaled",
+                saved * 100.0,
+                floor * 100.0
+            );
+        }
+    }
+}
+
 /// A tampered journal digest is provably refused: the sender rejects the
 /// handshake, nothing is spliced, and the ladder falls through to rung 3
 /// (source resume) — with the answers still exactly right.

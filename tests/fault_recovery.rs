@@ -226,6 +226,92 @@ fn soak_bitonic_compressed() {
     );
 }
 
+/// test_pointer through the resilient driver on the §4.1 testbed, 64-byte
+/// chunks, six retries 1 ms apart: answer checked, recovery counters out.
+fn heals(plan: FaultPlan, expect: &[(String, String)]) -> RecoveryStats {
+    let run = run_migrating_resilient(
+        TestPointer::new,
+        Architecture::dec5000(),
+        Architecture::sparc20(),
+        NetworkModel::ethernet_10(),
+        Trigger::AtPollCount(8),
+        tiny_image_cfg(),
+        plan,
+        RecoveryPolicy {
+            max_retries: 6,
+            backoff: Duration::from_millis(1),
+            ..soak_policy()
+        },
+    )
+    .unwrap_or_else(|e| panic!("seed {:#x}: driver failed: {e}", plan.seed));
+    assert!(
+        diff_results(expect, &run.results).is_none(),
+        "seed {:#x}: wrong answer",
+        plan.seed
+    );
+    *run.report.recovery().expect("resilient runs carry stats")
+}
+
+fn test_pointer_answers() -> Vec<(String, String)> {
+    run_straight(&mut TestPointer::new(), Architecture::dec5000())
+        .unwrap()
+        .0
+}
+
+/// Three fixed full `FaultPlan::from_seed` schedules, two lossy and one
+/// that severs the link mid-stream: each heals on the destination, the
+/// severed one through a journal resume, with no source fallback.
+#[test]
+fn fixed_soak_seeds_heal_without_fallback() {
+    let expect = test_pointer_answers();
+    let mut severed = 0;
+    for seed in [
+        0x50AC_0000_0000_0001,
+        0x50AC_0000_0000_0008,
+        0x50AC_0000_0000_0018,
+    ] {
+        let plan = FaultPlan::from_seed(seed);
+        severed += plan.disconnect_at.is_some() as u32;
+        let stats = heals(plan, &expect);
+        assert!(
+            !stats.fallback_taken,
+            "seed {seed:#x}: fell back to the source"
+        );
+    }
+    assert_eq!(severed, 1, "one seed must cut the link");
+}
+
+/// Uniform drop, corrupt and duplicate rates from 0 to 120 ‰ (reorder and
+/// delay at half the rate), eight seeds each: ARQ absorbs every one of
+/// them without falling back to the source.
+#[test]
+fn uniform_fault_rates_never_fall_back() {
+    let expect = test_pointer_answers();
+    let mut injected = 0;
+    for rate in [0u16, 15, 30, 60, 120] {
+        for i in 0..8 {
+            let plan = FaultPlan {
+                seed: 0xFA17_0000_0000_0000 | (rate as u64) << 32 | i,
+                drop_per_mille: rate,
+                corrupt_per_mille: rate,
+                duplicate_per_mille: rate,
+                reorder_per_mille: rate / 2,
+                delay_per_mille: rate / 2,
+                disconnect_at: None,
+                ..FaultPlan::none()
+            };
+            let stats = heals(plan, &expect);
+            assert!(
+                !stats.fallback_taken,
+                "{rate} ‰ seed {:#x}: fell back to the source",
+                plan.seed
+            );
+            injected += stats.faults_injected;
+        }
+    }
+    assert!(injected > 0, "the sweep injected no fault");
+}
+
 /// With no faults injected, the resilient driver is the paper's
 /// stop-and-copy plus chunking and CRC/ack machinery: same results, same
 /// image bytes, no recovery actions beyond routine acknowledgements.

@@ -85,16 +85,16 @@ fn paper_workloads_lint_clean() {
         run_to_migration(&mut tp, Architecture::ultra5(), Trigger::AtPollCount(8)).unwrap();
     audit_clean("test_pointer", &mut src);
 
-    let mut lp = Linpack::truncated(120, 4);
+    let mut lp = Linpack::truncated(600, 4);
     let mut src =
         run_to_migration(&mut lp, Architecture::ultra5(), Trigger::AtPollCount(2)).unwrap();
-    audit_clean("linpack", &mut src);
+    audit_clean("linpack_600", &mut src);
 
-    let n = 2_000;
+    let n = 20_000;
     let mut bt = BitonicSort::new(n);
     let mut src =
         run_to_migration(&mut bt, Architecture::ultra5(), Trigger::AtPollCount(n)).unwrap();
-    audit_clean("bitonic", &mut src);
+    audit_clean("bitonic_20000", &mut src);
 }
 
 /// Two runs over the corpus produce byte-identical JSONL — the property

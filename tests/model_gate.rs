@@ -41,6 +41,17 @@ fn full_suite_has_zero_violations_and_catches_the_seeded_race() {
     }
 }
 
+/// The `hpm-model` binary exits on [`hpm_model::ModelCheckReport::passes`]:
+/// an exhausted search budget fails it as a violation does, because a
+/// partial exploration proves nothing.
+#[test]
+fn an_exhausted_budget_fails_the_gate() {
+    let mut reports = run_all();
+    assert!(reports.iter().all(|r| r.passes()), "{reports:#?}");
+    reports[0].budget_exhausted = true;
+    assert!(!reports[0].passes(), "an incomplete search passed the gate");
+}
+
 #[test]
 fn schedule_trace_is_refused_by_name_not_replayed() {
     // Witnesses of the deleted interleaving explorer may still be lying

@@ -79,6 +79,10 @@ fn precopy_bitonic_matches_straight_run_heterogeneous() {
     }
 }
 
+/// Block digests are machine-independent, so on every one of the 16
+/// preset pairs each round must reconstruct the image byte-identically,
+/// with no fallback, and the frozen leg must ship at most a quarter of
+/// the full image.
 #[test]
 fn precopy_bitonic_converges_with_small_freeze() {
     let n = 4_000;
@@ -88,42 +92,52 @@ fn precopy_bitonic_converges_with_small_freeze() {
     // round cap — the round budget must stay inside the n total polls
     // or the run silently completes on the source and `freeze_bytes`
     // is a vacuous 0.
-    let run = migrate(
-        || BitonicSort::new(n),
-        Architecture::ultra5(),
-        Architecture::sparc20(),
-        NetworkModel::ethernet_100(),
-        Trigger::AtPollCount(n / 4),
-        &Migration {
-            precopy: Some(PrecopyConfig {
-                round_polls: 150,
-                max_rounds: 4,
-                dirty_threshold: 0.05,
-                ..PrecopyConfig::default()
-            }),
-            ..Migration::new(Transport::Whole)
-        },
-    )
-    .expect("pre-copy migration");
-    assert!(
-        diff_results(&expected, &run.results).is_none(),
-        "answers diverged"
-    );
-    assert!(stats(&run).identity_ok);
-    assert_eq!(stats(&run).fallbacks, 0);
-    assert!(
-        !stats(&run).completed_on_source,
-        "no freeze happened — the convergence claim below would be vacuous"
-    );
-    assert!(stats(&run).freeze_bytes > 0);
-    // The whole point of pre-copy: the frozen leg ships far less than
-    // the full image round 0 shipped.
-    assert!(
-        stats(&run).freeze_bytes * 4 <= stats(&run).full_bytes,
-        "freeze shipped {} of a {}-byte image",
-        stats(&run).freeze_bytes,
-        stats(&run).full_bytes
-    );
+    let policy = Migration {
+        precopy: Some(PrecopyConfig {
+            round_polls: 150,
+            max_rounds: 4,
+            dirty_threshold: 0.05,
+            ..PrecopyConfig::default()
+        }),
+        ..Migration::new(Transport::Whole)
+    };
+    for src in Architecture::presets() {
+        for dst in Architecture::presets() {
+            let pair = format!("{} -> {}", src.name, dst.name);
+            let run = migrate(
+                || BitonicSort::new(n),
+                src.clone(),
+                dst,
+                NetworkModel::ethernet_100(),
+                Trigger::AtPollCount(n / 4),
+                &policy,
+            )
+            .expect("pre-copy migration");
+            assert!(
+                diff_results(&expected, &run.results).is_none(),
+                "{pair}: answers diverged"
+            );
+            let s = stats(&run);
+            assert!(s.identity_ok, "{pair}: per-round byte identity violated");
+            assert_eq!(
+                s.fallbacks, 0,
+                "{pair}: full-image fallback on a clean link"
+            );
+            assert!(
+                !s.completed_on_source,
+                "{pair}: no freeze happened — the size claim below would be vacuous"
+            );
+            assert!(s.freeze_bytes > 0, "{pair}");
+            // The whole point of pre-copy: the frozen leg ships far less
+            // than the full image round 0 shipped.
+            assert!(
+                s.freeze_bytes * 4 <= s.full_bytes,
+                "{pair}: freeze shipped {} of a {}-byte image",
+                s.freeze_bytes,
+                s.full_bytes
+            );
+        }
+    }
 }
 
 #[test]

@@ -12,13 +12,16 @@
 //! boundary (empty, shorter than a vector, one slice ± 1), an array of
 //! padded structs (strided runs), a pointer-bearing heap list (runs inside
 //! DFS cursors), and extreme values that only survive a bit-exact
-//! conversion.
+//! conversion. The paper's three workloads, frozen at their migration
+//! points, must collect the same payload in both modes too.
 
 use hpm::arch::{Architecture, CScalar, ScalarValue};
 use hpm::core::{Collector, Msrlt, Restorer, TranslationMode};
 use hpm::memory::AddressSpace;
+use hpm::migrate::{run_to_migration, MigratableProgram, MigratedSource, Trigger};
 use hpm::types::plan::PlanOp;
 use hpm::types::{Field, TypeId};
+use hpm::workloads::{BitonicSort, Linpack, TestPointer};
 
 const MODES: [TranslationMode; 2] = [TranslationMode::Bulk, TranslationMode::PerElement];
 
@@ -466,5 +469,50 @@ fn check_extremes(dst: &mut Image, pair: &str) {
             ScalarValue::F64(f) => assert_eq!(f.to_bits(), bits, "{pair}"),
             other => panic!("{pair}: {other:?}"),
         }
+    }
+}
+
+fn freeze(mut prog: impl MigratableProgram, arch: Architecture, polls: u64) -> MigratedSource {
+    run_to_migration(&mut prog, arch, Trigger::AtPollCount(polls)).expect("reaches its poll")
+}
+
+/// Every live variable of the frozen frames, collected in `mode`.
+fn collect_frozen(src: &mut MigratedSource, mode: TranslationMode) -> Vec<u8> {
+    let mut c = Collector::new(&mut src.proc.space, &mut src.proc.msrlt).with_translation(mode);
+    for frame in &src.pending {
+        for &addr in &frame.live {
+            c.save_variable(addr).unwrap();
+        }
+    }
+    c.finish().0
+}
+
+/// The paper workloads at their migration points on the big-endian
+/// Ultra 5, where dense runs are copies, and linpack on the little-endian
+/// LP64 preset, where every dense run is byte-swapped: the kernels and the
+/// per-element reference ship the same payload, byte for byte.
+#[test]
+fn paper_workloads_collect_identically_in_both_modes() {
+    let (ultra5, le) = (Architecture::ultra5, Architecture::x86_64_sim);
+    let n = 20_000;
+    let frozen = [
+        ("test_pointer", freeze(TestPointer::new(), ultra5(), 8)),
+        (
+            "linpack_600",
+            freeze(Linpack::truncated(600, 4), ultra5(), 2),
+        ),
+        ("bitonic_20000", freeze(BitonicSort::new(n), ultra5(), n)),
+        (
+            "linpack_600_le",
+            freeze(Linpack::truncated(600, 4), le(), 2),
+        ),
+    ];
+    for (label, mut src) in frozen {
+        let [bulk, per] = MODES.map(|mode| collect_frozen(&mut src, mode));
+        assert!(!bulk.is_empty(), "{label}");
+        assert!(
+            bulk == per,
+            "{label}: bulk and per-element collection produced different payloads"
+        );
     }
 }
