@@ -2,14 +2,13 @@
 //!
 //! The measurements behind the `paper_tables` binary. Every table is
 //! declared once — a row function, and a [`table::Table`] naming each
-//! column with its [`table::Kind`] — and the printed text, the
-//! `BENCH_<rev>.json` rows and the bench-diff gates are all read from
+//! column with its [`table::Kind`] — and the printed text is read from
 //! that declaration. The only clock read is in [`harness::sample`], and
 //! what it times prints as `floor ± spread`; the two tables that cannot
 //! repeat a run cheaply (validation, the paced pipeline) relay spans from
-//! one migration's own report. No wall clock of either sort enters the
-//! artifact, which carries only what is a function of the code and the
-//! seeds ([`ARTIFACT`]), so two runs at one commit write the same bytes.
+//! one migration's own report. End-to-end timing lives in the
+//! `benchmark/` package; the paper workloads' payload bytes and MSRLT
+//! searches are pinned exactly by `tests/complexity_model.rs`.
 //!
 //! | paper item | rows | table |
 //! |---|---|---|
@@ -26,7 +25,6 @@
 //! analyzer and the model checker — are asserted by the integration
 //! tests under `tests/`, not by tables here.
 
-pub mod diff;
 pub mod harness;
 pub mod table;
 
@@ -42,7 +40,7 @@ use hpm_net::{FaultPlan, NetworkModel};
 use hpm_obs::{EventLog, Level};
 use hpm_workloads::{diff_results, BitonicSort, Linpack, PollPlacement, TestPointer};
 use std::time::Duration;
-use table::{col, Cell, Kind, Section, Table};
+use table::{col, Cell, Kind, Table};
 
 /// One frozen source collected, shipped over the modelled link and
 /// restored: the Collect / Tx / Restore triplet plus supporting counters.
@@ -81,12 +79,6 @@ impl MigRow {
     }
 }
 
-fn freeze_test_pointer() -> MigratedSource {
-    let mut prog = TestPointer::new();
-    run_to_migration(&mut prog, Architecture::ultra5(), Trigger::AtPollCount(8))
-        .expect("test_pointer reaches its migration point")
-}
-
 fn freeze_linpack(n: u64) -> MigratedSource {
     let mut prog = Linpack::truncated(n, 4);
     run_to_migration(&mut prog, Architecture::ultra5(), Trigger::AtPollCount(2))
@@ -113,7 +105,7 @@ fn save_all(mut collector: Collector<'_>, pending: &[PendingFrame]) -> Vec<u8> {
 }
 
 /// `body` through the sampler when `timed`, once and unclocked otherwise
-/// (what the artifact's rows do: they carry counters only).
+/// (what the complexity rows do: they carry counters only).
 fn measured<S, T>(
     timed: bool,
     mut setup: impl FnMut() -> S,
@@ -206,18 +198,6 @@ pub fn fig2b_rows() -> Vec<MigRow> {
         .collect()
 }
 
-/// The artifact's `workloads` section: the three paper workloads on the
-/// Table 1 testbed, counted, not timed.
-pub fn workload_rows() -> Vec<MigRow> {
-    let mut test_pointer = freeze_test_pointer();
-    let make = TestPointer::new;
-    vec![
-        measure_frozen("test_pointer", 0, &mut test_pointer, make, false),
-        linpack_row("linpack_600", 600, false),
-        bitonic_row("bitonic_20000", 20_000, false),
-    ]
-}
-
 /// §4.1: one heterogeneous migration per workload, DEC 5000 → SPARC 20
 /// over 10 Mb/s, with result digests compared to unmigrated runs.
 #[derive(Debug, Clone)]
@@ -276,7 +256,8 @@ pub fn validation_rows() -> Vec<ValidationRow> {
 }
 
 /// §4.2: instrumented counters demonstrating the complexity model —
-/// collection's MSRLT term is O(n log n), restoration's O(n) — for a
+/// collection's MSRLT term is O(n) (one page-index probe a search, where
+/// the paper's sorted index pays O(n log n)), restoration's O(n) — for a
 /// bitonic size sweep, counted only.
 pub fn complexity_rows() -> Vec<MigRow> {
     [5_000u64, 20_000, 80_000]
@@ -498,7 +479,7 @@ pub fn pipeline_rows() -> Vec<PipelineRow> {
     rows
 }
 
-use Kind::{Counter, Info, Key, Timed};
+use Kind::{Key, Value};
 
 /// `paper_tables validation`.
 pub static VALIDATION: Table<ValidationRow> = Table {
@@ -506,11 +487,11 @@ pub static VALIDATION: Table<ValidationRow> = Table {
     title: "§4.1 Heterogeneity validation — DEC 5000/120 (LE) → SPARC 20 (BE), 10 Mb/s",
     cols: &[
         col("program", Key, |r| Cell::Text(r.label.clone())),
-        col("payload_bytes", Info, |r| Cell::Int(r.payload_bytes)),
-        col("blocks", Info, |r| Cell::Int(r.blocks)),
-        col("shared_refs", Info, |r| Cell::Int(r.shared_refs)),
-        col("migration_time", Timed, |r| Cell::Span(r.migration_time)),
-        col("consistent", Info, |r| Cell::Flag(r.consistent)),
+        col("payload_bytes", Value, |r| Cell::Int(r.payload_bytes)),
+        col("blocks", Value, |r| Cell::Int(r.blocks)),
+        col("shared_refs", Value, |r| Cell::Int(r.shared_refs)),
+        col("migration_time", Value, |r| Cell::Span(r.migration_time)),
+        col("consistent", Value, |r| Cell::Flag(r.consistent)),
     ],
     note: "paper: all programs run correctly; no duplication; float accuracy preserved; \
            migration_time is one run's Collect + modelled Tx + Restore",
@@ -523,11 +504,11 @@ pub static TABLE1: Table<MigRow> = Table {
     title: "Table 1 — timing (floor ±spread), Ultra 5 → Ultra 5, 100 Mb/s",
     cols: &[
         col("program", Key, |r| Cell::Text(r.label.clone())),
-        col("payload_bytes", Info, |r| Cell::Int(r.payload_bytes)),
-        col("Collect", Timed, |r| Cell::Timed(r.collect)),
-        col("Tx", Info, |r| Cell::Span(r.tx)),
-        col("Restore", Timed, |r| Cell::Timed(r.restore)),
-        col("Total", Timed, |r| Cell::Timed(r.total())),
+        col("payload_bytes", Value, |r| Cell::Int(r.payload_bytes)),
+        col("Collect", Value, |r| Cell::Timed(r.collect)),
+        col("Tx", Value, |r| Cell::Span(r.tx)),
+        col("Restore", Value, |r| Cell::Timed(r.restore)),
+        col("Total", Value, |r| Cell::Timed(r.total())),
     ],
     note: "paper: linpack 1000x1000 total 2.418 s; bitonic 100000 total 0.467 s",
     rows: table1_rows,
@@ -539,9 +520,9 @@ pub static FIG2A: Table<MigRow> = Table {
     title: "Figure 2(a) — linpack: collection/restoration vs data size (floor ±spread)",
     cols: &[
         col("matrix", Key, |r| Cell::Text(r.label.clone())),
-        col("payload_bytes", Info, |r| Cell::Int(r.payload_bytes)),
-        col("Collect", Timed, |r| Cell::Timed(r.collect)),
-        col("Restore", Timed, |r| Cell::Timed(r.restore)),
+        col("payload_bytes", Value, |r| Cell::Int(r.payload_bytes)),
+        col("Collect", Value, |r| Cell::Timed(r.collect)),
+        col("Restore", Value, |r| Cell::Timed(r.restore)),
     ],
     note: "paper: both scale linearly with ΣDᵢ; constant gap between the curves",
     rows: fig2a_rows,
@@ -553,30 +534,16 @@ pub static FIG2B: Table<MigRow> = Table {
     title: "Figure 2(b) — bitonic: collection/restoration vs number sorted (floor ±spread)",
     cols: &[
         col("sorted", Key, |r| Cell::Int(r.size)),
-        col("blocks", Info, |r| Cell::Int(r.blocks)),
-        col("Collect", Timed, |r| Cell::Timed(r.collect)),
-        col("Restore", Timed, |r| Cell::Timed(r.restore)),
-        col("collect/restore", Info, |r| {
+        col("blocks", Value, |r| Cell::Int(r.blocks)),
+        col("Collect", Value, |r| Cell::Timed(r.collect)),
+        col("Restore", Value, |r| Cell::Timed(r.restore)),
+        col("collect/restore", Value, |r| {
             Cell::Real(r.collect.floor.as_secs_f64() / r.restore.floor.as_secs_f64().max(1e-12))
         }),
     ],
     note: "paper: collection (O(n log n) searches) grows above restoration (O(n) updates); \
            the ratio is of the two floors",
     rows: fig2b_rows,
-};
-
-/// The artifact's `workloads` section (no subcommand prints it).
-pub static WORKLOADS: Table<MigRow> = Table {
-    name: "workloads",
-    title: "Paper workloads on the Table 1 testbed — counters",
-    cols: &[
-        col("name", Key, |r| Cell::Text(r.label.clone())),
-        col("payload_bytes", Counter, |r| Cell::Int(r.payload_bytes)),
-        col("tx_ns", Info, |r| Cell::Span(r.tx)),
-        col("searches", Counter, |r| Cell::Int(r.searches)),
-    ],
-    note: "tx_ns is the modelled 100 Mb/s transmission",
-    rows: workload_rows,
 };
 
 /// `paper_tables complexity`: searches ≈ n beside log₂ n (each search
@@ -586,13 +553,13 @@ pub static COMPLEXITY: Table<MigRow> = Table {
     title: "§4.2 Complexity model — instrumented MSRLT counters",
     cols: &[
         col("workload", Key, |r| Cell::Text(r.label.clone())),
-        col("nodes", Info, |r| Cell::Int(r.blocks)),
-        col("bytes", Info, |r| Cell::Int(r.payload_bytes)),
-        col("searches", Info, |r| Cell::Int(r.searches)),
-        col("log2_n", Info, |r| {
+        col("nodes", Value, |r| Cell::Int(r.blocks)),
+        col("bytes", Value, |r| Cell::Int(r.payload_bytes)),
+        col("searches", Value, |r| Cell::Int(r.searches)),
+        col("log2_n", Value, |r| {
             Cell::Real((r.blocks.max(2) as f64).log2())
         }),
-        col("restore_updates", Info, |r| Cell::Int(r.restore_updates)),
+        col("restore_updates", Value, |r| Cell::Int(r.restore_updates)),
     ],
     note: "each search is one page-index probe, so Collect's search term is O(n), not the \
            paper's O(n log n) (tests/complexity_model.rs models its sorted index on the same \
@@ -606,10 +573,10 @@ pub static OVERHEAD: Table<OverheadRow> = Table {
     title: "§4.3 Execution overhead — poll placement, allocation policy & event-log level",
     cols: &[
         col("configuration", Key, |r| Cell::Text(r.label.clone())),
-        col("wall", Timed, |r| Cell::Timed(r.wall)),
-        col("polls", Info, |r| Cell::Int(r.polls)),
-        col("registrations", Info, |r| Cell::Int(r.registrations)),
-        col("overhead", Timed, |r| {
+        col("wall", Value, |r| Cell::Timed(r.wall)),
+        col("polls", Value, |r| Cell::Int(r.polls)),
+        col("registrations", Value, |r| Cell::Int(r.registrations)),
+        col("overhead", Value, |r| {
             Cell::Text(
                 r.overhead_pct
                     .map_or("unresolved".into(), |p| format!("{p:+.1}%")),
@@ -629,36 +596,16 @@ pub static PIPELINE: Table<PipelineRow> = Table {
     cols: &[
         col("workload", Key, |r| Cell::Text(r.label.clone())),
         col("link", Key, |r| Cell::Text(r.link.clone())),
-        col("serial", Timed, |r| Cell::Span(r.serial)),
-        col("pipelined", Timed, |r| Cell::Span(r.pipelined)),
-        col("overlap_ratio", Timed, |r| Cell::Real(r.overlap_ratio)),
-        col("chunks", Info, |r| Cell::Int(r.chunks)),
-        col("stall", Timed, |r| Cell::Span(r.stall)),
+        col("serial", Value, |r| Cell::Span(r.serial)),
+        col("pipelined", Value, |r| Cell::Span(r.pipelined)),
+        col("overlap_ratio", Value, |r| Cell::Real(r.overlap_ratio)),
+        col("chunks", Value, |r| Cell::Int(r.chunks)),
+        col("stall", Value, |r| Cell::Span(r.stall)),
     ],
     note: "collect, transfer, and restore overlap; the hidden fraction peaks when the phase \
            times are balanced",
     rows: pipeline_rows,
 };
-
-/// The sections of `BENCH_<rev>.json`, in file order: the paper
-/// workloads' counters, which no test and no `benchmark/` metric pins.
-/// Compare two artifacts with `paper_tables bench-diff` (see [`diff`]),
-/// which reads its gates from the same declarations.
-pub static ARTIFACT: [&dyn Section; 1] = [&WORKLOADS];
-
-/// The artifact's one scalar key: the commit it was measured on top of.
-pub const REVISION: &str = "revision";
-
-/// The `BENCH_<rev>.json` artifact: every section of [`ARTIFACT`], run and
-/// rendered. No clock is read on the way, so two runs at one commit are
-/// byte-identical.
-pub fn bench_json(revision: &str) -> String {
-    let sections: Vec<String> = ARTIFACT.iter().map(|s| s.run_json()).collect();
-    format!(
-        "{{\n  \"{REVISION}\": \"{revision}\",\n{}\n}}\n",
-        sections.join(",\n")
-    )
-}
 
 #[cfg(test)]
 mod tests {

@@ -1,27 +1,18 @@
 //! One declaration per table. A [`Table`] names its columns once — name,
-//! [`Kind`], and how a row fills the cell — and three readers take their
-//! format from it: the aligned text `paper_tables` prints, the rows of a
-//! `BENCH_<rev>.json` section, and the gates [`crate::diff`] enforces
-//! between two such artifacts.
+//! [`Kind`], and how a row fills the cell — and `paper_tables` prints the
+//! aligned text from it.
 
 use crate::harness::{unit_of, Timing};
 use std::fmt::Write as _;
 use std::time::Duration;
 
-/// What a column holds, which decides where it appears and how bench-diff
-/// treats it. Everything but [`Kind::Timed`] is a function of the code and
-/// the seeds alone, and only that goes into the artifact.
+/// Where a column's cells align: the text layout is the only reader.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
-    /// Names the row; bench-diff matches old and new entries on it.
+    /// Names the row: flush left.
     Key,
-    /// Counter, gated: an increase beyond the threshold is a regression.
-    Counter,
-    /// Reported, never gated (sizes, ratios, flags).
-    Info,
-    /// A wall clock — a sampled [`Timing`], or a span relayed from one
-    /// run's report: printed, never in the artifact.
-    Timed,
+    /// A count, ratio, flag or time: flush right.
+    Value,
 }
 
 /// One value of one row.
@@ -35,7 +26,7 @@ pub enum Cell {
     Real(f64),
     /// A boolean.
     Flag(bool),
-    /// A duration: s, ms or µs in text, whole nanoseconds in JSON.
+    /// A duration, in s, ms or µs.
     Span(Duration),
     /// A sampled wall clock, `floor ±spread`.
     Timed(Timing),
@@ -55,21 +46,11 @@ impl Cell {
             Cell::Timed(t) => t.to_string(),
         }
     }
-
-    fn json(&self) -> String {
-        match self {
-            Cell::Text(s) => format!("\"{s}\""),
-            Cell::Span(d) => d.as_nanos().to_string(),
-            Cell::Timed(_) => unreachable!("timed columns never reach the artifact"),
-            other => other.text(),
-        }
-    }
 }
 
-/// One column: its name (the text header and the JSON key), its kind, and
-/// the cell a row puts in it.
+/// One column: its header, its kind, and the cell a row puts in it.
 pub struct Col<R> {
-    /// Header and JSON key.
+    /// Header.
     pub name: &'static str,
     /// See [`Kind`].
     pub kind: Kind,
@@ -82,18 +63,17 @@ pub const fn col<R>(name: &'static str, kind: Kind, get: fn(&R) -> Cell) -> Col<
     Col { name, kind, get }
 }
 
-/// One table: what `paper_tables <name>` prints and, for the tables in
-/// [`crate::ARTIFACT`], the artifact section of the same name.
+/// One table: what `paper_tables <name>` prints.
 pub struct Table<R: 'static> {
-    /// Subcommand and JSON section name.
+    /// Subcommand.
     pub name: &'static str,
     /// Heading of the printed table.
     pub title: &'static str,
-    /// The columns, in print and key order.
+    /// The columns, in print order.
     pub cols: &'static [Col<R>],
-    /// What the paper reports or the gate enforces, printed underneath.
+    /// What the paper reports, printed underneath.
     pub note: &'static str,
-    /// Produces the rows (the artifact's: nothing in them is timed).
+    /// Produces the rows.
     pub rows: fn() -> Vec<R>,
 }
 
@@ -118,56 +98,13 @@ impl<R> Table<R> {
             for ((cell, col), &w) in line.iter().zip(self.cols).zip(&widths) {
                 let _ = match col.kind {
                     Kind::Key => write!(text, "{cell:<w$}  "),
-                    _ => write!(text, "{cell:>w$}  "),
+                    Kind::Value => write!(text, "{cell:>w$}  "),
                 };
             }
             let _ = writeln!(out, "{}", text.trim_end());
         }
         let _ = writeln!(out, "({})", self.note);
         out
-    }
-
-    /// The artifact section: one object per row, every untimed column.
-    pub fn json(&self, rows: &[R]) -> String {
-        let objects: Vec<String> = rows
-            .iter()
-            .map(|r| {
-                let fields: Vec<String> = self
-                    .cols
-                    .iter()
-                    .filter(|c| c.kind != Kind::Timed)
-                    .map(|c| format!("\"{}\": {}", c.name, (c.get)(r).json()))
-                    .collect();
-                format!("    {{{}}}", fields.join(", "))
-            })
-            .collect();
-        format!("  \"{}\": [\n{}\n  ]", self.name, objects.join(",\n"))
-    }
-}
-
-/// A table with its row type erased: what bench-diff and the artifact
-/// writer need of each section.
-pub trait Section: Sync {
-    /// The section's key in the artifact.
-    fn name(&self) -> &'static str;
-    /// The columns the artifact carries, by name.
-    fn columns(&self) -> Vec<(&'static str, Kind)>;
-    /// Run the table's rows and render the section.
-    fn run_json(&self) -> String;
-}
-
-impl<R> Section for Table<R> {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn columns(&self) -> Vec<(&'static str, Kind)> {
-        let untimed = self.cols.iter().filter(|c| c.kind != Kind::Timed);
-        untimed.map(|c| (c.name, c.kind)).collect()
-    }
-
-    fn run_json(&self) -> String {
-        self.json(&(self.rows)())
     }
 }
 
@@ -182,16 +119,15 @@ mod tests {
         title: "Demo",
         cols: &[
             col("name", Kind::Key, |r| Cell::Text(r.0.into())),
-            col("steps", Kind::Counter, |r| Cell::Int(r.1)),
-            col("tx_ns", Kind::Info, |r| Cell::Span(r.2)),
-            col("wall", Kind::Timed, |r| Cell::Span(r.2)),
+            col("steps", Kind::Value, |r| Cell::Int(r.1)),
+            col("wall", Kind::Value, |r| Cell::Span(r.2)),
         ],
         note: "a note",
         rows: Vec::new,
     };
 
     #[test]
-    fn text_json_and_schema_come_from_the_one_declaration() {
+    fn text_comes_from_the_one_declaration() {
         let rows = [
             Row("a", 7, Duration::from_micros(1500)),
             Row("longer", 12345, Duration::from_secs(2)),
@@ -199,24 +135,10 @@ mod tests {
         assert_eq!(
             T.text(&rows),
             "\n=== Demo ===\n\
-             name    steps     tx_ns      wall\n\
-             a           7  1.500 ms  1.500 ms\n\
-             longer  12345   2.000 s   2.000 s\n\
+             name    steps      wall\n\
+             a           7  1.500 ms\n\
+             longer  12345   2.000 s\n\
              (a note)\n"
-        );
-        // The timed column is printed and never written.
-        assert_eq!(
-            T.json(&rows),
-            "  \"demo\": [\n    {\"name\": \"a\", \"steps\": 7, \"tx_ns\": 1500000},\n    \
-             {\"name\": \"longer\", \"steps\": 12345, \"tx_ns\": 2000000000}\n  ]"
-        );
-        assert_eq!(
-            T.columns(),
-            [
-                ("name", Kind::Key),
-                ("steps", Kind::Counter),
-                ("tx_ns", Kind::Info)
-            ]
         );
     }
 }

@@ -40,10 +40,12 @@
 //! chain, the innermost frame restores its locals at the migration point
 //! and resumes computing; each outer frame restores its own locals when
 //! control returns to it. Because resumed execution can `malloc` *before*
-//! outer frames have consumed their stream sections, the image header
-//! carries the source's heap-index high-water mark and the destination
-//! reserves those indices — new allocations never collide with ids still
-//! referenced by un-restored sections.
+//! outer frames have consumed their stream sections, the execution state
+//! carries the source's heap-index high-water mark
+//! ([`ExecutionState::heap_high_water`]) and the destination reserves
+//! those indices — new allocations never collide with ids still
+//! referenced by un-restored sections. (The image header carries
+//! `registered_bytes`, which only presizes the destination's heap.)
 
 pub mod ctx;
 pub mod driver;

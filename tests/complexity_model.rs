@@ -146,6 +146,40 @@ fn linpack_search_count_constant_as_size_grows() {
     assert!(r2 > 3.5 && r2 < 4.5, "{bytes:?}");
 }
 
+/// One collection of a frozen source from zeroed counters: the payload
+/// bytes (ΣDᵢ) and the MSRLT searches it took.
+fn collected_counters(mut src: MigratedSource) -> (usize, u64) {
+    src.proc.msrlt.reset_stats();
+    let (payload, _, _) = src.collect().unwrap();
+    (payload.len(), src.proc.msrlt.stats().searches)
+}
+
+/// The paper workloads' §4.2 counters on the Table 1 testbed (Ultra 5),
+/// pinned exactly. A change that moves a record byte or adds a search
+/// must edit these constants, and so states what it moved.
+#[test]
+fn paper_workload_counters_are_pinned() {
+    let (ultra5, at) = (Architecture::ultra5, Trigger::AtPollCount);
+    let test_pointer = run_to_migration(&mut TestPointer::new(), ultra5(), at(8)).unwrap();
+    let linpack = run_to_migration(&mut Linpack::truncated(600, 4), ultra5(), at(2)).unwrap();
+    // The last insertion poll: 19 999 nodes live, "number sorted".
+    let bitonic = run_to_migration(&mut BitonicSort::new(20_000), ultra5(), at(20_000)).unwrap();
+    let measured = [
+        ("test_pointer", collected_counters(test_pointer)),
+        ("linpack_600", collected_counters(linpack)),
+        ("bitonic_20000", collected_counters(bitonic)),
+    ];
+    assert_eq!(
+        measured,
+        [
+            ("test_pointer", (572, 32)),
+            ("linpack_600", (2_887_348, 8)),
+            ("bitonic_20000", (400_108, 20_005)),
+        ],
+        "(payload bytes, MSRLT searches) per workload"
+    );
+}
+
 #[test]
 fn restore_updates_are_linear_and_search_free() {
     // Restoration never searches: blocks are found/created by id.
