@@ -20,8 +20,9 @@
 //! `pipeline` relay single-run spans from the migration's own report.
 //!
 //! `--trace-out <path>` additionally runs one fully-traced TestPointer
-//! migration and writes a Chrome trace-event JSON file (load it at
-//! `ui.perfetto.dev` or `chrome://tracing`).
+//! migration, prints its Collect / Tx / Restore and writes a Chrome
+//! trace-event JSON file (load it at `ui.perfetto.dev` or
+//! `chrome://tracing`).
 
 use hpm_bench::table::Table;
 use hpm_bench::*;
@@ -79,9 +80,14 @@ fn show<R>(table: &Table<R>) {
 
 fn trace(path: &str) {
     println!("\n=== Migration trace — test_pointer, DEC 5000/120 → SPARC 20, 10 Mb/s ===");
-    let run = traced_test_pointer_run();
-    println!("{}", run.report.render());
-    let log = run.report.log.as_ref().expect("the run was given a log");
+    let report = traced_test_pointer_run().report;
+    println!(
+        "Collect {:.6} s   Tx {:.6} s   Restore {:.6} s",
+        report.collect_time.as_secs_f64(),
+        report.tx_time.as_secs_f64(),
+        report.restore_time.as_secs_f64()
+    );
+    let log = report.log.as_ref().expect("the run was given a log");
     let json = hpm_obs::chrome_trace_json(log);
     if let Err(e) = std::fs::write(path, &json) {
         eprintln!("cannot write {path}: {e}");

@@ -101,7 +101,7 @@ fn save_all(mut collector: Collector<'_>, pending: &[PendingFrame]) -> Vec<u8> {
             collector.save_variable(addr).expect("collect");
         }
     }
-    collector.finish().0
+    collector.finish().expect("collect").0
 }
 
 /// `body` through the sampler when `timed`, once and unclocked otherwise
@@ -387,8 +387,7 @@ pub fn overhead_rows() -> Vec<OverheadRow> {
 /// One TestPointer migration on the §4.1 heterogeneous testbed logged
 /// at detail level: the returned report carries a [`hpm_obs::LogDump`]
 /// with nested `collect` → `msrlt.search`, `tx` → `net.send`, and
-/// `restore` spans plus every counter group, ready for
-/// [`hpm_obs::chrome_trace_json`].
+/// `restore` spans, ready for [`hpm_obs::chrome_trace_json`].
 pub fn traced_test_pointer_run() -> MigrationRun {
     let log = EventLog::new(Level::Detail);
     migrate(

@@ -16,7 +16,6 @@ use crate::msrlt::{frame_group, LogicalId, Msrlt};
 use crate::CoreError;
 use hpm_arch::CScalar;
 use hpm_memory::AddressSpace;
-use hpm_obs::{StatField, StatGroup};
 use hpm_types::plan::PlanOp;
 use std::time::{Duration, Instant};
 
@@ -111,8 +110,8 @@ impl std::fmt::Display for RegistryFinding {
     }
 }
 
-/// Counters for one pre-flight audit, surfaced through [`StatGroup`] so
-/// the driver's report renders them alongside every other phase.
+/// Counters for one pre-flight audit, carried in the driver's report
+/// beside every other phase's.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RegistryAuditStats {
     /// Live blocks examined.
@@ -129,34 +128,6 @@ pub struct RegistryAuditStats {
     pub frame_violations: u64,
     /// Wall time of the audit.
     pub audit_time: Duration,
-}
-
-impl StatGroup for RegistryAuditStats {
-    fn group(&self) -> &'static str {
-        "registry_audit"
-    }
-
-    fn fields(&self) -> Vec<StatField> {
-        vec![
-            StatField::count("blocks_checked", self.blocks_checked),
-            StatField::count("edges_checked", self.edges_checked),
-            StatField::count("findings", self.findings),
-            StatField::count("dangling_edges", self.dangling_edges),
-            StatField::count("overlaps", self.overlaps),
-            StatField::count("frame_violations", self.frame_violations),
-            StatField::duration("audit_time", self.audit_time),
-        ]
-    }
-
-    fn merge_from(&mut self, other: &Self) {
-        self.blocks_checked += other.blocks_checked;
-        self.edges_checked += other.edges_checked;
-        self.findings += other.findings;
-        self.dangling_edges += other.dangling_edges;
-        self.overlaps += other.overlaps;
-        self.frame_violations += other.frame_violations;
-        self.audit_time += other.audit_time;
-    }
 }
 
 /// Audit a live registry snapshot against its address space.
@@ -366,21 +337,5 @@ mod tests {
         assert!(findings
             .iter()
             .any(|f| matches!(f, RegistryFinding::FrameNesting { .. })));
-    }
-
-    #[test]
-    fn stats_render_as_group() {
-        let stats = RegistryAuditStats {
-            blocks_checked: 3,
-            ..Default::default()
-        };
-        assert_eq!(stats.group(), "registry_audit");
-        assert!(stats
-            .fields()
-            .iter()
-            .any(|f| f.name == "blocks_checked" && f.value.raw() == 3));
-        let mut a = stats;
-        a.merge_from(&stats);
-        assert_eq!(a.blocks_checked, 6);
     }
 }

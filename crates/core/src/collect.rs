@@ -57,7 +57,7 @@ use crate::translate::{leaf_ordinal, read_ptr, span, Cursor};
 use crate::CoreError;
 use hpm_arch::Architecture;
 use hpm_memory::{AddressSpace, BlockSlot};
-use hpm_obs::{StatField, StatGroup, Track};
+use hpm_obs::Track;
 use hpm_types::plan::{PlanOp, SavePlan};
 use hpm_types::TypeId;
 use hpm_xdr::XdrEncoder;
@@ -190,7 +190,7 @@ pub enum TranslationMode {
 
 /// Counters for one collection run (§4.2: `Collect = MSRLT_search +
 /// Encode_and_Copy`; search counters live in [`MsrltStats`](crate::MsrltStats)).
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CollectStats {
     /// Memory blocks saved (MSR vertices transmitted).
     pub blocks_saved: u64,
@@ -206,34 +206,6 @@ pub struct CollectStats {
     pub bytes_out: u64,
     /// Chunks handed to the sink (0 when collecting monolithically).
     pub chunks_flushed: u64,
-}
-
-impl StatGroup for CollectStats {
-    fn group(&self) -> &'static str {
-        "collect"
-    }
-
-    fn fields(&self) -> Vec<StatField> {
-        vec![
-            StatField::count("blocks_saved", self.blocks_saved),
-            StatField::count("scalars_encoded", self.scalars_encoded),
-            StatField::count("ptr_null", self.ptr_null),
-            StatField::count("ptr_ref", self.ptr_ref),
-            StatField::count("ptr_new", self.ptr_new),
-            StatField::bytes("bytes_out", self.bytes_out),
-            StatField::count("chunks_flushed", self.chunks_flushed),
-        ]
-    }
-
-    fn merge_from(&mut self, other: &Self) {
-        self.blocks_saved += other.blocks_saved;
-        self.scalars_encoded += other.scalars_encoded;
-        self.ptr_null += other.ptr_null;
-        self.ptr_ref += other.ptr_ref;
-        self.ptr_new += other.ptr_new;
-        self.bytes_out += other.bytes_out;
-        self.chunks_flushed += other.chunks_flushed;
-    }
 }
 
 /// A destination for flushed payload chunks during streamed collection.
@@ -476,14 +448,10 @@ impl<'a> Collector<'a> {
     /// Finish, returning the payload and the statistics. In sink mode
     /// the remainder is flushed and the returned payload is empty (every
     /// byte went through the sink); `bytes_out` counts the total either
-    /// way.
-    pub fn finish(mut self) -> (Vec<u8>, CollectStats) {
-        let streamed = self.out.sink.is_some();
-        if streamed && !self.out.enc.is_empty() {
-            // The stream is complete; a sink failure here cannot be
-            // surfaced through the historical signature, so drop it —
-            // the receiver detects the missing tail as truncation.
-            let _ = self.out.flush();
+    /// way. A sink that refuses the final chunk fails the collection.
+    pub fn finish(mut self) -> Result<(Vec<u8>, CollectStats), CoreError> {
+        if self.out.sink.is_some() && !self.out.enc.is_empty() {
+            self.out.flush()?;
         }
         let bytes = std::mem::take(&mut self.out.enc).into_bytes();
         let mut stats = self.stats;
@@ -493,7 +461,7 @@ impl<'a> Collector<'a> {
             "collect.done",
             &[("bytes", stats.bytes_out), ("chunks", stats.chunks_flushed)],
         );
-        (bytes, stats)
+        Ok((bytes, stats))
     }
 
     /// Payload bytes produced so far (flushed chunks included).
@@ -662,7 +630,7 @@ mod tests {
         let fp = type_fingerprint(space.types(), int);
         let mut c = Collector::new(&mut space, &mut msrlt);
         c.save_variable(g).unwrap();
-        let (bytes, stats) = c.finish();
+        let (bytes, stats) = c.finish().unwrap();
         assert_eq!(stats.blocks_saved, 1);
         assert_eq!(stats.scalars_encoded, 1);
         let (rec, size) = Record::read(&bytes).unwrap();
@@ -687,7 +655,7 @@ mod tests {
         c.save_variable(g).unwrap();
         let len1 = c.bytes_so_far();
         c.save_variable(g).unwrap();
-        let (bytes, stats) = c.finish();
+        let (bytes, stats) = c.finish().unwrap();
         assert_eq!(stats.blocks_saved, 1, "no duplicate save");
         let (rec, size) = Record::read(&bytes[len1..]).unwrap();
         assert_eq!(rec, Record::bare(TAG_VAR_VISITED, id));
@@ -707,7 +675,7 @@ mod tests {
         register(&space, &mut msrlt, g);
         let mut c = Collector::new(&mut space, &mut msrlt);
         c.save_variable(g).unwrap();
-        let (_, stats) = c.finish();
+        let (_, stats) = c.finish().unwrap();
         assert_eq!(stats.ptr_null, 1);
         assert_eq!(stats.ptr_new, 0);
     }
@@ -731,7 +699,7 @@ mod tests {
         c.save_variable(b).unwrap();
         c.save_variable(cc).unwrap();
         c.save_variable(a).unwrap();
-        let (_, stats) = c.finish();
+        let (_, stats) = c.finish().unwrap();
         assert_eq!(stats.blocks_saved, 3, "a saved once (inline), b, c");
         assert_eq!(stats.ptr_new, 1, "first pointer inlines a");
         assert_eq!(stats.ptr_ref, 1, "second pointer references a");
@@ -761,7 +729,7 @@ mod tests {
         let id2 = register(&space, &mut msrlt, n2);
         let mut c = Collector::new(&mut space, &mut msrlt);
         c.save_pointer(n1).unwrap();
-        let (bytes, stats) = c.finish();
+        let (bytes, stats) = c.finish().unwrap();
         assert_eq!(stats.blocks_saved, 2);
         assert_eq!(stats.ptr_new, 2);
         assert_eq!(stats.ptr_ref, 1, "back-edge to n1");
@@ -805,7 +773,7 @@ mod tests {
         let collect = |space: &mut AddressSpace, msrlt: &mut Msrlt| {
             let mut c = Collector::new(space, msrlt);
             c.save_pointer(n1).unwrap();
-            c.finish()
+            c.finish().unwrap()
         };
         // A fresh table's first collection marks both blocks in its epoch,
         // which is also the first epoch after a wrap.
@@ -869,7 +837,7 @@ mod tests {
         }
         let mut c = Collector::new(&mut space, &mut msrlt);
         c.save_pointer(head).unwrap();
-        let (_, stats) = c.finish();
+        let (_, stats) = c.finish().unwrap();
         assert_eq!(stats.blocks_saved, N as u64);
     }
 
@@ -902,7 +870,7 @@ mod tests {
         register(&space, &mut msrlt, p);
         let mut c = Collector::new(&mut space, &mut msrlt);
         c.save_variable(p).unwrap();
-        let (bytes, _) = c.finish();
+        let (bytes, _) = c.finish().unwrap();
         // VAR_NEW p, whose contents open with the PTR_NEW for arr.
         let (var, at) = Record::read(&bytes).unwrap();
         assert_eq!(var.tag, TAG_VAR_NEW);
@@ -944,7 +912,7 @@ mod tests {
 
         let mut c = Collector::new(&mut space, &mut msrlt);
         c.save_pointer(head).unwrap();
-        let (mono, mono_stats) = c.finish();
+        let (mono, mono_stats) = c.finish().unwrap();
 
         let mut chunks: Vec<Vec<u8>> = Vec::new();
         {
@@ -958,7 +926,7 @@ mod tests {
             );
             c.save_pointer(head).unwrap();
             assert!(c.bytes_so_far() > 0);
-            let (tail, stats) = c.finish();
+            let (tail, stats) = c.finish().unwrap();
             assert!(tail.is_empty(), "sink mode returns no payload");
             assert_eq!(stats.bytes_out, mono.len() as u64);
             assert!(stats.chunks_flushed > 1, "{stats:?}");
@@ -981,15 +949,38 @@ mod tests {
         register(&space, &mut msrlt, g);
         let mut c = Collector::new(&mut space, &mut msrlt);
         c.save_variable(g).unwrap();
-        let (plain, plain_stats) = c.finish();
+        let (plain, plain_stats) = c.finish().unwrap();
 
         let prefix = [0xAB; 12];
         let mut c = Collector::new(&mut space, &mut msrlt).with_prefix(&prefix);
         assert_eq!(c.bytes_so_far(), 0);
         c.save_variable(g).unwrap();
         assert_eq!(c.bytes_so_far(), plain.len());
-        let (framed, stats) = c.finish();
+        let (framed, stats) = c.finish().unwrap();
         assert_eq!(framed, [&prefix[..], &plain[..]].concat());
         assert_eq!(stats.bytes_out, plain_stats.bytes_out);
+    }
+
+    /// The final flush happens inside `finish`: a sink that refuses that
+    /// chunk must fail the collection, not leave a truncated stream that
+    /// reports success.
+    #[test]
+    fn sink_refusing_the_final_chunk_fails_finish() {
+        let (mut space, mut msrlt) = setup();
+        let int = space.types_mut().int();
+        let g = space.define_global("x", int, 3).unwrap();
+        register(&space, &mut msrlt, g);
+        let mut offered = 0;
+        let sink = Box::new(|_| {
+            offered += 1;
+            Err(CoreError::Source("sink closed".into()))
+        });
+        // One chunk's worth far above the payload: nothing is flushed
+        // until `finish`.
+        let mut c = Collector::new(&mut space, &mut msrlt).with_sink(1 << 20, sink);
+        c.save_variable(g).unwrap();
+        let err = c.finish().unwrap_err();
+        assert_eq!(err, CoreError::Source("sink closed".into()));
+        assert_eq!(offered, 1);
     }
 }

@@ -33,7 +33,6 @@
 use crate::CoreError;
 use hpm_arch::SegmentKind;
 use hpm_memory::{BlockInfo, BlockSlot, PageIndex};
-use hpm_obs::{StatField, StatGroup};
 use hpm_types::TypeId;
 use std::num::NonZeroU32;
 
@@ -132,30 +131,6 @@ impl MsrltStats {
     /// together when the benchmark next changes.
     pub fn cache_hit_rate(&self) -> f64 {
         0.0
-    }
-}
-
-impl StatGroup for MsrltStats {
-    fn group(&self) -> &'static str {
-        "msrlt"
-    }
-
-    fn fields(&self) -> Vec<StatField> {
-        vec![
-            StatField::count("registrations", self.registrations),
-            StatField::count("unregistrations", self.unregistrations),
-            StatField::count("searches", self.searches),
-            StatField::count("search_steps", self.search_steps),
-            StatField::count("id_lookups", self.id_lookups),
-        ]
-    }
-
-    fn merge_from(&mut self, other: &Self) {
-        self.registrations += other.registrations;
-        self.unregistrations += other.unregistrations;
-        self.searches += other.searches;
-        self.search_steps += other.search_steps;
-        self.id_lookups += other.id_lookups;
     }
 }
 

@@ -34,14 +34,14 @@ use crate::translate::{leaf_address, span_mut, Cursor};
 use crate::CoreError;
 use hpm_arch::{Architecture, CScalar, ScalarValue};
 use hpm_memory::{AddressSpace, BlockSlot};
-use hpm_obs::{StatField, StatGroup, Track};
+use hpm_obs::Track;
 use hpm_types::plan::{PlanOp, SavePlan};
 use hpm_types::TypeId;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Counters for one restoration run.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RestoreStats {
     /// Blocks whose contents were written.
     pub blocks_restored: u64,
@@ -59,24 +59,10 @@ pub struct RestoreStats {
     pub bytes_in: u64,
 }
 
-impl StatGroup for RestoreStats {
-    fn group(&self) -> &'static str {
-        "restore"
-    }
-
-    fn fields(&self) -> Vec<StatField> {
-        vec![
-            StatField::count("blocks_restored", self.blocks_restored),
-            StatField::count("blocks_allocated", self.blocks_allocated),
-            StatField::count("scalars_decoded", self.scalars_decoded),
-            StatField::count("ptr_null", self.ptr_null),
-            StatField::count("ptr_ref", self.ptr_ref),
-            StatField::count("ptr_new", self.ptr_new),
-            StatField::bytes("bytes_in", self.bytes_in),
-        ]
-    }
-
-    fn merge_from(&mut self, other: &Self) {
+/// Accumulate another session's counters (restoration runs one session
+/// per frame).
+impl std::ops::AddAssign for RestoreStats {
+    fn add_assign(&mut self, other: Self) {
         self.blocks_restored += other.blocks_restored;
         self.blocks_allocated += other.blocks_allocated;
         self.scalars_decoded += other.scalars_decoded;
@@ -601,7 +587,7 @@ mod tests {
         let mut c = Collector::new(&mut src, &mut src_lt);
         c.save_variable(a).unwrap();
         c.save_variable(b).unwrap();
-        let (payload, _) = c.finish();
+        let (payload, _) = c.finish().unwrap();
 
         let (mut dst, mut dst_lt, [da, db, _]) = program(Architecture::sparc20());
         let mut r = Restorer::new(&mut dst, &mut dst_lt, &payload);
@@ -635,7 +621,7 @@ mod tests {
 
         let mut c = Collector::new(&mut src, &mut src_lt);
         c.save_variable(head).unwrap();
-        let (payload, cs) = c.finish();
+        let (payload, cs) = c.finish().unwrap();
         assert_eq!(cs.blocks_saved, 3); // head, n1, n2
 
         let (mut dst, mut dst_lt, [_, _, dhead]) = program(Architecture::x86_64_sim());
@@ -670,7 +656,7 @@ mod tests {
         let mut c = Collector::new(&mut src, &mut src_lt);
         c.save_variable(b).unwrap();
         c.save_variable(c2).unwrap();
-        let (payload, _) = c.finish();
+        let (payload, _) = c.finish().unwrap();
 
         let (mut dst, mut dst_lt, [da, db, _]) = program(Architecture::dec5000());
         let int = dst.types_mut().int();
@@ -699,7 +685,7 @@ mod tests {
         src.store_ptr(head, n1).unwrap();
         let mut c = Collector::new(&mut src, &mut src_lt);
         c.save_variable(head).unwrap();
-        let (payload, _) = c.finish();
+        let (payload, _) = c.finish().unwrap();
 
         let (mut dst, mut dst_lt, [_, _, dhead]) = program(Architecture::sparc20());
         let mut r = Restorer::new(&mut dst, &mut dst_lt, &payload);
@@ -730,7 +716,7 @@ mod tests {
         let mut c = Collector::new(&mut src, &mut src_lt);
         c.save_variable(p).unwrap();
         c.save_variable(arr).unwrap();
-        let (payload, _) = c.finish();
+        let (payload, _) = c.finish().unwrap();
 
         let (mut dst, mut dst_lt, _) = program(Architecture::x86_64_sim());
         let int = dst.types_mut().int();
@@ -754,7 +740,7 @@ mod tests {
         src.store_int(a, 1).unwrap();
         let mut c = Collector::new(&mut src, &mut src_lt);
         c.save_variable(a).unwrap();
-        let (payload, _) = c.finish();
+        let (payload, _) = c.finish().unwrap();
 
         // Destination program declares `a` as double — different layout.
         let mut dst = AddressSpace::new(Architecture::sparc20());
@@ -787,7 +773,7 @@ mod tests {
         let (mut src, mut src_lt, [a, _, _]) = program(Architecture::dec5000());
         let mut c = Collector::new(&mut src, &mut src_lt);
         c.save_variable(a).unwrap();
-        let (mut payload, _) = c.finish();
+        let (mut payload, _) = c.finish().unwrap();
         payload.extend_from_slice(&[0, 0, 0, 0]);
 
         let (mut dst, mut dst_lt, [da, _, _]) = program(Architecture::sparc20());
@@ -805,7 +791,7 @@ mod tests {
         src.store_int(a, 99).unwrap();
         let mut c = Collector::new(&mut src, &mut src_lt);
         c.save_pointer(a).unwrap(); // a pointer rvalue to global `a`
-        let (payload, _) = c.finish();
+        let (payload, _) = c.finish().unwrap();
 
         let (mut dst, mut dst_lt, [da, _, _]) = program(Architecture::sparc20());
         let mut r = Restorer::new(&mut dst, &mut dst_lt, &payload);
@@ -820,7 +806,7 @@ mod tests {
         let (mut src, mut src_lt, _) = program(Architecture::dec5000());
         let mut c = Collector::new(&mut src, &mut src_lt);
         c.save_pointer(0).unwrap();
-        let (payload, _) = c.finish();
+        let (payload, _) = c.finish().unwrap();
         let (mut dst, mut dst_lt, _) = program(Architecture::sparc20());
         let mut r = Restorer::new(&mut dst, &mut dst_lt, &payload);
         assert_eq!(r.restore_pointer().unwrap(), 0);

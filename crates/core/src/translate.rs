@@ -257,7 +257,7 @@ mod tests {
     fn emitted_ordinal(space: &mut AddressSpace, msrlt: &mut Msrlt, p: u64) -> u64 {
         let mut c = Collector::new(space, msrlt);
         c.save_variable(p).unwrap();
-        let (bytes, _) = c.finish();
+        let (bytes, _) = c.finish().unwrap();
         let (_, at) = Record::read(&bytes).unwrap();
         let (ptr, _) = Record::read(&bytes[at..]).unwrap();
         assert_eq!(ptr.tag, TAG_PTR_NEW);
@@ -390,7 +390,7 @@ mod tests {
         register(&src, &mut src_lt, g);
         let mut c = Collector::new(&mut src, &mut src_lt);
         c.save_variable(g).unwrap();
-        let (payload, _) = c.finish();
+        let (payload, _) = c.finish().unwrap();
 
         let mut dst = AddressSpace::new(Architecture::x86_64_sim());
         let mut dst_lt = Msrlt::new();

@@ -1,12 +1,13 @@
 //! `hpm-lint` — lint mini-C units for migration safety.
 //!
 //! ```text
-//! hpm-lint [--deny] [--jsonl PATH] [--corpus DIR] [FILE...]
+//! hpm-lint [--deny] [--stats] [--jsonl PATH] [--corpus DIR] [FILE...]
 //! ```
 //!
 //! Plain files are linted and reported (human-readable on stdout, JSONL
 //! to `--jsonl` if given). With `--deny`, any finding at warning
-//! severity or above exits 1 — the CI gate mode.
+//! severity or above exits 1 — the CI gate mode. `--stats` prints the
+//! run's [`LintStats`] after the findings.
 //!
 //! `--corpus DIR` runs expectation mode over a directory of seeded
 //! programs: each `.c` file declares the codes it must trip with
@@ -17,7 +18,6 @@
 //! findings are pinned across revisions.
 
 use hpm_lint::{lint_source, LintCode, LintStats, Report, Severity};
-use hpm_obs::{render_groups, StatGroup};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -192,7 +192,18 @@ fn main() -> ExitCode {
         }
     }
     if args.stats {
-        print!("{}", render_groups(&[("lint", stats.fields())]));
+        let LintStats {
+            units,
+            info,
+            warnings,
+            errors,
+            wall,
+        } = stats;
+        println!("lint.units     {units}");
+        println!("lint.info      {info}");
+        println!("lint.warnings  {warnings}");
+        println!("lint.errors    {errors}");
+        println!("lint.wall      {:.4}s", wall.as_secs_f64());
     }
 
     if !corpus_mismatches.is_empty() {

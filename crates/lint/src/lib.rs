@@ -37,7 +37,6 @@ pub use registry::{code_for, registry_report};
 pub use source::lint_front_end;
 
 use hpm_annotate::sema::TypeEnv;
-use hpm_obs::{StatField, StatGroup};
 
 /// Run every static pass over one mini-C unit and return the merged,
 /// finished report.
@@ -62,8 +61,7 @@ pub fn lint_source(unit: &str, src: &str) -> Report {
     report
 }
 
-/// Counters from one analyzer run, surfaced through `hpm-obs` so lint
-/// health rides the same stat tables as collect/restore phases.
+/// Counters from one analyzer run (`hpm-lint --stats` prints them).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LintStats {
     /// Units analyzed.
@@ -85,30 +83,6 @@ impl LintStats {
         self.info += report.count(Severity::Info) as u64;
         self.warnings += report.count(Severity::Warning) as u64;
         self.errors += report.count(Severity::Error) as u64;
-    }
-}
-
-impl StatGroup for LintStats {
-    fn group(&self) -> &'static str {
-        "lint"
-    }
-
-    fn fields(&self) -> Vec<StatField> {
-        vec![
-            StatField::count("units", self.units),
-            StatField::count("info", self.info),
-            StatField::count("warnings", self.warnings),
-            StatField::count("errors", self.errors),
-            StatField::duration("wall", self.wall),
-        ]
-    }
-
-    fn merge_from(&mut self, other: &Self) {
-        self.units += other.units;
-        self.info += other.info;
-        self.warnings += other.warnings;
-        self.errors += other.errors;
-        self.wall += other.wall;
     }
 }
 
@@ -163,18 +137,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_absorb_and_merge() {
+    fn stats_absorb_each_report() {
         let r = lint_source("bad.c", "int main( { return 0 }");
         let mut a = LintStats::default();
         a.absorb(&r);
-        assert_eq!(a.units, 1);
-        assert_eq!(a.errors, 1);
-        let mut b = LintStats::default();
-        b.merge_from(&a);
-        b.merge_from(&a);
-        assert_eq!(b.units, 2);
-        assert_eq!(b.errors, 2);
-        assert_eq!(b.group(), "lint");
-        assert_eq!(b.fields().len(), 5);
+        a.absorb(&r);
+        assert_eq!(a.units, 2);
+        assert_eq!(a.errors, 2);
     }
 }

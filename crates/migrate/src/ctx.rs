@@ -39,7 +39,7 @@ use hpm_core::{
     ChunkPayload, ChunkSink, CollectStats, Collector, CoreError, RestoreStats, Restorer,
 };
 use hpm_memory::FrameId;
-use hpm_obs::{StatGroup, Track};
+use hpm_obs::Track;
 use hpm_types::TypeId;
 use std::time::{Duration, Instant};
 
@@ -332,7 +332,7 @@ impl<'p> MigCtx<'p> {
             })?;
         }
         self.track.end("restore", &[("bytes", stats.bytes_in)]);
-        r.stats.merge_from(&stats);
+        r.stats += stats;
         r.restore_time += t0.elapsed();
         r.restored_down_to -= 1;
         if r.restored_down_to == 0 {
@@ -414,7 +414,7 @@ pub(crate) fn collect_onto(
     let collector = Collector::new(&mut proc.space, &mut proc.msrlt)
         .with_track(track.clone())
         .with_prefix(prefix);
-    Ok(save_pending(collector, pending)?.finish())
+    Ok(save_pending(collector, pending)?.finish()?)
 }
 
 /// Save every live variable of the recorded frames, innermost first.
@@ -463,5 +463,5 @@ pub fn collect_pending_streamed<'a>(
     let collector = Collector::new(&mut proc.space, &mut proc.msrlt)
         .with_track(track.clone())
         .with_sink(chunk_bytes, sink);
-    Ok(save_pending(collector, pending)?.finish().1)
+    Ok(save_pending(collector, pending)?.finish()?.1)
 }

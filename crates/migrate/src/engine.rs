@@ -26,7 +26,7 @@ use crate::MigError;
 use hpm_arch::Architecture;
 use hpm_core::{ChunkSource, CollectStats, RegistryAuditStats, ReplaySource};
 use hpm_net::{ArqConfig, FaultPlan, NetworkModel, TransferSnapshot, WireCodec};
-use hpm_obs::{EventLog, Level, StatGroup, Track};
+use hpm_obs::{EventLog, Level, Track};
 use hpm_xdr::{image_id, ChunkRecord, RestoreJournal};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -143,7 +143,8 @@ pub struct Migration<'a> {
     /// [`Level`]: protocol events, plus at [`Level::Detail`] the spans
     /// `collect` ∋ `msrlt.search`, `tx` ∋ `net.send` and the per-block
     /// events. The caller can dump it even when the run fails, and the
-    /// report carries its dump with every counter group attached. `None`
+    /// report carries its dump (events only: the counters are the
+    /// report's fields). `None`
     /// records protocol events into a log of the engine's own, which
     /// reaches the report only on a source-resume fallback.
     pub log: Option<&'a EventLog>,
@@ -568,7 +569,7 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
             };
             let lane = self.lane(config, plan, policy, lane_journal, resume);
             let mut out = self.stream_attempt(src, prefix, lane)?;
-            recovery.merge_from(&out.recovery);
+            recovery += out.recovery;
             if let (None, Some(journal)) = (&failed, &journal) {
                 ladder.journal_chunks = lock_journal(journal).next_chunk() as u64;
             }
@@ -590,7 +591,7 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
                     );
                     // Fold rung 1's wire traffic and collect time in so
                     // Tx and Collect stay honest about the total cost.
-                    out.wire.transfer.merge_from(&first.wire.transfer);
+                    out.wire.transfer += first.wire.transfer;
                     out.produce_time += first.produce_time;
                     break Some(out);
                 }

@@ -9,9 +9,7 @@ use crate::precopy::PrecopyStats;
 use crate::process::Process;
 use hpm_core::{CollectStats, MsrltStats, RegistryAuditStats, RestoreStats};
 use hpm_net::{ArqReceiverSnapshot, ArqSenderStats, FaultStats, TransferSnapshot};
-use hpm_obs::{
-    render_groups, snapshot, EventLog, HistogramSnapshot, Level, LogDump, StatField, StatGroup,
-};
+use hpm_obs::{EventLog, Level, LogDump};
 use std::time::Duration;
 
 /// Everything measured about one migration.
@@ -46,9 +44,9 @@ pub struct MigrationReport {
     pub registry_audit: RegistryAuditStats,
     /// What the chosen transport measured beyond `transfer`.
     pub transport: TransportStats,
-    /// The dump of the migration's event log with every counter group
-    /// of this report attached, when the policy supplied the log or the
-    /// run fell back to the source; `None` otherwise.
+    /// The dump of the migration's event log, when the policy supplied
+    /// the log or the run fell back to the source; `None` otherwise. It
+    /// holds events only: every counter is a field of this report.
     pub log: Option<LogDump>,
     /// Per-round measurements, when the policy asked for pre-copy; the
     /// collect / restore figures above then describe the frozen leg.
@@ -58,8 +56,8 @@ pub struct MigrationReport {
 /// Transport-specific measurements, one variant per
 /// [`Transport`](crate::Transport), so the statistics a report carries
 /// cannot disagree with the path the migration took.
-// One value per migration, held inline in a report that is itself a few
-// KB of histograms: boxing the streamed variant would buy nothing.
+// One value per migration, held inline in its report: boxing the
+// streamed variant would buy nothing.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum TransportStats {
@@ -118,11 +116,6 @@ impl MigrationReport {
         self.collect_time + self.tx_time + self.restore_time
     }
 
-    /// Modeled transmission time in nanoseconds, from the wire accounting.
-    pub fn modeled_tx_nanos(&self) -> u64 {
-        self.transfer.modeled_tx_nanos
-    }
-
     /// Overlap measurements, when a streamed destination completed.
     pub fn pipeline(&self) -> Option<&PipelineStats> {
         match &self.transport {
@@ -145,28 +138,6 @@ impl MigrationReport {
             TransportStats::Reliable { resume, .. } => Some(resume),
             _ => None,
         }
-    }
-
-    /// Every counter group in the report, in render order.
-    pub fn stat_groups(&self) -> Vec<(String, Vec<StatField>)> {
-        let mut groups = vec![
-            snapshot(&self.collect_stats),
-            ("msrlt.src".to_string(), self.src_msrlt.fields()),
-            snapshot(&self.transfer),
-            snapshot(&self.restore_stats),
-            ("msrlt.dst".to_string(), self.dst_msrlt.fields()),
-        ];
-        groups.extend(self.pipeline().map(snapshot));
-        groups.extend(self.recovery().map(snapshot));
-        groups.extend(self.resume().map(snapshot));
-        groups.push(snapshot(&self.registry_audit));
-        groups
-    }
-
-    /// Human-readable rendering of every counter group (one aligned
-    /// table, shared with `paper_tables` output).
-    pub fn render(&self) -> String {
-        render_groups(&self.stat_groups())
     }
 }
 
@@ -193,8 +164,7 @@ pub struct MigrationRun {
 
 impl MigrationRun {
     /// Wrap up a run: when the caller `asked` for the log (supplied it)
-    /// or the run fell back to the source, dump it into the report with
-    /// each of the report's StatGroups attached.
+    /// or the run fell back to the source, dump it into the report.
     pub(crate) fn finish(
         log: &EventLog,
         asked: bool,
@@ -203,11 +173,7 @@ impl MigrationRun {
     ) -> Self {
         let fell_back = report.recovery().is_some_and(|r| r.fallback_taken);
         if log.level() != Level::Off && (asked || fell_back) {
-            let mut dump = log.dump();
-            for (group, fields) in report.stat_groups() {
-                dump.attach_stats(group, fields);
-            }
-            report.log = Some(dump);
+            report.log = Some(log.dump());
         }
         MigrationRun { report, results }
     }
@@ -254,35 +220,6 @@ impl PipelineStats {
             return 0.0;
         }
         (1.0 - self.e2e_time.as_secs_f64() / serial).max(0.0)
-    }
-}
-
-impl StatGroup for PipelineStats {
-    fn group(&self) -> &'static str {
-        "pipeline"
-    }
-
-    fn fields(&self) -> Vec<StatField> {
-        vec![
-            StatField::count("chunks", self.chunks),
-            StatField::bytes("chunk_bytes", self.chunk_bytes),
-            StatField::duration("collect_time", self.collect_time),
-            StatField::duration("tx_time", self.tx_time),
-            StatField::duration("restore_time", self.restore_time),
-            StatField::duration("restore_stall", self.restore_stall),
-            StatField::duration("e2e_time", self.e2e_time),
-            StatField::ratio("overlap_ratio", self.overlap_ratio()),
-        ]
-    }
-
-    fn merge_from(&mut self, other: &Self) {
-        self.chunks += other.chunks;
-        self.chunk_bytes = self.chunk_bytes.max(other.chunk_bytes);
-        self.collect_time += other.collect_time;
-        self.tx_time += other.tx_time;
-        self.restore_time += other.restore_time;
-        self.restore_stall += other.restore_stall;
-        self.e2e_time += other.e2e_time;
     }
 }
 
@@ -352,39 +289,6 @@ pub struct ResumeStats {
     pub skip: Option<Rung2Skip>,
 }
 
-impl StatGroup for ResumeStats {
-    fn group(&self) -> &'static str {
-        "resume"
-    }
-
-    fn fields(&self) -> Vec<StatField> {
-        vec![
-            StatField::count("rung", self.rung as u64),
-            StatField::count("journal_chunks", self.journal_chunks),
-            StatField::count("chunks_replayed", self.chunks_replayed),
-            StatField::count("bytes_saved", self.bytes_saved),
-            StatField::count("chunks_retransferred", self.chunks_retransferred),
-            StatField::count("bytes_retransferred", self.bytes_retransferred),
-            StatField::count("wire_replays", self.wire_replays),
-            StatField::count("rung2_attempted", self.rung2_attempted as u64),
-            // 0 = not skipped, else the reason's position in `Rung2Skip`.
-            StatField::count("skip", self.skip.map_or(0, |s| s as u64 + 1)),
-        ]
-    }
-
-    fn merge_from(&mut self, other: &Self) {
-        self.rung = self.rung.max(other.rung);
-        self.journal_chunks += other.journal_chunks;
-        self.chunks_replayed += other.chunks_replayed;
-        self.bytes_saved += other.bytes_saved;
-        self.chunks_retransferred += other.chunks_retransferred;
-        self.bytes_retransferred += other.bytes_retransferred;
-        self.wire_replays += other.wire_replays;
-        self.rung2_attempted |= other.rung2_attempted;
-        self.skip = self.skip.or(other.skip);
-    }
-}
-
 /// What the recovery machinery did during one reliable migration.
 ///
 /// Every field is a deterministic function of the fault plan and the
@@ -414,10 +318,6 @@ pub struct RecoveryStats {
     pub modeled_backoff_nanos: u64,
     /// Modeled time charged to injected link delays.
     pub modeled_delay_nanos: u64,
-    /// Distribution of per-chunk retransmission counts (observed when a
-    /// chunk leaves the send window, or when retries are exhausted).
-    /// Seed-deterministic like every other field here.
-    pub retry_hist: HistogramSnapshot,
 }
 
 impl RecoveryStats {
@@ -446,35 +346,13 @@ impl RecoveryStats {
             faults_injected: faults.faults_injected(),
             modeled_backoff_nanos: sender.modeled_backoff_nanos,
             modeled_delay_nanos: faults.modeled_delay_nanos,
-            retry_hist: sender.retry_hist,
         }
     }
 }
 
-impl StatGroup for RecoveryStats {
-    fn group(&self) -> &'static str {
-        "recovery"
-    }
-
-    fn fields(&self) -> Vec<StatField> {
-        vec![
-            StatField::count("fallback_taken", self.fallback_taken as u64),
-            StatField::count("retransmits", self.retransmits),
-            StatField::count("timeouts", self.timeouts),
-            StatField::count("corrupt_caught", self.corrupt_caught),
-            StatField::count("dups_absorbed", self.dups_absorbed),
-            StatField::count("reorders_absorbed", self.reorders_absorbed),
-            StatField::count("acks_sent", self.acks_sent),
-            StatField::count("nacks_sent", self.nacks_sent),
-            StatField::count("faults_injected", self.faults_injected),
-            StatField::duration("recovery_overhead", self.recovery_overhead()),
-            StatField::count("retry_p50", self.retry_hist.p50()),
-            StatField::count("retry_p99", self.retry_hist.p99()),
-            StatField::count("retry_max", self.retry_hist.max),
-        ]
-    }
-
-    fn merge_from(&mut self, other: &Self) {
+/// Accumulate another attempt's share.
+impl std::ops::AddAssign for RecoveryStats {
+    fn add_assign(&mut self, other: Self) {
         self.fallback_taken |= other.fallback_taken;
         self.retransmits += other.retransmits;
         self.timeouts += other.timeouts;
@@ -486,6 +364,5 @@ impl StatGroup for RecoveryStats {
         self.faults_injected += other.faults_injected;
         self.modeled_backoff_nanos += other.modeled_backoff_nanos;
         self.modeled_delay_nanos += other.modeled_delay_nanos;
-        self.retry_hist.merge(&other.retry_hist);
     }
 }

@@ -18,7 +18,7 @@ use hpm_net::{
     channel_pair, ArqConfig, Channel, FaultPlan, FaultyEndpoint, NetError, NetworkModel,
     ReliableChunkReceiver, ReliableChunkSender, ResumeDecision, TransferSnapshot,
 };
-use hpm_obs::{StatGroup, Track};
+use hpm_obs::Track;
 use hpm_xdr::{ChunkRecord, RestoreJournal};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
@@ -296,7 +296,7 @@ pub(crate) fn ship_frame(
         let dst_end = dst_end.with_track(track.clone());
         src_end.send(frame)?;
         let bytes = dst_end.recv()?;
-        carried.transfer.merge_from(&src_end.stats().snapshot());
+        carried.transfer += src_end.stats().snapshot();
         return Ok(bytes);
     };
     let (len, cut) = (frame.len(), lane.config.chunk_bytes.max(1));
@@ -318,8 +318,8 @@ pub(crate) fn ship_frame(
             Ok((bytes, rx))
         },
     )?;
-    carried.transfer.merge_from(&out.wire.transfer);
-    carried.recovery.merge_from(&out.recovery);
+    carried.transfer += out.wire.transfer;
+    carried.recovery += out.recovery;
     match (out.error, out.consumed) {
         (None, Some((bytes, _rx))) => Ok(bytes),
         (e, _) => Err(e.unwrap_or_else(|| MigError::Protocol("frame vanished in transit".into()))),

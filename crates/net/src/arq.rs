@@ -18,7 +18,7 @@ use crate::arq_core::{
 };
 use crate::channel::{Channel, NetError};
 use crate::fault::FrameLink;
-use hpm_obs::{Histogram, HistogramSnapshot, Track};
+use hpm_obs::Track;
 use hpm_xdr::{frame_control, unframe_control, ChunkRecord, Control, RestoreJournal, RestorePhase};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -56,10 +56,6 @@ pub struct ArqSenderStats {
     pub nacks_processed: u64,
     /// Modeled nanoseconds spent in backoff waits.
     pub modeled_backoff_nanos: u64,
-    /// Per-chunk retransmission-count distribution, observed as each
-    /// chunk retires from the replay window (acked) or exhausts its
-    /// budget. Deterministic for a given seed, like every field above.
-    pub retry_hist: HistogramSnapshot,
 }
 
 /// Sending half of the ARQ stream: a [`SenderCore`] driven over a
@@ -73,9 +69,6 @@ pub struct ReliableChunkSender<L: FrameLink> {
     /// the intact-delivery count the ack ledger balances against).
     wire_sends: u64,
     stats: ArqSenderStats,
-    /// Live retry-count distribution, snapshotted into
-    /// [`ArqSenderStats::retry_hist`] on [`Self::stats`].
-    retry_hist: Histogram,
     track: Track,
 }
 
@@ -88,7 +81,6 @@ impl<L: FrameLink> ReliableChunkSender<L> {
             codec: WireCodec::default(),
             wire_sends: 0,
             stats: ArqSenderStats::default(),
-            retry_hist: Histogram::new(),
             track: Track::off(),
         }
     }
@@ -109,9 +101,7 @@ impl<L: FrameLink> ReliableChunkSender<L> {
 
     /// Protocol counters so far.
     pub fn stats(&self) -> ArqSenderStats {
-        let mut s = self.stats;
-        s.retry_hist = self.retry_hist.snapshot();
-        s
+        self.stats
     }
 
     /// Sequence number the next chunk will carry.
@@ -285,15 +275,10 @@ impl<L: FrameLink> ReliableChunkSender<L> {
                     self.stats.timeouts += 1;
                     self.stats.modeled_backoff_nanos += wait.as_nanos() as u64;
                 }
-                SenderAction::Acked { next, retired } => {
+                SenderAction::Acked { next, pruned } => {
                     self.stats.acks_processed += 1;
-                    // Each retired chunk's retry count is final.
-                    for &retries in &retired {
-                        self.retry_hist.observe(retries as u64);
-                    }
-                    let pruned = retired.len() as u64;
                     self.track
-                        .event("ack", &[("next", next as u64), ("pruned", pruned)]);
+                        .event("ack", &[("next", next as u64), ("pruned", pruned as u64)]);
                 }
                 SenderAction::Nacked => self.stats.nacks_processed += 1,
                 SenderAction::Fail(e) => {
@@ -301,7 +286,6 @@ impl<L: FrameLink> ReliableChunkSender<L> {
                         chunk, attempts, ..
                     } = e
                     {
-                        self.retry_hist.observe(attempts as u64);
                         self.track.event(
                             "retries.exhausted",
                             &[("chunk", chunk as u64), ("attempts", attempts as u64)],

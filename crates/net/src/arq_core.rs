@@ -106,9 +106,9 @@ pub enum SenderAction {
     /// A silent round: the modeled wait charged before the retransmission
     /// (or the failure) that follows.
     Backoff(Duration),
-    /// A cumulative ack up to `next` retired chunks whose final
-    /// retransmission counts are `retired`, in sequence order.
-    Acked { next: u32, retired: Vec<u32> },
+    /// A cumulative ack up to `next` retired `pruned` chunks from the
+    /// replay window.
+    Acked { next: u32, pruned: u32 },
     /// A NACK was processed (stale or not).
     Nacked,
     /// The stream is dead.
@@ -238,9 +238,12 @@ impl SenderCore {
             Control::Ack { next } => {
                 self.acks += 1;
                 self.acked_next = self.acked_next.max(next);
-                let acked = self.window.iter().take_while(|w| w.seq < next).count();
-                let retired = self.window.drain(..acked).map(|w| w.retries).collect();
-                vec![SenderAction::Acked { next, retired }]
+                let pruned = self.window.iter().take_while(|w| w.seq < next).count();
+                self.window.drain(..pruned);
+                vec![SenderAction::Acked {
+                    next,
+                    pruned: pruned as u32,
+                }]
             }
             Control::Nack { seq } => {
                 // Stale NACKs (frame already acked and pruned) are ignored.

@@ -1,7 +1,7 @@
 //! Reliable in-process message channels between simulated machines.
 
 use crate::model::NetworkModel;
-use hpm_obs::{Histogram, HistogramSnapshot, StatField, StatGroup, Track};
+use hpm_obs::Track;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
@@ -80,8 +80,6 @@ pub struct TransferStats {
     wire_payload_bytes: AtomicU64,
     /// Chunks whose payload went out compressed (vs stored).
     chunks_compressed: AtomicU64,
-    /// Per-message modeled wire latency distribution (nanoseconds).
-    wire_lat: Histogram,
 }
 
 impl TransferStats {
@@ -125,7 +123,6 @@ impl TransferStats {
             raw_payload_bytes: self.raw_payload_bytes.load(Ordering::Relaxed),
             wire_payload_bytes: self.wire_payload_bytes.load(Ordering::Relaxed),
             chunks_compressed: self.chunks_compressed.load(Ordering::Relaxed),
-            wire_lat: self.wire_lat.snapshot(),
         }
     }
 }
@@ -145,8 +142,6 @@ pub struct TransferSnapshot {
     pub wire_payload_bytes: u64,
     /// Chunks whose payload went out compressed (vs stored).
     pub chunks_compressed: u64,
-    /// Per-message modeled wire latency distribution (nanoseconds).
-    pub wire_lat: HistogramSnapshot,
 }
 
 impl TransferSnapshot {
@@ -166,35 +161,15 @@ impl TransferSnapshot {
     }
 }
 
-impl StatGroup for TransferSnapshot {
-    fn group(&self) -> &'static str {
-        "net"
-    }
-
-    fn fields(&self) -> Vec<StatField> {
-        vec![
-            StatField::bytes("bytes_sent", self.bytes_sent),
-            StatField::count("messages_sent", self.messages_sent),
-            StatField::duration("modeled_tx_time", self.modeled_tx_time()),
-            StatField::bytes("raw_payload_bytes", self.raw_payload_bytes),
-            StatField::bytes("wire_payload_bytes", self.wire_payload_bytes),
-            StatField::count("chunks_compressed", self.chunks_compressed),
-            StatField::ratio("compression_ratio", self.compression_ratio()),
-            StatField::duration("wire_p50", Duration::from_nanos(self.wire_lat.p50())),
-            StatField::duration("wire_p90", Duration::from_nanos(self.wire_lat.p90())),
-            StatField::duration("wire_p99", Duration::from_nanos(self.wire_lat.p99())),
-            StatField::duration("wire_max", Duration::from_nanos(self.wire_lat.max)),
-        ]
-    }
-
-    fn merge_from(&mut self, other: &Self) {
+/// Accumulate another attempt's or round's accounting into this one.
+impl std::ops::AddAssign for TransferSnapshot {
+    fn add_assign(&mut self, other: Self) {
         self.bytes_sent += other.bytes_sent;
         self.messages_sent += other.messages_sent;
         self.modeled_tx_nanos += other.modeled_tx_nanos;
         self.raw_payload_bytes += other.raw_payload_bytes;
         self.wire_payload_bytes += other.wire_payload_bytes;
         self.chunks_compressed += other.chunks_compressed;
-        self.wire_lat.merge(&other.wire_lat);
     }
 }
 
@@ -261,7 +236,6 @@ impl Channel {
         self.stats
             .modeled_tx_nanos
             .fetch_add(tx_time.as_nanos() as u64, Ordering::Relaxed);
-        self.stats.wire_lat.observe(tx_time.as_nanos() as u64);
         let r = self.tx.send(payload).map_err(|_| NetError::Disconnected);
         self.track.detail_end("net.send", &[]);
         r
@@ -354,7 +328,7 @@ mod tests {
             modeled_tx_nanos: 50,
             ..Default::default()
         };
-        a.merge_from(&b);
+        a += b;
         assert_eq!(
             a,
             TransferSnapshot {
@@ -364,23 +338,6 @@ mod tests {
                 ..Default::default()
             }
         );
-    }
-
-    #[test]
-    fn wire_latency_distribution_tracks_sends() {
-        let (a, b) = channel_pair(NetworkModel::ethernet_10());
-        a.send(vec![0; 64]).unwrap();
-        a.send(vec![0; 64 * 1024]).unwrap();
-        b.recv().unwrap();
-        b.recv().unwrap();
-        let snap = a.stats().snapshot();
-        assert_eq!(snap.wire_lat.count, 2);
-        assert!(snap.wire_lat.max > 0);
-        assert!(snap.wire_lat.p99() <= snap.wire_lat.max);
-        // The big message dominates: p99 lands well above p50's bucket.
-        assert!(snap.wire_lat.p99() >= snap.wire_lat.p50());
-        let fields = snap.fields();
-        assert!(fields.iter().any(|f| f.name == "wire_p99"));
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! the paper's Table 1 `Tx` column behaves (it is dominated by
 //! bytes ÷ link speed, not by protocol details). Actual byte delivery
 //! between the two "machines" (threads) uses a reliable in-process
-//! [`Channel`] built on `std::sync::mpsc`, with optional real-time pacing
-//! for demos. A payload crosses it whole, as one message, or as the one
-//! chunk stream: [`ReliableChunkSender`] → [`ReliableChunkReceiver`],
+//! [`Channel`] built on `std::sync::mpsc`; it accounts modeled time but
+//! never sleeps (real-time pacing, when a pipeline asks for it, is the
+//! migration driver's wire thread). A payload crosses it whole, as one
+//! message, or as the one chunk stream: [`ReliableChunkSender`] → [`ReliableChunkReceiver`],
 //! CRC-checked and acknowledged, optionally through a [`FaultyEndpoint`]
 //! that damages the data direction under a seeded [`FaultPlan`].
 //! Endpoints can carry an [`hpm_obs::Track`]: the chunk endpoints record

@@ -1,9 +1,11 @@
-//! # hpm-obs — observability for the migration stack
+//! # hpm-obs — the event log of the migration stack
 //!
 //! The paper's entire evaluation (§4, Table 1, Figure 2) is built on
 //! instrumentation: Collect/Tx/Restore timings plus MSRLT search and step
-//! counters. This crate is the shared measurement substrate those numbers
-//! flow through. Three pieces, all dependency-free:
+//! counters. The counters live in the typed stats structs each layer
+//! returns (`CollectStats`, `RestoreStats`, `MsrltStats`,
+//! `TransferSnapshot`, …) and reach the caller in the migration report;
+//! this crate is the other half of the record, dependency-free:
 //!
 //! * [`log`] — the one event log. An [`EventLog`] hands out named,
 //!   single-writer [`Track`]s, each a pair of bounded rings (protocol
@@ -13,19 +15,9 @@
 //!   [`chrome_trace_json`], as a Chrome / Perfetto trace with times. An
 //!   inert [`Track`] costs one branch per site, so instrumentation stays
 //!   in release hot paths.
-//! * [`stats`] — the [`StatGroup`] snapshot/merge trait that the stack's
-//!   phase-stats structs (`CollectStats`, `RestoreStats`, `MsrltStats`,
-//!   `TransferStats`, …) implement, one shared text renderer, and the
-//!   form in which their snapshots are attached to a [`LogDump`].
-//! * [`histogram`] — a lock-free log2 [`Histogram`] for per-chunk
-//!   latency distributions.
 
-pub mod histogram;
 pub mod log;
-pub mod stats;
 
-pub use histogram::{Histogram, HistogramSnapshot};
 pub use log::{
     chrome_trace_json, Event, EventKind, EventLog, Level, LogDump, SpanRecord, Track, TrackDump,
 };
-pub use stats::{render_groups, snapshot, StatField, StatGroup, StatValue};

@@ -40,7 +40,6 @@
 //!    number. Cross-track interleaving, which is scheduling-dependent,
 //!    never appears.
 
-use crate::stats::StatField;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -210,10 +209,7 @@ impl EventLog {
                 }
             })
             .collect();
-        LogDump {
-            tracks,
-            stats: Vec::new(),
-        }
+        LogDump { tracks }
     }
 }
 
@@ -347,13 +343,12 @@ pub struct SpanRecord {
     pub depth: usize,
 }
 
-/// A snapshot of an [`EventLog`], with the counter groups attached to it.
+/// A snapshot of an [`EventLog`]: its events, and nothing else — the
+/// run's counters are the typed fields of the report that carries it.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LogDump {
     /// Per-track dumps, sorted by track name.
     pub tracks: Vec<TrackDump>,
-    /// Attached counter snapshots `(group, fields)`, sorted by group.
-    pub stats: Vec<(String, Vec<StatField>)>,
 }
 
 impl LogDump {
@@ -370,14 +365,6 @@ impl LogDump {
     /// Events evicted across all tracks.
     pub fn dropped(&self) -> u64 {
         self.tracks.iter().map(|t| t.dropped).sum()
-    }
-
-    /// Attach a counter snapshot. Groups are kept sorted by name
-    /// whatever the attach order, so exports of one state are identical.
-    pub fn attach_stats(&mut self, group: impl Into<String>, fields: Vec<StatField>) {
-        let group = group.into();
-        let at = self.stats.partition_point(|(g, _)| *g <= group);
-        self.stats.insert(at, (group, fields));
     }
 
     /// Every event named `name`, with the track it is on.
@@ -465,10 +452,9 @@ impl LogDump {
     /// Render as JSONL, the post-mortem format: per track one header
     /// object (with drop accounting), then one object per event —
     /// `track`, `seq`, `kind` (the event's name), `ph` on a span edge,
-    /// `detail` on a detail event, the arguments, `note` — and after the
-    /// tracks one `{"stats":…}` object per attached group. Field order is
-    /// fixed and stamps are left out, so the event lines of two runs of
-    /// one seed are byte-identical (attached stats may carry wall time).
+    /// `detail` on a detail event, the arguments, `note`. Field order is
+    /// fixed and stamps are left out, so the dumps of two runs of one
+    /// seed are byte-identical.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for t in &self.tracks {
@@ -503,14 +489,6 @@ impl LogDump {
                 out.push_str("}\n");
             }
         }
-        for (group, fields) in &self.stats {
-            let _ = writeln!(
-                out,
-                "{{\"stats\":\"{}\"{}}}",
-                esc(group),
-                fields_json(fields)
-            );
-        }
         out
     }
 }
@@ -534,22 +512,13 @@ fn esc(s: &str) -> String {
     out
 }
 
-/// `,"name":raw` for every field of a counter group.
-fn fields_json(fields: &[StatField]) -> String {
-    fields
-        .iter()
-        .map(|f| format!(",\"{}\":{}", esc(f.name), f.value.raw()))
-        .collect()
-}
-
 /// Render a dump as Chrome trace-event JSON (`{"traceEvents":[...]}`),
 /// loadable in `chrome://tracing` and Perfetto.
 ///
 /// Track *n* (in name order) becomes `tid` *n+1* under `pid` 1 with a
 /// `thread_name` metadata record; `Begin` / `End` / `Point` become `"B"` /
 /// `"E"` / `"i"` with the stamp in microseconds and the arguments (and
-/// note) as `args`; each attached counter group is one `"C"` event named
-/// `stats.<group>` at ts 0; evictions are reported as a process label.
+/// note) as `args`; evictions are reported as a process label.
 pub fn chrome_trace_json(dump: &LogDump) -> String {
     let mut records: Vec<String> = Vec::with_capacity(dump.len() + dump.tracks.len() + 4);
     for (i, t) in dump.tracks.iter().enumerate() {
@@ -581,15 +550,6 @@ pub fn chrome_trace_json(dump: &LogDump) -> String {
                 args.join(",")
             ));
         }
-    }
-    for (group, fields) in &dump.stats {
-        let args = fields_json(fields);
-        records.push(format!(
-            "{{\"ph\":\"C\",\"pid\":1,\"tid\":1,\"ts\":0,\"name\":\"stats.{}\",\
-             \"args\":{{{}}}}}",
-            esc(group),
-            args.trim_start_matches(',')
-        ));
     }
     if dump.dropped() > 0 {
         records.push(format!(
@@ -846,10 +806,7 @@ mod tests {
         src.end("collect", &[]);
         log.track("driver")
             .event_note("err", &[("chunk", 9)], "a\"quote\" and\nnewline");
-        let mut dump = log.dump();
-        dump.attach_stats("net", vec![StatField::bytes("bytes_sent", 128)]);
-        dump.attach_stats("collect", vec![StatField::count("blocks_saved", 2)]);
-        dump
+        log.dump()
     }
 
     #[test]
@@ -863,7 +820,6 @@ mod tests {
         assert!(text.contains("\\\"quote\\\"") && text.contains("\\n"));
         assert!(text.contains("\"kind\":\"collect\",\"ph\":\"B\""));
         assert!(text.contains("\"kind\":\"collect.block\",\"detail\":true,\"bytes\":128"));
-        assert!(text.contains("{\"stats\":\"collect\",\"blocks_saved\":2}"));
         for line in text.lines() {
             assert!(json_is_balanced(line), "bad line: {line}");
             assert!(line.starts_with('{') && line.ends_with('}'));
@@ -882,27 +838,11 @@ mod tests {
             "\"ph\":\"i\"",
             "\"name\":\"collect\"",
             "\"name\":\"msrlt.search\"",
-            "\"name\":\"stats.collect\"",
-            "\"args\":{\"blocks_saved\":2}",
+            "\"args\":{\"bytes\":128}",
             "\\\"quote\\\"",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
-    }
-
-    #[test]
-    fn stat_groups_export_sorted_regardless_of_attach_order() {
-        let groups =
-            |dump: &LogDump| -> Vec<String> { dump.stats.iter().map(|(g, _)| g.clone()).collect() };
-        let mut a = LogDump::default();
-        a.attach_stats("zeta", vec![StatField::count("v", 1)]);
-        a.attach_stats("alpha", vec![StatField::count("v", 2)]);
-        let mut b = LogDump::default();
-        b.attach_stats("alpha", vec![StatField::count("v", 2)]);
-        b.attach_stats("zeta", vec![StatField::count("v", 1)]);
-        assert_eq!(groups(&a), ["alpha", "zeta"]);
-        assert_eq!(a.to_jsonl(), b.to_jsonl());
-        assert_eq!(chrome_trace_json(&a), chrome_trace_json(&b));
     }
 
     #[test]

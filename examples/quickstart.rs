@@ -54,7 +54,7 @@ fn main() {
     // Collect: Save_variable(&head) walks the MSR graph.
     let mut collector = Collector::new(&mut src, &mut src_lt);
     collector.save_variable(head).unwrap();
-    let (payload, stats) = collector.finish();
+    let (payload, stats) = collector.finish().unwrap();
     println!(
         "collected {} blocks, {} bytes (machine-independent)",
         stats.blocks_saved,

@@ -246,7 +246,7 @@ fn record_overhead_per_block_is_bounded() {
     }
     let mut c = Collector::new(&mut space, &mut msrlt);
     c.save_pointer(head).unwrap();
-    let (payload, stats) = c.finish();
+    let (payload, stats) = c.finish().unwrap();
     assert_eq!(stats.blocks_saved, 1_000);
     assert_eq!(stats.bytes_out, payload.len() as u64);
     // Every scalar here is an `int`: one XDR unit each.

@@ -76,7 +76,7 @@ fn run_one<P: MigratableProgram + Send>(
 /// Sweep `seeds` crash plans over one workload inside a watchdog. Every
 /// answer must match the unmigrated run; every rung-2 resume must replay
 /// zero already-verified chunks over the wire; every ~25th seed is rerun
-/// to prove both stat groups reproduce exactly.
+/// to prove `RecoveryStats` and `ResumeStats` reproduce exactly.
 fn crash_soak<P, F>(
     label: &'static str,
     make: F,

@@ -12,12 +12,12 @@
 //! every round (`identity_ok`).
 
 use hpm_arch::Architecture;
+use hpm_core::CollectStats;
 use hpm_migrate::{
     migrate, run_migrating, run_straight, run_to_migration, MigratableProgram, Migration,
     MigrationRun, PipelineConfig, PrecopyConfig, RecoveryPolicy, Transport, Trigger,
 };
 use hpm_net::{FaultPlan, NetworkModel, WireCodec};
-use hpm_obs::StatGroup;
 use hpm_workloads::{diff_results, BitonicSort, Linpack, TestPointer};
 
 const BITONIC_N: u64 = 1_200;
@@ -66,14 +66,16 @@ fn precopy() -> PrecopyConfig {
 /// chunks the collector flushed is the one counter that is the wire's).
 fn fingerprint(run: &MigrationRun) -> impl PartialEq + std::fmt::Debug {
     let r = &run.report;
-    let mut collected = r.collect_stats.fields();
-    collected.retain(|f| f.name != "chunks_flushed");
+    let collected = CollectStats {
+        chunks_flushed: 0,
+        ..r.collect_stats
+    };
     (
         r.image_bytes,
         r.memory_bytes,
         r.chain_depth,
         collected,
-        r.restore_stats.fields(),
+        r.restore_stats,
     )
 }
 

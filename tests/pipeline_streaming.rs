@@ -113,12 +113,6 @@ fn pipelined_migration_matches_straight_run_and_overlaps() {
     let r = run.report.recovery().expect("reliable run carries stats");
     assert!(r.retransmits == 0 && r.nacks_sent == 0, "{r:?}");
     assert_eq!(run.report.resume().unwrap().rung, 1);
-    // The report's stat groups include the pipeline group.
-    assert!(run
-        .report
-        .stat_groups()
-        .iter()
-        .any(|(name, _)| name == "pipeline"));
 }
 
 /// Losing a chunk mid-stream must fail loudly, naming the chunk in which

@@ -431,7 +431,7 @@ fn arbitrary_graphs_roundtrip() {
 
         let mut collector = Collector::new(&mut src, &mut src_lt);
         collector.save_variable(root).unwrap();
-        let (payload, _) = collector.finish();
+        let (payload, _) = collector.finish().unwrap();
 
         let (mut dst, mut dst_lt, droot, _) = build_space(archs[dst_pick].clone(), &[], &[]);
         let mut restorer = Restorer::new(&mut dst, &mut dst_lt, &payload);
@@ -461,7 +461,7 @@ fn long_width_conversion_sound() {
         src.store_int(t, v as i64).unwrap();
         let mut c = Collector::new(&mut src, &mut src_lt);
         c.save_variable(root).unwrap();
-        let (payload, _) = c.finish();
+        let (payload, _) = c.finish().unwrap();
 
         let (mut dst, mut dst_lt, droot, _) = build_space(Architecture::x86_64_sim(), &[], &[]);
         let mut r = Restorer::new(&mut dst, &mut dst_lt, &payload);
@@ -1128,7 +1128,7 @@ fn truncation_inside_a_kernel_run_is_reported_not_restored() {
         }
         let mut c = Collector::new(&mut src, &mut src_lt);
         c.save_variable(g).unwrap();
-        let (payload, _) = c.finish();
+        let (payload, _) = c.finish().unwrap();
         assert!(cut < payload.len());
 
         // A little-endian destination: neither run is a plain copy there.
@@ -1500,7 +1500,7 @@ fn mutated_gnode_ring_records_restore_or_refuse() {
     for root in roots {
         c.save_variable(root).unwrap();
     }
-    let (payload, stats) = c.finish();
+    let (payload, stats) = c.finish().unwrap();
     assert_eq!(
         (stats.ptr_new, stats.ptr_ref),
         (13, 24),

@@ -313,7 +313,7 @@ fn collect(img: &mut Image, which: Which, mode: TranslationMode) -> Vec<u8> {
     for r in roots {
         c.save_variable(r).unwrap();
     }
-    c.finish().0
+    c.finish().unwrap().0
 }
 
 /// The same collection through a sink cutting at `chunk_bytes`.
@@ -332,7 +332,7 @@ fn collect_streamed(img: &mut Image, mode: TranslationMode, chunk_bytes: usize) 
     for &r in &roots {
         c.save_variable(r).unwrap();
     }
-    let (tail, stats) = c.finish();
+    let (tail, stats) = c.finish().unwrap();
     assert!(tail.is_empty());
     assert_eq!(stats.chunks_flushed as usize, chunks.len());
     chunks
@@ -484,7 +484,7 @@ fn collect_frozen(src: &mut MigratedSource, mode: TranslationMode) -> Vec<u8> {
             c.save_variable(addr).unwrap();
         }
     }
-    c.finish().0
+    c.finish().unwrap().0
 }
 
 /// The paper workloads at their migration points on the big-endian
