@@ -20,21 +20,34 @@
 //! word0       := tag:3 | flags:5 | group:24  (one XDR unit, tag on top)
 //! PTR_NULL    := word0
 //! VAR_VISITED := word0 index:u32
-//! PTR_REF     := word0 index:u32 [ordinal]
-//! VAR_NEW /
-//! PTR_NEW     := word0 index:u32 type:u32 [fp:u64] [ordinal] [count:u64]
+//! PTR_REF     := word0 [index:u32] [ordinal]
+//! VAR_NEW     := word0 index:u32 type:u32 [fp:u64] [count:u64]
+//! PTR_NEW     := word0 [index:u32] type:u32 [fp:u64] [ordinal] [count:u64]
 //!
 //! flags       := TYPEDEF  fp follows: this record defines sender type
 //!                         number `type` (its first record in this image)
 //!                ORD      ordinal present (absent = 0)
 //!                ORD64    the ordinal is a u64, else a u32
 //!                COUNT    count present (absent = 1)
-//! group:index := the block's logical id
+//!                HEAP     (PTR_REF / PTR_NEW only) the id is the heap
+//!                         block whose index is word0's low 24 bits; no
+//!                         index follows
+//! group:index := the block's logical id, named by word0's low 24 bits
+//!                and the index word when HEAP is clear. A pointer to a
+//!                heap block uses HEAP whenever its index fits 24 bits;
+//!                the long form with the heap group is the escape for a
+//!                larger index and is refused for any other.
 //! type        := sender type number, dense in order of first sight
 //! fp          := structural fingerprint of the block's element type
 //! ordinal     := leaf ordinal inside the target block (pointers only)
 //! count       := element count of the block
 //! ```
+//!
+//! Every pointer therefore has exactly one encoding: a heap `PTR_REF` to
+//! a block start is one word, a heap `PTR_NEW` of a type already sent
+//! two. Globals and stack locals keep the explicit index: they are
+//! registered on both sides before restoration, and the restorer needs
+//! their group to find them.
 //!
 //! A type's fingerprint travels once per image, on the first record of
 //! that type; every later block of the type names it by number. The
@@ -52,7 +65,7 @@
 
 use crate::fingerprint::type_fingerprint;
 use crate::kernel::{for_each_run, Kernel};
-use crate::msrlt::{LogicalId, Msrlt, MsrltEntry};
+use crate::msrlt::{LogicalId, Msrlt, MsrltEntry, GROUP_HEAP};
 use crate::translate::{leaf_ordinal, read_ptr, span, Cursor};
 use crate::CoreError;
 use hpm_arch::Architecture;
@@ -84,10 +97,14 @@ pub(crate) const FLAG_ORD: u32 = 1 << 27;
 pub(crate) const FLAG_ORD64: u32 = 1 << 26;
 /// Flag: an element count is present (absent means 1).
 pub(crate) const FLAG_COUNT: u32 = 1 << 25;
-/// The five flag bits; the one no flag above names is reserved.
+/// Flag (`PTR_REF` / `PTR_NEW`): the id is the heap block whose index is
+/// the low 24 bits, and no index word follows.
+pub(crate) const FLAG_HEAP: u32 = 1 << 24;
+/// The five flag bits.
 pub(crate) const FLAG_MASK: u32 = 0x1F << 24;
 /// The low 24 bits of the first word carry the id's group, which is
-/// therefore also the largest group a record can name.
+/// therefore also the largest group a record can name — or, under
+/// [`FLAG_HEAP`], a heap index, the largest one that travels short.
 pub(crate) const GROUP_MAX: u32 = (1 << 24) - 1;
 
 /// Everything a record says ahead of its contents. The collector encodes
@@ -96,7 +113,9 @@ pub(crate) const GROUP_MAX: u32 = (1 << 24) - 1;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Record {
     pub(crate) tag: u32,
-    /// The block's logical id; `(0,0)` for `PTR_NULL`.
+    /// The block's logical id; `(0,0)` for `PTR_NULL`. On a pointer
+    /// record a heap id whose index fits 24 bits travels in the first
+    /// word ([`FLAG_HEAP`]); every other id is group and index word.
     pub(crate) id: LogicalId,
     /// Sender type number (`VAR_NEW` / `PTR_NEW`).
     pub(crate) type_no: u32,
@@ -135,7 +154,15 @@ impl Record {
             return Err(CoreError::GroupTooLarge(self.id));
         }
         let block = Self::announces_block(self.tag);
-        let mut word0 = self.tag << TAG_SHIFT | self.id.group;
+        let short = self.id.group == GROUP_HEAP
+            && self.id.index <= GROUP_MAX
+            && matches!(self.tag, TAG_PTR_REF | TAG_PTR_NEW);
+        let mut word0 = self.tag << TAG_SHIFT;
+        if short {
+            word0 |= FLAG_HEAP | self.id.index;
+        } else {
+            word0 |= self.id.group;
+        }
         if self.ordinal != 0 {
             word0 |= FLAG_ORD;
             if self.ordinal > u64::from(u32::MAX) {
@@ -152,7 +179,9 @@ impl Record {
         if self.tag == TAG_PTR_NULL {
             return Ok(());
         }
-        enc.put_u32(self.id.index);
+        if !short {
+            enc.put_u32(self.id.index);
+        }
         if block {
             enc.put_u32(self.type_no);
             if let Some(fp) = self.typedef {
@@ -289,9 +318,10 @@ impl<'a> Collector<'a> {
         msrlt.begin_epoch();
         // Pre-size from the MSRLT's registered byte total: the payload is
         // dominated by the raw block bytes, plus per block the record
-        // that announces it (12 bytes for a `PTR_NEW` of a type already
-        // sent) and the few a wire pointer outgrows a 4-byte native one
-        // by. Kills realloc churn on linpack-sized images.
+        // that announces it (8 bytes for a heap `PTR_NEW` of a type
+        // already sent, 12 for a named block's `VAR_NEW`) and the few a
+        // wire pointer outgrows a 4-byte native one by. Kills realloc
+        // churn on linpack-sized images.
         let estimate = (msrlt.registered_bytes() + msrlt.live_count() as u64 * 24).min(MAX_PRESIZE);
         let type_nos = vec![0; space.types().len()];
         Collector {
@@ -739,18 +769,47 @@ mod tests {
         let (first, size) = Record::read(&bytes).unwrap();
         assert_eq!((first.tag, first.id, first.type_no), (TAG_PTR_NEW, id1, 0));
         assert!(first.typedef.is_some(), "first sight of `node` defines it");
-        assert_eq!(size, 20, "first sight: 12 + the fingerprint");
+        assert_eq!(size, 16, "first sight: word0 + type + the fingerprint");
         let at = size + 4;
         let (second, size) = Record::read(&bytes[at..]).unwrap();
         let mut want = Record::bare(TAG_PTR_NEW, id2);
         want.type_no = first.type_no;
         assert_eq!(second, want, "seen type, ordinal 0, count 1");
-        assert_eq!(size, 12, "word0 + index + type");
+        assert_eq!(size, 8, "word0 (HEAP, the index) + type");
         let at = at + size + 4;
         let (back, size) = Record::read(&bytes[at..]).unwrap();
         assert_eq!(back, Record::bare(TAG_PTR_REF, id1));
-        assert_eq!(size, 8, "PTR_REF to a block start: word0 + index");
+        assert_eq!(size, 4, "heap PTR_REF to a block start: word0 alone");
         assert_eq!(at + size, bytes.len());
+    }
+
+    /// The largest heap index the first word holds travels short; one
+    /// more takes the long form, the heap group in the first word and
+    /// the index after it. Both read back as the same record.
+    #[test]
+    fn heap_ids_travel_short_up_to_24_bits_and_long_beyond() {
+        for (index, short) in [(GROUP_MAX, true), (GROUP_MAX + 1, false)] {
+            let id = LogicalId {
+                group: GROUP_HEAP,
+                index,
+            };
+            let mut new = Record::bare(TAG_PTR_NEW, id);
+            new.type_no = 3;
+            for rec in [new, Record::bare(TAG_PTR_REF, id)] {
+                let mut enc = XdrEncoder::new();
+                rec.encode(&mut enc).unwrap();
+                let bytes = enc.into_bytes();
+                let word0 = u32::from_be_bytes(bytes[..4].try_into().unwrap());
+                let index_words = if short { 0 } else { 4 };
+                let type_word = if rec.tag == TAG_PTR_NEW { 4 } else { 0 };
+                assert_eq!(
+                    (word0 & FLAG_HEAP != 0, bytes.len()),
+                    (short, 4 + index_words + type_word),
+                    "{rec:?}"
+                );
+                assert_eq!(Record::read(&bytes), Ok((rec, bytes.len())), "{rec:?}");
+            }
+        }
     }
 
     #[test]

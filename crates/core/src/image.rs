@@ -17,9 +17,10 @@ pub const IMAGE_MAGIC: u32 = 0x4850_4D49;
 /// starts, and every payload byte after it ships as soon as the
 /// collector flushes it. Version 3 keeps that framing and changes the
 /// payload: compact MSRM records (see [`collect`](crate::collect)), which
-/// a version-2 reader would misparse — so each version refuses the other
-/// by name here, before a payload byte is looked at.
-pub const IMAGE_VERSION: u32 = 3;
+/// a version-2 reader would misparse. Version 4 carries a pointer's heap
+/// id in the record's first word (the `HEAP` flag) — so each version
+/// refuses every other by name here, before a payload byte is looked at.
+pub const IMAGE_VERSION: u32 = 4;
 
 /// Image header: who produced the image and how.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,10 +154,11 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn version_2_image_is_refused_naming_both_versions() {
+    /// An image of an older format version is refused at the header, and
+    /// the refusal names its version and the one this build reads.
+    fn assert_refused_by_name(old: u32) {
         let h = ImageHeader {
-            version: 2,
+            version: old,
             ..header()
         };
         let err = unframe_image(&frame_image(&h, b"EXEC", b"MEMORY-STATE")).unwrap_err();
@@ -164,9 +166,19 @@ mod tests {
             panic!("{err}");
         };
         assert!(
-            msg.contains("version 2") && msg.contains("version 3"),
+            msg.contains(&format!("version {old}")) && msg.contains("version 4"),
             "{msg}"
         );
+    }
+
+    #[test]
+    fn version_2_image_is_refused_naming_both_versions() {
+        assert_refused_by_name(2);
+    }
+
+    #[test]
+    fn version_3_image_is_refused_naming_both_versions() {
+        assert_refused_by_name(3);
     }
 
     #[test]

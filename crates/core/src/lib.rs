@@ -77,10 +77,15 @@ pub enum CoreError {
     },
     /// Stream carried an unknown tag; the streams are out of step.
     BadTag(u32),
-    /// A record's first word sets bits its tag does not take: a reserved
-    /// flag, a flag of another record kind, a 64-bit ordinal marker with
-    /// no ordinal, or a group on a NULL pointer.
+    /// A record's first word sets bits its tag does not take: a flag of
+    /// another record kind (`HEAP` on a variable record included), a
+    /// 64-bit ordinal marker with no ordinal, or a group on a NULL
+    /// pointer.
     BadRecordHeader(u32),
+    /// A pointer record names a heap block in the long form (group and
+    /// index word) although its index fits the first word's 24 bits —
+    /// a second encoding of a pointer that has exactly one.
+    LongHeapId(LogicalId),
     /// A record names a sender type number this image has not defined,
     /// or defines one out of turn (numbers are dense, in order of first
     /// sight).
@@ -207,6 +212,9 @@ impl std::fmt::Display for CoreError {
                 f,
                 "block {id} names type number {type_no}, but the image has defined {defined} so far"
             ),
+            CoreError::LongHeapId(id) => {
+                write!(f, "block {id}: a heap index this small travels in the record's first word")
+            }
             CoreError::GroupTooLarge(id) => {
                 write!(f, "block {id}: group does not fit a record's 24 bits")
             }

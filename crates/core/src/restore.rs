@@ -23,8 +23,8 @@
 //! index is the payload's, so both transports restore alike.
 
 use crate::collect::{
-    Record, TranslationMode, FLAG_COUNT, FLAG_MASK, FLAG_ORD, FLAG_ORD64, FLAG_TYPEDEF, GROUP_MAX,
-    TAG_PTR_NEW, TAG_PTR_NULL, TAG_PTR_REF, TAG_SHIFT, TAG_VAR_NEW, TAG_VAR_VISITED,
+    Record, TranslationMode, FLAG_COUNT, FLAG_HEAP, FLAG_MASK, FLAG_ORD, FLAG_ORD64, FLAG_TYPEDEF,
+    GROUP_MAX, TAG_PTR_NEW, TAG_PTR_NULL, TAG_PTR_REF, TAG_SHIFT, TAG_VAR_NEW, TAG_VAR_VISITED,
 };
 use crate::fingerprint::type_fingerprint;
 use crate::kernel::{for_each_run, Kernel};
@@ -407,7 +407,9 @@ impl<'s, 'p> Restorer<'s, 'p> {
                         // that has not grows its table to reach the id —
                         // by no more entries than bytes have arrived, so
                         // a few hostile bytes cannot claim gigabytes of
-                        // table (an honest record is 12 bytes or more).
+                        // table (an honest heap `PTR_NEW` is 8 bytes or
+                        // more, so one entry per byte is eight times what
+                        // an honest stream could name).
                         let heap_len = self.msrlt.heap_len();
                         let received = self.input.received();
                         if u64::from(id.index.saturating_sub(heap_len)) > received {
@@ -464,15 +466,18 @@ impl<'s, 'p> Restorer<'s, 'p> {
 
 impl Record {
     /// Decode one record, refusing a first word whose tag is unknown or
-    /// whose other bits the tag does not take.
+    /// whose other bits the tag does not take, and the long form of a
+    /// heap id the first word could have carried.
     #[inline]
     fn decode(input: &mut ChunkPayload<'_>) -> Result<Record, CoreError> {
         let word0 = input.get_u32()?;
         let tag = word0 >> TAG_SHIFT;
         let allowed = match tag {
             TAG_VAR_NEW => FLAG_TYPEDEF | FLAG_COUNT | GROUP_MAX,
-            TAG_PTR_NEW => FLAG_TYPEDEF | FLAG_ORD | FLAG_ORD64 | FLAG_COUNT | GROUP_MAX,
-            TAG_PTR_REF => FLAG_ORD | FLAG_ORD64 | GROUP_MAX,
+            TAG_PTR_NEW => {
+                FLAG_TYPEDEF | FLAG_ORD | FLAG_ORD64 | FLAG_COUNT | FLAG_HEAP | GROUP_MAX
+            }
+            TAG_PTR_REF => FLAG_ORD | FLAG_ORD64 | FLAG_HEAP | GROUP_MAX,
             TAG_VAR_VISITED => GROUP_MAX,
             TAG_PTR_NULL => 0,
             t => return Err(CoreError::BadTag(t)),
@@ -481,12 +486,23 @@ impl Record {
         if rest & !allowed != 0 || rest & (FLAG_ORD | FLAG_ORD64) == FLAG_ORD64 {
             return Err(CoreError::BadRecordHeader(word0));
         }
-        let group = word0 & GROUP_MAX;
-        let mut rec = Record::bare(tag, LogicalId { group, index: 0 });
+        let low = word0 & GROUP_MAX;
+        let (group, index) = if word0 & FLAG_HEAP != 0 {
+            (GROUP_HEAP, low)
+        } else {
+            (low, 0)
+        };
+        let mut rec = Record::bare(tag, LogicalId { group, index });
         if tag == TAG_PTR_NULL {
             return Ok(rec);
         }
-        rec.id.index = input.get_u32()?;
+        if word0 & FLAG_HEAP == 0 {
+            rec.id.index = input.get_u32()?;
+            let pointer = matches!(tag, TAG_PTR_REF | TAG_PTR_NEW);
+            if pointer && group == GROUP_HEAP && rec.id.index <= GROUP_MAX {
+                return Err(CoreError::LongHeapId(rec.id));
+            }
+        }
         if Record::announces_block(tag) {
             rec.type_no = input.get_u32()?;
             if word0 & FLAG_TYPEDEF != 0 {

@@ -489,12 +489,15 @@ const TYPEDEF: u32 = 1 << 28;
 const ORD: u32 = 1 << 27;
 const ORD64: u32 = 1 << 26;
 const COUNT: u32 = 1 << 25;
-const RESERVED: u32 = 1 << 24;
-const HEAP: u32 = 1;
+/// On `PTR_NEW` / `PTR_REF`: the low 24 bits are a heap index and no
+/// index word follows.
+const HEAP: u32 = 1 << 24;
+const GROUP_HEAP: u32 = 1;
 
-/// First word of a record.
-fn word0(tag: u32, flags: u32, group: u32) -> u32 {
-    tag << 29 | flags | group
+/// First word of a record: `low` is the group, or the heap index under
+/// [`HEAP`].
+fn word0(tag: u32, flags: u32, low: u32) -> u32 {
+    tag << 29 | flags | low
 }
 
 /// A `u64` field as its two XDR units.
@@ -552,8 +555,7 @@ fn hostile_block_counts_are_refused_before_allocation() {
                 let [fp_hi, fp_lo] = hyper(hpm::core::type_fingerprint(probe.types(), double));
                 let [count_hi, count_lo] = hyper(count);
                 let mut payload = units(&[
-                    word0(TAG_PTR_NEW, TYPEDEF | COUNT, HEAP),
-                    7, // index
+                    word0(TAG_PTR_NEW, TYPEDEF | COUNT | HEAP, 7),
                     0, // type number, defined here
                     fp_hi,
                     fp_lo,
@@ -661,12 +663,12 @@ fn hostile_record_fields_are_named_refusals_that_allocate_nothing() {
     let g = probe.block_infos()[0].addr;
     let double = probe.types_mut().double();
     let [fp_hi, fp_lo] = hyper(hpm::core::type_fingerprint(probe.types(), double));
-    let bad_header = |tag, flags, group| {
-        let w = word0(tag, flags, group);
+    let bad_header = |tag, flags, low| {
+        let w = word0(tag, flags, low);
         (vec![w, 7, 0, 0, 0, 0, 0], CoreError::BadRecordHeader(w))
     };
     let id = hpm::core::LogicalId {
-        group: HEAP,
+        group: GROUP_HEAP,
         index: 7,
     };
     let undefined = |type_no| CoreError::UndefinedType {
@@ -679,29 +681,33 @@ fn hostile_record_fields_are_named_refusals_that_allocate_nothing() {
     let pointer_cases: Vec<(&str, Vec<u32>, CoreError)> = vec![
         (
             "type number never defined",
-            vec![word0(TAG_PTR_NEW, 0, HEAP), 7, 0],
+            vec![word0(TAG_PTR_NEW, HEAP, 7), 0],
             undefined(0),
         ),
         (
             "huge type number, referenced",
-            vec![word0(TAG_PTR_NEW, 0, HEAP), 7, u32::MAX],
+            vec![word0(TAG_PTR_NEW, HEAP, 7), u32::MAX],
             undefined(u32::MAX),
         ),
         (
             "huge type number, defined out of turn with a known fingerprint",
-            vec![word0(TAG_PTR_NEW, TYPEDEF, HEAP), 7, u32::MAX, fp_hi, fp_lo],
+            vec![
+                word0(TAG_PTR_NEW, TYPEDEF | HEAP, 7),
+                u32::MAX,
+                fp_hi,
+                fp_lo,
+            ],
             undefined(u32::MAX),
         ),
         (
             "TYPEDEF skipping number 0",
-            vec![word0(TAG_PTR_NEW, TYPEDEF, HEAP), 7, 1, fp_hi, fp_lo],
+            vec![word0(TAG_PTR_NEW, TYPEDEF | HEAP, 7), 1, fp_hi, fp_lo],
             undefined(1),
         ),
         (
             "TYPEDEF with a fingerprint the receiver does not know",
             vec![
-                word0(TAG_PTR_NEW, TYPEDEF, HEAP),
-                7,
+                word0(TAG_PTR_NEW, TYPEDEF | HEAP, 7),
                 0,
                 0xDEAD_BEEF,
                 0x0BAD_F00D,
@@ -714,8 +720,26 @@ fn hostile_record_fields_are_named_refusals_that_allocate_nothing() {
         ),
         (
             "PTR_REF to a block not yet seen",
-            vec![word0(TAG_PTR_REF, 0, HEAP), 7],
+            vec![word0(TAG_PTR_REF, HEAP, 7)],
             CoreError::UnknownId(id),
+        ),
+        (
+            "PTR_NEW naming a small heap index in the long form",
+            vec![word0(TAG_PTR_NEW, TYPEDEF, GROUP_HEAP), 7, 0, fp_hi, fp_lo],
+            CoreError::LongHeapId(id),
+        ),
+        (
+            "PTR_REF naming a small heap index in the long form",
+            vec![word0(TAG_PTR_REF, 0, GROUP_HEAP), 7],
+            CoreError::LongHeapId(id),
+        ),
+        (
+            "the largest short heap index, in the long form",
+            vec![word0(TAG_PTR_REF, 0, GROUP_HEAP), 0xFF_FFFF],
+            CoreError::LongHeapId(hpm::core::LogicalId {
+                group: GROUP_HEAP,
+                index: 0xFF_FFFF,
+            }),
         ),
         (
             "PTR_NEW of an unseen block outside the heap group",
@@ -726,7 +750,7 @@ fn hostile_record_fields_are_named_refusals_that_allocate_nothing() {
             }),
         ),
         ("tag 0", vec![7], CoreError::BadTag(0)),
-        ("tag 6", vec![word0(6, 0, HEAP), 7], CoreError::BadTag(6)),
+        ("tag 6", vec![word0(6, HEAP, 7)], CoreError::BadTag(6)),
         ("tag 7", vec![u32::MAX], CoreError::BadTag(7)),
         (
             "a variable item where a pointer belongs",
@@ -738,19 +762,36 @@ fn hostile_record_fields_are_named_refusals_that_allocate_nothing() {
     .chain(
         [
             (
-                "reserved bit on PTR_NEW",
-                bad_header(TAG_PTR_NEW, RESERVED, HEAP),
+                "ORD64 without ORD on a HEAP PTR_NEW",
+                bad_header(TAG_PTR_NEW, HEAP | ORD64, 7),
             ),
             (
-                "reserved bit on PTR_REF",
-                bad_header(TAG_PTR_REF, RESERVED, HEAP),
+                "TYPEDEF on a HEAP PTR_REF",
+                bad_header(TAG_PTR_REF, HEAP | TYPEDEF, 7),
             ),
-            ("ORD64 without ORD", bad_header(TAG_PTR_NEW, ORD64, HEAP)),
-            ("TYPEDEF on PTR_REF", bad_header(TAG_PTR_REF, TYPEDEF, HEAP)),
-            ("COUNT on PTR_REF", bad_header(TAG_PTR_REF, COUNT, HEAP)),
+            (
+                "COUNT on a HEAP PTR_REF",
+                bad_header(TAG_PTR_REF, HEAP | COUNT, 7),
+            ),
+            (
+                "ORD64 without ORD",
+                bad_header(TAG_PTR_NEW, ORD64, GROUP_HEAP),
+            ),
+            (
+                "TYPEDEF on PTR_REF",
+                bad_header(TAG_PTR_REF, TYPEDEF, GROUP_HEAP),
+            ),
+            (
+                "COUNT on PTR_REF",
+                bad_header(TAG_PTR_REF, COUNT, GROUP_HEAP),
+            ),
             ("ORD on PTR_NULL", bad_header(TAG_PTR_NULL, ORD, 0)),
             ("TYPEDEF on PTR_NULL", bad_header(TAG_PTR_NULL, TYPEDEF, 0)),
-            ("a group on PTR_NULL", bad_header(TAG_PTR_NULL, 0, HEAP)),
+            ("HEAP on PTR_NULL", bad_header(TAG_PTR_NULL, HEAP, 0)),
+            (
+                "a group on PTR_NULL",
+                bad_header(TAG_PTR_NULL, 0, GROUP_HEAP),
+            ),
         ]
         .map(|(what, (words, err))| (what, words, err)),
     )
@@ -781,10 +822,8 @@ fn hostile_record_fields_are_named_refusals_that_allocate_nothing() {
                 "ORD on VAR_NEW, wide",
                 bad_header(TAG_VAR_NEW, ORD | ORD64, 0),
             ),
-            (
-                "reserved bit on VAR_NEW",
-                bad_header(TAG_VAR_NEW, RESERVED, 0),
-            ),
+            ("HEAP on VAR_NEW", bad_header(TAG_VAR_NEW, HEAP, 7)),
+            ("HEAP on VAR_VISITED", bad_header(TAG_VAR_VISITED, HEAP, 7)),
             (
                 "COUNT on VAR_VISITED",
                 bad_header(TAG_VAR_VISITED, COUNT, 0),
@@ -833,35 +872,45 @@ fn hostile_record_fields_are_named_refusals_that_allocate_nothing() {
     // A heap index far past anything held here or nameable by the bytes
     // that arrived (found by the mutation sweep below, seed 0x6ea4_0003:
     // the id table was grown to reach the index — 61 GB asked of the
-    // allocator). How many bytes had arrived depends on the way in.
-    let mut payload = units(&[
-        word0(TAG_PTR_NEW, TYPEDEF, HEAP),
-        0x4000_0000,
-        0,
-        fp_hi,
-        fp_lo,
-    ]);
-    payload.resize(payload.len() + 64, 0);
-    let ((), largest) = largest_request_during(|| {
-        restore_both_ways(
-            &payload,
-            8,
-            make_dst,
-            |way, dst, got, restored| {
-                assert!(
-                    matches!(
-                        got,
-                        Err(CoreError::HeapIdOutOfReach { id, heap_len: 0, received })
-                            if id.index == 0x4000_0000 && received <= payload.len() as u64
-                    ),
-                    "{way}: {got:?}"
-                );
-                assert_eq!((dst.stats().mallocs, restored), (0, 0), "{way}");
-            },
-            |r| r.restore_pointer().map(|_| ()),
-        )
-    });
-    assert!(largest <= allocation_bound(payload.len()), "{largest}");
+    // allocator): the largest index the first word holds, and one only
+    // the long form can name. How many bytes had arrived depends on the
+    // way in.
+    for (index, head) in [
+        (
+            0xFF_FFFF,
+            vec![word0(TAG_PTR_NEW, TYPEDEF | HEAP, 0xFF_FFFF)],
+        ),
+        (
+            0x4000_0000,
+            vec![word0(TAG_PTR_NEW, TYPEDEF, GROUP_HEAP), 0x4000_0000],
+        ),
+    ] {
+        let mut payload = units(&[head, vec![0, fp_hi, fp_lo]].concat());
+        payload.resize(payload.len() + 64, 0);
+        let ((), largest) = largest_request_during(|| {
+            restore_both_ways(
+                &payload,
+                8,
+                make_dst,
+                |way, dst, got, restored| {
+                    assert!(
+                        matches!(
+                            got,
+                            Err(CoreError::HeapIdOutOfReach { id, heap_len: 0, received })
+                                if id.index == index && received <= payload.len() as u64
+                        ),
+                        "{index:#x} {way}: {got:?}"
+                    );
+                    assert_eq!((dst.stats().mallocs, restored), (0, 0), "{way}");
+                },
+                |r| r.restore_pointer().map(|_| ()),
+            )
+        });
+        assert!(
+            largest <= allocation_bound(payload.len()),
+            "{index:#x}: {largest}"
+        );
+    }
 }
 
 /// A delta frame's `raw_len` is a claim, and a correct CRC does not make
@@ -1182,8 +1231,8 @@ fn mutate(stream: &[u8], s: &mut u64) -> Vec<u8> {
         0x7FFF_FFFF,
         0x8000_0000,
         0xFFFF_FFFF,
-        5 << 29 | 1 << 28 | 1 << 25 | 1, // PTR_NEW | TYPEDEF | COUNT, heap
-        4 << 29 | 1 << 27 | 1 << 26 | 1, // PTR_REF | ORD | ORD64, heap
+        5 << 29 | 1 << 28 | 1 << 25 | 1 << 24 | 1, // PTR_NEW | TYPEDEF | COUNT | HEAP, index 1
+        4 << 29 | 1 << 27 | 1 << 26 | 1 << 24 | 1, // PTR_REF | ORD | ORD64 | HEAP, index 1
     ];
     let mut out = stream.to_vec();
     let words = out.len() / 4;

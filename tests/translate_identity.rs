@@ -7,7 +7,8 @@
 //! one-translation-per-block rewrite of the three inner loops and have
 //! not moved since: they are the proof that the restored process is the
 //! same. The payload id (first component) was re-taken when image
-//! version 3 made the MSRM records compact — the only thing a change of
+//! version 3 made the MSRM records compact, and again when version 4 moved
+//! heap ids into the record's first word — the only thing a change of
 //! record format may move. A change to any other value means an image's
 //! meaning, a digest or a restored block was altered.
 
@@ -80,7 +81,7 @@ fn check<P: MigratableProgram>(name: &str, make: impl Fn() -> P, trigger: Trigge
 #[test]
 fn test_pointer_images_match_the_pins() {
     let pin = (
-        0x3755a7aaa7951cb4,
+        0xb4b182fda959e214,
         0xbf2f76bf473b6ee3,
         [
             0x3cc39acbba1ce5ac,
@@ -100,7 +101,7 @@ fn test_pointer_images_match_the_pins() {
 #[test]
 fn bitonic_images_match_the_pins() {
     let pin = (
-        0x5033f71ffa5b41ed,
+        0x31446ecd7256405b,
         0xfd48369e980ed81c,
         [
             0x3b66b60c8fbe6483,
@@ -128,10 +129,9 @@ fn linpack_images_match_the_pins() {
     );
 }
 
-/// An image framed by the previous format version carries records this
-/// build would misparse; it is refused at the header, by name.
-#[test]
-fn version_2_image_is_refused_naming_both_versions() {
+/// Rewrite an honest image's version word to `old` and resume it: the
+/// image must be refused at the header, naming both versions.
+fn assert_refused_by_name(old: u32) {
     let mut src = run_to_migration(
         &mut TestPointer::new(),
         Architecture::dec5000(),
@@ -139,15 +139,29 @@ fn version_2_image_is_refused_naming_both_versions() {
     )
     .unwrap();
     let mut image = src.to_image().unwrap();
-    assert_eq!(image[4..8], 3u32.to_be_bytes(), "magic, then the version");
-    image[4..8].copy_from_slice(&2u32.to_be_bytes());
+    assert_eq!(image[4..8], 4u32.to_be_bytes(), "magic, then the version");
+    image[4..8].copy_from_slice(&old.to_be_bytes());
     let Err(err) = resume_from_image(&mut TestPointer::new(), Architecture::sparc20(), &image)
     else {
-        panic!("a version-2 image must not restore");
+        panic!("a version-{old} image must not restore");
     };
     let err = err.to_string();
     assert!(
-        err.contains("version 2") && err.contains("version 3"),
+        err.contains(&format!("version {old}")) && err.contains("version 4"),
         "{err}"
     );
+}
+
+/// An image framed by an older format version carries records this
+/// build would misparse; it is refused at the header, by name.
+#[test]
+fn version_2_image_is_refused_naming_both_versions() {
+    assert_refused_by_name(2);
+}
+
+/// Version 3 differs only in how a pointer names a heap block — a
+/// version-4 reader would take its index word for the next field.
+#[test]
+fn version_3_image_is_refused_naming_both_versions() {
+    assert_refused_by_name(3);
 }
