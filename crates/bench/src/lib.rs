@@ -218,7 +218,7 @@ pub struct ValidationRow {
     pub migration_time: Duration,
 }
 
-fn validation_row<P: MigratableProgram>(
+fn validation_row<P: MigratableProgram + Send>(
     label: &str,
     make: impl Fn() -> P,
     trigger: Trigger,

@@ -67,30 +67,17 @@ impl PipelineConfig {
     }
 }
 
-/// What to do when the migration stream cannot be repaired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FallbackPolicy {
-    /// Discard the partial destination and resume execution on the
-    /// source from the annotation poll point (whose state collection
-    /// never touched).
-    SourceResume,
-    /// Surface the transport error to the caller.
-    Fail,
-}
-
-/// Recovery tuning for [`Transport::Reliable`].
+/// The ARQ budget of [`Transport::Reliable`]: how hard rung 1 of the
+/// degradation ladder tries before a stream is declared dead. The rest of
+/// the ladder has no settings — a dead stream always resumes from the
+/// destination's journal when it can (rung 2) and on the source when it
+/// cannot (rung 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Retransmissions allowed per chunk before the stream is declared dead.
     pub max_retries: u32,
     /// First retransmission backoff; doubles per silent round.
     pub backoff: Duration,
-    /// What to do once retries are exhausted.
-    pub fallback: FallbackPolicy,
-    /// Whether the destination may resume from its chunk journal (rung 2
-    /// of the degradation ladder). When `false` a dead stream goes
-    /// straight from ARQ retries to the [`FallbackPolicy`].
-    pub resume: bool,
 }
 
 impl Default for RecoveryPolicy {
@@ -98,8 +85,6 @@ impl Default for RecoveryPolicy {
         RecoveryPolicy {
             max_retries: 8,
             backoff: Duration::from_millis(4),
-            fallback: FallbackPolicy::SourceResume,
-            resume: true,
         }
     }
 }
@@ -187,38 +172,44 @@ pub fn migrate<P: MigratableProgram + Send>(
     trigger: Trigger,
     policy: &Migration<'_>,
 ) -> Result<MigrationRun, MigError> {
-    engage(
-        make,
+    let own;
+    let log = match policy.log {
+        Some(log) => log,
+        None => {
+            own = EventLog::new(Level::Protocol);
+            &own
+        }
+    };
+    let engine = Engine {
+        make: &make,
         src_arch,
         dst_arch,
         link,
-        trigger,
         policy,
-        |engine, src, prefix, config, plan, policy| {
-            engine.stream(src, prefix, config, plan, policy)
-        },
-    )
+        log,
+        driver: log.track("driver"),
+    };
+    engine
+        .run(trigger)
+        .inspect_err(|_| persist_flight_dump(log))
 }
 
 /// [`migrate`] with the paper's own policy: stop, copy the whole image
-/// as one message, resume — all on the calling thread, so the program
-/// need not be `Send`.
-pub fn run_migrating<P: MigratableProgram>(
+/// as one message, resume.
+pub fn run_migrating<P: MigratableProgram + Send>(
     make: impl Fn() -> P,
     src_arch: Architecture,
     dst_arch: Architecture,
     link: NetworkModel,
     trigger: Trigger,
 ) -> Result<MigrationRun, MigError> {
-    let policy = Migration::new(Transport::Whole);
-    engage(
+    migrate(
         make,
         src_arch,
         dst_arch,
         link,
         trigger,
-        &policy,
-        |_, _, _, _, _, _| unreachable!("`Transport::Whole` has no streamed leg"),
+        &Migration::new(Transport::Whole),
     )
 }
 
@@ -238,51 +229,6 @@ pub fn run_migrating_resilient<P: MigratableProgram + Send>(
     migrate(make, src_arch, dst_arch, link, trigger, &policy)
 }
 
-/// The streamed leg of a stop-and-copy migration ([`Engine::stream`]). It
-/// is the only code that hands a program value to another thread, so it
-/// is passed in by the entry point that can promise `P: Send`.
-type StreamLeg<F> = for<'e> fn(
-    &Engine<'e, F>,
-    &mut MigratedSource,
-    &[u8],
-    PipelineConfig,
-    FaultPlan,
-    RecoveryPolicy,
-) -> Result<Delivered, MigError>;
-
-/// Set up the engine for one migration and run it.
-fn engage<P: MigratableProgram, F: Fn() -> P>(
-    make: F,
-    src_arch: Architecture,
-    dst_arch: Architecture,
-    link: NetworkModel,
-    trigger: Trigger,
-    policy: &Migration<'_>,
-    stream: StreamLeg<F>,
-) -> Result<MigrationRun, MigError> {
-    let own;
-    let log = match policy.log {
-        Some(log) => log,
-        None => {
-            own = EventLog::new(Level::Protocol);
-            &own
-        }
-    };
-    let engine = Engine {
-        make: &make,
-        src_arch,
-        dst_arch,
-        link,
-        policy,
-        log,
-        driver: log.track("driver"),
-        stream,
-    };
-    engine
-        .run(trigger)
-        .inspect_err(|_| persist_flight_dump(log))
-}
-
 /// Everything fixed for the duration of one [`migrate`] call.
 pub(crate) struct Engine<'a, F> {
     pub make: &'a F,
@@ -293,7 +239,6 @@ pub(crate) struct Engine<'a, F> {
     log: &'a EventLog,
     /// The engine thread's own track.
     pub driver: Track,
-    stream: StreamLeg<F>,
 }
 
 /// What the transport leg of a stop-and-copy migration hands the report.
@@ -307,7 +252,7 @@ struct Delivered {
 
 type StreamAttempt = Attempt<CollectStats, CompletedRun>;
 
-impl<P: MigratableProgram, F: Fn() -> P> Engine<'_, F> {
+impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
     fn run(&self, trigger: Trigger) -> Result<MigrationRun, MigError> {
         let mut src = run_to_migration(&mut (self.make)(), self.src_arch.clone(), trigger)?;
         let audit = src.require_clean_registry()?;
@@ -345,7 +290,7 @@ impl<P: MigratableProgram, F: Fn() -> P> Engine<'_, F> {
                 }
             }
             Transport::Reliable(config, plan, policy) => {
-                (self.stream)(self, &mut src, &prefix, config, plan, policy)?
+                self.stream(&mut src, &prefix, config, plan, policy)?
             }
         };
         let report = MigrationReport::new(
@@ -468,9 +413,7 @@ impl<P: MigratableProgram, F: Fn() -> P> Engine<'_, F> {
             },
         }
     }
-}
 
-impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
     /// One streamed attempt: the collection DFS as the producer (image
     /// prefix first), a streaming resume as the consumer — behind the
     /// journal replay when the lane resumes, through the normal restore
@@ -528,12 +471,11 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
         )
     }
 
-    /// The streamed leg of a stop-and-copy migration, with the
-    /// degradation ladder as a loop around [`Engine::stream_attempt`]:
-    /// rung 1 is a fresh stream healed by ARQ retries alone; when it dies
-    /// and the policy allows, rung 2 resumes it from the destination's
-    /// chunk journal; when that cannot complete either, rung 3 applies
-    /// the [`FallbackPolicy`].
+    /// The streamed leg of a stop-and-copy migration: the degradation
+    /// ladder, one rung after another. Rung 1 is a fresh stream healed by
+    /// ARQ retries alone; when it dies, rung 2 resumes it from the
+    /// destination's chunk journal; when that cannot complete either,
+    /// rung 3 resumes on the source.
     fn stream(
         &self,
         src: &mut MigratedSource,
@@ -542,108 +484,94 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
         plan: FaultPlan,
         policy: RecoveryPolicy,
     ) -> Result<Delivered, MigError> {
-        // The destination's chunk journal exists for rung 2 to read; a
-        // policy without rung 2 keeps none, so the receiver holds no
-        // second copy of the image.
-        let journal = policy
-            .resume
-            .then(|| Arc::new(Mutex::new(RestoreJournal::new(image_id(prefix)))));
-        let mut recovery = RecoveryStats::default();
+        // Rung 1: a fresh stream, journaled on the destination.
+        let t_start = Instant::now();
+        let id = image_id(prefix);
+        let journal = Arc::new(Mutex::new(RestoreJournal::new(id)));
+        let lane = self.lane(config, plan, policy, Some(Arc::clone(&journal)), None);
+        let mut first = self.stream_attempt(src, prefix, lane)?;
+        let mut recovery = first.recovery;
         let mut ladder = ResumeStats {
             rung: 1,
+            journal_chunks: lock_journal(&journal).next_chunk() as u64,
             ..ResumeStats::default()
         };
-        // Rung 1's outcome once it has failed, and rung 2's input once
-        // the ladder has decided to climb down to it.
-        let mut failed: Option<StreamAttempt> = None;
-        let mut resume_from: Option<(RestoreJournal, Vec<ChunkRecord>)> = None;
-        let t_start = Instant::now();
-        let delivered = loop {
-            let replayed = resume_from.as_ref().map_or(0, |(j, _)| j.next_chunk());
-            let (lane_journal, resume) = match resume_from.take() {
-                Some((j, ledger)) => (
-                    Some(Arc::new(Mutex::new(j))),
-                    Some((image_id(prefix), ledger)),
-                ),
-                None => (journal.clone(), None),
-            };
-            let lane = self.lane(config, plan, policy, lane_journal, resume);
-            let mut out = self.stream_attempt(src, prefix, lane)?;
-            recovery += out.recovery;
-            if let (None, Some(journal)) = (&failed, &journal) {
-                ladder.journal_chunks = lock_journal(journal).next_chunk() as u64;
-            }
-            match (out.error.clone(), failed.take()) {
-                (None, None) => break Some(out),
-                (None, Some(first)) => {
-                    ladder.rung = 2;
-                    ladder.chunks_replayed = replayed as u64;
-                    ladder.bytes_saved = out.wire.bytes_saved_wire;
-                    ladder.chunks_retransferred = out.wire.frames.saturating_sub(replayed) as u64;
-                    ladder.bytes_retransferred = out.wire.transfer.bytes_sent;
-                    ladder.wire_replays = out.wire_replays;
-                    self.driver.event(
-                        "resume.completed",
-                        &[
-                            ("chunks_replayed", ladder.chunks_replayed),
-                            ("bytes_saved", ladder.bytes_saved),
-                        ],
-                    );
-                    // Fold rung 1's wire traffic and collect time in so
-                    // Tx and Collect stay honest about the total cost.
-                    out.wire.transfer += first.wire.transfer;
-                    out.produce_time += first.produce_time;
-                    break Some(out);
-                }
-                (Some(err), None) => {
-                    // Every worker has joined, so the log — dumped once the
-                    // ladder has run — is complete and, per track,
-                    // deterministic for a fault-plan seed.
-                    self.driver
-                        .event_note("attempt.failed", &[], &err.to_string());
-                    match rung2_journal(journal.as_deref(), plan, out.src_crashed) {
-                        Ok(j) => {
-                            ladder.rung2_attempted = true;
-                            let next = j.next_chunk() as u64;
-                            self.driver.event("resume.attempt", &[("next_chunk", next)]);
-                            resume_from = Some((j, std::mem::take(&mut out.wire.records)));
-                            failed = Some(out);
-                        }
-                        Err(skip) => {
-                            ladder.skip = Some(skip);
-                            self.driver
-                                .event_note("resume.skipped", &[], &skip.to_string());
-                            failed = Some(out);
-                            break None;
-                        }
-                    }
-                }
-                (Some(err), Some(first)) => {
-                    if out.wire.rejected {
-                        // The sender refused to splice onto an
-                        // unverifiable base; both sides rolled back
-                        // cleanly. Rung 3 restarts from scratch.
-                        ladder.skip = Some(Rung2Skip::DigestMismatch);
-                        self.driver.event_note(
-                            "resume.rejected",
-                            &[],
-                            "journal digest mismatch: rolled back to a clean restart",
-                        );
-                    } else {
-                        ladder.skip = Some(Rung2Skip::TransferFailed);
-                        self.driver
-                            .event_note("resume.failed", &[], &err.to_string());
-                    }
-                    failed = Some(first);
-                    break None;
-                }
+        let Some(err) = first.error.take() else {
+            return self.delivered(first, prefix, config, t_start, recovery, ladder);
+        };
+        // Every worker has joined, so the log — dumped once the ladder
+        // has run — is complete and, per track, deterministic for a
+        // fault-plan seed.
+        self.driver
+            .event_note("attempt.failed", &[], &err.to_string());
+
+        // Rung 2: a fresh destination replays a copy of the journal, and
+        // the source re-ships only the chunks it lacks.
+        let resumed = match rung2_journal(&journal, plan, first.src_crashed) {
+            Ok(resumed) => resumed,
+            Err(skip) => {
+                ladder.skip = Some(skip);
+                self.driver
+                    .event_note("resume.skipped", &[], &skip.to_string());
+                return self.fall_back(src, prefix, first.wire.transfer, err, recovery, ladder);
             }
         };
-        let prefix_bytes = prefix.len() as u64;
-        let Some(out) = delivered else {
-            let first = failed.expect("the ladder only gives up after a failed attempt");
-            return self.fall_back(src, prefix, first, policy.fallback, recovery, ladder);
-        };
+        let replayed = resumed.next_chunk();
+        self.driver
+            .event("resume.attempt", &[("next_chunk", replayed as u64)]);
+        let ledger = std::mem::take(&mut first.wire.records);
+        let resumed = Some(Arc::new(Mutex::new(resumed)));
+        let lane = self.lane(config, plan, policy, resumed, Some((id, ledger)));
+        let mut out = self.stream_attempt(src, prefix, lane)?;
+        recovery += out.recovery;
+        if let Some(resume_err) = &out.error {
+            if out.wire.rejected {
+                // The sender refused to splice onto an unverifiable base;
+                // both sides rolled back cleanly. Rung 3 restarts from
+                // scratch.
+                ladder.skip = Some(Rung2Skip::DigestMismatch);
+                self.driver.event_note(
+                    "resume.rejected",
+                    &[],
+                    "journal digest mismatch: rolled back to a clean restart",
+                );
+            } else {
+                ladder.skip = Some(Rung2Skip::TransferFailed);
+                self.driver
+                    .event_note("resume.failed", &[], &resume_err.to_string());
+            }
+            return self.fall_back(src, prefix, first.wire.transfer, err, recovery, ladder);
+        }
+        ladder.rung = 2;
+        ladder.bytes_saved = out.wire.bytes_saved_wire;
+        ladder.chunks_retransferred = out.wire.frames.saturating_sub(replayed) as u64;
+        ladder.bytes_retransferred = out.wire.transfer.bytes_sent;
+        ladder.wire_replays = out.wire_replays;
+        self.driver.event(
+            "resume.completed",
+            &[
+                ("chunks_replayed", ladder.chunks_replayed()),
+                ("bytes_saved", ladder.bytes_saved),
+            ],
+        );
+        // Fold rung 1's wire traffic and collect time in so Tx and
+        // Collect stay honest about the total cost.
+        out.wire.transfer += first.wire.transfer;
+        out.produce_time += first.produce_time;
+        self.delivered(out, prefix, config, t_start, recovery, ladder)
+    }
+
+    /// What the attempt that completed the ladder on the destination
+    /// hands the report.
+    fn delivered(
+        &self,
+        out: StreamAttempt,
+        prefix: &[u8],
+        config: PipelineConfig,
+        t_start: Instant,
+        recovery: RecoveryStats,
+        ladder: ResumeStats,
+    ) -> Result<Delivered, MigError> {
         let dst = out
             .consumed
             .ok_or_else(|| MigError::Protocol("attempt succeeded without a destination".into()))?;
@@ -668,7 +596,7 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
             collected: Collected {
                 time: out.produce_time,
                 stats,
-                prefix_bytes,
+                prefix_bytes: prefix.len() as u64,
             },
             transfer: out.wire.transfer,
             dst,
@@ -676,36 +604,31 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
         })
     }
 
-    /// Rung 3: apply the [`FallbackPolicy`] to a stream nothing repaired.
+    /// Rung 3: no rung repaired the stream, so the run resumes on the
+    /// source. `transfer` is rung 1's wire traffic and `err` what killed
+    /// it.
     fn fall_back(
         &self,
         src: &mut MigratedSource,
         prefix: &[u8],
-        first: StreamAttempt,
-        fallback: FallbackPolicy,
-        mut recovery: RecoveryStats,
+        transfer: TransferSnapshot,
+        err: MigError,
+        recovery: RecoveryStats,
         mut ladder: ResumeStats,
     ) -> Result<Delivered, MigError> {
-        let err = first
-            .error
-            .expect("the ladder only gives up after a failed attempt");
         ladder.rung = 3;
         self.driver
             .event_note("fallback.reached", &[], &err.to_string());
-        if fallback == FallbackPolicy::Fail {
-            return Err(err);
-        }
         persist_flight_dump(self.log);
         // The source process was never mutated by collection: collect
         // locally and resume on the source architecture, discarding
         // whatever the destination half-built.
         let (image, collected) = collect_whole(src, prefix, &self.driver)?;
-        recovery.fallback_taken = true;
         Ok(Delivered {
             collected,
             // The aborted attempt's wire traffic is the honest Tx cost of
             // the failure; the local resume ships nothing.
-            transfer: first.wire.transfer,
+            transfer,
             dst: self.resume_on(&self.src_arch, &image)?,
             transport: self.transport_stats(None, recovery, ladder),
         })
@@ -730,34 +653,26 @@ pub(crate) fn collect_whole(
     Ok((image, collected))
 }
 
-/// Rung 2's way in: the destination's journal as a recreated destination
-/// would find it, or why there is none to resume from.
-///
-/// The journal is round-tripped through its durable encoding: a recreated
-/// destination only has bytes on disk, and a journal that fails its own
-/// CRC is treated as absent.
+/// Rung 2's way in: a copy of the destination's journal as a recreated
+/// destination would find it, or why there is none to resume from.
 fn rung2_journal(
-    journal: Option<&Mutex<RestoreJournal>>,
+    journal: &Mutex<RestoreJournal>,
     plan: FaultPlan,
     src_crashed: bool,
 ) -> Result<RestoreJournal, Rung2Skip> {
-    // No journal was kept: the policy has no rung 2.
-    let journal = journal.ok_or(Rung2Skip::PolicyDisabled)?;
     if src_crashed {
         // Nothing left to send: the resume handshake needs a live source
         // holding the ledger.
         return Err(Rung2Skip::SourceCrashed);
     }
-    let encoded = lock_journal(journal).encode();
-    match RestoreJournal::decode(&encoded) {
-        Ok(mut j) if j.next_chunk() > 0 => {
-            if plan.tamper_journal {
-                j.tamper_record(0);
-            }
-            Ok(j)
-        }
-        _ => Err(Rung2Skip::NoJournal),
+    let mut resumed = lock_journal(journal).clone();
+    if resumed.next_chunk() == 0 {
+        return Err(Rung2Skip::NoJournal);
     }
+    if plan.tamper_journal {
+        resumed.tamper_record(0);
+    }
+    Ok(resumed)
 }
 
 #[cfg(test)]
@@ -780,8 +695,6 @@ mod tests {
         RecoveryPolicy {
             max_retries: 6,
             backoff: Duration::from_millis(1),
-            fallback: FallbackPolicy::SourceResume,
-            resume: true,
         }
     }
 
@@ -940,7 +853,6 @@ mod tests {
             "framing overhead must be accounted"
         );
         let r = run.report.recovery().expect("reliable carries stats");
-        assert!(!r.fallback_taken);
         assert_eq!(r.retransmits, 0);
         assert_eq!(r.corrupt_caught, 0);
         assert_eq!(r.faults_injected, 0);
@@ -963,35 +875,37 @@ mod tests {
         let run = reliable(plan, quick_policy()).unwrap();
         assert_eq!(run.results[0].1, Summer::expected(500));
         let r = run.report.recovery().unwrap();
-        assert!(!r.fallback_taken, "a lossy-but-alive link must heal");
+        assert_eq!(
+            run.report.resume().unwrap().rung,
+            1,
+            "a lossy-but-alive link must heal"
+        );
         assert!(r.faults_injected > 0, "plan injected nothing: {r:?}");
     }
 
     #[test]
     fn resilient_falls_back_to_source_on_a_dead_link() {
         let plan = FaultPlan {
-            disconnect_at: Some(1), // everything after the prefix chunk
+            // Not even the prefix chunk lands, so the destination
+            // verifies nothing and rung 2 has no journal to resume from:
+            // this test pins rung 3 (source resume).
+            disconnect_at: Some(0),
             ..FaultPlan::none()
         };
-        // Rung 2 would heal a dead link from the journal, so disable it:
-        // this test pins rung-3 (source resume) behavior.
-        let policy = RecoveryPolicy {
-            resume: false,
-            ..quick_policy()
-        };
-        let run = reliable(plan, policy).unwrap();
+        let run = reliable(plan, quick_policy()).unwrap();
         // The answer is still right — computed on the source.
         assert_eq!(run.results[0].1, Summer::expected(500));
         let r = run.report.recovery().unwrap();
-        assert!(r.fallback_taken);
         assert!(r.retransmits > 0, "the sender must have tried: {r:?}");
         assert!(run.report.pipeline().is_none(), "no pipeline stats survive");
         let resume = run.report.resume().unwrap();
         assert_eq!(resume.rung, 3);
-        assert!(!resume.rung2_attempted);
-        assert_eq!(resume.skip, Some(Rung2Skip::PolicyDisabled));
-        // A policy without rung 2 journals nothing on the destination.
+        assert_eq!(resume.skip, Some(Rung2Skip::NoJournal));
         assert_eq!(resume.journal_chunks, 0);
+        let dump = run.report.log.as_ref().expect("rung 3 attaches the log");
+        let skipped = dump.events_of("resume.skipped");
+        assert_eq!(skipped.len(), 1);
+        assert_eq!(skipped[0].1.note.as_deref(), Some("no-journal"));
     }
 
     #[test]
@@ -1004,37 +918,16 @@ mod tests {
         // The answer is right — and it was computed on the destination,
         // resumed from the journal instead of falling back.
         assert_eq!(run.results[0].1, Summer::expected(500));
-        let r = run.report.recovery().unwrap();
-        assert!(!r.fallback_taken, "rung 2 must heal a dead link: {r:?}");
         assert!(run.report.pipeline().is_some(), "pipeline stats survive");
         let resume = run.report.resume().unwrap();
-        assert_eq!(resume.rung, 2);
-        assert!(resume.rung2_attempted);
+        assert_eq!(resume.rung, 2, "rung 2 must heal a dead link: {resume:?}");
         assert_eq!(resume.skip, None);
         assert!(resume.journal_chunks > 0);
-        assert_eq!(resume.chunks_replayed, resume.journal_chunks);
         assert!(resume.bytes_saved > 0, "{resume:?}");
         assert_eq!(
             resume.wire_replays, 0,
             "a correct resume re-receives nothing: {resume:?}"
         );
-    }
-
-    #[test]
-    fn resilient_fail_policy_surfaces_the_transport_error() {
-        let plan = FaultPlan {
-            disconnect_at: Some(1),
-            ..FaultPlan::none()
-        };
-        let policy = RecoveryPolicy {
-            fallback: FallbackPolicy::Fail,
-            resume: false,
-            ..quick_policy()
-        };
-        match reliable(plan, policy).unwrap_err() {
-            MigError::Net(m) => assert!(m.contains("retries exhausted"), "{m}"),
-            other => panic!("expected the wire's error, got {other:?}"),
-        }
     }
 
     #[test]
@@ -1050,8 +943,8 @@ mod tests {
     }
 
     /// A destination that dies mid-stream must not hang the engine: every
-    /// stage thread joins and the poison error surfaces. `SourceResume`
-    /// then tries to salvage the run — and the poisoned program also
+    /// stage thread joins and the poison error surfaces. Rung 3 then
+    /// tries to salvage the run — and the poisoned program also
     /// refuses to resume locally, so the fallback surfaces ITS error
     /// rather than hanging or fabricating results.
     #[test]

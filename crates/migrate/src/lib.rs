@@ -67,8 +67,8 @@ pub use driver::{
     MigratedSource, ResumeFlow,
 };
 pub use engine::{
-    migrate, run_migrating, run_migrating_resilient, FallbackPolicy, Migration, PipelineConfig,
-    RecoveryPolicy, Transport,
+    migrate, run_migrating, run_migrating_resilient, Migration, PipelineConfig, RecoveryPolicy,
+    Transport,
 };
 pub use exec::{ExecutionState, FrameState};
 pub use precopy::{PrecopyConfig, PrecopyStats};

@@ -31,7 +31,7 @@
 use std::time::{Duration, Instant};
 
 use hpm_core::delta::{
-    apply_delta, block_digests, collect_delta, diff_manifest, full_image_frame, BaseImageManifest,
+    apply_delta, block_digests, collect_delta, full_image_frame, BaseImageManifest,
 };
 use hpm_core::{CoreError, RegistryAuditStats};
 use hpm_obs::Track;
@@ -112,7 +112,7 @@ pub struct PrecopyStats {
 
 /// Run the pre-copy rounds of one migration: `frozen` is the source at
 /// its first freeze (the policy's trigger), already audited.
-pub(crate) fn rounds<P: MigratableProgram, F: Fn() -> P>(
+pub(crate) fn rounds<P: MigratableProgram + Send, F: Fn() -> P>(
     engine: &Engine<'_, F>,
     mut frozen: MigratedSource,
     audit: RegistryAuditStats,
@@ -169,12 +169,11 @@ pub(crate) fn rounds<P: MigratableProgram, F: Fn() -> P>(
         let (new_image, new_collected) = collect_whole(&mut frozen, &prefix, track)?;
         collected = new_collected;
         let new_digests = block_digests(&mut frozen.proc.space, &mut frozen.proc.msrlt)?;
-        let dirty = diff_manifest(&manifest, &new_digests);
-        let converged = dirty.dirty_fraction() <= cfg.dirty_threshold;
-        let is_final = converged || round >= cfg.max_rounds;
-
         let (delta, next_manifest) =
             collect_delta(&manifest, &cur_image, new_digests, &new_image, round);
+        let dirty = &delta.dirty;
+        let converged = dirty.dirty_fraction() <= cfg.dirty_threshold;
+        let is_final = converged || round >= cfg.max_rounds;
         let frame = delta.to_frame();
         let mut round_bytes = frame.len() as u64;
         if cfg.tamper_base_at_round == Some(round) {

@@ -171,7 +171,7 @@ impl MigrationRun {
         mut report: MigrationReport,
         results: Vec<(String, String)>,
     ) -> Self {
-        let fell_back = report.recovery().is_some_and(|r| r.fallback_taken);
+        let fell_back = report.resume().is_some_and(ResumeStats::fallback_taken);
         if log.level() != Level::Off && (asked || fell_back) {
             report.log = Some(log.dump());
         }
@@ -225,18 +225,15 @@ impl PipelineStats {
 
 /// Why rung 2 (resume-from-journal) of the degradation ladder was not the
 /// rung that completed the migration, surfaced in
-/// [`ResumeStats::skip`] so operators can tell a policy choice from a
-/// corrupt journal.
+/// [`ResumeStats::skip`] so operators can tell a dead source or an empty
+/// journal from a refused or failed resume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rung2Skip {
-    /// [`RecoveryPolicy::resume`](crate::RecoveryPolicy::resume) was
-    /// `false`; never attempted.
-    PolicyDisabled,
     /// The *source* died mid-collect; a destination journal cannot help
     /// because there is nothing left to send.
     SourceCrashed,
-    /// The destination left no usable journal (it died before verifying
-    /// a single chunk, or the journal failed its own CRC on decode).
+    /// The destination verified no chunk, so there is nothing to resume
+    /// from.
     NoJournal,
     /// The sender rejected the resume handshake: the journal digest did
     /// not match the send ledger, so splicing would risk a corrupt
@@ -249,7 +246,6 @@ pub enum Rung2Skip {
 impl std::fmt::Display for Rung2Skip {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Rung2Skip::PolicyDisabled => write!(f, "policy-disabled"),
             Rung2Skip::SourceCrashed => write!(f, "source-crashed"),
             Rung2Skip::NoJournal => write!(f, "no-journal"),
             Rung2Skip::DigestMismatch => write!(f, "digest-mismatch"),
@@ -267,12 +263,10 @@ impl std::fmt::Display for Rung2Skip {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResumeStats {
     /// Ladder rung that completed the migration: 1 = ARQ retries alone,
-    /// 2 = resume-from-journal, 3 = fallback policy (source resume).
+    /// 2 = resume-from-journal, 3 = resume on the source.
     pub rung: u8,
     /// CRC-verified chunks the destination journal held at the crash.
     pub journal_chunks: u64,
-    /// Journal chunks replayed into the fresh destination (rung 2 only).
-    pub chunks_replayed: u64,
     /// Wire bytes the resume handshake avoided re-sending.
     pub bytes_saved: u64,
     /// Chunks actually re-transferred after the resume point.
@@ -282,11 +276,35 @@ pub struct ResumeStats {
     /// Already-verified chunks the wire re-delivered anyway. A correct
     /// resume keeps this at zero.
     pub wire_replays: u64,
-    /// Whether rung 2 was attempted at all.
-    pub rung2_attempted: bool,
     /// Why rung 2 did not complete the migration (`None` when it did,
     /// or when rung 1 succeeded outright).
     pub skip: Option<Rung2Skip>,
+}
+
+impl ResumeStats {
+    /// Whether the migration fell back to resuming on the source.
+    pub fn fallback_taken(&self) -> bool {
+        self.rung == 3
+    }
+
+    /// Whether rung 2 was attempted at all: it completed the migration,
+    /// or its handshake was refused, or its transfer failed.
+    pub fn rung2_attempted(&self) -> bool {
+        self.rung == 2
+            || matches!(
+                self.skip,
+                Some(Rung2Skip::DigestMismatch | Rung2Skip::TransferFailed)
+            )
+    }
+
+    /// Journal chunks replayed into the fresh destination: the whole
+    /// journal on rung 2, none otherwise.
+    pub fn chunks_replayed(&self) -> u64 {
+        match self.rung {
+            2 => self.journal_chunks,
+            _ => 0,
+        }
+    }
 }
 
 /// What the recovery machinery did during one reliable migration.
@@ -296,8 +314,6 @@ pub struct ResumeStats {
 /// seed reproduces the struct exactly (the soak sweep asserts this).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Whether the migration fell back to resuming on the source.
-    pub fallback_taken: bool,
     /// Chunk retransmissions (NACK- plus timeout-triggered).
     pub retransmits: u64,
     /// Silent rounds that triggered a timeout retransmission.
@@ -335,7 +351,6 @@ impl RecoveryStats {
         faults: FaultStats,
     ) -> Self {
         RecoveryStats {
-            fallback_taken: false,
             retransmits: sender.retransmits,
             timeouts: sender.timeouts,
             corrupt_caught: receiver.corrupt_caught,
@@ -353,7 +368,6 @@ impl RecoveryStats {
 /// Accumulate another attempt's share.
 impl std::ops::AddAssign for RecoveryStats {
     fn add_assign(&mut self, other: Self) {
-        self.fallback_taken |= other.fallback_taken;
         self.retransmits += other.retransmits;
         self.timeouts += other.timeouts;
         self.corrupt_caught += other.corrupt_caught;
@@ -364,5 +378,33 @@ impl std::ops::AddAssign for RecoveryStats {
         self.faults_injected += other.faults_injected;
         self.modeled_backoff_nanos += other.modeled_backoff_nanos;
         self.modeled_delay_nanos += other.modeled_delay_nanos;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ladder_facts_follow_the_rung_and_the_skip() {
+        let at = |rung, skip| ResumeStats {
+            rung,
+            journal_chunks: 5,
+            skip,
+            ..ResumeStats::default()
+        };
+        let cases = [
+            (at(1, None), false, false, 0),
+            (at(2, None), false, true, 5),
+            (at(3, Some(Rung2Skip::SourceCrashed)), true, false, 0),
+            (at(3, Some(Rung2Skip::NoJournal)), true, false, 0),
+            (at(3, Some(Rung2Skip::DigestMismatch)), true, true, 0),
+            (at(3, Some(Rung2Skip::TransferFailed)), true, true, 0),
+        ];
+        for (stats, fell_back, attempted, replayed) in cases {
+            assert_eq!(stats.fallback_taken(), fell_back, "{stats:?}");
+            assert_eq!(stats.rung2_attempted(), attempted, "{stats:?}");
+            assert_eq!(stats.chunks_replayed(), replayed, "{stats:?}");
+        }
     }
 }

@@ -7,8 +7,9 @@
 //! frames and sends them through the ARQ sender behind the fault
 //! injector, fresh or resuming from a journal; the consumer (a streaming
 //! resume, or a buffer reassembling the frame) runs on a destination
-//! thread over the ARQ receiver. Retry ladders and pre-copy rounds are
-//! loops around this function, and [`ship_frame`] is its whole-frame form.
+//! thread over the ARQ receiver. The degradation ladder's two streamed
+//! rungs and the pre-copy rounds are calls of this function, and
+//! [`ship_frame`] is its whole-frame form.
 
 use crate::engine::PipelineConfig;
 use crate::report::RecoveryStats;
@@ -38,10 +39,8 @@ pub(crate) struct Lane {
     pub rx_track: Track,
     /// Log track of the fault injector.
     pub fault_track: Track,
-    /// The destination's chunk journal; `None` when nothing could resume
-    /// from it (whole-frame shipping, or a policy without rung 2). A
-    /// failed stream without one is what `rung2_journal` reports as
-    /// `Rung2Skip::PolicyDisabled`.
+    /// The destination's chunk journal; `None` when nothing resumes from
+    /// it (a pre-copy round's whole frame).
     pub journal: Option<Arc<Mutex<RestoreJournal>>>,
     /// When this attempt resumes an interrupted stream from `journal`:
     /// that stream's image id and send ledger.

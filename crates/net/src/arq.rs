@@ -793,9 +793,8 @@ mod tests {
         );
         assert!(send_err.is_some(), "sender must fail once the peer is gone");
         let ledger = tx.records().to_vec();
-        // The journal survives death as durable bytes.
-        let stored = journal.lock().unwrap_or_else(|p| p.into_inner()).encode();
-        let recovered = RestoreJournal::decode(&stored).unwrap();
+        // The journal outlives the destination that wrote it.
+        let recovered = journal.lock().unwrap_or_else(|p| p.into_inner()).clone();
         assert_eq!(recovered.next_chunk(), k);
         // Attempt 2: rebuilt destination re-attaches over a fresh link.
         let (src2, dst2) = channel_pair(NetworkModel::instant());

@@ -101,7 +101,7 @@ pub struct FaultPlan {
     /// Kill the source process after it has flushed k chunks into the
     /// stream, if set. Wired to the collection stage by the driver.
     pub src_crash_at: Option<u32>,
-    /// Tamper with the destination's durable journal between death and
+    /// Tamper with the destination's journal between death and
     /// resume (flip one record CRC), forcing the resume handshake's digest
     /// check to reject rung 2.
     pub tamper_journal: bool,

@@ -1,4 +1,4 @@
-//! # Restore journal — durable record of a partially-received image
+//! # Restore journal — the destination's record of a partially-received image
 //!
 //! The destination side of a migration appends one [`ChunkRecord`] to a
 //! [`RestoreJournal`] for every chunk that survived CRC verification,
@@ -9,31 +9,23 @@
 //! handshake tells the sender to restart the wire transfer at
 //! [`RestoreJournal::next_chunk`] instead of chunk 0.
 //!
+//! The journal lives in memory beside the destination and has no byte
+//! format of its own.
+//!
 //! ## Integrity model
 //!
-//! Three independent checks guard against resuming onto a corrupt base:
+//! Two independent checks guard against resuming onto a corrupt base:
 //!
-//! 1. **Durable encoding** ([`RestoreJournal::encode`]) ends with a CRC-32
-//!    over the entire body; [`RestoreJournal::decode`] rejects torn or
-//!    bit-flipped journals outright (the caller then treats the destination
-//!    as journal-less and degrades to a full restart).
-//! 2. **Per-record consistency**: decode re-verifies that each stored
-//!    payload matches its record's `raw_len`.
-//! 3. **The handshake digest** ([`RestoreJournal::digest`]): a chained hash
+//! 1. **Append contiguity and length** ([`RestoreJournal::append`]): a
+//!    record is accepted only as the next chunk, with a payload of its
+//!    record's `raw_len`, so the journal is always a hole-free prefix of
+//!    the stream.
+//! 2. **The handshake digest** ([`RestoreJournal::digest`]): a chained hash
 //!    over every record (index, lengths, CRC, phase). The sender recomputes
 //!    the same digest from its own send ledger; any disagreement — a tampered
 //!    journal, a divergent stream — rejects the resume rather than splicing.
 
-use crate::chunk::crc32;
-use crate::decode::XdrDecoder;
-use crate::encode::XdrEncoder;
 use crate::error::XdrError;
-
-/// Magic word opening a durable journal: `"HPMJ"`.
-pub const JOURNAL_MAGIC: u32 = 0x4850_4D4A;
-
-/// Durable journal format version.
-pub const JOURNAL_VERSION: u32 = 1;
 
 /// The restore phase a chunk was consumed in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,15 +56,6 @@ impl RestorePhase {
             RestorePhase::Prefix => 0,
             RestorePhase::Payload => 1,
             RestorePhase::Terminator => 2,
-        }
-    }
-
-    fn from_code(code: u32) -> Result<Self, XdrError> {
-        match code {
-            0 => Ok(RestorePhase::Prefix),
-            1 => Ok(RestorePhase::Payload),
-            2 => Ok(RestorePhase::Terminator),
-            other => Err(XdrError::BadMagic(other)),
         }
     }
 }
@@ -141,7 +124,7 @@ pub fn image_id_from_fnv(fnv: u64, len: usize) -> u64 {
     mix64(fnv ^ (len as u64))
 }
 
-/// The destination's durable record of every CRC-verified chunk.
+/// The destination's record of every CRC-verified chunk.
 ///
 /// Records and decoded payloads are kept aligned: `payloads[i]` is the raw
 /// (post-decompression) bytes of `records[i]`. The journal is contiguous by
@@ -222,87 +205,11 @@ impl RestoreJournal {
         records_digest(&self.records)
     }
 
-    /// Serialize to a durable byte image (magic, version, records, payloads,
-    /// trailing CRC-32 over the whole body).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut enc = XdrEncoder::with_capacity(64 + self.raw_bytes() as usize);
-        enc.put_u32(JOURNAL_MAGIC);
-        enc.put_u32(JOURNAL_VERSION);
-        enc.put_u64(self.image_id);
-        enc.put_u32(self.records.len() as u32);
-        for (r, p) in self.records.iter().zip(&self.payloads) {
-            enc.put_u32(r.index);
-            enc.put_u32(r.raw_len);
-            enc.put_u32(r.wire_len);
-            enc.put_u32(r.crc);
-            enc.put_u32(r.phase.code());
-            enc.put_opaque_var(p);
-        }
-        let body_crc = crc32(enc.as_bytes());
-        enc.put_u32(body_crc);
-        enc.into_bytes()
-    }
-
-    /// Rebuild a journal from its durable bytes, rejecting torn or corrupted
-    /// images. A decode failure means the destination has no usable journal.
-    pub fn decode(bytes: &[u8]) -> Result<Self, XdrError> {
-        if bytes.len() < 4 {
-            return Err(XdrError::UnexpectedEof {
-                needed: 4,
-                remaining: bytes.len(),
-            });
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 4);
-        let mut tdec = XdrDecoder::new(trailer);
-        let stored_crc = tdec.get_u32()?;
-        let actual_crc = crc32(body);
-        if stored_crc != actual_crc {
-            return Err(XdrError::BadMagic(actual_crc));
-        }
-        let mut dec = XdrDecoder::new(body);
-        let magic = dec.get_u32()?;
-        if magic != JOURNAL_MAGIC {
-            return Err(XdrError::BadMagic(magic));
-        }
-        let version = dec.get_u32()?;
-        if version != JOURNAL_VERSION {
-            return Err(XdrError::BadMagic(version));
-        }
-        let image_id = dec.get_u64()?;
-        let count = dec.get_u32()?;
-        let mut journal = RestoreJournal::new(image_id);
-        for i in 0..count {
-            let index = dec.get_u32()?;
-            if index != i {
-                return Err(XdrError::BadMagic(index));
-            }
-            let raw_len = dec.get_u32()?;
-            let wire_len = dec.get_u32()?;
-            let crc = dec.get_u32()?;
-            let phase = RestorePhase::from_code(dec.get_u32()?)?;
-            let payload = dec.get_opaque_var()?;
-            journal.append(
-                ChunkRecord {
-                    index,
-                    raw_len,
-                    wire_len,
-                    crc,
-                    phase,
-                },
-                payload,
-            )?;
-        }
-        if !dec.is_empty() {
-            return Err(XdrError::LengthTooLarge(dec.remaining() as u32));
-        }
-        Ok(journal)
-    }
-
     /// Deterministic fault injection: corrupt the CRC of record `index` so
-    /// the journal still decodes but its digest no longer matches the
-    /// sender's ledger. Models an attacker (or bit rot past the body CRC's
-    /// lifetime) altering a journaled record; the resume handshake must
-    /// reject it. No-op when the journal is shorter than `index`.
+    /// the journal's digest no longer matches the sender's ledger. Models
+    /// an attacker (or bit rot) altering a journaled record; the resume
+    /// handshake must reject it. No-op when the journal is shorter than
+    /// `index`.
     pub fn tamper_record(&mut self, index: usize) {
         if let Some(r) = self.records.get_mut(index) {
             r.crc ^= 0x8000_0001;
@@ -313,6 +220,7 @@ impl RestoreJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::crc32;
 
     fn sample() -> RestoreJournal {
         let mut j = RestoreJournal::new(image_id(b"prefix-bytes"));
@@ -348,29 +256,6 @@ mod tests {
         assert!(j.append(rec0, vec![0]).is_err(), "length mismatch rejected");
         assert!(j.append(rec0, vec![0, 0]).is_ok());
         assert_eq!(j.next_chunk(), 1);
-    }
-
-    #[test]
-    fn encode_decode_roundtrip_is_identical() {
-        let j = sample();
-        let bytes = j.encode();
-        let back = RestoreJournal::decode(&bytes).unwrap();
-        assert_eq!(back, j);
-        assert_eq!(back.digest(), j.digest());
-        assert_eq!(back.raw_bytes(), j.raw_bytes());
-    }
-
-    #[test]
-    fn decode_rejects_torn_and_corrupt_journals() {
-        let bytes = sample().encode();
-        for cut in [0, 3, 8, bytes.len() / 2, bytes.len() - 1] {
-            assert!(RestoreJournal::decode(&bytes[..cut]).is_err(), "cut {cut}");
-        }
-        for flip in [0, 5, bytes.len() / 2, bytes.len() - 2] {
-            let mut bad = bytes.clone();
-            bad[flip] ^= 0x40;
-            assert!(RestoreJournal::decode(&bad).is_err(), "flip {flip}");
-        }
     }
 
     #[test]

@@ -50,7 +50,6 @@ pub use encode::XdrEncoder;
 pub use error::XdrError;
 pub use journal::{
     image_id, image_id_from_fnv, records_digest, ChunkRecord, RestoreJournal, RestorePhase,
-    JOURNAL_MAGIC, JOURNAL_VERSION,
 };
 
 /// Round a byte count up to the XDR 4-byte boundary.

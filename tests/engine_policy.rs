@@ -273,10 +273,7 @@ fn precopy_over_a_lossy_reliable_link_under_both_codecs() {
             recovery.faults_injected > 0,
             "{codec:?}: seed injected nothing"
         );
-        assert!(
-            recovery.retransmits > 0 && !recovery.fallback_taken,
-            "{recovery:?}"
-        );
+        assert!(recovery.retransmits > 0, "{recovery:?}");
         let compressed = run.report.transfer.chunks_compressed > 0;
         assert_eq!(
             compressed,

@@ -10,8 +10,8 @@
 
 use hpm::arch::Architecture;
 use hpm::migrate::{
-    run_migrating, run_migrating_resilient, run_straight, FallbackPolicy, MigratableProgram,
-    PipelineConfig, RecoveryPolicy, RecoveryStats, Trigger,
+    run_migrating, run_migrating_resilient, run_straight, MigratableProgram, PipelineConfig,
+    RecoveryPolicy, RecoveryStats, Trigger,
 };
 use hpm::net::{FaultPlan, NetworkModel};
 use hpm::workloads::{diff_results, BitonicSort, Linpack, TestPointer};
@@ -42,13 +42,13 @@ fn soak_policy() -> RecoveryPolicy {
     RecoveryPolicy {
         max_retries: 4,
         backoff: Duration::from_millis(2),
-        fallback: FallbackPolicy::SourceResume,
-        resume: true,
     }
 }
 
 /// One resilient migration under `plan`; panics on driver error (the
-/// driver must always terminate cleanly, whatever the plan does).
+/// driver must always terminate cleanly, whatever the plan does). Returns
+/// the answers, the recovery counters and whether the run fell back to
+/// the source.
 fn run_one<P: MigratableProgram + Send>(
     make: impl Fn() -> P,
     src: Architecture,
@@ -56,7 +56,7 @@ fn run_one<P: MigratableProgram + Send>(
     trigger: u64,
     plan: FaultPlan,
     cfg: PipelineConfig,
-) -> (Vec<(String, String)>, RecoveryStats) {
+) -> (Vec<(String, String)>, RecoveryStats, bool) {
     let run = run_migrating_resilient(
         make,
         src,
@@ -69,13 +69,14 @@ fn run_one<P: MigratableProgram + Send>(
     )
     .unwrap_or_else(|e| panic!("seed {:#x}: driver failed: {e}", plan.seed));
     let stats = *run.report.recovery().expect("resilient runs carry stats");
-    (run.results, stats)
+    let fell_back = run.report.resume().is_some_and(|r| r.fallback_taken());
+    (run.results, stats, fell_back)
 }
 
 /// Sweep `seeds` plans over one workload inside a watchdog: the whole
 /// sweep must finish in bounded time (no plan may hang the driver), every
 /// answer must match the unmigrated run, and every ~25th seed is rerun to
-/// prove its `RecoveryStats` reproduce exactly.
+/// prove its `RecoveryStats` and ladder outcome reproduce exactly.
 fn soak<P, F>(
     label: &'static str,
     make: F,
@@ -96,17 +97,17 @@ fn soak<P, F>(
         let mut fallbacks = 0u64;
         for i in 0..seeds {
             let plan = FaultPlan::from_seed(0x50AC_0000_0000_0000 | (label.len() as u64) << 32 | i);
-            let (results, stats) = run_one(&make, src.clone(), dst.clone(), trigger, plan, cfg);
+            let (results, stats, fell_back) =
+                run_one(&make, src.clone(), dst.clone(), trigger, plan, cfg);
             assert!(
                 diff_results(&expect, &results).is_none(),
-                "{label} seed {:#x}: WRONG ANSWER (fallback={})",
+                "{label} seed {:#x}: WRONG ANSWER (fallback={fell_back})",
                 plan.seed,
-                stats.fallback_taken
             );
             faulty_runs += (stats.faults_injected > 0) as u64;
-            fallbacks += stats.fallback_taken as u64;
+            fallbacks += fell_back as u64;
             if i % 25 == 0 {
-                let (results2, stats2) =
+                let (results2, stats2, fell_back2) =
                     run_one(&make, src.clone(), dst.clone(), trigger, plan, cfg);
                 assert_eq!(
                     results2, results,
@@ -114,7 +115,8 @@ fn soak<P, F>(
                     plan.seed
                 );
                 assert_eq!(
-                    stats2, stats,
+                    (stats2, fell_back2),
+                    (stats, fell_back),
                     "{label} seed {:#x}: RecoveryStats not reproducible",
                     plan.seed
                 );
@@ -227,7 +229,8 @@ fn soak_bitonic_compressed() {
 }
 
 /// test_pointer through the resilient driver on the §4.1 testbed, 64-byte
-/// chunks, six retries 1 ms apart: answer checked, recovery counters out.
+/// chunks, six retries 1 ms apart: answer checked, healed on the
+/// destination (no source fallback), recovery counters out.
 fn heals(plan: FaultPlan, expect: &[(String, String)]) -> RecoveryStats {
     let run = run_migrating_resilient(
         TestPointer::new,
@@ -240,13 +243,18 @@ fn heals(plan: FaultPlan, expect: &[(String, String)]) -> RecoveryStats {
         RecoveryPolicy {
             max_retries: 6,
             backoff: Duration::from_millis(1),
-            ..soak_policy()
         },
     )
     .unwrap_or_else(|e| panic!("seed {:#x}: driver failed: {e}", plan.seed));
     assert!(
         diff_results(expect, &run.results).is_none(),
         "seed {:#x}: wrong answer",
+        plan.seed
+    );
+    let resume = run.report.resume().expect("resilient runs carry stats");
+    assert!(
+        !resume.fallback_taken(),
+        "seed {:#x}: fell back to the source",
         plan.seed
     );
     *run.report.recovery().expect("resilient runs carry stats")
@@ -272,11 +280,7 @@ fn fixed_soak_seeds_heal_without_fallback() {
     ] {
         let plan = FaultPlan::from_seed(seed);
         severed += plan.disconnect_at.is_some() as u32;
-        let stats = heals(plan, &expect);
-        assert!(
-            !stats.fallback_taken,
-            "seed {seed:#x}: fell back to the source"
-        );
+        heals(plan, &expect);
     }
     assert_eq!(severed, 1, "one seed must cut the link");
 }
@@ -300,13 +304,7 @@ fn uniform_fault_rates_never_fall_back() {
                 disconnect_at: None,
                 ..FaultPlan::none()
             };
-            let stats = heals(plan, &expect);
-            assert!(
-                !stats.fallback_taken,
-                "{rate} ‰ seed {:#x}: fell back to the source",
-                plan.seed
-            );
-            injected += stats.faults_injected;
+            injected += heals(plan, &expect).faults_injected;
         }
     }
     assert!(injected > 0, "the sweep injected no fault");
@@ -339,8 +337,8 @@ fn zero_fault_resilient_run_matches_pipelined() {
     assert_eq!(resilient.results, whole.results);
     assert_eq!(resilient.report.image_bytes, whole.report.image_bytes);
     assert_eq!(resilient.report.memory_bytes, whole.report.memory_bytes);
+    assert_eq!(resilient.report.resume().unwrap().rung, 1);
     let r = resilient.report.recovery().unwrap();
-    assert!(!r.fallback_taken);
     assert_eq!(r.retransmits, 0);
     assert_eq!(r.nacks_sent, 0);
     assert_eq!(r.faults_injected, 0);

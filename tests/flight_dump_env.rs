@@ -1,12 +1,10 @@
-//! `HPM_FLIGHT_DUMP` is the CI hook: when a driver errors (or falls back)
-//! with the variable set, the flight dump is written there as JSONL so
-//! the workflow can upload it as an artifact. This lives in its own test
-//! binary because environment variables are process-global.
+//! `HPM_FLIGHT_DUMP` is the CI hook: when a driver errors or falls back
+//! to the source with the variable set, the flight dump is written there
+//! as JSONL so the workflow can upload it as an artifact. This lives in
+//! its own test binary because environment variables are process-global.
 
 use hpm_arch::Architecture;
-use hpm_migrate::{
-    run_migrating_resilient, FallbackPolicy, PipelineConfig, RecoveryPolicy, Trigger,
-};
+use hpm_migrate::{run_migrating_resilient, PipelineConfig, RecoveryPolicy, Rung2Skip, Trigger};
 use hpm_net::{FaultPlan, NetworkModel};
 use hpm_workloads::TestPointer;
 use std::time::Duration;
@@ -18,7 +16,9 @@ fn driver_error_writes_the_dump_where_ci_expects_it() {
     let _ = std::fs::remove_file(&path);
     std::env::set_var("HPM_FLIGHT_DUMP", &path);
 
-    let err = run_migrating_resilient(
+    // A link dead from the first chunk: the destination verifies
+    // nothing, so rung 2 has no journal and the run falls back.
+    let run = run_migrating_resilient(
         TestPointer::new,
         Architecture::dec5000(),
         Architecture::sparc20(),
@@ -37,20 +37,18 @@ fn driver_error_writes_the_dump_where_ci_expects_it() {
             duplicate_per_mille: 0,
             reorder_per_mille: 0,
             delay_per_mille: 0,
-            disconnect_at: Some(1),
+            disconnect_at: Some(0),
             ..FaultPlan::none()
         },
         RecoveryPolicy {
             max_retries: 3,
             backoff: Duration::from_millis(1),
-            fallback: FallbackPolicy::Fail,
-            // The point of this test is the rung-3 dump, so rung 2 is
-            // out of play.
-            resume: false,
         },
     )
-    .expect_err("dead link with Fail policy errors");
-    assert!(err.to_string().contains("retries exhausted"), "{err}");
+    .expect("a dead link resumes on the source");
+    let resume = run.report.resume().expect("resilient runs carry stats");
+    assert_eq!(resume.rung, 3, "{resume:?}");
+    assert_eq!(resume.skip, Some(Rung2Skip::NoJournal));
 
     let body = std::fs::read_to_string(&path).expect("dump file written on driver error");
     std::env::remove_var("HPM_FLIGHT_DUMP");
@@ -58,6 +56,16 @@ fn driver_error_writes_the_dump_where_ci_expects_it() {
         body.contains("\"kind\":\"retries.exhausted\""),
         "dump names the exhaustion event:\n{body}"
     );
+    for event in ["attempt.failed", "fallback.reached"] {
+        let line = body
+            .lines()
+            .find(|l| l.contains(&format!("\"kind\":\"{event}\"")))
+            .unwrap_or_else(|| panic!("dump carries {event}:\n{body}"));
+        assert!(
+            line.contains("retries exhausted"),
+            "{event} carries the transport error: {line}"
+        );
+    }
     assert!(
         body.contains("\"track\":\"arq.tx\"") && body.contains("\"track\":\"driver\""),
         "dump carries the per-component tracks:\n{body}"

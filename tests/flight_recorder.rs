@@ -6,7 +6,7 @@
 
 use hpm_arch::Architecture;
 use hpm_migrate::{
-    migrate, run_straight, FallbackPolicy, MigError, Migration, PipelineConfig, RecoveryPolicy,
+    migrate, run_straight, Migration, MigrationRun, PipelineConfig, RecoveryPolicy, Rung2Skip,
     Transport, Trigger,
 };
 use hpm_net::{FaultPlan, NetworkModel};
@@ -14,9 +14,11 @@ use hpm_obs::{EventLog, Level, LogDump};
 use hpm_workloads::{diff_results, TestPointer};
 use std::time::Duration;
 
-/// A plan that injects nothing except a dead forward path after the
-/// first distinct chunk — every retry is doomed, so the sender must
-/// exhaust its budget deterministically (ARQ runs on the modeled clock).
+/// A plan that injects nothing except a dead forward path from the very
+/// first chunk — every retry is doomed, so the sender must exhaust its
+/// budget deterministically (ARQ runs on the modeled clock), and the
+/// destination verifies nothing, so there is no journal for rung 2 and
+/// the run ends on the source (rung 3).
 fn dead_link_plan() -> FaultPlan {
     FaultPlan {
         seed: 0xF11_6487,
@@ -25,7 +27,7 @@ fn dead_link_plan() -> FaultPlan {
         duplicate_per_mille: 0,
         reorder_per_mille: 0,
         delay_per_mille: 0,
-        disconnect_at: Some(1),
+        disconnect_at: Some(0),
         ..FaultPlan::none()
     }
 }
@@ -42,7 +44,7 @@ fn big_chunk_cfg() -> PipelineConfig {
     }
 }
 
-fn run_doomed(log: &EventLog) -> MigError {
+fn run_doomed(log: &EventLog) -> MigrationRun {
     migrate(
         TestPointer::new,
         Architecture::dec5000(),
@@ -57,14 +59,19 @@ fn run_doomed(log: &EventLog) -> MigError {
                 RecoveryPolicy {
                     max_retries: 3,
                     backoff: Duration::from_millis(1),
-                    fallback: FallbackPolicy::Fail,
-                    // This test asserts rung-3 behavior; keep rung 2 out of play.
-                    resume: false,
                 },
             ))
         },
     )
-    .expect_err("a dead link with Fail policy must error")
+    .expect("a dead link resumes on the source")
+}
+
+/// The note of the one `name` event on the driver track.
+fn driver_note<'d>(dump: &'d LogDump, name: &str) -> &'d str {
+    let events = dump.events_of(name);
+    assert_eq!(events.len(), 1, "exactly one {name} event");
+    assert_eq!(events[0].0, "driver");
+    events[0].1.note.as_deref().unwrap_or("")
 }
 
 fn assert_dump_names_the_failure(dump: &LogDump) {
@@ -80,40 +87,44 @@ fn assert_dump_names_the_failure(dump: &LogDump) {
             .unwrap_or_else(|| panic!("retries.exhausted missing arg {k}"))
             .1
     };
-    assert_eq!(arg("chunk"), 1, "the black-holed chunk is named");
+    assert_eq!(arg("chunk"), 0, "the black-holed chunk is named");
     assert_eq!(arg("attempts"), 4, "max_retries=3 means 4 attempts");
     // The phase the failure happened in, from the driver track: collection
     // completed (big chunks mean the collector never blocks on the wire),
-    // then the attempt died in transit.
+    // then the attempt died in transit, rung 2 had nothing to resume from,
+    // and the run fell back to the source — each step noting why.
     assert!(
         !dump.events_of("phase.collect").is_empty(),
         "driver track records the collect phase"
     );
-    let failed = dump.events_of("attempt.failed");
-    assert_eq!(failed.len(), 1);
-    assert_eq!(failed[0].0, "driver");
-    let note = failed[0].1.note.as_deref().unwrap_or("");
-    assert!(
-        note.contains("retries exhausted"),
-        "failure note carries the error: {note}"
+    for name in ["attempt.failed", "fallback.reached"] {
+        let note = driver_note(dump, name);
+        assert!(
+            note.starts_with("net: retries exhausted"),
+            "{name} carries the transport error: {note}"
+        );
+    }
+    assert_eq!(
+        driver_note(dump, "resume.skipped"),
+        Rung2Skip::NoJournal.to_string()
     );
 }
 
 #[test]
 fn forced_failure_dump_is_deterministic_and_names_the_chunk() {
     let log_a = EventLog::new(Level::Protocol);
-    let err_a = run_doomed(&log_a);
+    let run_a = run_doomed(&log_a);
     let dump_a = log_a.dump();
 
     let log_b = EventLog::new(Level::Protocol);
-    let err_b = run_doomed(&log_b);
+    let run_b = run_doomed(&log_b);
     let dump_b = log_b.dump();
 
-    match &err_a {
-        MigError::Net(m) => assert!(m.contains("retries exhausted"), "{m}"),
-        other => panic!("expected Net error, got {other}"),
-    }
-    assert_eq!(err_a, err_b, "the failure itself is reproducible");
+    let resume = run_a.report.resume().expect("resilient runs carry stats");
+    assert_eq!(resume.rung, 3, "{resume:?}");
+    assert_eq!(resume.skip, Some(Rung2Skip::NoJournal));
+    assert_eq!(run_a.report.resume(), run_b.report.resume());
+    assert_eq!(run_a.report.recovery(), run_b.report.recovery());
 
     assert_dump_names_the_failure(&dump_a);
     assert_eq!(
@@ -126,37 +137,13 @@ fn forced_failure_dump_is_deterministic_and_names_the_chunk() {
 #[test]
 fn source_resume_fallback_attaches_the_dump_to_the_report() {
     let log = EventLog::new(Level::Protocol);
-    let run = migrate(
-        TestPointer::new,
-        Architecture::dec5000(),
-        Architecture::sparc20(),
-        NetworkModel::ethernet_10(),
-        Trigger::AtPollCount(8),
-        &Migration {
-            log: Some(&log),
-            ..Migration::new(Transport::Reliable(
-                big_chunk_cfg(),
-                dead_link_plan(),
-                RecoveryPolicy {
-                    max_retries: 3,
-                    backoff: Duration::from_millis(1),
-                    fallback: FallbackPolicy::SourceResume,
-                    // This test asserts rung-3 behavior; keep rung 2 out of play.
-                    resume: false,
-                },
-            ))
-        },
-    )
-    .expect("SourceResume turns the dead link into a local resume");
-
+    let run = run_doomed(&log);
     let mut p = TestPointer::new();
     let (expect, _) = run_straight(&mut p, Architecture::dec5000()).unwrap();
     assert!(
         diff_results(&expect, &run.results).is_none(),
         "fallback still computes the right answer"
     );
-    let recovery = run.report.recovery().expect("resilient runs carry stats");
-    assert!(recovery.fallback_taken);
     let dump = run.report.log.as_ref().expect("fallback attaches dump");
     assert_dump_names_the_failure(dump);
 }
@@ -164,11 +151,12 @@ fn source_resume_fallback_attaches_the_dump_to_the_report() {
 #[test]
 fn disabled_recorder_stays_silent_and_changes_nothing() {
     let log = EventLog::new(Level::Off);
-    let err = run_doomed(&log);
-    match err {
-        MigError::Net(m) => assert!(m.contains("retries exhausted"), "{m}"),
-        other => panic!("expected Net error, got {other}"),
-    }
+    let run = run_doomed(&log);
+    let recorded = run_doomed(&EventLog::new(Level::Protocol));
+    assert_eq!(run.results, recorded.results);
+    assert_eq!(run.report.resume(), recorded.report.resume());
+    assert_eq!(run.report.recovery(), recorded.report.recovery());
+    assert!(run.report.log.is_none(), "an off log attaches no dump");
     let dump = log.dump();
     assert!(
         dump.tracks.iter().all(|t| t.events.is_empty()),

@@ -9,8 +9,7 @@
 
 use hpm_arch::Architecture;
 use hpm_migrate::{
-    migrate, FallbackPolicy, Migration, PipelineConfig, PrecopyConfig, RecoveryPolicy, Transport,
-    Trigger,
+    migrate, Migration, PipelineConfig, PrecopyConfig, RecoveryPolicy, Transport, Trigger,
 };
 use hpm_net::{FaultPlan, NetworkModel};
 use hpm_obs::{EventKind, EventLog, Level, LogDump};
@@ -128,18 +127,16 @@ fn test_pointer(log: &EventLog, transport: Transport) -> Result<(), hpm_migrate:
     .map(|_| ())
 }
 
-/// TestPointer over a link that dies after the prefix chunk.
-fn dead_link(log: &EventLog, resume: bool) -> Result<(), hpm_migrate::MigError> {
+/// TestPointer over a link that dies once `disconnect_at` chunks crossed.
+fn dead_link(log: &EventLog, disconnect_at: u32) -> Result<(), hpm_migrate::MigError> {
     let plan = FaultPlan {
         seed: 0xF11_6487,
-        disconnect_at: Some(1),
+        disconnect_at: Some(disconnect_at),
         ..FaultPlan::none()
     };
     let policy = RecoveryPolicy {
         max_retries: 3,
         backoff: Duration::from_millis(1),
-        fallback: FallbackPolicy::Fail,
-        resume,
     };
     test_pointer(log, Transport::Reliable(cfg(256), plan, policy))
 }
@@ -198,14 +195,16 @@ fn emitted_events_equal_the_pinned_schema() {
     .expect("ARQ absorbs the link faults");
     rows(&log.dump(), &mut seen);
 
-    // A dead link nothing repairs (rung 3, `Fail`) …
+    // A link dead from the first chunk, which leaves no journal and ends
+    // on the source (rung 3) …
     let log = EventLog::new(Level::Detail);
-    dead_link(&log, false).expect_err("a dead link with `Fail` errors");
+    dead_link(&log, 0).expect("rung 3 resumes on the source");
     rows(&log.dump(), &mut seen);
 
-    // … and the same link healed from the destination's journal (rung 2).
+    // … and a link dead after the prefix chunk, healed from the
+    // destination's journal (rung 2).
     let log = EventLog::new(Level::Detail);
-    dead_link(&log, true).expect("rung 2 heals a dead link");
+    dead_link(&log, 1).expect("rung 2 heals a dead link");
     rows(&log.dump(), &mut seen);
 
     let pinned: BTreeSet<String> = SCHEMA.iter().map(|s| s.to_string()).collect();

@@ -13,7 +13,7 @@ use hpm_workloads::{BitonicSort, Linpack, TestPointer};
 
 fn migrate<P, F>(make: F, at: u64) -> MigrationRun
 where
-    P: hpm_migrate::MigratableProgram,
+    P: hpm_migrate::MigratableProgram + Send,
     F: Fn() -> P,
 {
     run_migrating(
