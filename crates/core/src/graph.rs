@@ -66,7 +66,7 @@ impl MsrGraph {
             .collect();
         for &(id, addr, ty, count, size) in &entries {
             let block = space
-                .block_at(addr)
+                .info_at(addr)
                 .ok_or(CoreError::UnregisteredPointer(addr))?;
             g.vertices.push(MsrVertex {
                 id,

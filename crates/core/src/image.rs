@@ -35,7 +35,7 @@ pub struct ImageHeader {
     /// Name of the migrating program (sequence-compatibility check).
     pub program: String,
     /// Total live registered bytes in the sender's MSRLT at collection
-    /// time. The restorer uses this to pre-size its heap arena before
+    /// time. The destination uses this to pre-size its heap before
     /// decoding, so restoration does not pay incremental growth.
     pub registered_bytes: u64,
 }

@@ -76,7 +76,7 @@ mod invariant_tests {
                 .iter()
                 .map(|&a| {
                     let b = space.block_at(a).unwrap();
-                    (b.addr, b.size_bytes())
+                    (b.addr, b.size)
                 })
                 .collect();
             spans.sort();
@@ -86,13 +86,18 @@ mod invariant_tests {
         }
     }
 
-    /// The space's one address index against references that share none
-    /// of its code: a brute-force scan over the live blocks for
-    /// `resolve`, and an ordered map for what `block_infos`,
-    /// `block_count` and `block_at` list (a block that starts where a
-    /// zero-size block starts replaces it, as the map's insert does).
-    /// Seeded malloc / free / re-malloc churn with frames and globals on
-    /// every preset, over 1–3-byte `char` blocks sharing a 4-byte word,
+    /// The space's one address index and its segment buffers against
+    /// references that share none of their code: a brute-force scan
+    /// over the live blocks for `resolve`, an ordered map for what
+    /// `block_infos`, `block_count` and `block_at` list (a block that
+    /// starts where a zero-size block starts replaces it, as the map's
+    /// insert does), and a byte model of every live block. Each block
+    /// must read as zero when it is created — over bytes a freed block
+    /// or a popped frame left behind, or where a zero-size block was —
+    /// and is then scribbled with seeded bytes, so a block that is not
+    /// cleared, or a write that leaks into a neighbour, shows. Seeded
+    /// malloc / free / re-malloc churn with frames and globals on every
+    /// preset, over 1–3-byte `char` blocks sharing a 4-byte word,
     /// zero-size `int[0]` globals, and blocks that exactly tile pages or
     /// span them.
     #[test]
@@ -101,11 +106,12 @@ mod invariant_tests {
 
         #[derive(Default)]
         struct Model {
-            /// Start → size of every live block.
-            live: BTreeMap<u64, u64>,
+            /// Start → contents of every live block.
+            live: BTreeMap<u64, Vec<u8>>,
             heap: Vec<(u64, hpm_types::TypeId, u64)>,
             frames: Vec<(FrameId, Vec<u64>)>,
-            /// Handles of freed heap blocks, which must stay dead.
+            /// Handles of freed heap blocks and popped locals, which
+            /// must stay dead.
             dead: Vec<BlockSlot>,
         }
 
@@ -116,24 +122,45 @@ mod invariant_tests {
                 .iter()
                 .map(|b| (b.addr, b.size))
                 .collect();
-            let want: Vec<(u64, u64)> = m.live.iter().map(|(&a, &s)| (a, s)).collect();
+            let want: Vec<(u64, u64)> = m.live.iter().map(|(&a, v)| (a, v.len() as u64)).collect();
             assert_eq!(listed, want, "block_infos");
             let scan = |x: u64| {
                 want.iter()
                     .find(|&&(a, s)| a <= x && x < a + s)
                     .map(|&(a, _)| (a, x - a))
             };
-            for (&a, &size) in &m.live {
-                assert_eq!(space.block_at(a).map(|b| b.size_bytes()), Some(size));
+            for (&a, bytes) in &m.live {
+                let size = bytes.len() as u64;
+                assert_eq!(space.block_at(a).map(|b| b.size), Some(size));
                 // Every byte, and the one past the end.
                 for x in a..=a + size {
                     let got = space.resolve(x).map(|r| (r.block_addr, r.offset));
                     assert_eq!(got, scan(x), "resolve({x:#x})");
                 }
+                let slot = space.info_at(a).unwrap().slot;
+                assert_eq!(
+                    space.slot_bytes(slot).unwrap(),
+                    &bytes[..],
+                    "bytes at {a:#x}"
+                );
             }
             for &slot in &m.dead {
                 assert!(space.slot_bytes(slot).is_err(), "arena slot reused");
             }
+        }
+
+        /// A block just created at `a`: it must read as zero; then it is
+        /// scribbled from `seed` and enters the model.
+        fn born(space: &mut AddressSpace, m: &mut Model, a: u64, size: u64, seed: u64) {
+            let slot = space.info_at(a).unwrap().slot;
+            assert!(
+                space.slot_bytes(slot).unwrap().iter().all(|&b| b == 0),
+                "block at {a:#x} born dirty"
+            );
+            let mut s = seed;
+            let data: Vec<u8> = (0..size).map(|_| next(&mut s) as u8).collect();
+            space.slot_bytes_mut(slot).unwrap().1.copy_from_slice(&data);
+            m.live.insert(a, data);
         }
 
         for arch in Architecture::presets() {
@@ -148,7 +175,7 @@ mod invariant_tests {
                 let malloc = |space: &mut AddressSpace, m: &mut Model, ty, count| {
                     let a = space.malloc(ty, count).unwrap();
                     let size = (space.layout_of(ty).unwrap().size * count).max(1);
-                    m.live.insert(a, size);
+                    born(space, m, a, size, a ^ count);
                     m.heap.push((a, ty, count));
                 };
                 let free = |space: &mut AddressSpace, m: &mut Model, pick: u64| {
@@ -160,6 +187,9 @@ mod invariant_tests {
                 };
                 let pop = |space: &mut AddressSpace, m: &mut Model| {
                     let (f, locals) = m.frames.pop()?;
+                    for &a in &locals {
+                        m.dead.push(space.info_at(a).unwrap().slot);
+                    }
                     space.pop_frame(f).unwrap();
                     for a in locals {
                         m.live.remove(&a);
@@ -198,6 +228,7 @@ mod invariant_tests {
                             malloc(&mut space, &mut m, ty, count);
                         }
                         7 => {
+                            // Often over the bytes of a frame just popped.
                             let f = space.push_frame("f");
                             let mut locals = Vec::new();
                             for k in 0..1 + (r >> 8) % 4 {
@@ -207,7 +238,8 @@ mod invariant_tests {
                                     _ => (int, 1 + (r >> 28) % 8),
                                 };
                                 let a = space.define_local(f, "l", ty, count).unwrap();
-                                m.live.insert(a, space.layout_of(ty).unwrap().size * count);
+                                let size = space.layout_of(ty).unwrap().size * count;
+                                born(&mut space, &mut m, a, size, r ^ k);
                                 locals.push(a);
                             }
                             m.frames.push((f, locals));
@@ -219,11 +251,11 @@ mod invariant_tests {
                             // A zero-size global, and often a global at
                             // its address that replaces it.
                             let z = space.define_global("z", empty, 1).unwrap();
-                            m.live.insert(z, 0);
+                            m.live.insert(z, Vec::new());
                             let (ty, size) = [(int, 4), (ch, 1)][(r >> 8) as usize % 2];
                             if !(r >> 9).is_multiple_of(3) {
                                 let g = space.define_global("g", ty, 1).unwrap();
-                                m.live.insert(g, size);
+                                born(&mut space, &mut m, g, size, r);
                             }
                         }
                     }

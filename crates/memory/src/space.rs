@@ -1,7 +1,10 @@
 //! The simulated address space: segments, allocation, typed access.
 //!
-//! Blocks live in an arena whose slots are never reused, and one
-//! [`PageIndex`] maps addresses to arena slots. Every address the
+//! Each segment's bytes are one buffer indexed by `addr − base`, as a C
+//! process's segment is contiguous memory; a block is a 32-byte
+//! [`MemoryBlock`] record in an arena whose slots are never reused, and
+//! the names of globals and locals sit in a side table keyed by slot.
+//! One [`PageIndex`] maps addresses to arena slots. Every address the
 //! program touches is resolved by one directory probe and a rank-table
 //! read, then checked against the block's bounds; nothing walks a tree.
 //! The collector and restorer do not resolve at all: the MSRLT hands
@@ -14,6 +17,7 @@ use hpm_types::elements::{ElementError, ElementModel, Leaf};
 use hpm_types::layout::{align_up, Layout};
 use hpm_types::plan::{compile_plan, SavePlan};
 use hpm_types::{TypeError, TypeId, TypeTable};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Handle to a pushed stack frame.
@@ -129,10 +133,86 @@ pub struct AllocStats {
 #[derive(Debug, Clone)]
 struct Frame {
     id: FrameId,
-    #[allow(dead_code)]
-    name: String,
     blocks: Vec<u64>,
     saved_stack_top: u64,
+}
+
+/// One segment's bytes: `bytes[i]` is the byte at address `base + i`.
+///
+/// **Zeroing rule:** a block reads as zero when it is created. Bytes
+/// outside `[lo, hi)`, the span blocks have ever covered, are zero
+/// already — the buffer only ever grows by zeros — so a new block
+/// clears just its overlap with that span: memory a freed block or a
+/// popped frame left behind.
+#[derive(Debug, Clone)]
+struct SegmentBytes {
+    /// Lowest address the buffer may grow down to.
+    floor: u64,
+    base: u64,
+    bytes: Vec<u8>,
+    lo: u64,
+    hi: u64,
+}
+
+impl SegmentBytes {
+    /// An empty buffer that grows from `at`: up from a segment's base,
+    /// down from the stack's end.
+    fn new(floor: u64, at: u64) -> Self {
+        SegmentBytes {
+            floor,
+            base: at,
+            bytes: Vec::new(),
+            lo: at,
+            hi: at,
+        }
+    }
+
+    /// Cover `[addr, end)` and make it read as zero, for a new block.
+    fn claim(&mut self, addr: u64, end: u64) {
+        if addr < self.base {
+            // The stack grows down: at least double the span below the
+            // segment's end, as `Vec` doubles upward, moving the bytes
+            // already there up in place.
+            let top = self.base + self.bytes.len() as u64;
+            let base = addr
+                .min(top.saturating_sub(2 * (top - self.base)))
+                .max(self.floor);
+            let grow = (self.base - base) as usize;
+            self.bytes.splice(..0, std::iter::repeat_n(0, grow));
+            self.base = base;
+        }
+        self.reserve(end - self.base);
+        let (a, b) = (addr.max(self.lo), end.min(self.hi));
+        if a < b {
+            self.bytes[(a - self.base) as usize..(b - self.base) as usize].fill(0);
+        }
+        self.lo = self.lo.min(addr);
+        self.hi = self.hi.max(end);
+    }
+
+    /// Cover at least `len` bytes from `base`. A first reservation is one
+    /// zeroed allocation, which the system maps lazily; later growth is
+    /// an exact resize, amortised by `Vec`'s own capacity doubling.
+    fn reserve(&mut self, len: u64) {
+        let len = len as usize;
+        if self.bytes.is_empty() {
+            self.bytes = vec![0; len];
+        } else if len > self.bytes.len() {
+            self.bytes.resize(len, 0);
+        }
+    }
+
+    #[inline]
+    fn get(&self, addr: u64, len: u64) -> &[u8] {
+        let at = (addr - self.base) as usize;
+        &self.bytes[at..at + len as usize]
+    }
+
+    #[inline]
+    fn get_mut(&mut self, addr: u64, len: u64) -> &mut [u8] {
+        let at = (addr - self.base) as usize;
+        &mut self.bytes[at..at + len as usize]
+    }
 }
 
 /// A simulated process address space on one architecture.
@@ -144,9 +224,13 @@ pub struct AddressSpace {
     arch: Architecture,
     types: TypeTable,
     model: ElementModel,
-    /// Block storage arena; `None` slots are dead blocks. Slots are never
+    /// Block records; `None` slots are dead blocks. Slots are never
     /// reused, which is what keeps a stale [`BlockSlot`] dead.
     arena: Vec<Option<MemoryBlock>>,
+    /// Name and frame number of every live global and local, by slot.
+    names: HashMap<u32, (String, Option<u64>)>,
+    /// Global, heap and stack bytes, indexed by [`SegmentKind`].
+    segments: [SegmentBytes; 3],
     /// Address → arena slot of every live block: the space's only
     /// address map.
     index: PageIndex<u32>,
@@ -166,14 +250,20 @@ impl AddressSpace {
     /// Fresh empty address space for `arch`.
     pub fn new(arch: Architecture) -> Self {
         arch.segments.validate().expect("invalid segment map");
-        let global_top = arch.segments.global.base;
-        let stack_top = arch.segments.stack.end();
-        let heap_top = arch.segments.heap.base;
+        let s = &arch.segments;
+        let (global_top, heap_top, stack_top) = (s.global.base, s.heap.base, s.stack.end());
+        let segments = [
+            SegmentBytes::new(global_top, global_top),
+            SegmentBytes::new(heap_top, heap_top),
+            SegmentBytes::new(s.stack.base, stack_top),
+        ];
         AddressSpace {
             arch,
             types: TypeTable::new(),
             model: ElementModel::new(),
             arena: Vec::new(),
+            names: HashMap::new(),
+            segments,
             index: PageIndex::new(),
             global_top,
             stack_top,
@@ -225,42 +315,24 @@ impl AddressSpace {
     pub fn stats(&self) -> AllocStats {
         let mut s = self.stats;
         s.live_blocks = self.index.len() as u64;
-        s.live_bytes = self.live_blocks_iter().map(|b| b.size_bytes()).sum();
+        s.live_bytes = self.arena.iter().flatten().map(|b| b.size).sum();
         s
     }
 
-    /// Pre-size the block arena for an incoming migration image.
-    ///
-    /// `bytes` is the sender's total live registered bytes, carried in
-    /// the image header. Restoration inserts one arena slot per incoming
-    /// block; reserving up front replaces the arena's amortized growth
-    /// reallocations with a single one. The block count is not known at
-    /// this point, so the estimate assumes the smallest heap granule the
-    /// workloads allocate (16 bytes per block) and is capped so a huge
-    /// image cannot force an absurd reservation.
+    /// Pre-size the heap for an incoming migration image: `bytes` of
+    /// heap from the segment's base (at most the segment), so that
+    /// restoring a heap of that extent never regrows the buffer. The
+    /// bytes are one zeroed allocation, which the system maps lazily:
+    /// reserving costs address space, not memory, until a block is
+    /// written. A caller with an untrusted figure caps it first.
     pub fn reserve_heap_bytes(&mut self, bytes: u64) {
-        const MIN_BLOCK_GUESS: u64 = 16;
-        const MAX_SLOTS: u64 = 1 << 20;
-        let want = (bytes / MIN_BLOCK_GUESS).clamp(1, MAX_SLOTS) as usize;
-        let spare = self.arena.capacity() - self.arena.len();
-        if spare < want {
-            self.arena.reserve(want - spare);
-        }
-    }
-
-    /// Live blocks in allocation order.
-    fn live_blocks_iter(&self) -> impl Iterator<Item = &MemoryBlock> {
-        self.arena.iter().flatten()
+        let heap = &mut self.segments[SegmentKind::Heap as usize];
+        heap.reserve(bytes.min(self.arch.segments.heap.size));
     }
 
     #[inline]
     fn block(&self, idx: u32) -> &MemoryBlock {
         self.arena[idx as usize].as_ref().expect("live block")
-    }
-
-    #[inline]
-    fn block_mut(&mut self, idx: u32) -> &mut MemoryBlock {
-        self.arena[idx as usize].as_mut().expect("live block")
     }
 
     // ----- layout / element queries (memoized per this space) -----
@@ -296,8 +368,10 @@ impl AddressSpace {
 
     // ----- block creation -----
 
-    fn insert_block(&mut self, b: MemoryBlock) -> BlockSlot {
-        let (addr, size) = (b.addr, b.size_bytes());
+    /// Record a new block over zeroed bytes of its segment, with the
+    /// name and frame number of a global or local.
+    fn insert_block(&mut self, b: MemoryBlock, name: Option<(String, Option<u64>)>) -> BlockSlot {
+        let (addr, size) = (b.addr, b.size);
         // The block starting last at or below the new block's last byte is
         // the only one it could overlap; a zero-size block at `addr` is
         // replaced instead.
@@ -305,13 +379,17 @@ impl AddressSpace {
             self.index
                 .get(addr + size.max(1) - 1)
                 .map(|i| self.block(i))
-                .is_none_or(|o| o.end() <= addr || (o.addr == addr && o.size_bytes() == 0)),
+                .is_none_or(|o| o.end() <= addr || (o.addr == addr && o.size == 0)),
             "block overlap at {addr:#x}"
         );
+        self.segments[b.segment as usize].claim(addr, addr + size);
         let idx = self.arena.len() as u32;
         self.arena.push(Some(b));
+        if let Some(name) = name {
+            self.names.insert(idx, name);
+        }
         if let Some(replaced) = self.index.insert(addr, size, idx) {
-            self.arena[replaced as usize] = None;
+            self.kill(replaced);
         }
         BlockSlot { idx, addr }
     }
@@ -323,10 +401,18 @@ impl AddressSpace {
         self.index.get(addr).filter(|&i| self.block(i).addr == addr)
     }
 
+    fn kill(&mut self, idx: u32) -> Option<MemoryBlock> {
+        let b = self.arena[idx as usize].take()?;
+        if b.segment != SegmentKind::Heap {
+            self.names.remove(&idx);
+        }
+        Some(b)
+    }
+
     fn remove_block(&mut self, addr: u64) -> Option<MemoryBlock> {
         let idx = self.slot_at(addr)?;
         self.index.remove(addr);
-        self.arena[idx as usize].take()
+        self.kill(idx)
     }
 
     /// Define a global variable block of `count` elements of `ty`.
@@ -338,27 +424,24 @@ impl AddressSpace {
             return Err(MemError::OutOfMemory(SegmentKind::Global));
         }
         self.global_top = addr + size;
-        Ok(self
-            .insert_block(MemoryBlock {
-                addr,
-                ty,
-                count,
-                segment: SegmentKind::Global,
-                name: Some(name.to_string()),
-                frame: None,
-                bytes: vec![0; size as usize],
-            })
-            .addr)
+        let b = MemoryBlock {
+            addr,
+            count,
+            size,
+            ty,
+            segment: SegmentKind::Global,
+        };
+        Ok(self.insert_block(b, Some((name.to_string(), None))).addr)
     }
 
-    /// Push a stack frame for function `name`.
-    pub fn push_frame(&mut self, name: &str) -> FrameId {
+    /// Push a stack frame for a call of the named function (the name is
+    /// not kept).
+    pub fn push_frame(&mut self, _name: &str) -> FrameId {
         let id = FrameId(self.next_frame);
         self.next_frame += 1;
         self.stats.frames_pushed += 1;
         self.frames.push(Frame {
             id,
-            name: name.to_string(),
             blocks: Vec::new(),
             saved_stack_top: self.stack_top,
         });
@@ -392,16 +475,14 @@ impl AddressSpace {
             return Err(MemError::OutOfMemory(SegmentKind::Stack));
         }
         self.stack_top = addr;
-        let frame_no = frame.0;
-        self.insert_block(MemoryBlock {
+        let b = MemoryBlock {
             addr,
-            ty,
             count,
+            size,
+            ty,
             segment: SegmentKind::Stack,
-            name: Some(name.to_string()),
-            frame: Some(frame_no),
-            bytes: vec![0; size as usize],
-        });
+        };
+        self.insert_block(b, Some((name.to_string(), Some(frame.0))));
         self.frames.last_mut().unwrap().blocks.push(addr);
         Ok(addr)
     }
@@ -486,15 +567,14 @@ impl AddressSpace {
             self.heap_top = start + size;
             start
         };
-        Ok(self.insert_block(MemoryBlock {
+        let b = MemoryBlock {
             addr,
-            ty,
             count,
+            size,
+            ty,
             segment: SegmentKind::Heap,
-            name: None,
-            frame: None,
-            bytes: vec![0; size as usize],
-        }))
+        };
+        Ok(self.insert_block(b, None))
     }
 
     /// Release a heap block (C `free`).
@@ -505,7 +585,7 @@ impl AddressSpace {
         }
         let b = self.remove_block(addr).unwrap();
         self.stats.frees += 1;
-        self.free_list_insert(addr, b.size_bytes().max(1));
+        self.free_list_insert(addr, b.size);
         Ok(())
     }
 
@@ -552,14 +632,21 @@ impl AddressSpace {
     /// Metadata snapshot of the block in arena slot `idx`.
     fn info(&self, idx: u32) -> BlockInfo {
         let b = self.block(idx);
+        let (name, frame) = match b.segment {
+            SegmentKind::Heap => (None, None),
+            _ => self
+                .names
+                .get(&idx)
+                .map_or((None, None), |(n, f)| (Some(n.clone()), *f)),
+        };
         BlockInfo {
             addr: b.addr,
             ty: b.ty,
             count: b.count,
             segment: b.segment,
-            name: b.name.clone(),
-            frame: b.frame,
-            size: b.size_bytes(),
+            name,
+            frame,
+            size: b.size,
             slot: BlockSlot { idx, addr: b.addr },
         }
     }
@@ -588,9 +675,9 @@ impl AddressSpace {
 
     /// The block behind `slot`, if the handle obeys the validity rule.
     #[inline]
-    fn slot_block(&self, slot: BlockSlot) -> Result<&MemoryBlock, MemError> {
+    fn slot_block(&self, slot: BlockSlot) -> Result<MemoryBlock, MemError> {
         match self.arena.get(slot.idx as usize) {
-            Some(Some(b)) if b.addr == slot.addr => Ok(b),
+            Some(Some(b)) if b.addr == slot.addr => Ok(*b),
             _ => Err(MemError::BadAddress(slot.addr)),
         }
     }
@@ -598,7 +685,8 @@ impl AddressSpace {
     /// The whole block's bytes, if the handle obeys the validity rule.
     #[inline]
     pub fn slot_bytes(&self, slot: BlockSlot) -> Result<&[u8], MemError> {
-        self.slot_block(slot).map(|b| &b.bytes[..])
+        let b = self.slot_block(slot)?;
+        Ok(self.segments[b.segment as usize].get(b.addr, b.size))
     }
 
     /// Mutable view of the whole block's bytes together with the
@@ -609,9 +697,22 @@ impl AddressSpace {
         &mut self,
         slot: BlockSlot,
     ) -> Result<(&Architecture, &mut [u8]), MemError> {
-        match self.arena.get_mut(slot.idx as usize) {
-            Some(Some(b)) if b.addr == slot.addr => Ok((&self.arch, &mut b.bytes)),
-            _ => Err(MemError::BadAddress(slot.addr)),
+        let b = self.slot_block(slot)?;
+        let bytes = self.segments[b.segment as usize].get_mut(b.addr, b.size);
+        Ok((&self.arch, bytes))
+    }
+
+    /// The block holding all `len` bytes at `addr`. A range past the
+    /// block's end, however long, answers `BadAddress` at its last byte
+    /// (at `u64::MAX` if that wraps).
+    fn span(&self, addr: u64, len: u64) -> Result<MemoryBlock, MemError> {
+        let r = self.resolve(addr).ok_or(MemError::BadAddress(addr))?;
+        let b = *self.block(r.idx);
+        match r.offset.checked_add(len) {
+            Some(end) if end <= b.size => Ok(b),
+            _ => Err(MemError::BadAddress(
+                addr.saturating_add(len.saturating_sub(1)),
+            )),
         }
     }
 
@@ -619,24 +720,21 @@ impl AddressSpace {
     /// past the block's end, however long, answers `BadAddress` at its
     /// last byte (at `u64::MAX` if that wraps).
     pub fn read_bytes(&self, addr: u64, len: u64) -> Result<&[u8], MemError> {
-        let r = self.resolve(addr).ok_or(MemError::BadAddress(addr))?;
-        let b = self.block(r.idx);
-        r.offset
-            .checked_add(len)
-            .and_then(|end| b.bytes.get(r.offset as usize..usize::try_from(end).ok()?))
-            .ok_or_else(|| MemError::BadAddress(addr.saturating_add(len.saturating_sub(1))))
+        let b = self.span(addr, len)?;
+        Ok(self.segments[b.segment as usize].get(addr, len))
     }
 
     /// Write bytes at `addr` (must stay within one block).
     pub fn write_bytes(&mut self, addr: u64, data: &[u8]) -> Result<(), MemError> {
-        let r = self.resolve(addr).ok_or(MemError::BadAddress(addr))?;
-        let b = self.block_mut(r.idx);
-        let end = r.offset as usize + data.len();
-        if end > b.bytes.len() {
-            return Err(MemError::BadAddress(addr + data.len() as u64 - 1));
-        }
-        b.bytes[r.offset as usize..end].copy_from_slice(data);
+        self.bytes_mut(addr, data.len() as u64)?
+            .copy_from_slice(data);
         Ok(())
+    }
+
+    /// Mutable [`AddressSpace::read_bytes`].
+    fn bytes_mut(&mut self, addr: u64, len: u64) -> Result<&mut [u8], MemError> {
+        let b = self.span(addr, len)?;
+        Ok(self.segments[b.segment as usize].get_mut(addr, len))
     }
 
     /// The scalar leaf (and its index within the block) at `addr`.
@@ -699,26 +797,29 @@ impl AddressSpace {
         Ok(r.block_addr + elem_idx * elem_size + leaf.offset)
     }
 
-    /// Load the scalar stored at `addr`, typed by the block's TI entry.
-    pub fn load_scalar(&mut self, addr: u64) -> Result<ScalarValue, MemError> {
+    /// The scalar leaf at `addr` and the block it lies in.
+    fn leaf_in_block(&mut self, addr: u64) -> Result<(Leaf, MemoryBlock), MemError> {
         let r = self.resolve(addr).ok_or(MemError::BadAddress(addr))?;
         let (_, leaf) = self.leaf_of_resolved(r, addr)?;
+        Ok((leaf, *self.block(r.idx)))
+    }
+
+    /// Load the scalar stored at `addr`, typed by the block's TI entry.
+    pub fn load_scalar(&mut self, addr: u64) -> Result<ScalarValue, MemError> {
+        let (leaf, b) = self.leaf_in_block(addr)?;
         let size = self.arch.scalar_size(leaf.kind);
-        let b = self.block(r.idx);
-        let off = leaf.offset as usize;
-        let bytes = &b.bytes[off..off + size as usize];
+        let bytes = self.segments[b.segment as usize].get(b.addr + leaf.offset, size);
         Ok(self.arch.decode_scalar(leaf.kind, bytes))
     }
 
     /// Store a scalar at `addr`, converting to the leaf's declared kind.
     pub fn store_scalar(&mut self, addr: u64, v: ScalarValue) -> Result<(), MemError> {
-        let r = self.resolve(addr).ok_or(MemError::BadAddress(addr))?;
-        let (_, leaf) = self.leaf_of_resolved(r, addr)?;
+        let (leaf, b) = self.leaf_in_block(addr)?;
         let mut tmp = Vec::with_capacity(8);
         self.arch.encode_scalar(leaf.kind, v, &mut tmp);
-        let b = self.block_mut(r.idx);
-        let off = leaf.offset as usize;
-        b.bytes[off..off + tmp.len()].copy_from_slice(&tmp);
+        self.segments[b.segment as usize]
+            .get_mut(b.addr + leaf.offset, tmp.len() as u64)
+            .copy_from_slice(&tmp);
         Ok(())
     }
 
@@ -766,8 +867,8 @@ impl AddressSpace {
     // once per contiguous run, which is what compiled C enjoys. The run
     // must be a contiguous span of `double` leaves within one block.
 
-    /// Read `n` consecutive doubles starting at `addr` into `out`.
-    pub fn read_f64_run(&mut self, addr: u64, n: u64, out: &mut Vec<f64>) -> Result<(), MemError> {
+    /// Check that `addr` is a `double` leaf, the start of an f64 run.
+    fn f64_run_at(&mut self, addr: u64) -> Result<(), MemError> {
         let (_, leaf) = self.leaf_at_addr(addr)?;
         if leaf.kind != hpm_arch::CScalar::Double {
             return Err(MemError::Type(format!(
@@ -775,8 +876,14 @@ impl AddressSpace {
                 leaf.kind
             )));
         }
-        let bytes = self.read_bytes(addr, n * 8)?;
+        Ok(())
+    }
+
+    /// Read `n` consecutive doubles starting at `addr` into `out`.
+    pub fn read_f64_run(&mut self, addr: u64, n: u64, out: &mut Vec<f64>) -> Result<(), MemError> {
+        self.f64_run_at(addr)?;
         let big = self.arch.endianness == hpm_arch::Endianness::Big;
+        let bytes = self.read_bytes(addr, n * 8)?;
         out.reserve(n as usize);
         for chunk in bytes.chunks_exact(8) {
             let raw: [u8; 8] = chunk.try_into().unwrap();
@@ -792,29 +899,16 @@ impl AddressSpace {
 
     /// Write consecutive doubles starting at `addr`.
     pub fn write_f64_run(&mut self, addr: u64, vals: &[f64]) -> Result<(), MemError> {
-        let (_, leaf) = self.leaf_at_addr(addr)?;
-        if leaf.kind != hpm_arch::CScalar::Double {
-            return Err(MemError::Type(format!(
-                "f64 run over {:?} leaves",
-                leaf.kind
-            )));
-        }
+        self.f64_run_at(addr)?;
         let big = self.arch.endianness == hpm_arch::Endianness::Big;
-        let r = self.resolve(addr).ok_or(MemError::BadAddress(addr))?;
-        let b = self.block_mut(r.idx);
-        let start = r.offset as usize;
-        let end = start + vals.len() * 8;
-        if end > b.bytes.len() {
-            return Err(MemError::BadAddress(addr + vals.len() as u64 * 8 - 1));
-        }
-        for (i, v) in vals.iter().enumerate() {
+        let bytes = self.bytes_mut(addr, vals.len() as u64 * 8)?;
+        for (out, v) in bytes.chunks_exact_mut(8).zip(vals) {
             let bits = v.to_bits();
-            let raw = if big {
+            out.copy_from_slice(&if big {
                 bits.to_be_bytes()
             } else {
                 bits.to_le_bytes()
-            };
-            b.bytes[start + i * 8..start + i * 8 + 8].copy_from_slice(&raw);
+            });
         }
         Ok(())
     }
@@ -853,9 +947,9 @@ mod tests {
         let int = s.types_mut().int();
         let a = s.define_global("x", int, 1).unwrap();
         assert!(s.arch().segments.global.contains(a));
-        let b = s.block_at(a).unwrap();
-        assert_eq!(b.segment, SegmentKind::Global);
-        assert_eq!(b.name.as_deref(), Some("x"));
+        assert_eq!(s.block_at(a).unwrap().segment, SegmentKind::Global);
+        let info = s.info_at(a).unwrap();
+        assert_eq!((info.name.as_deref(), info.frame), (Some("x"), None));
     }
 
     #[test]
@@ -1064,6 +1158,28 @@ mod tests {
             s.malloc(d, 8),
             Err(MemError::OutOfMemory(SegmentKind::Heap))
         ));
+    }
+
+    #[test]
+    fn a_reserved_heap_holds_its_blocks_in_place() {
+        let mut s = space();
+        let d = s.types_mut().double();
+        s.reserve_heap_bytes(1 << 16);
+        let first = s.malloc_slot(d, 1).unwrap();
+        let at = s.slot_bytes(first).unwrap().as_ptr();
+        for _ in 0..100 {
+            s.malloc(d, 80).unwrap();
+        }
+        assert_eq!(s.slot_bytes(first).unwrap().as_ptr(), at, "the heap moved");
+
+        // At most the segment, whatever is asked.
+        let mut arch = Architecture::sparc20();
+        arch.segments.heap.size = 64;
+        let mut s = AddressSpace::new(arch);
+        let d = s.types_mut().double();
+        s.reserve_heap_bytes(u64::MAX);
+        let a = s.malloc_slot(d, 8).unwrap();
+        assert_eq!(s.slot_bytes(a).unwrap(), &[0; 64]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! graphs.
 
 use hpm::arch::Architecture;
-use hpm::core::image::unframe_image;
+use hpm::core::image::{frame_image, unframe_image};
 use hpm::core::stream::VecChunks;
 use hpm::core::{ChunkPayload, ChunkSource, Collector, CoreError, Msrlt, Restorer};
 use hpm::memory::AddressSpace;
@@ -641,6 +641,34 @@ fn hostile_exec_state_words_are_refused_not_aborted() {
             }
             (other, _) => panic!("high water {high_water:#x}: expected a refusal, got {other:?}"),
         }
+    }
+}
+
+/// The header's `registered_bytes` only presizes the destination's heap,
+/// and it is the sender's word: an honest image whose header claims
+/// `u64::MAX` bytes restores as the honest one does, reserving no more
+/// than its payload can fill — not the destination's whole heap segment,
+/// which on an LP64 machine is past what the allocator grants.
+#[test]
+fn a_hostile_registered_bytes_reserves_what_the_payload_can_fill() {
+    let image = freeze_test_pointer().to_image().unwrap();
+    let (mut header, exec, payload) = unframe_image(&image).unwrap();
+    header.registered_bytes = u64::MAX;
+    let hostile = frame_image(&header, exec, payload);
+    for arch in [Architecture::sparc20(), Architecture::x86_64_sim()] {
+        let (honest, _) = largest_request_during(|| {
+            resume_from_image(&mut TestPointer::new(), arch.clone(), &image).map(|r| r.0)
+        });
+        let (claimed, largest) = largest_request_during(|| {
+            resume_from_image(&mut TestPointer::new(), arch.clone(), &hostile).map(|r| r.0)
+        });
+        assert_eq!(claimed.unwrap(), honest.unwrap(), "{}", arch.name);
+        assert!(
+            largest <= allocation_bound(hostile.len()),
+            "{}: one request of {largest} bytes for a {}-byte image",
+            arch.name,
+            hostile.len()
+        );
     }
 }
 
