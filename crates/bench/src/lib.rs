@@ -33,8 +33,7 @@ use hpm_arch::Architecture;
 use hpm_core::Collector;
 use hpm_migrate::{
     migrate, resume_from_image, run_migrating, run_straight, run_to_migration, MigratableProgram,
-    MigratedSource, Migration, MigrationRun, PendingFrame, PipelineConfig, RecoveryPolicy,
-    Transport, Trigger,
+    MigratedSource, Migration, MigrationRun, PendingFrame, PipelineConfig, Transport, Trigger,
 };
 use hpm_net::{FaultPlan, NetworkModel};
 use hpm_obs::{EventLog, Level};
@@ -457,7 +456,6 @@ pub fn pipeline_rows() -> Vec<PipelineRow> {
             &Migration::new(Transport::Reliable(
                 PipelineConfig::default(),
                 FaultPlan::none(),
-                RecoveryPolicy::default(),
             )),
         )
         .expect("pipelined bitonic migrates");

@@ -13,9 +13,10 @@
 //! * `HPM030`–`HPM035` — runtime-registry findings from auditing a live
 //!   MSRLT snapshot before collection;
 //! * `HPM040`–`HPM049` — model-checker findings from `hpm-model`'s
-//!   exhaustive exploration of the production ARQ cores (each carries a
-//!   replayable counterexample trace): `HPM040`–`HPM044`, `HPM047` and
-//!   `HPM048` are assigned; `HPM045`/`HPM046` are retired, never reused.
+//!   exhaustive exploration of the production chunk-stream cores (each
+//!   carries a replayable counterexample trace): `HPM040`, `HPM042`–`HPM044`,
+//!   `HPM047` and `HPM048` are assigned; `HPM041` (the retired
+//!   send-window bound), `HPM045` and `HPM046` are retired, never reused.
 
 use hpm_annotate::ast::Span;
 
@@ -84,9 +85,6 @@ pub enum LintCode {
     /// The protocol model reached a state with no enabled event before
     /// completion: sender and receiver wait on each other forever.
     ModelDeadlock,
-    /// A schedule drove the ARQ sender's replay window beyond the
-    /// configured bound.
-    ModelWindowOverflow,
     /// A schedule released the same chunk to the restorer twice within
     /// one restore attempt.
     ModelDoubleRelease,
@@ -134,7 +132,6 @@ impl LintCode {
             LintCode::RegistrySizeMismatch => "HPM034",
             LintCode::RegistryByteAccounting => "HPM035",
             LintCode::ModelDeadlock => "HPM040",
-            LintCode::ModelWindowOverflow => "HPM041",
             LintCode::ModelDoubleRelease => "HPM042",
             LintCode::ModelResumeReplay => "HPM043",
             LintCode::ModelRestartMissed => "HPM044",
@@ -164,7 +161,6 @@ impl LintCode {
             | LintCode::RegistrySizeMismatch
             | LintCode::RegistryByteAccounting
             | LintCode::ModelDeadlock
-            | LintCode::ModelWindowOverflow
             | LintCode::ModelDoubleRelease
             | LintCode::ModelResumeReplay
             | LintCode::ModelRestartMissed
@@ -186,7 +182,7 @@ impl LintCode {
     }
 
     /// Every code, in code order.
-    pub const ALL: [LintCode; 30] = [
+    pub const ALL: [LintCode; 29] = [
         LintCode::Union,
         LintCode::Goto,
         LintCode::Switch,
@@ -211,7 +207,6 @@ impl LintCode {
         LintCode::RegistrySizeMismatch,
         LintCode::RegistryByteAccounting,
         LintCode::ModelDeadlock,
-        LintCode::ModelWindowOverflow,
         LintCode::ModelDoubleRelease,
         LintCode::ModelResumeReplay,
         LintCode::ModelRestartMissed,

@@ -11,7 +11,7 @@
 //! | [`Transport`] | single shot | a pre-copy round's frame |
 //! |---|---|---|
 //! | `Whole` | image collected into one buffer, one message, resume from the buffer | one message |
-//! | `Reliable` | collector → wire thread → streaming resume, overlapped, every chunk CRC- and ack-protected, with the ladder: ARQ retries → resume from the destination's journal → resume on the source | cut into chunks through the same wire thread |
+//! | `Reliable` | collector → wire thread → streaming resume, overlapped, every chunk CRC-checked, with the ladder: one connection → resume from the destination's journal on a fresh one → resume on the source | cut into chunks through the same wire thread, redialled once |
 
 use crate::ctx::{collect_onto, collect_pending_streamed, MigratableProgram};
 use crate::driver::{resume, run_to_migration, CompletedRun, MigratedSource};
@@ -21,15 +21,15 @@ use crate::report::{
     Collected, MigrationReport, MigrationRun, PipelineStats, RecoveryStats, ResumeStats, Rung2Skip,
     TransportStats,
 };
-use crate::wire::{attempt, lock_journal, ship_frame, Attempt, Carried, Lane, NetChunkSource};
+use crate::wire::{attempt, lock_journal, ship_frame, Attempt, Carried, Lane};
 use crate::MigError;
 use hpm_arch::Architecture;
 use hpm_core::{ChunkSource, CollectStats, RegistryAuditStats, ReplaySource};
-use hpm_net::{ArqConfig, FaultPlan, NetworkModel, TransferSnapshot, WireCodec};
+use hpm_net::{FaultPlan, NetworkModel, TransferSnapshot, WireCodec};
 use hpm_obs::{EventLog, Level, Track};
 use hpm_xdr::{image_id, ChunkRecord, RestoreJournal};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Tunables of a chunk-streamed transport.
 #[derive(Debug, Clone, Copy)]
@@ -67,27 +67,12 @@ impl PipelineConfig {
     }
 }
 
-/// The ARQ budget of [`Transport::Reliable`]: how hard rung 1 of the
-/// degradation ladder tries before a stream is declared dead. The rest of
-/// the ladder has no settings — a dead stream always resumes from the
-/// destination's journal when it can (rung 2) and on the source when it
-/// cannot (rung 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// Retransmissions allowed per chunk before the stream is declared dead.
-    pub max_retries: u32,
-    /// First retransmission backoff; doubles per silent round.
-    pub backoff: Duration,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            max_retries: 8,
-            backoff: Duration::from_millis(4),
-        }
-    }
-}
+/// The former retry budget of rung 1. Rung 1 is one connection that
+/// ends on the first bad frame, so there is nothing to tune: the ladder
+/// has no settings. [`run_migrating_resilient`] still takes one so the
+/// benchmark's call keeps compiling.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RecoveryPolicy;
 
 /// How the bytes of a migration cross the link.
 #[derive(Debug, Clone, Copy)]
@@ -102,13 +87,12 @@ pub enum Transport {
     /// destination restores frame *k* while chunk *k+1* is in flight. The
     /// image prefix travels as chunk 0, before any payload exists, so the
     /// destination re-enters the call chain while the source still
-    /// collects. Chunks carry CRC-32, an ack/nack protocol retransmits
-    /// damaged or dropped frames under the [`RecoveryPolicy`], and a
-    /// stream that cannot be repaired goes down the degradation ladder.
-    /// The [`FaultPlan`] drives the deterministic fault injector;
-    /// [`FaultPlan::none`] is a clean (but still CRC- and ack-protected)
-    /// run.
-    Reliable(PipelineConfig, FaultPlan, RecoveryPolicy),
+    /// collects. Each chunk travels once over an ordered pipe that can
+    /// break, under a CRC-32; the first frame the destination cannot take
+    /// ends the connection, and the stream goes down the degradation
+    /// ladder. The [`FaultPlan`] drives the deterministic fault injector;
+    /// [`FaultPlan::none`] is a clean (but still CRC-checked) run.
+    Reliable(PipelineConfig, FaultPlan),
 }
 
 /// The policy of one migration: everything [`migrate`] is told beyond
@@ -213,7 +197,8 @@ pub fn run_migrating<P: MigratableProgram + Send>(
     )
 }
 
-/// [`migrate`] over [`Transport::Reliable`].
+/// [`migrate`] over [`Transport::Reliable`]. The [`RecoveryPolicy`]
+/// carries nothing.
 #[allow(clippy::too_many_arguments)]
 pub fn run_migrating_resilient<P: MigratableProgram + Send>(
     make: impl Fn() -> P,
@@ -223,9 +208,9 @@ pub fn run_migrating_resilient<P: MigratableProgram + Send>(
     trigger: Trigger,
     config: PipelineConfig,
     plan: FaultPlan,
-    policy: RecoveryPolicy,
+    _policy: RecoveryPolicy,
 ) -> Result<MigrationRun, MigError> {
-    let policy = Migration::new(Transport::Reliable(config, plan, policy));
+    let policy = Migration::new(Transport::Reliable(config, plan));
     migrate(make, src_arch, dst_arch, link, trigger, &policy)
 }
 
@@ -289,9 +274,7 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
                     transport: TransportStats::Whole,
                 }
             }
-            Transport::Reliable(config, plan, policy) => {
-                self.stream(&mut src, &prefix, config, plan, policy)?
-            }
+            Transport::Reliable(config, plan) => self.stream(&mut src, &prefix, config, plan)?,
         };
         let report = MigrationReport::new(
             &src.proc,
@@ -360,7 +343,6 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
         &self,
         config: PipelineConfig,
         plan: FaultPlan,
-        policy: RecoveryPolicy,
         journal: Option<Arc<Mutex<RestoreJournal>>>,
         resume: Option<(u64, Vec<ChunkRecord>)>,
     ) -> Lane {
@@ -372,11 +354,6 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
         };
         Lane {
             config,
-            arq: ArqConfig {
-                window: 32,
-                max_retries: policy.max_retries,
-                base_backoff: policy.backoff,
-            },
             plan: if resuming { plan.resume_plan() } else { plan },
             tx_track: self.log.track(tx),
             rx_track: self.log.track(rx),
@@ -391,9 +368,7 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
     pub(crate) fn frame_lane(&self) -> Option<Lane> {
         match self.policy.transport {
             Transport::Whole => None,
-            Transport::Reliable(config, plan, policy) => {
-                Some(self.lane(config, plan, policy, None, None))
-            }
+            Transport::Reliable(config, plan) => Some(self.lane(config, plan, None, None)),
         }
     }
 
@@ -446,14 +421,14 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
                     Box::new(sink),
                 )
             },
-            move |mut rx, mut replay| {
+            move |rx, mut replay| {
                 let first = match replay.is_empty() {
                     false => replay.remove(0),
                     true => rx
-                        .recv_chunk()?
+                        .recv()?
                         .ok_or_else(|| MigError::Protocol("empty migration stream".into()))?,
                 };
-                let live = Box::new(NetChunkSource(rx));
+                let live = Box::new(rx);
                 let more: Box<dyn ChunkSource + Send> = match replay.is_empty() {
                     true => live,
                     false => Box::new(ReplaySource::new(replay, live)),
@@ -472,23 +447,23 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
     }
 
     /// The streamed leg of a stop-and-copy migration: the degradation
-    /// ladder, one rung after another. Rung 1 is a fresh stream healed by
-    /// ARQ retries alone; when it dies, rung 2 resumes it from the
-    /// destination's chunk journal; when that cannot complete either,
-    /// rung 3 resumes on the source.
+    /// ladder, one rung after another. Rung 1 is one connection, which
+    /// ends on the first frame the destination cannot take; when it dies,
+    /// rung 2 resumes the stream from the destination's chunk journal on a
+    /// fresh connection; when that cannot complete either, rung 3 resumes
+    /// on the source.
     fn stream(
         &self,
         src: &mut MigratedSource,
         prefix: &[u8],
         config: PipelineConfig,
         plan: FaultPlan,
-        policy: RecoveryPolicy,
     ) -> Result<Delivered, MigError> {
         // Rung 1: a fresh stream, journaled on the destination.
         let t_start = Instant::now();
         let id = image_id(prefix);
         let journal = Arc::new(Mutex::new(RestoreJournal::new(id)));
-        let lane = self.lane(config, plan, policy, Some(Arc::clone(&journal)), None);
+        let lane = self.lane(config, plan, Some(Arc::clone(&journal)), None);
         let mut first = self.stream_attempt(src, prefix, lane)?;
         let mut recovery = first.recovery;
         let mut ladder = ResumeStats {
@@ -521,7 +496,7 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
             .event("resume.attempt", &[("next_chunk", replayed as u64)]);
         let ledger = std::mem::take(&mut first.wire.records);
         let resumed = Some(Arc::new(Mutex::new(resumed)));
-        let lane = self.lane(config, plan, policy, resumed, Some((id, ledger)));
+        let lane = self.lane(config, plan, resumed, Some((id, ledger)));
         let mut out = self.stream_attempt(src, prefix, lane)?;
         recovery += out.recovery;
         if let Some(resume_err) = &out.error {
@@ -681,6 +656,7 @@ mod tests {
     use crate::driver::{resume_from_image, run_straight};
     use crate::testprog::{Summer, PP_LOOP};
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
 
     fn quick_cfg() -> PipelineConfig {
         PipelineConfig {
@@ -688,13 +664,6 @@ mod tests {
             pace: false,
             pace_scale: 0.0,
             codec: WireCodec::default(),
-        }
-    }
-
-    fn quick_policy() -> RecoveryPolicy {
-        RecoveryPolicy {
-            max_retries: 6,
-            backoff: Duration::from_millis(1),
         }
     }
 
@@ -711,8 +680,8 @@ mod tests {
         )
     }
 
-    fn reliable(plan: FaultPlan, policy: RecoveryPolicy) -> Result<MigrationRun, MigError> {
-        summer_500(Transport::Reliable(quick_cfg(), plan, policy))
+    fn reliable(plan: FaultPlan) -> Result<MigrationRun, MigError> {
+        summer_500(Transport::Reliable(quick_cfg(), plan))
     }
 
     #[test]
@@ -829,17 +798,13 @@ mod tests {
 
     #[test]
     fn external_request_from_a_second_thread_migrates_streamed() {
-        externally_requested(Transport::Reliable(
-            quick_cfg(),
-            FaultPlan::none(),
-            RecoveryPolicy::default(),
-        ));
+        externally_requested(Transport::Reliable(quick_cfg(), FaultPlan::none()));
     }
 
     #[test]
     fn clean_reliable_summer_matches_whole_with_no_recovery_traffic() {
         let whole = summer_500(Transport::Whole).unwrap();
-        let run = reliable(FaultPlan::none(), RecoveryPolicy::default()).unwrap();
+        let run = reliable(FaultPlan::none()).unwrap();
         assert_eq!(run.results[0].1, Summer::expected(500));
         assert_eq!(run.results, whole.results);
         assert_eq!(run.report.image_bytes, whole.report.image_bytes);
@@ -853,34 +818,27 @@ mod tests {
             "framing overhead must be accounted"
         );
         let r = run.report.recovery().expect("reliable carries stats");
-        assert_eq!(r.retransmits, 0);
-        assert_eq!(r.corrupt_caught, 0);
-        assert_eq!(r.faults_injected, 0);
-        assert!(r.acks_sent > 0, "receiver must have acknowledged");
+        assert_eq!(*r, RecoveryStats::default());
         assert_eq!(run.report.resume().unwrap().rung, 1);
+        // One message per frame: nothing flows back on a clean stream.
+        assert_eq!(run.report.transfer.messages_sent, p.chunks);
     }
 
+    /// A frame damaged in the pipe ends rung 1 at that frame; rung 2
+    /// resumes from the journal of the frames before it.
     #[test]
-    fn resilient_heals_a_faulty_link() {
+    fn resilient_resumes_past_a_corrupt_frame() {
         let plan = FaultPlan {
             seed: 0xFA_57_11,
-            drop_per_mille: 150,
-            corrupt_per_mille: 150,
-            duplicate_per_mille: 150,
-            reorder_per_mille: 100,
-            delay_per_mille: 100,
-            disconnect_at: None,
+            corrupt_at: Some(1),
             ..FaultPlan::none()
         };
-        let run = reliable(plan, quick_policy()).unwrap();
+        let run = reliable(plan).unwrap();
         assert_eq!(run.results[0].1, Summer::expected(500));
         let r = run.report.recovery().unwrap();
-        assert_eq!(
-            run.report.resume().unwrap().rung,
-            1,
-            "a lossy-but-alive link must heal"
-        );
-        assert!(r.faults_injected > 0, "plan injected nothing: {r:?}");
+        assert_eq!(r.faults_injected, 1, "{r:?}");
+        let resume = run.report.resume().unwrap();
+        assert_eq!((resume.rung, resume.journal_chunks), (2, 1), "{resume:?}");
     }
 
     #[test]
@@ -892,11 +850,11 @@ mod tests {
             disconnect_at: Some(0),
             ..FaultPlan::none()
         };
-        let run = reliable(plan, quick_policy()).unwrap();
+        let run = reliable(plan).unwrap();
         // The answer is still right — computed on the source.
         assert_eq!(run.results[0].1, Summer::expected(500));
         let r = run.report.recovery().unwrap();
-        assert!(r.retransmits > 0, "the sender must have tried: {r:?}");
+        assert_eq!(r.faults_injected, 1, "the pipe broke: {r:?}");
         assert!(run.report.pipeline().is_none(), "no pipeline stats survive");
         let resume = run.report.resume().unwrap();
         assert_eq!(resume.rung, 3);
@@ -914,7 +872,7 @@ mod tests {
             disconnect_at: Some(2), // the prefix and one payload chunk land
             ..FaultPlan::none()
         };
-        let run = reliable(plan, quick_policy()).unwrap();
+        let run = reliable(plan).unwrap();
         // The answer is right — and it was computed on the destination,
         // resumed from the journal instead of falling back.
         assert_eq!(run.results[0].1, Summer::expected(500));
@@ -932,7 +890,7 @@ mod tests {
 
     #[test]
     fn resilient_recovery_stats_are_reproducible() {
-        let go = || reliable(FaultPlan::from_seed(0x1CEB00DA), quick_policy()).unwrap();
+        let go = || reliable(FaultPlan::from_seed(0x1CEB00DA)).unwrap();
         let first = go();
         assert_eq!(first.results[0].1, Summer::expected(500));
         for _ in 0..2 {
@@ -953,7 +911,7 @@ mod tests {
             chunk_bytes: 128,
             ..quick_cfg()
         };
-        let transport = Transport::Reliable(cfg, FaultPlan::none(), quick_policy());
+        let transport = Transport::Reliable(cfg, FaultPlan::none());
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let r = migrate(

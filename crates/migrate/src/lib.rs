@@ -21,14 +21,15 @@
 //! * [`MigratableProgram`] — the shape of a transformed program;
 //! * [`migrate`] — the one migration engine ([`engine`]): it takes a
 //!   [`Migration`] policy (a [`Transport`] — one whole message, or the
-//!   acknowledged chunk stream — optional pre-copy rounds, an event log) and produces a [`MigrationReport`] with the paper's
+//!   CRC-checked chunk stream over a pipe that can break — optional
+//!   pre-copy rounds, an event log) and produces a [`MigrationReport`] with the paper's
 //!   Collect / Tx / Restore split. [`run_migrating`] and
 //!   [`run_migrating_resilient`] are its two named policies;
 //! * [`driver`] — the two ends as building blocks: freeze a source
 //!   ([`run_to_migration`], [`MigratedSource`]) and resume a destination
 //!   from an image ([`resume_from_image`], [`resume_to_migration`]);
 //! * `wire` (private) — the single transfer attempt every path ships
-//!   through (one ARQ sender, one ARQ receiver), the only place threads
+//!   through (one chunk sender, one chunk receiver), the only place threads
 //!   are spawned; [`precopy`] — the
 //!   pre-copy rounds as a loop around it; [`report`] — what a migration
 //!   measured.

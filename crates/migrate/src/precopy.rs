@@ -24,9 +24,9 @@
 //! The rounds are a loop around the same whole-frame transfer attempt
 //! (`wire::ship_frame`) every other migration uses, so each
 //! frame crosses as the policy's [`Transport`](crate::Transport) says:
-//! one message, a chunk stream, or a chunk stream under ARQ over a faulty
-//! link (which must stay alive across every round — a frame that cannot
-//! be delivered fails the migration).
+//! one message, or a chunk stream over a pipe that can break, redialled
+//! once when it does (a frame that cannot be delivered on the second
+//! connection either fails the migration).
 
 use std::time::{Duration, Instant};
 

@@ -8,7 +8,7 @@ use crate::driver::CompletedRun;
 use crate::precopy::PrecopyStats;
 use crate::process::Process;
 use hpm_core::{CollectStats, MsrltStats, RegistryAuditStats, RestoreStats};
-use hpm_net::{ArqReceiverSnapshot, ArqSenderStats, FaultStats, TransferSnapshot};
+use hpm_net::{ArqReceiverSnapshot, FaultStats, TransferSnapshot};
 use hpm_obs::{EventLog, Level, LogDump};
 use std::time::Duration;
 
@@ -63,7 +63,7 @@ pub struct MigrationReport {
 pub enum TransportStats {
     /// One buffer over the channel: `transfer` says it all.
     Whole,
-    /// A chunk stream under ARQ with the degradation ladder behind it.
+    /// A chunk stream with the degradation ladder behind it.
     Reliable {
         /// Overlap measurements of the streamed destination; `None` when
         /// pre-copy rounds shipped whole frames instead, or when the run
@@ -262,8 +262,9 @@ impl std::fmt::Display for Rung2Skip {
 /// struct bit for bit (the crash soak asserts this).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResumeStats {
-    /// Ladder rung that completed the migration: 1 = ARQ retries alone,
-    /// 2 = resume-from-journal, 3 = resume on the source.
+    /// Ladder rung that completed the migration: 1 = the first
+    /// connection, 2 = resume-from-journal on a fresh one, 3 = resume on
+    /// the source.
     pub rung: u8,
     /// CRC-verified chunks the destination journal held at the crash.
     pub journal_chunks: u64,
@@ -307,60 +308,25 @@ impl ResumeStats {
     }
 }
 
-/// What the recovery machinery did during one reliable migration.
+/// What the pipe faults did during one reliable migration.
 ///
 /// Every field is a deterministic function of the fault plan and the
 /// chunk stream — no wall-clock quantity lives here — so rerunning a
 /// seed reproduces the struct exactly (the soak sweep asserts this).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Chunk retransmissions (NACK- plus timeout-triggered).
-    pub retransmits: u64,
-    /// Silent rounds that triggered a timeout retransmission.
-    pub timeouts: u64,
-    /// Frames whose payload failed its CRC-32 on arrival.
+    /// Frames whose CRC failed on arrival (each ended its connection).
     pub corrupt_caught: u64,
-    /// Extra valid copies the destination absorbed silently.
-    pub dups_absorbed: u64,
-    /// Frames the destination accepted out of order and re-sequenced.
-    pub reorders_absorbed: u64,
-    /// Cumulative ACK frames the destination sent.
-    pub acks_sent: u64,
-    /// NACK frames the destination sent.
-    pub nacks_sent: u64,
     /// Fault events the injector reports (soak bookkeeping).
     pub faults_injected: u64,
-    /// Modeled time charged to retransmission backoff.
-    pub modeled_backoff_nanos: u64,
-    /// Modeled time charged to injected link delays.
-    pub modeled_delay_nanos: u64,
 }
 
 impl RecoveryStats {
-    /// Modeled recovery overhead vs a clean run: backoff plus injected
-    /// delay. Wire-byte overhead (retransmits, acks) is visible in the
-    /// transfer accounting instead.
-    pub fn recovery_overhead(&self) -> Duration {
-        Duration::from_nanos(self.modeled_backoff_nanos + self.modeled_delay_nanos)
-    }
-
-    /// One attempt's share, from the three components that counted it.
-    pub(crate) fn from_parts(
-        sender: ArqSenderStats,
-        receiver: ArqReceiverSnapshot,
-        faults: FaultStats,
-    ) -> Self {
+    /// One attempt's share, from the two components that counted it.
+    pub(crate) fn from_parts(receiver: ArqReceiverSnapshot, faults: FaultStats) -> Self {
         RecoveryStats {
-            retransmits: sender.retransmits,
-            timeouts: sender.timeouts,
             corrupt_caught: receiver.corrupt_caught,
-            dups_absorbed: receiver.dups_absorbed,
-            reorders_absorbed: receiver.reorders_absorbed,
-            acks_sent: receiver.acks_sent,
-            nacks_sent: receiver.nacks_sent,
             faults_injected: faults.faults_injected(),
-            modeled_backoff_nanos: sender.modeled_backoff_nanos,
-            modeled_delay_nanos: faults.modeled_delay_nanos,
         }
     }
 }
@@ -368,16 +334,8 @@ impl RecoveryStats {
 /// Accumulate another attempt's share.
 impl std::ops::AddAssign for RecoveryStats {
     fn add_assign(&mut self, other: Self) {
-        self.retransmits += other.retransmits;
-        self.timeouts += other.timeouts;
         self.corrupt_caught += other.corrupt_caught;
-        self.dups_absorbed += other.dups_absorbed;
-        self.reorders_absorbed += other.reorders_absorbed;
-        self.acks_sent += other.acks_sent;
-        self.nacks_sent += other.nacks_sent;
         self.faults_injected += other.faults_injected;
-        self.modeled_backoff_nanos += other.modeled_backoff_nanos;
-        self.modeled_delay_nanos += other.modeled_delay_nanos;
     }
 }
 

@@ -1,23 +1,23 @@
 //! # hpm-model — exhaustive protocol model checking
 //!
-//! The wire protocol — the ARQ sender/receiver plus the resume
-//! handshake — must be correct under *every* sequence of link faults,
-//! not just the seeded schedules the fault injector happens to draw.
-//! Seeded testing can only sample that space; [`proto`] exhausts it by
-//! BFS with state dedup over the product of the *production* protocol
-//! cores (`hpm_net::{SenderCore, ReceiverCore}`, the code the threaded
-//! endpoints run) and the real frame bytes in flight, under the full
-//! [`hpm_net::FaultAction`] alphabet.
+//! The wire protocol — the chunk stream's sender and receiver plus the
+//! resume handshake — must be correct under *every* sequence of pipe
+//! faults and destination deaths, not just the seeded schedules the
+//! fault injector happens to draw. Seeded testing can only sample that
+//! space; [`proto`] exhausts it by BFS with state dedup over the product
+//! of the *production* protocol cores (`hpm_net::{SenderCore,
+//! ReceiverCore}`, the code the threaded endpoints run) and the real
+//! frame bytes in an ordered pipe that can deliver, damage or break.
 //!
-//! Findings map to the stable `HPM040`–`HPM044`, `HPM047` and `HPM048`
-//! diagnostics in [`hpm_lint`], and counterexamples serialize to
+//! Findings map to the stable `HPM040`, `HPM042`–`HPM044`, `HPM047` and
+//! `HPM048` diagnostics in [`hpm_lint`], and counterexamples serialize to
 //! replayable JSONL ([`trace`]); `hpm-model --replay <file>` re-executes
 //! a witness. The suite runs in CI (the `hpm-model` binary and
 //! `tests/model_gate.rs`), which fails on any violation and on any
 //! exhausted search budget, and one deliberately broken
-//! scenario — the production receiver wrapped so it re-releases a
-//! duplicate — must be caught every run, proving the checker can still
-//! see that bug class.
+//! scenario — the production receiver wrapped so it never checks a
+//! frame's CRC — must be caught every run, proving the checker can still
+//! see a damaged frame reach the restorer.
 
 pub mod proto;
 pub mod trace;
@@ -71,11 +71,11 @@ impl ModelCheckReport {
 }
 
 /// The scenarios [`run_all`] explores and [`replay_trace`] can
-/// replay: the three that must hold, then the seeded double release the
-/// checker must catch as HPM042 (the suite's detection-power row).
+/// replay: the three that must hold, then the seeded skipped CRC the
+/// checker must catch as HPM048 (the suite's detection-power row).
 fn suite() -> Vec<ProtoScenario> {
     let mut scenarios = ProtoScenario::all();
-    scenarios.push(ProtoScenario::seeded_double_release());
+    scenarios.push(ProtoScenario::seeded_skipped_crc());
     scenarios
 }
 
@@ -92,15 +92,15 @@ pub fn run_all() -> Vec<ModelCheckReport> {
                 states: outcome.states,
                 interleavings: outcome.transitions,
                 reductions: outcome.deduped,
-                expected_catch: sc.release_dups,
+                expected_catch: sc.skip_crc,
                 caught: false,
                 findings: Vec::new(),
                 budget_exhausted: outcome.budget_exhausted,
                 trace_jsonl: None,
                 detail: String::new(),
             };
-            match (&outcome.violation, sc.release_dups) {
-                (Some(v), true) if v.code == LintCode::ModelDoubleRelease => {
+            match (&outcome.violation, sc.skip_crc) {
+                (Some(v), true) if v.code == LintCode::ModelWrongDelivery => {
                     report.trace_jsonl = Some(proto_trace_to_jsonl(sc.name, v));
                     report.caught = true;
                     report.detail = format!(
@@ -118,7 +118,7 @@ pub fn run_all() -> Vec<ModelCheckReport> {
                 }
                 (None, true) => {
                     report.findings.push((
-                        LintCode::ModelDoubleRelease,
+                        LintCode::ModelWrongDelivery,
                         format!(
                             "seeded bug NOT caught in {} transitions — the checker has \
                              lost the ability to see this bug class",

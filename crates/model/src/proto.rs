@@ -1,66 +1,50 @@
-//! Exhaustive exploration of the production ARQ — `hpm_net`'s
-//! [`SenderCore`] and [`ReceiverCore`] plus the resume handshake — under
-//! the full fault alphabet. The state is the two cores, the in-flight
-//! data frames as real bytes (a sorted multiset, so every delivery order
-//! is explored), the reliable FIFO control path, the intact-deliveries
-//! ledger, and the destination's [`RestoreJournal`]. Every protocol
-//! decision is a call into the cores; the model only decides what the
-//! link and the destination process do:
+//! Exhaustive exploration of the chunk stream's protocol — `hpm_net`'s
+//! [`SenderCore`] and [`ReceiverCore`] plus the resume handshake — over
+//! an ordered pipe that can break. The state is the two cores, the frames
+//! in the pipe as real bytes (in order: the pipe never reorders), whether
+//! the pipe broke or the connection ended, and the destination's
+//! [`RestoreJournal`]. Every protocol decision is a call into the cores;
+//! the model only decides what the pipe, the destination process and the
+//! degradation ladder do:
 //!
 //! * the sender offers distinct payloads (the terminator empty, as
-//!   `finish` sends it) while the core's ledger method says
-//!   [`Wait::Ready`], feeds it one control frame on [`Wait::Control`], and
-//!   a timeout on [`Wait::Timeout`];
-//! * every frame the core sends branches over [`FaultAction::ALL`].
-//!   `Corrupt` damages the real frame at five sites — the low bit of
+//!   `finish` sends it) whenever the pipe is whole; each frame it sends is
+//!   delivered, delivered damaged at one of five sites — the low bit of
 //!   `seq`, of `flags` and of `raw_len`, one payload byte, and the CRC
-//!   word — and the receiver core decides what each damage means.
-//!   `Reorder` and `Delay` act like `Deliver`: the in-flight multiset
-//!   already delivers in every order. Damage to the magic or the opaque
+//!   word — or breaks the pipe instead. Damage to the magic or the opaque
 //!   length is left out: such a frame does not parse and is refused by
 //!   name, by design;
-//! * a destination crash fires where the threaded receiver's does, just
-//!   before it consumes chunk *k*; the resume event runs the receiver
-//!   core's resuming start, the real journal digest (tampered in
-//!   `arq_resume_tampered`) and the sender core's resume check.
+//! * the destination reads the pipe in order; on a broken pipe it reads
+//!   what is queued, then the end. In the crash scenarios it may die just
+//!   before consuming any chunk of the first connection, where the
+//!   threaded receiver's injected crash fires;
+//! * an ended first connection goes down the ladder as the engine's does:
+//!   an empty journal falls back to the source, otherwise a fresh
+//!   connection runs the receiver core's resuming start on the real
+//!   journal (tampered in `pipe_resume_tampered`) and the sender core's
+//!   resume check. A refused handshake, or a resumed connection that ends
+//!   too, falls back to the source — a legal terminal, like success.
 //!
 //! Invariants: no reachable deadlock, and success reachable (**HPM040**);
-//! the sender window never beyond `cfg.window`, and no frame seen at or
-//! beyond the receiver's `next + window` (**HPM041**); no chunk released
-//! twice in one attempt (**HPM042**); after a clean resume, no chunk below
-//! the resume start released from the wire (**HPM043**); a tampered
-//! journal always reaching a clean full restart that can complete
-//! (**HPM044**); every released chunk the payload the sender offered at
-//! its position, byte for byte, and the terminator exactly when that one
-//! was (**HPM048**) — the journal takes chunks only in order, so a
-//! completed stream released every offered chunk, and a frame the sender
-//! framed that the receiver refuses is the same breach. Retries
-//! exhausting is a *legal* terminal — the degradation ladder hands the
-//! stream back to the planner — never a deadlock.
+//! no chunk released twice in one attempt (**HPM042**); after a clean
+//! resume, no chunk below the resume start released from the wire
+//! (**HPM043**); a tampered journal never accepted (**HPM044**); every
+//! released chunk the payload the sender offered at its position, byte
+//! for byte, and the terminator exactly when that one was, and no frame
+//! the sender framed intact refused (**HPM048**). HPM041, the retired
+//! bound of a send window this protocol no longer has, is never reused.
 
 use std::collections::{HashSet, VecDeque};
-use std::time::Duration;
 
 use hpm_lint::LintCode;
-use hpm_net::{
-    ArqConfig, FaultAction, NetError, ReceiverAction, ReceiverCore, ResumeDecision, SenderAction,
-    SenderCore, Wait,
-};
-use hpm_xdr::{frame_control, ChunkRecord, RestoreJournal, RestorePhase};
+use hpm_net::{ReceiverCore, ResumeDecision, SenderCore};
+use hpm_xdr::{crc32, ChunkRecord, RestoreJournal, RestorePhase};
 
 /// The image both ends of every modelled stream carry.
 const IMAGE_ID: u64 = 0x4850_4D4D;
 
 /// Frames in every modelled stream, terminator included.
 const TOTAL: u32 = 4;
-
-/// Window 2 and 2 retries, in a real [`ArqConfig`]: small enough to
-/// exhaust.
-const CFG: ArqConfig = ArqConfig {
-    window: 2,
-    max_retries: 2,
-    base_backoff: Duration::from_millis(4),
-};
 
 /// What the sender offers at `seq`: a distinct byte per chunk, and the
 /// empty terminator.
@@ -72,124 +56,117 @@ fn payload(seq: u32) -> Vec<u8> {
     }
 }
 
-/// The explored product state: the production cores, the wire as bytes,
+/// The explored product state: the production cores, the pipe as bytes,
 /// and the destination's journal.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct World {
     tx: SenderCore,
     rx: ReceiverCore,
-    /// RetriesExhausted: the legal degradation terminal.
-    tx_failed: bool,
-    /// Where this stream attempt stands on the crash/resume ladder.
+    /// Which connection of the ladder this is.
     attempt: Attempt,
-    /// Data frame copies in flight, as bytes (sorted: a multiset).
-    data: Vec<Vec<u8>>,
-    /// Control frames on the reliable FIFO reverse path.
-    ctrl: VecDeque<Vec<u8>>,
-    /// Forward path severed: later data copies are black-holed.
-    link_dead: bool,
-    /// Intact copies put on the wire: what the sender's ledger reads.
-    intact: u64,
-    /// Every chunk the restorer was handed, in order. Complete once the
-    /// terminator is in: the destination has hung up.
+    /// Frames in the pipe, oldest first, each with whether it left the
+    /// sender intact.
+    pipe: VecDeque<(Vec<u8>, bool)>,
+    /// The pipe broke: the sender can put nothing more into it.
+    broken: bool,
+    /// The connection is over: the destination refused a frame, read the
+    /// end of a broken pipe, or died.
+    ended: bool,
+    /// The ladder resumed on the source (rung 3): a legal terminal.
+    fell_back: bool,
+    /// Every chunk the restorer was handed, in order.
     journal: RestoreJournal,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Attempt {
-    /// The first stream; the scenario's crash may still fire.
+    /// The first connection; the scenario's crash may still fire.
     First,
-    /// The destination died; only the resume handshake can follow.
-    Crashed,
     /// The handshake was accepted: chunks below `start` came from the
     /// journal, never from the wire.
     Resumed { start: u32 },
-    /// The handshake was rejected and the stream fully restarted.
-    Restarted,
 }
 
 impl World {
-    /// A fresh stream attempt.
+    /// A fresh first connection.
     fn new() -> Self {
         World {
-            tx: SenderCore::new(CFG),
-            rx: ReceiverCore::new(CFG),
-            tx_failed: false,
+            tx: SenderCore::default(),
+            rx: ReceiverCore::default(),
             attempt: Attempt::First,
-            data: Vec::new(),
-            ctrl: VecDeque::new(),
-            link_dead: false,
-            intact: 0,
+            pipe: VecDeque::new(),
+            broken: false,
+            ended: false,
+            fell_back: false,
             journal: RestoreJournal::new(IMAGE_ID),
         }
     }
 
-    /// The destination no longer reads the link.
-    fn rx_gone(&self) -> bool {
-        self.attempt == Attempt::Crashed || self.journal.is_complete()
+    fn success(&self) -> bool {
+        self.journal.is_complete()
     }
 
-    fn success(&self) -> bool {
-        !self.tx_failed
-            && self.tx.chunks_sent() == TOTAL
-            && self.tx.window_len() == 0
-            && self.journal.is_complete()
+    fn terminal(&self) -> bool {
+        self.success() || self.fell_back
     }
 }
 
-/// One protocol scenario: bounds plus the crash/tamper script.
+/// One protocol scenario: the crash/tamper script and the seeded bug.
 #[derive(Debug, Clone, Copy)]
 pub struct ProtoScenario {
     /// Stable scenario name.
     pub name: &'static str,
-    /// Kill the destination just before it consumes this chunk.
-    pub crash_at: Option<u32>,
+    /// The destination may die before consuming any chunk of the first
+    /// connection.
+    pub crash: bool,
     /// Tamper the journal between death and resume (digest mismatch).
     pub tamper: bool,
     /// The seeded bug that proves detection power (never part of
-    /// [`Self::all`]): the production receiver, wrapped so a copy below
-    /// `next` releases its chunk to the restorer a second time.
-    pub release_dups: bool,
+    /// [`Self::all`]): the production receiver, wrapped so it never
+    /// checks a frame's CRC — every frame reaches the core with its CRC
+    /// restamped over the bytes as they arrived.
+    pub skip_crc: bool,
 }
 
 impl ProtoScenario {
-    /// Fault-alphabet stream with no crash: the steady-state protocol.
+    /// Pipe faults alone: damage and breakage, and the ladder behind them.
     pub fn baseline() -> Self {
         ProtoScenario {
-            name: "arq_baseline",
-            crash_at: None,
+            name: "pipe_baseline",
+            crash: false,
             tamper: false,
-            release_dups: false,
+            skip_crc: false,
         }
     }
 
-    /// Destination dies at chunk 2, journal intact: the clean-resume rung.
+    /// Pipe faults, and the destination dying before any chunk of the
+    /// first connection with its journal intact: the clean-resume rung.
     pub fn resume() -> Self {
         ProtoScenario {
-            name: "arq_resume",
-            crash_at: Some(2),
+            name: "pipe_resume",
+            crash: true,
             ..Self::baseline()
         }
     }
 
-    /// Destination dies at chunk 2 and its journal is tampered: the
-    /// digest check must force a clean full restart.
+    /// As [`Self::resume`], with the journal tampered before the resume:
+    /// the digest check must refuse it.
     pub fn resume_tampered() -> Self {
         ProtoScenario {
-            name: "arq_resume_tampered",
+            name: "pipe_resume_tampered",
             tamper: true,
             ..Self::resume()
         }
     }
 
-    /// Seeded-bug variant of the baseline: the receiver re-releases a
-    /// duplicate, so a duplicated or retransmitted frame releases its
-    /// chunk twice. The checker must find HPM042: `run_all` runs this as
-    /// its expected-catch row; it is never part of [`Self::all`].
-    pub fn seeded_double_release() -> Self {
+    /// Seeded-bug variant of the baseline: the receiver skips the CRC
+    /// verdict, so a damaged frame reaches the restorer. The checker must
+    /// find HPM048: `run_all` runs this as its expected-catch row; it is
+    /// never part of [`Self::all`].
+    pub fn seeded_skipped_crc() -> Self {
         ProtoScenario {
-            name: "arq_seeded_double_release",
-            release_dups: true,
+            name: "pipe_seeded_skipped_crc",
+            skip_crc: true,
             ..Self::baseline()
         }
     }
@@ -203,7 +180,7 @@ impl ProtoScenario {
 /// An invariant breach, with the event path that reaches it.
 #[derive(Debug, Clone)]
 pub struct ProtoViolation {
-    /// Stable diagnostic code (HPM040–HPM044, HPM048).
+    /// Stable diagnostic code (HPM040, HPM042–HPM044, HPM048).
     pub code: LintCode,
     /// What broke.
     pub message: String,
@@ -224,8 +201,8 @@ pub struct ProtoOutcome {
     pub violation: Option<ProtoViolation>,
     /// A successful terminal state is reachable.
     pub success_reachable: bool,
-    /// A RetriesExhausted terminal is reachable (it should be — the
-    /// fault alphabet contains Disconnect).
+    /// A source-resume terminal is reachable (it should be — the pipe can
+    /// break before the first chunk).
     pub failed_reachable: bool,
     /// The state budget stopped the search early (HPM047).
     pub budget_exhausted: bool,
@@ -235,149 +212,82 @@ pub struct ProtoOutcome {
 /// invariant it breached.
 type Applied = Result<World, (LintCode, String)>;
 
-/// Every distinct thing the fault alphabet does to one transmission of
-/// `frame` from `n`, named. A dead link black-holes silently; a gone
-/// receiver closed the channel, so no copy is counted or delivered.
-/// Intact copies feed the sender's ledger.
-fn transmissions(n: &World, frame: &[u8]) -> Vec<(String, World)> {
+/// The sender offers its next chunk, and the pipe does each thing it can
+/// to the frame: carries it, carries it damaged at one of five sites, or
+/// breaks instead.
+fn ship(w: &World) -> Vec<(String, Applied)> {
+    let mut n = w.clone();
+    let seq = n.tx.chunks_sent();
+    let frame = n.tx.offer(&payload(seq), seq == TOTAL - 1, false);
     let mut out = Vec::new();
-    let mut fly = |name: String, copies: Vec<Vec<u8>>, sever: bool| {
+    let mut fly = |name: String, copy: Option<(Vec<u8>, bool)>| {
         let mut m = n.clone();
-        m.link_dead |= sever;
-        let open = !m.link_dead && !m.rx_gone();
-        for copy in copies.into_iter().filter(|_| open) {
-            if copy == frame {
-                m.intact += 1;
-            } else {
-                // A copy the receiver core refuses as damage without
-                // touching its state is refused the same way whenever it
-                // lands — the CRC verdict precedes every state read — so
-                // it is absorbed now. A copy the core would take stays in
-                // flight, in every order.
-                let mut probe = m.rx.clone();
-                let refused = matches!(probe.on_frame(&copy)[..], [ReceiverAction::Corrupt { .. }]);
-                if refused && probe == m.rx {
-                    continue;
-                }
-            }
-            let at = m.data.partition_point(|f| *f < copy);
-            m.data.insert(at, copy);
+        match copy {
+            Some(copy) => m.pipe.push_back(copy),
+            None => m.broken = true,
         }
-        out.push((name, m));
+        out.push((format!("ship.{name}({seq})"), Ok(m)));
     };
-    for action in FaultAction::ALL {
-        let name = action.name().to_string();
-        match action {
-            FaultAction::Deliver | FaultAction::Reorder | FaultAction::Delay => {
-                fly(name, vec![frame.to_vec()], false)
-            }
-            FaultAction::Drop => fly(name, Vec::new(), false),
-            FaultAction::Duplicate => fly(name, vec![frame.to_vec(); 2], false),
-            FaultAction::Disconnect => fly(name, Vec::new(), true),
-            FaultAction::Corrupt => {
-                let sites = [("seq", 7), ("flags", 11), ("raw_len", 15), ("payload", 20)];
-                for (site, at) in sites.into_iter().chain([("crc", frame.len() - 1)]) {
-                    // An empty payload has no byte to damage.
-                    if site == "crc" || at + 4 < frame.len() {
-                        let mut damaged = frame.to_vec();
-                        damaged[at] ^= 1;
-                        fly(format!("corrupt.{site}"), vec![damaged], false);
-                    }
-                }
-            }
+    fly("deliver".into(), Some((frame.clone(), true)));
+    let sites = [("seq", 7), ("flags", 11), ("raw_len", 15), ("payload", 20)];
+    for (site, at) in sites.into_iter().chain([("crc", frame.len() - 1)]) {
+        // An empty payload has no byte to damage.
+        if site == "crc" || at + 4 < frame.len() {
+            let mut damaged = frame.clone();
+            damaged[at] ^= 1;
+            fly(format!("corrupt.{site}"), Some((damaged, false)));
         }
     }
+    fly("disconnect".into(), None);
     out
 }
 
-/// Apply the sender core's actions for one event named `label`. The
-/// frame they send, if any, branches over every fault effect.
-fn sender_step(mut n: World, actions: Vec<SenderAction>, label: &str) -> Vec<(String, Applied)> {
-    let mut name = label.to_string();
-    let mut sent = None;
-    for action in actions {
-        match action {
-            SenderAction::Send { seq, frame, .. } => sent = Some((seq, frame)),
-            SenderAction::Acked { next, .. } => name = format!("{label}.ack({next})"),
-            SenderAction::Nacked => name = format!("{label}.nack"),
-            SenderAction::Backoff(_) => {}
-            SenderAction::Fail(NetError::RetriesExhausted { chunk, .. }) => {
-                n.tx_failed = true;
-                name = format!("{label}.exhausted({chunk})");
-            }
-            SenderAction::Fail(e) => {
-                let why = format!("the sender died outside its retry budget: {e}");
-                return vec![(name, Err((LintCode::ModelDeadlock, why)))];
-            }
-        }
+/// The destination reads the oldest frame in the pipe and applies what
+/// the receiver core decides; in a crash scenario it may die instead,
+/// just before consuming the chunk the frame carries.
+fn deliver(w: &World, sc: &ProtoScenario) -> Vec<(String, Applied)> {
+    let mut n = w.clone();
+    let (mut frame, intact) = n.pipe.pop_front().expect("a frame in the pipe");
+    if sc.skip_crc {
+        // The seeded bug: the CRC the core checks is stamped over the
+        // bytes as they arrived.
+        let body = frame.len() - 4;
+        let crc = crc32(&frame[..body]);
+        frame[body..].copy_from_slice(&crc.to_be_bytes());
     }
-    let Some((seq, frame)) = sent else {
-        return vec![(name, Ok(n))];
+    let (record, bytes) = match n.rx.on_frame(&frame) {
+        Ok(released) => released,
+        Err(refused) if intact => {
+            let why = format!("the receiver refused an intact frame: {refused:?}");
+            return vec![("deliver".into(), Err((LintCode::ModelWrongDelivery, why)))];
+        }
+        Err(_) => {
+            n.ended = true;
+            return vec![("deliver.refused".into(), Ok(n))];
+        }
     };
-    transmissions(&n, &frame)
-        .into_iter()
-        .map(|(effect, m)| (format!("{name}.{effect}({seq})"), Ok(m)))
-        .collect()
+    let mut out = Vec::new();
+    if sc.crash && n.attempt == Attempt::First {
+        let mut dead = n.clone();
+        dead.ended = true;
+        out.push((format!("deliver.crash({})", record.index), Ok(dead)));
+    }
+    let applied = release(&mut n, intact, record, bytes).map(|()| n);
+    out.push(("deliver".into(), applied));
+    out
 }
 
-/// Deliver one in-flight copy to the destination and apply what the
-/// receiver core decides.
-fn receive(w: &mut World, frame: &[u8], sc: &ProtoScenario) -> Result<(), (LintCode, String)> {
-    if w.rx_gone() {
-        // The destination hung up; the copy is discarded at the link.
-        return Ok(());
-    }
-    let mut actions = w.rx.on_frame(frame);
-    if let (true, Some(&ReceiverAction::Duplicate { seq })) = (sc.release_dups, actions.first()) {
-        // The seeded bug: a copy below `next` is handed to the restorer
-        // again.
-        let (record, bytes) = (w.journal.records(), w.journal.payloads());
-        let (record, payload) = (record[seq as usize], bytes[seq as usize].clone());
-        actions.insert(1, ReceiverAction::Release { record, payload });
-    }
-    for action in actions {
-        match action {
-            ReceiverAction::Release { record, payload } => {
-                release(w, sc, record, payload)?;
-                if w.attempt == Attempt::Crashed {
-                    // No ack leaves the dead process.
-                    return Ok(());
-                }
-            }
-            ReceiverAction::Send(ctrl) => w.ctrl.push_back(frame_control(ctrl)),
-            ReceiverAction::Fail(e) => {
-                let seq = u32::from_be_bytes(frame[4..8].try_into().expect("a frame header"));
-                let beyond = seq >= w.rx.next() + CFG.window;
-                let (window, wrong) = (LintCode::ModelWindowOverflow, LintCode::ModelWrongDelivery);
-                let code = if beyond { window } else { wrong };
-                return Err((code, format!("the receiver refused a frame: {e}")));
-            }
-            _ => {}
-        }
-    }
-    Ok(())
-}
-
-/// The restorer takes one released chunk into the journal — unless the
-/// injected crash fires first, as in the threaded receiver.
+/// The restorer takes one released chunk into the journal.
 fn release(
     w: &mut World,
-    sc: &ProtoScenario,
+    intact: bool,
     record: ChunkRecord,
     bytes: Vec<u8>,
 ) -> Result<(), (LintCode, String)> {
     let seq = record.index;
-    if sc.crash_at == Some(seq) && w.attempt == Attempt::First {
-        w.attempt = Attempt::Crashed;
-        // The process is gone: in-flight data is undeliverable and its
-        // queued controls will never be read.
-        w.data.clear();
-        w.ctrl.clear();
-        return Ok(());
-    }
     let start = match w.attempt {
         Attempt::Resumed { start } => start,
-        _ => 0,
+        Attempt::First => 0,
     };
     let phase = RestorePhase::for_chunk(seq, seq == TOTAL - 1);
     let (code, why) = if seq < start {
@@ -386,10 +296,12 @@ fn release(
     } else if seq < w.journal.next_chunk() {
         let why = format!("chunk {seq} released to the restorer twice in one attempt");
         (LintCode::ModelDoubleRelease, why)
-    } else if seq >= TOTAL || bytes != payload(seq) || record.phase != phase {
+    } else if !intact || seq >= TOTAL || bytes != payload(seq) || record.phase != phase {
         let why = format!(
-            "position {seq} released {bytes:?} as the {}, not the offered {:?} as the {phase}",
+            "position {seq} released {bytes:?} as the {} from a frame that left the sender {}, \
+             not the offered {:?} as the {phase}",
             record.phase,
+            if intact { "intact" } else { "damaged" },
             payload(seq)
         );
         (LintCode::ModelWrongDelivery, why)
@@ -400,19 +312,29 @@ fn release(
     Err((code, why))
 }
 
-/// The resume handshake, the only event while the destination is down:
-/// a rebuilt receiver asks to resume from the journal, and a fresh sender
-/// checks the request against the interrupted stream's ledger.
-fn resume(w: &World, sc: &ProtoScenario) -> (String, Applied) {
+/// The ladder behind an ended connection: the first one resumes from the
+/// journal on a fresh connection, when there is a journal to resume
+/// from; anything else resumes on the source.
+fn ladder(w: &World, sc: &ProtoScenario) -> (String, Applied) {
     let mut journal = w.journal.clone();
+    if w.attempt != Attempt::First || journal.next_chunk() == 0 {
+        let mut n = w.clone();
+        n.fell_back = true;
+        return ("fallback".into(), Ok(n));
+    }
     if sc.tamper {
         journal.tamper_record(0);
     }
     let mut n = World::new();
-    let Some(ReceiverAction::Send(request)) = n.rx.resume(&journal).pop() else {
-        unreachable!("a resuming receiver asks to resume");
-    };
+    let request = n.rx.resume(&journal);
     match n.tx.on_resume(request, IMAGE_ID, w.tx.records()) {
+        Ok(ResumeDecision::Accepted { .. }) if sc.tamper => {
+            let why = "the sender accepted a tampered journal — the digest check failed open";
+            (
+                "resume".into(),
+                Err((LintCode::ModelRestartMissed, why.into())),
+            )
+        }
         // Both ends fast-forward to the journal horizon; chunks below
         // it are replayed locally from the journal.
         Ok(ResumeDecision::Accepted { next, .. }) => {
@@ -421,10 +343,10 @@ fn resume(w: &World, sc: &ProtoScenario) -> (String, Applied) {
             (format!("resume.accepted({next})"), Ok(n))
         }
         // The sender refuses to splice onto an unverified base, and the
-        // driver restarts the stream from scratch.
+        // run resumes on the source.
         Ok(ResumeDecision::Rejected(_)) => {
-            n.rx = ReceiverCore::new(CFG);
-            n.attempt = Attempt::Restarted;
+            let mut n = w.clone();
+            n.fell_back = true;
             ("resume.rejected".into(), Ok(n))
         }
         Err(e) => {
@@ -434,67 +356,27 @@ fn resume(w: &World, sc: &ProtoScenario) -> (String, Applied) {
     }
 }
 
-/// Invariants of a state itself: the send window bound, and — once the
-/// stream has completed after a tampered journal — the clean restart.
-fn checked(w: World, sc: &ProtoScenario) -> Applied {
-    let (len, cap) = (w.tx.window_len(), CFG.window);
-    if len > cap as usize {
-        let why = format!("sender window grew to {len} frames (config window {cap})");
-        return Err((LintCode::ModelWindowOverflow, why));
-    }
-    if sc.tamper && w.attempt != Attempt::Restarted && w.success() {
-        let why = "stream completed after a tampered journal without a full restart — \
-                   the digest check failed open";
-        return Err((LintCode::ModelRestartMissed, why.into()));
-    }
-    Ok(w)
-}
-
 /// Enumerate `(event name, applied result)` for every enabled event.
 fn successors(w: &World, sc: &ProtoScenario) -> Vec<(String, Applied)> {
+    if w.terminal() {
+        return Vec::new();
+    }
+    if w.ended {
+        return vec![ladder(w, sc)];
+    }
     let mut out = Vec::new();
-    if w.tx_failed || w.success() {
-        return out;
+    if !w.broken && w.tx.chunks_sent() < TOTAL {
+        out.extend(ship(w));
     }
-    if w.attempt == Attempt::Crashed {
-        out.push(resume(w, sc));
-        return out;
-    }
-    // The sender does what its ledger says; a control owed but not yet
-    // queued blocks it, and only deliveries can move.
-    let draining = w.tx.chunks_sent() == TOTAL;
-    let mut n = w.clone();
-    match w.tx.wait(w.intact, draining) {
-        Wait::Ready if !draining => {
-            let seq = n.tx.chunks_sent();
-            let actions = n.tx.offer(&payload(seq), seq == TOTAL - 1, false);
-            out.extend(sender_step(n, actions, "ship"));
-        }
-        Wait::Control if !w.ctrl.is_empty() => {
-            let raw = n.ctrl.pop_front().expect("a control queued");
-            let actions = n.tx.on_control(&raw);
-            out.extend(sender_step(n, actions, "ctrl"));
-        }
-        Wait::Timeout => {
-            let actions = n.tx.on_timeout();
-            out.extend(sender_step(n, actions, "timeout"));
-        }
-        Wait::Ready | Wait::Control => {}
-    }
-    // Wire: deliver any in-flight copy (full reordering). Identical
-    // copies yield identical successors.
-    for (i, frame) in w.data.iter().enumerate() {
-        if i > 0 && w.data[i - 1] == *frame {
-            continue;
-        }
+    if !w.pipe.is_empty() {
+        out.extend(deliver(w, sc));
+    } else if w.broken {
+        // The destination reads the end of the broken pipe.
         let mut n = w.clone();
-        n.data.remove(i);
-        let applied = receive(&mut n, frame, sc).map(|()| n);
-        out.push((format!("deliver#{i}"), applied));
+        n.ended = true;
+        out.push(("eof".into(), Ok(n)));
     }
-    out.into_iter()
-        .map(|(name, applied)| (name, applied.and_then(|n| checked(n, sc))))
-        .collect()
+    out
 }
 
 /// Hard cap on distinct states per scenario; exceeding it is HPM047.
@@ -523,10 +405,9 @@ pub fn explore_proto(sc: &ProtoScenario) -> ProtoOutcome {
     while let Some((idx, w)) = queue.pop_front() {
         outcome.states += 1;
         outcome.success_reachable |= w.success();
-        outcome.failed_reachable |= w.tx_failed;
+        outcome.failed_reachable |= w.fell_back;
         let succ = successors(&w, sc);
-        // Terminal states have no successors by construction.
-        if succ.is_empty() && !w.success() && !w.tx_failed {
+        if succ.is_empty() && !w.terminal() {
             outcome.violation = Some(ProtoViolation {
                 code: LintCode::ModelDeadlock,
                 message: format!("reachable deadlock: no event enabled in {w:?}"),
@@ -562,9 +443,8 @@ pub fn explore_proto(sc: &ProtoScenario) -> ProtoOutcome {
     }
 
     if !outcome.success_reachable {
-        let (deadlock, missed) = (LintCode::ModelDeadlock, LintCode::ModelRestartMissed);
         outcome.violation = Some(ProtoViolation {
-            code: if sc.tamper { missed } else { deadlock },
+            code: LintCode::ModelDeadlock,
             message: format!(
                 "no successful terminal state is reachable in {} ({} states explored)",
                 sc.name, outcome.states

@@ -122,15 +122,15 @@ mod tests {
         let v = ProtoViolation {
             code: LintCode::ModelDoubleRelease,
             message: "chunk 2 released twice".into(),
-            trace: vec!["ship.deliver(0)".into(), "data.deliver(0)".into()],
+            trace: vec!["ship.deliver(0)".into(), "deliver".into()],
         };
-        let text = proto_trace_to_jsonl("arq_baseline", &v);
+        let text = proto_trace_to_jsonl("pipe_baseline", &v);
         let parsed = parse_trace(&text).unwrap();
         assert_eq!(parsed.kind, "protocol");
         assert_eq!(parsed.code, "HPM042");
         assert_eq!(
             parsed.events,
-            vec!["ship.deliver(0)".to_string(), "data.deliver(0)".to_string()]
+            vec!["ship.deliver(0)".to_string(), "deliver".to_string()]
         );
     }
 

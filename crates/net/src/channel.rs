@@ -14,25 +14,13 @@ pub enum NetError {
     Disconnected,
     /// A blocking receive timed out.
     Timeout,
-    /// A chunked-stream frame failed to parse or lies outside the
-    /// receive window.
+    /// The chunk receiver refused a frame: it does not parse, fails its
+    /// CRC, is out of sequence, or carries a payload that does not expand.
     ChunkFraming {
         /// Index of the offending frame in arrival order.
         chunk: u32,
         /// What went wrong.
         reason: String,
-    },
-    /// The ARQ sender exhausted its retransmission budget waiting for
-    /// the peer to acknowledge `chunk`.
-    RetriesExhausted {
-        /// Lowest unacknowledged chunk when the sender gave up.
-        chunk: u32,
-        /// Retransmission rounds attempted before giving up.
-        attempts: u32,
-        /// Cumulative acknowledgement when the sender gave up: every chunk
-        /// below this index was confirmed received, so it must agree with
-        /// the destination's journal (`RestoreJournal::next_chunk`).
-        acked: u32,
     },
     /// The peer process died mid-transfer (injected crash fault): it never
     /// consumed `chunk`. Everything below `chunk` was verified and (on a
@@ -51,14 +39,6 @@ impl std::fmt::Display for NetError {
             NetError::ChunkFraming { chunk, reason } => {
                 write!(f, "chunk frame {chunk}: {reason}")
             }
-            NetError::RetriesExhausted {
-                chunk,
-                attempts,
-                acked,
-            } => write!(
-                f,
-                "retries exhausted after {attempts} attempts waiting for ack of chunk {chunk} ({acked} chunks acked)"
-            ),
             NetError::PeerCrashed { chunk } => {
                 write!(f, "peer crashed before consuming chunk {chunk}")
             }
@@ -445,15 +425,6 @@ mod tests {
             }
             .to_string(),
             "chunk frame 7: bad magic"
-        );
-        assert_eq!(
-            NetError::RetriesExhausted {
-                chunk: 12,
-                attempts: 5,
-                acked: 12,
-            }
-            .to_string(),
-            "retries exhausted after 5 attempts waiting for ack of chunk 12 (12 chunks acked)"
         );
         assert_eq!(
             NetError::PeerCrashed { chunk: 4 }.to_string(),

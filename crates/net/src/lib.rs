@@ -14,31 +14,31 @@
 //! [`Channel`] built on `std::sync::mpsc`; it accounts modeled time but
 //! never sleeps (real-time pacing, when a pipeline asks for it, is the
 //! migration driver's wire thread). A payload crosses it whole, as one
-//! message, or as the one chunk stream: [`ReliableChunkSender`] → [`ReliableChunkReceiver`],
-//! CRC-checked and acknowledged, optionally through a [`FaultyEndpoint`]
-//! that damages the data direction under a seeded [`FaultPlan`].
+//! message, or as the one chunk stream: [`ReliableChunkSender`] →
+//! [`ReliableChunkReceiver`], each chunk framed once and CRC-checked, in
+//! order, over an ordered pipe that can break — optionally through a
+//! [`FaultyEndpoint`] that damages one frame or breaks the pipe where a
+//! [`FaultPlan`] says. The first frame the receiver cannot take ends the
+//! connection with a named [`NetError`].
 //! Endpoints can carry an [`hpm_obs::Track`]: the chunk endpoints record
-//! every frame sent, acked, nacked or refused on it, and at detail level
+//! every frame sent, received or refused on it, and at detail level
 //! every channel message produces a `net.send`/`net.recv` span annotated
 //! with the payload size and modeled wire time.
 
-mod arq;
-mod arq_core;
 mod channel;
 mod fault;
 mod model;
+mod pipe;
+mod pipe_core;
 
-pub use arq::{
+pub use channel::{channel_pair, Channel, NetError, TransferSnapshot, TransferStats};
+pub use fault::{FaultPlan, FaultStats, FaultyEndpoint, FrameLink};
+pub use model::NetworkModel;
+pub use pipe::{
     ArqReceiverCounters, ArqReceiverSnapshot, ArqSenderStats, ReliableChunkReceiver,
     ReliableChunkSender, WireCodec,
 };
-pub use arq_core::{
-    ArqConfig, ReceiverAction, ReceiverCore, ResumeDecision, ResumeReject, SenderAction,
-    SenderCore, Wait,
-};
-pub use channel::{channel_pair, Channel, NetError, TransferSnapshot, TransferStats};
-pub use fault::{FaultAction, FaultPlan, FaultStats, FaultyEndpoint, FrameLink};
-pub use model::NetworkModel;
+pub use pipe_core::{ArqConfig, ReceiverCore, Refused, ResumeDecision, ResumeReject, SenderCore};
 
 #[cfg(test)]
 mod model_tests {

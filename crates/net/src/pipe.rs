@@ -1,0 +1,646 @@
+//! The chunk stream — the one way a payload crosses a link in pieces, so
+//! the destination can start restoring while the source still collects.
+//! Each chunk travels once, in the one chunk frame (`hpm_xdr::chunk`:
+//! sequence number, flags, `raw_len` and payload under a trailing
+//! CRC-32), stored or compressed as the [`WireCodec`] says, over an
+//! ordered pipe that can break. The protocol is [`SenderCore`] and
+//! [`ReceiverCore`], which `hpm-model` explores exhaustively; the
+//! endpoints here are the loops that drive the cores over a link: they
+//! move bytes between a core and the link, keep the counters and write
+//! the log events.
+
+use crate::channel::{Channel, NetError};
+use crate::fault::FrameLink;
+use crate::pipe_core::{ArqConfig, ReceiverCore, Refused, ResumeDecision, SenderCore};
+use hpm_obs::Track;
+use hpm_xdr::{frame_control, unframe_control, ChunkRecord, RestoreJournal, RestorePhase};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+/// Liveness backstop for the one blocking control read, the resume
+/// handshake: a correct peer sends it before anything else.
+const BACKSTOP: Duration = Duration::from_secs(5);
+
+/// How a sender's payloads travel in the one chunk frame. Receivers need
+/// no configuration: each frame's flags say whether it is compressed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum WireCodec {
+    /// Stored: every payload as it is.
+    #[default]
+    V2,
+    /// Compressed: every payload through the block coder, stored still
+    /// whenever the coder cannot shrink it.
+    V3,
+}
+
+/// Sender-side counters.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ArqSenderStats {
+    /// Data frames the link accepted, terminator included.
+    pub frames_sent: u64,
+    /// Always 0: the pipe never sends a frame twice. Kept for the
+    /// benchmark's `net.arq_retransmits` until it is re-cut.
+    pub retransmits: u64,
+}
+
+/// Sending half of the chunk stream: a [`SenderCore`] driven over a
+/// [`FrameLink`], so tests can run it over a clean [`Channel`] and the
+/// driver over a [`FaultyEndpoint`](crate::FaultyEndpoint).
+pub struct ReliableChunkSender<L: FrameLink> {
+    link: L,
+    core: SenderCore,
+    codec: WireCodec,
+    stats: ArqSenderStats,
+    track: Track,
+}
+
+impl<L: FrameLink> ReliableChunkSender<L> {
+    /// A fresh stream over `link`, starting at sequence 0. The
+    /// [`ArqConfig`] carries nothing.
+    pub fn new(link: L, _cfg: ArqConfig) -> Self {
+        ReliableChunkSender {
+            link,
+            core: SenderCore::default(),
+            codec: WireCodec::default(),
+            stats: ArqSenderStats::default(),
+            track: Track::off(),
+        }
+    }
+
+    /// Record protocol events on `track` (`chunk.sent`, `resume.*`).
+    pub fn with_track(mut self, track: Track) -> Self {
+        self.track = track;
+        self
+    }
+
+    /// Choose whether this stream compresses (default: stored).
+    pub fn with_codec(mut self, codec: WireCodec) -> Self {
+        self.codec = codec;
+        self
+    }
+
+    /// Counters so far.
+    pub fn stats(&self) -> ArqSenderStats {
+        self.stats
+    }
+
+    /// Sequence number the next chunk will carry.
+    pub fn chunks_sent(&self) -> u32 {
+        self.core.chunks_sent()
+    }
+
+    /// The send ledger: one [`ChunkRecord`] per chunk framed, in sequence
+    /// order. A later resume validates its journal digest against a
+    /// prefix of this ledger.
+    pub fn records(&self) -> &[ChunkRecord] {
+        self.core.records()
+    }
+
+    /// Recover the link (e.g. to read injector stats after the stream).
+    pub fn into_link(self) -> L {
+        self.link
+    }
+
+    /// Block for the destination's `Resume` handshake and validate it
+    /// against `ledger`, the send ledger of the interrupted stream.
+    ///
+    /// Must be called on a fresh sender (nothing shipped yet). On
+    /// acceptance the stream fast-forwards: `next_seq` starts at the
+    /// first chunk the destination is missing and the skipped prefix of
+    /// `ledger` is adopted as this stream's own ledger. On rejection the
+    /// sender is left untouched (still at sequence 0) so the caller can
+    /// fall back to a clean full restart.
+    pub fn accept_resume(
+        &mut self,
+        image_id: u64,
+        ledger: &[ChunkRecord],
+    ) -> Result<ResumeDecision, NetError> {
+        let raw = self.link.recv_control_timeout(BACKSTOP)?;
+        let request = unframe_control(&raw).map_err(|e| NetError::ChunkFraming {
+            chunk: 0,
+            reason: format!("bad resume handshake frame: {e}"),
+        })?;
+        let decision = self.core.on_resume(request, image_id, ledger)?;
+        match decision {
+            ResumeDecision::Accepted {
+                next,
+                bytes_saved_raw,
+                ..
+            } => {
+                let args = [("next", next as u64), ("bytes_saved", bytes_saved_raw)];
+                self.track.event("resume.accepted", &args);
+            }
+            ResumeDecision::Rejected(why) => {
+                let hpm_xdr::Control::Resume { next, .. } = request;
+                let args = [("claimed_next", next as u64), ("reason", why as u64)];
+                self.track.event("resume.rejected", &args);
+            }
+        }
+        Ok(decision)
+    }
+
+    /// Frame and ship one payload chunk.
+    pub fn send(&mut self, payload: &[u8]) -> Result<(), NetError> {
+        self.ship(payload, false)
+    }
+
+    /// Terminate the stream with an empty LAST frame. Returns the total
+    /// number of frames sent, terminator included.
+    pub fn finish(&mut self) -> Result<u32, NetError> {
+        self.ship(&[], true)?;
+        Ok(self.core.chunks_sent())
+    }
+
+    fn ship(&mut self, payload: &[u8], last: bool) -> Result<(), NetError> {
+        let frame = self.core.offer(payload, last, self.codec == WireCodec::V3);
+        let r = self
+            .core
+            .records()
+            .last()
+            .expect("a frame was just recorded");
+        if let Some(s) = self.link.transfer_stats() {
+            s.observe_chunk_out(r.raw_len as u64, r.wire_len as u64, r.wire_len < r.raw_len);
+        }
+        let chunk = r.index as u64;
+        self.link.send_frame(frame)?;
+        self.stats.frames_sent += 1;
+        self.track.event("chunk.sent", &[("chunk", chunk)]);
+        Ok(())
+    }
+}
+
+/// Live receiver-side counters, shared out through an [`Arc`] because
+/// the receiver itself disappears into a `Box<dyn ChunkSource>` in the
+/// migration driver.
+#[derive(Debug, Default)]
+pub struct ArqReceiverCounters(Mutex<ArqReceiverSnapshot>);
+
+/// A detached copy of [`ArqReceiverCounters`].
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ArqReceiverSnapshot {
+    /// Frames whose CRC failed (each one ended its connection).
+    pub corrupt_caught: u64,
+    /// Frames that arrived below the stream's starting sequence — on a
+    /// resumed stream, already-verified chunks the sender wastefully
+    /// re-sent. A correct resume keeps this at zero.
+    pub replays_below_start: u64,
+}
+
+impl ArqReceiverCounters {
+    /// Point-in-time copy.
+    pub fn snapshot(&self) -> ArqReceiverSnapshot {
+        *self.0.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn bump(&self, field: fn(&mut ArqReceiverSnapshot) -> &mut u64) {
+        *field(&mut self.0.lock().unwrap_or_else(|p| p.into_inner())) += 1;
+    }
+}
+
+/// Receiving half of the chunk stream: a [`ReceiverCore`] driven over the
+/// destination's channel end.
+pub struct ReliableChunkReceiver {
+    ch: Channel,
+    core: ReceiverCore,
+    /// The sequence this stream started at (0, or the resume point).
+    start: u32,
+    done: bool,
+    counters: Arc<ArqReceiverCounters>,
+    /// Durable journal this receiver appends every accepted chunk to.
+    journal: Option<Arc<Mutex<RestoreJournal>>>,
+    /// Injected crash fault: die just before consuming this sequence.
+    crash_at: Option<u32>,
+    track: Track,
+}
+
+impl ReliableChunkReceiver {
+    /// Wrap `ch`; the stream is expected to begin at sequence 0. The
+    /// [`ArqConfig`] carries nothing.
+    pub fn new(ch: Channel, _cfg: ArqConfig) -> Self {
+        ReliableChunkReceiver {
+            ch,
+            core: ReceiverCore::default(),
+            start: 0,
+            done: false,
+            counters: Arc::new(ArqReceiverCounters::default()),
+            journal: None,
+            crash_at: None,
+            track: Track::off(),
+        }
+    }
+
+    /// Re-attach a rebuilt destination to an interrupted stream: the
+    /// stream starts at `journal.next_chunk()` and the sender is asked to
+    /// resume there via a [`hpm_xdr::Control::Resume`] handshake carrying
+    /// the journal digest. The journaled chunks themselves are replayed
+    /// locally by the caller, never over the wire.
+    pub fn new_resuming(ch: Channel, journal: &RestoreJournal) -> Result<Self, NetError> {
+        let mut rx = ReliableChunkReceiver::new(ch, ArqConfig);
+        let request = rx.core.resume(journal);
+        rx.start = rx.core.next();
+        rx.ch.send(frame_control(request))?;
+        Ok(rx)
+    }
+
+    /// Record every accepted chunk (and its decoded payload) in
+    /// `journal`. The append happens at accept time — after CRC
+    /// verification, in sequence — so the journal is always a
+    /// contiguous, verified prefix of the stream.
+    pub fn with_journal(mut self, journal: Arc<Mutex<RestoreJournal>>) -> Self {
+        self.journal = Some(journal);
+        self
+    }
+
+    /// Inject a destination crash: the receiver dies (with
+    /// [`NetError::PeerCrashed`]) just before consuming sequence `seq`,
+    /// leaving exactly `seq` chunks in its journal.
+    pub fn with_crash_at(mut self, seq: Option<u32>) -> Self {
+        self.crash_at = seq;
+        self
+    }
+
+    /// Record protocol events on `track` (`chunk.recv`, `crc.fail`).
+    pub fn with_track(mut self, track: Track) -> Self {
+        self.track = track;
+        self
+    }
+
+    /// Handle to the live counters; survives the receiver being boxed.
+    pub fn counters(&self) -> Arc<ArqReceiverCounters> {
+        Arc::clone(&self.counters)
+    }
+
+    /// Chunks received so far, in sequence.
+    pub fn chunks_received(&self) -> u32 {
+        self.core.next()
+    }
+
+    /// Whether the LAST frame has been consumed.
+    pub fn is_done(&self) -> bool {
+        self.done
+    }
+
+    /// Receive the next payload chunk; `Ok(None)` once the stream is
+    /// complete. A frame the core refuses, a closed link and the injected
+    /// crash each end the connection with a named error.
+    pub fn recv_chunk(&mut self) -> Result<Option<Vec<u8>>, NetError> {
+        if self.done {
+            return Ok(None);
+        }
+        let raw = self.ch.recv()?;
+        let (record, payload) = self.core.on_frame(&raw).map_err(|r| self.refused(r))?;
+        let chunk = record.index;
+        if self.crash_at == Some(chunk) {
+            // The crash fires before consumption, so a destination that
+            // "dies at chunk k" leaves exactly chunks `0..k` in its
+            // journal — the invariant the resume handshake relies on.
+            self.track
+                .event("crash.injected", &[("chunk", chunk as u64)]);
+            return Err(NetError::PeerCrashed { chunk });
+        }
+        let journal = self.journal.as_ref();
+        let guard = journal.map(|j| j.lock().unwrap_or_else(|p| p.into_inner()));
+        if let Some(Err(e)) = guard.map(|mut j| j.append(record, payload.clone())) {
+            let reason = format!("journal append failed: {e}");
+            return Err(NetError::ChunkFraming { chunk, reason });
+        }
+        let next = self.core.next() as u64;
+        self.track
+            .event("chunk.recv", &[("chunk", chunk as u64), ("next", next)]);
+        // An empty terminator ends the stream without a chunk.
+        self.done = record.phase == RestorePhase::Terminator;
+        Ok(Some(payload).filter(|p| !(self.done && p.is_empty())))
+    }
+
+    /// Count a refusal and name the error it ends the connection with.
+    fn refused(&self, refused: Refused) -> NetError {
+        match refused {
+            Refused::Corrupt { seq, .. } => {
+                self.counters.bump(|c| &mut c.corrupt_caught);
+                self.track.event("crc.fail", &[("chunk", seq as u64)]);
+            }
+            Refused::OutOfSequence { seq, .. } if seq < self.start => {
+                // A chunk this destination already held before the stream
+                // began: a resume that re-sends verified data.
+                self.counters.bump(|c| &mut c.replays_below_start);
+                self.track
+                    .event("replay.below_start", &[("chunk", seq as u64)]);
+            }
+            _ => {}
+        }
+        refused.into()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::channel::channel_pair;
+    use crate::fault::{FaultPlan, FaultyEndpoint};
+    use crate::model::NetworkModel;
+    use crate::pipe_core::ResumeReject;
+    use hpm_xdr::{frame_chunk, records_digest};
+
+    fn payloads(n: usize) -> Vec<Vec<u8>> {
+        (0..n).map(|i| vec![(i % 251) as u8; 5 + i % 60]).collect()
+    }
+
+    /// Ship `data` through a sender on this thread and a receiver on
+    /// another; the receiver's result and counters.
+    fn pump(
+        codec: WireCodec,
+        plan: FaultPlan,
+        data: &[Vec<u8>],
+    ) -> (Result<Vec<Vec<u8>>, NetError>, ArqReceiverSnapshot) {
+        let (src, dst) = channel_pair(NetworkModel::instant());
+        let handle = std::thread::spawn(move || {
+            let mut rx = ReliableChunkReceiver::new(dst, ArqConfig);
+            let counters = rx.counters();
+            let mut got = Vec::new();
+            let out = loop {
+                match rx.recv_chunk() {
+                    Ok(Some(p)) => got.push(p),
+                    Ok(None) => break Ok(got),
+                    Err(e) => break Err(e),
+                }
+            };
+            (out, counters.snapshot())
+        });
+        let link = FaultyEndpoint::new(src, plan);
+        let mut tx = ReliableChunkSender::new(link, ArqConfig).with_codec(codec);
+        let _ = data
+            .iter()
+            .try_for_each(|p| tx.send(p))
+            .and_then(|()| tx.finish());
+        drop(tx); // the pipe closes
+        handle.join().expect("receiver panicked")
+    }
+
+    #[test]
+    fn clean_link_delivers_every_chunk_once_and_nothing_else() {
+        let data = payloads(40);
+        let (src, dst) = channel_pair(NetworkModel::instant());
+        let mut tx = ReliableChunkSender::new(src, ArqConfig);
+        data.iter().try_for_each(|p| tx.send(p)).unwrap();
+        assert_eq!(tx.finish().unwrap(), 41);
+        assert_eq!(tx.stats().frames_sent, 41);
+        assert_eq!(tx.stats().retransmits, 0);
+        let mut rx = ReliableChunkReceiver::new(dst, ArqConfig);
+        for p in &data {
+            assert_eq!(rx.recv_chunk().unwrap().as_ref(), Some(p));
+        }
+        assert_eq!(rx.recv_chunk().unwrap(), None);
+        // End of stream is latched: asking again is not an error.
+        assert!(rx.is_done());
+        assert_eq!(rx.recv_chunk().unwrap(), None);
+        assert_eq!(rx.chunks_received(), 41);
+        // One message per frame: nothing flows back.
+        let link = tx.into_link();
+        assert_eq!(link.stats().messages_sent(), 41);
+        assert!(link.try_recv().is_none());
+    }
+
+    /// A corrupted frame ends the connection naming the chunk; the chunks
+    /// before it were delivered, the damaged one never.
+    #[test]
+    fn a_corrupt_frame_ends_the_connection_at_its_chunk() {
+        let data = payloads(12);
+        for codec in [WireCodec::V2, WireCodec::V3] {
+            let plan = FaultPlan {
+                seed: 11,
+                corrupt_at: Some(5),
+                ..FaultPlan::none()
+            };
+            let (got, snap) = pump(codec, plan, &data);
+            match got {
+                Err(NetError::ChunkFraming { chunk: 5, .. }) => {}
+                other => panic!("{codec:?}: {other:?}"),
+            }
+            assert!(snap.corrupt_caught <= 1, "{codec:?}: {snap:?}");
+        }
+    }
+
+    #[test]
+    fn a_disconnect_ends_the_connection_after_the_frames_before_it() {
+        let plan = FaultPlan {
+            disconnect_at: Some(3),
+            ..FaultPlan::none()
+        };
+        let (src, dst) = channel_pair(NetworkModel::instant());
+        let mut tx = ReliableChunkSender::new(FaultyEndpoint::new(src, plan), ArqConfig);
+        let sent = payloads(6).iter().try_for_each(|p| tx.send(p));
+        assert_eq!(sent, Err(NetError::Disconnected));
+        assert_eq!(tx.stats().frames_sent, 3);
+        drop(tx);
+        let mut rx = ReliableChunkReceiver::new(dst, ArqConfig);
+        for _ in 0..3 {
+            assert!(rx.recv_chunk().unwrap().is_some());
+        }
+        assert_eq!(rx.recv_chunk(), Err(NetError::Disconnected));
+    }
+
+    #[test]
+    fn journaling_receiver_mirrors_the_send_ledger() {
+        let (src, dst) = channel_pair(NetworkModel::instant());
+        let data = payloads(20);
+        let journal = Arc::new(Mutex::new(RestoreJournal::new(77)));
+        let mut tx = ReliableChunkSender::new(src, ArqConfig);
+        data.iter().try_for_each(|p| tx.send(p)).unwrap();
+        tx.finish().unwrap();
+        let mut rx = ReliableChunkReceiver::new(dst, ArqConfig).with_journal(Arc::clone(&journal));
+        while rx.recv_chunk().unwrap().is_some() {}
+        let j = journal.lock().unwrap();
+        assert!(j.is_complete());
+        assert_eq!(j.records(), tx.records());
+        assert_eq!(j.digest(), records_digest(tx.records()));
+        assert_eq!(
+            j.raw_bytes(),
+            data.iter().map(|p| p.len() as u64).sum::<u64>()
+        );
+    }
+
+    #[test]
+    fn crash_at_chunk_k_resumes_without_replaying_verified_chunks() {
+        let data = payloads(30);
+        let k = 12u32;
+        // Attempt 1: the destination dies just before consuming chunk k.
+        let (src, dst) = channel_pair(NetworkModel::instant());
+        let journal = Arc::new(Mutex::new(RestoreJournal::new(9)));
+        let mut tx = ReliableChunkSender::new(src, ArqConfig);
+        data.iter().try_for_each(|p| tx.send(p)).unwrap();
+        tx.finish().unwrap();
+        let mut rx = ReliableChunkReceiver::new(dst, ArqConfig)
+            .with_journal(Arc::clone(&journal))
+            .with_crash_at(Some(k));
+        let err = loop {
+            if let Err(e) = rx.recv_chunk() {
+                break e;
+            }
+        };
+        assert_eq!(err, NetError::PeerCrashed { chunk: k });
+        let ledger = tx.records().to_vec();
+        // The journal outlives the destination that wrote it.
+        let recovered = journal.lock().unwrap_or_else(|p| p.into_inner()).clone();
+        assert_eq!(recovered.next_chunk(), k);
+        // Attempt 2: rebuilt destination re-attaches over a fresh link.
+        let (src2, dst2) = channel_pair(NetworkModel::instant());
+        let mut rx = ReliableChunkReceiver::new_resuming(dst2, &recovered).unwrap();
+        let mut tx2 = ReliableChunkSender::new(src2, ArqConfig);
+        let ResumeDecision::Accepted {
+            next,
+            bytes_saved_raw,
+            ..
+        } = tx2.accept_resume(9, &ledger).unwrap()
+        else {
+            panic!("valid journal must be accepted");
+        };
+        assert_eq!(next, k);
+        let saved: u64 = data[..k as usize].iter().map(|p| p.len() as u64).sum();
+        assert_eq!(bytes_saved_raw, saved);
+        data[k as usize..]
+            .iter()
+            .try_for_each(|p| tx2.send(p))
+            .unwrap();
+        assert_eq!(tx2.finish().unwrap(), data.len() as u32 + 1);
+        let counters = rx.counters();
+        let mut got = Vec::new();
+        while let Some(p) = rx.recv_chunk().unwrap() {
+            got.push(p);
+        }
+        assert_eq!(got, data[k as usize..]);
+        assert_eq!(counters.snapshot().replays_below_start, 0);
+    }
+
+    /// A sender that re-sends a chunk the journal already holds is
+    /// refused by the resumed receiver, and the replay is counted.
+    #[test]
+    fn a_replay_below_the_resume_start_is_refused_and_counted() {
+        let mut journal = RestoreJournal::new(3);
+        let (frame, wire_len, crc) = frame_chunk(0, false, &[1; 8], false);
+        let record = ChunkRecord {
+            index: 0,
+            raw_len: 8,
+            wire_len: wire_len as u32,
+            crc,
+            phase: RestorePhase::Prefix,
+        };
+        journal.append(record, vec![1; 8]).unwrap();
+        let (a, b) = channel_pair(NetworkModel::instant());
+        let mut rx = ReliableChunkReceiver::new_resuming(b, &journal).unwrap();
+        a.send(frame).unwrap();
+        let err = rx.recv_chunk().unwrap_err();
+        assert!(
+            matches!(err, NetError::ChunkFraming { chunk: 1, .. }),
+            "{err:?}"
+        );
+        assert_eq!(rx.counters().snapshot().replays_below_start, 1);
+    }
+
+    #[test]
+    fn tampered_or_mismatched_resume_requests_are_rejected() {
+        // A genuine ledger and a journal of its first five chunks.
+        let data = payloads(8);
+        let (src, dst) = channel_pair(NetworkModel::instant());
+        let journal = Arc::new(Mutex::new(RestoreJournal::new(42)));
+        let mut tx = ReliableChunkSender::new(src, ArqConfig);
+        data.iter().try_for_each(|p| tx.send(p)).unwrap();
+        let mut rx = ReliableChunkReceiver::new(dst, ArqConfig)
+            .with_journal(Arc::clone(&journal))
+            .with_crash_at(Some(5));
+        while rx.recv_chunk().is_ok() {}
+        let ledger = tx.records().to_vec();
+        let good = journal.lock().unwrap_or_else(|p| p.into_inner()).clone();
+        assert_eq!(good.next_chunk(), 5);
+
+        // The handshake control frame is queued by `new_resuming`, so the
+        // sender side can validate it on the same thread.
+        let decide = |journal: &RestoreJournal, image_id: u64| {
+            let (src2, dst2) = channel_pair(NetworkModel::instant());
+            let _rx = ReliableChunkReceiver::new_resuming(dst2, journal).unwrap();
+            let mut tx2 = ReliableChunkSender::new(src2, ArqConfig);
+            tx2.accept_resume(image_id, &ledger).unwrap()
+        };
+        let mut tampered = good.clone();
+        tampered.tamper_record(1);
+        assert_eq!(
+            decide(&tampered, 42),
+            ResumeDecision::Rejected(ResumeReject::DigestMismatch)
+        );
+        assert_eq!(
+            decide(&good, 43),
+            ResumeDecision::Rejected(ResumeReject::ImageMismatch)
+        );
+        assert!(matches!(
+            decide(&good, 42),
+            ResumeDecision::Accepted { next: 5, .. }
+        ));
+    }
+
+    #[test]
+    fn last_frame_with_payload_is_delivered_then_done() {
+        let (a, b) = channel_pair(NetworkModel::instant());
+        a.send(frame_chunk(0, true, &[9, 9, 9, 9], false).0)
+            .unwrap();
+        let mut rx = ReliableChunkReceiver::new(b, ArqConfig);
+        assert_eq!(rx.recv_chunk().unwrap(), Some(vec![9, 9, 9, 9]));
+        assert!(rx.is_done());
+        assert_eq!(rx.recv_chunk().unwrap(), None);
+    }
+
+    #[test]
+    fn garbage_frame_and_vanished_sender_are_named_errors() {
+        let (a, b) = channel_pair(NetworkModel::instant());
+        a.send(frame_chunk(0, false, &[1, 2, 3, 4], false).0)
+            .unwrap();
+        a.send(vec![0xde, 0xad, 0xbe, 0xef, 0, 0, 0, 0]).unwrap();
+        let mut rx = ReliableChunkReceiver::new(b, ArqConfig);
+        assert_eq!(rx.recv_chunk().unwrap(), Some(vec![1, 2, 3, 4]));
+        match rx.recv_chunk() {
+            Err(NetError::ChunkFraming { chunk, .. }) => assert_eq!(chunk, 1),
+            other => panic!("expected ChunkFraming, got {other:?}"),
+        }
+        drop(a);
+        assert_eq!(rx.recv_chunk().unwrap_err(), NetError::Disconnected);
+    }
+
+    /// Compressible, incompressible, tiny and empty chunks through one
+    /// clean compressed stream: payloads come back byte-identical, a chunk
+    /// the coder cannot shrink goes out stored (never expanded), and the
+    /// transfer counters say which was which.
+    #[test]
+    fn v3_codec_accounts_compressed_and_stored_chunks() {
+        // splitmix-style noise defeats both the RLE and match finders.
+        let mut s = 0x1234_5678_9abc_def0u64;
+        let noise: Vec<u8> = (0..4096)
+            .map(|_| {
+                s = s.wrapping_add(0x9e3779b97f4a7c15);
+                let mut z = s;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect();
+        let chunks = vec![
+            vec![7u8; 8 * 1024],
+            noise.clone(),
+            vec![],
+            b"short".to_vec(),
+        ];
+        let (src, dst) = channel_pair(NetworkModel::instant());
+        let mut tx = ReliableChunkSender::new(src, ArqConfig).with_codec(WireCodec::V3);
+        chunks.iter().try_for_each(|c| tx.send(c)).unwrap();
+        tx.finish().unwrap();
+        let mut rx = ReliableChunkReceiver::new(dst, ArqConfig);
+        for c in &chunks {
+            assert_eq!(rx.recv_chunk().unwrap().as_ref(), Some(c));
+        }
+        assert_eq!(rx.recv_chunk().unwrap(), None);
+        let snap = tx.into_link().stats().snapshot();
+        assert_eq!(snap.chunks_compressed, 1, "only the run of sevens shrinks");
+        assert_eq!(snap.raw_payload_bytes, 8 * 1024 + 4096 + 5);
+        // Stored fallback: everything but the compressed chunk is
+        // carried at exactly its raw size.
+        let stored = noise.len() as u64 + 5;
+        assert!(snap.wire_payload_bytes > stored);
+        assert!(snap.wire_payload_bytes < stored + 8 * 1024 / 10);
+    }
+}

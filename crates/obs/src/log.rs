@@ -35,7 +35,7 @@
 //!    but the JSONL dump and [`LogDump::shape`] leave it out. Anything
 //!    time-like *inside* an event's arguments is modeled time.
 //! 2. **Per-track ordering only.** A track's event order is a pure
-//!    function of the seed (the ARQ ledger, the fault plan, the DFS); the
+//!    function of the seed (the chunk stream, the fault plan, the DFS); the
 //!    dump lists tracks sorted by name, events by per-track sequence
 //!    number. Cross-track interleaving, which is scheduling-dependent,
 //!    never appears.

@@ -27,12 +27,13 @@
 //! refused as [`XdrError::BadMagic`]: `HPMC` (`0x4850_4D43`, v1), which
 //! carried no CRC, and `HPMD` (v2) and `HPME` (v3), whose CRCs left the
 //! header unprotected. The CRC is reported, not verified, there — the
-//! transport layer decides how to react to a mismatch (the framing layer
-//! has no notion of retransmission).
+//! transport layer decides how to react to a mismatch (it ends the
+//! connection).
 //!
-//! The reverse direction of an ARQ link carries tiny control frames
-//! ([`frame_control`] / [`unframe_control`]): cumulative ACKs and
-//! per-sequence NACKs.
+//! The reverse direction of a link carries one control frame
+//! ([`frame_control`] / [`unframe_control`]): the resume handshake. The
+//! retired acknowledgement kinds, cumulative ACK (0) and NACK (1), are
+//! refused as [`XdrError::RetiredControl`], by name.
 //!
 //! The framing is deliberately orthogonal to the image grammar: the
 //! concatenation of the chunk payloads, in sequence order, is the exact
@@ -44,7 +45,7 @@ use crate::{XdrDecoder, XdrEncoder, XdrError};
 /// Magic number opening every chunk frame: "HPMF".
 pub const CHUNK_MAGIC: u32 = 0x4850_4D46;
 
-/// Magic number opening every ARQ control frame: "HPMA".
+/// Magic number opening every control frame: "HPMA".
 pub const CONTROL_MAGIC: u32 = 0x4850_4D41;
 
 /// Flag bit marking the final chunk of a stream.
@@ -202,9 +203,8 @@ impl ChunkFrame {
 /// and an intact frame whose flags set a bit no sender sets; on a damaged
 /// frame any word may be the damage, which [`ChunkFrame::verify_crc`]
 /// then reports. The CRC is returned unverified so the transport can
-/// distinguish "damaged frame" (dropped, retransmittable) from
-/// "unparseable frame", and the payload stays compressed so verification
-/// precedes decompression.
+/// name a "damaged frame" apart from an "unparseable frame", and the
+/// payload stays compressed so verification precedes decompression.
 pub fn unframe_chunk_any(frame: &[u8]) -> Result<ChunkFrame, XdrError> {
     let h = peek_chunk_header(frame)?;
     let arrived_crc = crc32(&frame[..frame.len() - 4]);
@@ -222,19 +222,9 @@ pub fn unframe_chunk_any(frame: &[u8]) -> Result<ChunkFrame, XdrError> {
     })
 }
 
-/// An ARQ control message, sent on the reverse direction of the link.
+/// A control message, sent on the reverse direction of the link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Control {
-    /// Cumulative acknowledgement: every sequence below `next` arrived.
-    Ack {
-        /// The lowest sequence number the receiver still needs.
-        next: u32,
-    },
-    /// Negative acknowledgement: `seq` is missing or arrived corrupt.
-    Nack {
-        /// The sequence number to retransmit.
-        seq: u32,
-    },
     /// Resume handshake: a rebuilt destination re-attaches to the sender.
     ///
     /// The receiver claims it already holds every chunk below `next` of the
@@ -252,34 +242,26 @@ pub enum Control {
     },
 }
 
-/// Frame one control message (12 bytes on the wire; 28 for `Resume`).
+/// Control kinds no sender writes any more, by their wire number.
+const RETIRED_CONTROL: [&str; 2] = ["ack", "nack"];
+
+/// Frame one control message (28 bytes on the wire).
 pub fn frame_control(ctrl: Control) -> Vec<u8> {
+    let Control::Resume {
+        image_id,
+        next,
+        digest,
+    } = ctrl;
     let mut enc = XdrEncoder::with_capacity(28);
     enc.put_u32(CONTROL_MAGIC);
-    match ctrl {
-        Control::Ack { next } => {
-            enc.put_u32(0);
-            enc.put_u32(next);
-        }
-        Control::Nack { seq } => {
-            enc.put_u32(1);
-            enc.put_u32(seq);
-        }
-        Control::Resume {
-            image_id,
-            next,
-            digest,
-        } => {
-            enc.put_u32(2);
-            enc.put_u32(next);
-            enc.put_u64(image_id);
-            enc.put_u64(digest);
-        }
-    }
+    enc.put_u32(2);
+    enc.put_u32(next);
+    enc.put_u64(image_id);
+    enc.put_u64(digest);
     enc.into_bytes()
 }
 
-/// Unframe one control message.
+/// Unframe one control message. A retired kind is refused by name.
 pub fn unframe_control(frame: &[u8]) -> Result<Control, XdrError> {
     let mut dec = XdrDecoder::new(frame);
     let magic = dec.get_u32()?;
@@ -287,16 +269,16 @@ pub fn unframe_control(frame: &[u8]) -> Result<Control, XdrError> {
         return Err(XdrError::BadMagic(magic));
     }
     let kind = dec.get_u32()?;
-    let seq = dec.get_u32()?;
-    let ctrl = match kind {
-        0 => Control::Ack { next: seq },
-        1 => Control::Nack { seq },
-        2 => Control::Resume {
-            next: seq,
-            image_id: dec.get_u64()?,
-            digest: dec.get_u64()?,
-        },
-        other => return Err(XdrError::BadMagic(other)),
+    if let Some(name) = RETIRED_CONTROL.get(kind as usize) {
+        return Err(XdrError::RetiredControl(name));
+    }
+    if kind != 2 {
+        return Err(XdrError::BadMagic(kind));
+    }
+    let ctrl = Control::Resume {
+        next: dec.get_u32()?,
+        image_id: dec.get_u64()?,
+        digest: dec.get_u64()?,
     };
     if !dec.is_empty() {
         return Err(XdrError::LengthTooLarge(dec.remaining() as u32));
@@ -473,11 +455,6 @@ mod tests {
 
     #[test]
     fn control_frames_roundtrip() {
-        for ctrl in [Control::Ack { next: 17 }, Control::Nack { seq: 3 }] {
-            let frame = frame_control(ctrl);
-            assert_eq!(frame.len(), 12);
-            assert_eq!(unframe_control(&frame).unwrap(), ctrl);
-        }
         let resume = Control::Resume {
             image_id: 0xDEAD_BEEF_CAFE_F00D,
             next: 41,
@@ -486,6 +463,21 @@ mod tests {
         let frame = frame_control(resume);
         assert_eq!(frame.len(), 28);
         assert_eq!(unframe_control(&frame).unwrap(), resume);
+    }
+
+    /// The acknowledgement kinds no sender writes any more are refused by
+    /// name, whatever follows the kind word.
+    #[test]
+    fn retired_ack_and_nack_kinds_are_refused_by_name() {
+        for (kind, name) in [(0u32, "ack"), (1, "nack")] {
+            let mut enc = XdrEncoder::new();
+            for word in [CONTROL_MAGIC, kind, 17] {
+                enc.put_u32(word);
+            }
+            let err = unframe_control(&enc.into_bytes()).unwrap_err();
+            assert_eq!(err, XdrError::RetiredControl(name));
+            assert!(err.to_string().contains(name), "{err}");
+        }
     }
 
     #[test]
@@ -529,17 +521,22 @@ mod tests {
 
     #[test]
     fn control_rejects_bad_magic_kind_and_trailing_bytes() {
-        let mut bad_magic = frame_control(Control::Ack { next: 0 });
+        let resume = Control::Resume {
+            image_id: 1,
+            next: 0,
+            digest: 2,
+        };
+        let mut bad_magic = frame_control(resume);
         bad_magic[0] ^= 0xFF;
         assert!(unframe_control(&bad_magic).is_err());
-        let mut bad_kind = frame_control(Control::Ack { next: 0 });
+        let mut bad_kind = frame_control(resume);
         bad_kind[7] = 9;
-        assert!(unframe_control(&bad_kind).is_err());
-        let mut trailing = frame_control(Control::Nack { seq: 1 });
+        assert_eq!(unframe_control(&bad_kind), Err(XdrError::BadMagic(9)));
+        let mut trailing = frame_control(resume);
         trailing.extend_from_slice(&[0; 4]);
         assert!(unframe_control(&trailing).is_err());
         // Control frames are not chunks and vice versa.
-        assert!(unframe_chunk_any(&frame_control(Control::Ack { next: 0 })).is_err());
+        assert!(unframe_chunk_any(&frame_control(resume)).is_err());
     }
 
     #[test]

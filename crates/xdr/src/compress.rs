@@ -5,7 +5,7 @@
 //! a small LZ-style coder removes most of the wire volume. This module
 //! is deliberately dependency-free and fully deterministic: the same
 //! input bytes produce the same compressed bytes on every platform, so
-//! compressed streams can be CRC'd, retransmitted, and replayed in
+//! compressed streams can be CRC'd, journaled, and replayed in
 //! seed-driven soak tests without ever diverging.
 //!
 //! ## Stream format

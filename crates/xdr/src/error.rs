@@ -20,6 +20,8 @@ pub enum XdrError {
     LengthTooLarge(u32),
     /// A framed message opened with the wrong magic word.
     BadMagic(u32),
+    /// A control frame of a kind no sender writes any more, by name.
+    RetiredControl(&'static str),
     /// A frame's trailing CRC-32 did not match its contents.
     CrcMismatch {
         /// CRC declared in the frame.
@@ -46,6 +48,9 @@ impl std::fmt::Display for XdrError {
             }
             XdrError::BadMagic(m) => {
                 write!(f, "bad frame magic {m:#010x}")
+            }
+            XdrError::RetiredControl(name) => {
+                write!(f, "retired control kind '{name}'")
             }
             XdrError::CrcMismatch { expected, actual } => {
                 write!(

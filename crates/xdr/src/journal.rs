@@ -73,7 +73,7 @@ impl std::fmt::Display for RestorePhase {
 /// One CRC-verified chunk, as recorded by both ends of the link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChunkRecord {
-    /// Stream position (ARQ sequence number) of the chunk.
+    /// Stream position (chunk sequence number) of the chunk.
     pub index: u32,
     /// Decoded payload length in bytes.
     pub raw_len: u32,

@@ -3,7 +3,7 @@
 //! (big-endian) over 10 Mb/s Ethernet — first deterministically (whole
 //! image, poll-count trigger, everything on one thread), then live: a
 //! scheduler thread delivers the migration request asynchronously while
-//! source and destination run as real threads over an acknowledged chunk
+//! source and destination run as real threads over a CRC-checked chunk
 //! stream.
 //!
 //! ```text
@@ -12,8 +12,7 @@
 
 use hpm::arch::Architecture;
 use hpm::migrate::{
-    migrate, run_migrating, run_straight, Migration, PipelineConfig, RecoveryPolicy, Transport,
-    Trigger,
+    migrate, run_migrating, run_straight, Migration, PipelineConfig, Transport, Trigger,
 };
 use hpm::net::{FaultPlan, NetworkModel};
 use hpm::workloads::{diff_results, BitonicSort, Linpack, TestPointer};
@@ -92,7 +91,6 @@ fn main() {
                     ..PipelineConfig::default()
                 },
                 FaultPlan::none(),
-                RecoveryPolicy::default(),
             )),
         )
     })

@@ -15,7 +15,7 @@ use hpm_arch::Architecture;
 use hpm_core::CollectStats;
 use hpm_migrate::{
     migrate, run_migrating, run_straight, run_to_migration, MigratableProgram, Migration,
-    MigrationRun, PipelineConfig, PrecopyConfig, RecoveryPolicy, Transport, Trigger,
+    MigrationRun, PipelineConfig, PrecopyConfig, Transport, Trigger,
 };
 use hpm_net::{FaultPlan, NetworkModel, WireCodec};
 use hpm_workloads::{diff_results, BitonicSort, Linpack, TestPointer};
@@ -44,8 +44,7 @@ fn wire(codec: WireCodec) -> PipelineConfig {
 fn transports() -> Vec<(String, Transport)> {
     let mut out = vec![("whole".to_string(), Transport::Whole)];
     for codec in [WireCodec::V2, WireCodec::V3] {
-        let reliable =
-            Transport::Reliable(wire(codec), FaultPlan::none(), RecoveryPolicy::default());
+        let reliable = Transport::Reliable(wire(codec), FaultPlan::none());
         out.push((format!("reliable/{codec:?}"), reliable));
     }
     out
@@ -216,34 +215,27 @@ fn linpack_composes() {
     );
 }
 
-/// A live-link plan: the per-seed fault rates with every permanent
-/// failure mode cleared (the pre-copy rounds need the link back each
-/// round).
-fn lossy(seed: u64) -> FaultPlan {
-    FaultPlan {
-        disconnect_at: None,
-        dst_crash_at: None,
-        src_crash_at: None,
-        tamper_journal: false,
-        ..FaultPlan::from_seed(seed)
-    }
-}
-
-/// Pre-copy + ARQ + chunked, compressed (the value ROADMAP item 1 asks
-/// for) and stored (unreachable before the engine: the pre-copy ARQ path
-/// hard-wired V3) — over a link that drops, corrupts, duplicates,
-/// reorders and delays.
+/// Pre-copy + chunked, compressed (the value ROADMAP item 1 asks for)
+/// and stored (unreachable before the engine: the pre-copy path
+/// hard-wired V3) — over a pipe that damages a frame, or breaks: every
+/// round's connection takes the fault and is redialled once, its faults
+/// spent, so each frame still arrives whole.
 #[test]
 fn precopy_over_a_lossy_reliable_link_under_both_codecs() {
     let (src, dst) = (Architecture::dec5000(), Architecture::x86_64_sim());
     let (expect, _) = run_straight(&mut BitonicSort::new(BITONIC_N), src.clone()).unwrap();
-    for (codec, seed) in [
-        (WireCodec::V3, 0x0E61_0001u64),
-        (WireCodec::V2, 0x0E61_0002),
-    ] {
+    let damaged = FaultPlan {
+        seed: 0x0E61_0001,
+        corrupt_at: Some(2),
+        ..FaultPlan::none()
+    };
+    let broken = FaultPlan {
+        disconnect_at: Some(1),
+        ..FaultPlan::none()
+    };
+    for (codec, plan) in [(WireCodec::V3, damaged), (WireCodec::V2, broken)] {
         let go = || {
-            let transport =
-                Transport::Reliable(wire(codec), lossy(seed), RecoveryPolicy::default());
+            let transport = Transport::Reliable(wire(codec), plan);
             migrate(
                 || BitonicSort::new(BITONIC_N),
                 src.clone(),
@@ -255,7 +247,7 @@ fn precopy_over_a_lossy_reliable_link_under_both_codecs() {
                     ..Migration::new(transport)
                 },
             )
-            .unwrap_or_else(|e| panic!("{codec:?} seed {seed:#x}: {e}"))
+            .unwrap_or_else(|e| panic!("{codec:?} {plan:?}: {e}"))
         };
         let run = go();
         assert!(
@@ -266,14 +258,13 @@ fn precopy_over_a_lossy_reliable_link_under_both_codecs() {
         assert!(stats.identity_ok && !stats.completed_on_source, "{codec:?}");
         assert_eq!(
             stats.fallbacks, 0,
-            "{codec:?}: ARQ must absorb the link faults"
+            "{codec:?}: no damaged frame may reach a delta"
         );
         let recovery = run.report.recovery().expect("reliable runs carry stats");
         assert!(
             recovery.faults_injected > 0,
-            "{codec:?}: seed injected nothing"
+            "{codec:?}: the plan injected nothing: {recovery:?}"
         );
-        assert!(recovery.retransmits > 0, "{recovery:?}");
         let compressed = run.report.transfer.chunks_compressed > 0;
         assert_eq!(
             compressed,

@@ -7,7 +7,6 @@ use hpm_arch::Architecture;
 use hpm_migrate::{run_migrating_resilient, PipelineConfig, RecoveryPolicy, Rung2Skip, Trigger};
 use hpm_net::{FaultPlan, NetworkModel};
 use hpm_workloads::TestPointer;
-use std::time::Duration;
 
 #[test]
 fn driver_error_writes_the_dump_where_ci_expects_it() {
@@ -32,18 +31,10 @@ fn driver_error_writes_the_dump_where_ci_expects_it() {
         },
         FaultPlan {
             seed: 0xDEAD11,
-            drop_per_mille: 0,
-            corrupt_per_mille: 0,
-            duplicate_per_mille: 0,
-            reorder_per_mille: 0,
-            delay_per_mille: 0,
             disconnect_at: Some(0),
             ..FaultPlan::none()
         },
-        RecoveryPolicy {
-            max_retries: 3,
-            backoff: Duration::from_millis(1),
-        },
+        RecoveryPolicy,
     )
     .expect("a dead link resumes on the source");
     let resume = run.report.resume().expect("resilient runs carry stats");
@@ -53,8 +44,8 @@ fn driver_error_writes_the_dump_where_ci_expects_it() {
     let body = std::fs::read_to_string(&path).expect("dump file written on driver error");
     std::env::remove_var("HPM_FLIGHT_DUMP");
     assert!(
-        body.contains("\"kind\":\"retries.exhausted\""),
-        "dump names the exhaustion event:\n{body}"
+        body.contains("\"kind\":\"fault.injected\",\"chunk\":0,\"note\":\"disconnect\""),
+        "dump names the broken pipe:\n{body}"
     );
     for event in ["attempt.failed", "fallback.reached"] {
         let line = body
@@ -62,12 +53,12 @@ fn driver_error_writes_the_dump_where_ci_expects_it() {
             .find(|l| l.contains(&format!("\"kind\":\"{event}\"")))
             .unwrap_or_else(|| panic!("dump carries {event}:\n{body}"));
         assert!(
-            line.contains("retries exhausted"),
+            line.contains("peer disconnected"),
             "{event} carries the transport error: {line}"
         );
     }
     assert!(
-        body.contains("\"track\":\"arq.tx\"") && body.contains("\"track\":\"driver\""),
+        body.contains("\"track\":\"fault\"") && body.contains("\"track\":\"driver\""),
         "dump carries the per-component tracks:\n{body}"
     );
     for line in body.lines() {

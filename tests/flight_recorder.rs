@@ -1,40 +1,29 @@
 //! Event-log post-mortem acceptance: a forced migration failure must produce a
-//! deterministic post-mortem naming the exact chunk, attempt count, and
-//! phase — byte-identical across reruns of the same fault-plan seed —
-//! and the success paths must carry their telemetry without perturbing
-//! results.
+//! deterministic post-mortem naming the exact chunk, the fault and the
+//! phase — byte-identical across reruns of the same fault plan — and the
+//! success paths must carry their telemetry without perturbing results.
 
 use hpm_arch::Architecture;
 use hpm_migrate::{
-    migrate, run_straight, Migration, MigrationRun, PipelineConfig, RecoveryPolicy, Rung2Skip,
-    Transport, Trigger,
+    migrate, run_straight, Migration, MigrationRun, PipelineConfig, Rung2Skip, Transport, Trigger,
 };
 use hpm_net::{FaultPlan, NetworkModel};
 use hpm_obs::{EventLog, Level, LogDump};
 use hpm_workloads::{diff_results, TestPointer};
-use std::time::Duration;
 
-/// A plan that injects nothing except a dead forward path from the very
-/// first chunk — every retry is doomed, so the sender must exhaust its
-/// budget deterministically (ARQ runs on the modeled clock), and the
-/// destination verifies nothing, so there is no journal for rung 2 and
-/// the run ends on the source (rung 3).
+/// A plan that injects nothing except a pipe that breaks at the very
+/// first frame: the destination verifies nothing, so there is no journal
+/// for rung 2 and the run ends on the source (rung 3).
 fn dead_link_plan() -> FaultPlan {
     FaultPlan {
         seed: 0xF11_6487,
-        drop_per_mille: 0,
-        corrupt_per_mille: 0,
-        duplicate_per_mille: 0,
-        reorder_per_mille: 0,
-        delay_per_mille: 0,
         disconnect_at: Some(0),
         ..FaultPlan::none()
     }
 }
 
-/// Chunks larger than the whole TestPointer image: the collector never
-/// blocks on the wire thread, so collection always runs to completion
-/// and its track is a pure function of the workload.
+/// Chunks larger than the whole TestPointer image: the payload is one
+/// chunk behind the prefix.
 fn big_chunk_cfg() -> PipelineConfig {
     PipelineConfig {
         chunk_bytes: 65536,
@@ -53,14 +42,7 @@ fn run_doomed(log: &EventLog) -> MigrationRun {
         Trigger::AtPollCount(8),
         &Migration {
             log: Some(log),
-            ..Migration::new(Transport::Reliable(
-                big_chunk_cfg(),
-                dead_link_plan(),
-                RecoveryPolicy {
-                    max_retries: 3,
-                    backoff: Duration::from_millis(1),
-                },
-            ))
+            ..Migration::new(Transport::Reliable(big_chunk_cfg(), dead_link_plan()))
         },
     )
     .expect("a dead link resumes on the source")
@@ -75,24 +57,17 @@ fn driver_note<'d>(dump: &'d LogDump, name: &str) -> &'d str {
 }
 
 fn assert_dump_names_the_failure(dump: &LogDump) {
-    // The exact chunk and attempt count, from the ARQ sender track.
-    let exhausted = dump.events_of("retries.exhausted");
-    assert_eq!(exhausted.len(), 1, "exactly one exhaustion event");
-    let (track, ev) = exhausted[0];
-    assert_eq!(track, "arq.tx");
-    let arg = |k: &str| {
-        ev.args
-            .iter()
-            .find(|(n, _)| *n == k)
-            .unwrap_or_else(|| panic!("retries.exhausted missing arg {k}"))
-            .1
-    };
-    assert_eq!(arg("chunk"), 0, "the black-holed chunk is named");
-    assert_eq!(arg("attempts"), 4, "max_retries=3 means 4 attempts");
+    // The exact chunk and the fault, from the injector's track.
+    let injected = dump.events_of("fault.injected");
+    assert_eq!(injected.len(), 1, "exactly one injected fault");
+    let (track, ev) = injected[0];
+    assert_eq!(track, "fault");
+    assert_eq!(ev.args, [("chunk", 0)], "the frame the pipe broke at");
+    assert_eq!(ev.note.as_deref(), Some("disconnect"));
     // The phase the failure happened in, from the driver track: collection
-    // completed (big chunks mean the collector never blocks on the wire),
-    // then the attempt died in transit, rung 2 had nothing to resume from,
-    // and the run fell back to the source — each step noting why.
+    // completed (a broken pipe never stops the collector), then the
+    // attempt died in transit, rung 2 had nothing to resume from, and the
+    // run fell back to the source — each step noting why.
     assert!(
         !dump.events_of("phase.collect").is_empty(),
         "driver track records the collect phase"
@@ -100,7 +75,7 @@ fn assert_dump_names_the_failure(dump: &LogDump) {
     for name in ["attempt.failed", "fallback.reached"] {
         let note = driver_note(dump, name);
         assert!(
-            note.starts_with("net: retries exhausted"),
+            note.starts_with("net: peer disconnected"),
             "{name} carries the transport error: {note}"
         );
     }

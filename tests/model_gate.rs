@@ -1,6 +1,6 @@
 //! Model-checker gate: the exhaustive protocol suite must hold with
-//! zero violations and the seeded double release must be *caught*, with
-//! a replayable counterexample.
+//! zero violations and the seeded skipped CRC must be *caught*, with a
+//! replayable counterexample.
 
 use hpm_lint::LintCode;
 use hpm_model::{
@@ -73,22 +73,22 @@ fn schedule_trace_is_refused_by_name_not_replayed() {
 }
 
 #[test]
-fn protocol_checker_detects_a_seeded_double_release() {
-    let sc = ProtoScenario::seeded_double_release();
+fn protocol_checker_detects_a_seeded_skipped_crc() {
+    let sc = ProtoScenario::seeded_skipped_crc();
     let outcome = explore_proto(&sc);
     let v = outcome
         .violation
-        .expect("seeded dup-guard removal must be caught");
-    assert_eq!(v.code, LintCode::ModelDoubleRelease);
+        .expect("seeded CRC-check removal must be caught");
+    assert_eq!(v.code, LintCode::ModelWrongDelivery);
     assert!(!v.trace.is_empty(), "violation must carry an event path");
     // The recorded event path replays to the same violation.
     let replayed = hpm_model::replay_proto(&sc, &v.trace).expect("event path replays");
     let (code, _msg) = replayed.expect("replay ends in the violation");
-    assert_eq!(code, LintCode::ModelDoubleRelease);
+    assert_eq!(code, LintCode::ModelWrongDelivery);
     // So does its JSONL witness, through `hpm-model --replay`'s path.
     let tf = parse_trace(&proto_trace_to_jsonl(sc.name, &v)).expect("trace parses");
     let out = replay_trace(&tf).expect("trace replays");
-    assert!(out.reproduced, "replay must reproduce the recorded HPM042");
+    assert!(out.reproduced, "replay must reproduce the recorded HPM048");
 }
 
 #[test]
@@ -107,11 +107,11 @@ fn failing_report_maps_to_its_hpm_code() {
     let mut reports = run_all();
     reports[0]
         .findings
-        .push((LintCode::ModelWindowOverflow, "synthetic".into()));
+        .push((LintCode::ModelDoubleRelease, "synthetic".into()));
     let lint = report_to_lint(&reports);
-    assert!(lint.has_code(LintCode::ModelWindowOverflow));
+    assert!(lint.has_code(LintCode::ModelDoubleRelease));
     assert_eq!(lint.diagnostics().len(), 1);
-    assert_eq!(lint.diagnostics()[0].code.code(), "HPM041");
+    assert_eq!(lint.diagnostics()[0].code.code(), "HPM042");
 
     // A wrong delivery folds the same way, as an error.
     reports[0].findings[0].0 = LintCode::ModelWrongDelivery;

@@ -9,7 +9,7 @@ use hpm::core::stream::VecChunks;
 use hpm::core::ChunkPayload;
 use hpm::migrate::{
     migrate, run_straight, run_to_migration, ExecutionState, MigCtx, MigError, MigratableProgram,
-    MigratedSource, Migration, PipelineConfig, Process, RecoveryPolicy, Transport, Trigger,
+    MigratedSource, Migration, PipelineConfig, Process, Transport, Trigger,
 };
 use hpm::net::{FaultPlan, NetworkModel};
 use hpm::workloads::{diff_results, BitonicSort, Linpack, TestPointer};
@@ -86,7 +86,6 @@ fn pipelined_migration_matches_straight_run_and_overlaps() {
         &Migration::new(Transport::Reliable(
             PipelineConfig::default(),
             FaultPlan::none(),
-            RecoveryPolicy::default(),
         )),
     )
     .unwrap();
@@ -109,9 +108,10 @@ fn pipelined_migration_matches_straight_run_and_overlaps() {
         "overlap_ratio must be positive, got {}",
         p.overlap_ratio()
     );
-    // A clean link costs acknowledgements and nothing else.
+    // A clean link costs the frames and nothing else: one message each.
     let r = run.report.recovery().expect("reliable run carries stats");
-    assert!(r.retransmits == 0 && r.nacks_sent == 0, "{r:?}");
+    assert_eq!(r.faults_injected + r.corrupt_caught, 0, "{r:?}");
+    assert_eq!(run.report.transfer.messages_sent, p.chunks);
     assert_eq!(run.report.resume().unwrap().rung, 1);
 }
 

@@ -1,6 +1,6 @@
 //! End-to-end pre-copy delta migration: correctness of the iterative
 //! rounds, the convergence freeze, the digest-refusal fallback ladder,
-//! and composition with the faulty-link ARQ stack.
+//! and composition with the faulty chunk stream.
 
 use hpm_arch::Architecture;
 use hpm_core::{
@@ -9,7 +9,7 @@ use hpm_core::{
 use hpm_migrate::{
     migrate, resume_from_image, resume_to_migration, run_straight, run_to_migration, Flow, MigCtx,
     MigError, MigratableProgram, MigratedSource, Migration, MigrationRun, PipelineConfig,
-    PrecopyConfig, PrecopyStats, Process, RecoveryPolicy, ResumeFlow, Transport, Trigger,
+    PrecopyConfig, PrecopyStats, Process, ResumeFlow, Transport, Trigger,
 };
 use hpm_net::{FaultPlan, NetworkModel};
 use hpm_types::Field;
@@ -202,12 +202,13 @@ fn program_outrunning_the_rounds_reports_source_results() {
 fn precopy_over_faulty_arq_link_roundtrips() {
     let (expected, _) =
         run_straight(&mut BitonicSort::new(N), Architecture::sparc20()).expect("straight run");
-    let mut plan = FaultPlan::from_seed(0x9E37_79B9);
-    // Pre-copy needs a live link across every round: no permanent
-    // disconnects, no process crashes.
-    plan.disconnect_at = None;
-    plan.dst_crash_at = None;
-    plan.src_crash_at = None;
+    // A round's connection that reaches its fourth frame delivers it
+    // damaged; it is redialled once and the round's frame arrives whole.
+    let plan = FaultPlan {
+        seed: 0x9E37_79B9,
+        corrupt_at: Some(3),
+        ..FaultPlan::none()
+    };
     let run = migrate(
         || BitonicSort::new(N),
         Architecture::sparc20(),
@@ -223,7 +224,6 @@ fn precopy_over_faulty_arq_link_roundtrips() {
                     ..PipelineConfig::default().compressed()
                 },
                 plan,
-                RecoveryPolicy::default(),
             ))
         },
     )
@@ -236,7 +236,7 @@ fn precopy_over_faulty_arq_link_roundtrips() {
     let faults = run
         .report
         .recovery()
-        .expect("ARQ path reports fault counters");
+        .expect("the chunk stream reports fault counters");
     assert!(
         faults.faults_injected > 0,
         "seed injected nothing — weak test"

@@ -1,18 +1,19 @@
 //! Pre-copy fault soak: 100 seeded fault plans over the delta rounds.
 //!
-//! Each seed derives a live-link fault plan (drops, corruption,
-//! duplication, reordering, delay — never a permanent disconnect: the
-//! pre-copy protocol needs the link back every round) and drives a full
-//! iterative migration through the ARQ stack. Every answer is diffed
-//! against the unmigrated run, per-round byte identity must hold, and
-//! periodic seeds are re-run to prove the stats reproduce exactly.
+//! Each seed derives a pipe-fault plan (one damaged frame, or a broken
+//! pipe, per connection — never a process crash: the pre-copy protocol
+//! needs both ends alive every round) and drives a full iterative
+//! migration through the chunk stream, where every round's connection
+//! that the fault ends is redialled once. Every answer is diffed against
+//! the unmigrated run, per-round byte identity must hold, and periodic
+//! seeds are re-run to prove the stats reproduce exactly.
 
 use std::time::Duration;
 
 use hpm_arch::Architecture;
 use hpm_migrate::{
     migrate, run_straight, Migration, MigrationRun, PipelineConfig, PrecopyConfig, PrecopyStats,
-    RecoveryPolicy, Transport, Trigger,
+    Transport, Trigger,
 };
 use hpm_net::{FaultPlan, NetworkModel};
 use hpm_workloads::{diff_results, BitonicSort};
@@ -20,16 +21,10 @@ use hpm_workloads::{diff_results, BitonicSort};
 const N: u64 = 1_200;
 const SEEDS: u64 = 100;
 
-/// A live-link plan: the per-seed fault rates with every permanent
-/// failure mode cleared (disconnects and process crashes belong to the
-/// crash-recovery soak, not the pre-copy rounds).
+/// A live-link plan: the seed's pipe faults. Process crashes and
+/// journal tampering belong to the ladder soak, not the pre-copy rounds.
 fn live_plan(seed: u64) -> FaultPlan {
-    let mut plan = FaultPlan::from_seed(seed);
-    plan.disconnect_at = None;
-    plan.dst_crash_at = None;
-    plan.src_crash_at = None;
-    plan.tamper_journal = false;
-    plan
+    FaultPlan::from_seed(seed)
 }
 
 /// Tuned so the freeze genuinely happens: the workload polls N times in
@@ -69,7 +64,6 @@ fn run_one(seed: u64) -> MigrationRun {
                     ..PipelineConfig::default().compressed()
                 },
                 live_plan(seed),
-                RecoveryPolicy::default(),
             ))
         },
     )
@@ -102,13 +96,13 @@ fn soak_precopy_bitonic_over_faulty_links() {
             assert_eq!(
                 stats(&run).fallbacks,
                 0,
-                "seed {seed:#x}: the ARQ layer must absorb link faults; a \
+                "seed {seed:#x}: a redialled round must arrive whole; a \
                  digest refusal here means corruption leaked through"
             );
             let faults = run
                 .report
                 .recovery()
-                .expect("ARQ path reports fault counters");
+                .expect("the chunk stream reports fault counters");
             faulty_runs += (faults.faults_injected > 0) as u64;
             total_faults += faults.faults_injected;
             if i % 25 == 0 {

@@ -144,10 +144,10 @@ impl ChunkSource for NetSource {
 }
 
 /// Put a TestPointer chunk stream (`frames`, LAST included) on the wire
-/// with byte `flip_at` of frame `victim` damaged, then the clean copy the
-/// sender's retransmission delivers, and restore over it. The CRC must
-/// catch the damage — counted, NACKed by chunk index, never handed to the
-/// restorer — and the restore must complete from the clean copy.
+/// with byte `flip_at` of frame `victim` damaged, and restore over it.
+/// The CRC must catch the damage — counted, and the connection ended with
+/// an error naming chunk `victim` — before the restorer is handed a byte
+/// of it, so the restore fails loudly instead of restoring garbage.
 fn assert_crc_catches_damage(frames: &[Vec<u8>], victim: u32, flip_at: usize) {
     let (a, b) = channel_pair(NetworkModel::instant());
     for (i, f) in frames.iter().enumerate() {
@@ -157,34 +157,27 @@ fn assert_crc_catches_damage(frames: &[Vec<u8>], victim: u32, flip_at: usize) {
         }
         a.send(frame).unwrap();
     }
-    a.send(frames[victim as usize].clone()).unwrap();
 
-    let mut rx = ReliableChunkReceiver::new(b, ArqConfig::default());
+    let mut rx = ReliableChunkReceiver::new(b, ArqConfig);
     let counters = rx.counters();
     let prefix = rx.recv_chunk().unwrap().expect("prefix chunk");
     let mut dst = TestPointer::new();
-    resume_over(
+    let err = resume_over(
         &mut dst,
         Architecture::sparc20(),
         &prefix,
         Some(Box::new(NetSource { rx })),
     )
-    .expect("the retransmitted copy completes the restore");
+    .expect_err("a damaged chunk must end the restore");
+    let named = format!("chunk frame {victim}: frame failed its CRC");
+    assert!(err.to_string().contains(&named), "{err}");
     let snap = counters.snapshot();
     assert_eq!(snap.corrupt_caught, 1, "the CRC must catch the damage");
-    assert_eq!(snap.nacks_sent, 1, "{snap:?}");
-    let nacked = std::iter::from_fn(|| a.try_recv())
-        .filter_map(|c| match hpm::xdr::unframe_control(&c).unwrap() {
-            hpm::xdr::Control::Nack { seq } => Some(seq),
-            _ => None,
-        })
-        .collect::<Vec<_>>();
-    assert_eq!(nacked, [victim], "the NACK must name chunk {victim}");
 }
 
 /// A payload corrupted on the wire under a still-valid frame header is
-/// caught by the per-chunk CRC mid-restore and re-requested by chunk
-/// index — the header-corruption counterpart for the streamed path.
+/// caught by the per-chunk CRC mid-restore and named by chunk index —
+/// the header-corruption counterpart for the streamed path.
 #[test]
 fn corrupted_payload_mid_stream_is_caught_by_crc() {
     let mut src = freeze_test_pointer();
@@ -258,7 +251,7 @@ fn v1_magic_frame_is_refused_by_every_receiver() {
         a.send(frame_chunk(0, false, &[9, 9, 9, 9], false).0)
             .unwrap();
         a.send(retired).unwrap();
-        let mut rx = ReliableChunkReceiver::new(b, ArqConfig::default());
+        let mut rx = ReliableChunkReceiver::new(b, ArqConfig);
         assert_eq!(rx.recv_chunk().unwrap(), Some(vec![9, 9, 9, 9]));
         match rx.recv_chunk() {
             Err(NetError::ChunkFraming { chunk, reason }) => {
@@ -1082,7 +1075,7 @@ fn forged_chunk(flags: u32, raw_len: u32, wire: &[u8]) -> Vec<u8> {
 fn refusal_of_chunk_0(frame: Vec<u8>) -> String {
     let (a, b) = channel_pair(NetworkModel::instant());
     a.send(frame).unwrap();
-    match ReliableChunkReceiver::new(b, ArqConfig::default()).recv_chunk() {
+    match ReliableChunkReceiver::new(b, ArqConfig).recv_chunk() {
         Err(NetError::ChunkFraming { chunk: 0, reason }) => reason,
         other => panic!("expected ChunkFraming for chunk 0, got {other:?}"),
     }
@@ -1441,23 +1434,104 @@ fn sealed_sweep<E: std::fmt::Debug>(
 }
 
 /// Two framings under the record stream that the sweeps above do not
-/// reach (ROADMAP 2(c)): ARQ control frames, and chunk frames through to
-/// their expanded payload.
+/// reach (ROADMAP 2(c)): control frames, and chunk frames through to
+/// their expanded payload — and the receiver core over a whole stream of
+/// them: every single-byte mutation of every frame, and every way an
+/// ordered pipe's frames can arrive out of order, ends the connection
+/// with a named error before a byte of the frame reaches the restorer.
 #[test]
 fn mutated_control_and_chunk_bytes_decode_or_refuse() {
-    use hpm::xdr::{compress, frame_control, unframe_control, Control, CHUNK_FLAG_COMPRESSED};
+    use hpm::net::{ReceiverCore, ReliableChunkSender};
+    use hpm::xdr::{
+        compress, frame_control, unframe_control, Control, CHUNK_FLAG_COMPRESSED, CONTROL_MAGIC,
+    };
     let resume = Control::Resume {
         image_id: 0x1234_5678_9ABC_DEF0,
         next: 7,
         digest: 0x0FED_CBA9_8765_4321,
     };
-    for (ctrl, seed) in [
-        (Control::Ack { next: 41 }, 0x6ea4_0005),
-        (resume, 0x6ea4_0006),
-    ] {
-        decoder_sweep(&frame_control(ctrl), seed, 50, |bytes| {
-            unframe_control(bytes).map(|_| ())
-        });
+    decoder_sweep(&frame_control(resume), 0x6ea4_0006, 50, |bytes| {
+        unframe_control(bytes).map(|_| ())
+    });
+
+    // The checked-in seed: test_pointer frozen at poll 8, cut at 64
+    // bytes, stored and compressed.
+    let (chunks, _) = freeze_test_pointer().to_chunks(64).unwrap();
+    for compress in [false, true] {
+        let last = chunks.len() as u32;
+        let frames: Vec<Vec<u8>> = (chunks.iter().map(|c| &c[..]))
+            .chain([&[][..]])
+            .enumerate()
+            .map(|(i, c)| frame_chunk(i as u32, i as u32 == last, c, compress).0)
+            .collect();
+        let mut core = ReceiverCore::default();
+        for (i, frame) in frames.iter().enumerate() {
+            for at in 0..frame.len() {
+                for mask in 1..=255u8 {
+                    let mut mutated = frame.clone();
+                    mutated[at] ^= mask;
+                    let got = core.clone().on_frame(&mutated);
+                    assert!(got.is_err(), "frame {i} byte {at} ^ {mask:#x} released");
+                }
+            }
+            core.on_frame(frame).expect("the honest frame is released");
+        }
+
+        // Gaps, repeats and swaps: what an ordered pipe never delivers.
+        let refusal = |order: &[usize]| {
+            let (a, b) = channel_pair(NetworkModel::instant());
+            order
+                .iter()
+                .for_each(|&i| a.send(frames[i].clone()).unwrap());
+            let mut rx = ReliableChunkReceiver::new(b, ArqConfig);
+            // The frames in sequence before the first one out of it.
+            let released = order.iter().zip(0..).take_while(|(&i, n)| i == *n).count();
+            for _ in 0..released {
+                assert!(rx.recv_chunk().unwrap().is_some(), "{order:?}");
+            }
+            match rx.recv_chunk() {
+                Err(NetError::ChunkFraming { chunk, reason }) => {
+                    assert_eq!(chunk as usize, released, "{order:?}: {reason}");
+                    reason
+                }
+                other => panic!("{order:?}: expected ChunkFraming, got {other:?}"),
+            }
+        };
+        assert_eq!(refusal(&[0, 2]), "gap: chunk 2 arrived");
+        assert_eq!(refusal(&[0, 1, 1]), "repeat of chunk 1");
+        assert_eq!(refusal(&[0, 2, 1]), "gap: chunk 2 arrived");
+        assert_eq!(refusal(&[0, 1, 3, 2]), "gap: chunk 3 arrived");
+    }
+
+    // The retired acknowledgements, on either direction of the link: the
+    // receiver refuses one as a frame that is not a chunk, and the sender
+    // refuses one in place of the resume handshake, by name.
+    for (kind, name) in [(0u32, "ack"), (1, "nack")] {
+        let mut enc = XdrEncoder::new();
+        for word in [CONTROL_MAGIC, kind, 41] {
+            enc.put_u32(word);
+        }
+        let retired = enc.into_bytes();
+        assert_eq!(
+            unframe_control(&retired),
+            Err(XdrError::RetiredControl(name))
+        );
+        let (a, b) = channel_pair(NetworkModel::instant());
+        a.send(retired.clone()).unwrap();
+        match ReliableChunkReceiver::new(b, ArqConfig).recv_chunk() {
+            Err(NetError::ChunkFraming { chunk: 0, reason }) => {
+                assert!(reason.contains("bad frame magic 0x48504d41"), "{reason}")
+            }
+            other => panic!("{name}: expected ChunkFraming, got {other:?}"),
+        }
+        let (a, b) = channel_pair(NetworkModel::instant());
+        b.send(retired).unwrap();
+        match ReliableChunkSender::new(a, ArqConfig).accept_resume(1, &[]) {
+            Err(NetError::ChunkFraming { chunk: 0, reason }) => {
+                assert!(reason.contains(&format!("'{name}'")), "{reason}")
+            }
+            other => panic!("{name}: expected ChunkFraming, got {other:?}"),
+        }
     }
 
     // A payload the block coder shrinks, so `into_payload` expands.

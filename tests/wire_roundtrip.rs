@@ -11,7 +11,7 @@
 use hpm::arch::Architecture;
 use hpm::migrate::{
     migrate, run_migrating, run_to_migration, MigratableProgram, Migration, PipelineConfig,
-    RecoveryPolicy, Transport, Trigger,
+    Transport, Trigger,
 };
 use hpm::net::{
     channel_pair, ArqConfig, FaultPlan, NetworkModel, ReliableChunkReceiver, ReliableChunkSender,
@@ -41,14 +41,14 @@ fn shipped_image_is_bit_identical_under_both_codecs() {
             let (a, b) = channel_pair(NetworkModel::instant());
             let shipped = std::thread::scope(|s| {
                 let receiver = s.spawn(|| {
-                    let mut rx = ReliableChunkReceiver::new(b, ArqConfig::default());
+                    let mut rx = ReliableChunkReceiver::new(b, ArqConfig);
                     let mut shipped = Vec::new();
                     while let Some(c) = rx.recv_chunk().unwrap() {
                         shipped.extend_from_slice(&c);
                     }
                     shipped
                 });
-                let mut tx = ReliableChunkSender::new(a, ArqConfig::default()).with_codec(codec);
+                let mut tx = ReliableChunkSender::new(a, ArqConfig).with_codec(codec);
                 for part in image.chunks(512) {
                     tx.send(part).unwrap();
                 }
@@ -94,7 +94,6 @@ fn every_preset_pair_roundtrips_stored_and_compressed() {
                             ..Default::default()
                         },
                         FaultPlan::none(),
-                        RecoveryPolicy::default(),
                     )),
                 )
                 .unwrap();
@@ -161,11 +160,7 @@ fn compressed_against_stored<P: MigratableProgram + Send>(
         ..Default::default()
     }
     .compressed();
-    let policy = Migration::new(Transport::Reliable(
-        config,
-        FaultPlan::none(),
-        RecoveryPolicy::default(),
-    ));
+    let policy = Migration::new(Transport::Reliable(config, FaultPlan::none()));
     let run = migrate(make, arch.clone(), arch, link, trigger, &policy).unwrap();
     // A source-resumed run answers the same and carries no pipeline.
     assert!(
