@@ -11,7 +11,7 @@
 //! | [`Transport`] | single shot | a pre-copy round's frame |
 //! |---|---|---|
 //! | `Whole` | image collected into one buffer, one message, resume from the buffer | one message |
-//! | `Reliable` | collector → wire thread → streaming resume, overlapped, every chunk CRC-checked, with the ladder: one connection → resume from the destination's journal on a fresh one → resume on the source | cut into chunks through the same wire thread, redialled once |
+//! | `Reliable` | collector → wire thread → streaming resume, overlapped, every chunk CRC-checked and compressed when that is smaller, with the ladder: one connection → resume from the destination's journal on a fresh one → resume on the source | cut into chunks through the same wire thread, redialled once |
 
 use crate::ctx::{collect_onto, collect_pending_streamed, MigratableProgram};
 use crate::driver::{resume, run_to_migration, CompletedRun, MigratedSource};
@@ -36,15 +36,17 @@ use std::time::Instant;
 pub struct PipelineConfig {
     /// Payload bytes per chunk — the collector's flush watermark.
     pub chunk_bytes: usize,
-    /// Pace the wire in real time: each chunk's modeled transmission
-    /// time is slept before delivery, so the destination experiences the
-    /// link and wall-clock overlap becomes observable.
+    /// Pace the wire in real time: each frame's modeled transmission
+    /// time — the time the channel charges for its framed, possibly
+    /// compressed bytes — is slept before delivery, so the destination
+    /// experiences the link and wall-clock overlap becomes observable.
     pub pace: bool,
-    /// Scale on the per-chunk pacing sleep (`0.01` runs a 10 Mb/s
+    /// Scale on the per-frame pacing sleep (`0.01` runs a 10 Mb/s
     /// experiment 100× faster while preserving relative timing).
     pub pace_scale: f64,
-    /// Whether the chunk stream travels stored (the default) or
-    /// compressed ([`WireCodec::V3`]), in the one chunk frame.
+    /// Ignored: every chunk frame tries the block coder and keeps the
+    /// stored form when that is not smaller. It remains so that callers
+    /// building this struct as a literal keep compiling.
     pub codec: WireCodec,
 }
 
@@ -56,14 +58,6 @@ impl Default for PipelineConfig {
             pace_scale: 1.0,
             codec: WireCodec::default(),
         }
-    }
-}
-
-impl PipelineConfig {
-    /// This configuration with compressed chunks.
-    pub fn compressed(mut self) -> Self {
-        self.codec = WireCodec::V3;
-        self
     }
 }
 
@@ -472,7 +466,7 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
             ..ResumeStats::default()
         };
         let Some(err) = first.error.take() else {
-            return self.delivered(first, prefix, config, t_start, recovery, ladder);
+            return self.delivered(first, prefix, t_start, recovery, ladder);
         };
         // Every worker has joined, so the log — dumped once the ladder
         // has run — is complete and, per track, deterministic for a
@@ -533,7 +527,7 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
         // Collect stay honest about the total cost.
         out.wire.transfer += first.wire.transfer;
         out.produce_time += first.produce_time;
-        self.delivered(out, prefix, config, t_start, recovery, ladder)
+        self.delivered(out, prefix, t_start, recovery, ladder)
     }
 
     /// What the attempt that completed the ladder on the destination
@@ -542,7 +536,6 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
         &self,
         out: StreamAttempt,
         prefix: &[u8],
-        config: PipelineConfig,
         t_start: Instant,
         recovery: RecoveryStats,
         ladder: ResumeStats,
@@ -555,7 +548,6 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
         })?;
         let pipeline = PipelineStats {
             chunks: out.wire.frames as u64,
-            chunk_bytes: config.chunk_bytes as u64,
             collect_time: out.produce_time,
             tx_time: out.wire.transfer.modeled_tx_time(),
             restore_time: dst.restore.time,
@@ -662,8 +654,7 @@ mod tests {
         PipelineConfig {
             chunk_bytes: 64,
             pace: false,
-            pace_scale: 0.0,
-            codec: WireCodec::default(),
+            ..PipelineConfig::default()
         }
     }
 
@@ -812,7 +803,6 @@ mod tests {
         let p = run.report.pipeline().expect("streamed run carries stats");
         // Prefix + at least one payload chunk + terminator.
         assert!(p.chunks >= 3, "got {} chunks", p.chunks);
-        assert_eq!(p.chunk_bytes, 64);
         assert!(
             run.report.transfer.bytes_sent > run.report.memory_bytes,
             "framing overhead must be accounted"

@@ -184,8 +184,6 @@ impl MigrationRun {
 pub struct PipelineStats {
     /// Frames on the wire: image prefix + payload chunks + terminator.
     pub chunks: u64,
-    /// Configured payload bytes per chunk.
-    pub chunk_bytes: u64,
     /// Wall time of the collection DFS (source thread busy time).
     pub collect_time: Duration,
     /// Modeled transmission time over the link.
@@ -200,15 +198,10 @@ pub struct PipelineStats {
 }
 
 impl PipelineStats {
-    /// Restoration time actually spent decoding (stall excluded).
-    pub fn restore_busy(&self) -> Duration {
-        self.restore_time.saturating_sub(self.restore_stall)
-    }
-
     /// What the whole-buffer path would cost: Collect + Tx + Restore run
-    /// strictly one after another (Table 1's sum).
+    /// strictly one after another (Table 1's sum), restore stall excluded.
     pub fn serial_time(&self) -> Duration {
-        self.collect_time + self.tx_time + self.restore_busy()
+        self.collect_time + self.tx_time + self.restore_time.saturating_sub(self.restore_stall)
     }
 
     /// How much of the serial sum the pipeline hid by overlapping:

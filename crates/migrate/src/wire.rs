@@ -25,8 +25,8 @@ use crate::report::RecoveryStats;
 use crate::MigError;
 use hpm_core::{ChunkSource, CoreError};
 use hpm_net::{
-    channel_pair, ArqConfig, Channel, FaultPlan, FaultyEndpoint, NetError, NetworkModel,
-    ReliableChunkReceiver, ReliableChunkSender, ResumeDecision, TransferSnapshot,
+    channel_pair, ArqConfig, Channel, FaultPlan, FaultyEndpoint, FrameLink, NetError, NetworkModel,
+    ReliableChunkReceiver, ReliableChunkSender, ResumeDecision, TransferSnapshot, TransferStats,
 };
 use hpm_obs::Track;
 use hpm_xdr::{ChunkRecord, RestoreJournal};
@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 /// How one attempt's chunk stream is framed, faulted and instrumented.
 #[derive(Clone)]
 pub(crate) struct Lane {
-    /// Chunk size, pacing and codec.
+    /// Chunk size and pacing.
     pub config: PipelineConfig,
     /// What the deterministic fault injector does to this attempt.
     pub plan: FaultPlan,
@@ -125,26 +125,59 @@ pub(crate) fn lock_journal(journal: &Mutex<RestoreJournal>) -> MutexGuard<'_, Re
     journal.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// The wire stage: optionally the resume handshake, then pace each chunk
-/// by its modeled transmission time and push it through the sender, then
-/// the terminator. Once the pipe is done with — completed, broken, or
-/// refused by the handshake — it is closed, and the rest of what the
-/// producer pushes is taken and dropped. Pacing stops once the consumer
-/// has returned: what is still sent then is never read, and waiting out
-/// its transmission time would only delay the next rung.
+/// The source's end of the pipe as the sender sees it. In a paced
+/// stream each frame first waits out the transmission time the channel
+/// charges for it — its whole length, so a compressed chunk waits for
+/// its compressed bytes — and so reaches the destination when its last
+/// byte would have. Pacing stops once the consumer has returned: what is
+/// still sent then is never read, and waiting out its transmission time
+/// would only delay the next rung.
+struct Paced<'a> {
+    endpoint: FaultyEndpoint,
+    /// `pace_scale`, when the stream is paced.
+    scale: Option<f64>,
+    consumer_done: &'a AtomicBool,
+}
+
+impl FrameLink for Paced<'_> {
+    fn send_frame(&mut self, frame: Vec<u8>) -> Result<(), NetError> {
+        let scale = self
+            .scale
+            .filter(|_| !self.consumer_done.load(Ordering::SeqCst));
+        if let Some(scale) = scale {
+            let model = self.endpoint.channel().model();
+            std::thread::sleep(model.tx_time(frame.len() as u64).mul_f64(scale));
+        }
+        self.endpoint.send_frame(frame)
+    }
+
+    fn recv_control_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, NetError> {
+        self.endpoint.recv_control_timeout(timeout)
+    }
+
+    fn transfer_stats(&self) -> Option<&TransferStats> {
+        self.endpoint.transfer_stats()
+    }
+}
+
+/// The wire stage: optionally the resume handshake, then push each chunk
+/// through the sender over the [`Paced`] pipe, then the terminator. Once
+/// the pipe is done with — completed, broken, or refused by the
+/// handshake — it is closed, and the rest of what the producer pushes is
+/// taken and dropped.
 fn wire_thread(
     src_end: Channel,
     chunk_rx: mpsc::Receiver<Vec<u8>>,
-    link: NetworkModel,
     lane: Lane,
     src_crashed: &AtomicBool,
     consumer_done: &AtomicBool,
 ) -> WireDone {
-    let config = lane.config;
-    let endpoint = FaultyEndpoint::new(src_end, lane.plan).with_track(lane.fault_track);
-    let mut tx = ReliableChunkSender::new(endpoint, ArqConfig)
-        .with_codec(config.codec)
-        .with_track(lane.tx_track);
+    let endpoint = Paced {
+        endpoint: FaultyEndpoint::new(src_end, lane.plan).with_track(lane.fault_track),
+        scale: lane.config.pace.then_some(lane.config.pace_scale),
+        consumer_done,
+    };
+    let mut tx = ReliableChunkSender::new(endpoint, ArqConfig).with_track(lane.tx_track);
     let mut done = WireDone::default();
     let mut skip = 0;
     if let Some((image_id, ledger)) = &lane.resume {
@@ -167,15 +200,10 @@ fn wire_thread(
     if done.error.is_none() && !done.rejected {
         // Chunks below `skip` are already CRC-verified and journaled on
         // the destination; the handshake promised not to re-send them.
-        let mut sent = chunks.by_ref().skip(skip).try_for_each(|chunk| {
-            if config.pace && !consumer_done.load(Ordering::SeqCst) {
-                let d = link.tx_time(chunk.len() as u64).mul_f64(config.pace_scale);
-                if !d.is_zero() {
-                    std::thread::sleep(d);
-                }
-            }
-            tx.send(&chunk)
-        });
+        let mut sent = chunks
+            .by_ref()
+            .skip(skip)
+            .try_for_each(|chunk| tx.send(&chunk));
         done.frames = tx.chunks_sent();
         if sent.is_ok() && !src_crashed.load(Ordering::SeqCst) {
             sent = tx.finish().map(|n| done.frames = n);
@@ -183,7 +211,7 @@ fn wire_thread(
         done.error = sent.err();
     }
     done.records = tx.records().to_vec();
-    let endpoint = tx.into_link();
+    let endpoint = tx.into_link().endpoint;
     done.faults = endpoint.stats();
     done.transfer = endpoint.channel().stats().snapshot();
     // Closing the pipe: the destination reads what is queued, then
@@ -232,8 +260,7 @@ pub(crate) fn attempt<S, D: Send>(
     let consumer_done = AtomicBool::new(false);
 
     std::thread::scope(|s| {
-        let wire =
-            s.spawn(|| wire_thread(src_end, chunk_rx, link, lane, &src_crashed, &consumer_done));
+        let wire = s.spawn(|| wire_thread(src_end, chunk_rx, lane, &src_crashed, &consumer_done));
         let destination = s.spawn({
             let (rx, consumer_done) = (rx.clone(), &consumer_done);
             move || {

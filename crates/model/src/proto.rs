@@ -218,7 +218,7 @@ type Applied = Result<World, (LintCode, String)>;
 fn ship(w: &World) -> Vec<(String, Applied)> {
     let mut n = w.clone();
     let seq = n.tx.chunks_sent();
-    let frame = n.tx.offer(&payload(seq), seq == TOTAL - 1, false);
+    let frame = n.tx.offer(&payload(seq), seq == TOTAL - 1);
     let mut out = Vec::new();
     let mut fly = |name: String, copy: Option<(Vec<u8>, bool)>| {
         let mut m = n.clone();

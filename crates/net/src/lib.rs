@@ -15,10 +15,10 @@
 //! never sleeps (real-time pacing, when a pipeline asks for it, is the
 //! migration driver's wire thread). A payload crosses it whole, as one
 //! message, or as the one chunk stream: [`ReliableChunkSender`] →
-//! [`ReliableChunkReceiver`], each chunk framed once and CRC-checked, in
-//! order, over an ordered pipe that can break — optionally through a
-//! [`FaultyEndpoint`] that damages one frame or breaks the pipe where a
-//! [`FaultPlan`] says. The first frame the receiver cannot take ends the
+//! [`ReliableChunkReceiver`], each chunk framed once, compressed when
+//! that is smaller, and CRC-checked, in order, over an ordered pipe that
+//! can break — optionally through a [`FaultyEndpoint`] that damages one
+//! frame or breaks the pipe where a [`FaultPlan`] says. The first frame the receiver cannot take ends the
 //! connection with a named [`NetError`].
 //! Endpoints can carry an [`hpm_obs::Track`]: the chunk endpoints record
 //! every frame sent, received or refused on it, and at detail level

@@ -2,12 +2,12 @@
 //! the destination can start restoring while the source still collects.
 //! Each chunk travels once, in the one chunk frame (`hpm_xdr::chunk`:
 //! sequence number, flags, `raw_len` and payload under a trailing
-//! CRC-32), stored or compressed as the [`WireCodec`] says, over an
-//! ordered pipe that can break. The protocol is [`SenderCore`] and
-//! [`ReceiverCore`], which `hpm-model` explores exhaustively; the
-//! endpoints here are the loops that drive the cores over a link: they
-//! move bytes between a core and the link, keep the counters and write
-//! the log events.
+//! CRC-32), compressed when the block coder shrinks it and stored
+//! otherwise, over an ordered pipe that can break. The protocol is
+//! [`SenderCore`] and [`ReceiverCore`], which `hpm-model` explores
+//! exhaustively; the endpoints here are the loops that drive the cores
+//! over a link: they move bytes between a core and the link, keep the
+//! counters and write the log events.
 
 use crate::channel::{Channel, NetError};
 use crate::fault::FrameLink;
@@ -21,15 +21,15 @@ use std::time::Duration;
 /// handshake: a correct peer sends it before anything else.
 const BACKSTOP: Duration = Duration::from_secs(5);
 
-/// How a sender's payloads travel in the one chunk frame. Receivers need
-/// no configuration: each frame's flags say whether it is compressed.
+/// Ignored: every chunk frame tries the block coder and keeps the stored
+/// form when that is not smaller. The values remain so that callers of
+/// [`ReliableChunkSender::with_codec`] keep compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireCodec {
-    /// Stored: every payload as it is.
+    /// Ignored.
     #[default]
     V2,
-    /// Compressed: every payload through the block coder, stored still
-    /// whenever the coder cannot shrink it.
+    /// Ignored.
     V3,
 }
 
@@ -49,7 +49,6 @@ pub struct ArqSenderStats {
 pub struct ReliableChunkSender<L: FrameLink> {
     link: L,
     core: SenderCore,
-    codec: WireCodec,
     stats: ArqSenderStats,
     track: Track,
 }
@@ -61,7 +60,6 @@ impl<L: FrameLink> ReliableChunkSender<L> {
         ReliableChunkSender {
             link,
             core: SenderCore::default(),
-            codec: WireCodec::default(),
             stats: ArqSenderStats::default(),
             track: Track::off(),
         }
@@ -73,9 +71,8 @@ impl<L: FrameLink> ReliableChunkSender<L> {
         self
     }
 
-    /// Choose whether this stream compresses (default: stored).
-    pub fn with_codec(mut self, codec: WireCodec) -> Self {
-        self.codec = codec;
+    /// Ignored: see [`WireCodec`].
+    pub fn with_codec(self, _codec: WireCodec) -> Self {
         self
     }
 
@@ -152,7 +149,7 @@ impl<L: FrameLink> ReliableChunkSender<L> {
     }
 
     fn ship(&mut self, payload: &[u8], last: bool) -> Result<(), NetError> {
-        let frame = self.core.offer(payload, last, self.codec == WireCodec::V3);
+        let frame = self.core.offer(payload, last);
         let r = self
             .core
             .records()
@@ -348,7 +345,6 @@ mod tests {
     /// Ship `data` through a sender on this thread and a receiver on
     /// another; the receiver's result and counters.
     fn pump(
-        codec: WireCodec,
         plan: FaultPlan,
         data: &[Vec<u8>],
     ) -> (Result<Vec<Vec<u8>>, NetError>, ArqReceiverSnapshot) {
@@ -367,7 +363,7 @@ mod tests {
             (out, counters.snapshot())
         });
         let link = FaultyEndpoint::new(src, plan);
-        let mut tx = ReliableChunkSender::new(link, ArqConfig).with_codec(codec);
+        let mut tx = ReliableChunkSender::new(link, ArqConfig);
         let _ = data
             .iter()
             .try_for_each(|p| tx.send(p))
@@ -401,23 +397,22 @@ mod tests {
     }
 
     /// A corrupted frame ends the connection naming the chunk; the chunks
-    /// before it were delivered, the damaged one never.
+    /// before it were delivered, the damaged one never. The damaged frame
+    /// is compressed (`payloads` repeat one byte), so the CRC is checked
+    /// before the coder runs.
     #[test]
     fn a_corrupt_frame_ends_the_connection_at_its_chunk() {
-        let data = payloads(12);
-        for codec in [WireCodec::V2, WireCodec::V3] {
-            let plan = FaultPlan {
-                seed: 11,
-                corrupt_at: Some(5),
-                ..FaultPlan::none()
-            };
-            let (got, snap) = pump(codec, plan, &data);
-            match got {
-                Err(NetError::ChunkFraming { chunk: 5, .. }) => {}
-                other => panic!("{codec:?}: {other:?}"),
-            }
-            assert!(snap.corrupt_caught <= 1, "{codec:?}: {snap:?}");
+        let plan = FaultPlan {
+            seed: 11,
+            corrupt_at: Some(5),
+            ..FaultPlan::none()
+        };
+        let (got, snap) = pump(plan, &payloads(12));
+        match got {
+            Err(NetError::ChunkFraming { chunk: 5, .. }) => {}
+            other => panic!("{other:?}"),
         }
+        assert!(snap.corrupt_caught <= 1, "{snap:?}");
     }
 
     #[test]
@@ -604,11 +599,11 @@ mod tests {
     }
 
     /// Compressible, incompressible, tiny and empty chunks through one
-    /// clean compressed stream: payloads come back byte-identical, a chunk
-    /// the coder cannot shrink goes out stored (never expanded), and the
-    /// transfer counters say which was which.
+    /// clean stream: payloads come back byte-identical, a chunk the coder
+    /// cannot shrink goes out stored (never expanded), and the transfer
+    /// counters say which was which.
     #[test]
-    fn v3_codec_accounts_compressed_and_stored_chunks() {
+    fn every_frame_accounts_compressed_and_stored_chunks() {
         // splitmix-style noise defeats both the RLE and match finders.
         let mut s = 0x1234_5678_9abc_def0u64;
         let noise: Vec<u8> = (0..4096)
@@ -626,7 +621,7 @@ mod tests {
             b"short".to_vec(),
         ];
         let (src, dst) = channel_pair(NetworkModel::instant());
-        let mut tx = ReliableChunkSender::new(src, ArqConfig).with_codec(WireCodec::V3);
+        let mut tx = ReliableChunkSender::new(src, ArqConfig);
         chunks.iter().try_for_each(|c| tx.send(c)).unwrap();
         tx.finish().unwrap();
         let mut rx = ReliableChunkReceiver::new(dst, ArqConfig);

@@ -83,11 +83,11 @@ impl SenderCore {
     }
 
     /// Event: a chunk is offered. Frames it once — through the block
-    /// coder when `compress` and that shrinks it — records it in the
-    /// ledger, and returns the frame to ship.
-    pub fn offer(&mut self, payload: &[u8], last: bool, compress: bool) -> Vec<u8> {
+    /// coder, stored when that is not smaller — records it in the ledger,
+    /// and returns the frame to ship.
+    pub fn offer(&mut self, payload: &[u8], last: bool) -> Vec<u8> {
         let seq = self.next_seq;
-        let (frame, wire_len, crc) = frame_chunk(seq, last, payload, compress);
+        let (frame, wire_len, crc) = frame_chunk(seq, last, payload, true);
         self.next_seq += 1;
         self.records.push(ChunkRecord {
             index: seq,
@@ -239,16 +239,24 @@ mod tests {
     }
 
     /// The sender frames each chunk once, as the receiver releases it:
-    /// both ledgers agree record for record.
+    /// both ledgers agree record for record, and a payload the coder
+    /// shrinks travels compressed while one it cannot travels stored.
     #[test]
     fn frames_the_sender_offers_are_released_in_order() {
         let mut tx = SenderCore::default();
         let mut rx = ReceiverCore::default();
         for i in 0..5u8 {
-            let frame = tx.offer(&[i; 24], i == 4, i % 2 == 0);
+            let chunk: Vec<u8> = match i % 2 {
+                0 => vec![i; 24],
+                _ => vec![i],
+            };
+            let frame = tx.offer(&chunk, i == 4);
             let (record, payload) = rx.on_frame(&frame).unwrap();
-            assert_eq!(payload, [i; 24]);
+            assert_eq!(payload, chunk);
             assert_eq!(record, tx.records()[i as usize]);
+            let compressed = unframe_chunk_any(&frame).unwrap().compressed;
+            assert_eq!(compressed, record.wire_len < record.raw_len, "chunk {i}");
+            assert_eq!(compressed, i % 2 == 0, "chunk {i}");
         }
         assert_eq!((tx.chunks_sent(), rx.next()), (5, 5));
     }

@@ -8,7 +8,7 @@ use hpm::migrate::{
     migrate, run_straight, MigratableProgram, Migration, PipelineConfig, RecoveryStats,
     ResumeStats, Rung2Skip, Transport, Trigger,
 };
-use hpm::net::{FaultPlan, NetworkModel};
+use hpm::net::{FaultPlan, NetworkModel, TransferSnapshot};
 use hpm::workloads::diff_results;
 use hpm_obs::{EventLog, Level};
 use std::time::Duration;
@@ -34,7 +34,13 @@ pub struct Sweep {
 }
 
 /// What one run leaves behind for a rerun to reproduce.
-type Outcome = (Vec<(String, String)>, ResumeStats, RecoveryStats, String);
+type Outcome = (
+    Vec<(String, String)>,
+    ResumeStats,
+    RecoveryStats,
+    TransferSnapshot,
+    String,
+);
 
 /// One resilient migration under `plan`, recording its protocol events;
 /// panics on driver error (the driver must terminate cleanly whatever
@@ -62,7 +68,8 @@ fn run_one<P: MigratableProgram + Send>(
     .unwrap_or_else(|e| panic!("{plan:?}: driver failed: {e}"));
     let resume = *run.report.resume().expect("resilient runs carry stats");
     let recovery = *run.report.recovery().expect("resilient runs carry stats");
-    (run.results, resume, recovery, log.dump().to_jsonl())
+    let jsonl = log.dump().to_jsonl();
+    (run.results, resume, recovery, run.report.transfer, jsonl)
 }
 
 /// Sweep `sweep`'s plans over one workload inside a watchdog: the whole
@@ -70,9 +77,9 @@ fn run_one<P: MigratableProgram + Send>(
 /// unmigrated run; no verified chunk may cross the wire twice; every rung
 /// past the first must say why it was reached, a tampered journal being
 /// refused; every `rerun_every`-th seed must reproduce its answers,
-/// [`ResumeStats`], [`RecoveryStats`] and event log byte for byte; and
-/// the sweep must reach both the journal resume and the source. Returns
-/// each seed's plan and stats, in seed order.
+/// [`ResumeStats`], [`RecoveryStats`], wire accounting and event log byte
+/// for byte; and the sweep must reach both the journal resume and the
+/// source. Returns each seed's plan and stats, in seed order.
 pub fn soak<P, F>(
     label: &'static str,
     make: F,
@@ -81,7 +88,7 @@ pub fn soak<P, F>(
     trigger: u64,
     cfg: PipelineConfig,
     sweep: Sweep,
-) -> Vec<(FaultPlan, ResumeStats, RecoveryStats)>
+) -> Vec<(FaultPlan, ResumeStats, RecoveryStats, TransferSnapshot)>
 where
     P: MigratableProgram + Send,
     F: Fn() -> P + Send + 'static,
@@ -94,7 +101,7 @@ where
             let plan = (sweep.plan)(label, i);
             let seed = plan.seed;
             let out = run_one(&make, src.clone(), dst.clone(), trigger, plan, cfg);
-            let (results, resume, recovery, _) = &out;
+            let (results, resume, recovery, transfer, _) = &out;
             assert!(
                 diff_results(&expect, results).is_none(),
                 "{label} seed {seed:#x}: WRONG ANSWER (rung={})",
@@ -135,7 +142,7 @@ where
                     (&out.1, &out.2)
                 );
             }
-            runs.push((plan, *resume, *recovery));
+            runs.push((plan, *resume, *recovery, *transfer));
         }
         // The seed stream must actually exercise the ladder: both the
         // resume rung and the fallback rung are reached.

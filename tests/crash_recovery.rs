@@ -2,7 +2,7 @@
 //! destinations killed mid-restore, sources killed mid-collect and
 //! journals tampered with, the same faults at chosen points, and the
 //! resume handshake's byte identity on every preset pair. The soak that
-//! mixes these process faults with pipe faults, over both wires, is in
+//! mixes these process faults with pipe faults is in
 //! `tests/fault_recovery.rs`; both run the harness in `tests/common`.
 //!
 //! The contract under test is the resumable restore's acceptance bar: a
@@ -23,7 +23,7 @@ use hpm::migrate::{
 };
 use hpm::net::{
     channel_pair, ArqConfig, FaultPlan, NetError, NetworkModel, ReliableChunkReceiver,
-    ReliableChunkSender, ResumeDecision, WireCodec,
+    ReliableChunkSender, ResumeDecision,
 };
 use hpm::workloads::{diff_results, BitonicSort, Linpack, TestPointer};
 use hpm::xdr::RestoreJournal;
@@ -213,6 +213,7 @@ fn crash_sweep<P: MigratableProgram + Send>(
             "{at}: (journaled, replayed) chunks for a crash before chunk {k}"
         );
         assert_eq!(r.chunks_retransferred, total - k, "{at}: re-shipped chunks");
+        println!("{at}: bytes_saved {}", r.bytes_saved);
         if label.starts_with("linpack") {
             let shipped = r.bytes_saved + r.bytes_retransferred;
             let saved = r.bytes_saved as f64 / shipped.max(1) as f64;
@@ -302,7 +303,7 @@ fn source_crash_skips_rung_2_with_a_reason() {
 }
 
 // ---------------------------------------------------------------------
-// Protocol-level byte identity: every preset pair, stored and compressed
+// Protocol-level byte identity: every preset pair
 // ---------------------------------------------------------------------
 
 fn presets() -> [Architecture; 4] {
@@ -317,7 +318,7 @@ fn presets() -> [Architecture; 4] {
 /// Kill the destination at chunk *k* of a real frozen image, then resume
 /// from its journal over a fresh link: the reassembled image must
 /// be byte-identical to an uninterrupted transfer, with zero verified
-/// chunks re-received — on all 16 preset pairs, stored and compressed.
+/// chunks re-received — on all 16 preset pairs.
 #[test]
 fn crashed_transfer_resumes_byte_identical_on_every_preset_pair() {
     for src in presets() {
@@ -328,65 +329,63 @@ fn crashed_transfer_resumes_byte_identical_on_every_preset_pair() {
             let image = frozen.to_image().unwrap();
             let chunks: Vec<Vec<u8>> = image.chunks(512).map(|c| c.to_vec()).collect();
             let k = (chunks.len() as u32 / 2).max(1);
-            for codec in [WireCodec::V2, WireCodec::V3] {
-                let tag = format!("{} -> {} via {codec:?}", src.name, dst.name);
+            let tag = format!("{} -> {}", src.name, dst.name);
 
-                // Attempt 1: the destination dies before consuming chunk k.
-                let (a, b) = channel_pair(NetworkModel::instant());
-                let journal = Arc::new(Mutex::new(RestoreJournal::new(1)));
-                let mut tx = ReliableChunkSender::new(a, ArqConfig).with_codec(codec);
-                chunks.iter().try_for_each(|c| tx.send(c)).unwrap();
-                tx.finish().unwrap();
-                let mut killed = ReliableChunkReceiver::new(b, ArqConfig)
-                    .with_journal(Arc::clone(&journal))
-                    .with_crash_at(Some(k));
-                let died = loop {
-                    if let Err(e) = killed.recv_chunk() {
-                        break e;
-                    }
-                };
-                assert_eq!(died, NetError::PeerCrashed { chunk: k }, "{tag}");
-                let ledger = tx.records().to_vec();
-
-                // The journal outlives the destination that wrote it.
-                let recovered = journal.lock().unwrap_or_else(|e| e.into_inner()).clone();
-                assert_eq!(recovered.next_chunk(), k, "{tag}");
-
-                // Attempt 2: a rebuilt destination re-attaches and the
-                // sender ships only what the journal lacks.
-                let (a2, b2) = channel_pair(NetworkModel::instant());
-                let resumed = Arc::new(Mutex::new(recovered.clone()));
-                let mut rx = ReliableChunkReceiver::new_resuming(b2, &recovered)
-                    .unwrap()
-                    .with_journal(Arc::clone(&resumed));
-                let mut tx2 = ReliableChunkSender::new(a2, ArqConfig).with_codec(codec);
-                let decision = tx2.accept_resume(1, &ledger).unwrap();
-                let ResumeDecision::Accepted { next, .. } = decision else {
-                    panic!("{tag}: genuine journal rejected: {decision:?}");
-                };
-                assert_eq!(next, k, "{tag}");
-                for c in &chunks[k as usize..] {
-                    tx2.send(c).unwrap();
+            // Attempt 1: the destination dies before consuming chunk k.
+            let (a, b) = channel_pair(NetworkModel::instant());
+            let journal = Arc::new(Mutex::new(RestoreJournal::new(1)));
+            let mut tx = ReliableChunkSender::new(a, ArqConfig);
+            chunks.iter().try_for_each(|c| tx.send(c)).unwrap();
+            tx.finish().unwrap();
+            let mut killed = ReliableChunkReceiver::new(b, ArqConfig)
+                .with_journal(Arc::clone(&journal))
+                .with_crash_at(Some(k));
+            let died = loop {
+                if let Err(e) = killed.recv_chunk() {
+                    break e;
                 }
-                tx2.finish().unwrap();
-                while rx.recv_chunk().unwrap().is_some() {}
-                assert_eq!(
-                    rx.counters().snapshot().replays_below_start,
-                    0,
-                    "{tag}: a verified chunk crossed the wire twice"
-                );
+            };
+            assert_eq!(died, NetError::PeerCrashed { chunk: k }, "{tag}");
+            let ledger = tx.records().to_vec();
 
-                // Byte identity: journaled prefix + resumed tail is the
-                // exact image an uninterrupted transfer would deliver.
-                let final_journal = resumed.lock().unwrap_or_else(|e| e.into_inner());
-                assert!(final_journal.is_complete(), "{tag}");
-                let reassembled: Vec<u8> = final_journal
-                    .payloads()
-                    .iter()
-                    .flat_map(|p| p.iter().copied())
-                    .collect();
-                assert_eq!(reassembled, image, "{tag}: resumed image differs");
+            // The journal outlives the destination that wrote it.
+            let recovered = journal.lock().unwrap_or_else(|e| e.into_inner()).clone();
+            assert_eq!(recovered.next_chunk(), k, "{tag}");
+
+            // Attempt 2: a rebuilt destination re-attaches and the
+            // sender ships only what the journal lacks.
+            let (a2, b2) = channel_pair(NetworkModel::instant());
+            let resumed = Arc::new(Mutex::new(recovered.clone()));
+            let mut rx = ReliableChunkReceiver::new_resuming(b2, &recovered)
+                .unwrap()
+                .with_journal(Arc::clone(&resumed));
+            let mut tx2 = ReliableChunkSender::new(a2, ArqConfig);
+            let decision = tx2.accept_resume(1, &ledger).unwrap();
+            let ResumeDecision::Accepted { next, .. } = decision else {
+                panic!("{tag}: genuine journal rejected: {decision:?}");
+            };
+            assert_eq!(next, k, "{tag}");
+            for c in &chunks[k as usize..] {
+                tx2.send(c).unwrap();
             }
+            tx2.finish().unwrap();
+            while rx.recv_chunk().unwrap().is_some() {}
+            assert_eq!(
+                rx.counters().snapshot().replays_below_start,
+                0,
+                "{tag}: a verified chunk crossed the wire twice"
+            );
+
+            // Byte identity: journaled prefix + resumed tail is the
+            // exact image an uninterrupted transfer would deliver.
+            let final_journal = resumed.lock().unwrap_or_else(|e| e.into_inner());
+            assert!(final_journal.is_complete(), "{tag}");
+            let reassembled: Vec<u8> = final_journal
+                .payloads()
+                .iter()
+                .flat_map(|p| p.iter().copied())
+                .collect();
+            assert_eq!(reassembled, image, "{tag}: resumed image differs");
         }
     }
 }

@@ -1,6 +1,6 @@
 //! The degradation ladder's seeded soak: hundreds of point-fault plans
 //! against the resilient migration driver, across three paper workloads,
-//! each over the stored and the compressed wire.
+//! over a stream whose frames each travel stored or compressed.
 //!
 //! Even seeds draw pipe faults ([`FaultPlan::from_seed`]: one damaged
 //! frame, or a broken pipe); odd seeds draw process faults
@@ -10,8 +10,9 @@
 //! rung finished it — the first connection, a resume from the
 //! destination's journal that re-receives no verified chunk, or a clean
 //! resume on the source — never a wrong answer, never a hang; a tampered
-//! journal is refused; and rerunning a seed reproduces its
-//! `ResumeStats`, its [`RecoveryStats`] and its event log byte for byte.
+//! journal is refused; rerunning a seed reproduces its `ResumeStats`,
+//! its [`RecoveryStats`] and its event log byte for byte; and both frame
+//! kinds cross under the faults.
 //! The harness is `tests/common`, shared with the crash soak.
 
 mod common;
@@ -44,8 +45,9 @@ fn plan_for(label: &str, i: u64) -> FaultPlan {
     }
 }
 
-/// 100 plans over one workload, every tenth rerun; and most of the pipe
-/// faults drawn must land inside the stream.
+/// 100 plans over one workload, every tenth rerun; most of the pipe
+/// faults drawn must land inside the stream, and the frames that crossed
+/// must include both compressed and stored ones.
 fn soak<P, F>(
     label: &'static str,
     make: F,
@@ -63,17 +65,26 @@ fn soak<P, F>(
         rerun_every: 10,
     };
     let runs = common::soak(label, make, src, dst, trigger, cfg, sweep);
+    let compressed: u64 = runs.iter().map(|r| r.3.chunks_compressed).sum();
+    let frames: u64 = runs.iter().map(|r| r.3.messages_sent).sum();
+    assert!(
+        0 < compressed && compressed < frames,
+        "{label}: {compressed} of {frames} frames crossed compressed"
+    );
     let pipe = runs.iter().step_by(2);
     let fired = pipe
         .clone()
-        .filter(|(_, resume, recovery)| recovery.faults_injected > 0 || resume.rung > 1)
+        .filter(|(_, resume, recovery, _)| recovery.faults_injected > 0 || resume.rung > 1)
         .count();
     assert!(
         fired > pipe.len() / 2,
         "{label}: only {fired}/{} pipe-fault plans fired",
         pipe.len()
     );
-    println!("{label}: {fired}/{} pipe-fault plans fired", pipe.len());
+    println!(
+        "{label}: {fired}/{} pipe-fault plans fired; {compressed} of {frames} frames compressed",
+        pipe.len()
+    );
 }
 
 #[test]
@@ -110,49 +121,6 @@ fn soak_bitonic() {
         Architecture::sparc20(),
         n,
         soak_cfg(),
-    );
-}
-
-// ---------------------------------------------------------------------
-// The same plans rerun over the compressed wire: identical labels keep
-// the seed stream identical, so every fault that hurt a stored frame now
-// lands on a compressed one.
-// ---------------------------------------------------------------------
-
-#[test]
-fn soak_test_pointer_compressed() {
-    soak(
-        "test_pointer",
-        TestPointer::new,
-        Architecture::dec5000(),
-        Architecture::sparc20(),
-        8,
-        tiny_image_cfg().compressed(),
-    );
-}
-
-#[test]
-fn soak_linpack_compressed() {
-    soak(
-        "linpack",
-        || Linpack::truncated(120, 4),
-        Architecture::ultra5(),
-        Architecture::dec5000(),
-        2,
-        soak_cfg().compressed(),
-    );
-}
-
-#[test]
-fn soak_bitonic_compressed() {
-    let n = 512u64;
-    soak(
-        "bitonic",
-        move || BitonicSort::new(n),
-        Architecture::ultra5(),
-        Architecture::sparc20(),
-        n,
-        soak_cfg().compressed(),
     );
 }
 

@@ -167,7 +167,7 @@ fn emitted_events_equal_the_pinned_schema() {
                 tamper_base_at_round: None,
             }),
             log: Some(&log),
-            ..Migration::new(Transport::Reliable(cfg(448).compressed(), plan))
+            ..Migration::new(Transport::Reliable(cfg(448), plan))
         },
     )
     .expect("a redialled round carries its frame whole");

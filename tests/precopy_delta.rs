@@ -221,7 +221,7 @@ fn precopy_over_faulty_arq_link_roundtrips() {
                 PipelineConfig {
                     chunk_bytes: 4096,
                     pace: false,
-                    ..PipelineConfig::default().compressed()
+                    ..PipelineConfig::default()
                 },
                 plan,
             ))

@@ -61,7 +61,7 @@ fn run_one(seed: u64) -> MigrationRun {
                     // so every round has frames for a plan to hurt.
                     chunk_bytes: 1024,
                     pace: false,
-                    ..PipelineConfig::default().compressed()
+                    ..PipelineConfig::default()
                 },
                 live_plan(seed),
             ))

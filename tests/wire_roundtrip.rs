@@ -1,12 +1,12 @@
-//! Wire-codec round-trip sweep: every architecture preset pair, with the
-//! image shipped stored (v2) and compressed (v3).
+//! Wire round-trip sweep: every architecture preset pair, with the image
+//! shipped through the one chunk stream, whose frames each travel
+//! compressed when the block coder shrinks them and stored otherwise.
 //!
-//! The codec is transport dressing only. Whatever pair of machines the
-//! image travels between and whichever framing the caller picked, the
-//! reassembled image must be bit-identical to the frozen one and the
-//! restored run must answer exactly like the plain monolithic driver.
-//! On the paper's workloads the compressed stream must also shrink
-//! linpack's image.
+//! The coder is transport dressing only. Whatever pair of machines the
+//! image travels between and however each frame went, the reassembled
+//! image must be bit-identical to the frozen one and the restored run
+//! must answer exactly like the plain monolithic driver. On the paper's
+//! workloads the stream must also shrink linpack's image.
 
 use hpm::arch::Architecture;
 use hpm::migrate::{
@@ -15,9 +15,9 @@ use hpm::migrate::{
 };
 use hpm::net::{
     channel_pair, ArqConfig, FaultPlan, NetworkModel, ReliableChunkReceiver, ReliableChunkSender,
-    WireCodec,
 };
 use hpm::workloads::{BitonicSort, Linpack, TestPointer};
+use hpm::xdr::compress;
 
 fn presets() -> [Architecture; 4] {
     [
@@ -28,46 +28,55 @@ fn presets() -> [Architecture; 4] {
     ]
 }
 
-/// Codec-level bit identity: a real frozen image framed chunk-by-chunk
-/// through each codec comes out of the receiver byte-for-byte intact —
-/// compression is invisible above the stream layer.
+/// Frame-level bit identity: a real frozen image framed chunk-by-chunk
+/// comes out of the receiver byte-for-byte intact — compression is
+/// invisible above the stream layer — and each frame, the terminator
+/// included, went out stored exactly when the coder could not shrink its
+/// chunk, so both kinds cross.
 #[test]
 fn shipped_image_is_bit_identical_under_both_codecs() {
     for arch in presets() {
         let mut p = TestPointer::new();
         let mut src = run_to_migration(&mut p, arch.clone(), Trigger::AtPollCount(8)).unwrap();
         let image = src.to_image().unwrap();
-        for codec in [WireCodec::V2, WireCodec::V3] {
-            let (a, b) = channel_pair(NetworkModel::instant());
-            let shipped = std::thread::scope(|s| {
-                let receiver = s.spawn(|| {
-                    let mut rx = ReliableChunkReceiver::new(b, ArqConfig);
-                    let mut shipped = Vec::new();
-                    while let Some(c) = rx.recv_chunk().unwrap() {
-                        shipped.extend_from_slice(&c);
-                    }
-                    shipped
-                });
-                let mut tx = ReliableChunkSender::new(a, ArqConfig).with_codec(codec);
-                for part in image.chunks(512) {
-                    tx.send(part).unwrap();
+        let (a, b) = channel_pair(NetworkModel::instant());
+        let (shipped, ledger) = std::thread::scope(|s| {
+            let receiver = s.spawn(|| {
+                let mut rx = ReliableChunkReceiver::new(b, ArqConfig);
+                let mut shipped = Vec::new();
+                while let Some(c) = rx.recv_chunk().unwrap() {
+                    shipped.extend_from_slice(&c);
                 }
-                tx.finish().unwrap();
-                receiver.join().expect("receiver panicked")
+                shipped
             });
-            assert_eq!(
-                shipped, image,
-                "{} via {codec:?}: wire changed the image bytes",
-                arch.name
-            );
+            let mut tx = ReliableChunkSender::new(a, ArqConfig);
+            for part in image.chunks(512) {
+                tx.send(part).unwrap();
+            }
+            tx.finish().unwrap();
+            let ledger = tx.records().to_vec();
+            (receiver.join().expect("receiver panicked"), ledger)
+        });
+        let name = arch.name;
+        assert_eq!(shipped, image, "{name}: wire changed the image bytes");
+        // The empty terminator is the last frame of every stream.
+        let parts = image.chunks(512).chain([&[][..]]);
+        assert_eq!(parts.clone().count(), ledger.len(), "{name}: frames");
+        let mut kinds = [0; 2];
+        for (part, record) in parts.zip(&ledger) {
+            let shrinks = compress(part).len() < part.len();
+            let compressed = record.wire_len < record.raw_len;
+            assert_eq!(compressed, shrinks, "{name}: chunk {}", record.index);
+            kinds[compressed as usize] += 1;
         }
+        assert!(kinds[0] > 0 && kinds[1] > 0, "{name}: frames {kinds:?}");
     }
 }
 
-/// Driver-level sweep: all 16 preset pairs, each streamed stored and
-/// compressed, diffed against the plain monolithic driver on the same
-/// pair. The stored arm must never rewrite payload bytes; the
-/// compressed arm must never *expand* them (stored fallback).
+/// Driver-level sweep: all 16 preset pairs, each streamed, diffed against
+/// the plain monolithic driver on the same pair. The stream carries both
+/// stored and compressed frames, and never *expands* the payload (the
+/// stored fallback).
 #[test]
 fn every_preset_pair_roundtrips_stored_and_compressed() {
     for src in presets() {
@@ -80,68 +89,62 @@ fn every_preset_pair_roundtrips_stored_and_compressed() {
                 Trigger::AtPollCount(8),
             )
             .unwrap();
-            for codec in [WireCodec::V2, WireCodec::V3] {
-                let run = migrate(
-                    TestPointer::new,
-                    src.clone(),
-                    dst.clone(),
-                    NetworkModel::instant(),
-                    Trigger::AtPollCount(8),
-                    &Migration::new(Transport::Reliable(
-                        PipelineConfig {
-                            pace: false,
-                            codec,
-                            ..Default::default()
-                        },
-                        FaultPlan::none(),
-                    )),
-                )
-                .unwrap();
-                let tag = format!("{} -> {} via {codec:?}", src.name, dst.name);
-                // The default policy answers a broken restore by resuming
-                // on the source, which would pass every check below.
-                assert_eq!(
-                    run.report.resume().unwrap().rung,
-                    1,
-                    "{tag}: the destination must finish the run, not the source"
-                );
-                assert_eq!(run.results, seq.results, "{tag}: answers diverge");
-                assert_eq!(
-                    run.report.image_bytes, seq.report.image_bytes,
-                    "{tag}: image size changed"
-                );
-                assert_eq!(
-                    run.report.collect_stats.bytes_out, seq.report.collect_stats.bytes_out,
-                    "{tag}: collected payload size changed"
-                );
-                let t = &run.report.transfer;
-                assert_eq!(
-                    t.raw_payload_bytes, run.report.image_bytes,
-                    "{tag}: every image byte crosses the wire exactly once"
-                );
-                match codec {
-                    WireCodec::V2 => {
-                        assert_eq!(t.chunks_compressed, 0, "{tag}: v2 never compresses");
-                        assert_eq!(t.raw_payload_bytes, t.wire_payload_bytes, "{tag}");
-                    }
-                    WireCodec::V3 => {
-                        assert!(t.chunks_compressed > 0, "{tag}: v3 compressed nothing");
-                        assert!(
-                            t.wire_payload_bytes <= t.raw_payload_bytes,
-                            "{tag}: the stored fallback must keep v3 from expanding \
-                             ({} wire vs {} raw)",
-                            t.wire_payload_bytes,
-                            t.raw_payload_bytes
-                        );
-                    }
-                }
-            }
+            let run = migrate(
+                TestPointer::new,
+                src.clone(),
+                dst.clone(),
+                NetworkModel::instant(),
+                Trigger::AtPollCount(8),
+                &Migration::new(Transport::Reliable(
+                    PipelineConfig {
+                        pace: false,
+                        ..PipelineConfig::default()
+                    },
+                    FaultPlan::none(),
+                )),
+            )
+            .unwrap();
+            let tag = format!("{} -> {}", src.name, dst.name);
+            // The default policy answers a broken restore by resuming
+            // on the source, which would pass every check below.
+            assert_eq!(
+                run.report.resume().unwrap().rung,
+                1,
+                "{tag}: the destination must finish the run, not the source"
+            );
+            assert_eq!(run.results, seq.results, "{tag}: answers diverge");
+            assert_eq!(
+                run.report.image_bytes, seq.report.image_bytes,
+                "{tag}: image size changed"
+            );
+            assert_eq!(
+                run.report.collect_stats.bytes_out, seq.report.collect_stats.bytes_out,
+                "{tag}: collected payload size changed"
+            );
+            let t = &run.report.transfer;
+            assert_eq!(
+                t.raw_payload_bytes, run.report.image_bytes,
+                "{tag}: every image byte crosses the wire exactly once"
+            );
+            assert!(
+                0 < t.chunks_compressed && t.chunks_compressed < t.messages_sent,
+                "{tag}: {} of {} frames compressed",
+                t.chunks_compressed,
+                t.messages_sent
+            );
+            assert!(
+                t.wire_payload_bytes < t.raw_payload_bytes,
+                "{tag}: the stored fallback must keep the stream from expanding \
+                 ({} wire vs {} raw)",
+                t.wire_payload_bytes,
+                t.raw_payload_bytes
+            );
         }
     }
 }
 
-/// One workload on the Ultra 5 pair at 100 Mb/s through the compressed
-/// `Reliable` stream, checked against the plain stored driver: the
+/// One workload on the Ultra 5 pair at 100 Mb/s through the `Reliable`
+/// stream, checked against the plain stored driver: the
 /// destination finishes the run with the same answers and the same
 /// image. Returns the stream's (raw, wire) payload bytes.
 fn compressed_against_stored<P: MigratableProgram + Send>(
@@ -157,9 +160,8 @@ fn compressed_against_stored<P: MigratableProgram + Send>(
     let seq = run_migrating(make, arch.clone(), arch.clone(), link, trigger.clone()).unwrap();
     let config = PipelineConfig {
         pace: false,
-        ..Default::default()
-    }
-    .compressed();
+        ..PipelineConfig::default()
+    };
     let policy = Migration::new(Transport::Reliable(config, FaultPlan::none()));
     let run = migrate(make, arch.clone(), arch, link, trigger, &policy).unwrap();
     // A source-resumed run answers the same and carries no pipeline.
