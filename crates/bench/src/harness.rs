@@ -21,6 +21,26 @@ pub struct Timing {
     pub spread: Duration,
 }
 
+impl Timing {
+    /// The floor, median and interquartile range of [`SAMPLES`] spans.
+    pub fn of(mut times: [Duration; SAMPLES]) -> Timing {
+        times.sort();
+        Timing {
+            floor: times[0],
+            median: times[SAMPLES / 2],
+            spread: times[SAMPLES * 3 / 4] - times[SAMPLES / 4],
+        }
+    }
+
+    /// Whether this floor and `other`'s are further apart than the two
+    /// spreads together, or equal; otherwise their difference is not
+    /// resolved.
+    pub fn resolves_from(&self, other: &Timing) -> bool {
+        let gap = self.floor.abs_diff(other.floor);
+        gap.is_zero() || gap > self.spread + other.spread
+    }
+}
+
 /// The factor and name of the unit — s, ms or µs — that prints `d` with
 /// one to three integer digits.
 pub(crate) fn unit_of(d: Duration) -> (f64, &'static str) {
@@ -61,13 +81,7 @@ pub fn sample<S, T>(
         let wall = t0.elapsed();
         *t = reported(&out).unwrap_or(wall);
     }
-    times.sort();
-    let timing = Timing {
-        floor: times[0],
-        median: times[SAMPLES / 2],
-        spread: times[SAMPLES * 3 / 4] - times[SAMPLES / 4],
-    };
-    (timing, out)
+    (Timing::of(times), out)
 }
 
 #[cfg(test)]

@@ -4,9 +4,8 @@
 //! declared once — a row function, and a [`table::Table`] naming each
 //! column with its [`table::Kind`] — and the printed text is read from
 //! that declaration. The only clock read is in [`harness::sample`], and
-//! what it times prints as `floor ± spread`; the two tables that cannot
-//! repeat a run cheaply (validation, the paced pipeline) relay spans from
-//! one migration's own report. End-to-end timing lives in the
+//! what it times prints as `floor ± spread`; the validation table relays
+//! spans from one migration's own report. End-to-end timing lives in the
 //! `benchmark/` package; the paper workloads' payload bytes and MSRLT
 //! searches are pinned exactly by `tests/complexity_model.rs`.
 //!
@@ -18,7 +17,7 @@
 //! | Figure 2(b) bitonic scaling | [`fig2b_rows`] | [`FIG2B`] |
 //! | §4.2 complexity model | [`complexity_rows`] | [`COMPLEXITY`] |
 //! | §4.3 execution overhead | [`overhead_rows`] | [`OVERHEAD`] |
-//! | pipelined vs monolithic migration (beyond the paper) | [`pipeline_rows`] | [`PIPELINE`] |
+//! | serial sum vs critical path of a streamed migration (beyond the paper) | [`pipeline_rows`] | [`PIPELINE`] |
 //!
 //! The extensions beyond the paper — translation kernels, wire
 //! compression, pre-copy deltas, journal resume, fault recovery, the
@@ -286,8 +285,7 @@ pub struct OverheadRow {
 fn overhead_group(rows: &mut Vec<OverheadRow>, group: &[(String, Timing, u64, u64)]) {
     let base = group[0].1;
     for (label, wall, polls, registrations) in group {
-        let gap = wall.floor.abs_diff(base.floor);
-        let resolved = gap.is_zero() || gap > wall.spread + base.spread;
+        let resolved = wall.resolves_from(&base);
         rows.push(OverheadRow {
             label: label.clone(),
             wall: *wall,
@@ -410,70 +408,64 @@ fn pct(wall: Duration, base: Duration) -> f64 {
     (wall.as_secs_f64() / base.as_secs_f64() - 1.0) * 100.0
 }
 
-/// Monolithic vs pipelined migration on one link.
+/// A streamed migration's serial sum against its critical path, on one
+/// link.
 #[derive(Debug, Clone)]
 pub struct PipelineRow {
     /// Workload label.
     pub label: String,
     /// Link label.
     pub link: String,
-    /// Monolithic migration time (Collect + Tx + Restore in sequence).
-    pub serial: Duration,
-    /// Pipelined end-to-end wall time (collect start → final restore).
-    pub pipelined: Duration,
-    /// Fraction of the serial sum hidden by overlapping.
-    pub overlap_ratio: f64,
+    /// Collect + Tx + Restore of each run (Table 1's sum).
+    pub serial: Timing,
+    /// The same runs' downtime with the three stages overlapped.
+    pub critical_path: Timing,
+    /// The share of `serial` the overlap hides, on the floors; `None` when
+    /// the two are not resolved ([`Timing::resolves_from`]).
+    pub hidden: Option<f64>,
     /// Wire frames shipped (prefix + payload chunks + terminator).
     pub chunks: u64,
-    /// Restoration time spent waiting for chunks.
-    pub stall: Duration,
 }
 
-/// Monolithic vs pipelined comparison: bitonic 20 000 over the paper's
-/// 10 Mb/s and 100 Mb/s links, with real-time pacing so the pipelined
-/// run actually experiences the wire.
+/// Bitonic 20 000 streamed over the paper's 10 Mb/s and 100 Mb/s links,
+/// each run giving both its serial sum and its critical path.
 pub fn pipeline_rows() -> Vec<PipelineRow> {
     let n = 20_000u64;
-    let mut rows = Vec::new();
-    for (link_label, link) in [
+    let links = [
         ("10 Mb/s", NetworkModel::ethernet_10()),
         ("100 Mb/s", NetworkModel::ethernet_100()),
-    ] {
-        let mono = run_migrating(
-            move || BitonicSort::new(n),
-            Architecture::ultra5(),
-            Architecture::ultra5(),
-            link,
-            Trigger::AtPollCount(n),
-        )
-        .expect("monolithic bitonic migrates");
-        let run = migrate(
-            move || BitonicSort::new(n),
-            Architecture::ultra5(),
-            Architecture::ultra5(),
-            link,
-            Trigger::AtPollCount(n),
-            &Migration::new(Transport::Reliable(
-                PipelineConfig::default(),
-                FaultPlan::none(),
-            )),
-        )
-        .expect("pipelined bitonic migrates");
-        let p = run
-            .report
-            .pipeline()
-            .expect("pipelined run carries pipeline stats");
-        rows.push(PipelineRow {
-            label: format!("bitonic {n}"),
-            link: link_label.to_string(),
-            serial: mono.report.migration_time(),
-            pipelined: p.e2e_time,
-            overlap_ratio: p.overlap_ratio(),
-            chunks: p.chunks,
-            stall: p.restore_stall,
-        });
-    }
-    rows
+    ];
+    let policy = Migration::new(Transport::Reliable(
+        PipelineConfig::default(),
+        FaultPlan::none(),
+    ));
+    let ultra5 = Architecture::ultra5;
+    links
+        .into_iter()
+        .map(|(link_label, link)| {
+            let mut serial = Vec::new();
+            let stream = |()| {
+                let make = move || BitonicSort::new(n);
+                let trigger = Trigger::AtPollCount(n);
+                let run = migrate(make, ultra5(), ultra5(), link, trigger, &policy)
+                    .expect("streamed bitonic migrates");
+                serial.push(run.report.migration_time());
+                run
+            };
+            let path = |run: &MigrationRun| run.report.pipeline().map(|p| p.critical_path);
+            let (critical_path, run) = sample(|| (), stream, path);
+            let serial = Timing::of(serial[1..].try_into().expect("a warm-up, then the samples"));
+            let hidden = 1.0 - critical_path.floor.as_secs_f64() / serial.floor.as_secs_f64();
+            PipelineRow {
+                label: format!("bitonic {n}"),
+                link: link_label.to_string(),
+                serial,
+                critical_path,
+                hidden: critical_path.resolves_from(&serial).then_some(hidden),
+                chunks: run.report.pipeline().map_or(0, |p| p.chunks),
+            }
+        })
+        .collect()
 }
 
 use Kind::{Key, Value};
@@ -586,21 +578,24 @@ pub static OVERHEAD: Table<OverheadRow> = Table {
     rows: overhead_rows,
 };
 
-/// `paper_tables pipeline`: paced with real sleeps, so one run a row.
+/// `paper_tables pipeline`.
 pub static PIPELINE: Table<PipelineRow> = Table {
     name: "pipeline",
-    title: "Pipelined migration — monolithic vs streamed, Ultra 5 pair (paced, one run each)",
+    title: "Pipelined migration — serial sum vs critical path, Ultra 5 pair (floor ±spread)",
     cols: &[
         col("workload", Key, |r| Cell::Text(r.label.clone())),
         col("link", Key, |r| Cell::Text(r.link.clone())),
-        col("serial", Value, |r| Cell::Span(r.serial)),
-        col("pipelined", Value, |r| Cell::Span(r.pipelined)),
-        col("overlap_ratio", Value, |r| Cell::Real(r.overlap_ratio)),
+        col("serial", Value, |r| Cell::Timed(r.serial)),
+        col("critical_path", Value, |r| Cell::Timed(r.critical_path)),
+        col("hidden", Value, |r| {
+            Cell::Text(r.hidden.map_or("unresolved".into(), |h| format!("{h:.3}")))
+        }),
         col("chunks", Value, |r| Cell::Int(r.chunks)),
-        col("stall", Value, |r| Cell::Span(r.stall)),
     ],
-    note: "collect, transfer, and restore overlap; the hidden fraction peaks when the phase \
-           times are balanced",
+    note: "serial is Collect + Tx + Restore of each run; critical_path is the same runs' \
+           downtime with collect, transfer and restore overlapped, computed from their stamps \
+           over the modelled link; hidden is 1 − critical_path/serial on the floors, \
+           unresolved when the two floors are no further apart than the two spreads together",
     rows: pipeline_rows,
 };
 

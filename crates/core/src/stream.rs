@@ -20,13 +20,11 @@ use crate::msrlt::LogicalId;
 use crate::CoreError;
 use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
 
 /// A producer of payload chunks, pulled in stream order.
 pub trait ChunkSource {
     /// The next chunk, `None` once the stream has ended cleanly.
-    /// Blocking until a chunk arrives is expected; the time spent is
-    /// accounted as stall by [`ChunkPayload`].
+    /// Blocking until a chunk arrives is expected.
     fn next_chunk(&mut self) -> Result<Option<Vec<u8>>, CoreError>;
 }
 
@@ -111,7 +109,6 @@ pub struct ChunkPayload<'h> {
     /// Absolute start offset of each pulled chunk (chunk `i + 1` starts
     /// at `starts[i]`).
     starts: Vec<u64>,
-    stall: Duration,
 }
 
 impl Default for ChunkPayload<'_> {
@@ -131,7 +128,6 @@ impl<'h> ChunkPayload<'h> {
             base: 0,
             more,
             starts: Vec::new(),
-            stall: Duration::ZERO,
         }
     }
 
@@ -143,11 +139,6 @@ impl<'h> ChunkPayload<'h> {
     /// Payload bytes received so far, read or not.
     pub(crate) fn received(&self) -> u64 {
         self.base + self.buf.len() as u64
-    }
-
-    /// Total time spent waiting on the source for the next chunk.
-    pub fn stall_time(&self) -> Duration {
-        self.stall
     }
 
     fn buffered(&self) -> usize {
@@ -166,10 +157,7 @@ impl<'h> ChunkPayload<'h> {
         let Some(src) = self.more.as_mut() else {
             return Ok(false);
         };
-        let t0 = Instant::now();
-        let chunk = src.next_chunk()?;
-        self.stall += t0.elapsed();
-        let Some(chunk) = chunk else {
+        let Some(chunk) = src.next_chunk()? else {
             self.more = None;
             return Ok(false);
         };

@@ -340,7 +340,6 @@ impl<'p> MigCtx<'p> {
             self.finished_restore = Some(RestoreTotals {
                 stats: r.stats,
                 time: r.restore_time,
-                stall: r.payload.stall_time(),
                 done_at: Some(Instant::now()),
             });
             self.mode = Mode::Run;
@@ -380,11 +379,10 @@ impl<'p> MigCtx<'p> {
 pub struct RestoreTotals {
     /// Restoration counters.
     pub stats: RestoreStats,
-    /// Wall time inside `restore_frame`, stall included.
+    /// Wall time inside `restore_frame`. A streamed migration's report
+    /// subtracts the pipe waits inside it (see
+    /// [`MigrationReport::restore_time`](crate::MigrationReport::restore_time)).
     pub time: Duration,
-    /// Portion of `time` spent blocked waiting for chunks to arrive
-    /// (zero when the payload arrived whole).
-    pub stall: Duration,
     /// Instant the final `restore_frame` completed — a streamed
     /// migration's end-to-end endpoint (resumed computation continues
     /// after it). `None` for a run that never resumed.

@@ -18,8 +18,8 @@ use crate::driver::{resume, run_to_migration, CompletedRun, MigratedSource};
 use crate::precopy::{self, PrecopyConfig};
 use crate::process::Trigger;
 use crate::report::{
-    Collected, MigrationReport, MigrationRun, PipelineStats, RecoveryStats, ResumeStats, Rung2Skip,
-    TransportStats,
+    critical_path, Collected, MigrationReport, MigrationRun, PipelineStats, RecoveryStats,
+    ResumeStats, Rung2Skip, TransportStats,
 };
 use crate::wire::{attempt, lock_journal, ship_frame, Attempt, Carried, Lane};
 use crate::MigError;
@@ -29,24 +29,24 @@ use hpm_net::{FaultPlan, NetworkModel, TransferSnapshot, WireCodec};
 use hpm_obs::{EventLog, Level, Track};
 use hpm_xdr::{image_id, ChunkRecord, RestoreJournal};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// Tunables of a chunk-streamed transport.
+/// The chunk-streamed transport's one setting, its chunk size. The other
+/// fields are ignored; they remain so that callers building this struct
+/// as a literal keep compiling. Write
+/// `PipelineConfig { chunk_bytes, ..PipelineConfig::default() }`.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
     /// Payload bytes per chunk — the collector's flush watermark.
     pub chunk_bytes: usize,
-    /// Pace the wire in real time: each frame's modeled transmission
-    /// time — the time the channel charges for its framed, possibly
-    /// compressed bytes — is slept before delivery, so the destination
-    /// experiences the link and wall-clock overlap becomes observable.
+    /// Ignored: nothing waits on the wall clock for the link. The
+    /// overlap is computed from the stamps every attempt takes
+    /// ([`PipelineStats::critical_path`]).
     pub pace: bool,
-    /// Scale on the per-frame pacing sleep (`0.01` runs a 10 Mb/s
-    /// experiment 100× faster while preserving relative timing).
+    /// Ignored, as `pace` is.
     pub pace_scale: f64,
     /// Ignored: every chunk frame tries the block coder and keeps the
-    /// stored form when that is not smaller. It remains so that callers
-    /// building this struct as a literal keep compiling.
+    /// stored form when that is not smaller.
     pub codec: WireCodec,
 }
 
@@ -54,7 +54,7 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
             chunk_bytes: 32 * 1024,
-            pace: true,
+            pace: false,
             pace_scale: 1.0,
             codec: WireCodec::default(),
         }
@@ -77,15 +77,17 @@ pub enum Transport {
     Whole,
     /// Collection, transmission and restoration overlap: the collector
     /// flushes the DFS stream in `chunk_bytes`-sized chunks as it
-    /// traverses, a wire thread paces and frames each chunk, and the
-    /// destination restores frame *k* while chunk *k+1* is in flight. The
+    /// traverses, a wire thread frames each chunk, and the destination
+    /// restores frame *k* while chunk *k+1* is in flight. The
     /// image prefix travels as chunk 0, before any payload exists, so the
     /// destination re-enters the call chain while the source still
     /// collects. Each chunk travels once over an ordered pipe that can
     /// break, under a CRC-32; the first frame the destination cannot take
     /// ends the connection, and the stream goes down the degradation
     /// ladder. The [`FaultPlan`] drives the deterministic fault injector;
-    /// [`FaultPlan::none`] is a clean (but still CRC-checked) run.
+    /// [`FaultPlan::none`] is a clean (but still CRC-checked) run. The
+    /// report's [`PipelineStats::critical_path`] is the downtime with the
+    /// three stages overlapped over the modelled link.
     Reliable(PipelineConfig, FaultPlan),
 }
 
@@ -347,7 +349,7 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
             true => ("arq.tx.resume", "arq.rx.resume", "fault.resume"),
         };
         Lane {
-            config,
+            chunk_bytes: config.chunk_bytes,
             plan: if resuming { plan.resume_plan() } else { plan },
             tx_track: self.log.track(tx),
             rx_track: self.log.track(rx),
@@ -399,7 +401,7 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
         };
         let collect_track = self.log.track(collect_track);
         let restore_track = self.log.track(restore_track);
-        let chunk_bytes = lane.config.chunk_bytes;
+        let chunk_bytes = lane.chunk_bytes;
         let mut dst_prog = (self.make)();
         let dst_arch = self.dst_arch.clone();
         attempt(
@@ -454,7 +456,6 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
         plan: FaultPlan,
     ) -> Result<Delivered, MigError> {
         // Rung 1: a fresh stream, journaled on the destination.
-        let t_start = Instant::now();
         let id = image_id(prefix);
         let journal = Arc::new(Mutex::new(RestoreJournal::new(id)));
         let lane = self.lane(config, plan, Some(Arc::clone(&journal)), None);
@@ -466,7 +467,7 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
             ..ResumeStats::default()
         };
         let Some(err) = first.error.take() else {
-            return self.delivered(first, prefix, t_start, recovery, ladder);
+            return self.delivered(first, prefix, recovery, ladder);
         };
         // Every worker has joined, so the log — dumped once the ladder
         // has run — is complete and, per track, deterministic for a
@@ -513,7 +514,7 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
         }
         ladder.rung = 2;
         ladder.bytes_saved = out.wire.bytes_saved_wire;
-        ladder.chunks_retransferred = out.wire.frames.saturating_sub(replayed) as u64;
+        ladder.chunks_retransferred = out.frames.len().saturating_sub(replayed as usize) as u64;
         ladder.bytes_retransferred = out.wire.transfer.bytes_sent;
         ladder.wire_replays = out.wire_replays;
         self.driver.event(
@@ -527,37 +528,35 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
         // Collect stay honest about the total cost.
         out.wire.transfer += first.wire.transfer;
         out.produce_time += first.produce_time;
-        self.delivered(out, prefix, t_start, recovery, ladder)
+        self.delivered(out, prefix, recovery, ladder)
     }
 
     /// What the attempt that completed the ladder on the destination
-    /// hands the report.
+    /// hands the report: its critical path, and its restore time less the
+    /// destination's waits on the pipe.
     fn delivered(
         &self,
         out: StreamAttempt,
         prefix: &[u8],
-        t_start: Instant,
         recovery: RecoveryStats,
         ladder: ResumeStats,
     ) -> Result<Delivered, MigError> {
-        let dst = out
+        let mut dst = out
             .consumed
             .ok_or_else(|| MigError::Protocol("attempt succeeded without a destination".into()))?;
         let stats = out.produced.ok_or_else(|| {
             MigError::Protocol("attempt succeeded without collection stats".into())
         })?;
+        let frames = &out.frames;
+        debug_assert_eq!(frames.len(), out.wire.records.len(), "one stamp per frame");
+        let done = (dst.restore.done_at).map_or(Duration::ZERO, |t| t - out.start);
         let pipeline = PipelineStats {
-            chunks: out.wire.frames as u64,
-            collect_time: out.produce_time,
-            tx_time: out.wire.transfer.modeled_tx_time(),
-            restore_time: dst.restore.time,
-            restore_stall: dst.restore.stall,
-            e2e_time: dst
-                .restore
-                .done_at
-                .map(|t| t.saturating_duration_since(t_start))
-                .unwrap_or_default(),
+            chunks: frames.len() as u64,
+            critical_path: critical_path(self.link, frames, done),
         };
+        // Every pipe wait after the prefix's falls inside `restore_frame`.
+        let waited = frames.iter().skip(1).map(|f| f.arrived - f.asked).sum();
+        dst.restore.time = dst.restore.time.saturating_sub(waited);
         self.end_phases(&out.wire.transfer, &dst);
         Ok(Delivered {
             collected: Collected {
@@ -653,7 +652,6 @@ mod tests {
     fn quick_cfg() -> PipelineConfig {
         PipelineConfig {
             chunk_bytes: 64,
-            pace: false,
             ..PipelineConfig::default()
         }
     }
@@ -812,6 +810,25 @@ mod tests {
         assert_eq!(run.report.resume().unwrap().rung, 1);
         // One message per frame: nothing flows back on a clean stream.
         assert_eq!(run.report.transfer.messages_sent, p.chunks);
+    }
+
+    /// The critical path's stamps live in the attempt, not in the event
+    /// log: a run that records nothing still reports the path, and it
+    /// covers at least the modelled Tx of every frame.
+    #[test]
+    fn an_unlogged_stream_still_reports_its_critical_path() {
+        let log = EventLog::new(Level::Off);
+        let policy = Migration {
+            log: Some(&log),
+            ..Migration::new(Transport::Reliable(quick_cfg(), FaultPlan::none()))
+        };
+        let (src, dst) = (Architecture::dec5000(), Architecture::sparc20());
+        let link = NetworkModel::ethernet_10();
+        let trigger = Trigger::AtPollCount(250);
+        let run = migrate(|| Summer::new(500), src, dst, link, trigger, &policy).unwrap();
+        assert!(run.report.log.is_none());
+        let p = run.report.pipeline().expect("streamed run carries stats");
+        assert!(p.critical_path >= run.report.tx_time, "{p:?}");
     }
 
     /// A frame damaged in the pipe ends rung 1 at that frame; rung 2

@@ -8,7 +8,7 @@ use crate::driver::CompletedRun;
 use crate::precopy::PrecopyStats;
 use crate::process::Process;
 use hpm_core::{CollectStats, MsrltStats, RegistryAuditStats, RestoreStats};
-use hpm_net::{ArqReceiverSnapshot, FaultStats, TransferSnapshot};
+use hpm_net::{ArqReceiverSnapshot, FaultStats, NetworkModel, TransferSnapshot};
 use hpm_obs::{EventLog, Level, LogDump};
 use std::time::Duration;
 
@@ -24,6 +24,10 @@ pub struct MigrationReport {
     /// Modeled transmission time over the chosen link.
     pub tx_time: Duration,
     /// Wall time of the restoration phase (sum over `restore_frame`s).
+    /// Under [`Transport::Reliable`](crate::Transport::Reliable) it is the
+    /// destination's busy time: the waits on the pipe inside
+    /// `restore_frame` are left out, so [`Self::migration_time`] is Table
+    /// 1's serial sum on both transports.
     pub restore_time: Duration,
     /// Collection counters.
     pub collect_stats: CollectStats,
@@ -65,7 +69,7 @@ pub enum TransportStats {
     Whole,
     /// A chunk stream with the degradation ladder behind it.
     Reliable {
-        /// Overlap measurements of the streamed destination; `None` when
+        /// The streamed destination's critical path; `None` when
         /// pre-copy rounds shipped whole frames instead, or when the run
         /// fell back to the source and discarded its destination.
         pipeline: Option<PipelineStats>,
@@ -116,7 +120,7 @@ impl MigrationReport {
         self.collect_time + self.tx_time + self.restore_time
     }
 
-    /// Overlap measurements, when a streamed destination completed.
+    /// The critical path, when a streamed destination completed.
     pub fn pipeline(&self) -> Option<&PipelineStats> {
         match &self.transport {
             TransportStats::Reliable { pipeline, .. } => pipeline.as_ref(),
@@ -184,36 +188,44 @@ impl MigrationRun {
 pub struct PipelineStats {
     /// Frames on the wire: image prefix + payload chunks + terminator.
     pub chunks: u64,
-    /// Wall time of the collection DFS (source thread busy time).
-    pub collect_time: Duration,
-    /// Modeled transmission time over the link.
-    pub tx_time: Duration,
-    /// Wall time inside `restore_frame`, stall included.
-    pub restore_time: Duration,
-    /// Portion of `restore_time` spent blocked waiting for chunks.
-    pub restore_stall: Duration,
-    /// Wall time from the start of collection until the final
-    /// `restore_frame` completed on the destination.
-    pub e2e_time: Duration,
+    /// Downtime with collect, transmit (over the migration's link) and
+    /// restore overlapped: the critical path through the stamps of the
+    /// attempt that completed (DESIGN §4a), to its final `restore_frame`.
+    pub critical_path: Duration,
 }
 
-impl PipelineStats {
-    /// What the whole-buffer path would cost: Collect + Tx + Restore run
-    /// strictly one after another (Table 1's sum), restore stall excluded.
-    pub fn serial_time(&self) -> Duration {
-        self.collect_time + self.tx_time + self.restore_time.saturating_sub(self.restore_stall)
-    }
+/// One frame's stamps in a streamed attempt, from the start of
+/// collection. A chunk replayed from the destination's journal is all
+/// zeros: it was in hand when the attempt began.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct FrameStamp {
+    /// p_i: when the producer pushed it (the terminator: production's end).
+    pub pushed: Duration,
+    /// c_i: the wire thread's time framing it (coder, CRC) and pushing it.
+    pub sending: Duration,
+    /// D_i: the bytes the channel charged; `None` for a replayed chunk.
+    pub wire_bytes: Option<u64>,
+    /// q_i: when the destination's pipe read for it was called.
+    pub asked: Duration,
+    /// a_i: when that read returned it.
+    pub arrived: Duration,
+}
 
-    /// How much of the serial sum the pipeline hid by overlapping:
-    /// `1 − e2e/serial`, clamped at 0. Only meaningful for paced runs
-    /// (unpaced runs hide the whole modeled Tx trivially).
-    pub fn overlap_ratio(&self) -> f64 {
-        let serial = self.serial_time().as_secs_f64();
-        if serial <= 0.0 {
-            return 0.0;
-        }
-        (1.0 - self.e2e_time.as_secs_f64() / serial).max(0.0)
+/// A streamed attempt's downtime over `link`, from its stamps. Frame i
+/// has crossed the link at T_i = max(p_i, T_{i−1}) + c_i + tx(D_i), and
+/// the destination is done with it at R_i = max(T_i, R_{i−1}) + busy_i,
+/// where busy_i = q_{i+1} − a_i is all it did between taking frame i and
+/// asking for the next (CRC check, decode, journal append, restore); the
+/// last frame's runs to `done`, the end of the final `restore_frame`.
+/// R_{−1} = q_0, and the result is R_n.
+pub(crate) fn critical_path(link: NetworkModel, frames: &[FrameStamp], done: Duration) -> Duration {
+    let (mut t, mut r) = (Duration::ZERO, frames.first().map_or(done, |f| f.asked));
+    for (i, f) in frames.iter().enumerate() {
+        t = t.max(f.pushed) + f.sending + f.wire_bytes.map_or(Duration::ZERO, |d| link.tx_time(d));
+        let next = frames.get(i + 1).map_or(done, |n| n.asked);
+        r = r.max(t) + next.saturating_sub(f.arrived);
     }
+    r
 }
 
 /// Why rung 2 (resume-from-journal) of the degradation ladder was not the
@@ -335,6 +347,104 @@ impl std::ops::AddAssign for RecoveryStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A deterministic stream of `n` frames: monotone stamps, the
+    /// destination asking for each frame before or after it lands.
+    fn frames(n: usize, seed: u64) -> (Vec<FrameStamp>, Duration) {
+        let mut x = seed | 1;
+        let mut next = |cap: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            Duration::from_micros(x % cap)
+        };
+        let (mut pushed, mut at) = (Duration::ZERO, Duration::ZERO);
+        let frames = (0..n)
+            .map(|_| {
+                pushed += next(2_000);
+                let asked = at + next(500);
+                at = asked + next(3_000);
+                FrameStamp {
+                    pushed,
+                    sending: next(300),
+                    wire_bytes: Some(next(40_000).as_micros() as u64),
+                    asked,
+                    arrived: at,
+                }
+            })
+            .collect();
+        (frames, at + next(1_000))
+    }
+
+    /// The Table 1 sum of the same stamps: production's end, then every
+    /// frame across the link, then all of the destination's busy time.
+    fn serial(link: NetworkModel, frames: &[FrameStamp], done: Duration) -> Duration {
+        let wire: Duration = (frames.iter())
+            .map(|f| f.sending + f.wire_bytes.map_or(Duration::ZERO, |d| link.tx_time(d)))
+            .sum();
+        frames.last().unwrap().pushed + wire + busy(frames, done)
+    }
+
+    fn busy(frames: &[FrameStamp], done: Duration) -> Duration {
+        let asked = frames.iter().skip(1).map(|f| f.asked).chain([done]);
+        let gaps = frames.iter().zip(asked).map(|(f, next)| next - f.arrived);
+        frames[0].asked + gaps.sum::<Duration>()
+    }
+
+    #[test]
+    fn one_frame_costs_the_serial_sum() {
+        let link = NetworkModel::ethernet_10();
+        let (mut one, _) = frames(1, 7);
+        one[0].asked = Duration::ZERO;
+        let done = one[0].arrived + Duration::from_millis(3);
+        assert_eq!(critical_path(link, &one, done), serial(link, &one, done));
+    }
+
+    #[test]
+    fn the_path_lies_between_each_stage_alone_and_the_serial_sum() {
+        for seed in 1..200 {
+            let (fs, done) = frames(1 + seed as usize % 24, seed);
+            for link in [NetworkModel::ethernet_10(), NetworkModel::ethernet_100()] {
+                let path = critical_path(link, &fs, done);
+                let tx = |f: &FrameStamp| f.sending + link.tx_time(f.wire_bytes.unwrap());
+                let wire: Duration = fs.iter().map(tx).sum();
+                let last = fs.last().unwrap();
+                let floor = wire.max(busy(&fs, done)).max(last.pushed + tx(last));
+                assert!(floor <= path, "seed {seed}: {path:?} under {floor:?}");
+                assert!(path <= serial(link, &fs, done), "seed {seed}: {path:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_faster_link_never_lengthens_the_path() {
+        let links = [
+            NetworkModel::ethernet_10(),
+            NetworkModel::ethernet_100(),
+            NetworkModel::gigabit(),
+            NetworkModel::instant(),
+        ];
+        for seed in 1..100 {
+            let (fs, done) = frames(12, seed);
+            let paths = links.map(|link| critical_path(link, &fs, done));
+            assert!(paths.is_sorted_by(|a, b| a >= b), "seed {seed}: {paths:?}");
+        }
+    }
+
+    #[test]
+    fn replayed_chunks_cross_no_link() {
+        let (live, done) = frames(6, 11);
+        let mut resumed = vec![FrameStamp::default(); 4];
+        resumed.extend_from_slice(&live);
+        // In hand at the start, the replayed chunks add no Tx: the path
+        // is the live frames' over any link.
+        for link in [NetworkModel::ethernet_10(), NetworkModel::gigabit()] {
+            let path = critical_path(link, &resumed, done);
+            assert_eq!(path, critical_path(link, &live, done));
+            let in_hand = critical_path(link, &resumed[..4], done);
+            assert_eq!(in_hand, done, "a fully replayed stream is restore alone");
+        }
+    }
 
     #[test]
     fn ladder_facts_follow_the_rung_and_the_skip() {

@@ -3,13 +3,16 @@
 //!
 //! [`attempt`] is the only place threads are spawned. The producer (the
 //! collection DFS, or a finished frame cut into chunks) runs on the
-//! calling thread and pushes chunks into a sink; the wire thread paces,
-//! frames and sends them through the chunk sender behind the fault
-//! injector, fresh or resuming from a journal; the consumer (a streaming
+//! calling thread and pushes chunks into a sink; the wire thread frames
+//! and sends them through the chunk sender behind the fault injector,
+//! fresh or resuming from a journal; the consumer (a streaming
 //! resume, or a buffer reassembling the frame) runs on a destination
 //! thread over the chunk receiver. The degradation ladder's two streamed
 //! rungs and the pre-copy rounds are calls of this function, and
-//! [`ship_frame`] is its whole-frame form.
+//! [`ship_frame`] is its whole-frame form. Nothing waits on the wall
+//! clock for the link: each stage stamps what it did to every frame, and
+//! the report computes the downtime from the stamps
+//! ([`critical_path`](crate::report::critical_path)).
 //!
 //! What every stage does is a function of the stream and the fault plan,
 //! never of thread timing, so a seed's log and counters reproduce byte
@@ -20,13 +23,12 @@
 //! every chunk the producer pushes, so the collector always runs to the
 //! end of its DFS or to its injected crash.
 
-use crate::engine::PipelineConfig;
-use crate::report::RecoveryStats;
+use crate::report::{FrameStamp, RecoveryStats};
 use crate::MigError;
 use hpm_core::{ChunkSource, CoreError};
 use hpm_net::{
-    channel_pair, ArqConfig, Channel, FaultPlan, FaultyEndpoint, FrameLink, NetError, NetworkModel,
-    ReliableChunkReceiver, ReliableChunkSender, ResumeDecision, TransferSnapshot, TransferStats,
+    channel_pair, ArqConfig, Channel, FaultPlan, FaultyEndpoint, NetError, NetworkModel,
+    ReliableChunkReceiver, ReliableChunkSender, ResumeDecision, TransferSnapshot,
 };
 use hpm_obs::Track;
 use hpm_xdr::{ChunkRecord, RestoreJournal};
@@ -37,8 +39,8 @@ use std::time::{Duration, Instant};
 /// How one attempt's chunk stream is framed, faulted and instrumented.
 #[derive(Clone)]
 pub(crate) struct Lane {
-    /// Chunk size and pacing.
-    pub config: PipelineConfig,
+    /// Payload bytes per chunk.
+    pub chunk_bytes: usize,
     /// What the deterministic fault injector does to this attempt.
     pub plan: FaultPlan,
     /// Log track of the sending end (single-writer, like all of them).
@@ -76,6 +78,10 @@ pub(crate) struct Attempt<S, D> {
     pub src_crashed: bool,
     /// The failure that killed the attempt, if any.
     pub error: Option<MigError>,
+    /// When collection began: the origin of `frames`.
+    pub start: Instant,
+    /// Each frame's stamps, in stream order (complete on success).
+    pub frames: Vec<FrameStamp>,
 }
 
 /// What the wire thread hands back. Its statistics survive failure.
@@ -83,8 +89,6 @@ pub(crate) struct Attempt<S, D> {
 pub(crate) struct WireDone {
     /// The sender's own failure (before triage against the other stages).
     error: Option<NetError>,
-    /// Distinct frames the sender shipped, terminator included.
-    pub frames: u32,
     /// Channel accounting of the attempt.
     pub transfer: TransferSnapshot,
     /// Send ledger: one [`ChunkRecord`] per framed chunk, in sequence
@@ -95,6 +99,8 @@ pub(crate) struct WireDone {
     pub rejected: bool,
     /// Wire bytes the resume handshake avoided re-sending.
     pub bytes_saved_wire: u64,
+    /// The sender's time and bytes per frame shipped.
+    sends: Vec<(Duration, u64)>,
 }
 
 /// The chunk receiver as the restorer's [`ChunkSource`], mapping
@@ -104,12 +110,13 @@ pub(crate) struct WireDone {
 pub(crate) struct NetChunkSource(Arc<Mutex<ReliableChunkReceiver>>);
 
 impl NetChunkSource {
+    fn lock(&self) -> MutexGuard<'_, ReliableChunkReceiver> {
+        self.0.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     /// The next payload chunk, `None` at the end of the stream.
     pub fn recv(&self) -> Result<Option<Vec<u8>>, NetError> {
-        self.0
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .recv_chunk()
+        self.lock().recv_chunk()
     }
 }
 
@@ -125,43 +132,8 @@ pub(crate) fn lock_journal(journal: &Mutex<RestoreJournal>) -> MutexGuard<'_, Re
     journal.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// The source's end of the pipe as the sender sees it. In a paced
-/// stream each frame first waits out the transmission time the channel
-/// charges for it — its whole length, so a compressed chunk waits for
-/// its compressed bytes — and so reaches the destination when its last
-/// byte would have. Pacing stops once the consumer has returned: what is
-/// still sent then is never read, and waiting out its transmission time
-/// would only delay the next rung.
-struct Paced<'a> {
-    endpoint: FaultyEndpoint,
-    /// `pace_scale`, when the stream is paced.
-    scale: Option<f64>,
-    consumer_done: &'a AtomicBool,
-}
-
-impl FrameLink for Paced<'_> {
-    fn send_frame(&mut self, frame: Vec<u8>) -> Result<(), NetError> {
-        let scale = self
-            .scale
-            .filter(|_| !self.consumer_done.load(Ordering::SeqCst));
-        if let Some(scale) = scale {
-            let model = self.endpoint.channel().model();
-            std::thread::sleep(model.tx_time(frame.len() as u64).mul_f64(scale));
-        }
-        self.endpoint.send_frame(frame)
-    }
-
-    fn recv_control_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, NetError> {
-        self.endpoint.recv_control_timeout(timeout)
-    }
-
-    fn transfer_stats(&self) -> Option<&TransferStats> {
-        self.endpoint.transfer_stats()
-    }
-}
-
 /// The wire stage: optionally the resume handshake, then push each chunk
-/// through the sender over the [`Paced`] pipe, then the terminator. Once
+/// through the sender over the faulty pipe, then the terminator. Once
 /// the pipe is done with — completed, broken, or refused by the
 /// handshake — it is closed, and the rest of what the producer pushes is
 /// taken and dropped.
@@ -170,13 +142,8 @@ fn wire_thread(
     chunk_rx: mpsc::Receiver<Vec<u8>>,
     lane: Lane,
     src_crashed: &AtomicBool,
-    consumer_done: &AtomicBool,
 ) -> WireDone {
-    let endpoint = Paced {
-        endpoint: FaultyEndpoint::new(src_end, lane.plan).with_track(lane.fault_track),
-        scale: lane.config.pace.then_some(lane.config.pace_scale),
-        consumer_done,
-    };
+    let endpoint = FaultyEndpoint::new(src_end, lane.plan).with_track(lane.fault_track);
     let mut tx = ReliableChunkSender::new(endpoint, ArqConfig).with_track(lane.tx_track);
     let mut done = WireDone::default();
     let mut skip = 0;
@@ -204,14 +171,14 @@ fn wire_thread(
             .by_ref()
             .skip(skip)
             .try_for_each(|chunk| tx.send(&chunk));
-        done.frames = tx.chunks_sent();
         if sent.is_ok() && !src_crashed.load(Ordering::SeqCst) {
-            sent = tx.finish().map(|n| done.frames = n);
+            sent = tx.finish().map(drop);
         }
         done.error = sent.err();
     }
     done.records = tx.records().to_vec();
-    let endpoint = tx.into_link().endpoint;
+    done.sends = tx.sends().to_vec();
+    let endpoint = tx.into_link();
     done.faults = endpoint.stats();
     done.transfer = endpoint.channel().stats().snapshot();
     // Closing the pipe: the destination reads what is queued, then
@@ -257,33 +224,33 @@ pub(crate) fn attempt<S, D: Send>(
     let src_crash_at = lane.plan.src_crash_at;
     let (chunk_tx, chunk_rx) = mpsc::channel::<Vec<u8>>();
     let src_crashed = AtomicBool::new(false);
-    let consumer_done = AtomicBool::new(false);
+    let replayed = replay.len();
+    // p_i of the critical path: when chunk i was pushed.
+    let mut pushed = Vec::new();
 
     std::thread::scope(|s| {
-        let wire = s.spawn(|| wire_thread(src_end, chunk_rx, lane, &src_crashed, &consumer_done));
+        let wire = s.spawn(|| wire_thread(src_end, chunk_rx, lane, &src_crashed));
         let destination = s.spawn({
-            let (rx, consumer_done) = (rx.clone(), &consumer_done);
-            move || {
-                let consumed = consume(rx, replay);
-                consumer_done.store(true, Ordering::SeqCst);
-                consumed
-            }
+            let rx = rx.clone();
+            move || consume(rx, replay)
         });
 
-        let mut pushed = 0u32;
+        let start = Instant::now();
         let mut sink = |chunk: Vec<u8>| {
-            if src_crash_at == Some(pushed) {
+            if src_crash_at == Some(pushed.len() as u32) {
                 src_crashed.store(true, Ordering::SeqCst);
                 return Err(CoreError::Source("source crashed mid-collect".into()));
             }
-            pushed += 1;
             chunk_tx
                 .send(chunk)
-                .map_err(|_| CoreError::Source("chunk sink disconnected".into()))
+                .map_err(|_| CoreError::Source("chunk sink disconnected".into()))?;
+            pushed.push(start.elapsed());
+            Ok(())
         };
-        let t0 = Instant::now();
         let produced = produce(&mut sink);
-        let produce_time = t0.elapsed();
+        let produce_time = start.elapsed();
+        // The terminator's p_n: production ended.
+        pushed.push(produce_time);
         drop(chunk_tx); // end of stream: the wire thread sends LAST
 
         let consumed = destination
@@ -296,6 +263,21 @@ pub(crate) fn attempt<S, D: Send>(
             .or_else(|| consumed.as_ref().err().cloned())
             .or_else(|| wire.error.clone().map(MigError::from));
         let receiver = rx_counters.snapshot();
+        let waits = rx.lock().waits().to_vec();
+        let since = |t: Instant| t.saturating_duration_since(start);
+        let live = (pushed.iter().skip(replayed).zip(&wire.sends).zip(waits)).map(
+            |((&pushed, &(sending, bytes)), (asked, arrived))| FrameStamp {
+                pushed,
+                sending,
+                wire_bytes: Some(bytes),
+                asked: since(asked),
+                arrived: since(arrived),
+            },
+        );
+        // Replayed chunks were in hand when the attempt began.
+        let frames = std::iter::repeat_n(FrameStamp::default(), replayed)
+            .chain(live)
+            .collect();
         Ok(Attempt {
             produced: produced.ok(),
             produce_time,
@@ -305,6 +287,8 @@ pub(crate) fn attempt<S, D: Send>(
             src_crashed: src_crashed.load(Ordering::SeqCst),
             error,
             wire,
+            start,
+            frames,
         })
     })
 }
@@ -342,7 +326,7 @@ pub(crate) fn ship_frame(
         carried.transfer += src_end.stats().snapshot();
         return Ok(bytes);
     };
-    let (len, cut) = (frame.len(), lane.config.chunk_bytes.max(1));
+    let (len, cut) = (frame.len(), lane.chunk_bytes.max(1));
     let mut ship = |lane| {
         let out = attempt(
             link,

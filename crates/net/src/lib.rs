@@ -11,10 +11,11 @@
 //! the paper's Table 1 `Tx` column behaves (it is dominated by
 //! bytes ÷ link speed, not by protocol details). Actual byte delivery
 //! between the two "machines" (threads) uses a reliable in-process
-//! [`Channel`] built on `std::sync::mpsc`; it accounts modeled time but
-//! never sleeps (real-time pacing, when a pipeline asks for it, is the
-//! migration driver's wire thread). A payload crosses it whole, as one
-//! message, or as the one chunk stream: [`ReliableChunkSender`] →
+//! [`Channel`] built on `std::sync::mpsc`; it accounts modeled time and
+//! never sleeps, and neither does anything above it: the migration
+//! driver computes a streamed migration's overlap from stamps instead
+//! ([`ReliableChunkReceiver::waits`] is the destination's). A payload
+//! crosses it whole, as one message, or as the one chunk stream: [`ReliableChunkSender`] →
 //! [`ReliableChunkReceiver`], each chunk framed once, compressed when
 //! that is smaller, and CRC-checked, in order, over an ordered pipe that
 //! can break — optionally through a [`FaultyEndpoint`] that damages one

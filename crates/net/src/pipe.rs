@@ -15,7 +15,7 @@ use crate::pipe_core::{ArqConfig, ReceiverCore, Refused, ResumeDecision, SenderC
 use hpm_obs::Track;
 use hpm_xdr::{frame_control, unframe_control, ChunkRecord, RestoreJournal, RestorePhase};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Liveness backstop for the one blocking control read, the resume
 /// handshake: a correct peer sends it before anything else.
@@ -49,8 +49,8 @@ pub struct ArqSenderStats {
 pub struct ReliableChunkSender<L: FrameLink> {
     link: L,
     core: SenderCore,
-    stats: ArqSenderStats,
     track: Track,
+    sends: Vec<(Duration, u64)>,
 }
 
 impl<L: FrameLink> ReliableChunkSender<L> {
@@ -60,8 +60,8 @@ impl<L: FrameLink> ReliableChunkSender<L> {
         ReliableChunkSender {
             link,
             core: SenderCore::default(),
-            stats: ArqSenderStats::default(),
             track: Track::off(),
+            sends: Vec::new(),
         }
     }
 
@@ -78,7 +78,11 @@ impl<L: FrameLink> ReliableChunkSender<L> {
 
     /// Counters so far.
     pub fn stats(&self) -> ArqSenderStats {
-        self.stats
+        let frames_sent = self.sends.len() as u64;
+        ArqSenderStats {
+            frames_sent,
+            retransmits: 0,
+        }
     }
 
     /// Sequence number the next chunk will carry.
@@ -91,6 +95,12 @@ impl<L: FrameLink> ReliableChunkSender<L> {
     /// prefix of this ledger.
     pub fn records(&self) -> &[ChunkRecord] {
         self.core.records()
+    }
+
+    /// For each frame the link took, in order: the time framing it (coder
+    /// and CRC included) and handing it over took, and its bytes.
+    pub fn sends(&self) -> &[(Duration, u64)] {
+        &self.sends
     }
 
     /// Recover the link (e.g. to read injector stats after the stream).
@@ -149,6 +159,7 @@ impl<L: FrameLink> ReliableChunkSender<L> {
     }
 
     fn ship(&mut self, payload: &[u8], last: bool) -> Result<(), NetError> {
+        let t0 = Instant::now();
         let frame = self.core.offer(payload, last);
         let r = self
             .core
@@ -158,9 +169,9 @@ impl<L: FrameLink> ReliableChunkSender<L> {
         if let Some(s) = self.link.transfer_stats() {
             s.observe_chunk_out(r.raw_len as u64, r.wire_len as u64, r.wire_len < r.raw_len);
         }
-        let chunk = r.index as u64;
+        let (chunk, bytes) = (r.index as u64, frame.len() as u64);
         self.link.send_frame(frame)?;
-        self.stats.frames_sent += 1;
+        self.sends.push((t0.elapsed(), bytes));
         self.track.event("chunk.sent", &[("chunk", chunk)]);
         Ok(())
     }
@@ -208,6 +219,7 @@ pub struct ReliableChunkReceiver {
     /// Injected crash fault: die just before consuming this sequence.
     crash_at: Option<u32>,
     track: Track,
+    waits: Vec<(Instant, Instant)>,
 }
 
 impl ReliableChunkReceiver {
@@ -223,6 +235,7 @@ impl ReliableChunkReceiver {
             journal: None,
             crash_at: None,
             track: Track::off(),
+            waits: Vec::new(),
         }
     }
 
@@ -272,6 +285,13 @@ impl ReliableChunkReceiver {
         self.core.next()
     }
 
+    /// For each frame read off the pipe, in order: when the read was called
+    /// and returned. Only that waits; the CRC check, decode and journal
+    /// append after it are work.
+    pub fn waits(&self) -> &[(Instant, Instant)] {
+        &self.waits
+    }
+
     /// Whether the LAST frame has been consumed.
     pub fn is_done(&self) -> bool {
         self.done
@@ -284,7 +304,9 @@ impl ReliableChunkReceiver {
         if self.done {
             return Ok(None);
         }
+        let asked = Instant::now();
         let raw = self.ch.recv()?;
+        self.waits.push((asked, Instant::now()));
         let (record, payload) = self.core.on_frame(&raw).map_err(|r| self.refused(r))?;
         let chunk = record.index;
         if self.crash_at == Some(chunk) {
@@ -452,6 +474,40 @@ mod tests {
             j.raw_bytes(),
             data.iter().map(|p| p.len() as u64).sum::<u64>()
         );
+    }
+
+    /// Only the pipe read is a wait: a frame already queued is charged
+    /// almost none, however long its CRC check, decode and journal append
+    /// take, and a read that has to wait for its frame is charged that.
+    #[test]
+    fn a_wait_is_the_pipe_read_and_not_the_decode() {
+        let (src, dst) = channel_pair(NetworkModel::instant());
+        let mut tx = ReliableChunkSender::new(src, ArqConfig);
+        // Compressible, so the receiver expands it before journaling it.
+        let payload: Vec<u8> = (0..1u32 << 22).map(|i| (i / 64 % 7) as u8).collect();
+        tx.send(&payload).unwrap();
+        let journal = Arc::new(Mutex::new(RestoreJournal::new(5)));
+        let mut rx = ReliableChunkReceiver::new(dst, ArqConfig).with_journal(journal);
+        let t0 = Instant::now();
+        let got = rx.recv_chunk().unwrap();
+        let call = t0.elapsed();
+        assert_eq!(got, Some(payload));
+        let (asked, arrived) = rx.waits()[0];
+        let wait = arrived - asked;
+        assert!(
+            wait * 10 < call,
+            "a queued frame waited {wait:?} of a {call:?} read"
+        );
+
+        let late = Duration::from_millis(20);
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(late);
+            tx.finish().unwrap();
+        });
+        assert_eq!(rx.recv_chunk().unwrap(), None);
+        sender.join().unwrap();
+        let (asked, arrived) = rx.waits()[1];
+        assert!(arrived - asked >= late / 2, "{:?}", arrived - asked);
     }
 
     #[test]

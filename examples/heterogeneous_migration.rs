@@ -86,10 +86,7 @@ fn main() {
             NetworkModel::ethernet_10(),
             Trigger::External(request),
             &Migration::new(Transport::Reliable(
-                PipelineConfig {
-                    pace: false,
-                    ..PipelineConfig::default()
-                },
+                PipelineConfig::default(),
                 FaultPlan::none(),
             )),
         )

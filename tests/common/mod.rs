@@ -17,8 +17,6 @@ use std::time::Duration;
 pub fn soak_cfg() -> PipelineConfig {
     PipelineConfig {
         chunk_bytes: 256,
-        pace: false,
-        pace_scale: 0.0,
         ..PipelineConfig::default()
     }
 }

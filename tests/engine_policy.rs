@@ -1,7 +1,7 @@
 //! Composition of the one migration engine: every transport × pre-copy
 //! cell of the policy, on the paper's three workloads and three
 //! architecture pairs, must compute the unmigrated answers from the same
-//! image. Seeded and unpaced — no wall clock is read.
+//! image. Seeded — no wall clock is read.
 //!
 //! "The same image" is checked from outside the engine: the image and
 //! payload sizes, the collection counters and the restoration counters
@@ -33,7 +33,6 @@ fn pairs() -> [(Architecture, Architecture); 3] {
 fn wire() -> PipelineConfig {
     PipelineConfig {
         chunk_bytes: 512,
-        pace: false,
         ..PipelineConfig::default()
     }
 }

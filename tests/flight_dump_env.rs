@@ -25,8 +25,6 @@ fn driver_error_writes_the_dump_where_ci_expects_it() {
         Trigger::AtPollCount(8),
         PipelineConfig {
             chunk_bytes: 65536,
-            pace: false,
-            pace_scale: 0.0,
             ..PipelineConfig::default()
         },
         FaultPlan {

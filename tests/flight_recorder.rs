@@ -27,8 +27,6 @@ fn dead_link_plan() -> FaultPlan {
 fn big_chunk_cfg() -> PipelineConfig {
     PipelineConfig {
         chunk_bytes: 65536,
-        pace: false,
-        pace_scale: 0.0,
         ..PipelineConfig::default()
     }
 }

@@ -94,8 +94,6 @@ fn rows(dump: &LogDump, into: &mut BTreeSet<String>) {
 fn cfg(chunk_bytes: usize) -> PipelineConfig {
     PipelineConfig {
         chunk_bytes,
-        pace: false,
-        pace_scale: 0.0,
         ..PipelineConfig::default()
     }
 }

@@ -69,8 +69,9 @@ fn chunked_image_is_byte_identical_bitonic() {
 }
 
 /// The pipelined path must produce the same results as an unmigrated run
-/// and actually overlap the three phases: on a paced 10 Mb/s link the
-/// end-to-end wall time comes in under the serial Collect+Tx+Restore sum.
+/// and overlap the three phases. Nothing sleeps for the link: the
+/// critical path of one run's own stamps is at least its modelled Tx and
+/// comes in under its serial Collect + Tx + Restore on the 10 Mb/s link.
 #[test]
 fn pipelined_migration_matches_straight_run_and_overlaps() {
     let n = 20_000u64;
@@ -94,25 +95,23 @@ fn pipelined_migration_matches_straight_run_and_overlaps() {
         "pipelined results diverge from the unmigrated run"
     );
 
-    let p = run.report.pipeline().expect("pipelined run carries stats");
+    let report = &run.report;
+    let p = report.pipeline().expect("pipelined run carries stats");
     assert!(p.chunks >= 3, "expected prefix + payload + terminator");
-    assert!(p.tx_time > Duration::ZERO);
+    assert!(report.tx_time > Duration::ZERO);
     assert!(
-        p.e2e_time < p.serial_time(),
-        "no overlap: e2e {:?} vs serial {:?}",
-        p.e2e_time,
-        p.serial_time()
+        report.tx_time <= p.critical_path && p.critical_path < report.migration_time(),
+        "no overlap: Tx {:?}, critical path {:?}, serial {:?}",
+        report.tx_time,
+        p.critical_path,
+        report.migration_time()
     );
-    assert!(
-        p.overlap_ratio() > 0.0,
-        "overlap_ratio must be positive, got {}",
-        p.overlap_ratio()
-    );
-    // A clean link costs the frames and nothing else: one message each.
-    let r = run.report.recovery().expect("reliable run carries stats");
+    // A clean link costs the frames and nothing else: one message each,
+    // and one stamp per frame (`chunks` counts the stamped frames).
+    let r = report.recovery().expect("reliable run carries stats");
     assert_eq!(r.faults_injected + r.corrupt_caught, 0, "{r:?}");
-    assert_eq!(run.report.transfer.messages_sent, p.chunks);
-    assert_eq!(run.report.resume().unwrap().rung, 1);
+    assert_eq!(report.transfer.messages_sent, p.chunks);
+    assert_eq!(report.resume().unwrap().rung, 1);
 }
 
 /// Losing a chunk mid-stream must fail loudly, naming the chunk in which

@@ -220,7 +220,6 @@ fn precopy_over_faulty_arq_link_roundtrips() {
             ..Migration::new(Transport::Reliable(
                 PipelineConfig {
                     chunk_bytes: 4096,
-                    pace: false,
                     ..PipelineConfig::default()
                 },
                 plan,

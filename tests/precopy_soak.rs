@@ -60,7 +60,6 @@ fn run_one(seed: u64) -> MigrationRun {
                     // Small against the image and its per-round deltas,
                     // so every round has frames for a plan to hurt.
                     chunk_bytes: 1024,
-                    pace: false,
                     ..PipelineConfig::default()
                 },
                 live_plan(seed),

@@ -96,10 +96,7 @@ fn every_preset_pair_roundtrips_stored_and_compressed() {
                 NetworkModel::instant(),
                 Trigger::AtPollCount(8),
                 &Migration::new(Transport::Reliable(
-                    PipelineConfig {
-                        pace: false,
-                        ..PipelineConfig::default()
-                    },
+                    PipelineConfig::default(),
                     FaultPlan::none(),
                 )),
             )
@@ -158,10 +155,7 @@ fn compressed_against_stored<P: MigratableProgram + Send>(
         Trigger::AtPollCount(polls),
     );
     let seq = run_migrating(make, arch.clone(), arch.clone(), link, trigger.clone()).unwrap();
-    let config = PipelineConfig {
-        pace: false,
-        ..PipelineConfig::default()
-    };
+    let config = PipelineConfig::default();
     let policy = Migration::new(Transport::Reliable(config, FaultPlan::none()));
     let run = migrate(make, arch.clone(), arch, link, trigger, &policy).unwrap();
     // A source-resumed run answers the same and carries no pipeline.
