@@ -118,6 +118,7 @@ impl Architecture {
     }
 
     /// Size in bytes of the given scalar on this machine.
+    #[inline]
     pub fn scalar_size(&self, s: CScalar) -> u64 {
         if s == CScalar::Ptr {
             self.pointer_size
@@ -142,6 +143,7 @@ impl Architecture {
     /// `(kind)`. Values are truncated/extended to the machine's storage
     /// width exactly as a C store would (e.g. a `long` holding
     /// `0x1_0000_0001` stores `0x0000_0001` on an ILP32 machine).
+    #[inline]
     pub fn encode_scalar(&self, kind: CScalar, value: ScalarValue, out: &mut Vec<u8>) {
         let raw: u64 = match (kind, value) {
             // A `float` leaf keeps its bits: a widen/narrow round trip
@@ -183,6 +185,7 @@ impl Architecture {
     ///
     /// `bytes` must be exactly [`Architecture::scalar_size`]`(kind)` long.
     /// Signed integers are sign-extended from the machine's storage width.
+    #[inline]
     pub fn decode_scalar(&self, kind: CScalar, bytes: &[u8]) -> ScalarValue {
         let size = self.scalar_size(kind) as usize;
         assert_eq!(

@@ -56,6 +56,7 @@ impl CScalar {
     ];
 
     /// Whether the scalar is a signed integer type.
+    #[inline]
     pub fn is_signed(self) -> bool {
         matches!(
             self,
@@ -191,6 +192,7 @@ impl ScalarLayout {
     /// # Panics
     /// Panics on [`CScalar::Ptr`]; pointer width belongs to the
     /// [`Architecture`](crate::Architecture).
+    #[inline]
     pub fn size(&self, s: CScalar) -> u64 {
         match s {
             CScalar::Char | CScalar::UChar => 1,
@@ -256,6 +258,7 @@ impl ScalarValue {
 
     /// Interpret the value as an i64, converting unsigned/float values
     /// with C semantics (float → int truncates toward zero).
+    #[inline]
     pub fn as_i64(self) -> i64 {
         match self {
             ScalarValue::Int(v) => v,
@@ -267,6 +270,7 @@ impl ScalarValue {
     }
 
     /// Interpret the value as an f64.
+    #[inline]
     pub fn as_f64(self) -> f64 {
         match self {
             ScalarValue::Int(v) => v as f64,
@@ -278,6 +282,7 @@ impl ScalarValue {
     }
 
     /// Interpret the value as a raw address.
+    #[inline]
     pub fn as_ptr(self) -> u64 {
         match self {
             ScalarValue::Ptr(p) => p,

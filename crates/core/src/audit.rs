@@ -13,8 +13,8 @@
 //! `HPM03x` diagnostics.
 
 use crate::msrlt::{frame_group, LogicalId, Msrlt};
+use crate::translate::read_ptr;
 use crate::CoreError;
-use hpm_arch::CScalar;
 use hpm_memory::AddressSpace;
 use hpm_types::plan::PlanOp;
 use std::time::{Duration, Instant};
@@ -146,24 +146,25 @@ pub fn audit_registry(
 
     let entries: Vec<_> = msrlt
         .live_entries()
-        .map(|(id, e)| (id, e.addr(), e.ty, e.count, e.size))
+        .map(|(id, e)| (id, e.slot(), e.size))
         .collect();
     let live_depth = msrlt.frame_depth() as u32;
     let first_dead_group = frame_group(live_depth);
 
     // Per-block checks: existence, size, frame nesting, then edges.
-    for &(id, addr, ty, count, size) in &entries {
+    for &(id, slot, size) in &entries {
         stats.blocks_checked += 1;
         if id.group >= first_dead_group {
             findings.push(RegistryFinding::FrameNesting { id, live_depth });
             stats.frame_violations += 1;
         }
-        if space.block_at(addr).is_none() {
+        let Ok((ty, count)) = space.slot_block(slot).map(|b| (b.ty, b.count)) else {
+            let addr = slot.addr();
             findings.push(RegistryFinding::UnknownBlock { id, addr });
             // Without the block there are no bytes to decode pointers
             // from; skip the edge walk.
             continue;
-        }
+        };
         let plan = space.plan_for(ty)?;
         let expected = plan.size * count;
         if expected != size {
@@ -178,12 +179,9 @@ pub fn audit_registry(
             for op in &plan.ops {
                 if let PlanOp::PointerSlot { offset, .. } = op {
                     stats.edges_checked += 1;
-                    let at = addr + elem_base + offset;
-                    let raw = {
-                        let bytes = space.read_bytes(at, space.arch().pointer_size)?;
-                        space.arch().decode_scalar(CScalar::Ptr, bytes).as_ptr()
-                    };
-                    if raw != 0 && msrlt.lookup_addr(raw).is_none() {
+                    let bytes = space.slot_bytes(slot)?;
+                    let raw = read_ptr(space.arch(), bytes, slot, elem_base + offset)?;
+                    if raw != 0 && msrlt.resolve(space, raw).is_none() {
                         findings.push(RegistryFinding::DanglingEdge {
                             from: id,
                             offset: elem_base + offset,
@@ -199,7 +197,7 @@ pub fn audit_registry(
     // Overlap: adjacent pairs in address order.
     let mut spans: Vec<_> = entries
         .iter()
-        .map(|&(id, addr, _, _, size)| (addr, size, id))
+        .map(|&(id, slot, size)| (slot.addr(), size, id))
         .collect();
     spans.sort_unstable();
     for w in spans.windows(2) {
@@ -217,7 +215,7 @@ pub fn audit_registry(
     }
 
     // Byte accounting.
-    let actual: u64 = entries.iter().map(|&(_, _, _, _, size)| size).sum();
+    let actual: u64 = entries.iter().map(|&(.., size)| size).sum();
     let recorded = msrlt.registered_bytes();
     if recorded != actual {
         findings.push(RegistryFinding::ByteAccounting { recorded, actual });
@@ -236,9 +234,7 @@ mod tests {
 
     fn reg_all(space: &AddressSpace, msrlt: &mut Msrlt) {
         for info in space.block_infos() {
-            if msrlt.lookup_addr(info.addr).is_none() {
-                msrlt.register(&info);
-            }
+            msrlt.register(&info);
         }
     }
 
@@ -302,36 +298,13 @@ mod tests {
         let int = space.types_mut().int();
         let mut msrlt = Msrlt::new();
         msrlt.begin_frame();
-        // Register a fake stack entry directly in frame group 2, then
-        // pop the frame stack *without* the entry (register_at bypasses
-        // the frame bookkeeping, as a buggy runtime would).
-        let g = space.define_global("x", int, 1).unwrap();
-        let info = space
-            .block_infos()
-            .into_iter()
-            .find(|b| b.addr == g)
-            .unwrap();
-        msrlt.register_at(
-            LogicalId { group: 2, index: 0 },
-            info.slot,
-            info.size,
-            info.ty,
-            info.count,
-        );
         msrlt.end_frame();
-        // end_frame drops group-2 entries it tracked; ours bypassed
-        // begin_frame's group list? register_at appends to the group, so
-        // end_frame removed it. Re-add after the pop to model the stale
-        // entry.
-        if msrlt.lookup_addr(info.addr).is_none() {
-            msrlt.register_at(
-                LogicalId { group: 2, index: 1 },
-                info.slot,
-                info.size,
-                info.ty,
-                info.count,
-            );
-        }
+        // Register an entry in frame group 2 after its frame was popped
+        // (register_at bypasses the frame bookkeeping, as a buggy runtime
+        // would).
+        let g = space.define_global("x", int, 1).unwrap();
+        let info = space.info_at(g).unwrap();
+        msrlt.register_at(LogicalId { group: 2, index: 0 }, info.slot, info.size);
         let (findings, stats) = audit_registry(&mut space, &mut msrlt).unwrap();
         assert_eq!(stats.frame_violations, 1, "{findings:?}");
         assert!(findings

@@ -65,7 +65,7 @@
 
 use crate::fingerprint::type_fingerprint;
 use crate::kernel::{for_each_run, Kernel};
-use crate::msrlt::{LogicalId, Msrlt, MsrltEntry, GROUP_HEAP};
+use crate::msrlt::{Hit, LogicalId, Msrlt, GROUP_HEAP};
 use crate::translate::{leaf_ordinal, read_ptr, span, Cursor};
 use crate::CoreError;
 use hpm_arch::Architecture;
@@ -388,14 +388,13 @@ impl<'a> Collector<'a> {
         self
     }
 
-    /// An MSRLT address search, bracketed as a detail span: the block's
-    /// id, its record and `addr`'s byte offset in it.
-    fn resolve(&mut self, addr: u64) -> Result<(LogicalId, MsrltEntry, u64), CoreError> {
+    /// An MSRLT address search, bracketed as a detail span.
+    fn resolve(&mut self, addr: u64) -> Result<Hit, CoreError> {
         let track = &self.out.track;
         track.detail_begin("msrlt.search", &[]);
-        let r = self.msrlt.resolve(addr);
+        let r = self.msrlt.resolve(self.space, addr);
         match r {
-            Some((id, ..)) => track.detail_end(
+            Some(Hit { id, .. }) => track.detail_end(
                 "msrlt.search",
                 &[("group", id.group as u64), ("index", id.index as u64)],
             ),
@@ -450,20 +449,18 @@ impl<'a> Collector<'a> {
     /// only a `VAR_VISITED` reference is emitted (the paper: "the node v7
     /// and its subsequent links and nodes have already been visited").
     pub fn save_variable(&mut self, addr: u64) -> Result<(), CoreError> {
-        let (id, entry, off) = self.resolve(addr)?;
-        if off != 0 {
+        let hit = self.resolve(addr)?;
+        if hit.offset != 0 {
             return Err(CoreError::SequenceMismatch(format!(
                 "save_variable at interior address {addr:#x}"
             )));
         }
-        if self.msrlt.visited(&entry) {
-            Record::bare(TAG_VAR_VISITED, id).encode(&mut self.out.enc)?;
+        if !self.msrlt.visit(hit.slot) {
+            Record::bare(TAG_VAR_VISITED, hit.id).encode(&mut self.out.enc)?;
             return self.out.maybe_flush();
         }
-        self.msrlt.mark_visited(id);
-        let (ty, count) = (entry.ty, entry.count);
-        self.put_block_record(TAG_VAR_NEW, id, ty, 0, count)?;
-        self.emit_block(entry.slot(), ty, count)?;
+        self.put_block_record(TAG_VAR_NEW, hit.id, hit.ty, 0, hit.count)?;
+        self.emit_block(hit.slot, hit.ty, hit.count)?;
         self.out.maybe_flush()
     }
 
@@ -588,24 +585,28 @@ impl<'a> Collector<'a> {
             return Ok(());
         }
         // THE MSRLT search (counted in MsrltStats).
-        let (id, entry, byte_off) = self.resolve(ptr)?;
-        let (ty, count) = (entry.ty, entry.count);
+        let Hit {
+            id,
+            slot,
+            ty,
+            count,
+            offset,
+        } = self.resolve(ptr)?;
         // Element ordinal of the pointed-to leaf within the target block.
-        let leaf_idx = leaf_ordinal(self.space, ty, count, byte_off, ptr)?;
-        if self.msrlt.visited(&entry) {
+        let leaf_idx = leaf_ordinal(self.space, ty, count, offset, ptr)?;
+        if !self.msrlt.visit(slot) {
             self.stats.ptr_ref += 1;
             let mut rec = Record::bare(TAG_PTR_REF, id);
             rec.ordinal = leaf_idx;
             return rec.encode(&mut self.out.enc);
         }
-        self.msrlt.mark_visited(id);
         self.stats.ptr_new += 1;
         self.stats.blocks_saved += 1;
         self.out
             .track
             .detail_event("collect.block", &[("count", count)]);
         self.put_block_record(TAG_PTR_NEW, id, ty, leaf_idx, count)?;
-        self.push_block(entry.slot(), ty, count, stack)
+        self.push_block(slot, ty, count, stack)
     }
 }
 
@@ -840,8 +841,10 @@ mod tests {
         assert_eq!((stats.blocks_saved, stats.ptr_ref), (2, 1));
         assert!(ids.iter().all(|&id| msrlt.is_visited(id)));
 
+        // A mark taken in the last epoch before the wrap.
         msrlt.force_epoch(u32::MAX);
-        msrlt.mark_visited(ids[1]);
+        assert!(msrlt.visit(msrlt.entry(ids[1]).unwrap().slot()));
+        assert!(msrlt.is_visited(ids[1]));
         drop(Collector::new(&mut space, &mut msrlt));
         for id in ids {
             assert!(!msrlt.is_visited(id), "{id} still marked after the wrap");

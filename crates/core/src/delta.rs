@@ -12,7 +12,7 @@
 //! different architectures therefore produce identical digests — the
 //! same property the migration image itself has. The pass is
 //! order-independent (no DFS), so it rides the O(n) page-indexed MSRLT
-//! path: one `lookup_addr` per pointer, same as collection.
+//! path: one resolve per pointer, same as collection.
 //!
 //! **Dirty tracking.** [`BaseImageManifest`] retains the digest table of
 //! a shipped image; [`diff_manifest`] classifies the current table
@@ -71,13 +71,15 @@ pub fn block_digests(
     let mut enc = XdrEncoder::new();
     let mut fingerprints = HashMap::new();
     for (id, e) in entries {
+        let b = *space.slot_block(e.slot())?;
+        let (ty, count) = (b.ty, b.count);
         let fingerprint = *fingerprints
-            .entry(e.ty)
-            .or_insert_with(|| type_fingerprint(space.types(), e.ty));
+            .entry(ty)
+            .or_insert_with(|| type_fingerprint(space.types(), ty));
         enc.clear();
         enc.put_u64(fingerprint);
-        enc.put_u64(e.count);
-        encode_canonical(space, msrlt, &mut enc, e.slot(), e.ty, e.count)?;
+        enc.put_u64(count);
+        encode_canonical(space, msrlt, &mut enc, e.slot(), ty, count)?;
         out.push(BlockDigest {
             id,
             digest: content_digest(enc.as_bytes()),
@@ -520,9 +522,8 @@ mod tests {
             .expect("heap block")
             .id;
         let freed_addr = msrlt.entry(freed).unwrap().addr();
-        // Clear the list link first so nothing dangles logically.
+        assert_eq!(msrlt.unregister(&space, freed_addr), Some(freed));
         space.free(freed_addr).unwrap();
-        msrlt.unregister(freed_addr);
         let fresh = space.malloc(int, 4).unwrap();
         register(&space, &mut msrlt, fresh);
         let cur = block_digests(&mut space, &mut msrlt).unwrap();

@@ -11,8 +11,8 @@
 
 use crate::msrlt::{LogicalId, Msrlt};
 use crate::translate::logical_pointer;
+use crate::translate::read_ptr;
 use crate::CoreError;
-use hpm_arch::CScalar;
 use hpm_memory::AddressSpace;
 use hpm_types::plan::PlanOp;
 
@@ -62,11 +62,13 @@ impl MsrGraph {
         let mut g = MsrGraph::default();
         let entries: Vec<_> = msrlt
             .live_entries()
-            .map(|(id, e)| (id, e.addr(), e.ty, e.count, e.size))
+            .map(|(id, e)| (id, e.slot(), e.size))
             .collect();
-        for &(id, addr, ty, count, size) in &entries {
+        for &(id, slot, size) in &entries {
+            let addr = slot.addr();
             let block = space
                 .info_at(addr)
+                .filter(|b| b.slot == slot)
                 .ok_or(CoreError::UnregisteredPointer(addr))?;
             g.vertices.push(MsrVertex {
                 id,
@@ -75,16 +77,13 @@ impl MsrGraph {
                 segment: block.segment.to_string(),
                 size,
             });
-            let plan = space.plan_for(ty)?;
-            for elem in 0..count {
+            let plan = space.plan_for(block.ty)?;
+            for elem in 0..block.count {
                 let elem_base = elem * plan.size;
                 for op in &plan.ops {
                     if let PlanOp::PointerSlot { offset, .. } = op {
-                        let at = addr + elem_base + offset;
-                        let raw = {
-                            let bytes = space.read_bytes(at, space.arch().pointer_size)?;
-                            space.arch().decode_scalar(CScalar::Ptr, bytes).as_ptr()
-                        };
+                        let bytes = space.slot_bytes(slot)?;
+                        let raw = read_ptr(space.arch(), bytes, slot, elem_base + offset)?;
                         if raw == 0 {
                             continue;
                         }
@@ -165,9 +164,7 @@ mod tests {
 
     fn reg_all(space: &AddressSpace, msrlt: &mut Msrlt) {
         for info in space.block_infos() {
-            if msrlt.lookup_addr(info.addr).is_none() {
-                msrlt.register(&info);
-            }
+            msrlt.register(&info);
         }
     }
 

@@ -6,10 +6,10 @@
 //! * [`msrlt`] — the **MSR Lookup Table**: assigns every memory block a
 //!   machine-independent logical identification `(group, index)`, and
 //!   translates addresses in both directions. Address→block lookup is a
-//!   genuine `O(log n)` search (with instrumented comparison counts);
-//!   id→address is `O(1)` table indexing. This asymmetry produces the
-//!   paper's §4.2 result: collection carries an `O(n log n)` MSRLT term,
-//!   restoration only `O(n)`.
+//!   counted search through the address space's page index; id→address
+//!   is `O(1)` table indexing. With the paper's sorted index this
+//!   asymmetry produces the §4.2 result: collection carries an
+//!   `O(n log n)` MSRLT term, restoration only `O(n)`.
 //! * [`collect`] — the MSRM saving half: `Save_variable` / `Save_pointer`.
 //!   `Save_pointer` drives a depth-first traversal of the MSR graph
 //!   (implemented with an explicit stack, so million-node lists cannot

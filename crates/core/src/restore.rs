@@ -232,11 +232,11 @@ impl<'s, 'p> Restorer<'s, 'p> {
     }
 
     fn restore_variable_inner(&mut self, addr: u64) -> Result<(), CoreError> {
-        let (local_id, entry, off) = self
+        let local = self
             .msrlt
-            .resolve(addr)
+            .resolve(self.space, addr)
             .ok_or(CoreError::UnregisteredPointer(addr))?;
-        if off != 0 {
+        if local.offset != 0 {
             return Err(CoreError::SequenceMismatch(format!(
                 "restore_variable at interior address {addr:#x}"
             )));
@@ -245,18 +245,18 @@ impl<'s, 'p> Restorer<'s, 'p> {
         if !matches!(rec.tag, TAG_VAR_VISITED | TAG_VAR_NEW) {
             return Err(CoreError::BadTag(rec.tag));
         }
-        if rec.id != local_id {
+        if rec.id != local.id {
             return Err(CoreError::SequenceMismatch(format!(
-                "stream item is block {} but local block is {local_id}",
-                rec.id
+                "stream item is block {} but local block is {}",
+                rec.id, local.id
             )));
         }
         if rec.tag == TAG_VAR_VISITED {
             return Ok(());
         }
         let announced = self.announced_type(&rec)?;
-        self.check_local_block(&rec, announced, entry.ty, entry.count)?;
-        self.fill_block(entry.slot(), entry.ty, rec.count)
+        self.check_local_block(&rec, announced, local.ty, local.count)?;
+        self.fill_block(local.slot, local.ty, rec.count)
     }
 
     /// `Restore_pointer`: decode the next pointer item, materializing its
@@ -380,7 +380,8 @@ impl<'s, 'p> Restorer<'s, 'p> {
                     .msrlt
                     .entry_counted(id)
                     .ok_or(CoreError::UnknownId(id))?;
-                let (addr, ty, count) = (entry.addr(), entry.ty, entry.count);
+                let b = *self.space.slot_block(entry.slot())?;
+                let (addr, ty, count) = (b.addr, b.ty, b.count);
                 Ok(leaf_address(self.space, addr, ty, count, rec.ordinal)?)
             }
             TAG_PTR_NEW => {
@@ -392,8 +393,9 @@ impl<'s, 'p> Restorer<'s, 'p> {
                         // A named block that already exists locally
                         // (global / re-created stack local): validate and
                         // fill in place.
-                        self.check_local_block(&rec, announced, e.ty, e.count)?;
-                        (e.slot(), e.ty)
+                        let b = *self.space.slot_block(e.slot())?;
+                        self.check_local_block(&rec, announced, b.ty, b.count)?;
+                        (e.slot(), b.ty)
                     }
                     None => {
                         // Globals and the re-created frames' locals were
@@ -427,7 +429,7 @@ impl<'s, 'p> Restorer<'s, 'p> {
                         let slot = self.space.malloc_slot(ty, count)?;
                         // `malloc` held the product to the heap segment.
                         let size = size * count;
-                        self.msrlt.register_at(id, slot, size, ty, count);
+                        self.msrlt.register_at(id, slot, size);
                         self.stats.blocks_allocated += 1;
                         self.track.detail_event("restore.alloc", &[("bytes", size)]);
                         (slot, ty)

@@ -18,8 +18,8 @@ use hpm_types::plan::PlanOp;
 use hpm_types::TypeId;
 
 /// Where the collector's or restorer's DFS stands inside one block: the
-/// block's handle (from its MSRLT record, so no address is resolved) and
-/// the next plan op.
+/// block's handle (from the search that found the block, or its MSRLT
+/// record, so no address is resolved again) and the next plan op.
 ///
 /// The DFS stack holds one of these per block on the current path, and a
 /// linked list is one path as long as the list, so the size is part of a
@@ -122,11 +122,11 @@ pub(crate) fn logical_pointer(
     msrlt: &mut Msrlt,
     ptr: u64,
 ) -> Result<(LogicalId, u64), CoreError> {
-    let (id, entry, byte_off) = msrlt
-        .resolve(ptr)
+    let hit = msrlt
+        .resolve(space, ptr)
         .ok_or(CoreError::UnregisteredPointer(ptr))?;
-    let leaf = leaf_ordinal(space, entry.ty, entry.count, byte_off, ptr)?;
-    Ok((id, leaf))
+    let leaf = leaf_ordinal(space, hit.ty, hit.count, hit.offset, ptr)?;
+    Ok((hit.id, leaf))
 }
 
 /// The address error `AddressSpace::read_bytes` reports for an access
@@ -175,7 +175,7 @@ mod tests {
     use super::Cursor;
     use crate::collect::{Collector, Record, TAG_PTR_NEW};
     use crate::fingerprint::type_fingerprint;
-    use crate::msrlt::{LogicalId, Msrlt, MsrltEntry};
+    use crate::msrlt::{LogicalId, Msrlt, MsrltEntry, SlotRecord};
     use crate::restore::Restorer;
     use crate::CoreError;
     use hpm_arch::Architecture;
@@ -183,8 +183,8 @@ mod tests {
     use hpm_types::{Field, TypeId};
     use hpm_xdr::XdrEncoder;
 
-    fn register(space: &AddressSpace, msrlt: &mut Msrlt, addr: u64) {
-        msrlt.register(&space.info_at(addr).expect("block exists"));
+    fn register(space: &AddressSpace, msrlt: &mut Msrlt, addr: u64) -> LogicalId {
+        msrlt.register(&space.info_at(addr).expect("block exists"))
     }
 
     /// `struct cell { int v; struct cell *next; }`.
@@ -206,10 +206,13 @@ mod tests {
     }
 
     #[test]
-    fn msrlt_record_is_no_larger_than_five_words() {
-        // One per id on both ends, and fetched from a random place in
-        // the table once per pointer: its size is paid in cache misses.
-        assert!(std::mem::size_of::<Option<MsrltEntry>>() <= 40);
+    fn msrlt_records_are_no_larger_than_three_words() {
+        // The per-slot record is fetched from a random place in the
+        // table once per pointer the collector resolves, and the per-id
+        // one once per pointer the restorer translates: their sizes are
+        // paid in cache misses.
+        assert!(std::mem::size_of::<Option<SlotRecord>>() <= 12);
+        assert!(std::mem::size_of::<Option<MsrltEntry>>() <= 24);
     }
 
     #[test]
@@ -235,7 +238,7 @@ mod tests {
         let mut msrlt = Msrlt::new();
         let int = space.types_mut().int();
         let old = space.malloc_slot(int, 4).unwrap();
-        register(&space, &mut msrlt, old.addr());
+        let old_id = register(&space, &mut msrlt, old.addr());
         // Freed behind the table's back, and the address handed out again.
         space.free(old.addr()).unwrap();
         let new = space.malloc_slot(int, 4).unwrap();
@@ -244,11 +247,24 @@ mod tests {
         let bad = MemError::BadAddress(old.addr());
         assert_eq!(space.slot_bytes(old), Err(bad.clone()));
         assert_eq!(space.slot_bytes_mut(old).err(), Some(bad.clone()));
-        // The table's record still names the dead block: collecting it is
-        // refused, never a save of the new block's bytes.
+        // The table's record still names the dead block. Collecting at its
+        // address finds the new block, which no id names: refused, never a
+        // save of the new block's bytes under the old id. The digest pass,
+        // which walks the records, is refused at the dead handle.
         let got = Collector::new(&mut space, &mut msrlt).save_variable(old.addr());
-        assert_eq!(got, Err(CoreError::from(bad)));
+        assert_eq!(got, Err(CoreError::UnregisteredPointer(old.addr())));
+        assert_eq!(
+            crate::delta::block_digests(&mut space, &mut msrlt).err(),
+            Some(CoreError::from(bad))
+        );
         assert_eq!(space.slot_bytes(new).unwrap()[..4], [0, 0, 0, 7]);
+        // Registered, the new block is saved under its own id.
+        let new_id = register(&space, &mut msrlt, new.addr());
+        assert_ne!(new_id, old_id);
+        let mut c = Collector::new(&mut space, &mut msrlt);
+        c.save_variable(new.addr()).unwrap();
+        let (bytes, _) = c.finish().unwrap();
+        assert_eq!(Record::read(&bytes).unwrap().0.id, new_id);
     }
 
     /// The ordinal the collector writes for `p`'s pointee, from the
@@ -364,9 +380,10 @@ mod tests {
     }
 
     #[test]
-    fn ops_past_the_block_end_are_errors_not_panics() {
-        // The registry claims two cells where the block holds one: the
-        // second element's run and pointer slot lie past the end.
+    fn a_registration_cannot_overstate_its_block() {
+        // The registration claims two cells where the block holds one.
+        // Type and count are the space's record, not the table's, so the
+        // collector and the digest pass walk the one cell there is.
         let mut space = AddressSpace::new(Architecture::dec5000());
         let mut msrlt = Msrlt::new();
         let cell = cell_type(&mut space);
@@ -375,14 +392,21 @@ mod tests {
         info.count = 2;
         info.size *= 2;
         msrlt.register(&info);
-        let err = Collector::new(&mut space, &mut msrlt)
-            .save_pointer(n)
-            .unwrap_err();
-        assert_eq!(err, CoreError::from(MemError::BadAddress(n + 8 + 4 - 1)));
-        assert!(crate::delta::block_digests(&mut space, &mut msrlt).is_err());
+        let mut c = Collector::new(&mut space, &mut msrlt);
+        c.save_pointer(n).unwrap();
+        let (payload, stats) = c.finish().unwrap();
+        assert_eq!((stats.blocks_saved, stats.scalars_encoded), (1, 1));
+        assert_eq!(Record::read(&payload).unwrap().0.count, 1);
+        assert_eq!(
+            crate::delta::block_digests(&mut space, &mut msrlt)
+                .unwrap()
+                .len(),
+            1
+        );
 
         // Restore side: an honest two-cell image into a destination whose
-        // registry overstates its one-cell global the same way.
+        // registry overstates its one-cell global the same way: the
+        // local block's one cell refuses the stream's two.
         let mut src = AddressSpace::new(Architecture::dec5000());
         let mut src_lt = Msrlt::new();
         let scell = cell_type(&mut src);
@@ -403,6 +427,9 @@ mod tests {
         let err = Restorer::new(&mut dst, &mut dst_lt, &payload)
             .restore_variable(dg)
             .unwrap_err();
-        assert_eq!(err, CoreError::from(MemError::BadAddress(dg + 16 + 4 - 1)));
+        assert!(
+            matches!(&err, CoreError::SequenceMismatch(m) if m.contains("1 elements locally but 2")),
+            "{err}"
+        );
     }
 }

@@ -56,8 +56,8 @@ pub struct BlockInfo {
     pub frame: Option<u64>,
     /// Size in bytes.
     pub size: u64,
-    /// Handle to the block's bytes, which an MSRLT record carries so the
-    /// collector and restorer never resolve the block's address again.
+    /// Handle to the block's bytes, which the MSRLT records at the
+    /// block's id so the restorer never resolves the block's address.
     pub slot: BlockSlot,
 }
 
@@ -100,6 +100,8 @@ mod tests {
 
     #[test]
     fn labels() {
+        let mut space = crate::AddressSpace::new(hpm_arch::Architecture::sparc20());
+        let int = space.types_mut().int();
         let mut b = BlockInfo {
             addr: 0x1000,
             ty: TypeId(0),
@@ -108,7 +110,7 @@ mod tests {
             name: None,
             frame: None,
             size: 16,
-            slot: BlockSlot::unbound(0x1000),
+            slot: space.malloc_slot(int, 4).unwrap(),
         };
         assert_eq!(b.label(), "addr@0x1000");
         b.name = Some("parray".into());

@@ -16,7 +16,8 @@
 //!   machinery);
 //! * interior pointers (into the middle of arrays/structs) are legal;
 //! * address→block resolution requires a genuine search, through a
-//!   [`PageIndex`] (the type the MSRLT's address index is built on too);
+//!   [`PageIndex`] — the process's only address map, which the MSRLT
+//!   resolves pointers through too;
 //! * the heap allocator reuses freed space, so address order is not
 //!   allocation order.
 //!
@@ -32,7 +33,7 @@ mod space;
 
 pub use block::{BlockInfo, MemoryBlock};
 pub use page_index::{PageIndex, PAGE_SIZE};
-pub use space::{AddressSpace, AllocStats, BlockSlot, FrameId, MemError, ResolvedAddr};
+pub use space::{AddressSpace, AllocStats, BlockSlot, FrameId, MemError};
 
 #[cfg(test)]
 mod invariant_tests {
@@ -134,7 +135,7 @@ mod invariant_tests {
                 assert_eq!(space.block_at(a).map(|b| b.size), Some(size));
                 // Every byte, and the one past the end.
                 for x in a..=a + size {
-                    let got = space.resolve(x).map(|r| (r.block_addr, r.offset));
+                    let got = space.resolve(x).map(|(slot, _, off)| (slot.addr(), off));
                     assert_eq!(got, scan(x), "resolve({x:#x})");
                 }
                 let slot = space.info_at(a).unwrap().slot;

@@ -1,9 +1,9 @@
 //! The one address → block index: a 4 KiB page directory whose cells
 //! list the blocks that start inside each page.
 //!
-//! Both address maps of the simulator are built on it, and each has no
-//! other: the address space's (address → arena slot) and the MSRLT's
-//! (address → logical id). A lookup is one directory probe, one read of
+//! It is the simulator's one address map: the address space's (address
+//! → arena slot), which the MSRLT resolves pointers through as well. A
+//! lookup is one directory probe, one read of
 //! the page's rank table and a scan of the block starts inside one
 //! 64-byte line, and it answers what an ordered map's predecessor query
 //! would: the block with the greatest start at or below the address.
@@ -15,8 +15,8 @@
 //! with a head, no list and no table.
 //!
 //! Blocks must not overlap, except that a block may start where another
-//! starts (in the address space and the MSRLT, only where a zero-size
-//! block starts): it then replaces that block on every page, as an
+//! starts (in the address space, only where a zero-size block starts):
+//! it then replaces that block on every page, as an
 //! ordered map's insert replaces the entry at its key, and
 //! [`PageIndex::insert`] returns the replaced value.
 

@@ -4,11 +4,13 @@
 //! process's segment is contiguous memory; a block is a 32-byte
 //! [`MemoryBlock`] record in an arena whose slots are never reused, and
 //! the names of globals and locals sit in a side table keyed by slot.
-//! One [`PageIndex`] maps addresses to arena slots. Every address the
-//! program touches is resolved by one directory probe and a rank-table
-//! read, then checked against the block's bounds; nothing walks a tree.
-//! The collector and restorer do not resolve at all: the MSRLT hands
-//! them the [`BlockSlot`] taken when the block was registered.
+//! One [`PageIndex`] maps addresses to arena slots: it is the process's
+//! only address → block map, which the MSRLT resolves pointers through
+//! too ([`AddressSpace::resolve`]). Every address is resolved by
+//! one directory probe and a rank-table read, then checked against the
+//! block's bounds; nothing walks a tree. Once a block is found, the
+//! collector and restorer reach its bytes through its [`BlockSlot`]
+//! without resolving again.
 
 use crate::block::{BlockInfo, MemoryBlock};
 use crate::PageIndex;
@@ -18,54 +20,48 @@ use hpm_types::layout::{align_up, Layout};
 use hpm_types::plan::{compile_plan, SavePlan};
 use hpm_types::{TypeError, TypeId, TypeTable};
 use std::collections::HashMap;
+use std::num::NonZeroU32;
 use std::sync::Arc;
 
 /// Handle to a pushed stack frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameId(pub u64);
 
-/// An address resolved to its containing block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResolvedAddr {
-    /// Start address of the containing block (its identity).
-    pub block_addr: u64,
-    /// Byte offset of the resolved address within the block.
-    pub offset: u64,
-    /// Arena slot of the block (internal fast path).
-    pub(crate) idx: u32,
-}
-
 /// A checked handle to one block: its arena slot and start address,
 /// taken when the block is created ([`AddressSpace::malloc_slot`],
-/// [`BlockInfo::slot`]).
+/// [`BlockInfo::slot`]) or resolved ([`AddressSpace::resolve`]).
 ///
 /// It lets a caller that stays on one block (the collector and restorer
-/// cursors, through the MSRLT record that carries it) reach the block's
+/// cursors, and the MSRLT's id → block direction) reach the block's
 /// bytes by index, without resolving an address. **Validity rule:** the
 /// slot must hold a live block that starts at the handle's address.
 /// Arena slots are never reused, so a handle to a block that has since
 /// been freed or popped answers [`MemError::BadAddress`] — even after a
 /// later `malloc` reuses the address — and so does a handle whose slot
 /// holds some other block; it never reaches another block's bytes.
+///
+/// Slot 0 never holds a block, so a slot number is never 0 and an
+/// `Option<BlockSlot>` is as small as a handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockSlot {
-    idx: u32,
+    idx: NonZeroU32,
     addr: u64,
 }
 
 impl BlockSlot {
-    /// A handle that reaches no block: for a record of memory the space
-    /// does not hold, such as a hand-built lookup table's.
-    pub fn unbound(addr: u64) -> Self {
-        BlockSlot {
-            idx: u32::MAX,
-            addr,
-        }
-    }
-
     /// Start address of the block the handle was taken for.
+    #[inline]
     pub fn addr(&self) -> u64 {
         self.addr
+    }
+
+    /// The handle's arena slot number. Slots are numbered from 1 in
+    /// creation order and never reused, so a table kept beside the space
+    /// can be indexed by the number and names one block for the life of
+    /// the space.
+    #[inline]
+    pub fn number(&self) -> usize {
+        self.idx.get() as usize
     }
 }
 
@@ -224,8 +220,9 @@ pub struct AddressSpace {
     arch: Architecture,
     types: TypeTable,
     model: ElementModel,
-    /// Block records; `None` slots are dead blocks. Slots are never
-    /// reused, which is what keeps a stale [`BlockSlot`] dead.
+    /// Block records; `None` slots are dead blocks, and slot 0 never
+    /// holds one. Slots are never reused, which is what keeps a stale
+    /// [`BlockSlot`] dead.
     arena: Vec<Option<MemoryBlock>>,
     /// Name and frame number of every live global and local, by slot.
     names: HashMap<u32, (String, Option<u64>)>,
@@ -233,7 +230,7 @@ pub struct AddressSpace {
     segments: [SegmentBytes; 3],
     /// Address → arena slot of every live block: the space's only
     /// address map.
-    index: PageIndex<u32>,
+    index: PageIndex<NonZeroU32>,
     global_top: u64,
     stack_top: u64,
     heap_top: u64,
@@ -261,7 +258,7 @@ impl AddressSpace {
             arch,
             types: TypeTable::new(),
             model: ElementModel::new(),
-            arena: Vec::new(),
+            arena: vec![None],
             names: HashMap::new(),
             segments,
             index: PageIndex::new(),
@@ -331,8 +328,8 @@ impl AddressSpace {
     }
 
     #[inline]
-    fn block(&self, idx: u32) -> &MemoryBlock {
-        self.arena[idx as usize].as_ref().expect("live block")
+    fn block(&self, idx: NonZeroU32) -> &MemoryBlock {
+        self.arena[idx.get() as usize].as_ref().expect("live block")
     }
 
     // ----- layout / element queries (memoized per this space) -----
@@ -383,10 +380,10 @@ impl AddressSpace {
             "block overlap at {addr:#x}"
         );
         self.segments[b.segment as usize].claim(addr, addr + size);
-        let idx = self.arena.len() as u32;
+        let idx = NonZeroU32::new(self.arena.len() as u32).expect("slot 0 holds no block");
         self.arena.push(Some(b));
         if let Some(name) = name {
-            self.names.insert(idx, name);
+            self.names.insert(idx.get(), name);
         }
         if let Some(replaced) = self.index.insert(addr, size, idx) {
             self.kill(replaced);
@@ -397,20 +394,20 @@ impl AddressSpace {
     /// Arena slot of the live block starting exactly at `addr` (a
     /// zero-size one included, which [`AddressSpace::resolve`] never
     /// answers).
-    fn slot_at(&self, addr: u64) -> Option<u32> {
+    fn idx_at(&self, addr: u64) -> Option<NonZeroU32> {
         self.index.get(addr).filter(|&i| self.block(i).addr == addr)
     }
 
-    fn kill(&mut self, idx: u32) -> Option<MemoryBlock> {
-        let b = self.arena[idx as usize].take()?;
+    fn kill(&mut self, idx: NonZeroU32) -> Option<MemoryBlock> {
+        let b = self.arena[idx.get() as usize].take()?;
         if b.segment != SegmentKind::Heap {
-            self.names.remove(&idx);
+            self.names.remove(&idx.get());
         }
         Some(b)
     }
 
     fn remove_block(&mut self, addr: u64) -> Option<MemoryBlock> {
-        let idx = self.slot_at(addr)?;
+        let idx = self.idx_at(addr)?;
         self.index.remove(addr);
         self.kill(idx)
     }
@@ -579,7 +576,7 @@ impl AddressSpace {
 
     /// Release a heap block (C `free`).
     pub fn free(&mut self, addr: u64) -> Result<(), MemError> {
-        match self.slot_at(addr) {
+        match self.idx_at(addr) {
             Some(i) if self.block(i).segment == SegmentKind::Heap => {}
             _ => return Err(MemError::BadFree(addr)),
         }
@@ -613,30 +610,36 @@ impl AddressSpace {
 
     // ----- resolution & access -----
 
-    /// Find the block containing `addr` (any interior address).
-    pub fn resolve(&self, addr: u64) -> Option<ResolvedAddr> {
+    /// Find the block containing `addr` (any interior address): its
+    /// handle, its record and `addr`'s offset in it, from one probe of
+    /// the index and one read of the arena. This is the search the MSRLT
+    /// charges per pointer.
+    #[inline]
+    pub fn resolve(&self, addr: u64) -> Option<(BlockSlot, &MemoryBlock, u64)> {
         let idx = self.index.get(addr)?;
         let b = self.block(idx);
-        b.contains(addr).then(|| ResolvedAddr {
-            block_addr: b.addr,
-            offset: addr - b.addr,
-            idx,
-        })
+        b.contains(addr)
+            .then(|| (BlockSlot { idx, addr: b.addr }, b, addr - b.addr))
     }
 
     /// The block starting exactly at `block_addr`.
     pub fn block_at(&self, block_addr: u64) -> Option<&MemoryBlock> {
-        self.slot_at(block_addr).map(|i| self.block(i))
+        self.idx_at(block_addr).map(|i| self.block(i))
+    }
+
+    /// Handle of the live block starting exactly at `addr`.
+    pub fn slot_at(&self, addr: u64) -> Option<BlockSlot> {
+        self.idx_at(addr).map(|idx| BlockSlot { idx, addr })
     }
 
     /// Metadata snapshot of the block in arena slot `idx`.
-    fn info(&self, idx: u32) -> BlockInfo {
+    fn info(&self, idx: NonZeroU32) -> BlockInfo {
         let b = self.block(idx);
         let (name, frame) = match b.segment {
             SegmentKind::Heap => (None, None),
             _ => self
                 .names
-                .get(&idx)
+                .get(&idx.get())
                 .map_or((None, None), |(n, f)| (Some(n.clone()), *f)),
         };
         BlockInfo {
@@ -656,7 +659,8 @@ impl AddressSpace {
     /// is mostly ascending (heap) or descending (stack) runs, which the
     /// stable sort merges in near-linear time.
     pub fn block_infos(&self) -> Vec<BlockInfo> {
-        let live = (0..self.arena.len() as u32).filter(|&i| self.arena[i as usize].is_some());
+        let live = (1..self.arena.len() as u32).filter_map(NonZeroU32::new);
+        let live = live.filter(|i| self.arena[i.get() as usize].is_some());
         let mut infos: Vec<BlockInfo> = live.map(|i| self.info(i)).collect();
         infos.sort_by_key(|b| b.addr);
         infos
@@ -665,7 +669,7 @@ impl AddressSpace {
     /// Metadata snapshot of the block starting at `addr`, with its
     /// handle: what an MSRLT registration records.
     pub fn info_at(&self, addr: u64) -> Option<BlockInfo> {
-        self.slot_at(addr).map(|i| self.info(i))
+        self.idx_at(addr).map(|i| self.info(i))
     }
 
     /// Number of live blocks.
@@ -673,11 +677,12 @@ impl AddressSpace {
         self.index.len()
     }
 
-    /// The block behind `slot`, if the handle obeys the validity rule.
+    /// The record of the block behind `slot`, if the handle obeys the
+    /// validity rule.
     #[inline]
-    fn slot_block(&self, slot: BlockSlot) -> Result<MemoryBlock, MemError> {
-        match self.arena.get(slot.idx as usize) {
-            Some(Some(b)) if b.addr == slot.addr => Ok(*b),
+    pub fn slot_block(&self, slot: BlockSlot) -> Result<&MemoryBlock, MemError> {
+        match self.arena.get(slot.idx.get() as usize) {
+            Some(Some(b)) if b.addr == slot.addr => Ok(b),
             _ => Err(MemError::BadAddress(slot.addr)),
         }
     }
@@ -697,7 +702,7 @@ impl AddressSpace {
         &mut self,
         slot: BlockSlot,
     ) -> Result<(&Architecture, &mut [u8]), MemError> {
-        let b = self.slot_block(slot)?;
+        let b = *self.slot_block(slot)?;
         let bytes = self.segments[b.segment as usize].get_mut(b.addr, b.size);
         Ok((&self.arch, bytes))
     }
@@ -706,9 +711,8 @@ impl AddressSpace {
     /// block's end, however long, answers `BadAddress` at its last byte
     /// (at `u64::MAX` if that wraps).
     fn span(&self, addr: u64, len: u64) -> Result<MemoryBlock, MemError> {
-        let r = self.resolve(addr).ok_or(MemError::BadAddress(addr))?;
-        let b = *self.block(r.idx);
-        match r.offset.checked_add(len) {
+        let (_, &b, offset) = self.resolve(addr).ok_or(MemError::BadAddress(addr))?;
+        match offset.checked_add(len) {
             Some(end) if end <= b.size => Ok(b),
             _ => Err(MemError::BadAddress(
                 addr.saturating_add(len.saturating_sub(1)),
@@ -741,23 +745,23 @@ impl AddressSpace {
     ///
     /// The returned leaf's `offset` is relative to the *block* start.
     pub fn leaf_at_addr(&mut self, addr: u64) -> Result<(u64, Leaf), MemError> {
-        let r = self.resolve(addr).ok_or(MemError::BadAddress(addr))?;
-        self.leaf_of_resolved(r, addr)
+        let (_, &b, offset) = self.resolve(addr).ok_or(MemError::BadAddress(addr))?;
+        self.leaf_in(b, offset, addr)
     }
 
-    fn leaf_of_resolved(&mut self, r: ResolvedAddr, addr: u64) -> Result<(u64, Leaf), MemError> {
-        let b = self.block(r.idx);
+    /// The scalar leaf at byte `offset` of block `b`, which `addr` names.
+    fn leaf_in(&mut self, b: MemoryBlock, offset: u64, addr: u64) -> Result<(u64, Leaf), MemError> {
         let (ty, count) = (b.ty, b.count);
         let elem_size = self.layout_of(ty)?.size;
         if elem_size == 0 {
             // `int[0]`: the block has no scalar to stand on.
             return Err(MemError::NotALeaf(addr));
         }
-        let elem_idx = r.offset / elem_size;
+        let elem_idx = offset / elem_size;
         if elem_idx >= count {
             return Err(MemError::BadAddress(addr));
         }
-        let inner = r.offset % elem_size;
+        let inner = offset % elem_size;
         let per = self.leaf_count(ty)?;
         let (li, leaf) = self
             .model
@@ -778,15 +782,14 @@ impl AddressSpace {
     /// (e.g. a node inside a pooled arena block): leaves are counted from
     /// the element `base` points at.
     pub fn elem_addr(&mut self, base: u64, leaf_idx: u64) -> Result<u64, MemError> {
-        let r = self.resolve(base).ok_or(MemError::BadAddress(base))?;
-        let b = self.block(r.idx);
+        let (_, &b, offset) = self.resolve(base).ok_or(MemError::BadAddress(base))?;
         let (ty, count) = (b.ty, b.count);
         let per = self.leaf_count(ty)?;
         let elem_size = self.layout_of(ty)?.size;
-        if elem_size == 0 || r.offset % elem_size != 0 {
+        if elem_size == 0 || offset % elem_size != 0 {
             return Err(MemError::NotALeaf(base));
         }
-        let elem_idx = r.offset / elem_size + leaf_idx / per;
+        let elem_idx = offset / elem_size + leaf_idx / per;
         if elem_idx >= count {
             return Err(MemError::BadAddress(base));
         }
@@ -794,14 +797,14 @@ impl AddressSpace {
             .model
             .leaf_at_index(&self.types, &self.arch, ty, leaf_idx % per)
             .map_err(|e| MemError::Type(e.to_string()))?;
-        Ok(r.block_addr + elem_idx * elem_size + leaf.offset)
+        Ok(b.addr + elem_idx * elem_size + leaf.offset)
     }
 
     /// The scalar leaf at `addr` and the block it lies in.
     fn leaf_in_block(&mut self, addr: u64) -> Result<(Leaf, MemoryBlock), MemError> {
-        let r = self.resolve(addr).ok_or(MemError::BadAddress(addr))?;
-        let (_, leaf) = self.leaf_of_resolved(r, addr)?;
-        Ok((leaf, *self.block(r.idx)))
+        let (_, &b, offset) = self.resolve(addr).ok_or(MemError::BadAddress(addr))?;
+        let (_, leaf) = self.leaf_in(b, offset, addr)?;
+        Ok((leaf, b))
     }
 
     /// Load the scalar stored at `addr`, typed by the block's TI entry.
@@ -1028,10 +1031,9 @@ mod tests {
         let mut s = space();
         let d = s.types_mut().double();
         let a = s.malloc(d, 10).unwrap();
-        let r = s.resolve(a + 24).unwrap();
-        assert_eq!(r.block_addr, a);
-        assert_eq!(r.offset, 24);
-        assert!(s.resolve(a + 80).is_none() || s.resolve(a + 80).unwrap().block_addr != a);
+        let (slot, b, offset) = s.resolve(a + 24).unwrap();
+        assert_eq!((slot.addr(), b.addr, offset), (a, a, 24));
+        assert!(s.resolve(a + 80).is_none_or(|(slot, ..)| slot.addr() != a));
     }
 
     #[test]
@@ -1236,10 +1238,12 @@ mod tests {
         assert_eq!(arch.pointer_size, 4);
         bytes[8..12].copy_from_slice(&[0, 0, 0, 5]);
         assert_eq!(s.load_int(a + 8).unwrap(), 5);
-        assert_eq!(
-            s.slot_bytes(BlockSlot::unbound(a)),
-            Err(MemError::BadAddress(a))
-        );
+        // A handle to a slot this space never filled.
+        let mut other = space();
+        let oint = other.types_mut().int();
+        let far = (0..3).map(|_| other.malloc_slot(oint, 1).unwrap()).last();
+        let far = far.unwrap();
+        assert_eq!(s.slot_bytes(far), Err(MemError::BadAddress(far.addr())));
     }
 
     #[test]

@@ -136,7 +136,7 @@ impl Process {
 
     /// `free` with MSRLT unregistration.
     pub fn free(&mut self, addr: u64) -> Result<(), MigError> {
-        self.msrlt.unregister(addr);
+        self.msrlt.unregister(&self.space, addr);
         self.space.free(addr)?;
         Ok(())
     }

@@ -67,8 +67,9 @@ fn peak_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
 /// DEC 5000: each node is a 12-byte `struct` (`int` and two pointers).
 const BITONIC_NODES: u64 = 200_000;
 /// Bound on host bytes per simulated block at that size (217 on the
-/// per-block arena entries).
-const BYTES_PER_BLOCK: usize = 160;
+/// per-block arena entries, 147 while the MSRLT kept its own address
+/// index and 40-byte records, 117 with one block table per process).
+const BYTES_PER_BLOCK: usize = 128;
 
 /// Linpack of order 600 migrating DEC 5000 → SPARC 20 through a
 /// `Whole` image: a 2.89 MB image of a few large blocks.
