@@ -59,15 +59,15 @@ impl ChunkSource for VecChunks {
 /// journal through the normal restore path, byte for byte, before the
 /// first live (resumed) chunk is consumed — so restored state can never
 /// mix a stale partial image with a new transfer.
-pub struct ReplaySource {
+pub struct ReplaySource<'h> {
     replay: VecDeque<Vec<u8>>,
-    live: Box<dyn ChunkSource + Send>,
+    live: Box<dyn ChunkSource + Send + 'h>,
 }
 
-impl ReplaySource {
+impl<'h> ReplaySource<'h> {
     /// Serve `replay` (journal payloads, in stream order) first, then
     /// pull from `live`.
-    pub fn new(replay: Vec<Vec<u8>>, live: Box<dyn ChunkSource + Send>) -> Self {
+    pub fn new(replay: Vec<Vec<u8>>, live: Box<dyn ChunkSource + Send + 'h>) -> Self {
         ReplaySource {
             replay: replay.into(),
             live,
@@ -75,7 +75,7 @@ impl ReplaySource {
     }
 }
 
-impl ChunkSource for ReplaySource {
+impl ChunkSource for ReplaySource<'_> {
     fn next_chunk(&mut self) -> Result<Option<Vec<u8>>, CoreError> {
         match self.replay.pop_front() {
             Some(chunk) => Ok(Some(chunk)),
@@ -105,7 +105,7 @@ pub struct ChunkPayload<'h> {
     /// Absolute stream offset of `buf[0]`.
     base: u64,
     /// Chunks still to come; `None` once the stream is known complete.
-    more: Option<Box<dyn ChunkSource + Send>>,
+    more: Option<Box<dyn ChunkSource + Send + 'h>>,
     /// Absolute start offset of each pulled chunk (chunk `i + 1` starts
     /// at `starts[i]`).
     starts: Vec<u64>,
@@ -121,7 +121,7 @@ impl Default for ChunkPayload<'_> {
 impl<'h> ChunkPayload<'h> {
     /// The stream whose chunk 0 is `head`, continued by `more` (`None`: the
     /// stream is complete). `head` is read in place, never copied.
-    pub fn new(head: &'h [u8], more: Option<Box<dyn ChunkSource + Send>>) -> Self {
+    pub fn new(head: &'h [u8], more: Option<Box<dyn ChunkSource + Send + 'h>>) -> Self {
         ChunkPayload {
             buf: Cow::Borrowed(head),
             pos: 0,

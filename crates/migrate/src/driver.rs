@@ -141,7 +141,7 @@ pub(crate) fn resume<P: MigratableProgram>(
     program: &mut P,
     arch: Architecture,
     image: &[u8],
-    more: Option<Box<dyn ChunkSource + Send>>,
+    more: Option<Box<dyn ChunkSource + Send + '_>>,
     trigger: Option<Trigger>,
     track: &Track,
 ) -> Result<ResumeFlow, MigError> {

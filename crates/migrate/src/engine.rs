@@ -11,7 +11,7 @@
 //! | [`Transport`] | single shot | a pre-copy round's frame |
 //! |---|---|---|
 //! | `Whole` | image collected into one buffer, one message, resume from the buffer | one message |
-//! | `Reliable` | collector → wire thread → streaming resume, overlapped, every chunk CRC-checked and compressed when that is smaller, with the ladder: one connection → resume from the destination's journal on a fresh one → resume on the source | cut into chunks through the same wire thread, redialled once |
+//! | `Reliable` | the collector frames and sends its own chunks → streaming resume on the destination thread, overlapped, every chunk CRC-checked and compressed when that is smaller, with the ladder: one connection → resume from the destination's journal on a fresh one → resume on the source | cut into chunks and sent from the calling thread, redialled once |
 
 use crate::ctx::{collect_onto, collect_pending_streamed, MigratableProgram};
 use crate::driver::{resume, run_to_migration, CompletedRun, MigratedSource};
@@ -21,14 +21,13 @@ use crate::report::{
     critical_path, Collected, MigrationReport, MigrationRun, PipelineStats, RecoveryStats,
     ResumeStats, Rung2Skip, TransportStats,
 };
-use crate::wire::{attempt, lock_journal, ship_frame, Attempt, Carried, Lane};
+use crate::wire::{attempt, ship_frame, Attempt, Carried, Lane};
 use crate::MigError;
 use hpm_arch::Architecture;
 use hpm_core::{ChunkSource, CollectStats, RegistryAuditStats, ReplaySource};
 use hpm_net::{FaultPlan, NetworkModel, TransferSnapshot, WireCodec};
 use hpm_obs::{EventLog, Level, Track};
 use hpm_xdr::{image_id, ChunkRecord, RestoreJournal};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The chunk-streamed transport's one setting, its chunk size. The other
@@ -75,9 +74,10 @@ pub enum Transport {
     /// Collect, Tx and Restore run strictly one after another, on the
     /// calling thread.
     Whole,
-    /// Collection, transmission and restoration overlap: the collector
-    /// flushes the DFS stream in `chunk_bytes`-sized chunks as it
-    /// traverses, a wire thread frames each chunk, and the destination
+    /// Collection, transmission and restoration overlap, one thread per
+    /// machine: the collector flushes the DFS stream in
+    /// `chunk_bytes`-sized chunks as it traverses and frames and sends
+    /// each one itself, and the destination, on a thread of its own,
     /// restores frame *k* while chunk *k+1* is in flight. The
     /// image prefix travels as chunk 0, before any payload exists, so the
     /// destination re-enters the call chain while the source still
@@ -103,7 +103,8 @@ pub struct Migration<'a> {
     /// The migration's one event log. Each component writes its own
     /// single-writer track — `driver` (the engine's thread: the phase
     /// events and, under [`Transport::Whole`], everything else too),
-    /// `collect`, `restore`, `arq.tx` / `arq.rx` / `fault`, with a
+    /// `collect`, `arq.tx` and `fault` (the source's thread), `restore`
+    /// and `arq.rx` (the destination's), with a
     /// `.resume` suffix on a rung-2 attempt — at the log's
     /// [`Level`]: protocol events, plus at [`Level::Detail`] the spans
     /// `collect` ∋ `msrlt.search`, `tx` ∋ `net.send` and the per-block
@@ -339,7 +340,7 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
         &self,
         config: PipelineConfig,
         plan: FaultPlan,
-        journal: Option<Arc<Mutex<RestoreJournal>>>,
+        journal: Option<RestoreJournal>,
         resume: Option<(u64, Vec<ChunkRecord>)>,
     ) -> Lane {
         // Tracks are single-writer, so a rung-2 resume gets its own.
@@ -417,7 +418,7 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
                     Box::new(sink),
                 )
             },
-            move |rx, mut replay| {
+            move |mut rx, mut replay| {
                 let first = match replay.is_empty() {
                     false => replay.remove(0),
                     true => rx
@@ -425,7 +426,7 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
                         .ok_or_else(|| MigError::Protocol("empty migration stream".into()))?,
                 };
                 let live = Box::new(rx);
-                let more: Box<dyn ChunkSource + Send> = match replay.is_empty() {
+                let more: Box<dyn ChunkSource + Send + '_> = match replay.is_empty() {
                     true => live,
                     false => Box::new(ReplaySource::new(replay, live)),
                 };
@@ -457,13 +458,13 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
     ) -> Result<Delivered, MigError> {
         // Rung 1: a fresh stream, journaled on the destination.
         let id = image_id(prefix);
-        let journal = Arc::new(Mutex::new(RestoreJournal::new(id)));
-        let lane = self.lane(config, plan, Some(Arc::clone(&journal)), None);
+        let lane = self.lane(config, plan, Some(RestoreJournal::new(id)), None);
         let mut first = self.stream_attempt(src, prefix, lane)?;
         let mut recovery = first.recovery;
+        let journal = first.journal.take();
         let mut ladder = ResumeStats {
             rung: 1,
-            journal_chunks: lock_journal(&journal).next_chunk() as u64,
+            journal_chunks: journal.as_ref().map_or(0, |j| j.next_chunk() as u64),
             ..ResumeStats::default()
         };
         let Some(err) = first.error.take() else {
@@ -475,9 +476,9 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
         self.driver
             .event_note("attempt.failed", &[], &err.to_string());
 
-        // Rung 2: a fresh destination replays a copy of the journal, and
+        // Rung 2: a fresh destination replays the journal, and
         // the source re-ships only the chunks it lacks.
-        let resumed = match rung2_journal(&journal, plan, first.src_crashed) {
+        let resumed = match rung2_journal(journal, plan, first.src_crashed) {
             Ok(resumed) => resumed,
             Err(skip) => {
                 ladder.skip = Some(skip);
@@ -490,8 +491,7 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
         self.driver
             .event("resume.attempt", &[("next_chunk", replayed as u64)]);
         let ledger = std::mem::take(&mut first.wire.records);
-        let resumed = Some(Arc::new(Mutex::new(resumed)));
-        let lane = self.lane(config, plan, resumed, Some((id, ledger)));
+        let lane = self.lane(config, plan, Some(resumed), Some((id, ledger)));
         let mut out = self.stream_attempt(src, prefix, lane)?;
         recovery += out.recovery;
         if let Some(resume_err) = &out.error {
@@ -619,10 +619,10 @@ pub(crate) fn collect_whole(
     Ok((image, collected))
 }
 
-/// Rung 2's way in: a copy of the destination's journal as a recreated
-/// destination would find it, or why there is none to resume from.
+/// Rung 2's way in: the destination's journal as a recreated destination
+/// would find it, or why there is none to resume from.
 fn rung2_journal(
-    journal: &Mutex<RestoreJournal>,
+    journal: Option<RestoreJournal>,
     plan: FaultPlan,
     src_crashed: bool,
 ) -> Result<RestoreJournal, Rung2Skip> {
@@ -631,10 +631,9 @@ fn rung2_journal(
         // holding the ledger.
         return Err(Rung2Skip::SourceCrashed);
     }
-    let mut resumed = lock_journal(journal).clone();
-    if resumed.next_chunk() == 0 {
+    let Some(mut resumed) = journal.filter(|j| j.next_chunk() > 0) else {
         return Err(Rung2Skip::NoJournal);
-    }
+    };
     if plan.tamper_journal {
         resumed.tamper_record(0);
     }
@@ -647,6 +646,7 @@ mod tests {
     use crate::driver::{resume_from_image, run_straight};
     use crate::testprog::{Summer, PP_LOOP};
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Arc, Mutex};
     use std::time::Duration;
 
     fn quick_cfg() -> PipelineConfig {

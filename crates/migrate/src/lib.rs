@@ -29,8 +29,9 @@
 //!   ([`run_to_migration`], [`MigratedSource`]) and resume a destination
 //!   from an image ([`resume_from_image`], [`resume_to_migration`]);
 //! * `wire` (private) — the single transfer attempt every path ships
-//!   through (one chunk sender, one chunk receiver), the only place threads
-//!   are spawned; [`precopy`] — the
+//!   through (one chunk sender on the source's thread, one chunk receiver
+//!   lent to the destination's), the only place a thread is spawned:
+//!   one thread per machine; [`precopy`] — the
 //!   pre-copy rounds as a loop around it; [`report`] — what a migration
 //!   measured.
 //!

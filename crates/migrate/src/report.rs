@@ -19,7 +19,9 @@ pub struct MigrationReport {
     pub image_bytes: u64,
     /// Memory-state payload bytes (the ΣDᵢ quantity of §4.2).
     pub memory_bytes: u64,
-    /// Wall time of the data-collection phase.
+    /// Wall time of the data-collection phase. On a streamed migration
+    /// it leaves out the source's framing and sending of each chunk,
+    /// which the critical path charges to the link stage.
     pub collect_time: Duration,
     /// Modeled transmission time over the chosen link.
     pub tx_time: Duration,
@@ -199,9 +201,11 @@ pub struct PipelineStats {
 /// zeros: it was in hand when the attempt began.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct FrameStamp {
-    /// p_i: when the producer pushed it (the terminator: production's end).
+    /// p_i: when the producer pushed it (the terminator: production's
+    /// end), on the producer's clock, which leaves out the source's
+    /// framing of earlier frames.
     pub pushed: Duration,
-    /// c_i: the wire thread's time framing it (coder, CRC) and pushing it.
+    /// c_i: the source's time framing it (coder, CRC) and pushing it.
     pub sending: Duration,
     /// D_i: the bytes the channel charged; `None` for a replayed chunk.
     pub wire_bytes: Option<u64>,

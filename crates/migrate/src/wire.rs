@@ -1,39 +1,38 @@
-//! One transfer attempt: bytes leave a producer, cross the modeled link
-//! on a wire thread, and reach a consumer.
+//! One transfer attempt: bytes leave a producer on the source, cross the
+//! modeled link, and reach a consumer on the destination — one thread per
+//! machine.
 //!
-//! [`attempt`] is the only place threads are spawned. The producer (the
+//! [`attempt`] is the only place a thread is spawned. The producer (the
 //! collection DFS, or a finished frame cut into chunks) runs on the
-//! calling thread and pushes chunks into a sink; the wire thread frames
-//! and sends them through the chunk sender behind the fault injector,
-//! fresh or resuming from a journal; the consumer (a streaming
-//! resume, or a buffer reassembling the frame) runs on a destination
-//! thread over the chunk receiver. The degradation ladder's two streamed
-//! rungs and the pre-copy rounds are calls of this function, and
-//! [`ship_frame`] is its whole-frame form. Nothing waits on the wall
-//! clock for the link: each stage stamps what it did to every frame, and
-//! the report computes the downtime from the stamps
+//! calling thread, the source's, and frames and sends each chunk it
+//! pushes itself, through the chunk sender behind the fault injector,
+//! fresh or resuming from a journal; the consumer (a streaming resume, or
+//! a buffer reassembling the frame) runs on the one destination thread
+//! over the chunk receiver, which it borrows. The degradation ladder's
+//! two streamed rungs and the pre-copy rounds are calls of this
+//! function, and [`ship_frame`] is its whole-frame form. Nothing waits on
+//! the wall clock for the link: each stage stamps what it did to every
+//! frame, and the report computes the downtime from the stamps
 //! ([`critical_path`](crate::report::critical_path)).
 //!
 //! What every stage does is a function of the stream and the fault plan,
 //! never of thread timing, so a seed's log and counters reproduce byte
-//! for byte: the link is an ordered pipe, nothing the sender does waits
-//! on the destination, the destination's end of the pipe stays open
-//! until every thread has joined (a source never learns mid-attempt that
-//! the destination died), and a wire thread whose pipe broke still takes
-//! every chunk the producer pushes, so the collector always runs to the
-//! end of its DFS or to its injected crash.
+//! for byte: the link is an ordered pipe, nothing the source does waits
+//! on the destination, the destination's end of the pipe outlives the
+//! destination thread (the receiver is only lent to it, so a source never
+//! learns mid-attempt that the destination died), and a source whose pipe
+//! broke takes every further chunk and drops it, so the collector always
+//! runs to the end of its DFS or to its injected crash.
 
 use crate::report::{FrameStamp, RecoveryStats};
 use crate::MigError;
 use hpm_core::{ChunkSource, CoreError};
 use hpm_net::{
-    channel_pair, ArqConfig, Channel, FaultPlan, FaultyEndpoint, NetError, NetworkModel,
+    channel_pair, ArqConfig, FaultPlan, FaultyEndpoint, NetError, NetworkModel,
     ReliableChunkReceiver, ReliableChunkSender, ResumeDecision, TransferSnapshot,
 };
 use hpm_obs::Track;
 use hpm_xdr::{ChunkRecord, RestoreJournal};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// How one attempt's chunk stream is framed, faulted and instrumented.
@@ -49,9 +48,10 @@ pub(crate) struct Lane {
     pub rx_track: Track,
     /// Log track of the fault injector.
     pub fault_track: Track,
-    /// The destination's chunk journal; `None` when nothing resumes from
-    /// it (a pre-copy round's whole frame).
-    pub journal: Option<Arc<Mutex<RestoreJournal>>>,
+    /// The destination's chunk journal, which the attempt hands back
+    /// ([`Attempt::journal`]); `None` when nothing resumes from it (a
+    /// pre-copy round's whole frame).
+    pub journal: Option<RestoreJournal>,
     /// When this attempt resumes an interrupted stream from `journal`:
     /// that stream's image id and send ledger.
     pub resume: Option<(u64, Vec<ChunkRecord>)>,
@@ -64,11 +64,11 @@ pub(crate) type Sink<'a> = &'a mut dyn FnMut(Vec<u8>) -> Result<(), CoreError>;
 pub(crate) struct Attempt<S, D> {
     /// The producer's result, when it ran to completion.
     pub produced: Option<S>,
-    /// Wall time the producer ran for.
+    /// Wall time the producer ran for, less its framing and sending.
     pub produce_time: Duration,
     /// The consumer's result, when it ran to completion.
     pub consumed: Option<D>,
-    /// What the wire thread got done.
+    /// What the source's sending end got done.
     pub wire: WireDone,
     /// What the pipe faults did.
     pub recovery: RecoveryStats,
@@ -82,9 +82,12 @@ pub(crate) struct Attempt<S, D> {
     pub start: Instant,
     /// Each frame's stamps, in stream order (complete on success).
     pub frames: Vec<FrameStamp>,
+    /// The lane's journal, holding every chunk the destination verified.
+    pub journal: Option<RestoreJournal>,
 }
 
-/// What the wire thread hands back. Its statistics survive failure.
+/// What the source's sending end hands back. Its statistics survive
+/// failure.
 #[derive(Default)]
 pub(crate) struct WireDone {
     /// The sender's own failure (before triage against the other stages).
@@ -103,193 +106,166 @@ pub(crate) struct WireDone {
     sends: Vec<(Duration, u64)>,
 }
 
-/// The chunk receiver as the restorer's [`ChunkSource`], mapping
-/// transport failures into the stream layer. [`attempt`] holds a second
-/// handle, so the destination's end of the pipe outlives the consumer.
-#[derive(Clone)]
-pub(crate) struct NetChunkSource(Arc<Mutex<ReliableChunkReceiver>>);
+/// The chunk receiver, lent to the destination thread, as the restorer's
+/// [`ChunkSource`], mapping transport failures into the stream layer.
+pub(crate) struct NetChunkSource<'r>(&'r mut ReliableChunkReceiver);
 
-impl NetChunkSource {
-    fn lock(&self) -> MutexGuard<'_, ReliableChunkReceiver> {
-        self.0.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
+impl NetChunkSource<'_> {
     /// The next payload chunk, `None` at the end of the stream.
-    pub fn recv(&self) -> Result<Option<Vec<u8>>, NetError> {
-        self.lock().recv_chunk()
+    pub fn recv(&mut self) -> Result<Option<Vec<u8>>, NetError> {
+        self.0.recv_chunk()
     }
 }
 
-impl ChunkSource for NetChunkSource {
+impl ChunkSource for NetChunkSource<'_> {
     fn next_chunk(&mut self) -> Result<Option<Vec<u8>>, CoreError> {
         self.recv().map_err(|e| CoreError::Source(e.to_string()))
     }
 }
 
-/// A journal lock that survives a peer thread's panic: every journal
-/// update leaves it a valid, contiguous prefix.
-pub(crate) fn lock_journal(journal: &Mutex<RestoreJournal>) -> MutexGuard<'_, RestoreJournal> {
-    journal.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// The wire stage: optionally the resume handshake, then push each chunk
-/// through the sender over the faulty pipe, then the terminator. Once
-/// the pipe is done with — completed, broken, or refused by the
-/// handshake — it is closed, and the rest of what the producer pushes is
-/// taken and dropped.
-fn wire_thread(
-    src_end: Channel,
-    chunk_rx: mpsc::Receiver<Vec<u8>>,
+/// Run one transfer attempt over `link`: `produce` on this (the source's)
+/// thread, pushing into a sink that frames and sends each chunk, and
+/// `consume` on a destination thread over the receiving end (handed the
+/// journaled chunks to replay first when the lane resumes). The scope
+/// joins the destination on every path, so no exit leaks a blocked
+/// thread or discards its error; the outcome carries whatever each stage
+/// got done plus the root cause of a failure: the producer's own (a
+/// collection error or the injected source crash), else the
+/// destination's, which says why the stream ended, else the sender's.
+pub(crate) fn attempt<S, D: Send>(
+    link: NetworkModel,
     lane: Lane,
-    src_crashed: &AtomicBool,
-) -> WireDone {
-    let endpoint = FaultyEndpoint::new(src_end, lane.plan).with_track(lane.fault_track);
-    let mut tx = ReliableChunkSender::new(endpoint, ArqConfig).with_track(lane.tx_track);
-    let mut done = WireDone::default();
+    produce: impl FnOnce(Sink<'_>) -> Result<S, MigError>,
+    consume: impl FnOnce(NetChunkSource<'_>, Vec<Vec<u8>>) -> Result<D, MigError> + Send,
+) -> Result<Attempt<S, D>, MigError> {
+    let Lane {
+        plan,
+        tx_track,
+        rx_track,
+        fault_track,
+        journal,
+        resume,
+        ..
+    } = lane;
+    let (src_end, dst_end) = channel_pair(link);
+    let mut replay = Vec::new();
+    let rx = match (journal, resume.is_some()) {
+        (Some(journal), true) => {
+            replay = journal.payloads().to_vec();
+            ReliableChunkReceiver::new_resuming(dst_end, &journal)?.with_journal(journal)
+        }
+        (Some(journal), false) => {
+            ReliableChunkReceiver::new(dst_end, ArqConfig).with_journal(journal)
+        }
+        (None, _) => ReliableChunkReceiver::new(dst_end, ArqConfig),
+    };
+    let mut rx = rx.with_track(rx_track).with_crash_at(plan.dst_crash_at);
+    let replayed = replay.len();
+    let lent = &mut rx;
+
+    let endpoint = FaultyEndpoint::new(src_end, plan).with_track(fault_track);
+    let mut tx = ReliableChunkSender::new(endpoint, ArqConfig).with_track(tx_track);
+    let mut wire = WireDone::default();
     let mut skip = 0;
-    if let Some((image_id, ledger)) = &lane.resume {
-        match tx.accept_resume(*image_id, ledger) {
+    if let Some((image_id, ledger)) = resume {
+        match tx.accept_resume(image_id, &ledger) {
             Ok(ResumeDecision::Accepted {
                 next,
                 bytes_saved_wire,
                 ..
             }) => {
+                // Chunks below `next` are already CRC-verified and
+                // journaled on the destination; the handshake promised
+                // not to re-send them.
                 skip = next as usize;
-                done.bytes_saved_wire = bytes_saved_wire;
+                wire.bytes_saved_wire = bytes_saved_wire;
             }
-            Ok(ResumeDecision::Rejected(_)) => done.rejected = true,
-            Err(e) => done.error = Some(e),
+            Ok(ResumeDecision::Rejected(_)) => wire.rejected = true,
+            Err(e) => wire.error = Some(e),
         }
     }
-    let mut chunks = chunk_rx.iter();
-    // A rejected handshake ships nothing at all, and a crashed source
-    // never sends its terminator.
-    if done.error.is_none() && !done.rejected {
-        // Chunks below `skip` are already CRC-verified and journaled on
-        // the destination; the handshake promised not to re-send them.
-        let mut sent = chunks
-            .by_ref()
-            .skip(skip)
-            .try_for_each(|chunk| tx.send(&chunk));
-        if sent.is_ok() && !src_crashed.load(Ordering::SeqCst) {
-            sent = tx.finish().map(drop);
-        }
-        done.error = sent.err();
-    }
-    done.records = tx.records().to_vec();
-    done.sends = tx.sends().to_vec();
-    let endpoint = tx.into_link();
-    done.faults = endpoint.stats();
-    done.transfer = endpoint.channel().stats().snapshot();
-    // Closing the pipe: the destination reads what is queued, then
-    // `Disconnected`.
-    drop(endpoint);
-    chunks.for_each(drop);
-    done
-}
-
-/// Run one transfer attempt over `link`: `produce` on this thread pushing
-/// into the sink, the wire thread, and `consume` on a destination thread
-/// over the receiving end (handed the journaled chunks to replay first
-/// when the lane resumes). The scope joins every thread on every path, so
-/// no exit leaks a blocked thread or discards its error; the outcome
-/// carries whatever each stage got done plus the root cause of a failure:
-/// the producer's own (a collection error or the injected source crash),
-/// else the destination's, which says why the stream ended, else the
-/// wire's.
-pub(crate) fn attempt<S, D: Send>(
-    link: NetworkModel,
-    lane: Lane,
-    produce: impl FnOnce(Sink<'_>) -> Result<S, MigError>,
-    consume: impl FnOnce(NetChunkSource, Vec<Vec<u8>>) -> Result<D, MigError> + Send,
-) -> Result<Attempt<S, D>, MigError> {
-    let (src_end, dst_end) = channel_pair(link);
-    let mut replay = Vec::new();
-    let mut rx = match (&lane.journal, &lane.resume) {
-        (Some(journal), Some(_)) => {
-            let guard = lock_journal(journal);
-            replay = guard.payloads().to_vec();
-            ReliableChunkReceiver::new_resuming(dst_end, &guard)?
-        }
-        _ => ReliableChunkReceiver::new(dst_end, ArqConfig),
-    }
-    .with_track(lane.rx_track.clone())
-    .with_crash_at(lane.plan.dst_crash_at);
-    if let Some(journal) = &lane.journal {
-        rx = rx.with_journal(Arc::clone(journal));
-    }
-    let rx_counters = rx.counters();
-    let rx = NetChunkSource(Arc::new(Mutex::new(rx)));
+    // Until the pipe breaks; a refused handshake ships nothing at all.
+    let mut live = wire.error.is_none() && !wire.rejected;
     // The injected source crash is counted in pushed chunks.
-    let src_crash_at = lane.plan.src_crash_at;
-    let (chunk_tx, chunk_rx) = mpsc::channel::<Vec<u8>>();
-    let src_crashed = AtomicBool::new(false);
-    let replayed = replay.len();
-    // p_i of the critical path: when chunk i was pushed.
-    let mut pushed = Vec::new();
+    let (src_crash_at, mut src_crashed) = (plan.src_crash_at, false);
+    // p_i of the critical path: when chunk i was pushed, on the
+    // producer's clock, which leaves out the framing of earlier chunks.
+    let (mut pushed, mut framing) = (Vec::new(), Duration::ZERO);
 
-    std::thread::scope(|s| {
-        let wire = s.spawn(|| wire_thread(src_end, chunk_rx, lane, &src_crashed));
-        let destination = s.spawn({
-            let rx = rx.clone();
-            move || consume(rx, replay)
-        });
-
+    let (produced, consumed, start) = std::thread::scope(|s| {
+        let destination = s.spawn(move || consume(NetChunkSource(lent), replay));
+        // Owned by the scope, so a panicking producer closes the pipe
+        // before the scope joins the destination.
+        let mut tx = tx;
         let start = Instant::now();
         let mut sink = |chunk: Vec<u8>| {
-            if src_crash_at == Some(pushed.len() as u32) {
-                src_crashed.store(true, Ordering::SeqCst);
+            let i = pushed.len();
+            if src_crash_at == Some(i as u32) {
+                src_crashed = true;
                 return Err(CoreError::Source("source crashed mid-collect".into()));
             }
-            chunk_tx
-                .send(chunk)
-                .map_err(|_| CoreError::Source("chunk sink disconnected".into()))?;
-            pushed.push(start.elapsed());
+            pushed.push(start.elapsed() - framing);
+            if live && i >= skip {
+                let t0 = Instant::now();
+                let sent = tx.send(&chunk);
+                framing += t0.elapsed();
+                wire.error = sent.err();
+                live = wire.error.is_none();
+            }
             Ok(())
         };
         let produced = produce(&mut sink);
-        let produce_time = start.elapsed();
         // The terminator's p_n: production ended.
-        pushed.push(produce_time);
-        drop(chunk_tx); // end of stream: the wire thread sends LAST
-
+        pushed.push(start.elapsed() - framing);
+        // A crashed source never sends its terminator.
+        if live && !src_crashed {
+            wire.error = tx.finish().err();
+        }
+        wire.records = tx.records().to_vec();
+        wire.sends = tx.sends().to_vec();
+        let endpoint = tx.into_link();
+        wire.faults = endpoint.stats();
+        wire.transfer = endpoint.channel().stats().snapshot();
+        // Closing the pipe: the destination reads what is queued, then
+        // `Disconnected`.
+        drop(endpoint);
         let consumed = destination
             .join()
             .map_err(|_| MigError::Protocol("destination thread panicked".into()))?;
-        let wire = wire
-            .join()
-            .map_err(|_| MigError::Protocol("wire thread panicked".into()))?;
-        let error = (produced.as_ref().err().cloned())
-            .or_else(|| consumed.as_ref().err().cloned())
-            .or_else(|| wire.error.clone().map(MigError::from));
-        let receiver = rx_counters.snapshot();
-        let waits = rx.lock().waits().to_vec();
-        let since = |t: Instant| t.saturating_duration_since(start);
-        let live = (pushed.iter().skip(replayed).zip(&wire.sends).zip(waits)).map(
-            |((&pushed, &(sending, bytes)), (asked, arrived))| FrameStamp {
-                pushed,
-                sending,
-                wire_bytes: Some(bytes),
-                asked: since(asked),
-                arrived: since(arrived),
-            },
-        );
-        // Replayed chunks were in hand when the attempt began.
-        let frames = std::iter::repeat_n(FrameStamp::default(), replayed)
-            .chain(live)
-            .collect();
-        Ok(Attempt {
-            produced: produced.ok(),
-            produce_time,
-            consumed: consumed.ok(),
-            recovery: RecoveryStats::from_parts(receiver, wire.faults),
-            wire_replays: receiver.replays_below_start,
-            src_crashed: src_crashed.load(Ordering::SeqCst),
-            error,
-            wire,
-            start,
-            frames,
-        })
+        Ok::<_, MigError>((produced, consumed, start))
+    })?;
+
+    let error = (produced.as_ref().err().cloned())
+        .or_else(|| consumed.as_ref().err().cloned())
+        .or_else(|| wire.error.clone().map(MigError::from));
+    // The destination's waits and counters, read after the join.
+    let (receiver, waits) = (rx.counters(), rx.waits());
+    let since = |t: Instant| t.saturating_duration_since(start);
+    let sent = (pushed.iter().skip(replayed).zip(&wire.sends).zip(waits)).map(
+        |((&pushed, &(sending, bytes)), &(asked, arrived))| FrameStamp {
+            pushed,
+            sending,
+            wire_bytes: Some(bytes),
+            asked: since(asked),
+            arrived: since(arrived),
+        },
+    );
+    // Replayed chunks were in hand when the attempt began.
+    let frames = std::iter::repeat_n(FrameStamp::default(), replayed)
+        .chain(sent)
+        .collect();
+    Ok(Attempt {
+        produced: produced.ok(),
+        produce_time: pushed[pushed.len() - 1], // p_n
+        consumed: consumed.ok(),
+        recovery: RecoveryStats::from_parts(receiver, wire.faults),
+        wire_replays: receiver.replays_below_start,
+        src_crashed,
+        error,
+        wire,
+        start,
+        frames,
+        journal: rx.into_journal(),
     })
 }
 
@@ -332,7 +308,7 @@ pub(crate) fn ship_frame(
             link,
             lane,
             |sink| frame.chunks(cut).try_for_each(|c| Ok(sink(c.to_vec())?)),
-            |rx, _| {
+            |mut rx, _| {
                 let mut bytes = Vec::with_capacity(len);
                 while let Some(chunk) = rx.recv()? {
                     bytes.extend_from_slice(&chunk);
@@ -357,5 +333,127 @@ pub(crate) fn ship_frame(
     match ship(lane) {
         Err(MigError::Net(_)) => ship(redial),
         out => out,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const CHUNKS: usize = 10;
+
+    fn lane(plan: FaultPlan) -> Lane {
+        Lane {
+            chunk_bytes: 16,
+            plan,
+            tx_track: Track::off(),
+            rx_track: Track::off(),
+            fault_track: Track::off(),
+            journal: Some(RestoreJournal::new(1)),
+            resume: None,
+        }
+    }
+
+    /// Push `CHUNKS` distinct chunks, counting every push the sink took,
+    /// and read the stream back on the destination.
+    fn run(lane: Lane) -> Attempt<usize, Vec<Vec<u8>>> {
+        attempt(
+            NetworkModel::instant(),
+            lane,
+            |sink| {
+                let mut pushed = 0;
+                for i in 0..CHUNKS {
+                    sink(vec![i as u8; 16 + i])?;
+                    pushed += 1;
+                }
+                Ok(pushed)
+            },
+            |mut rx, _| {
+                let mut got = Vec::new();
+                while let Some(chunk) = rx.recv()? {
+                    got.push(chunk);
+                }
+                Ok(got)
+            },
+        )
+        .expect("the attempt ran")
+    }
+
+    /// A broken pipe stops the frames, not the producer: it pushes every
+    /// chunk of the clean run, exactly k frames cross, and the
+    /// destination reads them and then `Disconnected`.
+    #[test]
+    fn a_broken_pipe_takes_every_chunk_but_sends_only_the_frames_before_it() {
+        let k = 3;
+        let out = run(lane(FaultPlan {
+            disconnect_at: Some(k),
+            ..FaultPlan::none()
+        }));
+        assert_eq!(out.produced, Some(CHUNKS));
+        assert_eq!(out.wire.sends.len(), k as usize);
+        assert_eq!(out.wire.transfer.messages_sent, k as u64);
+        assert_eq!(out.wire.error, Some(NetError::Disconnected));
+        assert_eq!(out.error, Some(NetError::Disconnected.into()));
+        assert!(out.consumed.is_none());
+        assert_eq!(out.journal.unwrap().next_chunk(), k);
+    }
+
+    /// A destination that dies at chunk k is invisible to the source: no
+    /// send fails, and every frame, terminator included, is shipped.
+    #[test]
+    fn a_destination_crash_never_fails_a_send() {
+        let k = 4;
+        let out = run(lane(FaultPlan {
+            dst_crash_at: Some(k),
+            ..FaultPlan::none()
+        }));
+        assert_eq!(out.produced, Some(CHUNKS));
+        assert_eq!(out.wire.error, None);
+        assert_eq!(out.wire.sends.len(), CHUNKS + 1);
+        assert!(out.wire.records.last().unwrap().phase == hpm_xdr::RestorePhase::Terminator);
+        assert_eq!(out.error, Some(NetError::PeerCrashed { chunk: k }.into()));
+        assert_eq!(out.journal.unwrap().next_chunk(), k);
+    }
+
+    /// A source that crashes after k chunks never sends the terminator:
+    /// the destination reads the k frames, then `Disconnected`.
+    #[test]
+    fn a_source_crash_sends_no_terminator() {
+        let k = 5;
+        let out = run(lane(FaultPlan {
+            src_crash_at: Some(k),
+            ..FaultPlan::none()
+        }));
+        assert!(out.src_crashed);
+        assert_eq!(out.produced, None);
+        assert_eq!(out.wire.error, None);
+        assert_eq!(out.wire.sends.len(), k as usize);
+        assert_eq!(out.wire.records.len(), k as usize);
+        assert!(out
+            .wire
+            .records
+            .iter()
+            .all(|r| r.phase != hpm_xdr::RestorePhase::Terminator));
+        let crashed = MigError::from(CoreError::Source("source crashed mid-collect".into()));
+        assert_eq!(out.error, Some(crashed));
+        assert_eq!(out.journal.unwrap().next_chunk(), k);
+    }
+
+    /// A resuming source whose destination never queued the handshake is
+    /// refused by name as soon as it looks, and ships nothing.
+    #[test]
+    fn a_missing_handshake_is_a_named_error_at_once() {
+        let t0 = Instant::now();
+        let out = run(Lane {
+            journal: None,
+            resume: Some((1, Vec::new())),
+            ..lane(FaultPlan::none())
+        });
+        assert!(t0.elapsed() < Duration::from_secs(2), "{:?}", t0.elapsed());
+        assert_eq!(out.wire.error, Some(NetError::MissingHandshake));
+        assert!(out.wire.sends.is_empty());
+        assert_eq!(out.produced, Some(CHUNKS));
+        // The destination saw the pipe close with nothing on it.
+        assert_eq!(out.error, Some(NetError::Disconnected.into()));
     }
 }

@@ -3,8 +3,8 @@
 use crate::model::NetworkModel;
 use hpm_obs::Track;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Channel errors.
@@ -12,8 +12,9 @@ use std::time::Duration;
 pub enum NetError {
     /// The peer endpoint was dropped.
     Disconnected,
-    /// A blocking receive timed out.
-    Timeout,
+    /// A resuming sender found no `Resume` handshake queued: the peer
+    /// never asked to resume.
+    MissingHandshake,
     /// The chunk receiver refused a frame: it does not parse, fails its
     /// CRC, is out of sequence, or carries a payload that does not expand.
     ChunkFraming {
@@ -35,7 +36,7 @@ impl std::fmt::Display for NetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             NetError::Disconnected => write!(f, "peer disconnected"),
-            NetError::Timeout => write!(f, "receive timed out"),
+            NetError::MissingHandshake => write!(f, "no resume handshake was queued"),
             NetError::ChunkFraming { chunk, reason } => {
                 write!(f, "chunk frame {chunk}: {reason}")
             }
@@ -129,16 +130,6 @@ impl TransferSnapshot {
     pub fn modeled_tx_time(&self) -> Duration {
         Duration::from_nanos(self.modeled_tx_nanos)
     }
-
-    /// Wire-to-raw payload ratio (1.0 = no shrink, smaller is better);
-    /// 1.0 when no chunk payloads were accounted.
-    pub fn compression_ratio(&self) -> f64 {
-        if self.raw_payload_bytes == 0 {
-            1.0
-        } else {
-            self.wire_payload_bytes as f64 / self.raw_payload_bytes as f64
-        }
-    }
 }
 
 /// Accumulate another attempt's or round's accounting into this one.
@@ -162,11 +153,12 @@ impl std::ops::AddAssign for TransferSnapshot {
 /// at detail level, every send/recv also emits a `net.send`/`net.recv`
 /// span carrying the payload size and modeled wire time, so traces show
 /// modeled-vs-wall time per message.
+///
+/// Each endpoint has one owner: it is `Send`, so it can move to the
+/// machine (thread) that uses it, but not `Sync`.
 pub struct Channel {
     tx: Sender<Vec<u8>>,
-    // std::sync::mpsc receivers are !Sync; the mutex restores Sync so a
-    // Channel can sit behind an Arc or in scoped-thread captures.
-    rx: Mutex<Receiver<Vec<u8>>>,
+    rx: Receiver<Vec<u8>>,
     model: NetworkModel,
     stats: Arc<TransferStats>,
     track: Track,
@@ -180,14 +172,14 @@ pub fn channel_pair(model: NetworkModel) -> (Channel, Channel) {
     (
         Channel {
             tx: tx_ab,
-            rx: Mutex::new(rx_ba),
+            rx: rx_ba,
             model,
             stats: Arc::clone(&stats),
             track: Track::off(),
         },
         Channel {
             tx: tx_ba,
-            rx: Mutex::new(rx_ab),
+            rx: rx_ab,
             model,
             stats,
             track: Track::off(),
@@ -224,12 +216,7 @@ impl Channel {
     /// Block until the next message arrives.
     pub fn recv(&self) -> Result<Vec<u8>, NetError> {
         self.track.detail_begin("net.recv", &[]);
-        let r = self
-            .rx
-            .lock()
-            .unwrap()
-            .recv()
-            .map_err(|_| NetError::Disconnected);
+        let r = self.rx.recv().map_err(|_| NetError::Disconnected);
         match &r {
             Ok(m) => self
                 .track
@@ -239,21 +226,9 @@ impl Channel {
         r
     }
 
-    /// Block up to `timeout` for the next message.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, NetError> {
-        self.rx
-            .lock()
-            .unwrap()
-            .recv_timeout(timeout)
-            .map_err(|e| match e {
-                RecvTimeoutError::Timeout => NetError::Timeout,
-                RecvTimeoutError::Disconnected => NetError::Disconnected,
-            })
-    }
-
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<Vec<u8>> {
-        self.rx.lock().unwrap().try_recv().ok()
+        self.rx.try_recv().ok()
     }
 
     /// Shared transfer statistics for this link.
@@ -329,67 +304,15 @@ mod tests {
     }
 
     #[test]
-    fn timeout_works() {
-        let (a, _b) = channel_pair(NetworkModel::instant());
-        assert_eq!(
-            a.recv_timeout(Duration::from_millis(10)).unwrap_err(),
-            NetError::Timeout
-        );
-    }
-
-    #[test]
-    fn recv_timeout_expires_after_roughly_the_timeout() {
-        let (a, _b) = channel_pair(NetworkModel::instant());
-        let t0 = std::time::Instant::now();
-        assert_eq!(
-            a.recv_timeout(Duration::from_millis(30)).unwrap_err(),
-            NetError::Timeout
-        );
-        let waited = t0.elapsed();
-        assert!(
-            waited >= Duration::from_millis(30),
-            "returned early: {waited:?}"
-        );
-        // Generous upper bound: the point is that it blocked, not spun forever.
-        assert!(
-            waited < Duration::from_secs(5),
-            "blocked far too long: {waited:?}"
-        );
-    }
-
-    #[test]
-    fn recv_timeout_returns_queued_message_immediately() {
-        let (a, b) = channel_pair(NetworkModel::instant());
-        b.send(vec![42]).unwrap();
-        let t0 = std::time::Instant::now();
-        // A long timeout must not be waited out when a message is ready.
-        assert_eq!(a.recv_timeout(Duration::from_secs(30)).unwrap(), vec![42]);
-        assert!(t0.elapsed() < Duration::from_secs(5));
-    }
-
-    #[test]
-    fn recv_timeout_detects_dropped_sender() {
-        let (a, b) = channel_pair(NetworkModel::instant());
-        drop(b);
-        assert_eq!(
-            a.recv_timeout(Duration::from_secs(30)).unwrap_err(),
-            NetError::Disconnected
-        );
-    }
-
-    #[test]
-    fn recv_timeout_drains_queue_before_reporting_disconnect() {
+    fn recv_drains_queue_before_reporting_disconnect() {
         let (a, b) = channel_pair(NetworkModel::instant());
         b.send(vec![1]).unwrap();
         b.send(vec![2]).unwrap();
         drop(b);
         // Queued messages survive the sender's death, in order.
-        assert_eq!(a.recv_timeout(Duration::from_millis(10)).unwrap(), vec![1]);
+        assert_eq!(a.recv().unwrap(), vec![1]);
         assert_eq!(a.try_recv(), Some(vec![2]));
-        assert_eq!(
-            a.recv_timeout(Duration::from_millis(10)).unwrap_err(),
-            NetError::Disconnected
-        );
+        assert_eq!(a.recv().unwrap_err(), NetError::Disconnected);
         assert!(a.try_recv().is_none());
     }
 
@@ -417,7 +340,10 @@ mod tests {
     #[test]
     fn display_covers_every_variant() {
         assert_eq!(NetError::Disconnected.to_string(), "peer disconnected");
-        assert_eq!(NetError::Timeout.to_string(), "receive timed out");
+        assert_eq!(
+            NetError::MissingHandshake.to_string(),
+            "no resume handshake was queued"
+        );
         assert_eq!(
             NetError::ChunkFraming {
                 chunk: 7,

@@ -11,7 +11,6 @@
 
 use crate::channel::{Channel, NetError, TransferStats};
 use hpm_obs::Track;
-use std::time::Duration;
 
 /// A replayable schedule of one-shot faults. Each fires at most once per
 /// migration: the driver clears them all ([`FaultPlan::resume_plan`]) for
@@ -148,8 +147,9 @@ impl FaultStats {
 pub trait FrameLink {
     /// Ship one data frame toward the peer.
     fn send_frame(&mut self, frame: Vec<u8>) -> Result<(), NetError>;
-    /// Bounded blocking wait on the reverse (control) direction.
-    fn recv_control_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, NetError>;
+    /// The control frame the peer queued on the reverse direction, if
+    /// any; never blocks.
+    fn try_recv_control(&self) -> Option<Vec<u8>>;
     /// Transfer accounting for the underlying channel, when the link has
     /// one — where the sender reports raw-vs-wire payload volume.
     fn transfer_stats(&self) -> Option<&TransferStats> {
@@ -162,8 +162,8 @@ impl FrameLink for Channel {
         self.send(frame)
     }
 
-    fn recv_control_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, NetError> {
-        self.recv_timeout(timeout)
+    fn try_recv_control(&self) -> Option<Vec<u8>> {
+        self.try_recv()
     }
 
     fn transfer_stats(&self) -> Option<&TransferStats> {
@@ -236,8 +236,8 @@ impl FrameLink for FaultyEndpoint {
         self.ch.send(frame)
     }
 
-    fn recv_control_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, NetError> {
-        self.ch.recv_timeout(timeout)
+    fn try_recv_control(&self) -> Option<Vec<u8>> {
+        self.ch.try_recv()
     }
 
     fn transfer_stats(&self) -> Option<&TransferStats> {

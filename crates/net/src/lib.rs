@@ -10,8 +10,9 @@
 //! is computed from message size, bandwidth, and latency — which is how
 //! the paper's Table 1 `Tx` column behaves (it is dominated by
 //! bytes ÷ link speed, not by protocol details). Actual byte delivery
-//! between the two "machines" (threads) uses a reliable in-process
-//! [`Channel`] built on `std::sync::mpsc`; it accounts modeled time and
+//! between the two "machines" — one thread each — uses a reliable
+//! in-process [`Channel`] built on `std::sync::mpsc`, whose two ends are
+//! each owned by one machine (no lock); it accounts modeled time and
 //! never sleeps, and neither does anything above it: the migration
 //! driver computes a streamed migration's overlap from stamps instead
 //! ([`ReliableChunkReceiver::waits`] is the destination's). A payload
@@ -20,7 +21,10 @@
 //! that is smaller, and CRC-checked, in order, over an ordered pipe that
 //! can break — optionally through a [`FaultyEndpoint`] that damages one
 //! frame or breaks the pipe where a [`FaultPlan`] says. The first frame the receiver cannot take ends the
-//! connection with a named [`NetError`].
+//! connection with a named [`NetError`]. Nothing blocks but the
+//! receiver's read of the next frame: the destination queues the resume
+//! handshake, the one frame that flows back, before the source runs, and
+//! the sender takes it without waiting.
 //! Endpoints can carry an [`hpm_obs::Track`]: the chunk endpoints record
 //! every frame sent, received or refused on it, and at detail level
 //! every channel message produces a `net.send`/`net.recv` span annotated
@@ -36,8 +40,7 @@ pub use channel::{channel_pair, Channel, NetError, TransferSnapshot, TransferSta
 pub use fault::{FaultPlan, FaultStats, FaultyEndpoint, FrameLink};
 pub use model::NetworkModel;
 pub use pipe::{
-    ArqReceiverCounters, ArqReceiverSnapshot, ArqSenderStats, ReliableChunkReceiver,
-    ReliableChunkSender, WireCodec,
+    ArqReceiverSnapshot, ArqSenderStats, ReliableChunkReceiver, ReliableChunkSender, WireCodec,
 };
 pub use pipe_core::{ArqConfig, ReceiverCore, Refused, ResumeDecision, ResumeReject, SenderCore};
 

@@ -14,12 +14,7 @@ use crate::fault::FrameLink;
 use crate::pipe_core::{ArqConfig, ReceiverCore, Refused, ResumeDecision, SenderCore};
 use hpm_obs::Track;
 use hpm_xdr::{frame_control, unframe_control, ChunkRecord, RestoreJournal, RestorePhase};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Liveness backstop for the one blocking control read, the resume
-/// handshake: a correct peer sends it before anything else.
-const BACKSTOP: Duration = Duration::from_secs(5);
 
 /// Ignored: every chunk frame tries the block coder and keeps the stored
 /// form when that is not smaller. The values remain so that callers of
@@ -108,8 +103,13 @@ impl<L: FrameLink> ReliableChunkSender<L> {
         self.link
     }
 
-    /// Block for the destination's `Resume` handshake and validate it
-    /// against `ledger`, the send ledger of the interrupted stream.
+    /// Take the destination's `Resume` handshake and validate it against
+    /// `ledger`, the send ledger of the interrupted stream.
+    ///
+    /// The destination queues the handshake when it is built
+    /// ([`ReliableChunkReceiver::new_resuming`]), before the source runs,
+    /// so nothing here waits: a handshake that is not queued is
+    /// [`NetError::MissingHandshake`].
     ///
     /// Must be called on a fresh sender (nothing shipped yet). On
     /// acceptance the stream fast-forwards: `next_seq` starts at the
@@ -122,7 +122,10 @@ impl<L: FrameLink> ReliableChunkSender<L> {
         image_id: u64,
         ledger: &[ChunkRecord],
     ) -> Result<ResumeDecision, NetError> {
-        let raw = self.link.recv_control_timeout(BACKSTOP)?;
+        let raw = self
+            .link
+            .try_recv_control()
+            .ok_or(NetError::MissingHandshake)?;
         let request = unframe_control(&raw).map_err(|e| NetError::ChunkFraming {
             chunk: 0,
             reason: format!("bad resume handshake frame: {e}"),
@@ -177,13 +180,7 @@ impl<L: FrameLink> ReliableChunkSender<L> {
     }
 }
 
-/// Live receiver-side counters, shared out through an [`Arc`] because
-/// the receiver itself disappears into a `Box<dyn ChunkSource>` in the
-/// migration driver.
-#[derive(Debug, Default)]
-pub struct ArqReceiverCounters(Mutex<ArqReceiverSnapshot>);
-
-/// A detached copy of [`ArqReceiverCounters`].
+/// Receiver-side counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ArqReceiverSnapshot {
     /// Frames whose CRC failed (each one ended its connection).
@@ -194,17 +191,6 @@ pub struct ArqReceiverSnapshot {
     pub replays_below_start: u64,
 }
 
-impl ArqReceiverCounters {
-    /// Point-in-time copy.
-    pub fn snapshot(&self) -> ArqReceiverSnapshot {
-        *self.0.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn bump(&self, field: fn(&mut ArqReceiverSnapshot) -> &mut u64) {
-        *field(&mut self.0.lock().unwrap_or_else(|p| p.into_inner())) += 1;
-    }
-}
-
 /// Receiving half of the chunk stream: a [`ReceiverCore`] driven over the
 /// destination's channel end.
 pub struct ReliableChunkReceiver {
@@ -213,9 +199,9 @@ pub struct ReliableChunkReceiver {
     /// The sequence this stream started at (0, or the resume point).
     start: u32,
     done: bool,
-    counters: Arc<ArqReceiverCounters>,
+    counters: ArqReceiverSnapshot,
     /// Durable journal this receiver appends every accepted chunk to.
-    journal: Option<Arc<Mutex<RestoreJournal>>>,
+    journal: Option<RestoreJournal>,
     /// Injected crash fault: die just before consuming this sequence.
     crash_at: Option<u32>,
     track: Track,
@@ -231,7 +217,7 @@ impl ReliableChunkReceiver {
             core: ReceiverCore::default(),
             start: 0,
             done: false,
-            counters: Arc::new(ArqReceiverCounters::default()),
+            counters: ArqReceiverSnapshot::default(),
             journal: None,
             crash_at: None,
             track: Track::off(),
@@ -256,9 +242,15 @@ impl ReliableChunkReceiver {
     /// `journal`. The append happens at accept time — after CRC
     /// verification, in sequence — so the journal is always a
     /// contiguous, verified prefix of the stream.
-    pub fn with_journal(mut self, journal: Arc<Mutex<RestoreJournal>>) -> Self {
+    pub fn with_journal(mut self, journal: RestoreJournal) -> Self {
         self.journal = Some(journal);
         self
+    }
+
+    /// Hand the journal back, as the receiver's process left it; it
+    /// outlives the receiver, whatever ended the stream.
+    pub fn into_journal(self) -> Option<RestoreJournal> {
+        self.journal
     }
 
     /// Inject a destination crash: the receiver dies (with
@@ -275,9 +267,9 @@ impl ReliableChunkReceiver {
         self
     }
 
-    /// Handle to the live counters; survives the receiver being boxed.
-    pub fn counters(&self) -> Arc<ArqReceiverCounters> {
-        Arc::clone(&self.counters)
+    /// Counters so far.
+    pub fn counters(&self) -> ArqReceiverSnapshot {
+        self.counters
     }
 
     /// Chunks received so far, in sequence.
@@ -317,9 +309,7 @@ impl ReliableChunkReceiver {
                 .event("crash.injected", &[("chunk", chunk as u64)]);
             return Err(NetError::PeerCrashed { chunk });
         }
-        let journal = self.journal.as_ref();
-        let guard = journal.map(|j| j.lock().unwrap_or_else(|p| p.into_inner()));
-        if let Some(Err(e)) = guard.map(|mut j| j.append(record, payload.clone())) {
+        if let Some(Err(e)) = (self.journal.as_mut()).map(|j| j.append(record, payload.clone())) {
             let reason = format!("journal append failed: {e}");
             return Err(NetError::ChunkFraming { chunk, reason });
         }
@@ -332,16 +322,16 @@ impl ReliableChunkReceiver {
     }
 
     /// Count a refusal and name the error it ends the connection with.
-    fn refused(&self, refused: Refused) -> NetError {
+    fn refused(&mut self, refused: Refused) -> NetError {
         match refused {
             Refused::Corrupt { seq, .. } => {
-                self.counters.bump(|c| &mut c.corrupt_caught);
+                self.counters.corrupt_caught += 1;
                 self.track.event("crc.fail", &[("chunk", seq as u64)]);
             }
             Refused::OutOfSequence { seq, .. } if seq < self.start => {
                 // A chunk this destination already held before the stream
                 // began: a resume that re-sends verified data.
-                self.counters.bump(|c| &mut c.replays_below_start);
+                self.counters.replays_below_start += 1;
                 self.track
                     .event("replay.below_start", &[("chunk", seq as u64)]);
             }
@@ -373,7 +363,6 @@ mod tests {
         let (src, dst) = channel_pair(NetworkModel::instant());
         let handle = std::thread::spawn(move || {
             let mut rx = ReliableChunkReceiver::new(dst, ArqConfig);
-            let counters = rx.counters();
             let mut got = Vec::new();
             let out = loop {
                 match rx.recv_chunk() {
@@ -382,7 +371,7 @@ mod tests {
                     Err(e) => break Err(e),
                 }
             };
-            (out, counters.snapshot())
+            (out, rx.counters())
         });
         let link = FaultyEndpoint::new(src, plan);
         let mut tx = ReliableChunkSender::new(link, ArqConfig);
@@ -460,13 +449,13 @@ mod tests {
     fn journaling_receiver_mirrors_the_send_ledger() {
         let (src, dst) = channel_pair(NetworkModel::instant());
         let data = payloads(20);
-        let journal = Arc::new(Mutex::new(RestoreJournal::new(77)));
+        let journal = RestoreJournal::new(77);
         let mut tx = ReliableChunkSender::new(src, ArqConfig);
         data.iter().try_for_each(|p| tx.send(p)).unwrap();
         tx.finish().unwrap();
-        let mut rx = ReliableChunkReceiver::new(dst, ArqConfig).with_journal(Arc::clone(&journal));
+        let mut rx = ReliableChunkReceiver::new(dst, ArqConfig).with_journal(journal);
         while rx.recv_chunk().unwrap().is_some() {}
-        let j = journal.lock().unwrap();
+        let j = rx.into_journal().unwrap();
         assert!(j.is_complete());
         assert_eq!(j.records(), tx.records());
         assert_eq!(j.digest(), records_digest(tx.records()));
@@ -486,7 +475,7 @@ mod tests {
         // Compressible, so the receiver expands it before journaling it.
         let payload: Vec<u8> = (0..1u32 << 22).map(|i| (i / 64 % 7) as u8).collect();
         tx.send(&payload).unwrap();
-        let journal = Arc::new(Mutex::new(RestoreJournal::new(5)));
+        let journal = RestoreJournal::new(5);
         let mut rx = ReliableChunkReceiver::new(dst, ArqConfig).with_journal(journal);
         let t0 = Instant::now();
         let got = rx.recv_chunk().unwrap();
@@ -516,12 +505,11 @@ mod tests {
         let k = 12u32;
         // Attempt 1: the destination dies just before consuming chunk k.
         let (src, dst) = channel_pair(NetworkModel::instant());
-        let journal = Arc::new(Mutex::new(RestoreJournal::new(9)));
         let mut tx = ReliableChunkSender::new(src, ArqConfig);
         data.iter().try_for_each(|p| tx.send(p)).unwrap();
         tx.finish().unwrap();
         let mut rx = ReliableChunkReceiver::new(dst, ArqConfig)
-            .with_journal(Arc::clone(&journal))
+            .with_journal(RestoreJournal::new(9))
             .with_crash_at(Some(k));
         let err = loop {
             if let Err(e) = rx.recv_chunk() {
@@ -531,7 +519,7 @@ mod tests {
         assert_eq!(err, NetError::PeerCrashed { chunk: k });
         let ledger = tx.records().to_vec();
         // The journal outlives the destination that wrote it.
-        let recovered = journal.lock().unwrap_or_else(|p| p.into_inner()).clone();
+        let recovered = rx.into_journal().unwrap();
         assert_eq!(recovered.next_chunk(), k);
         // Attempt 2: rebuilt destination re-attaches over a fresh link.
         let (src2, dst2) = channel_pair(NetworkModel::instant());
@@ -553,13 +541,12 @@ mod tests {
             .try_for_each(|p| tx2.send(p))
             .unwrap();
         assert_eq!(tx2.finish().unwrap(), data.len() as u32 + 1);
-        let counters = rx.counters();
         let mut got = Vec::new();
         while let Some(p) = rx.recv_chunk().unwrap() {
             got.push(p);
         }
         assert_eq!(got, data[k as usize..]);
-        assert_eq!(counters.snapshot().replays_below_start, 0);
+        assert_eq!(rx.counters().replays_below_start, 0);
     }
 
     /// A sender that re-sends a chunk the journal already holds is
@@ -584,7 +571,7 @@ mod tests {
             matches!(err, NetError::ChunkFraming { chunk: 1, .. }),
             "{err:?}"
         );
-        assert_eq!(rx.counters().snapshot().replays_below_start, 1);
+        assert_eq!(rx.counters().replays_below_start, 1);
     }
 
     #[test]
@@ -592,15 +579,14 @@ mod tests {
         // A genuine ledger and a journal of its first five chunks.
         let data = payloads(8);
         let (src, dst) = channel_pair(NetworkModel::instant());
-        let journal = Arc::new(Mutex::new(RestoreJournal::new(42)));
         let mut tx = ReliableChunkSender::new(src, ArqConfig);
         data.iter().try_for_each(|p| tx.send(p)).unwrap();
         let mut rx = ReliableChunkReceiver::new(dst, ArqConfig)
-            .with_journal(Arc::clone(&journal))
+            .with_journal(RestoreJournal::new(42))
             .with_crash_at(Some(5));
         while rx.recv_chunk().is_ok() {}
         let ledger = tx.records().to_vec();
-        let good = journal.lock().unwrap_or_else(|p| p.into_inner()).clone();
+        let good = rx.into_journal().unwrap();
         assert_eq!(good.next_chunk(), 5);
 
         // The handshake control frame is queued by `new_resuming`, so the

@@ -2,7 +2,7 @@
 //!
 //! An [`EventLog`] is a registry of named *tracks*. A track belongs to one
 //! logical writer — the engine (`driver`), the collector (`collect`), the
-//! wire thread (`arq.tx`), the fault injector (`fault`), the destination
+//! chunk sender (`arq.tx`), the fault injector (`fault`), the destination
 //! (`restore`, `arq.rx`) — and is a pair of bounded rings sharing one
 //! sequence counter:
 //!

@@ -27,7 +27,6 @@ use hpm::net::{
 };
 use hpm::workloads::{diff_results, BitonicSort, Linpack, TestPointer};
 use hpm::xdr::RestoreJournal;
-use std::sync::{Arc, Mutex};
 
 /// One resilient migration over `link` under `plan`.
 #[allow(clippy::too_many_arguments)]
@@ -333,12 +332,11 @@ fn crashed_transfer_resumes_byte_identical_on_every_preset_pair() {
 
             // Attempt 1: the destination dies before consuming chunk k.
             let (a, b) = channel_pair(NetworkModel::instant());
-            let journal = Arc::new(Mutex::new(RestoreJournal::new(1)));
             let mut tx = ReliableChunkSender::new(a, ArqConfig);
             chunks.iter().try_for_each(|c| tx.send(c)).unwrap();
             tx.finish().unwrap();
             let mut killed = ReliableChunkReceiver::new(b, ArqConfig)
-                .with_journal(Arc::clone(&journal))
+                .with_journal(RestoreJournal::new(1))
                 .with_crash_at(Some(k));
             let died = loop {
                 if let Err(e) = killed.recv_chunk() {
@@ -349,16 +347,15 @@ fn crashed_transfer_resumes_byte_identical_on_every_preset_pair() {
             let ledger = tx.records().to_vec();
 
             // The journal outlives the destination that wrote it.
-            let recovered = journal.lock().unwrap_or_else(|e| e.into_inner()).clone();
+            let recovered = killed.into_journal().expect("a journaling receiver");
             assert_eq!(recovered.next_chunk(), k, "{tag}");
 
             // Attempt 2: a rebuilt destination re-attaches and the
             // sender ships only what the journal lacks.
             let (a2, b2) = channel_pair(NetworkModel::instant());
-            let resumed = Arc::new(Mutex::new(recovered.clone()));
             let mut rx = ReliableChunkReceiver::new_resuming(b2, &recovered)
                 .unwrap()
-                .with_journal(Arc::clone(&resumed));
+                .with_journal(recovered);
             let mut tx2 = ReliableChunkSender::new(a2, ArqConfig);
             let decision = tx2.accept_resume(1, &ledger).unwrap();
             let ResumeDecision::Accepted { next, .. } = decision else {
@@ -371,14 +368,14 @@ fn crashed_transfer_resumes_byte_identical_on_every_preset_pair() {
             tx2.finish().unwrap();
             while rx.recv_chunk().unwrap().is_some() {}
             assert_eq!(
-                rx.counters().snapshot().replays_below_start,
+                rx.counters().replays_below_start,
                 0,
                 "{tag}: a verified chunk crossed the wire twice"
             );
 
             // Byte identity: journaled prefix + resumed tail is the
             // exact image an uninterrupted transfer would deliver.
-            let final_journal = resumed.lock().unwrap_or_else(|e| e.into_inner());
+            let final_journal = rx.into_journal().expect("a journaling receiver");
             assert!(final_journal.is_complete(), "{tag}");
             let reassembled: Vec<u8> = final_journal
                 .payloads()

@@ -75,7 +75,7 @@ fn resume_over<P: MigratableProgram>(
     dst_prog: &mut P,
     arch: Architecture,
     first: &[u8],
-    more: Option<Box<dyn ChunkSource + Send>>,
+    more: Option<Box<dyn ChunkSource + Send + '_>>,
 ) -> Result<(), MigError> {
     let (header, exec_bytes, payload) = unframe_image(first)?;
     if header.program != dst_prog.name() {
@@ -131,11 +131,11 @@ fn truncated_chunk_mid_stream_is_rejected() {
 
 /// Adapter: net-layer chunk receiver as a restorer chunk source (what
 /// the migration driver uses internally).
-struct NetSource {
-    rx: ReliableChunkReceiver,
+struct NetSource<'r> {
+    rx: &'r mut ReliableChunkReceiver,
 }
 
-impl ChunkSource for NetSource {
+impl ChunkSource for NetSource<'_> {
     fn next_chunk(&mut self) -> Result<Option<Vec<u8>>, CoreError> {
         self.rx
             .recv_chunk()
@@ -159,19 +159,18 @@ fn assert_crc_catches_damage(frames: &[Vec<u8>], victim: u32, flip_at: usize) {
     }
 
     let mut rx = ReliableChunkReceiver::new(b, ArqConfig);
-    let counters = rx.counters();
     let prefix = rx.recv_chunk().unwrap().expect("prefix chunk");
     let mut dst = TestPointer::new();
     let err = resume_over(
         &mut dst,
         Architecture::sparc20(),
         &prefix,
-        Some(Box::new(NetSource { rx })),
+        Some(Box::new(NetSource { rx: &mut rx })),
     )
     .expect_err("a damaged chunk must end the restore");
     let named = format!("chunk frame {victim}: frame failed its CRC");
     assert!(err.to_string().contains(&named), "{err}");
-    let snap = counters.snapshot();
+    let snap = rx.counters();
     assert_eq!(snap.corrupt_caught, 1, "the CRC must catch the damage");
 }
 
