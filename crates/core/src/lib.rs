@@ -51,7 +51,7 @@ pub use graph::{MsrEdge, MsrGraph, MsrVertex};
 pub use image::{ImageHeader, IMAGE_MAGIC, IMAGE_VERSION};
 pub use msrlt::{LogicalId, Msrlt, MsrltEntry, MsrltStats};
 pub use restore::{RestoreStats, Restorer};
-pub use stream::{ChunkPayload, ChunkSource, ReplaySource, VecChunks};
+pub use stream::{ChunkPayload, ChunkSource, VecChunks};
 
 use hpm_memory::MemError;
 use hpm_xdr::XdrError;

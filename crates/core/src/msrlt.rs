@@ -24,7 +24,7 @@
 //! sorted address index the paper assumes); id→entry lookup is `O(1)`
 //! indexing, which is why restoration's MSRLT term is only `O(n)`. Here
 //! the address→id direction is `O(1)` too, and the table keeps no address
-//! structure of its own: [`Msrlt::resolve`] is one probe of the address
+//! structure of its own: `Msrlt::resolve` is one probe of the address
 //! space's index ([`AddressSpace::resolve`], which answers the
 //! block's handle, its arena record and the offset) and one read of a
 //! 12-byte record kept at the block's arena slot, which holds its id and

@@ -12,7 +12,10 @@
 //! numbering as a stream restoring while later chunks are in flight.
 //!
 //! The head is chunk 0, so pulled chunks keep the index of their wire
-//! sequence number. Once a chunk is pulled the payload keeps only a small
+//! sequence number. A resumed destination pulls its journaled chunks from
+//! the same source as the live ones: the chunk receiver replays its
+//! journal before it reads the link, so the restorer never tells them
+//! apart. Once a chunk is pulled the payload keeps only a small
 //! window buffered: bytes already decoded are compacted away on the next
 //! pull, so memory stays bounded by a few chunks regardless of image size.
 
@@ -46,41 +49,6 @@ impl VecChunks {
 impl ChunkSource for VecChunks {
     fn next_chunk(&mut self) -> Result<Option<Vec<u8>>, CoreError> {
         Ok(self.chunks.pop_front())
-    }
-}
-
-/// The replay queue in front of a live [`ChunkSource`]: journaled chunks
-/// first, then live ones — the rebuilt destination of a resumed
-/// migration.
-///
-/// The rollback invariant of the degradation ladder lives here: a
-/// destination that died mid-restore is never patched in place. A fresh
-/// process is built and the *entire* stream prefix is replayed from the
-/// journal through the normal restore path, byte for byte, before the
-/// first live (resumed) chunk is consumed — so restored state can never
-/// mix a stale partial image with a new transfer.
-pub struct ReplaySource<'h> {
-    replay: VecDeque<Vec<u8>>,
-    live: Box<dyn ChunkSource + Send + 'h>,
-}
-
-impl<'h> ReplaySource<'h> {
-    /// Serve `replay` (journal payloads, in stream order) first, then
-    /// pull from `live`.
-    pub fn new(replay: Vec<Vec<u8>>, live: Box<dyn ChunkSource + Send + 'h>) -> Self {
-        ReplaySource {
-            replay: replay.into(),
-            live,
-        }
-    }
-}
-
-impl ChunkSource for ReplaySource<'_> {
-    fn next_chunk(&mut self) -> Result<Option<Vec<u8>>, CoreError> {
-        match self.replay.pop_front() {
-            Some(chunk) => Ok(Some(chunk)),
-            None => self.live.next_chunk(),
-        }
     }
 }
 
@@ -413,17 +381,6 @@ mod tests {
             arriving.check_room(id, 1, Some(129 * PULL_SHARE)),
             Err(refused(128))
         );
-    }
-
-    #[test]
-    fn replay_source_serves_journal_chunks_before_live_ones() {
-        let live = Box::new(VecChunks::new(vec![vec![9, 9], vec![8]]));
-        let mut src = ReplaySource::new(vec![vec![1], vec![2, 2]], live);
-        assert_eq!(src.next_chunk().unwrap(), Some(vec![1]));
-        assert_eq!(src.next_chunk().unwrap(), Some(vec![2, 2]));
-        assert_eq!(src.next_chunk().unwrap(), Some(vec![9, 9]));
-        assert_eq!(src.next_chunk().unwrap(), Some(vec![8]));
-        assert_eq!(src.next_chunk().unwrap(), None);
     }
 
     #[test]

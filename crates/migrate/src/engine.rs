@@ -24,7 +24,7 @@ use crate::report::{
 use crate::wire::{attempt, ship_frame, Attempt, Carried, Lane};
 use crate::MigError;
 use hpm_arch::Architecture;
-use hpm_core::{ChunkSource, CollectStats, RegistryAuditStats, ReplaySource};
+use hpm_core::{CollectStats, RegistryAuditStats};
 use hpm_net::{FaultPlan, NetworkModel, TransferSnapshot, WireCodec};
 use hpm_obs::{EventLog, Level, Track};
 use hpm_xdr::{image_id, ChunkRecord, RestoreJournal};
@@ -387,9 +387,11 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
     }
 
     /// One streamed attempt: the collection DFS as the producer (image
-    /// prefix first), a streaming resume as the consumer — behind the
-    /// journal replay when the lane resumes, through the normal restore
-    /// path of a *fresh* process, never splicing into a half-built one.
+    /// prefix first), a streaming resume as the consumer. When the lane
+    /// resumes, the receiver hands out the journaled chunks before the
+    /// live ones, so the whole stream prefix is replayed, byte for byte,
+    /// through the normal restore path of a *fresh* process: restored
+    /// state never splices a stale partial image onto a new transfer.
     fn stream_attempt(
         &self,
         src: &mut MigratedSource,
@@ -418,27 +420,11 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
                     Box::new(sink),
                 )
             },
-            move |mut rx, mut replay| {
-                let first = match replay.is_empty() {
-                    false => replay.remove(0),
-                    true => rx
-                        .recv()?
-                        .ok_or_else(|| MigError::Protocol("empty migration stream".into()))?,
-                };
-                let live = Box::new(rx);
-                let more: Box<dyn ChunkSource + Send + '_> = match replay.is_empty() {
-                    true => live,
-                    false => Box::new(ReplaySource::new(replay, live)),
-                };
-                resume(
-                    &mut dst_prog,
-                    dst_arch,
-                    &first,
-                    Some(more),
-                    None,
-                    &restore_track,
-                )?
-                .completed()
+            move |mut rx| {
+                let first = (rx.recv()?)
+                    .ok_or_else(|| MigError::Protocol("empty migration stream".into()))?;
+                let more = Some(Box::new(rx) as _);
+                resume(&mut dst_prog, dst_arch, &first, more, None, &restore_track)?.completed()
             },
         )
     }
@@ -484,7 +470,7 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
                 ladder.skip = Some(skip);
                 self.driver
                     .event_note("resume.skipped", &[], &skip.to_string());
-                return self.fall_back(src, prefix, first.wire.transfer, err, recovery, ladder);
+                return self.fall_back(src, prefix, first.transfer, err, recovery, ladder);
             }
         };
         let replayed = resumed.next_chunk();
@@ -510,12 +496,13 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
                 self.driver
                     .event_note("resume.failed", &[], &resume_err.to_string());
             }
-            return self.fall_back(src, prefix, first.wire.transfer, err, recovery, ladder);
+            return self.fall_back(src, prefix, first.transfer, err, recovery, ladder);
         }
         ladder.rung = 2;
         ladder.bytes_saved = out.wire.bytes_saved_wire;
         ladder.chunks_retransferred = out.frames.len().saturating_sub(replayed as usize) as u64;
-        ladder.bytes_retransferred = out.wire.transfer.bytes_sent;
+        // The source's frames alone: the handshake flowed the other way.
+        ladder.bytes_retransferred = out.wire.sent.bytes_sent;
         ladder.wire_replays = out.wire_replays;
         self.driver.event(
             "resume.completed",
@@ -526,7 +513,7 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
         );
         // Fold rung 1's wire traffic and collect time in so Tx and
         // Collect stay honest about the total cost.
-        out.wire.transfer += first.wire.transfer;
+        out.transfer += first.transfer;
         out.produce_time += first.produce_time;
         self.delivered(out, prefix, recovery, ladder)
     }
@@ -557,14 +544,14 @@ impl<P: MigratableProgram + Send, F: Fn() -> P> Engine<'_, F> {
         // Every pipe wait after the prefix's falls inside `restore_frame`.
         let waited = frames.iter().skip(1).map(|f| f.arrived - f.asked).sum();
         dst.restore.time = dst.restore.time.saturating_sub(waited);
-        self.end_phases(&out.wire.transfer, &dst);
+        self.end_phases(&out.transfer, &dst);
         Ok(Delivered {
             collected: Collected {
                 time: out.produce_time,
                 stats,
                 prefix_bytes: prefix.len() as u64,
             },
-            transfer: out.wire.transfer,
+            transfer: out.transfer,
             dst,
             transport: self.transport_stats(Some(pipeline), recovery, ladder),
         })

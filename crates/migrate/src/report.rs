@@ -43,8 +43,9 @@ pub struct MigrationReport {
     pub src_polls: u64,
     /// Call-chain depth at the migration point.
     pub chain_depth: usize,
-    /// Wire-level transfer accounting (the `Tx` column comes from here);
-    /// under pre-copy, summed over every round's frames.
+    /// Wire-level transfer accounting (the `Tx` column comes from here):
+    /// what both ends of every connection sent, summed; under pre-copy,
+    /// over every round's frames.
     pub transfer: TransferSnapshot,
     /// Pre-flight registry-audit counters of the source's first freeze.
     pub registry_audit: RegistryAuditStats,
@@ -281,7 +282,8 @@ pub struct ResumeStats {
     pub bytes_saved: u64,
     /// Chunks actually re-transferred after the resume point.
     pub chunks_retransferred: u64,
-    /// Wire bytes actually re-transferred after the resume point.
+    /// Wire bytes the resumed source sent after the resume point (its
+    /// frames; the destination's handshake is not re-transferred data).
     pub bytes_retransferred: u64,
     /// Already-verified chunks the wire re-delivered anyway. A correct
     /// resume keeps this at zero.

@@ -8,7 +8,11 @@
 //! pushes itself, through the chunk sender behind the fault injector,
 //! fresh or resuming from a journal; the consumer (a streaming resume, or
 //! a buffer reassembling the frame) runs on the one destination thread
-//! over the chunk receiver, which it borrows. The degradation ladder's
+//! over the chunk receiver, which it borrows and which, on a resumed
+//! attempt, hands out the journaled chunks before it reads the pipe.
+//! Each end counts what it sent and nothing else — the sender its frames
+//! and their payload, the receiver the resume handshake — and the
+//! attempt's transfer is their sum. The degradation ladder's
 //! two streamed rungs and the pre-copy rounds are calls of this
 //! function, and [`ship_frame`] is its whole-frame form. Nothing waits on
 //! the wall clock for the link: each stage stamps what it did to every
@@ -70,6 +74,9 @@ pub(crate) struct Attempt<S, D> {
     pub consumed: Option<D>,
     /// What the source's sending end got done.
     pub wire: WireDone,
+    /// What the link carried: the source end's sends (`wire.sent`) plus
+    /// the destination end's, the resume handshake.
+    pub transfer: TransferSnapshot,
     /// What the pipe faults did.
     pub recovery: RecoveryStats,
     /// Already-verified chunks a resumed stream re-delivered anyway.
@@ -92,8 +99,9 @@ pub(crate) struct Attempt<S, D> {
 pub(crate) struct WireDone {
     /// The sender's own failure (before triage against the other stages).
     error: Option<NetError>,
-    /// Channel accounting of the attempt.
-    pub transfer: TransferSnapshot,
+    /// What the source's end sent: its messages, and the payload of the
+    /// chunks it framed.
+    pub sent: TransferSnapshot,
     /// Send ledger: one [`ChunkRecord`] per framed chunk, in sequence
     /// order. A later resume handshake validates against it.
     pub records: Vec<ChunkRecord>,
@@ -125,8 +133,8 @@ impl ChunkSource for NetChunkSource<'_> {
 
 /// Run one transfer attempt over `link`: `produce` on this (the source's)
 /// thread, pushing into a sink that frames and sends each chunk, and
-/// `consume` on a destination thread over the receiving end (handed the
-/// journaled chunks to replay first when the lane resumes). The scope
+/// `consume` on a destination thread over the receiving end (which, when
+/// the lane resumes, hands out the journaled chunks first). The scope
 /// joins the destination on every path, so no exit leaks a blocked
 /// thread or discards its error; the outcome carries whatever each stage
 /// got done plus the root cause of a failure: the producer's own (a
@@ -136,7 +144,7 @@ pub(crate) fn attempt<S, D: Send>(
     link: NetworkModel,
     lane: Lane,
     produce: impl FnOnce(Sink<'_>) -> Result<S, MigError>,
-    consume: impl FnOnce(NetChunkSource<'_>, Vec<Vec<u8>>) -> Result<D, MigError> + Send,
+    consume: impl FnOnce(NetChunkSource<'_>) -> Result<D, MigError> + Send,
 ) -> Result<Attempt<S, D>, MigError> {
     let Lane {
         plan,
@@ -148,19 +156,16 @@ pub(crate) fn attempt<S, D: Send>(
         ..
     } = lane;
     let (src_end, dst_end) = channel_pair(link);
-    let mut replay = Vec::new();
     let rx = match (journal, resume.is_some()) {
-        (Some(journal), true) => {
-            replay = journal.payloads().to_vec();
-            ReliableChunkReceiver::new_resuming(dst_end, &journal)?.with_journal(journal)
-        }
+        (Some(journal), true) => ReliableChunkReceiver::new_resuming(dst_end, journal)?,
         (Some(journal), false) => {
             ReliableChunkReceiver::new(dst_end, ArqConfig).with_journal(journal)
         }
         (None, _) => ReliableChunkReceiver::new(dst_end, ArqConfig),
     };
     let mut rx = rx.with_track(rx_track).with_crash_at(plan.dst_crash_at);
-    let replayed = replay.len();
+    // The journaled chunks it replays before its first pipe read.
+    let replayed = rx.chunks_received() as usize;
     let lent = &mut rx;
 
     let endpoint = FaultyEndpoint::new(src_end, plan).with_track(fault_track);
@@ -193,7 +198,7 @@ pub(crate) fn attempt<S, D: Send>(
     let (mut pushed, mut framing) = (Vec::new(), Duration::ZERO);
 
     let (produced, consumed, start) = std::thread::scope(|s| {
-        let destination = s.spawn(move || consume(NetChunkSource(lent), replay));
+        let destination = s.spawn(move || consume(NetChunkSource(lent)));
         // Owned by the scope, so a panicking producer closes the pipe
         // before the scope joins the destination.
         let mut tx = tx;
@@ -223,12 +228,10 @@ pub(crate) fn attempt<S, D: Send>(
         }
         wire.records = tx.records().to_vec();
         wire.sends = tx.sends().to_vec();
-        let endpoint = tx.into_link();
-        wire.faults = endpoint.stats();
-        wire.transfer = endpoint.channel().stats().snapshot();
+        wire.sent = tx.transfer();
         // Closing the pipe: the destination reads what is queued, then
         // `Disconnected`.
-        drop(endpoint);
+        wire.faults = tx.into_link().stats();
         let consumed = destination
             .join()
             .map_err(|_| MigError::Protocol("destination thread panicked".into()))?;
@@ -240,6 +243,8 @@ pub(crate) fn attempt<S, D: Send>(
         .or_else(|| wire.error.clone().map(MigError::from));
     // The destination's waits and counters, read after the join.
     let (receiver, waits) = (rx.counters(), rx.waits());
+    let mut transfer = wire.sent;
+    transfer += rx.transfer();
     let since = |t: Instant| t.saturating_duration_since(start);
     let sent = (pushed.iter().skip(replayed).zip(&wire.sends).zip(waits)).map(
         |((&pushed, &(sending, bytes)), &(asked, arrived))| FrameStamp {
@@ -263,6 +268,7 @@ pub(crate) fn attempt<S, D: Send>(
         src_crashed,
         error,
         wire,
+        transfer,
         start,
         frames,
         journal: rx.into_journal(),
@@ -299,7 +305,7 @@ pub(crate) fn ship_frame(
         let dst_end = dst_end.with_track(track.clone());
         src_end.send(frame)?;
         let bytes = dst_end.recv()?;
-        carried.transfer += src_end.stats().snapshot();
+        carried.transfer += src_end.stats();
         return Ok(bytes);
     };
     let (len, cut) = (frame.len(), lane.chunk_bytes.max(1));
@@ -308,7 +314,7 @@ pub(crate) fn ship_frame(
             link,
             lane,
             |sink| frame.chunks(cut).try_for_each(|c| Ok(sink(c.to_vec())?)),
-            |mut rx, _| {
+            |mut rx| {
                 let mut bytes = Vec::with_capacity(len);
                 while let Some(chunk) = rx.recv()? {
                     bytes.extend_from_slice(&chunk);
@@ -316,7 +322,7 @@ pub(crate) fn ship_frame(
                 Ok(bytes)
             },
         )?;
-        carried.transfer += out.wire.transfer;
+        carried.transfer += out.transfer;
         carried.recovery += out.recovery;
         match (out.error, out.consumed) {
             (None, Some(bytes)) => Ok(bytes),
@@ -368,7 +374,7 @@ mod tests {
                 }
                 Ok(pushed)
             },
-            |mut rx, _| {
+            |mut rx| {
                 let mut got = Vec::new();
                 while let Some(chunk) = rx.recv()? {
                     got.push(chunk);
@@ -391,7 +397,7 @@ mod tests {
         }));
         assert_eq!(out.produced, Some(CHUNKS));
         assert_eq!(out.wire.sends.len(), k as usize);
-        assert_eq!(out.wire.transfer.messages_sent, k as u64);
+        assert_eq!(out.wire.sent.messages_sent, k as u64);
         assert_eq!(out.wire.error, Some(NetError::Disconnected));
         assert_eq!(out.error, Some(NetError::Disconnected.into()));
         assert!(out.consumed.is_none());
@@ -437,6 +443,57 @@ mod tests {
         let crashed = MigError::from(CoreError::Source("source crashed mid-collect".into()));
         assert_eq!(out.error, Some(crashed));
         assert_eq!(out.journal.unwrap().next_chunk(), k);
+    }
+
+    /// A resumed attempt whose handshake is accepted: each end reports
+    /// what it sent — the destination its one handshake, the source its
+    /// frames — and the two sum to what the attempt carried. The
+    /// destination reads the journaled chunks, then the live ones.
+    #[test]
+    fn a_resumed_attempt_counts_each_end_on_its_own() {
+        let k = 4;
+        let first = run(lane(FaultPlan {
+            dst_crash_at: Some(k),
+            ..FaultPlan::none()
+        }));
+        let out = run(Lane {
+            journal: first.journal,
+            resume: Some((1, first.wire.records)),
+            ..lane(FaultPlan::none())
+        });
+        assert_eq!(out.error, None);
+        let want: Vec<Vec<u8>> = (0..CHUNKS).map(|i| vec![i as u8; 16 + i]).collect();
+        assert_eq!(out.consumed, Some(want));
+        assert!(out.wire.bytes_saved_wire > 0);
+
+        let control = hpm_xdr::Control::Resume {
+            image_id: 1,
+            next: k,
+            digest: 0,
+        };
+        assert_eq!(hpm_xdr::frame_control(control).len(), 28);
+        let source = out.wire.sent;
+        assert_eq!(source.messages_sent, out.wire.sends.len() as u64);
+        assert_eq!(source.messages_sent, (CHUNKS + 1) as u64 - k as u64);
+        let frame_bytes: u64 = out.wire.sends.iter().map(|&(_, b)| b).sum();
+        assert_eq!(source.bytes_sent, frame_bytes);
+        // The destination's end sent the handshake and nothing else.
+        let both = out.transfer;
+        let handshake = (
+            both.messages_sent - source.messages_sent,
+            both.bytes_sent - source.bytes_sent,
+        );
+        assert_eq!(handshake, (1, 28));
+        let link = NetworkModel::instant().tx_time(28).as_nanos() as u64;
+        assert_eq!(both.modeled_tx_nanos, source.modeled_tx_nanos + link);
+        let payload = |t: TransferSnapshot| {
+            (
+                t.raw_payload_bytes,
+                t.wire_payload_bytes,
+                t.chunks_compressed,
+            )
+        };
+        assert_eq!(payload(both), payload(source));
     }
 
     /// A resuming source whose destination never queued the handshake is

@@ -1,10 +1,13 @@
 //! Reliable in-process message channels between simulated machines.
+//!
+//! The two ends of a channel share the pipe and nothing else: each has
+//! one owner, and each counts only the messages it sent, in plain fields
+//! ([`Channel::stats`]). What a link carried is the sum of its ends.
 
 use crate::model::NetworkModel;
 use hpm_obs::Track;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Channel errors.
@@ -49,77 +52,20 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-/// Aggregate transfer statistics for one endpoint pair.
-#[derive(Debug, Default)]
-pub struct TransferStats {
-    bytes_sent: AtomicU64,
-    messages_sent: AtomicU64,
-    modeled_tx_nanos: AtomicU64,
-    /// Pre-compression chunk-payload bytes offered to the stream layer.
-    raw_payload_bytes: AtomicU64,
-    /// Post-compression chunk-payload bytes actually framed for the wire.
-    wire_payload_bytes: AtomicU64,
-    /// Chunks whose payload went out compressed (vs stored).
-    chunks_compressed: AtomicU64,
-}
-
-impl TransferStats {
-    /// Total payload bytes sent through either endpoint.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent.load(Ordering::Relaxed)
-    }
-
-    /// Total messages sent.
-    pub fn messages_sent(&self) -> u64 {
-        self.messages_sent.load(Ordering::Relaxed)
-    }
-
-    /// Sum of modeled transmission times in nanoseconds.
-    pub fn modeled_tx_nanos(&self) -> u64 {
-        self.modeled_tx_nanos.load(Ordering::Relaxed)
-    }
-
-    /// Sum of modeled transmission times (the Table 1 `Tx` quantity).
-    pub fn modeled_tx_time(&self) -> Duration {
-        Duration::from_nanos(self.modeled_tx_nanos())
-    }
-
-    /// Account one chunk payload leaving the stream layer: `raw` bytes
-    /// offered and `wire` bytes framed after the codec ran (equal when
-    /// the chunk went out stored).
-    pub fn observe_chunk_out(&self, raw: u64, wire: u64, compressed: bool) {
-        self.raw_payload_bytes.fetch_add(raw, Ordering::Relaxed);
-        self.wire_payload_bytes.fetch_add(wire, Ordering::Relaxed);
-        if compressed {
-            self.chunks_compressed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Point-in-time copy, detached from the live atomics.
-    pub fn snapshot(&self) -> TransferSnapshot {
-        TransferSnapshot {
-            bytes_sent: self.bytes_sent(),
-            messages_sent: self.messages_sent(),
-            modeled_tx_nanos: self.modeled_tx_nanos(),
-            raw_payload_bytes: self.raw_payload_bytes.load(Ordering::Relaxed),
-            wire_payload_bytes: self.wire_payload_bytes.load(Ordering::Relaxed),
-            chunks_compressed: self.chunks_compressed.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A detached copy of [`TransferStats`], embeddable in reports.
+/// What one end sent, or the sum over the ends and attempts of a
+/// migration: the channel counts its messages, the chunk sender its
+/// payload.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransferSnapshot {
-    /// Total payload bytes sent through either endpoint.
+    /// Message bytes sent.
     pub bytes_sent: u64,
-    /// Total messages sent.
+    /// Messages sent.
     pub messages_sent: u64,
     /// Sum of modeled transmission times in nanoseconds.
     pub modeled_tx_nanos: u64,
-    /// Pre-compression chunk-payload bytes offered to the stream layer.
+    /// Chunk-payload bytes before the coder, over the chunks framed.
     pub raw_payload_bytes: u64,
-    /// Post-compression chunk-payload bytes actually framed for the wire.
+    /// Chunk-payload bytes framed for the wire, after the coder.
     pub wire_payload_bytes: u64,
     /// Chunks whose payload went out compressed (vs stored).
     pub chunks_compressed: u64,
@@ -146,21 +92,24 @@ impl std::ops::AddAssign for TransferSnapshot {
 
 /// One endpoint of a bidirectional message channel between two machines.
 ///
-/// `send` is non-blocking (the link is modeled, not throttled); the
-/// modeled transmission time of every message is accumulated in the
-/// shared [`TransferStats`], which the migration driver reads to report
-/// the `Tx` column. With a log track attached ([`Channel::with_track`])
-/// at detail level, every send/recv also emits a `net.send`/`net.recv`
-/// span carrying the payload size and modeled wire time, so traces show
-/// modeled-vs-wall time per message.
+/// `send` is non-blocking (the link is modeled, not throttled); each end
+/// counts the messages it sent, their bytes and their modeled
+/// transmission time ([`Channel::stats`]), which the migration driver
+/// sums over both ends to report the `Tx` column. With a log track
+/// attached ([`Channel::with_track`]) at detail level, every send/recv
+/// also emits a `net.send`/`net.recv` span carrying the payload size and
+/// modeled wire time, so traces show modeled-vs-wall time per message.
 ///
-/// Each endpoint has one owner: it is `Send`, so it can move to the
-/// machine (thread) that uses it, but not `Sync`.
+/// Each endpoint has one owner and shares nothing with its peer but the
+/// pipe: it is `Send`, so it can move to the machine (thread) that uses
+/// it, but not `Sync`.
 pub struct Channel {
     tx: Sender<Vec<u8>>,
     rx: Receiver<Vec<u8>>,
     model: NetworkModel,
-    stats: Arc<TransferStats>,
+    bytes_sent: Cell<u64>,
+    messages_sent: Cell<u64>,
+    modeled_tx_nanos: Cell<u64>,
     track: Track,
 }
 
@@ -168,23 +117,16 @@ pub struct Channel {
 pub fn channel_pair(model: NetworkModel) -> (Channel, Channel) {
     let (tx_ab, rx_ab) = channel();
     let (tx_ba, rx_ba) = channel();
-    let stats = Arc::new(TransferStats::default());
-    (
-        Channel {
-            tx: tx_ab,
-            rx: rx_ba,
-            model,
-            stats: Arc::clone(&stats),
-            track: Track::off(),
-        },
-        Channel {
-            tx: tx_ba,
-            rx: rx_ab,
-            model,
-            stats,
-            track: Track::off(),
-        },
-    )
+    let end = |tx, rx| Channel {
+        tx,
+        rx,
+        model,
+        bytes_sent: Cell::new(0),
+        messages_sent: Cell::new(0),
+        modeled_tx_nanos: Cell::new(0),
+        track: Track::off(),
+    };
+    (end(tx_ab, rx_ba), end(tx_ba, rx_ab))
 }
 
 impl Channel {
@@ -203,11 +145,10 @@ impl Channel {
             "net.send",
             &[("bytes", n), ("modeled_ns", tx_time.as_nanos() as u64)],
         );
-        self.stats.bytes_sent.fetch_add(n, Ordering::Relaxed);
-        self.stats.messages_sent.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .modeled_tx_nanos
-            .fetch_add(tx_time.as_nanos() as u64, Ordering::Relaxed);
+        self.bytes_sent.set(self.bytes_sent.get() + n);
+        self.messages_sent.set(self.messages_sent.get() + 1);
+        let nanos = self.modeled_tx_nanos.get() + tx_time.as_nanos() as u64;
+        self.modeled_tx_nanos.set(nanos);
         let r = self.tx.send(payload).map_err(|_| NetError::Disconnected);
         self.track.detail_end("net.send", &[]);
         r
@@ -231,9 +172,15 @@ impl Channel {
         self.rx.try_recv().ok()
     }
 
-    /// Shared transfer statistics for this link.
-    pub fn stats(&self) -> &TransferStats {
-        &self.stats
+    /// What this end has sent so far (no payload accounting: that is the
+    /// chunk sender's).
+    pub fn stats(&self) -> TransferSnapshot {
+        TransferSnapshot {
+            bytes_sent: self.bytes_sent.get(),
+            messages_sent: self.messages_sent.get(),
+            modeled_tx_nanos: self.modeled_tx_nanos.get(),
+            ..TransferSnapshot::default()
+        }
     }
 
     /// The link model in force.
@@ -255,18 +202,28 @@ mod tests {
         assert_eq!(a.recv().unwrap(), b"world");
     }
 
+    /// Each end counts what it sent, and only that; the two ends sum to
+    /// what the link carried.
     #[test]
-    fn stats_accumulate() {
-        let (a, b) = channel_pair(NetworkModel::ethernet_100());
+    fn each_end_counts_only_what_it_sent() {
+        let link = NetworkModel::ethernet_100();
+        let (a, b) = channel_pair(link);
         a.send(vec![0; 1000]).unwrap();
+        a.send(vec![0; 24]).unwrap();
         b.send(vec![0; 500]).unwrap();
-        let s = a.stats();
-        assert_eq!(s.bytes_sent(), 1500);
-        assert_eq!(s.messages_sent(), 2);
-        assert!(s.modeled_tx_time() > Duration::ZERO);
-        let snap = s.snapshot();
-        assert_eq!(snap.bytes_sent, 1500);
-        assert_eq!(snap.modeled_tx_time(), s.modeled_tx_time());
+        let tx = |n| link.tx_time(n).as_nanos() as u64;
+        let (sa, sb) = (a.stats(), b.stats());
+        assert_eq!((sa.bytes_sent, sa.messages_sent), (1024, 2));
+        assert_eq!(sa.modeled_tx_nanos, tx(1000) + tx(24));
+        assert_eq!((sb.bytes_sent, sb.messages_sent), (500, 1));
+        assert_eq!(sb.modeled_tx_time(), link.tx_time(500));
+        // Receiving counts nothing, and a channel counts no payload.
+        b.recv().unwrap();
+        assert_eq!(b.stats(), sb);
+        assert_eq!(sa.raw_payload_bytes + sa.wire_payload_bytes, 0);
+        let mut both = sa;
+        both += sb;
+        assert_eq!((both.bytes_sent, both.messages_sent), (1524, 3));
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! a soak sweep observes replays from the plan alone. A
 //! [`FaultyEndpoint`] wraps the source side of a [`Channel`] and applies
 //! the pipe faults to the frames it carries, counted in frames through
-//! this endpoint.
+//! this endpoint. Every chunk sender sends through one; a clean link is
+//! the endpoint under [`FaultPlan::none`], which `From<Channel>` builds.
 
-use crate::channel::{Channel, NetError, TransferStats};
+use crate::channel::{Channel, NetError, TransferSnapshot};
 use hpm_obs::Track;
 
 /// A replayable schedule of one-shot faults. Each fires at most once per
@@ -142,38 +143,10 @@ impl FaultStats {
     }
 }
 
-/// Abstraction over the sender's forward path, so the chunk sender runs
-/// identically over a clean [`Channel`] or a [`FaultyEndpoint`].
-pub trait FrameLink {
-    /// Ship one data frame toward the peer.
-    fn send_frame(&mut self, frame: Vec<u8>) -> Result<(), NetError>;
-    /// The control frame the peer queued on the reverse direction, if
-    /// any; never blocks.
-    fn try_recv_control(&self) -> Option<Vec<u8>>;
-    /// Transfer accounting for the underlying channel, when the link has
-    /// one — where the sender reports raw-vs-wire payload volume.
-    fn transfer_stats(&self) -> Option<&TransferStats> {
-        None
-    }
-}
-
-impl FrameLink for Channel {
-    fn send_frame(&mut self, frame: Vec<u8>) -> Result<(), NetError> {
-        self.send(frame)
-    }
-
-    fn try_recv_control(&self) -> Option<Vec<u8>> {
-        self.try_recv()
-    }
-
-    fn transfer_stats(&self) -> Option<&TransferStats> {
-        Some(self.stats())
-    }
-}
-
 /// The source-side channel endpoint with a [`FaultPlan`]'s pipe faults
-/// applied to its outgoing frames. Control traffic from the peer is
-/// untouched.
+/// applied to its outgoing frames: the one link every chunk sender sends
+/// through, clean under [`FaultPlan::none`]. Control traffic from the
+/// peer is untouched.
 pub struct FaultyEndpoint {
     ch: Channel,
     plan: FaultPlan,
@@ -207,14 +180,13 @@ impl FaultyEndpoint {
         self.stats
     }
 
-    /// The wrapped channel endpoint (e.g. for its transfer accounting).
-    pub fn channel(&self) -> &Channel {
-        &self.ch
+    /// What the wrapped channel end sent.
+    pub(crate) fn sent(&self) -> TransferSnapshot {
+        self.ch.stats()
     }
-}
 
-impl FrameLink for FaultyEndpoint {
-    fn send_frame(&mut self, mut frame: Vec<u8>) -> Result<(), NetError> {
+    /// Ship one data frame toward the peer, as the plan says.
+    pub fn send_frame(&mut self, mut frame: Vec<u8>) -> Result<(), NetError> {
         if self.stats.disconnected {
             return Err(NetError::Disconnected);
         }
@@ -236,12 +208,17 @@ impl FrameLink for FaultyEndpoint {
         self.ch.send(frame)
     }
 
-    fn try_recv_control(&self) -> Option<Vec<u8>> {
+    /// The control frame the peer queued on the reverse direction, if
+    /// any; never blocks.
+    pub fn try_recv_control(&self) -> Option<Vec<u8>> {
         self.ch.try_recv()
     }
+}
 
-    fn transfer_stats(&self) -> Option<&TransferStats> {
-        Some(self.ch.stats())
+/// A clean link: the endpoint under [`FaultPlan::none`].
+impl From<Channel> for FaultyEndpoint {
+    fn from(ch: Channel) -> Self {
+        FaultyEndpoint::new(ch, FaultPlan::none())
     }
 }
 

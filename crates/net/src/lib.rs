@@ -11,20 +11,25 @@
 //! the paper's Table 1 `Tx` column behaves (it is dominated by
 //! bytes ÷ link speed, not by protocol details). Actual byte delivery
 //! between the two "machines" — one thread each — uses a reliable
-//! in-process [`Channel`] built on `std::sync::mpsc`, whose two ends are
-//! each owned by one machine (no lock); it accounts modeled time and
-//! never sleeps, and neither does anything above it: the migration
-//! driver computes a streamed migration's overlap from stamps instead
-//! ([`ReliableChunkReceiver::waits`] is the destination's). A payload
-//! crosses it whole, as one message, or as the one chunk stream: [`ReliableChunkSender`] →
-//! [`ReliableChunkReceiver`], each chunk framed once, compressed when
-//! that is smaller, and CRC-checked, in order, over an ordered pipe that
-//! can break — optionally through a [`FaultyEndpoint`] that damages one
-//! frame or breaks the pipe where a [`FaultPlan`] says. The first frame the receiver cannot take ends the
-//! connection with a named [`NetError`]. Nothing blocks but the
-//! receiver's read of the next frame: the destination queues the resume
-//! handshake, the one frame that flows back, before the source runs, and
-//! the sender takes it without waiting.
+//! in-process [`Channel`] built on `std::sync::mpsc`. Its two ends share
+//! the pipe and nothing else: each is owned by one machine (no lock) and
+//! counts only the messages it sent and their modeled time (no shared
+//! counter). Nothing sleeps for the link: the migration driver computes a
+//! streamed migration's overlap from stamps instead
+//! ([`ReliableChunkReceiver::waits`] is the destination's).
+//!
+//! A payload crosses a channel whole, as one message, or as the one chunk
+//! stream: [`ReliableChunkSender`] → [`ReliableChunkReceiver`], each chunk
+//! framed once, compressed when that is smaller, and CRC-checked, in
+//! order, over an ordered pipe that can break. The sender always sends
+//! through a [`FaultyEndpoint`], which damages one frame or breaks the
+//! pipe where a [`FaultPlan`] says (nowhere, under [`FaultPlan::none`]),
+//! and counts its payload from its own send ledger. The first frame the
+//! receiver cannot take ends the connection with a named [`NetError`].
+//! Nothing blocks but the receiver's read of the next frame: a resuming
+//! destination queues the resume handshake, the one frame that flows
+//! back, before the source runs, and the sender takes it without waiting;
+//! the receiver then replays its own journal before its first pipe read.
 //! Endpoints can carry an [`hpm_obs::Track`]: the chunk endpoints record
 //! every frame sent, received or refused on it, and at detail level
 //! every channel message produces a `net.send`/`net.recv` span annotated
@@ -36,8 +41,8 @@ mod model;
 mod pipe;
 mod pipe_core;
 
-pub use channel::{channel_pair, Channel, NetError, TransferSnapshot, TransferStats};
-pub use fault::{FaultPlan, FaultStats, FaultyEndpoint, FrameLink};
+pub use channel::{channel_pair, Channel, NetError, TransferSnapshot};
+pub use fault::{FaultPlan, FaultStats, FaultyEndpoint};
 pub use model::NetworkModel;
 pub use pipe::{
     ArqReceiverSnapshot, ArqSenderStats, ReliableChunkReceiver, ReliableChunkSender, WireCodec,

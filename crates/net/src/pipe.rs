@@ -7,10 +7,13 @@
 //! [`SenderCore`] and [`ReceiverCore`], which `hpm-model` explores
 //! exhaustively; the endpoints here are the loops that drive the cores
 //! over a link: they move bytes between a core and the link, keep the
-//! counters and write the log events.
+//! counters and write the log events. Each endpoint is the only owner of
+//! what it did: the sender counts its messages on its channel end and its
+//! payload from its own send ledger, and a resuming receiver replays its
+//! own journal before it reads the pipe.
 
-use crate::channel::{Channel, NetError};
-use crate::fault::FrameLink;
+use crate::channel::{Channel, NetError, TransferSnapshot};
+use crate::fault::FaultyEndpoint;
 use crate::pipe_core::{ArqConfig, ReceiverCore, Refused, ResumeDecision, SenderCore};
 use hpm_obs::Track;
 use hpm_xdr::{frame_control, unframe_control, ChunkRecord, RestoreJournal, RestorePhase};
@@ -39,22 +42,26 @@ pub struct ArqSenderStats {
 }
 
 /// Sending half of the chunk stream: a [`SenderCore`] driven over a
-/// [`FrameLink`], so tests can run it over a clean [`Channel`] and the
-/// driver over a [`FaultyEndpoint`](crate::FaultyEndpoint).
-pub struct ReliableChunkSender<L: FrameLink> {
-    link: L,
+/// [`FaultyEndpoint`] (a clean one for a plain [`Channel`]). It is the
+/// only owner of what it sent: its channel end counts the messages, and
+/// its send ledger the payload.
+pub struct ReliableChunkSender {
+    link: FaultyEndpoint,
     core: SenderCore,
+    /// Ledger records a resume adopted rather than framed.
+    adopted: usize,
     track: Track,
     sends: Vec<(Duration, u64)>,
 }
 
-impl<L: FrameLink> ReliableChunkSender<L> {
+impl ReliableChunkSender {
     /// A fresh stream over `link`, starting at sequence 0. The
     /// [`ArqConfig`] carries nothing.
-    pub fn new(link: L, _cfg: ArqConfig) -> Self {
+    pub fn new(link: impl Into<FaultyEndpoint>, _cfg: ArqConfig) -> Self {
         ReliableChunkSender {
-            link,
+            link: link.into(),
             core: SenderCore::default(),
+            adopted: 0,
             track: Track::off(),
             sends: Vec::new(),
         }
@@ -98,8 +105,21 @@ impl<L: FrameLink> ReliableChunkSender<L> {
         &self.sends
     }
 
+    /// What this end sent: its channel end's messages, and the payload
+    /// of every chunk it framed itself — a frame the link then refused
+    /// included, the prefix a resume adopted not.
+    pub fn transfer(&self) -> TransferSnapshot {
+        let framed = &self.core.records()[self.adopted..];
+        TransferSnapshot {
+            raw_payload_bytes: framed.iter().map(|r| r.raw_len as u64).sum(),
+            wire_payload_bytes: framed.iter().map(|r| r.wire_len as u64).sum(),
+            chunks_compressed: framed.iter().filter(|r| r.wire_len < r.raw_len).count() as u64,
+            ..self.link.sent()
+        }
+    }
+
     /// Recover the link (e.g. to read injector stats after the stream).
-    pub fn into_link(self) -> L {
+    pub fn into_link(self) -> FaultyEndpoint {
         self.link
     }
 
@@ -137,6 +157,7 @@ impl<L: FrameLink> ReliableChunkSender<L> {
                 bytes_saved_raw,
                 ..
             } => {
+                self.adopted = next as usize;
                 let args = [("next", next as u64), ("bytes_saved", bytes_saved_raw)];
                 self.track.event("resume.accepted", &args);
             }
@@ -164,15 +185,7 @@ impl<L: FrameLink> ReliableChunkSender<L> {
     fn ship(&mut self, payload: &[u8], last: bool) -> Result<(), NetError> {
         let t0 = Instant::now();
         let frame = self.core.offer(payload, last);
-        let r = self
-            .core
-            .records()
-            .last()
-            .expect("a frame was just recorded");
-        if let Some(s) = self.link.transfer_stats() {
-            s.observe_chunk_out(r.raw_len as u64, r.wire_len as u64, r.wire_len < r.raw_len);
-        }
-        let (chunk, bytes) = (r.index as u64, frame.len() as u64);
+        let (chunk, bytes) = (self.core.chunks_sent() as u64 - 1, frame.len() as u64);
         self.link.send_frame(frame)?;
         self.sends.push((t0.elapsed(), bytes));
         self.track.event("chunk.sent", &[("chunk", chunk)]);
@@ -192,12 +205,15 @@ pub struct ArqReceiverSnapshot {
 }
 
 /// Receiving half of the chunk stream: a [`ReceiverCore`] driven over the
-/// destination's channel end.
+/// destination's channel end. A resuming receiver is also the
+/// destination's replay of its journal.
 pub struct ReliableChunkReceiver {
     ch: Channel,
     core: ReceiverCore,
     /// The sequence this stream started at (0, or the resume point).
     start: u32,
+    /// Journaled chunks below `start` already handed out again.
+    replayed: u32,
     done: bool,
     counters: ArqReceiverSnapshot,
     /// Durable journal this receiver appends every accepted chunk to.
@@ -216,6 +232,7 @@ impl ReliableChunkReceiver {
             ch,
             core: ReceiverCore::default(),
             start: 0,
+            replayed: 0,
             done: false,
             counters: ArqReceiverSnapshot::default(),
             journal: None,
@@ -228,14 +245,18 @@ impl ReliableChunkReceiver {
     /// Re-attach a rebuilt destination to an interrupted stream: the
     /// stream starts at `journal.next_chunk()` and the sender is asked to
     /// resume there via a [`hpm_xdr::Control::Resume`] handshake carrying
-    /// the journal digest. The journaled chunks themselves are replayed
-    /// locally by the caller, never over the wire.
-    pub fn new_resuming(ch: Channel, journal: &RestoreJournal) -> Result<Self, NetError> {
+    /// the journal digest. The journaled chunks are replayed here, never
+    /// over the wire: [`recv_chunk`](Self::recv_chunk) returns their
+    /// payloads, in order, before its first pipe read, with no wait stamp,
+    /// no `chunk.recv` event and no second journal append. The receiver
+    /// journals the live chunks after them, as
+    /// [`with_journal`](Self::with_journal) does.
+    pub fn new_resuming(ch: Channel, journal: RestoreJournal) -> Result<Self, NetError> {
         let mut rx = ReliableChunkReceiver::new(ch, ArqConfig);
-        let request = rx.core.resume(journal);
+        let request = rx.core.resume(&journal);
         rx.start = rx.core.next();
         rx.ch.send(frame_control(request))?;
-        Ok(rx)
+        Ok(rx.with_journal(journal))
     }
 
     /// Record every accepted chunk (and its decoded payload) in
@@ -277,6 +298,11 @@ impl ReliableChunkReceiver {
         self.core.next()
     }
 
+    /// What this end sent: the resume handshake, if it resumed.
+    pub fn transfer(&self) -> TransferSnapshot {
+        self.ch.stats()
+    }
+
     /// For each frame read off the pipe, in order: when the read was called
     /// and returned. Only that waits; the CRC check, decode and journal
     /// append after it are work.
@@ -290,11 +316,23 @@ impl ReliableChunkReceiver {
     }
 
     /// Receive the next payload chunk; `Ok(None)` once the stream is
-    /// complete. A frame the core refuses, a closed link and the injected
-    /// crash each end the connection with a named error.
+    /// complete. A resuming receiver first hands out its journal's
+    /// payloads ([`new_resuming`](Self::new_resuming)). A frame the core
+    /// refuses, a closed link and the injected crash each end the
+    /// connection with a named error.
     pub fn recv_chunk(&mut self) -> Result<Option<Vec<u8>>, NetError> {
         if self.done {
             return Ok(None);
+        }
+        if self.replayed < self.start {
+            // A journaled chunk: handed out again, not read off the pipe.
+            let journal = self
+                .journal
+                .as_ref()
+                .expect("a resuming receiver holds its journal");
+            let chunk = journal.payloads()[self.replayed as usize].clone();
+            self.replayed += 1;
+            return Ok(Some(chunk));
         }
         let asked = Instant::now();
         let raw = self.ch.recv()?;
@@ -402,9 +440,9 @@ mod tests {
         assert_eq!(rx.recv_chunk().unwrap(), None);
         assert_eq!(rx.chunks_received(), 41);
         // One message per frame: nothing flows back.
-        let link = tx.into_link();
-        assert_eq!(link.stats().messages_sent(), 41);
-        assert!(link.try_recv().is_none());
+        assert_eq!(tx.transfer().messages_sent, 41);
+        assert_eq!(rx.transfer(), TransferSnapshot::default());
+        assert!(tx.into_link().try_recv_control().is_none());
     }
 
     /// A corrupted frame ends the connection naming the chunk; the chunks
@@ -523,7 +561,7 @@ mod tests {
         assert_eq!(recovered.next_chunk(), k);
         // Attempt 2: rebuilt destination re-attaches over a fresh link.
         let (src2, dst2) = channel_pair(NetworkModel::instant());
-        let mut rx = ReliableChunkReceiver::new_resuming(dst2, &recovered).unwrap();
+        let mut rx = ReliableChunkReceiver::new_resuming(dst2, recovered).unwrap();
         let mut tx2 = ReliableChunkSender::new(src2, ArqConfig);
         let ResumeDecision::Accepted {
             next,
@@ -541,12 +579,140 @@ mod tests {
             .try_for_each(|p| tx2.send(p))
             .unwrap();
         assert_eq!(tx2.finish().unwrap(), data.len() as u32 + 1);
+        // The journaled chunks come back from the receiver itself, then
+        // the resumed ones off the pipe: the whole stream, once.
         let mut got = Vec::new();
         while let Some(p) = rx.recv_chunk().unwrap() {
             got.push(p);
         }
-        assert_eq!(got, data[k as usize..]);
+        assert_eq!(got, data);
+        assert_eq!(rx.waits().len(), data.len() - k as usize + 1);
         assert_eq!(rx.counters().replays_below_start, 0);
+        assert_eq!(rx.into_journal().unwrap().records(), tx2.records());
+    }
+
+    /// The journal a destination that died at chunk k leaves of `data`'s
+    /// stream (all of it, terminator included, when k is past its end),
+    /// and the send ledger of that stream.
+    fn journal_of(data: &[Vec<u8>], k: u32) -> (RestoreJournal, Vec<ChunkRecord>) {
+        let (src, dst) = channel_pair(NetworkModel::instant());
+        let mut tx = ReliableChunkSender::new(src, ArqConfig);
+        data.iter().try_for_each(|p| tx.send(p)).unwrap();
+        tx.finish().unwrap();
+        let mut rx = ReliableChunkReceiver::new(dst, ArqConfig)
+            .with_journal(RestoreJournal::new(9))
+            .with_crash_at(Some(k));
+        while let Ok(Some(_)) = rx.recv_chunk() {}
+        (rx.into_journal().unwrap(), tx.records().to_vec())
+    }
+
+    /// A receiver resuming over a k-chunk journal hands out the k
+    /// journaled payloads before it reads the pipe, then the live ones.
+    /// The replay is not a pipe read: no wait stamp, no `chunk.recv`
+    /// event, and nothing journaled twice.
+    #[test]
+    fn a_resuming_receiver_replays_its_journal_before_the_pipe() {
+        let data = payloads(9);
+        let k = 4u32;
+        let (journal, ledger) = journal_of(&data, k);
+        let log = hpm_obs::EventLog::new(hpm_obs::Level::Protocol);
+        let (src, dst) = channel_pair(NetworkModel::instant());
+        let mut rx = ReliableChunkReceiver::new_resuming(dst, journal)
+            .unwrap()
+            .with_track(log.track("rx"));
+        for p in &data[..k as usize] {
+            assert_eq!(rx.recv_chunk().unwrap().as_ref(), Some(p));
+        }
+        assert!(rx.waits().is_empty(), "a replayed chunk waited on the pipe");
+        assert!(log.dump().events_of("chunk.recv").is_empty());
+
+        let mut tx = ReliableChunkSender::new(src, ArqConfig);
+        let accepted = tx.accept_resume(9, &ledger).unwrap();
+        assert!(matches!(accepted, ResumeDecision::Accepted { next: 4, .. }));
+        data[k as usize..]
+            .iter()
+            .try_for_each(|p| tx.send(p))
+            .unwrap();
+        tx.finish().unwrap();
+        for p in &data[k as usize..] {
+            assert_eq!(rx.recv_chunk().unwrap().as_ref(), Some(p));
+        }
+        assert_eq!(rx.recv_chunk().unwrap(), None);
+        let live = data.len() - k as usize + 1;
+        assert_eq!(rx.waits().len(), live);
+        assert_eq!(log.dump().events_of("chunk.recv").len(), live);
+        // The journal grew by the live chunks alone.
+        let journal = rx.into_journal().unwrap();
+        assert_eq!(journal.next_chunk(), data.len() as u32 + 1);
+        assert_eq!(journal.records(), &ledger[..]);
+    }
+
+    /// Replay moves nothing in the journal; a pipe that then closes ends
+    /// the stream as it would have without the replay.
+    #[test]
+    fn a_replay_leaves_the_journal_where_it_was() {
+        let data = payloads(6);
+        let (journal, _) = journal_of(&data, 3);
+        let (src, dst) = channel_pair(NetworkModel::instant());
+        let mut rx = ReliableChunkReceiver::new_resuming(dst, journal.clone()).unwrap();
+        drop(src);
+        for p in &data[..3] {
+            assert_eq!(rx.recv_chunk().unwrap().as_ref(), Some(p));
+        }
+        assert_eq!(rx.recv_chunk(), Err(NetError::Disconnected));
+        assert_eq!(rx.into_journal(), Some(journal));
+    }
+
+    /// A journal that ends in the terminator replays every payload it
+    /// holds, the terminator's empty one included, and only then reads
+    /// the pipe: journaled chunks first, then whatever is live.
+    #[test]
+    fn a_complete_journal_replays_its_terminator_then_reads_the_pipe() {
+        let data = payloads(3);
+        let (journal, _) = journal_of(&data, u32::MAX);
+        assert!(journal.is_complete());
+        let (src, dst) = channel_pair(NetworkModel::instant());
+        let mut rx = ReliableChunkReceiver::new_resuming(dst, journal).unwrap();
+        for p in data.iter().chain([&vec![]]) {
+            assert_eq!(rx.recv_chunk().unwrap().as_ref(), Some(p));
+        }
+        assert!(rx.waits().is_empty());
+        src.send(frame_chunk(4, true, &[8], false).0).unwrap();
+        assert_eq!(rx.recv_chunk().unwrap(), Some(vec![8]));
+        assert_eq!(rx.recv_chunk().unwrap(), None);
+    }
+
+    /// A resumed sender counts the payload of the frames it framed after
+    /// the resume point, not of the prefix it adopted; the destination's
+    /// end sent the handshake and nothing else.
+    #[test]
+    fn a_resumed_sender_counts_only_what_it_framed() {
+        let data = payloads(10);
+        let k = 6u32;
+        let (journal, ledger) = journal_of(&data, k);
+        let (src, dst) = channel_pair(NetworkModel::instant());
+        let rx = ReliableChunkReceiver::new_resuming(dst, journal).unwrap();
+        let mut tx = ReliableChunkSender::new(src, ArqConfig);
+        tx.accept_resume(9, &ledger).unwrap();
+        data[k as usize..]
+            .iter()
+            .try_for_each(|p| tx.send(p))
+            .unwrap();
+        tx.finish().unwrap();
+        let framed = &ledger[k as usize..];
+        let sent = tx.transfer();
+        let raw: u64 = data[k as usize..].iter().map(|p| p.len() as u64).sum();
+        assert_eq!(sent.raw_payload_bytes, raw);
+        let wire: u64 = framed.iter().map(|r| r.wire_len as u64).sum();
+        assert_eq!(sent.wire_payload_bytes, wire);
+        let compressed = framed.iter().filter(|r| r.wire_len < r.raw_len).count();
+        assert_eq!(sent.chunks_compressed, compressed as u64);
+        assert_eq!(sent.messages_sent, framed.len() as u64);
+        let frames: u64 = tx.sends().iter().map(|&(_, b)| b).sum();
+        assert_eq!(sent.bytes_sent, frames);
+        let handshake = rx.transfer();
+        assert_eq!((handshake.messages_sent, handshake.bytes_sent), (1, 28));
+        assert_eq!(handshake.raw_payload_bytes, 0);
     }
 
     /// A sender that re-sends a chunk the journal already holds is
@@ -564,8 +730,10 @@ mod tests {
         };
         journal.append(record, vec![1; 8]).unwrap();
         let (a, b) = channel_pair(NetworkModel::instant());
-        let mut rx = ReliableChunkReceiver::new_resuming(b, &journal).unwrap();
+        let mut rx = ReliableChunkReceiver::new_resuming(b, journal).unwrap();
         a.send(frame).unwrap();
+        // The journaled chunk is replayed; the re-sent one is refused.
+        assert_eq!(rx.recv_chunk().unwrap(), Some(vec![1; 8]));
         let err = rx.recv_chunk().unwrap_err();
         assert!(
             matches!(err, NetError::ChunkFraming { chunk: 1, .. }),
@@ -593,7 +761,7 @@ mod tests {
         // sender side can validate it on the same thread.
         let decide = |journal: &RestoreJournal, image_id: u64| {
             let (src2, dst2) = channel_pair(NetworkModel::instant());
-            let _rx = ReliableChunkReceiver::new_resuming(dst2, journal).unwrap();
+            let _rx = ReliableChunkReceiver::new_resuming(dst2, journal.clone()).unwrap();
             let mut tx2 = ReliableChunkSender::new(src2, ArqConfig);
             tx2.accept_resume(image_id, &ledger).unwrap()
         };
@@ -671,7 +839,7 @@ mod tests {
             assert_eq!(rx.recv_chunk().unwrap().as_ref(), Some(c));
         }
         assert_eq!(rx.recv_chunk().unwrap(), None);
-        let snap = tx.into_link().stats().snapshot();
+        let snap = tx.transfer();
         assert_eq!(snap.chunks_compressed, 1, "only the run of sevens shrinks");
         assert_eq!(snap.raw_payload_bytes, 8 * 1024 + 4096 + 5);
         // Stored fallback: everything but the compressed chunk is

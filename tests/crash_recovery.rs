@@ -353,9 +353,7 @@ fn crashed_transfer_resumes_byte_identical_on_every_preset_pair() {
             // Attempt 2: a rebuilt destination re-attaches and the
             // sender ships only what the journal lacks.
             let (a2, b2) = channel_pair(NetworkModel::instant());
-            let mut rx = ReliableChunkReceiver::new_resuming(b2, &recovered)
-                .unwrap()
-                .with_journal(recovered);
+            let mut rx = ReliableChunkReceiver::new_resuming(b2, recovered).unwrap();
             let mut tx2 = ReliableChunkSender::new(a2, ArqConfig);
             let decision = tx2.accept_resume(1, &ledger).unwrap();
             let ResumeDecision::Accepted { next, .. } = decision else {
@@ -366,7 +364,17 @@ fn crashed_transfer_resumes_byte_identical_on_every_preset_pair() {
                 tx2.send(c).unwrap();
             }
             tx2.finish().unwrap();
-            while rx.recv_chunk().unwrap().is_some() {}
+            // The receiver replays its journal, then reads the tail.
+            let mut delivered = Vec::new();
+            while let Some(c) = rx.recv_chunk().unwrap() {
+                delivered.extend_from_slice(&c);
+            }
+            assert_eq!(delivered, image, "{tag}: delivered image differs");
+            assert_eq!(
+                rx.waits().len(),
+                chunks.len() - k as usize + 1,
+                "{tag}: a journaled chunk was read off the pipe"
+            );
             assert_eq!(
                 rx.counters().replays_below_start,
                 0,
