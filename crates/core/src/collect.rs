@@ -66,7 +66,7 @@
 use crate::fingerprint::type_fingerprint;
 use crate::kernel::{for_each_run, Kernel};
 use crate::msrlt::{Hit, LogicalId, Msrlt, GROUP_HEAP};
-use crate::translate::{leaf_ordinal, read_ptr, span, Cursor};
+use crate::translate::{leaf_ordinal, read_ptr, span, Cursor, PlanTable};
 use crate::CoreError;
 use hpm_arch::Architecture;
 use hpm_memory::{AddressSpace, BlockSlot};
@@ -255,6 +255,7 @@ pub struct Collector<'a> {
     type_nos: Vec<u32>,
     types_defined: u32,
     mode: TranslationMode,
+    plans: PlanTable,
 }
 
 /// Where the encoded bytes go: the encoder and, in sink mode, the chunk
@@ -340,6 +341,7 @@ impl<'a> Collector<'a> {
             type_nos,
             types_defined: 0,
             mode: TranslationMode::default(),
+            plans: PlanTable::default(),
         }
     }
 
@@ -467,9 +469,8 @@ impl<'a> Collector<'a> {
     /// `Save_pointer`: save a pointer *value*, rewriting it to logical
     /// form and saving the target block graph if not yet visited.
     pub fn save_pointer(&mut self, ptr: u64) -> Result<(), CoreError> {
-        let mut stack = Vec::new();
-        self.encode_pointer(ptr, &mut stack)?;
-        self.drain(stack)
+        let opened = self.encode_pointer(ptr)?;
+        self.drain(opened)
     }
 
     /// Finish, returning the payload and the statistics. In sink mode
@@ -503,27 +504,25 @@ impl<'a> Collector<'a> {
         self.out
             .track
             .detail_event("collect.block", &[("count", count)]);
-        let mut stack = Vec::new();
-        self.push_block(slot, ty, count, &mut stack)?;
-        self.drain(stack)
+        let opened = self.open_block(slot, ty, count)?;
+        self.drain(opened)
     }
 
     /// Save the contents of the block behind `slot`: pointer-free blocks
-    /// are encoded here and now, the rest get a cursor on the DFS stack.
-    fn push_block(
+    /// are encoded here and now, the rest get a cursor for the DFS stack.
+    fn open_block(
         &mut self,
         slot: BlockSlot,
         ty: TypeId,
         count: u64,
-        stack: &mut Vec<Cursor>,
-    ) -> Result<(), CoreError> {
+    ) -> Result<Option<Cursor>, CoreError> {
         let plan = self.space.plan_ref(ty)?;
         if !plan.has_pointers {
             let plan = Arc::clone(plan);
-            return self.encode_flat_block(slot, &plan, count);
+            self.encode_flat_block(slot, &plan, count)?;
+            return Ok(None);
         }
-        stack.push(Cursor::new(slot, ty, count));
-        Ok(())
+        Ok(Some(Cursor::new(slot, ty, count)))
     }
 
     /// Save a pointer-free block (the linpack case): one borrow of its
@@ -546,43 +545,68 @@ impl<'a> Collector<'a> {
         Ok(())
     }
 
-    fn drain(&mut self, mut stack: Vec<Cursor>) -> Result<(), CoreError> {
-        // Take the next op from the top cursor; the borrow of `stack` ends
-        // with that step, so pointer handling can push onto it.
-        while let Some(cur) = stack.last_mut() {
-            let Some((slot, elem_base, op)) = cur.next_op(self.space)? else {
-                stack.pop();
-                continue;
-            };
-            let arch = self.space.arch();
-            let bytes = self.space.slot_bytes(slot)?;
-            match op {
-                PlanOp::ScalarRun {
-                    offset,
-                    kind,
-                    count,
-                    stride,
-                } => {
-                    let kernel = Kernel::select(arch, kind, stride, self.mode);
-                    let at = elem_base + offset;
-                    encode_run(arch, bytes, slot, at, kernel, count, &mut self.out)?;
-                    self.stats.scalars_encoded += count;
+    /// Run the DFS from the block `opened`, if the item just saved
+    /// opened one.
+    fn drain(&mut self, opened: Option<Cursor>) -> Result<(), CoreError> {
+        let Some(cur) = opened else {
+            return Ok(());
+        };
+        let mut plans = std::mem::take(&mut self.plans);
+        let r = self.walk(&mut plans, vec![cur]);
+        self.plans = plans;
+        r
+    }
+
+    /// Enter or resume the block on top of the stack with its plan in
+    /// hand, and step through its ops until the block is done or a
+    /// pointer opens a block of its own, which is entered at once.
+    fn walk(&mut self, plans: &mut PlanTable, mut stack: Vec<Cursor>) -> Result<(), CoreError> {
+        'visit: while let Some(cur) = stack.last_mut() {
+            let plan = plans.get(self.space, cur.ty)?;
+            while cur.elems_left > 0 {
+                while let Some(&op) = plan.ops.get(cur.op_idx as usize) {
+                    cur.op_idx += 1;
+                    let (slot, elem_base) = (cur.slot, cur.elem_base);
+                    let arch = self.space.arch();
+                    let bytes = self.space.slot_bytes(slot)?;
+                    let opened = match op {
+                        PlanOp::ScalarRun {
+                            offset,
+                            kind,
+                            count,
+                            stride,
+                        } => {
+                            let kernel = Kernel::select(arch, kind, stride, self.mode);
+                            let at = elem_base + offset;
+                            encode_run(arch, bytes, slot, at, kernel, count, &mut self.out)?;
+                            self.stats.scalars_encoded += count;
+                            None
+                        }
+                        PlanOp::PointerSlot { offset, .. } => {
+                            let ptr = read_ptr(arch, bytes, slot, elem_base + offset)?;
+                            self.encode_pointer(ptr)?
+                        }
+                    };
+                    self.out.maybe_flush()?;
+                    if let Some(child) = opened {
+                        stack.push(child);
+                        continue 'visit;
+                    }
                 }
-                PlanOp::PointerSlot { offset, .. } => {
-                    let ptr = read_ptr(arch, bytes, slot, elem_base + offset)?;
-                    self.encode_pointer(ptr, &mut stack)?;
-                }
+                cur.next_elem(plan);
             }
-            self.out.maybe_flush()?;
+            stack.pop();
         }
         Ok(())
     }
 
-    fn encode_pointer(&mut self, ptr: u64, stack: &mut Vec<Cursor>) -> Result<(), CoreError> {
+    /// Encode one pointer; a `PTR_NEW` whose block has pointers of its
+    /// own returns the cursor that saves the block's contents.
+    fn encode_pointer(&mut self, ptr: u64) -> Result<Option<Cursor>, CoreError> {
         if ptr == 0 {
             self.stats.ptr_null += 1;
             self.out.enc.put_u32(TAG_PTR_NULL << TAG_SHIFT);
-            return Ok(());
+            return Ok(None);
         }
         // THE MSRLT search (counted in MsrltStats).
         let Hit {
@@ -598,7 +622,8 @@ impl<'a> Collector<'a> {
             self.stats.ptr_ref += 1;
             let mut rec = Record::bare(TAG_PTR_REF, id);
             rec.ordinal = leaf_idx;
-            return rec.encode(&mut self.out.enc);
+            rec.encode(&mut self.out.enc)?;
+            return Ok(None);
         }
         self.stats.ptr_new += 1;
         self.stats.blocks_saved += 1;
@@ -606,7 +631,7 @@ impl<'a> Collector<'a> {
             .track
             .detail_event("collect.block", &[("count", count)]);
         self.put_block_record(TAG_PTR_NEW, id, ty, leaf_idx, count)?;
-        self.push_block(slot, ty, count, stack)
+        self.open_block(slot, ty, count)
     }
 }
 

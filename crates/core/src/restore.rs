@@ -30,9 +30,9 @@ use crate::fingerprint::type_fingerprint;
 use crate::kernel::{for_each_run, Kernel};
 use crate::msrlt::{LogicalId, Msrlt, GROUP_HEAP};
 use crate::stream::ChunkPayload;
-use crate::translate::{leaf_address, span_mut, Cursor};
+use crate::translate::{leaf_address, span_mut, Cursor, PlanTable};
 use crate::CoreError;
-use hpm_arch::{Architecture, CScalar, ScalarValue};
+use hpm_arch::{Architecture, CScalar, Endianness, ScalarValue};
 use hpm_memory::{AddressSpace, BlockSlot};
 use hpm_obs::Track;
 use hpm_types::plan::{PlanOp, SavePlan};
@@ -93,8 +93,7 @@ pub struct Restorer<'s, 'p> {
     /// how far restoration got; at detail level every block and
     /// allocation does too.
     track: Track,
-    /// Scratch for one scalar's native bytes between decode and copy.
-    native: Vec<u8>,
+    plans: PlanTable,
 }
 
 impl<'s, 'p> Restorer<'s, 'p> {
@@ -135,7 +134,7 @@ impl<'s, 'p> Restorer<'s, 'p> {
             stats: RestoreStats::default(),
             mode: TranslationMode::default(),
             track: Track::off(),
-            native: Vec::with_capacity(16),
+            plans: PlanTable::default(),
         }
     }
 
@@ -263,9 +262,8 @@ impl<'s, 'p> Restorer<'s, 'p> {
     /// target graph if needed, and return the machine-specific address
     /// (paper: `p = Restore_pointer()`).
     pub fn restore_pointer(&mut self) -> Result<u64, CoreError> {
-        let mut stack = Vec::new();
-        let ptr = self.decode_pointer(&mut stack)?;
-        self.drain(stack)?;
+        let (ptr, opened) = self.decode_pointer()?;
+        self.drain(opened)?;
         Ok(ptr)
     }
 
@@ -295,9 +293,8 @@ impl<'s, 'p> Restorer<'s, 'p> {
     // ----- internals -----
 
     fn fill_block(&mut self, slot: BlockSlot, ty: TypeId, count: u64) -> Result<(), CoreError> {
-        let mut stack = Vec::new();
-        self.push_fill(&mut stack, slot, ty, count)?;
-        self.drain(stack)
+        let opened = self.open_fill(slot, ty, count)?;
+        self.drain(opened)
     }
 
     /// Fill a pointer-free block: one write borrow of the block, then
@@ -329,50 +326,74 @@ impl<'s, 'p> Restorer<'s, 'p> {
         Ok(())
     }
 
-    fn drain(&mut self, mut stack: Vec<Cursor>) -> Result<(), CoreError> {
-        while let Some(cur) = stack.last_mut() {
-            let Some((slot, elem_base, op)) = cur.next_op(self.space)? else {
-                stack.pop();
-                self.stats.blocks_restored += 1;
-                continue;
-            };
-            match op {
-                PlanOp::ScalarRun {
-                    offset,
-                    kind,
-                    count,
-                    stride,
-                } => {
-                    let (arch, bytes) = self.space.slot_bytes_mut(slot)?;
-                    let kernel = Kernel::select(arch, kind, stride, self.mode);
-                    let at = elem_base + offset;
-                    decode_run(arch, bytes, slot, at, kernel, count, &mut self.input)?;
-                    self.stats.scalars_decoded += count;
+    /// Run the DFS from the block `opened`, if the item just restored
+    /// opened one.
+    fn drain(&mut self, opened: Option<Cursor>) -> Result<(), CoreError> {
+        let Some(cur) = opened else {
+            return Ok(());
+        };
+        let mut plans = std::mem::take(&mut self.plans);
+        let r = self.walk(&mut plans, vec![cur]);
+        self.plans = plans;
+        r
+    }
+
+    /// The mirror of the collector's walk: enter or resume the block on
+    /// top of the stack with its plan in hand, and fill it op by op until
+    /// it is done or a pointer opens a block of its own.
+    fn walk(&mut self, plans: &mut PlanTable, mut stack: Vec<Cursor>) -> Result<(), CoreError> {
+        'visit: while let Some(cur) = stack.last_mut() {
+            let plan = plans.get(self.space, cur.ty)?;
+            while cur.elems_left > 0 {
+                while let Some(&op) = plan.ops.get(cur.op_idx as usize) {
+                    cur.op_idx += 1;
+                    let (slot, elem_base) = (cur.slot, cur.elem_base);
+                    match op {
+                        PlanOp::ScalarRun {
+                            offset,
+                            kind,
+                            count,
+                            stride,
+                        } => {
+                            let (arch, bytes) = self.space.slot_bytes_mut(slot)?;
+                            let kernel = Kernel::select(arch, kind, stride, self.mode);
+                            let at = elem_base + offset;
+                            decode_run(arch, bytes, slot, at, kernel, count, &mut self.input)?;
+                            self.stats.scalars_decoded += count;
+                        }
+                        PlanOp::PointerSlot { offset, .. } => {
+                            let (ptr, opened) = self.decode_pointer()?;
+                            self.write_ptr(slot, elem_base + offset, ptr)?;
+                            if let Some(child) = opened {
+                                stack.push(child);
+                                continue 'visit;
+                            }
+                        }
+                    }
                 }
-                PlanOp::PointerSlot { offset, .. } => {
-                    let ptr = self.decode_pointer(&mut stack)?;
-                    self.write_ptr(slot, elem_base + offset, ptr)?;
-                }
+                cur.next_elem(plan);
             }
+            stack.pop();
+            self.stats.blocks_restored += 1;
         }
         Ok(())
     }
 
     fn write_ptr(&mut self, slot: BlockSlot, offset: u64, ptr: u64) -> Result<(), CoreError> {
         let (arch, bytes) = self.space.slot_bytes_mut(slot)?;
-        self.native.clear();
-        arch.encode_scalar(CScalar::Ptr, ScalarValue::Ptr(ptr), &mut self.native);
-        span_mut(bytes, slot, offset, arch.pointer_size)?.copy_from_slice(&self.native);
+        store_ptr(arch, span_mut(bytes, slot, offset, arch.pointer_size)?, ptr);
         Ok(())
     }
 
-    fn decode_pointer(&mut self, stack: &mut Vec<Cursor>) -> Result<u64, CoreError> {
+    /// Decode one pointer into its local address; a `PTR_NEW` whose block
+    /// has pointers of its own also returns the cursor that fills it.
+    fn decode_pointer(&mut self) -> Result<(u64, Option<Cursor>), CoreError> {
         let rec = Record::decode(&mut self.input)?;
         let id = rec.id;
         match rec.tag {
             TAG_PTR_NULL => {
                 self.stats.ptr_null += 1;
-                Ok(0)
+                Ok((0, None))
             }
             TAG_PTR_REF => {
                 self.stats.ptr_ref += 1;
@@ -381,8 +402,8 @@ impl<'s, 'p> Restorer<'s, 'p> {
                     .entry_counted(id)
                     .ok_or(CoreError::UnknownId(id))?;
                 let b = *self.space.slot_block(entry.slot())?;
-                let (addr, ty, count) = (b.addr, b.ty, b.count);
-                Ok(leaf_address(self.space, addr, ty, count, rec.ordinal)?)
+                let addr = leaf_address(self.space, b.addr, b.ty, b.count, rec.ordinal)?;
+                Ok((addr, None))
             }
             TAG_PTR_NEW => {
                 self.stats.ptr_new += 1;
@@ -435,21 +456,22 @@ impl<'s, 'p> Restorer<'s, 'p> {
                         (slot, ty)
                     }
                 };
-                self.push_fill(stack, slot, ty, count)?;
-                let addr = slot.addr();
-                Ok(leaf_address(self.space, addr, ty, count, rec.ordinal)?)
+                let opened = self.open_fill(slot, ty, count)?;
+                let addr = leaf_address(self.space, slot.addr(), ty, count, rec.ordinal)?;
+                Ok((addr, opened))
             }
             t => Err(CoreError::BadTag(t)),
         }
     }
 
-    fn push_fill(
+    /// Fill the block behind `slot`: a pointer-free block is decoded
+    /// here and now, the rest get a cursor for the DFS stack.
+    fn open_fill(
         &mut self,
-        stack: &mut Vec<Cursor>,
         slot: BlockSlot,
         ty: TypeId,
         count: u64,
-    ) -> Result<(), CoreError> {
+    ) -> Result<Option<Cursor>, CoreError> {
         self.track
             .detail_event("restore.block", &[("count", count)]);
         let plan = self.space.plan_ref(ty)?;
@@ -459,10 +481,9 @@ impl<'s, 'p> Restorer<'s, 'p> {
             let plan = Arc::clone(plan);
             self.decode_flat_block(slot, &plan, count)?;
             self.stats.blocks_restored += 1;
-            return Ok(());
+            return Ok(None);
         }
-        stack.push(Cursor::new(slot, ty, count));
-        Ok(())
+        Ok(Some(Cursor::new(slot, ty, count)))
     }
 }
 
@@ -531,6 +552,34 @@ impl Record {
     }
 }
 
+/// Store `ptr` in `dst`, one pointer slot of `arch`, as
+/// [`Architecture::encode_scalar`] stores a `CScalar::Ptr` (truncated to
+/// the slot's width, in the machine's byte order): a fixed-width store
+/// for 4- and 8-byte pointers, `encode_scalar` itself for any other.
+fn store_ptr(arch: &Architecture, dst: &mut [u8], ptr: u64) {
+    let little = arch.endianness == Endianness::Little;
+    match dst.len() {
+        8 => dst.copy_from_slice(&if little {
+            ptr.to_le_bytes()
+        } else {
+            ptr.to_be_bytes()
+        }),
+        4 => {
+            let v = ptr as u32;
+            dst.copy_from_slice(&if little {
+                v.to_le_bytes()
+            } else {
+                v.to_be_bytes()
+            })
+        }
+        _ => {
+            let mut native = Vec::with_capacity(8);
+            arch.encode_scalar(CScalar::Ptr, ScalarValue::Ptr(ptr), &mut native);
+            dst.copy_from_slice(&native);
+        }
+    }
+}
+
 /// Fill `count` scalars, the first at byte `offset` of the block behind
 /// `slot`, from the stream through the decode kernel, a
 /// [`BULK_SLICE`](crate::kernel::BULK_SLICE) of payload at a time.
@@ -589,6 +638,35 @@ mod tests {
             msrlt.register(&info);
         }
         (space, msrlt, [a, b, head])
+    }
+
+    #[test]
+    fn the_direct_pointer_store_writes_what_encode_scalar_writes() {
+        // The four presets have 4-byte pointers in both byte orders and
+        // 8-byte little-endian ones; a big-endian LP64 machine completes
+        // the square.
+        let mut lp64_be = Architecture::x86_64_sim();
+        lp64_be.endianness = Endianness::Big;
+        let mut arches = Architecture::presets();
+        arches.push(lp64_be);
+        let values = [
+            0,
+            1,
+            0x1000_0040,
+            0xDEAD_BEEF,
+            0x1_0000_0001,
+            0x0123_4567_89AB_CDEF,
+            u64::MAX,
+        ];
+        for arch in arches {
+            for ptr in values {
+                let mut want = Vec::new();
+                arch.encode_scalar(CScalar::Ptr, ScalarValue::Ptr(ptr), &mut want);
+                let mut got = vec![0xA5; arch.pointer_size as usize];
+                store_ptr(&arch, &mut got, ptr);
+                assert_eq!(got, want, "{} {ptr:#x}", arch.name);
+            }
+        }
     }
 
     fn reg(space: &AddressSpace, msrlt: &mut Msrlt, addr: u64) {

@@ -14,8 +14,9 @@ use crate::msrlt::{LogicalId, Msrlt};
 use crate::CoreError;
 use hpm_arch::{Architecture, CScalar};
 use hpm_memory::{AddressSpace, BlockSlot, MemError};
-use hpm_types::plan::PlanOp;
+use hpm_types::plan::SavePlan;
 use hpm_types::TypeId;
+use std::sync::Arc;
 
 /// Where the collector's or restorer's DFS stands inside one block: the
 /// block's handle (from the search that found the block, or its MSRLT
@@ -23,15 +24,16 @@ use hpm_types::TypeId;
 ///
 /// The DFS stack holds one of these per block on the current path, and a
 /// linked list is one path as long as the list, so the size is part of a
-/// migration's peak memory: the plan is named by type and fetched per op
-/// rather than held as an `Arc`, which keeps a cursor at 40 bytes.
+/// migration's peak memory: the plan is named by type, and the drain that
+/// enters or resumes the block fetches it from its [`PlanTable`] once per
+/// visit, which keeps a cursor at 40 bytes.
 pub(crate) struct Cursor {
-    slot: BlockSlot,
+    pub(crate) slot: BlockSlot,
     /// Byte offset of the current element within the block.
-    elem_base: u64,
-    elems_left: u64,
-    ty: TypeId,
-    op_idx: u32,
+    pub(crate) elem_base: u64,
+    pub(crate) elems_left: u64,
+    pub(crate) ty: TypeId,
+    pub(crate) op_idx: u32,
 }
 
 impl Cursor {
@@ -47,24 +49,38 @@ impl Cursor {
         }
     }
 
-    /// Step to the next op: the block's handle, the byte offset of the
-    /// element the op applies to, and the op. `None` once every element
-    /// is done.
-    pub(crate) fn next_op(
+    /// Step to the cursor's next element, at its first op.
+    pub(crate) fn next_elem(&mut self, plan: &SavePlan) {
+        self.elem_base += plan.size;
+        self.elems_left -= 1;
+        self.op_idx = 0;
+    }
+}
+
+/// The plans one collection or restoration session has walked, indexed
+/// by `TypeId`. A drain holds a block's plan from here for a whole visit
+/// while it changes the address space; each plan is taken from the space
+/// once per session, so the walk pays no reference-count traffic per
+/// block or pointer.
+#[derive(Default)]
+pub(crate) struct PlanTable(Vec<Option<Arc<SavePlan>>>);
+
+impl PlanTable {
+    /// The plan of `ty`, compiled by the space on the session's first
+    /// visit to a block of the type.
+    pub(crate) fn get(
         &mut self,
         space: &mut AddressSpace,
-    ) -> Result<Option<(BlockSlot, u64, PlanOp)>, MemError> {
-        while self.elems_left > 0 {
-            let plan = space.plan_ref(self.ty)?;
-            if let Some(&op) = plan.ops.get(self.op_idx as usize) {
-                self.op_idx += 1;
-                return Ok(Some((self.slot, self.elem_base, op)));
-            }
-            self.elem_base += plan.size;
-            self.elems_left -= 1;
-            self.op_idx = 0;
+        ty: TypeId,
+    ) -> Result<&SavePlan, MemError> {
+        let i = ty.0 as usize;
+        if i >= self.0.len() {
+            self.0.resize(i + 1, None);
         }
-        Ok(None)
+        if self.0[i].is_none() {
+            self.0[i] = Some(Arc::clone(space.plan_ref(ty)?));
+        }
+        Ok(self.0[i].as_deref().expect("plan fetched above"))
     }
 }
 
@@ -79,6 +95,15 @@ pub(crate) fn leaf_ordinal(
     ptr: u64,
 ) -> Result<u64, MemError> {
     let plan = space.plan_ref(ty)?;
+    if byte_off == 0 {
+        return start_ordinal(plan, count, ptr);
+    }
+    ordinal_at(plan, count, byte_off, ptr)
+}
+
+/// [`leaf_ordinal`] by the general arithmetic: the element by division,
+/// the leaf within it by a search of the plan's ops.
+fn ordinal_at(plan: &SavePlan, count: u64, byte_off: u64, ptr: u64) -> Result<u64, MemError> {
     if plan.size == 0 {
         return Err(MemError::NotALeaf(ptr));
     }
@@ -92,6 +117,24 @@ pub(crate) fn leaf_ordinal(
     Ok(elem_idx * plan.leaf_count + inner)
 }
 
+/// [`ordinal_at`] for a pointer to the block's start, the common case,
+/// with the same checks in the same order. Element 0 exists unless the
+/// block is empty. Every op covers at least one leaf and ops lie at
+/// increasing offsets, so the first op holds leaf 0, and offset 0 is a
+/// leaf exactly when that op starts there.
+fn start_ordinal(plan: &SavePlan, count: u64, ptr: u64) -> Result<u64, MemError> {
+    if plan.size == 0 {
+        return Err(MemError::NotALeaf(ptr));
+    }
+    if count == 0 {
+        return Err(MemError::BadAddress(ptr));
+    }
+    match plan.ops.first() {
+        Some(op) if op.first_offset() == 0 => Ok(0),
+        _ => Err(MemError::NotALeaf(ptr)),
+    }
+}
+
 /// Address of leaf `leaf_idx` of the block of `count` elements of `ty`
 /// that starts at `base` — the inverse of [`leaf_ordinal`].
 pub(crate) fn leaf_address(
@@ -102,6 +145,14 @@ pub(crate) fn leaf_address(
     leaf_idx: u64,
 ) -> Result<u64, MemError> {
     let plan = space.plan_ref(ty)?;
+    if leaf_idx == 0 {
+        return start_address(plan, base, count);
+    }
+    address_at(plan, base, count, leaf_idx)
+}
+
+/// [`leaf_address`] by the general arithmetic.
+fn address_at(plan: &SavePlan, base: u64, count: u64, leaf_idx: u64) -> Result<u64, MemError> {
     if plan.leaf_count == 0 {
         return Err(MemError::NotALeaf(base));
     }
@@ -113,6 +164,18 @@ pub(crate) fn leaf_address(
         .leaf_at_index(leaf_idx % plan.leaf_count)
         .expect("ordinal reduced modulo leaf_count");
     Ok(base + elem_idx * plan.size + offset)
+}
+
+/// [`address_at`] for leaf 0, with the same checks in the same order:
+/// leaf 0 is the first op's first leaf, in element 0.
+fn start_address(plan: &SavePlan, base: u64, count: u64) -> Result<u64, MemError> {
+    let Some(first) = plan.ops.first() else {
+        return Err(MemError::NotALeaf(base));
+    };
+    if count == 0 {
+        return Err(MemError::BadAddress(base));
+    }
+    Ok(base + first.first_offset())
 }
 
 /// One MSRLT search plus [`leaf_ordinal`]: the logical form of a non-NULL
@@ -172,7 +235,7 @@ pub(crate) fn read_ptr(
 
 #[cfg(test)]
 mod tests {
-    use super::Cursor;
+    use super::{address_at, leaf_address, leaf_ordinal, ordinal_at, Cursor};
     use crate::collect::{Collector, Record, TAG_PTR_NEW};
     use crate::fingerprint::type_fingerprint;
     use crate::msrlt::{LogicalId, Msrlt, MsrltEntry, SlotRecord};
@@ -182,6 +245,7 @@ mod tests {
     use hpm_memory::{AddressSpace, MemError};
     use hpm_types::{Field, TypeId};
     use hpm_xdr::XdrEncoder;
+    use std::sync::Arc;
 
     fn register(space: &AddressSpace, msrlt: &mut Msrlt, addr: u64) -> LogicalId {
         msrlt.register(&space.info_at(addr).expect("block exists"))
@@ -203,6 +267,62 @@ mod tests {
         // a cursor its peak RSS read 4–11 MB (5–16 %) above the 40-byte
         // one's.
         assert!(std::mem::size_of::<Cursor>() <= 40);
+    }
+
+    /// Types whose block starts the ordinal-0 shortcut must answer as
+    /// the general arithmetic does: scalars, a padded struct, a
+    /// `gnode`-like struct with four pointers, a zero-size array and a
+    /// struct whose first member is one.
+    fn start_zoo(space: &mut AddressSpace) -> Vec<TypeId> {
+        let t = space.types_mut();
+        let (c, int, d) = (t.char_(), t.int(), t.double());
+        let padded = t
+            .struct_type("padded", vec![Field::new("c", c), Field::new("d", d)])
+            .unwrap();
+        let gnode = t.declare_struct("gnode");
+        let pg = t.pointer_to(gnode);
+        let pi = t.pointer_to(int);
+        let fields = vec![
+            Field::new("key", int),
+            Field::new("w", d),
+            Field::new("next", pg),
+            Field::new("left", pg),
+            Field::new("right", pg),
+            Field::new("tag", pi),
+        ];
+        t.define_struct(gnode, fields).unwrap();
+        let empty = t.array_of(int, 0);
+        let led = t
+            .struct_type("led", vec![Field::new("z", empty), Field::new("d", d)])
+            .unwrap();
+        vec![int, d, padded, gnode, empty, led]
+    }
+
+    #[test]
+    fn the_block_start_shortcut_equals_the_general_arithmetic() {
+        let (ptr, base) = (0x4000_1000, 0x4000_1000);
+        let (mut not_a_leaf, mut bad_address) = (0, 0);
+        for arch in Architecture::presets() {
+            let mut space = AddressSpace::new(arch);
+            for ty in start_zoo(&mut space) {
+                for count in [0, 1, 7] {
+                    let plan = Arc::clone(space.plan_ref(ty).unwrap());
+                    let got = leaf_ordinal(&mut space, ty, count, 0, ptr);
+                    assert_eq!(got, ordinal_at(&plan, count, 0, ptr), "{ty:?} × {count}");
+                    let at = leaf_address(&mut space, base, ty, count, 0);
+                    assert_eq!(at, address_at(&plan, base, count, 0), "{ty:?} × {count}");
+                    match got {
+                        Ok(leaf) => assert_eq!((leaf, at), (0, Ok(base))),
+                        Err(MemError::NotALeaf(_)) => not_a_leaf += 1,
+                        Err(MemError::BadAddress(_)) => bad_address += 1,
+                        Err(e) => panic!("{e}"),
+                    }
+                }
+            }
+        }
+        // `int[0]` is never a leaf; every other type's empty block has no
+        // element 0.
+        assert_eq!((not_a_leaf, bad_address), (4 * 3, 4 * 5));
     }
 
     #[test]
