@@ -13,7 +13,7 @@
 //! `HPM03x` diagnostics.
 
 use crate::msrlt::{frame_group, LogicalId, Msrlt};
-use crate::translate::read_ptr;
+use crate::translate::{read_ptr, PlanTable};
 use crate::CoreError;
 use hpm_memory::AddressSpace;
 use hpm_types::plan::PlanOp;
@@ -148,6 +148,7 @@ pub fn audit_registry(
         .live_entries()
         .map(|(id, e)| (id, e.slot(), e.size))
         .collect();
+    let mut plans = PlanTable::default();
     let live_depth = msrlt.frame_depth() as u32;
     let first_dead_group = frame_group(live_depth);
 
@@ -165,7 +166,7 @@ pub fn audit_registry(
             // from; skip the edge walk.
             continue;
         };
-        let plan = space.plan_for(ty)?;
+        let plan = plans.get(space, ty)?;
         let expected = plan.size * count;
         if expected != size {
             findings.push(RegistryFinding::SizeMismatch {

@@ -30,24 +30,23 @@
 //! holds for applied deltas too.
 
 use crate::collect::TranslationMode;
-use crate::fingerprint::{content_digest, fnv, type_fingerprint, FNV_OFFSET};
+use crate::fingerprint::{content_digest, type_fingerprint};
 use crate::kernel::{for_each_run, Kernel};
 use crate::msrlt::{LogicalId, Msrlt, MsrltEntry};
-use crate::translate::{logical_pointer, read_ptr, span};
+use crate::translate::{logical_pointer, read_ptr, span, PlanTable};
 use crate::CoreError;
 use hpm_memory::{AddressSpace, BlockSlot};
-use hpm_types::plan::PlanOp;
+use hpm_types::plan::{PlanOp, SavePlan};
 use hpm_xdr::delta::{frame_delta, unframe_delta, DeltaHeader};
-use hpm_xdr::{compress_with_dict, decompress_with_dict, image_id_from_fnv, XdrEncoder};
-use std::collections::HashMap;
+use hpm_xdr::{compress_with_dict, decompress_with_dict, image_id_from_digest, XdrEncoder};
 
 /// Digest of one live block's canonical machine-independent content.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockDigest {
     /// The block's logical identification.
     pub id: LogicalId,
-    /// FNV-1a over the canonical encoding (fingerprint, count, XDR
-    /// scalars, logical pointers) — architecture-independent.
+    /// [`content_digest`] (XXH64) of the canonical encoding (fingerprint,
+    /// count, XDR scalars, logical pointers) — architecture-independent.
     pub digest: u64,
     /// Registered size of the block on *this* machine (diagnostic;
     /// machine-specific, never part of any cross-machine digest).
@@ -67,19 +66,25 @@ pub fn block_digests(
     // both structures for plan compilation and pointer lookup.
     let entries: Vec<(LogicalId, MsrltEntry)> = msrlt.live_entries().collect();
     let mut out = Vec::with_capacity(entries.len());
-    // One scratch encoder and one fingerprint per type serve every block.
+    // One scratch encoder, and one plan and one fingerprint per type,
+    // serve every block.
     let mut enc = XdrEncoder::new();
-    let mut fingerprints = HashMap::new();
+    let mut plans = PlanTable::default();
+    let mut fingerprints: Vec<Option<u64>> = Vec::new();
     for (id, e) in entries {
         let b = *space.slot_block(e.slot())?;
         let (ty, count) = (b.ty, b.count);
-        let fingerprint = *fingerprints
-            .entry(ty)
-            .or_insert_with(|| type_fingerprint(space.types(), ty));
+        let i = ty.0 as usize;
+        if i >= fingerprints.len() {
+            fingerprints.resize(i + 1, None);
+        }
+        let fingerprint =
+            *fingerprints[i].get_or_insert_with(|| type_fingerprint(space.types(), ty));
+        let plan = plans.get(space, ty)?;
         enc.clear();
         enc.put_u64(fingerprint);
         enc.put_u64(count);
-        encode_canonical(space, msrlt, &mut enc, e.slot(), ty, count)?;
+        encode_canonical(space, msrlt, &mut enc, e.slot(), plan, count)?;
         out.push(BlockDigest {
             id,
             digest: content_digest(enc.as_bytes()),
@@ -96,10 +101,9 @@ fn encode_canonical(
     msrlt: &mut Msrlt,
     enc: &mut XdrEncoder,
     slot: BlockSlot,
-    ty: hpm_types::TypeId,
+    plan: &SavePlan,
     count: u64,
 ) -> Result<(), CoreError> {
-    let plan = space.plan_for(ty)?;
     // Every op below indexes the block's bytes through its handle,
     // re-borrowed per op so pointer translation can compile the target
     // type's plan in between. The canonical form is the collector's
@@ -111,7 +115,7 @@ fn encode_canonical(
         Ok::<(), CoreError>(())
     };
     if !plan.has_pointers {
-        return for_each_run(space.arch(), &plan, count, mode, |offset, kernel, n| {
+        return for_each_run(space.arch(), plan, count, mode, |offset, kernel, n| {
             run(space, enc, offset, kernel, n)
         });
     }
@@ -163,20 +167,23 @@ impl BaseImageManifest {
     /// normalising digest order.
     pub fn new(image_id: u64, mut digests: Vec<BlockDigest>) -> Self {
         digests.sort_by_key(|d| (d.id.group, d.id.index));
-        let mut h = fnv(FNV_OFFSET, &image_id.to_be_bytes());
+        // One buffer through the kernel: faster than a `mix64` chain of
+        // two dependent multiplies per block.
+        let mut bytes = Vec::with_capacity(8 + 16 * digests.len());
+        bytes.extend_from_slice(&image_id.to_be_bytes());
         for d in &digests {
-            h = fnv(h, &d.id.group.to_be_bytes());
-            h = fnv(h, &d.id.index.to_be_bytes());
-            h = fnv(h, &d.digest.to_be_bytes());
+            bytes.extend_from_slice(&d.id.group.to_be_bytes());
+            bytes.extend_from_slice(&d.id.index.to_be_bytes());
+            bytes.extend_from_slice(&d.digest.to_be_bytes());
         }
         BaseImageManifest {
             image_id,
             digests,
-            manifest_digest: h,
+            manifest_digest: content_digest(&bytes),
         }
     }
 
-    /// Chained digest over the image id and every `(id, digest)` pair —
+    /// Digest of the image id and every `(id, digest)` pair, in order —
     /// what a delta header's `base_digest` must match before the
     /// receiver will apply it. Block sizes are machine-specific and
     /// deliberately excluded.
@@ -293,7 +300,7 @@ pub fn collect_delta(
     // One pass over the image yields both its payload digest and its id.
     let payload_digest = content_digest(current_image);
     let next = BaseImageManifest::new(
-        image_id_from_fnv(payload_digest, current_image.len()),
+        image_id_from_digest(payload_digest, current_image.len()),
         current_digests,
     );
     let dirty = diff_manifest(base, &next.digests);
@@ -395,7 +402,7 @@ pub fn apply_delta(
     Ok((
         header,
         RetainedBase {
-            image_id: image_id_from_fnv(digest, image.len()),
+            image_id: image_id_from_digest(digest, image.len()),
             manifest_digest: header.manifest_digest,
             image,
         },

@@ -9,10 +9,12 @@
 
 use hpm_types::{TypeDef, TypeId, TypeTable};
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+// FNV-1a, kept for fingerprints alone: their values travel in `TYPEDEF`
+// records, and each type is hashed once per image.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-pub(crate) fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);
@@ -20,12 +22,12 @@ pub(crate) fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV-1a digest of an opaque byte string. The delta-migration layer
-/// uses this over *machine-independent* encodings (canonical block
-/// bytes, framed images), so the digest of the same logical content is
-/// identical on every architecture.
+/// Digest of an opaque byte string: [`hpm_xdr::digest64`] (XXH64, seed
+/// 0). The delta-migration layer uses this over *machine-independent*
+/// encodings (canonical block bytes, framed images), so the digest of the
+/// same logical content is identical on every architecture.
 pub fn content_digest(bytes: &[u8]) -> u64 {
-    fnv(FNV_OFFSET, bytes)
+    hpm_xdr::digest64(bytes)
 }
 
 /// Machine-independent structural fingerprint of `ty`.

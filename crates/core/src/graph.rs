@@ -10,8 +10,7 @@
 //! reproducing the paper's Figure 1 — and for visualization via DOT.
 
 use crate::msrlt::{LogicalId, Msrlt};
-use crate::translate::logical_pointer;
-use crate::translate::read_ptr;
+use crate::translate::{logical_pointer, read_ptr, PlanTable};
 use crate::CoreError;
 use hpm_memory::AddressSpace;
 use hpm_types::plan::PlanOp;
@@ -60,6 +59,7 @@ impl MsrGraph {
     /// block) produce [`CoreError::UnregisteredPointer`].
     pub fn snapshot(space: &mut AddressSpace, msrlt: &mut Msrlt) -> Result<Self, CoreError> {
         let mut g = MsrGraph::default();
+        let mut plans = PlanTable::default();
         let entries: Vec<_> = msrlt
             .live_entries()
             .map(|(id, e)| (id, e.slot(), e.size))
@@ -77,7 +77,7 @@ impl MsrGraph {
                 segment: block.segment.to_string(),
                 size,
             });
-            let plan = space.plan_for(block.ty)?;
+            let plan = plans.get(space, block.ty)?;
             for elem in 0..block.count {
                 let elem_base = elem * plan.size;
                 for op in &plan.ops {
@@ -104,12 +104,18 @@ impl MsrGraph {
     }
 
     /// Vertices reachable from `roots` (the live-variable blocks), i.e.
-    /// what a collection starting from those roots will transmit.
+    /// what a collection starting from those roots will transmit. Each
+    /// vertex's out-edges are found by binary search over `edges`, which
+    /// must be in `(from, from_offset)` order, as [`MsrGraph::snapshot`]
+    /// leaves them.
     pub fn reachable_from(&self, roots: &[LogicalId]) -> Vec<LogicalId> {
         let mut seen: std::collections::BTreeSet<LogicalId> = roots.iter().copied().collect();
         let mut work: Vec<LogicalId> = roots.to_vec();
         while let Some(v) = work.pop() {
-            for e in self.edges.iter().filter(|e| e.from == v) {
+            // `edges` is sorted by source, so `v`'s edges are one run.
+            let start = self.edges.partition_point(|e| e.from < v);
+            let end = start + self.edges[start..].partition_point(|e| e.from == v);
+            for e in &self.edges[start..end] {
                 if seen.insert(e.to) {
                     work.push(e.to);
                 }
@@ -223,6 +229,44 @@ mod tests {
         assert!(reach.contains(&ida));
         assert!(reach.contains(&idb));
         assert!(!reach.contains(&ido), "orphan not reachable");
+    }
+
+    #[test]
+    fn reachability_through_a_shared_subtree_and_a_cycle() {
+        let mut space = AddressSpace::new(Architecture::sparc20());
+        let t = space.types_mut().declare_struct("t");
+        let pt = space.types_mut().pointer_to(t);
+        let i = space.types_mut().int();
+        let fields = vec![Field::new("v", i), Field::new("l", pt), Field::new("r", pt)];
+        space.types_mut().define_struct(t, fields).unwrap();
+        let mut node = || space.malloc(t, 1).unwrap();
+        let [root, x, y, s, orphan] = [node(), node(), node(), node(), node()];
+        // root → x, y; both → s (shared); s → x closes a cycle; the
+        // orphan points in, but nothing points at it.
+        for (from, leaf, to) in [
+            (root, 1, x),
+            (root, 2, y),
+            (x, 1, s),
+            (y, 2, s),
+            (s, 1, x),
+            (orphan, 1, s),
+        ] {
+            let at = space.elem_addr(from, leaf).unwrap();
+            space.store_ptr(at, to).unwrap();
+        }
+        let mut msrlt = Msrlt::new();
+        reg_all(&space, &mut msrlt);
+        let g = MsrGraph::snapshot(&mut space, &mut msrlt).unwrap();
+        assert_eq!(g.edge_count(), 6);
+        let [root, x, y, s, orphan] =
+            [root, x, y, s, orphan].map(|addr| msrlt.lookup_addr(addr).unwrap().0);
+        let sorted = |mut ids: Vec<LogicalId>| {
+            ids.sort();
+            ids
+        };
+        assert_eq!(g.reachable_from(&[root]), sorted(vec![root, x, y, s]));
+        assert_eq!(g.reachable_from(&[s]), sorted(vec![x, s]));
+        assert_eq!(g.reachable_from(&[orphan]), sorted(vec![orphan, x, s]));
     }
 
     #[test]

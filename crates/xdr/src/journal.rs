@@ -106,22 +106,19 @@ pub fn records_digest(records: &[ChunkRecord]) -> u64 {
     acc
 }
 
-/// Identity of an image stream: a digest of the framed image prefix bytes
-/// (FNV-1a 64). Both ends derive it from the prefix they sent / received, so
-/// a resume can never attach a destination to the wrong source image.
+/// Identity of an image stream: [`digest64`](crate::digest64) of the
+/// framed image prefix bytes, mixed with their length. Both ends derive it
+/// from the prefix they sent / received, so a resume can never attach a
+/// destination to the wrong source image.
 pub fn image_id(prefix: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in prefix {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    image_id_from_fnv(h, prefix.len())
+    image_id_from_digest(crate::digest64(prefix), prefix.len())
 }
 
-/// [`image_id`] of `len` bytes whose FNV-1a 64 digest is already known:
-/// a caller that has hashed the bytes need not walk them a second time.
-pub fn image_id_from_fnv(fnv: u64, len: usize) -> u64 {
-    mix64(fnv ^ (len as u64))
+/// [`image_id`] of `len` bytes whose [`digest64`](crate::digest64) is
+/// already known: a caller that has hashed the bytes need not walk them a
+/// second time.
+pub fn image_id_from_digest(digest: u64, len: usize) -> u64 {
+    mix64(digest ^ (len as u64))
 }
 
 /// The destination's record of every CRC-verified chunk.

@@ -30,6 +30,7 @@ pub mod chunk;
 pub mod compress;
 mod decode;
 pub mod delta;
+mod digest;
 mod encode;
 mod error;
 pub mod journal;
@@ -46,10 +47,11 @@ pub use decode::XdrDecoder;
 pub use delta::{
     frame_delta, is_delta_frame, unframe_delta, DeltaHeader, DELTA_FLAG_FULL_FALLBACK, DELTA_MAGIC,
 };
+pub use digest::digest64;
 pub use encode::XdrEncoder;
 pub use error::XdrError;
 pub use journal::{
-    image_id, image_id_from_fnv, records_digest, ChunkRecord, RestoreJournal, RestorePhase,
+    image_id, image_id_from_digest, records_digest, ChunkRecord, RestoreJournal, RestorePhase,
 };
 
 /// Round a byte count up to the XDR 4-byte boundary.
