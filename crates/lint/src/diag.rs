@@ -12,11 +12,10 @@
 //!   TI table against every architecture profile pair;
 //! * `HPM030`–`HPM035` — runtime-registry findings from auditing a live
 //!   MSRLT snapshot before collection;
-//! * `HPM040`–`HPM049` — model-checker findings from `hpm-model`'s
-//!   exhaustive exploration of the production chunk-stream cores (each
-//!   carries a replayable counterexample trace): `HPM040`, `HPM042`–`HPM044`,
-//!   `HPM047` and `HPM048` are assigned; `HPM041` (the retired
-//!   send-window bound), `HPM045` and `HPM046` are retired, never reused.
+//!
+//! `HPM040`–`HPM049` are retired and never reused. They named the
+//! findings of the protocol model checker, which is now a test
+//! (`tests/model_gate.rs`) that names its own breaches.
 
 use hpm_annotate::ast::Span;
 
@@ -82,26 +81,6 @@ pub enum LintCode {
     RegistrySizeMismatch,
     /// The MSRLT's byte accounting disagrees with its live entries.
     RegistryByteAccounting,
-    /// The protocol model reached a state with no enabled event before
-    /// completion: sender and receiver wait on each other forever.
-    ModelDeadlock,
-    /// A schedule released the same chunk to the restorer twice within
-    /// one restore attempt.
-    ModelDoubleRelease,
-    /// A resume replayed a chunk the destination's journal had already
-    /// verified.
-    ModelResumeReplay,
-    /// A rejected resume (digest mismatch) failed to reach a clean full
-    /// restart.
-    ModelRestartMissed,
-    /// Exploration hit its schedule/state budget before covering the
-    /// space: the verdict is a sample, not a proof.
-    ModelBudgetExhausted,
-    /// The restorer was handed other bytes than the sender offered: a
-    /// released chunk differs from the payload at its position, a frame
-    /// the sender framed was refused, or the stream completed without
-    /// every offered chunk.
-    ModelWrongDelivery,
 }
 
 impl LintCode {
@@ -131,12 +110,6 @@ impl LintCode {
             LintCode::RegistryFrameNesting => "HPM033",
             LintCode::RegistrySizeMismatch => "HPM034",
             LintCode::RegistryByteAccounting => "HPM035",
-            LintCode::ModelDeadlock => "HPM040",
-            LintCode::ModelDoubleRelease => "HPM042",
-            LintCode::ModelResumeReplay => "HPM043",
-            LintCode::ModelRestartMissed => "HPM044",
-            LintCode::ModelBudgetExhausted => "HPM047",
-            LintCode::ModelWrongDelivery => "HPM048",
         }
     }
 
@@ -159,14 +132,8 @@ impl LintCode {
             | LintCode::RegistryOverlap
             | LintCode::RegistryFrameNesting
             | LintCode::RegistrySizeMismatch
-            | LintCode::RegistryByteAccounting
-            | LintCode::ModelDeadlock
-            | LintCode::ModelDoubleRelease
-            | LintCode::ModelResumeReplay
-            | LintCode::ModelRestartMissed
-            | LintCode::ModelWrongDelivery => Severity::Error,
-            LintCode::ModelBudgetExhausted
-            | LintCode::IncompatiblePointerCast
+            | LintCode::RegistryByteAccounting => Severity::Error,
+            LintCode::IncompatiblePointerCast
             | LintCode::EscapingStackAddress
             | LintCode::ScalarWidthNarrows => Severity::Warning,
             LintCode::DeadBlockAtPoll
@@ -182,7 +149,7 @@ impl LintCode {
     }
 
     /// Every code, in code order.
-    pub const ALL: [LintCode; 29] = [
+    pub const ALL: [LintCode; 23] = [
         LintCode::Union,
         LintCode::Goto,
         LintCode::Switch,
@@ -206,12 +173,6 @@ impl LintCode {
         LintCode::RegistryFrameNesting,
         LintCode::RegistrySizeMismatch,
         LintCode::RegistryByteAccounting,
-        LintCode::ModelDeadlock,
-        LintCode::ModelDoubleRelease,
-        LintCode::ModelResumeReplay,
-        LintCode::ModelRestartMissed,
-        LintCode::ModelBudgetExhausted,
-        LintCode::ModelWrongDelivery,
     ];
 }
 

@@ -4,8 +4,8 @@
 //! sequence number, flags, `raw_len` and payload under a trailing
 //! CRC-32), compressed when the block coder shrinks it and stored
 //! otherwise, over an ordered pipe that can break. The protocol is
-//! [`SenderCore`] and [`ReceiverCore`], which `hpm-model` explores
-//! exhaustively; the endpoints here are the loops that drive the cores
+//! [`SenderCore`] and [`ReceiverCore`], which `tests/model_gate.rs`
+//! explores exhaustively; the endpoints here are the loops that drive the cores
 //! over a link: they move bytes between a core and the link, keep the
 //! counters and write the log events. Each endpoint is the only owner of
 //! what it did: the sender counts its messages on its channel end and its

@@ -4,8 +4,8 @@
 //! the next one. Neither holds a link, a channel, a clock, a thread, a
 //! lock or a log track, so the same code runs under the threaded
 //! endpoints ([`crate::ReliableChunkSender`] /
-//! [`crate::ReliableChunkReceiver`]) and under `hpm-model`'s exhaustive
-//! search, which feeds it real frame bytes.
+//! [`crate::ReliableChunkReceiver`]) and under the exhaustive search of
+//! `tests/model_gate.rs`, which feeds it real frame bytes.
 //!
 //! The link is the paper's: an ordered pipe that can break (PAPER.md,
 //! "TCP or a file"). It delivers frames in order and exactly once, or it

@@ -116,8 +116,8 @@ fn analyzer_output_is_deterministic() {
     assert_eq!(a, b);
 }
 
-/// Every stable code below the model-checker band (HPM001–HPM035) has a
-/// live exerciser the gate can see: source and portability codes fire
+/// Every stable code — all of them below the retired model-checker band,
+/// HPM001–HPM035 — has a live exerciser the gate can see: source and portability codes fire
 /// from at least one corpus file, registry codes from the audit-variant
 /// mapping the pre-flight check uses on a live registry. A new code
 /// added to the table without a corpus file (or a new corpus file whose
@@ -189,9 +189,6 @@ fn every_stable_code_below_the_model_band_is_exercised() {
     }
 
     for code in LintCode::ALL {
-        if code.code() >= "HPM040" {
-            continue; // model-checker band: exercised by tests/model_gate.rs
-        }
         if defensively_unreachable.contains(&code) {
             continue;
         }
@@ -210,24 +207,18 @@ fn lint_code_table_is_stable() {
     for code in LintCode::ALL {
         assert_eq!(LintCode::parse(code.code()), Some(code));
     }
-    // Spot-pin the documented severiy split so a refactor cannot
+    // Spot-pin the documented severity split so a refactor cannot
     // silently demote an error.
     assert_eq!(LintCode::Union.severity(), Severity::Error);
     assert_eq!(LintCode::EscapingStackAddress.severity(), Severity::Warning);
     assert_eq!(LintCode::DeadBlockAtPoll.severity(), Severity::Info);
     assert_eq!(LintCode::PointerWidthTruncation.severity(), Severity::Info);
     assert_eq!(LintCode::RegistryDanglingEdge.severity(), Severity::Error);
-    // The model band: HPM041, HPM045 and HPM046 stay retired, HPM048 is
-    // an error.
-    assert_eq!(LintCode::ALL.len(), 29);
-    let model: Vec<&str> = LintCode::ALL
-        .iter()
-        .map(|c| c.code())
-        .filter(|c| *c >= "HPM040")
-        .collect();
-    assert_eq!(
-        model,
-        ["HPM040", "HPM042", "HPM043", "HPM044", "HPM047", "HPM048"]
-    );
-    assert_eq!(LintCode::ModelWrongDelivery.severity(), Severity::Error);
+    // HPM040–HPM049, the retired model-checker band, stay retired: no
+    // code is assigned there and none of its strings parses.
+    assert_eq!(LintCode::ALL.len(), 23);
+    assert!(LintCode::ALL.iter().all(|c| c.code() < "HPM040"));
+    for n in 40..50 {
+        assert_eq!(LintCode::parse(&format!("HPM0{n}")), None);
+    }
 }
