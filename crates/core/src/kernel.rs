@@ -454,9 +454,9 @@ mod tests {
         let holed = t
             .struct_type("holed", vec![Field::new("d", dbl), Field::new("c", ch)])
             .unwrap();
-        let mut model = hpm_types::elements::ElementModel::new();
-        let mut runs = |arch: &Architecture, ty, count| {
-            let plan = hpm_types::plan::compile_plan(&mut model, &t, arch, ty).unwrap();
+        let runs = |arch: &Architecture, ty, count| {
+            let mut engine = hpm_types::layout::LayoutEngine::new();
+            let plan = hpm_types::plan::compile_plan(&mut engine, &t, arch, ty).unwrap();
             let mut seen = Vec::new();
             for_each_run(arch, &plan, count, BULK, |at, k, n| {
                 seen.push((at, k.arm, n));

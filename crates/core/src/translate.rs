@@ -6,9 +6,9 @@
 //! pair whose offset is "the ordering number of the data elements inside
 //! the memory block". The collector, the digest pass and the graph
 //! snapshot all turn an MSRLT hit into that ordinal, and the restorer
-//! turns it back into an address; both directions are plain arithmetic
-//! on the block's compiled [`SavePlan`](hpm_types::plan::SavePlan), with
-//! no further address resolution.
+//! turns it back into an address; both directions are the leaf queries of
+//! the block's compiled [`SavePlan`](hpm_types::plan::SavePlan), with no
+//! further address resolution.
 
 use crate::msrlt::{LogicalId, Msrlt};
 use crate::CoreError;
@@ -87,6 +87,7 @@ impl PlanTable {
 /// Ordinal of the leaf a pointer addresses inside its target block, given
 /// that the MSRLT resolved `ptr` to byte `byte_off` of a block of `count`
 /// elements of `ty`.
+#[inline]
 pub(crate) fn leaf_ordinal(
     space: &mut AddressSpace,
     ty: TypeId,
@@ -94,49 +95,15 @@ pub(crate) fn leaf_ordinal(
     byte_off: u64,
     ptr: u64,
 ) -> Result<u64, MemError> {
-    let plan = space.plan_ref(ty)?;
-    if byte_off == 0 {
-        return start_ordinal(plan, count, ptr);
-    }
-    ordinal_at(plan, count, byte_off, ptr)
-}
-
-/// [`leaf_ordinal`] by the general arithmetic: the element by division,
-/// the leaf within it by a search of the plan's ops.
-fn ordinal_at(plan: &SavePlan, count: u64, byte_off: u64, ptr: u64) -> Result<u64, MemError> {
-    if plan.size == 0 {
-        return Err(MemError::NotALeaf(ptr));
-    }
-    let elem_idx = byte_off / plan.size;
-    if elem_idx >= count {
-        return Err(MemError::BadAddress(ptr));
-    }
-    let (inner, ..) = plan
-        .leaf_at_offset(byte_off % plan.size)
-        .ok_or(MemError::NotALeaf(ptr))?;
-    Ok(elem_idx * plan.leaf_count + inner)
-}
-
-/// [`ordinal_at`] for a pointer to the block's start, the common case,
-/// with the same checks in the same order. Element 0 exists unless the
-/// block is empty. Every op covers at least one leaf and ops lie at
-/// increasing offsets, so the first op holds leaf 0, and offset 0 is a
-/// leaf exactly when that op starts there.
-fn start_ordinal(plan: &SavePlan, count: u64, ptr: u64) -> Result<u64, MemError> {
-    if plan.size == 0 {
-        return Err(MemError::NotALeaf(ptr));
-    }
-    if count == 0 {
-        return Err(MemError::BadAddress(ptr));
-    }
-    match plan.ops.first() {
-        Some(op) if op.first_offset() == 0 => Ok(0),
-        _ => Err(MemError::NotALeaf(ptr)),
+    match space.plan_ref(ty)?.leaf_at_offset(count, byte_off) {
+        Ok((ordinal, _)) => Ok(ordinal),
+        Err(miss) => Err(MemError::missed(miss, ptr)),
     }
 }
 
 /// Address of leaf `leaf_idx` of the block of `count` elements of `ty`
 /// that starts at `base` — the inverse of [`leaf_ordinal`].
+#[inline]
 pub(crate) fn leaf_address(
     space: &mut AddressSpace,
     base: u64,
@@ -144,38 +111,10 @@ pub(crate) fn leaf_address(
     count: u64,
     leaf_idx: u64,
 ) -> Result<u64, MemError> {
-    let plan = space.plan_ref(ty)?;
-    if leaf_idx == 0 {
-        return start_address(plan, base, count);
+    match space.plan_ref(ty)?.leaf_at_index(count, 0, leaf_idx) {
+        Ok(leaf) => Ok(base + leaf.offset),
+        Err(miss) => Err(MemError::missed(miss, base)),
     }
-    address_at(plan, base, count, leaf_idx)
-}
-
-/// [`leaf_address`] by the general arithmetic.
-fn address_at(plan: &SavePlan, base: u64, count: u64, leaf_idx: u64) -> Result<u64, MemError> {
-    if plan.leaf_count == 0 {
-        return Err(MemError::NotALeaf(base));
-    }
-    let elem_idx = leaf_idx / plan.leaf_count;
-    if elem_idx >= count {
-        return Err(MemError::BadAddress(base));
-    }
-    let (offset, ..) = plan
-        .leaf_at_index(leaf_idx % plan.leaf_count)
-        .expect("ordinal reduced modulo leaf_count");
-    Ok(base + elem_idx * plan.size + offset)
-}
-
-/// [`address_at`] for leaf 0, with the same checks in the same order:
-/// leaf 0 is the first op's first leaf, in element 0.
-fn start_address(plan: &SavePlan, base: u64, count: u64) -> Result<u64, MemError> {
-    let Some(first) = plan.ops.first() else {
-        return Err(MemError::NotALeaf(base));
-    };
-    if count == 0 {
-        return Err(MemError::BadAddress(base));
-    }
-    Ok(base + first.first_offset())
 }
 
 /// One MSRLT search plus [`leaf_ordinal`]: the logical form of a non-NULL
@@ -235,7 +174,7 @@ pub(crate) fn read_ptr(
 
 #[cfg(test)]
 mod tests {
-    use super::{address_at, leaf_address, leaf_ordinal, ordinal_at, Cursor};
+    use super::{leaf_address, leaf_ordinal, Cursor};
     use crate::collect::{Collector, Record, TAG_PTR_NEW};
     use crate::fingerprint::type_fingerprint;
     use crate::msrlt::{LogicalId, Msrlt, MsrltEntry, SlotRecord};
@@ -243,9 +182,10 @@ mod tests {
     use crate::CoreError;
     use hpm_arch::Architecture;
     use hpm_memory::{AddressSpace, MemError};
+    use hpm_types::elements::for_each_leaf;
+    use hpm_types::layout::LayoutEngine;
     use hpm_types::{Field, TypeId};
     use hpm_xdr::XdrEncoder;
-    use std::sync::Arc;
 
     fn register(space: &AddressSpace, msrlt: &mut Msrlt, addr: u64) -> LogicalId {
         msrlt.register(&space.info_at(addr).expect("block exists"))
@@ -269,60 +209,31 @@ mod tests {
         assert!(std::mem::size_of::<Cursor>() <= 40);
     }
 
-    /// Types whose block starts the ordinal-0 shortcut must answer as
-    /// the general arithmetic does: scalars, a padded struct, a
-    /// `gnode`-like struct with four pointers, a zero-size array and a
-    /// struct whose first member is one.
-    fn start_zoo(space: &mut AddressSpace) -> Vec<TypeId> {
-        let t = space.types_mut();
-        let (c, int, d) = (t.char_(), t.int(), t.double());
-        let padded = t
-            .struct_type("padded", vec![Field::new("c", c), Field::new("d", d)])
-            .unwrap();
-        let gnode = t.declare_struct("gnode");
-        let pg = t.pointer_to(gnode);
-        let pi = t.pointer_to(int);
-        let fields = vec![
-            Field::new("key", int),
-            Field::new("w", d),
-            Field::new("next", pg),
-            Field::new("left", pg),
-            Field::new("right", pg),
-            Field::new("tag", pi),
-        ];
-        t.define_struct(gnode, fields).unwrap();
-        let empty = t.array_of(int, 0);
-        let led = t
-            .struct_type("led", vec![Field::new("z", empty), Field::new("d", d)])
-            .unwrap();
-        vec![int, d, padded, gnode, empty, led]
-    }
-
     #[test]
-    fn the_block_start_shortcut_equals_the_general_arithmetic() {
-        let (ptr, base) = (0x4000_1000, 0x4000_1000);
-        let (mut not_a_leaf, mut bad_address) = (0, 0);
-        for arch in Architecture::presets() {
-            let mut space = AddressSpace::new(arch);
-            for ty in start_zoo(&mut space) {
-                for count in [0, 1, 7] {
-                    let plan = Arc::clone(space.plan_ref(ty).unwrap());
-                    let got = leaf_ordinal(&mut space, ty, count, 0, ptr);
-                    assert_eq!(got, ordinal_at(&plan, count, 0, ptr), "{ty:?} × {count}");
-                    let at = leaf_address(&mut space, base, ty, count, 0);
-                    assert_eq!(at, address_at(&plan, base, count, 0), "{ty:?} × {count}");
-                    match got {
-                        Ok(leaf) => assert_eq!((leaf, at), (0, Ok(base))),
-                        Err(MemError::NotALeaf(_)) => not_a_leaf += 1,
-                        Err(MemError::BadAddress(_)) => bad_address += 1,
-                        Err(e) => panic!("{e}"),
-                    }
-                }
-            }
-        }
-        // `int[0]` is never a leaf; every other type's empty block has no
-        // element 0.
-        assert_eq!((not_a_leaf, bad_address), (4 * 3, 4 * 5));
+    fn each_translation_reports_a_miss_at_its_own_address() {
+        let (ptr, base) = (0x4000_1004, 0x4000_1000);
+        let mut space = AddressSpace::new(Architecture::sparc20());
+        let t = space.types_mut();
+        let (c, int) = (t.char_(), t.int());
+        let ci = t
+            .struct_type("ci", vec![Field::new("c", c), Field::new("i", int)])
+            .unwrap();
+        let empty = t.array_of(int, 0);
+        let not_a_leaf = Err(MemError::NotALeaf(ptr));
+        assert_eq!(leaf_ordinal(&mut space, ci, 2, 10, ptr), not_a_leaf);
+        assert_eq!(leaf_ordinal(&mut space, empty, 1, 0, ptr), not_a_leaf);
+        let outside = Err(MemError::BadAddress(ptr));
+        assert_eq!(leaf_ordinal(&mut space, ci, 2, 16, ptr), outside);
+        assert_eq!(leaf_ordinal(&mut space, ci, 0, 0, ptr), outside);
+        assert_eq!(leaf_ordinal(&mut space, ci, 2, 12, ptr), Ok(3));
+        assert_eq!(
+            leaf_address(&mut space, base, empty, 1, 0),
+            Err(MemError::NotALeaf(base))
+        );
+        let outside = Err(MemError::BadAddress(base));
+        assert_eq!(leaf_address(&mut space, base, ci, 2, 4), outside);
+        assert_eq!(leaf_address(&mut space, base, ci, 0, 0), outside);
+        assert_eq!(leaf_address(&mut space, base, ci, 2, 3), Ok(base + 12));
     }
 
     #[test]
@@ -400,8 +311,21 @@ mod tests {
         ptr.ordinal
     }
 
+    /// Address of leaf `ordinal` of the block of `ty` at `block`, from a
+    /// scan of one value's leaves: leaf `ordinal % n` of value
+    /// `ordinal / n`.
+    fn scanned_leaf_addr(space: &AddressSpace, block: u64, ty: TypeId, ordinal: u64) -> u64 {
+        let (types, arch) = (space.types(), space.arch());
+        let mut engine = LayoutEngine::new();
+        let size = engine.layout(types, arch, ty).unwrap().size;
+        let mut leaves = Vec::new();
+        for_each_leaf(&mut engine, types, arch, ty, &mut |l| leaves.push(l.offset)).unwrap();
+        let n = leaves.len() as u64;
+        block + ordinal / n * size + leaves[(ordinal % n) as usize]
+    }
+
     #[test]
-    fn emitted_ordinals_match_leaf_at_addr_for_interior_pointers() {
+    fn emitted_ordinals_match_a_scan_for_interior_pointers() {
         for arch in Architecture::presets() {
             let mut space = AddressSpace::new(arch);
             let mut msrlt = Msrlt::new();
@@ -431,15 +355,16 @@ mod tests {
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 let pick = seed >> 33;
-                let (block, leaves) = if round % 2 == 0 {
-                    (ints, 1024)
+                let (block, ty, leaves) = if round % 2 == 0 {
+                    (ints, int, 1024)
                 } else {
-                    (recs, 40 * 5)
+                    (recs, rec, 40 * 5)
                 };
                 let ordinal = pick % leaves;
-                let target = space.elem_addr(block, ordinal).unwrap();
-                space.store_ptr(p, target).unwrap();
+                let target = scanned_leaf_addr(&space, block, ty, ordinal);
+                assert_eq!(space.elem_addr(block, ordinal), Ok(target));
                 assert_eq!(space.leaf_at_addr(target).unwrap().0, ordinal);
+                space.store_ptr(p, target).unwrap();
                 assert_eq!(
                     emitted_ordinal(&mut space, &mut msrlt, p),
                     ordinal,

@@ -26,7 +26,8 @@
 
 use crate::diag::{Diagnostic, LintCode, Report};
 use hpm_arch::{Architecture, CScalar};
-use hpm_types::elements::ElementModel;
+use hpm_types::elements::for_each_leaf;
+use hpm_types::layout::LayoutEngine;
 use hpm_types::{TypeDef, TypeId, TypeTable};
 use std::collections::BTreeSet;
 
@@ -238,14 +239,12 @@ fn audit_type(
 
 /// `(kind, offset)` of every leaf of `id` on `arch`, in element order.
 fn leaves(table: &TypeTable, arch: &Architecture, id: TypeId) -> Vec<(CScalar, u64)> {
-    let mut model = ElementModel::new();
     let mut out = Vec::new();
     // Complete, acyclic types cannot fail element enumeration.
-    model
-        .for_each_leaf(table, arch, id, &mut |leaf| {
-            out.push((leaf.kind, leaf.offset));
-        })
-        .expect("leaf walk on a complete, acyclic type");
+    for_each_leaf(&mut LayoutEngine::new(), table, arch, id, &mut |leaf| {
+        out.push((leaf.kind, leaf.offset));
+    })
+    .expect("leaf walk on a complete, acyclic type");
     out
 }
 

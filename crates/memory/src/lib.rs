@@ -23,9 +23,11 @@
 //!
 //! The [`AddressSpace`] owns the process's
 //! [`TypeTable`](hpm_types::TypeTable) (each executable carries its own
-//! copy of the TI table) and an
-//! [`ElementModel`](hpm_types::elements::ElementModel) memoizing layout
-//! queries for its architecture.
+//! copy of the TI table), a [`LayoutEngine`](hpm_types::layout::LayoutEngine)
+//! memoizing layout queries for its architecture, and each type's
+//! compiled [`SavePlan`](hpm_types::plan::SavePlan), whose leaf tables
+//! answer every typed access (`load_*`, `store_*`, `elem_addr`,
+//! `leaf_at_addr`, the `f64` runs).
 
 mod block;
 mod page_index;

@@ -15,9 +15,9 @@
 use crate::block::{BlockInfo, MemoryBlock};
 use crate::PageIndex;
 use hpm_arch::{Architecture, ScalarValue, SegmentKind};
-use hpm_types::elements::{ElementError, ElementModel, Leaf};
-use hpm_types::layout::{align_up, Layout};
-use hpm_types::plan::{compile_plan, SavePlan};
+use hpm_types::elements::Leaf;
+use hpm_types::layout::{align_up, Layout, LayoutEngine};
+use hpm_types::plan::{compile_plan, LeafMiss, SavePlan};
 use hpm_types::{TypeError, TypeId, TypeTable};
 use std::collections::HashMap;
 use std::num::NonZeroU32;
@@ -88,9 +88,15 @@ impl From<TypeError> for MemError {
     }
 }
 
-impl From<ElementError> for MemError {
-    fn from(e: ElementError) -> Self {
-        MemError::Type(e.to_string())
+impl MemError {
+    /// The error for a leaf query about `addr` that its block's plan
+    /// answered with `miss`.
+    #[inline]
+    pub fn missed(miss: LeafMiss, addr: u64) -> Self {
+        match miss {
+            LeafMiss::NotALeaf => MemError::NotALeaf(addr),
+            LeafMiss::OutsideBlock => MemError::BadAddress(addr),
+        }
     }
 }
 
@@ -213,13 +219,14 @@ impl SegmentBytes {
 
 /// A simulated process address space on one architecture.
 ///
-/// Owns the process's TI table ([`TypeTable`]) and memoized layout model,
-/// because a process and its type information are compiled together.
+/// Owns the process's TI table ([`TypeTable`]), its memoized layouts and
+/// its compiled plans, because a process and its type information are
+/// compiled together.
 #[derive(Debug, Clone)]
 pub struct AddressSpace {
     arch: Architecture,
     types: TypeTable,
-    model: ElementModel,
+    engine: LayoutEngine,
     /// Block records; `None` slots are dead blocks, and slot 0 never
     /// holds one. Slots are never reused, which is what keeps a stale
     /// [`BlockSlot`] dead.
@@ -257,7 +264,7 @@ impl AddressSpace {
         AddressSpace {
             arch,
             types: TypeTable::new(),
-            model: ElementModel::new(),
+            engine: LayoutEngine::new(),
             arena: vec![None],
             names: HashMap::new(),
             segments,
@@ -293,14 +300,13 @@ impl AddressSpace {
     pub fn install_types(&mut self, table: TypeTable) {
         assert!(self.index.is_empty(), "install_types after allocation");
         self.types = table;
-        self.model = ElementModel::new();
+        self.engine = LayoutEngine::new();
         self.plans.clear();
     }
 
     /// Byte offset of struct field `field` of `st` on this machine.
     pub fn field_offset(&mut self, st: TypeId, field: usize) -> Result<u64, MemError> {
         let offs = self
-            .model
             .engine
             .struct_field_offsets(&self.types, &self.arch, st)?;
         offs.get(field)
@@ -336,12 +342,12 @@ impl AddressSpace {
 
     /// Layout of `ty` on this machine.
     pub fn layout_of(&mut self, ty: TypeId) -> Result<Layout, MemError> {
-        Ok(self.model.engine.layout(&self.types, &self.arch, ty)?)
+        Ok(self.engine.layout(&self.types, &self.arch, ty)?)
     }
 
     /// Scalar-leaf count of one value of `ty`.
     pub fn leaf_count(&mut self, ty: TypeId) -> Result<u64, MemError> {
-        Ok(self.model.leaf_count(&self.types, ty)?)
+        Ok(self.plan_ref(ty)?.leaf_count)
     }
 
     /// Compiled save/restore plan for `ty` (cached).
@@ -354,7 +360,7 @@ impl AddressSpace {
     pub fn plan_ref(&mut self, ty: TypeId) -> Result<&Arc<SavePlan>, MemError> {
         let i = ty.0 as usize;
         if !matches!(self.plans.get(i), Some(Some(_))) {
-            let p = compile_plan(&mut self.model, &self.types, &self.arch, ty)?;
+            let p = compile_plan(&mut self.engine, &self.types, &self.arch, ty)?;
             if self.plans.len() <= i {
                 self.plans.resize(i + 1, None);
             }
@@ -745,35 +751,8 @@ impl AddressSpace {
     ///
     /// The returned leaf's `offset` is relative to the *block* start.
     pub fn leaf_at_addr(&mut self, addr: u64) -> Result<(u64, Leaf), MemError> {
-        let (_, &b, offset) = self.resolve(addr).ok_or(MemError::BadAddress(addr))?;
-        self.leaf_in(b, offset, addr)
-    }
-
-    /// The scalar leaf at byte `offset` of block `b`, which `addr` names.
-    fn leaf_in(&mut self, b: MemoryBlock, offset: u64, addr: u64) -> Result<(u64, Leaf), MemError> {
-        let (ty, count) = (b.ty, b.count);
-        let elem_size = self.layout_of(ty)?.size;
-        if elem_size == 0 {
-            // `int[0]`: the block has no scalar to stand on.
-            return Err(MemError::NotALeaf(addr));
-        }
-        let elem_idx = offset / elem_size;
-        if elem_idx >= count {
-            return Err(MemError::BadAddress(addr));
-        }
-        let inner = offset % elem_size;
-        let per = self.leaf_count(ty)?;
-        let (li, leaf) = self
-            .model
-            .leaf_index_at_offset(&self.types, &self.arch, ty, inner)
-            .map_err(|_| MemError::NotALeaf(addr))?;
-        Ok((
-            elem_idx * per + li,
-            Leaf {
-                offset: elem_idx * elem_size + leaf.offset,
-                ..leaf
-            },
-        ))
+        let (ordinal, leaf, _) = self.leaf_in_block(addr)?;
+        Ok((ordinal, leaf))
     }
 
     /// Address of the `leaf_idx`-th scalar leaf counting from `base`.
@@ -783,33 +762,26 @@ impl AddressSpace {
     /// the element `base` points at.
     pub fn elem_addr(&mut self, base: u64, leaf_idx: u64) -> Result<u64, MemError> {
         let (_, &b, offset) = self.resolve(base).ok_or(MemError::BadAddress(base))?;
-        let (ty, count) = (b.ty, b.count);
-        let per = self.leaf_count(ty)?;
-        let elem_size = self.layout_of(ty)?.size;
-        if elem_size == 0 || offset % elem_size != 0 {
-            return Err(MemError::NotALeaf(base));
-        }
-        let elem_idx = offset / elem_size + leaf_idx / per;
-        if elem_idx >= count {
-            return Err(MemError::BadAddress(base));
-        }
         let leaf = self
-            .model
-            .leaf_at_index(&self.types, &self.arch, ty, leaf_idx % per)
-            .map_err(|e| MemError::Type(e.to_string()))?;
-        Ok(b.addr + elem_idx * elem_size + leaf.offset)
+            .plan_ref(b.ty)?
+            .leaf_at_index(b.count, offset, leaf_idx)
+            .map_err(|m| MemError::missed(m, base))?;
+        Ok(b.addr + leaf.offset)
     }
 
-    /// The scalar leaf at `addr` and the block it lies in.
-    fn leaf_in_block(&mut self, addr: u64) -> Result<(Leaf, MemoryBlock), MemError> {
+    /// The scalar leaf at `addr`, its ordinal, and the block it lies in.
+    fn leaf_in_block(&mut self, addr: u64) -> Result<(u64, Leaf, MemoryBlock), MemError> {
         let (_, &b, offset) = self.resolve(addr).ok_or(MemError::BadAddress(addr))?;
-        let (_, leaf) = self.leaf_in(b, offset, addr)?;
-        Ok((leaf, b))
+        let (ordinal, leaf) = self
+            .plan_ref(b.ty)?
+            .leaf_at_offset(b.count, offset)
+            .map_err(|m| MemError::missed(m, addr))?;
+        Ok((ordinal, leaf, b))
     }
 
     /// Load the scalar stored at `addr`, typed by the block's TI entry.
     pub fn load_scalar(&mut self, addr: u64) -> Result<ScalarValue, MemError> {
-        let (leaf, b) = self.leaf_in_block(addr)?;
+        let (_, leaf, b) = self.leaf_in_block(addr)?;
         let size = self.arch.scalar_size(leaf.kind);
         let bytes = self.segments[b.segment as usize].get(b.addr + leaf.offset, size);
         Ok(self.arch.decode_scalar(leaf.kind, bytes))
@@ -817,7 +789,7 @@ impl AddressSpace {
 
     /// Store a scalar at `addr`, converting to the leaf's declared kind.
     pub fn store_scalar(&mut self, addr: u64, v: ScalarValue) -> Result<(), MemError> {
-        let (leaf, b) = self.leaf_in_block(addr)?;
+        let (_, leaf, b) = self.leaf_in_block(addr)?;
         let mut tmp = Vec::with_capacity(8);
         self.arch.encode_scalar(leaf.kind, v, &mut tmp);
         self.segments[b.segment as usize]
@@ -870,23 +842,32 @@ impl AddressSpace {
     // once per contiguous run, which is what compiled C enjoys. The run
     // must be a contiguous span of `double` leaves within one block.
 
-    /// Check that `addr` is a `double` leaf, the start of an f64 run.
-    fn f64_run_at(&mut self, addr: u64) -> Result<(), MemError> {
-        let (_, leaf) = self.leaf_at_addr(addr)?;
+    /// Check that the `n` doubles from `addr` are `n` packed `double`
+    /// leaves of one block, answering the run's length in bytes.
+    fn f64_run_at(&mut self, addr: u64, n: u64) -> Result<u64, MemError> {
+        let (_, leaf, b) = self.leaf_in_block(addr)?;
         if leaf.kind != hpm_arch::CScalar::Double {
             return Err(MemError::Type(format!(
                 "f64 run over {:?} leaves",
                 leaf.kind
             )));
         }
-        Ok(())
+        let len = n.saturating_mul(8);
+        if !self.plan_ref(b.ty)?.packed_doubles(b.count, leaf.offset, n) {
+            // A run past the block's end is an address error.
+            self.span(addr, len)?;
+            return Err(MemError::Type(format!(
+                "f64 run of {n} at {addr:#x} crosses leaves that are not doubles"
+            )));
+        }
+        Ok(len)
     }
 
     /// Read `n` consecutive doubles starting at `addr` into `out`.
     pub fn read_f64_run(&mut self, addr: u64, n: u64, out: &mut Vec<f64>) -> Result<(), MemError> {
-        self.f64_run_at(addr)?;
+        let len = self.f64_run_at(addr, n)?;
         let big = self.arch.endianness == hpm_arch::Endianness::Big;
-        let bytes = self.read_bytes(addr, n * 8)?;
+        let bytes = self.read_bytes(addr, len)?;
         out.reserve(n as usize);
         for chunk in bytes.chunks_exact(8) {
             let raw: [u8; 8] = chunk.try_into().unwrap();
@@ -902,9 +883,9 @@ impl AddressSpace {
 
     /// Write consecutive doubles starting at `addr`.
     pub fn write_f64_run(&mut self, addr: u64, vals: &[f64]) -> Result<(), MemError> {
-        self.f64_run_at(addr)?;
+        let len = self.f64_run_at(addr, vals.len() as u64)?;
         let big = self.arch.endianness == hpm_arch::Endianness::Big;
-        let bytes = self.bytes_mut(addr, vals.len() as u64 * 8)?;
+        let bytes = self.bytes_mut(addr, len)?;
         for (out, v) in bytes.chunks_exact_mut(8).zip(vals) {
             let bits = v.to_bits();
             out.copy_from_slice(&if big {
@@ -1202,6 +1183,50 @@ mod tests {
         assert_eq!(s.leaf_at_addr(a), Err(MemError::NotALeaf(a)));
         assert_eq!(s.elem_addr(a, 0), Err(MemError::NotALeaf(a)));
         assert_eq!(s.load_scalar(a), Err(MemError::NotALeaf(a)));
+    }
+
+    #[test]
+    fn f64_runs_cover_packed_doubles_only() {
+        let mut s = AddressSpace::new(Architecture::ultra5());
+        let d = s.types_mut().double();
+        let pd = s.types_mut().pointer_to(d);
+        let fields = vec![Field::new("x", d), Field::new("p", pd)];
+        let xp = s.types_mut().struct_type("xp", fields).unwrap();
+        let b = s.malloc(xp, 2).unwrap();
+        let p = s.elem_addr(b, 1).unwrap();
+        s.store_ptr(p, b).unwrap();
+        // The run's first leaf is a double, its second the pointer.
+        assert!(matches!(
+            s.write_f64_run(b, &[1.5, 2.5]),
+            Err(MemError::Type(_))
+        ));
+        assert_eq!(s.load_ptr(p).unwrap(), b);
+        let mut out = Vec::new();
+        assert!(matches!(
+            s.read_f64_run(b, 2, &mut out),
+            Err(MemError::Type(_))
+        ));
+        assert!(out.is_empty());
+        s.write_f64_run(b, &[1.5]).unwrap();
+        assert_eq!(s.load_f64(b).unwrap(), 1.5);
+
+        // Linpack's matrix: a local of `double`s, written by column and
+        // read whole; a run past its end is an address error.
+        let f = s.push_frame("main");
+        let a = s.define_local(f, "a", d, 9).unwrap();
+        let col = s.elem_addr(a, 3).unwrap();
+        s.write_f64_run(col, &[1.0, 2.0, 3.0]).unwrap();
+        s.read_f64_run(a, 9, &mut out).unwrap();
+        assert_eq!(out, [0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 0.0, 0.0, 0.0]);
+        assert_eq!(
+            s.write_f64_run(col, &[0.0; 7]),
+            Err(MemError::BadAddress(col + 55))
+        );
+        // `double[4]` values: a run inside one value and across values.
+        let arr = s.types_mut().array_of(d, 4);
+        let g = s.malloc(arr, 2).unwrap();
+        s.write_f64_run(g + 8, &[4.0; 7]).unwrap();
+        assert_eq!(s.load_f64(g + 56).unwrap(), 4.0);
     }
 
     #[test]

@@ -13,13 +13,14 @@
 //! * [`layout`] — per-[`Architecture`](hpm_arch::Architecture) size,
 //!   alignment, and field-offset computation, so the same type lays out
 //!   differently on the DEC 5000 and the SPARC 20.
-//! * [`elements`] — the *element* model: every memory block is a sequence
+//! * [`elements`] — the *element* order: every memory block is a sequence
 //!   of scalar leaves; a machine-independent pointer offset is "the
 //!   ordering number of the data element inside the memory block" (§3.2).
 //! * [`plan`] — compiled save/restore plans, the analogue of the paper's
 //!   generated "memory block saving and restoring functions": scalar runs
 //!   are described once and bulk-converted; pointer slots are singled out
-//!   for `Save_pointer` treatment.
+//!   for `Save_pointer` treatment. A plan's leaf tables answer every
+//!   element query, offset → ordinal and ordinal → offset.
 
 pub mod elements;
 pub mod layout;

@@ -14,9 +14,17 @@
 //! plan compiled for the DEC 5000 and one compiled for the SPARC 20 cover
 //! the same leaves in the same order, so either side can produce or
 //! consume the stream regardless of how runs coalesced locally.
+//!
+//! A plan is also the one answer to every element query. Its leaf tables
+//! turn a byte offset in a block into a leaf ordinal and back
+//! ([`SavePlan::leaf_at_offset`], [`SavePlan::leaf_at_index`]): the
+//! collector, the restorer, the digest pass and every typed access of
+//! the address space translate through them, and nothing walks the type
+//! per query.
 
-use crate::elements::{ElementError, ElementModel};
-use crate::{TypeId, TypeTable};
+use crate::elements::{for_each_leaf, Leaf};
+use crate::layout::LayoutEngine;
+use crate::{TypeError, TypeId, TypeTable};
 use hpm_arch::{Architecture, CScalar};
 
 /// One step of a save/restore plan.
@@ -59,6 +67,38 @@ impl PlanOp {
             PlanOp::ScalarRun { offset, .. } | PlanOp::PointerSlot { offset, .. } => *offset,
         }
     }
+
+    /// The `j`-th leaf this op covers, at its offset in one value.
+    #[inline]
+    fn leaf(&self, j: u64) -> Leaf {
+        match *self {
+            PlanOp::ScalarRun {
+                offset,
+                kind,
+                stride,
+                ..
+            } => Leaf {
+                offset: offset + j * stride,
+                kind,
+                pointee: None,
+            },
+            PlanOp::PointerSlot { offset, pointee } => Leaf {
+                offset,
+                kind: CScalar::Ptr,
+                pointee: Some(pointee),
+            },
+        }
+    }
+}
+
+/// Why a leaf query on a block has no answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LeafMiss {
+    /// The offset starts no leaf (padding, mid-scalar, a type with no
+    /// leaves), or an ordinal is counted from where no value starts.
+    NotALeaf,
+    /// The offset or ordinal lies past the block's last value.
+    OutsideBlock,
 }
 
 /// The compiled saving/restoring function for one type on one machine.
@@ -85,65 +125,147 @@ pub struct SavePlan {
 }
 
 impl SavePlan {
-    /// The leaf that starts exactly at byte `offset` of one value, as
-    /// `(ordinal, kind, pointee)` — [`ElementModel::leaf_index_at_offset`]
-    /// without the type walk. `None` for padding, mid-scalar and
-    /// out-of-range offsets.
-    pub fn leaf_at_offset(&self, offset: u64) -> Option<(u64, CScalar, Option<TypeId>)> {
-        let k = self
-            .ops
-            .partition_point(|op| op.first_offset() <= offset)
-            .checked_sub(1)?;
-        match self.ops[k] {
+    /// The leaf that starts exactly at byte `offset` of a block of
+    /// `count` values, with its ordinal in the block; the leaf's `offset`
+    /// is `offset`. The element by division, the leaf within it by a
+    /// binary search of the ops.
+    #[inline]
+    pub fn leaf_at_offset(&self, count: u64, offset: u64) -> Result<(u64, Leaf), LeafMiss> {
+        if offset == 0 {
+            return self.start_leaf(count);
+        }
+        if self.size == 0 {
+            return Err(LeafMiss::NotALeaf);
+        }
+        let elem = offset / self.size;
+        if elem >= count {
+            return Err(LeafMiss::OutsideBlock);
+        }
+        let inner = offset % self.size;
+        let k = self.op_from(inner).ok_or(LeafMiss::NotALeaf)?;
+        let j = match self.ops[k] {
             PlanOp::ScalarRun {
                 offset: first,
-                kind,
                 count,
                 stride,
+                ..
             } => {
-                let d = offset - first;
-                (d.is_multiple_of(stride) && d / stride < count)
-                    .then(|| (self.op_first_leaf[k] + d / stride, kind, None))
+                let d = inner - first;
+                if !d.is_multiple_of(stride) || d / stride >= count {
+                    return Err(LeafMiss::NotALeaf);
+                }
+                d / stride
             }
-            PlanOp::PointerSlot {
-                offset: at,
-                pointee,
-            } => (at == offset).then_some((self.op_first_leaf[k], CScalar::Ptr, Some(pointee))),
+            PlanOp::PointerSlot { offset: at, .. } if at == inner => 0,
+            PlanOp::PointerSlot { .. } => return Err(LeafMiss::NotALeaf),
+        };
+        let leaf = self.ops[k].leaf(j);
+        let ordinal = elem * self.leaf_count + self.op_first_leaf[k] + j;
+        Ok((ordinal, Leaf { offset, ..leaf }))
+    }
+
+    /// [`SavePlan::leaf_at_offset`] at a block's start, the common case,
+    /// with the same checks in the same order and no division. Every op
+    /// covers at least one leaf and ops lie at increasing offsets, so the
+    /// first op holds leaf 0, and offset 0 is a leaf exactly when that op
+    /// starts there.
+    #[inline]
+    fn start_leaf(&self, count: u64) -> Result<(u64, Leaf), LeafMiss> {
+        if self.size == 0 {
+            return Err(LeafMiss::NotALeaf);
+        }
+        if count == 0 {
+            return Err(LeafMiss::OutsideBlock);
+        }
+        match self.ops.first() {
+            Some(op) if op.first_offset() == 0 => Ok((0, op.leaf(0))),
+            _ => Err(LeafMiss::NotALeaf),
         }
     }
 
-    /// The `index`-th leaf of one value, as `(byte offset, kind,
-    /// pointee)` — [`ElementModel::leaf_at_index`] without the type walk.
-    /// `None` when `index >= leaf_count`.
-    pub fn leaf_at_index(&self, index: u64) -> Option<(u64, CScalar, Option<TypeId>)> {
-        if index >= self.leaf_count {
-            return None;
+    /// Leaf `ordinal` of a block of `count` values, counted from the
+    /// value that starts at byte `from` (0: from the block's first leaf);
+    /// the leaf's `offset` is from the block's start. With `from` 0 this
+    /// is the inverse of [`SavePlan::leaf_at_offset`].
+    #[inline]
+    pub fn leaf_at_index(&self, count: u64, from: u64, ordinal: u64) -> Result<Leaf, LeafMiss> {
+        if from == 0 && ordinal == 0 {
+            // Leaf 0 is the first op's first leaf, in value 0: no division.
+            let first = self.ops.first().ok_or(LeafMiss::NotALeaf)?;
+            if count == 0 {
+                return Err(LeafMiss::OutsideBlock);
+            }
+            return Ok(first.leaf(0));
         }
-        let k = self.op_first_leaf.partition_point(|&first| first <= index) - 1;
-        let j = index - self.op_first_leaf[k];
-        Some(match self.ops[k] {
-            PlanOp::ScalarRun {
-                offset,
-                kind,
-                stride,
-                ..
-            } => (offset + j * stride, kind, None),
-            PlanOp::PointerSlot { offset, pointee } => (offset, CScalar::Ptr, Some(pointee)),
+        if self.leaf_count == 0 || !from.is_multiple_of(self.size) {
+            return Err(LeafMiss::NotALeaf);
+        }
+        let elem = (from / self.size).saturating_add(ordinal / self.leaf_count);
+        if elem >= count {
+            return Err(LeafMiss::OutsideBlock);
+        }
+        let i = ordinal % self.leaf_count;
+        let k = self.op_first_leaf.partition_point(|&first| first <= i) - 1;
+        let leaf = self.ops[k].leaf(i - self.op_first_leaf[k]);
+        Ok(Leaf {
+            offset: elem * self.size + leaf.offset,
+            ..leaf
         })
+    }
+
+    /// Whether bytes `[offset, offset + 8n)` of a block of `count` values
+    /// hold `n` `double` leaves 8 bytes apart and nothing else: the span
+    /// lies inside one `double` run of stride 8, or each value is one
+    /// such run end to end and the block's values cover the span.
+    pub fn packed_doubles(&self, count: u64, offset: u64, n: u64) -> bool {
+        let packed = |op: &PlanOp| {
+            matches!(
+                op,
+                PlanOp::ScalarRun {
+                    kind: CScalar::Double,
+                    stride: 8,
+                    ..
+                }
+            )
+        };
+        let end = n.checked_mul(8).and_then(|len| len.checked_add(offset));
+        if self.size == 0 || end.is_none_or(|end| end > count.saturating_mul(self.size)) {
+            return false;
+        }
+        if let [op] = self.ops[..] {
+            if packed(&op) && op.first_offset() == 0 && op.leaf_count() * 8 == self.size {
+                return offset.is_multiple_of(8);
+            }
+        }
+        let inner = offset % self.size;
+        let Some(op) = self.op_from(inner).map(|k| self.ops[k]) else {
+            return false;
+        };
+        let d = inner - op.first_offset();
+        packed(&op) && d.is_multiple_of(8) && d / 8 + n <= op.leaf_count()
+    }
+
+    /// Index of the last op whose first leaf lies at or before byte
+    /// `inner` of one value: the only op that can hold a leaf there.
+    #[inline]
+    fn op_from(&self, inner: u64) -> Option<usize> {
+        self.ops
+            .partition_point(|op| op.first_offset() <= inner)
+            .checked_sub(1)
     }
 }
 
 /// Compile the save/restore plan for `ty` on `arch`.
 pub fn compile_plan(
-    model: &mut ElementModel,
+    engine: &mut LayoutEngine,
     table: &TypeTable,
     arch: &Architecture,
     ty: TypeId,
-) -> Result<SavePlan, ElementError> {
-    let size = model.engine.layout(table, arch, ty)?.size;
+) -> Result<SavePlan, TypeError> {
+    let size = engine.layout(table, arch, ty)?.size;
     let mut ops: Vec<PlanOp> = Vec::new();
     let mut leaf_count = 0u64;
-    model.for_each_leaf(table, arch, ty, &mut |leaf| {
+    for_each_leaf(engine, table, arch, ty, &mut |leaf| {
         leaf_count += 1;
         if let Some(pointee) = leaf.pointee {
             ops.push(PlanOp::PointerSlot {
@@ -215,14 +337,18 @@ pub fn compile_plan(
 mod tests {
     use super::*;
     use crate::Field;
+    use std::collections::BTreeMap;
+
+    fn compile(t: &TypeTable, arch: &Architecture, ty: TypeId) -> SavePlan {
+        compile_plan(&mut LayoutEngine::new(), t, arch, ty).unwrap()
+    }
 
     #[test]
     fn big_array_is_one_run() {
         let mut t = TypeTable::new();
         let d = t.double();
         let a = t.array_of(d, 1000);
-        let mut m = ElementModel::new();
-        let plan = compile_plan(&mut m, &t, &Architecture::ultra5(), a).unwrap();
+        let plan = compile(&t, &Architecture::ultra5(), a);
         assert_eq!(plan.ops.len(), 1);
         assert_eq!(
             plan.ops[0],
@@ -246,8 +372,7 @@ mod tests {
         let f = t.float();
         t.define_struct(node, vec![Field::new("data", f), Field::new("link", link)])
             .unwrap();
-        let mut m = ElementModel::new();
-        let plan = compile_plan(&mut m, &t, &Architecture::dec5000(), node).unwrap();
+        let plan = compile(&t, &Architecture::dec5000(), node);
         assert_eq!(plan.ops.len(), 2);
         assert!(matches!(
             plan.ops[0],
@@ -278,8 +403,7 @@ mod tests {
             .struct_type("dd", vec![Field::new("d", d), Field::new("e", d)])
             .unwrap();
         let a = t.array_of(s, 50);
-        let mut m = ElementModel::new();
-        let plan = compile_plan(&mut m, &t, &Architecture::ultra5(), a).unwrap();
+        let plan = compile(&t, &Architecture::ultra5(), a);
         assert_eq!(plan.ops.len(), 1);
         assert_eq!(plan.leaf_count, 100);
 
@@ -288,7 +412,7 @@ mod tests {
             .struct_type("di", vec![Field::new("d", d), Field::new("i", i)])
             .unwrap();
         let a2 = t.array_of(s2, 50);
-        let plan2 = compile_plan(&mut m, &t, &Architecture::ultra5(), a2).unwrap();
+        let plan2 = compile(&t, &Architecture::ultra5(), a2);
         assert_eq!(plan2.leaf_count, 100);
         assert!(plan2.ops.len() > 1);
     }
@@ -303,8 +427,7 @@ mod tests {
             .struct_type("ii", vec![Field::new("a", i), Field::new("b", i)])
             .unwrap();
         let a = t.array_of(s, 10);
-        let mut m = ElementModel::new();
-        let plan = compile_plan(&mut m, &t, &Architecture::sparc20(), a).unwrap();
+        let plan = compile(&t, &Architecture::sparc20(), a);
         assert_eq!(plan.ops.len(), 1);
         assert_eq!(
             plan.ops[0],
@@ -330,8 +453,7 @@ mod tests {
             .struct_type("ci", vec![Field::new("c", c), Field::new("i", i)])
             .unwrap();
         let a = t.array_of(s, 4);
-        let mut m = ElementModel::new();
-        let plan = compile_plan(&mut m, &t, &Architecture::sparc20(), a).unwrap();
+        let plan = compile(&t, &Architecture::sparc20(), a);
         assert_eq!(plan.leaf_count, 8);
         // Alternating kinds defeat coalescing: 8 single-leaf runs.
         assert_eq!(plan.ops.len(), 8);
@@ -346,10 +468,8 @@ mod tests {
         let arr = t.array_of(d, 3);
         t.define_struct(node, vec![Field::new("v", arr), Field::new("next", pn)])
             .unwrap();
-        let mut m32 = ElementModel::new();
-        let mut m64 = ElementModel::new();
-        let p32 = compile_plan(&mut m32, &t, &Architecture::sparc20(), node).unwrap();
-        let p64 = compile_plan(&mut m64, &t, &Architecture::x86_64_sim(), node).unwrap();
+        let p32 = compile(&t, &Architecture::sparc20(), node);
+        let p64 = compile(&t, &Architecture::x86_64_sim(), node);
         assert_eq!(p32.leaf_count, p64.leaf_count);
         // Leaf kind sequence must agree even though offsets differ.
         let kinds = |p: &SavePlan| {
@@ -370,8 +490,9 @@ mod tests {
     }
 
     /// Types whose plans exercise every shape the leaf tables must
-    /// answer for: multi-op elements, strided and million-leaf runs,
-    /// pointer slots, nesting, and the empty plan.
+    /// answer for: multi-op elements, strided and thousand-leaf runs,
+    /// pointer slots, nesting, the empty plan, and block starts that are
+    /// and are not a leaf.
     fn type_zoo(t: &mut TypeTable) -> Vec<TypeId> {
         let (c, i, d) = (t.char_(), t.int(), t.double());
         let di = t
@@ -413,44 +534,106 @@ mod tests {
         let nested_arr = t.array_of(nested, 3);
         let empty = t.array_of(i, 0);
         let empties = t.array_of(empty, 3);
+        // Its first leaf starts at offset 0 behind a zero-size member.
+        let led = t
+            .struct_type("led", vec![Field::new("z", empty), Field::new("d", d)])
+            .unwrap();
         vec![
-            i, pg, di, padded, ci_arr, big, holder, gnode, nested, nested_arr, empty, empties,
+            i, pg, di, padded, ci_arr, big, holder, gnode, nested, nested_arr, empty, empties, led,
         ]
     }
 
+    /// The block of `count` values of `ty`, leaf by leaf, from a scan of
+    /// [`for_each_leaf`]: the reference the leaf tables are held to.
+    fn block_leaves(t: &TypeTable, arch: &Architecture, ty: TypeId, count: u64) -> Vec<Leaf> {
+        let mut engine = LayoutEngine::new();
+        let size = engine.layout(t, arch, ty).unwrap().size;
+        let mut leaves = Vec::new();
+        for_each_leaf(&mut engine, t, arch, ty, &mut |l| leaves.push(l)).unwrap();
+        (0..count)
+            .flat_map(|e| leaves.iter().map(move |l| (e, l)))
+            .map(|(e, l)| Leaf {
+                offset: e * size + l.offset,
+                ..*l
+            })
+            .collect()
+    }
+
     #[test]
-    fn leaf_tables_agree_with_the_element_model() {
+    fn leaf_tables_agree_with_a_scan_of_the_leaves() {
         let mut t = TypeTable::new();
         let zoo = type_zoo(&mut t);
-        let mut strided = false;
+        let (mut strided, mut packed) = (false, 0);
         for arch in Architecture::presets() {
-            let mut m = ElementModel::new();
             for &ty in &zoo {
-                let plan = compile_plan(&mut m, &t, &arch, ty).unwrap();
+                let plan = compile(&t, &arch, ty);
                 strided |= plan.ops.iter().any(|op| {
                     matches!(op, PlanOp::ScalarRun { kind, stride, .. }
                         if *stride > arch.scalar_size(*kind))
                 });
-                let tag = format!("{} type {ty:?}", arch.name);
-                // Every byte of one value, and a few past its end.
-                for off in 0..plan.size + 9 {
-                    let want = m
-                        .leaf_index_at_offset(&t, &arch, ty, off)
-                        .ok()
-                        .map(|(idx, leaf)| (idx, leaf.kind, leaf.pointee));
-                    assert_eq!(plan.leaf_at_offset(off), want, "{tag} offset {off}");
-                }
-                assert_eq!(plan.leaf_count, m.leaf_count(&t, ty).unwrap(), "{tag}");
-                for idx in 0..=plan.leaf_count {
-                    let want = m
-                        .leaf_at_index(&t, &arch, ty, idx)
-                        .ok()
-                        .map(|leaf| (leaf.offset, leaf.kind, leaf.pointee));
-                    assert_eq!(plan.leaf_at_index(idx), want, "{tag} ordinal {idx}");
+                for count in [0, 1, 3] {
+                    let leaves = block_leaves(&t, &arch, ty, count);
+                    let at: BTreeMap<u64, usize> = leaves
+                        .iter()
+                        .enumerate()
+                        .map(|(i, l)| (l.offset, i))
+                        .collect();
+                    let bytes = count * plan.size;
+                    let tag = format!("{} type {ty:?} × {count}", arch.name);
+                    // Every byte of the block, and a few past its end.
+                    for off in 0..bytes + 9 {
+                        let want = match at.get(&off) {
+                            _ if plan.size == 0 => Err(LeafMiss::NotALeaf),
+                            _ if off >= bytes => Err(LeafMiss::OutsideBlock),
+                            Some(&i) => Ok((i as u64, leaves[i])),
+                            None => Err(LeafMiss::NotALeaf),
+                        };
+                        assert_eq!(plan.leaf_at_offset(count, off), want, "{tag} offset {off}");
+                        for n in 1..4 {
+                            // The span holds n doubles 8 bytes apart, and
+                            // no other leaf starts in it or reaches into it.
+                            let end = off + 8 * n;
+                            let doubles = (0..n).all(|i| {
+                                at.get(&(off + 8 * i))
+                                    .is_some_and(|&j| leaves[j].kind == CScalar::Double)
+                            });
+                            let before = at.range(..off).next_back().map(|(_, &j)| leaves[j]);
+                            let alone = at.range(off..end).count() == n as usize
+                                && before
+                                    .is_none_or(|l| l.offset + arch.scalar_size(l.kind) <= off);
+                            if plan.packed_doubles(count, off, n) {
+                                assert!(doubles && alone && end <= bytes, "{tag} run {off}+{n}");
+                                packed += 1;
+                            }
+                        }
+                    }
+                    for idx in 0..=leaves.len() as u64 + 1 {
+                        let want = match leaves.get(idx as usize) {
+                            Some(l) => Ok(*l),
+                            None if plan.leaf_count == 0 => Err(LeafMiss::NotALeaf),
+                            None => Err(LeafMiss::OutsideBlock),
+                        };
+                        assert_eq!(
+                            plan.leaf_at_index(count, 0, idx),
+                            want,
+                            "{tag} ordinal {idx}"
+                        );
+                        // Counted from a later value, ordinals shift by
+                        // that value's leaves.
+                        if count > 1 && plan.size > 0 && plan.leaf_count > 0 {
+                            let want = leaves
+                                .get((idx + plan.leaf_count) as usize)
+                                .copied()
+                                .ok_or(LeafMiss::OutsideBlock);
+                            assert_eq!(plan.leaf_at_index(count, plan.size, idx), want, "{tag}");
+                        }
+                    }
+                    assert_eq!(plan.leaf_count * count, leaves.len() as u64, "{tag}");
                 }
             }
         }
         assert!(strided, "the zoo must contain a strided run");
+        assert!(packed > 0, "the zoo must contain packed doubles");
     }
 
     #[test]
@@ -458,13 +641,14 @@ mod tests {
         let mut t = TypeTable::new();
         let d = t.double();
         let a = t.array_of(d, 1_000_000);
-        let mut m = ElementModel::new();
-        let plan = compile_plan(&mut m, &t, &Architecture::ultra5(), a).unwrap();
+        let plan = compile(&t, &Architecture::ultra5(), a);
         assert_eq!(plan.op_first_leaf, vec![0]);
-        assert_eq!(
-            plan.leaf_at_index(999_999),
-            Some((7_999_992, CScalar::Double, None))
-        );
-        assert_eq!(plan.leaf_at_offset(7_999_992).unwrap().0, 999_999);
+        let last = Leaf {
+            offset: 7_999_992,
+            kind: CScalar::Double,
+            pointee: None,
+        };
+        assert_eq!(plan.leaf_at_index(1, 0, 999_999), Ok(last));
+        assert_eq!(plan.leaf_at_offset(1, 7_999_992), Ok((999_999, last)));
     }
 }
