@@ -78,6 +78,9 @@ impl MsrGraph {
                 size,
             });
             let plan = plans.get(space, block.ty)?;
+            if !plan.has_pointers {
+                continue;
+            }
             for elem in 0..block.count {
                 let elem_base = elem * plan.size;
                 for op in &plan.ops {
