@@ -66,6 +66,12 @@ pub enum CoreError {
     /// A pointer referred to memory not registered in the MSRLT — a
     /// migration-unsafe pointer (dangling, foreign, or forged).
     UnregisteredPointer(u64),
+    /// Collection reached a block whose registration is incoherent: a
+    /// pointer slot that resolves to no registered block, a block the
+    /// MSRLT records at another size than the space holds, or a stack
+    /// entry of a frame that is no longer live. The collector checks each
+    /// block as it visits it, so this is the migration's registry check.
+    Incoherent(RegistryFinding),
     /// Stream and receiver disagree about a block's type.
     TypeMismatch {
         /// Logical id of the offending block.
@@ -192,6 +198,7 @@ impl std::fmt::Display for CoreError {
                     "pointer {a:#x} does not refer to a registered memory block"
                 )
             }
+            CoreError::Incoherent(finding) => write!(f, "incoherent registry: {finding}"),
             CoreError::TypeMismatch {
                 id,
                 expected,

@@ -116,6 +116,8 @@ pub(crate) struct Hit {
     pub(crate) slot: BlockSlot,
     pub(crate) ty: TypeId,
     pub(crate) count: u64,
+    /// The block's size in the space, from the arena record.
+    pub(crate) size: u64,
     /// Byte offset of the address within the block.
     pub(crate) offset: u64,
 }
@@ -422,8 +424,15 @@ impl Msrlt {
             slot,
             ty: b.ty,
             count: b.count,
+            size: b.size,
             offset,
         })
+    }
+
+    /// The id the table holds at `slot`'s arena slot, if any: a cold
+    /// read, for naming the block a collection error happened in.
+    pub(crate) fn id_at(&self, slot: BlockSlot) -> Option<LogicalId> {
+        Some(self.slots.get(slot.number()).copied().flatten()?.id)
     }
 
     /// The block containing `addr` and `addr`'s offset in it, for a

@@ -448,8 +448,10 @@ impl<'s, 'p> Restorer<'s, 'p> {
                         let (need, size) = (plan.min_wire_bytes.checked_mul(count), plan.size);
                         self.input.check_room(id, count, need)?;
                         let slot = self.space.malloc_slot(ty, count)?;
-                        // `malloc` held the product to the heap segment.
-                        let size = size * count;
+                        // `malloc` held the product to the heap segment
+                        // and made the block at least one byte; the
+                        // MSRLT records the size the space gave it.
+                        let size = (size * count).max(1);
                         self.msrlt.register_at(id, slot, size);
                         self.stats.blocks_allocated += 1;
                         self.track.detail_event("restore.alloc", &[("bytes", size)]);

@@ -190,13 +190,18 @@ const NATIVE_PER_PAYLOAD_BYTE: u64 = 2;
 /// restoring never regrows it. Both figures are only the sender's word,
 /// so the reservation never exceeds what the payload that has arrived
 /// can fill. A streamed payload has not arrived yet: it reserves
-/// nothing, and the heap grows as its blocks come.
+/// nothing, and the heap grows as its blocks come. A sender with no heap
+/// blocks reserves nothing either: its registered bytes are all stack
+/// and globals.
 fn heap_reservation(
     header: &ImageHeader,
     heap_blocks: u32,
     arch: &Architecture,
     payload: usize,
 ) -> u64 {
+    if heap_blocks == 0 {
+        return 0;
+    }
     let widen = if arch.pointer_size > u64::from(header.source_pointer_size) {
         2
     } else {
@@ -282,26 +287,14 @@ impl MigratedSource {
         collect_pending(&mut self.proc, &self.pending)
     }
 
-    /// Audit the frozen process's MSRLT snapshot without collecting —
-    /// the same pre-flight check [`migrate`](crate::migrate) runs,
-    /// exposed for benchmarks and `hpm-lint`'s runtime-registry pass.
+    /// Audit the whole of the frozen process's MSRLT snapshot without
+    /// collecting, reachable blocks or not, reporting every finding:
+    /// `hpm-lint`'s runtime-registry pass. [`migrate`](crate::migrate)
+    /// runs no such pass; its collector checks each block it reaches.
     pub fn preflight_audit(
         &mut self,
     ) -> Result<(Vec<RegistryFinding>, RegistryAuditStats), MigError> {
         Ok(audit_registry(&mut self.proc.space, &mut self.proc.msrlt)?)
-    }
-
-    /// Pre-flight gate of [`migrate`](crate::migrate): audit the registry
-    /// and refuse to collect (with [`MigError::Preflight`]) if it is
-    /// incoherent. Audit lookups run *before* the per-migration stat
-    /// reset, so they never pollute `msrlt.src` counters.
-    pub(crate) fn require_clean_registry(&mut self) -> Result<RegistryAuditStats, MigError> {
-        let (findings, stats) = self.preflight_audit()?;
-        if findings.is_empty() {
-            return Ok(stats);
-        }
-        let lines: Vec<String> = findings.iter().map(|f| f.to_string()).collect();
-        Err(MigError::Preflight(lines.join("\n")))
     }
 
     /// Frame a complete migration image from a fresh collection.
@@ -326,7 +319,7 @@ impl MigratedSource {
             chunk_bytes,
             &Track::off(),
             Box::new(|c| {
-                chunks.push(c);
+                chunks.push(c.to_vec());
                 Ok(())
             }),
         )?;

@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 use hpm_core::delta::{
     apply_delta, block_digests, collect_delta, full_image_frame, BaseImageManifest,
 };
-use hpm_core::{CoreError, RegistryAuditStats};
+use hpm_core::CoreError;
 use hpm_obs::Track;
 use hpm_xdr::journal::image_id;
 
@@ -111,11 +111,12 @@ pub struct PrecopyStats {
 }
 
 /// Run the pre-copy rounds of one migration: `frozen` is the source at
-/// its first freeze (the policy's trigger), already audited.
+/// its first freeze (the policy's trigger). Each round's collection
+/// checks the registry as it goes, so an incoherent one refuses the
+/// round it is found in.
 pub(crate) fn rounds<P: MigratableProgram + Send, F: Fn() -> P>(
     engine: &Engine<'_, F>,
     mut frozen: MigratedSource,
-    audit: RegistryAuditStats,
     cfg: PrecopyConfig,
 ) -> Result<MigrationRun, MigError> {
     let track = &engine.driver;
@@ -228,7 +229,6 @@ pub(crate) fn rounds<P: MigratableProgram + Send, F: Fn() -> P>(
     let report = MigrationReport::new(
         src.as_ref().unwrap_or(&dst.proc),
         chain_depth,
-        audit,
         collected,
         shipped.transfer,
         &dst,

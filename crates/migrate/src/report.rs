@@ -7,7 +7,7 @@
 use crate::driver::CompletedRun;
 use crate::precopy::PrecopyStats;
 use crate::process::Process;
-use hpm_core::{CollectStats, MsrltStats, RegistryAuditStats, RestoreStats};
+use hpm_core::{CollectStats, MsrltStats, RestoreStats};
 use hpm_net::{ArqReceiverSnapshot, FaultStats, NetworkModel, TransferSnapshot};
 use hpm_obs::{EventLog, Level, LogDump};
 use std::time::Duration;
@@ -47,8 +47,6 @@ pub struct MigrationReport {
     /// what both ends of every connection sent, summed; under pre-copy,
     /// over every round's frames.
     pub transfer: TransferSnapshot,
-    /// Pre-flight registry-audit counters of the source's first freeze.
-    pub registry_audit: RegistryAuditStats,
     /// What the chosen transport measured beyond `transfer`.
     pub transport: TransportStats,
     /// The dump of the migration's event log, when the policy supplied
@@ -91,7 +89,6 @@ impl MigrationReport {
     pub(crate) fn new(
         src: &Process,
         chain_depth: usize,
-        registry_audit: RegistryAuditStats,
         collected: Collected,
         transfer: TransferSnapshot,
         dst: &CompletedRun,
@@ -111,7 +108,6 @@ impl MigrationReport {
             src_polls: src.poll_count(),
             chain_depth,
             transfer,
-            registry_audit,
             transport,
             log: None,
             precopy,

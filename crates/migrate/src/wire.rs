@@ -61,8 +61,9 @@ pub(crate) struct Lane {
     pub resume: Option<(u64, Vec<ChunkRecord>)>,
 }
 
-/// The sink a producer pushes its chunks into.
-pub(crate) type Sink<'a> = &'a mut dyn FnMut(Vec<u8>) -> Result<(), CoreError>;
+/// The sink a producer pushes its chunks into. It borrows each chunk and
+/// frames it before it returns.
+pub(crate) type Sink<'a> = &'a mut dyn FnMut(&[u8]) -> Result<(), CoreError>;
 
 /// What one attempt produced, whether or not it succeeded.
 pub(crate) struct Attempt<S, D> {
@@ -203,7 +204,7 @@ pub(crate) fn attempt<S, D: Send>(
         // before the scope joins the destination.
         let mut tx = tx;
         let start = Instant::now();
-        let mut sink = |chunk: Vec<u8>| {
+        let mut sink = |chunk: &[u8]| {
             let i = pushed.len();
             if src_crash_at == Some(i as u32) {
                 src_crashed = true;
@@ -212,7 +213,7 @@ pub(crate) fn attempt<S, D: Send>(
             pushed.push(start.elapsed() - framing);
             if live && i >= skip {
                 let t0 = Instant::now();
-                let sent = tx.send(&chunk);
+                let sent = tx.send(chunk);
                 framing += t0.elapsed();
                 wire.error = sent.err();
                 live = wire.error.is_none();
@@ -222,8 +223,9 @@ pub(crate) fn attempt<S, D: Send>(
         let produced = produce(&mut sink);
         // The terminator's p_n: production ended.
         pushed.push(start.elapsed() - framing);
-        // A crashed source never sends its terminator.
-        if live && !src_crashed {
+        // A producer that failed — the injected crash, or a collector
+        // that refused — never sends its terminator.
+        if live && produced.is_ok() {
             wire.error = tx.finish().err();
         }
         wire.records = tx.records().to_vec();
@@ -313,7 +315,7 @@ pub(crate) fn ship_frame(
         let out = attempt(
             link,
             lane,
-            |sink| frame.chunks(cut).try_for_each(|c| Ok(sink(c.to_vec())?)),
+            |sink| frame.chunks(cut).try_for_each(|c| Ok(sink(c)?)),
             |mut rx| {
                 let mut bytes = Vec::with_capacity(len);
                 while let Some(chunk) = rx.recv()? {
@@ -369,7 +371,7 @@ mod tests {
             |sink| {
                 let mut pushed = 0;
                 for i in 0..CHUNKS {
-                    sink(vec![i as u8; 16 + i])?;
+                    sink(&vec![i as u8; 16 + i])?;
                     pushed += 1;
                 }
                 Ok(pushed)

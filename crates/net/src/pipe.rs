@@ -259,7 +259,7 @@ impl ReliableChunkReceiver {
         Ok(rx.with_journal(journal))
     }
 
-    /// Record every accepted chunk (and its decoded payload) in
+    /// Record every accepted chunk (and the frame it arrived in) in
     /// `journal`. The append happens at accept time — after CRC
     /// verification, in sequence — so the journal is always a
     /// contiguous, verified prefix of the stream.
@@ -325,14 +325,20 @@ impl ReliableChunkReceiver {
             return Ok(None);
         }
         if self.replayed < self.start {
-            // A journaled chunk: handed out again, not read off the pipe.
+            // A journaled chunk: expanded again from its frame, not read
+            // off the pipe. A frame damaged since it was journaled ends
+            // the stream by name.
             let journal = self
                 .journal
                 .as_ref()
                 .expect("a resuming receiver holds its journal");
-            let chunk = journal.payloads()[self.replayed as usize].clone();
+            let chunk = self.replayed;
+            let payload = journal.payload(chunk).map_err(|e| NetError::ChunkFraming {
+                chunk,
+                reason: format!("journaled frame refused: {e}"),
+            })?;
             self.replayed += 1;
-            return Ok(Some(chunk));
+            return Ok(Some(payload));
         }
         let asked = Instant::now();
         let raw = self.ch.recv()?;
@@ -347,7 +353,8 @@ impl ReliableChunkReceiver {
                 .event("crash.injected", &[("chunk", chunk as u64)]);
             return Err(NetError::PeerCrashed { chunk });
         }
-        if let Some(Err(e)) = (self.journal.as_mut()).map(|j| j.append(record, payload.clone())) {
+        // The journal keeps the verified frame itself, moved in.
+        if let Some(Err(e)) = (self.journal.as_mut()).map(|j| j.append(record, raw)) {
             let reason = format!("journal append failed: {e}");
             return Err(NetError::ChunkFraming { chunk, reason });
         }
@@ -728,7 +735,7 @@ mod tests {
             crc,
             phase: RestorePhase::Prefix,
         };
-        journal.append(record, vec![1; 8]).unwrap();
+        journal.append(record, frame.clone()).unwrap();
         let (a, b) = channel_pair(NetworkModel::instant());
         let mut rx = ReliableChunkReceiver::new_resuming(b, journal).unwrap();
         a.send(frame).unwrap();

@@ -21,8 +21,7 @@
 
 use crate::channel::NetError;
 use hpm_xdr::{
-    frame_chunk, records_digest, unframe_chunk_any, ChunkRecord, Control, RestoreJournal,
-    RestorePhase,
+    frame_chunk, records_digest, view_chunk, ChunkRecord, Control, RestoreJournal, RestorePhase,
 };
 
 /// The former ARQ tuning of both endpoints. The pipe has no window, no
@@ -196,7 +195,8 @@ impl ReceiverCore {
     /// it parses, its CRC (over header and wire bytes) verifies, its
     /// sequence number is `next` and its payload expands to exactly
     /// `raw_len` bytes. Anything else is refused, and the refusal ends
-    /// the connection.
+    /// the connection. The frame is read where it lies: the only copy of
+    /// its payload is the expansion the caller receives.
     pub fn on_frame(&mut self, raw: &[u8]) -> Result<(ChunkRecord, Vec<u8>), Refused> {
         let next = self.next;
         let malformed = |reason: String| {
@@ -205,7 +205,7 @@ impl ReceiverCore {
                 reason,
             })
         };
-        let parsed = unframe_chunk_any(raw).map_err(|e| malformed(e.to_string()))?;
+        let parsed = view_chunk(raw).map_err(|e| malformed(e.to_string()))?;
         let seq = parsed.seq;
         if parsed.verify_crc().is_err() {
             return Err(Refused::Corrupt { seq, next });
@@ -223,7 +223,7 @@ impl ReceiverCore {
         // The CRC has passed, so a payload that does not expand to its
         // `raw_len` was framed wrong at the source.
         let payload = parsed
-            .into_payload()
+            .expand()
             .map_err(|e| malformed(format!("payload failed to expand: {e}")))?;
         self.next += 1;
         Ok((record, payload))
@@ -254,7 +254,7 @@ mod tests {
             let (record, payload) = rx.on_frame(&frame).unwrap();
             assert_eq!(payload, chunk);
             assert_eq!(record, tx.records()[i as usize]);
-            let compressed = unframe_chunk_any(&frame).unwrap().compressed;
+            let compressed = view_chunk(&frame).unwrap().compressed;
             assert_eq!(compressed, record.wire_len < record.raw_len, "chunk {i}");
             assert_eq!(compressed, i % 2 == 0, "chunk {i}");
         }

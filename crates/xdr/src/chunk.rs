@@ -23,7 +23,8 @@
 //! fails the check exactly like a damaged payload byte, and the transport
 //! verifies integrity *before* spending decompression work.
 //!
-//! [`unframe_chunk_any`] reads the one frame. Three retired magics are
+//! [`view_chunk`] reads the one frame where it lies, and
+//! [`unframe_chunk_any`] copies its payload out. Three retired magics are
 //! refused as [`XdrError::BadMagic`]: `HPMC` (`0x4850_4D43`, v1), which
 //! carried no CRC, and `HPMD` (v2) and `HPME` (v3), whose CRCs left the
 //! header unprotected. The CRC is reported, not verified, there — the
@@ -199,26 +200,88 @@ impl ChunkFrame {
     }
 }
 
-/// Unframe a chunk. Refuses everything [`peek_chunk_header`] refuses,
-/// and an intact frame whose flags set a bit no sender sets; on a damaged
-/// frame any word may be the damage, which [`ChunkFrame::verify_crc`]
-/// then reports. The CRC is returned unverified so the transport can
-/// name a "damaged frame" apart from an "unparseable frame", and the
-/// payload stays compressed so verification precedes decompression.
-pub fn unframe_chunk_any(frame: &[u8]) -> Result<ChunkFrame, XdrError> {
+/// One chunk frame read where it lies: what [`unframe_chunk_any`]
+/// answers, with the wire payload borrowed from the frame rather than
+/// copied out of it. The receiver and the journal read frames this way,
+/// so a payload byte is copied only when it is expanded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChunkView<'a> {
+    /// Sequence number.
+    pub seq: u32,
+    /// Final-chunk flag.
+    pub last: bool,
+    /// The wire payload as it arrived, inside the frame.
+    pub payload: &'a [u8],
+    /// The CRC-32 the sender stamped over the header and wire payload.
+    pub crc: u32,
+    /// Whether `payload` is compressed.
+    pub compressed: bool,
+    /// Payload size before compression; a stored payload's own size.
+    pub raw_len: u32,
+    /// The CRC-32 of the frame as it arrived, everything before `crc`.
+    arrived_crc: u32,
+}
+
+impl ChunkView<'_> {
+    /// Whether the frame arrived as it was stamped, header and wire
+    /// payload alike. On mismatch returns the CRC of what arrived.
+    pub fn verify_crc(&self) -> Result<(), u32> {
+        if self.arrived_crc == self.crc {
+            Ok(())
+        } else {
+            Err(self.arrived_crc)
+        }
+    }
+
+    /// The decoded payload, exactly `raw_len` bytes, refused as
+    /// [`ChunkFrame::into_payload`] refuses.
+    pub fn expand(&self) -> Result<Vec<u8>, XdrError> {
+        if self.compressed {
+            decompress(self.payload, self.raw_len as usize)
+        } else if self.payload.len() == self.raw_len as usize {
+            Ok(self.payload.to_vec())
+        } else {
+            Err(XdrError::LengthTooLarge(self.raw_len))
+        }
+    }
+}
+
+/// Read a chunk frame in place. Refuses everything [`peek_chunk_header`]
+/// refuses, and an intact frame whose flags set a bit no sender sets; on
+/// a damaged frame any word may be the damage, which
+/// [`ChunkView::verify_crc`] then reports. The CRC is returned unverified
+/// so the transport can name a "damaged frame" apart from an
+/// "unparseable frame", and the payload stays compressed so verification
+/// precedes decompression.
+pub fn view_chunk(frame: &[u8]) -> Result<ChunkView<'_>, XdrError> {
     let h = peek_chunk_header(frame)?;
     let arrived_crc = crc32(&frame[..frame.len() - 4]);
     if arrived_crc == h.crc && h.flags & !(CHUNK_FLAG_LAST | CHUNK_FLAG_COMPRESSED) != 0 {
         return Err(XdrError::BadMagic(h.flags));
     }
-    Ok(ChunkFrame {
+    Ok(ChunkView {
         seq: h.seq,
         last: h.flags & CHUNK_FLAG_LAST != 0,
-        payload: frame[h.payload_at..h.payload_at + h.payload_len].to_vec(),
+        payload: &frame[h.payload_at..h.payload_at + h.payload_len],
         crc: h.crc,
         compressed: h.flags & CHUNK_FLAG_COMPRESSED != 0,
         raw_len: h.raw_len,
         arrived_crc,
+    })
+}
+
+/// Unframe a chunk: [`view_chunk`], with the wire payload copied out of
+/// the frame.
+pub fn unframe_chunk_any(frame: &[u8]) -> Result<ChunkFrame, XdrError> {
+    let v = view_chunk(frame)?;
+    Ok(ChunkFrame {
+        seq: v.seq,
+        last: v.last,
+        payload: v.payload.to_vec(),
+        crc: v.crc,
+        compressed: v.compressed,
+        raw_len: v.raw_len,
+        arrived_crc: v.arrived_crc,
     })
 }
 
@@ -304,7 +367,7 @@ pub struct ChunkHeader {
 }
 
 /// Read a framed chunk's header without copying its payload — the one
-/// reader behind [`unframe_chunk_any`] and the fault injector.
+/// reader behind [`view_chunk`] and the fault injector.
 ///
 /// Refuses any magic but [`CHUNK_MAGIC`], non-zero padding, and a frame
 /// that is not exactly as long as its payload length makes it: a frame

@@ -2,29 +2,36 @@
 //!
 //! The destination side of a migration appends one [`ChunkRecord`] to a
 //! [`RestoreJournal`] for every chunk that survived CRC verification,
-//! together with the decoded payload bytes. If the destination process dies
-//! mid-restore, the journal is all that is needed to rebuild it: the decoded
-//! payloads are replayed locally through the normal restore path (never a
-//! splice into partially-restored state), and a [`crate::Control::Resume`]
-//! handshake tells the sender to restart the wire transfer at
+//! together with the frame it arrived in, moved in as it came off the
+//! link. If the destination process dies mid-restore, the journal is all
+//! that is needed to rebuild it: the frames are expanded again and
+//! replayed locally through the normal restore path (never a splice into
+//! partially-restored state), and a [`crate::Control::Resume`] handshake
+//! tells the sender to restart the wire transfer at
 //! [`RestoreJournal::next_chunk`] instead of chunk 0.
 //!
 //! The journal lives in memory beside the destination and has no byte
-//! format of its own.
+//! format of its own. Keeping the frame costs no copy on the receiving
+//! path, and a compressed chunk is journaled at its wire size.
 //!
 //! ## Integrity model
 //!
-//! Two independent checks guard against resuming onto a corrupt base:
+//! Three independent checks guard against resuming onto a corrupt base:
 //!
-//! 1. **Append contiguity and length** ([`RestoreJournal::append`]): a
-//!    record is accepted only as the next chunk, with a payload of its
-//!    record's `raw_len`, so the journal is always a hole-free prefix of
-//!    the stream.
+//! 1. **Append contiguity** ([`RestoreJournal::append`]): a record is
+//!    accepted only as the next chunk, so the journal is always a
+//!    hole-free prefix of the stream.
 //! 2. **The handshake digest** ([`RestoreJournal::digest`]): a chained hash
 //!    over every record (index, lengths, CRC, phase). The sender recomputes
 //!    the same digest from its own send ledger; any disagreement — a tampered
 //!    journal, a divergent stream — rejects the resume rather than splicing.
+//!    The digest covers the records only, not the frames.
+//! 3. **Replay** ([`RestoreJournal::payload`]): each frame's CRC is checked
+//!    again, and its sequence number and length against its record, before
+//!    it is expanded. A frame damaged after it was journaled is refused by
+//!    name and never restored.
 
+use crate::chunk::view_chunk;
 use crate::error::XdrError;
 
 /// The restore phase a chunk was consumed in.
@@ -123,15 +130,15 @@ pub fn image_id_from_digest(digest: u64, len: usize) -> u64 {
 
 /// The destination's record of every CRC-verified chunk.
 ///
-/// Records and decoded payloads are kept aligned: `payloads[i]` is the raw
-/// (post-decompression) bytes of `records[i]`. The journal is contiguous by
+/// Records and frames are kept aligned: `frames[i]` is the frame that
+/// carried `records[i]`, as it arrived. The journal is contiguous by
 /// construction — [`RestoreJournal::append`] only accepts the next index —
 /// so `records.len()` is always the first missing chunk.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RestoreJournal {
     image_id: u64,
     records: Vec<ChunkRecord>,
-    payloads: Vec<Vec<u8>>,
+    frames: Vec<Vec<u8>>,
 }
 
 impl RestoreJournal {
@@ -140,7 +147,7 @@ impl RestoreJournal {
         RestoreJournal {
             image_id,
             records: Vec::new(),
-            payloads: Vec::new(),
+            frames: Vec::new(),
         }
     }
 
@@ -149,18 +156,16 @@ impl RestoreJournal {
         self.image_id
     }
 
-    /// Record one verified chunk. `record.index` must be exactly the next
-    /// chunk (journals have no holes) and `payload` must match
-    /// `record.raw_len`.
-    pub fn append(&mut self, record: ChunkRecord, payload: Vec<u8>) -> Result<(), XdrError> {
+    /// Record one verified chunk and the frame that carried it.
+    /// `record.index` must be exactly the next chunk (journals have no
+    /// holes). The caller has verified the frame; [`RestoreJournal::payload`]
+    /// verifies it again before it is replayed.
+    pub fn append(&mut self, record: ChunkRecord, frame: Vec<u8>) -> Result<(), XdrError> {
         if record.index as usize != self.records.len() {
             return Err(XdrError::BadMagic(record.index));
         }
-        if payload.len() != record.raw_len as usize {
-            return Err(XdrError::LengthTooLarge(record.raw_len));
-        }
         self.records.push(record);
-        self.payloads.push(payload);
+        self.frames.push(frame);
         Ok(())
     }
 
@@ -174,9 +179,25 @@ impl RestoreJournal {
         &self.records
     }
 
-    /// Decoded payload bytes of the journaled chunks, in stream order.
-    pub fn payloads(&self) -> &[Vec<u8>] {
-        &self.payloads
+    /// The decoded payload of journaled chunk `chunk`, expanded from its
+    /// frame. The frame must still parse, its CRC must still verify
+    /// ([`XdrError::CrcMismatch`] otherwise), and its sequence number and
+    /// `raw_len` must be its record's; a frame that fails any check is
+    /// refused, never expanded. Panics if `chunk` is not journaled.
+    pub fn payload(&self, chunk: u32) -> Result<Vec<u8>, XdrError> {
+        let (record, frame) = (&self.records[chunk as usize], &self.frames[chunk as usize]);
+        let view = view_chunk(frame)?;
+        view.verify_crc().map_err(|actual| XdrError::CrcMismatch {
+            expected: view.crc,
+            actual,
+        })?;
+        if view.seq != record.index {
+            return Err(XdrError::BadMagic(view.seq));
+        }
+        if view.raw_len != record.raw_len {
+            return Err(XdrError::LengthTooLarge(view.raw_len));
+        }
+        view.expand()
     }
 
     /// Total decoded bytes held — exactly the bytes a resume avoids
@@ -217,42 +238,93 @@ impl RestoreJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunk::crc32;
+    use crate::chunk::frame_chunk;
+
+    /// The payload of chunk `i` of [`sample`]: compressible when `i` is
+    /// even, so the journal holds compressed and stored frames.
+    fn payload_of(i: u32) -> Vec<u8> {
+        match i % 2 {
+            0 => vec![i as u8; 64 + i as usize],
+            _ => (0..(i as usize + 1) * 3)
+                .map(|k| (k * 37 + 11) as u8)
+                .collect(),
+        }
+    }
+
+    /// Chunk `index` framed as a sender frames it, and its record.
+    fn framed(index: u32, payload: &[u8]) -> (ChunkRecord, Vec<u8>) {
+        let (frame, wire_len, crc) = frame_chunk(index, false, payload, true);
+        let record = ChunkRecord {
+            index,
+            raw_len: payload.len() as u32,
+            wire_len: wire_len as u32,
+            crc,
+            phase: RestorePhase::for_chunk(index, false),
+        };
+        (record, frame)
+    }
 
     fn sample() -> RestoreJournal {
         let mut j = RestoreJournal::new(image_id(b"prefix-bytes"));
         for i in 0..5u32 {
-            let payload = vec![i as u8; (i as usize + 1) * 3];
-            j.append(
-                ChunkRecord {
-                    index: i,
-                    raw_len: payload.len() as u32,
-                    wire_len: payload.len() as u32 + 24,
-                    crc: crc32(&payload),
-                    phase: RestorePhase::for_chunk(i, false),
-                },
-                payload,
-            )
-            .unwrap();
+            let (record, frame) = framed(i, &payload_of(i));
+            j.append(record, frame).unwrap();
         }
         j
     }
 
     #[test]
-    fn append_enforces_contiguity_and_lengths() {
+    fn append_enforces_contiguity() {
         let mut j = RestoreJournal::new(1);
-        let rec = ChunkRecord {
-            index: 1,
-            raw_len: 2,
-            wire_len: 2,
-            crc: 0,
-            phase: RestorePhase::Payload,
-        };
-        assert!(j.append(rec, vec![0, 0]).is_err(), "hole rejected");
-        let rec0 = ChunkRecord { index: 0, ..rec };
-        assert!(j.append(rec0, vec![0]).is_err(), "length mismatch rejected");
-        assert!(j.append(rec0, vec![0, 0]).is_ok());
+        let (rec, frame) = framed(1, &[0; 8]);
+        assert!(j.append(rec, frame).is_err(), "hole rejected");
+        let (rec0, frame0) = framed(0, &[0; 8]);
+        assert!(j.append(rec0, frame0).is_ok());
         assert_eq!(j.next_chunk(), 1);
+    }
+
+    /// A journal of frames, compressed and stored, replays each chunk's
+    /// payload byte for byte.
+    #[test]
+    fn a_journal_of_frames_replays_byte_identical_payloads() {
+        let j = sample();
+        for i in 0..j.next_chunk() {
+            assert_eq!(j.payload(i), Ok(payload_of(i)), "chunk {i}");
+        }
+        let compressed = (j.records().iter()).filter(|r| r.wire_len < r.raw_len);
+        assert_eq!(compressed.count(), 3, "chunks 0, 2 and 4 travel compressed");
+        assert_eq!(
+            j.raw_bytes(),
+            (0..5).map(|i| payload_of(i).len() as u64).sum()
+        );
+    }
+
+    /// A journaled frame damaged in any byte after it was appended is
+    /// refused on replay, never expanded; damage to the wire payload is a
+    /// CRC refusal by name. A frame that does not belong to its record is
+    /// refused too.
+    #[test]
+    fn a_frame_damaged_after_append_is_refused_never_restored() {
+        let j = sample();
+        for i in [0u32, 1] {
+            let frame = &j.frames[i as usize];
+            let body = 20..20 + j.records[i as usize].wire_len as usize;
+            for at in 0..frame.len() {
+                let mut damaged = j.clone();
+                damaged.frames[i as usize][at] ^= 0x10;
+                let got = damaged.payload(i);
+                assert!(got.is_err(), "chunk {i} byte {at} replayed: {got:?}");
+                if body.contains(&at) {
+                    assert!(
+                        matches!(got, Err(XdrError::CrcMismatch { .. })),
+                        "chunk {i} byte {at}: {got:?}"
+                    );
+                }
+            }
+        }
+        let mut swapped = j.clone();
+        swapped.frames.swap(1, 3);
+        assert_eq!(swapped.payload(1), Err(XdrError::BadMagic(3)));
     }
 
     #[test]
@@ -277,18 +349,17 @@ mod tests {
         let mut j = sample();
         assert!(!j.is_complete());
         let n = j.next_chunk();
-        j.append(
-            ChunkRecord {
-                index: n,
-                raw_len: 0,
-                wire_len: 0,
-                crc: 0,
-                phase: RestorePhase::Terminator,
-            },
-            Vec::new(),
-        )
-        .unwrap();
+        let (frame, _, crc) = frame_chunk(n, true, &[], true);
+        let record = ChunkRecord {
+            index: n,
+            raw_len: 0,
+            wire_len: 0,
+            crc,
+            phase: RestorePhase::Terminator,
+        };
+        j.append(record, frame).unwrap();
         assert!(j.is_complete());
+        assert_eq!(j.payload(n), Ok(Vec::new()));
     }
 
     #[test]

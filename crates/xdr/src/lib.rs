@@ -37,8 +37,8 @@ pub mod journal;
 
 pub use chunk::{
     crc32, frame_chunk, frame_chunk_v3, frame_control, peek_chunk_header, unframe_chunk_any,
-    unframe_control, ChunkFrame, ChunkHeader, Control, CHUNK_FLAG_COMPRESSED, CHUNK_FLAG_LAST,
-    CHUNK_MAGIC, CONTROL_MAGIC,
+    unframe_control, view_chunk, ChunkFrame, ChunkHeader, ChunkView, Control,
+    CHUNK_FLAG_COMPRESSED, CHUNK_FLAG_LAST, CHUNK_MAGIC, CONTROL_MAGIC,
 };
 pub use compress::{
     compress, compress_with_dict, decompress, decompress_with_dict, get_varint_u64, put_varint_u64,

@@ -385,10 +385,8 @@ fn crashed_transfer_resumes_byte_identical_on_every_preset_pair() {
             // exact image an uninterrupted transfer would deliver.
             let final_journal = rx.into_journal().expect("a journaling receiver");
             assert!(final_journal.is_complete(), "{tag}");
-            let reassembled: Vec<u8> = final_journal
-                .payloads()
-                .iter()
-                .flat_map(|p| p.iter().copied())
+            let reassembled: Vec<u8> = (0..final_journal.next_chunk())
+                .flat_map(|i| final_journal.payload(i).expect("a journaled frame replays"))
                 .collect();
             assert_eq!(reassembled, image, "{tag}: resumed image differs");
         }

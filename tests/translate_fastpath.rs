@@ -325,7 +325,7 @@ fn collect_streamed(img: &mut Image, mode: TranslationMode, chunk_bytes: usize) 
         .with_sink(
             chunk_bytes,
             Box::new(|chunk| {
-                chunks.push(chunk);
+                chunks.push(chunk.to_vec());
                 Ok(())
             }),
         );
