@@ -130,15 +130,21 @@ impl<'h> ChunkPayload<'h> {
             return Ok(false);
         };
         self.base += self.pos as u64;
-        match &mut self.buf {
-            Cow::Owned(window) => {
-                window.drain(..self.pos);
+        self.starts.push(self.base + self.buffered() as u64);
+        if self.buffered() == 0 {
+            // Nothing is left unread (chunks are cut between items): the
+            // chunk becomes the window as it came, uncopied.
+            self.buf = Cow::Owned(chunk);
+        } else {
+            match &mut self.buf {
+                Cow::Owned(window) => {
+                    window.drain(..self.pos);
+                }
+                Cow::Borrowed(head) => self.buf = Cow::Owned(head[self.pos..].to_vec()),
             }
-            Cow::Borrowed(head) => self.buf = Cow::Owned(head[self.pos..].to_vec()),
+            self.buf.to_mut().extend_from_slice(&chunk);
         }
         self.pos = 0;
-        self.starts.push(self.received());
-        self.buf.to_mut().extend_from_slice(&chunk);
         Ok(true)
     }
 
