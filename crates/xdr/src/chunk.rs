@@ -40,7 +40,7 @@
 //! concatenation of the chunk payloads, in sequence order, is the exact
 //! monolithic image, byte for byte.
 
-use crate::compress::{compress, decompress};
+use crate::compress::{compress_into, decompress};
 use crate::{XdrDecoder, XdrEncoder, XdrError};
 
 /// Magic number opening every chunk frame: "HPMF".
@@ -128,23 +128,32 @@ pub fn frame_chunk(
     payload: &[u8],
     try_compress: bool,
 ) -> (Vec<u8>, usize, u32) {
-    let packed = try_compress
-        .then(|| compress(payload))
-        .filter(|c| c.len() < payload.len());
-    let wire = packed.as_deref().unwrap_or(payload);
+    // The coder writes its tokens straight after the header and the
+    // length word, at `AT`; a stream no smaller than the payload is cut
+    // off and the payload stored in its place. The reservation holds a
+    // stored frame and a literal token's header more.
+    const AT: usize = 20;
+    let mut frame = Vec::with_capacity(AT + crate::padded_len(payload.len()) + 16);
     let mut flags = if last { CHUNK_FLAG_LAST } else { 0 };
-    if packed.is_some() {
-        flags |= CHUNK_FLAG_COMPRESSED;
+    for word in [CHUNK_MAGIC, seq, flags, payload.len() as u32, 0] {
+        frame.extend_from_slice(&word.to_be_bytes());
     }
-    let mut enc = XdrEncoder::with_capacity(24 + crate::padded_len(wire.len()));
-    enc.put_u32(CHUNK_MAGIC);
-    enc.put_u32(seq);
-    enc.put_u32(flags);
-    enc.put_u32(payload.len() as u32);
-    enc.put_opaque_var(wire);
-    let crc = crc32(enc.as_bytes());
-    enc.put_u32(crc);
-    (enc.into_bytes(), wire.len(), crc)
+    if try_compress {
+        compress_into(payload, &mut frame);
+    }
+    if frame.len() > AT && frame.len() - AT < payload.len() {
+        flags |= CHUNK_FLAG_COMPRESSED;
+        frame[8..12].copy_from_slice(&flags.to_be_bytes());
+    } else {
+        frame.truncate(AT);
+        frame.extend_from_slice(payload);
+    }
+    let wire_len = frame.len() - AT;
+    frame[16..AT].copy_from_slice(&(wire_len as u32).to_be_bytes());
+    frame.resize(AT + crate::padded_len(wire_len), 0);
+    let crc = crc32(&frame);
+    frame.extend_from_slice(&crc.to_be_bytes());
+    (frame, wire_len, crc)
 }
 
 /// [`frame_chunk`], compressed: the frame and its wire-payload length.
