@@ -17,7 +17,9 @@
 //! * interior pointers (into the middle of arrays/structs) are legal;
 //! * address→block resolution requires a genuine search, through a
 //!   [`PageIndex`] — the process's only address map, which the MSRLT
-//!   resolves pointers through too;
+//!   resolves pointers through too: a dense page directory per run of
+//!   pages (globals, heap, stack) and, on pages where blocks start, a
+//!   table naming the block at each 8-byte granule;
 //! * the heap allocator reuses freed space, so address order is not
 //!   allocation order.
 //!

@@ -6,9 +6,12 @@
 //! the names of globals and locals sit in a side table keyed by slot.
 //! One [`PageIndex`] maps addresses to arena slots: it is the process's
 //! only address → block map, which the MSRLT resolves pointers through
-//! too ([`AddressSpace::resolve`]). Every address is resolved by
-//! one directory probe and a rank-table read, then checked against the
-//! block's bounds; nothing walks a tree. Once a block is found, the
+//! too ([`AddressSpace::resolve`]). Every address is resolved by one
+//! read of its page's directory entry and, on a page where blocks
+//! start, one read of its 8-byte granule's entry, checked against the
+//! arena record's bounds; only when that check fails does the lookup
+//! search the page's start list. Nothing hashes and nothing walks a
+//! tree. Once a block is found, the
 //! collector and restorer reach its bytes through its [`BlockSlot`]
 //! without resolving again.
 
@@ -401,7 +404,8 @@ impl AddressSpace {
     /// zero-size one included, which [`AddressSpace::resolve`] never
     /// answers).
     fn idx_at(&self, addr: u64) -> Option<NonZeroU32> {
-        self.index.get(addr).filter(|&i| self.block(i).addr == addr)
+        self.index
+            .get_if(addr, |i| (self.block(i).addr == addr).then_some(i))
     }
 
     fn kill(&mut self, idx: NonZeroU32) -> Option<MemoryBlock> {
@@ -617,15 +621,16 @@ impl AddressSpace {
     // ----- resolution & access -----
 
     /// Find the block containing `addr` (any interior address): its
-    /// handle, its record and `addr`'s offset in it, from one probe of
-    /// the index and one read of the arena. This is the search the MSRLT
-    /// charges per pointer.
+    /// handle, its record and `addr`'s offset in it, from one directory
+    /// read, at most one granule read and one read of the arena. This is
+    /// the search the MSRLT charges per pointer.
     #[inline]
     pub fn resolve(&self, addr: u64) -> Option<(BlockSlot, &MemoryBlock, u64)> {
-        let idx = self.index.get(addr)?;
-        let b = self.block(idx);
-        b.contains(addr)
-            .then(|| (BlockSlot { idx, addr: b.addr }, b, addr - b.addr))
+        self.index.get_if(addr, |idx| {
+            let b = self.block(idx);
+            b.contains(addr)
+                .then(|| (BlockSlot { idx, addr: b.addr }, b, addr - b.addr))
+        })
     }
 
     /// The block starting exactly at `block_addr`.
@@ -1022,6 +1027,49 @@ mod tests {
         let s = space();
         assert!(s.resolve(0).is_none());
         assert!(s.resolve(0x2000_0000).is_none());
+    }
+
+    /// An address no block holds misses on every preset, with no panic
+    /// and no wrap: the ends of the address range, the page past each
+    /// directory run and the byte below each, and the byte below the
+    /// stack's lowest page.
+    #[test]
+    fn wild_addresses_miss_on_every_preset() {
+        for arch in [
+            Architecture::x86_64_sim(),
+            Architecture::sparc20(),
+            Architecture::dec5000(),
+            Architecture::ultra5(),
+        ] {
+            let mut s = AddressSpace::new(arch);
+            let (ch, d) = (s.types_mut().char_(), s.types_mut().double());
+            s.define_global("g", d, 3).unwrap();
+            s.define_global("c", ch, 5).unwrap();
+            s.malloc(ch, 3).unwrap();
+            s.malloc(d, 1000).unwrap();
+            s.malloc(ch, 1).unwrap();
+            let f = s.push_frame("main");
+            s.define_local(f, "a", d, 1000).unwrap();
+            let low = s.define_local(f, "b", ch, 3).unwrap();
+            let base = |page: u64| page << crate::page_index::PAGE_SHIFT;
+            let lowest_page = low & !(crate::PAGE_SIZE - 1);
+            let mut wild = vec![0, 1, u64::MAX, u64::MAX - 7, lowest_page - 1];
+            for (first, end) in s.index.run_spans() {
+                let past = base(end);
+                wild.extend([
+                    base(first).wrapping_sub(1),
+                    past,
+                    past + crate::PAGE_SIZE - 1,
+                ]);
+            }
+            assert_eq!(wild.len(), 5 + 3 * 3, "one run per segment");
+            for a in wild {
+                assert!(s.resolve(a).is_none(), "{a:#x} on {}", s.arch().name);
+                assert!(s.block_at(a).is_none(), "{a:#x}");
+                assert!(s.read_bytes(a, 1).is_err(), "{a:#x}");
+            }
+            assert_eq!(s.resolve(low + 2).map(|r| r.2), Some(2));
+        }
     }
 
     #[test]

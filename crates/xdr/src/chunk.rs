@@ -153,6 +153,11 @@ pub fn frame_chunk(
     frame.resize(AT + crate::padded_len(wire_len), 0);
     let crc = crc32(&frame);
     frame.extend_from_slice(&crc.to_be_bytes());
+    if flags & CHUNK_FLAG_COMPRESSED != 0 {
+        // The frame waits in the pipe and the destination's journal:
+        // give back the stored frame's reservation it did not fill.
+        frame.shrink_to_fit();
+    }
     (frame, wire_len, crc)
 }
 
@@ -618,6 +623,7 @@ mod tests {
         assert!(wire_len < payload.len(), "zeros must compress");
         assert!(frame.len() < 64, "frame is {} bytes", frame.len());
         assert_eq!(frame.len() % 4, 0);
+        assert_eq!(frame.capacity(), frame.len(), "holds what it carries");
         let f = unframe_chunk_any(&frame).unwrap();
         assert_eq!(f.seq, 11);
         assert!(!f.last);

@@ -117,7 +117,8 @@ fn large_requests<T>(f: impl FnOnce() -> T) -> (T, Vec<(Call, usize)>) {
 const BITONIC_NODES: u64 = 200_000;
 /// Bound on host bytes per simulated block at that size (217 on the
 /// per-block arena entries, 147 while the MSRLT kept its own address
-/// index and 40-byte records, 117 with one block table per process).
+/// index and 40-byte records, 117 with one block table per process,
+/// 123 with a 2 KiB granule table on each page where blocks start).
 const BYTES_PER_BLOCK: usize = 128;
 
 /// Linpack of order 600 migrating DEC 5000 → SPARC 20: a 2.89 MB image
@@ -135,7 +136,12 @@ const LINPACK_PEAK: usize = 15_000_000;
 /// destination restores on a thread of its own. It depends on how many
 /// frames wait in the pipe while the destination restores: 19.80–21.45
 /// MB over eight runs, and 20.41–21.43 MB over six when a wire thread
-/// framed the collector's chunks off a queue.
+/// framed the collector's chunks off a queue. Since a compressed frame
+/// gives back the stored frame's capacity it reads 18.68 MB on every
+/// release run (18.90 MB before), but 18.72–19.77 MB in a debug build
+/// and 21.06–21.45 MB in a debug build beside a concurrent compile:
+/// each step is one more stored 1 MiB frame (1 048 684 B) waiting in
+/// the pipe, so the bound stays where those runs fit.
 const LINPACK_STREAMED_PEAK: usize = 22_000_000;
 
 /// The linpack order whose `Whole` migration lists its large requests.
