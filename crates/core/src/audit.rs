@@ -1,17 +1,21 @@
-//! Whole-registry audit of a live MSRLT snapshot, for `hpm-lint`.
+//! Registry coherence, defined once: the findings an incoherent MSRLT
+//! raises, the per-block check (`check_block`) and the one walk over a
+//! live registry and its pointer slots (`walk_registry`).
 //!
-//! A migration checks only what its collector reaches, block by block
-//! ([`CoreError::Incoherent`]). The auditor checks the whole registry,
-//! reachable or not, and reports every violation at once: dangling
-//! pointers, registrations the space does not know, overlapping spans,
-//! orphaned frame entries, size and byte-accounting mismatches.
-//! `hpm-lint` re-surfaces the findings as `HPM03x` diagnostics
-//! (`MigratedSource::preflight_audit` in `hpm-migrate`).
+//! The collector makes the per-block check on each block it reaches and
+//! refuses the first finding ([`CoreError::Incoherent`]). The auditor
+//! takes the walk over the whole registry, reachable or not, and reports
+//! every finding at once; `hpm-lint` re-surfaces them as `HPM03x`
+//! diagnostics (`MigratedSource::preflight_audit` in `hpm-migrate`).
+//! [`MsrGraph::snapshot`](crate::MsrGraph::snapshot) takes the same walk.
+//! No finding names an overlap: the space places every block itself and
+//! the MSRLT names blocks by arena slot, so an overlap is a
+//! `SizeMismatch` or an `UnknownBlock`.
 
-use crate::msrlt::{frame_group, LogicalId, Msrlt};
+use crate::msrlt::{frame_group, Hit, LogicalId, Msrlt};
 use crate::translate::{read_ptr, PlanTable};
 use crate::CoreError;
-use hpm_memory::AddressSpace;
+use hpm_memory::{AddressSpace, MemoryBlock};
 use hpm_types::plan::PlanOp;
 use std::time::{Duration, Instant};
 
@@ -35,15 +39,6 @@ pub enum RegistryFinding {
         id: LogicalId,
         /// The registered address.
         addr: u64,
-    },
-    /// Two registered blocks overlap in the address space.
-    OverlappingBlocks {
-        /// Lower block.
-        a: LogicalId,
-        /// Upper block (starts inside `a`).
-        b: LogicalId,
-        /// Bytes of overlap.
-        bytes: u64,
     },
     /// A live stack entry belongs to a frame group deeper than the live
     /// frame stack — its frame was popped without unregistering it.
@@ -83,9 +78,6 @@ impl std::fmt::Display for RegistryFinding {
             RegistryFinding::UnknownBlock { id, addr } => {
                 write!(f, "registered block {id} at {addr:#x} unknown to the space")
             }
-            RegistryFinding::OverlappingBlocks { a, b, bytes } => {
-                write!(f, "blocks {a} and {b} overlap by {bytes} bytes")
-            }
             RegistryFinding::FrameNesting { id, live_depth } => write!(
                 f,
                 "stack entry {id} outlives the live frame stack (depth {live_depth})"
@@ -106,7 +98,7 @@ impl std::fmt::Display for RegistryFinding {
     }
 }
 
-/// Counters for one registry audit.
+/// What one registry audit walked. Its findings are the list it returns.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RegistryAuditStats {
     /// Live blocks examined.
@@ -116,115 +108,122 @@ pub struct RegistryAuditStats {
     /// Elements whose pointer slots were walked: those of blocks whose
     /// type has pointers, none of a pointer-free block.
     pub elements_scanned: u64,
-    /// Total findings (all kinds).
-    pub findings: u64,
-    /// Dangling-edge findings.
-    pub dangling_edges: u64,
-    /// Overlapping-block findings.
-    pub overlaps: u64,
-    /// Frame-nesting findings.
-    pub frame_violations: u64,
     /// Wall time of the audit.
     pub audit_time: Duration,
+}
+
+/// The per-block check of a registration, findings in check order:
+/// block `id` belongs to a group below `dead_group`, the first frame group
+/// past the live frame stack; and, where `sizes` gives them, the size the
+/// registry recorded equals the arena record's (`(recorded, expected)`).
+#[inline]
+pub(crate) fn check_block(
+    id: LogicalId,
+    dead_group: u32,
+    sizes: Option<(u64, u64)>,
+) -> impl Iterator<Item = RegistryFinding> {
+    let live_depth = dead_group - frame_group(0);
+    let nesting =
+        (id.group >= dead_group).then_some(RegistryFinding::FrameNesting { id, live_depth });
+    let size = sizes.filter(|(r, e)| r != e);
+    let size = size.map(|(recorded, expected)| RegistryFinding::SizeMismatch {
+        id,
+        recorded,
+        expected,
+    });
+    nesting.into_iter().chain(size)
+}
+
+/// What [`walk_registry`] hands its visitor.
+pub(crate) enum Visit {
+    /// `Entry(id, size, addr, block)`: a live entry, the size it records,
+    /// its address, and its block's arena record, `None` when the space
+    /// holds no block there.
+    Entry(LogicalId, u64, u64, Option<MemoryBlock>),
+    /// `Edge(from, offset, raw, to)`: a non-NULL pointer slot at byte
+    /// `offset` of block `from`, holding `raw`, and the registered block
+    /// `raw` resolves to, if any.
+    Edge(LogicalId, u64, u64, Option<Hit>),
+}
+
+/// The one walk over a live registry: every live entry in id order, each
+/// followed by the non-NULL pointer slots of its block, resolved once
+/// each. A block the space does not hold, or whose type has no pointers,
+/// has none. A visitor's error ends the walk; any other `Err` is a
+/// plan-compilation failure (an incomplete type).
+pub(crate) fn walk_registry(
+    space: &mut AddressSpace,
+    msrlt: &mut Msrlt,
+    stats: &mut RegistryAuditStats,
+    mut visit: impl FnMut(&mut AddressSpace, Visit) -> Result<(), CoreError>,
+) -> Result<(), CoreError> {
+    let entries: Vec<_> = msrlt.live_entries().collect();
+    let mut plans = PlanTable::default();
+    for (id, e) in entries {
+        stats.blocks_checked += 1;
+        let (slot, size) = (e.slot(), e.size);
+        let block = space.slot_block(slot).ok().copied();
+        visit(space, Visit::Entry(id, size, slot.addr(), block))?;
+        let Some(block) = block else { continue };
+        let plan = plans.get(space, block.ty)?;
+        if !plan.has_pointers {
+            continue;
+        }
+        stats.elements_scanned += block.count;
+        for elem in 0..block.count {
+            for op in &plan.ops {
+                let PlanOp::PointerSlot { offset, .. } = *op else {
+                    continue;
+                };
+                stats.edges_checked += 1;
+                let offset = elem * plan.size + offset;
+                let raw = read_ptr(space.arch(), space.slot_bytes(slot)?, slot, offset)?;
+                if raw != 0 {
+                    let to = msrlt.resolve(space, raw);
+                    visit(space, Visit::Edge(id, offset, raw, to))?;
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Audit a live registry snapshot against its address space.
 ///
 /// Unlike [`MsrGraph::snapshot`](crate::MsrGraph::snapshot), this never
-/// errors on a coherence violation — violations *are* the output. `Err`
-/// is reserved for plan-compilation failures (an incomplete type), which
-/// mean the snapshot cannot be judged at all.
+/// errors on a coherence violation — violations *are* the output, in
+/// walk order, the byte accounting last. `Err` is reserved for
+/// plan-compilation failures (an incomplete type), which mean the
+/// snapshot cannot be judged at all.
 pub fn audit_registry(
     space: &mut AddressSpace,
     msrlt: &mut Msrlt,
 ) -> Result<(Vec<RegistryFinding>, RegistryAuditStats), CoreError> {
     let t0 = Instant::now();
-    let mut findings = Vec::new();
-    let mut stats = RegistryAuditStats::default();
-
-    let entries: Vec<_> = msrlt
-        .live_entries()
-        .map(|(id, e)| (id, e.slot(), e.size))
-        .collect();
-    let mut plans = PlanTable::default();
-    let live_depth = msrlt.frame_depth() as u32;
-    let first_dead_group = frame_group(live_depth);
-
-    // Per-block checks: existence, size, frame nesting, then edges.
-    for &(id, slot, size) in &entries {
-        stats.blocks_checked += 1;
-        if id.group >= first_dead_group {
-            findings.push(RegistryFinding::FrameNesting { id, live_depth });
-            stats.frame_violations += 1;
-        }
-        let Ok((ty, count, expected)) = space.slot_block(slot).map(|b| (b.ty, b.count, b.size))
-        else {
-            let addr = slot.addr();
-            findings.push(RegistryFinding::UnknownBlock { id, addr });
-            // Without the block there are no bytes to decode pointers
-            // from; skip the edge walk.
-            continue;
-        };
-        if expected != size {
-            findings.push(RegistryFinding::SizeMismatch {
-                id,
-                recorded: size,
-                expected,
-            });
-        }
-        let plan = plans.get(space, ty)?;
-        if !plan.has_pointers {
-            continue;
-        }
-        stats.elements_scanned += count;
-        let bytes = space.slot_bytes(slot)?;
-        for elem in 0..count {
-            let elem_base = elem * plan.size;
-            for op in &plan.ops {
-                if let PlanOp::PointerSlot { offset, .. } = op {
-                    stats.edges_checked += 1;
-                    let raw = read_ptr(space.arch(), bytes, slot, elem_base + offset)?;
-                    if raw != 0 && msrlt.resolve(space, raw).is_none() {
-                        findings.push(RegistryFinding::DanglingEdge {
-                            from: id,
-                            offset: elem_base + offset,
-                            raw,
-                        });
-                        stats.dangling_edges += 1;
-                    }
+    let (mut findings, mut stats) = (Vec::new(), RegistryAuditStats::default());
+    let dead_group = frame_group(msrlt.frame_depth() as u32);
+    let mut actual = 0;
+    walk_registry(space, msrlt, &mut stats, |_, visit| {
+        match visit {
+            Visit::Entry(id, size, addr, block) => {
+                actual += size;
+                let sizes = block.map(|b| (size, b.size));
+                findings.extend(check_block(id, dead_group, sizes));
+                if block.is_none() {
+                    findings.push(RegistryFinding::UnknownBlock { id, addr });
                 }
             }
+            Visit::Edge(from, offset, raw, None) => {
+                findings.push(RegistryFinding::DanglingEdge { from, offset, raw })
+            }
+            Visit::Edge(..) => {}
         }
-    }
-
-    // Overlap: adjacent pairs in address order.
-    let mut spans: Vec<_> = entries
-        .iter()
-        .map(|&(id, slot, size)| (slot.addr(), size, id))
-        .collect();
-    spans.sort_unstable();
-    for w in spans.windows(2) {
-        let (a_addr, a_size, a_id) = w[0];
-        let (b_addr, _, b_id) = w[1];
-        let a_end = a_addr + a_size;
-        if b_addr < a_end {
-            findings.push(RegistryFinding::OverlappingBlocks {
-                a: a_id,
-                b: b_id,
-                bytes: a_end - b_addr,
-            });
-            stats.overlaps += 1;
-        }
-    }
-
-    // Byte accounting.
-    let actual: u64 = entries.iter().map(|&(.., size)| size).sum();
+        Ok(())
+    })?;
     let recorded = msrlt.registered_bytes();
     if recorded != actual {
         findings.push(RegistryFinding::ByteAccounting { recorded, actual });
     }
-
-    stats.findings = findings.len() as u64;
     stats.audit_time = t0.elapsed();
     Ok((findings, stats))
 }
@@ -261,7 +260,6 @@ mod tests {
         assert!(findings.is_empty(), "{findings:?}");
         assert_eq!(stats.blocks_checked, 2);
         assert_eq!(stats.edges_checked, 2);
-        assert_eq!(stats.findings, 0);
     }
 
     /// The edge walk skips a block whose type has no pointers, as the
@@ -293,12 +291,16 @@ mod tests {
         space.store_ptr(p, 0xDEAD).unwrap();
         let mut msrlt = Msrlt::new();
         reg_all(&space, &mut msrlt);
-        let (findings, stats) = audit_registry(&mut space, &mut msrlt).unwrap();
-        assert_eq!(stats.dangling_edges, 1);
-        assert!(matches!(
-            findings[0],
-            RegistryFinding::DanglingEdge { raw: 0xDEAD, .. }
-        ));
+        let (findings, _) = audit_registry(&mut space, &mut msrlt).unwrap();
+        let from = msrlt.lookup_addr(p).unwrap().0;
+        assert_eq!(
+            findings,
+            [RegistryFinding::DanglingEdge {
+                from,
+                offset: 0,
+                raw: 0xDEAD
+            }]
+        );
     }
 
     #[test]
@@ -328,10 +330,58 @@ mod tests {
         let g = space.define_global("x", int, 1).unwrap();
         let info = space.info_at(g).unwrap();
         msrlt.register_at(LogicalId { group: 2, index: 0 }, info.slot, info.size);
+        let (findings, _) = audit_registry(&mut space, &mut msrlt).unwrap();
+        let id = LogicalId { group: 2, index: 0 };
+        assert_eq!(
+            findings,
+            [RegistryFinding::FrameNesting { id, live_depth: 0 }]
+        );
+    }
+
+    /// A size recorded over the neighbouring block is that block's size
+    /// mismatch, and only that: the two registrations overlap, and the
+    /// overlap is the mismatch.
+    #[test]
+    fn a_size_inflated_over_its_neighbour_is_a_size_mismatch() {
+        let mut space = AddressSpace::new(Architecture::dec5000());
+        let int = space.types_mut().int();
+        let a = space.define_global("a", int, 1).unwrap();
+        let b = space.define_global("b", int, 1).unwrap();
+        assert_eq!(b, a + 4, "b starts where a ends");
+        let mut msrlt = Msrlt::new();
+        let id = LogicalId { group: 0, index: 0 };
+        msrlt.register_at(id, space.info_at(a).unwrap().slot, 8);
+        msrlt.register(&space.info_at(b).unwrap());
         let (findings, stats) = audit_registry(&mut space, &mut msrlt).unwrap();
-        assert_eq!(stats.frame_violations, 1, "{findings:?}");
-        assert!(findings
-            .iter()
-            .any(|f| matches!(f, RegistryFinding::FrameNesting { .. })));
+        assert_eq!(
+            findings,
+            [RegistryFinding::SizeMismatch {
+                id,
+                recorded: 8,
+                expected: 4
+            }]
+        );
+        assert_eq!(stats.blocks_checked, 2);
+    }
+
+    /// A block freed behind the registry's back leaves a stale entry, and
+    /// a block allocated over the freed range is registered beside it:
+    /// the stale entry is an unknown block, and only that.
+    #[test]
+    fn a_stale_entry_whose_range_was_reused_is_an_unknown_block() {
+        let mut space = AddressSpace::new(Architecture::dec5000());
+        let ch = space.types_mut().char_();
+        let mut msrlt = Msrlt::new();
+        let x = space.malloc(ch, 16).unwrap();
+        let stale = msrlt.register(&space.info_at(x).unwrap());
+        space.free(x).unwrap();
+        assert_eq!(space.malloc(ch, 16).unwrap(), x, "the range is reused");
+        msrlt.register(&space.info_at(x).unwrap());
+        let (findings, stats) = audit_registry(&mut space, &mut msrlt).unwrap();
+        assert_eq!(
+            findings,
+            [RegistryFinding::UnknownBlock { id: stale, addr: x }]
+        );
+        assert_eq!(stats.blocks_checked, 2);
     }
 }

@@ -63,7 +63,7 @@
 //! The DFS runs on an explicit work stack, so arbitrarily deep structures
 //! (million-node linked lists) collect without exhausting the call stack.
 
-use crate::audit::RegistryFinding;
+use crate::audit::{check_block, RegistryFinding};
 use crate::fingerprint::type_fingerprint;
 use crate::kernel::{for_each_run, Kernel};
 use crate::msrlt::{frame_group, Hit, LogicalId, Msrlt, GROUP_HEAP};
@@ -250,7 +250,8 @@ pub type ChunkSink<'a> = Box<dyn FnMut(&[u8]) -> Result<(), CoreError> + 'a>;
 /// then [`Collector::finish`].
 ///
 /// The collector is also the migration's registry check. Each block it
-/// visits is checked as it is first reached, and a failure is
+/// visits is checked as it is first reached, by the per-block check the
+/// registry audit makes ([`crate::audit`]), and a failure is
 /// [`CoreError::Incoherent`]. A pointer slot that resolves to no
 /// registered block is a [`RegistryFinding::DanglingEdge`]. A stack block
 /// of a frame group past the live frame stack is a
@@ -430,30 +431,17 @@ impl<'a> Collector<'a> {
         }
     }
 
-    /// The checks a block's first visit makes of its registration: its id
-    /// belongs to a live group, and, for a global or stack block, the
-    /// MSRLT records the size its arena record has.
+    /// The registry check a block's first visit makes: its id belongs
+    /// to a live group, and, for a global or stack block, the MSRLT
+    /// records the size its arena record has.
     #[inline]
     fn check_registration(&self, hit: &Hit) -> Result<(), CoreError> {
-        let id = hit.id;
-        if id.group >= self.dead_group {
-            let live_depth = self.dead_group - frame_group(0);
-            let finding = RegistryFinding::FrameNesting { id, live_depth };
-            return Err(CoreError::Incoherent(finding));
+        let recorded = |id| self.msrlt.entry(id).map_or(0, |e| e.size);
+        let sizes = (hit.id.group != GROUP_HEAP).then(|| (recorded(hit.id), hit.size));
+        match check_block(hit.id, self.dead_group, sizes).next() {
+            Some(finding) => Err(CoreError::Incoherent(finding)),
+            None => Ok(()),
         }
-        if id.group == GROUP_HEAP {
-            return Ok(());
-        }
-        let recorded = self.msrlt.entry(id).map_or(0, |e| e.size);
-        if recorded != hit.size {
-            let finding = RegistryFinding::SizeMismatch {
-                id,
-                recorded,
-                expected: hit.size,
-            };
-            return Err(CoreError::Incoherent(finding));
-        }
-        Ok(())
     }
 
     /// The refusal for the pointer slot at byte `offset` of the block

@@ -7,13 +7,16 @@
 //!
 //! The collection machinery never materializes this graph (it traverses
 //! implicitly); this module builds it explicitly for validation — e.g.
-//! reproducing the paper's Figure 1 — and for visualization via DOT.
+//! reproducing the paper's Figure 1 — and for visualization via DOT. It
+//! takes the registry audit's walk (`audit::walk_registry`), so the
+//! graph's vertices and edges are the entries and pointer slots the audit
+//! checks.
 
+use crate::audit::{walk_registry, Visit};
 use crate::msrlt::{LogicalId, Msrlt};
-use crate::translate::{logical_pointer, read_ptr, PlanTable};
+use crate::translate::leaf_ordinal;
 use crate::CoreError;
 use hpm_memory::AddressSpace;
-use hpm_types::plan::PlanOp;
 
 /// A vertex: one live memory block.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,54 +56,39 @@ pub struct MsrGraph {
 }
 
 impl MsrGraph {
-    /// Snapshot the full graph of every registered block.
+    /// Snapshot the full graph of every registered block, over the
+    /// registry walk the audit takes.
     ///
-    /// Dangling pointers (non-NULL values that resolve to no registered
-    /// block) produce [`CoreError::UnregisteredPointer`].
+    /// A registration the space holds no block for, or a dangling pointer
+    /// (a non-NULL value that resolves to no registered block), is
+    /// [`CoreError::UnregisteredPointer`].
     pub fn snapshot(space: &mut AddressSpace, msrlt: &mut Msrlt) -> Result<Self, CoreError> {
         let mut g = MsrGraph::default();
-        let mut plans = PlanTable::default();
-        let entries: Vec<_> = msrlt
-            .live_entries()
-            .map(|(id, e)| (id, e.slot(), e.size))
-            .collect();
-        for &(id, slot, size) in &entries {
-            let addr = slot.addr();
-            let block = space
-                .info_at(addr)
-                .filter(|b| b.slot == slot)
-                .ok_or(CoreError::UnregisteredPointer(addr))?;
-            g.vertices.push(MsrVertex {
-                id,
-                addr,
-                label: block.label(),
-                segment: block.segment.to_string(),
-                size,
-            });
-            let plan = plans.get(space, block.ty)?;
-            if !plan.has_pointers {
-                continue;
-            }
-            for elem in 0..block.count {
-                let elem_base = elem * plan.size;
-                for op in &plan.ops {
-                    if let PlanOp::PointerSlot { offset, .. } = op {
-                        let bytes = space.slot_bytes(slot)?;
-                        let raw = read_ptr(space.arch(), bytes, slot, elem_base + offset)?;
-                        if raw == 0 {
-                            continue;
-                        }
-                        let (to, to_leaf) = logical_pointer(space, msrlt, raw)?;
-                        g.edges.push(MsrEdge {
-                            from: id,
-                            from_offset: elem_base + offset,
-                            to,
-                            to_leaf,
-                        });
-                    }
+        walk_registry(space, msrlt, &mut Default::default(), |space, visit| {
+            match visit {
+                Visit::Entry(id, size, addr, block) => {
+                    let info = block.and_then(|_| space.info_at(addr));
+                    let info = info.ok_or(CoreError::UnregisteredPointer(addr))?;
+                    g.vertices.push(MsrVertex {
+                        id,
+                        addr,
+                        label: info.label(),
+                        segment: info.segment.to_string(),
+                        size,
+                    });
+                }
+                Visit::Edge(from, offset, raw, to) => {
+                    let hit = to.ok_or(CoreError::UnregisteredPointer(raw))?;
+                    g.edges.push(MsrEdge {
+                        from,
+                        from_offset: offset,
+                        to: hit.id,
+                        to_leaf: leaf_ordinal(space, hit.ty, hit.count, hit.offset, raw)?,
+                    });
                 }
             }
-        }
+            Ok(())
+        })?;
         g.vertices.sort_by_key(|v| v.addr);
         g.edges.sort_by_key(|e| (e.from, e.from_offset));
         Ok(g)

@@ -19,6 +19,9 @@
 //! * [`restore`] — the restoring half: `Restore_variable` /
 //!   `Restore_pointer`, rebuilding blocks on the destination machine and
 //!   translating logical pointers back into local raw addresses.
+//! * [`audit`] — registry coherence, defined once: the per-block check
+//!   the collector makes on every block it ships, and the whole-registry
+//!   audit `hpm-lint` reports, over the walk the graph snapshot shares.
 //! * [`graph`] — an explicit MSR graph snapshot `G = (V, E)` with DOT
 //!   export, used to validate examples like the paper's Figure 1.
 //! * [`image`] — the migration-image framing (header + sections) shared
@@ -50,7 +53,7 @@ pub use fingerprint::{content_digest, type_fingerprint};
 pub use graph::{MsrEdge, MsrGraph, MsrVertex};
 pub use image::{ImageHeader, IMAGE_MAGIC, IMAGE_VERSION};
 pub use msrlt::{LogicalId, Msrlt, MsrltEntry, MsrltStats};
-pub use restore::{RestoreStats, Restorer};
+pub use restore::{ImageTypes, RestoreStats, Restorer};
 pub use stream::{ChunkPayload, ChunkSource, VecChunks};
 
 use hpm_memory::MemError;

@@ -33,7 +33,10 @@
 //! itself holds the two directions between ids and blocks — per id the
 //! block's handle and size (the restorer's direction), per arena slot the
 //! id and mark (the collector's). [`Msrlt::lookup_addr`] is a cold shim
-//! for callers without the space.
+//! for callers without the space. The table holds block facts only: an
+//! image's type numbering is the restore's
+//! ([`ImageTypes`](crate::ImageTypes)), and what a coherent registry is,
+//! the audit's ([`crate::audit`]).
 
 use crate::CoreError;
 use hpm_arch::SegmentKind;
@@ -172,11 +175,6 @@ pub struct Msrlt {
     /// built.
     by_start: Vec<(u64, u64, LogicalId)>,
     by_start_stale: bool,
-    /// Restoring side: `wire_types[n]` is the local type the image gave
-    /// sender type number `n`. Kept here, beside the ids, because one
-    /// image is restored in several [`Restorer`](crate::Restorer)
-    /// sessions (one per frame) and the table is what they all share.
-    wire_types: Vec<TypeId>,
 }
 
 impl Default for Msrlt {
@@ -199,34 +197,7 @@ impl Msrlt {
             live_bytes: 0,
             by_start: Vec::new(),
             by_start_stale: false,
-            wire_types: Vec::new(),
         }
-    }
-
-    /// Record that the image being restored calls local type `ty` by
-    /// sender number `no`. A definition overwrites; numbers are dense,
-    /// so one past the end appends and anything beyond is refused
-    /// (`false`) — the table grows by at most one entry per `TYPEDEF`
-    /// record received.
-    pub(crate) fn define_wire_type(&mut self, no: u32, ty: TypeId) -> bool {
-        let defined = self.wire_types.len();
-        match self.wire_types.get_mut(no as usize) {
-            Some(slot) => *slot = ty,
-            None if no as usize == defined => self.wire_types.push(ty),
-            None => return false,
-        }
-        true
-    }
-
-    /// The local type behind sender type number `no`, if the image has
-    /// defined it.
-    pub(crate) fn wire_type(&self, no: u32) -> Option<TypeId> {
-        self.wire_types.get(no as usize).copied()
-    }
-
-    /// How many sender type numbers the image has defined.
-    pub(crate) fn wire_types_defined(&self) -> u32 {
-        self.wire_types.len() as u32
     }
 
     /// Instrumentation counters so far.

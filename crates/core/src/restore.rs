@@ -36,7 +36,7 @@ use hpm_arch::{Architecture, CScalar, Endianness, ScalarValue};
 use hpm_memory::{AddressSpace, BlockSlot};
 use hpm_obs::Track;
 use hpm_types::plan::{PlanOp, SavePlan};
-use hpm_types::TypeId;
+use hpm_types::{TypeId, TypeTable};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -73,20 +73,83 @@ impl std::ops::AddAssign for RestoreStats {
     }
 }
 
+/// The type table of one image being restored: the local type behind
+/// each sender type number, and this executable's types by fingerprint.
+/// One image is restored in one session per frame, and a type defined in
+/// one frame's section may be named by number in a later one, so the
+/// table is handed from session to session with the payload
+/// ([`Restorer::with_types`], [`Restorer::into_input`]). Its fingerprint
+/// index is built on first use and extended only when the TI table has
+/// grown since.
+#[derive(Debug, Default)]
+pub struct ImageTypes {
+    /// `wire[n]` is the local type the image gave sender type number `n`.
+    wire: Vec<TypeId>,
+    /// Fingerprint → local type: what a `TYPEDEF` is resolved through.
+    fp_to_type: HashMap<u64, TypeId>,
+    /// Fingerprint of each local type by `TypeId`; 0 for a type that was
+    /// incomplete when indexed (a program completes its types in `setup`,
+    /// before anything is restored).
+    local_fps: Vec<u64>,
+}
+
+impl ImageTypes {
+    /// Index the types `local` has gained since the last call.
+    fn sync(&mut self, local: &TypeTable) {
+        for i in self.local_fps.len()..local.len() {
+            let (ty, mut fp) = (TypeId(i as u32), 0);
+            if local.is_complete(ty) {
+                fp = type_fingerprint(local, ty);
+                self.fp_to_type.insert(fp, ty);
+            }
+            self.local_fps.push(fp);
+        }
+    }
+
+    /// The local type a block record announces: resolved by fingerprint
+    /// and entered under its number at a `TYPEDEF`, read back by number
+    /// otherwise. A definition overwrites; numbers are dense, so one past
+    /// the end appends and anything beyond is refused — the table grows
+    /// by at most one entry per `TYPEDEF` received. Allocates nothing on
+    /// refusal.
+    fn announced(&mut self, local: &TypeTable, rec: &Record) -> Result<TypeId, CoreError> {
+        let defined = self.wire.len();
+        let undefined = || CoreError::UndefinedType {
+            id: rec.id,
+            type_no: rec.type_no,
+            defined: defined as u32,
+        };
+        let Some(fp) = rec.typedef else {
+            let ty = self.wire.get(rec.type_no as usize).copied();
+            return ty.ok_or_else(undefined);
+        };
+        self.sync(local);
+        let ty = *self.fp_to_type.get(&fp).ok_or(CoreError::TypeMismatch {
+            id: rec.id,
+            expected: fp,
+            found: 0,
+        })?;
+        match self.wire.get_mut(rec.type_no as usize) {
+            Some(slot) => *slot = ty,
+            None if rec.type_no as usize == defined => self.wire.push(ty),
+            None => return Err(undefined()),
+        }
+        Ok(ty)
+    }
+}
+
 /// One restoration session over a received migration image: `'s` is its
 /// borrow of the destination's address space and MSRLT, `'p` the
-/// caller's buffer the payload's head lies in. A payload outlives the
-/// per-frame sessions that read it in turn (see [`Restorer::into_input`]).
+/// caller's buffer the payload's head lies in. A payload and its image's
+/// type table outlive the per-frame sessions that read it in turn (see
+/// [`Restorer::into_input`]).
 pub struct Restorer<'s, 'p> {
     space: &'s mut AddressSpace,
     msrlt: &'s mut Msrlt,
     input: ChunkPayload<'p>,
     /// Stream position when this session began.
     start: u64,
-    /// Fingerprint → local type: what a `TYPEDEF` is resolved through.
-    fp_to_type: HashMap<u64, TypeId>,
-    /// Fingerprint of each local type by `TypeId` (0 while incomplete).
-    local_fps: Vec<u64>,
+    types: ImageTypes,
     stats: RestoreStats,
     mode: TranslationMode,
     /// Each restored variable leaves one event, so a post-mortem names
@@ -104,38 +167,31 @@ impl<'s, 'p> Restorer<'s, 'p> {
 
     /// Begin restoring from `input` where it stands. Decoding pulls any
     /// chunks still to come on demand, so frame *k* restores while frame
-    /// *k+1* is in flight.
-    ///
-    /// The fingerprint→type index is built once from the receiver's TI
-    /// table (the receiving executable knows every type the sender can
-    /// transmit — they are the same program).
+    /// *k+1* is in flight. The session starts a type table of its own;
+    /// [`Restorer::with_types`] continues an image's.
     pub fn over(
         space: &'s mut AddressSpace,
         msrlt: &'s mut Msrlt,
         input: ChunkPayload<'p>,
     ) -> Self {
-        let mut fp_to_type = HashMap::new();
-        let types = space.types();
-        let mut local_fps = vec![0; types.len()];
-        for (i, slot) in local_fps.iter_mut().enumerate() {
-            let id = TypeId(i as u32);
-            if types.is_complete(id) {
-                *slot = type_fingerprint(types, id);
-                fp_to_type.insert(*slot, id);
-            }
-        }
         Restorer {
             space,
             msrlt,
             start: input.position(),
             input,
-            fp_to_type,
-            local_fps,
+            types: ImageTypes::default(),
             stats: RestoreStats::default(),
             mode: TranslationMode::default(),
             track: Track::off(),
             plans: PlanTable::default(),
         }
+    }
+
+    /// Continue the type table of the image this session's payload
+    /// belongs to, as an earlier session over it left the table.
+    pub fn with_types(mut self, types: ImageTypes) -> Self {
+        self.types = types;
+        self
     }
 
     /// Attach a log track: every `restore_variable` emits a
@@ -156,43 +212,24 @@ impl<'s, 'p> Restorer<'s, 'p> {
         self
     }
 
-    /// The local type a block record announces: resolved by fingerprint
-    /// and entered in the image's table at a `TYPEDEF`, read back from
-    /// the table otherwise. Allocates nothing on refusal.
-    fn announced_type(&mut self, rec: &Record) -> Result<TypeId, CoreError> {
-        let undefined = |msrlt: &Msrlt| CoreError::UndefinedType {
-            id: rec.id,
-            type_no: rec.type_no,
-            defined: msrlt.wire_types_defined(),
-        };
-        let Some(fp) = rec.typedef else {
-            return self
-                .msrlt
-                .wire_type(rec.type_no)
-                .ok_or_else(|| undefined(self.msrlt));
-        };
-        let ty = *self.fp_to_type.get(&fp).ok_or(CoreError::TypeMismatch {
-            id: rec.id,
-            expected: fp,
-            found: 0,
-        })?;
-        if !self.msrlt.define_wire_type(rec.type_no, ty) {
-            return Err(undefined(self.msrlt));
-        }
-        Ok(ty)
-    }
-
     /// Hold a named block that exists locally (global / re-created stack
     /// local) to what the stream announces for it: the same type, by
     /// fingerprint, and the same element count.
     fn check_local_block(
-        &self,
+        &mut self,
         rec: &Record,
         announced: TypeId,
         local: TypeId,
         local_count: u64,
     ) -> Result<(), CoreError> {
-        let fp = |ty: TypeId| self.local_fps.get(ty.0 as usize).copied().unwrap_or(0);
+        self.types.sync(self.space.types());
+        let fp = |ty: TypeId| {
+            self.types
+                .local_fps
+                .get(ty.0 as usize)
+                .copied()
+                .unwrap_or(0)
+        };
         if local != announced && fp(local) != fp(announced) {
             return Err(CoreError::TypeMismatch {
                 id: rec.id,
@@ -253,7 +290,7 @@ impl<'s, 'p> Restorer<'s, 'p> {
         if rec.tag == TAG_VAR_VISITED {
             return Ok(());
         }
-        let announced = self.announced_type(&rec)?;
+        let announced = self.types.announced(self.space.types(), &rec)?;
         self.check_local_block(&rec, announced, local.ty, local.count)?;
         self.fill_block(local.slot, local.ty, rec.count)
     }
@@ -267,20 +304,20 @@ impl<'s, 'p> Restorer<'s, 'p> {
         Ok(ptr)
     }
 
-    /// Consume the restorer, returning its statistics and its input,
-    /// positioned after what this session read, without requiring the
-    /// payload to be exhausted: per-frame sessions stop mid-stream, and
-    /// the next one continues from there.
-    pub fn into_input(mut self) -> (RestoreStats, ChunkPayload<'p>) {
+    /// Consume the restorer, returning its statistics, its input,
+    /// positioned after what this session read, and the image's type
+    /// table, without requiring the payload to be exhausted: per-frame
+    /// sessions stop mid-stream, and the next one continues from there.
+    pub fn into_input(mut self) -> (RestoreStats, ChunkPayload<'p>, ImageTypes) {
         self.stats.bytes_in = self.consumed();
-        (self.stats, self.input)
+        (self.stats, self.input, self.types)
     }
 
     /// Finish, returning statistics. Errors with
     /// [`CoreError::TrailingBytes`], naming the chunk it starts in, if
     /// unconsumed payload remains (the call sequences diverged).
     pub fn finish(self) -> Result<RestoreStats, CoreError> {
-        let (stats, mut input) = self.into_input();
+        let (stats, mut input, _) = self.into_input();
         input.expect_end()?;
         Ok(stats)
     }
@@ -407,7 +444,7 @@ impl<'s, 'p> Restorer<'s, 'p> {
             }
             TAG_PTR_NEW => {
                 self.stats.ptr_new += 1;
-                let announced = self.announced_type(&rec)?;
+                let announced = self.types.announced(self.space.types(), &rec)?;
                 let count = rec.count;
                 let (slot, ty) = match self.msrlt.entry_counted(id) {
                     Some(e) => {

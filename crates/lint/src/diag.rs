@@ -10,10 +10,12 @@
 //!   and the interprocedural escape/reachability passes;
 //! * `HPM020`–`HPM024` — static portability findings from auditing the
 //!   TI table against every architecture profile pair;
-//! * `HPM030`–`HPM035` — runtime-registry findings from auditing a live
-//!   MSRLT snapshot before collection;
+//! * `HPM030`, `HPM031`, `HPM033`–`HPM035` — runtime-registry findings
+//!   from auditing a live MSRLT snapshot;
 //!
-//! `HPM040`–`HPM049` are retired and never reused. They named the
+//! Retired codes are never reused. `HPM032` named overlapping registry
+//! entries, which the space's one address index makes a size mismatch
+//! (`HPM034`) or an unknown block (`HPM031`). `HPM040`–`HPM049` named the
 //! findings of the protocol model checker, which is now a test
 //! (`tests/model_gate.rs`) that names its own breaches.
 
@@ -73,8 +75,6 @@ pub enum LintCode {
     RegistryDanglingEdge,
     /// An MSRLT entry refers to memory the address space does not hold.
     RegistryUnknownBlock,
-    /// Two live MSRLT entries overlap in the address space.
-    RegistryOverlap,
     /// A frame-group entry outlives the frame nesting that created it.
     RegistryFrameNesting,
     /// An entry's recorded size disagrees with its type's layout.
@@ -106,7 +106,6 @@ impl LintCode {
             LintCode::WireLeafDivergence => "HPM024",
             LintCode::RegistryDanglingEdge => "HPM030",
             LintCode::RegistryUnknownBlock => "HPM031",
-            LintCode::RegistryOverlap => "HPM032",
             LintCode::RegistryFrameNesting => "HPM033",
             LintCode::RegistrySizeMismatch => "HPM034",
             LintCode::RegistryByteAccounting => "HPM035",
@@ -129,7 +128,6 @@ impl LintCode {
             | LintCode::WireLeafDivergence
             | LintCode::RegistryDanglingEdge
             | LintCode::RegistryUnknownBlock
-            | LintCode::RegistryOverlap
             | LintCode::RegistryFrameNesting
             | LintCode::RegistrySizeMismatch
             | LintCode::RegistryByteAccounting => Severity::Error,
@@ -149,7 +147,7 @@ impl LintCode {
     }
 
     /// Every code, in code order.
-    pub const ALL: [LintCode; 23] = [
+    pub const ALL: [LintCode; 22] = [
         LintCode::Union,
         LintCode::Goto,
         LintCode::Switch,
@@ -169,7 +167,6 @@ impl LintCode {
         LintCode::WireLeafDivergence,
         LintCode::RegistryDanglingEdge,
         LintCode::RegistryUnknownBlock,
-        LintCode::RegistryOverlap,
         LintCode::RegistryFrameNesting,
         LintCode::RegistrySizeMismatch,
         LintCode::RegistryByteAccounting,

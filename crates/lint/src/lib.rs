@@ -17,8 +17,9 @@
 //!    for wire-format divergence, scalar narrowing, pointer-width
 //!    truncation, padding-dependent offsets, and by-value cycles.
 //! 3. **Registry passes** over live MSRLT snapshots ([`registry`]): the
-//!    `hpm-core` pre-flight audit's findings carried into the same
-//!    report and deny gate as the static passes.
+//!    `hpm-core` registry audit's findings, on a frozen process whether
+//!    or not a migration would reach them, carried into the same report
+//!    and deny gate as the static passes.
 //!
 //! All passes funnel into one [`Report`]: deterministic order, human and
 //! JSONL renderers, and a severity-threshold deny gate for CI.

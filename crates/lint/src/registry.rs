@@ -1,10 +1,11 @@
 //! Runtime-registry findings as diagnostics.
 //!
-//! The pre-flight audit itself lives in `hpm-core::audit` (so the
-//! migration driver can refuse an incoherent snapshot without depending
-//! on the analyzer); this module gives each [`RegistryFinding`] a stable
-//! `HPM03x` code so registry health flows through the same report,
-//! deny gate, and JSONL stream as every static pass.
+//! The registry audit itself lives in `hpm-core::audit`, beside the
+//! per-block check the collector makes on every block a migration ships,
+//! so the two cannot disagree about what a finding is; this module gives
+//! each [`RegistryFinding`] a stable `HPM03x` code so registry health
+//! flows through the same report, deny gate, and JSONL stream as every
+//! static pass.
 
 use crate::diag::{Diagnostic, LintCode, Report};
 use hpm_core::RegistryFinding;
@@ -14,14 +15,13 @@ pub fn code_for(finding: &RegistryFinding) -> LintCode {
     match finding {
         RegistryFinding::DanglingEdge { .. } => LintCode::RegistryDanglingEdge,
         RegistryFinding::UnknownBlock { .. } => LintCode::RegistryUnknownBlock,
-        RegistryFinding::OverlappingBlocks { .. } => LintCode::RegistryOverlap,
         RegistryFinding::FrameNesting { .. } => LintCode::RegistryFrameNesting,
         RegistryFinding::SizeMismatch { .. } => LintCode::RegistrySizeMismatch,
         RegistryFinding::ByteAccounting { .. } => LintCode::RegistryByteAccounting,
     }
 }
 
-/// Convert a pre-flight audit's findings into a report for `unit` (a
+/// Convert a registry audit's findings into a report for `unit` (a
 /// workload or snapshot label).
 pub fn registry_report(findings: &[RegistryFinding], unit: &str) -> Report {
     let mut report = Report::new();
@@ -51,14 +51,6 @@ mod tests {
             (
                 RegistryFinding::UnknownBlock { id, addr: 0x10 },
                 LintCode::RegistryUnknownBlock,
-            ),
-            (
-                RegistryFinding::OverlappingBlocks {
-                    a: id,
-                    b: id,
-                    bytes: 4,
-                },
-                LintCode::RegistryOverlap,
             ),
             (
                 RegistryFinding::FrameNesting { id, live_depth: 0 },

@@ -30,13 +30,15 @@
 //! A resuming context reads one input, the image's memory-state payload
 //! as a [`ChunkPayload`] — already whole, or still arriving. Each
 //! `restore_frame` opens a [`Restorer`] over it for that frame's section
-//! and hands it on, positioned after what it read, to the next frame's.
+//! and hands it on, positioned after what it read, to the next frame's,
+//! together with the image's type table ([`ImageTypes`]), so the table is
+//! built once per image.
 
 use crate::exec::{ExecutionState, FrameState};
 use crate::process::Process;
 use crate::MigError;
 use hpm_core::{
-    ChunkPayload, ChunkSink, CollectStats, Collector, CoreError, RestoreStats, Restorer,
+    ChunkPayload, ChunkSink, CollectStats, Collector, CoreError, ImageTypes, RestoreStats, Restorer,
 };
 use hpm_memory::FrameId;
 use hpm_obs::Track;
@@ -99,6 +101,8 @@ struct ResumeState<'p> {
     /// The memory-state payload, positioned after the frames restored so
     /// far; each `restore_frame` session reads on from there.
     payload: ChunkPayload<'p>,
+    /// The image's type table, as the sessions so far have left it.
+    types: ImageTypes,
     /// Index of the shallowest frame already restored; `frames.len()`
     /// when none is. Restoration consumes frames innermost-first.
     restored_down_to: usize,
@@ -162,6 +166,7 @@ impl<'p> MigCtx<'p> {
             restored_down_to: exec.frames.len(),
             frames: exec.frames,
             payload,
+            types: ImageTypes::default(),
             entered: 0,
             stats: RestoreStats::default(),
             restore_time: Duration::ZERO,
@@ -309,6 +314,7 @@ impl<'p> MigCtx<'p> {
         );
         let payload = std::mem::take(&mut r.payload);
         let mut restorer = Restorer::over(&mut self.proc.space, &mut self.proc.msrlt, payload)
+            .with_types(std::mem::take(&mut r.types))
             .with_track(self.track.clone());
         for &addr in live {
             restorer.restore_variable(addr).map_err(|e| match &e {
@@ -318,8 +324,8 @@ impl<'p> MigCtx<'p> {
                 _ => MigError::from(e),
             })?;
         }
-        let (stats, payload) = restorer.into_input();
-        r.payload = payload;
+        let (stats, payload, types) = restorer.into_input();
+        (r.payload, r.types) = (payload, types);
         // The final frame must drain the stream exactly: leftover
         // payload means the call sequences diverged — surface it with
         // the offending frame and chunk.

@@ -289,8 +289,9 @@ impl MigratedSource {
 
     /// Audit the whole of the frozen process's MSRLT snapshot without
     /// collecting, reachable blocks or not, reporting every finding:
-    /// `hpm-lint`'s runtime-registry pass. [`migrate`](crate::migrate)
-    /// runs no such pass; its collector checks each block it reaches.
+    /// `hpm-lint`'s runtime-registry pass. No migration runs it: the
+    /// collector makes the same per-block check on each block it
+    /// reaches, and refuses the first finding.
     pub fn preflight_audit(
         &mut self,
     ) -> Result<(Vec<RegistryFinding>, RegistryAuditStats), MigError> {

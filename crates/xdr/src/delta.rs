@@ -148,13 +148,6 @@ pub fn unframe_delta(frame: &[u8]) -> Result<(DeltaHeader, Vec<u8>), XdrError> {
     ))
 }
 
-/// Whether `bytes` open with the delta magic — how a receiver tells a
-/// delta frame from a plain migration image ("HPMI") on the same link.
-pub fn is_delta_frame(bytes: &[u8]) -> bool {
-    bytes.len() >= 4
-        && u32::from_be_bytes(bytes[..4].try_into().expect("len checked")) == DELTA_MAGIC
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,13 +221,5 @@ mod tests {
         for cut in 0..frame.len() {
             assert!(unframe_delta(&frame[..cut]).is_err(), "cut {cut} accepted");
         }
-    }
-
-    #[test]
-    fn magic_probe_distinguishes_images() {
-        let frame = frame_delta(&header(), b"");
-        assert!(is_delta_frame(&frame));
-        assert!(!is_delta_frame(b"HPMI-something"));
-        assert!(!is_delta_frame(b"HP"));
     }
 }

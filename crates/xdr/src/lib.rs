@@ -44,9 +44,7 @@ pub use compress::{
     compress, compress_with_dict, decompress, decompress_with_dict, get_varint_u64, put_varint_u64,
 };
 pub use decode::XdrDecoder;
-pub use delta::{
-    frame_delta, is_delta_frame, unframe_delta, DeltaHeader, DELTA_FLAG_FULL_FALLBACK, DELTA_MAGIC,
-};
+pub use delta::{frame_delta, unframe_delta, DeltaHeader, DELTA_FLAG_FULL_FALLBACK, DELTA_MAGIC};
 pub use digest::digest64;
 pub use encode::XdrEncoder;
 pub use error::XdrError;

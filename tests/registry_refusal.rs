@@ -12,13 +12,17 @@
 //! terminator never does, and the destination's half-built process is
 //! dropped. A dangling pointer in a block no live variable reaches is
 //! garbage the migration does not ship; the process migrates.
+//!
+//! The collector and the registry audit make one per-block check, so on
+//! each frozen source the audit `hpm-lint` runs reports exactly one
+//! finding, and a refusal names that finding.
 
 use hpm_arch::Architecture;
 use hpm_core::msrlt::GROUP_GLOBAL;
-use hpm_core::LogicalId;
+use hpm_core::{LogicalId, RegistryFinding};
 use hpm_migrate::{
-    migrate, Flow, MigCtx, MigError, MigratableProgram, Migration, MigrationRun, PipelineConfig,
-    Process, Transport, Trigger,
+    migrate, run_to_migration, Flow, MigCtx, MigError, MigratableProgram, Migration, MigrationRun,
+    PipelineConfig, Process, Transport, Trigger,
 };
 use hpm_net::{FaultPlan, NetworkModel};
 use hpm_obs::{EventLog, Level};
@@ -138,13 +142,37 @@ fn run(case: Case, transport: Transport, log: &EventLog) -> Result<MigrationRun,
     )
 }
 
-/// The refusal `case` must meet on every transport, with the words that
-/// name what was found, and what each transport shipped before it.
-fn refused(case: Case, names: &[&str]) {
+/// The second global: `p` in the dangling cases, `x` in the size one.
+const SECOND: LogicalId = LogicalId {
+    group: GROUP_GLOBAL,
+    index: 1,
+};
+
+/// What `p` holds in the dangling cases.
+const DANGLING: RegistryFinding = RegistryFinding::DanglingEdge {
+    from: SECOND,
+    offset: 0,
+    raw: BOGUS,
+};
+
+/// The registry audit's findings on the frozen source `run` migrates.
+fn audited(case: Case) -> Vec<RegistryFinding> {
+    let mut program = Incoherent { case, result: None };
+    let trigger = Trigger::AtPollCount(LIMIT as u64 / 2);
+    let mut src = run_to_migration(&mut program, Architecture::dec5000(), trigger).unwrap();
+    src.preflight_audit().expect("the audit runs").0
+}
+
+/// The refusal `case` must meet on every transport: the audit's one
+/// finding, `finding`, with the words that name what was found, and what
+/// each transport shipped before it.
+fn refused(case: Case, finding: RegistryFinding, names: &[&str]) {
+    assert_eq!(audited(case), std::slice::from_ref(&finding), "{case:?}");
     for (label, transport) in transports() {
         let log = EventLog::new(Level::Protocol);
         match run(case, transport, &log) {
             Err(MigError::Preflight(m)) => {
+                assert_eq!(m, finding.to_string(), "{case:?} {label}");
                 for name in names {
                     assert!(m.contains(name), "{case:?} {label}: {m}");
                 }
@@ -172,19 +200,30 @@ fn refused(case: Case, names: &[&str]) {
 
 #[test]
 fn a_reachable_dangling_pointer_is_refused_by_name_on_both_transports() {
-    refused(Case::ReachableDangling, &["0xdead", "unregistered"]);
+    refused(
+        Case::ReachableDangling,
+        DANGLING,
+        &["0xdead", "unregistered"],
+    );
 }
 
 #[test]
 fn a_size_mismatched_registration_is_refused_by_name_on_both_transports() {
+    let mismatch = RegistryFinding::SizeMismatch {
+        id: SECOND,
+        recorded: 12,
+        expected: 4,
+    };
     refused(
         Case::SizeMismatch,
+        mismatch,
         &["registered as 12 bytes", "the block is 4"],
     );
 }
 
 #[test]
 fn an_unreachable_dangling_pointer_migrates() {
+    assert_eq!(audited(Case::UnreachableDangling), [DANGLING]);
     let want = (0..LIMIT).sum::<i64>().to_string();
     for (label, transport) in transports() {
         let log = EventLog::new(Level::Protocol);
