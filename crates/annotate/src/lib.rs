@@ -30,6 +30,8 @@
 //!   workloads, so mini-C processes migrate across heterogeneous
 //!   machines mid-execution.
 
+#![forbid(unsafe_code)]
+
 pub mod annotate;
 pub mod ast;
 pub mod cfg;

@@ -20,6 +20,8 @@
 //! migration, which the paper's model permits but its testbed never
 //! exercised.
 
+#![forbid(unsafe_code)]
+
 mod endian;
 mod scalar;
 mod segment;

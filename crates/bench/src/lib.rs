@@ -24,6 +24,8 @@
 //! analyzer and the model checker — are asserted by the integration
 //! tests under `tests/`, not by tables here.
 
+#![forbid(unsafe_code)]
+
 pub mod harness;
 pub mod table;
 
@@ -188,12 +190,17 @@ pub fn fig2a_rows() -> Vec<MigRow> {
         .collect()
 }
 
-/// Figure 2(b): bitonic collection/restoration time vs number sorted.
+/// Figure 2(b): bitonic collection/restoration time vs number sorted,
+/// the paper's 20 000–140 000 and a row at 1 000 000, where the image
+/// (about 37 MB) is far past the host's caches, so the per-block floors
+/// show what a cache miss costs the walks.
 pub fn fig2b_rows() -> Vec<MigRow> {
-    [20_000u64, 40_000, 60_000, 80_000, 100_000, 120_000, 140_000]
-        .iter()
-        .map(|&n| bitonic_row(&format!("bitonic {n}"), n, true))
-        .collect()
+    [
+        20_000u64, 40_000, 60_000, 80_000, 100_000, 120_000, 140_000, 1_000_000,
+    ]
+    .iter()
+    .map(|&n| bitonic_row(&format!("bitonic {n}"), n, true))
+    .collect()
 }
 
 /// §4.1: one heterogeneous migration per workload, DEC 5000 → SPARC 20

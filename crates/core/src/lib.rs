@@ -31,6 +31,8 @@
 //! the same stream produced on a little-endian ILP32 machine restores on a
 //! big-endian LP64 machine.
 
+#![forbid(unsafe_code)]
+
 pub mod audit;
 pub mod collect;
 pub mod delta;

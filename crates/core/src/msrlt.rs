@@ -400,6 +400,16 @@ impl Msrlt {
         })
     }
 
+    /// Start loading the entry of `id`, which [`Msrlt::entry`] reads: a
+    /// prefetch stage, which counts no lookup.
+    #[inline]
+    pub(crate) fn prefetch_entry(&self, id: LogicalId) {
+        let group = self.groups.get(id.group as usize);
+        if let Some(e) = group.and_then(|g| g.get(id.index as usize)) {
+            hpm_memory::prefetch(e);
+        }
+    }
+
     /// The id the table holds at `slot`'s arena slot, if any: a cold
     /// read, for naming the block a collection error happened in.
     pub(crate) fn id_at(&self, slot: BlockSlot) -> Option<LogicalId> {

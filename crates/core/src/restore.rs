@@ -157,7 +157,14 @@ pub struct Restorer<'s, 'p> {
     /// allocation does too.
     track: Track,
     plans: PlanTable,
+    /// The stream position up to which [`Restorer::prefetch_refs`] has
+    /// looked.
+    peeked: u64,
 }
+
+/// How far ahead of the read position, in bytes, the restorer starts
+/// loading a heap record's MSRLT entry.
+const PEEK_AHEAD: usize = 128;
 
 impl<'s, 'p> Restorer<'s, 'p> {
     /// Begin restoring from a complete in-memory `payload`, read in place.
@@ -184,6 +191,7 @@ impl<'s, 'p> Restorer<'s, 'p> {
             mode: TranslationMode::default(),
             track: Track::off(),
             plans: PlanTable::default(),
+            peeked: 0,
         }
     }
 
@@ -422,9 +430,34 @@ impl<'s, 'p> Restorer<'s, 'p> {
         Ok(())
     }
 
+    /// Start loading the MSRLT entries the heap records a little further
+    /// on in the chunk will read (DESIGN §7b, "Misses overlapped on the
+    /// work stack"). A heap `PTR_REF`'s or `PTR_NEW`'s first word names
+    /// its id, so every buffered word up to [`PEEK_AHEAD`] bytes ahead
+    /// that reads as one has the id's entry loaded. Each word is looked
+    /// at once, and only in the chunk already held. A word that is no
+    /// record start names some other id, or none, and costs a useless
+    /// prefetch, never a wrong byte.
+    fn prefetch_refs(&mut self) {
+        let pos = self.input.position();
+        let ahead = self.input.ahead(PEEK_AHEAD);
+        let from = self.peeked.clamp(pos, pos + ahead.len() as u64);
+        self.peeked = pos + ahead.len() as u64;
+        for w in ahead[(from - pos) as usize..].chunks_exact(4) {
+            let w = u32::from_be_bytes(w.try_into().expect("a 4-byte chunk"));
+            if matches!(w >> TAG_SHIFT, TAG_PTR_REF | TAG_PTR_NEW) && w & FLAG_HEAP != 0 {
+                self.msrlt.prefetch_entry(LogicalId {
+                    group: GROUP_HEAP,
+                    index: w & GROUP_MAX,
+                });
+            }
+        }
+    }
+
     /// Decode one pointer into its local address; a `PTR_NEW` whose block
     /// has pointers of its own also returns the cursor that fills it.
     fn decode_pointer(&mut self) -> Result<(u64, Option<Cursor>), CoreError> {
+        self.prefetch_refs();
         let rec = Record::decode(&mut self.input)?;
         let id = rec.id;
         match rec.tag {

@@ -184,6 +184,14 @@ impl<'h> ChunkPayload<'h> {
         Ok(&self.buf[at..self.pos])
     }
 
+    /// The bytes already buffered past the read position, at most `n`:
+    /// a look ahead that reads nothing and never pulls a chunk.
+    #[inline]
+    pub(crate) fn ahead(&self, n: usize) -> &[u8] {
+        let rest = &self.buf[self.pos..];
+        &rest[..n.min(rest.len())]
+    }
+
     /// 4-byte big-endian unsigned integer.
     #[inline]
     pub fn get_u32(&mut self) -> Result<u32, CoreError> {

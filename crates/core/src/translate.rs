@@ -14,7 +14,7 @@ use crate::msrlt::{LogicalId, Msrlt};
 use crate::CoreError;
 use hpm_arch::{Architecture, CScalar};
 use hpm_memory::{AddressSpace, BlockSlot, MemError};
-use hpm_types::plan::SavePlan;
+use hpm_types::plan::{PlanOp, SavePlan};
 use hpm_types::TypeId;
 use std::sync::Arc;
 
@@ -55,7 +55,32 @@ impl Cursor {
         self.elems_left -= 1;
         self.op_idx = 0;
     }
+
+    /// Byte offsets in the block of the pointer slots the cursor reads
+    /// next, at most [`PREFETCH_SLOTS`]: the rest of its element's, or,
+    /// when its element has none left, the next element's. What a
+    /// prefetch stage loads ahead; `plan` is the cursor's.
+    pub(crate) fn next_pointer_slots<'p>(
+        &self,
+        plan: &'p SavePlan,
+    ) -> impl Iterator<Item = u64> + 'p {
+        let (mut base, mut from) = (self.elem_base, self.op_idx as usize);
+        if from >= plan.ops.len() && self.elems_left > 1 {
+            (base, from) = (base + plan.size, 0);
+        }
+        let ops = plan.ops.get(from..).unwrap_or_default();
+        let slots = ops.iter().filter_map(move |op| match *op {
+            PlanOp::PointerSlot { offset, .. } => Some(base + offset),
+            PlanOp::ScalarRun { .. } => None,
+        });
+        slots.take(PREFETCH_SLOTS)
+    }
 }
+
+/// The most pointer slots of one cursor a prefetch stage loads: a node
+/// type's links, and a bound on the stage's work when a pop leaves the
+/// same cursor that far down again.
+const PREFETCH_SLOTS: usize = 4;
 
 /// The plans one collection or restoration session has walked, indexed
 /// by `TypeId`. A drain holds a block's plan from here for a whole visit
@@ -81,6 +106,12 @@ impl PlanTable {
             self.0[i] = Some(Arc::clone(space.plan_ref(ty)?));
         }
         Ok(self.0[i].as_deref().expect("plan fetched above"))
+    }
+
+    /// The plan of `ty` if the session has fetched it: every cursor's,
+    /// since a cursor is entered with its plan in hand.
+    pub(crate) fn fetched(&self, ty: TypeId) -> Option<&SavePlan> {
+        self.0.get(ty.0 as usize)?.as_deref()
     }
 }
 

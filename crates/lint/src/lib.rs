@@ -24,6 +24,8 @@
 //! All passes funnel into one [`Report`]: deterministic order, human and
 //! JSONL renderers, and a severity-threshold deny gate for CI.
 
+#![forbid(unsafe_code)]
+
 pub mod diag;
 pub mod escape;
 pub mod portability;

@@ -30,6 +30,13 @@
 //! compiled [`SavePlan`](hpm_types::plan::SavePlan), whose leaf tables
 //! answer every typed access (`load_*`, `store_*`, `elem_addr`,
 //! `leaf_at_addr`, the `f64` runs).
+//!
+//! [`prefetch`] is the crate's one `unsafe` block and the workspace's
+//! only one in library code: the collector and restorer start loading
+//! lines they will read a few blocks later through the space's staged
+//! entry points ([`AddressSpace::prefetch_record`] and its siblings).
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod block;
 mod page_index;
@@ -38,6 +45,24 @@ mod space;
 pub use block::{BlockInfo, MemoryBlock};
 pub use page_index::{PageIndex, PAGE_SIZE};
 pub use space::{AddressSpace, AllocStats, BlockSlot, FrameId, MemError};
+
+/// Ask the processor to start loading the cache line that holds `*r`
+/// into its caches, and return at once. A hint: it changes no value,
+/// cannot fault, and a line that is never read costs only the load.
+/// `_mm_prefetch` on x86_64 and a no-op on every other target.
+#[inline(always)]
+pub fn prefetch<T>(r: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: the pointer comes from a live reference, so it is valid
+    // for reads of a `T`; a prefetch reads nothing into the program and
+    // never faults, whatever the address.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>((r as *const T).cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = r;
+}
 
 #[cfg(test)]
 mod invariant_tests {

@@ -290,6 +290,16 @@ impl<V: Copy + PartialEq> PageIndex<V> {
         accept(v)
     }
 
+    /// Start loading the granule-table entry [`PageIndex::get_if`] reads
+    /// for `addr`, on a page that has a table: the lookup's second read,
+    /// begun early. Reads the page's directory entry.
+    #[inline]
+    pub fn prefetch_granule(&self, addr: u64) {
+        if let Some(Entry::Table(t)) = self.entry(addr >> PAGE_SHIFT) {
+            crate::prefetch(&t.granule[usize::from(offset(addr) >> GRANULE_SHIFT)]);
+        }
+    }
+
     /// The first page and the page past the end of each directory run.
     #[cfg(test)]
     pub(crate) fn run_spans(&self) -> impl Iterator<Item = (u64, u64)> + '_ {

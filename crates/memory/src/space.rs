@@ -633,6 +633,38 @@ impl AddressSpace {
         })
     }
 
+    // ----- prefetch stages: lines a lookup or a drain will read soon -----
+
+    /// Start loading the arena record of the block behind `slot`, the
+    /// first line [`AddressSpace::slot_bytes`] reads. A stale handle
+    /// loads a dead slot; a slot past the arena loads nothing.
+    #[inline]
+    pub fn prefetch_record(&self, slot: BlockSlot) {
+        if let Some(r) = self.arena.get(slot.number()) {
+            crate::prefetch(r);
+        }
+    }
+
+    /// Start loading the line that holds byte `addr` of its segment: a
+    /// block's first bytes, when `addr` is its start. An address outside
+    /// every segment's buffer loads nothing.
+    #[inline]
+    pub fn prefetch_bytes(&self, addr: u64) {
+        for seg in &self.segments {
+            let at = addr.checked_sub(seg.base).map(usize::try_from);
+            if let Some(b) = at.and_then(Result::ok).and_then(|at| seg.bytes.get(at)) {
+                return crate::prefetch(b);
+            }
+        }
+    }
+
+    /// Start loading the granule-table entry [`AddressSpace::resolve`]
+    /// reads for `addr`: the first stage of overlapping a lookup.
+    #[inline]
+    pub fn prefetch_granule(&self, addr: u64) {
+        self.index.prefetch_granule(addr);
+    }
+
     /// The block starting exactly at `block_addr`.
     pub fn block_at(&self, block_addr: u64) -> Option<&MemoryBlock> {
         self.idx_at(block_addr).map(|i| self.block(i))
@@ -1032,7 +1064,9 @@ mod tests {
     /// An address no block holds misses on every preset, with no panic
     /// and no wrap: the ends of the address range, the page past each
     /// directory run and the byte below each, and the byte below the
-    /// stack's lowest page.
+    /// stack's lowest page. The prefetch stages take the same addresses,
+    /// and a freed block's stale handle, without a panic or a change to
+    /// what the space answers.
     #[test]
     fn wild_addresses_miss_on_every_preset() {
         for arch in [
@@ -1048,6 +1082,9 @@ mod tests {
             s.malloc(ch, 3).unwrap();
             s.malloc(d, 1000).unwrap();
             s.malloc(ch, 1).unwrap();
+            let freed = s.malloc(d, 2).unwrap();
+            let stale = s.info_at(freed).unwrap().slot;
+            s.free(freed).unwrap();
             let f = s.push_frame("main");
             s.define_local(f, "a", d, 1000).unwrap();
             let low = s.define_local(f, "b", ch, 3).unwrap();
@@ -1063,11 +1100,20 @@ mod tests {
                 ]);
             }
             assert_eq!(wild.len(), 5 + 3 * 3, "one run per segment");
-            for a in wild {
+            let blocks = s.block_count();
+            s.prefetch_record(stale);
+            crate::prefetch(&stale);
+            for &a in &wild {
+                s.prefetch_bytes(a);
+                s.prefetch_granule(a);
+            }
+            for &a in wild.iter().chain(&[stale.addr()]) {
                 assert!(s.resolve(a).is_none(), "{a:#x} on {}", s.arch().name);
                 assert!(s.block_at(a).is_none(), "{a:#x}");
                 assert!(s.read_bytes(a, 1).is_err(), "{a:#x}");
             }
+            assert!(s.slot_bytes(stale).is_err(), "the stale handle stays dead");
+            assert_eq!(s.block_count(), blocks);
             assert_eq!(s.resolve(low + 2).map(|r| r.2), Some(2));
         }
     }

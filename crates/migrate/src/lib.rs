@@ -49,6 +49,8 @@
 //! referenced by un-restored sections. (The image header carries
 //! `registered_bytes`, which only presizes the destination's heap.)
 
+#![forbid(unsafe_code)]
+
 pub mod ctx;
 pub mod driver;
 pub mod engine;

@@ -35,6 +35,8 @@
 //! every channel message produces a `net.send`/`net.recv` span annotated
 //! with the payload size and modeled wire time.
 
+#![forbid(unsafe_code)]
+
 mod channel;
 mod fault;
 mod model;

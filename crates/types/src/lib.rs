@@ -22,6 +22,8 @@
 //!   for `Save_pointer` treatment. A plan's leaf tables answer every
 //!   element query, offset → ordinal and ordinal → offset.
 
+#![forbid(unsafe_code)]
+
 pub mod elements;
 pub mod layout;
 pub mod plan;

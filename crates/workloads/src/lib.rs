@@ -23,6 +23,8 @@
 //!   integers sorted by in-order traversal; many small MSR nodes, with
 //!   the per-node vs pooled ("smart") allocation policies of §4.3.
 
+#![forbid(unsafe_code)]
+
 pub mod bitonic;
 pub mod figure1;
 pub mod linpack;

@@ -26,6 +26,8 @@
 //! assert!(dec.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod chunk;
 pub mod compress;
 mod decode;
