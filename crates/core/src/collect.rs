@@ -794,6 +794,12 @@ fn encode_run(
         let n = (count - done).min(kernel.slice_scalars());
         let from = (done * kernel.stride()) as usize;
         let slice = &src[from..from + kernel.native_span(n) as usize];
+        // Fault in the room this slice's wire bytes fill, if the buffer
+        // holds it; never the rest of the presized estimate.
+        let wire = kernel.wire_len(n) as usize;
+        if let Some(room) = out.enc.spare_capacity_mut().get_mut(..wire) {
+            hpm_memory::prefault(room);
+        }
         kernel.encode(arch, slice, n as usize, &mut out.enc);
         done += n;
         out.maybe_flush()?;

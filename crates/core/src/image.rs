@@ -88,10 +88,13 @@ pub fn frame_image_prefix(header: &ImageHeader, exec_state: &[u8]) -> Vec<u8> {
     enc.into_bytes()
 }
 
-/// Frame a complete migration image from its sections.
+/// Frame a complete migration image from its sections: one allocation
+/// of the image's size, faulted in before the sections are copied.
 pub fn frame_image(header: &ImageHeader, exec_state: &[u8], memory_state: &[u8]) -> Vec<u8> {
-    let mut image = frame_image_prefix(header, exec_state);
-    image.reserve(memory_state.len());
+    let prefix = frame_image_prefix(header, exec_state);
+    let mut image = Vec::with_capacity(prefix.len() + memory_state.len());
+    hpm_memory::prefault(image.spare_capacity_mut());
+    image.extend_from_slice(&prefix);
     image.extend_from_slice(memory_state);
     image
 }

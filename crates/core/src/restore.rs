@@ -342,9 +342,9 @@ impl<'s, 'p> Restorer<'s, 'p> {
         self.drain(opened)
     }
 
-    /// Fill a pointer-free block: one write borrow of the block, then
-    /// its runs straight through the decode kernel (the mirror of the
-    /// collector's `encode_flat_block`).
+    /// Fill a pointer-free block: one write borrow of the block, its
+    /// bytes faulted in at once, then its runs straight through the
+    /// decode kernel (the mirror of the collector's `encode_flat_block`).
     fn decode_flat_block(
         &mut self,
         slot: BlockSlot,
@@ -352,17 +352,17 @@ impl<'s, 'p> Restorer<'s, 'p> {
         count: u64,
     ) -> Result<(), CoreError> {
         let (arch, bytes) = self.space.slot_bytes_mut(slot)?;
-        let room = bytes.len() as u64;
-        if plan
+        let Some(total) = plan
             .size
             .checked_mul(count)
-            .is_none_or(|total| total > room)
-        {
+            .filter(|&total| total <= bytes.len() as u64)
+        else {
             return Err(CoreError::Mem(format!(
                 "block at {:#x} shorter than stream data",
                 slot.addr()
             )));
-        }
+        };
+        hpm_memory::prefault(&mut bytes[..total as usize]);
         let input = &mut self.input;
         for_each_run(arch, plan, count, self.mode, |offset, kernel, n| {
             decode_run(arch, bytes, slot, offset, kernel, n, input)

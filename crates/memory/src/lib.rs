@@ -31,10 +31,14 @@
 //! answer every typed access (`load_*`, `store_*`, `elem_addr`,
 //! `leaf_at_addr`, the `f64` runs).
 //!
-//! [`prefetch`] is the crate's one `unsafe` block and the workspace's
-//! only one in library code: the collector and restorer start loading
-//! lines they will read a few blocks later through the space's staged
-//! entry points ([`AddressSpace::prefetch_record`] and its siblings).
+//! The crate has two `unsafe` blocks, the workspace's only ones in
+//! library code, and both are hints that change no byte:
+//! [`prefetch`], through which the collector and restorer start loading
+//! lines they will read a few blocks later (the space's staged entry
+//! points, [`AddressSpace::prefetch_record`] and its siblings), and
+//! [`prefault`], through which an image-sized buffer is faulted in with
+//! one system call just before a kernel fills it, instead of one trap
+//! per page.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
@@ -62,6 +66,162 @@ pub fn prefetch<T>(r: &T) {
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = r;
+}
+
+/// Fewest bytes [`prefault`] acts on: 64 pages of 4 KiB. A shorter
+/// range takes few enough traps that the system call would not pay.
+const PREFAULT_MIN_BYTES: usize = 64 << 12;
+
+/// Fault in, with one call, the host pages lying wholly inside `buf`,
+/// which the caller is about to write in full; return at once if `buf`
+/// is shorter than 64 pages. A hint like [`prefetch`]: it changes no
+/// byte of `buf`, so it takes spare capacity
+/// (`&mut [MaybeUninit<u8>]`) as readily as initialised bytes.
+///
+/// On Linux it is one `madvise(MADV_POPULATE_WRITE)`, which maps each
+/// page writable as a first write would, without the trap per page. The
+/// result is ignored: before Linux 5.14 (`EINVAL`) or short of memory
+/// (`ENOMEM`) the writes that follow fault the pages in on demand, as
+/// they would have anyway. A no-op on every other target.
+///
+/// Only a range the next step fills belongs here: a reservation the
+/// system maps lazily, or a block a program merely allocates, would
+/// become resident memory it never uses.
+#[inline(always)]
+pub fn prefault<T>(buf: &mut [T]) {
+    let len = std::mem::size_of_val(buf);
+    if len >= PREFAULT_MIN_BYTES {
+        populate(buf.as_mut_ptr().cast(), len);
+    }
+}
+
+/// The system call behind [`prefault`], out of line so that a call site
+/// below the threshold costs one compare.
+#[cold]
+#[inline(never)]
+fn populate(start: *mut u8, len: usize) {
+    #[cfg(target_os = "linux")]
+    {
+        use std::ffi::{c_int, c_void};
+        extern "C" {
+            fn getpagesize() -> c_int;
+            fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+        }
+        const MADV_POPULATE_WRITE: c_int = 23;
+        // SAFETY: `getpagesize` takes nothing and only reads the page
+        // size. `madvise` is given the whole pages inside `[start,
+        // start + len)`, a range the caller holds by exclusive borrow,
+        // so they are this process's own writable memory;
+        // `MADV_POPULATE_WRITE` only maps them as a write fault would
+        // and reads or writes none of their bytes. A failure leaves the
+        // range as it was.
+        unsafe {
+            let page = getpagesize() as usize;
+            let lo = (start as usize).next_multiple_of(page);
+            let hi = (start as usize + len) / page * page;
+            if lo < hi {
+                madvise(lo as *mut c_void, hi - lo, MADV_POPULATE_WRITE);
+            }
+        }
+    }
+    #[cfg(not(target_os = "linux"))]
+    let _ = (start, len);
+}
+
+#[cfg(all(test, target_os = "linux"))]
+mod prefault_tests {
+    use super::prefault;
+    use std::ffi::{c_int, c_void};
+    use std::mem::MaybeUninit;
+
+    extern "C" {
+        fn getpagesize() -> c_int;
+        fn mincore(addr: *mut c_void, len: usize, vec: *mut u8) -> c_int;
+    }
+
+    fn page() -> usize {
+        // SAFETY: `getpagesize` takes nothing and only reads the page size.
+        unsafe { getpagesize() as usize }
+    }
+
+    /// Which host pages from the one holding `at` to the one holding
+    /// `at + len - 1` are resident, one flag a page.
+    fn resident(at: usize, len: usize) -> Vec<bool> {
+        let page = page();
+        let lo = at / page * page;
+        let hi = (at + len).next_multiple_of(page);
+        let mut flags = vec![0u8; (hi - lo) / page];
+        // SAFETY: `[lo, hi)` is the whole pages of a live allocation, so
+        // it is mapped, and `flags` holds one byte per page of it, which
+        // is all `mincore` writes.
+        let rc = unsafe { mincore(lo as *mut c_void, hi - lo, flags.as_mut_ptr()) };
+        assert_eq!(rc, 0, "mincore failed");
+        flags.iter().map(|&f| f & 1 == 1).collect()
+    }
+
+    /// Whether the kernel backs anonymous memory with huge pages
+    /// unasked, which makes residency 2 MiB at a time.
+    fn huge_pages_always() -> bool {
+        std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled")
+            .is_ok_and(|s| s.contains("[always]"))
+    }
+
+    #[test]
+    fn prefault_populates_exactly_its_pages() {
+        let page = page();
+        // 64 MiB: above glibc's largest dynamic mmap threshold (32 MiB),
+        // so this is a fresh mapping no byte of which has been touched
+        // beyond the allocator's header in its first page.
+        let mut buf: Vec<u8> = Vec::with_capacity(64 << 20);
+        let spare: &mut [MaybeUninit<u8>] = buf.spare_capacity_mut();
+        let base = spare.as_ptr() as usize;
+        let before = resident(base + page, spare.len() - page);
+        assert!(
+            before.iter().all(|&r| !r),
+            "a fresh 64 MiB allocation is already resident"
+        );
+
+        // A sub-slice starting and ending off page boundaries, past the
+        // header page: exactly the pages wholly inside it come in.
+        let (from, to) = (page + 1234, page + 1234 + 100 * page + 777);
+        prefault(&mut spare[from..to]);
+        let first = (base + page) / page * page;
+        let flags = resident(first, spare.len() - page);
+        let huge = huge_pages_always();
+        for (i, &r) in flags.iter().enumerate() {
+            let p = first + i * page;
+            if p >= base + from && p + page <= base + to {
+                assert!(r, "page {i} inside the slice is not resident");
+            } else if !huge {
+                assert!(!r, "page {i} outside the slice became resident");
+            }
+        }
+
+        // Empty, one page short of the threshold, and one byte short
+        // of it off a page boundary (65 pages touched): all no-ops.
+        let far = 32 << 20;
+        prefault(&mut spare[far..far]);
+        prefault(&mut spare[far..far + 63 * page]);
+        prefault(&mut spare[far + 1..far + 64 * page]);
+        assert!(
+            resident(base + far, 65 * page).iter().all(|&r| !r),
+            "a no-op prefault made pages resident"
+        );
+
+        // Initialised bytes read back unchanged.
+        let mut bytes: Vec<u8> = (0..(1usize << 20) + 13)
+            .map(|i| (i * 31 % 251) as u8)
+            .collect();
+        let want = bytes.clone();
+        prefault(&mut bytes[5..]);
+        assert_eq!(bytes, want);
+        let mut words: Vec<u64> = (0..1u64 << 17)
+            .map(|i| i.wrapping_mul(0x9e37_79b9))
+            .collect();
+        let want = words.clone();
+        prefault(&mut words);
+        assert_eq!(words, want);
+    }
 }
 
 #[cfg(test)]

@@ -196,13 +196,18 @@ impl SegmentBytes {
     }
 
     /// Cover at least `len` bytes from `base`. A first reservation is one
-    /// zeroed allocation, which the system maps lazily; later growth is
-    /// an exact resize, amortised by `Vec`'s own capacity doubling.
+    /// zeroed allocation, which the system maps lazily and which is
+    /// never prefaulted; later growth is an exact resize, amortised by
+    /// `Vec`'s own capacity doubling, whose new part is faulted in at
+    /// once before the resize zero-fills it.
     fn reserve(&mut self, len: u64) {
         let len = len as usize;
         if self.bytes.is_empty() {
             self.bytes = vec![0; len];
         } else if len > self.bytes.len() {
+            let grow = len - self.bytes.len();
+            self.bytes.reserve(grow);
+            crate::prefault(&mut self.bytes.spare_capacity_mut()[..grow]);
             self.bytes.resize(len, 0);
         }
     }
@@ -334,6 +339,21 @@ impl AddressSpace {
     pub fn reserve_heap_bytes(&mut self, bytes: u64) {
         let heap = &mut self.segments[SegmentKind::Heap as usize];
         heap.reserve(bytes.min(self.arch.segments.heap.size));
+    }
+
+    /// Pre-size the stack for an incoming migration image: `bytes` below
+    /// the stack's end (at most the segment), so that declaring the
+    /// resumed frames' locals never regrows or moves the buffer, as
+    /// growing down by doubling would. One zeroed allocation the system
+    /// maps lazily, like [`AddressSpace::reserve_heap_bytes`]; it does
+    /// nothing once a frame has claimed stack bytes.
+    pub fn reserve_stack_bytes(&mut self, bytes: u64) {
+        let stack = &mut self.segments[SegmentKind::Stack as usize];
+        if stack.bytes.is_empty() {
+            let len = bytes.min(self.arch.segments.stack.size);
+            stack.base -= len;
+            stack.reserve(len);
+        }
     }
 
     #[inline]

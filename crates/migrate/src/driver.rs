@@ -155,8 +155,10 @@ pub(crate) fn resume<P: MigratableProgram>(
     }
     let exec = ExecutionState::decode(exec_bytes)?;
     let heap = heap_reservation(&header, exec.heap_high_water, &arch, payload.len());
+    let stack = stack_reservation(&header, &exec, &arch, payload.len());
     let mut proc = Process::new(program.name(), arch);
     proc.space.reserve_heap_bytes(heap);
+    proc.space.reserve_stack_bytes(stack);
     if let Some(t) = trigger {
         proc.set_trigger(t);
     }
@@ -173,7 +175,7 @@ pub(crate) fn resume<P: MigratableProgram>(
     settle(program, proc, ran)
 }
 
-/// A restored heap's native bytes, alignment gaps included, are at most
+/// Restored blocks' native bytes, alignment gaps included, are at most
 /// this many times the payload bytes that announce and fill its blocks:
 /// every leaf takes at least one 4-byte XDR unit on the wire and at most
 /// 8 native bytes (a pointer or `long` on LP64, or a `char` padded to
@@ -181,18 +183,32 @@ pub(crate) fn resume<P: MigratableProgram>(
 /// than its record's own 8-byte header.
 const NATIVE_PER_PAYLOAD_BYTE: u64 = 2;
 
+/// The sender's registered bytes as native bytes on `arch`, with a
+/// 7-byte alignment gap (no scalar aligns to more than 8) before each of
+/// `blocks`: doubled when the destination's pointers are wider.
+fn registered_native(header: &ImageHeader, arch: &Architecture, blocks: u64) -> u64 {
+    let widen = if arch.pointer_size > u64::from(header.source_pointer_size) {
+        2
+    } else {
+        1
+    };
+    header
+        .registered_bytes
+        .saturating_mul(widen)
+        .saturating_add(7 * blocks)
+}
+
 /// How many heap bytes the destination reserves before restoring.
 ///
 /// The header's `registered_bytes` is the sender's native size of its
-/// live blocks. Doubled when the destination's pointers are wider, and
-/// with a 7-byte alignment gap (no scalar aligns to more than 8) before
-/// each of the sender's `heap_blocks`, it covers the restored heap, so
-/// restoring never regrows it. Both figures are only the sender's word,
-/// so the reservation never exceeds what the payload that has arrived
-/// can fill. A streamed payload has not arrived yet: it reserves
-/// nothing, and the heap grows as its blocks come. A sender with no heap
-/// blocks reserves nothing either: its registered bytes are all stack
-/// and globals.
+/// live blocks; as native bytes here, with a gap before each of the
+/// sender's `heap_blocks`, it covers the restored heap, so restoring
+/// never regrows it. Both figures are only the sender's word, so the
+/// reservation never exceeds what the payload that has arrived can
+/// fill. A streamed payload has not arrived yet: it reserves nothing,
+/// and the heap grows as its blocks come. A sender with no heap blocks
+/// reserves nothing either: its registered bytes are all stack and
+/// globals, which [`stack_reservation`] reserves instead.
 fn heap_reservation(
     header: &ImageHeader,
     heap_blocks: u32,
@@ -202,16 +218,36 @@ fn heap_reservation(
     if heap_blocks == 0 {
         return 0;
     }
-    let widen = if arch.pointer_size > u64::from(header.source_pointer_size) {
-        2
-    } else {
-        1
-    };
-    let claimed = header
-        .registered_bytes
-        .saturating_mul(widen)
-        .saturating_add(7 * u64::from(heap_blocks));
+    let claimed = registered_native(header, arch, u64::from(heap_blocks));
     claimed.min(NATIVE_PER_PAYLOAD_BYTE.saturating_mul(payload as u64))
+}
+
+/// How many stack bytes the destination reserves before any frame is
+/// entered, sized once from the execution state instead of doubled as
+/// each resumed frame declares its locals.
+///
+/// A sender with no heap blocks registered only stack and globals, so
+/// its registered bytes as native bytes here, with a gap before each
+/// variable the frames carry, cover every local the frames declare. A
+/// sender with heap blocks does not say which of its bytes are stack,
+/// and reserves none. Nor does a payload that has not arrived vouch for
+/// the figure: a reservation short of the locals would only move them
+/// once more.
+fn stack_reservation(
+    header: &ImageHeader,
+    exec: &ExecutionState,
+    arch: &Architecture,
+    payload: usize,
+) -> u64 {
+    if exec.heap_high_water != 0 {
+        return 0;
+    }
+    let live: u64 = exec.frames.iter().map(|f| u64::from(f.live_count)).sum();
+    let claimed = registered_native(header, arch, live);
+    if claimed > NATIVE_PER_PAYLOAD_BYTE.saturating_mul(payload as u64) {
+        return 0;
+    }
+    claimed
 }
 
 /// What [`resume_from_image`] yields: results, the completed process,

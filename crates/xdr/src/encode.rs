@@ -92,6 +92,13 @@ impl XdrEncoder {
         self.buf.reserve(additional);
     }
 
+    /// The allocated room past the bytes written so far, which the next
+    /// `put_*` calls fill from its start (a caller faulting in the pages
+    /// a long run is about to write).
+    pub fn spare_capacity_mut(&mut self) -> &mut [std::mem::MaybeUninit<u8>] {
+        self.buf.spare_capacity_mut()
+    }
+
     /// Append `n` zero bytes — `n` a whole number of 4-byte XDR units —
     /// and hand them back for the caller to fill in place (a translation
     /// kernel writing a run of scalars without a length check each).
