@@ -13,7 +13,7 @@ use hpm::migrate::{
 };
 use hpm::net::{channel_pair, ArqConfig, NetError, NetworkModel, ReliableChunkReceiver};
 use hpm::types::Field;
-use hpm::workloads::{BitonicSort, TestPointer};
+use hpm::workloads::{BitonicSort, Linpack, TestPointer};
 use hpm::xdr::{
     crc32, frame_chunk, peek_chunk_header, unframe_chunk_any, XdrEncoder, XdrError, CHUNK_MAGIC,
 };
@@ -637,31 +637,42 @@ fn hostile_exec_state_words_are_refused_not_aborted() {
 }
 
 /// The header's `registered_bytes` only presizes the destination's heap,
-/// and it is the sender's word: an honest image whose header claims
-/// `u64::MAX` bytes restores as the honest one does, reserving no more
-/// than its payload can fill — not the destination's whole heap segment,
-/// which on an LP64 machine is past what the allocator grants.
+/// or, for a sender with no heap blocks, its stack, and it is the
+/// sender's word: an honest image whose header claims `u64::MAX` bytes
+/// restores as the honest one does, reserving no more than its payload
+/// can fill — not the destination's whole heap or stack segment, which
+/// on an LP64 machine is past what the allocator grants.
 #[test]
 fn a_hostile_registered_bytes_reserves_what_the_payload_can_fill() {
-    let image = freeze_test_pointer().to_image().unwrap();
-    let (mut header, exec, payload) = unframe_image(&image).unwrap();
-    header.registered_bytes = u64::MAX;
-    let hostile = frame_image(&header, exec, payload);
-    for arch in [Architecture::sparc20(), Architecture::x86_64_sim()] {
-        let (honest, _) = largest_request_during(|| {
-            resume_from_image(&mut TestPointer::new(), arch.clone(), &image).map(|r| r.0)
-        });
-        let (claimed, largest) = largest_request_during(|| {
-            resume_from_image(&mut TestPointer::new(), arch.clone(), &hostile).map(|r| r.0)
-        });
-        assert_eq!(claimed.unwrap(), honest.unwrap(), "{}", arch.name);
-        assert!(
-            largest <= allocation_bound(hostile.len()),
-            "{}: one request of {largest} bytes for a {}-byte image",
-            arch.name,
-            hostile.len()
-        );
+    fn check<P: MigratableProgram>(make: impl Fn() -> P, mut src: MigratedSource) {
+        let image = src.to_image().unwrap();
+        let (mut header, exec, payload) = unframe_image(&image).unwrap();
+        header.registered_bytes = u64::MAX;
+        let hostile = frame_image(&header, exec, payload);
+        for arch in [Architecture::sparc20(), Architecture::x86_64_sim()] {
+            let (honest, _) = largest_request_during(|| {
+                resume_from_image(&mut make(), arch.clone(), &image).map(|r| r.0)
+            });
+            let (claimed, largest) = largest_request_during(|| {
+                resume_from_image(&mut make(), arch.clone(), &hostile).map(|r| r.0)
+            });
+            assert_eq!(claimed.unwrap(), honest.unwrap(), "{}", arch.name);
+            assert!(
+                largest <= allocation_bound(hostile.len()),
+                "{}: one request of {largest} bytes for a {}-byte image",
+                arch.name,
+                hostile.len()
+            );
+        }
     }
+    check(TestPointer::new, freeze_test_pointer());
+    let linpack = || Linpack::truncated(40, 4);
+    let frozen = run_to_migration(
+        &mut linpack(),
+        Architecture::dec5000(),
+        Trigger::AtPollCount(2),
+    );
+    check(linpack, frozen.unwrap());
 }
 
 /// Every field the compact record grammar added, set to something no
